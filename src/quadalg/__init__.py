@@ -10,14 +10,13 @@ differential duals, and the associated Calabi-Yau verdicts.
 
 from .linalg import (ConsistencyError, DEFAULT_LIMITS, LinAlgError, Limits,
                      Matrix, ResourceLimitError, Scalar, Subspace, Vec)
-from .tensors import (DegreeOneMap, MultiDegreeMap, Tensor, all_words,
-                      apply_slotwise, contract_left, contract_right,
-                      index_to_word, preserves_subspace, tau, word_to_index)
+from .tensors import (DegreeOneMap, Tensor, all_words, apply_slotwise,
+                      contract_left, contract_right, index_to_word,
+                      preserves_subspace, tau, word_to_index)
 from .frobenius import (FrobeniusStructure, GradedAutomorphism,
-                        GradedFDAlgebra, NotFrobenius,
-                        cdg_underlying_trivial_extension,
-                        dual_trivial_extension, frobenius_structure,
-                        is_graded_symmetric, trivial_extension,
+                        GradedFDAlgebra, NotFrobenius, dual_trivial_extension,
+                        frobenius_structure, is_graded_symmetric,
+                        square_zero_extension, trivial_extension,
                         twisted_module_trivial_extension)
 from .quadratic import (KoszulCertificate, QuadraticAlgebra, TruncatedAlgebra,
                         dual_automorphism, graded_dims, koszul_component,

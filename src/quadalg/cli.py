@@ -2,7 +2,8 @@
 
 Reads a JSON algebra description (file path or '-' for stdin), runs one
 subcommand, prints a deterministic JSON report on stdout.  Exit codes:
-0 pass, 1 verdict fail, 2 usage or parse error, 3 resource guard.
+0 pass, 1 verdict fail, 2 usage or parse error, 3 resource guard or out of
+memory.
 """
 
 from __future__ import annotations
@@ -247,8 +248,6 @@ def _build_parser():
     parser.add_argument("file", help="JSON description, or - for stdin")
     parser.add_argument("--max-degree", type=int, default=5,
                         help="bound for all degree-limited certificates")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed echoed into the report")
     parser.add_argument("--sigma", choices=["id", "nakayama", "file"],
                         default="nakayama",
                         help="twist selection for skew/extiso/cy")
@@ -282,8 +281,8 @@ def main(argv=None) -> int:
         print(json.dumps({"status": "error", "error": str(exc),
                           "command": args.command}, sort_keys=True))
         return 2
-    except ResourceLimitError as exc:
-        print(json.dumps({"status": "error", "error": str(exc),
+    except (ResourceLimitError, MemoryError) as exc:
+        print(json.dumps({"status": "error", "error": str(exc) or "out of memory",
                           "command": args.command}, sort_keys=True))
         return 3
     except ConsistencyError as exc:
@@ -296,7 +295,6 @@ def main(argv=None) -> int:
         "command": args.command,
         "input_digest": digest,
         "max_degree": args.max_degree,
-        "seed": args.seed,
         "sigma_mode": args.sigma,
         "status": "pass" if passed else "fail",
         "verdict": verdict,

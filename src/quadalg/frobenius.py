@@ -12,11 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import ConsistencyError, LinAlgError, Matrix, ONE, Vec, ZERO
-
-
-def _unit_vec(n: int, i: int) -> Vec:
-    return tuple(ONE if j == i else ZERO for j in range(n))
+from .linalg import (ConsistencyError, LinAlgError, Matrix, Vec, ZERO,
+                     unit_vector)
 
 
 class NotFrobenius(Exception):
@@ -121,9 +118,9 @@ class GradedFDAlgebra:
     def _validate_unit(self) -> None:
         for j in range(self.length + 1):
             for b in range(self.dims[j]):
-                if self.multiply_basis(0, 0, j, b) != _unit_vec(self.dims[j], b):
+                if self.multiply_basis(0, 0, j, b) != unit_vector(self.dims[j], b):
                     raise LinAlgError(f"left unit fails on degree {j} index {b}")
-                if self.multiply_basis(j, b, 0, 0) != _unit_vec(self.dims[j], b):
+                if self.multiply_basis(j, b, 0, 0) != unit_vector(self.dims[j], b):
                     raise LinAlgError(f"right unit fails on degree {j} index {b}")
 
     def _validate_associativity(self) -> None:
@@ -137,8 +134,8 @@ class GradedFDAlgebra:
                             for c in range(self.dims[k]):
                                 bc = self.multiply_basis(j, b, k, c)
                                 left = self.multiply(i + j, ab, k,
-                                                     _unit_vec(self.dims[k], c))
-                                right = self.multiply(i, _unit_vec(self.dims[i], a),
+                                                     unit_vector(self.dims[k], c))
+                                right = self.multiply(i, unit_vector(self.dims[i], a),
                                                       j + k, bc)
                                 if left != right:
                                     raise LinAlgError(
@@ -185,9 +182,9 @@ class GradedAutomorphism:
         for i in range(d + 1):
             for j in range(d + 1 - i):
                 for a in range(alg.dims[i]):
-                    fa = self.apply(i, _unit_vec(alg.dims[i], a))
+                    fa = self.apply(i, unit_vector(alg.dims[i], a))
                     for b in range(alg.dims[j]):
-                        fb = self.apply(j, _unit_vec(alg.dims[j], b))
+                        fb = self.apply(j, unit_vector(alg.dims[j], b))
                         lhs = self.apply(i + j, alg.multiply_basis(i, a, j, b))
                         if lhs != alg.multiply(i, fa, j, fb):
                             return False
@@ -269,6 +266,47 @@ def is_graded_symmetric(alg: GradedFDAlgebra,
 # trivial extensions
 # ---------------------------------------------------------------------------
 
+def square_zero_extension(alg: GradedFDAlgebra, module_dims, module_labels,
+                          left, right, validate: bool = True) -> GradedFDAlgebra:
+    """The square-zero extension of `alg` by a graded bimodule M.
+
+    Degree i of the result is A_i followed by M_i, where M_i has dimension
+    module_dims[i] and basis labels module_labels[i]; the result's length is
+    len(module_dims) - 1.  left(i, a, j, b) is the coordinate row in M_{i+j}
+    of the a-th basis element of A_i acting on the b-th of M_j, and
+    right(i, a, j, b) that of the a-th basis element of M_i acted on by the
+    b-th of A_j.  Products of two module elements vanish.
+    """
+    length = len(module_dims) - 1
+    if length < alg.length:
+        raise LinAlgError("the module must reach the top degree of the algebra")
+    dims = [alg.dim(i) + module_dims[i] for i in range(length + 1)]
+    labels = [(alg.labels[i] if i <= alg.length else ()) + tuple(module_labels[i])
+              for i in range(length + 1)]
+    mult = {}
+    for i in range(length + 1):
+        for j in range(length + 1 - i):
+            ai, aj = alg.dim(i), alg.dim(j)
+            zero_alg = (ZERO,) * alg.dim(i + j)
+            zero_mod = (ZERO,) * module_dims[i + j]
+            block = []
+            for a in range(dims[i]):
+                row = []
+                for b in range(dims[j]):
+                    if a < ai and b < aj:
+                        cell = alg.multiply_basis(i, a, j, b) + zero_mod
+                    elif a < ai:
+                        cell = zero_alg + tuple(left(i, a, j, b - aj))
+                    elif b < aj:
+                        cell = zero_alg + tuple(right(i, a - ai, j, b))
+                    else:
+                        cell = zero_alg + zero_mod
+                    row.append(cell)
+                block.append(tuple(row))
+            mult[(i, j)] = tuple(block)
+    return GradedFDAlgebra(dims, labels, mult, validate=validate)
+
+
 def dual_trivial_extension(alg: GradedFDAlgebra, left: GradedAutomorphism,
                            right: GradedAutomorphism, n: int,
                            validate: bool = True) -> GradedFDAlgebra:
@@ -281,43 +319,25 @@ def dual_trivial_extension(alg: GradedFDAlgebra, left: GradedAutomorphism,
     d = alg.length
     if n < d:
         raise LinAlgError("the shift must be at least the algebra length")
-    dims = [alg.dim(i) + alg.dim(n - i) for i in range(n + 1)]
-    labels = []
-    for i in range(n + 1):
-        row = list(alg.labels[i]) if i <= d else []
-        if 0 <= n - i <= d:
-            row += [s + "*" for s in alg.labels[n - i]]
-        labels.append(tuple(row))
-    mult = {}
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            ai, aj, aij = alg.dim(i), alg.dim(j), alg.dim(i + j)
-            mi, mj, mij = alg.dim(n - i), alg.dim(n - j), alg.dim(n - i - j)
-            block = []
-            for a in range(dims[i]):
-                row = []
-                for b in range(dims[j]):
-                    out = [ZERO] * dims[i + j]
-                    if a < ai and b < aj:
-                        prod = alg.multiply_basis(i, a, j, b)
-                        for c, v in enumerate(prod):
-                            out[c] = v
-                    elif a < ai and b >= aj:
-                        bb = b - aj
-                        la = left.apply(i, _unit_vec(ai, a))
-                        for c in range(mij):
-                            prod = alg.multiply(n - i - j, _unit_vec(mij, c), i, la)
-                            out[aij + c] = prod[bb]
-                    elif a >= ai and b < aj:
-                        aa = a - ai
-                        rb = right.apply(j, _unit_vec(aj, b))
-                        for c in range(mij):
-                            prod = alg.multiply(j, rb, n - i - j, _unit_vec(mij, c))
-                            out[aij + c] = prod[aa]
-                    row.append(tuple(out))
-                block.append(tuple(row))
-            mult[(i, j)] = tuple(block)
-    return GradedFDAlgebra(dims, labels, mult, validate=validate)
+    dims = [alg.dim(n - i) for i in range(n + 1)]
+    labels = [[s + "*" for s in alg.labels[n - i]] if n - i <= d else []
+              for i in range(n + 1)]
+
+    def act_left(i, a, j, g):
+        # a.g evaluated on each basis element of E_{n-i-j}
+        la = left.apply(i, unit_vector(alg.dim(i), a))
+        k = n - i - j
+        return [alg.multiply(k, unit_vector(alg.dim(k), c), i, la)[g]
+                for c in range(alg.dim(k))]
+
+    def act_right(i, g, j, b):
+        rb = right.apply(j, unit_vector(alg.dim(j), b))
+        k = n - i - j
+        return [alg.multiply(j, rb, k, unit_vector(alg.dim(k), c))[g]
+                for c in range(alg.dim(k))]
+
+    return square_zero_extension(alg, dims, labels, act_left, act_right,
+                                 validate)
 
 
 def trivial_extension(alg: GradedFDAlgebra, sigma: GradedAutomorphism,
@@ -342,97 +362,18 @@ def twisted_module_trivial_extension(alg: GradedFDAlgebra,
     if shift > 0:
         raise LinAlgError("only nonpositive shifts are supported")
     d = alg.length
-    length = d - shift
-    dims = [alg.dim(i) + alg.dim(i + shift) for i in range(length + 1)]
-    labels = []
-    for i in range(length + 1):
-        row = list(alg.labels[i]) if i <= d else []
-        if 0 <= i + shift <= d:
-            row += [(mod_suffix if s == "1" else s + mod_suffix)
-                    for s in alg.labels[i + shift]]
-        labels.append(tuple(row))
-    mult = {}
-    for i in range(length + 1):
-        for j in range(length + 1 - i):
-            ai, aj, aij = alg.dim(i), alg.dim(j), alg.dim(i + j)
-            mi = alg.dim(i + shift)
-            mj = alg.dim(j + shift)
-            mij = alg.dim(i + j + shift)
-            block = []
-            for a in range(dims[i]):
-                row = []
-                for b in range(dims[j]):
-                    out = [ZERO] * dims[i + j]
-                    if a < ai and b < aj:
-                        prod = alg.multiply_basis(i, a, j, b)
-                        for c, v in enumerate(prod):
-                            out[c] = v
-                    elif a < ai and b >= aj:
-                        la = left.apply(i, _unit_vec(ai, a))
-                        prod = alg.multiply(i, la, j + shift,
-                                            _unit_vec(mj, b - aj))
-                        for c, v in enumerate(prod):
-                            out[aij + c] = v
-                    elif a >= ai and b < aj:
-                        rb = right.apply(j, _unit_vec(aj, b))
-                        prod = alg.multiply(i + shift, _unit_vec(mi, a - ai), j, rb)
-                        for c, v in enumerate(prod):
-                            out[aij + c] = v
-                    row.append(tuple(out))
-                block.append(tuple(row))
-            mult[(i, j)] = tuple(block)
-    return GradedFDAlgebra(dims, labels, mult, validate=validate)
+    dims = [alg.dim(i + shift) for i in range(d - shift + 1)]
+    labels = [[mod_suffix if s == "1" else s + mod_suffix
+               for s in alg.labels[i + shift]] if i + shift >= 0 else []
+              for i in range(d - shift + 1)]
 
+    def act_left(i, a, j, m):
+        la = left.apply(i, unit_vector(alg.dim(i), a))
+        return alg.multiply(i, la, j + shift, unit_vector(alg.dim(j + shift), m))
 
-def cdg_underlying_trivial_extension(alg: GradedFDAlgebra,
-                                     validate: bool = True) -> GradedFDAlgebra:
-    """Dual trivial extension with the sign rule written out literally.
+    def act_right(i, m, j, b):
+        rb = right.apply(j, unit_vector(alg.dim(j), b))
+        return alg.multiply(i + shift, unit_vector(alg.dim(i + shift), m), j, rb)
 
-    The left action carries the sign (-1)^((d+1)i) * (-1)^(i(|g|+|m|)) where
-    |g| and |m| are the cohomological degrees of the dual element and of the
-    test element; the right action is unsigned.  This is an independent
-    construction kept for cross-checking against the twisted form.
-    """
-    d = alg.length
-    n = d + 1
-    dims = [alg.dim(i) + alg.dim(n - i) for i in range(n + 1)]
-    labels = []
-    for i in range(n + 1):
-        row = list(alg.labels[i]) if i <= d else []
-        if 0 <= n - i <= d:
-            row += [s + "*" for s in alg.labels[n - i]]
-        labels.append(tuple(row))
-    mult = {}
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            ai, aj, aij = alg.dim(i), alg.dim(j), alg.dim(i + j)
-            mij = alg.dim(n - i - j)
-            block = []
-            for a in range(dims[i]):
-                row = []
-                for b in range(dims[j]):
-                    out = [ZERO] * dims[i + j]
-                    if a < ai and b < aj:
-                        prod = alg.multiply_basis(i, a, j, b)
-                        for c, v in enumerate(prod):
-                            out[c] = v
-                    elif a < ai and b >= aj:
-                        bb = b - aj
-                        g_deg = -(n - j)
-                        m_deg = n - i - j
-                        sign = Fraction((-1) ** (n * i) *
-                                        (-1) ** (i * (g_deg + m_deg)))
-                        for c in range(mij):
-                            prod = alg.multiply(n - i - j, _unit_vec(mij, c), i,
-                                                _unit_vec(ai, a))
-                            out[aij + c] = sign * prod[bb]
-                    elif a >= ai and b < aj:
-                        aa = a - ai
-                        for c in range(mij):
-                            prod = alg.multiply(j, _unit_vec(aj, b), n - i - j,
-                                                _unit_vec(mij, c))
-                            out[aij + c] = prod[aa]
-                    row.append(tuple(out))
-                block.append(tuple(row))
-            mult[(i, j)] = tuple(block)
-    return GradedFDAlgebra(dims, labels, mult, validate=validate)
+    return square_zero_extension(alg, dims, labels, act_left, act_right,
+                                 validate)

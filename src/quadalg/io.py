@@ -12,11 +12,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, ONE, Vec, ZERO
+from .linalg import Matrix, Vec, ZERO
 from .quadratic import QuadraticAlgebra
 from .regular import RegularityCertificate
 from .pbw import PBWDeformation
-from .tensors import DegreeOneMap, Tensor, word_to_index
+from .tensors import DegreeOneMap, Tensor
 
 
 class ValidationError(ValueError):
@@ -240,9 +240,3 @@ def tensor_to_terms(t: Tensor, names):
     """Serialize a tensor as coeff/word term objects."""
     return [{"coeff": str(c), "word": [names[i] for i in word]}
             for word, c in t.terms]
-
-
-def vector_to_terms(vec, names, degree):
-    n = len(names)
-    t = Tensor.from_vector(vec, degree, n)
-    return tensor_to_terms(t, names)

@@ -27,6 +27,11 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def unit_vector(n: int, i: int) -> Vec:
+    """The i-th standard basis vector of length n."""
+    return tuple(ONE if j == i else ZERO for j in range(n))
+
+
 class LinAlgError(ValueError):
     """Dimension mismatch, singular solve, or malformed input."""
 
@@ -150,11 +155,6 @@ def _rank_int(rows: Iterable[dict[int, int]]) -> int:
     return len(pivots)
 
 
-def rank_of_spanning(rows: Iterable[RowLike]) -> int:
-    """Rank of the span of an iterable of rational rows."""
-    return _rank_int(_to_int_row(r) for r in rows)
-
-
 def _pivots_to_fraction_rows(pivots: dict[int, dict[int, int]], ncols: int) -> tuple[Vec, ...]:
     out = []
     for pc in sorted(pivots):
@@ -198,8 +198,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(tuple(tuple(ONE if i == j else ZERO for j in range(n))
-                            for i in range(n)), n)
+        return Matrix(tuple(unit_vector(n, i) for i in range(n)), n)
 
     @staticmethod
     def zero(r: int, c: int) -> "Matrix":
@@ -319,8 +318,8 @@ class Matrix:
             raise LinAlgError("inverse of a non-square matrix")
         n = self.rows
         aug = Matrix.from_rows(
-            [tuple(row) + tuple(ONE if i == j else ZERO for j in range(n))
-             for i, row in enumerate(self.entries)], 2 * n)
+            [tuple(row) + unit_vector(n, i) for i, row in enumerate(self.entries)],
+            2 * n)
         red, piv, rank = aug.rref()
         if piv[:n] != tuple(range(n)) or rank != n:
             raise LinAlgError("matrix is singular")
@@ -473,10 +472,3 @@ class Subspace:
                 rows.append(tuple(dense))
                 pivots.append(pu * other.ambient + pv)
         return Subspace(amb, Matrix(tuple(rows), amb), tuple(pivots))
-
-
-def congruence_witness_check(m: Matrix, m2: Matrix, p: Matrix, k) -> bool:
-    """Whether m = k * p . m2 . p^T exactly."""
-    if m.rows != m.cols or m2.rows != m2.cols or p.rows != p.cols:
-        raise LinAlgError("congruence check requires square matrices")
-    return m == (p @ m2 @ p.transpose()).scale(Fraction(k))

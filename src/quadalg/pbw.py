@@ -16,17 +16,13 @@ from fractions import Fraction
 
 from .frobenius import (GradedAutomorphism, GradedFDAlgebra,
                         dual_trivial_extension)
-from .linalg import (ConsistencyError, DEFAULT_LIMITS, LinAlgError, Limits,
-                     Matrix, ONE, Vec, ZERO)
+from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Vec, ZERO,
+                     unit_vector)
 from .quadratic import TruncatedAlgebra
 from .regular import (RegularityCertificate, dim2_matrix_form,
                       nakayama_of_algebra, regularity_data)
 from .skew import skew_extend
-from .tensors import DegreeOneMap, word_to_index
-
-
-def _unit(n: int, i: int) -> Vec:
-    return tuple(ONE if j == i else ZERO for j in range(n))
+from .tensors import DegreeOneMap, index_to_word, word_to_index
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,12 +105,7 @@ def dual_cdga(defm: PBWDeformation) -> Cdga:
     for j in range(2, d + 1):
         rows = []
         for widx in trunc.words[j]:
-            word = []
-            rest = widx
-            for _ in range(j):
-                rest, letter = divmod(rest, n)
-                word.append(letter)
-            word.reverse()
+            word = index_to_word(widx, n, j)
             if j + 1 > d:
                 rows.append(())
                 continue
@@ -162,10 +153,10 @@ def check_cdga_axioms(c: Cdga) -> CdgaAxiomReport:
         for j in range(length - i):
             for a in range(alg.dims[i]):
                 da = c.delta[i][a]
-                ua = _unit(alg.dims[i], a)
+                ua = unit_vector(alg.dims[i], a)
                 for b in range(alg.dims[j]):
                     db = c.delta[j][b]
-                    ub = _unit(alg.dims[j], b)
+                    ub = unit_vector(alg.dims[j], b)
                     lhs = apply_delta(c, i + j, alg.multiply_basis(i, a, j, b))
                     first = alg.multiply(i + 1, da, j, ub)
                     second = alg.multiply(i, ua, j + 1, db)
@@ -178,7 +169,7 @@ def check_cdga_axioms(c: Cdga) -> CdgaAxiomReport:
     for j in range(length):
         for a in range(alg.dims[j]):
             lhs = apply_delta(c, j + 1, c.delta[j][a])
-            ua = _unit(alg.dims[j], a)
+            ua = unit_vector(alg.dims[j], a)
             left = alg.multiply(2, c.curvature, j, ua)
             right = alg.multiply(j, ua, 2, c.curvature)
             rhs = tuple(x - y for x, y in zip(left, right))
@@ -250,15 +241,7 @@ def skew_deformation(defm: PBWDeformation) -> PBWDeformation:
     cert_ext = regularity_data(ext.algebra, d + 1, d + 2, cert.limits)
     m = n + 1
     nrel = alg.relations.dim
-    stacked = []
-    for _, row in alg.relations._sparse_rows:
-        dense = [ZERO] * (m * m)
-        for c, v in row.items():
-            dense[(c // n) * m + (c % n)] = v
-        stacked.append(tuple(dense))
-    for t in ext.mixed_relations:
-        stacked.append(t.to_vector())
-    smat = Matrix.from_rows(stacked, m * m).transpose()
+    smat = Matrix.from_rows(ext.stacked_relations, m * m).transpose()
     nu_rows = []
     theta = []
     for rho in ext.algebra.relations.basis.entries:
@@ -324,7 +307,7 @@ def cy_criterion_deformed(defm: PBWDeformation) -> DeformedCYReport:
     for i in range(n):
         u = tuple(omega_cols.col(i)) + tuple([ZERO] * dual_dm1)
         prod = gamma.multiply(d - 1, u, 1, pi_star)
-        expected = tuple([ZERO] * alg_fd.dim(d)) + _unit(n, i)
+        expected = tuple([ZERO] * alg_fd.dim(d)) + unit_vector(n, i)
         if prod != expected:
             raise ConsistencyError("canonical section identity fails in the model")
     delta_pi_dual = g1.mul_row(twisted)
@@ -380,7 +363,7 @@ def nakayama_cdga_compatibility(defm: PBWDeformation) -> CompatibilityReport:
     for j in range(d):
         for a in range(alg_fd.dims[j]):
             lhs = chi.apply(j + 1, c.delta[j][a])
-            rhs = apply_delta(c, j, chi.apply(j, _unit(alg_fd.dims[j], a)))
+            rhs = apply_delta(c, j, chi.apply(j, unit_vector(alg_fd.dims[j], a)))
             if lhs != rhs:
                 commutes = False
     fixed = chi.apply(2, c.curvature) == tuple(c.curvature)
@@ -444,7 +427,7 @@ def cdg_trivial_extension(c: Cdga) -> Cdga:
                 continue
             out = [ZERO] * gamma.dims[i + 1]
             if a < ai:
-                img = apply_delta(c, i, _unit(ai, a))
+                img = apply_delta(c, i, unit_vector(ai, a))
                 for t, v in enumerate(img):
                     out[t] = v
             else:

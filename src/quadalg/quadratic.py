@@ -15,9 +15,9 @@ from functools import lru_cache
 
 from .frobenius import GradedAutomorphism, GradedFDAlgebra
 from .linalg import (ConsistencyError, DEFAULT_LIMITS, LinAlgError, Limits,
-                     Matrix, ONE, Subspace, Vec, ZERO)
+                     Matrix, Subspace, Vec, ZERO, unit_vector)
 from .tensors import (DegreeOneMap, Tensor, apply_slotwise, index_to_word,
-                      preserves_subspace, word_to_index)
+                      preserves_subspace)
 
 
 def word_label(names, word) -> str:
@@ -323,11 +323,10 @@ class TruncatedAlgebra:
             for j in range(self.bound + 1 - i):
                 block = []
                 for a in range(self.dims[i]):
-                    ua = tuple(ONE if x == a else ZERO for x in range(self.dims[i]))
+                    ua = unit_vector(self.dims[i], a)
                     row = []
                     for b in range(self.dims[j]):
-                        vb = tuple(ONE if x == b else ZERO
-                                   for x in range(self.dims[j]))
+                        vb = unit_vector(self.dims[j], b)
                         row.append(self.multiply(i, ua, j, vb))
                     block.append(tuple(row))
                 mult[(i, j)] = tuple(block)

@@ -12,13 +12,12 @@ verdict is read off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .frobenius import (GradedFDAlgebra, frobenius_structure,
-                        is_graded_symmetric, twisted_module_trivial_extension)
+from .frobenius import (GradedFDAlgebra, is_graded_symmetric,
+                        twisted_module_trivial_extension)
 from .linalg import (ConsistencyError, DEFAULT_LIMITS, LinAlgError, Limits,
-                     Matrix, ONE, Subspace, ZERO)
+                     Matrix, ONE, Subspace, Vec, ZERO, unit_vector)
 from .quadratic import (QuadraticAlgebra, TruncatedAlgebra, graded_dims,
                         quadratic_dual, truncated_structure)
 from .regular import (RegularityCertificate, as_regular_certificate,
@@ -40,13 +39,19 @@ def fresh_letter(names) -> str:
 
 @dataclass(frozen=True, eq=False)
 class SkewExtension:
-    """A quadratic algebra extended by one twisted letter."""
+    """A quadratic algebra extended by one twisted letter.
+
+    stacked_relations holds the base's canonical relation rows embedded in
+    the (n+1)^2 word coordinates of the extension, followed by the n mixed
+    relations; the extension's relation space is their span.
+    """
 
     base: QuadraticAlgebra
     sigma: DegreeOneMap
     algebra: QuadraticAlgebra
     mixed_relations: tuple[Tensor, ...]
     zname: str
+    stacked_relations: tuple[Vec, ...]
 
 
 @lru_cache(maxsize=None)
@@ -64,17 +69,16 @@ def _skew_extend(base: QuadraticAlgebra, sigma: DegreeOneMap, zname: str,
     names = base.names + (zname,)
     m = n + 1
     pinv = sigma.matrix.inverse()
-    rows = []
+    stacked = []
     for _, row in base.relations._sparse_rows:
-        rows.append({(c // n) * m + (c % n): v for c, v in row.items()})
-    mixed = []
-    for i in range(n):
-        sparse = {n * m + k: pinv[k, i] for k in range(n) if pinv[k, i]}
-        sparse[i * m + n] = -ONE
-        rows.append(sparse)
-        mixed.append(Tensor.make(2, m, [((n, k), pinv[k, i]) for k in range(n)]
-                                 + [((i, n), -ONE)]))
-    relations = Subspace.from_spanning(rows, m * m)
+        dense = [ZERO] * (m * m)
+        for c, v in row.items():
+            dense[(c // n) * m + (c % n)] = v
+        stacked.append(tuple(dense))
+    mixed = tuple(Tensor.make(2, m, [((n, k), pinv[k, i]) for k in range(n)]
+                              + [((i, n), -ONE)]) for i in range(n))
+    stacked += [t.to_vector() for t in mixed]
+    relations = Subspace.from_spanning(stacked, m * m)
     if relations.dim != base.relations.dim + n:
         raise ConsistencyError("mixed relations are not independent of the base ones")
     algebra = QuadraticAlgebra(names, relations)
@@ -85,7 +89,7 @@ def _skew_extend(base: QuadraticAlgebra, sigma: DegreeOneMap, zname: str,
             raise ConsistencyError(
                 f"extension dimension {dims_ext[k]} at degree {k} is not the "
                 f"partial sum {sum(dims_base[:k + 1])} of the base dimensions")
-    return SkewExtension(base, sigma, algebra, tuple(mixed), zname)
+    return SkewExtension(base, sigma, algebra, mixed, zname, tuple(stacked))
 
 
 def skew_extend(base: QuadraticAlgebra, sigma: DegreeOneMap,
@@ -130,10 +134,6 @@ class IsoReport:
                 and self.left_identity_ok and self.right_identity_ok)
 
 
-def _unit(n: int, i: int):
-    return tuple(ONE if j == i else ZERO for j in range(n))
-
-
 def verify_ext_algebra_isomorphism(cert: RegularityCertificate,
                                    sigma: DegreeOneMap,
                                    limits: Limits = DEFAULT_LIMITS) -> IsoReport:
@@ -176,7 +176,7 @@ def verify_ext_algebra_isomorphism(cert: RegularityCertificate,
         qmat = Matrix.from_rows(zip(*qcols), len(qcols))
         scols = []
         for c in range(gamma.dims[k]):
-            sc = pmat.solve(_unit(gamma.dims[k], c))
+            sc = pmat.solve(unit_vector(gamma.dims[k], c))
             if sc is None:
                 generated_ok = False
                 break
@@ -211,30 +211,19 @@ def verify_ext_algebra_isomorphism(cert: RegularityCertificate,
             if not structure_ok:
                 break
     # mixed dual relation classes, paired against the original relation rows
-    stacked = []
-    mm = (n + 1) ** 2
-    for _, row in alg.relations._sparse_rows:
-        dense = [ZERO] * mm
-        for c, v in row.items():
-            dense[(c // n) * (n + 1) + (c % n)] = v
-        stacked.append(tuple(dense))
-    for t in ext.mixed_relations:
-        stacked.append(t.to_vector())
     nrel = alg.relations.dim
-    rt_classes = []
-    for i in range(n):
-        values = [ZERO] * (nrel + n)
-        values[nrel + i] = ONE
-        rt_classes.append(trunc_bd.class_from_row_pairings(2, stacked, values))
+    rt_classes = [trunc_bd.class_from_row_pairings(
+        2, ext.stacked_relations, unit_vector(nrel + n, nrel + i))
+        for i in range(n)]
     pinv = sigma.matrix.inverse()
     left_ok = True
     right_ok = True
     dim2 = ebd.dims[2]
     for i in range(n):
-        xi_zs = ebd.multiply(1, _unit(n + 1, i), 1, _unit(n + 1, n))
+        xi_zs = ebd.multiply(1, unit_vector(n + 1, i), 1, unit_vector(n + 1, n))
         if xi_zs != tuple(-v for v in rt_classes[i]):
             left_ok = False
-        zs_xi = ebd.multiply(1, _unit(n + 1, n), 1, _unit(n + 1, i))
+        zs_xi = ebd.multiply(1, unit_vector(n + 1, n), 1, unit_vector(n + 1, i))
         expect = [ZERO] * dim2
         for j in range(n):
             c = pinv[i, j]

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import ConsistencyError, LinAlgError, Matrix, ONE, Subspace, ZERO
+from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Subspace, ZERO,
+                     unit_vector)
 from .quadratic import QuadraticAlgebra, koszul_component
 from .regular import RegularityCertificate, nakayama_of_algebra
 from .tensors import (DegreeOneMap, Tensor, apply_slotwise, contract_left,
@@ -62,14 +63,12 @@ def extract_superpotential(cert: RegularityCertificate) -> SuperpotentialData:
     left_rows = []
     right_cols = []
     for i in range(n):
-        e = tuple(ONE if j == i else ZERO for j in range(n))
-        lc = sub.coordinates(contract_left(e, w).to_vector())
+        lc = sub.coordinates(contract_left(unit_vector(n, i), w).to_vector())
         if lc is None:
             raise ConsistencyError("left contraction leaves the Koszul component")
         left_rows.append(lc)
     for j in range(n):
-        e = tuple(ONE if i == j else ZERO for i in range(n))
-        rv = contract_right(w, e).to_vector()
+        rv = contract_right(w, unit_vector(n, j)).to_vector()
         rc = sub.coordinates(rv)
         if rc is None:
             raise ConsistencyError("right contraction leaves the Koszul component")

@@ -93,9 +93,6 @@ class Tensor:
     def sub(self, other: "Tensor") -> "Tensor":
         return self.add(other.scale(-1))
 
-    def neg(self) -> "Tensor":
-        return self.scale(-1)
-
     def scale(self, k) -> "Tensor":
         k = Fraction(k)
         if not k:
@@ -147,15 +144,6 @@ class Tensor:
         return " + ".join(f"{c}*{''.join(map(str, w))}" for w, c in self.terms)
 
 
-def tensors_to_subspace(tensors, degree: int, ambient: int) -> Subspace:
-    rows = [t.to_sparse_map() for t in tensors]
-    return Subspace.from_spanning(rows, ambient ** degree)
-
-
-def subspace_to_tensors(space: Subspace, degree: int, ambient: int) -> list[Tensor]:
-    return [Tensor.from_vector(r, degree, ambient) for r in space.basis.entries]
-
-
 @dataclass(frozen=True)
 class DegreeOneMap:
     """A linear endomorphism of the degree-one space in column convention.
@@ -204,20 +192,6 @@ class DegreeOneMap:
     def apply_letter(self, letter: int) -> Tensor:
         return Tensor.make(1, self.n,
                            [((i,), c) for i, c in enumerate(self.image_of(letter))])
-
-    def extend(self, degree: int) -> "MultiDegreeMap":
-        """The induced map on the degree-th tensor power."""
-        return MultiDegreeMap(tuple([self] * degree))
-
-
-@dataclass(frozen=True)
-class MultiDegreeMap:
-    """A slotwise tensor product of degree-one maps (None slots act as id)."""
-
-    slots: tuple[DegreeOneMap | None, ...]
-
-    def apply(self, t: Tensor) -> Tensor:
-        return apply_slotwise(self.slots, t)
 
 
 def apply_slotwise(maps, t: Tensor) -> Tensor:

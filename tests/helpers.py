@@ -3,10 +3,11 @@
 from fractions import Fraction
 import random
 
-from quadalg import (DegreeOneMap, Matrix, Tensor, apply_slotwise,
-                     as_regular_certificate, index_to_word, nakayama_of_algebra,
-                     tau, word_to_index)
+from quadalg import (DegreeOneMap, GradedFDAlgebra, Matrix, Tensor,
+                     apply_slotwise, as_regular_certificate, index_to_word,
+                     nakayama_of_algebra, tau, word_to_index)
 from quadalg.io import description_to_algebra
+from quadalg.linalg import ZERO, unit_vector
 from quadalg.presets import corpus
 
 AS_REGULAR = ("kxy", "quantum_plane_q2", "quantum_plane_q3",
@@ -116,3 +117,57 @@ def block_nakayama_oracle(alg_fd, sigma, n_ext):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def cdg_underlying_trivial_extension(alg: GradedFDAlgebra,
+                                     validate: bool = True) -> GradedFDAlgebra:
+    """Dual trivial extension with the sign rule written out literally.
+
+    The left action carries the sign (-1)^((d+1)i) * (-1)^(i(|g|+|m|)) where
+    |g| and |m| are the cohomological degrees of the dual element and of the
+    test element; the right action is unsigned.  This is an independent
+    construction kept for cross-checking against the twisted form.
+    """
+    d = alg.length
+    n = d + 1
+    dims = [alg.dim(i) + alg.dim(n - i) for i in range(n + 1)]
+    labels = []
+    for i in range(n + 1):
+        row = list(alg.labels[i]) if i <= d else []
+        if 0 <= n - i <= d:
+            row += [s + "*" for s in alg.labels[n - i]]
+        labels.append(tuple(row))
+    mult = {}
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            ai, aj, aij = alg.dim(i), alg.dim(j), alg.dim(i + j)
+            mij = alg.dim(n - i - j)
+            block = []
+            for a in range(dims[i]):
+                row = []
+                for b in range(dims[j]):
+                    out = [ZERO] * dims[i + j]
+                    if a < ai and b < aj:
+                        prod = alg.multiply_basis(i, a, j, b)
+                        for c, v in enumerate(prod):
+                            out[c] = v
+                    elif a < ai and b >= aj:
+                        bb = b - aj
+                        g_deg = -(n - j)
+                        m_deg = n - i - j
+                        sign = Fraction((-1) ** (n * i) *
+                                        (-1) ** (i * (g_deg + m_deg)))
+                        for c in range(mij):
+                            prod = alg.multiply(n - i - j, unit_vector(mij, c), i,
+                                                unit_vector(ai, a))
+                            out[aij + c] = sign * prod[bb]
+                    elif a >= ai and b < aj:
+                        aa = a - ai
+                        for c in range(mij):
+                            prod = alg.multiply(j, unit_vector(aj, b), n - i - j,
+                                                unit_vector(mij, c))
+                            out[aij + c] = prod[aa]
+                    row.append(tuple(out))
+                block.append(tuple(row))
+            mult[(i, j)] = tuple(block)
+    return GradedFDAlgebra(dims, labels, mult, validate=validate)

@@ -8,10 +8,10 @@ and each criterion finishes in seconds.
 from fractions import Fraction
 
 from helpers import (AS_REGULAR, DIM2, block_nakayama_oracle, cert_of,
-                     random_member, random_nu_theta, scalar_twist, seeded,
-                     twist_pool, twisted_cyclic_space)
-from quadalg import (DegreeOneMap, Matrix, PBWDeformation, Tensor,
-                     cdg_underlying_trivial_extension, cy_check_with,
+                     cdg_underlying_trivial_extension, random_member,
+                     random_nu_theta, scalar_twist, seeded, twist_pool,
+                     twisted_cyclic_space)
+from quadalg import (DegreeOneMap, Matrix, PBWDeformation, Tensor, cy_check_with,
                      cy_criterion_deformed, cy_equivalence_dim2,
                      deformed_nakayama, derivation_quotient, dim2_matrix_form,
                      dual_trivial_extension, extract_superpotential,

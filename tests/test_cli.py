@@ -6,6 +6,7 @@ from importlib import resources
 
 import pytest
 
+from quadalg import cli
 from quadalg.cli import main
 
 CORPUS = resources.files("quadalg") / "corpus"
@@ -138,6 +139,18 @@ def test_missing_file(capsys):
 def test_max_degree_guard(capsys):
     code, rep = _run(capsys, "hilbert", _path("kxy"), "--max-degree", "1")
     assert code == 2
+
+
+def test_memory_error_is_a_resource_failure(capsys, monkeypatch):
+    def exhausted(desc, args):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli.COMMANDS, "koszul", exhausted)
+    code, rep = _run(capsys, "koszul", _path("kxy"))
+    assert code == 3
+    assert rep["status"] == "error"
+    assert rep["command"] == "koszul"
+    assert rep["error"]
 
 
 def test_stdin_input(capsys, monkeypatch):

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (AS_REGULAR, block_nakayama_oracle, cert_of, scalar_twist,
-                     seeded)
+from helpers import (AS_REGULAR, block_nakayama_oracle, cert_of,
+                     cdg_underlying_trivial_extension, scalar_twist, seeded)
 from quadalg import (GradedAutomorphism, GradedFDAlgebra, Matrix, NotFrobenius,
-                     cdg_underlying_trivial_extension, dual_trivial_extension,
-                     frobenius_structure, is_graded_symmetric, quadratic_dual,
+                     dual_trivial_extension, frobenius_structure,
+                     is_graded_symmetric, quadratic_dual, square_zero_extension,
                      trivial_extension, truncated_structure,
                      twisted_module_trivial_extension)
 from quadalg.io import description_to_algebra
@@ -195,6 +195,21 @@ def test_cdg_underlying_matches_dual_extension():
         b = dual_trivial_extension(E, E.epsilon(E.length),
                                    E.identity_automorphism(), E.length + 1)
         assert a.structure_equal(b), name
+
+
+def test_square_zero_extension_by_zero_module_is_the_algebra():
+    def no_action(i, a, j, b):
+        return ()
+
+    for name in AS_REGULAR:
+        E = _fd(name)
+        zero = [0] * (E.length + 1)
+        ext = square_zero_extension(E, zero, [()] * len(zero),
+                                    no_action, no_action)
+        assert ext.structure_equal(E), name
+        assert ext.labels == E.labels, name
+    with pytest.raises(LinAlgError):
+        square_zero_extension(_fd("kxy"), [0], [()], no_action, no_action)
 
 
 def test_dual_extension_dual_block_annihilates():
