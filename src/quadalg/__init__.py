@@ -21,8 +21,7 @@ from .frobenius import (FrobeniusStructure, GradedAutomorphism,
 from .quadratic import (KoszulCertificate, QuadraticAlgebra, TruncatedAlgebra,
                         dual_automorphism, graded_dims, koszul_component,
                         numeric_koszul_certificate, quadratic_dual,
-                        relation_degree_subspace, truncated_structure,
-                        word_label)
+                        truncated_structure, word_label)
 from .regular import (NotRegular, RegularityCertificate,
                       as_regular_certificate, dim2_matrix_form,
                       nakayama_of_algebra, regularity_data)

@@ -2,8 +2,8 @@
 
 Reads a JSON algebra description (file path or '-' for stdin), runs one
 subcommand, prints a deterministic JSON report on stdout.  Exit codes:
-0 pass, 1 verdict fail, 2 usage or parse error, 3 resource guard or out of
-memory.
+0 pass, 1 verdict fail, 2 usage or parse error or inapplicable input (such
+as a non-regular algebra), 3 resource guard or out of memory.
 """
 
 from __future__ import annotations
@@ -277,7 +277,7 @@ def main(argv=None) -> int:
     try:
         desc = parse_description(raw)
         verdict, passed = COMMANDS[args.command](desc, args)
-    except (ValidationError, LinAlgError) as exc:
+    except (ValidationError, LinAlgError, NotRegular) as exc:
         print(json.dumps({"status": "error", "error": str(exc),
                           "command": args.command}, sort_keys=True))
         return 2

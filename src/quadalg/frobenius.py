@@ -312,13 +312,14 @@ def dual_trivial_extension(alg: GradedFDAlgebra, left: GradedAutomorphism,
                            validate: bool = True) -> GradedFDAlgebra:
     """Extend by the dual bimodule, twisted by `left`/`right`, shifted to top n.
 
-    Degree i of the result is E_i plus the dual of E_{n-i}.  The module
+    Degree i of the result is E_i plus the dual of E_{n-i}, for n beyond
+    the length of E so that degree zero stays the unit alone.  The module
     actions are (a.g)(m) = g(m * left(a)) and (g.b)(m) = g(right(b) * m);
     products of two dual elements vanish.
     """
     d = alg.length
-    if n < d:
-        raise LinAlgError("the shift must be at least the algebra length")
+    if n <= d:
+        raise LinAlgError("the shift must exceed the algebra length")
     dims = [alg.dim(n - i) for i in range(n + 1)]
     labels = [[s + "*" for s in alg.labels[n - i]] if n - i <= d else []
               for i in range(n + 1)]
@@ -356,11 +357,11 @@ def twisted_module_trivial_extension(alg: GradedFDAlgebra,
     """Extend by a degree-shifted copy of the algebra itself as a bimodule.
 
     Degree i of the result is E_i plus a module copy of E_{i+shift}
-    (shift <= 0); the actions are a.(m) = (left(a) m) and (m).b = (m right(b)),
+    (shift < 0); the actions are a.(m) = (left(a) m) and (m).b = (m right(b)),
     with products of two module elements zero.
     """
-    if shift > 0:
-        raise LinAlgError("only nonpositive shifts are supported")
+    if shift >= 0:
+        raise LinAlgError("only negative shifts are supported")
     d = alg.length
     dims = [alg.dim(i + shift) for i in range(d - shift + 1)]
     labels = [[mod_suffix if s == "1" else s + mod_suffix

@@ -368,7 +368,8 @@ class Subspace:
         return self.basis.entries
 
     @cached_property
-    def _sparse_rows(self) -> list[tuple[int, dict[int, Fraction]]]:
+    def sparse_rows(self) -> list[tuple[int, dict[int, Fraction]]]:
+        """Each basis row as (pivot column, {column: nonzero entry})."""
         out = []
         for p, row in zip(self.pivots, self.basis.entries):
             out.append((p, {c: v for c, v in enumerate(row) if v}))
@@ -383,7 +384,7 @@ class Subspace:
         if len(vec) != self.ambient:
             raise LinAlgError("vector length does not match the ambient dimension")
         v = [Fraction(x) for x in vec]
-        for pivot, row in self._sparse_rows:
+        for pivot, row in self.sparse_rows:
             c = v[pivot]
             if c:
                 for col, val in row.items():
@@ -392,7 +393,7 @@ class Subspace:
 
     def reduce_sparse(self, vec: Mapping[int, object]) -> dict[int, Fraction]:
         v = {c: Fraction(x) for c, x in vec.items() if x}
-        for pivot, row in self._sparse_rows:
+        for pivot, row in self.sparse_rows:
             c = v.get(pivot)
             if c:
                 for col, val in row.items():
@@ -420,30 +421,6 @@ class Subspace:
             raise LinAlgError("ambient mismatch in subspace sum")
         return Subspace.from_spanning(
             list(self.basis.entries) + list(other.basis.entries), self.ambient)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection, computed by constraining the smaller subspace."""
-        if self.ambient != other.ambient:
-            raise LinAlgError("ambient mismatch in subspace intersection")
-        small, big = (self, other) if self.dim <= other.dim else (other, self)
-        if small.dim == 0:
-            return Subspace.zero(self.ambient)
-        if big.dim == big.ambient:
-            return small
-        residues = [big.reduce(r) for r in small.basis.entries]
-        # coefficient vectors c with sum_i c_i residue_i = 0
-        tr = Matrix.from_rows(zip(*residues), small.dim)
-        coeffs = tr.kernel()
-        rows = []
-        for c in coeffs.basis.entries:
-            acc = [ZERO] * self.ambient
-            for i, ci in enumerate(c):
-                if ci:
-                    for j, val in enumerate(small.basis.entries[i]):
-                        if val:
-                            acc[j] += ci * val
-            rows.append(tuple(acc))
-        return Subspace.from_spanning(rows, self.ambient)
 
     def annihilator(self) -> "Subspace":
         """Functionals vanishing on this subspace, in dual coordinates."""

@@ -2,9 +2,10 @@
 and truncated multiplication tables.
 
 An algebra is a tuple of generator names plus a canonical subspace R of the
-degree-two word coordinates.  All degreewise data (relation spans, quotient
-bases, structure constants) is derived from R by exact elimination and
-cached, keyed on the presentation.
+degree-two word coordinates.  All degreewise data comes from the Koszul
+components K_k, cached and keyed on the presentation: the degree-k piece of
+T(V)/(R) is the linear dual of K_k of the quadratic dual
+(Polishchuk-Positselski, Quadratic Algebras, Ch. 1).
 """
 
 from __future__ import annotations
@@ -75,76 +76,55 @@ def quadratic_dual(alg: QuadraticAlgebra) -> QuadraticAlgebra:
     return QuadraticAlgebra(dual_names(alg.names), alg.relations.annihilator())
 
 
-@lru_cache(maxsize=None)
-def _relation_degree_subspace(alg: QuadraticAlgebra, k: int,
-                              limits: Limits) -> Subspace:
-    n = alg.n
-    limits.check_words(n, k)
-    if k < 2:
-        return Subspace.zero(n ** k)
-    if k == 2:
-        return alg.relations
-    rows = []
-    rel_sparse = [row for _, row in alg.relations._sparse_rows]
-    for i in range(k - 1):
-        right = k - i - 2
-        stride_left = n ** (k - i)
-        stride_rel = n ** right
-        for u in range(n ** i):
-            base_u = u * stride_left
-            for row in rel_sparse:
-                for v in range(n ** right):
-                    rows.append({base_u + c * stride_rel + v: val
-                                 for c, val in row.items()})
-    return Subspace.from_spanning(rows, n ** k)
-
-
-def relation_degree_subspace(alg: QuadraticAlgebra, k: int,
-                             limits: Limits = DEFAULT_LIMITS) -> Subspace:
-    """Span of all degree-k words containing a relation in adjacent slots."""
-    return _relation_degree_subspace(alg, k, limits)
-
-
 def graded_dims(alg: QuadraticAlgebra, bound: int,
                 limits: Limits = DEFAULT_LIMITS) -> tuple[int, ...]:
-    """Dimensions of the graded components of T(V)/(R) up to the bound."""
-    out = []
-    for k in range(bound + 1):
-        if k == 0:
-            out.append(1)
-        elif k == 1:
-            out.append(alg.n)
-        else:
-            out.append(alg.n ** k - relation_degree_subspace(alg, k, limits).dim)
-    return tuple(out)
+    """Dimensions of the graded components of T(V)/(R) up to the bound:
+    the degree-k piece is dual to the Koszul component K_k of the dual."""
+    dual = quadratic_dual(alg)
+    return tuple(koszul_component(dual, k, limits).dim for k in range(bound + 1))
 
 
 @lru_cache(maxsize=None)
 def _koszul_component(alg: QuadraticAlgebra, m: int, limits: Limits) -> Subspace:
     n = alg.n
     limits.check_words(n, m)
-    if m == 0:
-        return Subspace.full(1)
-    if m == 1:
-        return Subspace.full(n)
+    if m < 2:
+        return Subspace.full(n ** m)
     if m == 2:
         return alg.relations
-    prev = _koszul_component(alg, m - 1, limits)
-    small = prev.kron(Subspace.full(n))
-    rel_sparse = [row for _, row in alg.relations._sparse_rows]
+    prev = [row for _, row in _koszul_component(alg, m - 1, limits).sparse_rows]
+    # the entries f[a, l] of the R-perp basis, grouped by their first letter a
+    perp = [[] for _ in range(n)]
+    for fi, (_, f) in enumerate(alg.relations.annihilator().sparse_rows):
+        for c, v in f.items():
+            a, l = divmod(c, n)
+            perp[a].append((fi, l, v))
+    # x = sum c[s, l] b_s (x) e_l over the basis b_s of K_{m-1} lies in
+    # V^{m-2} (x) R exactly when it pairs to zero with u (x) f for every
+    # word u of length m-2 and every f in R-perp
+    eqs: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for s, b in enumerate(prev):
+        for w, val in b.items():
+            u, a = divmod(w, n)
+            for fi, l, v in perp[a]:
+                eq = eqs.setdefault((u, fi), {})
+                eq[s * n + l] = eq.get(s * n + l, ZERO) + val * v
+    coeffs = Subspace.from_spanning(eqs.values(), len(prev) * n).annihilator()
     rows = []
-    for u in range(n ** (m - 2)):
-        base = u * n * n
-        for row in rel_sparse:
-            rows.append({base + c: val for c, val in row.items()})
-    big = Subspace.from_spanning(rows, n ** m)
-    return small.intersect(big)
+    for _, c in coeffs.sparse_rows:
+        x: dict[int, Fraction] = {}
+        for j, cj in c.items():
+            s, l = divmod(j, n)
+            for w, val in prev[s].items():
+                x[w * n + l] = x.get(w * n + l, ZERO) + cj * val
+        rows.append(x)
+    return Subspace.from_spanning(rows, n ** m)
 
 
 def koszul_component(alg: QuadraticAlgebra, m: int,
                      limits: Limits = DEFAULT_LIMITS) -> Subspace:
     """The degree-m piece of the Koszul complex: all words landing in R
-    at every adjacent slot pair."""
+    at every adjacent slot pair, as a kernel over K_{m-1} (x) V."""
     return _koszul_component(alg, m, limits)
 
 
@@ -172,11 +152,12 @@ def numeric_koszul_certificate(alg: QuadraticAlgebra, bound: int,
                                limits: Limits = DEFAULT_LIMITS) -> KoszulCertificate:
     """Check Koszul-type numerics up to the bound.
 
-    Two independent families of identities: the dimension of the degree-m
-    Koszul component must equal the degree-m dimension of the dual algebra,
-    and the Hilbert series of algebra and dual must multiply to 1 after the
-    sign flip, i.e. the alternating convolution of the two dimension
-    sequences vanishes in every positive degree up to the bound.
+    Two families of identities: the dimension of the degree-m Koszul
+    component must equal the degree-m dimension of the dual algebra, and the
+    Hilbert series of algebra and dual must multiply to 1 after the sign
+    flip, i.e. the alternating convolution of the two dimension sequences
+    vanishes in every positive degree up to the bound.  The first holds for
+    every quadratic algebra by duality, so it is only a self-check.
     """
     dual = quadratic_dual(alg)
     dims = graded_dims(alg, bound, limits)
@@ -209,27 +190,37 @@ def dual_automorphism(alg: QuadraticAlgebra, phi: DegreeOneMap,
 class TruncatedAlgebra:
     """Multiplication tables of T(V)/(R) up to a degree bound.
 
-    The degree-k basis is the set of words whose coordinates are not pivot
-    columns of the degree-k relation span; reduction is the canonical
-    residue mod that span.
+    The degree-k piece is paired with the Koszul component K_k of the dual,
+    its linear dual inside the degree-k word coordinates.  In echelon form
+    read from the last column, K_k has one basis row per pivot word: those
+    words are the degree-k basis, and row t read on any word is coordinate t
+    of that word's class.
     """
 
     def __init__(self, alg: QuadraticAlgebra, bound: int, limits: Limits):
         self.algebra = alg
         self.bound = bound
-        self.limits = limits
         n = alg.n
-        self.rels = tuple(relation_degree_subspace(alg, k, limits)
-                          for k in range(bound + 1))
+        dual = quadratic_dual(alg)
+        self.components = tuple(koszul_component(dual, k, limits)
+                                for k in range(bound + 1))
         words = []
-        positions = []
-        for k in range(bound + 1):
-            piv = set(self.rels[k].pivots)
-            wk = tuple(i for i in range(n ** k) if i not in piv)
-            words.append(wk)
-            positions.append({w: p for p, w in enumerate(wk)})
+        classes = []
+        for k, comp in enumerate(self.components):
+            top = n ** k - 1
+            flipped = Subspace.from_spanning(
+                [{top - c: v for c, v in row.items()} for _, row in comp.sparse_rows],
+                top + 1)
+            rows = flipped.sparse_rows[::-1]
+            words.append(tuple(top - p for p, _ in rows))
+            # word -> [(t, coordinate t of its class)]
+            cls: dict[int, list[tuple[int, Fraction]]] = {}
+            for t, (_, row) in enumerate(rows):
+                for c, v in row.items():
+                    cls.setdefault(top - c, []).append((t, v))
+            classes.append(cls)
         self.words = tuple(words)
-        self.positions = tuple(positions)
+        self.classes = tuple(classes)
         self.dims = tuple(len(w) for w in self.words)
         self.labels = tuple(
             tuple(word_label(alg.names, index_to_word(w, n, k)) for w in self.words[k])
@@ -239,8 +230,12 @@ class TruncatedAlgebra:
         return self.dims[k] if 0 <= k <= self.bound else 0
 
     def reduce_sparse(self, k: int, sparse) -> Vec:
-        res = self.rels[k].reduce_sparse(sparse)
-        return tuple(res.get(w, ZERO) for w in self.words[k])
+        out = [ZERO] * self.dims[k]
+        for w, c in sparse.items():
+            if c:
+                for t, v in self.classes[k].get(w, ()):
+                    out[t] += c * v
+        return tuple(out)
 
     def reduce_tensor(self, t: Tensor) -> Vec:
         if t.degree > self.bound:
@@ -279,19 +274,19 @@ class TruncatedAlgebra:
     def class_from_row_pairings(self, k: int, rows, values) -> Vec:
         """The degree-k class pairing as prescribed against given row vectors.
 
-        The pairing is the coordinate dot product; the relation span in this
-        degree must annihilate every row so that the values only depend on
-        the class.
+        The pairing is the coordinate dot product.  Every row must lie in the
+        Koszul component paired with this degree, so that the values only
+        depend on the class; a class then pairs through its basis words.
         """
         mat = Matrix.from_rows(rows, self.algebra.n ** k)
-        for rel_row in self.rels[k].basis.entries:
-            for srow in mat.entries:
-                if sum((a * b for a, b in zip(rel_row, srow)), ZERO):
-                    raise LinAlgError("pairing values are not class functions")
-        rep = mat.solve(values)
-        if rep is None:
+        if not all(self.components[k].contains(r) for r in mat.entries):
+            raise LinAlgError("pairing values are not class functions")
+        on_basis = Matrix.from_rows([[r[w] for w in self.words[k]]
+                                     for r in mat.entries], self.dims[k])
+        cls = on_basis.solve(values)
+        if cls is None:
             raise LinAlgError("no element attains the prescribed pairings")
-        return self.reduce_sparse(k, {c: v for c, v in enumerate(rep) if v})
+        return cls
 
     def class_from_pairings(self, k: int, space: Subspace, values) -> Vec:
         """As class_from_row_pairings, against a subspace's canonical basis."""

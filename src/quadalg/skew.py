@@ -70,7 +70,7 @@ def _skew_extend(base: QuadraticAlgebra, sigma: DegreeOneMap, zname: str,
     m = n + 1
     pinv = sigma.matrix.inverse()
     stacked = []
-    for _, row in base.relations._sparse_rows:
+    for _, row in base.relations.sparse_rows:
         dense = [ZERO] * (m * m)
         for c, v in row.items():
             dense[(c // n) * m + (c % n)] = v

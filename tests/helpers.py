@@ -3,9 +3,9 @@
 from fractions import Fraction
 import random
 
-from quadalg import (DegreeOneMap, GradedFDAlgebra, Matrix, Tensor,
+from quadalg import (DegreeOneMap, GradedFDAlgebra, Matrix, Subspace, Tensor,
                      apply_slotwise, as_regular_certificate, index_to_word,
-                     nakayama_of_algebra, tau, word_to_index)
+                     nakayama_of_algebra, tau, word_label, word_to_index)
 from quadalg.io import description_to_algebra
 from quadalg.linalg import ZERO, unit_vector
 from quadalg.presets import corpus
@@ -171,3 +171,47 @@ def cdg_underlying_trivial_extension(alg: GradedFDAlgebra,
                 block.append(tuple(row))
             mult[(i, j)] = tuple(block)
     return GradedFDAlgebra(dims, labels, mult, validate=validate)
+
+
+def relation_degree_subspace(alg, k):
+    """Span of all degree-k words containing a relation in adjacent slots.
+
+    Built from every placement of every relation row on n^k coordinates:
+    the route to the graded pieces that the Koszul components replace, kept
+    as an independent oracle for small n and k.
+    """
+    n = alg.n
+    if k < 2:
+        return Subspace.zero(n ** k)
+    rows = []
+    for _, row in alg.relations.sparse_rows:
+        for i in range(k - 1):
+            stride = n ** (k - i - 2)
+            for u in range(n ** i):
+                for v in range(stride):
+                    rows.append({(u * n * n + c) * stride + v: val
+                                 for c, val in row.items()})
+    return Subspace.from_spanning(rows, n ** k)
+
+
+def oracle_truncation(alg, bound):
+    """T(V)/(R) up to the bound read off the relation spans: the degree-k
+    basis is the words off the pivots of the span, the product of two basis
+    words the residue of their concatenation modulo the span."""
+    n = alg.n
+    spans = [relation_degree_subspace(alg, k) for k in range(bound + 1)]
+    words = []
+    for k, span in enumerate(spans):
+        piv = set(span.pivots)
+        words.append([w for w in range(n ** k) if w not in piv])
+
+    def product(i, a, j, b):
+        res = spans[i + j].reduce_sparse({words[i][a] * n ** j + words[j][b]: 1})
+        return tuple(res.get(w, ZERO) for w in words[i + j])
+
+    mult = {(i, j): tuple(tuple(product(i, a, j, b) for b in range(len(words[j])))
+                          for a in range(len(words[i])))
+            for i in range(bound + 1) for j in range(bound + 1 - i)}
+    labels = [[word_label(alg.names, index_to_word(w, n, k)) for w in ws]
+              for k, ws in enumerate(words)]
+    return GradedFDAlgebra([len(ws) for ws in words], labels, mult)

@@ -216,3 +216,18 @@ def test_all_commands_run_on_quantum_plane(capsys):
         code, rep = _run(capsys, cmd, _path("quantum_plane_q2"))
         assert code == 0, cmd
         assert rep["status"] == "pass", cmd
+
+
+def test_non_regular_input_is_inapplicable(tmp_path, capsys):
+    # k[x]/(x^2) has a free dual, so no finite-length certificate exists;
+    # commands that need a regular algebra refuse it with exit 2
+    p = tmp_path / "xx.json"
+    p.write_text(json.dumps({"generators": ["x"], "relations": [
+        [{"coeff": "1", "word": ["x", "x"]}]]}))
+    for cmd in ("nakayama", "cy", "superpotential", "extiso"):
+        code, rep = _run(capsys, cmd, str(p))
+        assert code == 2, cmd
+        assert rep["status"] == "error" and rep["command"] == cmd
+        assert "dual algebra is still nonzero" in rep["error"]
+    code, rep = _run(capsys, "regular", str(p))
+    assert code == 1 and rep["verdict"]["regular"] is False

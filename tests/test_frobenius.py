@@ -187,6 +187,21 @@ def test_twisted_module_extension_shape():
             E, E.epsilon(1), E.identity_automorphism(), 1)
 
 
+def test_extension_guards_reject_a_second_degree_zero_element():
+    # a dual block ending at the algebra's own top, or a module copy with
+    # no shift, would put a second element next to the unit in degree zero
+    E = _fd("poly3")
+    ident = E.identity_automorphism()
+    for n in (E.length - 1, E.length):
+        with pytest.raises(LinAlgError, match="must exceed the algebra length"):
+            dual_trivial_extension(E, ident, ident, n)
+    for shift in (0, 1):
+        with pytest.raises(LinAlgError, match="only negative shifts"):
+            twisted_module_trivial_extension(E, ident, ident, shift)
+    assert dual_trivial_extension(E, ident, ident, E.length + 1).dims[0] == 1
+    assert twisted_module_trivial_extension(E, ident, ident, -1).dims[0] == 1
+
+
 def test_cdg_underlying_matches_dual_extension():
     # independently signed construction agrees with the generic one
     for name in AS_REGULAR:

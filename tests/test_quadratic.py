@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import AS_REGULAR, algebra_of, cert_of
+from helpers import (AS_REGULAR, algebra_of, cert_of, oracle_truncation,
+                     relation_degree_subspace)
 from quadalg import (DegreeOneMap, Matrix, QuadraticAlgebra, Tensor,
                      dual_automorphism, graded_dims, koszul_component,
-                     numeric_koszul_certificate, quadratic_dual,
-                     relation_degree_subspace, truncated_structure, word_label)
+                     nakayama_of_algebra, numeric_koszul_certificate,
+                     quadratic_dual, skew_extend, truncated_structure,
+                     word_label)
 from quadalg.linalg import LinAlgError
 
 F = Fraction
@@ -75,13 +77,15 @@ def test_relation_degree_dimension_identity():
 
 
 def test_koszul_component_matches_dual_dims():
-    # dim of the iterated intersection equals the dual's graded dim; this is
-    # a plain duality fact, so it holds for the non-Koszul example too
+    # K_m is the annihilator of the dual's relation span in degree m; this
+    # is a plain duality fact, so it holds for the non-Koszul example too
     for alg in (XX, XY, NONKOSZUL, algebra_of("jordan_plane")):
         dual = quadratic_dual(alg)
-        ddims = graded_dims(dual, 4)
         for m in range(2, 5):
-            assert koszul_component(alg, m).dim == ddims[m], m
+            span = relation_degree_subspace(dual, m)
+            comp = koszul_component(alg, m)
+            assert comp.dim == dual.n ** m - span.dim, m
+            assert comp == span.annihilator(), m
 
 
 def test_numeric_koszul_corpus_passes():
@@ -154,7 +158,7 @@ def test_class_from_pairings_errors():
     rel = cert.algebra.relations
     # pairing values that are not constant on classes must be rejected:
     # pair against a row inside the dual's own relation span
-    dead = trunc.rels[2].basis.entries[0]
+    dead = relation_degree_subspace(cert.dual, 2).basis.entries[0]
     from quadalg.linalg import Subspace
     bad_space = Subspace.from_spanning([dead], rel.ambient)
     with pytest.raises(LinAlgError):
@@ -165,6 +169,20 @@ def test_class_from_pairings_errors():
     val = sum(rep.get(i, F(0)) * v
               for i, v in enumerate(rel.basis.entries[0]))
     assert val == F(1)
+
+
+def test_dual_truncation_matches_relation_span_oracle():
+    # the Koszul-component truncation against the relation-span route, on
+    # every AS-regular dual and on the dual of its Nakayama-twisted extension
+    for name in AS_REGULAR:
+        cert = cert_of(name)
+        ext = skew_extend(cert.algebra, nakayama_of_algebra(cert))
+        for dual, bound in ((cert.dual, cert.gldim),
+                            (quadratic_dual(ext.algebra), cert.gldim + 1)):
+            got = truncated_structure(dual, bound).to_graded_algebra()
+            want = oracle_truncation(dual, bound)
+            assert got.structure_equal(want), name
+            assert got.labels == want.labels, name
 
 
 def test_truncated_automorphism_preservation():
@@ -204,9 +222,9 @@ def quadratic_algebras(draw):
 @given(quadratic_algebras())
 def test_component_dual_dim_identity_random(alg):
     dual = quadratic_dual(alg)
-    ddims = graded_dims(dual, 4)
     for m in range(2, 5):
-        assert koszul_component(alg, m).dim == ddims[m]
+        span = relation_degree_subspace(dual, m)
+        assert koszul_component(alg, m) == span.annihilator()
 
 
 @settings(max_examples=25, deadline=None)
