@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (ConsistencyError, LinAlgError, Matrix, Vec, ZERO,
+from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Vec, ZERO,
                      unit_vector)
 
 
@@ -31,7 +31,8 @@ class GradedFDAlgebra:
     dims[i] is the dimension of the degree-i component, labels[i] names its
     basis, and mult[(i, j)][a][b] is the coordinate row of the product of the
     a-th degree-i and b-th degree-j basis elements inside degree i+j.
-    Degree 0 must be spanned by the unit.
+    Degree 0 must be spanned by the unit.  The table keeps only the nonzero
+    entries of each product, as (coordinate, value) pairs in order.
     """
 
     def __init__(self, dims, labels, mult, validate: bool = True):
@@ -48,23 +49,22 @@ class GradedFDAlgebra:
             for j in range(d + 1 - i):
                 block = mult.get((i, j))
                 if block is None:
-                    block = tuple(tuple(tuple(ZERO for _ in range(self.dims[i + j]))
-                                        for _ in range(self.dims[j]))
-                                  for _ in range(self.dims[i]))
+                    block = ((((),) * self.dims[j]),) * self.dims[i]
                 else:
-                    block = tuple(tuple(tuple(Fraction(v) for v in cell)
-                                        for cell in row) for row in block)
                     if len(block) != self.dims[i] or any(
                             len(row) != self.dims[j] or
                             any(len(cell) != self.dims[i + j] for cell in row)
                             for row in block):
                         raise LinAlgError(f"bad structure block at degrees {(i, j)}")
+                    block = tuple(
+                        tuple(tuple((c, w) for c, w in enumerate(map(Fraction, cell)) if w)
+                              for cell in row)
+                        for row in block)
                 table[(i, j)] = block
         self.mult = table
         if validate:
             self._validate_unit()
-            if self.total_dim <= 64:
-                self._validate_associativity()
+            self._validate_associativity()
 
     @property
     def length(self) -> int:
@@ -80,27 +80,27 @@ class GradedFDAlgebra:
     def multiply_basis(self, i: int, a: int, j: int, b: int) -> Vec:
         if i + j > self.length:
             return ()
-        return self.mult[(i, j)][a][b]
+        out = [ZERO] * self.dims[i + j]
+        for c, w in self.mult[(i, j)][a][b]:
+            out[c] = w
+        return tuple(out)
 
     def multiply(self, i: int, u, j: int, v) -> Vec:
         """Product of homogeneous coordinate vectors, in degree i+j."""
         if len(u) != self.dim(i) or len(v) != self.dim(j):
             raise LinAlgError("coordinate length mismatch in product")
-        out_dim = self.dim(i + j)
-        out = [ZERO] * out_dim
-        if out_dim:
+        out = [ZERO] * self.dim(i + j)
+        if out:
             block = self.mult[(i, j)]
+            nv = [(b, vb) for b, vb in enumerate(v) if vb]
             for a, ua in enumerate(u):
                 if not ua:
                     continue
-                for b, vb in enumerate(v):
-                    if not vb:
-                        continue
-                    cell = block[a][b]
+                row = block[a]
+                for b, vb in nv:
                     s = ua * vb
-                    for c, w in enumerate(cell):
-                        if w:
-                            out[c] += s * w
+                    for c, w in row[b]:
+                        out[c] += s * w
         return tuple(out)
 
     def identity_automorphism(self) -> "GradedAutomorphism":
@@ -118,29 +118,42 @@ class GradedFDAlgebra:
     def _validate_unit(self) -> None:
         for j in range(self.length + 1):
             for b in range(self.dims[j]):
-                if self.multiply_basis(0, 0, j, b) != unit_vector(self.dims[j], b):
+                unit = ((b, ONE),)
+                if self.mult[(0, j)][0][b] != unit:
                     raise LinAlgError(f"left unit fails on degree {j} index {b}")
-                if self.multiply_basis(j, b, 0, 0) != unit_vector(self.dims[j], b):
+                if self.mult[(j, 0)][b][0] != unit:
                     raise LinAlgError(f"right unit fails on degree {j} index {b}")
 
     def _validate_associativity(self) -> None:
+        """(e_a e_b) e_c = e_a (e_b e_c) on every triple of basis elements,
+        both sides summed over the nonzero structure constants only."""
         d = self.length
+        mult = self.mult
         for i in range(d + 1):
             for j in range(d + 1 - i):
                 for k in range(d + 1 - i - j):
+                    ij_k = mult[(i + j, k)]
+                    by_c = [[row[c] for row in ij_k] for c in range(self.dims[k])]
+                    i_jk = mult[(i, j + k)]
                     for a in range(self.dims[i]):
                         for b in range(self.dims[j]):
-                            ab = self.multiply_basis(i, a, j, b)
+                            ab = mult[(i, j)][a][b]
                             for c in range(self.dims[k]):
-                                bc = self.multiply_basis(j, b, k, c)
-                                left = self.multiply(i + j, ab, k,
-                                                     unit_vector(self.dims[k], c))
-                                right = self.multiply(i, unit_vector(self.dims[i], a),
-                                                      j + k, bc)
+                                left = _combine(ab, by_c[c])
+                                right = _combine(mult[(j, k)][b][c], i_jk[a])
                                 if left != right:
                                     raise LinAlgError(
                                         f"associativity fails at degrees {(i, j, k)} "
                                         f"indices {(a, b, c)}")
+
+
+def _combine(coeffs, cells) -> dict[int, Fraction]:
+    """sum_t coeffs[t] * cells[t] over sparse cells, zero entries dropped."""
+    acc: dict[int, Fraction] = {}
+    for t, x in coeffs:
+        for c, w in cells[t]:
+            acc[c] = acc.get(c, ZERO) + x * w
+    return {c: v for c, v in acc.items() if v}
 
 
 @dataclass(frozen=True)

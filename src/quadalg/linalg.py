@@ -2,9 +2,9 @@
 
 Everything is computed over the rationals with `fractions.Fraction`; there is
 no floating point anywhere in this package.  Subspaces are stored through
-their reduced row-echelon basis, which is unique, so subspace equality is
-plain equality of basis matrices and every operation that returns a subspace
-returns a canonical object.
+the nonzero entries of their reduced row-echelon basis, which is unique, so
+subspace equality is plain equality of pivots and sparse rows and every
+operation that returns a subspace returns a canonical object.
 
 Row reduction is performed fraction-free on sparse integer rows internally
 (rows are scaled by the lcm of their denominators and kept gcd-reduced);
@@ -70,14 +70,13 @@ DEFAULT_LIMITS = Limits()
 
 def _to_int_row(row: RowLike) -> dict[int, int]:
     """Scale a rational row to a content-free integer row."""
-    if isinstance(row, Mapping):
-        items = [(c, Fraction(v)) for c, v in row.items() if v]
-    else:
-        items = [(c, Fraction(v)) for c, v in enumerate(row) if v]
+    pairs = row.items() if isinstance(row, Mapping) else enumerate(row)
+    items = [(c, v if isinstance(v, Fraction) else Fraction(v))
+             for c, v in pairs if v]
     if not items:
         return {}
     den = reduce(lcm, (v.denominator for _, v in items), 1)
-    out = {c: int(v * den) for c, v in items}
+    out = {c: v.numerator * (den // v.denominator) for c, v in items}
     g = reduce(gcd, (abs(v) for v in out.values()))
     if g > 1:
         out = {c: v // g for c, v in out.items()}
@@ -155,15 +154,15 @@ def _rank_int(rows: Iterable[dict[int, int]]) -> int:
     return len(pivots)
 
 
-def _pivots_to_fraction_rows(pivots: dict[int, dict[int, int]], ncols: int) -> tuple[Vec, ...]:
+SparseRow = tuple[tuple[int, Fraction], ...]
+
+
+def _pivots_to_sparse_rows(pivots: dict[int, dict[int, int]]) -> tuple[SparseRow, ...]:
     out = []
     for pc in sorted(pivots):
         r = pivots[pc]
         pv = r[pc]
-        dense = [ZERO] * ncols
-        for c, v in r.items():
-            dense[c] = Fraction(v, pv)
-        out.append(tuple(dense))
+        out.append(tuple((c, Fraction(r[c], pv)) for c in sorted(r)))
     return tuple(out)
 
 
@@ -250,24 +249,36 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise LinAlgError("shape mismatch in multiplication")
-        ot = other.transpose()
-        return Matrix(tuple(tuple(sum((a * b for a, b in zip(row, col)), ZERO)
-                                  for col in ot.entries)
-                            for row in self.entries), other.cols)
+        out = []
+        for row in self.entries:
+            acc = [ZERO] * other.cols
+            for a, orow in zip(row, other.entries):
+                if a:
+                    for j, b in enumerate(orow):
+                        if b:
+                            acc[j] += a * b
+            out.append(tuple(acc))
+        return Matrix(tuple(out), other.cols)
 
     def mul_row(self, v: Sequence) -> Vec:
         """Row vector times matrix: v . self."""
         if len(v) != self.rows:
             raise LinAlgError("length mismatch in row multiplication")
-        return tuple(sum((Fraction(v[i]) * self.entries[i][j] for i in range(self.rows)),
-                         ZERO) for j in range(self.cols))
+        acc = [ZERO] * self.cols
+        for x, row in zip(v, self.entries):
+            if x:
+                x = Fraction(x)
+                for j, b in enumerate(row):
+                    if b:
+                        acc[j] += x * b
+        return tuple(acc)
 
     def mul_col(self, v: Sequence) -> Vec:
         """Matrix times column vector, returned as a flat tuple."""
         if len(v) != self.cols:
             raise LinAlgError("length mismatch in column multiplication")
-        return tuple(sum((row[j] * Fraction(v[j]) for j in range(self.cols)), ZERO)
-                     for row in self.entries)
+        nz = [(j, Fraction(x)) for j, x in enumerate(v) if x]
+        return tuple(sum((row[j] * x for j, x in nz), ZERO) for row in self.entries)
 
     def is_zero(self) -> bool:
         return all(not v for row in self.entries for v in row)
@@ -278,25 +289,16 @@ class Matrix:
                     for i in range(self.rows) for j in range(self.cols)))
 
     def rref(self) -> RrefResult:
-        piv = _rref_int(_to_int_row(r) for r in self.entries)
-        rows = _pivots_to_fraction_rows(piv, self.cols)
-        return RrefResult(Matrix(rows, self.cols), tuple(sorted(piv)), len(piv))
+        space = Subspace.from_spanning(self.entries, self.cols)
+        return RrefResult(space.basis, space.pivots, space.dim)
 
     def rank(self) -> int:
         return _rank_int(_to_int_row(r) for r in self.entries)
 
     def kernel(self) -> "Subspace":
-        """Right kernel {v : self . v = 0} as a canonical subspace."""
-        red, piv, rank = self.rref()
-        free = [c for c in range(self.cols) if c not in set(piv)]
-        rows = []
-        for cf in free:
-            v = [ZERO] * self.cols
-            v[cf] = ONE
-            for i, p in enumerate(piv):
-                v[p] = -red.entries[i][cf]
-            rows.append(tuple(v))
-        return Subspace.from_spanning(rows, self.cols)
+        """Right kernel {v : self . v = 0} as a canonical subspace: the
+        annihilator of the row space."""
+        return Subspace.from_spanning(self.entries, self.cols).annihilator()
 
     def solve(self, b: Sequence) -> Vec | None:
         """A particular solution x of self . x = b, or None if inconsistent."""
@@ -316,14 +318,28 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise LinAlgError("inverse of a non-square matrix")
+        inv = self.right_inverse()
+        if inv is None:
+            raise LinAlgError("matrix is singular")
+        return inv
+
+    def right_inverse(self) -> "Matrix | None":
+        """S with self @ S the identity, or None unless self is onto.
+
+        One reduction of [self | I]: column c of S is the solution of
+        self . x = e_c with every free coordinate zero.
+        """
         n = self.rows
         aug = Matrix.from_rows(
             [tuple(row) + unit_vector(n, i) for i, row in enumerate(self.entries)],
-            2 * n)
+            self.cols + n)
         red, piv, rank = aug.rref()
-        if piv[:n] != tuple(range(n)) or rank != n:
-            raise LinAlgError("matrix is singular")
-        return Matrix(tuple(row[n:] for row in red.entries), n)
+        if piv and piv[-1] >= self.cols:
+            return None
+        out = [(ZERO,) * n] * self.cols
+        for i, p in enumerate(piv):
+            out[p] = red.entries[i][self.cols:]
+        return Matrix(tuple(out), n)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -335,45 +351,54 @@ class Matrix:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace of Q**ambient held by its unique RREF basis."""
+    """A linear subspace of Q**ambient held by its unique RREF basis.
+
+    Row t of the basis has its leading 1 in column pivots[t]; rows[t] lists
+    its nonzero entries as (column, value) pairs in column order.  Zero
+    entries are never stored, and the dense basis matrix is only built on
+    request.
+    """
 
     ambient: int
-    basis: Matrix
     pivots: tuple[int, ...]
+    rows: tuple[SparseRow, ...]
 
     @staticmethod
     def from_spanning(rows: Iterable[RowLike], ambient: int) -> "Subspace":
         piv = _rref_int(_to_int_row(r) for r in rows)
         if piv and max(piv) >= ambient:
             raise LinAlgError("spanning row longer than the ambient dimension")
-        dense = _pivots_to_fraction_rows(piv, ambient)
-        return Subspace(ambient, Matrix(dense, ambient), tuple(sorted(piv)))
+        return Subspace(ambient, tuple(sorted(piv)), _pivots_to_sparse_rows(piv))
 
     @staticmethod
     def zero(ambient: int) -> "Subspace":
-        return Subspace(ambient, Matrix((), ambient), ())
+        return Subspace(ambient, (), ())
 
     @staticmethod
     def full(ambient: int) -> "Subspace":
-        return Subspace(ambient, Matrix.identity(ambient), tuple(range(ambient)))
+        return Subspace(ambient, tuple(range(ambient)),
+                        tuple(((i, ONE),) for i in range(ambient)))
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.pivots)
 
     def is_zero(self) -> bool:
         return self.dim == 0
 
+    @cached_property
+    def basis(self) -> Matrix:
+        """The RREF basis as a dense matrix."""
+        dense = []
+        for row in self.rows:
+            vec = [ZERO] * self.ambient
+            for c, v in row:
+                vec[c] = v
+            dense.append(tuple(vec))
+        return Matrix(tuple(dense), self.ambient)
+
     def basis_rows(self) -> tuple[Vec, ...]:
         return self.basis.entries
-
-    @cached_property
-    def sparse_rows(self) -> list[tuple[int, dict[int, Fraction]]]:
-        """Each basis row as (pivot column, {column: nonzero entry})."""
-        out = []
-        for p, row in zip(self.pivots, self.basis.entries):
-            out.append((p, {c: v for c, v in enumerate(row) if v}))
-        return out
 
     def reduce(self, vec: Sequence) -> Vec:
         """Canonical residue of vec modulo this subspace.
@@ -384,19 +409,19 @@ class Subspace:
         if len(vec) != self.ambient:
             raise LinAlgError("vector length does not match the ambient dimension")
         v = [Fraction(x) for x in vec]
-        for pivot, row in self.sparse_rows:
+        for pivot, row in zip(self.pivots, self.rows):
             c = v[pivot]
             if c:
-                for col, val in row.items():
+                for col, val in row:
                     v[col] -= c * val
         return tuple(v)
 
     def reduce_sparse(self, vec: Mapping[int, object]) -> dict[int, Fraction]:
         v = {c: Fraction(x) for c, x in vec.items() if x}
-        for pivot, row in self.sparse_rows:
+        for pivot, row in zip(self.pivots, self.rows):
             c = v.get(pivot)
             if c:
-                for col, val in row.items():
+                for col, val in row:
                     nv = v.get(col, ZERO) - c * val
                     if nv:
                         v[col] = nv
@@ -408,7 +433,9 @@ class Subspace:
         return not any(self.reduce(vec))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.basis.entries)
+        if self.ambient != other.ambient:
+            raise LinAlgError("ambient mismatch in subspace containment")
+        return all(not self.reduce_sparse(dict(row)) for row in other.rows)
 
     def coordinates(self, vec: Sequence) -> Vec | None:
         """Coordinates of vec in the RREF basis, or None if not a member."""
@@ -420,13 +447,23 @@ class Subspace:
         if self.ambient != other.ambient:
             raise LinAlgError("ambient mismatch in subspace sum")
         return Subspace.from_spanning(
-            list(self.basis.entries) + list(other.basis.entries), self.ambient)
+            [dict(row) for row in self.rows + other.rows], self.ambient)
 
     def annihilator(self) -> "Subspace":
-        """Functionals vanishing on this subspace, in dual coordinates."""
-        if self.dim == 0:
-            return Subspace.full(self.ambient)
-        return self.basis.kernel()
+        """Functionals vanishing on this subspace, in dual coordinates.
+
+        Spanned by e_f - sum_t rows[t][f] e_{pivots[t]} over the non-pivot
+        columns f.
+        """
+        by_col: dict[int, list[tuple[int, Fraction]]] = {}
+        for p, row in zip(self.pivots, self.rows):
+            for c, v in row:
+                if c != p:
+                    by_col.setdefault(c, []).append((p, -v))
+        piv = set(self.pivots)
+        return Subspace.from_spanning(
+            [dict([(f, ONE)] + by_col.get(f, [])) for f in range(self.ambient)
+             if f not in piv], self.ambient)
 
     def kron(self, other: "Subspace") -> "Subspace":
         """Tensor (Kronecker) product subspace.
@@ -434,18 +471,11 @@ class Subspace:
         The Kronecker products of two RREF bases, taken in row-major order,
         already form an RREF basis, so no elimination is needed.
         """
-        amb = self.ambient * other.ambient
+        m = other.ambient
         rows = []
         pivots = []
-        for pu, u in zip(self.pivots, self.basis.entries):
-            for pv, v in zip(other.pivots, other.basis.entries):
-                dense = [ZERO] * amb
-                for i, a in enumerate(u):
-                    if a:
-                        base = i * other.ambient
-                        for j, b in enumerate(v):
-                            if b:
-                                dense[base + j] = a * b
-                rows.append(tuple(dense))
-                pivots.append(pu * other.ambient + pv)
-        return Subspace(amb, Matrix(tuple(rows), amb), tuple(pivots))
+        for pu, u in zip(self.pivots, self.rows):
+            for pv, v in zip(other.pivots, other.rows):
+                rows.append(tuple((i * m + j, a * b) for i, a in u for j, b in v))
+                pivots.append(pu * m + pv)
+        return Subspace(self.ambient * m, tuple(pivots), tuple(rows))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .frobenius import GradedAutomorphism, GradedFDAlgebra
 from .linalg import (ConsistencyError, DEFAULT_LIMITS, LinAlgError, Limits,
@@ -59,6 +59,12 @@ class QuadraticAlgebra:
         return tuple(Tensor.from_vector(r, 2, self.n)
                      for r in self.relations.basis.entries)
 
+    @cached_property
+    def dual(self) -> "QuadraticAlgebra":
+        """The quadratic dual, computed once per presentation object."""
+        return QuadraticAlgebra(dual_names(self.names),
+                                self.relations.annihilator())
+
 
 def dual_names(names) -> tuple[str, ...]:
     out = tuple(s[:-1] if s.endswith("*") else s + "*" for s in names)
@@ -73,7 +79,7 @@ def quadratic_dual(alg: QuadraticAlgebra) -> QuadraticAlgebra:
     Dual coordinates pair with word coordinates by the plain dot product,
     slot by slot with no sign.
     """
-    return QuadraticAlgebra(dual_names(alg.names), alg.relations.annihilator())
+    return alg.dual
 
 
 def graded_dims(alg: QuadraticAlgebra, bound: int,
@@ -92,11 +98,11 @@ def _koszul_component(alg: QuadraticAlgebra, m: int, limits: Limits) -> Subspace
         return Subspace.full(n ** m)
     if m == 2:
         return alg.relations
-    prev = [row for _, row in _koszul_component(alg, m - 1, limits).sparse_rows]
+    prev = _koszul_component(alg, m - 1, limits).rows
     # the entries f[a, l] of the R-perp basis, grouped by their first letter a
     perp = [[] for _ in range(n)]
-    for fi, (_, f) in enumerate(alg.relations.annihilator().sparse_rows):
-        for c, v in f.items():
+    for fi, f in enumerate(quadratic_dual(alg).relations.rows):
+        for c, v in f:
             a, l = divmod(c, n)
             perp[a].append((fi, l, v))
     # x = sum c[s, l] b_s (x) e_l over the basis b_s of K_{m-1} lies in
@@ -104,18 +110,18 @@ def _koszul_component(alg: QuadraticAlgebra, m: int, limits: Limits) -> Subspace
     # word u of length m-2 and every f in R-perp
     eqs: dict[tuple[int, int], dict[int, Fraction]] = {}
     for s, b in enumerate(prev):
-        for w, val in b.items():
+        for w, val in b:
             u, a = divmod(w, n)
             for fi, l, v in perp[a]:
                 eq = eqs.setdefault((u, fi), {})
                 eq[s * n + l] = eq.get(s * n + l, ZERO) + val * v
     coeffs = Subspace.from_spanning(eqs.values(), len(prev) * n).annihilator()
     rows = []
-    for _, c in coeffs.sparse_rows:
+    for c in coeffs.rows:
         x: dict[int, Fraction] = {}
-        for j, cj in c.items():
+        for j, cj in c:
             s, l = divmod(j, n)
-            for w, val in prev[s].items():
+            for w, val in prev[s]:
                 x[w * n + l] = x.get(w * n + l, ZERO) + cj * val
         rows.append(x)
     return Subspace.from_spanning(rows, n ** m)
@@ -209,14 +215,12 @@ class TruncatedAlgebra:
         for k, comp in enumerate(self.components):
             top = n ** k - 1
             flipped = Subspace.from_spanning(
-                [{top - c: v for c, v in row.items()} for _, row in comp.sparse_rows],
-                top + 1)
-            rows = flipped.sparse_rows[::-1]
-            words.append(tuple(top - p for p, _ in rows))
+                [{top - c: v for c, v in row} for row in comp.rows], top + 1)
+            words.append(tuple(top - p for p in flipped.pivots[::-1]))
             # word -> [(t, coordinate t of its class)]
             cls: dict[int, list[tuple[int, Fraction]]] = {}
-            for t, (_, row) in enumerate(rows):
-                for c, v in row.items():
+            for t, row in enumerate(flipped.rows[::-1]):
+                for c, v in row:
                     cls.setdefault(top - c, []).append((t, v))
             classes.append(cls)
         self.words = tuple(words)

@@ -70,9 +70,9 @@ def _skew_extend(base: QuadraticAlgebra, sigma: DegreeOneMap, zname: str,
     m = n + 1
     pinv = sigma.matrix.inverse()
     stacked = []
-    for _, row in base.relations.sparse_rows:
+    for row in base.relations.rows:
         dense = [ZERO] * (m * m)
-        for c, v in row.items():
+        for c, v in row:
             dense[(c // n) * m + (c % n)] = v
         stacked.append(tuple(dense))
     mixed = tuple(Tensor.make(2, m, [((n, k), pinv[k, i]) for k in range(n)]
@@ -174,17 +174,11 @@ def verify_ext_algebra_isomorphism(cert: RegularityCertificate,
                 qcols.append(ebd.multiply(k - 1, fa, 1, fb))
         pmat = Matrix.from_rows(zip(*pcols), len(pcols))
         qmat = Matrix.from_rows(zip(*qcols), len(qcols))
-        scols = []
-        for c in range(gamma.dims[k]):
-            sc = pmat.solve(unit_vector(gamma.dims[k], c))
-            if sc is None:
-                generated_ok = False
-                break
-            scols.append(sc)
-        if not generated_ok:
+        smat = pmat.right_inverse()
+        if smat is None:
+            generated_ok = False
             maps.append(Matrix.zero(ebd.dims[k], gamma.dims[k]))
             continue
-        smat = Matrix.from_rows(zip(*scols), len(scols))
         fk = qmat @ smat
         if fk @ pmat != qmat:
             generated_ok = False

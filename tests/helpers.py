@@ -24,6 +24,44 @@ def cert_of(name):
     return as_regular_certificate(algebra_of(name))
 
 
+def dense_rref(rows, ambient):
+    """Gauss-Jordan elimination on dense Fraction rows: (pivots, basis rows)
+    of the reduced row echelon form, nonzero rows only.  Shares no code with
+    quadalg.linalg, so it is the reference for the sparse Subspace."""
+    mat = [[Fraction(v) for v in r] for r in rows]
+    pivots = []
+    for col in range(ambient):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        lead = mat[rank][col]
+        mat[rank] = [v / lead for v in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+        pivots.append(col)
+    return tuple(pivots), tuple(tuple(r) for r in mat[:len(pivots)])
+
+
+def dense_kernel_rows(rows, ambient):
+    """A spanning set of {v : r . v = 0 for every row r}, one vector per
+    free column of the dense reduced row echelon form."""
+    pivots, basis = dense_rref(rows, ambient)
+    out = []
+    for f in range(ambient):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ambient
+        v[f] = Fraction(1)
+        for p, row in zip(pivots, basis):
+            v[p] = -row[f]
+        out.append(tuple(v))
+    return out
+
+
 def twisted_cyclic_space(n, d, sigma):
     """Exact solution space of w = (-1)^(d-1) rot(sigma on first slot)(w).
 
@@ -184,13 +222,13 @@ def relation_degree_subspace(alg, k):
     if k < 2:
         return Subspace.zero(n ** k)
     rows = []
-    for _, row in alg.relations.sparse_rows:
+    for row in alg.relations.rows:
         for i in range(k - 1):
             stride = n ** (k - i - 2)
             for u in range(n ** i):
                 for v in range(stride):
                     rows.append({(u * n * n + c) * stride + v: val
-                                 for c, val in row.items()})
+                                 for c, val in row})
     return Subspace.from_spanning(rows, n ** k)
 
 

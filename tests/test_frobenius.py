@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (AS_REGULAR, block_nakayama_oracle, cert_of,
+from helpers import (AS_REGULAR, algebra_of, block_nakayama_oracle, cert_of,
                      cdg_underlying_trivial_extension, scalar_twist, seeded)
 from quadalg import (GradedAutomorphism, GradedFDAlgebra, Matrix, NotFrobenius,
                      dual_trivial_extension, frobenius_structure,
@@ -242,3 +242,28 @@ def test_structure_equal_detects_difference():
     b = trivial_extension(E, E.epsilon(1), 3)
     assert not a.structure_equal(b)
     assert a.structure_equal(a)
+
+
+def _dense_table(alg):
+    return {(i, j): tuple(tuple(alg.multiply_basis(i, a, j, b)
+                                for b in range(alg.dims[j]))
+                          for a in range(alg.dims[i]))
+            for i in range(alg.length + 1) for j in range(alg.length + 1 - i)}
+
+
+@pytest.mark.parametrize("bound", [4, 6])
+def test_corrupted_structure_constant_fails_associativity(bound):
+    # k[x, y, z] truncated at degree 4 (total dimension 35) and 6 (84): the
+    # check must run on both sides of the old 64 cut-off
+    alg = truncated_structure(algebra_of("poly3"), bound).to_graded_algebra()
+    assert (alg.total_dim > 64) == (bound == 6)
+    mult = _dense_table(alg)
+    assert GradedFDAlgebra(alg.dims, alg.labels, mult).structure_equal(alg)
+    # x * x := xx + yy breaks (x x) z = x (x z)
+    xx = list(mult[(1, 1)][0][0])
+    xx[alg.labels[2].index("yy")] += 1
+    block = [list(row) for row in mult[(1, 1)]]
+    block[0][0] = tuple(xx)
+    mult[(1, 1)] = tuple(tuple(row) for row in block)
+    with pytest.raises(LinAlgError, match="associativity fails"):
+        GradedFDAlgebra(alg.dims, alg.labels, mult)

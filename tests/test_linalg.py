@@ -3,8 +3,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
+from helpers import dense_kernel_rows, dense_rref
 from quadalg.linalg import (ConsistencyError, LinAlgError, Limits, Matrix,
                             ResourceLimitError, Subspace)
 
@@ -12,6 +13,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+# half of the entries zero, as in the Koszul components of skew rings
+sparse = st.one_of(st.just(ZERO), small)
 
 
 def mk_rows(data, cols):
@@ -151,6 +154,25 @@ def test_kron_is_rref(a, b):
     # the direct assembly must agree with re-running RREF from scratch
     rebuilt = Subspace.from_spanning(k.basis.entries, k.ambient)
     assert rebuilt.basis == k.basis and rebuilt.pivots == k.pivots
+
+
+@seed(20131)
+@settings(max_examples=80, deadline=None)
+@given(matrices(elements=sparse), matrices(max_dim=3, elements=sparse))
+def test_sparse_subspace_matches_dense_oracle(a, b):
+    def agrees(space, rows, ambient):
+        pivots, basis = dense_rref(rows, ambient)
+        return space.pivots == pivots and space.basis.entries == basis
+
+    u = Subspace.from_spanning(a.entries, a.cols)
+    v = Subspace.from_spanning(b.entries, b.cols)
+    assert agrees(u, a.entries, a.cols)
+    assert agrees(u.annihilator(), dense_kernel_rows(a.entries, a.cols), a.cols)
+    if a.cols == b.cols:
+        assert agrees(u.sum_with(v), a.entries + b.entries, a.cols)
+    products = [tuple(x * y for x in r for y in s)
+                for r in a.entries for s in b.entries]
+    assert agrees(u.kron(v), products, a.cols * b.cols)
 
 
 def test_reduce_and_coordinates():

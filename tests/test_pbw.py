@@ -143,9 +143,9 @@ def test_skew_deformation_transport():
         ext = skew_extend(cert.algebra, nakayama_of_algebra(cert))
         stacked = []
         mm = (n + 1) ** 2
-        for _, row in cert.algebra.relations.sparse_rows:
+        for row in cert.algebra.relations.rows:
             dense = [F(0)] * mm
-            for col, v in row.items():
+            for col, v in row:
                 dense[(col // n) * (n + 1) + (col % n)] = v
             stacked.append(tuple(dense))
         for t in ext.mixed_relations:

@@ -1,6 +1,7 @@
 """Quadratic algebras: duals, graded dimensions, Koszul numerics,
 truncations."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,22 @@ def test_dual_name_collision():
 def test_graded_dims_monomial():
     assert graded_dims(XX, 4) == (1, 2, 3, 5, 8)
     assert graded_dims(XY, 5) == (1, 2, 3, 4, 5, 6)
+
+
+def test_near_free_hilbert_series_stays_small():
+    # one relation xy in three letters: dim A_k = 3 dim A_{k-1} - dim A_{k-2}.
+    # Its dual has 8 relations, so K_7 of the dual is 987 rows in 3^7
+    # coordinates: dense rows would hold over two million entries.  No
+    # other test uses this algebra, so its Koszul components are not cached.
+    alg = _alg(("x", "y", "z"), [[((0, 1), 1)]])
+    tracemalloc.start()
+    try:
+        dims = graded_dims(alg, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dims == (1, 3, 8, 21, 55, 144, 377, 987)
+    assert peak < 8 * 2 ** 20
 
 
 def test_relation_degree_dimension_identity():
