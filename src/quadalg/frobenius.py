@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import lcm
 
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Vec, ZERO,
                      unit_vector)
@@ -29,14 +31,43 @@ class GradedFDAlgebra:
     """A finite-dimensional graded algebra given by structure constants.
 
     dims[i] is the dimension of the degree-i component, labels[i] names its
-    basis, and mult[(i, j)][a][b] is the coordinate row of the product of the
-    a-th degree-i and b-th degree-j basis elements inside degree i+j.
-    Degree 0 must be spanned by the unit.  The table keeps only the nonzero
-    entries of each product, as (coordinate, value) pairs in order.
+    basis, and mult[(i, j)][a][b] is the product of the a-th degree-i and
+    b-th degree-j basis elements inside degree i+j.  Degree 0 must be
+    spanned by the unit.  The table keeps only the nonzero entries of each
+    product, as (coordinate, value) pairs in increasing coordinate order.
+
+    The constructor takes dense coordinate rows and drops their zeros;
+    `from_sparse` takes a table of nonzero pairs as it is.  Both check the
+    table's shape through the same core, and, when validating, the unit and
+    associativity on every triple of basis elements.
     """
 
     def __init__(self, dims, labels, mult, validate: bool = True):
-        self.dims = tuple(int(x) for x in dims)
+        dims = tuple(int(x) for x in dims)
+        table = {}
+        for (i, j), block in mult.items():
+            if not (i >= 0 and j >= 0 and i + j < len(dims)):
+                continue
+            if any(len(cell) != dims[i + j] for row in block for cell in row):
+                raise LinAlgError(f"bad structure block at degrees {(i, j)}")
+            table[(i, j)] = tuple(
+                tuple(tuple((c, w) for c, w in enumerate(map(Fraction, cell)) if w)
+                      for cell in row)
+                for row in block)
+        self._build(dims, labels, table, validate)
+
+    @classmethod
+    def from_sparse(cls, dims, labels, mult,
+                    validate: bool = True) -> "GradedFDAlgebra":
+        """An algebra from a table that already lists each product's nonzero
+        (coordinate, value) pairs in increasing coordinate order; checked
+        exactly as by the constructor."""
+        alg = cls.__new__(cls)
+        alg._build(tuple(int(x) for x in dims), labels, mult, validate)
+        return alg
+
+    def _build(self, dims, labels, mult, validate: bool) -> None:
+        self.dims = dims
         if not self.dims or self.dims[0] != 1:
             raise LinAlgError("degree zero must be spanned by the unit")
         self.labels = tuple(tuple(str(s) for s in row) for row in labels)
@@ -49,18 +80,27 @@ class GradedFDAlgebra:
             for j in range(d + 1 - i):
                 block = mult.get((i, j))
                 if block is None:
-                    block = ((((),) * self.dims[j]),) * self.dims[i]
-                else:
-                    if len(block) != self.dims[i] or any(
-                            len(row) != self.dims[j] or
-                            any(len(cell) != self.dims[i + j] for cell in row)
-                            for row in block):
+                    table[(i, j)] = ((((),) * self.dims[j]),) * self.dims[i]
+                    continue
+                top = self.dims[i + j]
+                rows = []
+                for row in block:
+                    row = tuple(map(tuple, row))
+                    if len(row) != self.dims[j]:
                         raise LinAlgError(f"bad structure block at degrees {(i, j)}")
-                    block = tuple(
-                        tuple(tuple((c, w) for c, w in enumerate(map(Fraction, cell)) if w)
-                              for cell in row)
-                        for row in block)
-                table[(i, j)] = block
+                    for cell in row:
+                        last = -1
+                        for c, w in cell:
+                            if not (last < c < top and w):
+                                raise LinAlgError(
+                                    f"bad structure cell at degrees {(i, j)}: "
+                                    f"coordinates must increase within range "
+                                    f"and values be nonzero")
+                            last = c
+                    rows.append(row)
+                if len(rows) != self.dims[i]:
+                    raise LinAlgError(f"bad structure block at degrees {(i, j)}")
+                table[(i, j)] = tuple(rows)
         self.mult = table
         if validate:
             self._validate_unit()
@@ -125,10 +165,21 @@ class GradedFDAlgebra:
                     raise LinAlgError(f"right unit fails on degree {j} index {b}")
 
     def _validate_associativity(self) -> None:
-        """(e_a e_b) e_c = e_a (e_b e_c) on every triple of basis elements,
-        both sides summed over the nonzero structure constants only."""
+        """(e_a e_b) e_c = e_a (e_b e_c) on every triple of basis elements.
+
+        The table is scaled once by the lcm D of its denominators, and both
+        sides are summed in integers over the nonzero constants only.  Each
+        side comes out as D^2 times the true product, so the comparison is
+        still exact.
+        """
+        den = reduce(lcm, (w.denominator for block in self.mult.values()
+                           for row in block for cell in row for _, w in cell), 1)
+        mult = {key: tuple(tuple(tuple((c, w.numerator * (den // w.denominator))
+                                       for c, w in cell)
+                                 for cell in row)
+                           for row in block)
+                for key, block in self.mult.items()}
         d = self.length
-        mult = self.mult
         for i in range(d + 1):
             for j in range(d + 1 - i):
                 for k in range(d + 1 - i - j):
@@ -147,12 +198,12 @@ class GradedFDAlgebra:
                                         f"indices {(a, b, c)}")
 
 
-def _combine(coeffs, cells) -> dict[int, Fraction]:
-    """sum_t coeffs[t] * cells[t] over sparse cells, zero entries dropped."""
-    acc: dict[int, Fraction] = {}
+def _combine(coeffs, cells) -> dict[int, int]:
+    """sum_t coeffs[t] * cells[t] over sparse integer cells, zeros dropped."""
+    acc: dict[int, int] = {}
     for t, x in coeffs:
         for c, w in cells[t]:
-            acc[c] = acc.get(c, ZERO) + x * w
+            acc[c] = acc.get(c, 0) + x * w
     return {c: v for c, v in acc.items() if v}
 
 
@@ -300,24 +351,31 @@ def square_zero_extension(alg: GradedFDAlgebra, module_dims, module_labels,
     for i in range(length + 1):
         for j in range(length + 1 - i):
             ai, aj = alg.dim(i), alg.dim(j)
-            zero_alg = (ZERO,) * alg.dim(i + j)
-            zero_mod = (ZERO,) * module_dims[i + j]
+            off, size = alg.dim(i + j), module_dims[i + j]
             block = []
             for a in range(dims[i]):
                 row = []
                 for b in range(dims[j]):
                     if a < ai and b < aj:
-                        cell = alg.multiply_basis(i, a, j, b) + zero_mod
+                        cell = alg.mult[(i, j)][a][b] if i + j <= alg.length else ()
                     elif a < ai:
-                        cell = zero_alg + tuple(left(i, a, j, b - aj))
+                        cell = _module_cell(left(i, a, j, b - aj), off, size)
                     elif b < aj:
-                        cell = zero_alg + tuple(right(i, a - ai, j, b))
+                        cell = _module_cell(right(i, a - ai, j, b), off, size)
                     else:
-                        cell = zero_alg + zero_mod
+                        cell = ()
                     row.append(cell)
                 block.append(tuple(row))
             mult[(i, j)] = tuple(block)
-    return GradedFDAlgebra(dims, labels, mult, validate=validate)
+    return GradedFDAlgebra.from_sparse(dims, labels, mult, validate=validate)
+
+
+def _module_cell(row, offset: int, size: int):
+    """The nonzero entries of a dense module row of length size, at
+    coordinates shifted past the algebra's part of the degree."""
+    if len(row) != size:
+        raise LinAlgError("module action row does not match the module dimension")
+    return tuple((offset + c, Fraction(v)) for c, v in enumerate(row) if v)
 
 
 def dual_trivial_extension(alg: GradedFDAlgebra, left: GradedAutomorphism,
@@ -339,13 +397,13 @@ def dual_trivial_extension(alg: GradedFDAlgebra, left: GradedAutomorphism,
 
     def act_left(i, a, j, g):
         # a.g evaluated on each basis element of E_{n-i-j}
-        la = left.apply(i, unit_vector(alg.dim(i), a))
+        la = left.matrices[i].col(a)
         k = n - i - j
         return [alg.multiply(k, unit_vector(alg.dim(k), c), i, la)[g]
                 for c in range(alg.dim(k))]
 
     def act_right(i, g, j, b):
-        rb = right.apply(j, unit_vector(alg.dim(j), b))
+        rb = right.matrices[j].col(b)
         k = n - i - j
         return [alg.multiply(j, rb, k, unit_vector(alg.dim(k), c))[g]
                 for c in range(alg.dim(k))]
@@ -382,11 +440,11 @@ def twisted_module_trivial_extension(alg: GradedFDAlgebra,
               for i in range(d - shift + 1)]
 
     def act_left(i, a, j, m):
-        la = left.apply(i, unit_vector(alg.dim(i), a))
+        la = left.matrices[i].col(a)
         return alg.multiply(i, la, j + shift, unit_vector(alg.dim(j + shift), m))
 
     def act_right(i, m, j, b):
-        rb = right.apply(j, unit_vector(alg.dim(j), b))
+        rb = right.matrices[j].col(b)
         return alg.multiply(i + shift, unit_vector(alg.dim(i + shift), m), j, rb)
 
     return square_zero_extension(alg, dims, labels, act_left, act_right,

@@ -6,9 +6,13 @@ the nonzero entries of their reduced row-echelon basis, which is unique, so
 subspace equality is plain equality of pivots and sparse rows and every
 operation that returns a subspace returns a canonical object.
 
-Row reduction is performed fraction-free on sparse integer rows internally
-(rows are scaled by the lcm of their denominators and kept gcd-reduced);
-results are normalised back to Fractions with pivot entries equal to 1.
+Row reduction is performed fraction-free on sparse integer rows: rational
+rows are scaled by the lcm of their denominators and kept gcd-reduced, and
+results are normalised back to Fractions, pivot entries 1, once, when a
+Subspace is built.  Hot callers stay in integers throughout: a Subspace
+also offers its basis as content-free integer rows (`int_rows`), is built
+straight from integer rows (`Subspace.from_int_rows`), and `int_kernel`
+reads integer kernel rows off the integer reduced echelon form.
 """
 
 from __future__ import annotations
@@ -144,6 +148,47 @@ def _rref_int(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     return pivots
 
 
+def _nonzero(row: Mapping[int, int]) -> dict[int, int]:
+    return {c: v for c, v in row.items() if v}
+
+
+def _kernel_of_rref(pivots: Mapping[int, Mapping[int, int]],
+                    ambient: int) -> list[dict[int, int]]:
+    """Integer rows spanning the right kernel of a reduced echelon form.
+
+    One row per free column f: L e_f - sum_p (L r_p[f] / r_p[p]) e_p over
+    the pivot rows r_p, where L is the lcm of the pivot entries r_p[p] of
+    the rows with r_p[f] != 0.
+    """
+    by_col: dict[int, list[tuple[int, int, int]]] = {}
+    for p, r in pivots.items():
+        pv = r[p]
+        for c, v in r.items():
+            if c != p:
+                by_col.setdefault(c, []).append((p, pv, v))
+    out = []
+    for f in range(ambient):
+        if f in pivots:
+            continue
+        terms = by_col.get(f, ())
+        big = reduce(lcm, (pv for _, pv, _ in terms), 1)
+        row = {f: big}
+        for p, pv, v in terms:
+            row[p] = -(big // pv) * v
+        out.append(row)
+    return out
+
+
+def int_kernel(rows: Iterable[Mapping[int, int]], ambient: int) -> list[dict[int, int]]:
+    """Integer rows spanning {x : r . x = 0 for every given row r}.
+
+    The rows are integer rows given by their entries; the result has one
+    row per free column of their reduced echelon form, so its rows are
+    independent.
+    """
+    return _kernel_of_rref(_rref_int(_nonzero(r) for r in rows), ambient)
+
+
 def _rank_int(rows: Iterable[dict[int, int]]) -> int:
     """Rank by forward elimination only (no back substitution)."""
     pivots: dict[int, dict[int, int]] = {}
@@ -155,15 +200,7 @@ def _rank_int(rows: Iterable[dict[int, int]]) -> int:
 
 
 SparseRow = tuple[tuple[int, Fraction], ...]
-
-
-def _pivots_to_sparse_rows(pivots: dict[int, dict[int, int]]) -> tuple[SparseRow, ...]:
-    out = []
-    for pc in sorted(pivots):
-        r = pivots[pc]
-        pv = r[pc]
-        out.append(tuple((c, Fraction(r[c], pv)) for c in sorted(r)))
-    return tuple(out)
+IntRow = tuple[tuple[int, int], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +222,8 @@ class Matrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence], cols: int | None = None) -> "Matrix":
-        ent = tuple(tuple(Fraction(v) for v in row) for row in rows)
+        ent = tuple(tuple(v if type(v) is Fraction else Fraction(v) for v in row)
+                    for row in rows)
         if cols is None:
             if not ent:
                 raise LinAlgError("column count required for an empty matrix")
@@ -277,8 +315,12 @@ class Matrix:
         """Matrix times column vector, returned as a flat tuple."""
         if len(v) != self.cols:
             raise LinAlgError("length mismatch in column multiplication")
-        nz = [(j, Fraction(x)) for j, x in enumerate(v) if x]
-        return tuple(sum((row[j] * x for j, x in nz), ZERO) for row in self.entries)
+        return self.mul_sparse_col([(j, Fraction(x)) for j, x in enumerate(v) if x])
+
+    def mul_sparse_col(self, pairs) -> Vec:
+        """Matrix times a column vector given by its nonzero (index, value)
+        pairs: the sum of those columns, scaled."""
+        return tuple(sum((row[j] * x for j, x in pairs), ZERO) for row in self.entries)
 
     def is_zero(self) -> bool:
         return all(not v for row in self.entries for v in row)
@@ -365,10 +407,26 @@ class Subspace:
 
     @staticmethod
     def from_spanning(rows: Iterable[RowLike], ambient: int) -> "Subspace":
-        piv = _rref_int(_to_int_row(r) for r in rows)
-        if piv and max(piv) >= ambient:
+        return Subspace._from_rref(_rref_int(_to_int_row(r) for r in rows),
+                                   ambient)
+
+    @staticmethod
+    def from_int_rows(rows: Iterable[Mapping[int, int]], ambient: int) -> "Subspace":
+        """The span of integer rows given by their entries; zero entries
+        may be listed or left out."""
+        return Subspace._from_rref(_rref_int(_nonzero(r) for r in rows), ambient)
+
+    @staticmethod
+    def _from_rref(pivots: dict[int, dict[int, int]], ambient: int) -> "Subspace":
+        if pivots and max(pivots) >= ambient:
             raise LinAlgError("spanning row longer than the ambient dimension")
-        return Subspace(ambient, tuple(sorted(piv)), _pivots_to_sparse_rows(piv))
+        order = sorted(pivots)
+        rows = []
+        for p in order:
+            r = pivots[p]
+            pv = r[p]
+            rows.append(tuple((c, Fraction(r[c], pv)) for c in sorted(r)))
+        return Subspace(ambient, tuple(order), tuple(rows))
 
     @staticmethod
     def zero(ambient: int) -> "Subspace":
@@ -396,6 +454,20 @@ class Subspace:
                 vec[c] = v
             dense.append(tuple(vec))
         return Matrix(tuple(dense), self.ambient)
+
+    @cached_property
+    def int_rows(self) -> tuple[IntRow, ...]:
+        """The basis rows scaled to content-free integer rows.
+
+        Row t is rows[t] times the lcm of its denominators, so its pivot
+        entry is that lcm and the gcd of its entries is 1.
+        """
+        out = []
+        for row in self.rows:
+            den = reduce(lcm, (v.denominator for _, v in row), 1)
+            out.append(tuple((c, v.numerator * (den // v.denominator))
+                             for c, v in row))
+        return tuple(out)
 
     def basis_rows(self) -> tuple[Vec, ...]:
         return self.basis.entries
@@ -453,17 +525,11 @@ class Subspace:
         """Functionals vanishing on this subspace, in dual coordinates.
 
         Spanned by e_f - sum_t rows[t][f] e_{pivots[t]} over the non-pivot
-        columns f.
+        columns f, computed on the integer rows.
         """
-        by_col: dict[int, list[tuple[int, Fraction]]] = {}
-        for p, row in zip(self.pivots, self.rows):
-            for c, v in row:
-                if c != p:
-                    by_col.setdefault(c, []).append((p, -v))
-        piv = set(self.pivots)
-        return Subspace.from_spanning(
-            [dict([(f, ONE)] + by_col.get(f, [])) for f in range(self.ambient)
-             if f not in piv], self.ambient)
+        rref = {p: dict(r) for p, r in zip(self.pivots, self.int_rows)}
+        return Subspace.from_int_rows(_kernel_of_rref(rref, self.ambient),
+                                      self.ambient)
 
     def kron(self, other: "Subspace") -> "Subspace":
         """Tensor (Kronecker) product subspace.

@@ -6,6 +6,11 @@ degree-two word coordinates.  All degreewise data comes from the Koszul
 components K_k, cached and keyed on the presentation: the degree-k piece of
 T(V)/(R) is the linear dual of K_k of the quadratic dual
 (Polishchuk-Positselski, Quadratic Algebras, Ch. 1).
+
+K_k is computed in integers, as an integer kernel over K_{k-1} (x) V, and
+becomes a canonical Fraction subspace only once, at the end.  Truncated
+multiplication tables are read off the class coordinates of product words
+and handed to GradedFDAlgebra as sparse cells.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from functools import cached_property, lru_cache
 
 from .frobenius import GradedAutomorphism, GradedFDAlgebra
 from .linalg import (ConsistencyError, DEFAULT_LIMITS, LinAlgError, Limits,
-                     Matrix, Subspace, Vec, ZERO, unit_vector)
+                     Matrix, Subspace, Vec, ZERO, int_kernel)
 from .tensors import (DegreeOneMap, Tensor, apply_slotwise, index_to_word,
                       preserves_subspace)
 
@@ -98,33 +103,34 @@ def _koszul_component(alg: QuadraticAlgebra, m: int, limits: Limits) -> Subspace
         return Subspace.full(n ** m)
     if m == 2:
         return alg.relations
-    prev = _koszul_component(alg, m - 1, limits).rows
+    # all arithmetic below is on content-free integer rows; rescaling the
+    # basis of K_{m-1} or of R-perp does not change the span computed
+    prev = _koszul_component(alg, m - 1, limits).int_rows
     # the entries f[a, l] of the R-perp basis, grouped by their first letter a
     perp = [[] for _ in range(n)]
-    for fi, f in enumerate(quadratic_dual(alg).relations.rows):
+    for fi, f in enumerate(quadratic_dual(alg).relations.int_rows):
         for c, v in f:
             a, l = divmod(c, n)
             perp[a].append((fi, l, v))
     # x = sum c[s, l] b_s (x) e_l over the basis b_s of K_{m-1} lies in
     # V^{m-2} (x) R exactly when it pairs to zero with u (x) f for every
     # word u of length m-2 and every f in R-perp
-    eqs: dict[tuple[int, int], dict[int, Fraction]] = {}
+    eqs: dict[tuple[int, int], dict[int, int]] = {}
     for s, b in enumerate(prev):
         for w, val in b:
             u, a = divmod(w, n)
             for fi, l, v in perp[a]:
                 eq = eqs.setdefault((u, fi), {})
-                eq[s * n + l] = eq.get(s * n + l, ZERO) + val * v
-    coeffs = Subspace.from_spanning(eqs.values(), len(prev) * n).annihilator()
+                eq[s * n + l] = eq.get(s * n + l, 0) + val * v
     rows = []
-    for c in coeffs.rows:
-        x: dict[int, Fraction] = {}
-        for j, cj in c:
+    for c in int_kernel(eqs.values(), len(prev) * n):
+        x: dict[int, int] = {}
+        for j, cj in c.items():
             s, l = divmod(j, n)
             for w, val in prev[s]:
-                x[w * n + l] = x.get(w * n + l, ZERO) + cj * val
+                x[w * n + l] = x.get(w * n + l, 0) + cj * val
         rows.append(x)
-    return Subspace.from_spanning(rows, n ** m)
+    return Subspace.from_int_rows(rows, n ** m)
 
 
 def koszul_component(alg: QuadraticAlgebra, m: int,
@@ -214,15 +220,15 @@ class TruncatedAlgebra:
         classes = []
         for k, comp in enumerate(self.components):
             top = n ** k - 1
-            flipped = Subspace.from_spanning(
-                [{top - c: v for c, v in row} for row in comp.rows], top + 1)
+            flipped = Subspace.from_int_rows(
+                [{top - c: v for c, v in row} for row in comp.int_rows], top + 1)
             words.append(tuple(top - p for p in flipped.pivots[::-1]))
             # word -> [(t, coordinate t of its class)]
             cls: dict[int, list[tuple[int, Fraction]]] = {}
             for t, row in enumerate(flipped.rows[::-1]):
                 for c, v in row:
                     cls.setdefault(top - c, []).append((t, v))
-            classes.append(cls)
+            classes.append({w: tuple(ts) for w, ts in cls.items()})
         self.words = tuple(words)
         self.classes = tuple(classes)
         self.dims = tuple(len(w) for w in self.words)
@@ -317,19 +323,19 @@ class TruncatedAlgebra:
         return GradedAutomorphism(tuple(mats))
 
     def to_graded_algebra(self, validate: bool = True) -> GradedFDAlgebra:
+        """The structure table, cell by cell: the product of basis words
+        w_a and w_b is the word w_a w_b, whose class is read off directly."""
+        n = self.algebra.n
         mult = {}
         for i in range(self.bound + 1):
             for j in range(self.bound + 1 - i):
-                block = []
-                for a in range(self.dims[i]):
-                    ua = unit_vector(self.dims[i], a)
-                    row = []
-                    for b in range(self.dims[j]):
-                        vb = unit_vector(self.dims[j], b)
-                        row.append(self.multiply(i, ua, j, vb))
-                    block.append(tuple(row))
-                mult[(i, j)] = tuple(block)
-        return GradedFDAlgebra(self.dims, self.labels, mult, validate=validate)
+                stride = n ** j
+                cls = self.classes[i + j]
+                mult[(i, j)] = tuple(
+                    tuple(cls.get(wa * stride + wb, ()) for wb in self.words[j])
+                    for wa in self.words[i])
+        return GradedFDAlgebra.from_sparse(self.dims, self.labels, mult,
+                                           validate=validate)
 
 
 @lru_cache(maxsize=None)

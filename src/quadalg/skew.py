@@ -193,7 +193,7 @@ def verify_ext_algebra_isomorphism(cert: RegularityCertificate,
                     fa = maps[i].col(a)
                     for b in range(gamma.dims[j]):
                         fb = maps[j].col(b)
-                        lhs = maps[i + j].mul_col(gamma.multiply_basis(i, a, j, b))
+                        lhs = maps[i + j].mul_sparse_col(gamma.mult[(i, j)][a][b])
                         rhs = ebd.multiply(i, fa, j, fb)
                         if lhs != rhs:
                             structure_ok = False

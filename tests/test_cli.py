@@ -141,6 +141,22 @@ def test_max_degree_guard(capsys):
     assert code == 2
 
 
+def test_resource_guard_exit_code(tmp_path, capsys):
+    # every degree-two word in 32 letters is a relation: the dual is free, so
+    # its Koszul components vanish from degree 2 on, yet degree 4 already
+    # has 32^4 > 10^6 coordinate words and the guard must stop there
+    names = [f"a{i}" for i in range(32)]
+    p = tmp_path / "free32.json"
+    p.write_text(json.dumps({
+        "generators": names,
+        "relations": [[{"coeff": "1", "word": [a, b]}]
+                      for a in names for b in names]}))
+    code, rep = _run(capsys, "hilbert", str(p), "--max-degree", "4")
+    assert code == 3
+    assert rep == {"command": "hilbert", "status": "error",
+                   "error": "32^4 coordinate words exceed the cap of 1000000"}
+
+
 def test_memory_error_is_a_resource_failure(capsys, monkeypatch):
     def exhausted(desc, args):
         raise MemoryError()

@@ -1,5 +1,6 @@
 """Graded algebra containers, Frobenius structure, trivial extensions."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,11 +8,12 @@ import pytest
 from helpers import (AS_REGULAR, algebra_of, block_nakayama_oracle, cert_of,
                      cdg_underlying_trivial_extension, scalar_twist, seeded)
 from quadalg import (GradedAutomorphism, GradedFDAlgebra, Matrix, NotFrobenius,
-                     dual_trivial_extension, frobenius_structure,
-                     is_graded_symmetric, quadratic_dual, square_zero_extension,
-                     trivial_extension, truncated_structure,
-                     twisted_module_trivial_extension)
-from quadalg.io import description_to_algebra
+                     dual_trivial_extension, ext_algebra_of_skew,
+                     frobenius_structure, is_graded_symmetric,
+                     nakayama_of_algebra, quadratic_dual, skew_extend,
+                     square_zero_extension, trivial_extension,
+                     truncated_structure, twisted_module_trivial_extension)
+from quadalg.io import description_to_algebra, parse_description
 from quadalg.linalg import ConsistencyError, LinAlgError
 from quadalg.presets import corpus
 
@@ -264,6 +266,81 @@ def test_corrupted_structure_constant_fails_associativity(bound):
     xx[alg.labels[2].index("yy")] += 1
     block = [list(row) for row in mult[(1, 1)]]
     block[0][0] = tuple(xx)
+    mult[(1, 1)] = tuple(tuple(row) for row in block)
+    with pytest.raises(LinAlgError, match="associativity fails"):
+        GradedFDAlgebra(alg.dims, alg.labels, mult)
+
+
+def test_sparse_and_dense_construction_agree():
+    # every AS-regular dual, the model of its Nakayama-twisted extension and
+    # the honest dual of that extension
+    for name in AS_REGULAR:
+        cert = cert_of(name)
+        sigma = nakayama_of_algebra(cert)
+        ext = skew_extend(cert.algebra, sigma)
+        honest = truncated_structure(quadratic_dual(ext.algebra),
+                                     cert.gldim + 1).to_graded_algebra()
+        for alg in (cert.dual_fd, ext_algebra_of_skew(cert, sigma), honest):
+            dense = GradedFDAlgebra(alg.dims, alg.labels, _dense_table(alg))
+            sparse = GradedFDAlgebra.from_sparse(alg.dims, alg.labels, alg.mult)
+            assert dense.structure_equal(alg), name
+            assert sparse.structure_equal(alg), name
+
+
+def test_malformed_sparse_table_is_rejected():
+    alg = _fd("quantum_plane_q2")
+    x_y = alg.mult[(1, 1)][0][1]
+    assert x_y
+
+    def with_cell(cell):
+        mult = dict(alg.mult)
+        block = [list(row) for row in mult[(1, 1)]]
+        block[0][1] = cell
+        mult[(1, 1)] = block
+        return mult
+
+    top, value = alg.dims[2], x_y[0][1]
+    bad_cells = [((top, value),),                    # coordinate out of range
+                 ((-1, value),),                     # negative coordinate
+                 ((top - 1, F(0)),),                 # stored zero
+                 ((top - 1, value), (0, value)),     # coordinates not increasing
+                 x_y + x_y]                          # coordinate repeated
+    for cell in bad_cells:
+        with pytest.raises(LinAlgError, match="bad structure cell"):
+            GradedFDAlgebra.from_sparse(alg.dims, alg.labels, with_cell(cell))
+    assert GradedFDAlgebra.from_sparse(alg.dims, alg.labels,
+                                       with_cell(x_y)).structure_equal(alg)
+    xy_block = alg.mult[(1, 1)]
+    for block in (xy_block[:1],                          # one row too few
+                  xy_block + xy_block[:1],               # one row too many
+                  tuple(row[:1] for row in xy_block)):   # rows a cell short
+        mult = dict(alg.mult)
+        mult[(1, 1)] = block
+        with pytest.raises(LinAlgError, match="bad structure block"):
+            GradedFDAlgebra.from_sparse(alg.dims, alg.labels, mult)
+
+
+def test_corrupted_constant_fails_associativity_with_mixed_denominators():
+    # the dual of the skew ring x_i x_j = (2/3) x_j x_i in three letters:
+    # its constants have several denominators, so the integer check scales
+    # the whole table before comparing
+    desc = {"generators": ["x", "y", "z"],
+            "relations": [[{"coeff": "1", "word": [a, b]},
+                           {"coeff": "-2/3", "word": [b, a]}]
+                          for a, b in (("x", "y"), ("x", "z"), ("y", "z"))]}
+    dual = quadratic_dual(description_to_algebra(parse_description(json.dumps(desc))))
+    alg = truncated_structure(dual, 3).to_graded_algebra()
+    dens = {w.denominator for block in alg.mult.values() for row in block
+            for cell in row for _, w in cell}
+    assert len(dens - {1}) >= 2
+    mult = _dense_table(alg)
+    assert GradedFDAlgebra(alg.dims, alg.labels, mult).structure_equal(alg)
+    # add 1/2 to the first constant of x*y: breaks (x y) z = x (y z)
+    xy = list(mult[(1, 1)][0][1])
+    c = next(i for i, w in enumerate(xy) if w)
+    xy[c] += F(1, 2)
+    block = [list(row) for row in mult[(1, 1)]]
+    block[0][1] = tuple(xy)
     mult[(1, 1)] = tuple(tuple(row) for row in block)
     with pytest.raises(LinAlgError, match="associativity fails"):
         GradedFDAlgebra(alg.dims, alg.labels, mult)

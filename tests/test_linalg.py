@@ -1,13 +1,14 @@
 """Exact linear algebra core: unit and property tests."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from helpers import dense_kernel_rows, dense_rref
 from quadalg.linalg import (ConsistencyError, LinAlgError, Limits, Matrix,
-                            ResourceLimitError, Subspace)
+                            ResourceLimitError, Subspace, int_kernel)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -173,6 +174,36 @@ def test_sparse_subspace_matches_dense_oracle(a, b):
     products = [tuple(x * y for x in r for y in s)
                 for r in a.entries for s in b.entries]
     assert agrees(u.kron(v), products, a.cols * b.cols)
+
+
+@st.composite
+def int_systems(draw, max_dim=6):
+    # integer rows, half of the entries zero
+    c = draw(st.integers(min_value=1, max_value=max_dim))
+    entry = st.one_of(st.just(0), st.integers(min_value=-7, max_value=7))
+    rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c), max_size=max_dim))
+    return rows, c
+
+
+@seed(20132)
+@settings(max_examples=80, deadline=None)
+@given(int_systems())
+def test_integer_kernel_matches_dense_oracle(system):
+    rows, cols = system
+    # rows given with their zero entries, which must be ignored
+    kernel = int_kernel([dict(enumerate(r)) for r in rows], cols)
+    assert all(type(v) is int and v for x in kernel for v in x.values())
+    assert all(sum(r[c] * v for c, v in x.items()) == 0 for x in kernel for r in rows)
+    space = Subspace.from_int_rows(kernel, cols)
+    assert space.dim == len(kernel)
+    assert space == Subspace.from_spanning(dense_kernel_rows(rows, cols), cols)
+    # integer rows of a subspace: content-free, positive pivot, same span
+    u = Subspace.from_spanning(rows, cols)
+    for p, r in zip(u.pivots, u.int_rows):
+        assert r[0][0] == p and r[0][1] > 0
+        assert gcd(*(v for _, v in r)) == 1
+    assert Subspace.from_int_rows([dict(r) for r in u.int_rows], cols) == u
+    assert u.annihilator() == space
 
 
 def test_reduce_and_coordinates():
