@@ -1,18 +1,19 @@
 """Exact rational linear algebra: matrices, canonical subspaces, kernels.
 
-Everything is computed over the rationals with `fractions.Fraction`; there is
-no floating point anywhere in this package.  Subspaces are stored through
-the nonzero entries of their reduced row-echelon basis, which is unique, so
-subspace equality is plain equality of pivots and sparse rows and every
-operation that returns a subspace returns a canonical object.
+Everything is computed exactly over the rationals; there is no floating
+point anywhere in this package.  Subspaces are stored through the nonzero
+entries of their reduced row-echelon basis, which is unique, so subspace
+equality is plain equality of pivots and sparse rows and every operation
+that returns a subspace returns a canonical object.
 
 Row reduction is performed fraction-free on sparse integer rows: rational
-rows are scaled by the lcm of their denominators and kept gcd-reduced, and
-results are normalised back to Fractions, pivot entries 1, once, when a
-Subspace is built.  Hot callers stay in integers throughout: a Subspace
-also offers its basis as content-free integer rows (`int_rows`), is built
-straight from integer rows (`Subspace.from_int_rows`), and `int_kernel`
-reads integer kernel rows off the integer reduced echelon form.
+rows are scaled by the lcm of their denominators and kept gcd-reduced.  A
+Subspace stores each basis row as a content-free integer row with a
+positive pivot entry (`int_rows`) and normalises it to `Fraction`s, pivot
+entry 1, only when `rows` is first read.  Hot callers stay in integers
+throughout: they build subspaces straight from integer rows
+(`Subspace.from_int_rows`) and read integer kernel rows off the integer
+reduced echelon form (`int_kernel`).
 """
 
 from __future__ import annotations
@@ -134,17 +135,16 @@ def _rref_int(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
         lead, red = _forward_reduce(dict(r), pivots)
         if lead is not None:
             pivots[lead] = red
-    for pc in sorted(pivots, reverse=True):
-        prow = pivots[pc]
-        b = prow[pc]
-        for qc in list(pivots):
-            if qc >= pc:
-                continue
-            qrow = pivots[qc]
-            a = qrow.get(pc)
-            if a:
-                g = gcd(a, b)
-                pivots[qc] = _strip(_axpy(b // g, qrow, a // g, prow))
+    # back substitution from the last row up: the rows below are already
+    # reduced, so clearing the pivot columns a row holds brings in no others
+    for qc in sorted(pivots, reverse=True):
+        qrow = pivots[qc]
+        for pc in [c for c in qrow if c != qc and c in pivots]:
+            prow = pivots[pc]
+            a, b = qrow[pc], prow[pc]
+            g = gcd(a, b)
+            qrow = _strip(_axpy(b // g, qrow, a // g, prow))
+        pivots[qc] = qrow
     return pivots
 
 
@@ -395,15 +395,16 @@ class Matrix:
 class Subspace:
     """A linear subspace of Q**ambient held by its unique RREF basis.
 
-    Row t of the basis has its leading 1 in column pivots[t]; rows[t] lists
-    its nonzero entries as (column, value) pairs in column order.  Zero
-    entries are never stored, and the dense basis matrix is only built on
-    request.
+    Row t of the basis has its leading entry in column pivots[t];
+    int_rows[t] lists its nonzero entries as (column, integer) pairs in
+    column order, scaled so that the pivot entry is positive and the
+    entries have gcd 1.  Zero entries are never stored.  The Fraction rows,
+    with leading 1, and the dense basis matrix are only built on request.
     """
 
     ambient: int
     pivots: tuple[int, ...]
-    rows: tuple[SparseRow, ...]
+    int_rows: tuple[IntRow, ...]
 
     @staticmethod
     def from_spanning(rows: Iterable[RowLike], ambient: int) -> "Subspace":
@@ -421,12 +422,8 @@ class Subspace:
         if pivots and max(pivots) >= ambient:
             raise LinAlgError("spanning row longer than the ambient dimension")
         order = sorted(pivots)
-        rows = []
-        for p in order:
-            r = pivots[p]
-            pv = r[p]
-            rows.append(tuple((c, Fraction(r[c], pv)) for c in sorted(r)))
-        return Subspace(ambient, tuple(order), tuple(rows))
+        return Subspace(ambient, tuple(order),
+                        tuple(tuple(sorted(pivots[p].items())) for p in order))
 
     @staticmethod
     def zero(ambient: int) -> "Subspace":
@@ -435,7 +432,7 @@ class Subspace:
     @staticmethod
     def full(ambient: int) -> "Subspace":
         return Subspace(ambient, tuple(range(ambient)),
-                        tuple(((i, ONE),) for i in range(ambient)))
+                        tuple(((i, 1),) for i in range(ambient)))
 
     @property
     def dim(self) -> int:
@@ -443,6 +440,15 @@ class Subspace:
 
     def is_zero(self) -> bool:
         return self.dim == 0
+
+    @cached_property
+    def rows(self) -> tuple[SparseRow, ...]:
+        """The RREF basis rows as (column, Fraction) pairs, leading 1."""
+        out = []
+        for row in self.int_rows:
+            pv = row[0][1]
+            out.append(tuple((c, Fraction(v, pv)) for c, v in row))
+        return tuple(out)
 
     @cached_property
     def basis(self) -> Matrix:
@@ -454,20 +460,6 @@ class Subspace:
                 vec[c] = v
             dense.append(tuple(vec))
         return Matrix(tuple(dense), self.ambient)
-
-    @cached_property
-    def int_rows(self) -> tuple[IntRow, ...]:
-        """The basis rows scaled to content-free integer rows.
-
-        Row t is rows[t] times the lcm of its denominators, so its pivot
-        entry is that lcm and the gcd of its entries is 1.
-        """
-        out = []
-        for row in self.rows:
-            den = reduce(lcm, (v.denominator for _, v in row), 1)
-            out.append(tuple((c, v.numerator * (den // v.denominator))
-                             for c, v in row))
-        return tuple(out)
 
     def basis_rows(self) -> tuple[Vec, ...]:
         return self.basis.entries
@@ -518,8 +510,8 @@ class Subspace:
     def sum_with(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise LinAlgError("ambient mismatch in subspace sum")
-        return Subspace.from_spanning(
-            [dict(row) for row in self.rows + other.rows], self.ambient)
+        return Subspace.from_int_rows(
+            [dict(row) for row in self.int_rows + other.int_rows], self.ambient)
 
     def annihilator(self) -> "Subspace":
         """Functionals vanishing on this subspace, in dual coordinates.
@@ -540,8 +532,8 @@ class Subspace:
         m = other.ambient
         rows = []
         pivots = []
-        for pu, u in zip(self.pivots, self.rows):
-            for pv, v in zip(other.pivots, other.rows):
+        for pu, u in zip(self.pivots, self.int_rows):
+            for pv, v in zip(other.pivots, other.int_rows):
                 rows.append(tuple((i * m + j, a * b) for i, a in u for j, b in v))
                 pivots.append(pu * m + pv)
         return Subspace(self.ambient * m, tuple(pivots), tuple(rows))
