@@ -8,8 +8,8 @@ extension models of Yoneda algebras, filtered deformations with curved
 differential duals, and the associated Calabi-Yau verdicts.
 """
 
-from .linalg import (ConsistencyError, DEFAULT_LIMITS, LinAlgError, Limits,
-                     Matrix, ResourceLimitError, Scalar, Subspace, Vec)
+from .linalg import (ConsistencyError, LinAlgError, Matrix, ResourceLimitError,
+                     Scalar, Subspace, Vec)
 from .tensors import (DegreeOneMap, Tensor, all_words, apply_slotwise,
                       contract_left, contract_right, index_to_word,
                       preserves_subspace, tau, word_to_index)

@@ -22,7 +22,7 @@ from .pbw import (check_cdga_axioms, cy_criterion_deformed, cy_equivalence_dim2,
                   deformed_nakayama, dual_cdga)
 from .quadratic import graded_dims, numeric_koszul_certificate, quadratic_dual
 from .regular import (NotRegular, as_regular_certificate, nakayama_of_algebra)
-from .skew import (calabi_yau_check, cy_check_with, fresh_letter, skew_extend,
+from .skew import (cy_check_with, fresh_letter, skew_extend,
                    verify_ext_algebra_isomorphism)
 from .superpotential import (derivation_quotient, extract_superpotential,
                              is_twisted_superpotential, symmetrize,
@@ -101,7 +101,7 @@ def _cmd_nakayama(desc, args):
 def _cmd_skew(desc, args):
     cert = _certificate(desc, args)
     sigma = _resolve_sigma(desc, cert, args.sigma)
-    ext = skew_extend(cert.algebra, sigma, limits=cert.limits)
+    ext = skew_extend(cert.algebra, sigma)
     verdict = {
         "generator": ext.zname,
         "generators": list(ext.algebra.names),
@@ -170,11 +170,7 @@ def _cmd_extiso(desc, args):
 
 def _cmd_cy(desc, args):
     cert = _certificate(desc, args)
-    if args.sigma == "nakayama":
-        report = calabi_yau_check(cert.algebra, bound=args.max_degree)
-    else:
-        sigma = _resolve_sigma(desc, cert, args.sigma)
-        report = cy_check_with(cert, sigma, bound=args.max_degree)
+    report = cy_check_with(cert, _resolve_sigma(desc, cert, args.sigma))
     verdict = {
         "is_CY": report.is_CY,
         "dimension": report.dimension,
@@ -256,13 +252,18 @@ def _build_parser():
     return parser
 
 
+def _error(args, message: str, code: int) -> int:
+    """Print the error report of a failed run and return its exit code."""
+    print(json.dumps({"status": "error", "error": message,
+                      "command": args.command}, sort_keys=True))
+    return code
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.max_degree < 2:
-        print(json.dumps({"status": "error",
-                          "error": "--max-degree must be at least 2"}))
-        return 2
+        return _error(args, "--max-degree must be at least 2", 2)
     try:
         if args.file == "-":
             raw = sys.stdin.buffer.read()
@@ -270,26 +271,18 @@ def main(argv=None) -> int:
             with open(args.file, "rb") as fh:
                 raw = fh.read()
     except OSError as exc:
-        print(json.dumps({"status": "error", "error": str(exc)}))
-        return 2
+        return _error(args, str(exc), 2)
     digest = hashlib.sha256(raw).hexdigest()
     started = time.perf_counter()
     try:
         desc = parse_description(raw)
         verdict, passed = COMMANDS[args.command](desc, args)
     except (ValidationError, LinAlgError, NotRegular) as exc:
-        print(json.dumps({"status": "error", "error": str(exc),
-                          "command": args.command}, sort_keys=True))
-        return 2
+        return _error(args, str(exc), 2)
     except (ResourceLimitError, MemoryError) as exc:
-        print(json.dumps({"status": "error", "error": str(exc) or "out of memory",
-                          "command": args.command}, sort_keys=True))
-        return 3
+        return _error(args, str(exc) or "out of memory", 3)
     except ConsistencyError as exc:
-        print(json.dumps({"status": "error",
-                          "error": f"internal cross-check failed: {exc}",
-                          "command": args.command}, sort_keys=True))
-        return 2
+        return _error(args, f"internal cross-check failed: {exc}", 2)
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     report = {
         "command": args.command,

@@ -1,7 +1,8 @@
 """Finite-dimensional graded algebras: Frobenius pairings, Nakayama maps,
 graded symmetry, and trivial extensions by twisted dual bimodules.
 
-An algebra is stored degree by degree through structure constants.  The top
+An algebra is stored degree by degree through its nonzero structure
+constants, and is checked to be unital and associative when built.  The top
 graded piece is required to be one-dimensional whenever Frobenius data is
 extracted, and the distinguished functional is "coefficient of the top basis
 element".
@@ -36,38 +37,12 @@ class GradedFDAlgebra:
     spanned by the unit.  The table keeps only the nonzero entries of each
     product, as (coordinate, value) pairs in increasing coordinate order.
 
-    The constructor takes dense coordinate rows and drops their zeros;
-    `from_sparse` takes a table of nonzero pairs as it is.  Both check the
-    table's shape through the same core, and, when validating, the unit and
-    associativity on every triple of basis elements.
+    The constructor checks the table's shape, the unit and associativity
+    on every triple of basis elements.
     """
 
-    def __init__(self, dims, labels, mult, validate: bool = True):
-        dims = tuple(int(x) for x in dims)
-        table = {}
-        for (i, j), block in mult.items():
-            if not (i >= 0 and j >= 0 and i + j < len(dims)):
-                continue
-            if any(len(cell) != dims[i + j] for row in block for cell in row):
-                raise LinAlgError(f"bad structure block at degrees {(i, j)}")
-            table[(i, j)] = tuple(
-                tuple(tuple((c, w) for c, w in enumerate(map(Fraction, cell)) if w)
-                      for cell in row)
-                for row in block)
-        self._build(dims, labels, table, validate)
-
-    @classmethod
-    def from_sparse(cls, dims, labels, mult,
-                    validate: bool = True) -> "GradedFDAlgebra":
-        """An algebra from a table that already lists each product's nonzero
-        (coordinate, value) pairs in increasing coordinate order; checked
-        exactly as by the constructor."""
-        alg = cls.__new__(cls)
-        alg._build(tuple(int(x) for x in dims), labels, mult, validate)
-        return alg
-
-    def _build(self, dims, labels, mult, validate: bool) -> None:
-        self.dims = dims
+    def __init__(self, dims, labels, mult):
+        self.dims = tuple(int(x) for x in dims)
         if not self.dims or self.dims[0] != 1:
             raise LinAlgError("degree zero must be spanned by the unit")
         self.labels = tuple(tuple(str(s) for s in row) for row in labels)
@@ -102,9 +77,8 @@ class GradedFDAlgebra:
                     raise LinAlgError(f"bad structure block at degrees {(i, j)}")
                 table[(i, j)] = tuple(rows)
         self.mult = table
-        if validate:
-            self._validate_unit()
-            self._validate_associativity()
+        self._validate_unit()
+        self._validate_associativity()
 
     @property
     def length(self) -> int:
@@ -331,7 +305,7 @@ def is_graded_symmetric(alg: GradedFDAlgebra,
 # ---------------------------------------------------------------------------
 
 def square_zero_extension(alg: GradedFDAlgebra, module_dims, module_labels,
-                          left, right, validate: bool = True) -> GradedFDAlgebra:
+                          left, right) -> GradedFDAlgebra:
     """The square-zero extension of `alg` by a graded bimodule M.
 
     Degree i of the result is A_i followed by M_i, where M_i has dimension
@@ -367,7 +341,7 @@ def square_zero_extension(alg: GradedFDAlgebra, module_dims, module_labels,
                     row.append(cell)
                 block.append(tuple(row))
             mult[(i, j)] = tuple(block)
-    return GradedFDAlgebra.from_sparse(dims, labels, mult, validate=validate)
+    return GradedFDAlgebra(dims, labels, mult)
 
 
 def _module_cell(row, offset: int, size: int):
@@ -379,8 +353,7 @@ def _module_cell(row, offset: int, size: int):
 
 
 def dual_trivial_extension(alg: GradedFDAlgebra, left: GradedAutomorphism,
-                           right: GradedAutomorphism, n: int,
-                           validate: bool = True) -> GradedFDAlgebra:
+                           right: GradedAutomorphism, n: int) -> GradedFDAlgebra:
     """Extend by the dual bimodule, twisted by `left`/`right`, shifted to top n.
 
     Degree i of the result is E_i plus the dual of E_{n-i}, for n beyond
@@ -408,23 +381,20 @@ def dual_trivial_extension(alg: GradedFDAlgebra, left: GradedAutomorphism,
         return [alg.multiply(j, rb, k, unit_vector(alg.dim(k), c))[g]
                 for c in range(alg.dim(k))]
 
-    return square_zero_extension(alg, dims, labels, act_left, act_right,
-                                 validate)
+    return square_zero_extension(alg, dims, labels, act_left, act_right)
 
 
 def trivial_extension(alg: GradedFDAlgebra, sigma: GradedAutomorphism,
-                      n: int, validate: bool = True) -> GradedFDAlgebra:
+                      n: int) -> GradedFDAlgebra:
     """Trivial extension by the dual twisted by sigma on the right only."""
-    return dual_trivial_extension(alg, alg.identity_automorphism(), sigma, n,
-                                  validate=validate)
+    return dual_trivial_extension(alg, alg.identity_automorphism(), sigma, n)
 
 
 def twisted_module_trivial_extension(alg: GradedFDAlgebra,
                                      left: GradedAutomorphism,
                                      right: GradedAutomorphism,
                                      shift: int,
-                                     mod_suffix: str = "'",
-                                     validate: bool = True) -> GradedFDAlgebra:
+                                     mod_suffix: str = "'") -> GradedFDAlgebra:
     """Extend by a degree-shifted copy of the algebra itself as a bimodule.
 
     Degree i of the result is E_i plus a module copy of E_{i+shift}
@@ -447,5 +417,4 @@ def twisted_module_trivial_extension(alg: GradedFDAlgebra,
         rb = right.matrices[j].col(b)
         return alg.multiply(i + shift, unit_vector(alg.dim(i + shift), m), j, rb)
 
-    return square_zero_extension(alg, dims, labels, act_left, act_right,
-                                 validate)
+    return square_zero_extension(alg, dims, labels, act_left, act_right)

@@ -46,27 +46,7 @@ class ConsistencyError(RuntimeError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A computation would exceed the configured coordinate-word cap."""
-
-
-@dataclass(frozen=True)
-class Limits:
-    """Resource guard for tensor-degree computations.
-
-    ``max_words`` caps the number of coordinate words n**degree that any
-    single graded component is allowed to have.
-    """
-
-    max_words: int = 10 ** 6
-
-    def check_words(self, ambient: int, degree: int) -> None:
-        if ambient ** degree > self.max_words:
-            raise ResourceLimitError(
-                f"{ambient}^{degree} coordinate words exceed the cap of "
-                f"{self.max_words}")
-
-
-DEFAULT_LIMITS = Limits()
+    """A computation would exceed the fixed cap on coordinate words."""
 
 
 # ---------------------------------------------------------------------------
@@ -124,17 +104,24 @@ def _forward_reduce(row: dict[int, int], pivots: dict[int, dict[int, int]]):
     return None, {}
 
 
+def _echelon_int(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Row echelon form by forward elimination only; returns {pivot column:
+    integer row}, pivot entries positive, rows content-free."""
+    pivots: dict[int, dict[int, int]] = {}
+    for r in rows:
+        lead, red = _forward_reduce(dict(r), pivots)
+        if lead is not None:
+            pivots[lead] = red
+    return pivots
+
+
 def _rref_int(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     """Full reduced row echelon form; returns {pivot column: integer row}.
 
     Pivot entries are positive and every pivot column is cleared from all
     other rows; rows are content-free.
     """
-    pivots: dict[int, dict[int, int]] = {}
-    for r in rows:
-        lead, red = _forward_reduce(dict(r), pivots)
-        if lead is not None:
-            pivots[lead] = red
+    pivots = _echelon_int(rows)
     # back substitution from the last row up: the rows below are already
     # reduced, so clearing the pivot columns a row holds brings in no others
     for qc in sorted(pivots, reverse=True):
@@ -187,16 +174,6 @@ def int_kernel(rows: Iterable[Mapping[int, int]], ambient: int) -> list[dict[int
     independent.
     """
     return _kernel_of_rref(_rref_int(_nonzero(r) for r in rows), ambient)
-
-
-def _rank_int(rows: Iterable[dict[int, int]]) -> int:
-    """Rank by forward elimination only (no back substitution)."""
-    pivots: dict[int, dict[int, int]] = {}
-    for r in rows:
-        lead, red = _forward_reduce(dict(r), pivots)
-        if lead is not None:
-            pivots[lead] = red
-    return len(pivots)
 
 
 SparseRow = tuple[tuple[int, Fraction], ...]
@@ -335,7 +312,7 @@ class Matrix:
         return RrefResult(space.basis, space.pivots, space.dim)
 
     def rank(self) -> int:
-        return _rank_int(_to_int_row(r) for r in self.entries)
+        return len(_echelon_int(_to_int_row(r) for r in self.entries))
 
     def kernel(self) -> "Subspace":
         """Right kernel {v : self . v = 0} as a canonical subspace: the

@@ -237,8 +237,8 @@ def skew_deformation(defm: PBWDeformation) -> PBWDeformation:
     d = cert.gldim
     xi = nakayama_of_algebra(cert)
     lam = nakayama_shift(defm).values
-    ext = skew_extend(alg, xi, limits=cert.limits)
-    cert_ext = regularity_data(ext.algebra, d + 1, d + 2, cert.limits)
+    ext = skew_extend(alg, xi)
+    cert_ext = regularity_data(ext.algebra, d + 1, d + 2)
     m = n + 1
     nrel = alg.relations.dim
     smat = Matrix.from_rows(ext.stacked_relations, m * m).transpose()

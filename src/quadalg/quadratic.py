@@ -10,7 +10,9 @@ T(V)/(R) is the linear dual of K_k of the quadratic dual
 K_k is computed in integers, as an integer kernel over K_{k-1} (x) V, and
 becomes a canonical Fraction subspace only once, at the end.  Truncated
 multiplication tables are read off the class coordinates of product words
-and handed to GradedFDAlgebra as sparse cells.
+and handed to GradedFDAlgebra as sparse cells.  No component is built on
+more than MAX_WORDS = 10^6 coordinate words: asking for one raises
+ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -20,10 +22,13 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .frobenius import GradedAutomorphism, GradedFDAlgebra
-from .linalg import (ConsistencyError, DEFAULT_LIMITS, LinAlgError, Limits,
-                     Matrix, Subspace, Vec, ZERO, int_kernel)
+from .linalg import (ConsistencyError, LinAlgError, Matrix, ResourceLimitError,
+                     Subspace, Vec, ZERO, int_kernel)
 from .tensors import (DegreeOneMap, Tensor, apply_slotwise, index_to_word,
                       preserves_subspace)
+
+# the most coordinate words n**m a Koszul component may have
+MAX_WORDS = 10 ** 6
 
 
 def word_label(names, word) -> str:
@@ -87,25 +92,26 @@ def quadratic_dual(alg: QuadraticAlgebra) -> QuadraticAlgebra:
     return alg.dual
 
 
-def graded_dims(alg: QuadraticAlgebra, bound: int,
-                limits: Limits = DEFAULT_LIMITS) -> tuple[int, ...]:
+def graded_dims(alg: QuadraticAlgebra, bound: int) -> tuple[int, ...]:
     """Dimensions of the graded components of T(V)/(R) up to the bound:
     the degree-k piece is dual to the Koszul component K_k of the dual."""
     dual = quadratic_dual(alg)
-    return tuple(koszul_component(dual, k, limits).dim for k in range(bound + 1))
+    return tuple(koszul_component(dual, k).dim for k in range(bound + 1))
 
 
 @lru_cache(maxsize=None)
-def _koszul_component(alg: QuadraticAlgebra, m: int, limits: Limits) -> Subspace:
+def _koszul_component(alg: QuadraticAlgebra, m: int) -> Subspace:
     n = alg.n
-    limits.check_words(n, m)
+    if n ** m > MAX_WORDS:
+        raise ResourceLimitError(
+            f"{n}^{m} coordinate words exceed the cap of {MAX_WORDS}")
     if m < 2:
         return Subspace.full(n ** m)
     if m == 2:
         return alg.relations
     # all arithmetic below is on content-free integer rows; rescaling the
     # basis of K_{m-1} or of R-perp does not change the span computed
-    prev = _koszul_component(alg, m - 1, limits).int_rows
+    prev = _koszul_component(alg, m - 1).int_rows
     # the entries f[a, l] of the R-perp basis, grouped by their first letter a
     perp = [[] for _ in range(n)]
     for fi, f in enumerate(quadratic_dual(alg).relations.int_rows):
@@ -133,11 +139,11 @@ def _koszul_component(alg: QuadraticAlgebra, m: int, limits: Limits) -> Subspace
     return Subspace.from_int_rows(rows, n ** m)
 
 
-def koszul_component(alg: QuadraticAlgebra, m: int,
-                     limits: Limits = DEFAULT_LIMITS) -> Subspace:
+def koszul_component(alg: QuadraticAlgebra, m: int) -> Subspace:
     """The degree-m piece of the Koszul complex: all words landing in R
-    at every adjacent slot pair, as a kernel over K_{m-1} (x) V."""
-    return _koszul_component(alg, m, limits)
+    at every adjacent slot pair, as a kernel over K_{m-1} (x) V.  Raises
+    ResourceLimitError beyond MAX_WORDS coordinate words."""
+    return _koszul_component(alg, m)
 
 
 @dataclass(frozen=True)
@@ -160,8 +166,7 @@ class KoszulCertificate:
         return not self.component_mismatches and not self.euler_failures
 
 
-def numeric_koszul_certificate(alg: QuadraticAlgebra, bound: int,
-                               limits: Limits = DEFAULT_LIMITS) -> KoszulCertificate:
+def numeric_koszul_certificate(alg: QuadraticAlgebra, bound: int) -> KoszulCertificate:
     """Check Koszul-type numerics up to the bound.
 
     Two families of identities: the dimension of the degree-m Koszul
@@ -172,9 +177,9 @@ def numeric_koszul_certificate(alg: QuadraticAlgebra, bound: int,
     every quadratic algebra by duality, so it is only a self-check.
     """
     dual = quadratic_dual(alg)
-    dims = graded_dims(alg, bound, limits)
-    dual_dims = graded_dims(dual, bound, limits)
-    component_dims = tuple(koszul_component(alg, m, limits).dim
+    dims = graded_dims(alg, bound)
+    dual_dims = graded_dims(dual, bound)
+    component_dims = tuple(koszul_component(alg, m).dim
                            for m in range(bound + 1))
     mism = tuple(m for m in range(bound + 1) if component_dims[m] != dual_dims[m])
     euler = []
@@ -186,16 +191,15 @@ def numeric_koszul_certificate(alg: QuadraticAlgebra, bound: int,
                              mism, tuple(euler))
 
 
-def dual_automorphism(alg: QuadraticAlgebra, phi: DegreeOneMap,
-                      check: bool = True) -> DegreeOneMap:
-    """Induced map on dual generators (transpose; contravariant on compositions)."""
-    if check and not preserves_subspace(phi, alg.relations, 2):
+def dual_automorphism(alg: QuadraticAlgebra, phi: DegreeOneMap) -> DegreeOneMap:
+    """Induced map on dual generators (transpose; contravariant on
+    compositions).  phi must preserve the relations, and the transpose is
+    checked to preserve the dual ones."""
+    if not preserves_subspace(phi, alg.relations, 2):
         raise LinAlgError("map does not preserve the relation subspace")
     out = DegreeOneMap(phi.matrix.transpose())
-    if check:
-        dual = quadratic_dual(alg)
-        if not preserves_subspace(out, dual.relations, 2):
-            raise ConsistencyError("transpose fails to preserve the dual relations")
+    if not preserves_subspace(out, quadratic_dual(alg).relations, 2):
+        raise ConsistencyError("transpose fails to preserve the dual relations")
     return out
 
 
@@ -209,12 +213,12 @@ class TruncatedAlgebra:
     of that word's class.
     """
 
-    def __init__(self, alg: QuadraticAlgebra, bound: int, limits: Limits):
+    def __init__(self, alg: QuadraticAlgebra, bound: int):
         self.algebra = alg
         self.bound = bound
         n = alg.n
         dual = quadratic_dual(alg)
-        self.components = tuple(koszul_component(dual, k, limits)
+        self.components = tuple(koszul_component(dual, k)
                                 for k in range(bound + 1))
         words = []
         classes = []
@@ -322,7 +326,7 @@ class TruncatedAlgebra:
                 mats.append(Matrix((), 0))
         return GradedAutomorphism(tuple(mats))
 
-    def to_graded_algebra(self, validate: bool = True) -> GradedFDAlgebra:
+    def to_graded_algebra(self) -> GradedFDAlgebra:
         """The structure table, cell by cell: the product of basis words
         w_a and w_b is the word w_a w_b, whose class is read off directly."""
         n = self.algebra.n
@@ -334,15 +338,13 @@ class TruncatedAlgebra:
                 mult[(i, j)] = tuple(
                     tuple(cls.get(wa * stride + wb, ()) for wb in self.words[j])
                     for wa in self.words[i])
-        return GradedFDAlgebra.from_sparse(self.dims, self.labels, mult,
-                                           validate=validate)
+        return GradedFDAlgebra(self.dims, self.labels, mult)
 
 
 @lru_cache(maxsize=None)
-def _truncated(alg: QuadraticAlgebra, bound: int, limits: Limits) -> TruncatedAlgebra:
-    return TruncatedAlgebra(alg, bound, limits)
+def _truncated(alg: QuadraticAlgebra, bound: int) -> TruncatedAlgebra:
+    return TruncatedAlgebra(alg, bound)
 
 
-def truncated_structure(alg: QuadraticAlgebra, bound: int,
-                        limits: Limits = DEFAULT_LIMITS) -> TruncatedAlgebra:
-    return _truncated(alg, bound, limits)
+def truncated_structure(alg: QuadraticAlgebra, bound: int) -> TruncatedAlgebra:
+    return _truncated(alg, bound)

@@ -15,8 +15,7 @@ from functools import lru_cache
 
 from .frobenius import (FrobeniusStructure, GradedFDAlgebra, NotFrobenius,
                         frobenius_structure)
-from .linalg import (ConsistencyError, DEFAULT_LIMITS, LinAlgError, Limits,
-                     Matrix)
+from .linalg import ConsistencyError, LinAlgError, Matrix
 from .quadratic import (KoszulCertificate, QuadraticAlgebra, TruncatedAlgebra,
                         graded_dims, numeric_koszul_certificate,
                         quadratic_dual, truncated_structure)
@@ -45,46 +44,43 @@ class RegularityCertificate:
     dual_fd: GradedFDAlgebra
     frobenius: FrobeniusStructure
     koszul: KoszulCertificate
-    limits: Limits
 
 
 @lru_cache(maxsize=None)
-def _certify(alg: QuadraticAlgebra, bound: int, limits: Limits) -> RegularityCertificate:
+def _certify(alg: QuadraticAlgebra, bound: int) -> RegularityCertificate:
     dual = quadratic_dual(alg)
-    dual_dims = graded_dims(dual, bound, limits)
+    dual_dims = graded_dims(dual, bound)
     if dual_dims[bound] != 0:
         raise NotRegular("dual algebra is still nonzero at the degree bound, "
                          "no finite length is visible", bound)
     d = max(k for k in range(bound + 1) if dual_dims[k] > 0)
-    trunc = truncated_structure(dual, d, limits)
+    trunc = truncated_structure(dual, d)
     dual_fd = trunc.to_graded_algebra()
     try:
         frob = frobenius_structure(dual_fd)
     except NotFrobenius as nf:
         raise NotRegular(f"dual algebra is not Frobenius: {nf.reason}",
                          nf.witness_degree) from nf
-    kos = numeric_koszul_certificate(alg, bound, limits)
+    kos = numeric_koszul_certificate(alg, bound)
     if not kos.passed:
         witness = min(kos.component_mismatches + kos.euler_failures)
         raise NotRegular("Koszul numerics fail", witness)
     return RegularityCertificate(alg, dual, d, bound, dual_dims, trunc,
-                                 dual_fd, frob, kos, limits)
+                                 dual_fd, frob, kos)
 
 
-def as_regular_certificate(alg: QuadraticAlgebra, bound: int = 5,
-                           limits: Limits = DEFAULT_LIMITS) -> RegularityCertificate:
+def as_regular_certificate(alg: QuadraticAlgebra, bound: int = 5) -> RegularityCertificate:
     """Certify regularity up to the bound, or raise NotRegular with a witness."""
-    return _certify(alg, bound, limits)
+    return _certify(alg, bound)
 
 
 def regularity_data(alg: QuadraticAlgebra, expected_gldim: int,
-                    koszul_bound: int | None = None,
-                    limits: Limits = DEFAULT_LIMITS) -> RegularityCertificate:
+                    koszul_bound: int | None = None) -> RegularityCertificate:
     """Certificate with bounds tightened around a known global dimension."""
     bound = koszul_bound if koszul_bound is not None else expected_gldim + 1
     if bound < expected_gldim + 1:
         raise LinAlgError("bound too small to see the dual terminate")
-    cert = _certify(alg, bound, limits)
+    cert = _certify(alg, bound)
     if cert.gldim != expected_gldim:
         raise ConsistencyError(f"certified dimension {cert.gldim} does not match "
                                f"the expected {expected_gldim}")

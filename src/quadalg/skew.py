@@ -16,8 +16,8 @@ from functools import lru_cache
 
 from .frobenius import (GradedFDAlgebra, is_graded_symmetric,
                         twisted_module_trivial_extension)
-from .linalg import (ConsistencyError, DEFAULT_LIMITS, LinAlgError, Limits,
-                     Matrix, ONE, Subspace, Vec, ZERO, unit_vector)
+from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Subspace, Vec,
+                     ZERO, unit_vector)
 from .quadratic import (QuadraticAlgebra, TruncatedAlgebra, graded_dims,
                         quadratic_dual, truncated_structure)
 from .regular import (RegularityCertificate, as_regular_certificate,
@@ -55,8 +55,7 @@ class SkewExtension:
 
 
 @lru_cache(maxsize=None)
-def _skew_extend(base: QuadraticAlgebra, sigma: DegreeOneMap, zname: str,
-                 hilbert_bound: int, limits: Limits) -> SkewExtension:
+def _skew_extend(base: QuadraticAlgebra, sigma: DegreeOneMap) -> SkewExtension:
     n = base.n
     if sigma.n != n:
         raise LinAlgError("twist acts on the wrong space")
@@ -64,8 +63,7 @@ def _skew_extend(base: QuadraticAlgebra, sigma: DegreeOneMap, zname: str,
         raise LinAlgError("twist must be invertible")
     if not preserves_subspace(sigma, base.relations, 2):
         raise LinAlgError("twist does not preserve the relations")
-    if zname in base.names:
-        raise LinAlgError(f"letter {zname!r} is already a generator")
+    zname = fresh_letter(base.names)
     names = base.names + (zname,)
     m = n + 1
     pinv = sigma.matrix.inverse()
@@ -82,24 +80,20 @@ def _skew_extend(base: QuadraticAlgebra, sigma: DegreeOneMap, zname: str,
     if relations.dim != base.relations.dim + n:
         raise ConsistencyError("mixed relations are not independent of the base ones")
     algebra = QuadraticAlgebra(names, relations)
-    dims_base = graded_dims(base, hilbert_bound, limits)
-    dims_ext = graded_dims(algebra, hilbert_bound, limits)
-    for k in range(hilbert_bound + 1):
-        if dims_ext[k] != sum(dims_base[:k + 1]):
+    dims_base = graded_dims(base, 4)
+    for k, dim in enumerate(graded_dims(algebra, 4)):
+        if dim != sum(dims_base[:k + 1]):
             raise ConsistencyError(
-                f"extension dimension {dims_ext[k]} at degree {k} is not the "
+                f"extension dimension {dim} at degree {k} is not the "
                 f"partial sum {sum(dims_base[:k + 1])} of the base dimensions")
     return SkewExtension(base, sigma, algebra, mixed, zname, tuple(stacked))
 
 
-def skew_extend(base: QuadraticAlgebra, sigma: DegreeOneMap,
-                zname: str | None = None, hilbert_bound: int = 4,
-                limits: Limits = DEFAULT_LIMITS) -> SkewExtension:
-    """Adjoin one twisted letter; dimension counts are verified up to the
-    Hilbert bound against the partial sums of the base dimensions."""
-    if zname is None:
-        zname = fresh_letter(base.names)
-    return _skew_extend(base, sigma, zname, hilbert_bound, limits)
+def skew_extend(base: QuadraticAlgebra, sigma: DegreeOneMap) -> SkewExtension:
+    """Adjoin one twisted letter, named by fresh_letter; dimension counts
+    are verified up to degree 4 against the partial sums of the base
+    dimensions."""
+    return _skew_extend(base, sigma)
 
 
 def ext_algebra_of_skew(cert: RegularityCertificate,
@@ -135,8 +129,7 @@ class IsoReport:
 
 
 def verify_ext_algebra_isomorphism(cert: RegularityCertificate,
-                                   sigma: DegreeOneMap,
-                                   limits: Limits = DEFAULT_LIMITS) -> IsoReport:
+                                   sigma: DegreeOneMap) -> IsoReport:
     """Build the degreewise isomorphism from the model onto the truncated
     dual of the extension and compare all structure constants.
 
@@ -151,10 +144,10 @@ def verify_ext_algebra_isomorphism(cert: RegularityCertificate,
     alg = cert.algebra
     n = alg.n
     d = cert.gldim
-    ext = skew_extend(alg, sigma, limits=limits)
+    ext = skew_extend(alg, sigma)
     gamma = ext_algebra_of_skew(cert, sigma)
     bdual = quadratic_dual(ext.algebra)
-    trunc_bd = truncated_structure(bdual, d + 1, limits)
+    trunc_bd = truncated_structure(bdual, d + 1)
     ebd = trunc_bd.to_graded_algebra()
     length = d + 1
     generated_ok = True
@@ -240,19 +233,14 @@ class CYReport:
     witness: tuple | None
 
 
-def cy_check_with(alg_or_cert, sigma: DegreeOneMap, bound: int = 5,
-                  limits: Limits = DEFAULT_LIMITS) -> CYReport:
+def cy_check_with(cert: RegularityCertificate, sigma: DegreeOneMap) -> CYReport:
     """Whether extending by one letter twisted by sigma yields a Calabi-Yau
     algebra: the verified cohomology model must be graded symmetric.
 
     The verdict is read on the model and cross-checked on the honest dual of
     the extension; the witness names the first failing pairing entry.
     """
-    if isinstance(alg_or_cert, RegularityCertificate):
-        cert = alg_or_cert
-    else:
-        cert = as_regular_certificate(alg_or_cert, bound, limits)
-    iso = verify_ext_algebra_isomorphism(cert, sigma, limits)
+    iso = verify_ext_algebra_isomorphism(cert, sigma)
     if not iso.passed:
         raise ConsistencyError("cohomology model does not match the dual of "
                                "the extension")
@@ -264,19 +252,17 @@ def cy_check_with(alg_or_cert, sigma: DegreeOneMap, bound: int = 5,
     return CYReport(ok_model, cert.gldim + 1, cert.bound, witness)
 
 
-def calabi_yau_check(alg: QuadraticAlgebra, bound: int = 5,
-                     limits: Limits = DEFAULT_LIMITS) -> CYReport:
+def calabi_yau_check(alg: QuadraticAlgebra, bound: int = 5) -> CYReport:
     """CY verdict for the extension twisted by the Nakayama automorphism."""
-    cert = as_regular_certificate(alg, bound, limits)
-    return cy_check_with(cert, nakayama_of_algebra(cert), bound, limits)
+    cert = as_regular_certificate(alg, bound)
+    return cy_check_with(cert, nakayama_of_algebra(cert))
 
 
-def verify_extended_presentation(cert: RegularityCertificate,
-                                 limits: Limits = DEFAULT_LIMITS) -> bool:
+def verify_extended_presentation(cert: RegularityCertificate) -> bool:
     """The symmetrized superpotential must present the Nakayama-twisted
     extension: its derivation quotient equals the extended relation space."""
     data = extract_superpotential(cert)
     what = symmetrize(data.w, data.twist)
-    ext = skew_extend(cert.algebra, data.twist, limits=limits)
+    ext = skew_extend(cert.algebra, data.twist)
     dq = derivation_quotient(what, cert.gldim - 1, ext.algebra.names)
     return dq.relations == ext.algebra.relations

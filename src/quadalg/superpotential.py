@@ -55,11 +55,11 @@ def extract_superpotential(cert: RegularityCertificate) -> SuperpotentialData:
     d = cert.gldim
     alg = cert.algebra
     n = alg.n
-    top = koszul_component(alg, d, cert.limits)
+    top = koszul_component(alg, d)
     if top.dim != 1:
         raise ConsistencyError(f"top Koszul component has dimension {top.dim}, not 1")
     w = Tensor.from_vector(top.basis.entries[0], d, n)
-    sub = koszul_component(alg, d - 1, cert.limits)
+    sub = koszul_component(alg, d - 1)
     left_rows = []
     right_cols = []
     for i in range(n):
@@ -84,7 +84,7 @@ def extract_superpotential(cert: RegularityCertificate) -> SuperpotentialData:
     return SuperpotentialData(w, twist, left, right, sub)
 
 
-def symmetrize(w: Tensor, sigma: DegreeOneMap, check: bool = True) -> Tensor:
+def symmetrize(w: Tensor, sigma: DegreeOneMap) -> Tensor:
     """Raise a twisted superpotential by one letter appended as a new last
     generator, producing an untwisted one.
 
@@ -107,9 +107,9 @@ def symmetrize(w: Tensor, sigma: DegreeOneMap, check: bool = True) -> Tensor:
         slots = [None] + [sigma_ext] * i + [None] * (d - i)
         term = tau(d + 1, i, apply_slotwise(slots, base))
         acc = acc.add(term.scale(Fraction((-1) ** i)))
-    if check and is_twisted_superpotential(w, sigma):
-        if not is_twisted_superpotential(acc, DegreeOneMap.identity(n + 1)):
-            raise ConsistencyError("symmetrized tensor fails plain cyclicity")
+    if (is_twisted_superpotential(w, sigma)
+            and not is_twisted_superpotential(acc, DegreeOneMap.identity(n + 1))):
+        raise ConsistencyError("symmetrized tensor fails plain cyclicity")
     return acc
 
 
@@ -157,7 +157,7 @@ def verify_superpotential_presentation(cert: RegularityCertificate) -> Presentat
     d = cert.gldim
     dq = derivation_quotient(data.w, d - 2, alg.names)
     matches = dq.relations == alg.relations
-    lower = koszul_component(alg, d - 2, cert.limits)
+    lower = koszul_component(alg, d - 2)
     prod = alg.relations.kron(lower)
     coords = prod.coordinates(data.w.to_vector())
     if coords is None:

@@ -7,7 +7,7 @@ from quadalg import (DegreeOneMap, GradedFDAlgebra, Matrix, Subspace, Tensor,
                      apply_slotwise, as_regular_certificate, index_to_word,
                      nakayama_of_algebra, tau, word_label, word_to_index)
 from quadalg.io import description_to_algebra
-from quadalg.linalg import ZERO, unit_vector
+from quadalg.linalg import LinAlgError, ZERO, unit_vector
 from quadalg.presets import corpus
 
 AS_REGULAR = ("kxy", "quantum_plane_q2", "quantum_plane_q3",
@@ -22,6 +22,24 @@ def algebra_of(name):
 def cert_of(name):
     # certification is cached on the algebra value, so this stays cheap
     return as_regular_certificate(algebra_of(name))
+
+
+def dense_algebra(dims, labels, mult):
+    """GradedFDAlgebra from a dense table: each cell of block (i, j) lists
+    all dims[i + j] coordinates of a product, zeros included.  Blocks past
+    the top degree are ignored; the cells are handed over as their nonzero
+    (coordinate, value) pairs."""
+    table = {}
+    for (i, j), block in mult.items():
+        if not (i >= 0 and j >= 0 and i + j < len(dims)):
+            continue
+        if any(len(cell) != dims[i + j] for row in block for cell in row):
+            raise LinAlgError(f"bad structure block at degrees {(i, j)}")
+        table[(i, j)] = tuple(
+            tuple(tuple((c, w) for c, w in enumerate(map(Fraction, cell)) if w)
+                  for cell in row)
+            for row in block)
+    return GradedFDAlgebra(dims, labels, table)
 
 
 def dense_rref(rows, ambient):
@@ -157,8 +175,7 @@ def seeded(seed):
     return random.Random(seed)
 
 
-def cdg_underlying_trivial_extension(alg: GradedFDAlgebra,
-                                     validate: bool = True) -> GradedFDAlgebra:
+def cdg_underlying_trivial_extension(alg: GradedFDAlgebra) -> GradedFDAlgebra:
     """Dual trivial extension with the sign rule written out literally.
 
     The left action carries the sign (-1)^((d+1)i) * (-1)^(i(|g|+|m|)) where
@@ -208,7 +225,7 @@ def cdg_underlying_trivial_extension(alg: GradedFDAlgebra,
                     row.append(tuple(out))
                 block.append(tuple(row))
             mult[(i, j)] = tuple(block)
-    return GradedFDAlgebra(dims, labels, mult, validate=validate)
+    return dense_algebra(dims, labels, mult)
 
 
 def relation_degree_subspace(alg, k):
@@ -252,4 +269,4 @@ def oracle_truncation(alg, bound):
             for i in range(bound + 1) for j in range(bound + 1 - i)}
     labels = [[word_label(alg.names, index_to_word(w, n, k)) for w in ws]
               for k, ws in enumerate(words)]
-    return GradedFDAlgebra([len(ws) for ws in words], labels, mult)
+    return dense_algebra([len(ws) for ws in words], labels, mult)

@@ -131,14 +131,26 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert rep["status"] == "error"
 
 
+def _error_line(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().out
+
+
 def test_missing_file(capsys):
-    code, rep = _run(capsys, "hilbert", "/nonexistent/path.json")
+    code, out = _error_line(capsys, "hilbert", "/nonexistent/path.json")
     assert code == 2
+    assert json.loads(out) == {
+        "command": "hilbert", "status": "error",
+        "error": "[Errno 2] No such file or directory: '/nonexistent/path.json'"}
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
 
 
 def test_max_degree_guard(capsys):
-    code, rep = _run(capsys, "hilbert", _path("kxy"), "--max-degree", "1")
+    code, out = _error_line(capsys, "hilbert", _path("kxy"), "--max-degree", "1")
     assert code == 2
+    assert json.loads(out) == {"command": "hilbert", "status": "error",
+                               "error": "--max-degree must be at least 2"}
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
 
 
 def test_resource_guard_exit_code(tmp_path, capsys):

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import (AS_REGULAR, algebra_of, block_nakayama_oracle, cert_of,
-                     cdg_underlying_trivial_extension, scalar_twist, seeded)
+                     cdg_underlying_trivial_extension, dense_algebra,
+                     scalar_twist, seeded)
 from quadalg import (GradedAutomorphism, GradedFDAlgebra, Matrix, NotFrobenius,
                      dual_trivial_extension, ext_algebra_of_skew,
                      frobenius_structure, is_graded_symmetric,
@@ -30,7 +31,7 @@ def test_unit_and_dims_validation():
     # unit must really be a two-sided identity
     bad_mult = {(0, 1): (((F(0), F(0)),), ((F(0), F(0)),))}
     with pytest.raises(LinAlgError):
-        GradedFDAlgebra((1, 2), (("1",), ("x", "y")), bad_mult)
+        dense_algebra((1, 2), (("1",), ("x", "y")), bad_mult)
 
 
 def test_missing_blocks_are_zero():
@@ -44,7 +45,7 @@ def test_missing_blocks_are_zero():
         (2, 0): (((one,),),),
         # (1,1) intentionally absent: the square-zero block
     }
-    alg = GradedFDAlgebra((1, 2, 1), (("1",), ("x", "y"), ("t",)), mult)
+    alg = dense_algebra((1, 2, 1), (("1",), ("x", "y"), ("t",)), mult)
     assert alg.multiply_basis(1, 0, 1, 1) == (zero,)
     assert alg.multiply_basis(0, 0, 1, 1) == (zero, one)
     assert alg.multiply_basis(2, 0, 2, 0) == ()
@@ -260,7 +261,7 @@ def test_corrupted_structure_constant_fails_associativity(bound):
     alg = truncated_structure(algebra_of("poly3"), bound).to_graded_algebra()
     assert (alg.total_dim > 64) == (bound == 6)
     mult = _dense_table(alg)
-    assert GradedFDAlgebra(alg.dims, alg.labels, mult).structure_equal(alg)
+    assert dense_algebra(alg.dims, alg.labels, mult).structure_equal(alg)
     # x * x := xx + yy breaks (x x) z = x (x z)
     xx = list(mult[(1, 1)][0][0])
     xx[alg.labels[2].index("yy")] += 1
@@ -268,7 +269,7 @@ def test_corrupted_structure_constant_fails_associativity(bound):
     block[0][0] = tuple(xx)
     mult[(1, 1)] = tuple(tuple(row) for row in block)
     with pytest.raises(LinAlgError, match="associativity fails"):
-        GradedFDAlgebra(alg.dims, alg.labels, mult)
+        dense_algebra(alg.dims, alg.labels, mult)
 
 
 def test_sparse_and_dense_construction_agree():
@@ -281,8 +282,8 @@ def test_sparse_and_dense_construction_agree():
         honest = truncated_structure(quadratic_dual(ext.algebra),
                                      cert.gldim + 1).to_graded_algebra()
         for alg in (cert.dual_fd, ext_algebra_of_skew(cert, sigma), honest):
-            dense = GradedFDAlgebra(alg.dims, alg.labels, _dense_table(alg))
-            sparse = GradedFDAlgebra.from_sparse(alg.dims, alg.labels, alg.mult)
+            dense = dense_algebra(alg.dims, alg.labels, _dense_table(alg))
+            sparse = GradedFDAlgebra(alg.dims, alg.labels, alg.mult)
             assert dense.structure_equal(alg), name
             assert sparse.structure_equal(alg), name
 
@@ -307,9 +308,9 @@ def test_malformed_sparse_table_is_rejected():
                  x_y + x_y]                          # coordinate repeated
     for cell in bad_cells:
         with pytest.raises(LinAlgError, match="bad structure cell"):
-            GradedFDAlgebra.from_sparse(alg.dims, alg.labels, with_cell(cell))
-    assert GradedFDAlgebra.from_sparse(alg.dims, alg.labels,
-                                       with_cell(x_y)).structure_equal(alg)
+            GradedFDAlgebra(alg.dims, alg.labels, with_cell(cell))
+    assert GradedFDAlgebra(alg.dims, alg.labels,
+                           with_cell(x_y)).structure_equal(alg)
     xy_block = alg.mult[(1, 1)]
     for block in (xy_block[:1],                          # one row too few
                   xy_block + xy_block[:1],               # one row too many
@@ -317,7 +318,7 @@ def test_malformed_sparse_table_is_rejected():
         mult = dict(alg.mult)
         mult[(1, 1)] = block
         with pytest.raises(LinAlgError, match="bad structure block"):
-            GradedFDAlgebra.from_sparse(alg.dims, alg.labels, mult)
+            GradedFDAlgebra(alg.dims, alg.labels, mult)
 
 
 def test_corrupted_constant_fails_associativity_with_mixed_denominators():
@@ -334,7 +335,7 @@ def test_corrupted_constant_fails_associativity_with_mixed_denominators():
             for cell in row for _, w in cell}
     assert len(dens - {1}) >= 2
     mult = _dense_table(alg)
-    assert GradedFDAlgebra(alg.dims, alg.labels, mult).structure_equal(alg)
+    assert dense_algebra(alg.dims, alg.labels, mult).structure_equal(alg)
     # add 1/2 to the first constant of x*y: breaks (x y) z = x (y z)
     xy = list(mult[(1, 1)][0][1])
     c = next(i for i, w in enumerate(xy) if w)
@@ -343,4 +344,4 @@ def test_corrupted_constant_fails_associativity_with_mixed_denominators():
     block[0][1] = tuple(xy)
     mult[(1, 1)] = tuple(tuple(row) for row in block)
     with pytest.raises(LinAlgError, match="associativity fails"):
-        GradedFDAlgebra(alg.dims, alg.labels, mult)
+        dense_algebra(alg.dims, alg.labels, mult)

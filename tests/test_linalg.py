@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from helpers import dense_kernel_rows, dense_rref
-from quadalg.linalg import (ConsistencyError, LinAlgError, Limits, Matrix,
+from quadalg.linalg import (ConsistencyError, LinAlgError, Matrix,
                             ResourceLimitError, Subspace, int_kernel)
+from quadalg.quadratic import QuadraticAlgebra, koszul_component
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -219,10 +220,13 @@ def test_reduce_and_coordinates():
 
 
 def test_limits_guard():
-    lim = Limits(max_words=100)
-    with pytest.raises(ResourceLimitError):
-        lim.check_words(3, 5)
-    lim.check_words(3, 4)  # 81 <= 100
+    # ten letters, no relations: K_m vanishes for m >= 2, so only the fixed
+    # cap of 10^6 coordinate words decides whether degree m may be asked for
+    free = QuadraticAlgebra(tuple(f"a{i}" for i in range(10)), Subspace.zero(100))
+    assert koszul_component(free, 6).dim == 0  # 10^6 words: at the cap
+    with pytest.raises(ResourceLimitError) as err:
+        koszul_component(free, 7)
+    assert str(err.value) == "10^7 coordinate words exceed the cap of 1000000"
 
 
 def test_error_hierarchy():
