@@ -6,20 +6,23 @@ with Nakayama automorphisms, twisted superpotentials and their derivation
 quotients, skew polynomial extensions by a degree-one twist, trivial
 extension models of Yoneda algebras, filtered deformations with curved
 differential duals, and the associated Calabi-Yau verdicts.
+
+The bundled example algebras exist only as the JSON documents in
+quadalg/corpus; parse_description reads them like any other input.
 """
 
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ResourceLimitError,
-                     Scalar, Subspace, Vec)
-from .tensors import (DegreeOneMap, Tensor, all_words, apply_slotwise,
-                      contract_left, contract_right, index_to_word,
-                      preserves_subspace, tau, word_to_index)
+                     Subspace, Vec)
+from .tensors import (DegreeOneMap, Tensor, apply_slotwise, contract_left,
+                      contract_right, index_to_word, preserves_subspace, tau,
+                      word_to_index)
 from .frobenius import (FrobeniusStructure, GradedAutomorphism,
                         GradedFDAlgebra, NotFrobenius, dual_trivial_extension,
                         frobenius_structure, is_graded_symmetric,
-                        square_zero_extension, trivial_extension,
+                        square_zero_extension,
                         twisted_module_trivial_extension)
 from .quadratic import (KoszulCertificate, QuadraticAlgebra, TruncatedAlgebra,
-                        dual_automorphism, graded_dims, koszul_component,
+                        graded_dims, koszul_component,
                         numeric_koszul_certificate, quadratic_dual,
                         truncated_structure, word_label)
 from .regular import (NotRegular, RegularityCertificate,
@@ -29,20 +32,17 @@ from .superpotential import (PresentationReport, SuperpotentialData,
                              derivation_quotient, extract_superpotential,
                              is_twisted_superpotential, symmetrize,
                              twist_defect, verify_superpotential_presentation)
-from .skew import (CYReport, IsoReport, SkewExtension, calabi_yau_check,
-                   cy_check_with, ext_algebra_of_skew, fresh_letter,
-                   skew_extend, verify_ext_algebra_isomorphism,
+from .skew import (CYReport, IsoReport, SkewExtension, cy_check_with,
+                   ext_algebra_of_skew, fresh_letter, skew_extend,
+                   verify_ext_algebra_isomorphism,
                    verify_extended_presentation)
 from .pbw import (Cdga, CdgaAxiomReport, CompatibilityReport,
                   DeformedCYReport, DeformedNakayama, EquivalenceReport,
-                  PBWDeformation, ShiftData, apply_delta, cdg_trivial_extension,
-                  check_cdga_axioms, cy_criterion_deformed,
-                  cy_equivalence_dim2, deformed_nakayama, dual_cdga,
-                  nakayama_cdga_compatibility, nakayama_shift,
-                  skew_deformation)
+                  PBWDeformation, apply_delta, check_cdga_axioms,
+                  cy_criterion_deformed, cy_equivalence_dim2,
+                  deformed_nakayama, dual_cdga, nakayama_cdga_compatibility,
+                  nakayama_shift, skew_deformation)
 from .io import (AlgebraDescription, ValidationError, description_deformation,
-                 description_to_algebra, parse_description,
-                 serialize_description)
-from . import presets
+                 description_to_algebra, parse_description)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -126,9 +126,6 @@ class GradedFDAlgebra:
             Matrix.identity(self.dims[i]).scale(Fraction((-1) ** (i * k)))
             for i in range(self.length + 1)))
 
-    def structure_equal(self, other: "GradedFDAlgebra") -> bool:
-        return self.dims == other.dims and self.mult == other.mult
-
     def _validate_unit(self) -> None:
         for j in range(self.length + 1):
             for b in range(self.dims[j]):
@@ -189,44 +186,6 @@ class GradedAutomorphism:
 
     def apply(self, deg: int, coords) -> Vec:
         return self.matrices[deg].mul_col(coords)
-
-    def compose(self, other: "GradedAutomorphism") -> "GradedAutomorphism":
-        return GradedAutomorphism(tuple(a @ b for a, b in
-                                        zip(self.matrices, other.matrices)))
-
-    def inverse(self) -> "GradedAutomorphism":
-        return GradedAutomorphism(tuple(m.inverse() for m in self.matrices))
-
-    def power(self, k: int) -> "GradedAutomorphism":
-        if k < 0:
-            return self.inverse().power(-k)
-        out = GradedAutomorphism(tuple(Matrix.identity(m.rows)
-                                       for m in self.matrices))
-        for _ in range(k):
-            out = out.compose(self)
-        return out
-
-    def is_identity(self) -> bool:
-        return all(m.is_identity() for m in self.matrices)
-
-    def is_multiplicative(self, alg: GradedFDAlgebra) -> bool:
-        if len(self.matrices) != alg.length + 1:
-            return False
-        if not all(m.is_invertible() for m in self.matrices):
-            return False
-        if self.matrices[0] != Matrix.identity(1):
-            return False
-        d = alg.length
-        for i in range(d + 1):
-            for j in range(d + 1 - i):
-                for a in range(alg.dims[i]):
-                    fa = self.apply(i, unit_vector(alg.dims[i], a))
-                    for b in range(alg.dims[j]):
-                        fb = self.apply(j, unit_vector(alg.dims[j], b))
-                        lhs = self.apply(i + j, alg.multiply_basis(i, a, j, b))
-                        if lhs != alg.multiply(i, fa, j, fb):
-                            return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -384,28 +343,22 @@ def dual_trivial_extension(alg: GradedFDAlgebra, left: GradedAutomorphism,
     return square_zero_extension(alg, dims, labels, act_left, act_right)
 
 
-def trivial_extension(alg: GradedFDAlgebra, sigma: GradedAutomorphism,
-                      n: int) -> GradedFDAlgebra:
-    """Trivial extension by the dual twisted by sigma on the right only."""
-    return dual_trivial_extension(alg, alg.identity_automorphism(), sigma, n)
-
-
 def twisted_module_trivial_extension(alg: GradedFDAlgebra,
                                      left: GradedAutomorphism,
                                      right: GradedAutomorphism,
-                                     shift: int,
-                                     mod_suffix: str = "'") -> GradedFDAlgebra:
+                                     shift: int) -> GradedFDAlgebra:
     """Extend by a degree-shifted copy of the algebra itself as a bimodule.
 
     Degree i of the result is E_i plus a module copy of E_{i+shift}
     (shift < 0); the actions are a.(m) = (left(a) m) and (m).b = (m right(b)),
-    with products of two module elements zero.
+    with products of two module elements zero.  Module basis labels carry
+    the suffix z*.
     """
     if shift >= 0:
         raise LinAlgError("only negative shifts are supported")
     d = alg.length
     dims = [alg.dim(i + shift) for i in range(d - shift + 1)]
-    labels = [[mod_suffix if s == "1" else s + mod_suffix
+    labels = [["z*" if s == "1" else s + "z*"
                for s in alg.labels[i + shift]] if i + shift >= 0 else []
               for i in range(d - shift + 1)]
 

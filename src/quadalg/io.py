@@ -1,4 +1,5 @@
-"""JSON ingestion and serialization for algebra descriptions.
+"""JSON ingestion of algebra descriptions, and the serialization of the
+matrices and tensors that reports carry.
 
 Input documents carry generators, quadratic relations as coeff/word term
 lists, an optional degree-one twist matrix (row-vector convention: v maps
@@ -77,12 +78,16 @@ def _parse_terms(obj, names, degree, path):
 
 
 def parse_description(text) -> AlgebraDescription:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         doc = json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"input is not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ValidationError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValidationError("document must be a JSON object")
     allowed = {"generators", "relations", "sigma", "deformation"}
@@ -149,28 +154,6 @@ def parse_description(text) -> AlgebraDescription:
                                       "deformation.domain")
             domain = dd["domain"]
     return AlgebraDescription(names, tuple(relations), sigma, nu, theta, domain)
-
-
-def _terms_to_json(terms):
-    return [{"coeff": str(c), "word": list(w)} for c, w in terms]
-
-
-def serialize_description(desc: AlgebraDescription) -> str:
-    doc = {
-        "generators": list(desc.generators),
-        "relations": [_terms_to_json(rel) for rel in desc.relations],
-    }
-    if desc.sigma is not None:
-        doc["sigma"] = matrix_to_strings(desc.sigma.matrix)
-    if desc.has_deformation:
-        deform = {
-            "nu": [_terms_to_json(t) for t in desc.nu],
-            "theta": [str(v) for v in desc.theta],
-        }
-        if desc.domain is not None:
-            deform["domain"] = desc.domain
-        doc["deformation"] = deform
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def matrix_to_strings(mat: Matrix):

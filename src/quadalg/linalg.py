@@ -24,7 +24,6 @@ from functools import cached_property, reduce
 from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
-Scalar = Fraction
 Vec = tuple[Fraction, ...]
 RowLike = Union[Sequence, Mapping[int, object]]
 
@@ -218,19 +217,9 @@ class Matrix:
     def zero(r: int, c: int) -> "Matrix":
         return Matrix(tuple(tuple(ZERO for _ in range(c)) for _ in range(r)), c)
 
-    @staticmethod
-    def diagonal(values: Sequence) -> "Matrix":
-        vals = [Fraction(v) for v in values]
-        n = len(vals)
-        return Matrix(tuple(tuple(vals[i] if i == j else ZERO for j in range(n))
-                            for i in range(n)), n)
-
     @property
     def rows(self) -> int:
         return len(self.entries)
-
-    def row(self, i: int) -> Vec:
-        return self.entries[i]
 
     def col(self, j: int) -> Vec:
         return tuple(r[j] for r in self.entries)
@@ -247,19 +236,6 @@ class Matrix:
         k = Fraction(k)
         return Matrix(tuple(tuple(k * v for v in row) for row in self.entries),
                       self.cols)
-
-    def __neg__(self) -> "Matrix":
-        return self.scale(-1)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise LinAlgError("shape mismatch in addition")
-        return Matrix(tuple(tuple(a + b for a, b in zip(r1, r2))
-                            for r1, r2 in zip(self.entries, other.entries)),
-                      self.cols)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -299,25 +275,12 @@ class Matrix:
         pairs: the sum of those columns, scaled."""
         return tuple(sum((row[j] * x for j, x in pairs), ZERO) for row in self.entries)
 
-    def is_zero(self) -> bool:
-        return all(not v for row in self.entries for v in row)
-
-    def is_identity(self) -> bool:
-        return (self.rows == self.cols and
-                all(self.entries[i][j] == (ONE if i == j else ZERO)
-                    for i in range(self.rows) for j in range(self.cols)))
-
     def rref(self) -> RrefResult:
         space = Subspace.from_spanning(self.entries, self.cols)
         return RrefResult(space.basis, space.pivots, space.dim)
 
     def rank(self) -> int:
         return len(_echelon_int(_to_int_row(r) for r in self.entries))
-
-    def kernel(self) -> "Subspace":
-        """Right kernel {v : self . v = 0} as a canonical subspace: the
-        annihilator of the row space."""
-        return Subspace.from_spanning(self.entries, self.cols).annihilator()
 
     def solve(self, b: Sequence) -> Vec | None:
         """A particular solution x of self . x = b, or None if inconsistent."""
@@ -403,10 +366,6 @@ class Subspace:
                         tuple(tuple(sorted(pivots[p].items())) for p in order))
 
     @staticmethod
-    def zero(ambient: int) -> "Subspace":
-        return Subspace(ambient, (), ())
-
-    @staticmethod
     def full(ambient: int) -> "Subspace":
         return Subspace(ambient, tuple(range(ambient)),
                         tuple(((i, 1),) for i in range(ambient)))
@@ -414,9 +373,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.pivots)
-
-    def is_zero(self) -> bool:
-        return self.dim == 0
 
     @cached_property
     def rows(self) -> tuple[SparseRow, ...]:
@@ -437,9 +393,6 @@ class Subspace:
                 vec[c] = v
             dense.append(tuple(vec))
         return Matrix(tuple(dense), self.ambient)
-
-    def basis_rows(self) -> tuple[Vec, ...]:
-        return self.basis.entries
 
     def reduce(self, vec: Sequence) -> Vec:
         """Canonical residue of vec modulo this subspace.
@@ -473,22 +426,11 @@ class Subspace:
     def contains(self, vec: Sequence) -> bool:
         return not any(self.reduce(vec))
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        if self.ambient != other.ambient:
-            raise LinAlgError("ambient mismatch in subspace containment")
-        return all(not self.reduce_sparse(dict(row)) for row in other.rows)
-
     def coordinates(self, vec: Sequence) -> Vec | None:
         """Coordinates of vec in the RREF basis, or None if not a member."""
         if not self.contains(vec):
             return None
         return tuple(Fraction(vec[p]) for p in self.pivots)
-
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        if self.ambient != other.ambient:
-            raise LinAlgError("ambient mismatch in subspace sum")
-        return Subspace.from_int_rows(
-            [dict(row) for row in self.int_rows + other.int_rows], self.ambient)
 
     def annihilator(self) -> "Subspace":
         """Functionals vanishing on this subspace, in dual coordinates.

@@ -18,7 +18,6 @@ from .frobenius import (GradedAutomorphism, GradedFDAlgebra,
                         dual_trivial_extension)
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Vec, ZERO,
                      unit_vector)
-from .quadratic import TruncatedAlgebra
 from .regular import (RegularityCertificate, dim2_matrix_form,
                       nakayama_of_algebra, regularity_data)
 from .skew import skew_extend
@@ -47,10 +46,6 @@ class PBWDeformation:
             raise LinAlgError("theta must assign a scalar to each canonical relation")
 
     @property
-    def algebra(self):
-        return self.cert.algebra
-
-    @property
     def effective_domain(self) -> bool:
         if self.domain is not None:
             return self.domain
@@ -68,8 +63,6 @@ class Cdga:
     algebra: GradedFDAlgebra
     delta: tuple[tuple[Vec, ...], ...]
     curvature: Vec
-    trunc: TruncatedAlgebra | None = None
-    deformation: PBWDeformation | None = None
 
 
 def apply_delta(c: Cdga, j: int, coords) -> Vec:
@@ -128,7 +121,7 @@ def dual_cdga(defm: PBWDeformation) -> Cdga:
             rows.append(trunc.reduce_sparse(j + 1, acc))
         delta.append(tuple(rows))
     curvature = trunc.class_from_pairings(2, rel, list(defm.theta))
-    return Cdga(cert.dual_fd, tuple(delta), curvature, trunc, defm)
+    return Cdga(cert.dual_fd, tuple(delta), curvature)
 
 
 @dataclass(frozen=True)
@@ -178,21 +171,13 @@ def check_cdga_axioms(c: Cdga) -> CdgaAxiomReport:
     return CdgaAxiomReport(tuple(leibniz), curv_closed, tuple(squares))
 
 
-@dataclass(frozen=True)
-class ShiftData:
+def nakayama_shift(defm: PBWDeformation, top_scale=1) -> Vec:
     """The degree-one shift of the deformed Nakayama map.
 
-    omega rows are the elements pairing to 1 against each dual generator at
-    the top; values[i] is the top coefficient of the differential applied to
-    the i-th of them.  All of it is invariant under rescaling the top.
+    Entry i is the top coefficient of the differential applied to the
+    element that pairs to 1 against the i-th dual generator at the top.
+    Rescaling the top by top_scale leaves it unchanged.
     """
-
-    values: Vec
-    omega: Matrix
-    omega_dual: Matrix
-
-
-def nakayama_shift(defm: PBWDeformation, top_scale=1) -> ShiftData:
     s = Fraction(top_scale)
     if not s:
         raise LinAlgError("top rescaling must be nonzero")
@@ -206,8 +191,7 @@ def nakayama_shift(defm: PBWDeformation, top_scale=1) -> ShiftData:
     for i in range(n):
         img = apply_delta(c, d - 1, omega_cols.col(i))
         values.append(img[0] / s)
-    return ShiftData(tuple(values), omega_cols.transpose(),
-                     g1.scale(ONE / s))
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -220,7 +204,7 @@ class DeformedNakayama:
 
 def deformed_nakayama(defm: PBWDeformation) -> DeformedNakayama:
     xi = nakayama_of_algebra(defm.cert)
-    return DeformedNakayama(xi, nakayama_shift(defm).values)
+    return DeformedNakayama(xi, nakayama_shift(defm))
 
 
 def skew_deformation(defm: PBWDeformation) -> PBWDeformation:
@@ -236,7 +220,7 @@ def skew_deformation(defm: PBWDeformation) -> PBWDeformation:
     n = alg.n
     d = cert.gldim
     xi = nakayama_of_algebra(cert)
-    lam = nakayama_shift(defm).values
+    lam = nakayama_shift(defm)
     ext = skew_extend(alg, xi)
     cert_ext = regularity_data(ext.algebra, d + 1, d + 2)
     m = n + 1
@@ -294,7 +278,7 @@ def cy_criterion_deformed(defm: PBWDeformation) -> DeformedCYReport:
     alg_fd = cert.dual_fd
     c = dual_cdga(defm)
     xi = nakayama_of_algebra(cert)
-    shift = nakayama_shift(defm).values
+    shift = nakayama_shift(defm)
     twisted = xi.matrix.mul_row(shift)
     g1 = cert.frobenius.pairings[1]
     gamma = dual_trivial_extension(alg_fd, alg_fd.epsilon(d),
@@ -403,43 +387,3 @@ def cy_equivalence_dim2(defm: PBWDeformation) -> EquivalenceReport:
     if not report.equivalent:
         raise ConsistencyError(f"three-way equivalence broken: {report}")
     return report
-
-
-def cdg_trivial_extension(c: Cdga) -> Cdga:
-    """Extend the curved structure to the dual-sided trivial extension.
-
-    Algebra elements keep their differential; a dual element in dual degree
-    j maps to its precomposition with the differential, with sign
-    (-1)^(d+j); the curvature embeds into the algebra part.
-    """
-    alg = c.algebra
-    d = alg.length
-    gamma = dual_trivial_extension(alg, alg.epsilon(d),
-                                   alg.identity_automorphism(), d + 1)
-    delta = []
-    for i in range(d + 2):
-        ai = alg.dim(i)
-        rows = []
-        out_alg = alg.dim(i + 1)
-        for a in range(gamma.dims[i]):
-            if i + 1 > d + 1:
-                rows.append(())
-                continue
-            out = [ZERO] * gamma.dims[i + 1]
-            if a < ai:
-                img = apply_delta(c, i, unit_vector(ai, a))
-                for t, v in enumerate(img):
-                    out[t] = v
-            else:
-                j = d + 1 - i
-                b = a - ai
-                sign = Fraction((-1) ** (d + j))
-                if j - 1 >= 0:
-                    for cc in range(alg.dim(j - 1)):
-                        val = c.delta[j - 1][cc][b]
-                        if val:
-                            out[out_alg + cc] = sign * val
-            rows.append(tuple(out))
-        delta.append(tuple(rows))
-    curv = tuple(c.curvature) + tuple([ZERO] * alg.dim(d - 1))
-    return Cdga(gamma, tuple(delta), curv, None, c.deformation)

@@ -22,8 +22,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .frobenius import GradedAutomorphism, GradedFDAlgebra
-from .linalg import (ConsistencyError, LinAlgError, Matrix, ResourceLimitError,
-                     Subspace, Vec, ZERO, int_kernel)
+from .linalg import (LinAlgError, Matrix, ResourceLimitError, Subspace, Vec,
+                     ZERO, int_kernel)
 from .tensors import (DegreeOneMap, Tensor, apply_slotwise, index_to_word,
                       preserves_subspace)
 
@@ -191,18 +191,6 @@ def numeric_koszul_certificate(alg: QuadraticAlgebra, bound: int) -> KoszulCerti
                              mism, tuple(euler))
 
 
-def dual_automorphism(alg: QuadraticAlgebra, phi: DegreeOneMap) -> DegreeOneMap:
-    """Induced map on dual generators (transpose; contravariant on
-    compositions).  phi must preserve the relations, and the transpose is
-    checked to preserve the dual ones."""
-    if not preserves_subspace(phi, alg.relations, 2):
-        raise LinAlgError("map does not preserve the relation subspace")
-    out = DegreeOneMap(phi.matrix.transpose())
-    if not preserves_subspace(out, quadratic_dual(alg).relations, 2):
-        raise ConsistencyError("transpose fails to preserve the dual relations")
-    return out
-
-
 class TruncatedAlgebra:
     """Multiplication tables of T(V)/(R) up to a degree bound.
 
@@ -240,9 +228,6 @@ class TruncatedAlgebra:
             tuple(word_label(alg.names, index_to_word(w, n, k)) for w in self.words[k])
             for k in range(bound + 1))
 
-    def dim(self, k: int) -> int:
-        return self.dims[k] if 0 <= k <= self.bound else 0
-
     def reduce_sparse(self, k: int, sparse) -> Vec:
         out = [ZERO] * self.dims[k]
         for w, c in sparse.items():
@@ -251,39 +236,8 @@ class TruncatedAlgebra:
                     out[t] += c * v
         return tuple(out)
 
-    def reduce_tensor(self, t: Tensor) -> Vec:
-        if t.degree > self.bound:
-            raise LinAlgError("tensor degree beyond the truncation bound")
-        return self.reduce_sparse(t.degree, t.to_sparse_map())
-
     def lift_sparse(self, k: int, coords) -> dict[int, Fraction]:
         return {w: Fraction(c) for w, c in zip(self.words[k], coords) if c}
-
-    def lift_tensor(self, k: int, coords) -> Tensor:
-        n = self.algebra.n
-        return Tensor(k, n, tuple(sorted(
-            (index_to_word(w, n, k), Fraction(c))
-            for w, c in zip(self.words[k], coords) if c)))
-
-    def multiply(self, i: int, u, j: int, v) -> Vec:
-        if i + j > self.bound:
-            raise LinAlgError("product degree beyond the truncation bound")
-        n = self.algebra.n
-        stride = n ** j
-        acc: dict[int, Fraction] = {}
-        for wa, ca in zip(self.words[i], u):
-            if not ca:
-                continue
-            for wb, cb in zip(self.words[j], v):
-                if not cb:
-                    continue
-                idx = wa * stride + wb
-                nv = acc.get(idx, ZERO) + ca * cb
-                if nv:
-                    acc[idx] = nv
-                else:
-                    acc.pop(idx, None)
-        return self.reduce_sparse(i + j, acc)
 
     def class_from_row_pairings(self, k: int, rows, values) -> Vec:
         """The degree-k class pairing as prescribed against given row vectors.

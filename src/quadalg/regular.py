@@ -75,12 +75,11 @@ def as_regular_certificate(alg: QuadraticAlgebra, bound: int = 5) -> RegularityC
 
 
 def regularity_data(alg: QuadraticAlgebra, expected_gldim: int,
-                    koszul_bound: int | None = None) -> RegularityCertificate:
+                    koszul_bound: int) -> RegularityCertificate:
     """Certificate with bounds tightened around a known global dimension."""
-    bound = koszul_bound if koszul_bound is not None else expected_gldim + 1
-    if bound < expected_gldim + 1:
+    if koszul_bound < expected_gldim + 1:
         raise LinAlgError("bound too small to see the dual terminate")
-    cert = _certify(alg, bound)
+    cert = _certify(alg, koszul_bound)
     if cert.gldim != expected_gldim:
         raise ConsistencyError(f"certified dimension {cert.gldim} does not match "
                                f"the expected {expected_gldim}")

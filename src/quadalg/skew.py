@@ -18,10 +18,9 @@ from .frobenius import (GradedFDAlgebra, is_graded_symmetric,
                         twisted_module_trivial_extension)
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Subspace, Vec,
                      ZERO, unit_vector)
-from .quadratic import (QuadraticAlgebra, TruncatedAlgebra, graded_dims,
-                        quadratic_dual, truncated_structure)
-from .regular import (RegularityCertificate, as_regular_certificate,
-                      nakayama_of_algebra)
+from .quadratic import (QuadraticAlgebra, graded_dims, quadratic_dual,
+                        truncated_structure)
+from .regular import RegularityCertificate
 from .superpotential import (derivation_quotient, extract_superpotential,
                              symmetrize)
 from .tensors import DegreeOneMap, Tensor, preserves_subspace
@@ -46,8 +45,6 @@ class SkewExtension:
     relations; the extension's relation space is their span.
     """
 
-    base: QuadraticAlgebra
-    sigma: DegreeOneMap
     algebra: QuadraticAlgebra
     mixed_relations: tuple[Tensor, ...]
     zname: str
@@ -86,7 +83,7 @@ def _skew_extend(base: QuadraticAlgebra, sigma: DegreeOneMap) -> SkewExtension:
             raise ConsistencyError(
                 f"extension dimension {dim} at degree {k} is not the "
                 f"partial sum {sum(dims_base[:k + 1])} of the base dimensions")
-    return SkewExtension(base, sigma, algebra, mixed, zname, tuple(stacked))
+    return SkewExtension(algebra, mixed, zname, tuple(stacked))
 
 
 def skew_extend(base: QuadraticAlgebra, sigma: DegreeOneMap) -> SkewExtension:
@@ -104,8 +101,7 @@ def ext_algebra_of_skew(cert: RegularityCertificate,
     trunc = cert.dual_truncation
     psi = trunc.automorphism(DegreeOneMap(sigma.matrix.inverse().transpose()))
     eps = cert.dual_fd.epsilon(1)
-    return twisted_module_trivial_extension(cert.dual_fd, eps, psi, -1,
-                                            mod_suffix="z*")
+    return twisted_module_trivial_extension(cert.dual_fd, eps, psi, -1)
 
 
 @dataclass(eq=False)
@@ -113,9 +109,7 @@ class IsoReport:
     """Outcome of matching the model against the honest dual of the extension."""
 
     gamma: GradedFDAlgebra
-    ext_dual: TruncatedAlgebra
     ext_dual_fd: GradedFDAlgebra
-    maps: tuple[Matrix, ...]
     generated_ok: bool
     structure_ok: bool
     bijective: bool
@@ -219,8 +213,8 @@ def verify_ext_algebra_isomorphism(cert: RegularityCertificate,
                     expect[t] += c * v
         if zs_xi != tuple(expect):
             right_ok = False
-    return IsoReport(gamma, trunc_bd, ebd, tuple(maps), generated_ok,
-                     structure_ok, bijective, left_ok, right_ok)
+    return IsoReport(gamma, ebd, generated_ok, structure_ok, bijective,
+                     left_ok, right_ok)
 
 
 @dataclass(frozen=True)
@@ -250,12 +244,6 @@ def cy_check_with(cert: RegularityCertificate, sigma: DegreeOneMap) -> CYReport:
         raise ConsistencyError("symmetry verdict differs between the model and "
                                "the honest dual")
     return CYReport(ok_model, cert.gldim + 1, cert.bound, witness)
-
-
-def calabi_yau_check(alg: QuadraticAlgebra, bound: int = 5) -> CYReport:
-    """CY verdict for the extension twisted by the Nakayama automorphism."""
-    cert = as_regular_certificate(alg, bound)
-    return cy_check_with(cert, nakayama_of_algebra(cert))
 
 
 def verify_extended_presentation(cert: RegularityCertificate) -> bool:

@@ -35,20 +35,16 @@ def is_twisted_superpotential(w: Tensor, sigma: DegreeOneMap) -> bool:
 
 @dataclass(frozen=True)
 class SuperpotentialData:
-    """Canonical superpotential of a certified algebra with its split data.
+    """Canonical superpotential of a certified algebra and its twist.
 
-    w spans the top Koszul component; left_matrix rows are the coordinates
-    of the left contractions of w by each dual letter in the basis of the
-    next component down, right_matrix columns the right contractions.
-    twist is the Nakayama map, recovered here from the contraction matrices
-    and cross-checked against the pairing route.
+    w spans the top Koszul component.  twist is the Nakayama map, recovered
+    from the matrices of the left and right contractions of w by each dual
+    letter, in the basis of the next component down, and cross-checked
+    against the pairing route.
     """
 
     w: Tensor
     twist: DegreeOneMap
-    left_matrix: Matrix
-    right_matrix: Matrix
-    factor_space: Subspace
 
 
 def extract_superpotential(cert: RegularityCertificate) -> SuperpotentialData:
@@ -81,7 +77,7 @@ def extract_superpotential(cert: RegularityCertificate) -> SuperpotentialData:
         raise ConsistencyError("contraction twist disagrees with the pairing route")
     if not is_twisted_superpotential(w, twist):
         raise ConsistencyError("extracted tensor is not twisted-cyclic")
-    return SuperpotentialData(w, twist, left, right, sub)
+    return SuperpotentialData(w, twist)
 
 
 def symmetrize(w: Tensor, sigma: DegreeOneMap) -> Tensor:
@@ -136,7 +132,6 @@ class PresentationReport:
     """Comparison of an algebra against its superpotential presentation."""
 
     matches_relations: bool
-    coupling: Matrix
     coupling_invertible: bool
 
     @property
@@ -165,4 +160,4 @@ def verify_superpotential_presentation(cert: RegularityCertificate) -> Presentat
     rows = [coords[a * lower.dim:(a + 1) * lower.dim]
             for a in range(alg.relations.dim)]
     coupling = Matrix.from_rows(rows, lower.dim)
-    return PresentationReport(matches, coupling, coupling.is_invertible())
+    return PresentationReport(matches, coupling.is_invertible())

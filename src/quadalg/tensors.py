@@ -8,10 +8,8 @@ expansion, so the induced coordinate order is lexicographic on words.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .linalg import LinAlgError, Matrix, ONE, Subspace, Vec, ZERO
 
@@ -30,10 +28,6 @@ def index_to_word(idx: int, n: int, degree: int) -> Word:
     for pos in range(degree - 1, -1, -1):
         idx, out[pos] = divmod(idx, n)
     return tuple(out)
-
-
-def all_words(n: int, degree: int):
-    return itertools.product(range(n), repeat=degree)
 
 
 @dataclass(frozen=True)
@@ -69,15 +63,8 @@ class Tensor:
     def basis(word: Word, ambient: int) -> "Tensor":
         return Tensor.make(len(word), ambient, [(tuple(word), ONE)])
 
-    @cached_property
-    def coeffs(self) -> dict[Word, Fraction]:
-        return dict(self.terms)
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, word: Word) -> Fraction:
-        return self.coeffs.get(tuple(word), ZERO)
 
     def add(self, other: "Tensor") -> "Tensor":
         self._check_shape(other)
@@ -158,40 +145,12 @@ class DegreeOneMap:
     def identity(n: int) -> "DegreeOneMap":
         return DegreeOneMap(Matrix.identity(n))
 
-    @staticmethod
-    def diagonal(values) -> "DegreeOneMap":
-        return DegreeOneMap(Matrix.diagonal(values))
-
     @property
     def n(self) -> int:
         return self.matrix.cols
 
     def image_of(self, j: int) -> Vec:
         return self.matrix.col(j)
-
-    def apply_vec(self, v) -> Vec:
-        return self.matrix.mul_col(v)
-
-    def compose(self, other: "DegreeOneMap") -> "DegreeOneMap":
-        return DegreeOneMap(self.matrix @ other.matrix)
-
-    def inverse(self) -> "DegreeOneMap":
-        return DegreeOneMap(self.matrix.inverse())
-
-    def power(self, k: int) -> "DegreeOneMap":
-        if k < 0:
-            return self.inverse().power(-k)
-        out = DegreeOneMap.identity(self.n)
-        for _ in range(k):
-            out = out.compose(self)
-        return out
-
-    def is_identity(self) -> bool:
-        return self.matrix.is_identity()
-
-    def apply_letter(self, letter: int) -> Tensor:
-        return Tensor.make(1, self.n,
-                           [((i,), c) for i, c in enumerate(self.image_of(letter))])
 
 
 def apply_slotwise(maps, t: Tensor) -> Tensor:

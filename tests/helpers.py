@@ -1,22 +1,32 @@
 """Shared test utilities: seeded generators and independent oracles."""
 
 from fractions import Fraction
+from importlib import resources
 import random
 
-from quadalg import (DegreeOneMap, GradedFDAlgebra, Matrix, Subspace, Tensor,
-                     apply_slotwise, as_regular_certificate, index_to_word,
-                     nakayama_of_algebra, tau, word_label, word_to_index)
-from quadalg.io import description_to_algebra
+from quadalg import (Cdga, DegreeOneMap, GradedAutomorphism, GradedFDAlgebra,
+                     Matrix, Subspace, Tensor, apply_delta, apply_slotwise,
+                     as_regular_certificate, dual_trivial_extension,
+                     index_to_word, nakayama_of_algebra, tau, word_label,
+                     word_to_index)
+from quadalg.io import description_to_algebra, parse_description
 from quadalg.linalg import LinAlgError, ZERO, unit_vector
-from quadalg.presets import corpus
 
 AS_REGULAR = ("kxy", "quantum_plane_q2", "quantum_plane_q3",
               "quantum_plane_qm1", "jordan_plane", "poly3", "quantum3")
 DIM2 = AS_REGULAR[:5]
+CORPUS_DIR = resources.files("quadalg") / "corpus"
+CORPUS = tuple(sorted(p.name[:-5] for p in CORPUS_DIR.iterdir()
+                      if p.name.endswith(".json")))
+
+
+def description_of(name):
+    """The bundled corpus document quadalg/corpus/<name>.json, parsed."""
+    return parse_description((CORPUS_DIR / f"{name}.json").read_bytes())
 
 
 def algebra_of(name):
-    return description_to_algebra(corpus()[name])
+    return description_to_algebra(description_of(name))
 
 
 def cert_of(name):
@@ -96,7 +106,8 @@ def twisted_cyclic_space(n, d, sigma):
         for w, c in img.terms:
             vec[word_to_index(w, n)] -= sign * c
         rows.append(tuple(vec))
-    return Matrix.from_rows(rows, amb).transpose().kernel()
+    # w solves it exactly when sum_idx w[idx] rows[idx] = 0
+    return Subspace.from_spanning(zip(*rows), amb).annihilator()
 
 
 def random_member(space, rng, lo=-4, hi=4):
@@ -108,7 +119,7 @@ def random_member(space, rng, lo=-4, hi=4):
     if not any(coeffs):
         coeffs[0] = Fraction(1)
     vec = [Fraction(0)] * space.ambient
-    for c, row in zip(coeffs, space.basis_rows()):
+    for c, row in zip(coeffs, space.basis.entries):
         if c:
             for t, v in enumerate(row):
                 if v:
@@ -141,7 +152,6 @@ def random_nu_theta(rng, cert, lo=-3, hi=3):
 def scalar_twist(alg_fd, k, c):
     """epsilon^k composed with the automorphism induced by multiplying every
     generator by c: degree i matrix is ((-1)^k c)^i times the identity."""
-    from quadalg import GradedAutomorphism
     mats = []
     for i in range(alg_fd.length + 1):
         factor = (Fraction(-1) ** (k * i)) * (Fraction(c) ** i)
@@ -237,7 +247,7 @@ def relation_degree_subspace(alg, k):
     """
     n = alg.n
     if k < 2:
-        return Subspace.zero(n ** k)
+        return Subspace.from_spanning([], n ** k)
     rows = []
     for row in alg.relations.rows:
         for i in range(k - 1):
@@ -270,3 +280,76 @@ def oracle_truncation(alg, bound):
     labels = [[word_label(alg.names, index_to_word(w, n, k)) for w in ws]
               for k, ws in enumerate(words)]
     return dense_algebra([len(ws) for ws in words], labels, mult)
+
+
+def structure_equal(a: GradedFDAlgebra, b: GradedFDAlgebra) -> bool:
+    """Same graded dimensions and the same structure constants."""
+    return a.dims == b.dims and a.mult == b.mult
+
+
+def is_multiplicative(auto: GradedAutomorphism, alg: GradedFDAlgebra) -> bool:
+    """Whether auto is a unital graded algebra automorphism of alg, checked
+    on every product of two basis elements."""
+    if len(auto.matrices) != alg.length + 1:
+        return False
+    if not all(m.is_invertible() for m in auto.matrices):
+        return False
+    if auto.matrices[0] != Matrix.identity(1):
+        return False
+    d = alg.length
+    for i in range(d + 1):
+        for j in range(d + 1 - i):
+            for a in range(alg.dims[i]):
+                fa = auto.apply(i, unit_vector(alg.dims[i], a))
+                for b in range(alg.dims[j]):
+                    fb = auto.apply(j, unit_vector(alg.dims[j], b))
+                    lhs = auto.apply(i + j, alg.multiply_basis(i, a, j, b))
+                    if lhs != alg.multiply(i, fa, j, fb):
+                        return False
+    return True
+
+
+def trivial_extension(alg: GradedFDAlgebra, sigma: GradedAutomorphism,
+                      n: int) -> GradedFDAlgebra:
+    """Trivial extension by the dual twisted by sigma on the right only."""
+    return dual_trivial_extension(alg, alg.identity_automorphism(), sigma, n)
+
+
+def cdg_trivial_extension(c: Cdga) -> Cdga:
+    """Extend the curved structure to the dual-sided trivial extension.
+
+    Algebra elements keep their differential; a dual element in dual degree
+    j maps to its precomposition with the differential, with sign
+    (-1)^(d+j); the curvature embeds into the algebra part.
+    """
+    alg = c.algebra
+    d = alg.length
+    gamma = dual_trivial_extension(alg, alg.epsilon(d),
+                                   alg.identity_automorphism(), d + 1)
+    delta = []
+    for i in range(d + 2):
+        ai = alg.dim(i)
+        rows = []
+        out_alg = alg.dim(i + 1)
+        for a in range(gamma.dims[i]):
+            if i + 1 > d + 1:
+                rows.append(())
+                continue
+            out = [ZERO] * gamma.dims[i + 1]
+            if a < ai:
+                img = apply_delta(c, i, unit_vector(ai, a))
+                for t, v in enumerate(img):
+                    out[t] = v
+            else:
+                j = d + 1 - i
+                b = a - ai
+                sign = Fraction((-1) ** (d + j))
+                if j - 1 >= 0:
+                    for cc in range(alg.dim(j - 1)):
+                        val = c.delta[j - 1][cc][b]
+                        if val:
+                            out[out_alg + cc] = sign * val
+            rows.append(tuple(out))
+        delta.append(tuple(rows))
+    curv = tuple(c.curvature) + tuple([ZERO] * alg.dim(d - 1))
+    return Cdga(gamma, tuple(delta), curv)

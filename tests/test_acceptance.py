@@ -7,9 +7,10 @@ and each criterion finishes in seconds.
 
 from fractions import Fraction
 
-from helpers import (AS_REGULAR, DIM2, block_nakayama_oracle, cert_of,
-                     cdg_underlying_trivial_extension, random_member,
-                     random_nu_theta, scalar_twist, seeded, twist_pool,
+from helpers import (AS_REGULAR, CORPUS, DIM2, block_nakayama_oracle,
+                     cert_of, cdg_underlying_trivial_extension, description_of,
+                     random_member, random_nu_theta, scalar_twist, seeded,
+                     structure_equal, trivial_extension, twist_pool,
                      twisted_cyclic_space)
 from quadalg import (DegreeOneMap, Matrix, PBWDeformation, Tensor, cy_check_with,
                      cy_criterion_deformed, cy_equivalence_dim2,
@@ -19,11 +20,10 @@ from quadalg import (DegreeOneMap, Matrix, PBWDeformation, Tensor, cy_check_with
                      is_twisted_superpotential, nakayama_of_algebra,
                      nakayama_shift, numeric_koszul_certificate,
                      regularity_data, skew_extend, symmetrize, tau,
-                     trivial_extension, verify_ext_algebra_isomorphism,
+                     verify_ext_algebra_isomorphism,
                      verify_extended_presentation,
                      verify_superpotential_presentation)
 from quadalg.io import description_to_algebra, description_deformation
-from quadalg.presets import corpus
 
 F = Fraction
 
@@ -173,7 +173,7 @@ def test_criterion_7_three_way_equivalence():
     noncy = _corpus_deformation("deformed_qp_noncy", 2)
     rep = cy_equivalence_dim2(noncy)
     assert (rep.cond_i, rep.cond_ii, rep.cond_iii) == (False, False, False)
-    lam = nakayama_shift(noncy).values
+    lam = nakayama_shift(noncy)
     assert lam == (F(0), F(-1, 2))
     m, _ = dim2_matrix_form(noncy.cert)
     left = m.mul_row(lam)
@@ -210,8 +210,8 @@ def test_criterion_9_hilbert_koszul_sanity():
     cert = cert_of("quantum_plane_q2")
     ext = skew_extend(cert.algebra, nakayama_of_algebra(cert))
     assert graded_dims(ext.algebra, 4) == (1, 3, 6, 10, 15)
-    for name, desc in corpus().items():
-        alg = description_to_algebra(desc)
+    for name in CORPUS:
+        alg = description_to_algebra(description_of(name))
         assert numeric_koszul_certificate(alg, 5).passed, name
     for name in AS_REGULAR:
         alg_fd = cert_of(name).dual_fd
@@ -220,11 +220,11 @@ def test_criterion_9_hilbert_koszul_sanity():
         twisted = dual_trivial_extension(alg_fd, alg_fd.epsilon(d),
                                          alg_fd.identity_automorphism(),
                                          d + 1)
-        assert signed.structure_equal(twisted), name
+        assert structure_equal(signed, twisted), name
     print("criterion 9 (Hilbert dims, Koszul certificates, sign rule): PASS")
 
 
 def _corpus_deformation(name, gldim, bound=5):
-    desc = corpus()[name]
+    desc = description_of(name)
     cert = regularity_data(description_to_algebra(desc), gldim, bound)
     return description_deformation(desc, cert)

@@ -136,6 +136,20 @@ def _error_line(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+@pytest.mark.parametrize("raw,error", [
+    (b"\xff", "input is not UTF-8: 'utf-8' codec can't decode byte 0xff "
+              "in position 0: invalid start byte"),
+    (b"[" * 100_000 + b"]" * 100_000, "invalid JSON: nested too deeply"),
+], ids=["not_utf8", "nested_too_deep"])
+def test_undecodable_input_is_a_parse_error(tmp_path, capsys, raw, error):
+    p = tmp_path / "bad.json"
+    p.write_bytes(raw)
+    code, out = _error_line(capsys, "hilbert", str(p))
+    assert code == 2
+    assert out == json.dumps({"command": "hilbert", "error": error,
+                              "status": "error"}, sort_keys=True) + "\n"
+
+
 def test_missing_file(capsys):
     code, out = _error_line(capsys, "hilbert", "/nonexistent/path.json")
     assert code == 2

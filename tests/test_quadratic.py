@@ -7,13 +7,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (AS_REGULAR, algebra_of, cert_of, oracle_truncation,
-                     relation_degree_subspace)
+from helpers import (AS_REGULAR, algebra_of, cert_of, is_multiplicative,
+                     oracle_truncation, relation_degree_subspace,
+                     structure_equal)
 from quadalg import (DegreeOneMap, Matrix, QuadraticAlgebra, Tensor,
-                     dual_automorphism, graded_dims, koszul_component,
-                     nakayama_of_algebra, numeric_koszul_certificate,
+                     graded_dims, koszul_component, nakayama_of_algebra,
+                     numeric_koszul_certificate, preserves_subspace,
                      quadratic_dual, skew_extend, truncated_structure,
-                     word_label)
+                     word_label, word_to_index)
 from quadalg.linalg import LinAlgError
 
 F = Fraction
@@ -130,42 +131,55 @@ def test_numeric_koszul_refutation():
     assert cert.component_mismatches == ()
 
 
+def _dual_automorphism(cert, phi):
+    """The automorphism of the dual induced by phi: the transpose, extended
+    to every degree of the truncated dual."""
+    transpose = DegreeOneMap(phi.matrix.transpose())
+    return cert.dual_truncation.automorphism(transpose)
+
+
 def test_dual_automorphism_contravariant():
-    alg = algebra_of("quantum_plane_q2")
-    phi = DegreeOneMap.diagonal((F(2), F(1, 2)))
+    # both maps preserve the commutative plane's relations
+    cert = cert_of("kxy")
+    phi = DegreeOneMap(Matrix.from_rows([(F(2), F(0)), (F(0), F(1, 2))], 2))
     psi = DegreeOneMap(Matrix.from_rows([(F(1), F(0)), (F(1), F(1))], 2))
-    # psi does not preserve the quantum plane relations, so move to the free
-    # check through the commutative plane where both act
-    kxy = algebra_of("kxy")
-    a = dual_automorphism(kxy, phi.compose(psi))
-    b = dual_automorphism(kxy, psi).compose(dual_automorphism(kxy, phi))
-    assert a.matrix == b.matrix
+    a = _dual_automorphism(cert, DegreeOneMap(phi.matrix @ psi.matrix))
+    b = _dual_automorphism(cert, psi)
+    c = _dual_automorphism(cert, phi)
+    assert a.matrices == tuple(m @ n for m, n in zip(b.matrices, c.matrices))
+    assert is_multiplicative(a, cert.dual_fd)
 
 
 def test_dual_automorphism_requires_preservation():
-    alg = algebra_of("quantum_plane_q2")
+    cert = cert_of("quantum_plane_q2")
     shear = DegreeOneMap(Matrix.from_rows([(F(1), F(1)), (F(0), F(1))], 2))
-    with pytest.raises(LinAlgError):
-        dual_automorphism(alg, shear)
+    assert not preserves_subspace(shear, cert.algebra.relations, 2)
+    with pytest.raises(LinAlgError, match="does not preserve"):
+        _dual_automorphism(cert, shear)
+
+
+def _degree_one(trunc, **coeffs):
+    """Coordinates of a combination of generators, by generator name."""
+    return tuple(F(coeffs.get(label, 0)) for label in trunc.labels[1])
 
 
 def test_truncated_multiply_matches_tensor_reduction():
     trunc = truncated_structure(algebra_of("quantum_plane_q2"), 4)
-    # x * y = 2 y x in the quotient: reduce the concatenated word
-    x = trunc.reduce_tensor(Tensor.basis((0,), 2))
-    y = trunc.reduce_tensor(Tensor.basis((1,), 2))
-    xy = trunc.multiply(1, x, 1, y)
-    lifted = trunc.lift_tensor(2, xy)
-    assert lifted == Tensor.make(2, 2, [((1, 0), F(2))])
+    # x * y = 2 y x in the quotient: the class of the word xy is 2 yx
+    xy = trunc.to_graded_algebra().multiply(1, _degree_one(trunc, x=1),
+                                            1, _degree_one(trunc, y=1))
+    assert trunc.lift_sparse(2, xy) == {word_to_index((1, 0), 2): F(2)}
+    assert xy == trunc.reduce_sparse(2, {word_to_index((0, 1), 2): 1})
 
 
 def test_truncated_associativity_spot():
     trunc = truncated_structure(algebra_of("jordan_plane"), 4)
-    u = trunc.reduce_tensor(Tensor.make(1, 2, [((0,), F(1)), ((1,), F(2))]))
-    v = trunc.reduce_tensor(Tensor.basis((1,), 2))
-    w = trunc.reduce_tensor(Tensor.basis((0,), 2))
-    left = trunc.multiply(2, trunc.multiply(1, u, 1, v), 1, w)
-    right = trunc.multiply(1, u, 2, trunc.multiply(1, v, 1, w))
+    alg = trunc.to_graded_algebra()
+    u = _degree_one(trunc, x=1, y=2)
+    v = _degree_one(trunc, y=1)
+    w = _degree_one(trunc, x=1)
+    left = alg.multiply(2, alg.multiply(1, u, 1, v), 1, w)
+    right = alg.multiply(1, u, 2, alg.multiply(1, v, 1, w))
     assert left == right
 
 
@@ -198,7 +212,7 @@ def test_dual_truncation_matches_relation_span_oracle():
                             (quadratic_dual(ext.algebra), cert.gldim + 1)):
             got = truncated_structure(dual, bound).to_graded_algebra()
             want = oracle_truncation(dual, bound)
-            assert got.structure_equal(want), name
+            assert structure_equal(got, want), name
             assert got.labels == want.labels, name
 
 
@@ -208,7 +222,7 @@ def test_truncated_automorphism_preservation():
     xi = nakayama_of_algebra(cert)
     auto = cert.dual_truncation.automorphism(
         DegreeOneMap(xi.matrix.inverse().transpose()))
-    assert auto.is_multiplicative(cert.dual_fd)
+    assert is_multiplicative(auto, cert.dual_fd)
 
 
 def test_word_label():

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from helpers import AS_REGULAR, DIM2, algebra_of, cert_of
-from quadalg import (DegreeOneMap, Tensor, calabi_yau_check, cy_check_with,
+from quadalg import (DegreeOneMap, Tensor, cy_check_with,
                      ext_algebra_of_skew, fresh_letter, graded_dims,
                      nakayama_of_algebra, regularity_data, skew_extend,
                      verify_ext_algebra_isomorphism,
@@ -102,11 +102,6 @@ def test_cy_identity_twist_on_kxy_still_works():
     # trivial Nakayama: the identity is the right twist there
     rep = cy_check_with(cert_of("kxy"), DegreeOneMap.identity(2))
     assert rep.is_CY
-
-
-def test_calabi_yau_check_wrapper():
-    rep = calabi_yau_check(algebra_of("kxy"))
-    assert rep.is_CY and rep.dimension == 3 and rep.koszul_bound == 5
 
 
 def test_extended_presentation_matches():
