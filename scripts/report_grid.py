@@ -1,0 +1,91 @@
+#!/usr/bin/env python3
+"""Run every CLI command over a fixed grid of inputs; fingerprint each report.
+
+The grid is the bundled corpus plus the skew polynomial rings in 3 and 4
+letters with x_i x_j = -2/3 x_j x_i for i < j, times every command, times
+the flag sets {default, --sigma id, --max-degree 4}: 468 runs.  Each run
+prints one line: the case, the exit code, and the sha256 of the printed
+report with its timing_ms line removed.  Every functools cache of the
+package is emptied before each run, so a run sees what a fresh CLI
+invocation sees.
+
+Two checkouts print the same lines exactly when their reports agree byte
+for byte apart from timing_ms:
+
+    PYTHONPATH=src python3 scripts/report_grid.py > grid.txt
+"""
+
+import contextlib
+import hashlib
+import importlib
+import io
+import json
+import pkgutil
+import re
+import sys
+import tempfile
+from fractions import Fraction
+from importlib import resources
+from pathlib import Path
+
+import quadalg
+from quadalg.cli import COMMANDS, main
+
+FLAG_SETS = ((), ("--sigma", "id"), ("--max-degree", "4"))
+SKEW_Q = Fraction(-2, 3)
+TIMING = re.compile(r'\n  "timing_ms": \d+,')
+
+
+def skew_polynomial(n, q):
+    """x_i x_j = q x_j x_i for i < j, on the letters a, b, c, ..."""
+    names = [chr(ord("a") + i) for i in range(n)]
+    rels = [[{"coeff": "1", "word": [names[i], names[j]]},
+             {"coeff": str(-q), "word": [names[j], names[i]]}]
+            for i in range(n) for j in range(i + 1, n)]
+    return {"generators": names, "relations": rels}
+
+
+def caches():
+    """Every functools cache defined at module level in the package."""
+    out = []
+    for info in pkgutil.iter_modules(quadalg.__path__):
+        mod = importlib.import_module(f"quadalg.{info.name}")
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear") and hasattr(obj, "cache_info"):
+                out.append(obj)
+    return out
+
+
+def inputs(workdir):
+    """(name, path) of every grid input, corpus first, in name order."""
+    corpus = resources.files("quadalg") / "corpus"
+    out = [(p.name[:-5], str(p))
+           for p in sorted(corpus.iterdir(), key=lambda p: p.name)
+           if p.name.endswith(".json")]
+    for n in (3, 4):
+        path = Path(workdir) / f"skew{n}.json"
+        path.write_text(json.dumps(skew_polynomial(n, SKEW_Q), indent=1))
+        out.append((f"skew{n}", str(path)))
+    return out
+
+
+def run():
+    clear = caches()
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, path in inputs(workdir):
+            for cmd in COMMANDS:
+                for flags in FLAG_SETS:
+                    for cache in clear:
+                        cache.cache_clear()
+                    buf = io.StringIO()
+                    with contextlib.redirect_stdout(buf):
+                        code = main([cmd, path, *flags])
+                    digest = hashlib.sha256(
+                        TIMING.sub("", buf.getvalue()).encode()).hexdigest()
+                    case = " ".join((name, cmd) + flags)
+                    print(f"{case}\t{code}\t{digest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(run())

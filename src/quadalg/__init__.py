@@ -13,13 +13,11 @@ quadalg/corpus; parse_description reads them like any other input.
 
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ResourceLimitError,
                      Subspace, Vec)
-from .tensors import (DegreeOneMap, Tensor, apply_slotwise, contract_left,
-                      contract_right, index_to_word, preserves_subspace, tau,
-                      word_to_index)
-from .frobenius import (FrobeniusStructure, GradedAutomorphism,
-                        GradedFDAlgebra, NotFrobenius, dual_trivial_extension,
-                        frobenius_structure, is_graded_symmetric,
-                        square_zero_extension,
+from .tensors import (Tensor, apply_slotwise, contract_left, contract_right,
+                      index_to_word, preserves_subspace, tau, word_to_index)
+from .frobenius import (FrobeniusStructure, GradedFDAlgebra, NotFrobenius,
+                        dual_trivial_extension, frobenius_structure,
+                        is_graded_symmetric, square_zero_extension,
                         twisted_module_trivial_extension)
 from .quadratic import (KoszulCertificate, QuadraticAlgebra, TruncatedAlgebra,
                         graded_dims, koszul_component,
@@ -37,11 +35,11 @@ from .skew import (CYReport, IsoReport, SkewExtension, cy_check_with,
                    verify_ext_algebra_isomorphism,
                    verify_extended_presentation)
 from .pbw import (Cdga, CdgaAxiomReport, CompatibilityReport,
-                  DeformedCYReport, DeformedNakayama, EquivalenceReport,
-                  PBWDeformation, apply_delta, check_cdga_axioms,
-                  cy_criterion_deformed, cy_equivalence_dim2,
-                  deformed_nakayama, dual_cdga, nakayama_cdga_compatibility,
-                  nakayama_shift, skew_deformation)
+                  DeformedCYReport, EquivalenceReport, PBWDeformation,
+                  apply_delta, check_cdga_axioms, cy_criterion_deformed,
+                  cy_equivalence_dim2, deformation_from_rows, dual_cdga,
+                  nakayama_cdga_compatibility, nakayama_shift,
+                  skew_deformation)
 from .io import (AlgebraDescription, ValidationError, description_deformation,
                  description_to_algebra, parse_description)
 

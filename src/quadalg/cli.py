@@ -17,9 +17,9 @@ import time
 from .io import (ValidationError, description_deformation,
                  description_to_algebra, matrix_to_strings, parse_description,
                  tensor_to_terms)
-from .linalg import ConsistencyError, LinAlgError, ResourceLimitError
+from .linalg import ConsistencyError, LinAlgError, Matrix, ResourceLimitError
 from .pbw import (check_cdga_axioms, cy_criterion_deformed, cy_equivalence_dim2,
-                  deformed_nakayama, dual_cdga)
+                  dual_cdga)
 from .quadratic import graded_dims, numeric_koszul_certificate, quadratic_dual
 from .regular import (NotRegular, as_regular_certificate, nakayama_of_algebra)
 from .skew import (cy_check_with, fresh_letter, skew_extend,
@@ -27,7 +27,6 @@ from .skew import (cy_check_with, fresh_letter, skew_extend,
 from .superpotential import (derivation_quotient, extract_superpotential,
                              is_twisted_superpotential, symmetrize,
                              verify_superpotential_presentation)
-from .tensors import DegreeOneMap
 
 
 def _certificate(desc, args):
@@ -37,7 +36,7 @@ def _certificate(desc, args):
 
 def _resolve_sigma(desc, cert, mode):
     if mode == "id":
-        return DegreeOneMap.identity(cert.algebra.n)
+        return Matrix.identity(cert.algebra.n)
     if mode == "nakayama":
         return nakayama_of_algebra(cert)
     if mode == "file":
@@ -95,7 +94,7 @@ def _cmd_regular(desc, args):
 def _cmd_nakayama(desc, args):
     cert = _certificate(desc, args)
     xi = nakayama_of_algebra(cert)
-    return {"matrix": matrix_to_strings(xi.matrix), "gldim": cert.gldim}, True
+    return {"matrix": matrix_to_strings(xi), "gldim": cert.gldim}, True
 
 
 def _cmd_skew(desc, args):
@@ -115,10 +114,10 @@ def _cmd_skew(desc, args):
 def _cmd_superpotential(desc, args):
     cert = _certificate(desc, args)
     data = extract_superpotential(cert)
-    report = verify_superpotential_presentation(cert)
+    report = verify_superpotential_presentation(cert, data)
     verdict = {
         "terms": tensor_to_terms(data.w, cert.algebra.names),
-        "twist": matrix_to_strings(data.twist.matrix),
+        "twist": matrix_to_strings(data.twist),
         "presentation_matches": report.matches_relations,
         "coupling_invertible": report.coupling_invertible,
     }
@@ -131,8 +130,7 @@ def _cmd_symmetrize(desc, args):
     what = symmetrize(data.w, data.twist)
     fresh = fresh_letter(cert.algebra.names)
     names = cert.algebra.names + (fresh,)
-    cyclic = is_twisted_superpotential(
-        what, DegreeOneMap.identity(cert.algebra.n + 1))
+    cyclic = is_twisted_superpotential(what, Matrix.identity(cert.algebra.n + 1))
     verdict = {
         "generator": fresh,
         "terms": tensor_to_terms(what, names),
@@ -186,16 +184,16 @@ def _cmd_pbw(desc, args):
         raise ValidationError("pbw requires a deformation section", "deformation")
     cert = _certificate(desc, args)
     defm = description_deformation(desc, cert)
-    axioms = check_cdga_axioms(dual_cdga(defm))
-    crit = cy_criterion_deformed(defm)
-    zeta = deformed_nakayama(defm)
+    c = dual_cdga(defm)
+    axioms = check_cdga_axioms(c)
+    crit = cy_criterion_deformed(defm, c)
     verdict = {
         "axioms_pass": axioms.passed,
         "is_CY": crit.is_CY,
         "dimension": crit.dimension,
         "shift": [str(v) for v in crit.shift],
         "twisted_shift": [str(v) for v in crit.twisted_shift],
-        "zeta_linear": matrix_to_strings(zeta.linear.matrix),
+        "zeta_linear": matrix_to_strings(nakayama_of_algebra(cert)),
         "converse_definitive": crit.converse_definitive,
     }
     if crit.witness is not None:

@@ -2,7 +2,9 @@
 graded symmetry, and trivial extensions by twisted dual bimodules.
 
 An algebra is stored degree by degree through its nonzero structure
-constants, and is checked to be unital and associative when built.  The top
+constants, and is checked to be unital and associative when built.  A
+degree-preserving map of an algebra is a tuple of matrices, one per degree,
+in column convention.  The top
 graded piece is required to be one-dimensional whenever Frobenius data is
 extracted, and the distinguished functional is "coefficient of the top basis
 element".
@@ -117,14 +119,13 @@ class GradedFDAlgebra:
                         out[c] += s * w
         return tuple(out)
 
-    def identity_automorphism(self) -> "GradedAutomorphism":
-        return GradedAutomorphism(tuple(Matrix.identity(m) for m in self.dims))
+    def identity_automorphism(self) -> tuple[Matrix, ...]:
+        return tuple(Matrix.identity(m) for m in self.dims)
 
-    def epsilon(self, k: int = 1) -> "GradedAutomorphism":
+    def epsilon(self, k: int) -> tuple[Matrix, ...]:
         """The sign automorphism acting by (-1)^(i*k) in degree i."""
-        return GradedAutomorphism(tuple(
-            Matrix.identity(self.dims[i]).scale(Fraction((-1) ** (i * k)))
-            for i in range(self.length + 1)))
+        return tuple(Matrix.identity(self.dims[i]).scale(Fraction((-1) ** (i * k)))
+                     for i in range(self.length + 1))
 
     def _validate_unit(self) -> None:
         for j in range(self.length + 1):
@@ -179,25 +180,16 @@ def _combine(coeffs, cells) -> dict[int, int]:
 
 
 @dataclass(frozen=True)
-class GradedAutomorphism:
-    """A degree-preserving linear map given per degree in column convention."""
-
-    matrices: tuple[Matrix, ...]
-
-    def apply(self, deg: int, coords) -> Vec:
-        return self.matrices[deg].mul_col(coords)
-
-
-@dataclass(frozen=True)
 class FrobeniusStructure:
     """Per-degree pairing matrices and the resulting Nakayama automorphism.
 
     pairings[i][a][b] is the top coefficient of the product of the a-th
-    degree-i and b-th degree-(d-i) basis elements.
+    degree-i and b-th degree-(d-i) basis elements; nakayama[i] is the
+    Nakayama map on degree i, in column convention.
     """
 
     pairings: tuple[Matrix, ...]
-    nakayama: GradedAutomorphism
+    nakayama: tuple[Matrix, ...]
 
 
 def frobenius_structure(alg: GradedFDAlgebra) -> FrobeniusStructure:
@@ -222,7 +214,7 @@ def frobenius_structure(alg: GradedFDAlgebra) -> FrobeniusStructure:
     # <a, b> = <b, nak(a)> pins the Nakayama matrix on each degree.
     nak = tuple(pairings[d - i].inverse() @ pairings[i].transpose()
                 for i in range(d + 1))
-    return FrobeniusStructure(tuple(pairings), GradedAutomorphism(nak))
+    return FrobeniusStructure(tuple(pairings), nak)
 
 
 def is_graded_symmetric(alg: GradedFDAlgebra,
@@ -251,7 +243,7 @@ def is_graded_symmetric(alg: GradedFDAlgebra,
             break
     ok_pairings = witness is None
     ok_nakayama = all(
-        frob.nakayama.matrices[i] ==
+        frob.nakayama[i] ==
         Matrix.identity(alg.dims[i]).scale(Fraction((-1) ** ((d - 1) * i)))
         for i in range(d + 1))
     if ok_pairings != ok_nakayama:
@@ -311,12 +303,13 @@ def _module_cell(row, offset: int, size: int):
     return tuple((offset + c, Fraction(v)) for c, v in enumerate(row) if v)
 
 
-def dual_trivial_extension(alg: GradedFDAlgebra, left: GradedAutomorphism,
-                           right: GradedAutomorphism, n: int) -> GradedFDAlgebra:
+def dual_trivial_extension(alg: GradedFDAlgebra, left, right,
+                           n: int) -> GradedFDAlgebra:
     """Extend by the dual bimodule, twisted by `left`/`right`, shifted to top n.
 
     Degree i of the result is E_i plus the dual of E_{n-i}, for n beyond
-    the length of E so that degree zero stays the unit alone.  The module
+    the length of E so that degree zero stays the unit alone.  left and
+    right are graded maps of E, one matrix per degree.  The module
     actions are (a.g)(m) = g(m * left(a)) and (g.b)(m) = g(right(b) * m);
     products of two dual elements vanish.
     """
@@ -329,13 +322,13 @@ def dual_trivial_extension(alg: GradedFDAlgebra, left: GradedAutomorphism,
 
     def act_left(i, a, j, g):
         # a.g evaluated on each basis element of E_{n-i-j}
-        la = left.matrices[i].col(a)
+        la = left[i].col(a)
         k = n - i - j
         return [alg.multiply(k, unit_vector(alg.dim(k), c), i, la)[g]
                 for c in range(alg.dim(k))]
 
     def act_right(i, g, j, b):
-        rb = right.matrices[j].col(b)
+        rb = right[j].col(b)
         k = n - i - j
         return [alg.multiply(j, rb, k, unit_vector(alg.dim(k), c))[g]
                 for c in range(alg.dim(k))]
@@ -343,14 +336,13 @@ def dual_trivial_extension(alg: GradedFDAlgebra, left: GradedAutomorphism,
     return square_zero_extension(alg, dims, labels, act_left, act_right)
 
 
-def twisted_module_trivial_extension(alg: GradedFDAlgebra,
-                                     left: GradedAutomorphism,
-                                     right: GradedAutomorphism,
+def twisted_module_trivial_extension(alg: GradedFDAlgebra, left, right,
                                      shift: int) -> GradedFDAlgebra:
     """Extend by a degree-shifted copy of the algebra itself as a bimodule.
 
     Degree i of the result is E_i plus a module copy of E_{i+shift}
-    (shift < 0); the actions are a.(m) = (left(a) m) and (m).b = (m right(b)),
+    (shift < 0); left and right are graded maps of E, one matrix per
+    degree, and the actions are a.(m) = (left(a) m) and (m).b = (m right(b)),
     with products of two module elements zero.  Module basis labels carry
     the suffix z*.
     """
@@ -363,11 +355,11 @@ def twisted_module_trivial_extension(alg: GradedFDAlgebra,
               for i in range(d - shift + 1)]
 
     def act_left(i, a, j, m):
-        la = left.matrices[i].col(a)
+        la = left[i].col(a)
         return alg.multiply(i, la, j + shift, unit_vector(alg.dim(j + shift), m))
 
     def act_right(i, m, j, b):
-        rb = right.matrices[j].col(b)
+        rb = right[j].col(b)
         return alg.multiply(i + shift, unit_vector(alg.dim(i + shift), m), j, rb)
 
     return square_zero_extension(alg, dims, labels, act_left, act_right)

@@ -4,7 +4,8 @@ matrices and tensors that reports carry.
 Input documents carry generators, quadratic relations as coeff/word term
 lists, an optional degree-one twist matrix (row-vector convention: v maps
 to v.S), and an optional deformation section with a degree-one part per
-input relation plus a scalar part.  All rationals travel as strings.
+input relation plus a scalar part.  All rationals travel as strings: an
+integer, n/d or a plain decimal, never exponent notation.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from fractions import Fraction
 from .linalg import Matrix, Vec, ZERO
 from .quadratic import QuadraticAlgebra
 from .regular import RegularityCertificate
-from .pbw import PBWDeformation
-from .tensors import DegreeOneMap, Tensor
+from .pbw import PBWDeformation, deformation_from_rows
+from .tensors import Tensor
 
 
 class ValidationError(ValueError):
@@ -35,10 +36,10 @@ Term = tuple[Fraction, tuple[str, ...]]
 class AlgebraDescription:
     generators: tuple[str, ...]
     relations: tuple[tuple[Term, ...], ...]
-    sigma: DegreeOneMap | None = None
-    nu: tuple[tuple[Term, ...], ...] | None = None
-    theta: Vec | None = None
-    domain: bool | None = None
+    sigma: Matrix | None
+    nu: tuple[tuple[Term, ...], ...] | None
+    theta: Vec | None
+    domain: bool | None
 
     @property
     def has_deformation(self) -> bool:
@@ -48,6 +49,10 @@ class AlgebraDescription:
 def _parse_fraction(s, path):
     if not isinstance(s, str):
         raise ValidationError("rationals must be strings", path)
+    # an exponent makes a short string name a number of any size
+    if "e" in s.lower():
+        raise ValidationError(f"bad rational {s!r}: exponent notation is "
+                              f"not accepted", path)
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -127,7 +132,7 @@ def parse_description(text) -> AlgebraDescription:
         rows = [tuple(_parse_fraction(v, f"sigma[{i}][{j}]")
                       for j, v in enumerate(row)) for i, row in enumerate(mat)]
         # row-vector convention in files; columns act on letters internally
-        sigma = DegreeOneMap(Matrix.from_rows(rows, n).transpose())
+        sigma = Matrix.from_rows(rows, n).transpose()
     nu = None
     theta = None
     domain = None
@@ -198,25 +203,12 @@ def description_deformation(desc: AlgebraDescription,
         raise ValidationError("certificate relations do not match the "
                               "document", "relations")
     nu_in = [_terms_to_tensor(t, names, 1).to_vector() for t in desc.nu]
-    solver = rel_matrix.transpose()
-    nu_rows = []
-    theta = []
-    for rho in cert.algebra.relations.basis.entries:
-        coeffs = solver.solve(rho)
-        if coeffs is None:
-            raise ValidationError("canonical relation escapes the input span",
-                                  "relations")
-        row = [ZERO] * n
-        th = ZERO
-        for a, ca in enumerate(coeffs):
-            if ca:
-                for t in range(n):
-                    row[t] += ca * nu_in[a][t]
-                th += ca * desc.theta[a]
-        nu_rows.append(tuple(row))
-        theta.append(th)
-    return PBWDeformation(cert, Matrix.from_rows(nu_rows, n), tuple(theta),
-                          domain=desc.domain)
+    defm = deformation_from_rows(cert, input_rows, nu_in, desc.theta,
+                                 desc.domain)
+    if defm is None:
+        raise ValidationError("canonical relation escapes the input span",
+                              "relations")
+    return defm
 
 
 def tensor_to_terms(t: Tensor, names):

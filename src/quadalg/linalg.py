@@ -197,13 +197,9 @@ class Matrix:
     cols: int
 
     @staticmethod
-    def from_rows(rows: Iterable[Sequence], cols: int | None = None) -> "Matrix":
+    def from_rows(rows: Iterable[Sequence], cols: int) -> "Matrix":
         ent = tuple(tuple(v if type(v) is Fraction else Fraction(v) for v in row)
                     for row in rows)
-        if cols is None:
-            if not ent:
-                raise LinAlgError("column count required for an empty matrix")
-            cols = len(ent[0])
         for row in ent:
             if len(row) != cols:
                 raise LinAlgError("ragged rows in matrix constructor")

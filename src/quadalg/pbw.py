@@ -7,6 +7,11 @@ is consistent exactly when that data satisfies the curved Leibniz/square
 axioms.  The Calabi-Yau criterion for the induced deformation of the
 Nakayama-twisted extension is evaluated on two independent routes that must
 agree.
+
+The curved structure of a deformation (dual_cdga) and the Nakayama shift
+read off it are built once by the caller and handed to every check that
+reads them; only the transported deformation builds a second curved
+structure, its own.
 """
 
 from __future__ import annotations
@@ -14,14 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .frobenius import (GradedAutomorphism, GradedFDAlgebra,
-                        dual_trivial_extension)
+from .frobenius import GradedFDAlgebra, dual_trivial_extension
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Vec, ZERO,
                      unit_vector)
 from .regular import (RegularityCertificate, dim2_matrix_form,
                       nakayama_of_algebra, regularity_data)
 from .skew import skew_extend
-from .tensors import DegreeOneMap, index_to_word, word_to_index
+from .tensors import index_to_word, word_to_index
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +89,7 @@ def dual_cdga(defm: PBWDeformation) -> Cdga:
     """
     cert = defm.cert
     d = cert.gldim
-    trunc = cert.dual_truncation
+    trunc = cert.dual_fd
     n = cert.algebra.n
     rel = cert.algebra.relations
     nrel = rel.dim
@@ -121,7 +125,7 @@ def dual_cdga(defm: PBWDeformation) -> Cdga:
             rows.append(trunc.reduce_sparse(j + 1, acc))
         delta.append(tuple(rows))
     curvature = trunc.class_from_pairings(2, rel, list(defm.theta))
-    return Cdga(cert.dual_fd, tuple(delta), curvature)
+    return Cdga(trunc, tuple(delta), curvature)
 
 
 @dataclass(frozen=True)
@@ -171,44 +175,55 @@ def check_cdga_axioms(c: Cdga) -> CdgaAxiomReport:
     return CdgaAxiomReport(tuple(leibniz), curv_closed, tuple(squares))
 
 
-def nakayama_shift(defm: PBWDeformation, top_scale=1) -> Vec:
-    """The degree-one shift of the deformed Nakayama map.
+def nakayama_shift(cert: RegularityCertificate, c: Cdga) -> Vec:
+    """The degree-one shift of the deformed Nakayama map, read off the
+    curved structure c that a deformation of cert's algebra induces.
 
     Entry i is the top coefficient of the differential applied to the
     element that pairs to 1 against the i-th dual generator at the top.
-    Rescaling the top by top_scale leaves it unchanged.
     """
-    s = Fraction(top_scale)
-    if not s:
-        raise LinAlgError("top rescaling must be nonzero")
-    cert = defm.cert
     d = cert.gldim
+    omega_cols = cert.frobenius.pairings[1].inverse()
+    return tuple(apply_delta(c, d - 1, omega_cols.col(i))[0]
+                 for i in range(cert.algebra.n))
+
+
+def deformation_from_rows(cert: RegularityCertificate, rows, nu, theta,
+                          domain: bool | None) -> PBWDeformation | None:
+    """The deformation sending the i-th given relation row to the degree-one
+    row nu[i] and the scalar theta[i], restated on the canonical relation
+    basis of cert's algebra.
+
+    The rows are word coordinates and must be independent; each canonical
+    relation is solved as a combination of them and its degree-one and
+    scalar parts follow the same coefficients.  Returns None when a
+    canonical relation is not in the span of the rows.
+    """
     n = cert.algebra.n
-    g1 = cert.frobenius.pairings[1]
-    omega_cols = g1.inverse().scale(s)
-    c = dual_cdga(defm)
-    values = []
-    for i in range(n):
-        img = apply_delta(c, d - 1, omega_cols.col(i))
-        values.append(img[0] / s)
-    return tuple(values)
+    solver = Matrix.from_rows(rows, n * n).transpose()
+    nu_rows = []
+    out_theta = []
+    for rho in cert.algebra.relations.basis.entries:
+        coeffs = solver.solve(rho)
+        if coeffs is None:
+            return None
+        row = [ZERO] * n
+        th = ZERO
+        for ca, nu_a, th_a in zip(coeffs, nu, theta):
+            if ca:
+                for t, v in enumerate(nu_a):
+                    row[t] += ca * v
+                th += ca * th_a
+        nu_rows.append(tuple(row))
+        out_theta.append(th)
+    return PBWDeformation(cert, Matrix.from_rows(nu_rows, n), tuple(out_theta),
+                          domain=domain)
 
 
-@dataclass(frozen=True)
-class DeformedNakayama:
-    """Affine Nakayama data of a deformation: x -> linear(x) + shift."""
-
-    linear: DegreeOneMap
-    shift: Vec
-
-
-def deformed_nakayama(defm: PBWDeformation) -> DeformedNakayama:
-    xi = nakayama_of_algebra(defm.cert)
-    return DeformedNakayama(xi, nakayama_shift(defm))
-
-
-def skew_deformation(defm: PBWDeformation) -> PBWDeformation:
-    """Transport a deformation to the Nakayama-twisted extension.
+def skew_deformation(defm: PBWDeformation, xi: Matrix,
+                     shift: Vec) -> PBWDeformation:
+    """Transport a deformation to the extension twisted by the Nakayama map
+    xi of its algebra, given the deformation's Nakayama shift.
 
     On relations coming from the base the maps are unchanged; each mixed
     relation is sent to its shift coefficient times the new letter, with no
@@ -218,36 +233,16 @@ def skew_deformation(defm: PBWDeformation) -> PBWDeformation:
     cert = defm.cert
     alg = cert.algebra
     n = alg.n
-    d = cert.gldim
-    xi = nakayama_of_algebra(cert)
-    lam = nakayama_shift(defm)
     ext = skew_extend(alg, xi)
-    cert_ext = regularity_data(ext.algebra, d + 1, d + 2)
-    m = n + 1
-    nrel = alg.relations.dim
-    smat = Matrix.from_rows(ext.stacked_relations, m * m).transpose()
-    nu_rows = []
-    theta = []
-    for rho in ext.algebra.relations.basis.entries:
-        coeffs = smat.solve(rho)
-        if coeffs is None:
-            raise ConsistencyError("extension relation escapes the expected span")
-        nu_row = [ZERO] * m
-        th = ZERO
-        for a in range(nrel):
-            ca = coeffs[a]
-            if ca:
-                for t in range(n):
-                    nu_row[t] += ca * defm.nu[a, t]
-                th += ca * defm.theta[a]
-        for i in range(n):
-            ci = coeffs[nrel + i]
-            if ci:
-                nu_row[n] += ci * lam[i]
-        nu_rows.append(tuple(nu_row))
-        theta.append(th)
-    return PBWDeformation(cert_ext, Matrix.from_rows(nu_rows, m), tuple(theta),
-                          domain=defm.effective_domain)
+    cert_ext = regularity_data(ext.algebra, cert.gldim + 1, cert.gldim + 2)
+    nu = [row + (ZERO,) for row in defm.nu.entries]
+    nu += [tuple([ZERO] * n) + (lam,) for lam in shift]
+    theta = tuple(defm.theta) + tuple([ZERO] * n)
+    out = deformation_from_rows(cert_ext, ext.stacked_relations, nu, theta,
+                                defm.effective_domain)
+    if out is None:
+        raise ConsistencyError("extension relation escapes the expected span")
+    return out
 
 
 @dataclass(frozen=True)
@@ -262,8 +257,9 @@ class DeformedCYReport:
     witness: str | None
 
 
-def cy_criterion_deformed(defm: PBWDeformation) -> DeformedCYReport:
-    """Evaluate the deformed Calabi-Yau criterion on two independent routes.
+def cy_criterion_deformed(defm: PBWDeformation, c: Cdga) -> DeformedCYReport:
+    """Evaluate the deformed Calabi-Yau criterion on two independent routes,
+    given the curved structure c = dual_cdga(defm).
 
     Route one materializes the curved differential on the dual-sided trivial
     extension model and checks it vanishes on the whole degree equal to the
@@ -276,10 +272,9 @@ def cy_criterion_deformed(defm: PBWDeformation) -> DeformedCYReport:
     d = cert.gldim
     n = cert.algebra.n
     alg_fd = cert.dual_fd
-    c = dual_cdga(defm)
     xi = nakayama_of_algebra(cert)
-    shift = nakayama_shift(defm)
-    twisted = xi.matrix.mul_row(shift)
+    shift = nakayama_shift(cert, c)
+    twisted = xi.mul_row(shift)
     g1 = cert.frobenius.pairings[1]
     gamma = dual_trivial_extension(alg_fd, alg_fd.epsilon(d),
                                    alg_fd.identity_automorphism(), d + 1)
@@ -313,7 +308,7 @@ def cy_criterion_deformed(defm: PBWDeformation) -> DeformedCYReport:
             break
     if verdict_model != (tuple(shift) == tuple(twisted)):
         raise ConsistencyError("model verdict disagrees with the shift comparison")
-    ext_defm = skew_deformation(defm)
+    ext_defm = skew_deformation(defm, xi, shift)
     c_ext = dual_cdga(ext_defm)
     verdict_direct = all(not any(row) for row in c_ext.delta[d])
     if verdict_direct != verdict_model:
@@ -335,22 +330,22 @@ class CompatibilityReport:
         return self.delta_commutes and self.curvature_fixed
 
 
-def nakayama_cdga_compatibility(defm: PBWDeformation) -> CompatibilityReport:
-    cert = defm.cert
+def nakayama_cdga_compatibility(cert: RegularityCertificate,
+                                c: Cdga) -> CompatibilityReport:
+    """Compare the sign-adjusted dual Nakayama map of cert with the curved
+    structure c that a deformation of cert's algebra induces."""
     d = cert.gldim
     alg_fd = cert.dual_fd
-    c = dual_cdga(defm)
-    chi = GradedAutomorphism(tuple(
-        cert.frobenius.nakayama.matrices[k].scale(Fraction((-1) ** ((d + 1) * k)))
-        for k in range(d + 1)))
+    chi = tuple(cert.frobenius.nakayama[k].scale(Fraction((-1) ** ((d + 1) * k)))
+                for k in range(d + 1))
     commutes = True
     for j in range(d):
         for a in range(alg_fd.dims[j]):
-            lhs = chi.apply(j + 1, c.delta[j][a])
-            rhs = apply_delta(c, j, chi.apply(j, unit_vector(alg_fd.dims[j], a)))
+            lhs = chi[j + 1].mul_col(c.delta[j][a])
+            rhs = apply_delta(c, j, chi[j].mul_col(unit_vector(alg_fd.dims[j], a)))
             if lhs != rhs:
                 commutes = False
-    fixed = chi.apply(2, c.curvature) == tuple(c.curvature)
+    fixed = chi[2].mul_col(c.curvature) == tuple(c.curvature)
     return CompatibilityReport(commutes, fixed)
 
 
@@ -375,8 +370,9 @@ def cy_equivalence_dim2(defm: PBWDeformation) -> EquivalenceReport:
     cert = defm.cert
     if cert.gldim != 2:
         raise LinAlgError("the three-way equivalence is stated for dimension 2")
-    cond_i = nakayama_cdga_compatibility(defm).passed
-    crit = cy_criterion_deformed(defm)
+    c = dual_cdga(defm)
+    cond_i = nakayama_cdga_compatibility(cert, c).passed
+    crit = cy_criterion_deformed(defm, c)
     cond_ii = crit.is_CY
     m, _ = dim2_matrix_form(cert)
     lam = crit.shift

@@ -8,10 +8,11 @@ T(V)/(R) is the linear dual of K_k of the quadratic dual
 (Polishchuk-Positselski, Quadratic Algebras, Ch. 1).
 
 K_k is computed in integers, as an integer kernel over K_{k-1} (x) V, and
-becomes a canonical Fraction subspace only once, at the end.  Truncated
-multiplication tables are read off the class coordinates of product words
-and handed to GradedFDAlgebra as sparse cells.  No component is built on
-more than MAX_WORDS = 10^6 coordinate words: asking for one raises
+becomes a canonical Fraction subspace only once, at the end.  A truncation
+of T(V)/(R) is one object, a TruncatedAlgebra: the GradedFDAlgebra whose
+sparse structure cells are read off the class coordinates of product
+words, together with those classes.  No component is built on more than
+MAX_WORDS = 10^6 coordinate words: asking for one raises
 ResourceLimitError.
 """
 
@@ -21,11 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .frobenius import GradedAutomorphism, GradedFDAlgebra
+from .frobenius import GradedFDAlgebra
 from .linalg import (LinAlgError, Matrix, ResourceLimitError, Subspace, Vec,
                      ZERO, int_kernel)
-from .tensors import (DegreeOneMap, Tensor, apply_slotwise, index_to_word,
-                      preserves_subspace)
+from .tensors import Tensor, apply_slotwise, index_to_word, preserves_subspace
 
 # the most coordinate words n**m a Koszul component may have
 MAX_WORDS = 10 ** 6
@@ -191,19 +191,21 @@ def numeric_koszul_certificate(alg: QuadraticAlgebra, bound: int) -> KoszulCerti
                              mism, tuple(euler))
 
 
-class TruncatedAlgebra:
-    """Multiplication tables of T(V)/(R) up to a degree bound.
+class TruncatedAlgebra(GradedFDAlgebra):
+    """T(V)/(R) up to a degree bound, as the GradedFDAlgebra it truncates to.
 
     The degree-k piece is paired with the Koszul component K_k of the dual,
     its linear dual inside the degree-k word coordinates.  In echelon form
     read from the last column, K_k has one basis row per pivot word: those
     words are the degree-k basis, and row t read on any word is coordinate t
-    of that word's class.
+    of that word's class.  The structure table follows cell by cell: the
+    product of basis words w_a and w_b is the word w_a w_b, whose class is
+    read off directly.  Unit and associativity are checked as for any
+    GradedFDAlgebra.
     """
 
     def __init__(self, alg: QuadraticAlgebra, bound: int):
         self.algebra = alg
-        self.bound = bound
         n = alg.n
         dual = quadratic_dual(alg)
         self.components = tuple(koszul_component(dual, k)
@@ -223,10 +225,18 @@ class TruncatedAlgebra:
             classes.append({w: tuple(ts) for w, ts in cls.items()})
         self.words = tuple(words)
         self.classes = tuple(classes)
-        self.dims = tuple(len(w) for w in self.words)
-        self.labels = tuple(
-            tuple(word_label(alg.names, index_to_word(w, n, k)) for w in self.words[k])
+        labels = tuple(
+            tuple(word_label(alg.names, index_to_word(w, n, k)) for w in words[k])
             for k in range(bound + 1))
+        mult = {}
+        for i in range(bound + 1):
+            for j in range(bound + 1 - i):
+                stride = n ** j
+                cls = classes[i + j]
+                mult[(i, j)] = tuple(
+                    tuple(cls.get(wa * stride + wb, ()) for wb in words[j])
+                    for wa in words[i])
+        super().__init__([len(w) for w in words], labels, mult)
 
     def reduce_sparse(self, k: int, sparse) -> Vec:
         out = [ZERO] * self.dims[k]
@@ -262,13 +272,14 @@ class TruncatedAlgebra:
             raise LinAlgError("pairing space lives in the wrong degree")
         return self.class_from_row_pairings(k, space.basis.entries, values)
 
-    def automorphism(self, phi: DegreeOneMap) -> GradedAutomorphism:
-        """Extend a relation-preserving degree-one map to all truncations."""
+    def automorphism(self, phi: Matrix) -> tuple[Matrix, ...]:
+        """Extend a relation-preserving degree-one map to every degree, one
+        matrix per degree."""
         if not preserves_subspace(phi, self.algebra.relations, 2):
             raise LinAlgError("map does not preserve the relation subspace")
         n = self.algebra.n
         mats = []
-        for k in range(self.bound + 1):
+        for k in range(self.length + 1):
             cols = []
             for w in self.words[k]:
                 img = apply_slotwise([phi] * k,
@@ -278,21 +289,7 @@ class TruncatedAlgebra:
                 mats.append(Matrix.from_rows(zip(*cols), len(cols)))
             else:
                 mats.append(Matrix((), 0))
-        return GradedAutomorphism(tuple(mats))
-
-    def to_graded_algebra(self) -> GradedFDAlgebra:
-        """The structure table, cell by cell: the product of basis words
-        w_a and w_b is the word w_a w_b, whose class is read off directly."""
-        n = self.algebra.n
-        mult = {}
-        for i in range(self.bound + 1):
-            for j in range(self.bound + 1 - i):
-                stride = n ** j
-                cls = self.classes[i + j]
-                mult[(i, j)] = tuple(
-                    tuple(cls.get(wa * stride + wb, ()) for wb in self.words[j])
-                    for wa in self.words[i])
-        return GradedFDAlgebra(self.dims, self.labels, mult)
+        return tuple(mats)
 
 
 @lru_cache(maxsize=None)

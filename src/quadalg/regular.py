@@ -13,13 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .frobenius import (FrobeniusStructure, GradedFDAlgebra, NotFrobenius,
-                        frobenius_structure)
+from .frobenius import FrobeniusStructure, NotFrobenius, frobenius_structure
 from .linalg import ConsistencyError, LinAlgError, Matrix
-from .quadratic import (KoszulCertificate, QuadraticAlgebra, TruncatedAlgebra,
-                        graded_dims, numeric_koszul_certificate,
-                        quadratic_dual, truncated_structure)
-from .tensors import DegreeOneMap, preserves_subspace
+from .quadratic import (QuadraticAlgebra, TruncatedAlgebra, graded_dims,
+                        numeric_koszul_certificate, quadratic_dual,
+                        truncated_structure)
+from .tensors import preserves_subspace
 
 
 class NotRegular(Exception):
@@ -33,17 +32,18 @@ class NotRegular(Exception):
 
 @dataclass(frozen=True, eq=False)
 class RegularityCertificate:
-    """Bundle of all data the bounded regularity checks produced."""
+    """The data the bounded regularity checks produced that later steps read.
+
+    dual_fd is the dual algebra truncated at its top degree gldim; dual_dims
+    runs on to the bound.
+    """
 
     algebra: QuadraticAlgebra
-    dual: QuadraticAlgebra
     gldim: int
     bound: int
     dual_dims: tuple[int, ...]
-    dual_truncation: TruncatedAlgebra
-    dual_fd: GradedFDAlgebra
+    dual_fd: TruncatedAlgebra
     frobenius: FrobeniusStructure
-    koszul: KoszulCertificate
 
 
 @lru_cache(maxsize=None)
@@ -54,8 +54,7 @@ def _certify(alg: QuadraticAlgebra, bound: int) -> RegularityCertificate:
         raise NotRegular("dual algebra is still nonzero at the degree bound, "
                          "no finite length is visible", bound)
     d = max(k for k in range(bound + 1) if dual_dims[k] > 0)
-    trunc = truncated_structure(dual, d)
-    dual_fd = trunc.to_graded_algebra()
+    dual_fd = truncated_structure(dual, d)
     try:
         frob = frobenius_structure(dual_fd)
     except NotFrobenius as nf:
@@ -65,11 +64,10 @@ def _certify(alg: QuadraticAlgebra, bound: int) -> RegularityCertificate:
     if not kos.passed:
         witness = min(kos.component_mismatches + kos.euler_failures)
         raise NotRegular("Koszul numerics fail", witness)
-    return RegularityCertificate(alg, dual, d, bound, dual_dims, trunc,
-                                 dual_fd, frob, kos)
+    return RegularityCertificate(alg, d, bound, dual_dims, dual_fd, frob)
 
 
-def as_regular_certificate(alg: QuadraticAlgebra, bound: int = 5) -> RegularityCertificate:
+def as_regular_certificate(alg: QuadraticAlgebra, bound: int) -> RegularityCertificate:
     """Certify regularity up to the bound, or raise NotRegular with a witness."""
     return _certify(alg, bound)
 
@@ -86,22 +84,23 @@ def regularity_data(alg: QuadraticAlgebra, expected_gldim: int,
     return cert
 
 
-def nakayama_of_algebra(cert: RegularityCertificate) -> DegreeOneMap:
+def nakayama_of_algebra(cert: RegularityCertificate) -> Matrix:
     """Nakayama automorphism of the algebra, from the dual pairing data.
 
     On generators this is the sign-adjusted inverse transpose of the dual
-    Nakayama map in degree one.  The result must preserve the relation
-    subspace; if it does not, the certificate data is inconsistent.
+    Nakayama map in degree one, in column convention.  The result must
+    preserve the relation subspace; if it does not, the certificate data is
+    inconsistent.
     """
     d = cert.gldim
-    phi1 = cert.frobenius.nakayama.matrices[1]
-    xi = DegreeOneMap(phi1.inverse().transpose().scale(Fraction((-1) ** (d + 1))))
+    phi1 = cert.frobenius.nakayama[1]
+    xi = phi1.inverse().transpose().scale(Fraction((-1) ** (d + 1)))
     if not preserves_subspace(xi, cert.algebra.relations, 2):
         raise ConsistencyError("extracted Nakayama map does not preserve the relations")
     return xi
 
 
-def dim2_matrix_form(cert: RegularityCertificate) -> tuple[Matrix, DegreeOneMap]:
+def dim2_matrix_form(cert: RegularityCertificate) -> tuple[Matrix, Matrix]:
     """For a dimension-2 algebra with one relation: the coefficient matrix M
     of the canonical relation, and the Nakayama map recomputed from M.
 
@@ -118,7 +117,7 @@ def dim2_matrix_form(cert: RegularityCertificate) -> tuple[Matrix, DegreeOneMap]
     m = Matrix.from_rows([row[i * n:(i + 1) * n] for i in range(n)], n)
     if not m.is_invertible():
         raise LinAlgError("relation coefficient matrix is singular")
-    xi = DegreeOneMap((m.transpose() @ m.inverse()).scale(Fraction(-1)))
-    if xi.matrix != nakayama_of_algebra(cert).matrix:
+    xi = (m.transpose() @ m.inverse()).scale(Fraction(-1))
+    if xi != nakayama_of_algebra(cert):
         raise ConsistencyError("matrix-form Nakayama disagrees with the pairing route")
     return m, xi

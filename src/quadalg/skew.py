@@ -23,7 +23,7 @@ from .quadratic import (QuadraticAlgebra, graded_dims, quadratic_dual,
 from .regular import RegularityCertificate
 from .superpotential import (derivation_quotient, extract_superpotential,
                              symmetrize)
-from .tensors import DegreeOneMap, Tensor, preserves_subspace
+from .tensors import preserves_subspace
 
 
 def fresh_letter(names) -> str:
@@ -46,33 +46,35 @@ class SkewExtension:
     """
 
     algebra: QuadraticAlgebra
-    mixed_relations: tuple[Tensor, ...]
     zname: str
     stacked_relations: tuple[Vec, ...]
 
 
 @lru_cache(maxsize=None)
-def _skew_extend(base: QuadraticAlgebra, sigma: DegreeOneMap) -> SkewExtension:
+def _skew_extend(base: QuadraticAlgebra, sigma: Matrix) -> SkewExtension:
     n = base.n
-    if sigma.n != n:
+    if sigma.cols != n:
         raise LinAlgError("twist acts on the wrong space")
-    if not sigma.matrix.is_invertible():
+    if not sigma.is_invertible():
         raise LinAlgError("twist must be invertible")
     if not preserves_subspace(sigma, base.relations, 2):
         raise LinAlgError("twist does not preserve the relations")
     zname = fresh_letter(base.names)
     names = base.names + (zname,)
     m = n + 1
-    pinv = sigma.matrix.inverse()
+    pinv = sigma.inverse()
     stacked = []
     for row in base.relations.rows:
         dense = [ZERO] * (m * m)
         for c, v in row:
             dense[(c // n) * m + (c % n)] = v
         stacked.append(tuple(dense))
-    mixed = tuple(Tensor.make(2, m, [((n, k), pinv[k, i]) for k in range(n)]
-                              + [((i, n), -ONE)]) for i in range(n))
-    stacked += [t.to_vector() for t in mixed]
+    # the i-th mixed relation z (x) sigma^{-1}(x_i) - x_i (x) z
+    for i in range(n):
+        dense = [ZERO] * (m * m)
+        dense[n * m:n * m + n] = pinv.col(i)
+        dense[i * m + n] = -ONE
+        stacked.append(tuple(dense))
     relations = Subspace.from_spanning(stacked, m * m)
     if relations.dim != base.relations.dim + n:
         raise ConsistencyError("mixed relations are not independent of the base ones")
@@ -83,10 +85,10 @@ def _skew_extend(base: QuadraticAlgebra, sigma: DegreeOneMap) -> SkewExtension:
             raise ConsistencyError(
                 f"extension dimension {dim} at degree {k} is not the "
                 f"partial sum {sum(dims_base[:k + 1])} of the base dimensions")
-    return SkewExtension(algebra, mixed, zname, tuple(stacked))
+    return SkewExtension(algebra, zname, tuple(stacked))
 
 
-def skew_extend(base: QuadraticAlgebra, sigma: DegreeOneMap) -> SkewExtension:
+def skew_extend(base: QuadraticAlgebra, sigma: Matrix) -> SkewExtension:
     """Adjoin one twisted letter, named by fresh_letter; dimension counts
     are verified up to degree 4 against the partial sums of the base
     dimensions."""
@@ -94,14 +96,13 @@ def skew_extend(base: QuadraticAlgebra, sigma: DegreeOneMap) -> SkewExtension:
 
 
 def ext_algebra_of_skew(cert: RegularityCertificate,
-                        sigma: DegreeOneMap) -> GradedFDAlgebra:
+                        sigma: Matrix) -> GradedFDAlgebra:
     """Model of the extension's cohomology algebra: the dual algebra extended
     by a shifted copy of itself, sign-twisted on the left and twisted by the
     transposed inverse of sigma on the right."""
-    trunc = cert.dual_truncation
-    psi = trunc.automorphism(DegreeOneMap(sigma.matrix.inverse().transpose()))
-    eps = cert.dual_fd.epsilon(1)
-    return twisted_module_trivial_extension(cert.dual_fd, eps, psi, -1)
+    dual = cert.dual_fd
+    psi = dual.automorphism(sigma.inverse().transpose())
+    return twisted_module_trivial_extension(dual, dual.epsilon(1), psi, -1)
 
 
 @dataclass(eq=False)
@@ -123,7 +124,7 @@ class IsoReport:
 
 
 def verify_ext_algebra_isomorphism(cert: RegularityCertificate,
-                                   sigma: DegreeOneMap) -> IsoReport:
+                                   sigma: Matrix) -> IsoReport:
     """Build the degreewise isomorphism from the model onto the truncated
     dual of the extension and compare all structure constants.
 
@@ -140,9 +141,7 @@ def verify_ext_algebra_isomorphism(cert: RegularityCertificate,
     d = cert.gldim
     ext = skew_extend(alg, sigma)
     gamma = ext_algebra_of_skew(cert, sigma)
-    bdual = quadratic_dual(ext.algebra)
-    trunc_bd = truncated_structure(bdual, d + 1)
-    ebd = trunc_bd.to_graded_algebra()
+    ebd = truncated_structure(quadratic_dual(ext.algebra), d + 1)
     length = d + 1
     generated_ok = True
     bijective = True
@@ -193,10 +192,10 @@ def verify_ext_algebra_isomorphism(cert: RegularityCertificate,
                 break
     # mixed dual relation classes, paired against the original relation rows
     nrel = alg.relations.dim
-    rt_classes = [trunc_bd.class_from_row_pairings(
+    rt_classes = [ebd.class_from_row_pairings(
         2, ext.stacked_relations, unit_vector(nrel + n, nrel + i))
         for i in range(n)]
-    pinv = sigma.matrix.inverse()
+    pinv = sigma.inverse()
     left_ok = True
     right_ok = True
     dim2 = ebd.dims[2]
@@ -227,7 +226,7 @@ class CYReport:
     witness: tuple | None
 
 
-def cy_check_with(cert: RegularityCertificate, sigma: DegreeOneMap) -> CYReport:
+def cy_check_with(cert: RegularityCertificate, sigma: Matrix) -> CYReport:
     """Whether extending by one letter twisted by sigma yields a Calabi-Yau
     algebra: the verified cohomology model must be graded symmetric.
 

@@ -16,20 +16,19 @@ from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Subspace, ZERO,
                      unit_vector)
 from .quadratic import QuadraticAlgebra, koszul_component
 from .regular import RegularityCertificate, nakayama_of_algebra
-from .tensors import (DegreeOneMap, Tensor, apply_slotwise, contract_left,
-                      contract_right, tau)
+from .tensors import Tensor, apply_slotwise, contract_left, contract_right, tau
 
 
-def twist_defect(w: Tensor, sigma: DegreeOneMap) -> Tensor:
+def twist_defect(w: Tensor, sigma: Matrix) -> Tensor:
     """w minus its sign-adjusted twisted rotation; zero iff w is twisted-cyclic."""
     d = w.degree
-    if sigma.n != w.ambient:
+    if sigma.cols != w.ambient:
         raise LinAlgError("twist acts on the wrong space")
     rotated = tau(d, d - 1, apply_slotwise([sigma] + [None] * (d - 1), w))
     return w.sub(rotated.scale(Fraction((-1) ** (d - 1))))
 
 
-def is_twisted_superpotential(w: Tensor, sigma: DegreeOneMap) -> bool:
+def is_twisted_superpotential(w: Tensor, sigma: Matrix) -> bool:
     return twist_defect(w, sigma).is_zero()
 
 
@@ -44,7 +43,7 @@ class SuperpotentialData:
     """
 
     w: Tensor
-    twist: DegreeOneMap
+    twist: Matrix
 
 
 def extract_superpotential(cert: RegularityCertificate) -> SuperpotentialData:
@@ -71,16 +70,15 @@ def extract_superpotential(cert: RegularityCertificate) -> SuperpotentialData:
         right_cols.append(rc)
     left = Matrix.from_rows(left_rows, sub.dim)
     right = Matrix.from_rows(zip(*right_cols), n)
-    twist = DegreeOneMap((right.transpose() @ left.inverse())
-                         .scale(Fraction((-1) ** (d + 1))))
-    if twist.matrix != nakayama_of_algebra(cert).matrix:
+    twist = (right.transpose() @ left.inverse()).scale(Fraction((-1) ** (d + 1)))
+    if twist != nakayama_of_algebra(cert):
         raise ConsistencyError("contraction twist disagrees with the pairing route")
     if not is_twisted_superpotential(w, twist):
         raise ConsistencyError("extracted tensor is not twisted-cyclic")
     return SuperpotentialData(w, twist)
 
 
-def symmetrize(w: Tensor, sigma: DegreeOneMap) -> Tensor:
+def symmetrize(w: Tensor, sigma: Matrix) -> Tensor:
     """Raise a twisted superpotential by one letter appended as a new last
     generator, producing an untwisted one.
 
@@ -92,10 +90,9 @@ def symmetrize(w: Tensor, sigma: DegreeOneMap) -> Tensor:
     """
     d = w.degree
     n = w.ambient
-    p = sigma.matrix
-    ext_rows = [tuple(p.entries[i]) + (ZERO,) for i in range(n)]
+    ext_rows = [tuple(sigma.entries[i]) + (ZERO,) for i in range(n)]
     ext_rows.append(tuple(ZERO for _ in range(n)) + (ONE,))
-    sigma_ext = DegreeOneMap(Matrix.from_rows(ext_rows, n + 1))
+    sigma_ext = Matrix.from_rows(ext_rows, n + 1)
     base = Tensor.make(1, n + 1, [((n,), ONE)]).tensor(
         Tensor(d, n + 1, w.terms))
     acc = Tensor.zero(d + 1, n + 1)
@@ -104,7 +101,7 @@ def symmetrize(w: Tensor, sigma: DegreeOneMap) -> Tensor:
         term = tau(d + 1, i, apply_slotwise(slots, base))
         acc = acc.add(term.scale(Fraction((-1) ** i)))
     if (is_twisted_superpotential(w, sigma)
-            and not is_twisted_superpotential(acc, DegreeOneMap.identity(n + 1))):
+            and not is_twisted_superpotential(acc, Matrix.identity(n + 1))):
         raise ConsistencyError("symmetrized tensor fails plain cyclicity")
     return acc
 
@@ -139,15 +136,16 @@ class PresentationReport:
         return self.matches_relations and self.coupling_invertible
 
 
-def verify_superpotential_presentation(cert: RegularityCertificate) -> PresentationReport:
-    """Check the derivation quotient of the extracted superpotential returns
-    the original relations, and solve w as a relation-times-factor sum.
+def verify_superpotential_presentation(cert: RegularityCertificate,
+                                       data: SuperpotentialData) -> PresentationReport:
+    """Check the derivation quotient of the superpotential extracted from
+    cert returns the original relations, and solve w as a
+    relation-times-factor sum.
 
     The coupling matrix L satisfies w = sum L[a][b] r_a (x) c_b over the
     canonical relation basis r and the basis c of the Koszul component two
     degrees down; it must be invertible.
     """
-    data = extract_superpotential(cert)
     alg = cert.algebra
     d = cert.gldim
     dq = derivation_quotient(data.w, d - 2, alg.names)

@@ -3,7 +3,9 @@
 A degree-d tensor over an n-dimensional space is stored as a sorted tuple of
 (word, coefficient) pairs, where a word is a tuple of d letter indices.
 Words are identified with flat coordinates through the big-endian base-n
-expansion, so the induced coordinate order is lexicographic on words.
+expansion, so the induced coordinate order is lexicographic on words.  A
+linear map of the degree-one space is a plain Matrix in column convention:
+column j holds the coordinates of the image of letter j.
 """
 
 from __future__ import annotations
@@ -131,30 +133,9 @@ class Tensor:
         return " + ".join(f"{c}*{''.join(map(str, w))}" for w, c in self.terms)
 
 
-@dataclass(frozen=True)
-class DegreeOneMap:
-    """A linear endomorphism of the degree-one space in column convention.
-
-    Column j of ``matrix`` holds the coordinates of the image of the j-th
-    basis letter; a coordinate row v maps to matrix . v.
-    """
-
-    matrix: Matrix
-
-    @staticmethod
-    def identity(n: int) -> "DegreeOneMap":
-        return DegreeOneMap(Matrix.identity(n))
-
-    @property
-    def n(self) -> int:
-        return self.matrix.cols
-
-    def image_of(self, j: int) -> Vec:
-        return self.matrix.col(j)
-
-
 def apply_slotwise(maps, t: Tensor) -> Tensor:
-    """Apply per-slot degree-one maps to a tensor; None means identity."""
+    """Apply per-slot degree-one maps (matrices in column convention: column
+    j is the image of letter j) to a tensor; None means identity."""
     maps = tuple(maps)
     if len(maps) != t.degree:
         raise LinAlgError("slot count does not match tensor degree")
@@ -165,7 +146,7 @@ def apply_slotwise(maps, t: Tensor) -> Tensor:
             if m is None:
                 partial = [(w + (letter,), c) for w, c in partial]
                 continue
-            col = m.image_of(letter)
+            col = m.col(letter)
             nxt: list[tuple[Word, Fraction]] = []
             for w, c in partial:
                 for i, a in enumerate(col):
@@ -220,9 +201,9 @@ def contract_right(t: Tensor, psi: Vec) -> Tensor:
     return Tensor.make(t.degree - 1, t.ambient, terms)
 
 
-def preserves_subspace(phi: DegreeOneMap, space: Subspace, degree: int) -> bool:
+def preserves_subspace(phi: Matrix, space: Subspace, degree: int) -> bool:
     """Whether the slotwise extension of phi maps the subspace into itself."""
-    n = phi.n
+    n = phi.cols
     if space.ambient != n ** degree:
         raise LinAlgError("subspace ambient does not match the tensor degree")
     ext = tuple([phi] * degree)

@@ -4,11 +4,10 @@ from fractions import Fraction
 from importlib import resources
 import random
 
-from quadalg import (Cdga, DegreeOneMap, GradedAutomorphism, GradedFDAlgebra,
-                     Matrix, Subspace, Tensor, apply_delta, apply_slotwise,
-                     as_regular_certificate, dual_trivial_extension,
-                     index_to_word, nakayama_of_algebra, tau, word_label,
-                     word_to_index)
+from quadalg import (Cdga, GradedFDAlgebra, Matrix, Subspace, Tensor,
+                     apply_delta, apply_slotwise, as_regular_certificate,
+                     dual_trivial_extension, index_to_word,
+                     nakayama_of_algebra, tau, word_label, word_to_index)
 from quadalg.io import description_to_algebra, parse_description
 from quadalg.linalg import LinAlgError, ZERO, unit_vector
 
@@ -31,7 +30,7 @@ def algebra_of(name):
 
 def cert_of(name):
     # certification is cached on the algebra value, so this stays cheap
-    return as_regular_certificate(algebra_of(name))
+    return as_regular_certificate(algebra_of(name), 5)
 
 
 def dense_algebra(dims, labels, mult):
@@ -134,8 +133,8 @@ def twist_pool():
         cert = cert_of(name)
         n = cert.algebra.n
         pool.append((n, nakayama_of_algebra(cert)))
-        pool.append((n, DegreeOneMap.identity(n)))
-        pool.append((n, DegreeOneMap(Matrix.identity(n).scale(Fraction(-1)))))
+        pool.append((n, Matrix.identity(n)))
+        pool.append((n, Matrix.identity(n).scale(Fraction(-1))))
     return pool
 
 
@@ -156,7 +155,7 @@ def scalar_twist(alg_fd, k, c):
     for i in range(alg_fd.length + 1):
         factor = (Fraction(-1) ** (k * i)) * (Fraction(c) ** i)
         mats.append(Matrix.identity(alg_fd.dims[i]).scale(factor))
-    return GradedAutomorphism(tuple(mats))
+    return tuple(mats)
 
 
 def block_nakayama_oracle(alg_fd, sigma, n_ext):
@@ -168,12 +167,12 @@ def block_nakayama_oracle(alg_fd, sigma, n_ext):
         dni = alg_fd.dim(n_ext - i)
         rows = [[Fraction(0)] * (di + dni) for _ in range(di + dni)]
         if di:
-            inv = sigma.matrices[i].inverse()
+            inv = sigma[i].inverse()
             for a in range(di):
                 for b in range(di):
                     rows[a][b] = inv[a, b]
         if dni:
-            t = sigma.matrices[n_ext - i].transpose()
+            t = sigma[n_ext - i].transpose()
             for a in range(dni):
                 for b in range(dni):
                     rows[di + a][di + b] = t[a, b]
@@ -287,30 +286,29 @@ def structure_equal(a: GradedFDAlgebra, b: GradedFDAlgebra) -> bool:
     return a.dims == b.dims and a.mult == b.mult
 
 
-def is_multiplicative(auto: GradedAutomorphism, alg: GradedFDAlgebra) -> bool:
-    """Whether auto is a unital graded algebra automorphism of alg, checked
-    on every product of two basis elements."""
-    if len(auto.matrices) != alg.length + 1:
+def is_multiplicative(auto, alg: GradedFDAlgebra) -> bool:
+    """Whether auto, one matrix per degree, is a unital graded algebra
+    automorphism of alg, checked on every product of two basis elements."""
+    if len(auto) != alg.length + 1:
         return False
-    if not all(m.is_invertible() for m in auto.matrices):
+    if not all(m.is_invertible() for m in auto):
         return False
-    if auto.matrices[0] != Matrix.identity(1):
+    if auto[0] != Matrix.identity(1):
         return False
     d = alg.length
     for i in range(d + 1):
         for j in range(d + 1 - i):
             for a in range(alg.dims[i]):
-                fa = auto.apply(i, unit_vector(alg.dims[i], a))
+                fa = auto[i].col(a)
                 for b in range(alg.dims[j]):
-                    fb = auto.apply(j, unit_vector(alg.dims[j], b))
-                    lhs = auto.apply(i + j, alg.multiply_basis(i, a, j, b))
+                    fb = auto[j].col(b)
+                    lhs = auto[i + j].mul_col(alg.multiply_basis(i, a, j, b))
                     if lhs != alg.multiply(i, fa, j, fb):
                         return False
     return True
 
 
-def trivial_extension(alg: GradedFDAlgebra, sigma: GradedAutomorphism,
-                      n: int) -> GradedFDAlgebra:
+def trivial_extension(alg: GradedFDAlgebra, sigma, n: int) -> GradedFDAlgebra:
     """Trivial extension by the dual twisted by sigma on the right only."""
     return dual_trivial_extension(alg, alg.identity_automorphism(), sigma, n)
 
@@ -353,3 +351,15 @@ def cdg_trivial_extension(c: Cdga) -> Cdga:
         delta.append(tuple(rows))
     curv = tuple(c.curvature) + tuple([ZERO] * alg.dim(d - 1))
     return Cdga(gamma, tuple(delta), curv)
+
+
+def rescaled_nakayama_shift(cert, c: Cdga, s) -> tuple:
+    """The Nakayama shift of a deformation with curved dual c, read after
+    rescaling the top class by s: entry i is the top coefficient of the
+    differential on s times the element that pairs to 1 against the i-th
+    dual generator, divided by s.  Independent of s for s nonzero."""
+    s = Fraction(s)
+    d = cert.gldim
+    omega_cols = cert.frobenius.pairings[1].inverse().scale(s)
+    return tuple(apply_delta(c, d - 1, omega_cols.col(i))[0] / s
+                 for i in range(cert.algebra.n))

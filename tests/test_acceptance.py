@@ -12,9 +12,9 @@ from helpers import (AS_REGULAR, CORPUS, DIM2, block_nakayama_oracle,
                      random_member, random_nu_theta, scalar_twist, seeded,
                      structure_equal, trivial_extension, twist_pool,
                      twisted_cyclic_space)
-from quadalg import (DegreeOneMap, Matrix, PBWDeformation, Tensor, cy_check_with,
+from quadalg import (Matrix, PBWDeformation, Tensor, cy_check_with,
                      cy_criterion_deformed, cy_equivalence_dim2,
-                     deformed_nakayama, derivation_quotient, dim2_matrix_form,
+                     derivation_quotient, dim2_matrix_form, dual_cdga,
                      dual_trivial_extension, extract_superpotential,
                      frobenius_structure, graded_dims, is_graded_symmetric,
                      is_twisted_superpotential, nakayama_of_algebra,
@@ -42,13 +42,13 @@ def test_criterion_1_nakayama_two_route_agreement():
         d = cert.gldim
         # route one: sign-adjusted transposed inverse of the dual algebra's
         # degree-one Nakayama block
-        phi1 = cert.frobenius.nakayama.matrices[1]
+        phi1 = cert.frobenius.nakayama[1]
         route_a = phi1.inverse().transpose().scale(F((-1) ** (d + 1)))
         # route two: -M^t M^{-1} from the relation coefficient matrix
         m, _ = dim2_matrix_form(cert)
         route_b = (m.transpose() @ m.inverse()).scale(F(-1))
         assert route_a == route_b, name
-        assert route_a == nakayama_of_algebra(cert).matrix, name
+        assert route_a == nakayama_of_algebra(cert), name
         if name in EXPECTED_NAKAYAMA:
             assert route_a == Matrix.from_rows(EXPECTED_NAKAYAMA[name], 2), name
     print("criterion 1 (two-route Nakayama agreement, d=2): PASS")
@@ -68,7 +68,7 @@ def test_criterion_2_nakayama_twisted_extension_is_cy():
         rep = cy_check_with(cert_b, nakayama_of_algebra(cert_b))
         assert rep.is_CY, name
     # wrong twist must fail with a concrete witness pairing entry
-    rep = cy_check_with(cert_of("quantum_plane_q2"), DegreeOneMap.identity(2))
+    rep = cy_check_with(cert_of("quantum_plane_q2"), Matrix.identity(2))
     assert not rep.is_CY
     assert rep.witness == (1, 0, 2)
     print("criterion 2 (CY verdicts for Nakayama-twisted extensions): PASS")
@@ -78,7 +78,7 @@ def test_criterion_3_ext_algebra_oracle_equivalence():
     for name in AS_REGULAR:
         cert = cert_of(name)
         n = cert.algebra.n
-        for sigma in (nakayama_of_algebra(cert), DegreeOneMap.identity(n)):
+        for sigma in (nakayama_of_algebra(cert), Matrix.identity(n)):
             rep = verify_ext_algebra_isomorphism(cert, sigma)
             assert rep.generated_ok and rep.structure_ok, name
             assert rep.bijective, name
@@ -94,7 +94,7 @@ def test_criterion_4_superpotential_presentations():
         data = extract_superpotential(cert)
         dq = derivation_quotient(data.w, cert.gldim - 2, cert.algebra.names)
         assert dq.relations == cert.algebra.relations, name
-        assert verify_superpotential_presentation(cert).passed, name
+        assert verify_superpotential_presentation(cert, data).passed, name
         assert verify_extended_presentation(cert), name
     data = extract_superpotential(cert_of("kxy"))
     hat = symmetrize(data.w, data.twist)
@@ -122,7 +122,7 @@ def test_criterion_5_random_twisted_superpotentials_and_rotations():
             continue
         assert is_twisted_superpotential(w, sigma)
         hat = symmetrize(w, sigma)
-        assert is_twisted_superpotential(hat, DegreeOneMap.identity(n + 1))
+        assert is_twisted_superpotential(hat, Matrix.identity(n + 1))
         done += 1
     # full rotation has order d on words
     for d in range(2, 7):
@@ -147,7 +147,7 @@ def test_criterion_6_random_trivial_extensions():
         sigma = scalar_twist(alg_fd, k, c)
         gamma = trivial_extension(alg_fd, sigma, n_ext)
         fs = frobenius_structure(gamma)
-        assert fs.nakayama.matrices == block_nakayama_oracle(
+        assert fs.nakayama == block_nakayama_oracle(
             alg_fd, sigma, n_ext)
     # parity twist at the top makes the extension graded symmetric
     for alg_fd in duals:
@@ -173,7 +173,7 @@ def test_criterion_7_three_way_equivalence():
     noncy = _corpus_deformation("deformed_qp_noncy", 2)
     rep = cy_equivalence_dim2(noncy)
     assert (rep.cond_i, rep.cond_ii, rep.cond_iii) == (False, False, False)
-    lam = nakayama_shift(noncy)
+    lam = nakayama_shift(noncy.cert, dual_cdga(noncy))
     assert lam == (F(0), F(-1, 2))
     m, _ = dim2_matrix_form(noncy.cert)
     left = m.mul_row(lam)
@@ -189,7 +189,8 @@ def test_criterion_8_deformations_of_commutative_plane():
     cert = cert_of("kxy")
     for _ in range(50):
         nu, theta = random_nu_theta(rng, cert)
-        rep = cy_criterion_deformed(PBWDeformation(cert, nu, theta))
+        defm = PBWDeformation(cert, nu, theta)
+        rep = cy_criterion_deformed(defm, dual_cdga(defm))
         assert rep.is_CY
         assert rep.converse_definitive
     # xy - yx deformed by nu = x: the affine Nakayama map fixes x and
@@ -198,11 +199,12 @@ def test_criterion_8_deformations_of_commutative_plane():
     # same lambda convention every other criterion uses, so zeta(y) = y - 1.
     defm = PBWDeformation(cert, Matrix.from_rows([(F(1), F(0))], 2),
                           (F(0),))
-    aff = deformed_nakayama(defm)
-    assert aff.linear.matrix == Matrix.identity(2)
-    assert aff.shift == (F(0), F(-1))
-    assert aff.shift != (F(0), F(1))
-    assert cy_criterion_deformed(defm).is_CY
+    c = dual_cdga(defm)
+    assert nakayama_of_algebra(cert) == Matrix.identity(2)
+    shift = nakayama_shift(cert, c)
+    assert shift == (F(0), F(-1))
+    assert shift != (F(0), F(1))
+    assert cy_criterion_deformed(defm, c).is_CY
     print("criterion 8 (random deformations of the commutative plane): PASS")
 
 

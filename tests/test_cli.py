@@ -6,8 +6,11 @@ from importlib import resources
 
 import pytest
 
+from helpers import AS_REGULAR
 from quadalg import cli
 from quadalg.cli import main
+from quadalg.pbw import dual_cdga, nakayama_shift
+from quadalg.superpotential import extract_superpotential
 
 CORPUS = resources.files("quadalg") / "corpus"
 
@@ -167,6 +170,22 @@ def test_max_degree_guard(capsys):
     assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
 
 
+def test_exponent_notation_is_a_parse_error(tmp_path, capsys):
+    # a coefficient like 1e1000000 would make a 100-byte input run for
+    # minutes; it is refused while parsing
+    p = tmp_path / "exponent.json"
+    p.write_text(json.dumps({
+        "generators": ["x", "y"],
+        "relations": [[{"coeff": "1", "word": ["x", "y"]},
+                       {"coeff": "1e100", "word": ["y", "x"]}]]}))
+    code, out = _error_line(capsys, "hilbert", str(p))
+    assert code == 2
+    assert out == json.dumps({
+        "command": "hilbert", "status": "error",
+        "error": "relations[0][1].coeff: bad rational '1e100': exponent "
+                 "notation is not accepted"}, sort_keys=True) + "\n"
+
+
 def test_resource_guard_exit_code(tmp_path, capsys):
     # every degree-two word in 32 letters is a relation: the dual is free, so
     # its Koszul components vanish from degree 2 on, yet degree 4 already
@@ -273,3 +292,41 @@ def test_non_regular_input_is_inapplicable(tmp_path, capsys):
         assert "dual algebra is still nonzero" in rep["error"]
     code, rep = _run(capsys, "regular", str(p))
     assert code == 1 and rep["verdict"]["regular"] is False
+
+
+def _count_calls(monkeypatch, fn):
+    """Wrap fn at every quadalg module that binds it, the way perfbench's
+    tracer does, and return the list that records one entry per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "quadalg" or name.startswith("quadalg."):
+            for attr, obj in list(vars(mod).items()):
+                if obj is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command,fn,names,per_run", [
+    # the input deformation's curved dual, and the transported one's
+    ("pbw", dual_cdga, ("deformed_qp_noncy", "quantum_weyl", "heisenberg"), 2),
+    ("thm5", dual_cdga, ("deformed_qp_noncy", "quantum_weyl"), 2),
+    ("pbw", nakayama_shift, ("deformed_qp_noncy", "quantum_weyl", "heisenberg"),
+     1),
+    ("thm5", nakayama_shift, ("deformed_qp_noncy", "quantum_weyl"), 1),
+    ("superpotential", extract_superpotential, AS_REGULAR, 1),
+], ids=["pbw-dual_cdga", "thm5-dual_cdga", "pbw-nakayama_shift",
+        "thm5-nakayama_shift", "superpotential-extract_superpotential"])
+def test_each_object_is_built_once_per_run(capsys, monkeypatch, command, fn,
+                                           names, per_run):
+    calls = _count_calls(monkeypatch, fn)
+    for name in names:
+        calls.clear()
+        code = main([command, _path(name)])
+        capsys.readouterr()
+        assert code in (0, 1), name
+        assert len(calls) == per_run, name

@@ -32,10 +32,10 @@ def test_sigma_row_convention():
            "relations": [[{"coeff": "1", "word": ["x", "y"]}]],
            "sigma": [["0", "1"], ["-1", "0"]]}
     desc = parse_description(json.dumps(doc))
-    assert desc.sigma.matrix == Matrix.from_rows(
+    assert desc.sigma == Matrix.from_rows(
         [(F(0), F(-1)), (F(1), F(0))], 2)
     # serialization transposes back
-    assert matrix_to_strings(desc.sigma.matrix) == [["0", "1"], ["-1", "0"]]
+    assert matrix_to_strings(desc.sigma) == [["0", "1"], ["-1", "0"]]
 
 
 @pytest.mark.parametrize("doc,path_hint", [
@@ -67,6 +67,28 @@ def test_validation_errors(doc, path_hint):
     with pytest.raises(ValidationError) as exc:
         parse_description(json.dumps(doc))
     assert path_hint.lower() in str(exc.value).lower()
+
+
+def _two_term_relation(coeff):
+    return json.dumps({"generators": ["x", "y"],
+                       "relations": [[{"coeff": "1", "word": ["x", "y"]},
+                                      {"coeff": coeff, "word": ["y", "x"]}]]})
+
+
+def test_exponent_notation_is_rejected():
+    # an exponent lets a few bytes name a number of any size; the integer,
+    # n/d and plain decimal forms stay accepted
+    for coeff, value in (("-3", F(-3)), ("2/3", F(2, 3)), ("-7/14", F(-1, 2)),
+                         ("1.25", F(5, 4)), (".5", F(1, 2))):
+        desc = parse_description(_two_term_relation(coeff))
+        assert desc.relations[0][1] == (value, ("y", "x"))
+    for coeff in ("1e1000000", "2E3", "-1.5e-2", "3/4e1"):
+        with pytest.raises(ValidationError) as exc:
+            parse_description(_two_term_relation(coeff))
+        assert exc.value.path == "relations[0][1].coeff"
+        assert str(exc.value) == (f"relations[0][1].coeff: bad rational "
+                                  f"{coeff!r}: exponent notation is not "
+                                  f"accepted")
 
 
 def test_invalid_json():

@@ -6,12 +6,12 @@ from random import Random
 import pytest
 
 from helpers import (DIM2, cdg_trivial_extension, cert_of, description_of,
-                     random_nu_theta)
+                     random_nu_theta, rescaled_nakayama_shift)
 from quadalg import (Matrix, PBWDeformation, apply_delta, check_cdga_axioms,
                      cy_criterion_deformed, cy_equivalence_dim2,
-                     deformed_nakayama, description_to_algebra, dual_cdga,
+                     description_to_algebra, dual_cdga, nakayama_of_algebra,
                      nakayama_cdga_compatibility, nakayama_shift,
-                     regularity_data, skew_deformation)
+                     regularity_data, skew_deformation, skew_extend)
 from quadalg.io import description_deformation
 from quadalg.linalg import LinAlgError
 
@@ -23,6 +23,10 @@ def _mk(name, nu_rows, theta):
     n = cert.algebra.n
     nu = Matrix.from_rows([tuple(F(v) for v in r) for r in nu_rows], n)
     return PBWDeformation(cert, nu, tuple(F(v) for v in theta))
+
+
+def _criterion(defm):
+    return cy_criterion_deformed(defm, dual_cdga(defm))
 
 
 def _corpus_defm(name, gldim, bound=5):
@@ -54,33 +58,31 @@ def test_noncy_dual_cdga_and_shift():
     defm = _corpus_defm("deformed_qp_noncy", 2)
     c = dual_cdga(defm)
     assert check_cdga_axioms(c).passed
-    shift = nakayama_shift(defm)
+    shift = nakayama_shift(defm.cert, c)
     assert shift == (F(0), F(-1, 2))
     # invariance under rescaling the top class
     for s in (2, 3, F(-1, 2)):
-        assert nakayama_shift(defm, s) == shift
-    aff = deformed_nakayama(defm)
-    assert aff.linear.matrix == Matrix.from_rows(
+        assert rescaled_nakayama_shift(defm.cert, c, s) == shift
+    assert nakayama_of_algebra(defm.cert) == Matrix.from_rows(
         [(F(2), F(0)), (F(0), F(1, 2))], 2)
-    assert aff.shift == (F(0), F(-1, 2))
 
 
 def test_kxy_first_order_shift():
     # relation xy - yx deformed by nu = x, theta = 0
     defm = _mk("kxy", [(1, 0)], (0,))
-    assert nakayama_shift(defm) == (F(0), F(-1))
     c = dual_cdga(defm)
+    assert nakayama_shift(defm.cert, c) == (F(0), F(-1))
     assert check_cdga_axioms(c).passed
     # the identity twist fixes every shift, so the verdict is positive no
     # matter the deformation
-    rep = cy_criterion_deformed(defm)
+    rep = cy_criterion_deformed(defm, c)
     assert rep.is_CY
     assert rep.witness is None
     assert rep.shift == rep.twisted_shift == (F(0), F(-1))
 
 
 def test_cy_witness_names_first_moved_generator():
-    rep = cy_criterion_deformed(_corpus_defm("deformed_qp_noncy", 2))
+    rep = _criterion(_corpus_defm("deformed_qp_noncy", 2))
     assert not rep.is_CY
     assert rep.witness == "y"
     assert rep.shift == (F(0), F(-1, 2))
@@ -94,9 +96,9 @@ def test_heisenberg_cdga():
     # relation xy - yx deforms to z: the new dual letter z* maps onto minus
     # the dual class of that relation
     assert apply_delta(c, 1, (F(0), F(0), F(1))) == (F(-1), F(0), F(0))
-    assert cy_criterion_deformed(defm).is_CY
-    assert nakayama_shift(defm) == (F(0), F(0), F(0))
-    assert nakayama_cdga_compatibility(defm).passed
+    assert cy_criterion_deformed(defm, c).is_CY
+    assert nakayama_shift(defm.cert, c) == (F(0), F(0), F(0))
+    assert nakayama_cdga_compatibility(defm.cert, c).passed
 
 
 def test_axioms_fail_on_jacobi_violation():
@@ -130,16 +132,16 @@ def test_skew_deformation_transport():
     for name, gldim in (("quantum_weyl", 2), ("deformed_qp_noncy", 2),
                         ("heisenberg", 3)):
         defm = _corpus_defm(name, gldim)
-        lam = nakayama_shift(defm)
-        ext_defm = skew_deformation(defm)
         cert = defm.cert
+        xi = nakayama_of_algebra(cert)
+        lam = nakayama_shift(cert, dual_cdga(defm))
+        ext_defm = skew_deformation(defm, xi, lam)
         n = cert.algebra.n
         nrel = cert.algebra.relations.dim
         c = dual_cdga(ext_defm)
         z_img = apply_delta(c, 1, tuple([F(0)] * n) + (F(1),))
         # rebuild the expected class from the stacked relation pairings
-        from quadalg import skew_extend, nakayama_of_algebra
-        ext = skew_extend(cert.algebra, nakayama_of_algebra(cert))
+        ext = skew_extend(cert.algebra, xi)
         stacked = []
         mm = (n + 1) ** 2
         for row in cert.algebra.relations.rows:
@@ -147,21 +149,20 @@ def test_skew_deformation_transport():
             for col, v in row:
                 dense[(col // n) * (n + 1) + (col % n)] = v
             stacked.append(tuple(dense))
-        for t in ext.mixed_relations:
-            stacked.append(t.to_vector())
+        stacked += ext.stacked_relations[nrel:]
         values = [F(0)] * nrel + list(lam)
-        expect = ext_defm.cert.dual_truncation.class_from_row_pairings(
+        expect = ext_defm.cert.dual_fd.class_from_row_pairings(
             2, stacked, values)
         assert z_img == expect, name
 
 
 def test_cy_criterion_goldens():
     noncy = _corpus_defm("deformed_qp_noncy", 2)
-    assert not cy_criterion_deformed(noncy).is_CY
-    rep = cy_criterion_deformed(_corpus_defm("quantum_weyl", 2))
+    assert not _criterion(noncy).is_CY
+    rep = _criterion(_corpus_defm("quantum_weyl", 2))
     assert rep.is_CY and rep.dimension == 3
     assert rep.converse_definitive
-    rep3 = cy_criterion_deformed(_corpus_defm("heisenberg", 3))
+    rep3 = _criterion(_corpus_defm("heisenberg", 3))
     assert rep3.is_CY and rep3.dimension == 4
 
 
@@ -169,14 +170,15 @@ def test_cdg_trivial_extension_structure():
     for name, gldim in (("quantum_weyl", 2), ("deformed_qp_noncy", 2),
                         ("heisenberg", 3)):
         defm = _corpus_defm(name, gldim)
-        big = cdg_trivial_extension(dual_cdga(defm))
+        c = dual_cdga(defm)
+        big = cdg_trivial_extension(c)
         assert check_cdga_axioms(big).passed, name
         # the differential of the shifted top unit lands on the shift
         # combination of the omega duals
         cert = defm.cert
         d = cert.gldim
         n = cert.algebra.n
-        lam = nakayama_shift(defm)
+        lam = nakayama_shift(cert, c)
         g1 = cert.frobenius.pairings[1]
         pi_star = tuple([F(0)] * cert.dual_fd.dim(1)) + (F(1),)
         img = apply_delta(big, 1, pi_star)
@@ -185,9 +187,10 @@ def test_cdg_trivial_extension_structure():
 
 
 def test_compatibility_reports():
-    assert nakayama_cdga_compatibility(_corpus_defm("quantum_weyl", 2)).passed
-    assert not nakayama_cdga_compatibility(
-        _corpus_defm("deformed_qp_noncy", 2)).passed
+    for name, passed in (("quantum_weyl", True), ("deformed_qp_noncy", False)):
+        defm = _corpus_defm(name, 2)
+        rep = nakayama_cdga_compatibility(defm.cert, dual_cdga(defm))
+        assert rep.passed == passed, name
 
 
 def test_equivalence_dim2_goldens():

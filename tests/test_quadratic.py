@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (AS_REGULAR, algebra_of, cert_of, is_multiplicative,
                      oracle_truncation, relation_degree_subspace,
                      structure_equal)
-from quadalg import (DegreeOneMap, Matrix, QuadraticAlgebra, Tensor,
+from quadalg import (Matrix, QuadraticAlgebra, Tensor,
                      graded_dims, koszul_component, nakayama_of_algebra,
                      numeric_koszul_certificate, preserves_subspace,
                      quadratic_dual, skew_extend, truncated_structure,
@@ -134,25 +134,24 @@ def test_numeric_koszul_refutation():
 def _dual_automorphism(cert, phi):
     """The automorphism of the dual induced by phi: the transpose, extended
     to every degree of the truncated dual."""
-    transpose = DegreeOneMap(phi.matrix.transpose())
-    return cert.dual_truncation.automorphism(transpose)
+    return cert.dual_fd.automorphism(phi.transpose())
 
 
 def test_dual_automorphism_contravariant():
     # both maps preserve the commutative plane's relations
     cert = cert_of("kxy")
-    phi = DegreeOneMap(Matrix.from_rows([(F(2), F(0)), (F(0), F(1, 2))], 2))
-    psi = DegreeOneMap(Matrix.from_rows([(F(1), F(0)), (F(1), F(1))], 2))
-    a = _dual_automorphism(cert, DegreeOneMap(phi.matrix @ psi.matrix))
+    phi = Matrix.from_rows([(F(2), F(0)), (F(0), F(1, 2))], 2)
+    psi = Matrix.from_rows([(F(1), F(0)), (F(1), F(1))], 2)
+    a = _dual_automorphism(cert, phi @ psi)
     b = _dual_automorphism(cert, psi)
     c = _dual_automorphism(cert, phi)
-    assert a.matrices == tuple(m @ n for m, n in zip(b.matrices, c.matrices))
+    assert a == tuple(m @ n for m, n in zip(b, c))
     assert is_multiplicative(a, cert.dual_fd)
 
 
 def test_dual_automorphism_requires_preservation():
     cert = cert_of("quantum_plane_q2")
-    shear = DegreeOneMap(Matrix.from_rows([(F(1), F(1)), (F(0), F(1))], 2))
+    shear = Matrix.from_rows([(F(1), F(1)), (F(0), F(1))], 2)
     assert not preserves_subspace(shear, cert.algebra.relations, 2)
     with pytest.raises(LinAlgError, match="does not preserve"):
         _dual_automorphism(cert, shear)
@@ -166,18 +165,16 @@ def _degree_one(trunc, **coeffs):
 def test_truncated_multiply_matches_tensor_reduction():
     trunc = truncated_structure(algebra_of("quantum_plane_q2"), 4)
     # x * y = 2 y x in the quotient: the class of the word xy is 2 yx
-    xy = trunc.to_graded_algebra().multiply(1, _degree_one(trunc, x=1),
-                                            1, _degree_one(trunc, y=1))
+    xy = trunc.multiply(1, _degree_one(trunc, x=1), 1, _degree_one(trunc, y=1))
     assert trunc.lift_sparse(2, xy) == {word_to_index((1, 0), 2): F(2)}
     assert xy == trunc.reduce_sparse(2, {word_to_index((0, 1), 2): 1})
 
 
 def test_truncated_associativity_spot():
-    trunc = truncated_structure(algebra_of("jordan_plane"), 4)
-    alg = trunc.to_graded_algebra()
-    u = _degree_one(trunc, x=1, y=2)
-    v = _degree_one(trunc, y=1)
-    w = _degree_one(trunc, x=1)
+    alg = truncated_structure(algebra_of("jordan_plane"), 4)
+    u = _degree_one(alg, x=1, y=2)
+    v = _degree_one(alg, y=1)
+    w = _degree_one(alg, x=1)
     left = alg.multiply(2, alg.multiply(1, u, 1, v), 1, w)
     right = alg.multiply(1, u, 2, alg.multiply(1, v, 1, w))
     assert left == right
@@ -185,11 +182,11 @@ def test_truncated_associativity_spot():
 
 def test_class_from_pairings_errors():
     cert = cert_of("quantum_plane_q2")
-    trunc = cert.dual_truncation
+    trunc = cert.dual_fd
     rel = cert.algebra.relations
     # pairing values that are not constant on classes must be rejected:
     # pair against a row inside the dual's own relation span
-    dead = relation_degree_subspace(cert.dual, 2).basis.entries[0]
+    dead = relation_degree_subspace(cert.algebra.dual, 2).basis.entries[0]
     from quadalg.linalg import Subspace
     bad_space = Subspace.from_spanning([dead], rel.ambient)
     with pytest.raises(LinAlgError):
@@ -208,9 +205,9 @@ def test_dual_truncation_matches_relation_span_oracle():
     for name in AS_REGULAR:
         cert = cert_of(name)
         ext = skew_extend(cert.algebra, nakayama_of_algebra(cert))
-        for dual, bound in ((cert.dual, cert.gldim),
+        for dual, bound in ((cert.algebra.dual, cert.gldim),
                             (quadratic_dual(ext.algebra), cert.gldim + 1)):
-            got = truncated_structure(dual, bound).to_graded_algebra()
+            got = truncated_structure(dual, bound)
             want = oracle_truncation(dual, bound)
             assert structure_equal(got, want), name
             assert got.labels == want.labels, name
@@ -220,8 +217,7 @@ def test_truncated_automorphism_preservation():
     cert = cert_of("quantum_plane_q2")
     from quadalg import nakayama_of_algebra
     xi = nakayama_of_algebra(cert)
-    auto = cert.dual_truncation.automorphism(
-        DegreeOneMap(xi.matrix.inverse().transpose()))
+    auto = cert.dual_fd.automorphism(xi.inverse().transpose())
     assert is_multiplicative(auto, cert.dual_fd)
 
 

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from helpers import AS_REGULAR, DIM2, algebra_of, cert_of
-from quadalg import (DegreeOneMap, Tensor, cy_check_with,
+from quadalg import (Matrix, Tensor, cy_check_with,
                      ext_algebra_of_skew, fresh_letter, graded_dims,
                      nakayama_of_algebra, regularity_data, skew_extend,
                      verify_ext_algebra_isomorphism,
@@ -34,21 +34,24 @@ def test_mixed_relations_formula():
     alg = algebra_of("quantum_plane_q2")
     xi = nakayama_of_algebra(cert_of("quantum_plane_q2"))
     ext = skew_extend(alg, xi)
-    inv = xi.matrix.inverse()
+    inv = xi.inverse()
     n = alg.n
-    for i, t in enumerate(ext.mixed_relations):
+    mixed = ext.stacked_relations[alg.relations.dim:]
+    assert len(mixed) == n
+    for i, row in enumerate(mixed):
         col = inv.col(i)
         expect = Tensor.make(2, n + 1,
                              [((n, j), col[j]) for j in range(n)]
                              + [((i, n), F(-1))])
-        assert t == expect, i
+        assert row == expect.to_vector(), i
 
 
 def test_identity_twist_gives_commuting_letter():
-    ext = skew_extend(algebra_of("kxy"), DegreeOneMap.identity(2))
+    ext = skew_extend(algebra_of("kxy"), Matrix.identity(2))
     assert graded_dims(ext.algebra, 4) == (1, 3, 6, 10, 15)
     want = Tensor.make(2, 3, [((2, 0), F(1)), ((0, 2), F(-1))])
-    assert ext.mixed_relations[0] == want
+    # the first mixed relation follows the one base relation
+    assert ext.stacked_relations[1] == want.to_vector()
 
 
 def test_dim3_extension_hilbert():
@@ -72,7 +75,7 @@ def test_ext_model_matches_for_identity_twist_too():
     for name in ("quantum_plane_q2", "jordan_plane"):
         cert = cert_of(name)
         rep = verify_ext_algebra_isomorphism(
-            cert, DegreeOneMap.identity(cert.algebra.n))
+            cert, Matrix.identity(cert.algebra.n))
         assert rep.passed, name
 
 
@@ -93,14 +96,14 @@ def test_cy_with_nakayama_twist():
 
 def test_cy_fails_with_identity_twist_on_q2():
     cert = cert_of("quantum_plane_q2")
-    rep = cy_check_with(cert, DegreeOneMap.identity(2))
+    rep = cy_check_with(cert, Matrix.identity(2))
     assert not rep.is_CY
     assert rep.witness == (1, 0, 2)
 
 
 def test_cy_identity_twist_on_kxy_still_works():
     # trivial Nakayama: the identity is the right twist there
-    rep = cy_check_with(cert_of("kxy"), DegreeOneMap.identity(2))
+    rep = cy_check_with(cert_of("kxy"), Matrix.identity(2))
     assert rep.is_CY
 
 

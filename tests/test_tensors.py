@@ -7,17 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadalg.linalg import LinAlgError, Matrix
-from quadalg.tensors import (DegreeOneMap, Tensor, apply_slotwise,
-                             contract_left, contract_right, index_to_word,
-                             tau, word_to_index)
+from quadalg.tensors import (Tensor, apply_slotwise, contract_left,
+                             contract_right, index_to_word, tau, word_to_index)
 
 F = Fraction
 
 
 def _diagonal(*values):
     n = len(values)
-    return DegreeOneMap(Matrix.from_rows(
-        [[values[i] if i == j else 0 for j in range(n)] for i in range(n)], n))
+    return Matrix.from_rows(
+        [[values[i] if i == j else 0 for j in range(n)] for i in range(n)], n)
 
 
 def test_word_index_bijection():
@@ -62,8 +61,8 @@ def test_tensor_product_concatenates():
 
 def test_degree_one_map_columns():
     # column j holds the image of letter j
-    p = DegreeOneMap(Matrix.from_rows([(F(1), F(2)), (F(0), F(3))], 2))
-    assert p.image_of(1) == (F(2), F(3))
+    p = Matrix.from_rows([(F(1), F(2)), (F(0), F(3))], 2)
+    assert p.col(1) == (F(2), F(3))
     assert apply_slotwise([p], Tensor.basis((1,), 2)) == Tensor.make(
         1, 2, [((0,), F(2)), ((1,), F(3))])
 
@@ -134,10 +133,10 @@ def test_contraction_linear_in_functional(data):
 
 
 def test_slotwise_composition_is_functorial():
-    p = DegreeOneMap(Matrix.from_rows([(F(1), F(1)), (F(0), F(1))], 2))
+    p = Matrix.from_rows([(F(1), F(1)), (F(0), F(1))], 2)
     q = _diagonal(2, 3)
     t = Tensor.make(2, 2, [((0, 1), F(1)), ((1, 0), F(4))])
-    pq = DegreeOneMap(p.matrix @ q.matrix)
+    pq = p @ q
     once = apply_slotwise([pq, pq], t)
     twice = apply_slotwise([p, p], apply_slotwise([q, q], t))
     assert once == twice
