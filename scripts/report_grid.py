@@ -10,7 +10,9 @@ package is emptied before each run, so a run sees what a fresh CLI
 invocation sees.
 
 Two checkouts print the same lines exactly when their reports agree byte
-for byte apart from timing_ms:
+for byte apart from timing_ms.  The script exits 1 when any run reports
+an internal cross-check failure (two routes to one verdict disagreed),
+after printing every line:
 
     PYTHONPATH=src python3 scripts/report_grid.py > grid.txt
 """
@@ -71,6 +73,7 @@ def inputs(workdir):
 
 def run():
     clear = caches()
+    broken = 0
     with tempfile.TemporaryDirectory() as workdir:
         for name, path in inputs(workdir):
             for cmd in COMMANDS:
@@ -80,11 +83,15 @@ def run():
                     buf = io.StringIO()
                     with contextlib.redirect_stdout(buf):
                         code = main([cmd, path, *flags])
+                    report = buf.getvalue()
+                    broken += "internal cross-check failed" in report
                     digest = hashlib.sha256(
-                        TIMING.sub("", buf.getvalue()).encode()).hexdigest()
+                        TIMING.sub("", report).encode()).hexdigest()
                     case = " ".join((name, cmd) + flags)
                     print(f"{case}\t{code}\t{digest}", flush=True)
-    return 0
+    if broken:
+        print(f"{broken} runs failed an internal cross-check", file=sys.stderr)
+    return 1 if broken else 0
 
 
 if __name__ == "__main__":

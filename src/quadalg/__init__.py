@@ -21,8 +21,7 @@ from .frobenius import (FrobeniusStructure, GradedFDAlgebra, NotFrobenius,
                         twisted_module_trivial_extension)
 from .quadratic import (KoszulCertificate, QuadraticAlgebra, TruncatedAlgebra,
                         graded_dims, koszul_component,
-                        numeric_koszul_certificate, quadratic_dual,
-                        truncated_structure, word_label)
+                        numeric_koszul_certificate, truncated_structure)
 from .regular import (NotRegular, RegularityCertificate,
                       as_regular_certificate, dim2_matrix_form,
                       nakayama_of_algebra, regularity_data)
@@ -36,7 +35,7 @@ from .skew import (CYReport, IsoReport, SkewExtension, cy_check_with,
                    verify_extended_presentation)
 from .pbw import (Cdga, CdgaAxiomReport, CompatibilityReport,
                   DeformedCYReport, EquivalenceReport, PBWDeformation,
-                  apply_delta, check_cdga_axioms, cy_criterion_deformed,
+                  check_cdga_axioms, cy_criterion_deformed,
                   cy_equivalence_dim2, deformation_from_rows, dual_cdga,
                   nakayama_cdga_compatibility, nakayama_shift,
                   skew_deformation)

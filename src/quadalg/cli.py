@@ -20,7 +20,7 @@ from .io import (ValidationError, description_deformation,
 from .linalg import ConsistencyError, LinAlgError, Matrix, ResourceLimitError
 from .pbw import (check_cdga_axioms, cy_criterion_deformed, cy_equivalence_dim2,
                   dual_cdga)
-from .quadratic import graded_dims, numeric_koszul_certificate, quadratic_dual
+from .quadratic import graded_dims, numeric_koszul_certificate
 from .regular import (NotRegular, as_regular_certificate, nakayama_of_algebra)
 from .skew import (cy_check_with, fresh_letter, skew_extend,
                    verify_ext_algebra_isomorphism)
@@ -48,7 +48,7 @@ def _resolve_sigma(desc, cert, mode):
 
 def _cmd_dual(desc, args):
     alg = description_to_algebra(desc)
-    dual = quadratic_dual(alg)
+    dual = alg.dual
     verdict = {
         "generators": list(dual.names),
         "relations": [tensor_to_terms(t, dual.names)
@@ -102,7 +102,7 @@ def _cmd_skew(desc, args):
     sigma = _resolve_sigma(desc, cert, args.sigma)
     ext = skew_extend(cert.algebra, sigma)
     verdict = {
-        "generator": ext.zname,
+        "generator": ext.algebra.names[-1],
         "generators": list(ext.algebra.names),
         "relations": [tensor_to_terms(t, ext.algebra.names)
                       for t in ext.algebra.relation_tensors()],

@@ -1,11 +1,11 @@
 """Finite-dimensional graded algebras: Frobenius pairings, Nakayama maps,
 graded symmetry, and trivial extensions by twisted dual bimodules.
 
-An algebra is stored degree by degree through its nonzero structure
-constants, and is checked to be unital and associative when built.  A
-degree-preserving map of an algebra is a tuple of matrices, one per degree,
-in column convention.  The top
-graded piece is required to be one-dimensional whenever Frobenius data is
+An algebra is its graded dimensions and its nonzero structure constants,
+checked to be unital and associative when built; basis elements are known
+only by their degree and index.  A degree-preserving map of an algebra is a
+tuple of matrices, one per degree, in column convention.  The top graded
+piece is required to be one-dimensional whenever Frobenius data is
 extracted, and the distinguished functional is "coefficient of the top basis
 element".
 """
@@ -33,9 +33,9 @@ class NotFrobenius(Exception):
 class GradedFDAlgebra:
     """A finite-dimensional graded algebra given by structure constants.
 
-    dims[i] is the dimension of the degree-i component, labels[i] names its
-    basis, and mult[(i, j)][a][b] is the product of the a-th degree-i and
-    b-th degree-j basis elements inside degree i+j.  Degree 0 must be
+    dims[i] is the dimension of the degree-i component, and
+    mult[(i, j)][a][b] is the product of the a-th degree-i and b-th
+    degree-j basis elements inside degree i+j.  Degree 0 must be
     spanned by the unit.  The table keeps only the nonzero entries of each
     product, as (coordinate, value) pairs in increasing coordinate order.
 
@@ -43,14 +43,10 @@ class GradedFDAlgebra:
     on every triple of basis elements.
     """
 
-    def __init__(self, dims, labels, mult):
+    def __init__(self, dims, mult):
         self.dims = tuple(int(x) for x in dims)
         if not self.dims or self.dims[0] != 1:
             raise LinAlgError("degree zero must be spanned by the unit")
-        self.labels = tuple(tuple(str(s) for s in row) for row in labels)
-        if len(self.labels) != len(self.dims) or any(
-                len(self.labels[i]) != self.dims[i] for i in range(len(self.dims))):
-            raise LinAlgError("labels do not match the graded dimensions")
         d = self.length
         table: dict[tuple[int, int], tuple] = {}
         for i in range(d + 1):
@@ -255,23 +251,21 @@ def is_graded_symmetric(alg: GradedFDAlgebra,
 # trivial extensions
 # ---------------------------------------------------------------------------
 
-def square_zero_extension(alg: GradedFDAlgebra, module_dims, module_labels,
+def square_zero_extension(alg: GradedFDAlgebra, module_dims,
                           left, right) -> GradedFDAlgebra:
     """The square-zero extension of `alg` by a graded bimodule M.
 
     Degree i of the result is A_i followed by M_i, where M_i has dimension
-    module_dims[i] and basis labels module_labels[i]; the result's length is
-    len(module_dims) - 1.  left(i, a, j, b) is the coordinate row in M_{i+j}
-    of the a-th basis element of A_i acting on the b-th of M_j, and
-    right(i, a, j, b) that of the a-th basis element of M_i acted on by the
-    b-th of A_j.  Products of two module elements vanish.
+    module_dims[i]; the result's length is len(module_dims) - 1.
+    left(i, a, j, b) is the coordinate row in M_{i+j} of the a-th basis
+    element of A_i acting on the b-th of M_j, and right(i, a, j, b) that of
+    the a-th basis element of M_i acted on by the b-th of A_j.  Products of
+    two module elements vanish.
     """
     length = len(module_dims) - 1
     if length < alg.length:
         raise LinAlgError("the module must reach the top degree of the algebra")
     dims = [alg.dim(i) + module_dims[i] for i in range(length + 1)]
-    labels = [(alg.labels[i] if i <= alg.length else ()) + tuple(module_labels[i])
-              for i in range(length + 1)]
     mult = {}
     for i in range(length + 1):
         for j in range(length + 1 - i):
@@ -292,7 +286,7 @@ def square_zero_extension(alg: GradedFDAlgebra, module_dims, module_labels,
                     row.append(cell)
                 block.append(tuple(row))
             mult[(i, j)] = tuple(block)
-    return GradedFDAlgebra(dims, labels, mult)
+    return GradedFDAlgebra(dims, mult)
 
 
 def _module_cell(row, offset: int, size: int):
@@ -313,12 +307,9 @@ def dual_trivial_extension(alg: GradedFDAlgebra, left, right,
     actions are (a.g)(m) = g(m * left(a)) and (g.b)(m) = g(right(b) * m);
     products of two dual elements vanish.
     """
-    d = alg.length
-    if n <= d:
+    if n <= alg.length:
         raise LinAlgError("the shift must exceed the algebra length")
     dims = [alg.dim(n - i) for i in range(n + 1)]
-    labels = [[s + "*" for s in alg.labels[n - i]] if n - i <= d else []
-              for i in range(n + 1)]
 
     def act_left(i, a, j, g):
         # a.g evaluated on each basis element of E_{n-i-j}
@@ -333,7 +324,7 @@ def dual_trivial_extension(alg: GradedFDAlgebra, left, right,
         return [alg.multiply(j, rb, k, unit_vector(alg.dim(k), c))[g]
                 for c in range(alg.dim(k))]
 
-    return square_zero_extension(alg, dims, labels, act_left, act_right)
+    return square_zero_extension(alg, dims, act_left, act_right)
 
 
 def twisted_module_trivial_extension(alg: GradedFDAlgebra, left, right,
@@ -343,16 +334,11 @@ def twisted_module_trivial_extension(alg: GradedFDAlgebra, left, right,
     Degree i of the result is E_i plus a module copy of E_{i+shift}
     (shift < 0); left and right are graded maps of E, one matrix per
     degree, and the actions are a.(m) = (left(a) m) and (m).b = (m right(b)),
-    with products of two module elements zero.  Module basis labels carry
-    the suffix z*.
+    with products of two module elements zero.
     """
     if shift >= 0:
         raise LinAlgError("only negative shifts are supported")
-    d = alg.length
-    dims = [alg.dim(i + shift) for i in range(d - shift + 1)]
-    labels = [["z*" if s == "1" else s + "z*"
-               for s in alg.labels[i + shift]] if i + shift >= 0 else []
-              for i in range(d - shift + 1)]
+    dims = [alg.dim(i + shift) for i in range(alg.length - shift + 1)]
 
     def act_left(i, a, j, m):
         la = left[i].col(a)
@@ -362,4 +348,4 @@ def twisted_module_trivial_extension(alg: GradedFDAlgebra, left, right,
         rb = right[j].col(b)
         return alg.multiply(i + shift, unit_vector(alg.dim(i + shift), m), j, rb)
 
-    return square_zero_extension(alg, dims, labels, act_left, act_right)
+    return square_zero_extension(alg, dims, act_left, act_right)

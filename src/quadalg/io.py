@@ -51,12 +51,21 @@ def _parse_fraction(s, path):
         raise ValidationError("rationals must be strings", path)
     # an exponent makes a short string name a number of any size
     if "e" in s.lower():
-        raise ValidationError(f"bad rational {s!r}: exponent notation is "
-                              f"not accepted", path)
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad rational {s!r}: {exc}", path) from None
+        reason = "exponent notation is not accepted"
+    else:
+        try:
+            return Fraction(s)
+        except (ValueError, ZeroDivisionError) as exc:
+            reason = str(exc)
+    shown = repr(s)
+    if len(s) > 40:
+        # a long string is quoted by its first characters and its length;
+        # Fraction's reason may end in a copy of it or hold a huge numerator
+        shown = f"{s[:20]!r}... ({len(s)} characters)"
+        reason = reason.removesuffix(f": {s!r}")
+        if len(reason) > 160:
+            reason = reason[:160] + "..."
+    raise ValidationError(f"bad rational {shown}: {reason}", path)
 
 
 def _parse_term(obj, names, degree, path):

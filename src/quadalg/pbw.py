@@ -2,11 +2,11 @@
 
 A deformation replaces each relation r by r - nu(r) - theta(r) with nu
 landing in degree one and theta a scalar.  Dually this equips the finite
-dual algebra with a degree +1 map and a curvature element; the deformation
-is consistent exactly when that data satisfies the curved Leibniz/square
-axioms.  The Calabi-Yau criterion for the induced deformation of the
-Nakayama-twisted extension is evaluated on two independent routes that must
-agree.
+dual algebra with a graded map of degree +1, one matrix per degree, and a
+curvature element; the deformation is consistent exactly when that data
+satisfies the curved Leibniz/square axioms.  The Calabi-Yau criterion for
+the induced deformation of the Nakayama-twisted extension is evaluated on
+two independent routes that must agree.
 
 The curved structure of a deformation (dual_cdga) and the Nakayama shift
 read off it are built once by the caller and handed to every check that
@@ -60,23 +60,14 @@ class PBWDeformation:
 class Cdga:
     """A curved differential structure on a graded algebra.
 
-    delta[j][a] is the degree j+1 image of the a-th degree-j basis element;
-    curvature is a degree-2 element.
+    delta[j] is the differential from degree j to degree j+1 as a matrix in
+    column convention, with no rows at the top degree; curvature is a
+    degree-2 element.
     """
 
     algebra: GradedFDAlgebra
-    delta: tuple[tuple[Vec, ...], ...]
+    delta: tuple[Matrix, ...]
     curvature: Vec
-
-
-def apply_delta(c: Cdga, j: int, coords) -> Vec:
-    out = [ZERO] * c.algebra.dim(j + 1)
-    for a, ca in enumerate(coords):
-        if ca:
-            for t, v in enumerate(c.delta[j][a]):
-                if v:
-                    out[t] += ca * v
-    return tuple(out)
 
 
 def dual_cdga(defm: PBWDeformation) -> Cdga:
@@ -91,21 +82,16 @@ def dual_cdga(defm: PBWDeformation) -> Cdga:
     d = cert.gldim
     trunc = cert.dual_fd
     n = cert.algebra.n
-    rel = cert.algebra.relations
-    nrel = rel.dim
-    delta1 = []
-    for i in range(n):
-        values = [defm.nu[a, i] for a in range(nrel)]
-        delta1.append(trunc.class_from_pairings(2, rel, values))
-    delta = [(tuple(ZERO for _ in range(trunc.dims[1])),), tuple(delta1)]
+    rel = cert.algebra.relations.basis.entries
+    delta1 = [trunc.class_from_pairings(2, rel, defm.nu.col(i))
+              for i in range(n)]
+    delta = [Matrix.zero(trunc.dims[1], 1),
+             Matrix.from_rows(delta1, trunc.dims[2]).transpose()]
     reps2 = [trunc.lift_sparse(2, delta1[i]) for i in range(n)]
-    for j in range(2, d + 1):
-        rows = []
+    for j in range(2, d):
+        cols = []
         for widx in trunc.words[j]:
             word = index_to_word(widx, n, j)
-            if j + 1 > d:
-                rows.append(())
-                continue
             acc: dict[int, Fraction] = {}
             for t in range(j):
                 prefix = word[:t]
@@ -122,9 +108,10 @@ def dual_cdga(defm: PBWDeformation) -> Cdga:
                         acc[idx] = nv
                     else:
                         acc.pop(idx, None)
-            rows.append(trunc.reduce_sparse(j + 1, acc))
-        delta.append(tuple(rows))
-    curvature = trunc.class_from_pairings(2, rel, list(defm.theta))
+            cols.append(trunc.reduce_sparse(j + 1, acc))
+        delta.append(Matrix.from_rows(cols, trunc.dims[j + 1]).transpose())
+    delta.append(Matrix.zero(0, trunc.dims[d]))
+    curvature = trunc.class_from_pairings(2, rel, defm.theta)
     return Cdga(trunc, tuple(delta), curvature)
 
 
@@ -149,23 +136,24 @@ def check_cdga_axioms(c: Cdga) -> CdgaAxiomReport:
     for i in range(length + 1):
         for j in range(length - i):
             for a in range(alg.dims[i]):
-                da = c.delta[i][a]
+                da = c.delta[i].col(a)
                 ua = unit_vector(alg.dims[i], a)
                 for b in range(alg.dims[j]):
-                    db = c.delta[j][b]
+                    db = c.delta[j].col(b)
                     ub = unit_vector(alg.dims[j], b)
-                    lhs = apply_delta(c, i + j, alg.multiply_basis(i, a, j, b))
+                    lhs = c.delta[i + j].mul_sparse_col(alg.mult[(i, j)][a][b])
                     first = alg.multiply(i + 1, da, j, ub)
                     second = alg.multiply(i, ua, j + 1, db)
                     sign = Fraction((-1) ** i)
                     rhs = tuple(x + sign * y for x, y in zip(first, second))
                     if lhs != rhs:
                         leibniz.append((i, j, a, b))
-    curv_closed = not any(apply_delta(c, 2, c.curvature))
+    curv_closed = not any(c.delta[2].mul_col(c.curvature))
     squares = []
     for j in range(length):
+        square = c.delta[j + 1] @ c.delta[j]
         for a in range(alg.dims[j]):
-            lhs = apply_delta(c, j + 1, c.delta[j][a])
+            lhs = square.col(a)
             ua = unit_vector(alg.dims[j], a)
             left = alg.multiply(2, c.curvature, j, ua)
             right = alg.multiply(j, ua, 2, c.curvature)
@@ -182,10 +170,8 @@ def nakayama_shift(cert: RegularityCertificate, c: Cdga) -> Vec:
     Entry i is the top coefficient of the differential applied to the
     element that pairs to 1 against the i-th dual generator at the top.
     """
-    d = cert.gldim
-    omega_cols = cert.frobenius.pairings[1].inverse()
-    return tuple(apply_delta(c, d - 1, omega_cols.col(i))[0]
-                 for i in range(cert.algebra.n))
+    omega = cert.frobenius.pairings[1].inverse()
+    return (c.delta[cert.gldim - 1] @ omega).entries[0]
 
 
 def deformation_from_rows(cert: RegularityCertificate, rows, nu, theta,
@@ -279,7 +265,6 @@ def cy_criterion_deformed(defm: PBWDeformation, c: Cdga) -> DeformedCYReport:
     gamma = dual_trivial_extension(alg_fd, alg_fd.epsilon(d),
                                    alg_fd.identity_automorphism(), d + 1)
     omega_cols = g1.inverse()
-    a_dm1 = alg_fd.dim(d - 1)
     dual_dm1 = alg_fd.dim(2)
     pi_star = tuple([ZERO] * alg_fd.dim(1)) + (ONE,)
     # the section (omega_i, 0) * (0, top-dual) must be the i-th generator dual
@@ -293,7 +278,7 @@ def cy_criterion_deformed(defm: PBWDeformation, c: Cdga) -> DeformedCYReport:
     delta_pi = tuple([ZERO] * alg_fd.dim(2)) + tuple(delta_pi_dual)
     images = []
     for i in range(n):
-        d_omega = apply_delta(c, d - 1, omega_cols.col(i))
+        d_omega = c.delta[d - 1].mul_col(omega_cols.col(i))
         u1 = tuple(d_omega) + tuple([ZERO] * n)
         t1 = gamma.multiply(d, u1, 1, pi_star)
         u2 = tuple(omega_cols.col(i)) + tuple([ZERO] * dual_dm1)
@@ -310,7 +295,7 @@ def cy_criterion_deformed(defm: PBWDeformation, c: Cdga) -> DeformedCYReport:
         raise ConsistencyError("model verdict disagrees with the shift comparison")
     ext_defm = skew_deformation(defm, xi, shift)
     c_ext = dual_cdga(ext_defm)
-    verdict_direct = all(not any(row) for row in c_ext.delta[d])
+    verdict_direct = not any(map(any, c_ext.delta[d].entries))
     if verdict_direct != verdict_model:
         raise ConsistencyError("model verdict disagrees with the transported "
                                "deformation's differential")
@@ -335,16 +320,10 @@ def nakayama_cdga_compatibility(cert: RegularityCertificate,
     """Compare the sign-adjusted dual Nakayama map of cert with the curved
     structure c that a deformation of cert's algebra induces."""
     d = cert.gldim
-    alg_fd = cert.dual_fd
     chi = tuple(cert.frobenius.nakayama[k].scale(Fraction((-1) ** ((d + 1) * k)))
                 for k in range(d + 1))
-    commutes = True
-    for j in range(d):
-        for a in range(alg_fd.dims[j]):
-            lhs = chi[j + 1].mul_col(c.delta[j][a])
-            rhs = apply_delta(c, j, chi[j].mul_col(unit_vector(alg_fd.dims[j], a)))
-            if lhs != rhs:
-                commutes = False
+    commutes = all(chi[j + 1] @ c.delta[j] == c.delta[j] @ chi[j]
+                   for j in range(d))
     fixed = chi[2].mul_col(c.curvature) == tuple(c.curvature)
     return CompatibilityReport(commutes, fixed)
 

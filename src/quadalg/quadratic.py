@@ -11,7 +11,8 @@ K_k is computed in integers, as an integer kernel over K_{k-1} (x) V, and
 becomes a canonical Fraction subspace only once, at the end.  A truncation
 of T(V)/(R) is one object, a TruncatedAlgebra: the GradedFDAlgebra whose
 sparse structure cells are read off the class coordinates of product
-words, together with those classes.  No component is built on more than
+words, together with those classes and its basis words (`words`), the
+only names its basis elements have.  No component is built on more than
 MAX_WORDS = 10^6 coordinate words: asking for one raises
 ResourceLimitError.
 """
@@ -29,12 +30,6 @@ from .tensors import Tensor, apply_slotwise, index_to_word, preserves_subspace
 
 # the most coordinate words n**m a Koszul component may have
 MAX_WORDS = 10 ** 6
-
-
-def word_label(names, word) -> str:
-    if not word:
-        return "1"
-    return "".join(names[i] for i in word)
 
 
 @dataclass(frozen=True)
@@ -71,7 +66,12 @@ class QuadraticAlgebra:
 
     @cached_property
     def dual(self) -> "QuadraticAlgebra":
-        """The quadratic dual, computed once per presentation object."""
+        """The quadratic algebra on the dual space with relations R-perp,
+        computed once per presentation object.
+
+        Dual coordinates pair with word coordinates by the plain dot
+        product, slot by slot with no sign.
+        """
         return QuadraticAlgebra(dual_names(self.names),
                                 self.relations.annihilator())
 
@@ -83,20 +83,10 @@ def dual_names(names) -> tuple[str, ...]:
     return out
 
 
-def quadratic_dual(alg: QuadraticAlgebra) -> QuadraticAlgebra:
-    """The quadratic algebra on the dual space with relations R-perp.
-
-    Dual coordinates pair with word coordinates by the plain dot product,
-    slot by slot with no sign.
-    """
-    return alg.dual
-
-
 def graded_dims(alg: QuadraticAlgebra, bound: int) -> tuple[int, ...]:
     """Dimensions of the graded components of T(V)/(R) up to the bound:
     the degree-k piece is dual to the Koszul component K_k of the dual."""
-    dual = quadratic_dual(alg)
-    return tuple(koszul_component(dual, k).dim for k in range(bound + 1))
+    return tuple(koszul_component(alg.dual, k).dim for k in range(bound + 1))
 
 
 @lru_cache(maxsize=None)
@@ -114,7 +104,7 @@ def _koszul_component(alg: QuadraticAlgebra, m: int) -> Subspace:
     prev = _koszul_component(alg, m - 1).int_rows
     # the entries f[a, l] of the R-perp basis, grouped by their first letter a
     perp = [[] for _ in range(n)]
-    for fi, f in enumerate(quadratic_dual(alg).relations.int_rows):
+    for fi, f in enumerate(alg.dual.relations.int_rows):
         for c, v in f:
             a, l = divmod(c, n)
             perp[a].append((fi, l, v))
@@ -176,9 +166,8 @@ def numeric_koszul_certificate(alg: QuadraticAlgebra, bound: int) -> KoszulCerti
     vanishes in every positive degree up to the bound.  The first holds for
     every quadratic algebra by duality, so it is only a self-check.
     """
-    dual = quadratic_dual(alg)
     dims = graded_dims(alg, bound)
-    dual_dims = graded_dims(dual, bound)
+    dual_dims = graded_dims(alg.dual, bound)
     component_dims = tuple(koszul_component(alg, m).dim
                            for m in range(bound + 1))
     mism = tuple(m for m in range(bound + 1) if component_dims[m] != dual_dims[m])
@@ -207,8 +196,7 @@ class TruncatedAlgebra(GradedFDAlgebra):
     def __init__(self, alg: QuadraticAlgebra, bound: int):
         self.algebra = alg
         n = alg.n
-        dual = quadratic_dual(alg)
-        self.components = tuple(koszul_component(dual, k)
+        self.components = tuple(koszul_component(alg.dual, k)
                                 for k in range(bound + 1))
         words = []
         classes = []
@@ -225,9 +213,6 @@ class TruncatedAlgebra(GradedFDAlgebra):
             classes.append({w: tuple(ts) for w, ts in cls.items()})
         self.words = tuple(words)
         self.classes = tuple(classes)
-        labels = tuple(
-            tuple(word_label(alg.names, index_to_word(w, n, k)) for w in words[k])
-            for k in range(bound + 1))
         mult = {}
         for i in range(bound + 1):
             for j in range(bound + 1 - i):
@@ -236,7 +221,7 @@ class TruncatedAlgebra(GradedFDAlgebra):
                 mult[(i, j)] = tuple(
                     tuple(cls.get(wa * stride + wb, ()) for wb in words[j])
                     for wa in words[i])
-        super().__init__([len(w) for w in words], labels, mult)
+        super().__init__([len(w) for w in words], mult)
 
     def reduce_sparse(self, k: int, sparse) -> Vec:
         out = [ZERO] * self.dims[k]
@@ -249,7 +234,7 @@ class TruncatedAlgebra(GradedFDAlgebra):
     def lift_sparse(self, k: int, coords) -> dict[int, Fraction]:
         return {w: Fraction(c) for w, c in zip(self.words[k], coords) if c}
 
-    def class_from_row_pairings(self, k: int, rows, values) -> Vec:
+    def class_from_pairings(self, k: int, rows, values) -> Vec:
         """The degree-k class pairing as prescribed against given row vectors.
 
         The pairing is the coordinate dot product.  Every row must lie in the
@@ -266,12 +251,6 @@ class TruncatedAlgebra(GradedFDAlgebra):
             raise LinAlgError("no element attains the prescribed pairings")
         return cls
 
-    def class_from_pairings(self, k: int, space: Subspace, values) -> Vec:
-        """As class_from_row_pairings, against a subspace's canonical basis."""
-        if space.ambient != self.algebra.n ** k:
-            raise LinAlgError("pairing space lives in the wrong degree")
-        return self.class_from_row_pairings(k, space.basis.entries, values)
-
     def automorphism(self, phi: Matrix) -> tuple[Matrix, ...]:
         """Extend a relation-preserving degree-one map to every degree, one
         matrix per degree."""
@@ -285,10 +264,7 @@ class TruncatedAlgebra(GradedFDAlgebra):
                 img = apply_slotwise([phi] * k,
                                      Tensor.basis(index_to_word(w, n, k), n))
                 cols.append(self.reduce_sparse(k, img.to_sparse_map()))
-            if cols:
-                mats.append(Matrix.from_rows(zip(*cols), len(cols)))
-            else:
-                mats.append(Matrix((), 0))
+            mats.append(Matrix.from_rows(cols, self.dims[k]).transpose())
         return tuple(mats)
 
 

@@ -16,8 +16,7 @@ from functools import lru_cache
 from .frobenius import FrobeniusStructure, NotFrobenius, frobenius_structure
 from .linalg import ConsistencyError, LinAlgError, Matrix
 from .quadratic import (QuadraticAlgebra, TruncatedAlgebra, graded_dims,
-                        numeric_koszul_certificate, quadratic_dual,
-                        truncated_structure)
+                        numeric_koszul_certificate, truncated_structure)
 from .tensors import preserves_subspace
 
 
@@ -48,7 +47,7 @@ class RegularityCertificate:
 
 @lru_cache(maxsize=None)
 def _certify(alg: QuadraticAlgebra, bound: int) -> RegularityCertificate:
-    dual = quadratic_dual(alg)
+    dual = alg.dual
     dual_dims = graded_dims(dual, bound)
     if dual_dims[bound] != 0:
         raise NotRegular("dual algebra is still nonzero at the degree bound, "

@@ -18,8 +18,7 @@ from .frobenius import (GradedFDAlgebra, is_graded_symmetric,
                         twisted_module_trivial_extension)
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Subspace, Vec,
                      ZERO, unit_vector)
-from .quadratic import (QuadraticAlgebra, graded_dims, quadratic_dual,
-                        truncated_structure)
+from .quadratic import QuadraticAlgebra, graded_dims, truncated_structure
 from .regular import RegularityCertificate
 from .superpotential import (derivation_quotient, extract_superpotential,
                              symmetrize)
@@ -40,13 +39,13 @@ def fresh_letter(names) -> str:
 class SkewExtension:
     """A quadratic algebra extended by one twisted letter.
 
-    stacked_relations holds the base's canonical relation rows embedded in
-    the (n+1)^2 word coordinates of the extension, followed by the n mixed
-    relations; the extension's relation space is their span.
+    The new letter is the last of algebra.names.  stacked_relations holds
+    the base's canonical relation rows embedded in the (n+1)^2 word
+    coordinates of the extension, followed by the n mixed relations; the
+    extension's relation space is their span.
     """
 
     algebra: QuadraticAlgebra
-    zname: str
     stacked_relations: tuple[Vec, ...]
 
 
@@ -59,8 +58,7 @@ def _skew_extend(base: QuadraticAlgebra, sigma: Matrix) -> SkewExtension:
         raise LinAlgError("twist must be invertible")
     if not preserves_subspace(sigma, base.relations, 2):
         raise LinAlgError("twist does not preserve the relations")
-    zname = fresh_letter(base.names)
-    names = base.names + (zname,)
+    names = base.names + (fresh_letter(base.names),)
     m = n + 1
     pinv = sigma.inverse()
     stacked = []
@@ -85,7 +83,7 @@ def _skew_extend(base: QuadraticAlgebra, sigma: Matrix) -> SkewExtension:
             raise ConsistencyError(
                 f"extension dimension {dim} at degree {k} is not the "
                 f"partial sum {sum(dims_base[:k + 1])} of the base dimensions")
-    return SkewExtension(algebra, zname, tuple(stacked))
+    return SkewExtension(algebra, tuple(stacked))
 
 
 def skew_extend(base: QuadraticAlgebra, sigma: Matrix) -> SkewExtension:
@@ -141,7 +139,7 @@ def verify_ext_algebra_isomorphism(cert: RegularityCertificate,
     d = cert.gldim
     ext = skew_extend(alg, sigma)
     gamma = ext_algebra_of_skew(cert, sigma)
-    ebd = truncated_structure(quadratic_dual(ext.algebra), d + 1)
+    ebd = truncated_structure(ext.algebra.dual, d + 1)
     length = d + 1
     generated_ok = True
     bijective = True
@@ -192,7 +190,7 @@ def verify_ext_algebra_isomorphism(cert: RegularityCertificate,
                 break
     # mixed dual relation classes, paired against the original relation rows
     nrel = alg.relations.dim
-    rt_classes = [ebd.class_from_row_pairings(
+    rt_classes = [ebd.class_from_pairings(
         2, ext.stacked_relations, unit_vector(nrel + n, nrel + i))
         for i in range(n)]
     pinv = sigma.inverse()

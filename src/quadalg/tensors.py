@@ -127,11 +127,6 @@ class Tensor:
         if self.degree != other.degree or self.ambient != other.ambient:
             raise LinAlgError("tensor shape mismatch")
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*{''.join(map(str, w))}" for w, c in self.terms)
-
 
 def apply_slotwise(maps, t: Tensor) -> Tensor:
     """Apply per-slot degree-one maps (matrices in column convention: column

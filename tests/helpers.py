@@ -5,9 +5,9 @@ from importlib import resources
 import random
 
 from quadalg import (Cdga, GradedFDAlgebra, Matrix, Subspace, Tensor,
-                     apply_delta, apply_slotwise, as_regular_certificate,
+                     apply_slotwise, as_regular_certificate,
                      dual_trivial_extension, index_to_word,
-                     nakayama_of_algebra, tau, word_label, word_to_index)
+                     nakayama_of_algebra, tau, word_to_index)
 from quadalg.io import description_to_algebra, parse_description
 from quadalg.linalg import LinAlgError, ZERO, unit_vector
 
@@ -33,7 +33,7 @@ def cert_of(name):
     return as_regular_certificate(algebra_of(name), 5)
 
 
-def dense_algebra(dims, labels, mult):
+def dense_algebra(dims, mult):
     """GradedFDAlgebra from a dense table: each cell of block (i, j) lists
     all dims[i + j] coordinates of a product, zeros included.  Blocks past
     the top degree are ignored; the cells are handed over as their nonzero
@@ -48,7 +48,7 @@ def dense_algebra(dims, labels, mult):
             tuple(tuple((c, w) for c, w in enumerate(map(Fraction, cell)) if w)
                   for cell in row)
             for row in block)
-    return GradedFDAlgebra(dims, labels, table)
+    return GradedFDAlgebra(dims, table)
 
 
 def dense_rref(rows, ambient):
@@ -195,12 +195,6 @@ def cdg_underlying_trivial_extension(alg: GradedFDAlgebra) -> GradedFDAlgebra:
     d = alg.length
     n = d + 1
     dims = [alg.dim(i) + alg.dim(n - i) for i in range(n + 1)]
-    labels = []
-    for i in range(n + 1):
-        row = list(alg.labels[i]) if i <= d else []
-        if 0 <= n - i <= d:
-            row += [s + "*" for s in alg.labels[n - i]]
-        labels.append(tuple(row))
     mult = {}
     for i in range(n + 1):
         for j in range(n + 1 - i):
@@ -234,7 +228,7 @@ def cdg_underlying_trivial_extension(alg: GradedFDAlgebra) -> GradedFDAlgebra:
                     row.append(tuple(out))
                 block.append(tuple(row))
             mult[(i, j)] = tuple(block)
-    return dense_algebra(dims, labels, mult)
+    return dense_algebra(dims, mult)
 
 
 def relation_degree_subspace(alg, k):
@@ -259,9 +253,10 @@ def relation_degree_subspace(alg, k):
 
 
 def oracle_truncation(alg, bound):
-    """T(V)/(R) up to the bound read off the relation spans: the degree-k
-    basis is the words off the pivots of the span, the product of two basis
-    words the residue of their concatenation modulo the span."""
+    """T(V)/(R) up to the bound read off the relation spans, with its basis
+    words degree by degree: the degree-k basis is the words off the pivots
+    of the span, the product of two basis words the residue of their
+    concatenation modulo the span."""
     n = alg.n
     spans = [relation_degree_subspace(alg, k) for k in range(bound + 1)]
     words = []
@@ -276,9 +271,8 @@ def oracle_truncation(alg, bound):
     mult = {(i, j): tuple(tuple(product(i, a, j, b) for b in range(len(words[j])))
                           for a in range(len(words[i])))
             for i in range(bound + 1) for j in range(bound + 1 - i)}
-    labels = [[word_label(alg.names, index_to_word(w, n, k)) for w in ws]
-              for k, ws in enumerate(words)]
-    return dense_algebra([len(ws) for ws in words], labels, mult)
+    return (dense_algebra([len(ws) for ws in words], mult),
+            tuple(tuple(ws) for ws in words))
 
 
 def structure_equal(a: GradedFDAlgebra, b: GradedFDAlgebra) -> bool:
@@ -325,32 +319,20 @@ def cdg_trivial_extension(c: Cdga) -> Cdga:
     gamma = dual_trivial_extension(alg, alg.epsilon(d),
                                    alg.identity_automorphism(), d + 1)
     delta = []
-    for i in range(d + 2):
-        ai = alg.dim(i)
-        rows = []
-        out_alg = alg.dim(i + 1)
-        for a in range(gamma.dims[i]):
-            if i + 1 > d + 1:
-                rows.append(())
-                continue
-            out = [ZERO] * gamma.dims[i + 1]
-            if a < ai:
-                img = apply_delta(c, i, unit_vector(ai, a))
-                for t, v in enumerate(img):
-                    out[t] = v
-            else:
-                j = d + 1 - i
-                b = a - ai
-                sign = Fraction((-1) ** (d + j))
-                if j - 1 >= 0:
-                    for cc in range(alg.dim(j - 1)):
-                        val = c.delta[j - 1][cc][b]
-                        if val:
-                            out[out_alg + cc] = sign * val
-            rows.append(tuple(out))
-        delta.append(tuple(rows))
+    for i in range(d + 1):
+        # degree i is A_i followed by the dual of A_j
+        j = d + 1 - i
+        dual_part = c.delta[j - 1].transpose().scale((-1) ** (d + j))
+        delta.append(_block_diagonal(c.delta[i], dual_part))
+    delta.append(Matrix.zero(0, gamma.dims[d + 1]))
     curv = tuple(c.curvature) + tuple([ZERO] * alg.dim(d - 1))
     return Cdga(gamma, tuple(delta), curv)
+
+
+def _block_diagonal(top: Matrix, bottom: Matrix) -> Matrix:
+    rows = [row + (ZERO,) * bottom.cols for row in top.entries]
+    rows += [(ZERO,) * top.cols + row for row in bottom.entries]
+    return Matrix.from_rows(rows, top.cols + bottom.cols)
 
 
 def rescaled_nakayama_shift(cert, c: Cdga, s) -> tuple:
@@ -361,5 +343,5 @@ def rescaled_nakayama_shift(cert, c: Cdga, s) -> tuple:
     s = Fraction(s)
     d = cert.gldim
     omega_cols = cert.frobenius.pairings[1].inverse().scale(s)
-    return tuple(apply_delta(c, d - 1, omega_cols.col(i))[0] / s
+    return tuple(c.delta[d - 1].mul_col(omega_cols.col(i))[0] / s
                  for i in range(cert.algebra.n))

@@ -186,6 +186,36 @@ def test_exponent_notation_is_a_parse_error(tmp_path, capsys):
                  "notation is not accepted"}, sort_keys=True) + "\n"
 
 
+def _int_limit_reason(digits):
+    # this interpreter's own words for an over-long integer string
+    try:
+        int(digits)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("no integer digit limit in this interpreter")
+
+
+@pytest.mark.parametrize("coeff,reason", [
+    ("1" * 200_001, _int_limit_reason("1" * 200_001)),
+    ("?" * 200_001, "Invalid literal for Fraction"),
+], ids=["200001_digits", "200001_non_numeric"])
+def test_long_rational_error_quotes_a_bounded_prefix(tmp_path, capsys, coeff,
+                                                     reason):
+    # the error line names a long coefficient by its first 20 characters and
+    # its length, and Fraction's reason does not repeat it
+    p = tmp_path / "long.json"
+    p.write_text(json.dumps({
+        "generators": ["x", "y"],
+        "relations": [[{"coeff": "1", "word": ["x", "y"]},
+                       {"coeff": coeff, "word": ["y", "x"]}]]}))
+    code, out = _error_line(capsys, "hilbert", str(p))
+    assert code == 2
+    assert out == json.dumps({
+        "command": "hilbert", "status": "error",
+        "error": f"relations[0][1].coeff: bad rational {coeff[:20]!r}... "
+                 f"(200001 characters): {reason}"}, sort_keys=True) + "\n"
+
+
 def test_resource_guard_exit_code(tmp_path, capsys):
     # every degree-two word in 32 letters is a relation: the dual is free, so
     # its Koszul components vanish from degree 2 on, yet degree 4 already

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import (DIM2, cdg_trivial_extension, cert_of, description_of,
                      random_nu_theta, rescaled_nakayama_shift)
-from quadalg import (Matrix, PBWDeformation, apply_delta, check_cdga_axioms,
+from quadalg import (Cdga, Matrix, PBWDeformation, check_cdga_axioms,
                      cy_criterion_deformed, cy_equivalence_dim2,
                      description_to_algebra, dual_cdga, nakayama_of_algebra,
                      nakayama_cdga_compatibility, nakayama_shift,
@@ -47,7 +47,7 @@ def test_weyl_dual_cdga():
     defm = _corpus_defm("quantum_weyl", 2)
     c = dual_cdga(defm)
     # nu is zero: no linear differential at all
-    assert all(all(not any(r) for r in rows) for rows in c.delta[1:])
+    assert all(m == Matrix.zero(m.rows, m.cols) for m in c.delta[1:])
     # theta = 1 on xy - 2yx: curvature pairs to 1 against it, giving -1/2 of
     # the single dual relation class y*x*
     assert c.curvature == (F(-1, 2),)
@@ -95,7 +95,7 @@ def test_heisenberg_cdga():
     assert check_cdga_axioms(c).passed
     # relation xy - yx deforms to z: the new dual letter z* maps onto minus
     # the dual class of that relation
-    assert apply_delta(c, 1, (F(0), F(0), F(1))) == (F(-1), F(0), F(0))
+    assert c.delta[1].mul_col((F(0), F(0), F(1))) == (F(-1), F(0), F(0))
     assert cy_criterion_deformed(defm, c).is_CY
     assert nakayama_shift(defm.cert, c) == (F(0), F(0), F(0))
     assert nakayama_cdga_compatibility(defm.cert, c).passed
@@ -113,6 +113,21 @@ def test_axioms_fail_on_jacobi_violation():
     assert not rep.passed
     assert len(rep.square_failures) == 1
     assert rep.leibniz_failures == ()
+
+
+def test_axioms_report_leibniz_failures():
+    # add 1 to entry (0, 0) of delta_1 on the heisenberg dual: x* now also
+    # maps to the first degree-two basis element, which breaks the Leibniz
+    # rule on the two products of x* with z* and nothing else
+    c = dual_cdga(_corpus_defm("heisenberg", 3))
+    rows = [list(row) for row in c.delta[1].entries]
+    rows[0][0] += 1
+    delta1 = Matrix.from_rows(rows, c.delta[1].cols)
+    bad = Cdga(c.algebra, c.delta[:1] + (delta1,) + c.delta[2:], c.curvature)
+    rep = check_cdga_axioms(bad)
+    assert rep.leibniz_failures == ((1, 1, 0, 2), (1, 1, 2, 0))
+    assert rep.curvature_closed
+    assert rep.square_failures == ()
 
 
 def test_dim2_every_deformation_satisfies_axioms():
@@ -139,7 +154,7 @@ def test_skew_deformation_transport():
         n = cert.algebra.n
         nrel = cert.algebra.relations.dim
         c = dual_cdga(ext_defm)
-        z_img = apply_delta(c, 1, tuple([F(0)] * n) + (F(1),))
+        z_img = c.delta[1].mul_col(tuple([F(0)] * n) + (F(1),))
         # rebuild the expected class from the stacked relation pairings
         ext = skew_extend(cert.algebra, xi)
         stacked = []
@@ -151,7 +166,7 @@ def test_skew_deformation_transport():
             stacked.append(tuple(dense))
         stacked += ext.stacked_relations[nrel:]
         values = [F(0)] * nrel + list(lam)
-        expect = ext_defm.cert.dual_fd.class_from_row_pairings(
+        expect = ext_defm.cert.dual_fd.class_from_pairings(
             2, stacked, values)
         assert z_img == expect, name
 
@@ -181,7 +196,7 @@ def test_cdg_trivial_extension_structure():
         lam = nakayama_shift(cert, c)
         g1 = cert.frobenius.pairings[1]
         pi_star = tuple([F(0)] * cert.dual_fd.dim(1)) + (F(1),)
-        img = apply_delta(big, 1, pi_star)
+        img = big.delta[1].mul_col(pi_star)
         dual_part = img[cert.dual_fd.dim(2):]
         assert tuple(dual_part) == g1.mul_row(lam), name
 

@@ -24,7 +24,7 @@ def test_skew_extension_shape():
     xi = nakayama_of_algebra(cert_of("quantum_plane_q2"))
     ext = skew_extend(alg, xi)
     assert ext.algebra.names == ("x", "y", "z")
-    assert ext.zname == "z"
+    assert ext.algebra.names[-1] == "z"
     assert ext.algebra.relations.dim == 3
     assert graded_dims(ext.algebra, 4) == (1, 3, 6, 10, 15)
 
