@@ -5,12 +5,14 @@ Input documents carry generators, quadratic relations as coeff/word term
 lists, an optional degree-one twist matrix (row-vector convention: v maps
 to v.S), and an optional deformation section with a degree-one part per
 input relation plus a scalar part.  All rationals travel as strings: an
-integer, n/d or a plain decimal, never exponent notation.
+integer, n/d or a plain decimal, never exponent notation, and with no run
+of more than 4300 digits.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,9 +51,13 @@ class AlgebraDescription:
 def _parse_fraction(s, path):
     if not isinstance(s, str):
         raise ValidationError("rationals must be strings", path)
-    # an exponent makes a short string name a number of any size
+    # an exponent makes a short string name a number of any size; a long run
+    # of digits is refused here, before the interpreter's own integer limit
+    # (worded differently by each Python version) can refuse it
     if "e" in s.lower():
         reason = "exponent notation is not accepted"
+    elif any(len(run.replace("_", "")) > 4300 for run in re.findall(r"[\d_]+", s)):
+        reason = "a run of more than 4300 digits is not accepted"
     else:
         try:
             return Fraction(s)

@@ -6,7 +6,9 @@ relations z (x) s^{-1}(x_i) - x_i (x) z.  The cohomology algebra of the
 extension is modeled by a trivial extension of the dual algebra by a
 degree-shifted copy of itself; the model is verified against the honest
 dual of the extension by an explicit degreewise isomorphism before any
-verdict is read off.
+verdict is read off.  The isomorphism is checked multiplicative on
+degree-1 generators, which suffices since both algebras are associative
+and the model is generated in degree 1.
 """
 
 from __future__ import annotations
@@ -124,15 +126,22 @@ class IsoReport:
 def verify_ext_algebra_isomorphism(cert: RegularityCertificate,
                                    sigma: Matrix) -> IsoReport:
     """Build the degreewise isomorphism from the model onto the truncated
-    dual of the extension and compare all structure constants.
+    dual of the extension and check that it is multiplicative.
 
-    The map sends dual generators to themselves and the shifted unit to the
-    new dual letter; higher degrees are solved from products of lower ones,
-    then every product of basis elements is compared on both sides.  Two
-    product identities pin the mixed dual relations: the i-th generator
-    times the new letter is minus the i-th mixed relation class, and the new
-    letter times the i-th generator is the inverse-twist row combination of
-    the mixed relation classes.
+    The map f sends dual generators to themselves and the shifted unit to
+    the new dual letter.  In degree k it is solved from the products x s
+    of degree-(k-1) basis elements x by degree-1 basis elements s, and
+    generated_ok says that f(x s) = f(x) f(s) holds for all of them, which
+    needs the model to be generated in degree 1 (the solve has no solution
+    otherwise).  That is all of multiplicativity: both algebras were
+    checked associative when built, f(1) = 1, and the c with f(x c) =
+    f(x) f(c) for every x form a subspace that contains 1 and degree 1 and
+    is closed under products, as f(x c c') = f(x c) f(c') = f(x) f(c) f(c')
+    = f(x) f(c c').  So structure_ok, that f preserves every structure
+    constant, equals generated_ok.  Two product identities pin the mixed
+    dual relations: the i-th generator times the new letter is minus the
+    i-th mixed relation class, and the new letter times the i-th generator
+    is the inverse-twist row combination of the mixed relation classes.
     """
     alg = cert.algebra
     n = alg.n
@@ -169,25 +178,9 @@ def verify_ext_algebra_isomorphism(cert: RegularityCertificate,
         if gamma.dims[k] != ebd.dims[k] or not fk.is_invertible():
             bijective = False
         maps.append(fk)
+    # f(x s) = f(x) f(s) for every x and every s of degree 0 or 1, and the
+    # model is generated in degree 1: f is multiplicative (see docstring)
     structure_ok = generated_ok
-    if generated_ok:
-        for i in range(length + 1):
-            for j in range(length + 1 - i):
-                for a in range(gamma.dims[i]):
-                    fa = maps[i].col(a)
-                    for b in range(gamma.dims[j]):
-                        fb = maps[j].col(b)
-                        lhs = maps[i + j].mul_sparse_col(gamma.mult[(i, j)][a][b])
-                        rhs = ebd.multiply(i, fa, j, fb)
-                        if lhs != rhs:
-                            structure_ok = False
-                            break
-                    if not structure_ok:
-                        break
-                if not structure_ok:
-                    break
-            if not structure_ok:
-                break
     # mixed dual relation classes, paired against the original relation rows
     nrel = alg.relations.dim
     rt_classes = [ebd.class_from_pairings(

@@ -33,11 +33,11 @@ def cert_of(name):
     return as_regular_certificate(algebra_of(name), 5)
 
 
-def dense_algebra(dims, mult):
-    """GradedFDAlgebra from a dense table: each cell of block (i, j) lists
-    all dims[i + j] coordinates of a product, zeros included.  Blocks past
-    the top degree are ignored; the cells are handed over as their nonzero
-    (coordinate, value) pairs."""
+def sparse_table(dims, mult):
+    """A dense table as sparse cells: each cell of block (i, j) lists all
+    dims[i + j] coordinates of a product, zeros included, and becomes its
+    nonzero (coordinate, value) pairs.  Blocks past the top degree are
+    dropped."""
     table = {}
     for (i, j), block in mult.items():
         if not (i >= 0 and j >= 0 and i + j < len(dims)):
@@ -48,7 +48,12 @@ def dense_algebra(dims, mult):
             tuple(tuple((c, w) for c, w in enumerate(map(Fraction, cell)) if w)
                   for cell in row)
             for row in block)
-    return GradedFDAlgebra(dims, table)
+    return table
+
+
+def dense_algebra(dims, mult):
+    """GradedFDAlgebra from a dense table (see sparse_table)."""
+    return GradedFDAlgebra(dims, sparse_table(dims, mult))
 
 
 def dense_rref(rows, ambient):
@@ -345,3 +350,70 @@ def rescaled_nakayama_shift(cert, c: Cdga, s) -> tuple:
     omega_cols = cert.frobenius.pairings[1].inverse().scale(s)
     return tuple(c.delta[d - 1].mul_col(omega_cols.col(i))[0] / s
                  for i in range(cert.algebra.n))
+
+
+def associativity_failure(dims, mult):
+    """The first triple of basis elements, as ((i, j, k), (a, b, c)), with
+    (e_a e_b) e_c != e_a (e_b e_c) in a sparse structure table, or None.
+
+    Every triple is compared, in Fractions, degree-0 factors included: the
+    reference for GradedFDAlgebra's check on generators.
+    """
+    def combine(coeffs, cells):
+        acc = {}
+        for t, x in coeffs:
+            for c, w in cells[t]:
+                acc[c] = acc.get(c, 0) + x * w
+        return {c: v for c, v in acc.items() if v}
+
+    d = len(dims) - 1
+    for i in range(d + 1):
+        for j in range(d + 1 - i):
+            for k in range(d + 1 - i - j):
+                ij_k = mult[(i + j, k)]
+                i_jk = mult[(i, j + k)]
+                for a in range(dims[i]):
+                    for b in range(dims[j]):
+                        ab = mult[(i, j)][a][b]
+                        for c in range(dims[k]):
+                            left = combine(ab, [row[c] for row in ij_k])
+                            right = combine(mult[(j, k)][b][c], i_jk[a])
+                            if left != right:
+                                return (i, j, k), (a, b, c)
+    return None
+
+
+def model_map_multiplicative(gamma: GradedFDAlgebra,
+                             ext_dual: GradedFDAlgebra) -> bool:
+    """Whether the degreewise map of verify_ext_algebra_isomorphism, from
+    the model gamma to the truncated dual of the extension, preserves the
+    product of every pair of basis elements.
+
+    The map is rebuilt as there: the identity in degrees 0 and 1, and in
+    degree k the solution of f(x s) = f(x) f(s) over degree-(k-1) basis
+    elements x and degree-1 basis elements s; False if it has none.
+    """
+    if gamma.dims[:2] != ext_dual.dims[:2]:
+        return False
+    maps = [Matrix.identity(gamma.dims[0]), Matrix.identity(gamma.dims[1])]
+    for k in range(2, gamma.length + 1):
+        pcols, qcols = [], []
+        for a in range(gamma.dims[k - 1]):
+            for b in range(gamma.dims[1]):
+                pcols.append(gamma.multiply_basis(k - 1, a, 1, b))
+                qcols.append(ext_dual.multiply(k - 1, maps[k - 1].col(a),
+                                               1, maps[1].col(b)))
+        smat = Matrix.from_rows(zip(*pcols), len(pcols)).right_inverse()
+        if smat is None:
+            return False
+        maps.append(Matrix.from_rows(zip(*qcols), len(qcols)) @ smat)
+    d = gamma.length
+    for i in range(d + 1):
+        for j in range(d + 1 - i):
+            for a in range(gamma.dims[i]):
+                fa = maps[i].col(a)
+                for b in range(gamma.dims[j]):
+                    lhs = maps[i + j].mul_col(gamma.multiply_basis(i, a, j, b))
+                    if lhs != ext_dual.multiply(i, fa, j, maps[j].col(b)):
+                        return False
+    return True

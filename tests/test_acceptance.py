@@ -9,9 +9,9 @@ from fractions import Fraction
 
 from helpers import (AS_REGULAR, CORPUS, DIM2, block_nakayama_oracle,
                      cert_of, cdg_underlying_trivial_extension, description_of,
-                     random_member, random_nu_theta, scalar_twist, seeded,
-                     structure_equal, trivial_extension, twist_pool,
-                     twisted_cyclic_space)
+                     model_map_multiplicative, random_member, random_nu_theta,
+                     scalar_twist, seeded, structure_equal, trivial_extension,
+                     twist_pool, twisted_cyclic_space)
 from quadalg import (Matrix, PBWDeformation, Tensor, cy_check_with,
                      cy_criterion_deformed, cy_equivalence_dim2,
                      derivation_quotient, dim2_matrix_form, dual_cdga,
@@ -81,6 +81,10 @@ def test_criterion_3_ext_algebra_oracle_equivalence():
         for sigma in (nakayama_of_algebra(cert), Matrix.identity(n)):
             rep = verify_ext_algebra_isomorphism(cert, sigma)
             assert rep.generated_ok and rep.structure_ok, name
+            # structure_ok is read off the degree-1 products; every product
+            # of two basis elements must agree with it
+            assert model_map_multiplicative(
+                rep.gamma, rep.ext_dual_fd) == rep.structure_ok, name
             assert rep.bijective, name
             # the two mixed-relation product identities
             assert rep.left_identity_ok, name

@@ -186,17 +186,8 @@ def test_exponent_notation_is_a_parse_error(tmp_path, capsys):
                  "notation is not accepted"}, sort_keys=True) + "\n"
 
 
-def _int_limit_reason(digits):
-    # this interpreter's own words for an over-long integer string
-    try:
-        int(digits)
-    except ValueError as exc:
-        return str(exc)
-    raise AssertionError("no integer digit limit in this interpreter")
-
-
 @pytest.mark.parametrize("coeff,reason", [
-    ("1" * 200_001, _int_limit_reason("1" * 200_001)),
+    ("1" * 200_001, "a run of more than 4300 digits is not accepted"),
     ("?" * 200_001, "Invalid literal for Fraction"),
 ], ids=["200001_digits", "200001_non_numeric"])
 def test_long_rational_error_quotes_a_bounded_prefix(tmp_path, capsys, coeff,

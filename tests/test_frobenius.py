@@ -1,14 +1,16 @@
 """Graded algebra containers, Frobenius structure, trivial extensions."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
-from helpers import (AS_REGULAR, algebra_of, block_nakayama_oracle, cert_of,
+from helpers import (AS_REGULAR, CORPUS, algebra_of, associativity_failure,
+                     block_nakayama_oracle, cert_of,
                      cdg_underlying_trivial_extension, dense_algebra,
-                     is_multiplicative, scalar_twist, seeded, structure_equal,
-                     trivial_extension)
+                     is_multiplicative, scalar_twist, seeded, sparse_table,
+                     structure_equal, trivial_extension)
 from quadalg import (GradedFDAlgebra, Matrix, NotFrobenius,
                      dual_trivial_extension, ext_algebra_of_skew,
                      frobenius_structure, is_graded_symmetric,
@@ -253,6 +255,17 @@ def _dense_table(alg):
             for i in range(alg.length + 1) for j in range(alg.length + 1 - i)}
 
 
+def _add_to_cell(mult, key, a, b, coord, value):
+    """Copy of a dense table with value added to one coordinate of one cell."""
+    mult = dict(mult)
+    block = [list(row) for row in mult[key]]
+    cell = list(block[a][b])
+    cell[coord] += value
+    block[a][b] = tuple(cell)
+    mult[key] = tuple(tuple(row) for row in block)
+    return mult
+
+
 @pytest.mark.parametrize("bound", [4, 6])
 def test_corrupted_structure_constant_fails_associativity(bound):
     # k[x, y, z] truncated at degree 4 (total dimension 35) and 6 (84): the
@@ -261,14 +274,91 @@ def test_corrupted_structure_constant_fails_associativity(bound):
     assert (alg.total_dim > 64) == (bound == 6)
     mult = _dense_table(alg)
     assert structure_equal(dense_algebra(alg.dims, mult), alg)
+
+    def index(word):
+        return alg.words[len(word)].index(word_to_index(word, 3))
+
     # x * x := xx + yy breaks (x x) z = x (x z)
-    xx = list(mult[(1, 1)][0][0])
-    xx[alg.words[2].index(word_to_index((1, 1), 3))] += 1
-    block = [list(row) for row in mult[(1, 1)]]
-    block[0][0] = tuple(xx)
-    mult[(1, 1)] = tuple(tuple(row) for row in block)
+    bad = _add_to_cell(mult, (1, 1), 0, 0, index((1, 1)), 1)
     with pytest.raises(LinAlgError, match="associativity fails"):
-        dense_algebra(alg.dims, mult)
+        dense_algebra(alg.dims, bad)
+    # xx * yy := xxyy + zzzz: a product of two non-generators, reached only
+    # through (xx y) y = xx (y y)
+    bad = _add_to_cell(mult, (2, 2), index((0, 0)), index((1, 1)),
+                       index((2, 2, 2, 2)), 1)
+    with pytest.raises(LinAlgError, match="associativity fails"):
+        dense_algebra(alg.dims, bad)
+
+
+def _weighted_polynomial_table():
+    """k[x, y] with deg x = 1 and deg y = 2, truncated at degree 5, as a
+    dense table; degree k has basis x^(k-2q) y^q for q = 0, 1, ..."""
+    basis = [[(k - 2 * q, q) for q in range(k // 2 + 1)] for k in range(6)]
+    dims = [len(b) for b in basis]
+    mult = {}
+    for i in range(6):
+        for j in range(6 - i):
+            mult[(i, j)] = tuple(
+                tuple(tuple(F(int(m == (p + r, q + s))) for m in basis[i + j])
+                      for r, s in basis[j])
+                for p, q in basis[i])
+    return dims, mult
+
+
+def test_associativity_needs_a_generator_beyond_degree_one():
+    # products with a degree-1 third factor never reach x * y^2; the
+    # complement generator y of degree 2 does, through (x y) y = x (y y)
+    dims, mult = _weighted_polynomial_table()
+    assert dense_algebra(dims, mult).dims == (1, 1, 2, 2, 3, 3)
+    # x * y^2 := x y^2 + x^5
+    bad = _add_to_cell(mult, (1, 4), 0, 2, 0, 1)
+    with pytest.raises(LinAlgError, match=re.escape(
+            "associativity fails at degrees (1, 2, 2) indices (0, 1, 1)")):
+        dense_algebra(dims, bad)
+
+
+def _valid_tables():
+    # every corpus dual, and for each AS-regular algebra the model of its
+    # Nakayama-twisted extension and the honest dual of that extension
+    for name in CORPUS:
+        yield truncated_structure(algebra_of(name).dual, 4)
+    for name in AS_REGULAR:
+        cert = cert_of(name)
+        sigma = nakayama_of_algebra(cert)
+        ext = skew_extend(cert.algebra, sigma)
+        yield ext_algebra_of_skew(cert, sigma)
+        yield truncated_structure(ext.algebra.dual, cert.gldim + 1)
+
+
+def test_associativity_on_generators_agrees_with_all_triples():
+    rng = seeded(20261018)
+    verdicts = set()
+    for alg in _valid_tables():
+        assert associativity_failure(alg.dims, alg.mult) is None
+        dense = _dense_table(alg)
+        keys = [(i, j) for (i, j) in dense
+                if i and j and alg.dims[i] and alg.dims[j] and alg.dims[i + j]]
+        for _ in range(4):
+            # one constant changed in a product of positive degrees, so the
+            # unit stays intact
+            i, j = rng.choice(keys)
+            bad = _add_to_cell(dense, (i, j), rng.randrange(alg.dims[i]),
+                               rng.randrange(alg.dims[j]),
+                               rng.randrange(alg.dims[i + j]),
+                               F(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2))))
+            table = sparse_table(alg.dims, bad)
+            associative = associativity_failure(alg.dims, table) is None
+            try:
+                GradedFDAlgebra(alg.dims, table)
+            except LinAlgError as exc:
+                assert str(exc).startswith("associativity fails")
+                assert not associative
+            else:
+                assert associative
+            verdicts.add(associative)
+    # some changes stay associative (a product into the top degree only
+    # meets the unit), the others must be caught
+    assert verdicts == {True, False}
 
 
 def test_sparse_and_dense_construction_agree():
