@@ -158,7 +158,8 @@ def _cmd_extiso(desc, args):
     report = verify_ext_algebra_isomorphism(cert, sigma)
     verdict = {
         "generated": report.generated_ok,
-        "structure_constants_equal": report.structure_ok,
+        # the same verdict (see verify_ext_algebra_isomorphism)
+        "structure_constants_equal": report.generated_ok,
         "bijective": report.bijective,
         "left_identity": report.left_identity_ok,
         "right_identity": report.right_identity_ok,
@@ -234,20 +235,19 @@ COMMANDS = {
 }
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="quadalg",
-        description="exact computations on quadratic algebras")
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("file", help="JSON description, or - for stdin")
-    parser.add_argument("--max-degree", type=int, default=5,
-                        help="bound for all degree-limited certificates")
-    parser.add_argument("--sigma", choices=["id", "nakayama", "file"],
-                        default="nakayama",
-                        help="twist selection for skew/extiso/cy")
-    parser.add_argument("--exit-zero", action="store_true",
-                        help="exit 0 even on verdict failures")
-    return parser
+# built once: every main() call, in one process, parses with the same parser
+PARSER = argparse.ArgumentParser(
+    prog="quadalg",
+    description="exact computations on quadratic algebras")
+PARSER.add_argument("command", choices=sorted(COMMANDS))
+PARSER.add_argument("file", help="JSON description, or - for stdin")
+PARSER.add_argument("--max-degree", type=int, default=5,
+                    help="bound for all degree-limited certificates")
+PARSER.add_argument("--sigma", choices=["id", "nakayama", "file"],
+                    default="nakayama",
+                    help="twist selection for skew/extiso/cy")
+PARSER.add_argument("--exit-zero", action="store_true",
+                    help="exit 0 even on verdict failures")
 
 
 def _error(args, message: str, code: int) -> int:
@@ -258,8 +258,7 @@ def _error(args, message: str, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     if args.max_degree < 2:
         return _error(args, "--max-degree must be at least 2", 2)
     try:

@@ -226,25 +226,25 @@ def frobenius_structure(alg: GradedFDAlgebra) -> FrobeniusStructure:
             rows.append(tuple(alg.multiply_basis(i, a, d - i, b)[0]
                               for b in range(alg.dims[d - i])))
         pairings.append(Matrix(tuple(rows), alg.dims[d - i]))
+    inverses = []
     for i in range(d + 1):
-        if not pairings[i].is_invertible():
+        # square by the dimension check above, so a right inverse is the inverse
+        inverses.append(pairings[i].right_inverse())
+        if inverses[i] is None:
             raise NotFrobenius(i, "degenerate pairing against the complementary degree")
     # <a, b> = <b, nak(a)> pins the Nakayama matrix on each degree.
-    nak = tuple(pairings[d - i].inverse() @ pairings[i].transpose()
-                for i in range(d + 1))
+    nak = tuple(inverses[d - i] @ pairings[i].transpose() for i in range(d + 1))
     return FrobeniusStructure(tuple(pairings), nak)
 
 
-def is_graded_symmetric(alg: GradedFDAlgebra,
-                        frob: FrobeniusStructure | None = None):
+def is_graded_symmetric(alg: GradedFDAlgebra):
     """Sign-symmetry of the pairing; returns (verdict, witness).
 
     Checked two ways: entrywise on the pairing matrices and through the
     Nakayama map being the expected sign scalar in each degree.  The witness
     is (degree, row, col) of the first failing pairing entry, or None.
     """
-    if frob is None:
-        frob = frobenius_structure(alg)
+    frob = frobenius_structure(alg)
     d = alg.length
     witness = None
     for i in range(d + 1):

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, Vec, ZERO
+from .linalg import Matrix, Subspace, Vec, ZERO
 from .quadratic import QuadraticAlgebra
 from .regular import RegularityCertificate
 from .pbw import PBWDeformation, deformation_from_rows
@@ -208,16 +208,15 @@ def description_deformation(desc: AlgebraDescription,
         raise ValidationError("document has no deformation section")
     names = desc.generators
     n = len(names)
-    input_rows = [_terms_to_tensor(rel, names, 2).to_vector()
+    input_rows = [_terms_to_tensor(rel, names, 2).to_sparse_map()
                   for rel in desc.relations]
-    rel_matrix = Matrix.from_rows(input_rows, n * n)
-    if rel_matrix.rank() != len(input_rows):
+    if Subspace.from_spanning(input_rows, n * n).dim != len(input_rows):
         raise ValidationError("input relations are linearly dependent",
                               "relations")
     if cert.algebra.relations.dim != len(input_rows):
         raise ValidationError("certificate relations do not match the "
                               "document", "relations")
-    nu_in = [_terms_to_tensor(t, names, 1).to_vector() for t in desc.nu]
+    nu_in = [_terms_to_tensor(t, names, 1).to_sparse_map() for t in desc.nu]
     defm = deformation_from_rows(cert, input_rows, nu_in, desc.theta,
                                  desc.domain)
     if defm is None:

@@ -14,6 +14,11 @@ entry 1, only when `rows` is first read.  Hot callers stay in integers
 throughout: they build subspaces straight from integer rows
 (`Subspace.from_int_rows`) and read integer kernel rows off the integer
 reduced echelon form (`int_kernel`).
+
+A vector indexed by coordinate words has one form, a sparse {coordinate:
+value} map or its (coordinate, value) pairs; only the small dense Matrix
+(rows of Fractions) is dense, and its solves and inverses read the echelon
+form of a Subspace.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd, lcm
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Vec = tuple[Fraction, ...]
 RowLike = Union[Sequence, Mapping[int, object]]
@@ -114,7 +119,7 @@ def _echelon_int(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def _rref_int(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+def _reduced_echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     """Full reduced row echelon form; returns {pivot column: integer row}.
 
     Pivot entries are positive and every pivot column is cleared from all
@@ -138,8 +143,8 @@ def _nonzero(row: Mapping[int, int]) -> dict[int, int]:
     return {c: v for c, v in row.items() if v}
 
 
-def _kernel_of_rref(pivots: Mapping[int, Mapping[int, int]],
-                    ambient: int) -> list[dict[int, int]]:
+def _kernel_of_echelon(pivots: Mapping[int, Mapping[int, int]],
+                       ambient: int) -> list[dict[int, int]]:
     """Integer rows spanning the right kernel of a reduced echelon form.
 
     One row per free column f: L e_f - sum_p (L r_p[f] / r_p[p]) e_p over
@@ -172,7 +177,8 @@ def int_kernel(rows: Iterable[Mapping[int, int]], ambient: int) -> list[dict[int
     row per free column of their reduced echelon form, so its rows are
     independent.
     """
-    return _kernel_of_rref(_rref_int(_nonzero(r) for r in rows), ambient)
+    return _kernel_of_echelon(_reduced_echelon(_nonzero(r) for r in rows),
+                              ambient)
 
 
 SparseRow = tuple[tuple[int, Fraction], ...]
@@ -182,12 +188,6 @@ IntRow = tuple[tuple[int, int], ...]
 # ---------------------------------------------------------------------------
 # dense rational matrices
 # ---------------------------------------------------------------------------
-
-class RrefResult(NamedTuple):
-    matrix: "Matrix"
-    pivots: tuple[int, ...]
-    rank: int
-
 
 @dataclass(frozen=True)
 class Matrix:
@@ -271,10 +271,6 @@ class Matrix:
         pairs: the sum of those columns, scaled."""
         return tuple(sum((row[j] * x for j, x in pairs), ZERO) for row in self.entries)
 
-    def rref(self) -> RrefResult:
-        space = Subspace.from_spanning(self.entries, self.cols)
-        return RrefResult(space.basis, space.pivots, space.dim)
-
     def rank(self) -> int:
         return len(_echelon_int(_to_int_row(r) for r in self.entries))
 
@@ -282,15 +278,15 @@ class Matrix:
         """A particular solution x of self . x = b, or None if inconsistent."""
         if len(b) != self.rows:
             raise LinAlgError("length mismatch in solve")
-        aug = Matrix.from_rows(
-            [tuple(row) + (Fraction(b[i]),) for i, row in enumerate(self.entries)],
-            self.cols + 1)
-        red, piv, rank = aug.rref()
-        if self.cols in piv:
+        c = self.cols
+        aug = Subspace.from_spanning([{**dict(enumerate(row)), c: b[i]}
+                                      for i, row in enumerate(self.entries)], c + 1)
+        if aug.pivots and aug.pivots[-1] == c:
             return None
-        x = [ZERO] * self.cols
-        for i, p in enumerate(piv):
-            x[p] = red.entries[i][self.cols]
+        x = [ZERO] * c
+        for p, row in zip(aug.pivots, aug.rows):
+            if row[-1][0] == c:
+                x[p] = row[-1][1]
         return tuple(x)
 
     def inverse(self) -> "Matrix":
@@ -307,17 +303,17 @@ class Matrix:
         One reduction of [self | I]: column c of S is the solution of
         self . x = e_c with every free coordinate zero.
         """
-        n = self.rows
-        aug = Matrix.from_rows(
-            [tuple(row) + unit_vector(n, i) for i, row in enumerate(self.entries)],
-            self.cols + n)
-        red, piv, rank = aug.rref()
-        if piv and piv[-1] >= self.cols:
+        n, c = self.rows, self.cols
+        aug = Subspace.from_spanning([{**dict(enumerate(row)), c + i: ONE}
+                                      for i, row in enumerate(self.entries)], c + n)
+        if aug.pivots and aug.pivots[-1] >= c:
             return None
-        out = [(ZERO,) * n] * self.cols
-        for i, p in enumerate(piv):
-            out[p] = red.entries[i][self.cols:]
-        return Matrix(tuple(out), n)
+        out = [[ZERO] * n for _ in range(c)]
+        for p, row in zip(aug.pivots, aug.rows):
+            for col, v in row:
+                if col >= c:
+                    out[p][col - c] = v
+        return Matrix(tuple(map(tuple, out)), n)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -335,7 +331,8 @@ class Subspace:
     int_rows[t] lists its nonzero entries as (column, integer) pairs in
     column order, scaled so that the pivot entry is positive and the
     entries have gcd 1.  Zero entries are never stored.  The Fraction rows,
-    with leading 1, and the dense basis matrix are only built on request.
+    with leading 1, are only built on request; there is no dense basis.
+    Vectors of Q**ambient are handed in as sparse {coordinate: value} maps.
     """
 
     ambient: int
@@ -344,17 +341,18 @@ class Subspace:
 
     @staticmethod
     def from_spanning(rows: Iterable[RowLike], ambient: int) -> "Subspace":
-        return Subspace._from_rref(_rref_int(_to_int_row(r) for r in rows),
-                                   ambient)
+        return Subspace._from_echelon(
+            _reduced_echelon(_to_int_row(r) for r in rows), ambient)
 
     @staticmethod
     def from_int_rows(rows: Iterable[Mapping[int, int]], ambient: int) -> "Subspace":
         """The span of integer rows given by their entries; zero entries
         may be listed or left out."""
-        return Subspace._from_rref(_rref_int(_nonzero(r) for r in rows), ambient)
+        return Subspace._from_echelon(
+            _reduced_echelon(_nonzero(r) for r in rows), ambient)
 
     @staticmethod
-    def _from_rref(pivots: dict[int, dict[int, int]], ambient: int) -> "Subspace":
+    def _from_echelon(pivots: dict[int, dict[int, int]], ambient: int) -> "Subspace":
         if pivots and max(pivots) >= ambient:
             raise LinAlgError("spanning row longer than the ambient dimension")
         order = sorted(pivots)
@@ -379,34 +377,12 @@ class Subspace:
             out.append(tuple((c, Fraction(v, pv)) for c, v in row))
         return tuple(out)
 
-    @cached_property
-    def basis(self) -> Matrix:
-        """The RREF basis as a dense matrix."""
-        dense = []
-        for row in self.rows:
-            vec = [ZERO] * self.ambient
-            for c, v in row:
-                vec[c] = v
-            dense.append(tuple(vec))
-        return Matrix(tuple(dense), self.ambient)
-
-    def reduce(self, vec: Sequence) -> Vec:
-        """Canonical residue of vec modulo this subspace.
-
-        The residue is zero exactly on the pivot columns of the basis, so it
-        is the canonical representative of the class of vec.
-        """
-        if len(vec) != self.ambient:
-            raise LinAlgError("vector length does not match the ambient dimension")
-        v = [Fraction(x) for x in vec]
-        for pivot, row in zip(self.pivots, self.rows):
-            c = v[pivot]
-            if c:
-                for col, val in row:
-                    v[col] -= c * val
-        return tuple(v)
-
     def reduce_sparse(self, vec: Mapping[int, object]) -> dict[int, Fraction]:
+        """Canonical residue of a sparse vector modulo this subspace.
+
+        The residue is zero on the pivot columns of the basis, so it is the
+        canonical representative of the class of vec; zeros are dropped.
+        """
         v = {c: Fraction(x) for c, x in vec.items() if x}
         for pivot, row in zip(self.pivots, self.rows):
             c = v.get(pivot)
@@ -419,14 +395,14 @@ class Subspace:
                         v.pop(col, None)
         return v
 
-    def contains(self, vec: Sequence) -> bool:
-        return not any(self.reduce(vec))
+    def contains(self, vec: Mapping[int, object]) -> bool:
+        return not self.reduce_sparse(vec)
 
-    def coordinates(self, vec: Sequence) -> Vec | None:
+    def coordinates(self, vec: Mapping[int, object]) -> Vec | None:
         """Coordinates of vec in the RREF basis, or None if not a member."""
         if not self.contains(vec):
             return None
-        return tuple(Fraction(vec[p]) for p in self.pivots)
+        return tuple(Fraction(vec.get(p, 0)) for p in self.pivots)
 
     def annihilator(self) -> "Subspace":
         """Functionals vanishing on this subspace, in dual coordinates.
@@ -434,8 +410,8 @@ class Subspace:
         Spanned by e_f - sum_t rows[t][f] e_{pivots[t]} over the non-pivot
         columns f, computed on the integer rows.
         """
-        rref = {p: dict(r) for p, r in zip(self.pivots, self.int_rows)}
-        return Subspace.from_int_rows(_kernel_of_rref(rref, self.ambient),
+        echelon = {p: dict(r) for p, r in zip(self.pivots, self.int_rows)}
+        return Subspace.from_int_rows(_kernel_of_echelon(echelon, self.ambient),
                                       self.ambient)
 
     def kron(self, other: "Subspace") -> "Subspace":

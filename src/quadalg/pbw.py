@@ -43,6 +43,8 @@ class PBWDeformation:
     domain: bool | None = None
 
     def __post_init__(self):
+        if self.cert.gldim < 2:
+            raise LinAlgError("a deformation needs a base of dimension at least 2")
         nrel = self.cert.algebra.relations.dim
         if self.nu.rows != nrel or self.nu.cols != self.cert.algebra.n:
             raise LinAlgError("nu must map each canonical relation to degree one")
@@ -82,7 +84,7 @@ def dual_cdga(defm: PBWDeformation) -> Cdga:
     d = cert.gldim
     trunc = cert.dual_fd
     n = cert.algebra.n
-    rel = cert.algebra.relations.basis.entries
+    rel = cert.algebra.relations.rows
     delta1 = [trunc.class_from_pairings(2, rel, defm.nu.col(i))
               for i in range(n)]
     delta = [Matrix.zero(trunc.dims[1], 1),
@@ -180,24 +182,27 @@ def deformation_from_rows(cert: RegularityCertificate, rows, nu, theta,
     row nu[i] and the scalar theta[i], restated on the canonical relation
     basis of cert's algebra.
 
-    The rows are word coordinates and must be independent; each canonical
-    relation is solved as a combination of them and its degree-one and
-    scalar parts follow the same coefficients.  Returns None when a
-    canonical relation is not in the span of the rows.
+    The relation rows are sparse {word index: value} maps and must be
+    independent, the nu rows sparse {letter: value} maps; each canonical
+    relation is solved as a combination of the relation rows and its
+    degree-one and scalar parts follow the same coefficients.  Returns None
+    when a canonical relation is not in the span of the rows.
     """
     n = cert.algebra.n
-    solver = Matrix.from_rows(rows, n * n).transpose()
+    solver = Matrix.from_rows([[r.get(c, ZERO) for r in rows]
+                               for c in range(n * n)], len(rows))
     nu_rows = []
     out_theta = []
-    for rho in cert.algebra.relations.basis.entries:
-        coeffs = solver.solve(rho)
+    for rho in cert.algebra.relations.rows:
+        rho = dict(rho)
+        coeffs = solver.solve([rho.get(c, ZERO) for c in range(n * n)])
         if coeffs is None:
             return None
         row = [ZERO] * n
         th = ZERO
         for ca, nu_a, th_a in zip(coeffs, nu, theta):
             if ca:
-                for t, v in enumerate(nu_a):
+                for t, v in nu_a.items():
                     row[t] += ca * v
                 th += ca * th_a
         nu_rows.append(tuple(row))
@@ -221,8 +226,8 @@ def skew_deformation(defm: PBWDeformation, xi: Matrix,
     n = alg.n
     ext = skew_extend(alg, xi)
     cert_ext = regularity_data(ext.algebra, cert.gldim + 1, cert.gldim + 2)
-    nu = [row + (ZERO,) for row in defm.nu.entries]
-    nu += [tuple([ZERO] * n) + (lam,) for lam in shift]
+    nu = [dict(enumerate(row)) for row in defm.nu.entries]
+    nu += [{n: lam} for lam in shift]
     theta = tuple(defm.theta) + tuple([ZERO] * n)
     out = deformation_from_rows(cert_ext, ext.stacked_relations, nu, theta,
                                 defm.effective_domain)

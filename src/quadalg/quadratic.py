@@ -61,8 +61,7 @@ class QuadraticAlgebra:
         return QuadraticAlgebra(names, space)
 
     def relation_tensors(self) -> tuple[Tensor, ...]:
-        return tuple(Tensor.from_vector(r, 2, self.n)
-                     for r in self.relations.basis.entries)
+        return tuple(Tensor.from_sparse(r, 2, self.n) for r in self.relations.rows)
 
     @cached_property
     def dual(self) -> "QuadraticAlgebra":
@@ -235,17 +234,18 @@ class TruncatedAlgebra(GradedFDAlgebra):
         return {w: Fraction(c) for w, c in zip(self.words[k], coords) if c}
 
     def class_from_pairings(self, k: int, rows, values) -> Vec:
-        """The degree-k class pairing as prescribed against given row vectors.
+        """The degree-k class pairing as prescribed against given rows, each
+        a sparse {word index: value} map or its pairs.
 
         The pairing is the coordinate dot product.  Every row must lie in the
         Koszul component paired with this degree, so that the values only
         depend on the class; a class then pairs through its basis words.
         """
-        mat = Matrix.from_rows(rows, self.algebra.n ** k)
-        if not all(self.components[k].contains(r) for r in mat.entries):
+        rows = [dict(r) for r in rows]
+        if not all(self.components[k].contains(r) for r in rows):
             raise LinAlgError("pairing values are not class functions")
-        on_basis = Matrix.from_rows([[r[w] for w in self.words[k]]
-                                     for r in mat.entries], self.dims[k])
+        on_basis = Matrix.from_rows([[r.get(w, ZERO) for w in self.words[k]]
+                                     for r in rows], self.dims[k])
         cls = on_basis.solve(values)
         if cls is None:
             raise LinAlgError("no element attains the prescribed pairings")

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .frobenius import FrobeniusStructure, NotFrobenius, frobenius_structure
-from .linalg import ConsistencyError, LinAlgError, Matrix
+from .linalg import ConsistencyError, LinAlgError, Matrix, ZERO
 from .quadratic import (QuadraticAlgebra, TruncatedAlgebra, graded_dims,
                         numeric_koszul_certificate, truncated_structure)
 from .tensors import preserves_subspace
@@ -112,8 +112,10 @@ def dim2_matrix_form(cert: RegularityCertificate) -> tuple[Matrix, Matrix]:
     if cert.algebra.relations.dim != 1:
         raise LinAlgError("matrix form requires a single relation")
     n = cert.algebra.n
-    row = cert.algebra.relations.basis.entries[0]
-    m = Matrix.from_rows([row[i * n:(i + 1) * n] for i in range(n)], n)
+    entries = [[ZERO] * n for _ in range(n)]
+    for c, v in cert.algebra.relations.rows[0]:
+        entries[c // n][c % n] = v
+    m = Matrix.from_rows(entries, n)
     if not m.is_invertible():
         raise LinAlgError("relation coefficient matrix is singular")
     xi = (m.transpose() @ m.inverse()).scale(Fraction(-1))

@@ -53,18 +53,17 @@ def extract_superpotential(cert: RegularityCertificate) -> SuperpotentialData:
     top = koszul_component(alg, d)
     if top.dim != 1:
         raise ConsistencyError(f"top Koszul component has dimension {top.dim}, not 1")
-    w = Tensor.from_vector(top.basis.entries[0], d, n)
+    w = Tensor.from_sparse(top.rows[0], d, n)
     sub = koszul_component(alg, d - 1)
     left_rows = []
     right_cols = []
     for i in range(n):
-        lc = sub.coordinates(contract_left(unit_vector(n, i), w).to_vector())
+        lc = sub.coordinates(contract_left(unit_vector(n, i), w).to_sparse_map())
         if lc is None:
             raise ConsistencyError("left contraction leaves the Koszul component")
         left_rows.append(lc)
     for j in range(n):
-        rv = contract_right(w, unit_vector(n, j)).to_vector()
-        rc = sub.coordinates(rv)
+        rc = sub.coordinates(contract_right(w, unit_vector(n, j)).to_sparse_map())
         if rc is None:
             raise ConsistencyError("right contraction leaves the Koszul component")
         right_cols.append(rc)
@@ -108,9 +107,10 @@ def symmetrize(w: Tensor, sigma: Matrix) -> Tensor:
 
 def derivation_quotient(w: Tensor, order: int, names) -> QuadraticAlgebra:
     """Quadratic algebra whose relations are the order-fold left contractions
-    of w; requires w.degree - order == 2."""
-    if w.degree - order != 2:
-        raise LinAlgError("contraction order must leave degree-two relations")
+    of w; requires order >= 0 and w.degree - order == 2."""
+    if order < 0 or w.degree - order != 2:
+        raise LinAlgError("contraction order must be nonnegative and leave "
+                          "degree-two relations")
     n = w.ambient
     names = tuple(names)
     if len(names) != n:
@@ -152,7 +152,7 @@ def verify_superpotential_presentation(cert: RegularityCertificate,
     matches = dq.relations == alg.relations
     lower = koszul_component(alg, d - 2)
     prod = alg.relations.kron(lower)
-    coords = prod.coordinates(data.w.to_vector())
+    coords = prod.coordinates(data.w.to_sparse_map())
     if coords is None:
         raise ConsistencyError("superpotential is not a relation-times-factor sum")
     rows = [coords[a * lower.dim:(a + 1) * lower.dim]

@@ -3,9 +3,12 @@
 A degree-d tensor over an n-dimensional space is stored as a sorted tuple of
 (word, coefficient) pairs, where a word is a tuple of d letter indices.
 Words are identified with flat coordinates through the big-endian base-n
-expansion, so the induced coordinate order is lexicographic on words.  A
-linear map of the degree-one space is a plain Matrix in column convention:
-column j holds the coordinates of the image of letter j.
+expansion, so the induced coordinate order is lexicographic on words; a
+tensor converts to and from the sparse {word index: coefficient} map of
+those coordinates (`to_sparse_map`, `from_sparse`), the only form a
+word-coordinate vector takes in this package.  A linear map of the
+degree-one space is a plain Matrix in column convention: column j holds
+the coordinates of the image of letter j.
 """
 
 from __future__ import annotations
@@ -104,23 +107,15 @@ class Tensor:
         return Tensor(self.degree + other.degree, self.ambient,
                       tuple(sorted(acc.items())))
 
-    def to_vector(self) -> Vec:
-        n = self.ambient
-        out = [ZERO] * (n ** self.degree)
-        for w, c in self.terms:
-            out[word_to_index(w, n)] = c
-        return tuple(out)
-
     def to_sparse_map(self) -> dict[int, Fraction]:
         n = self.ambient
         return {word_to_index(w, n): c for w, c in self.terms}
 
     @staticmethod
-    def from_vector(vec, degree: int, ambient: int) -> "Tensor":
-        terms = []
-        for idx, c in enumerate(vec):
-            if c:
-                terms.append((index_to_word(idx, ambient, degree), Fraction(c)))
+    def from_sparse(pairs, degree: int, ambient: int) -> "Tensor":
+        """The tensor with the given (word index, coefficient) pairs."""
+        terms = sorted((index_to_word(i, ambient, degree), Fraction(c))
+                       for i, c in pairs if c)
         return Tensor(degree, ambient, tuple(terms))
 
     def _check_shape(self, other: "Tensor") -> None:
@@ -202,8 +197,8 @@ def preserves_subspace(phi: Matrix, space: Subspace, degree: int) -> bool:
     if space.ambient != n ** degree:
         raise LinAlgError("subspace ambient does not match the tensor degree")
     ext = tuple([phi] * degree)
-    for row in space.basis.entries:
-        img = apply_slotwise(ext, Tensor.from_vector(row, degree, n))
-        if any(space.reduce_sparse(img.to_sparse_map()).values()):
+    for row in space.rows:
+        img = apply_slotwise(ext, Tensor.from_sparse(row, degree, n))
+        if not space.contains(img.to_sparse_map()):
             return False
     return True

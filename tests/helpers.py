@@ -78,6 +78,18 @@ def dense_rref(rows, ambient):
     return tuple(pivots), tuple(tuple(r) for r in mat[:len(pivots)])
 
 
+def dense_rows(space):
+    """The RREF basis rows of a Subspace as dense Fraction tuples: the dense
+    view that the dense oracles above are compared against."""
+    out = []
+    for row in space.rows:
+        vec = [Fraction(0)] * space.ambient
+        for c, v in row:
+            vec[c] = v
+        out.append(tuple(vec))
+    return tuple(out)
+
+
 def dense_kernel_rows(rows, ambient):
     """A spanning set of {v : r . v = 0 for every row r}, one vector per
     free column of the dense reduced row echelon form."""
@@ -106,7 +118,7 @@ def twisted_cyclic_space(n, d, sigma):
     for idx in range(amb):
         t = Tensor.basis(index_to_word(idx, n, d), n)
         img = tau(d, d - 1, apply_slotwise([sigma] + [None] * (d - 1), t))
-        vec = list(t.to_vector())
+        vec = list(unit_vector(amb, idx))
         for w, c in img.terms:
             vec[word_to_index(w, n)] -= sign * c
         rows.append(tuple(vec))
@@ -115,20 +127,19 @@ def twisted_cyclic_space(n, d, sigma):
 
 
 def random_member(space, rng, lo=-4, hi=4):
-    """A random rational combination of a subspace basis, never zero unless
-    the space is."""
+    """A random rational combination of a subspace basis, as a sparse
+    {coordinate: value} map, never zero unless the space is."""
     if space.dim == 0:
         return None
     coeffs = [Fraction(rng.randrange(lo, hi + 1)) for _ in range(space.dim)]
     if not any(coeffs):
         coeffs[0] = Fraction(1)
-    vec = [Fraction(0)] * space.ambient
-    for c, row in zip(coeffs, space.basis.entries):
+    vec = {}
+    for c, row in zip(coeffs, space.rows):
         if c:
-            for t, v in enumerate(row):
-                if v:
-                    vec[t] += c * v
-    return tuple(vec)
+            for t, v in row:
+                vec[t] = vec.get(t, 0) + c * v
+    return vec
 
 
 def twist_pool():

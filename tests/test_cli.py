@@ -315,6 +315,23 @@ def test_non_regular_input_is_inapplicable(tmp_path, capsys):
     assert code == 1 and rep["verdict"]["regular"] is False
 
 
+def test_dimension_one_base(tmp_path, capsys):
+    # k[x] is regular of dimension 1: it has no superpotential relations to
+    # recover and no degree-2 relations to deform, so those commands refuse
+    # it with exit 2, while the commands that apply still pass
+    p = tmp_path / "kx.json"
+    p.write_text(json.dumps({"generators": ["x"], "relations": [],
+                             "deformation": {"nu": [], "theta": []}}))
+    for cmd in ("superpotential", "derivquot", "pbw"):
+        code, rep = _run(capsys, cmd, str(p))
+        assert code == 2, cmd
+        assert rep["status"] == "error" and rep["command"] == cmd
+    for cmd in ("regular", "symmetrize", "cy"):
+        code, rep = _run(capsys, cmd, str(p))
+        assert code == 0, cmd
+        assert rep["status"] == "pass", cmd
+
+
 def _count_calls(monkeypatch, fn):
     """Wrap fn at every quadalg module that binds it, the way perfbench's
     tracer does, and return the list that records one entry per call."""

@@ -69,7 +69,7 @@ def test_frobenius_goldens_quantum_plane():
     assert frob.pairings[1].entries == ((F(0), F(-1, 2)), (F(1), F(0)))
     assert frob.nakayama[1].entries == (
         (F(-1, 2), F(0)), (F(0), F(-2)))
-    ok, witness = is_graded_symmetric(_fd("quantum_plane_q2"), frob)
+    ok, witness = is_graded_symmetric(_fd("quantum_plane_q2"))
     assert not ok and witness is not None
 
 
@@ -84,7 +84,7 @@ def test_commutative_dual_is_graded_symmetric_odd_top():
     alg = _fd("kxy")
     frob = frobenius_structure(alg)
     assert frob.pairings[1].entries == ((F(0), F(-1)), (F(1), F(0)))
-    ok, witness = is_graded_symmetric(alg, frob)
+    ok, witness = is_graded_symmetric(alg)
     assert ok and witness is None
 
 

@@ -157,13 +157,8 @@ def test_skew_deformation_transport():
         z_img = c.delta[1].mul_col(tuple([F(0)] * n) + (F(1),))
         # rebuild the expected class from the stacked relation pairings
         ext = skew_extend(cert.algebra, xi)
-        stacked = []
-        mm = (n + 1) ** 2
-        for row in cert.algebra.relations.rows:
-            dense = [F(0)] * mm
-            for col, v in row:
-                dense[(col // n) * (n + 1) + (col % n)] = v
-            stacked.append(tuple(dense))
+        stacked = [{(col // n) * (n + 1) + col % n: v for col, v in row}
+                   for row in cert.algebra.relations.rows]
         stacked += ext.stacked_relations[nrel:]
         values = [F(0)] * nrel + list(lam)
         expect = ext_defm.cert.dual_fd.class_from_pairings(

@@ -86,12 +86,12 @@ def test_nakayama_preserves_relations():
     for name in AS_REGULAR:
         cert = cert_of(name)
         xi = nakayama_of_algebra(cert)
-        img = [cert.algebra.relations.reduce(
+        img = [cert.algebra.relations.reduce_sparse(
             apply_slotwise((xi, xi),
-                           Tensor.from_vector(row, 2, cert.algebra.n))
-            .to_vector())
-            for row in cert.algebra.relations.basis.entries]
-        assert all(all(v == 0 for v in r) for r in img), name
+                           Tensor.from_sparse(row, 2, cert.algebra.n))
+            .to_sparse_map())
+            for row in cert.algebra.relations.rows]
+        assert all(all(v == 0 for v in r.values()) for r in img), name
 
 
 def test_dim2_matrix_form_goldens():

@@ -43,7 +43,7 @@ def test_mixed_relations_formula():
         expect = Tensor.make(2, n + 1,
                              [((n, j), col[j]) for j in range(n)]
                              + [((i, n), F(-1))])
-        assert row == expect.to_vector(), i
+        assert row == expect.to_sparse_map(), i
 
 
 def test_identity_twist_gives_commuting_letter():
@@ -51,7 +51,7 @@ def test_identity_twist_gives_commuting_letter():
     assert graded_dims(ext.algebra, 4) == (1, 3, 6, 10, 15)
     want = Tensor.make(2, 3, [((2, 0), F(1)), ((0, 2), F(-1))])
     # the first mixed relation follows the one base relation
-    assert ext.stacked_relations[1] == want.to_vector()
+    assert ext.stacked_relations[1] == want.to_sparse_map()
 
 
 def test_dim3_extension_hilbert():

@@ -118,7 +118,7 @@ def test_twisted_cyclic_space_membership():
                 continue
             for _ in range(3):
                 vec = random_member(space, rng)
-                w = Tensor.from_vector(vec, d, 2)
+                w = Tensor.from_sparse(vec.items(), d, 2)
                 if w.is_zero():
                     continue
                 assert is_twisted_superpotential(w, xi), (name, d)
@@ -131,4 +131,4 @@ def test_twisted_cyclic_space_contains_extracted():
         cert = cert_of(name)
         data = extract_superpotential(cert)
         space = twisted_cyclic_space(cert.algebra.n, cert.gldim, data.twist)
-        assert space.contains(data.w.to_vector()), name
+        assert space.contains(data.w.to_sparse_map()), name

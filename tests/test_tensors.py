@@ -49,8 +49,9 @@ def test_tensor_make_merges_and_validates():
 
 def test_tensor_vector_roundtrip():
     t = Tensor.make(2, 3, [((0, 2), F(5, 2)), ((1, 1), F(-1))])
-    v = t.to_vector()
-    assert Tensor.from_vector(v, 2, 3) == t
+    v = t.to_sparse_map()
+    assert v == {2: F(5, 2), 4: F(-1)}
+    assert Tensor.from_sparse(v.items(), 2, 3) == t
 
 
 def test_tensor_product_concatenates():
