@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Run every CLI command over a fixed grid of inputs; fingerprint each report.
 
-The grid is the bundled corpus plus the skew polynomial rings in 3 and 4
-letters with x_i x_j = -2/3 x_j x_i for i < j, times every command, times
-the flag sets {default, --sigma id, --max-degree 4}: 468 runs.  Each run
+The grid is the bundled corpus, the skew polynomial rings in 3 and 4
+letters with x_i x_j = -2/3 x_j x_i for i < j, and the Sklyanin algebras
+S(1, 2, 3) (regular, PBW in no generator order) and S(1, 1, 1)
+(degenerate, PBW), times every command, times the flag sets {default,
+--sigma id, --max-degree 4}: 546 runs.  Each run
 prints one line: the case, the exit code, and the sha256 of the printed
 report with its timing_ms line removed.  Every functools cache of the
 package is emptied before each run, so a run sees what a fresh CLI
@@ -35,6 +37,7 @@ from quadalg.cli import COMMANDS, main
 
 FLAG_SETS = ((), ("--sigma", "id"), ("--max-degree", "4"))
 SKEW_Q = Fraction(-2, 3)
+SKLYANIN_POINTS = ((1, 2, 3), (1, 1, 1))
 TIMING = re.compile(r'\n  "timing_ms": \d+,')
 
 
@@ -45,6 +48,17 @@ def skew_polynomial(n, q):
              {"coeff": str(-q), "word": [names[j], names[i]]}]
             for i in range(n) for j in range(i + 1, n)]
     return {"generators": names, "relations": rels}
+
+
+def sklyanin(a, b, c):
+    """a yz + b zy + c xx, cyclically in (x, y, z); zero terms left out."""
+    names = ("x", "y", "z")
+    rels = []
+    for i in range(3):
+        x, y, z = names[i], names[(i + 1) % 3], names[(i + 2) % 3]
+        rels.append([{"coeff": str(v), "word": list(w)}
+                     for v, w in ((a, (y, z)), (b, (z, y)), (c, (x, x))) if v])
+    return {"generators": list(names), "relations": rels}
 
 
 def caches():
@@ -59,7 +73,8 @@ def caches():
 
 
 def inputs(workdir):
-    """(name, path) of every grid input, corpus first, in name order."""
+    """(name, path) of every grid input: the corpus in name order, then
+    the skew rings, then the Sklyanin algebras."""
     corpus = resources.files("quadalg") / "corpus"
     out = [(p.name[:-5], str(p))
            for p in sorted(corpus.iterdir(), key=lambda p: p.name)
@@ -68,6 +83,11 @@ def inputs(workdir):
         path = Path(workdir) / f"skew{n}.json"
         path.write_text(json.dumps(skew_polynomial(n, SKEW_Q), indent=1))
         out.append((f"skew{n}", str(path)))
+    for abc in SKLYANIN_POINTS:
+        name = "sklyanin" + "".join(map(str, abc))
+        path = Path(workdir) / f"{name}.json"
+        path.write_text(json.dumps(sklyanin(*abc), indent=1))
+        out.append((name, str(path)))
     return out
 
 

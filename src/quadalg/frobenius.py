@@ -18,7 +18,7 @@ from functools import reduce
 from math import lcm
 
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Vec, ZERO,
-                     _echelon_int, unit_vector)
+                     _echelon_int)
 
 
 class NotFrobenius(Exception):
@@ -334,17 +334,20 @@ def dual_trivial_extension(alg: GradedFDAlgebra, left, right,
     dims = [alg.dim(n - i) for i in range(n + 1)]
 
     def act_left(i, a, j, g):
-        # a.g evaluated on each basis element of E_{n-i-j}
-        la = left[i].col(a)
+        # a.g on basis element c of E_{n-i-j}: coordinate g of c * left(a)
         k = n - i - j
-        return [alg.multiply(k, unit_vector(alg.dim(k), c), i, la)[g]
-                for c in range(alg.dim(k))]
+        block = alg.mult.get((k, i))
+        la = _nonzero_entries(left[i].col(a))
+        return [sum((v * w for t, v in la for col, w in block[c][t] if col == g),
+                    ZERO) for c in range(alg.dim(k))]
 
     def act_right(i, g, j, b):
-        rb = right[j].col(b)
+        # g.b on basis element c of E_{n-i-j}: coordinate g of right(b) * c
         k = n - i - j
-        return [alg.multiply(j, rb, k, unit_vector(alg.dim(k), c))[g]
-                for c in range(alg.dim(k))]
+        block = alg.mult.get((j, k))
+        rb = _nonzero_entries(right[j].col(b))
+        return [sum((v * w for t, v in rb for col, w in block[t][c] if col == g),
+                    ZERO) for c in range(alg.dim(k))]
 
     return square_zero_extension(alg, dims, act_left, act_right)
 
@@ -363,11 +366,31 @@ def twisted_module_trivial_extension(alg: GradedFDAlgebra, left, right,
     dims = [alg.dim(i + shift) for i in range(alg.length - shift + 1)]
 
     def act_left(i, a, j, m):
-        la = left[i].col(a)
-        return alg.multiply(i, la, j + shift, unit_vector(alg.dim(j + shift), m))
+        block = alg.mult.get((i, j + shift))
+        la = _nonzero_entries(left[i].col(a))
+        return _sum_cells(((v, block[t][m]) for t, v in la),
+                          alg.dim(i + j + shift))
 
     def act_right(i, m, j, b):
-        rb = right[j].col(b)
-        return alg.multiply(i + shift, unit_vector(alg.dim(i + shift), m), j, rb)
+        block = alg.mult.get((i + shift, j))
+        rb = _nonzero_entries(right[j].col(b))
+        return _sum_cells(((v, block[m][t]) for t, v in rb),
+                          alg.dim(i + j + shift))
 
     return square_zero_extension(alg, dims, act_left, act_right)
+
+
+def _nonzero_entries(vec) -> list[tuple[int, Fraction]]:
+    """The (index, value) pairs of the nonzero entries of a dense vector."""
+    return [(t, v) for t, v in enumerate(vec) if v]
+
+
+def _sum_cells(terms, size: int) -> list[Fraction]:
+    """sum v * cell over (v, sparse cell) terms, as a dense row of length
+    size; no term is read when size is zero."""
+    out = [ZERO] * size
+    if size:
+        for v, cell in terms:
+            for c, w in cell:
+                out[c] += v * w
+    return out

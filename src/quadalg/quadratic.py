@@ -2,19 +2,22 @@
 and truncated multiplication tables.
 
 An algebra is a tuple of generator names plus a canonical subspace R of the
-degree-two word coordinates.  All degreewise data comes from the Koszul
+degree-two word coordinates.  Degreewise data comes from the Koszul
 components K_k, cached and keyed on the presentation: the degree-k piece of
 T(V)/(R) is the linear dual of K_k of the quadratic dual
-(Polishchuk-Positselski, Quadratic Algebras, Ch. 1).
+(Polishchuk-Positselski, Quadratic Algebras, Ch. 1).  Where only a
+dimension is asked for, it is counted instead whenever R has a PBW basis
+of normal words (see graded_dims): then no K_k is built beyond degree
+CHECKED_DEGREES.
 
-K_k is computed in integers, as an integer kernel over K_{k-1} (x) V, and
-becomes a canonical Fraction subspace only once, at the end.  A truncation
-of T(V)/(R) is one object, a TruncatedAlgebra: the GradedFDAlgebra whose
-sparse structure cells are read off the class coordinates of product
-words, together with those classes and its basis words (`words`), the
-only names its basis elements have.  No component is built on more than
-MAX_WORDS = 10^6 coordinate words: asking for one raises
-ResourceLimitError.
+K_k is computed in integers, as an integer kernel over K_{k-1} (x) V with
+one block of equations per pivot word of K_{k-2}, and becomes a canonical
+Fraction subspace only once, at the end.  A truncation of T(V)/(R) is one
+object, a TruncatedAlgebra: the GradedFDAlgebra whose sparse structure
+cells are read off the class coordinates of product words, together with
+those classes and its basis words (`words`), the only names its basis
+elements have.  No component is built on more than MAX_WORDS = 10^6
+coordinate words: asking for one raises ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -24,12 +27,15 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .frobenius import GradedFDAlgebra
-from .linalg import (LinAlgError, Matrix, ResourceLimitError, Subspace, Vec,
-                     ZERO, int_kernel)
+from .linalg import (ConsistencyError, LinAlgError, Matrix, ResourceLimitError,
+                     Subspace, Vec, ZERO, int_kernel)
 from .tensors import Tensor, apply_slotwise, index_to_word, preserves_subspace
 
 # the most coordinate words n**m a Koszul component may have
 MAX_WORDS = 10 ** 6
+# graded_dims reads degrees up to this one off K_k(A^!) on every input, and
+# checks the normal-word count against them wherever that count is used
+CHECKED_DEGREES = 4
 
 
 @dataclass(frozen=True)
@@ -83,9 +89,62 @@ def dual_names(names) -> tuple[str, ...]:
 
 
 def graded_dims(alg: QuadraticAlgebra, bound: int) -> tuple[int, ...]:
-    """Dimensions of the graded components of T(V)/(R) up to the bound:
-    the degree-k piece is dual to the Koszul component K_k of the dual."""
-    return tuple(koszul_component(alg.dual, k).dim for k in range(bound + 1))
+    """Dimensions of the graded components of T(V)/(R) up to the bound.
+
+    Up to degree CHECKED_DEGREES the degree-k piece is read off the Koszul
+    component K_k of the dual, its linear dual.  Beyond it, degree k is the
+    number of normal words of length k whenever R has a PBW basis in the
+    order of _normal_word_counts, and is read off K_k otherwise.
+
+    The PBW test is Bergman's diamond lemma in degree 3 (Bergman, "The
+    diamond lemma for ring theory", 1978; Polishchuk-Positselski, Quadratic
+    Algebras, Ch. 4).  The normal words of length k span A_k: a word that
+    contains a leading word w of R rewrites, modulo R in those two slots,
+    as a combination of words that are smaller in the deglex order, and
+    words of one length are finitely many.  They are a basis in every
+    degree exactly when they are one in degree 3, where the only overlaps
+    of two leading words live; as they span, that is when their number
+    equals dim A_3.  When the test passes, the counts and the
+    K_k dimensions of degrees up to CHECKED_DEGREES are two routes to one
+    answer, and a disagreement raises ConsistencyError.
+    """
+    checked = tuple(koszul_component(alg.dual, k).dim
+                    for k in range(min(bound, CHECKED_DEGREES) + 1))
+    if bound < 3:
+        return checked
+    counts = _normal_word_counts(alg, bound)
+    if counts[3] != checked[3]:
+        # not PBW in this order: every degree from its Koszul component
+        return checked + tuple(koszul_component(alg.dual, k).dim
+                               for k in range(CHECKED_DEGREES + 1, bound + 1))
+    if counts[:len(checked)] != checked:
+        raise ConsistencyError(
+            f"normal-word counts {counts[:len(checked)]} disagree with the "
+            f"Koszul component dimensions {checked} of a PBW algebra")
+    return counts
+
+
+def _normal_word_counts(alg: QuadraticAlgebra, bound: int) -> tuple[int, ...]:
+    """The number of normal words of each length up to the bound.
+
+    Order words of one length lexicographically with x_1 > ... > x_n.  A
+    smaller word index is then a larger word, so the pivots of R's reduced
+    echelon form, which lead its rows from the smallest index, are the
+    leading words of R, one per dimension.  A normal word contains no
+    leading word in two adjacent slots: a walk in the graph on the letters
+    with an edge a -> b for every two-letter word ab that is not a leading
+    word.
+    """
+    n = alg.n
+    lead = set(alg.relations.pivots)
+    before = [[a for a in range(n) if a * n + b not in lead] for b in range(n)]
+    # ends[b]: normal words of the current length that end in letter b
+    ends = [1] * n
+    counts = [1, n]
+    for _ in range(2, bound + 1):
+        ends = [sum(ends[a] for a in before[b]) for b in range(n)]
+        counts.append(sum(ends))
+    return tuple(counts)
 
 
 @lru_cache(maxsize=None)
@@ -101,6 +160,9 @@ def _koszul_component(alg: QuadraticAlgebra, m: int) -> Subspace:
     # all arithmetic below is on content-free integer rows; rescaling the
     # basis of K_{m-1} or of R-perp does not change the span computed
     prev = _koszul_component(alg, m - 1).int_rows
+    # the equations at the pivot words of K_{m-2} span all of them
+    # (koszul_component's docstring), so only those are written
+    pivot_words = set(_koszul_component(alg, m - 2).pivots)
     # the entries f[a, l] of the R-perp basis, grouped by their first letter a
     perp = [[] for _ in range(n)]
     for fi, f in enumerate(alg.dual.relations.int_rows):
@@ -114,6 +176,8 @@ def _koszul_component(alg: QuadraticAlgebra, m: int) -> Subspace:
     for s, b in enumerate(prev):
         for w, val in b:
             u, a = divmod(w, n)
+            if u not in pivot_words:
+                continue
             for fi, l, v in perp[a]:
                 eq = eqs.setdefault((u, fi), {})
                 eq[s * n + l] = eq.get(s * n + l, 0) + val * v
@@ -131,7 +195,19 @@ def _koszul_component(alg: QuadraticAlgebra, m: int) -> Subspace:
 def koszul_component(alg: QuadraticAlgebra, m: int) -> Subspace:
     """The degree-m piece of the Koszul complex: all words landing in R
     at every adjacent slot pair, as a kernel over K_{m-1} (x) V.  Raises
-    ResourceLimitError beyond MAX_WORDS coordinate words."""
+    ResourceLimitError beyond MAX_WORDS coordinate words.
+
+    The kernel is cut out by one equation per word u of length m-2 and
+    per f in R-perp: x = sum c[s, l] b_s (x) e_l, over the basis b_s of
+    K_{m-1}, pairs to zero with u (x) f.  Only the u at the pivot words
+    of K_{m-2} are needed.  Since K_{m-1} lies in K_{m-2} (x) V, for each
+    s and letter a the slice y[u] = b_s[u a] is an element of K_{m-2}.
+    An element of K_{m-2} is the combination of its reduced echelon rows
+    r_t with coefficients its values at their pivot words p_t, so
+    b_s[u a] = sum_t r_t[u] b_s[p_t a].  The equation at (u, f) is
+    linear in these slices with coefficients that do not depend on u,
+    hence it is sum_t r_t[u] times the equation at (p_t, f).
+    """
     return _koszul_component(alg, m)
 
 
@@ -163,7 +239,11 @@ def numeric_koszul_certificate(alg: QuadraticAlgebra, bound: int) -> KoszulCerti
     Hilbert series of algebra and dual must multiply to 1 after the sign
     flip, i.e. the alternating convolution of the two dimension sequences
     vanishes in every positive degree up to the bound.  The first holds for
-    every quadratic algebra by duality, so it is only a self-check.
+    every quadratic algebra by duality.  Up to degree CHECKED_DEGREES, and
+    in every degree when the dual fails the PBW test of graded_dims, both
+    sides read the same cached K_m, so there it is only a self-check.  On
+    a PBW dual beyond that degree dual_dims are normal-word counts and
+    component_dims the dimensions of K_m, two routes to one number.
     """
     dims = graded_dims(alg, bound)
     dual_dims = graded_dims(alg.dual, bound)

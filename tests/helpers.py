@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from importlib import resources
+import json
 import random
 
 from quadalg import (Cdga, GradedFDAlgebra, Matrix, Subspace, Tensor,
@@ -31,6 +32,43 @@ def algebra_of(name):
 def cert_of(name):
     # certification is cached on the algebra value, so this stays cheap
     return as_regular_certificate(algebra_of(name), 5)
+
+
+def _term(coeff, word):
+    return {"coeff": str(Fraction(coeff)), "word": list(word)}
+
+
+def skew_description(n, q):
+    """The skew polynomial ring x_i x_j = q x_j x_i for i < j on the
+    letters a, b, c, ..., as a JSON document."""
+    names = [chr(ord("a") + i) for i in range(n)]
+    rels = [[_term(1, (names[i], names[j])), _term(-q, (names[j], names[i]))]
+            for i in range(n) for j in range(i + 1, n)]
+    return {"generators": names, "relations": rels}
+
+
+def sklyanin_description(a, b, c):
+    """The 3-dimensional Sklyanin algebra S(a, b, c): the relations
+    a yz + b zy + c xx, cyclically in (x, y, z), as a JSON document."""
+    names = ("x", "y", "z")
+    rels = []
+    for i in range(3):
+        x, y, z = names[i], names[(i + 1) % 3], names[(i + 2) % 3]
+        rels.append([_term(v, w) for v, w in ((a, (y, z)), (b, (z, y)),
+                                             (c, (x, x))) if v])
+    return {"generators": list(names), "relations": rels}
+
+
+def algebra_of_description(doc):
+    return description_to_algebra(parse_description(json.dumps(doc)))
+
+
+def skew_ring(n, q):
+    return algebra_of_description(skew_description(n, q))
+
+
+def sklyanin(a, b, c):
+    return algebra_of_description(sklyanin_description(a, b, c))
 
 
 def sparse_table(dims, mult):

@@ -2,11 +2,12 @@
 
 import json
 import sys
+from fractions import Fraction
 from importlib import resources
 
 import pytest
 
-from helpers import AS_REGULAR
+from helpers import AS_REGULAR, skew_description
 from quadalg import cli
 from quadalg.cli import main
 from quadalg.pbw import dual_cdga, nakayama_shift
@@ -221,6 +222,16 @@ def test_resource_guard_exit_code(tmp_path, capsys):
     assert code == 3
     assert rep == {"command": "hilbert", "status": "error",
                    "error": "32^4 coordinate words exceed the cap of 1000000"}
+
+
+def test_hilbert_counts_pbw_degrees_past_the_word_cap(tmp_path, capsys):
+    # 6^8 coordinate words exceed the cap, but the 6-letter skew ring is PBW:
+    # degrees past 4 are normal-word counts and no K_8 is built
+    p = tmp_path / "skew6.json"
+    p.write_text(json.dumps(skew_description(6, Fraction(-2, 3))))
+    code, rep = _run(capsys, "hilbert", str(p), "--max-degree", "8")
+    assert code == 0
+    assert rep["verdict"]["dims"] == [1, 6, 21, 56, 126, 252, 462, 792, 1287]
 
 
 def test_memory_error_is_a_resource_failure(capsys, monkeypatch):

@@ -7,14 +7,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (AS_REGULAR, algebra_of, cert_of, is_multiplicative,
-                     oracle_truncation, relation_degree_subspace,
+from helpers import (AS_REGULAR, CORPUS, algebra_of, cert_of,
+                     is_multiplicative, oracle_truncation,
+                     relation_degree_subspace, skew_ring, sklyanin,
                      structure_equal)
-from quadalg import (Matrix, QuadraticAlgebra, Tensor,
+from quadalg import (Matrix, QuadraticAlgebra, Tensor, quadratic,
                      graded_dims, koszul_component, nakayama_of_algebra,
                      numeric_koszul_certificate, preserves_subspace,
                      skew_extend, truncated_structure, word_to_index)
-from quadalg.linalg import LinAlgError
+from quadalg.linalg import ConsistencyError, LinAlgError
 
 F = Fraction
 
@@ -32,6 +33,10 @@ NONKOSZUL = _alg(("x", "y", "z"),
                  [[((1, 1), 1), ((2, 1), -1)],
                   [((1, 2), 1)],
                   [((2, 0), 1)]])
+# Sklyanin algebras S(a, b, c): three regular ones, PBW in no generator
+# order, and three of the four degenerate points over Q, PBW in every order
+SKLYANIN_POINTS = ((1, 2, 3), (2, -1, 1), (3, 5, -7),
+                   (1, 1, 1), (1, 0, 0), (0, 0, 1))
 
 
 def test_dual_of_commutative_plane():
@@ -76,15 +81,66 @@ def test_near_free_hilbert_series_stays_small():
     # Its dual has 8 relations, so K_7 of the dual is 987 rows in 3^7
     # coordinates: dense rows would hold over two million entries.  No
     # other test uses this algebra, so its Koszul components are not cached.
+    # graded_dims counts normal words past degree 4 here, so K_7 is asked
+    # for directly.
     alg = _alg(("x", "y", "z"), [[((0, 1), 1)]])
     tracemalloc.start()
     try:
-        dims = graded_dims(alg, 7)
+        top = koszul_component(alg.dual, 7)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert dims == (1, 3, 8, 21, 55, 144, 377, 987)
+    assert top.dim == 987
+    assert graded_dims(alg, 7) == (1, 3, 8, 21, 55, 144, 377, 987)
     assert peak < 8 * 2 ** 20
+
+
+def test_normal_word_dims_match_koszul_components():
+    # the K_k-only route in every degree, against graded_dims, which counts
+    # normal words past degree 4 on PBW inputs
+    algs = [algebra_of(name) for name in CORPUS]
+    algs += [a.dual for a in algs]
+    algs += [sklyanin(*p) for p in SKLYANIN_POINTS]
+    algs += [skew_ring(n, F(-2, 3)) for n in range(2, 6)]
+    for alg in algs:
+        want = tuple(koszul_component(alg.dual, k).dim for k in range(8))
+        assert graded_dims(alg, 7) == want, alg.names
+
+
+def test_sklyanin_points_pbw_or_not():
+    # every point has three leading words and the same normal-word counts;
+    # they are the dimensions only at the degenerate points, as the regular
+    # ones have the Hilbert series of k[x, y, z]
+    counts = (1, 3, 6, 12, 24, 48, 96, 192)
+    for i, p in enumerate(SKLYANIN_POINTS):
+        alg = sklyanin(*p)
+        assert quadratic._normal_word_counts(alg, 7) == counts, p
+        want = (1, 3, 6, 10, 15, 21, 28, 36) if i < 3 else counts
+        assert graded_dims(alg, 7) == want, p
+
+
+def test_jordan_plane_dims_come_from_koszul_components():
+    # xy - yx - xx has leading word xx: the normal words avoid xx and are
+    # counted by Fibonacci numbers, which overcount from degree 3 on, so
+    # no degree is read off them
+    alg = algebra_of("jordan_plane")
+    assert quadratic._normal_word_counts(alg, 7) == (1, 2, 3, 5, 8, 13, 21, 34)
+    assert graded_dims(alg, 7) == (1, 2, 3, 4, 5, 6, 7, 8)
+
+
+def test_normal_word_count_disagreement_raises(monkeypatch):
+    count = quadratic._normal_word_counts
+
+    def off_in_degree_four(alg, bound):
+        counts = list(count(alg, bound))
+        counts[4] += 1
+        return tuple(counts)
+
+    monkeypatch.setattr(quadratic, "_normal_word_counts", off_in_degree_four)
+    with pytest.raises(ConsistencyError, match="normal-word counts"):
+        graded_dims(algebra_of("poly3"), 6)
+    # the check guards the PBW route only; the Jordan plane is not PBW here
+    assert graded_dims(algebra_of("jordan_plane"), 6) == (1, 2, 3, 4, 5, 6, 7)
 
 
 def test_relation_degree_dimension_identity():
@@ -103,6 +159,18 @@ def test_koszul_component_matches_dual_dims():
             comp = koszul_component(alg, m)
             assert comp.dim == dual.n ** m - span.dim, m
             assert comp == span.annihilator(), m
+
+
+def test_pivot_word_equations_match_relation_span_oracle():
+    # from degree 4 on, K_m is cut out by the equations at the pivot words
+    # of K_{m-2} only: on the non-PBW Jordan plane and S(1, 2, 3), on the
+    # degenerate, PBW S(1, 1, 1), and on the dual of each
+    for base in (algebra_of("jordan_plane"), sklyanin(1, 2, 3),
+                 sklyanin(1, 1, 1)):
+        for alg in (base, base.dual):
+            for m in range(4, 7):
+                span = relation_degree_subspace(alg.dual, m)
+                assert koszul_component(alg, m) == span.annihilator(), m
 
 
 def test_numeric_koszul_corpus_passes():
@@ -242,8 +310,9 @@ def quadratic_algebras(draw):
 @settings(max_examples=25, deadline=None)
 @given(quadratic_algebras())
 def test_component_dual_dim_identity_random(alg):
+    # up to degree 6: the pivot-word restriction removes equations from 4 on
     dual = alg.dual
-    for m in range(2, 5):
+    for m in range(2, 7):
         span = relation_degree_subspace(dual, m)
         assert koszul_component(alg, m) == span.annihilator()
 
