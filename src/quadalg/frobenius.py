@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import lcm
+from typing import Sequence
 
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Vec, ZERO,
-                     _echelon_int)
+                     _forward_reduce)
 
 
 class NotFrobenius(Exception):
@@ -55,34 +55,62 @@ class GradedFDAlgebra:
             raise LinAlgError("degree zero must be spanned by the unit")
         d = self.length
         table: dict[tuple[int, int], tuple] = {}
+        # the same table scaled by den, the lcm of all its denominators, for
+        # the associativity check.  Each cell is scaled by den as it stands
+        # when the cell is read; `changes` records (cells read, den) at every
+        # change of den, and the cells read before it are rescaled at the end
+        ints: dict[tuple[int, int], Sequence] = {}
+        den = 1
+        changes = []
+        icells = []
         for i in range(d + 1):
             for j in range(d + 1 - i):
                 block = mult.get((i, j))
                 if block is None:
-                    table[(i, j)] = ((((),) * self.dims[j]),) * self.dims[i]
+                    table[(i, j)] = ints[(i, j)] = (
+                        (((),) * self.dims[j]),) * self.dims[i]
                     continue
                 top = self.dims[i + j]
                 rows = []
+                irows = []
                 for row in block:
                     row = tuple(map(tuple, row))
                     if len(row) != self.dims[j]:
                         raise LinAlgError(f"bad structure block at degrees {(i, j)}")
+                    irow = []
                     for cell in row:
                         last = -1
+                        icell = []
                         for c, w in cell:
-                            if not (last < c < top and w):
+                            num, q = w.as_integer_ratio()
+                            if not (last < c < top and num):
                                 raise LinAlgError(
                                     f"bad structure cell at degrees {(i, j)}: "
                                     f"coordinates must increase within range "
                                     f"and values be nonzero")
                             last = c
+                            if den % q:
+                                changes.append((len(icells), den))
+                                new = lcm(den, q)
+                                icell = [(e, v * (new // den)) for e, v in icell]
+                                den = new
+                            icell.append((c, num * (den // q)))
+                        icells.append(icell)
+                        irow.append(icell)
                     rows.append(row)
+                    irows.append(irow)
                 if len(rows) != self.dims[i]:
                     raise LinAlgError(f"bad structure block at degrees {(i, j)}")
                 table[(i, j)] = tuple(rows)
+                ints[(i, j)] = irows
+        lo = 0
+        for hi, old in changes:
+            for icell in icells[lo:hi]:
+                icell[:] = [(e, v * (den // old)) for e, v in icell]
+            lo = hi
         self.mult = table
         self._validate_unit()
-        self._validate_associativity()
+        self._validate_associativity(ints)
 
     @property
     def length(self) -> int:
@@ -138,7 +166,7 @@ class GradedFDAlgebra:
                 if self.mult[(j, 0)][b][0] != unit:
                     raise LinAlgError(f"right unit fails on degree {j} index {b}")
 
-    def _validate_associativity(self) -> None:
+    def _validate_associativity(self, mult) -> None:
         """(e_a e_b) s = e_a (e_b s) for basis elements e_a, e_b of positive
         degree and every s in a generating set S, which is associativity by
         the lemma in the class docstring.
@@ -148,53 +176,64 @@ class GradedFDAlgebra:
         span of all products A_i A_j with i + j = k and i, j >= 1.  These
         complement D_k, so by induction on the degree S generates the
         algebra under this table's own product, whatever the table holds.
-        Triples with a factor of degree 0 follow from the unit check.
+        Once D_k has rank dims[k] no more products are reduced: S has no
+        element of degree k.  Triples with a factor of degree 0 follow from
+        the unit check.
 
-        The table is scaled once by the lcm D of its denominators, and both
-        sides are summed in integers over the nonzero constants only.  Each
-        side comes out as D^2 times the true product, so the comparison is
-        still exact.
+        mult is the table scaled by the lcm D of its denominators, in
+        integers (see the constructor); both sides are summed over its
+        nonzero constants only.  Each side comes out as D^2 times the true
+        product, so the comparison is still exact.  Zeros are dropped from
+        the two sums only when they differ, since a coordinate of one side
+        may cancel to zero where the other side has no entry.
         """
-        den = reduce(lcm, (w.denominator for block in self.mult.values()
-                           for row in block for cell in row for _, w in cell), 1)
-        mult = {key: tuple(tuple(tuple((c, w.numerator * (den // w.denominator))
-                                       for c, w in cell)
-                                 for cell in row)
-                           for row in block)
-                for key, block in self.mult.items()}
-        d = self.length
+        d, dims = self.length, self.dims
         gens = [()]
         for k in range(1, d + 1):
-            pivots = _echelon_int(dict(cell) for i in range(1, k)
-                                  for row in mult[(i, k - i)] for cell in row if cell)
-            gens.append(tuple(c for c in range(self.dims[k]) if c not in pivots))
+            pivots: dict[int, dict[int, int]] = {}
+            products = (cell for i in range(1, k) for row in mult[(i, k - i)]
+                        for cell in row if cell)
+            for cell in products:
+                if len(pivots) == dims[k]:
+                    break
+                lead, red = _forward_reduce(dict(cell), pivots)
+                if lead is not None:
+                    pivots[lead] = red
+            gens.append(tuple(c for c in range(dims[k]) if c not in pivots))
         for i in range(1, d + 1):
             for j in range(1, d + 1 - i):
+                ij = mult[(i, j)]
                 for k in range(1, d + 1 - i - j):
-                    if not gens[k]:
+                    gk = gens[k]
+                    if not gk:
                         continue
-                    ij_k = mult[(i + j, k)]
-                    by_c = {c: [row[c] for row in ij_k] for c in gens[k]}
+                    jk = mult[(j, k)]
                     i_jk = mult[(i, j + k)]
-                    for a in range(self.dims[i]):
-                        for b in range(self.dims[j]):
-                            ab = mult[(i, j)][a][b]
-                            for c in gens[k]:
-                                left = _combine(ab, by_c[c])
-                                right = _combine(mult[(j, k)][b][c], i_jk[a])
-                                if left != right:
+                    ij_k = mult[(i + j, k)]
+                    # the column of (i+j, k) cells at each generator c
+                    cols = [(c, [row[c] for row in ij_k]) for c in gk]
+                    for a in range(dims[i]):
+                        ij_a = ij[a]
+                        i_jk_a = i_jk[a]
+                        for b in range(dims[j]):
+                            ab = ij_a[b]
+                            jk_b = jk[b]
+                            for c, col in cols:
+                                # (e_a e_b) e_c and e_a (e_b e_c)
+                                left: dict[int, int] = {}
+                                for t, x in ab:
+                                    for e, w in col[t]:
+                                        left[e] = left.get(e, 0) + x * w
+                                right: dict[int, int] = {}
+                                for t, x in jk_b[c]:
+                                    for e, w in i_jk_a[t]:
+                                        right[e] = right.get(e, 0) + x * w
+                                if left != right and (
+                                        {e: v for e, v in left.items() if v}
+                                        != {e: v for e, v in right.items() if v}):
                                     raise LinAlgError(
                                         f"associativity fails at degrees {(i, j, k)} "
                                         f"indices {(a, b, c)}")
-
-
-def _combine(coeffs, cells) -> dict[int, int]:
-    """sum_t coeffs[t] * cells[t] over sparse integer cells, zeros dropped."""
-    acc: dict[int, int] = {}
-    for t, x in coeffs:
-        for c, w in cells[t]:
-            acc[c] = acc.get(c, 0) + x * w
-    return {c: v for c, v in acc.items() if v}
 
 
 @dataclass(frozen=True)
@@ -279,10 +318,12 @@ def square_zero_extension(alg: GradedFDAlgebra, module_dims,
 
     Degree i of the result is A_i followed by M_i, where M_i has dimension
     module_dims[i]; the result's length is len(module_dims) - 1.
-    left(i, a, j, b) is the coordinate row in M_{i+j} of the a-th basis
-    element of A_i acting on the b-th of M_j, and right(i, a, j, b) that of
-    the a-th basis element of M_i acted on by the b-th of A_j.  Products of
-    two module elements vanish.
+    left(i, a, j, b) is the sparse cell in M_{i+j}, its nonzero
+    (coordinate, value) pairs in increasing coordinate order, of the a-th
+    basis element of A_i acting on the b-th of M_j, and right(i, a, j, b)
+    that of the a-th basis element of M_i acted on by the b-th of A_j.
+    Neither is called when M_{i+j} is zero.  Products of two module
+    elements vanish.
     """
     length = len(module_dims) - 1
     if length < alg.length:
@@ -299,24 +340,26 @@ def square_zero_extension(alg: GradedFDAlgebra, module_dims,
                 for b in range(dims[j]):
                     if a < ai and b < aj:
                         cell = alg.mult[(i, j)][a][b] if i + j <= alg.length else ()
-                    elif a < ai:
-                        cell = _module_cell(left(i, a, j, b - aj), off, size)
-                    elif b < aj:
-                        cell = _module_cell(right(i, a - ai, j, b), off, size)
-                    else:
+                    elif not size or (a >= ai and b >= aj):
                         cell = ()
+                    elif a < ai:
+                        cell = _module_cell(left(i, a, j, b - aj), off)
+                    else:
+                        cell = _module_cell(right(i, a - ai, j, b), off)
                     row.append(cell)
                 block.append(tuple(row))
             mult[(i, j)] = tuple(block)
     return GradedFDAlgebra(dims, mult)
 
 
-def _module_cell(row, offset: int, size: int):
-    """The nonzero entries of a dense module row of length size, at
-    coordinates shifted past the algebra's part of the degree."""
-    if len(row) != size:
-        raise LinAlgError("module action row does not match the module dimension")
-    return tuple((offset + c, Fraction(v)) for c, v in enumerate(row) if v)
+def _module_cell(cell, offset: int):
+    """A sparse cell of M_k with its coordinates shifted past A_k.  The
+    constructor checks that they increase and stay below the degree's
+    dimension; a negative first coordinate is rejected here, since it
+    would land inside A_k."""
+    if cell and cell[0][0] < 0:
+        raise LinAlgError("module action cell has a negative coordinate")
+    return tuple((offset + c, v) for c, v in cell)
 
 
 def dual_trivial_extension(alg: GradedFDAlgebra, left, right,
@@ -332,22 +375,31 @@ def dual_trivial_extension(alg: GradedFDAlgebra, left, right,
     if n <= alg.length:
         raise LinAlgError("the shift must exceed the algebra length")
     dims = [alg.dim(n - i) for i in range(n + 1)]
+    lcols, rcols = _columns(left), _columns(right)
 
     def act_left(i, a, j, g):
         # a.g on basis element c of E_{n-i-j}: coordinate g of c * left(a)
         k = n - i - j
-        block = alg.mult.get((k, i))
-        la = _nonzero_entries(left[i].col(a))
-        return [sum((v * w for t, v in la for col, w in block[c][t] if col == g),
-                    ZERO) for c in range(alg.dim(k))]
+        block = alg.mult[(k, i)]
+        la = lcols[i][a]
+        out = []
+        for c in range(alg.dim(k)):
+            v = sum((x * w for t, x in la for e, w in block[c][t] if e == g), ZERO)
+            if v:
+                out.append((c, v))
+        return out
 
     def act_right(i, g, j, b):
         # g.b on basis element c of E_{n-i-j}: coordinate g of right(b) * c
         k = n - i - j
-        block = alg.mult.get((j, k))
-        rb = _nonzero_entries(right[j].col(b))
-        return [sum((v * w for t, v in rb for col, w in block[t][c] if col == g),
-                    ZERO) for c in range(alg.dim(k))]
+        block = alg.mult[(j, k)]
+        rb = rcols[j][b]
+        out = []
+        for c in range(alg.dim(k)):
+            v = sum((x * w for t, x in rb for e, w in block[t][c] if e == g), ZERO)
+            if v:
+                out.append((c, v))
+        return out
 
     return square_zero_extension(alg, dims, act_left, act_right)
 
@@ -364,33 +416,34 @@ def twisted_module_trivial_extension(alg: GradedFDAlgebra, left, right,
     if shift >= 0:
         raise LinAlgError("only negative shifts are supported")
     dims = [alg.dim(i + shift) for i in range(alg.length - shift + 1)]
+    lcols, rcols = _columns(left), _columns(right)
 
     def act_left(i, a, j, m):
-        block = alg.mult.get((i, j + shift))
-        la = _nonzero_entries(left[i].col(a))
-        return _sum_cells(((v, block[t][m]) for t, v in la),
-                          alg.dim(i + j + shift))
+        block = alg.mult[(i, j + shift)]
+        return _sparse_sum([(x, block[t][m]) for t, x in lcols[i][a]])
 
     def act_right(i, m, j, b):
-        block = alg.mult.get((i + shift, j))
-        rb = _nonzero_entries(right[j].col(b))
-        return _sum_cells(((v, block[m][t]) for t, v in rb),
-                          alg.dim(i + j + shift))
+        row = alg.mult[(i + shift, j)][m]
+        return _sparse_sum([(x, row[t]) for t, x in rcols[j][b]])
 
     return square_zero_extension(alg, dims, act_left, act_right)
 
 
-def _nonzero_entries(vec) -> list[tuple[int, Fraction]]:
-    """The (index, value) pairs of the nonzero entries of a dense vector."""
-    return [(t, v) for t, v in enumerate(vec) if v]
+def _columns(maps) -> list[list[list[tuple[int, Fraction]]]]:
+    """The nonzero (row, value) entries of every column of every matrix of
+    a graded map, read once per degree."""
+    return [[[(t, row[a]) for t, row in enumerate(m.entries) if row[a]]
+             for a in range(m.cols)] for m in maps]
 
 
-def _sum_cells(terms, size: int) -> list[Fraction]:
-    """sum v * cell over (v, sparse cell) terms, as a dense row of length
-    size; no term is read when size is zero."""
-    out = [ZERO] * size
-    if size:
-        for v, cell in terms:
-            for c, w in cell:
-                out[c] += v * w
-    return out
+def _sparse_sum(terms):
+    """sum x * cell over a list of (x, sparse cell) terms, as a sparse
+    cell; one term, the common case of a monomial twist, is just scaled."""
+    if len(terms) == 1:
+        x, cell = terms[0]
+        return [(c, x * w) for c, w in cell]
+    acc: dict[int, Fraction] = {}
+    for x, cell in terms:
+        for c, w in cell:
+            acc[c] = acc.get(c, ZERO) + x * w
+    return [(c, v) for c, v in sorted(acc.items()) if v]

@@ -12,8 +12,10 @@ Subspace stores each basis row as a content-free integer row with a
 positive pivot entry (`int_rows`) and normalises it to `Fraction`s, pivot
 entry 1, only when `rows` is first read.  Hot callers stay in integers
 throughout: they build subspaces straight from integer rows
-(`Subspace.from_int_rows`) and read integer kernel rows off the integer
-reduced echelon form (`int_kernel`).
+(`Subspace.from_int_rows`) and take kernels with `int_kernel`, which
+eliminates once, with the columns numbered from the last one down, and
+returns the kernel's canonical basis.  A subspace built from those rows
+(an annihilator, a Koszul component) needs no second elimination.
 
 A vector indexed by coordinate words has one form, a sparse {coordinate:
 value} map or its (coordinate, value) pairs; only the small dense Matrix
@@ -139,18 +141,27 @@ def _reduced_echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]
     return pivots
 
 
-def _nonzero(row: Mapping[int, int]) -> dict[int, int]:
-    return {c: v for c, v in row.items() if v}
+def int_kernel(rows: Iterable[Mapping[int, int]], ambient: int) -> list[dict[int, int]]:
+    """The canonical basis of {x : r . x = 0 for every given row r}.
 
+    The rows are integer rows given by their entries, zeros allowed.  The
+    result is the kernel's reduced echelon basis in pivot order, each row
+    content-free with a positive pivot entry: the `int_rows` that
+    Subspace.from_int_rows would make of it, found in one elimination.
 
-def _kernel_of_echelon(pivots: Mapping[int, Mapping[int, int]],
-                       ambient: int) -> list[dict[int, int]]:
-    """Integer rows spanning the right kernel of a reduced echelon form.
-
-    One row per free column f: L e_f - sum_p (L r_p[f] / r_p[p]) e_p over
-    the pivot rows r_p, where L is the lcm of the pivot entries r_p[p] of
-    the rows with r_p[f] != 0.
+    The rows are reduced with the columns numbered from the last one down.
+    In that numbering a reduced row r_p leads at its pivot p and is
+    nonzero elsewhere only at free columns after p.  For each free column
+    f the kernel holds L e_f - sum_p (L r_p[f] / r_p[p]) e_p, L the lcm of
+    the pivot entries r_p[p] of the rows with r_p[f] != 0; it is nonzero
+    only at f and at pivots before f.  Read in the original order, f is
+    its leading column, L > 0 its leading entry, and no other kernel row
+    is nonzero at f, which is a free column.  So after a gcd strip these
+    rows are the reduced echelon basis, with pivots the free columns.
     """
+    top = ambient - 1
+    pivots = _reduced_echelon({top - c: v for c, v in r.items() if v}
+                              for r in rows)
     by_col: dict[int, list[tuple[int, int, int]]] = {}
     for p, r in pivots.items():
         pv = r[p]
@@ -158,27 +169,16 @@ def _kernel_of_echelon(pivots: Mapping[int, Mapping[int, int]],
             if c != p:
                 by_col.setdefault(c, []).append((p, pv, v))
     out = []
-    for f in range(ambient):
+    for f in range(top, -1, -1):
         if f in pivots:
             continue
         terms = by_col.get(f, ())
         big = reduce(lcm, (pv for _, pv, _ in terms), 1)
-        row = {f: big}
+        row = {top - f: big}
         for p, pv, v in terms:
-            row[p] = -(big // pv) * v
-        out.append(row)
+            row[top - p] = -(big // pv) * v
+        out.append(_strip(row))
     return out
-
-
-def int_kernel(rows: Iterable[Mapping[int, int]], ambient: int) -> list[dict[int, int]]:
-    """Integer rows spanning {x : r . x = 0 for every given row r}.
-
-    The rows are integer rows given by their entries; the result has one
-    row per free column of their reduced echelon form, so its rows are
-    independent.
-    """
-    return _kernel_of_echelon(_reduced_echelon(_nonzero(r) for r in rows),
-                              ambient)
 
 
 SparseRow = tuple[tuple[int, Fraction], ...]
@@ -349,7 +349,8 @@ class Subspace:
         """The span of integer rows given by their entries; zero entries
         may be listed or left out."""
         return Subspace._from_echelon(
-            _reduced_echelon(_nonzero(r) for r in rows), ambient)
+            _reduced_echelon({c: v for c, v in r.items() if v} for r in rows),
+            ambient)
 
     @staticmethod
     def _from_echelon(pivots: dict[int, dict[int, int]], ambient: int) -> "Subspace":
@@ -405,14 +406,12 @@ class Subspace:
         return tuple(Fraction(vec.get(p, 0)) for p in self.pivots)
 
     def annihilator(self) -> "Subspace":
-        """Functionals vanishing on this subspace, in dual coordinates.
-
-        Spanned by e_f - sum_t rows[t][f] e_{pivots[t]} over the non-pivot
-        columns f, computed on the integer rows.
-        """
-        echelon = {p: dict(r) for p, r in zip(self.pivots, self.int_rows)}
-        return Subspace.from_int_rows(_kernel_of_echelon(echelon, self.ambient),
-                                      self.ambient)
+        """Functionals vanishing on this subspace, in dual coordinates: the
+        kernel of the integer rows, whose int_kernel rows are already its
+        canonical basis."""
+        rows = int_kernel((dict(r) for r in self.int_rows), self.ambient)
+        return Subspace(self.ambient, tuple(min(r) for r in rows),
+                        tuple(tuple(sorted(r.items())) for r in rows))
 
     def kron(self, other: "Subspace") -> "Subspace":
         """Tensor (Kronecker) product subspace.

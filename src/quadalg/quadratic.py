@@ -11,8 +11,9 @@ of normal words (see graded_dims): then no K_k is built beyond degree
 CHECKED_DEGREES.
 
 K_k is computed in integers, as an integer kernel over K_{k-1} (x) V with
-one block of equations per pivot word of K_{k-2}, and becomes a canonical
-Fraction subspace only once, at the end.  A truncation of T(V)/(R) is one
+one block of equations per pivot word of K_{k-2}.  The kernel rows come out
+canonical, and so do their expansions into words, so no elimination runs
+on the n^k word coordinates of K_k.  A truncation of T(V)/(R) is one
 object, a TruncatedAlgebra: the GradedFDAlgebra whose sparse structure
 cells are read off the class coordinates of product words, together with
 those classes and its basis words (`words`), the only names its basis
@@ -28,7 +29,7 @@ from functools import cached_property, lru_cache
 
 from .frobenius import GradedFDAlgebra
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ResourceLimitError,
-                     Subspace, Vec, ZERO, int_kernel)
+                     Subspace, Vec, ZERO, _strip, int_kernel)
 from .tensors import Tensor, apply_slotwise, index_to_word, preserves_subspace
 
 # the most coordinate words n**m a Koszul component may have
@@ -159,7 +160,8 @@ def _koszul_component(alg: QuadraticAlgebra, m: int) -> Subspace:
         return alg.relations
     # all arithmetic below is on content-free integer rows; rescaling the
     # basis of K_{m-1} or of R-perp does not change the span computed
-    prev = _koszul_component(alg, m - 1).int_rows
+    prev_space = _koszul_component(alg, m - 1)
+    prev, prev_pivots = prev_space.int_rows, prev_space.pivots
     # the equations at the pivot words of K_{m-2} span all of them
     # (koszul_component's docstring), so only those are written
     pivot_words = set(_koszul_component(alg, m - 2).pivots)
@@ -181,6 +183,9 @@ def _koszul_component(alg: QuadraticAlgebra, m: int) -> Subspace:
             for fi, l, v in perp[a]:
                 eq = eqs.setdefault((u, fi), {})
                 eq[s * n + l] = eq.get(s * n + l, 0) + val * v
+    # the kernel rows come in canonical form, and so do their expansions
+    # (koszul_component's docstring): no second elimination
+    pivots = []
     rows = []
     for c in int_kernel(eqs.values(), len(prev) * n):
         x: dict[int, int] = {}
@@ -188,8 +193,10 @@ def _koszul_component(alg: QuadraticAlgebra, m: int) -> Subspace:
             s, l = divmod(j, n)
             for w, val in prev[s]:
                 x[w * n + l] = x.get(w * n + l, 0) + cj * val
-        rows.append(x)
-    return Subspace.from_int_rows(rows, n ** m)
+        s, l = divmod(min(c), n)
+        pivots.append(prev_pivots[s] * n + l)
+        rows.append(tuple(sorted(_strip({w: v for w, v in x.items() if v}).items())))
+    return Subspace(n ** m, tuple(pivots), tuple(rows))
 
 
 def koszul_component(alg: QuadraticAlgebra, m: int) -> Subspace:
@@ -207,6 +214,18 @@ def koszul_component(alg: QuadraticAlgebra, m: int) -> Subspace:
     b_s[u a] = sum_t r_t[u] b_s[p_t a].  The equation at (u, f) is
     linear in these slices with coefficients that do not depend on u,
     hence it is sum_t r_t[u] times the equation at (p_t, f).
+
+    No second elimination on the n^m word coordinates is needed.  The
+    vectors b_s (x) e_l are a reduced echelon basis of K_{m-1} (x) V,
+    with pivots p_s n + l increasing in the order of (s, l), since the
+    b_s are one with pivots p_s.  The kernel rows c from int_kernel are
+    the canonical basis over the (s, l) coordinates: c leads at some
+    (s, l), positively, and is zero at the leading (s', l') of every
+    other kernel row.  Then x = sum c[s, l] b_s (x) e_l leads at
+    p_s n + l, where its entry is c[s, l] times the positive pivot
+    entry of b_s, and it is zero at the pivot word of every other x.  So
+    the x are the reduced echelon basis of K_m, canonical after a gcd
+    strip.
     """
     return _koszul_component(alg, m)
 

@@ -7,7 +7,7 @@ from importlib import resources
 
 import pytest
 
-from helpers import AS_REGULAR, skew_description
+from helpers import AS_REGULAR, skew_description, sklyanin_description
 from quadalg import cli
 from quadalg.cli import main
 from quadalg.pbw import dual_cdga, nakayama_shift
@@ -324,6 +324,47 @@ def test_non_regular_input_is_inapplicable(tmp_path, capsys):
         assert "dual algebra is still nonzero" in rep["error"]
     code, rep = _run(capsys, "regular", str(p))
     assert code == 1 and rep["verdict"]["regular"] is False
+
+
+@pytest.mark.parametrize("point", [(1, 2, 3), (2, -1, 1), (3, 5, -7)])
+def test_regular_sklyanin_verdicts(tmp_path, capsys, point):
+    # three regular points of the Sklyanin family: AS-regular of dimension
+    # 3 with the Hilbert series of k[x, y, z], identity Nakayama map, so the
+    # untwisted extension is Calabi-Yau of dimension 4
+    p = tmp_path / "sklyanin.json"
+    p.write_text(json.dumps(sklyanin_description(*point)))
+    code, rep = _run(capsys, "regular", str(p))
+    assert code == 0
+    assert rep["verdict"] == {"dual_dims": [1, 3, 3, 1, 0, 0], "gldim": 3,
+                              "koszul_bound": 5, "regular": True}
+    code, rep = _run(capsys, "nakayama", str(p))
+    assert code == 0
+    assert rep["verdict"]["matrix"] == [["1", "0", "0"], ["0", "1", "0"],
+                                        ["0", "0", "1"]]
+    for flags in ((), ("--sigma", "id")):
+        code, rep = _run(capsys, "cy", str(p), *flags)
+        assert code == 0, flags
+        assert rep["verdict"] == {"dimension": 4, "is_CY": True,
+                                  "koszul_bound": 5}, flags
+
+
+@pytest.mark.parametrize("point", [(1, 1, 1), (1, 0, 0), (0, 0, 1)])
+def test_degenerate_sklyanin_verdicts(tmp_path, capsys, point):
+    # degenerate points: the dual never vanishes, so regular is refused and
+    # the commands that need a regular algebra exit 2
+    reason = ("degree 5: dual algebra is still nonzero at the degree bound, "
+              "no finite length is visible")
+    p = tmp_path / "sklyanin.json"
+    p.write_text(json.dumps(sklyanin_description(*point)))
+    code, rep = _run(capsys, "regular", str(p))
+    assert code == 1
+    assert rep["verdict"]["regular"] is False
+    assert rep["verdict"]["reason"] == reason
+    for argv in (("nakayama",), ("cy",), ("cy", "--sigma", "id")):
+        code, rep = _run(capsys, argv[0], str(p), *argv[1:])
+        assert code == 2, argv
+        assert rep == {"command": argv[0], "error": reason,
+                       "status": "error"}, argv
 
 
 def test_dimension_one_base(tmp_path, capsys):

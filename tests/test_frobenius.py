@@ -231,6 +231,25 @@ def test_square_zero_extension_by_zero_module_is_the_algebra():
         square_zero_extension(_fd("kxy"), [0], no_action, no_action)
 
 
+def test_malformed_module_cells_are_rejected():
+    # a module over kxy's dual whose action leaves M_{i+j}, or would land
+    # inside A_{i+j}; both are caught before the unit is checked
+    E = _fd("kxy")
+    module_dims = [0] + [E.dim(i - 1) for i in range(1, E.length + 2)]
+    size = module_dims[2]
+
+    def acting_by(cell):
+        def act(i, a, j, b):
+            return cell
+        return act
+
+    none = acting_by(())
+    with pytest.raises(LinAlgError, match="bad structure cell"):
+        square_zero_extension(E, module_dims, acting_by(((size, F(1)),)), none)
+    with pytest.raises(LinAlgError, match="negative coordinate"):
+        square_zero_extension(E, module_dims, none, acting_by(((-1, F(1)),)))
+
+
 def test_dual_extension_dual_block_annihilates():
     E = _fd("jordan_plane")
     gamma = dual_trivial_extension(E, E.identity_automorphism(),
@@ -330,6 +349,25 @@ def _valid_tables():
         yield truncated_structure(ext.algebra.dual, cert.gldim + 1)
 
 
+def _check_agrees_with_all_triples(dims, dense):
+    """Whether the table is associative, by the all-triples oracle, after
+    checking that the constructor's verdict on generators agrees."""
+    table = sparse_table(dims, dense)
+    associative = associativity_failure(dims, table) is None
+    try:
+        GradedFDAlgebra(dims, table)
+    except LinAlgError as exc:
+        assert str(exc).startswith("associativity fails")
+        assert not associative
+    else:
+        assert associative
+    return associative
+
+
+def _random_constant(rng):
+    return F(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
+
+
 def test_associativity_on_generators_agrees_with_all_triples():
     rng = seeded(20261018)
     verdicts = set()
@@ -345,20 +383,91 @@ def test_associativity_on_generators_agrees_with_all_triples():
             bad = _add_to_cell(dense, (i, j), rng.randrange(alg.dims[i]),
                                rng.randrange(alg.dims[j]),
                                rng.randrange(alg.dims[i + j]),
-                               F(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2))))
-            table = sparse_table(alg.dims, bad)
-            associative = associativity_failure(alg.dims, table) is None
-            try:
-                GradedFDAlgebra(alg.dims, table)
-            except LinAlgError as exc:
-                assert str(exc).startswith("associativity fails")
-                assert not associative
-            else:
-                assert associative
-            verdicts.add(associative)
+                               _random_constant(rng))
+            verdicts.add(_check_agrees_with_all_triples(alg.dims, bad))
     # some changes stay associative (a product into the top degree only
     # meets the unit), the others must be caught
     assert verdicts == {True, False}
+    # the models A^! + A^![-1] of the Nakayama-twisted extensions: one
+    # constant changed in a product of an A^! element and a module element
+    # of positive degrees, the cells that square_zero_extension builds from
+    # the twisted actions
+    rng = seeded(20261019)
+    verdicts = set()
+    for name in AS_REGULAR:
+        cert = cert_of(name)
+        dual = cert.dual_fd
+        gamma = ext_algebra_of_skew(cert, nakayama_of_algebra(cert))
+        dense = _dense_table(gamma)
+        cells = [(i, j, a, b) for (i, j) in dense if i and j and gamma.dims[i + j]
+                 for a in range(gamma.dims[i]) for b in range(gamma.dims[j])
+                 if (a < dual.dim(i)) != (b < dual.dim(j))]
+        for _ in range(8):
+            i, j, a, b = rng.choice(cells)
+            bad = _add_to_cell(dense, (i, j), a, b,
+                               rng.randrange(gamma.dims[i + j]),
+                               _random_constant(rng))
+            verdicts.add(_check_agrees_with_all_triples(gamma.dims, bad))
+    assert False in verdicts
+
+
+def _unit_blocks(dims):
+    def unit(n, i):
+        return tuple(F(int(c == i)) for c in range(n))
+    mult = {}
+    for j, n in enumerate(dims):
+        mult[(0, j)] = (tuple(unit(n, b) for b in range(n)),)
+        mult[(j, 0)] = tuple((unit(n, b),) for b in range(n))
+    return mult
+
+
+def test_denominator_met_inside_a_cell():
+    # k[x, y] up to degree 3, with degree-2 basis p = xy - yy, q = xx,
+    # r = 2yy and degree 3 in the monomial basis xxx, xxy, xyy, yyy.  The
+    # first denominator of the table sits in the second entry of the cell
+    # x y = p + r/2, after an integer one, which must be rescaled with it
+    h = F(1, 2)
+    mult = _unit_blocks((1, 2, 3, 4))
+    mult[(1, 1)] = (((0, 1, 0), (1, 0, h)),
+                    ((1, 0, h), (0, 0, h)))
+    xp, yp = (0, 1, -1, 0), (0, 0, 1, -1)
+    mult[(1, 2)] = ((xp, (1, 0, 0, 0), (0, 0, 2, 0)),
+                    (yp, (0, 1, 0, 0), (0, 0, 0, 2)))
+    mult[(2, 1)] = tuple(zip(*mult[(1, 2)]))
+    alg = dense_algebra((1, 2, 3, 4), mult)
+    assert alg.multiply_basis(1, 0, 1, 1) == (1, 0, h)
+    assert associativity_failure(alg.dims, alg.mult) is None
+    # y x := p + r/2 + q breaks (x y) x = x (y x)
+    bad = _add_to_cell(mult, (1, 1), 1, 0, 1, 1)
+    with pytest.raises(LinAlgError, match="associativity fails"):
+        dense_algebra((1, 2, 3, 4), bad)
+
+
+def test_terms_that_cancel_are_not_a_failure():
+    # degrees 1, 2, 3 with bases {x}, {p, q}, {r} and x x = p + q.  With
+    # p x = r and q x = -r, the coordinate r of (x x) x cancels to zero
+    # while x (x x) has no entry there; with x p = r and x q = -r instead
+    # it is the other way round.  Both tables are associative.
+    one, zero = F(1), F(0)
+    unit = {(0, 0): (((one,),),), (0, 1): (((one,),),),
+            (1, 0): (((one,),),), (0, 2): (((one, zero), (zero, one)),),
+            (2, 0): (((one, zero),), ((zero, one),)), (0, 3): (((one,),),),
+            (3, 0): (((one,),),), (1, 1): (((one, one),),)}
+    acts = (((F(1),),), ((F(-1),),))
+    no_acts = (((zero,),), ((zero,),))
+    for right, left in ((acts, no_acts), (no_acts, acts)):
+        mult = dict(unit)
+        mult[(2, 1)] = right
+        mult[(1, 2)] = (tuple(cell[0] for cell in left),)
+        alg = dense_algebra((1, 1, 2, 1), mult)
+        assert alg.multiply_basis(1, 0, 1, 0) == (one, one)
+    # the same table with q x = r is not associative
+    mult = dict(unit)
+    mult[(2, 1)] = (((one,),), ((one,),))
+    mult[(1, 2)] = (((zero,), (zero,)),)
+    with pytest.raises(LinAlgError, match=re.escape(
+            "associativity fails at degrees (1, 1, 1) indices (0, 0, 0)")):
+        dense_algebra((1, 1, 2, 1), mult)
 
 
 def test_sparse_and_dense_construction_agree():

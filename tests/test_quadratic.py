@@ -15,7 +15,7 @@ from quadalg import (Matrix, QuadraticAlgebra, Tensor, quadratic,
                      graded_dims, koszul_component, nakayama_of_algebra,
                      numeric_koszul_certificate, preserves_subspace,
                      skew_extend, truncated_structure, word_to_index)
-from quadalg.linalg import ConsistencyError, LinAlgError
+from quadalg.linalg import ConsistencyError, LinAlgError, Subspace
 
 F = Fraction
 
@@ -105,6 +105,22 @@ def test_normal_word_dims_match_koszul_components():
     for alg in algs:
         want = tuple(koszul_component(alg.dual, k).dim for k in range(8))
         assert graded_dims(alg, 7) == want, alg.names
+
+
+def test_koszul_components_are_canonical_without_a_second_elimination():
+    # K_m is assembled from the canonical kernel rows over K_{m-1} (x) V
+    # with no elimination on its n^m word coordinates; eliminating its rows
+    # again must give the same canonical subspace
+    algs = [algebra_of(name) for name in CORPUS]
+    algs += [a.dual for a in algs]
+    algs += [sklyanin(*p) for p in SKLYANIN_POINTS]
+    algs += [skew_ring(n, F(-2, 3)) for n in range(2, 6)]
+    for alg in algs:
+        for m in range(7):
+            comp = koszul_component(alg, m)
+            again = Subspace.from_int_rows([dict(r) for r in comp.int_rows],
+                                           alg.n ** m)
+            assert comp == again, (alg.names, m)
 
 
 def test_sklyanin_points_pbw_or_not():
