@@ -5,7 +5,9 @@ The grid is the bundled corpus, the skew polynomial rings in 3 and 4
 letters with x_i x_j = -2/3 x_j x_i for i < j, and the Sklyanin algebras
 S(1, 2, 3) (regular, PBW in no generator order) and S(1, 1, 1)
 (degenerate, PBW), times every command, times the flag sets {default,
---sigma id, --max-degree 4}: 546 runs.  Each run
+--sigma id, --max-degree 4}: 546 runs.  Then poly3 with a unipotent,
+non-diagonal sigma section, times every command, with --sigma file: 13
+runs, 559 in all.  Each run
 prints one line: the case, the exit code, and the sha256 of the printed
 report with its timing_ms line removed.  Every functools cache of the
 package is emptied before each run, so a run sees what a fresh CLI
@@ -36,6 +38,9 @@ import quadalg
 from quadalg.cli import COMMANDS, main
 
 FLAG_SETS = ((), ("--sigma", "id"), ("--max-degree", "4"))
+SIGMA_FILE = (("--sigma", "file"),)
+# rows in the file convention: the images of the letters as row vectors
+UNIPOTENT_SIGMA = [["1", "1", "0"], ["0", "1", "2"], ["0", "0", "1"]]
 SKEW_Q = Fraction(-2, 3)
 SKLYANIN_POINTS = ((1, 2, 3), (1, 1, 1))
 TIMING = re.compile(r'\n  "timing_ms": \d+,')
@@ -73,21 +78,28 @@ def caches():
 
 
 def inputs(workdir):
-    """(name, path) of every grid input: the corpus in name order, then
-    the skew rings, then the Sklyanin algebras."""
+    """(name, path, flag sets) of every grid input: the corpus in name
+    order, then the skew rings, then the Sklyanin algebras, each with every
+    flag set; last poly3 with the unipotent sigma section, with --sigma
+    file only."""
     corpus = resources.files("quadalg") / "corpus"
-    out = [(p.name[:-5], str(p))
+    out = [(p.name[:-5], str(p), FLAG_SETS)
            for p in sorted(corpus.iterdir(), key=lambda p: p.name)
            if p.name.endswith(".json")]
     for n in (3, 4):
         path = Path(workdir) / f"skew{n}.json"
         path.write_text(json.dumps(skew_polynomial(n, SKEW_Q), indent=1))
-        out.append((f"skew{n}", str(path)))
+        out.append((f"skew{n}", str(path), FLAG_SETS))
     for abc in SKLYANIN_POINTS:
         name = "sklyanin" + "".join(map(str, abc))
         path = Path(workdir) / f"{name}.json"
         path.write_text(json.dumps(sklyanin(*abc), indent=1))
-        out.append((name, str(path)))
+        out.append((name, str(path), FLAG_SETS))
+    poly3 = json.loads((corpus / "poly3.json").read_text())
+    poly3["sigma"] = UNIPOTENT_SIGMA
+    path = Path(workdir) / "poly3_unipotent.json"
+    path.write_text(json.dumps(poly3, indent=1))
+    out.append(("poly3_unipotent", str(path), SIGMA_FILE))
     return out
 
 
@@ -95,9 +107,9 @@ def run():
     clear = caches()
     broken = 0
     with tempfile.TemporaryDirectory() as workdir:
-        for name, path in inputs(workdir):
+        for name, path, flag_sets in inputs(workdir):
             for cmd in COMMANDS:
-                for flags in FLAG_SETS:
+                for flags in flag_sets:
                     for cache in clear:
                         cache.cache_clear()
                     buf = io.StringIO()

@@ -280,18 +280,19 @@ def is_graded_symmetric(alg: GradedFDAlgebra):
     """Sign-symmetry of the pairing; returns (verdict, witness).
 
     Checked two ways: entrywise on the pairing matrices and through the
-    Nakayama map being the expected sign scalar in each degree.  The witness
-    is (degree, row, col) of the first failing pairing entry, or None.
+    Nakayama map being the expected sign scalar in each degree, read entry
+    by entry.  The witness is (degree, row, col) of the first failing
+    pairing entry, or None.
     """
     frob = frobenius_structure(alg)
     d = alg.length
     witness = None
     for i in range(d + 1):
         gi, gdi = frob.pairings[i], frob.pairings[d - i]
-        sign = Fraction((-1) ** (i * (d - i)))
+        odd = i * (d - i) % 2
         for a in range(gi.rows):
             for b in range(gi.cols):
-                if gi[a, b] != sign * gdi[b, a]:
+                if gi[a, b] != (-gdi[b, a] if odd else gdi[b, a]):
                     witness = (i, a, b)
                     break
             if witness:
@@ -299,10 +300,13 @@ def is_graded_symmetric(alg: GradedFDAlgebra):
         if witness:
             break
     ok_pairings = witness is None
+    # the Nakayama map is the sign (-1)^((d-1) i) times the identity on
+    # degree i: compare each entry with that sign or zero
     ok_nakayama = all(
-        frob.nakayama[i] ==
-        Matrix.identity(alg.dims[i]).scale(Fraction((-1) ** ((d - 1) * i)))
-        for i in range(d + 1))
+        v == ((-1) ** ((d - 1) * i) if a == b else 0)
+        for i in range(d + 1)
+        for a, row in enumerate(frob.nakayama[i].entries)
+        for b, v in enumerate(row))
     if ok_pairings != ok_nakayama:
         raise ConsistencyError("pairing symmetry and Nakayama sign test disagree")
     return ok_pairings, witness

@@ -61,7 +61,8 @@ class ResourceLimitError(RuntimeError):
 
 def _to_int_row(row: RowLike) -> dict[int, int]:
     """Scale a rational row to a content-free integer row."""
-    pairs = row.items() if isinstance(row, Mapping) else enumerate(row)
+    # dict first: the Mapping check alone goes through the slow ABC hook
+    pairs = row.items() if isinstance(row, (dict, Mapping)) else enumerate(row)
     items = [(c, v if isinstance(v, Fraction) else Fraction(v))
              for c, v in pairs if v]
     if not items:
@@ -94,7 +95,10 @@ def _axpy(a: int, row: dict[int, int], b: int, other: dict[int, int]) -> dict[in
 
 
 def _forward_reduce(row: dict[int, int], pivots: dict[int, dict[int, int]]):
-    """Reduce ``row`` against the pivot rows; return (lead, row) or (None, {})."""
+    """Reduce ``row`` against the pivot rows; return (lead, row) or (None, {}).
+
+    Only a row that is kept is gcd-stripped; the steps before do not strip.
+    """
     while row:
         lead = min(row)
         p = pivots.get(lead)
@@ -105,8 +109,6 @@ def _forward_reduce(row: dict[int, int], pivots: dict[int, dict[int, int]]):
         a, b = p[lead], row[lead]
         g = gcd(a, b)
         row = _axpy(a // g, row, b // g, p)
-        if row:
-            row = _strip(row)
     return None, {}
 
 

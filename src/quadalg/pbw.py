@@ -78,15 +78,16 @@ def dual_cdga(defm: PBWDeformation) -> Cdga:
     The differential pairs with nu on degree one (the image class pairs to
     nu(r)'s coordinate on each canonical relation) and extends by the signed
     Leibniz rule along each letter of a basis word; the curvature class
-    pairs with theta.
+    pairs with theta.  The n degree-one classes and the curvature class
+    come from one solve.
     """
     cert = defm.cert
     d = cert.gldim
     trunc = cert.dual_fd
     n = cert.algebra.n
     rel = cert.algebra.relations.rows
-    delta1 = [trunc.class_from_pairings(2, rel, defm.nu.col(i))
-              for i in range(n)]
+    *delta1, curvature = trunc.class_from_pairings(
+        2, rel, [defm.nu.col(i) for i in range(n)] + [defm.theta])
     delta = [Matrix.zero(trunc.dims[1], 1),
              Matrix.from_rows(delta1, trunc.dims[2]).transpose()]
     reps2 = [trunc.lift_sparse(2, delta1[i]) for i in range(n)]
@@ -113,7 +114,6 @@ def dual_cdga(defm: PBWDeformation) -> Cdga:
             cols.append(trunc.reduce_sparse(j + 1, acc))
         delta.append(Matrix.from_rows(cols, trunc.dims[j + 1]).transpose())
     delta.append(Matrix.zero(0, trunc.dims[d]))
-    curvature = trunc.class_from_pairings(2, rel, defm.theta)
     return Cdga(trunc, tuple(delta), curvature)
 
 

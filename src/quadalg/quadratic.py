@@ -332,23 +332,43 @@ class TruncatedAlgebra(GradedFDAlgebra):
     def lift_sparse(self, k: int, coords) -> dict[int, Fraction]:
         return {w: Fraction(c) for w, c in zip(self.words[k], coords) if c}
 
-    def class_from_pairings(self, k: int, rows, values) -> Vec:
-        """The degree-k class pairing as prescribed against given rows, each
-        a sparse {word index: value} map or its pairs.
+    def class_from_pairings(self, k: int, rows, value_vectors) -> list[Vec]:
+        """The degree-k classes pairing as prescribed against given rows, one
+        class per vector of values, each vector holding one value per row;
+        a row is a sparse {word index: value} map or its pairs.
 
         The pairing is the coordinate dot product.  Every row must lie in the
         Koszul component paired with this degree, so that the values only
         depend on the class; a class then pairs through its basis words.
+        The rows are checked once for all vectors, and all vectors are
+        solved in one elimination of the rows read on the basis words, the
+        vectors' values appended as further columns: a pivot among those
+        columns means some vector is attained by no class.  Otherwise the
+        row with pivot p holds, in column dims[k] + j, coordinate p of the
+        j-th class (coordinates off the pivots are zero), which is the
+        solution a single vector's elimination gives.
         """
         rows = [dict(r) for r in rows]
         if not all(self.components[k].contains(r) for r in rows):
             raise LinAlgError("pairing values are not class functions")
-        on_basis = Matrix.from_rows([[r.get(w, ZERO) for w in self.words[k]]
-                                     for r in rows], self.dims[k])
-        cls = on_basis.solve(values)
-        if cls is None:
+        if any(len(values) != len(rows) for values in value_vectors):
+            raise LinAlgError("one pairing value per row is needed")
+        dim = self.dims[k]
+        aug = []
+        for i, r in enumerate(rows):
+            row = {t: r[w] for t, w in enumerate(self.words[k]) if w in r}
+            for j, values in enumerate(value_vectors):
+                row[dim + j] = values[i]
+            aug.append(row)
+        space = Subspace.from_spanning(aug, dim + len(value_vectors))
+        if space.pivots and space.pivots[-1] >= dim:
             raise LinAlgError("no element attains the prescribed pairings")
-        return cls
+        out = [[ZERO] * dim for _ in value_vectors]
+        for p, row in zip(space.pivots, space.rows):
+            for c, v in row:
+                if c >= dim:
+                    out[c - dim][p] = v
+        return [tuple(cls) for cls in out]
 
     def automorphism(self, phi: Matrix) -> tuple[Matrix, ...]:
         """Extend a relation-preserving degree-one map to every degree, one

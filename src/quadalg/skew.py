@@ -8,7 +8,10 @@ degree-shifted copy of itself; the model is verified against the honest
 dual of the extension by an explicit degreewise isomorphism before any
 verdict is read off.  The isomorphism is checked multiplicative on
 degree-1 generators, which suffices since both algebras are associative
-and the model is generated in degree 1.
+and the model is generated in degree 1.  Each degree of it is solved and
+checked in one sparse elimination of the model products stacked over
+their honest images, read off the structure tables' cells; the mixed
+relation classes it is checked against come from one solve.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from functools import lru_cache
 from .frobenius import (GradedFDAlgebra, is_graded_symmetric,
                         twisted_module_trivial_extension)
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Subspace, ZERO,
-                     unit_vector)
+                     _echelon_int, _to_int_row, unit_vector)
 from .quadratic import QuadraticAlgebra, graded_dims, truncated_structure
 from .regular import RegularityCertificate
 from .superpotential import (derivation_quotient, extract_superpotential,
@@ -134,67 +137,102 @@ def verify_ext_algebra_isomorphism(cert: RegularityCertificate,
     f(x) f(c) for every x form a subspace that contains 1 and degree 1 and
     is closed under products, as f(x c c') = f(x c) f(c') = f(x) f(c) f(c')
     = f(x) f(c c').  So f preserves every structure constant exactly when
-    generated_ok holds.  Two product identities pin the mixed
-    dual relations: the i-th generator times the new letter is minus the
-    i-th mixed relation class, and the new letter times the i-th generator
-    is the inverse-twist row combination of the mixed relation classes.
+    generated_ok holds.
+
+    Degree k is one elimination.  Let P be the g x N matrix of the model
+    products e_a e_b over the N pairs of a degree-(k-1) and a degree-1
+    basis element (g = dims[k] of the model), and Q the e x N matrix of
+    their honest images f(e_a) f(e_b) = f(e_a) e_b (f is the identity in
+    degree 1), summed from the cells of the basis elements in f(e_a).  Pair
+    j gives the row (P e_j, Q e_j), model coordinates first, and the rows
+    are reduced in pair order.  They span W = {(P x, Q x)}.
+    - The pivots in the model block are those of W's projection to it,
+      P's column space: rank P of them.
+    - The rows with a pivot in the honest block span W meet 0 x Q^e =
+      {(0, Q x) : P x = 0}, which is zero exactly when ker P lies in
+      ker Q.
+    generated_ok asks that P be onto and that some f_k have f_k P = Q.  For
+    P onto, such an f_k exists, and is unique, exactly when ker P lies in
+    ker Q.  So generated_ok holds if and only if the model block holds g
+    pivots and the honest block none.
+
+    A row kept with a model pivot has its lead in the model block all
+    through its reduction, so it was reduced by earlier such rows only.
+    The kept model-pivot rows therefore span the rows of the pairs that
+    gave them, and those pairs are B, the earliest pairs with independent
+    model products.  When P is onto, P_B is invertible and that span,
+    {(P_B y, Q_B y)}, has the reduced echelon rows (e_t, Q_B P_B^{-1} e_t):
+    column t of f_k = Q_B P_B^{-1} is the honest part of row t.  This is
+    the f_k = Q S of a right inverse S of P that is zero off B, the one
+    that a reduction of [P | I] gives, and without honest pivots it is the
+    unique f_k with f_k P = Q.  bijective asks that f_k be square of full
+    rank.  When P is not onto, generated_ok fails and the zero map is
+    carried on.
+
+    Two product identities pin the mixed dual relations: the i-th
+    generator times the new letter is minus the i-th mixed relation class,
+    and the new letter times the i-th generator is the inverse-twist row
+    combination of the mixed relation classes.  Both read the degree-(1, 1)
+    cells of the honest dual.
     """
     alg = cert.algebra
     n = alg.n
-    d = cert.gldim
     ext = skew_extend(alg, sigma)
     gamma = ext_algebra_of_skew(cert, sigma)
-    ebd = truncated_structure(ext.algebra.dual, d + 1)
-    length = d + 1
-    generated_ok = True
-    bijective = True
-    maps = [Matrix.identity(1)]
+    ebd = truncated_structure(ext.algebra.dual, cert.gldim + 1)
     if gamma.dims[1] != n + 1 or ebd.dims[1] != n + 1:
         raise ConsistencyError("degree-one dimensions do not match")
-    maps.append(Matrix.identity(n + 1))
-    for k in range(2, length + 1):
-        pcols = []
-        qcols = []
-        for a in range(gamma.dims[k - 1]):
-            fa = maps[k - 1].col(a)
-            for b in range(gamma.dims[1]):
-                fb = maps[1].col(b)
-                pcols.append(gamma.multiply_basis(k - 1, a, 1, b))
-                qcols.append(ebd.multiply(k - 1, fa, 1, fb))
-        pmat = Matrix.from_rows(zip(*pcols), len(pcols))
-        qmat = Matrix.from_rows(zip(*qcols), len(qcols))
-        smat = pmat.right_inverse()
-        if smat is None:
+    generated_ok = True
+    bijective = True
+    # f_{k-1} as sparse columns {honest coordinate: value}, one per model
+    # basis element; the identity in degree 1
+    prev = [{b: ONE} for b in range(n + 1)]
+    for k in range(2, cert.gldim + 2):
+        g, e = gamma.dims[k], ebd.dims[k]
+        model = gamma.mult[(k - 1, 1)]
+        honest = ebd.mult[(k - 1, 1)]
+        rows = []
+        for a, fa in enumerate(prev):
+            for b in range(n + 1):
+                row = dict(model[a][b])
+                for t, x in fa.items():
+                    for c, w in honest[t][b]:
+                        row[g + c] = row.get(g + c, ZERO) + x * w
+                rows.append(_to_int_row(row))
+        echelon = _echelon_int(rows)
+        kept = [r for p, r in echelon.items() if p < g]
+        if len(kept) < g:
             generated_ok = False
-            maps.append(Matrix.zero(ebd.dims[k], gamma.dims[k]))
+            prev = [{} for _ in range(g)]
             continue
-        fk = qmat @ smat
-        if fk @ pmat != qmat:
+        if len(echelon) > g:
             generated_ok = False
-        if gamma.dims[k] != ebd.dims[k] or not fk.is_invertible():
+        # model pivots 0..g-1: each row is (e_t, column t of f_k)
+        space = Subspace.from_int_rows(kept, g + e)
+        prev = [{c - g: v for c, v in row[1:]} for row in space.rows]
+        if g != e or len(_echelon_int(
+                {c: v for c, v in row[1:]} for row in space.int_rows)) != e:
             bijective = False
-        maps.append(fk)
     # mixed dual relation classes, paired against the original relation rows
     nrel = alg.relations.dim
-    rt_classes = [ebd.class_from_pairings(
-        2, ext.stacked_relations, unit_vector(nrel + n, nrel + i))
-        for i in range(n)]
+    rt_classes = [{t: v for t, v in enumerate(cls) if v}
+                  for cls in ebd.class_from_pairings(
+                      2, ext.stacked_relations,
+                      [unit_vector(nrel + n, nrel + i) for i in range(n)])]
     pinv = sigma.inverse()
+    cells = ebd.mult[(1, 1)]
     left_ok = True
     right_ok = True
-    dim2 = ebd.dims[2]
     for i in range(n):
-        xi_zs = ebd.multiply(1, unit_vector(n + 1, i), 1, unit_vector(n + 1, n))
-        if xi_zs != tuple(-v for v in rt_classes[i]):
+        if dict(cells[i][n]) != {t: -v for t, v in rt_classes[i].items()}:
             left_ok = False
-        zs_xi = ebd.multiply(1, unit_vector(n + 1, n), 1, unit_vector(n + 1, i))
-        expect = [ZERO] * dim2
+        expect: dict[int, Fraction] = {}
         for j in range(n):
             c = pinv[i, j]
             if c:
-                for t, v in enumerate(rt_classes[j]):
-                    expect[t] += c * v
-        if zs_xi != tuple(expect):
+                for t, v in rt_classes[j].items():
+                    expect[t] = expect.get(t, ZERO) + c * v
+        if dict(cells[n][i]) != {t: v for t, v in expect.items() if v}:
             right_ok = False
     return IsoReport(gamma, ebd, generated_ok, bijective, left_ok, right_ok)
 

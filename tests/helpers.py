@@ -9,8 +9,10 @@ from quadalg import (Cdga, GradedFDAlgebra, Matrix, Subspace, Tensor,
                      apply_slotwise, as_regular_certificate,
                      dual_trivial_extension, index_to_word,
                      nakayama_of_algebra, tau, word_to_index)
+from quadalg import skew
 from quadalg.io import description_to_algebra, parse_description
 from quadalg.linalg import LinAlgError, ZERO, unit_vector
+from quadalg.quadratic import truncated_structure
 
 AS_REGULAR = ("kxy", "quantum_plane_q2", "quantum_plane_q3",
               "quantum_plane_qm1", "jordan_plane", "poly3", "quantum3")
@@ -466,3 +468,65 @@ def model_map_multiplicative(gamma: GradedFDAlgebra,
                     if lhs != ext_dual.multiply(i, fa, j, maps[j].col(b)):
                         return False
     return True
+
+
+def ext_iso_oracle(cert, sigma):
+    """The four verdicts of skew.verify_ext_algebra_isomorphism, as
+    (generated_ok, bijective, left_identity_ok, right_identity_ok), by the
+    dense route it replaced.
+
+    In degree k the model products of every pair of a degree-(k-1) and a
+    degree-1 basis element are the columns of P, their honest images the
+    columns of Q; f_k is Q times the right inverse of P, and generated_ok
+    needs the right inverse to exist and f_k P = Q.  The mixed relation
+    classes are solved one at a time.  The model is looked up as
+    skew.ext_algebra_of_skew when called, so a test can replace it.
+    """
+    alg = cert.algebra
+    n = alg.n
+    ext = skew.skew_extend(alg, sigma)
+    gamma = skew.ext_algebra_of_skew(cert, sigma)
+    ebd = truncated_structure(ext.algebra.dual, cert.gldim + 1)
+    generated_ok = True
+    bijective = True
+    maps = [Matrix.identity(1), Matrix.identity(n + 1)]
+    for k in range(2, cert.gldim + 2):
+        pcols = []
+        qcols = []
+        for a in range(gamma.dims[k - 1]):
+            fa = maps[k - 1].col(a)
+            for b in range(gamma.dims[1]):
+                pcols.append(gamma.multiply_basis(k - 1, a, 1, b))
+                qcols.append(ebd.multiply(k - 1, fa, 1, maps[1].col(b)))
+        pmat = Matrix.from_rows(zip(*pcols), len(pcols))
+        qmat = Matrix.from_rows(zip(*qcols), len(qcols))
+        smat = pmat.right_inverse()
+        if smat is None:
+            generated_ok = False
+            maps.append(Matrix.zero(ebd.dims[k], gamma.dims[k]))
+            continue
+        fk = qmat @ smat
+        if fk @ pmat != qmat:
+            generated_ok = False
+        if gamma.dims[k] != ebd.dims[k] or not fk.is_invertible():
+            bijective = False
+        maps.append(fk)
+    nrel = alg.relations.dim
+    rt_classes = [ebd.class_from_pairings(
+        2, ext.stacked_relations, [unit_vector(nrel + n, nrel + i)])[0]
+        for i in range(n)]
+    pinv = sigma.inverse()
+    left_ok = True
+    right_ok = True
+    for i in range(n):
+        xi_zs = ebd.multiply(1, unit_vector(n + 1, i), 1, unit_vector(n + 1, n))
+        if xi_zs != tuple(-v for v in rt_classes[i]):
+            left_ok = False
+        zs_xi = ebd.multiply(1, unit_vector(n + 1, n), 1, unit_vector(n + 1, i))
+        expect = [ZERO] * ebd.dims[2]
+        for j in range(n):
+            for t, v in enumerate(rt_classes[j]):
+                expect[t] += pinv[i, j] * v
+        if zs_xi != tuple(expect):
+            right_ok = False
+    return generated_ok, bijective, left_ok, right_ok

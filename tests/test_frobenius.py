@@ -77,6 +77,11 @@ def test_frobenius_goldens_jordan():
     frob = cert_of("jordan_plane").frobenius
     assert frob.pairings[1].entries == ((F(1), F(-1)), (F(1), F(0)))
     assert frob.nakayama[1].entries == ((F(-1), F(0)), (F(-2), F(-1)))
+    # its diagonal is the sign that symmetry asks for and only the entry
+    # off it fails, so the Nakayama route must read off-diagonal entries to
+    # agree with the pairing route
+    ok, witness = is_graded_symmetric(_fd("jordan_plane"))
+    assert not ok and witness == (1, 0, 0)
 
 
 def test_commutative_dual_is_graded_symmetric_odd_top():

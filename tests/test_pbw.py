@@ -161,8 +161,8 @@ def test_skew_deformation_transport():
                    for row in cert.algebra.relations.rows]
         stacked += ext.stacked_relations[nrel:]
         values = [F(0)] * nrel + list(lam)
-        expect = ext_defm.cert.dual_fd.class_from_pairings(
-            2, stacked, values)
+        [expect] = ext_defm.cert.dual_fd.class_from_pairings(
+            2, stacked, [values])
         assert z_img == expect, name
 
 

@@ -274,12 +274,40 @@ def test_class_from_pairings_errors():
     from quadalg.linalg import Subspace
     bad_space = Subspace.from_spanning([dict(dead)], rel.ambient)
     with pytest.raises(LinAlgError):
-        trunc.class_from_pairings(2, bad_space.rows, [F(1)])
+        trunc.class_from_pairings(2, bad_space.rows, [[F(1)]])
     # legitimate pairing solves exactly
-    got = trunc.class_from_pairings(2, rel.rows, [F(1)])
+    [got] = trunc.class_from_pairings(2, rel.rows, [[F(1)]])
     rep = trunc.lift_sparse(2, got)
     val = sum(rep.get(i, F(0)) * v for i, v in rel.rows[0])
     assert val == F(1)
+
+
+def test_class_from_pairings_solves_vectors_together():
+    # several value vectors in one call give the classes of one call each,
+    # and each class pairs to its values
+    for name in AS_REGULAR:
+        cert = cert_of(name)
+        trunc = cert.dual_fd
+        rows = cert.algebra.relations.rows
+        nrel = len(rows)
+        vectors = [[F(int(i == j)) for j in range(nrel)] for i in range(nrel)]
+        vectors.append([F(j + 1, 3) for j in range(nrel)])
+        got = trunc.class_from_pairings(2, rows, vectors)
+        assert got == [trunc.class_from_pairings(2, rows, [v])[0]
+                       for v in vectors], name
+        for cls, values in zip(got, vectors):
+            rep = trunc.lift_sparse(2, cls)
+            assert [sum(rep.get(i, F(0)) * v for i, v in row)
+                    for row in rows] == values, name
+    # one unattainable vector among attainable ones is rejected: a repeated
+    # row with a different value
+    cert = cert_of("quantum_plane_q2")
+    rows = cert.algebra.relations.rows * 2
+    with pytest.raises(LinAlgError):
+        cert.dual_fd.class_from_pairings(2, rows, [[F(1), F(1)], [F(1), F(0)]])
+    assert cert.dual_fd.class_from_pairings(2, rows, [[F(1), F(1)]])
+    with pytest.raises(LinAlgError):
+        cert.dual_fd.class_from_pairings(2, rows, [[F(1)]])
 
 
 def test_dual_truncation_matches_relation_span_oracle():

@@ -2,12 +2,16 @@
 
 from fractions import Fraction
 
-from helpers import AS_REGULAR, DIM2, algebra_of, cert_of
+import pytest
+
+from helpers import AS_REGULAR, DIM2, algebra_of, cert_of, ext_iso_oracle
 from quadalg import (Matrix, Tensor, cy_check_with,
                      ext_algebra_of_skew, fresh_letter, graded_dims,
-                     nakayama_of_algebra, regularity_data, skew_extend,
+                     nakayama_of_algebra, regularity_data, skew,
+                     skew_extend, twisted_module_trivial_extension,
                      verify_ext_algebra_isomorphism,
                      verify_extended_presentation)
+from quadalg.linalg import ConsistencyError
 
 F = Fraction
 
@@ -121,3 +125,112 @@ def test_iterated_extension_stays_cy():
         rep = cy_check_with(cert_b, nakayama_of_algebra(cert_b))
         assert rep.is_CY, name
         assert rep.dimension == 4
+
+
+# A twist of each AS-regular corpus entry that is neither the identity nor
+# its Nakayama map, non-diagonal where the relations allow one: the quantum
+# planes xy = q yx with q = 2, 3 have only diagonal automorphisms.
+OTHER_TWIST = {
+    "kxy": ((1, 1), (0, 1)),
+    "quantum_plane_q2": ((2, 0), (0, 3)),
+    "quantum_plane_q3": ((2, 0), (0, -1)),
+    "quantum_plane_qm1": ((0, 2), (1, 0)),
+    "jordan_plane": ((2, 3), (0, 2)),
+    "poly3": ((1, 1, 0), (0, 1, 2), (0, 0, 1)),
+    "quantum3": ((0, 0, 2), (1, 0, 0), (0, 3, 0)),
+}
+
+
+def _twists(name):
+    cert = cert_of(name)
+    n = cert.algebra.n
+    return (nakayama_of_algebra(cert), Matrix.identity(n),
+            Matrix.from_rows(OTHER_TWIST[name], n))
+
+
+def _fields(rep):
+    return (rep.generated_ok, rep.bijective, rep.left_identity_ok,
+            rep.right_identity_ok)
+
+
+def test_iso_check_agrees_with_dense_oracle():
+    for name in AS_REGULAR:
+        cert = cert_of(name)
+        for sigma in _twists(name):
+            rep = verify_ext_algebra_isomorphism(cert, sigma)
+            assert _fields(rep) == ext_iso_oracle(cert, sigma), name
+            assert rep.passed, name
+
+
+def _zero_action_model(cert, sigma):
+    """The dual extended by its shifted copy with every element of positive
+    degree acting by zero: not generated in degree 1, as the copy of the
+    dual's degree 1 is no product."""
+    dual = cert.dual_fd
+    unit_only = tuple(Matrix.identity(1) if i == 0 else Matrix.zero(m, m)
+                      for i, m in enumerate(dual.dims))
+    return twisted_module_trivial_extension(dual, unit_only, unit_only, -1)
+
+
+def _collapsing_model(cert, sigma):
+    """On kxy, whose dual is the exterior algebra on x, y: the shifted copy
+    with x acting on the left as x and y as 0, and with x and y swapped on
+    the right.  Then x z and z x are independent, as are their images
+    under the solved map, x z and z x in the honest dual, which are
+    dependent there."""
+    dual = cert.dual_fd
+    left = dual.automorphism(Matrix.from_rows(((1, 0), (0, 0)), 2))
+    right = dual.automorphism(Matrix.from_rows(((0, 1), (1, 0)), 2))
+    return twisted_module_trivial_extension(dual, left, right, -1)
+
+
+def _doubled_mixed_relations(base, sigma):
+    """The extension with its mixed relation rows handed on doubled, so
+    that the mixed relation classes come out halved."""
+    ext = skew_extend(base, sigma)
+    nrel = base.relations.dim
+    rows = ext.stacked_relations
+    doubled = tuple({c: 2 * v for c, v in row.items()} for row in rows[nrel:])
+    return skew.SkewExtension(ext.algebra, rows[:nrel] + doubled)
+
+
+def _check_against_oracle(cert, sigma, seen):
+    rep = verify_ext_algebra_isomorphism(cert, sigma)
+    fields = _fields(rep)
+    assert fields == ext_iso_oracle(cert, sigma)
+    seen.add(fields)
+    if not rep.passed:
+        with pytest.raises(ConsistencyError):
+            cy_check_with(cert, sigma)
+
+
+def test_iso_check_fails_on_a_mismatched_model(monkeypatch):
+    # the model of one twist against the honest dual of the extension by
+    # another, and models that are no twist at all; the dense route must
+    # give the same four verdicts
+    real = skew.ext_algebra_of_skew
+    seen = set()
+    for name in AS_REGULAR:
+        cert = cert_of(name)
+        twists = _twists(name)
+        models = [lambda c, s, m=m: real(c, m) for m in twists]
+        models.append(_zero_action_model)
+        for sigma in twists:
+            for model in models:
+                monkeypatch.setattr(skew, "ext_algebra_of_skew", model)
+                _check_against_oracle(cert, sigma, seen)
+    monkeypatch.setattr(skew, "ext_algebra_of_skew", _collapsing_model)
+    for sigma in _twists("kxy"):
+        _check_against_oracle(cert_of("kxy"), sigma, seen)
+    monkeypatch.setattr(skew, "ext_algebra_of_skew", real)
+    monkeypatch.setattr(skew, "skew_extend", _doubled_mixed_relations)
+    for name in AS_REGULAR:
+        _check_against_oracle(cert_of(name), _twists(name)[0], seen)
+    assert (True, True, True, True) in seen
+    # the map fails: a model product not generated, or a relation of the
+    # model that the honest dual lacks
+    assert (False, True, True, True) in seen
+    # the map solved from the earliest independent products is singular
+    assert (False, False, True, True) in seen
+    # the mixed relation classes do not match the honest products
+    assert (True, True, False, False) in seen
