@@ -18,7 +18,7 @@ from math import lcm
 from typing import Sequence
 
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Vec, ZERO,
-                     _forward_reduce)
+                     _forward_reduce, solve)
 
 
 class NotFrobenius(Exception):
@@ -265,15 +265,18 @@ def frobenius_structure(alg: GradedFDAlgebra) -> FrobeniusStructure:
             rows.append(tuple(alg.multiply_basis(i, a, d - i, b)[0]
                               for b in range(alg.dims[d - i])))
         pairings.append(Matrix(tuple(rows), alg.dims[d - i]))
-    inverses = []
+    # <a, b> = <b, nak(a)> pins the Nakayama matrix on each degree:
+    # G_i nak[d-i] = G_{d-i}^T, one solve per degree
+    nak = [None] * (d + 1)
     for i in range(d + 1):
-        # square by the dimension check above, so a right inverse is the inverse
-        inverses.append(pairings[i].right_inverse())
-        if inverses[i] is None:
+        m = alg.dims[d - i]
+        sol, _ = solve(map(tuple.__add__, pairings[i].entries,
+                           pairings[d - i].transpose().entries), m)
+        if len(sol) < m:
             raise NotFrobenius(i, "degenerate pairing against the complementary degree")
-    # <a, b> = <b, nak(a)> pins the Nakayama matrix on each degree.
-    nak = tuple(inverses[d - i] @ pairings[i].transpose() for i in range(d + 1))
-    return FrobeniusStructure(tuple(pairings), nak)
+        nak[d - i] = Matrix(tuple(tuple(sol[p].get(j, ZERO) for j in range(m))
+                                  for p in range(m)), m)
+    return FrobeniusStructure(tuple(pairings), tuple(nak))
 
 
 def is_graded_symmetric(alg: GradedFDAlgebra):

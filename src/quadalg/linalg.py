@@ -19,8 +19,8 @@ returns the kernel's canonical basis.  A subspace built from those rows
 
 A vector indexed by coordinate words has one form, a sparse {coordinate:
 value} map or its (coordinate, value) pairs; only the small dense Matrix
-(rows of Fractions) is dense, and its solves and inverses read the echelon
-form of a Subspace.
+(rows of Fractions) is dense.  Every system with right-hand sides, a
+Matrix inverse among them, is solved by `solve` from its augmented rows.
 """
 
 from __future__ import annotations
@@ -141,6 +141,28 @@ def _reduced_echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]
             qrow = _strip(_axpy(b // g, qrow, a // g, prow))
         pivots[qc] = qrow
     return pivots
+
+
+def solve(rows: Iterable[RowLike],
+          n: int) -> tuple[dict[int, dict[int, Fraction]], bool]:
+    """Solve A X = B from the augmented rows [A | B].
+
+    Columns below n hold the unknowns and column n + j holds right-hand side
+    j; rows are rational, sparse maps or dense sequences.  Returns
+    ({pivot unknown p: {j: x_p of solution j}}, consistent), zeros left
+    out and every free unknown zero; there are rank A pivot unknowns, and
+    consistent says that every right-hand side is attained.  The rows that
+    keep a pivot below n after the forward pass are back-substituted among
+    themselves, so a consistent system gets exactly its reduced echelon
+    solution.
+    """
+    echelon = _echelon_int(_to_int_row(r) for r in rows)
+    kept = [r for p, r in echelon.items() if p < n]
+    out = {}
+    for p, row in _reduced_echelon(kept).items():
+        pv = row[p]
+        out[p] = {c - n: Fraction(v, pv) for c, v in row.items() if c >= n}
+    return out, len(kept) == len(echelon)
 
 
 def int_kernel(rows: Iterable[Mapping[int, int]], ambient: int) -> list[dict[int, int]]:
@@ -276,46 +298,16 @@ class Matrix:
     def rank(self) -> int:
         return len(_echelon_int(_to_int_row(r) for r in self.entries))
 
-    def solve(self, b: Sequence) -> Vec | None:
-        """A particular solution x of self . x = b, or None if inconsistent."""
-        if len(b) != self.rows:
-            raise LinAlgError("length mismatch in solve")
-        c = self.cols
-        aug = Subspace.from_spanning([{**dict(enumerate(row)), c: b[i]}
-                                      for i, row in enumerate(self.entries)], c + 1)
-        if aug.pivots and aug.pivots[-1] == c:
-            return None
-        x = [ZERO] * c
-        for p, row in zip(aug.pivots, aug.rows):
-            if row[-1][0] == c:
-                x[p] = row[-1][1]
-        return tuple(x)
-
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise LinAlgError("inverse of a non-square matrix")
-        inv = self.right_inverse()
-        if inv is None:
+        n = self.rows
+        sol, _ = solve(map(tuple.__add__, self.entries,
+                           Matrix.identity(n).entries), n)
+        if len(sol) < n:
             raise LinAlgError("matrix is singular")
-        return inv
-
-    def right_inverse(self) -> "Matrix | None":
-        """S with self @ S the identity, or None unless self is onto.
-
-        One reduction of [self | I]: column c of S is the solution of
-        self . x = e_c with every free coordinate zero.
-        """
-        n, c = self.rows, self.cols
-        aug = Subspace.from_spanning([{**dict(enumerate(row)), c + i: ONE}
-                                      for i, row in enumerate(self.entries)], c + n)
-        if aug.pivots and aug.pivots[-1] >= c:
-            return None
-        out = [[ZERO] * n for _ in range(c)]
-        for p, row in zip(aug.pivots, aug.rows):
-            for col, v in row:
-                if col >= c:
-                    out[p][col - c] = v
-        return Matrix(tuple(map(tuple, out)), n)
+        return Matrix(tuple(tuple(sol[p].get(j, ZERO) for j in range(n))
+                            for p in range(n)), n)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .frobenius import GradedFDAlgebra, dual_trivial_extension
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Vec, ZERO,
-                     unit_vector)
+                     solve, unit_vector)
 from .regular import (RegularityCertificate, dim2_matrix_form,
                       nakayama_of_algebra, regularity_data)
 from .skew import skew_extend
@@ -183,28 +183,30 @@ def deformation_from_rows(cert: RegularityCertificate, rows, nu, theta,
     basis of cert's algebra.
 
     The relation rows are sparse {word index: value} maps and must be
-    independent, the nu rows sparse {letter: value} maps; each canonical
-    relation is solved as a combination of the relation rows and its
-    degree-one and scalar parts follow the same coefficients.  Returns None
-    when a canonical relation is not in the span of the rows.
+    independent, the nu rows sparse {letter: value} maps.  All canonical
+    relations are solved together as combinations of the relation rows,
+    one `solve` with one equation per word, and the degree-one and scalar
+    parts of each follow the same coefficients.  Returns None when a
+    canonical relation is not in the span of the rows.
     """
     n = cert.algebra.n
-    solver = Matrix.from_rows([[r.get(c, ZERO) for r in rows]
-                               for c in range(n * n)], len(rows))
+    canonical = [dict(rho) for rho in cert.algebra.relations.rows]
+    cols = [*rows, *canonical]
+    sol, consistent = solve(([r.get(c, ZERO) for r in cols]
+                             for c in range(n * n)), len(rows))
+    if not consistent:
+        return None
     nu_rows = []
     out_theta = []
-    for rho in cert.algebra.relations.rows:
-        rho = dict(rho)
-        coeffs = solver.solve([rho.get(c, ZERO) for c in range(n * n)])
-        if coeffs is None:
-            return None
+    for j in range(len(canonical)):
         row = [ZERO] * n
         th = ZERO
-        for ca, nu_a, th_a in zip(coeffs, nu, theta):
+        for a, xs in sol.items():
+            ca = xs.get(j)
             if ca:
-                for t, v in nu_a.items():
+                for t, v in nu[a].items():
                     row[t] += ca * v
-                th += ca * th_a
+                th += ca * theta[a]
         nu_rows.append(tuple(row))
         out_theta.append(th)
     return PBWDeformation(cert, Matrix.from_rows(nu_rows, n), tuple(out_theta),

@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 
 from .frobenius import GradedFDAlgebra
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ResourceLimitError,
-                     Subspace, Vec, ZERO, _strip, int_kernel)
+                     Subspace, Vec, ZERO, _strip, int_kernel, solve)
 from .tensors import Tensor, apply_slotwise, index_to_word, preserves_subspace
 
 # the most coordinate words n**m a Koszul component may have
@@ -341,12 +341,8 @@ class TruncatedAlgebra(GradedFDAlgebra):
         Koszul component paired with this degree, so that the values only
         depend on the class; a class then pairs through its basis words.
         The rows are checked once for all vectors, and all vectors are
-        solved in one elimination of the rows read on the basis words, the
-        vectors' values appended as further columns: a pivot among those
-        columns means some vector is attained by no class.  Otherwise the
-        row with pivot p holds, in column dims[k] + j, coordinate p of the
-        j-th class (coordinates off the pivots are zero), which is the
-        solution a single vector's elimination gives.
+        solved together by `solve`, the rows read on the basis words and the
+        vectors' values appended as right-hand sides.
         """
         rows = [dict(r) for r in rows]
         if not all(self.components[k].contains(r) for r in rows):
@@ -360,15 +356,11 @@ class TruncatedAlgebra(GradedFDAlgebra):
             for j, values in enumerate(value_vectors):
                 row[dim + j] = values[i]
             aug.append(row)
-        space = Subspace.from_spanning(aug, dim + len(value_vectors))
-        if space.pivots and space.pivots[-1] >= dim:
+        sol, consistent = solve(aug, dim)
+        if not consistent:
             raise LinAlgError("no element attains the prescribed pairings")
-        out = [[ZERO] * dim for _ in value_vectors]
-        for p, row in zip(space.pivots, space.rows):
-            for c, v in row:
-                if c >= dim:
-                    out[c - dim][p] = v
-        return [tuple(cls) for cls in out]
+        return [tuple(sol.get(t, {}).get(j, ZERO) for t in range(dim))
+                for j in range(len(value_vectors))]
 
     def automorphism(self, phi: Matrix) -> tuple[Matrix, ...]:
         """Extend a relation-preserving degree-one map to every degree, one

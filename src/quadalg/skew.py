@@ -9,7 +9,7 @@ dual of the extension by an explicit degreewise isomorphism before any
 verdict is read off.  The isomorphism is checked multiplicative on
 degree-1 generators, which suffices since both algebras are associative
 and the model is generated in degree 1.  Each degree of it is solved and
-checked in one sparse elimination of the model products stacked over
+checked in one solve of the model products stacked over
 their honest images, read off the structure tables' cells; the mixed
 relation classes it is checked against come from one solve.
 """
@@ -23,7 +23,7 @@ from functools import lru_cache
 from .frobenius import (GradedFDAlgebra, is_graded_symmetric,
                         twisted_module_trivial_extension)
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Subspace, ZERO,
-                     _echelon_int, _to_int_row, unit_vector)
+                     _echelon_int, _to_int_row, solve, unit_vector)
 from .quadratic import QuadraticAlgebra, graded_dims, truncated_structure
 from .regular import RegularityCertificate
 from .superpotential import (derivation_quotient, extract_superpotential,
@@ -139,13 +139,15 @@ def verify_ext_algebra_isomorphism(cert: RegularityCertificate,
     = f(x) f(c c').  So f preserves every structure constant exactly when
     generated_ok holds.
 
-    Degree k is one elimination.  Let P be the g x N matrix of the model
+    Degree k is one `solve`.  Let P be the g x N matrix of the model
     products e_a e_b over the N pairs of a degree-(k-1) and a degree-1
     basis element (g = dims[k] of the model), and Q the e x N matrix of
     their honest images f(e_a) f(e_b) = f(e_a) e_b (f is the identity in
     degree 1), summed from the cells of the basis elements in f(e_a).  Pair
-    j gives the row (P e_j, Q e_j), model coordinates first, and the rows
-    are reduced in pair order.  They span W = {(P x, Q x)}.
+    j gives the row (P e_j, Q e_j), model coordinates as the unknowns and
+    honest ones as the right-hand sides, so the system is P^T X = Q^T and
+    X is the transpose of f_k.  The rows are reduced in pair order and
+    span W = {(P x, Q x)}.
     - The pivots in the model block are those of W's projection to it,
       P's column space: rank P of them.
     - The rows with a pivot in the honest block span W meet 0 x Q^e =
@@ -161,13 +163,13 @@ def verify_ext_algebra_isomorphism(cert: RegularityCertificate,
     The kept model-pivot rows therefore span the rows of the pairs that
     gave them, and those pairs are B, the earliest pairs with independent
     model products.  When P is onto, P_B is invertible and that span,
-    {(P_B y, Q_B y)}, has the reduced echelon rows (e_t, Q_B P_B^{-1} e_t):
-    column t of f_k = Q_B P_B^{-1} is the honest part of row t.  This is
-    the f_k = Q S of a right inverse S of P that is zero off B, the one
-    that a reduction of [P | I] gives, and without honest pivots it is the
-    unique f_k with f_k P = Q.  bijective asks that f_k be square of full
-    rank.  When P is not onto, generated_ok fails and the zero map is
-    carried on.
+    {(P_B y, Q_B y)}, has the reduced echelon rows (e_t, Q_B P_B^{-1} e_t),
+    which `solve` reads as solution t: column t of f_k = Q_B P_B^{-1}.
+    This is the f_k = Q S of a right inverse S of P that is zero off B, the
+    one that a reduction of [P | I] gives, and without honest pivots it is
+    the unique f_k with f_k P = Q.  bijective asks that f_k be square of
+    full rank.  When P is not onto, generated_ok and bijective fail and the
+    zero map is carried on.
 
     Two product identities pin the mixed dual relations: the i-th
     generator times the new letter is minus the i-th mixed relation class,
@@ -198,20 +200,14 @@ def verify_ext_algebra_isomorphism(cert: RegularityCertificate,
                 for t, x in fa.items():
                     for c, w in honest[t][b]:
                         row[g + c] = row.get(g + c, ZERO) + x * w
-                rows.append(_to_int_row(row))
-        echelon = _echelon_int(rows)
-        kept = [r for p, r in echelon.items() if p < g]
-        if len(kept) < g:
+                rows.append(row)
+        sol, consistent = solve(rows, g)
+        if len(sol) < g or not consistent:
             generated_ok = False
-            prev = [{} for _ in range(g)]
-            continue
-        if len(echelon) > g:
-            generated_ok = False
-        # model pivots 0..g-1: each row is (e_t, column t of f_k)
-        space = Subspace.from_int_rows(kept, g + e)
-        prev = [{c - g: v for c, v in row[1:]} for row in space.rows]
-        if g != e or len(_echelon_int(
-                {c: v for c, v in row[1:]} for row in space.int_rows)) != e:
+        # column t of f_k is solution t; the zero map unless P is onto
+        prev = ([sol[t] for t in range(g)] if len(sol) == g
+                else [{} for _ in range(g)])
+        if g != e or len(_echelon_int(_to_int_row(col) for col in prev)) != e:
             bijective = False
     # mixed dual relation classes, paired against the original relation rows
     nrel = alg.relations.dim

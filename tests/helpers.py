@@ -118,6 +118,25 @@ def dense_rref(rows, ambient):
     return tuple(pivots), tuple(tuple(r) for r in mat[:len(pivots)])
 
 
+def dense_rank(rows, ambient):
+    """The rank of dense rows, by dense_rref."""
+    return len(dense_rref(rows, ambient)[0])
+
+
+def dense_right_inverse(mat: Matrix):
+    """S with mat @ S the identity, or None unless mat is onto: the dense
+    reduced echelon form of [mat | I] read with every free unknown zero."""
+    r, c = mat.rows, mat.cols
+    pivots, rows = dense_rref([list(row) + [int(j == i) for j in range(r)]
+                               for i, row in enumerate(mat.entries)], c + r)
+    if pivots and pivots[-1] >= c:
+        return None
+    out = [[Fraction(0)] * r for _ in range(c)]
+    for p, row in zip(pivots, rows):
+        out[p] = row[c:]
+    return Matrix.from_rows(out, r)
+
+
 def dense_rows(space):
     """The RREF basis rows of a Subspace as dense Fraction tuples: the dense
     view that the dense oracles above are compared against."""
@@ -454,7 +473,7 @@ def model_map_multiplicative(gamma: GradedFDAlgebra,
                 pcols.append(gamma.multiply_basis(k - 1, a, 1, b))
                 qcols.append(ext_dual.multiply(k - 1, maps[k - 1].col(a),
                                                1, maps[1].col(b)))
-        smat = Matrix.from_rows(zip(*pcols), len(pcols)).right_inverse()
+        smat = dense_right_inverse(Matrix.from_rows(zip(*pcols), len(pcols)))
         if smat is None:
             return False
         maps.append(Matrix.from_rows(zip(*qcols), len(qcols)) @ smat)
@@ -477,8 +496,9 @@ def ext_iso_oracle(cert, sigma):
 
     In degree k the model products of every pair of a degree-(k-1) and a
     degree-1 basis element are the columns of P, their honest images the
-    columns of Q; f_k is Q times the right inverse of P, and generated_ok
-    needs the right inverse to exist and f_k P = Q.  The mixed relation
+    columns of Q; f_k is Q times the right inverse of P (dense_right_inverse),
+    generated_ok needs the right inverse to exist and f_k P = Q, and
+    bijective needs it to exist and f_k to be invertible.  The mixed relation
     classes are solved one at a time.  The model is looked up as
     skew.ext_algebra_of_skew when called, so a test can replace it.
     """
@@ -500,9 +520,10 @@ def ext_iso_oracle(cert, sigma):
                 qcols.append(ebd.multiply(k - 1, fa, 1, maps[1].col(b)))
         pmat = Matrix.from_rows(zip(*pcols), len(pcols))
         qmat = Matrix.from_rows(zip(*qcols), len(qcols))
-        smat = pmat.right_inverse()
+        smat = dense_right_inverse(pmat)
         if smat is None:
             generated_ok = False
+            bijective = False
             maps.append(Matrix.zero(ebd.dims[k], gamma.dims[k]))
             continue
         fk = qmat @ smat

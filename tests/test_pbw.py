@@ -5,11 +5,11 @@ from random import Random
 
 import pytest
 
-from helpers import (DIM2, cdg_trivial_extension, cert_of, description_of,
-                     random_nu_theta, rescaled_nakayama_shift)
+from helpers import (CORPUS, DIM2, cdg_trivial_extension, cert_of,
+                     description_of, random_nu_theta, rescaled_nakayama_shift)
 from quadalg import (Cdga, Matrix, PBWDeformation, check_cdga_axioms,
                      cy_criterion_deformed, cy_equivalence_dim2,
-                     description_to_algebra, dual_cdga, nakayama_of_algebra,
+                     deformation_from_rows, description_to_algebra, dual_cdga, nakayama_of_algebra,
                      nakayama_cdga_compatibility, nakayama_shift,
                      regularity_data, skew_deformation, skew_extend)
 from quadalg.io import description_deformation
@@ -164,6 +164,33 @@ def test_skew_deformation_transport():
         [expect] = ext_defm.cert.dual_fd.class_from_pairings(
             2, stacked, [values])
         assert z_img == expect, name
+
+
+def test_deformation_from_rows_is_basis_free():
+    # the canonical nu and theta do not depend on how the relation rows are
+    # scaled or ordered; rows spanning another relation space give None
+    rng = Random(1515)
+    names = [name for name in CORPUS if description_of(name).has_deformation]
+    assert len(names) == 3
+    for name in names:
+        cert = cert_of(name)
+        defm = description_deformation(description_of(name), cert)
+        rels = cert.algebra.relations
+        order = list(range(rels.dim))
+        rng.shuffle(order)
+        scales = [F(rng.choice((-3, -1, 2, 5)), rng.choice((1, 2, 7)))
+                  for _ in order]
+        rows = [{c: s * v for c, v in rels.rows[i]} for i, s in zip(order, scales)]
+        nu = [{t: s * v for t, v in enumerate(defm.nu.entries[i]) if v}
+              for i, s in zip(order, scales)]
+        theta = [s * defm.theta[i] for i, s in zip(order, scales)]
+        out = deformation_from_rows(cert, rows, nu, theta, defm.domain)
+        assert (out.nu, out.theta) == (defm.nu, defm.theta), name
+        # a word off the relation space in place of one row
+        word = next(w for w in range(cert.algebra.n ** 2)
+                    if not rels.contains({w: 1}))
+        assert deformation_from_rows(cert, rows[:-1] + [{word: F(1)}], nu,
+                                     theta, defm.domain) is None, name
 
 
 def test_cy_criterion_goldens():

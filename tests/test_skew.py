@@ -202,6 +202,7 @@ def _check_against_oracle(cert, sigma, seen):
     if not rep.passed:
         with pytest.raises(ConsistencyError):
             cy_check_with(cert, sigma)
+    return fields
 
 
 def test_iso_check_fails_on_a_mismatched_model(monkeypatch):
@@ -210,15 +211,19 @@ def test_iso_check_fails_on_a_mismatched_model(monkeypatch):
     # give the same four verdicts
     real = skew.ext_algebra_of_skew
     seen = set()
+    zero_action = set()
     for name in AS_REGULAR:
         cert = cert_of(name)
         twists = _twists(name)
         models = [lambda c, s, m=m: real(c, m) for m in twists]
-        models.append(_zero_action_model)
         for sigma in twists:
             for model in models:
                 monkeypatch.setattr(skew, "ext_algebra_of_skew", model)
                 _check_against_oracle(cert, sigma, seen)
+            monkeypatch.setattr(skew, "ext_algebra_of_skew", _zero_action_model)
+            zero_action.add(_check_against_oracle(cert, sigma, seen))
+    # products that do not span: neither generated nor bijective
+    assert zero_action == {(False, False, True, True)}
     monkeypatch.setattr(skew, "ext_algebra_of_skew", _collapsing_model)
     for sigma in _twists("kxy"):
         _check_against_oracle(cert_of("kxy"), sigma, seen)
