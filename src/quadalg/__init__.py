@@ -13,7 +13,7 @@ quadalg/corpus; parse_description reads them like any other input.
 
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ResourceLimitError,
                      Subspace, Vec)
-from .tensors import (Tensor, apply_slotwise, contract_left, contract_right,
+from .tensors import (add_into, apply_slotwise, contract_left, contract_right,
                       index_to_word, preserves_subspace, tau, word_to_index)
 from .frobenius import (FrobeniusStructure, GradedFDAlgebra, NotFrobenius,
                         dual_trivial_extension, frobenius_structure,

@@ -16,7 +16,7 @@ import time
 
 from .io import (ValidationError, description_deformation,
                  description_to_algebra, matrix_to_strings, parse_description,
-                 tensor_to_terms)
+                 vector_to_terms)
 from .linalg import ConsistencyError, LinAlgError, Matrix, ResourceLimitError
 from .pbw import (check_cdga_axioms, cy_criterion_deformed, cy_equivalence_dim2,
                   dual_cdga)
@@ -51,8 +51,8 @@ def _cmd_dual(desc, args):
     dual = alg.dual
     verdict = {
         "generators": list(dual.names),
-        "relations": [tensor_to_terms(t, dual.names)
-                      for t in dual.relation_tensors()],
+        "relations": [vector_to_terms(r, 2, dual.names)
+                      for r in dual.relations.rows],
         "dims": list(graded_dims(dual, args.max_degree)),
     }
     return verdict, True
@@ -104,8 +104,8 @@ def _cmd_skew(desc, args):
     verdict = {
         "generator": ext.algebra.names[-1],
         "generators": list(ext.algebra.names),
-        "relations": [tensor_to_terms(t, ext.algebra.names)
-                      for t in ext.algebra.relation_tensors()],
+        "relations": [vector_to_terms(r, 2, ext.algebra.names)
+                      for r in ext.algebra.relations.rows],
         "dims": list(graded_dims(ext.algebra, args.max_degree)),
     }
     return verdict, True
@@ -116,7 +116,7 @@ def _cmd_superpotential(desc, args):
     data = extract_superpotential(cert)
     report = verify_superpotential_presentation(cert, data)
     verdict = {
-        "terms": tensor_to_terms(data.w, cert.algebra.names),
+        "terms": vector_to_terms(data.w, cert.gldim, cert.algebra.names),
         "twist": matrix_to_strings(data.twist),
         "presentation_matches": report.matches_relations,
         "coupling_invertible": report.coupling_invertible,
@@ -127,13 +127,15 @@ def _cmd_superpotential(desc, args):
 def _cmd_symmetrize(desc, args):
     cert = _certificate(desc, args)
     data = extract_superpotential(cert)
-    what = symmetrize(data.w, data.twist)
+    d = cert.gldim
+    what = symmetrize(data.w, d, data.twist)
     fresh = fresh_letter(cert.algebra.names)
     names = cert.algebra.names + (fresh,)
-    cyclic = is_twisted_superpotential(what, Matrix.identity(cert.algebra.n + 1))
+    cyclic = is_twisted_superpotential(what, d + 1,
+                                       Matrix.identity(cert.algebra.n + 1))
     verdict = {
         "generator": fresh,
-        "terms": tensor_to_terms(what, names),
+        "terms": vector_to_terms(what, d + 1, names),
         "cyclic": cyclic,
     }
     return verdict, cyclic
@@ -145,8 +147,8 @@ def _cmd_derivquot(desc, args):
     quotient = derivation_quotient(data.w, cert.gldim - 2, cert.algebra.names)
     same = quotient.relations == cert.algebra.relations
     verdict = {
-        "relations": [tensor_to_terms(t, quotient.names)
-                      for t in quotient.relation_tensors()],
+        "relations": [vector_to_terms(r, 2, quotient.names)
+                      for r in quotient.relations.rows],
         "matches_input": same,
     }
     return verdict, same

@@ -1,12 +1,14 @@
 """JSON ingestion of algebra descriptions, and the serialization of the
-matrices and tensors that reports carry.
+matrices and word vectors that reports carry.
 
 Input documents carry generators, quadratic relations as coeff/word term
 lists, an optional degree-one twist matrix (row-vector convention: v maps
 to v.S), and an optional deformation section with a degree-one part per
 input relation plus a scalar part.  All rationals travel as strings: an
 integer, n/d or a plain decimal, never exponent notation, and with no run
-of more than 4300 digits.
+of more than 4300 digits.  A term list is read into its sparse {word
+index: value} row once, repeated words adding up; reports write such a
+vector back as terms in word order.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, Subspace, Vec, ZERO
+from .linalg import Matrix, Subspace, Vec
 from .quadratic import QuadraticAlgebra
 from .regular import RegularityCertificate
 from .pbw import PBWDeformation, deformation_from_rows
-from .tensors import Tensor
+from .tensors import add_into, index_to_word, word_to_index
 
 
 class ValidationError(ValueError):
@@ -31,15 +33,18 @@ class ValidationError(ValueError):
         self.path = path
 
 
-Term = tuple[Fraction, tuple[str, ...]]
+Row = dict[int, Fraction]
 
 
 @dataclass(frozen=True)
 class AlgebraDescription:
+    """A parsed document; each relation and each degree-one part of the
+    deformation is its sparse {word index: value} row."""
+
     generators: tuple[str, ...]
-    relations: tuple[tuple[Term, ...], ...]
+    relations: tuple[Row, ...]
     sigma: Matrix | None
-    nu: tuple[tuple[Term, ...], ...] | None
+    nu: tuple[Row, ...] | None
     theta: Vec | None
     domain: bool | None
 
@@ -74,7 +79,7 @@ def _parse_fraction(s, path):
     raise ValidationError(f"bad rational {shown}: {reason}", path)
 
 
-def _parse_term(obj, names, degree, path):
+def _parse_term(obj, pos, degree, path):
     if not isinstance(obj, dict) or set(obj) != {"coeff", "word"}:
         raise ValidationError("term must be an object with coeff and word", path)
     coeff = _parse_fraction(obj["coeff"], path + ".coeff")
@@ -85,16 +90,20 @@ def _parse_term(obj, names, degree, path):
         kind = "quadratic" if degree == 2 else f"of degree {degree}"
         raise ValidationError(f"relations must be {kind}", path + ".word")
     for w in word:
-        if w not in names:
+        if w not in pos:
             raise ValidationError(f"undeclared generator {w!r}", path + ".word")
-    return coeff, tuple(word)
+    return coeff, word_to_index([pos[w] for w in word], len(pos))
 
 
-def _parse_terms(obj, names, degree, path):
+def _parse_row(obj, pos, degree, path) -> Row:
+    """A term list as its sparse row; repeated words add up."""
     if not isinstance(obj, list):
         raise ValidationError("expected a list of terms", path)
-    return tuple(_parse_term(t, names, degree, f"{path}[{i}]")
-                 for i, t in enumerate(obj))
+    row: Row = {}
+    for i, t in enumerate(obj):
+        coeff, idx = _parse_term(t, pos, degree, f"{path}[{i}]")
+        add_into(row, idx, coeff)
+    return row
 
 
 def parse_description(text) -> AlgebraDescription:
@@ -122,20 +131,18 @@ def parse_description(text) -> AlgebraDescription:
     if len(set(gens)) != len(gens):
         raise ValidationError("duplicate generator names", "generators")
     names = tuple(gens)
+    pos = {name: i for i, name in enumerate(names)}
     rels_doc = doc.get("relations")
     if not isinstance(rels_doc, list):
         raise ValidationError("relations must be a list", "relations")
     relations = []
     for i, rel in enumerate(rels_doc):
-        terms = _parse_terms(rel, names, 2, f"relations[{i}]")
-        if not terms:
+        row = _parse_row(rel, pos, 2, f"relations[{i}]")
+        if not rel:
             raise ValidationError("relation has no terms", f"relations[{i}]")
-        merged: dict[tuple[str, ...], Fraction] = {}
-        for coeff, word in terms:
-            merged[word] = merged.get(word, ZERO) + coeff
-        if not any(merged.values()):
+        if not row:
             raise ValidationError("relation is identically zero", f"relations[{i}]")
-        relations.append(terms)
+        relations.append(row)
     sigma = None
     if "sigma" in doc:
         mat = doc["sigma"]
@@ -160,7 +167,7 @@ def parse_description(text) -> AlgebraDescription:
         if not isinstance(nu_doc, list) or len(nu_doc) != len(relations):
             raise ValidationError("nu needs one term list per relation",
                                   "deformation.nu")
-        nu = tuple(_parse_terms(t, names, 1, f"deformation.nu[{i}]")
+        nu = tuple(_parse_row(t, pos, 1, f"deformation.nu[{i}]")
                    for i, t in enumerate(nu_doc))
         th_doc = dd.get("theta")
         if not isinstance(th_doc, list) or len(th_doc) != len(relations):
@@ -183,17 +190,10 @@ def matrix_to_strings(mat: Matrix):
     return [[str(v) for v in row] for row in t.entries]
 
 
-def _terms_to_tensor(terms, names, degree):
-    n = len(names)
-    pos = {name: i for i, name in enumerate(names)}
-    parts = [(tuple(pos[w] for w in word), c) for c, word in terms]
-    return Tensor.make(degree, n, parts)
-
-
 def description_to_algebra(desc: AlgebraDescription) -> QuadraticAlgebra:
-    tensors = [_terms_to_tensor(rel, desc.generators, 2)
-               for rel in desc.relations]
-    return QuadraticAlgebra.from_relation_tensors(desc.generators, tensors)
+    n = len(desc.generators)
+    return QuadraticAlgebra(desc.generators,
+                            Subspace.from_spanning(desc.relations, n * n))
 
 
 def description_deformation(desc: AlgebraDescription,
@@ -206,26 +206,25 @@ def description_deformation(desc: AlgebraDescription,
     """
     if not desc.has_deformation:
         raise ValidationError("document has no deformation section")
-    names = desc.generators
-    n = len(names)
-    input_rows = [_terms_to_tensor(rel, names, 2).to_sparse_map()
-                  for rel in desc.relations]
-    if Subspace.from_spanning(input_rows, n * n).dim != len(input_rows):
+    n = len(desc.generators)
+    rows = desc.relations
+    if Subspace.from_spanning(rows, n * n).dim != len(rows):
         raise ValidationError("input relations are linearly dependent",
                               "relations")
-    if cert.algebra.relations.dim != len(input_rows):
+    if cert.algebra.relations.dim != len(rows):
         raise ValidationError("certificate relations do not match the "
                               "document", "relations")
-    nu_in = [_terms_to_tensor(t, names, 1).to_sparse_map() for t in desc.nu]
-    defm = deformation_from_rows(cert, input_rows, nu_in, desc.theta,
-                                 desc.domain)
+    defm = deformation_from_rows(cert, rows, desc.nu, desc.theta, desc.domain)
     if defm is None:
         raise ValidationError("canonical relation escapes the input span",
                               "relations")
     return defm
 
 
-def tensor_to_terms(t: Tensor, names):
-    """Serialize a tensor as coeff/word term objects."""
-    return [{"coeff": str(c), "word": [names[i] for i in word]}
-            for word, c in t.terms]
+def vector_to_terms(vec, degree: int, names):
+    """Serialize a vector of length-degree words, a sparse map or its pairs,
+    as coeff/word term objects in word order."""
+    n = len(names)
+    return [{"coeff": str(c),
+             "word": [names[i] for i in index_to_word(idx, n, degree)]}
+            for idx, c in sorted(dict(vec).items())]

@@ -2,13 +2,14 @@
 and truncated multiplication tables.
 
 An algebra is a tuple of generator names plus a canonical subspace R of the
-degree-two word coordinates.  Degreewise data comes from the Koszul
-components K_k, cached and keyed on the presentation: the degree-k piece of
-T(V)/(R) is the linear dual of K_k of the quadratic dual
-(Polishchuk-Positselski, Quadratic Algebras, Ch. 1).  Where only a
-dimension is asked for, it is counted instead whenever R has a PBW basis
-of normal words (see graded_dims): then no K_k is built beyond degree
-CHECKED_DEGREES.
+degree-two word coordinates, spanned by relation rows (sparse {word index:
+value} maps): QuadraticAlgebra(names, Subspace.from_spanning(rows, n * n)).
+Degreewise data comes from the Koszul components K_k, cached and keyed on
+the presentation: the degree-k piece of T(V)/(R) is the linear dual of K_k
+of the quadratic dual (Polishchuk-Positselski, Quadratic Algebras, Ch. 1).
+Where only a dimension is asked for, it is counted instead whenever R has
+a PBW basis of normal words (see graded_dims): then no K_k is built beyond
+degree CHECKED_DEGREES.
 
 K_k is computed in integers, as an integer kernel over K_{k-1} (x) V with
 one block of equations per pivot word of K_{k-2}.  The kernel rows come out
@@ -29,8 +30,8 @@ from functools import cached_property, lru_cache
 
 from .frobenius import GradedFDAlgebra
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ResourceLimitError,
-                     Subspace, Vec, ZERO, _strip, int_kernel, solve)
-from .tensors import Tensor, apply_slotwise, index_to_word, preserves_subspace
+                     ONE, Subspace, Vec, ZERO, _strip, int_kernel, solve)
+from .tensors import apply_slotwise, preserves_subspace
 
 # the most coordinate words n**m a Koszul component may have
 MAX_WORDS = 10 ** 6
@@ -56,19 +57,6 @@ class QuadraticAlgebra:
     @property
     def n(self) -> int:
         return len(self.names)
-
-    @staticmethod
-    def from_relation_tensors(names, tensors) -> "QuadraticAlgebra":
-        names = tuple(names)
-        n = len(names)
-        for t in tensors:
-            if t.degree != 2 or t.ambient != n:
-                raise LinAlgError("relations must be degree-two tensors over the generators")
-        space = Subspace.from_spanning([t.to_sparse_map() for t in tensors], n * n)
-        return QuadraticAlgebra(names, space)
-
-    def relation_tensors(self) -> tuple[Tensor, ...]:
-        return tuple(Tensor.from_sparse(r, 2, self.n) for r in self.relations.rows)
 
     @cached_property
     def dual(self) -> "QuadraticAlgebra":
@@ -372,9 +360,8 @@ class TruncatedAlgebra(GradedFDAlgebra):
         for k in range(self.length + 1):
             cols = []
             for w in self.words[k]:
-                img = apply_slotwise([phi] * k,
-                                     Tensor.basis(index_to_word(w, n, k), n))
-                cols.append(self.reduce_sparse(k, img.to_sparse_map()))
+                img = apply_slotwise([phi] * k, {w: ONE}, n)
+                cols.append(self.reduce_sparse(k, img))
             mats.append(Matrix.from_rows(cols, self.dims[k]).transpose())
         return tuple(mats)
 

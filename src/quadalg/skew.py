@@ -266,7 +266,7 @@ def verify_extended_presentation(cert: RegularityCertificate) -> bool:
     """The symmetrized superpotential must present the Nakayama-twisted
     extension: its derivation quotient equals the extended relation space."""
     data = extract_superpotential(cert)
-    what = symmetrize(data.w, data.twist)
+    what = symmetrize(data.w, cert.gldim, data.twist)
     ext = skew_extend(cert.algebra, data.twist)
     dq = derivation_quotient(what, cert.gldim - 1, ext.algebra.names)
     return dq.relations == ext.algebra.relations

@@ -1,7 +1,9 @@
 """Twisted superpotentials: cyclicity tests, extraction from a regularity
 certificate, one-letter symmetrization, and derivation quotients.
 
-A degree-d tensor w is a twisted superpotential for a degree-one map s when
+A superpotential is a vector of length-d words, held like every word
+vector as a sparse {word index: value} map; its degree d is passed along
+with it.  Such a w is a twisted superpotential for a degree-one map s when
 rotating the first slot to the end after applying s to it reproduces w up to
 the sign (-1)^(d-1).  Contracting such a w with k dual letters on the left
 yields the relation space of its derivation quotient.
@@ -12,37 +14,43 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Subspace, ZERO,
-                     unit_vector)
+from .linalg import ConsistencyError, LinAlgError, Matrix, ONE, Subspace, ZERO
 from .quadratic import QuadraticAlgebra, koszul_component
 from .regular import RegularityCertificate, nakayama_of_algebra
-from .tensors import Tensor, apply_slotwise, contract_left, contract_right, tau
+from .tensors import (add_into, apply_slotwise, contract_left, contract_right,
+                      index_to_word, tau, word_to_index)
 
 
-def twist_defect(w: Tensor, sigma: Matrix) -> Tensor:
-    """w minus its sign-adjusted twisted rotation; zero iff w is twisted-cyclic."""
-    d = w.degree
-    if sigma.cols != w.ambient:
-        raise LinAlgError("twist acts on the wrong space")
-    rotated = tau(d, d - 1, apply_slotwise([sigma] + [None] * (d - 1), w))
-    return w.sub(rotated.scale(Fraction((-1) ** (d - 1))))
+def twist_defect(w: dict[int, Fraction], d: int,
+                 sigma: Matrix) -> dict[int, Fraction]:
+    """w minus its sign-adjusted twisted rotation, for w of degree d; empty
+    iff w is twisted-cyclic."""
+    n = sigma.cols
+    rotated = tau(apply_slotwise([sigma] + [None] * (d - 1), w, n), d, d - 1, n)
+    sign = (-1) ** (d - 1)
+    out = dict(w)
+    for idx, c in rotated.items():
+        add_into(out, idx, -sign * c)
+    return out
 
 
-def is_twisted_superpotential(w: Tensor, sigma: Matrix) -> bool:
-    return twist_defect(w, sigma).is_zero()
+def is_twisted_superpotential(w: dict[int, Fraction], d: int,
+                              sigma: Matrix) -> bool:
+    return not twist_defect(w, d, sigma)
 
 
 @dataclass(frozen=True)
 class SuperpotentialData:
     """Canonical superpotential of a certified algebra and its twist.
 
-    w spans the top Koszul component.  twist is the Nakayama map, recovered
-    from the matrices of the left and right contractions of w by each dual
-    letter, in the basis of the next component down, and cross-checked
-    against the pairing route.
+    w spans the top Koszul component, as a {word index: value} map of
+    degree gldim.  twist is the Nakayama map, recovered from the matrices
+    of the left and right contractions of w by each dual letter, in the
+    basis of the next component down, and cross-checked against the
+    pairing route.
     """
 
-    w: Tensor
+    w: dict[int, Fraction]
     twist: Matrix
 
 
@@ -53,17 +61,17 @@ def extract_superpotential(cert: RegularityCertificate) -> SuperpotentialData:
     top = koszul_component(alg, d)
     if top.dim != 1:
         raise ConsistencyError(f"top Koszul component has dimension {top.dim}, not 1")
-    w = Tensor.from_sparse(top.rows[0], d, n)
+    w = dict(top.rows[0])
     sub = koszul_component(alg, d - 1)
     left_rows = []
     right_cols = []
     for i in range(n):
-        lc = sub.coordinates(contract_left(unit_vector(n, i), w).to_sparse_map())
+        lc = sub.coordinates(contract_left(w, i, d, n))
         if lc is None:
             raise ConsistencyError("left contraction leaves the Koszul component")
         left_rows.append(lc)
     for j in range(n):
-        rc = sub.coordinates(contract_right(w, unit_vector(n, j)).to_sparse_map())
+        rc = sub.coordinates(contract_right(w, j, n))
         if rc is None:
             raise ConsistencyError("right contraction leaves the Koszul component")
         right_cols.append(rc)
@@ -72,14 +80,15 @@ def extract_superpotential(cert: RegularityCertificate) -> SuperpotentialData:
     twist = (right.transpose() @ left.inverse()).scale(Fraction((-1) ** (d + 1)))
     if twist != nakayama_of_algebra(cert):
         raise ConsistencyError("contraction twist disagrees with the pairing route")
-    if not is_twisted_superpotential(w, twist):
+    if not is_twisted_superpotential(w, d, twist):
         raise ConsistencyError("extracted tensor is not twisted-cyclic")
     return SuperpotentialData(w, twist)
 
 
-def symmetrize(w: Tensor, sigma: Matrix) -> Tensor:
-    """Raise a twisted superpotential by one letter appended as a new last
-    generator, producing an untwisted one.
+def symmetrize(w: dict[int, Fraction], d: int,
+               sigma: Matrix) -> dict[int, Fraction]:
+    """Raise a twisted superpotential of degree d by one letter appended as
+    a new last generator, producing an untwisted one of degree d + 1.
 
     The new letter is fixed by the extended twist.  The output is the
     alternating sum over slot positions of the new letter, with the twist
@@ -87,40 +96,39 @@ def symmetrize(w: Tensor, sigma: Matrix) -> Tensor:
     twisted-cyclic for sigma the output is checked to be cyclic for the
     identity.
     """
-    d = w.degree
-    n = w.ambient
+    n = sigma.cols
+    m = n + 1
     ext_rows = [tuple(sigma.entries[i]) + (ZERO,) for i in range(n)]
     ext_rows.append(tuple(ZERO for _ in range(n)) + (ONE,))
-    sigma_ext = Matrix.from_rows(ext_rows, n + 1)
-    base = Tensor.make(1, n + 1, [((n,), ONE)]).tensor(
-        Tensor(d, n + 1, w.terms))
-    acc = Tensor.zero(d + 1, n + 1)
+    sigma_ext = Matrix.from_rows(ext_rows, m)
+    # the new letter followed by w, over m letters
+    base = {word_to_index((n,) + index_to_word(idx, n, d), m): c
+            for idx, c in w.items()}
+    acc: dict[int, Fraction] = {}
     for i in range(d + 1):
         slots = [None] + [sigma_ext] * i + [None] * (d - i)
-        term = tau(d + 1, i, apply_slotwise(slots, base))
-        acc = acc.add(term.scale(Fraction((-1) ** i)))
-    if (is_twisted_superpotential(w, sigma)
-            and not is_twisted_superpotential(acc, Matrix.identity(n + 1))):
+        sign = (-1) ** i
+        for idx, c in tau(apply_slotwise(slots, base, m), d + 1, i, m).items():
+            add_into(acc, idx, sign * c)
+    if (is_twisted_superpotential(w, d, sigma)
+            and not is_twisted_superpotential(acc, d + 1, Matrix.identity(m))):
         raise ConsistencyError("symmetrized tensor fails plain cyclicity")
     return acc
 
 
-def derivation_quotient(w: Tensor, order: int, names) -> QuadraticAlgebra:
+def derivation_quotient(w: dict[int, Fraction], order: int,
+                        names) -> QuadraticAlgebra:
     """Quadratic algebra whose relations are the order-fold left contractions
-    of w; requires order >= 0 and w.degree - order == 2."""
-    if order < 0 or w.degree - order != 2:
+    of w, a vector of words of length order + 2; requires order >= 0."""
+    names = tuple(names)
+    n = len(names)
+    if order < 0 or (w and max(w) >= n ** (order + 2)):
         raise LinAlgError("contraction order must be nonnegative and leave "
                           "degree-two relations")
-    n = w.ambient
-    names = tuple(names)
-    if len(names) != n:
-        raise LinAlgError("name count does not match the tensor ambient")
-    grouped: dict[tuple, dict[int, Fraction]] = {}
-    for word, c in w.terms:
-        head = word[:order]
-        tail = word[-2] * n + word[-1]
-        bucket = grouped.setdefault(head, {})
-        bucket[tail] = bucket.get(tail, ZERO) + c
+    grouped: dict[int, dict[int, Fraction]] = {}
+    for idx, c in w.items():
+        head, tail = divmod(idx, n * n)
+        grouped.setdefault(head, {})[tail] = c
     return QuadraticAlgebra(names, Subspace.from_spanning(grouped.values(), n * n))
 
 
@@ -152,7 +160,7 @@ def verify_superpotential_presentation(cert: RegularityCertificate,
     matches = dq.relations == alg.relations
     lower = koszul_component(alg, d - 2)
     prod = alg.relations.kron(lower)
-    coords = prod.coordinates(data.w.to_sparse_map())
+    coords = prod.coordinates(data.w)
     if coords is None:
         raise ConsistencyError("superpotential is not a relation-times-factor sum")
     rows = [coords[a * lower.dim:(a + 1) * lower.dim]

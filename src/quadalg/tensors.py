@@ -1,22 +1,24 @@
-"""Tensor-power coordinates: words, tensor elements, slot maps, contractions.
+"""Word coordinates: word indices, slot maps, cyclic slot moves and
+contractions on vectors indexed by words.
 
-A degree-d tensor over an n-dimensional space is stored as a sorted tuple of
-(word, coefficient) pairs, where a word is a tuple of d letter indices.
-Words are identified with flat coordinates through the big-endian base-n
-expansion, so the induced coordinate order is lexicographic on words; a
-tensor converts to and from the sparse {word index: coefficient} map of
-those coordinates (`to_sparse_map`, `from_sparse`), the only form a
-word-coordinate vector takes in this package.  A linear map of the
-degree-one space is a plain Matrix in column convention: column j holds
-the coordinates of the image of letter j.
+A word of length d over n letters is a tuple of d letter indices.  It is
+identified with the flat coordinate of its big-endian base-n expansion, so
+the coordinate order is lexicographic on the words of one length.  A
+vector indexed by words has one form in this package: a sparse {word
+index: Fraction} map with no zero values (a Subspace row lists the same
+entries as (index, value) pairs).  The map does not record the length of
+its words; the functions here take the length d and the letter count n
+from their callers.  A linear map of the degree-one space is a plain
+Matrix in column convention: column j holds the coordinates of the image
+of letter j.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
-from .linalg import LinAlgError, Matrix, ONE, Subspace, Vec, ZERO
+from .linalg import LinAlgError, Matrix, Subspace, ZERO
 
 Word = tuple[int, ...]
 
@@ -35,160 +37,73 @@ def index_to_word(idx: int, n: int, degree: int) -> Word:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Tensor:
-    """An element of the degree-th tensor power of an n-dim space."""
+def add_into(acc: dict, key, value) -> None:
+    """Add value to acc[key], dropping the key when the sum is zero."""
+    nv = acc.get(key, ZERO) + value
+    if nv:
+        acc[key] = nv
+    else:
+        acc.pop(key, None)
 
-    degree: int
-    ambient: int
-    terms: tuple[tuple[Word, Fraction], ...]
 
-    @staticmethod
-    def make(degree: int, ambient: int, terms) -> "Tensor":
-        acc: dict[Word, Fraction] = {}
-        for word, coeff in (terms.items() if isinstance(terms, dict) else terms):
-            c = Fraction(coeff)
-            if not c:
-                continue
-            w = tuple(word)
-            if len(w) != degree or any(not 0 <= l < ambient for l in w):
-                raise LinAlgError(f"bad word {w} for degree {degree} over n={ambient}")
-            nv = acc.get(w, ZERO) + c
-            if nv:
-                acc[w] = nv
+def apply_slotwise(maps, vec: Mapping[int, Fraction], n: int) -> dict[int, Fraction]:
+    """Apply per-slot degree-one maps to a vector of words of length
+    len(maps) over n letters; None in a slot means the identity."""
+    # per map and letter, the nonzero (letter, value) pairs of the image,
+    # read once for a map that fills several slots
+    images: dict[int, list] = {}
+    for m in maps:
+        if m is not None and id(m) not in images:
+            if m.cols != n:
+                raise LinAlgError("slot map acts on the wrong space")
+            images[id(m)] = [[(i, a) for i, a in enumerate(m.col(j)) if a]
+                             for j in range(n)]
+    slots = [None if m is None else images[id(m)] for m in maps]
+    acc: dict[int, Fraction] = {}
+    for idx, coeff in vec.items():
+        partial = [(0, coeff)]
+        for letter, image in zip(index_to_word(idx, n, len(slots)), slots):
+            if image is None:
+                partial = [(p * n + letter, c) for p, c in partial]
             else:
-                acc.pop(w, None)
-        return Tensor(degree, ambient, tuple(sorted(acc.items())))
-
-    @staticmethod
-    def zero(degree: int, ambient: int) -> "Tensor":
-        return Tensor(degree, ambient, ())
-
-    @staticmethod
-    def basis(word: Word, ambient: int) -> "Tensor":
-        return Tensor.make(len(word), ambient, [(tuple(word), ONE)])
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def add(self, other: "Tensor") -> "Tensor":
-        self._check_shape(other)
-        acc = dict(self.terms)
-        for w, c in other.terms:
-            nv = acc.get(w, ZERO) + c
-            if nv:
-                acc[w] = nv
-            else:
-                acc.pop(w, None)
-        return Tensor(self.degree, self.ambient, tuple(sorted(acc.items())))
-
-    def sub(self, other: "Tensor") -> "Tensor":
-        return self.add(other.scale(-1))
-
-    def scale(self, k) -> "Tensor":
-        k = Fraction(k)
-        if not k:
-            return Tensor.zero(self.degree, self.ambient)
-        return Tensor(self.degree, self.ambient,
-                      tuple((w, k * c) for w, c in self.terms))
-
-    def tensor(self, other: "Tensor") -> "Tensor":
-        if self.ambient != other.ambient:
-            raise LinAlgError("ambient mismatch in tensor product")
-        acc: dict[Word, Fraction] = {}
-        for w1, c1 in self.terms:
-            for w2, c2 in other.terms:
-                w = w1 + w2
-                nv = acc.get(w, ZERO) + c1 * c2
-                if nv:
-                    acc[w] = nv
-                else:
-                    acc.pop(w, None)
-        return Tensor(self.degree + other.degree, self.ambient,
-                      tuple(sorted(acc.items())))
-
-    def to_sparse_map(self) -> dict[int, Fraction]:
-        n = self.ambient
-        return {word_to_index(w, n): c for w, c in self.terms}
-
-    @staticmethod
-    def from_sparse(pairs, degree: int, ambient: int) -> "Tensor":
-        """The tensor with the given (word index, coefficient) pairs."""
-        terms = sorted((index_to_word(i, ambient, degree), Fraction(c))
-                       for i, c in pairs if c)
-        return Tensor(degree, ambient, tuple(terms))
-
-    def _check_shape(self, other: "Tensor") -> None:
-        if self.degree != other.degree or self.ambient != other.ambient:
-            raise LinAlgError("tensor shape mismatch")
+                partial = [(p * n + i, c * a) for p, c in partial
+                           for i, a in image[letter]]
+        for p, c in partial:
+            add_into(acc, p, c)
+    return acc
 
 
-def apply_slotwise(maps, t: Tensor) -> Tensor:
-    """Apply per-slot degree-one maps (matrices in column convention: column
-    j is the image of letter j) to a tensor; None means identity."""
-    maps = tuple(maps)
-    if len(maps) != t.degree:
-        raise LinAlgError("slot count does not match tensor degree")
-    acc: dict[Word, Fraction] = {}
-    for word, coeff in t.terms:
-        partial: list[tuple[Word, Fraction]] = [((), coeff)]
-        for letter, m in zip(word, maps):
-            if m is None:
-                partial = [(w + (letter,), c) for w, c in partial]
-                continue
-            col = m.col(letter)
-            nxt: list[tuple[Word, Fraction]] = []
-            for w, c in partial:
-                for i, a in enumerate(col):
-                    if a:
-                        nxt.append((w + (i,), c * a))
-            partial = nxt
-            if not partial:
-                break
-        for w, c in partial:
-            nv = acc.get(w, ZERO) + c
-            if nv:
-                acc[w] = nv
-            else:
-                acc.pop(w, None)
-    return Tensor(t.degree, t.ambient, tuple(sorted(acc.items())))
-
-
-def tau(d: int, k: int, t: Tensor) -> Tensor:
-    """Cycle the first slot of a degree-d tensor into position k.
+def tau(vec: Mapping[int, Fraction], d: int, k: int, n: int) -> dict[int, Fraction]:
+    """Cycle the first slot of a vector of length-d words into position k.
 
     On words: (w_0, w_1, ..., w_{d-1}) -> (w_1, ..., w_k, w_0, w_{k+1}, ...).
     k = d-1 is the full one-step rotation; composing the k = d-1 map d times
-    gives the identity.
+    gives the identity.  The move permutes the word indices.
     """
-    if t.degree != d:
-        raise LinAlgError("degree mismatch in cyclic slot move")
     if not 0 <= k <= d - 1:
         raise LinAlgError("slot position out of range")
-    terms = []
-    for w, c in t.terms:
-        terms.append((w[1:k + 1] + (w[0],) + w[k + 1:], c))
-    return Tensor.make(d, t.ambient, terms)
+    head = n ** (d - 1)
+    tail = n ** (d - 1 - k)
+    out = {}
+    for idx, c in vec.items():
+        first, rest = divmod(idx, head)
+        middle, last = divmod(rest, tail)
+        out[(middle * n + first) * tail + last] = c
+    return out
 
 
-def contract_left(psi: Vec, t: Tensor) -> Tensor:
-    """Pair a functional (coordinate row) against the first slot."""
-    terms = []
-    for w, c in t.terms:
-        a = psi[w[0]]
-        if a:
-            terms.append((w[1:], c * a))
-    return Tensor.make(t.degree - 1, t.ambient, terms)
+def contract_left(vec: Mapping[int, Fraction], letter: int, d: int,
+                  n: int) -> dict[int, Fraction]:
+    """Pair the functional dual to a letter against the first slot of a
+    vector of length-d words."""
+    head = n ** (d - 1)
+    return {idx % head: c for idx, c in vec.items() if idx // head == letter}
 
 
-def contract_right(t: Tensor, psi: Vec) -> Tensor:
-    """Pair a functional (coordinate row) against the last slot."""
-    terms = []
-    for w, c in t.terms:
-        a = psi[w[-1]]
-        if a:
-            terms.append((w[:-1], c * a))
-    return Tensor.make(t.degree - 1, t.ambient, terms)
+def contract_right(vec: Mapping[int, Fraction], letter: int,
+                   n: int) -> dict[int, Fraction]:
+    """Pair the functional dual to a letter against the last slot."""
+    return {idx // n: c for idx, c in vec.items() if idx % n == letter}
 
 
 def preserves_subspace(phi: Matrix, space: Subspace, degree: int) -> bool:
@@ -196,9 +111,6 @@ def preserves_subspace(phi: Matrix, space: Subspace, degree: int) -> bool:
     n = phi.cols
     if space.ambient != n ** degree:
         raise LinAlgError("subspace ambient does not match the tensor degree")
-    ext = tuple([phi] * degree)
-    for row in space.rows:
-        img = apply_slotwise(ext, Tensor.from_sparse(row, degree, n))
-        if not space.contains(img.to_sparse_map()):
-            return False
-    return True
+    maps = [phi] * degree
+    return all(space.contains(apply_slotwise(maps, dict(row), n))
+               for row in space.rows)

@@ -5,10 +5,9 @@ from importlib import resources
 import json
 import random
 
-from quadalg import (Cdga, GradedFDAlgebra, Matrix, Subspace, Tensor,
-                     apply_slotwise, as_regular_certificate,
-                     dual_trivial_extension, index_to_word,
-                     nakayama_of_algebra, tau, word_to_index)
+from quadalg import (Cdga, GradedFDAlgebra, Matrix, QuadraticAlgebra,
+                     Subspace, as_regular_certificate, dual_trivial_extension,
+                     index_to_word, nakayama_of_algebra, word_to_index)
 from quadalg import skew
 from quadalg.io import description_to_algebra, parse_description
 from quadalg.linalg import LinAlgError, ZERO, unit_vector
@@ -165,20 +164,81 @@ def dense_kernel_rows(rows, ambient):
     return out
 
 
+def word_vector(n, terms):
+    """The sparse {word index: value} map of (word tuple, coefficient) pairs
+    over n letters; repeated words add up and zero sums are dropped."""
+    vec = {}
+    for word, c in terms:
+        idx = word_to_index(word, n)
+        vec[idx] = vec.get(idx, 0) + Fraction(c)
+    return {idx: c for idx, c in vec.items() if c}
+
+
+def word_terms(vec, n, d):
+    """A vector of length-d words over n letters as {word tuple: value}."""
+    return {index_to_word(idx, n, d): c for idx, c in vec.items()}
+
+
+def quadratic_algebra(names, relations):
+    """The quadratic algebra on names whose relations are lists of (word
+    tuple, coefficient) pairs."""
+    n = len(names)
+    rows = [word_vector(n, terms) for terms in relations]
+    return QuadraticAlgebra(tuple(names), Subspace.from_spanning(rows, n * n))
+
+
+# A word-tuple oracle for quadalg.tensors: the same operations on {word
+# tuple: value} maps, written from their definitions on words.
+
+def oracle_apply_slotwise(maps, terms):
+    """Per-slot degree-one maps (column j the image of letter j, None the
+    identity) applied to every word."""
+    out = {}
+    for word, c in terms.items():
+        partial = {(): c}
+        for letter, m in zip(word, maps):
+            step = {}
+            for w, v in partial.items():
+                if m is None:
+                    step[w + (letter,)] = v
+                    continue
+                for i in range(m.rows):
+                    if m[i, letter]:
+                        step[w + (i,)] = v * m[i, letter]
+            partial = step
+        for w, v in partial.items():
+            out[w] = out.get(w, 0) + v
+    return {w: v for w, v in out.items() if v}
+
+
+def oracle_tau(terms, k):
+    """The first letter of every word moved behind position k."""
+    return {w[1:k + 1] + (w[0],) + w[k + 1:]: c for w, c in terms.items()}
+
+
+def oracle_contract_left(terms, letter):
+    return {w[1:]: c for w, c in terms.items() if w[0] == letter}
+
+
+def oracle_contract_right(terms, letter):
+    return {w[:-1]: c for w, c in terms.items() if w[-1] == letter}
+
+
 def twisted_cyclic_space(n, d, sigma):
     """Exact solution space of w = (-1)^(d-1) rot(sigma on first slot)(w).
 
     Independent of the extraction code path: assembled directly from the
-    one-word images.
+    one-word images of the word-tuple oracle.
     """
     rows = []
     amb = n ** d
     sign = Fraction((-1) ** (d - 1))
     for idx in range(amb):
-        t = Tensor.basis(index_to_word(idx, n, d), n)
-        img = tau(d, d - 1, apply_slotwise([sigma] + [None] * (d - 1), t))
+        word = index_to_word(idx, n, d)
+        img = oracle_tau(oracle_apply_slotwise([sigma] + [None] * (d - 1),
+                                               {word: Fraction(1)}), d - 1)
         vec = list(unit_vector(amb, idx))
-        for w, c in img.terms:
+        for w, c in img.items():
             vec[word_to_index(w, n)] -= sign * c
         rows.append(tuple(vec))
     # w solves it exactly when sum_idx w[idx] rows[idx] = 0

@@ -11,8 +11,8 @@ from helpers import (AS_REGULAR, CORPUS, DIM2, block_nakayama_oracle,
                      cert_of, cdg_underlying_trivial_extension, description_of,
                      model_map_multiplicative, random_member, random_nu_theta,
                      scalar_twist, seeded, structure_equal, trivial_extension,
-                     twist_pool, twisted_cyclic_space)
-from quadalg import (Matrix, PBWDeformation, Tensor, cy_check_with,
+                     twist_pool, twisted_cyclic_space, word_terms)
+from quadalg import (Matrix, PBWDeformation, cy_check_with,
                      cy_criterion_deformed, cy_equivalence_dim2,
                      derivation_quotient, dim2_matrix_form, dual_cdga,
                      dual_trivial_extension, extract_superpotential,
@@ -101,8 +101,8 @@ def test_criterion_4_superpotential_presentations():
         assert verify_superpotential_presentation(cert, data).passed, name
         assert verify_extended_presentation(cert), name
     data = extract_superpotential(cert_of("kxy"))
-    hat = symmetrize(data.w, data.twist)
-    assert dict(hat.terms) == {
+    hat = symmetrize(data.w, 2, data.twist)
+    assert word_terms(hat, 3, 3) == {
         (0, 1, 2): F(1), (0, 2, 1): F(-1), (1, 0, 2): F(-1),
         (1, 2, 0): F(1), (2, 0, 1): F(1), (2, 1, 0): F(-1)}
     print("criterion 4 (derivation-quotient presentations): PASS")
@@ -121,22 +121,20 @@ def test_criterion_5_random_twisted_superpotentials_and_rotations():
         space = twisted_cyclic_space(n, d, sigma)
         if space.dim == 0:
             continue
-        w = Tensor.from_sparse(random_member(space, rng).items(), d, n)
-        if w.is_zero():
+        w = {idx: c for idx, c in random_member(space, rng).items() if c}
+        if not w:
             continue
-        assert is_twisted_superpotential(w, sigma)
-        hat = symmetrize(w, sigma)
-        assert is_twisted_superpotential(hat, Matrix.identity(n + 1))
+        assert is_twisted_superpotential(w, d, sigma)
+        hat = symmetrize(w, d, sigma)
+        assert is_twisted_superpotential(hat, d + 1, Matrix.identity(n + 1))
         done += 1
     # full rotation has order d on words
     for d in range(2, 7):
         for idx in range(2 ** d):
-            word = tuple((idx >> t) & 1 for t in range(d))
-            t = Tensor.basis(word, 2)
-            out = t
+            out = t = {idx: F(1)}
             for _ in range(d):
-                out = tau(d, d - 1, out)
-            assert out == t, (d, word)
+                out = tau(out, d, d - 1, 2)
+            assert out == t, (d, idx)
     print("criterion 5 (100 random symmetrizations + rotation order): PASS")
 
 

@@ -374,14 +374,61 @@ def test_dimension_one_base(tmp_path, capsys):
     p = tmp_path / "kx.json"
     p.write_text(json.dumps({"generators": ["x"], "relations": [],
                              "deformation": {"nu": [], "theta": []}}))
-    for cmd in ("superpotential", "derivquot", "pbw"):
+    order = ("contraction order must be nonnegative and leave degree-two "
+             "relations")
+    for cmd, error in (("superpotential", order), ("derivquot", order),
+                       ("pbw", "a deformation needs a base of dimension at "
+                               "least 2")):
         code, rep = _run(capsys, cmd, str(p))
         assert code == 2, cmd
-        assert rep["status"] == "error" and rep["command"] == cmd
+        assert rep == {"command": cmd, "error": error, "status": "error"}, cmd
     for cmd in ("regular", "symmetrize", "cy"):
         code, rep = _run(capsys, cmd, str(p))
         assert code == 0, cmd
         assert rep["status"] == "pass", cmd
+
+
+def _two_letter_input(q, sigma):
+    """k<x, y>/(xy - q yx) with a sigma section, as a document."""
+    return {"generators": ["x", "y"],
+            "relations": [[{"coeff": "1", "word": ["x", "y"]},
+                           {"coeff": str(-q), "word": ["y", "x"]}]],
+            "sigma": sigma}
+
+
+@pytest.mark.parametrize("doc,error", [
+    (_two_letter_input(1, [["1", "1"], ["1", "1"]]),
+     "twist must be invertible"),
+    (_two_letter_input(2, [["0", "1"], ["1", "0"]]),
+     "twist does not preserve the relations"),
+], ids=["singular", "not-preserving"])
+def test_bad_twist_is_refused(tmp_path, capsys, doc, error):
+    # the swap sends xy - 2yx to yx - 2xy, outside the span of the relation
+    p = tmp_path / "twist.json"
+    p.write_text(json.dumps(doc))
+    for cmd in ("skew", "extiso", "cy"):
+        code, rep = _run(capsys, cmd, str(p), "--sigma", "file")
+        assert code == 2, cmd
+        assert rep == {"command": cmd, "error": error, "status": "error"}, cmd
+
+
+@pytest.mark.parametrize("relations,reason", [
+    ([], "top degree has dimension 3, not 1"),
+    ([[{"coeff": "1", "word": ["x", "z"]}]],
+     "degenerate pairing against the complementary degree"),
+], ids=["free", "xz"])
+def test_regular_refuted_by_non_frobenius_dual(tmp_path, capsys, relations,
+                                               reason):
+    # both duals are finite (dims (1, 3) and (1, 3, 1)) but not Frobenius:
+    # a 3-dimensional top, then a degenerate pairing into a 1-dimensional one
+    p = tmp_path / "xyz.json"
+    p.write_text(json.dumps({"generators": ["x", "y", "z"],
+                             "relations": relations}))
+    code, rep = _run(capsys, "regular", str(p))
+    assert code == 1
+    assert rep["verdict"] == {
+        "reason": f"degree 1: dual algebra is not Frobenius: {reason}",
+        "regular": False, "witness_degree": 1}
 
 
 def _count_calls(monkeypatch, fn):

@@ -10,7 +10,7 @@ from helpers import (AS_REGULAR, CORPUS, algebra_of, associativity_failure,
                      block_nakayama_oracle, cert_of,
                      cdg_underlying_trivial_extension, dense_algebra,
                      is_multiplicative, scalar_twist, seeded, sparse_table,
-                     structure_equal, trivial_extension)
+                     quadratic_algebra, structure_equal, trivial_extension)
 from quadalg import (GradedFDAlgebra, Matrix, NotFrobenius,
                      dual_trivial_extension, ext_algebra_of_skew,
                      frobenius_structure, is_graded_symmetric,
@@ -99,9 +99,7 @@ def test_poly3_dual_graded_symmetric():
 
 
 def _monomial_xy_algebra():
-    from quadalg import QuadraticAlgebra, Tensor
-    t = Tensor.basis((0, 1), 2)
-    return QuadraticAlgebra.from_relation_tensors(("x", "y"), [t])
+    return quadratic_algebra(("x", "y"), [[((0, 1), 1)]])
 
 
 def test_not_frobenius_degenerate():
@@ -116,6 +114,16 @@ def test_not_frobenius_degenerate():
     with pytest.raises(NotFrobenius) as info3:
         frobenius_structure(fd3)
     assert info3.value.witness_degree == 3
+    # T(x,y)/(xy, yx, y^2) cut at length 3 has dims (1, 2, 1, 1): a nonzero
+    # top, but degrees 1 and 2 cannot pair perfectly
+    mono = quadratic_algebra(("x", "y"), [[((0, 1), 1)], [((1, 0), 1)],
+                                          [((1, 1), 1)]])
+    fd_mono = truncated_structure(mono, 3)
+    assert fd_mono.dims == (1, 2, 1, 1)
+    with pytest.raises(NotFrobenius) as info_mono:
+        frobenius_structure(fd_mono)
+    assert info_mono.value.witness_degree == 1
+    assert info_mono.value.reason == "dim mismatch 2 vs 1 between degrees 1 and 2"
 
 
 def test_automorphism_multiplicative_check_catches_junk():

@@ -81,7 +81,8 @@ def test_exponent_notation_is_rejected():
     for coeff, value in (("-3", F(-3)), ("2/3", F(2, 3)), ("-7/14", F(-1, 2)),
                          ("1.25", F(5, 4)), (".5", F(1, 2))):
         desc = parse_description(_two_term_relation(coeff))
-        assert desc.relations[0][1] == (value, ("y", "x"))
+        # each relation is read into its {word index: value} row: xy, yx
+        assert desc.relations[0] == {1: F(1), 2: value}
     for coeff in ("1e1000000", "2E3", "-1.5e-2", "3/4e1"):
         with pytest.raises(ValidationError) as exc:
             parse_description(_two_term_relation(coeff))

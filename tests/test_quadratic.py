@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (AS_REGULAR, CORPUS, algebra_of, cert_of,
-                     is_multiplicative, oracle_truncation,
+                     is_multiplicative, oracle_truncation, quadratic_algebra,
                      relation_degree_subspace, skew_ring, sklyanin,
-                     structure_equal)
-from quadalg import (Matrix, QuadraticAlgebra, Tensor, quadratic,
+                     structure_equal, word_vector)
+from quadalg import (Matrix, quadratic,
                      graded_dims, koszul_component, nakayama_of_algebra,
                      numeric_koszul_certificate, preserves_subspace,
                      skew_extend, truncated_structure, word_to_index)
@@ -20,19 +20,13 @@ from quadalg.linalg import ConsistencyError, LinAlgError, Subspace
 F = Fraction
 
 
-def _alg(names, rels):
-    tensors = [Tensor.make(2, len(names), [(w, F(c)) for w, c in terms])
-               for terms in rels]
-    return QuadraticAlgebra.from_relation_tensors(names, tensors)
-
-
-XX = _alg(("x", "y"), [[((0, 0), 1)]])
-XY = _alg(("x", "y"), [[((0, 1), 1)]])
+XX = quadratic_algebra(("x", "y"), [[((0, 0), 1)]])
+XY = quadratic_algebra(("x", "y"), [[((0, 1), 1)]])
 # smallest Euler failure we found by search: relations yy - zy, yz, zx
-NONKOSZUL = _alg(("x", "y", "z"),
-                 [[((1, 1), 1), ((2, 1), -1)],
-                  [((1, 2), 1)],
-                  [((2, 0), 1)]])
+NONKOSZUL = quadratic_algebra(("x", "y", "z"),
+                              [[((1, 1), 1), ((2, 1), -1)],
+                               [((1, 2), 1)],
+                               [((2, 0), 1)]])
 # Sklyanin algebras S(a, b, c): three regular ones, PBW in no generator
 # order, and three of the four degenerate points over Q, PBW in every order
 SKLYANIN_POINTS = ((1, 2, 3), (2, -1, 1), (3, 5, -7),
@@ -45,8 +39,8 @@ def test_dual_of_commutative_plane():
     assert dual.names == ("x*", "y*")
     assert dual.relations.dim == 3
     # xx, yy and the symmetric mix annihilate xy - yx
-    assert dual.relations.contains(Tensor.basis((0, 0), 2).to_sparse_map())
-    mix = Tensor.make(2, 2, [((0, 1), F(1)), ((1, 0), F(1))]).to_sparse_map()
+    assert dual.relations.contains(word_vector(2, [((0, 0), F(1))]))
+    mix = word_vector(2, [((0, 1), F(1)), ((1, 0), F(1))])
     assert dual.relations.contains(mix)
     assert graded_dims(dual, 5) == (1, 2, 1, 0, 0, 0)
 
@@ -66,7 +60,7 @@ def test_double_dual_returns_relations():
 
 
 def test_dual_name_collision():
-    alg = _alg(("x", "x*"), [[((0, 1), 1)]])
+    alg = quadratic_algebra(("x", "x*"), [[((0, 1), 1)]])
     dual = alg.dual
     assert len(set(dual.names)) == 2
 
@@ -83,7 +77,7 @@ def test_near_free_hilbert_series_stays_small():
     # other test uses this algebra, so its Koszul components are not cached.
     # graded_dims counts normal words past degree 4 here, so K_7 is asked
     # for directly.
-    alg = _alg(("x", "y", "z"), [[((0, 1), 1)]])
+    alg = quadratic_algebra(("x", "y", "z"), [[((0, 1), 1)]])
     tracemalloc.start()
     try:
         top = koszul_component(alg.dual, 7)
@@ -336,7 +330,7 @@ def test_truncated_automorphism_preservation():
 def quadratic_algebras(draw):
     n = draw(st.integers(min_value=2, max_value=3))
     nrel = draw(st.integers(min_value=1, max_value=3))
-    tensors = []
+    relations = []
     for _ in range(nrel):
         terms = []
         for _ in range(draw(st.integers(min_value=1, max_value=3))):
@@ -346,9 +340,8 @@ def quadratic_algebras(draw):
             if c:
                 terms.append((w, F(c)))
         if terms:
-            tensors.append(Tensor.make(2, n, terms))
-    names = tuple("abcd"[:n])
-    return QuadraticAlgebra.from_relation_tensors(names, tensors)
+            relations.append(terms)
+    return quadratic_algebra("abcd"[:n], relations)
 
 
 @settings(max_examples=25, deadline=None)

@@ -4,11 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import AS_REGULAR, DIM2, algebra_of, cert_of
-from quadalg import (Matrix, NotRegular, QuadraticAlgebra, Tensor,
-                     apply_slotwise, as_regular_certificate, dim2_matrix_form,
-                     nakayama_of_algebra, numeric_koszul_certificate,
-                     regularity_data)
+from helpers import AS_REGULAR, DIM2, algebra_of, cert_of, quadratic_algebra
+from quadalg import (Matrix, NotRegular, apply_slotwise, as_regular_certificate,
+                     dim2_matrix_form, nakayama_of_algebra,
+                     numeric_koszul_certificate, regularity_data)
 from quadalg.linalg import ConsistencyError, LinAlgError
 
 F = Fraction
@@ -57,8 +56,7 @@ def test_dual_dims_shapes():
 
 
 def test_not_regular_single_monomial_xx():
-    alg = QuadraticAlgebra.from_relation_tensors(
-        ("x", "y"), [Tensor.make(2, 2, [((0, 0), F(1))])])
+    alg = quadratic_algebra(("x", "y"), [[((0, 0), F(1))]])
     with pytest.raises(NotRegular) as exc:
         as_regular_certificate(alg, 5)
     # dual dims stay (1,2,1,1,1,...): never terminates inside the bound
@@ -66,8 +64,7 @@ def test_not_regular_single_monomial_xx():
 
 
 def test_not_regular_xy():
-    alg = QuadraticAlgebra.from_relation_tensors(
-        ("x", "y"), [Tensor.make(2, 2, [((0, 1), F(1))])])
+    alg = quadratic_algebra(("x", "y"), [[((0, 1), F(1))]])
     with pytest.raises(NotRegular) as exc:
         as_regular_certificate(alg, 5)
     # dual terminates (dims 1,2,1,0,..) but the pairing into the top is
@@ -87,9 +84,7 @@ def test_nakayama_preserves_relations():
         cert = cert_of(name)
         xi = nakayama_of_algebra(cert)
         img = [cert.algebra.relations.reduce_sparse(
-            apply_slotwise((xi, xi),
-                           Tensor.from_sparse(row, 2, cert.algebra.n))
-            .to_sparse_map())
+            apply_slotwise((xi, xi), dict(row), cert.algebra.n))
             for row in cert.algebra.relations.rows]
         assert all(all(v == 0 for v in r.values()) for r in img), name
 

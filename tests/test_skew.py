@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import AS_REGULAR, DIM2, algebra_of, cert_of, ext_iso_oracle
-from quadalg import (Matrix, Tensor, cy_check_with,
+from helpers import (AS_REGULAR, DIM2, algebra_of, cert_of, ext_iso_oracle,
+                     word_vector)
+from quadalg import (Matrix, cy_check_with,
                      ext_algebra_of_skew, fresh_letter, graded_dims,
                      nakayama_of_algebra, regularity_data, skew,
                      skew_extend, twisted_module_trivial_extension,
@@ -44,18 +45,17 @@ def test_mixed_relations_formula():
     assert len(mixed) == n
     for i, row in enumerate(mixed):
         col = inv.col(i)
-        expect = Tensor.make(2, n + 1,
-                             [((n, j), col[j]) for j in range(n)]
-                             + [((i, n), F(-1))])
-        assert row == expect.to_sparse_map(), i
+        expect = word_vector(n + 1, [((n, j), col[j]) for j in range(n)]
+                                    + [((i, n), F(-1))])
+        assert row == expect, i
 
 
 def test_identity_twist_gives_commuting_letter():
     ext = skew_extend(algebra_of("kxy"), Matrix.identity(2))
     assert graded_dims(ext.algebra, 4) == (1, 3, 6, 10, 15)
-    want = Tensor.make(2, 3, [((2, 0), F(1)), ((0, 2), F(-1))])
+    want = word_vector(3, [((2, 0), F(1)), ((0, 2), F(-1))])
     # the first mixed relation follows the one base relation
-    assert ext.stacked_relations[1] == want.to_sparse_map()
+    assert ext.stacked_relations[1] == want
 
 
 def test_dim3_extension_hilbert():
