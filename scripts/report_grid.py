@@ -7,7 +7,10 @@ S(1, 2, 3) (regular, PBW in no generator order) and S(1, 1, 1)
 (degenerate, PBW), times every command, times the flag sets {default,
 --sigma id, --max-degree 4}: 546 runs.  Then poly3 with a unipotent,
 non-diagonal sigma section, times every command, with --sigma file: 13
-runs, 559 in all.  Each run
+runs.  Last the 3-letter skew ring with a deformation section whose
+Nakayama shift the twist moves (a witnessed non-CY deformation on a
+3-dimensional base), times every command, with default flags: 13 runs,
+572 in all.  Each run
 prints one line: the case, the exit code, and the sha256 of the printed
 report with its timing_ms line removed.  Every functools cache of the
 package is emptied before each run, so a run sees what a fresh CLI
@@ -43,6 +46,8 @@ SIGMA_FILE = (("--sigma", "file"),)
 UNIPOTENT_SIGMA = [["1", "1", "0"], ["0", "1", "2"], ["0", "0", "1"]]
 SKEW_Q = Fraction(-2, 3)
 SKLYANIN_POINTS = ((1, 2, 3), (1, 1, 1))
+# nu of the relations ab + 2/3 ba, ac + 2/3 ca, bc + 2/3 cb of skew3
+SKEW3_NU = (("b",), ("a", "c"), ("b",))
 TIMING = re.compile(r'\n  "timing_ms": \d+,')
 
 
@@ -80,8 +85,8 @@ def caches():
 def inputs(workdir):
     """(name, path, flag sets) of every grid input: the corpus in name
     order, then the skew rings, then the Sklyanin algebras, each with every
-    flag set; last poly3 with the unipotent sigma section, with --sigma
-    file only."""
+    flag set; then poly3 with the unipotent sigma section, with --sigma
+    file only; last skew3 with its deformation, with default flags only."""
     corpus = resources.files("quadalg") / "corpus"
     out = [(p.name[:-5], str(p), FLAG_SETS)
            for p in sorted(corpus.iterdir(), key=lambda p: p.name)
@@ -100,6 +105,13 @@ def inputs(workdir):
     path = Path(workdir) / "poly3_unipotent.json"
     path.write_text(json.dumps(poly3, indent=1))
     out.append(("poly3_unipotent", str(path), SIGMA_FILE))
+    skew3 = skew_polynomial(3, SKEW_Q)
+    skew3["deformation"] = {
+        "nu": [[{"coeff": "-1", "word": [x]} for x in row] for row in SKEW3_NU],
+        "theta": ["0"] * len(SKEW3_NU)}
+    path = Path(workdir) / "skew3_deformed.json"
+    path.write_text(json.dumps(skew3, indent=1))
+    out.append(("skew3_deformed", str(path), ((),)))
     return out
 
 

@@ -16,8 +16,7 @@ from .linalg import (ConsistencyError, LinAlgError, Matrix, ResourceLimitError,
 from .tensors import (add_into, apply_slotwise, contract_left, contract_right,
                       index_to_word, preserves_subspace, tau, word_to_index)
 from .frobenius import (FrobeniusStructure, GradedFDAlgebra, NotFrobenius,
-                        dual_trivial_extension, frobenius_structure,
-                        is_graded_symmetric, square_zero_extension,
+                        frobenius_structure, is_graded_symmetric,
                         twisted_module_trivial_extension)
 from .quadratic import (KoszulCertificate, QuadraticAlgebra, TruncatedAlgebra,
                         graded_dims, koszul_component,

@@ -1,5 +1,6 @@
 """Finite-dimensional graded algebras: Frobenius pairings, Nakayama maps,
-graded symmetry, and trivial extensions by twisted dual bimodules.
+graded symmetry, and the trivial extension of an algebra by its own copy
+shifted up one degree, as a twisted bimodule.
 
 An algebra is its graded dimensions and its nonzero structure constants,
 checked to be unital and associative when built; basis elements are known
@@ -148,9 +149,6 @@ class GradedFDAlgebra:
                     for c, w in row[b]:
                         out[c] += s * w
         return tuple(out)
-
-    def identity_automorphism(self) -> tuple[Matrix, ...]:
-        return tuple(Matrix.identity(m) for m in self.dims)
 
     def epsilon(self, k: int) -> tuple[Matrix, ...]:
         """The sign automorphism acting by (-1)^(i*k) in degree i."""
@@ -316,124 +314,52 @@ def is_graded_symmetric(alg: GradedFDAlgebra):
 
 
 # ---------------------------------------------------------------------------
-# trivial extensions
+# trivial extension
 # ---------------------------------------------------------------------------
 
-def square_zero_extension(alg: GradedFDAlgebra, module_dims,
-                          left, right) -> GradedFDAlgebra:
-    """The square-zero extension of `alg` by a graded bimodule M.
+def twisted_module_trivial_extension(alg: GradedFDAlgebra, left,
+                                     right) -> GradedFDAlgebra:
+    """Extend by a copy of the algebra itself, shifted up by one degree, as
+    a bimodule twisted by `left` on the left and `right` on the right.
 
-    Degree i of the result is A_i followed by M_i, where M_i has dimension
-    module_dims[i]; the result's length is len(module_dims) - 1.
-    left(i, a, j, b) is the sparse cell in M_{i+j}, its nonzero
-    (coordinate, value) pairs in increasing coordinate order, of the a-th
-    basis element of A_i acting on the b-th of M_j, and right(i, a, j, b)
-    that of the a-th basis element of M_i acted on by the b-th of A_j.
-    Neither is called when M_{i+j} is zero.  Products of two module
-    elements vanish.
+    Degree i of the result is E_i followed by the module copy of E_{i-1},
+    so the result has length one more than E.  left and right are graded
+    maps of E, one matrix per degree; the actions are a.(m) = (left(a) m)
+    and (m).b = (m right(b)), products of two module elements vanish.
+    Each twist matrix is read column by column once per degree, and an
+    action cell is the twisted combination of E's own cells, shifted past
+    E_{i+j}.
     """
-    length = len(module_dims) - 1
-    if length < alg.length:
-        raise LinAlgError("the module must reach the top degree of the algebra")
-    dims = [alg.dim(i) + module_dims[i] for i in range(length + 1)]
+    d = alg.length
+    lcols, rcols = _columns(left), _columns(right)
+    dims = [alg.dim(i) + alg.dim(i - 1) for i in range(d + 2)]
     mult = {}
-    for i in range(length + 1):
-        for j in range(length + 1 - i):
-            ai, aj = alg.dim(i), alg.dim(j)
-            off, size = alg.dim(i + j), module_dims[i + j]
+    for i in range(d + 2):
+        for j in range(d + 2 - i):
+            ai, aj, off = alg.dim(i), alg.dim(j), alg.dim(i + j)
+            inner = alg.mult.get((i, j))
+            # E_i on the copy of E_{j-1}, and the copy of E_{i-1} on E_j
+            on_copy = alg.mult.get((i, j - 1))
+            copy_on = alg.mult.get((i - 1, j))
             block = []
             for a in range(dims[i]):
                 row = []
                 for b in range(dims[j]):
                     if a < ai and b < aj:
-                        cell = alg.mult[(i, j)][a][b] if i + j <= alg.length else ()
-                    elif not size or (a >= ai and b >= aj):
-                        cell = ()
-                    elif a < ai:
-                        cell = _module_cell(left(i, a, j, b - aj), off)
+                        row.append(inner[a][b] if inner else ())
+                        continue
+                    if a < ai:
+                        cell = _sparse_sum([(x, on_copy[t][b - aj])
+                                            for t, x in lcols[i][a]])
+                    elif b < aj:
+                        cell = _sparse_sum([(x, copy_on[a - ai][t])
+                                            for t, x in rcols[j][b]])
                     else:
-                        cell = _module_cell(right(i, a - ai, j, b), off)
-                    row.append(cell)
-                block.append(tuple(row))
-            mult[(i, j)] = tuple(block)
+                        cell = ()
+                    row.append(tuple((off + c, v) for c, v in cell))
+                block.append(row)
+            mult[(i, j)] = block
     return GradedFDAlgebra(dims, mult)
-
-
-def _module_cell(cell, offset: int):
-    """A sparse cell of M_k with its coordinates shifted past A_k.  The
-    constructor checks that they increase and stay below the degree's
-    dimension; a negative first coordinate is rejected here, since it
-    would land inside A_k."""
-    if cell and cell[0][0] < 0:
-        raise LinAlgError("module action cell has a negative coordinate")
-    return tuple((offset + c, v) for c, v in cell)
-
-
-def dual_trivial_extension(alg: GradedFDAlgebra, left, right,
-                           n: int) -> GradedFDAlgebra:
-    """Extend by the dual bimodule, twisted by `left`/`right`, shifted to top n.
-
-    Degree i of the result is E_i plus the dual of E_{n-i}, for n beyond
-    the length of E so that degree zero stays the unit alone.  left and
-    right are graded maps of E, one matrix per degree.  The module
-    actions are (a.g)(m) = g(m * left(a)) and (g.b)(m) = g(right(b) * m);
-    products of two dual elements vanish.
-    """
-    if n <= alg.length:
-        raise LinAlgError("the shift must exceed the algebra length")
-    dims = [alg.dim(n - i) for i in range(n + 1)]
-    lcols, rcols = _columns(left), _columns(right)
-
-    def act_left(i, a, j, g):
-        # a.g on basis element c of E_{n-i-j}: coordinate g of c * left(a)
-        k = n - i - j
-        block = alg.mult[(k, i)]
-        la = lcols[i][a]
-        out = []
-        for c in range(alg.dim(k)):
-            v = sum((x * w for t, x in la for e, w in block[c][t] if e == g), ZERO)
-            if v:
-                out.append((c, v))
-        return out
-
-    def act_right(i, g, j, b):
-        # g.b on basis element c of E_{n-i-j}: coordinate g of right(b) * c
-        k = n - i - j
-        block = alg.mult[(j, k)]
-        rb = rcols[j][b]
-        out = []
-        for c in range(alg.dim(k)):
-            v = sum((x * w for t, x in rb for e, w in block[t][c] if e == g), ZERO)
-            if v:
-                out.append((c, v))
-        return out
-
-    return square_zero_extension(alg, dims, act_left, act_right)
-
-
-def twisted_module_trivial_extension(alg: GradedFDAlgebra, left, right,
-                                     shift: int) -> GradedFDAlgebra:
-    """Extend by a degree-shifted copy of the algebra itself as a bimodule.
-
-    Degree i of the result is E_i plus a module copy of E_{i+shift}
-    (shift < 0); left and right are graded maps of E, one matrix per
-    degree, and the actions are a.(m) = (left(a) m) and (m).b = (m right(b)),
-    with products of two module elements zero.
-    """
-    if shift >= 0:
-        raise LinAlgError("only negative shifts are supported")
-    dims = [alg.dim(i + shift) for i in range(alg.length - shift + 1)]
-    lcols, rcols = _columns(left), _columns(right)
-
-    def act_left(i, a, j, m):
-        block = alg.mult[(i, j + shift)]
-        return _sparse_sum([(x, block[t][m]) for t, x in lcols[i][a]])
-
-    def act_right(i, m, j, b):
-        row = alg.mult[(i + shift, j)][m]
-        return _sparse_sum([(x, row[t]) for t, x in rcols[j][b]])
-
-    return square_zero_extension(alg, dims, act_left, act_right)
 
 
 def _columns(maps) -> list[list[list[tuple[int, Fraction]]]]:

@@ -6,7 +6,9 @@ dual algebra with a graded map of degree +1, one matrix per degree, and a
 curvature element; the deformation is consistent exactly when that data
 satisfies the curved Leibniz/square axioms.  The Calabi-Yau criterion for
 the induced deformation of the Nakayama-twisted extension is evaluated on
-two independent routes that must agree.
+two independent routes that must agree: in the Ext model of the extension
+that skew.ext_algebra_of_skew builds and `cy` verifies, and on the
+deformation transported to the extension.
 
 The curved structure of a deformation (dual_cdga) and the Nakayama shift
 read off it are built once by the caller and handed to every check that
@@ -19,13 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .frobenius import GradedFDAlgebra, dual_trivial_extension
+from .frobenius import GradedFDAlgebra
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Vec, ZERO,
                      solve, unit_vector)
 from .regular import (RegularityCertificate, dim2_matrix_form,
                       nakayama_of_algebra, regularity_data)
-from .skew import skew_extend
-from .tensors import index_to_word, word_to_index
+from .skew import ext_algebra_of_skew, skew_extend
+from .tensors import add_into
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,23 +96,17 @@ def dual_cdga(defm: PBWDeformation) -> Cdga:
     for j in range(2, d):
         cols = []
         for widx in trunc.words[j]:
-            word = index_to_word(widx, n, j)
             acc: dict[int, Fraction] = {}
+            # the letter in slot t of the word splits it as (prefix, letter,
+            # suffix), and the letter's degree-two class takes its place
             for t in range(j):
-                prefix = word[:t]
-                suffix = word[t + 1:]
-                idx_p = word_to_index(tuple(prefix), n)
-                idx_s = word_to_index(tuple(suffix), n)
-                shift_s = n ** len(suffix)
-                base = idx_p * (n * n) * shift_s
+                stride = n ** (j - 1 - t)
+                prefix, rest = divmod(widx, n * stride)
+                letter, suffix = divmod(rest, stride)
+                base = prefix * n * n * stride + suffix
                 sign = (-1) ** t
-                for c2, v in reps2[word[t]].items():
-                    idx = base + c2 * shift_s + idx_s
-                    nv = acc.get(idx, ZERO) + sign * v
-                    if nv:
-                        acc[idx] = nv
-                    else:
-                        acc.pop(idx, None)
+                for c2, v in reps2[letter].items():
+                    add_into(acc, base + c2 * stride, sign * v)
             cols.append(trunc.reduce_sparse(j + 1, acc))
         delta.append(Matrix.from_rows(cols, trunc.dims[j + 1]).transpose())
     delta.append(Matrix.zero(0, trunc.dims[d]))
@@ -254,12 +250,19 @@ def cy_criterion_deformed(defm: PBWDeformation, c: Cdga) -> DeformedCYReport:
     """Evaluate the deformed Calabi-Yau criterion on two independent routes,
     given the curved structure c = dual_cdga(defm).
 
-    Route one materializes the curved differential on the dual-sided trivial
-    extension model and checks it vanishes on the whole degree equal to the
-    base dimension, using genuine products there; route two transports the
-    deformation to the extension and checks its dual differential vanishes
-    in that same degree.  Any disagreement (including with the closed-form
-    shift comparison) raises ConsistencyError.
+    Route one extends the curved differential to the model of the
+    extension's cohomology algebra that `cy` verifies, the dual E extended
+    by its own copy shifted up one degree (skew.ext_algebra_of_skew with
+    the Nakayama map xi), and checks that it vanishes on the whole degree
+    equal to the base dimension d, using genuine products there.  The new
+    class pi is the shifted unit, its differential is the module copy of
+    the Nakayama shift in degree 2, and a class omega_i of degree d-1 with
+    top pairing 1 against the i-th generator goes to
+    d(omega_i) pi + (-1)^(d-1) omega_i d(pi) in the one-dimensional top.
+    Route two transports the deformation to the extension and checks its
+    dual differential vanishes in that same degree.  Any disagreement
+    (including with the closed-form shift comparison) raises
+    ConsistencyError.
     """
     cert = defm.cert
     d = cert.gldim
@@ -268,29 +271,22 @@ def cy_criterion_deformed(defm: PBWDeformation, c: Cdga) -> DeformedCYReport:
     xi = nakayama_of_algebra(cert)
     shift = nakayama_shift(cert, c)
     twisted = xi.mul_row(shift)
-    g1 = cert.frobenius.pairings[1]
-    gamma = dual_trivial_extension(alg_fd, alg_fd.epsilon(d),
-                                   alg_fd.identity_automorphism(), d + 1)
-    omega_cols = g1.inverse()
-    dual_dm1 = alg_fd.dim(2)
-    pi_star = tuple([ZERO] * alg_fd.dim(1)) + (ONE,)
-    # the section (omega_i, 0) * (0, top-dual) must be the i-th generator dual
-    for i in range(n):
-        u = tuple(omega_cols.col(i)) + tuple([ZERO] * dual_dm1)
-        prod = gamma.multiply(d - 1, u, 1, pi_star)
-        expected = tuple([ZERO] * alg_fd.dim(d)) + unit_vector(n, i)
-        if prod != expected:
-            raise ConsistencyError("canonical section identity fails in the model")
-    delta_pi_dual = g1.mul_row(twisted)
-    delta_pi = tuple([ZERO] * alg_fd.dim(2)) + tuple(delta_pi_dual)
+    gamma = ext_algebra_of_skew(cert, xi)
+    omega_cols = cert.frobenius.pairings[1].inverse()
+    sign = Fraction((-1) ** (d - 1))
+    pi = (ZERO,) * n + (ONE,)
+    delta_pi = (ZERO,) * alg_fd.dim(2) + tuple(shift)
     images = []
     for i in range(n):
-        d_omega = c.delta[d - 1].mul_col(omega_cols.col(i))
-        u1 = tuple(d_omega) + tuple([ZERO] * n)
-        t1 = gamma.multiply(d, u1, 1, pi_star)
-        u2 = tuple(omega_cols.col(i)) + tuple([ZERO] * dual_dm1)
-        t2 = gamma.multiply(d - 1, u2, 2, delta_pi)
-        sign = Fraction((-1) ** (d - 1))
+        omega = omega_cols.col(i)
+        u = tuple(omega) + (ZERO,) * alg_fd.dim(d - 2)
+        # the section: (omega_i, 0) pi is the copy of (-1)^(d-1) omega_i
+        if (gamma.multiply(d - 1, u, 1, pi)
+                != (ZERO,) * alg_fd.dim(d) + tuple(sign * v for v in omega)):
+            raise ConsistencyError("canonical section identity fails in the model")
+        d_omega = tuple(c.delta[d - 1].mul_col(omega)) + (ZERO,) * n
+        t1 = gamma.multiply(d, d_omega, 1, pi)
+        t2 = gamma.multiply(d - 1, u, 2, delta_pi)
         images.append(tuple(x + sign * y for x, y in zip(t1, t2)))
     verdict_model = all(not any(img) for img in images)
     witness = None

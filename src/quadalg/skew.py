@@ -102,7 +102,7 @@ def ext_algebra_of_skew(cert: RegularityCertificate,
     transposed inverse of sigma on the right."""
     dual = cert.dual_fd
     psi = dual.automorphism(sigma.inverse().transpose())
-    return twisted_module_trivial_extension(dual, dual.epsilon(1), psi, -1)
+    return twisted_module_trivial_extension(dual, dual.epsilon(1), psi)
 
 
 @dataclass(eq=False)

@@ -6,8 +6,8 @@ import json
 import random
 
 from quadalg import (Cdga, GradedFDAlgebra, Matrix, QuadraticAlgebra,
-                     Subspace, as_regular_certificate, dual_trivial_extension,
-                     index_to_word, nakayama_of_algebra, word_to_index)
+                     Subspace, as_regular_certificate, index_to_word,
+                     nakayama_of_algebra, word_to_index)
 from quadalg import skew
 from quadalg.io import description_to_algebra, parse_description
 from quadalg.linalg import LinAlgError, ZERO, unit_vector
@@ -366,6 +366,56 @@ def cdg_underlying_trivial_extension(alg: GradedFDAlgebra) -> GradedFDAlgebra:
     return dense_algebra(dims, mult)
 
 
+def identity_maps(alg: GradedFDAlgebra) -> tuple[Matrix, ...]:
+    """The identity of alg as a graded map, one matrix per degree."""
+    return tuple(Matrix.identity(m) for m in alg.dims)
+
+
+def dual_trivial_extension(alg: GradedFDAlgebra, left, right,
+                           n: int) -> GradedFDAlgebra:
+    """Trivial extension by the dual bimodule, twisted by `left`/`right`
+    and shifted to top n, from its definition.
+
+    Degree i is A_i followed by the dual of A_{n-i}, in the dual basis;
+    n must exceed the length of A, so that degree zero stays the unit
+    alone.  left and right are graded maps of A, one matrix per degree, and
+    the actions are (a.g)(m) = g(m * left(a)) and (g.b)(m) = g(right(b) * m),
+    each read off one dense product per basis element m; products of two
+    dual elements vanish.  This is the trivial extension A ⋉ A^* in which
+    the paper states its theorem; the package builds the Ext model of a
+    skew extension as the isomorphic shifted copy of A instead
+    (twisted_module_trivial_extension).
+    """
+    if n <= alg.length:
+        raise LinAlgError("the shift must exceed the algebra length")
+    dims = [alg.dim(i) + alg.dim(n - i) for i in range(n + 1)]
+    mult = {}
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            ai, aj, aij = alg.dim(i), alg.dim(j), alg.dim(i + j)
+            k = n - i - j
+            units = [unit_vector(alg.dim(k), c) for c in range(alg.dim(k))]
+            block = []
+            for a in range(dims[i]):
+                row = []
+                for b in range(dims[j]):
+                    out = [ZERO] * dims[i + j]
+                    if a < ai and b < aj:
+                        out[:aij] = alg.multiply_basis(i, a, j, b)
+                    elif a < ai:
+                        la = left[i].col(a)
+                        for c, m in enumerate(units):
+                            out[aij + c] = alg.multiply(k, m, i, la)[b - aj]
+                    elif b < aj:
+                        rb = right[j].col(b)
+                        for c, m in enumerate(units):
+                            out[aij + c] = alg.multiply(j, rb, k, m)[a - ai]
+                    row.append(tuple(out))
+                block.append(tuple(row))
+            mult[(i, j)] = tuple(block)
+    return dense_algebra(dims, mult)
+
+
 def relation_degree_subspace(alg, k):
     """Span of all degree-k words containing a relation in adjacent slots.
 
@@ -439,7 +489,7 @@ def is_multiplicative(auto, alg: GradedFDAlgebra) -> bool:
 
 def trivial_extension(alg: GradedFDAlgebra, sigma, n: int) -> GradedFDAlgebra:
     """Trivial extension by the dual twisted by sigma on the right only."""
-    return dual_trivial_extension(alg, alg.identity_automorphism(), sigma, n)
+    return dual_trivial_extension(alg, identity_maps(alg), sigma, n)
 
 
 def cdg_trivial_extension(c: Cdga) -> Cdga:
@@ -451,8 +501,8 @@ def cdg_trivial_extension(c: Cdga) -> Cdga:
     """
     alg = c.algebra
     d = alg.length
-    gamma = dual_trivial_extension(alg, alg.epsilon(d),
-                                   alg.identity_automorphism(), d + 1)
+    gamma = dual_trivial_extension(alg, alg.epsilon(d), identity_maps(alg),
+                                   d + 1)
     delta = []
     for i in range(d + 1):
         # degree i is A_i followed by the dual of A_j

@@ -9,16 +9,17 @@ from fractions import Fraction
 
 from helpers import (AS_REGULAR, CORPUS, DIM2, block_nakayama_oracle,
                      cert_of, cdg_underlying_trivial_extension, description_of,
+                     dual_trivial_extension, identity_maps,
                      model_map_multiplicative, random_member, random_nu_theta,
                      scalar_twist, seeded, structure_equal, trivial_extension,
                      twist_pool, twisted_cyclic_space, word_terms)
 from quadalg import (Matrix, PBWDeformation, cy_check_with,
                      cy_criterion_deformed, cy_equivalence_dim2,
                      derivation_quotient, dim2_matrix_form, dual_cdga,
-                     dual_trivial_extension, extract_superpotential,
-                     frobenius_structure, graded_dims, is_graded_symmetric,
-                     is_twisted_superpotential, nakayama_of_algebra,
-                     nakayama_shift, numeric_koszul_certificate,
+                     extract_superpotential, frobenius_structure, graded_dims,
+                     is_graded_symmetric, is_twisted_superpotential,
+                     nakayama_of_algebra, nakayama_shift,
+                     numeric_koszul_certificate,
                      regularity_data, skew_extend, symmetrize, tau,
                      verify_ext_algebra_isomorphism,
                      verify_extended_presentation,
@@ -222,8 +223,7 @@ def test_criterion_9_hilbert_koszul_sanity():
         d = alg_fd.length
         signed = cdg_underlying_trivial_extension(alg_fd)
         twisted = dual_trivial_extension(alg_fd, alg_fd.epsilon(d),
-                                         alg_fd.identity_automorphism(),
-                                         d + 1)
+                                         identity_maps(alg_fd), d + 1)
         assert structure_equal(signed, twisted), name
     print("criterion 9 (Hilbert dims, Koszul certificates, sign rule): PASS")
 

@@ -9,12 +9,12 @@ import pytest
 from helpers import (AS_REGULAR, CORPUS, algebra_of, associativity_failure,
                      block_nakayama_oracle, cert_of,
                      cdg_underlying_trivial_extension, dense_algebra,
-                     is_multiplicative, scalar_twist, seeded, sparse_table,
-                     quadratic_algebra, structure_equal, trivial_extension)
+                     dual_trivial_extension, identity_maps, is_multiplicative,
+                     scalar_twist, seeded, sparse_table, quadratic_algebra,
+                     structure_equal, trivial_extension)
 from quadalg import (GradedFDAlgebra, Matrix, NotFrobenius,
-                     dual_trivial_extension, ext_algebra_of_skew,
-                     frobenius_structure, is_graded_symmetric,
-                     nakayama_of_algebra, skew_extend, square_zero_extension,
+                     ext_algebra_of_skew, frobenius_structure,
+                     is_graded_symmetric, nakayama_of_algebra, skew_extend,
                      truncated_structure, twisted_module_trivial_extension,
                      word_to_index)
 from quadalg.io import description_to_algebra, parse_description
@@ -60,7 +60,6 @@ def test_epsilon_and_identity():
     assert eps[2].entries == ((F(1),),)
     identities = tuple(Matrix.identity(m) for m in alg.dims)
     assert tuple(m @ m for m in eps) == identities
-    assert alg.identity_automorphism() == identities
     assert is_multiplicative(eps, alg)
 
 
@@ -190,35 +189,30 @@ def test_trivial_extension_symmetry_rule():
 def test_trivial_extension_needs_room():
     E = _fd("kxy")
     with pytest.raises(LinAlgError):
-        trivial_extension(E, E.identity_automorphism(), E.length - 1)
+        trivial_extension(E, identity_maps(E), E.length - 1)
 
 
 def test_twisted_module_extension_shape():
     E = _fd("quantum_plane_q2")
-    ext = twisted_module_trivial_extension(
-        E, E.epsilon(1), E.identity_automorphism(), -1)
+    ext = twisted_module_trivial_extension(E, E.epsilon(1), identity_maps(E))
     assert ext.dims == (1, E.dim(1) + E.dim(0), E.dim(2) + E.dim(1), E.dim(2))
     d1 = E.dim(1)
     m0 = tuple([F(0)] * d1) + (F(1),)
     assert all(v == 0 for v in ext.multiply(1, m0, 1, m0))
-    with pytest.raises(LinAlgError):
-        twisted_module_trivial_extension(
-            E, E.epsilon(1), E.identity_automorphism(), 1)
 
 
 def test_extension_guards_reject_a_second_degree_zero_element():
-    # a dual block ending at the algebra's own top, or a module copy with
-    # no shift, would put a second element next to the unit in degree zero
+    # a dual block ending at the algebra's own top would put a second
+    # element next to the unit in degree zero; the module copy is always
+    # shifted up by one, so it never does
     E = _fd("poly3")
-    ident = E.identity_automorphism()
+    ident = identity_maps(E)
     for n in (E.length - 1, E.length):
         with pytest.raises(LinAlgError, match="must exceed the algebra length"):
             dual_trivial_extension(E, ident, ident, n)
-    for shift in (0, 1):
-        with pytest.raises(LinAlgError, match="only negative shifts"):
-            twisted_module_trivial_extension(E, ident, ident, shift)
     assert dual_trivial_extension(E, ident, ident, E.length + 1).dims[0] == 1
-    assert twisted_module_trivial_extension(E, ident, ident, -1).dims[0] == 1
+    ext = twisted_module_trivial_extension(E, ident, ident)
+    assert ext.dims[0] == 1 and ext.length == E.length + 1
 
 
 def test_cdg_underlying_matches_dual_extension():
@@ -226,47 +220,14 @@ def test_cdg_underlying_matches_dual_extension():
     for name in AS_REGULAR:
         E = _fd(name)
         a = cdg_underlying_trivial_extension(E)
-        b = dual_trivial_extension(E, E.epsilon(E.length),
-                                   E.identity_automorphism(), E.length + 1)
+        b = dual_trivial_extension(E, E.epsilon(E.length), identity_maps(E),
+                                   E.length + 1)
         assert structure_equal(a, b), name
-
-
-def test_square_zero_extension_by_zero_module_is_the_algebra():
-    def no_action(i, a, j, b):
-        return ()
-
-    for name in AS_REGULAR:
-        E = _fd(name)
-        zero = [0] * (E.length + 1)
-        ext = square_zero_extension(E, zero, no_action, no_action)
-        assert structure_equal(ext, E), name
-    with pytest.raises(LinAlgError):
-        square_zero_extension(_fd("kxy"), [0], no_action, no_action)
-
-
-def test_malformed_module_cells_are_rejected():
-    # a module over kxy's dual whose action leaves M_{i+j}, or would land
-    # inside A_{i+j}; both are caught before the unit is checked
-    E = _fd("kxy")
-    module_dims = [0] + [E.dim(i - 1) for i in range(1, E.length + 2)]
-    size = module_dims[2]
-
-    def acting_by(cell):
-        def act(i, a, j, b):
-            return cell
-        return act
-
-    none = acting_by(())
-    with pytest.raises(LinAlgError, match="bad structure cell"):
-        square_zero_extension(E, module_dims, acting_by(((size, F(1)),)), none)
-    with pytest.raises(LinAlgError, match="negative coordinate"):
-        square_zero_extension(E, module_dims, none, acting_by(((-1, F(1)),)))
 
 
 def test_dual_extension_dual_block_annihilates():
     E = _fd("jordan_plane")
-    gamma = dual_trivial_extension(E, E.identity_automorphism(),
-                                   E.identity_automorphism(), 3)
+    gamma = dual_trivial_extension(E, identity_maps(E), identity_maps(E), 3)
     d1 = E.dim(1)
     f = tuple([F(0)] * d1) + (F(1),)
     assert all(v == 0 for v in gamma.multiply(1, f, 1, f))
@@ -274,7 +235,7 @@ def test_dual_extension_dual_block_annihilates():
 
 def test_structure_equal_detects_difference():
     E = _fd("kxy")
-    a = trivial_extension(E, E.identity_automorphism(), 3)
+    a = trivial_extension(E, identity_maps(E), 3)
     b = trivial_extension(E, E.epsilon(1), 3)
     assert not structure_equal(a, b)
     assert structure_equal(a, a)
@@ -403,8 +364,8 @@ def test_associativity_on_generators_agrees_with_all_triples():
     assert verdicts == {True, False}
     # the models A^! + A^![-1] of the Nakayama-twisted extensions: one
     # constant changed in a product of an A^! element and a module element
-    # of positive degrees, the cells that square_zero_extension builds from
-    # the twisted actions
+    # of positive degrees, the cells that twisted_module_trivial_extension
+    # builds from the twisted actions
     rng = seeded(20261019)
     verdicts = set()
     for name in AS_REGULAR:

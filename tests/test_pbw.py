@@ -5,8 +5,9 @@ from random import Random
 
 import pytest
 
-from helpers import (CORPUS, DIM2, cdg_trivial_extension, cert_of,
-                     description_of, random_nu_theta, rescaled_nakayama_shift)
+from helpers import (AS_REGULAR, CORPUS, DIM2, cdg_trivial_extension,
+                     cert_of, description_of, random_nu_theta,
+                     rescaled_nakayama_shift)
 from quadalg import (Cdga, Matrix, PBWDeformation, check_cdga_axioms,
                      cy_criterion_deformed, cy_equivalence_dim2,
                      deformation_from_rows, description_to_algebra, dual_cdga, nakayama_of_algebra,
@@ -201,6 +202,29 @@ def test_cy_criterion_goldens():
     assert rep.converse_definitive
     rep3 = _criterion(_corpus_defm("heisenberg", 3))
     assert rep3.is_CY and rep3.dimension == 4
+
+
+def test_cy_witness_is_the_first_letter_the_twist_moves():
+    # route one's images in the Ext model are (-1)^d (shift - twisted
+    # shift), one per letter: on the corpus deformations and seeded ones of
+    # every AS-regular base, the verdict is that the two shifts agree and
+    # the witness is the first letter where they do not
+    defms = [_corpus_defm("deformed_qp_noncy", 2),
+             _corpus_defm("quantum_weyl", 2), _corpus_defm("heisenberg", 3)]
+    rng = Random(59)
+    for name in AS_REGULAR:
+        cert = cert_of(name)
+        defms += [PBWDeformation(cert, *random_nu_theta(rng, cert))
+                  for _ in range(8)]
+    moved = 0
+    for defm in defms:
+        rep = _criterion(defm)
+        diff = [x for x, a, b in zip(defm.cert.algebra.names, rep.shift,
+                                     rep.twisted_shift) if a != b]
+        assert rep.is_CY == (not diff)
+        assert rep.witness == (diff[0] if diff else None)
+        moved += bool(diff)
+    assert len(defms) == 59 and 0 < moved < 59
 
 
 def test_cdg_trivial_extension_structure():

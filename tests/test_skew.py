@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (AS_REGULAR, DIM2, algebra_of, cert_of, ext_iso_oracle,
-                     word_vector)
+from helpers import (AS_REGULAR, DIM2, algebra_of, cert_of,
+                     dual_trivial_extension, ext_iso_oracle, identity_maps,
+                     model_map_multiplicative, word_vector)
 from quadalg import (Matrix, cy_check_with,
                      ext_algebra_of_skew, fresh_letter, graded_dims,
                      nakayama_of_algebra, regularity_data, skew,
@@ -81,6 +82,30 @@ def test_ext_model_matches_for_identity_twist_too():
         rep = verify_ext_algebra_isomorphism(
             cert, Matrix.identity(cert.algebra.n))
         assert rep.passed, name
+
+
+def test_model_is_the_papers_trivial_extension():
+    # the paper's theorem: E(A[z; xi]) is the trivial extension of E = E(A)
+    # by its dual, E ⋉ E^*(d+1) with the sign twist on the left.  The model
+    # maps onto it multiplicatively for the Nakayama twist xi, and for the
+    # identity twist exactly where xi is not the identity
+    unmatched = []
+    for name in AS_REGULAR:
+        cert = cert_of(name)
+        dual = cert.dual_fd
+        d = cert.gldim
+        paper = dual_trivial_extension(dual, dual.epsilon(d),
+                                       identity_maps(dual), d + 1)
+        xi = nakayama_of_algebra(cert)
+        assert model_map_multiplicative(ext_algebra_of_skew(cert, xi),
+                                        paper), name
+        ident = Matrix.identity(cert.algebra.n)
+        if not model_map_multiplicative(ext_algebra_of_skew(cert, ident),
+                                        paper):
+            unmatched.append(name)
+        assert (name in unmatched) == (xi != ident), name
+    assert unmatched == ["quantum_plane_q2", "quantum_plane_q3",
+                         "quantum_plane_qm1", "jordan_plane"]
 
 
 def test_model_dims():
@@ -169,7 +194,7 @@ def _zero_action_model(cert, sigma):
     dual = cert.dual_fd
     unit_only = tuple(Matrix.identity(1) if i == 0 else Matrix.zero(m, m)
                       for i, m in enumerate(dual.dims))
-    return twisted_module_trivial_extension(dual, unit_only, unit_only, -1)
+    return twisted_module_trivial_extension(dual, unit_only, unit_only)
 
 
 def _collapsing_model(cert, sigma):
@@ -181,7 +206,7 @@ def _collapsing_model(cert, sigma):
     dual = cert.dual_fd
     left = dual.automorphism(Matrix.from_rows(((1, 0), (0, 0)), 2))
     right = dual.automorphism(Matrix.from_rows(((0, 1), (1, 0)), 2))
-    return twisted_module_trivial_extension(dual, left, right, -1)
+    return twisted_module_trivial_extension(dual, left, right)
 
 
 def _doubled_mixed_relations(base, sigma):
