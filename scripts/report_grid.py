@@ -7,14 +7,17 @@ S(1, 2, 3) (regular, PBW in no generator order) and S(1, 1, 1)
 (degenerate, PBW), times every command, times the flag sets {default,
 --sigma id, --max-degree 4}: 546 runs.  Then poly3 with a unipotent,
 non-diagonal sigma section, times every command, with --sigma file: 13
-runs.  Last the 3-letter skew ring with a deformation section whose
+runs.  Then the 3-letter skew ring with a deformation section whose
 Nakayama shift the twist moves (a witnessed non-CY deformation on a
-3-dimensional base), times every command, with default flags: 13 runs,
-572 in all.  Each run
-prints one line: the case, the exit code, and the sha256 of the printed
-report with its timing_ms line removed.  Every functools cache of the
-package is emptied before each run, so a run sees what a fresh CLI
-invocation sees.
+3-dimensional base), times every command, with default flags: 13 runs.
+Last six pins: hilbert on a 2-letter file with one coefficient that some
+Python versions' Fraction reads and others do not, for each of three such
+coefficients; and kxy, whose Koszul components vanish from degree 3,
+times regular, koszul and cy at --max-degree 20, past the word cap: 578
+runs in all.  Each run prints one line: the case, the exit code, and the
+sha256 of the printed report with its timing_ms line removed.  Every
+functools cache of the package is emptied before each run, so a run sees
+what a fresh CLI invocation sees.
 
 Two checkouts print the same lines exactly when their reports agree byte
 for byte apart from timing_ms.  The script exits 1 when any run reports
@@ -48,6 +51,10 @@ SKEW_Q = Fraction(-2, 3)
 SKLYANIN_POINTS = ((1, 2, 3), (1, 1, 1))
 # nu of the relations ab + 2/3 ba, ac + 2/3 ca, bc + 2/3 cb of skew3
 SKEW3_NU = (("b",), ("a", "c"), ("b",))
+# coefficients that Fraction reads on some Python versions only
+VERSION_COEFFS = (("inner_spaces", "2 / 3"), ("underscore", "1_000"),
+                  ("arabic_indic_digit", "\u0663"))
+PAST_CAP = (("--max-degree", "20"),)
 TIMING = re.compile(r'\n  "timing_ms": \d+,')
 
 
@@ -83,35 +90,46 @@ def caches():
 
 
 def inputs(workdir):
-    """(name, path, flag sets) of every grid input: the corpus in name
-    order, then the skew rings, then the Sklyanin algebras, each with every
-    flag set; then poly3 with the unipotent sigma section, with --sigma
-    file only; last skew3 with its deformation, with default flags only."""
+    """(name, path, commands, flag sets) of every grid input: the corpus in
+    name order, then the skew rings, then the Sklyanin algebras, each with
+    every command and flag set; then poly3 with the unipotent sigma section,
+    with --sigma file only; then skew3 with its deformation, with default
+    flags only; last the coefficient files with hilbert and kxy past the
+    word cap."""
     corpus = resources.files("quadalg") / "corpus"
-    out = [(p.name[:-5], str(p), FLAG_SETS)
+    out = [(p.name[:-5], str(p), COMMANDS, FLAG_SETS)
            for p in sorted(corpus.iterdir(), key=lambda p: p.name)
            if p.name.endswith(".json")]
     for n in (3, 4):
         path = Path(workdir) / f"skew{n}.json"
         path.write_text(json.dumps(skew_polynomial(n, SKEW_Q), indent=1))
-        out.append((f"skew{n}", str(path), FLAG_SETS))
+        out.append((f"skew{n}", str(path), COMMANDS, FLAG_SETS))
     for abc in SKLYANIN_POINTS:
         name = "sklyanin" + "".join(map(str, abc))
         path = Path(workdir) / f"{name}.json"
         path.write_text(json.dumps(sklyanin(*abc), indent=1))
-        out.append((name, str(path), FLAG_SETS))
+        out.append((name, str(path), COMMANDS, FLAG_SETS))
     poly3 = json.loads((corpus / "poly3.json").read_text())
     poly3["sigma"] = UNIPOTENT_SIGMA
     path = Path(workdir) / "poly3_unipotent.json"
     path.write_text(json.dumps(poly3, indent=1))
-    out.append(("poly3_unipotent", str(path), SIGMA_FILE))
+    out.append(("poly3_unipotent", str(path), COMMANDS, SIGMA_FILE))
     skew3 = skew_polynomial(3, SKEW_Q)
     skew3["deformation"] = {
         "nu": [[{"coeff": "-1", "word": [x]} for x in row] for row in SKEW3_NU],
         "theta": ["0"] * len(SKEW3_NU)}
     path = Path(workdir) / "skew3_deformed.json"
     path.write_text(json.dumps(skew3, indent=1))
-    out.append(("skew3_deformed", str(path), ((),)))
+    out.append(("skew3_deformed", str(path), COMMANDS, ((),)))
+    for name, coeff in VERSION_COEFFS:
+        path = Path(workdir) / f"coeff_{name}.json"
+        path.write_text(json.dumps({
+            "generators": ["x", "y"],
+            "relations": [[{"coeff": "1", "word": ["x", "y"]},
+                           {"coeff": coeff, "word": ["y", "x"]}]]}))
+        out.append((f"coeff_{name}", str(path), ("hilbert",), ((),)))
+    out.append(("kxy", str(corpus / "kxy.json"), ("regular", "koszul", "cy"),
+                PAST_CAP))
     return out
 
 
@@ -119,8 +137,8 @@ def run():
     clear = caches()
     broken = 0
     with tempfile.TemporaryDirectory() as workdir:
-        for name, path, flag_sets in inputs(workdir):
-            for cmd in COMMANDS:
+        for name, path, commands, flag_sets in inputs(workdir):
+            for cmd in commands:
                 for flags in flag_sets:
                     for cache in clear:
                         cache.cache_clear()

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
 
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Vec, ZERO,
                      _forward_reduce, solve)
@@ -56,32 +55,28 @@ class GradedFDAlgebra:
             raise LinAlgError("degree zero must be spanned by the unit")
         d = self.length
         table: dict[tuple[int, int], tuple] = {}
-        # the same table scaled by den, the lcm of all its denominators, for
-        # the associativity check.  Each cell is scaled by den as it stands
-        # when the cell is read; `changes` records (cells read, den) at every
-        # change of den, and the cells read before it are rescaled at the end
-        ints: dict[tuple[int, int], Sequence] = {}
+        # every cell as (coordinate, numerator, denominator) triples, and den,
+        # the lcm of all denominators
+        ratios: dict[tuple[int, int], list] = {}
         den = 1
-        changes = []
-        icells = []
         for i in range(d + 1):
             for j in range(d + 1 - i):
                 block = mult.get((i, j))
                 if block is None:
-                    table[(i, j)] = ints[(i, j)] = (
+                    table[(i, j)] = ratios[(i, j)] = (
                         (((),) * self.dims[j]),) * self.dims[i]
                     continue
+                block = tuple(tuple(map(tuple, row)) for row in block)
+                if (len(block) != self.dims[i]
+                        or any(len(row) != self.dims[j] for row in block)):
+                    raise LinAlgError(f"bad structure block at degrees {(i, j)}")
                 top = self.dims[i + j]
-                rows = []
-                irows = []
+                rblock = []
                 for row in block:
-                    row = tuple(map(tuple, row))
-                    if len(row) != self.dims[j]:
-                        raise LinAlgError(f"bad structure block at degrees {(i, j)}")
-                    irow = []
+                    rrow = []
                     for cell in row:
                         last = -1
-                        icell = []
+                        rcell = []
                         for c, w in cell:
                             num, q = w.as_integer_ratio()
                             if not (last < c < top and num):
@@ -91,26 +86,18 @@ class GradedFDAlgebra:
                                     f"and values be nonzero")
                             last = c
                             if den % q:
-                                changes.append((len(icells), den))
-                                new = lcm(den, q)
-                                icell = [(e, v * (new // den)) for e, v in icell]
-                                den = new
-                            icell.append((c, num * (den // q)))
-                        icells.append(icell)
-                        irow.append(icell)
-                    rows.append(row)
-                    irows.append(irow)
-                if len(rows) != self.dims[i]:
-                    raise LinAlgError(f"bad structure block at degrees {(i, j)}")
-                table[(i, j)] = tuple(rows)
-                ints[(i, j)] = irows
-        lo = 0
-        for hi, old in changes:
-            for icell in icells[lo:hi]:
-                icell[:] = [(e, v * (den // old)) for e, v in icell]
-            lo = hi
+                                den = lcm(den, q)
+                            rcell.append((c, num, q))
+                        rrow.append(rcell)
+                    rblock.append(rrow)
+                table[(i, j)] = block
+                ratios[(i, j)] = rblock
         self.mult = table
         self._validate_unit()
+        # the table scaled by den, in integers, for the associativity check
+        ints = {ij: [[[(c, num * (den // q)) for c, num, q in cell]
+                      for cell in row] for row in block]
+                for ij, block in ratios.items()}
         self._validate_associativity(ints)
 
     @property
@@ -178,12 +165,13 @@ class GradedFDAlgebra:
         element of degree k.  Triples with a factor of degree 0 follow from
         the unit check.
 
-        mult is the table scaled by the lcm D of its denominators, in
-        integers (see the constructor); both sides are summed over its
-        nonzero constants only.  Each side comes out as D^2 times the true
-        product, so the comparison is still exact.  Zeros are dropped from
-        the two sums only when they differ, since a coordinate of one side
-        may cancel to zero where the other side has no entry.
+        mult is the table times D, the lcm of all its denominators, in
+        integers: the constructor scales every cell in one step once all
+        of them are read.  Both sides are summed over its nonzero constants
+        only.  Each side comes out as D^2 times the true product, so the
+        comparison is still exact.  Zeros are dropped from the two sums
+        only when they differ, since a coordinate of one side may cancel to
+        zero where the other side has no entry.
         """
         d, dims = self.length, self.dims
         gens = [()]

@@ -6,7 +6,8 @@ lists, an optional degree-one twist matrix (row-vector convention: v maps
 to v.S), and an optional deformation section with a degree-one part per
 input relation plus a scalar part.  All rationals travel as strings: an
 integer, n/d or a plain decimal, never exponent notation, and with no run
-of more than 4300 digits.  A term list is read into its sparse {word
+of more than 4300 digits, no underscore, no inner whitespace and no
+character outside ASCII.  A term list is read into its sparse {word
 index: value} row once, repeated words adding up; reports write such a
 vector back as terms in word order.
 """
@@ -63,6 +64,11 @@ def _parse_fraction(s, path):
         reason = "exponent notation is not accepted"
     elif any(len(run.replace("_", "")) > 4300 for run in re.findall(r"[\d_]+", s)):
         reason = "a run of more than 4300 digits is not accepted"
+    elif not s.isascii() or "_" in s or re.search(r"\s", s.strip()):
+        # each of these is read by some Python versions' Fraction and not by
+        # others: refused here, so that every version gives one answer
+        reason = ("underscores, inner whitespace and non-ASCII characters "
+                  "are not accepted")
     else:
         try:
             return Fraction(s)

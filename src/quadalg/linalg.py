@@ -11,11 +11,10 @@ rows are scaled by the lcm of their denominators and kept gcd-reduced.  A
 Subspace stores each basis row as a content-free integer row with a
 positive pivot entry (`int_rows`) and normalises it to `Fraction`s, pivot
 entry 1, only when `rows` is first read.  Hot callers stay in integers
-throughout: they build subspaces straight from integer rows
-(`Subspace.from_int_rows`) and take kernels with `int_kernel`, which
-eliminates once, with the columns numbered from the last one down, and
-returns the kernel's canonical basis.  A subspace built from those rows
-(an annihilator, a Koszul component) needs no second elimination.
+throughout: they take kernels with `int_kernel`, which eliminates once,
+with the columns numbered from the last one down, and returns the
+kernel's canonical basis.  A subspace built from those rows (an
+annihilator, a Koszul component) needs no second elimination.
 
 A vector indexed by coordinate words has one form, a sparse {coordinate:
 value} map or its (coordinate, value) pairs; only the small dense Matrix
@@ -170,8 +169,8 @@ def int_kernel(rows: Iterable[Mapping[int, int]], ambient: int) -> list[dict[int
 
     The rows are integer rows given by their entries, zeros allowed.  The
     result is the kernel's reduced echelon basis in pivot order, each row
-    content-free with a positive pivot entry: the `int_rows` that
-    Subspace.from_int_rows would make of it, found in one elimination.
+    content-free with a positive pivot entry: the `int_rows` of the
+    kernel's Subspace, found in one elimination.
 
     The rows are reduced with the columns numbered from the last one down.
     In that numbering a reduced row r_p leads at its pivot p and is
@@ -335,19 +334,7 @@ class Subspace:
 
     @staticmethod
     def from_spanning(rows: Iterable[RowLike], ambient: int) -> "Subspace":
-        return Subspace._from_echelon(
-            _reduced_echelon(_to_int_row(r) for r in rows), ambient)
-
-    @staticmethod
-    def from_int_rows(rows: Iterable[Mapping[int, int]], ambient: int) -> "Subspace":
-        """The span of integer rows given by their entries; zero entries
-        may be listed or left out."""
-        return Subspace._from_echelon(
-            _reduced_echelon({c: v for c, v in r.items() if v} for r in rows),
-            ambient)
-
-    @staticmethod
-    def _from_echelon(pivots: dict[int, dict[int, int]], ambient: int) -> "Subspace":
+        pivots = _reduced_echelon(_to_int_row(r) for r in rows)
         if pivots and max(pivots) >= ambient:
             raise LinAlgError("spanning row longer than the ambient dimension")
         order = sorted(pivots)

@@ -19,7 +19,8 @@ object, a TruncatedAlgebra: the GradedFDAlgebra whose sparse structure
 cells are read off the class coordinates of product words, together with
 those classes and its basis words (`words`), the only names its basis
 elements have.  No component is built on more than MAX_WORDS = 10^6
-coordinate words: asking for one raises ResourceLimitError.
+coordinate words: asking for one raises ResourceLimitError, unless K_{k-1}
+is zero, when K_k is the zero subspace at any number of words.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from functools import cached_property, lru_cache
 
 from .frobenius import GradedFDAlgebra
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ResourceLimitError,
-                     ONE, Subspace, Vec, ZERO, _strip, int_kernel, solve)
+                     ONE, Subspace, Vec, ZERO, _reduced_echelon, _strip,
+                     int_kernel, solve)
 from .tensors import apply_slotwise, preserves_subspace
 
 # the most coordinate words n**m a Koszul component may have
@@ -136,9 +138,16 @@ def _normal_word_counts(alg: QuadraticAlgebra, bound: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-@lru_cache(maxsize=None)
+# bounded at twice the 128 components that one sweep of every command over
+# the bundled corpus holds
+@lru_cache(maxsize=256)
 def _koszul_component(alg: QuadraticAlgebra, m: int) -> Subspace:
     n = alg.n
+    if m > 2:
+        prev_space = _koszul_component(alg, m - 1)
+        if not prev_space.dim:
+            # K_m lies in K_{m-1} (x) V
+            return Subspace(n ** m, (), ())
     if n ** m > MAX_WORDS:
         raise ResourceLimitError(
             f"{n}^{m} coordinate words exceed the cap of {MAX_WORDS}")
@@ -148,7 +157,6 @@ def _koszul_component(alg: QuadraticAlgebra, m: int) -> Subspace:
         return alg.relations
     # all arithmetic below is on content-free integer rows; rescaling the
     # basis of K_{m-1} or of R-perp does not change the span computed
-    prev_space = _koszul_component(alg, m - 1)
     prev, prev_pivots = prev_space.int_rows, prev_space.pivots
     # the equations at the pivot words of K_{m-2} span all of them
     # (koszul_component's docstring), so only those are written
@@ -189,8 +197,10 @@ def _koszul_component(alg: QuadraticAlgebra, m: int) -> Subspace:
 
 def koszul_component(alg: QuadraticAlgebra, m: int) -> Subspace:
     """The degree-m piece of the Koszul complex: all words landing in R
-    at every adjacent slot pair, as a kernel over K_{m-1} (x) V.  Raises
-    ResourceLimitError beyond MAX_WORDS coordinate words.
+    at every adjacent slot pair, as a kernel over K_{m-1} (x) V.  It is
+    zero when K_{m-1} is, and is returned as such at any number of words;
+    otherwise it raises ResourceLimitError beyond MAX_WORDS coordinate
+    words.
 
     The kernel is cut out by one equation per word u of length m-2 and
     per f in R-perp: x = sum c[s, l] b_s (x) e_l, over the basis b_s of
@@ -288,14 +298,19 @@ class TruncatedAlgebra(GradedFDAlgebra):
         classes = []
         for k, comp in enumerate(self.components):
             top = n ** k - 1
-            flipped = Subspace.from_int_rows(
-                [{top - c: v for c, v in row} for row in comp.int_rows], top + 1)
-            words.append(tuple(top - p for p in flipped.pivots[::-1]))
+            # the echelon form read from the last column: its pivot p is the
+            # word top - p, so the largest pivot is the first basis word
+            flipped = _reduced_echelon({top - c: v for c, v in row}
+                                       for row in comp.int_rows)
+            order = sorted(flipped, reverse=True)
+            words.append(tuple(top - p for p in order))
             # word -> [(t, coordinate t of its class)]
             cls: dict[int, list[tuple[int, Fraction]]] = {}
-            for t, row in enumerate(flipped.rows[::-1]):
-                for c, v in row:
-                    cls.setdefault(top - c, []).append((t, v))
+            for t, p in enumerate(order):
+                row = flipped[p]
+                pv = row[p]
+                for c, v in row.items():
+                    cls.setdefault(top - c, []).append((t, Fraction(v, pv)))
             classes.append({w: tuple(ts) for w, ts in cls.items()})
         self.words = tuple(words)
         self.classes = tuple(classes)
@@ -366,7 +381,8 @@ class TruncatedAlgebra(GradedFDAlgebra):
         return tuple(mats)
 
 
-@lru_cache(maxsize=None)
+# bounded at over twice the 12 truncations of one corpus sweep
+@lru_cache(maxsize=32)
 def _truncated(alg: QuadraticAlgebra, bound: int) -> TruncatedAlgebra:
     return TruncatedAlgebra(alg, bound)
 

@@ -45,7 +45,8 @@ class RegularityCertificate:
     frobenius: FrobeniusStructure
 
 
-@lru_cache(maxsize=None)
+# bounded at over twice the 9 certificates of one corpus sweep
+@lru_cache(maxsize=32)
 def _certify(alg: QuadraticAlgebra, bound: int) -> RegularityCertificate:
     dual = alg.dual
     dual_dims = graded_dims(dual, bound)

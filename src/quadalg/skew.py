@@ -56,7 +56,8 @@ class SkewExtension:
     stacked_relations: tuple[dict[int, Fraction], ...]
 
 
-@lru_cache(maxsize=None)
+# bounded at over twice the 7 extensions of one corpus sweep
+@lru_cache(maxsize=16)
 def _skew_extend(base: QuadraticAlgebra, sigma: Matrix) -> SkewExtension:
     n = base.n
     if sigma.cols != n:

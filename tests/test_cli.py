@@ -8,7 +8,7 @@ from importlib import resources
 import pytest
 
 from helpers import AS_REGULAR, skew_description, sklyanin_description
-from quadalg import cli
+from quadalg import cli, quadratic, regular, skew
 from quadalg.cli import main
 from quadalg.pbw import dual_cdga, nakayama_shift
 from quadalg.superpotential import extract_superpotential
@@ -209,19 +209,87 @@ def test_long_rational_error_quotes_a_bounded_prefix(tmp_path, capsys, coeff,
 
 
 def test_resource_guard_exit_code(tmp_path, capsys):
-    # every degree-two word in 32 letters is a relation: the dual is free, so
-    # its Koszul components vanish from degree 2 on, yet degree 4 already
-    # has 32^4 > 10^6 coordinate words and the guard must stop there
+    # the free algebra on 32 letters: its dual has every degree-two word as
+    # a relation, so K_4 of the dual is all of the 32^4 > 10^6 coordinate
+    # words and the guard must stop there
     names = [f"a{i}" for i in range(32)]
     p = tmp_path / "free32.json"
+    p.write_text(json.dumps({"generators": names, "relations": []}))
+    code, rep = _run(capsys, "hilbert", str(p), "--max-degree", "4")
+    assert code == 3
+    assert rep == {"command": "hilbert", "status": "error",
+                   "error": "32^4 coordinate words exceed the cap of 1000000"}
+    # k + V: every degree-two word is a relation, so the dual is free and
+    # its Koszul components vanish from degree 2 on, past the cap too
+    p = tmp_path / "trivial32.json"
     p.write_text(json.dumps({
         "generators": names,
         "relations": [[{"coeff": "1", "word": [a, b]}]
                       for a in names for b in names]}))
     code, rep = _run(capsys, "hilbert", str(p), "--max-degree", "4")
-    assert code == 3
-    assert rep == {"command": "hilbert", "status": "error",
-                   "error": "32^4 coordinate words exceed the cap of 1000000"}
+    assert code == 0
+    assert rep["verdict"]["dims"] == [1, 32, 0, 0, 0]
+
+
+@pytest.mark.parametrize("coeff", ["2 / 3", "1_000", "\u0663"],
+                         ids=["inner_spaces", "underscore", "arabic_indic_digit"])
+def test_coefficient_grammar_does_not_depend_on_the_interpreter(tmp_path,
+                                                                 capsys, coeff):
+    # Fraction reads "2 / 3" from Python 3.12 on, "1_000" from 3.11 on and
+    # a non-ASCII digit on every version; all three are refused on every one
+    p = tmp_path / "coeff.json"
+    p.write_text(json.dumps({
+        "generators": ["x", "y"],
+        "relations": [[{"coeff": "1", "word": ["x", "y"]},
+                       {"coeff": coeff, "word": ["y", "x"]}]]}))
+    code, out = _error_line(capsys, "hilbert", str(p))
+    assert code == 2
+    assert out == json.dumps({
+        "command": "hilbert", "status": "error",
+        "error": f"relations[0][1].coeff: bad rational {coeff!r}: underscores, "
+                 f"inner whitespace and non-ASCII characters are not accepted"},
+        sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("regular", "dual_dims", [1, 2, 1] + [0] * 18),
+    ("koszul", "component_dims", [1, 2, 1] + [0] * 18),
+    ("cy", "is_CY", True),
+])
+def test_vanishing_components_answer_past_the_word_cap(capsys, command, key,
+                                                       value):
+    # K_m(k[x, y]) = 0 for m >= 3, so degree 20, with 2^20 > 10^6 coordinate
+    # words, still answers
+    code, rep = _run(capsys, command, _path("kxy"), "--max-degree", "20")
+    assert code == 0, rep
+    assert rep["verdict"][key] == value
+
+
+def test_caches_are_bounded_and_keep_a_corpus_sweep_warm(capsys):
+    # one sweep of every command over the corpus, with the caches emptied
+    # once: each cache holds under half its bound, evicts nothing, and
+    # serves the hits of an unbounded cache
+    caches = {"_koszul_component": quadratic._koszul_component,
+              "_truncated": quadratic._truncated,
+              "_certify": regular._certify,
+              "_skew_extend": skew._skew_extend}
+    found = {name: obj for mod in (quadratic, regular, skew)
+             for name, obj in vars(mod).items()
+             if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__}
+    assert found == caches
+    for cache in caches.values():
+        cache.cache_clear()
+    for path in sorted(CORPUS.iterdir(), key=lambda p: p.name):
+        for cmd in cli.COMMANDS:
+            main([cmd, str(path), "--max-degree", "5"])
+    capsys.readouterr()
+    hits = {"_koszul_component": 659, "_truncated": 17, "_certify": 82,
+            "_skew_extend": 28}
+    for name, cache in caches.items():
+        info = cache.cache_info()
+        assert info.maxsize is not None and 2 * info.currsize <= info.maxsize
+        assert info.currsize == info.misses, name
+        assert info.hits == hits[name], name
 
 
 def test_hilbert_counts_pbw_degrees_past_the_word_cap(tmp_path, capsys):

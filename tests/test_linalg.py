@@ -217,7 +217,7 @@ def test_sparse_subspace_matches_dense_oracle(a, b):
     assert agrees(u, a.entries, a.cols)
     assert agrees(u.annihilator(), dense_kernel_rows(a.entries, a.cols), a.cols)
     if a.cols == b.cols:
-        both = Subspace.from_int_rows(
+        both = Subspace.from_spanning(
             [dict(r) for r in u.int_rows + v.int_rows], a.cols)
         assert agrees(both, a.entries + b.entries, a.cols)
     products = [tuple(x * y for x in r for y in s)
@@ -243,7 +243,7 @@ def test_integer_kernel_matches_dense_oracle(system):
     kernel = int_kernel([dict(enumerate(r)) for r in rows], cols)
     assert all(type(v) is int and v for x in kernel for v in x.values())
     assert all(sum(r[c] * v for c, v in x.items()) == 0 for x in kernel for r in rows)
-    space = Subspace.from_int_rows(kernel, cols)
+    space = Subspace.from_spanning(kernel, cols)
     # one elimination gives the canonical basis: eliminating again changes
     # nothing
     assert [tuple(sorted(x.items())) for x in kernel] == list(space.int_rows)
@@ -253,7 +253,7 @@ def test_integer_kernel_matches_dense_oracle(system):
     for p, r in zip(u.pivots, u.int_rows):
         assert r[0][0] == p and r[0][1] > 0
         assert gcd(*(v for _, v in r)) == 1
-    assert Subspace.from_int_rows([dict(r) for r in u.int_rows], cols) == u
+    assert Subspace.from_spanning([dict(r) for r in u.int_rows], cols) == u
     assert u.annihilator() == space
 
 
@@ -272,14 +272,21 @@ def test_reduce_and_coordinates():
 
 
 def test_limits_guard():
-    # ten letters, no relations: K_m vanishes for m >= 2, so only the fixed
-    # cap of 10^6 coordinate words decides whether degree m may be asked for
+    # ten letters, no relations: K_m vanishes for m >= 2, and a K_m over a
+    # zero K_{m-1} is zero past the cap of 10^6 coordinate words too
     free = QuadraticAlgebra(tuple(f"a{i}" for i in range(10)),
                             Subspace.from_spanning([], 100))
     assert koszul_component(free, 6).dim == 0  # 10^6 words: at the cap
+    k7 = koszul_component(free, 7)
+    assert (k7.ambient, k7.dim) == (10 ** 7, 0)
+    # 32 letters, every degree-two word a relation: K_m is all of V^m, so
+    # the cap decides whether degree m may be asked for
+    names = tuple(f"a{i}" for i in range(32))
+    full = QuadraticAlgebra(names, Subspace.full(32 * 32))
+    assert koszul_component(full, 3).dim == 32 ** 3
     with pytest.raises(ResourceLimitError) as err:
-        koszul_component(free, 7)
-    assert str(err.value) == "10^7 coordinate words exceed the cap of 1000000"
+        koszul_component(full, 4)
+    assert str(err.value) == "32^4 coordinate words exceed the cap of 1000000"
 
 
 def test_error_hierarchy():

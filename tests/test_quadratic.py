@@ -112,7 +112,7 @@ def test_koszul_components_are_canonical_without_a_second_elimination():
     for alg in algs:
         for m in range(7):
             comp = koszul_component(alg, m)
-            again = Subspace.from_int_rows([dict(r) for r in comp.int_rows],
+            again = Subspace.from_spanning([dict(r) for r in comp.int_rows],
                                            alg.n ** m)
             assert comp == again, (alg.names, m)
 
