@@ -10,14 +10,16 @@ non-diagonal sigma section, times every command, with --sigma file: 13
 runs.  Then the 3-letter skew ring with a deformation section whose
 Nakayama shift the twist moves (a witnessed non-CY deformation on a
 3-dimensional base), times every command, with default flags: 13 runs.
-Last six pins: hilbert on a 2-letter file with one coefficient that some
-Python versions' Fraction reads and others do not, for each of three such
-coefficients; and kxy, whose Koszul components vanish from degree 3,
-times regular, koszul and cy at --max-degree 20, past the word cap: 578
-runs in all.  Each run prints one line: the case, the exit code, and the
-sha256 of the printed report with its timing_ms line removed.  Every
-functools cache of the package is emptied before each run, so a run sees
-what a fresh CLI invocation sees.
+Then six pins: hilbert on a 2-letter file with one coefficient that some
+Python versions' Fraction reads and others do not, for each of three
+such coefficients; and kxy, whose Koszul components vanish from degree
+3, times regular, koszul and cy at --max-degree 20, past the word cap.
+Last two: the same deformation of the 3-letter skew ring written on
+recombined relation rows, its nu and theta recombined to match, times
+pbw and thm5 with default flags: 580 runs in all.  Each run prints one
+line: the case, the exit code, and the sha256 of the printed report with
+its timing_ms line removed.  Every functools cache of the package is
+emptied before each run, so a run sees what a fresh CLI invocation sees.
 
 Two checkouts print the same lines exactly when their reports agree byte
 for byte apart from timing_ms.  The script exits 1 when any run reports
@@ -51,6 +53,9 @@ SKEW_Q = Fraction(-2, 3)
 SKLYANIN_POINTS = ((1, 2, 3), (1, 1, 1))
 # nu of the relations ab + 2/3 ba, ac + 2/3 ca, bc + 2/3 cb of skew3
 SKEW3_NU = (("b",), ("a", "c"), ("b",))
+# the same deformation on other relation rows: row i combines the skew3
+# rows with the coefficients RECOMBINED[i], and so do its nu and theta
+RECOMBINED = ((0, -1, 1), (2, 1, 0), (1, 0, 3))
 # coefficients that Fraction reads on some Python versions only
 VERSION_COEFFS = (("inner_spaces", "2 / 3"), ("underscore", "1_000"),
                   ("arabic_indic_digit", "\u0663"))
@@ -78,6 +83,23 @@ def sklyanin(a, b, c):
     return {"generators": list(names), "relations": rels}
 
 
+def recombined(doc, coeffs):
+    """doc with its relations and deformation restated on the rows
+    sum_j coeffs[i][j] relations[j]; repeated words add up on reading."""
+    def combine(row, term_lists):
+        return [{"coeff": str(c * Fraction(t["coeff"])), "word": t["word"]}
+                for c, terms in zip(row, term_lists) if c for t in terms]
+
+    defm = doc["deformation"]
+    return {"generators": doc["generators"],
+            "relations": [combine(row, doc["relations"]) for row in coeffs],
+            "deformation": {
+                "nu": [combine(row, defm["nu"]) for row in coeffs],
+                "theta": [str(sum(c * Fraction(t)
+                                  for c, t in zip(row, defm["theta"])))
+                          for row in coeffs]}}
+
+
 def caches():
     """Every functools cache defined at module level in the package."""
     out = []
@@ -94,8 +116,9 @@ def inputs(workdir):
     name order, then the skew rings, then the Sklyanin algebras, each with
     every command and flag set; then poly3 with the unipotent sigma section,
     with --sigma file only; then skew3 with its deformation, with default
-    flags only; last the coefficient files with hilbert and kxy past the
-    word cap."""
+    flags only; then the coefficient files with hilbert and kxy past the
+    word cap; last skew3's deformation on recombined rows with pbw and
+    thm5."""
     corpus = resources.files("quadalg") / "corpus"
     out = [(p.name[:-5], str(p), COMMANDS, FLAG_SETS)
            for p in sorted(corpus.iterdir(), key=lambda p: p.name)
@@ -130,6 +153,9 @@ def inputs(workdir):
         out.append((f"coeff_{name}", str(path), ("hilbert",), ((),)))
     out.append(("kxy", str(corpus / "kxy.json"), ("regular", "koszul", "cy"),
                 PAST_CAP))
+    path = Path(workdir) / "skew3_recombined.json"
+    path.write_text(json.dumps(recombined(skew3, RECOMBINED), indent=1))
+    out.append(("skew3_recombined", str(path), ("pbw", "thm5"), ((),)))
     return out
 
 

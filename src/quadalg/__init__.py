@@ -35,9 +35,8 @@ from .skew import (CYReport, IsoReport, SkewExtension, cy_check_with,
 from .pbw import (Cdga, CdgaAxiomReport, CompatibilityReport,
                   DeformedCYReport, EquivalenceReport, PBWDeformation,
                   check_cdga_axioms, cy_criterion_deformed,
-                  cy_equivalence_dim2, deformation_from_rows, dual_cdga,
-                  nakayama_cdga_compatibility, nakayama_shift,
-                  skew_deformation)
+                  cy_equivalence_dim2, dual_cdga, nakayama_cdga_compatibility,
+                  nakayama_shift, skew_deformation)
 from .io import (AlgebraDescription, ValidationError, description_deformation,
                  description_to_algebra, parse_description)
 

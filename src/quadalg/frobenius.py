@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Vec, ZERO,
-                     _forward_reduce, solve)
+                     _forward_reduce)
 
 
 class NotFrobenius(Exception):
@@ -252,16 +252,15 @@ def frobenius_structure(alg: GradedFDAlgebra) -> FrobeniusStructure:
                               for b in range(alg.dims[d - i])))
         pairings.append(Matrix(tuple(rows), alg.dims[d - i]))
     # <a, b> = <b, nak(a)> pins the Nakayama matrix on each degree:
-    # G_i nak[d-i] = G_{d-i}^T, one solve per degree
+    # G_i nak[d-i] = G_{d-i}^T
     nak = [None] * (d + 1)
     for i in range(d + 1):
-        m = alg.dims[d - i]
-        sol, _ = solve(map(tuple.__add__, pairings[i].entries,
-                           pairings[d - i].transpose().entries), m)
-        if len(sol) < m:
-            raise NotFrobenius(i, "degenerate pairing against the complementary degree")
-        nak[d - i] = Matrix(tuple(tuple(sol[p].get(j, ZERO) for j in range(m))
-                                  for p in range(m)), m)
+        try:
+            inv = pairings[i].inverse()
+        except LinAlgError:
+            raise NotFrobenius(i, "degenerate pairing against the "
+                                  "complementary degree") from None
+        nak[d - i] = inv @ pairings[d - i].transpose()
     return FrobeniusStructure(tuple(pairings), tuple(nak))
 
 

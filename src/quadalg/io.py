@@ -4,7 +4,8 @@ matrices and word vectors that reports carry.
 Input documents carry generators, quadratic relations as coeff/word term
 lists, an optional degree-one twist matrix (row-vector convention: v maps
 to v.S), and an optional deformation section with a degree-one part per
-input relation plus a scalar part.  All rationals travel as strings: an
+input relation plus a scalar part; the deformation is held on the input
+relation rows as written.  All rationals travel as strings: an
 integer, n/d or a plain decimal, never exponent notation, and with no run
 of more than 4300 digits, no underscore, no inner whitespace and no
 character outside ASCII.  A term list is read into its sparse {word
@@ -22,7 +23,7 @@ from fractions import Fraction
 from .linalg import Matrix, Subspace, Vec
 from .quadratic import QuadraticAlgebra
 from .regular import RegularityCertificate
-from .pbw import PBWDeformation, deformation_from_rows
+from .pbw import PBWDeformation
 from .tensors import add_into, index_to_word, word_to_index
 
 
@@ -204,12 +205,9 @@ def description_to_algebra(desc: AlgebraDescription) -> QuadraticAlgebra:
 
 def description_deformation(desc: AlgebraDescription,
                             cert: RegularityCertificate) -> PBWDeformation:
-    """Re-express a per-input-relation deformation on the canonical basis.
-
-    The input relations must be linearly independent; each canonical basis
-    vector is solved as a combination of them and the degree-one/scalar
-    parts follow the same coefficients.
-    """
+    """The document's deformation of cert's algebra, held on the document's
+    relation rows, which must be linearly independent; PBWDeformation
+    refuses rows that do not span cert's relation space."""
     if not desc.has_deformation:
         raise ValidationError("document has no deformation section")
     n = len(desc.generators)
@@ -217,14 +215,7 @@ def description_deformation(desc: AlgebraDescription,
     if Subspace.from_spanning(rows, n * n).dim != len(rows):
         raise ValidationError("input relations are linearly dependent",
                               "relations")
-    if cert.algebra.relations.dim != len(rows):
-        raise ValidationError("certificate relations do not match the "
-                              "document", "relations")
-    defm = deformation_from_rows(cert, rows, desc.nu, desc.theta, desc.domain)
-    if defm is None:
-        raise ValidationError("canonical relation escapes the input span",
-                              "relations")
-    return defm
+    return PBWDeformation(cert, rows, desc.nu, desc.theta, desc.domain)
 
 
 def vector_to_terms(vec, degree: int, names):

@@ -1,7 +1,9 @@
 """Filtered deformations of certified quadratic algebras.
 
 A deformation replaces each relation r by r - nu(r) - theta(r) with nu
-landing in degree one and theta a scalar.  Dually this equips the finite
+landing in degree one and theta a scalar; it is held on the relation rows
+it was given, as (nu, theta) is a linear map on the relation space and any
+basis of it carries the deformation.  Dually this equips the finite
 dual algebra with a graded map of degree +1, one matrix per degree, and a
 curvature element; the deformation is consistent exactly when that data
 satisfies the curved Leibniz/square axioms.  The Calabi-Yau criterion for
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .frobenius import GradedFDAlgebra
-from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Vec, ZERO,
-                     solve, unit_vector)
+from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Subspace, Vec,
+                     ZERO, unit_vector)
 from .regular import (RegularityCertificate, dim2_matrix_form,
                       nakayama_of_algebra, regularity_data)
 from .skew import ext_algebra_of_skew, skew_extend
@@ -32,26 +34,36 @@ from .tensors import add_into
 
 @dataclass(frozen=True, eq=False)
 class PBWDeformation:
-    """A deformation r -> r - nu(r) - theta(r) of a certified algebra.
+    """A deformation r -> r - nu(r) - theta(r) of a certified algebra, held
+    on the relation rows it was given.
 
-    nu rows follow the canonical relation basis; theta likewise.  The domain
-    flag is caller-supplied metadata about the deformed algebra; when left
-    unset, dimension-2 bases are treated as domains.
+    rows are sparse {word index: value} maps and must be a basis of the
+    relation space; nu[i] is the degree-one part of rows[i] as a sparse
+    {letter: value} map and theta[i] its scalar part.  The domain flag is
+    caller-supplied metadata about the deformed algebra; when left unset,
+    dimension-2 bases are treated as domains.
     """
 
     cert: RegularityCertificate
-    nu: Matrix
+    rows: tuple[dict[int, Fraction], ...]
+    nu: tuple[dict[int, Fraction], ...]
     theta: Vec
     domain: bool | None = None
 
     def __post_init__(self):
         if self.cert.gldim < 2:
             raise LinAlgError("a deformation needs a base of dimension at least 2")
-        nrel = self.cert.algebra.relations.dim
-        if self.nu.rows != nrel or self.nu.cols != self.cert.algebra.n:
-            raise LinAlgError("nu must map each canonical relation to degree one")
-        if len(self.theta) != nrel:
-            raise LinAlgError("theta must assign a scalar to each canonical relation")
+        rels = self.cert.algebra.relations
+        if (len(self.rows) != rels.dim
+                or Subspace.from_spanning(self.rows, rels.ambient) != rels):
+            raise LinAlgError("the deformed rows must be a basis of the "
+                              "relation space")
+        n = self.cert.algebra.n
+        if (len(self.nu) != rels.dim
+                or any(not 0 <= t < n for row in self.nu for t in row)):
+            raise LinAlgError("nu must map each relation row to degree one")
+        if len(self.theta) != rels.dim:
+            raise LinAlgError("theta must assign a scalar to each relation row")
 
     @property
     def effective_domain(self) -> bool:
@@ -77,19 +89,21 @@ class Cdga:
 def dual_cdga(defm: PBWDeformation) -> Cdga:
     """The curved structure induced on the dual by a deformation.
 
-    The differential pairs with nu on degree one (the image class pairs to
-    nu(r)'s coordinate on each canonical relation) and extends by the signed
-    Leibniz rule along each letter of a basis word; the curvature class
-    pairs with theta.  The n degree-one classes and the curvature class
-    come from one solve.
+    The differential pairs with nu on degree one (the image class of the
+    i-th dual letter pairs to nu(r)'s coefficient of that letter on each
+    relation row r) and extends by the signed Leibniz rule along each letter
+    of a basis word; the curvature class pairs with theta.  A class is fixed
+    by its pairings against any basis of the relation space, so the n
+    degree-one classes and the curvature class come from one solve on the
+    deformation's own rows.
     """
     cert = defm.cert
     d = cert.gldim
     trunc = cert.dual_fd
     n = cert.algebra.n
-    rel = cert.algebra.relations.rows
     *delta1, curvature = trunc.class_from_pairings(
-        2, rel, [defm.nu.col(i) for i in range(n)] + [defm.theta])
+        2, defm.rows, [[row.get(i, ZERO) for row in defm.nu] for i in range(n)]
+        + [defm.theta])
     delta = [Matrix.zero(trunc.dims[1], 1),
              Matrix.from_rows(delta1, trunc.dims[2]).transpose()]
     reps2 = [trunc.lift_sparse(2, delta1[i]) for i in range(n)]
@@ -172,66 +186,25 @@ def nakayama_shift(cert: RegularityCertificate, c: Cdga) -> Vec:
     return (c.delta[cert.gldim - 1] @ omega).entries[0]
 
 
-def deformation_from_rows(cert: RegularityCertificate, rows, nu, theta,
-                          domain: bool | None) -> PBWDeformation | None:
-    """The deformation sending the i-th given relation row to the degree-one
-    row nu[i] and the scalar theta[i], restated on the canonical relation
-    basis of cert's algebra.
-
-    The relation rows are sparse {word index: value} maps and must be
-    independent, the nu rows sparse {letter: value} maps.  All canonical
-    relations are solved together as combinations of the relation rows,
-    one `solve` with one equation per word, and the degree-one and scalar
-    parts of each follow the same coefficients.  Returns None when a
-    canonical relation is not in the span of the rows.
-    """
-    n = cert.algebra.n
-    canonical = [dict(rho) for rho in cert.algebra.relations.rows]
-    cols = [*rows, *canonical]
-    sol, consistent = solve(([r.get(c, ZERO) for r in cols]
-                             for c in range(n * n)), len(rows))
-    if not consistent:
-        return None
-    nu_rows = []
-    out_theta = []
-    for j in range(len(canonical)):
-        row = [ZERO] * n
-        th = ZERO
-        for a, xs in sol.items():
-            ca = xs.get(j)
-            if ca:
-                for t, v in nu[a].items():
-                    row[t] += ca * v
-                th += ca * theta[a]
-        nu_rows.append(tuple(row))
-        out_theta.append(th)
-    return PBWDeformation(cert, Matrix.from_rows(nu_rows, n), tuple(out_theta),
-                          domain=domain)
-
-
 def skew_deformation(defm: PBWDeformation, xi: Matrix,
                      shift: Vec) -> PBWDeformation:
     """Transport a deformation to the extension twisted by the Nakayama map
     xi of its algebra, given the deformation's Nakayama shift.
 
-    On relations coming from the base the maps are unchanged; each mixed
-    relation is sent to its shift coefficient times the new letter, with no
-    scalar part.  Rows are re-expressed in the canonical relation basis of
-    the extension.
+    On the base's relation rows, embedded in the extension's words, the
+    maps are unchanged; each mixed relation is sent to its shift coefficient
+    times the new letter, with no scalar part.
     """
     cert = defm.cert
-    alg = cert.algebra
-    n = alg.n
-    ext = skew_extend(alg, xi)
+    n = cert.algebra.n
+    m = n + 1
+    ext = skew_extend(cert.algebra, xi)
     cert_ext = regularity_data(ext.algebra, cert.gldim + 1, cert.gldim + 2)
-    nu = [dict(enumerate(row)) for row in defm.nu.entries]
-    nu += [{n: lam} for lam in shift]
-    theta = tuple(defm.theta) + tuple([ZERO] * n)
-    out = deformation_from_rows(cert_ext, ext.stacked_relations, nu, theta,
-                                defm.effective_domain)
-    if out is None:
-        raise ConsistencyError("extension relation escapes the expected span")
-    return out
+    rows = tuple({(c // n) * m + c % n: v for c, v in row.items()}
+                 for row in defm.rows) + ext.stacked_relations[len(defm.rows):]
+    nu = tuple(defm.nu) + tuple({n: lam} if lam else {} for lam in shift)
+    theta = tuple(defm.theta) + (ZERO,) * n
+    return PBWDeformation(cert_ext, rows, nu, theta, defm.effective_domain)
 
 
 @dataclass(frozen=True)

@@ -225,6 +225,9 @@ def koszul_component(alg: QuadraticAlgebra, m: int) -> Subspace:
     the x are the reduced echelon basis of K_m, canonical after a gcd
     strip.
     """
+    # one recursion per uncached degree: fill a cold cache 100 at a time
+    for k in range(100, m, 100):
+        _koszul_component(alg, k)
     return _koszul_component(alg, m)
 
 

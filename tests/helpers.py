@@ -274,13 +274,15 @@ def twist_pool():
 
 
 def random_nu_theta(rng, cert, lo=-3, hi=3):
+    """PBWDeformation fields after cert: the canonical relation rows, a
+    random nu row per relation and a random theta."""
     n = cert.algebra.n
-    nrel = cert.algebra.relations.dim
-    nu = Matrix.from_rows(
-        [tuple(Fraction(rng.randrange(lo, hi + 1)) for _ in range(n))
-         for _ in range(nrel)], n)
-    theta = tuple(Fraction(rng.randrange(lo, hi + 1)) for _ in range(nrel))
-    return nu, theta
+    rows = tuple(dict(r) for r in cert.algebra.relations.rows)
+    nu = tuple({t: v for t in range(n)
+                if (v := Fraction(rng.randrange(lo, hi + 1)))}
+               for _ in rows)
+    theta = tuple(Fraction(rng.randrange(lo, hi + 1)) for _ in rows)
+    return rows, nu, theta
 
 
 def scalar_twist(alg_fd, k, c):

@@ -166,8 +166,8 @@ def test_criterion_7_three_way_equivalence():
     for name in DIM2:
         cert = cert_of(name)
         for _ in range(50):
-            nu, theta = random_nu_theta(rng, cert)
-            rep = cy_equivalence_dim2(PBWDeformation(cert, nu, theta))
+            rep = cy_equivalence_dim2(
+                PBWDeformation(cert, *random_nu_theta(rng, cert)))
             assert rep.cond_i == rep.cond_ii == rep.cond_iii, name
             assert rep.equivalent, name
     weyl = _corpus_deformation("quantum_weyl", 2)
@@ -191,8 +191,7 @@ def test_criterion_8_deformations_of_commutative_plane():
     rng = seeded(4242)
     cert = cert_of("kxy")
     for _ in range(50):
-        nu, theta = random_nu_theta(rng, cert)
-        defm = PBWDeformation(cert, nu, theta)
+        defm = PBWDeformation(cert, *random_nu_theta(rng, cert))
         rep = cy_criterion_deformed(defm, dual_cdga(defm))
         assert rep.is_CY
         assert rep.converse_definitive
@@ -200,8 +199,8 @@ def test_criterion_8_deformations_of_commutative_plane():
     # shifts y.  The differential route pins the shift sign: applying the
     # dual differential to the degree-one coelements gives (0, -1), the
     # same lambda convention every other criterion uses, so zeta(y) = y - 1.
-    defm = PBWDeformation(cert, Matrix.from_rows([(F(1), F(0))], 2),
-                          (F(0),))
+    defm = PBWDeformation(cert, (dict(cert.algebra.relations.rows[0]),),
+                          ({0: F(1)},), (F(0),))
     c = dual_cdga(defm)
     assert nakayama_of_algebra(cert) == Matrix.identity(2)
     shift = nakayama_shift(cert, c)

@@ -1,4 +1,4 @@
-"""JSON descriptions: parsing, validation, deformation canonicalization."""
+"""JSON descriptions: parsing, validation, and the deformation section."""
 
 import json
 from fractions import Fraction
@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import description_of
-from quadalg import Matrix, regularity_data
+from quadalg import (Matrix, cy_criterion_deformed, dual_cdga,
+                     regularity_data)
 from quadalg.io import (ValidationError, description_deformation,
                         description_to_algebra, matrix_to_strings,
                         parse_description)
@@ -100,7 +101,8 @@ def test_invalid_json():
 
 
 def test_deformation_canonicalization_is_basis_independent():
-    # same deformation written on two bases of the same relation space
+    # the same deformation written on two bases of the same relation space
+    # reads as the same curved structure and the same deformed CY report
     base = {"generators": ["x", "y", "z"],
             "relations": [
                 [{"coeff": "1", "word": ["x", "y"]},
@@ -133,9 +135,11 @@ def test_deformation_canonicalization_is_basis_independent():
     fa = description_deformation(da, cert)
     fb = description_deformation(db, cert)
     # r1' = r1 + 2 r2 and nu(r2) = 0, so both writings define the same map
-    # on the relation space and must canonicalize identically
-    assert fa.nu == fb.nu
-    assert fa.theta == fb.theta
+    # on the relation space
+    assert fa.rows != fb.rows
+    ca, cb = dual_cdga(fa), dual_cdga(fb)
+    assert (ca.delta, ca.curvature) == (cb.delta, cb.curvature)
+    assert cy_criterion_deformed(fa, ca) == cy_criterion_deformed(fb, cb)
 
 
 def test_deformation_rejects_dependent_relations():

@@ -8,11 +8,12 @@ import pytest
 from helpers import (AS_REGULAR, CORPUS, DIM2, cdg_trivial_extension,
                      cert_of, description_of, random_nu_theta,
                      rescaled_nakayama_shift)
-from quadalg import (Cdga, Matrix, PBWDeformation, check_cdga_axioms,
-                     cy_criterion_deformed, cy_equivalence_dim2,
-                     deformation_from_rows, description_to_algebra, dual_cdga, nakayama_of_algebra,
-                     nakayama_cdga_compatibility, nakayama_shift,
-                     regularity_data, skew_deformation, skew_extend)
+from quadalg import (Cdga, Matrix, PBWDeformation, add_into,
+                     check_cdga_axioms, cy_criterion_deformed,
+                     cy_equivalence_dim2, description_to_algebra, dual_cdga,
+                     nakayama_of_algebra, nakayama_cdga_compatibility,
+                     nakayama_shift, regularity_data, skew_deformation,
+                     skew_extend)
 from quadalg.io import description_deformation
 from quadalg.linalg import LinAlgError
 
@@ -20,10 +21,28 @@ F = Fraction
 
 
 def _mk(name, nu_rows, theta):
+    """A deformation on the canonical relation rows, nu given densely."""
     cert = cert_of(name)
-    n = cert.algebra.n
-    nu = Matrix.from_rows([tuple(F(v) for v in r) for r in nu_rows], n)
-    return PBWDeformation(cert, nu, tuple(F(v) for v in theta))
+    rows = tuple(dict(r) for r in cert.algebra.relations.rows)
+    nu = tuple({t: F(v) for t, v in enumerate(r) if v} for r in nu_rows)
+    return PBWDeformation(cert, rows, nu, tuple(F(v) for v in theta))
+
+
+def _on_rows(defm, mat):
+    """The deformation restated on the rows mat @ defm.rows, nu and theta
+    following the same coefficients; mat is a list of dense rows."""
+    def combine(coeffs, vecs):
+        out = {}
+        for c, vec in zip(coeffs, vecs):
+            for key, v in vec.items():
+                add_into(out, key, c * v)
+        return out
+
+    return PBWDeformation(
+        defm.cert, tuple(combine(r, defm.rows) for r in mat),
+        tuple(combine(r, defm.nu) for r in mat),
+        tuple(sum(c * t for c, t in zip(r, defm.theta)) for r in mat),
+        defm.domain)
 
 
 def _criterion(defm):
@@ -37,11 +56,24 @@ def _corpus_defm(name, gldim, bound=5):
 
 
 def test_shape_validation():
-    cert = cert_of("kxy")
-    with pytest.raises(LinAlgError):
-        PBWDeformation(cert, Matrix.from_rows([(F(1),)], 1), (F(0),))
-    with pytest.raises(LinAlgError):
-        PBWDeformation(cert, Matrix.from_rows([(F(0), F(0))], 2), (F(0), F(0)))
+    # the rows must be a basis of R, and nu and theta one entry per row
+    cert = cert_of("poly3")
+    rows = tuple(dict(r) for r in cert.algebra.relations.rows)
+    nu = ({},) * 3
+    theta = (F(0),) * 3
+    word = next(w for w in range(9)
+                if not cert.algebra.relations.contains({w: 1}))
+    dependent = rows[:2] + ({c: 2 * v for c, v in rows[0].items()},)
+    for bad in (dependent, rows[:2] + ({word: F(1)},), rows[:2],
+                rows + ({word: F(1)},)):
+        with pytest.raises(LinAlgError, match="basis of the relation space"):
+            PBWDeformation(cert, bad, nu, theta)
+    with pytest.raises(LinAlgError, match="nu"):
+        PBWDeformation(cert, rows, nu[:2], theta)
+    with pytest.raises(LinAlgError, match="nu"):
+        PBWDeformation(cert, rows, ({3: F(1)}, {}, {}), theta)
+    with pytest.raises(LinAlgError, match="theta"):
+        PBWDeformation(cert, rows, nu, theta + (F(0),))
 
 
 def test_weyl_dual_cdga():
@@ -104,12 +136,7 @@ def test_heisenberg_cdga():
 
 def test_axioms_fail_on_jacobi_violation():
     # bracket [x,y] = z, [x,z] = -x, [y,z] = x violates Jacobi
-    cert = cert_of("poly3")
-    nu = Matrix.from_rows([
-        (F(0), F(0), F(1)),
-        (F(-1), F(0), F(0)),
-        (F(1), F(0), F(0))], 3)
-    defm = PBWDeformation(cert, nu, (F(0), F(0), F(0)))
+    defm = _mk("poly3", [(0, 0, 1), (-1, 0, 0), (1, 0, 0)], (0, 0, 0))
     rep = check_cdga_axioms(dual_cdga(defm))
     assert not rep.passed
     assert len(rep.square_failures) == 1
@@ -137,8 +164,8 @@ def test_dim2_every_deformation_satisfies_axioms():
     for name in DIM2:
         cert = cert_of(name)
         for _ in range(4):
-            nu, theta = random_nu_theta(rng, cert)
-            rep = check_cdga_axioms(dual_cdga(PBWDeformation(cert, nu, theta)))
+            defm = PBWDeformation(cert, *random_nu_theta(rng, cert))
+            rep = check_cdga_axioms(dual_cdga(defm))
             assert rep.passed, name
 
 
@@ -168,30 +195,43 @@ def test_skew_deformation_transport():
 
 
 def test_deformation_from_rows_is_basis_free():
-    # the canonical nu and theta do not depend on how the relation rows are
-    # scaled or ordered; rows spanning another relation space give None
+    # (nu, theta) is a linear map on R: restated on the canonical rows of R
+    # and on shuffled, rescaled and recombined rows, a deformation gives the
+    # same curved structure and the same deformed CY report
+    defms = [_corpus_defm("deformed_qp_noncy", 2),
+             _corpus_defm("quantum_weyl", 2), _corpus_defm("heisenberg", 3)]
+    assert len([name for name in CORPUS
+                if description_of(name).has_deformation]) == 3
     rng = Random(1515)
-    names = [name for name in CORPUS if description_of(name).has_deformation]
-    assert len(names) == 3
-    for name in names:
+    for name in AS_REGULAR:
         cert = cert_of(name)
-        defm = description_deformation(description_of(name), cert)
-        rels = cert.algebra.relations
+        defms += [PBWDeformation(cert, *random_nu_theta(rng, cert))
+                  for _ in range(2)]
+    for defm in defms:
+        rels = defm.cert.algebra.relations
         order = list(range(rels.dim))
         rng.shuffle(order)
-        scales = [F(rng.choice((-3, -1, 2, 5)), rng.choice((1, 2, 7)))
-                  for _ in order]
-        rows = [{c: s * v for c, v in rels.rows[i]} for i, s in zip(order, scales)]
-        nu = [{t: s * v for t, v in enumerate(defm.nu.entries[i]) if v}
-              for i, s in zip(order, scales)]
-        theta = [s * defm.theta[i] for i, s in zip(order, scales)]
-        out = deformation_from_rows(cert, rows, nu, theta, defm.domain)
-        assert (out.nu, out.theta) == (defm.nu, defm.theta), name
-        # a word off the relation space in place of one row
-        word = next(w for w in range(cert.algebra.n ** 2)
-                    if not rels.contains({w: 1}))
-        assert deformation_from_rows(cert, rows[:-1] + [{word: F(1)}], nu,
-                                     theta, defm.domain) is None, name
+        mixed = []
+        for j, i in enumerate(order):
+            row = [F(0)] * rels.dim
+            row[i] = F(rng.choice((-3, -1, 2, 5)), rng.choice((1, 2, 7)))
+            for k in order[:j]:
+                row[k] = F(rng.randrange(-2, 3))
+            mixed.append(row)
+        mixed = _on_rows(defm, mixed)
+        # the canonical row t is the combination of the given rows that
+        # reads 1 at pivot t and 0 at the other pivots
+        at_pivots = Matrix.from_rows(
+            [[r.get(p, F(0)) for p in rels.pivots] for r in mixed.rows],
+            rels.dim)
+        canonical = _on_rows(mixed, at_pivots.inverse().entries)
+        assert canonical.rows == tuple(dict(r) for r in rels.rows)
+        c = dual_cdga(defm)
+        rep = cy_criterion_deformed(defm, c)
+        for other in (mixed, canonical):
+            oc = dual_cdga(other)
+            assert (oc.delta, oc.curvature) == (c.delta, c.curvature)
+            assert cy_criterion_deformed(other, oc) == rep
 
 
 def test_cy_criterion_goldens():
@@ -273,7 +313,7 @@ def test_equivalence_random_dim2():
     for name in DIM2:
         cert = cert_of(name)
         for _ in range(6):
-            nu, theta = random_nu_theta(rng, cert)
-            rep = cy_equivalence_dim2(PBWDeformation(cert, nu, theta))
+            rep = cy_equivalence_dim2(
+                PBWDeformation(cert, *random_nu_theta(rng, cert)))
             assert rep.equivalent, name
             assert rep.cond_i == rep.cond_ii == rep.cond_iii

@@ -117,6 +117,20 @@ def test_koszul_components_are_canonical_without_a_second_elimination():
             assert comp == again, (alg.names, m)
 
 
+def test_koszul_component_answers_any_degree_on_a_cold_cache():
+    # _koszul_component recurses once per uncached degree, yet a direct
+    # call far past the recursion limit answers: K_m of k[x]/(x^2) is x^m
+    # in every degree, and kxy's vanish from degree 3 on
+    square = quadratic_algebra(("x",), [[((0, 0), 1)]])
+    for alg, dim in ((square, 1), (algebra_of("kxy"), 0)):
+        quadratic._koszul_component.cache_clear()
+        comp = koszul_component(alg, 3000)
+        assert comp.dim == dim
+        assert comp.ambient == alg.n ** 3000
+    assert koszul_component(square, 3000).int_rows == (((0, 1),),)
+    quadratic._koszul_component.cache_clear()
+
+
 def test_sklyanin_points_pbw_or_not():
     # every point has three leading words and the same normal-word counts;
     # they are the dimensions only at the degenerate points, as the regular
