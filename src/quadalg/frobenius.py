@@ -8,7 +8,7 @@ only by their degree and index.  A degree-preserving map of an algebra is a
 tuple of matrices, one per degree, in column convention.  The top graded
 piece is required to be one-dimensional whenever Frobenius data is
 extracted, and the distinguished functional is "coefficient of the top basis
-element".
+element", read straight off a top structure cell.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Vec, ZERO,
-                     _forward_reduce)
+                     _forward_reduce, solve)
 
 
 class NotFrobenius(Exception):
@@ -110,14 +110,6 @@ class GradedFDAlgebra:
 
     def dim(self, i: int) -> int:
         return self.dims[i] if 0 <= i <= self.length else 0
-
-    def multiply_basis(self, i: int, a: int, j: int, b: int) -> Vec:
-        if i + j > self.length:
-            return ()
-        out = [ZERO] * self.dims[i + j]
-        for c, w in self.mult[(i, j)][a][b]:
-            out[c] = w
-        return tuple(out)
 
     def multiply(self, i: int, u, j: int, v) -> Vec:
         """Product of homogeneous coordinate vectors, in degree i+j."""
@@ -244,23 +236,22 @@ def frobenius_structure(alg: GradedFDAlgebra) -> FrobeniusStructure:
         if alg.dim(i) != alg.dim(d - i):
             raise NotFrobenius(i, f"dim mismatch {alg.dim(i)} vs {alg.dim(d - i)} "
                                   f"between degrees {i} and {d - i}")
-    pairings = []
-    for i in range(d + 1):
-        rows = []
-        for a in range(alg.dims[i]):
-            rows.append(tuple(alg.multiply_basis(i, a, d - i, b)[0]
-                              for b in range(alg.dims[d - i])))
-        pairings.append(Matrix(tuple(rows), alg.dims[d - i]))
+    # the top degree is one-dimensional: each top cell is () or ((0, v),)
+    pairings = [Matrix(tuple(tuple(cell[0][1] if cell else ZERO for cell in row)
+                             for row in alg.mult[(i, d - i)]), alg.dims[d - i])
+                for i in range(d + 1)]
     # <a, b> = <b, nak(a)> pins the Nakayama matrix on each degree:
-    # G_i nak[d-i] = G_{d-i}^T
+    # G_i nak[d-i] = G_{d-i}^T, one solve on the augmented rows
     nak = [None] * (d + 1)
     for i in range(d + 1):
-        try:
-            inv = pairings[i].inverse()
-        except LinAlgError:
+        n = alg.dims[i]
+        sol, _ = solve(map(tuple.__add__, pairings[i].entries,
+                           pairings[d - i].transpose().entries), n)
+        if len(sol) < n:
             raise NotFrobenius(i, "degenerate pairing against the "
-                                  "complementary degree") from None
-        nak[d - i] = inv @ pairings[d - i].transpose()
+                                  "complementary degree")
+        nak[d - i] = Matrix(tuple(tuple(sol[p].get(j, ZERO) for j in range(n))
+                                  for p in range(n)), n)
     return FrobeniusStructure(tuple(pairings), tuple(nak))
 
 

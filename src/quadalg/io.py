@@ -206,13 +206,12 @@ def description_to_algebra(desc: AlgebraDescription) -> QuadraticAlgebra:
 def description_deformation(desc: AlgebraDescription,
                             cert: RegularityCertificate) -> PBWDeformation:
     """The document's deformation of cert's algebra, held on the document's
-    relation rows, which must be linearly independent; PBWDeformation
-    refuses rows that do not span cert's relation space."""
+    relation rows, independent exactly when they number dim R, their span;
+    PBWDeformation refuses rows that do not span cert's relation space."""
     if not desc.has_deformation:
         raise ValidationError("document has no deformation section")
-    n = len(desc.generators)
     rows = desc.relations
-    if Subspace.from_spanning(rows, n * n).dim != len(rows):
+    if len(rows) != cert.algebra.relations.dim:
         raise ValidationError("input relations are linearly dependent",
                               "relations")
     return PBWDeformation(cert, rows, desc.nu, desc.theta, desc.domain)

@@ -15,6 +15,7 @@ throughout: they take kernels with `int_kernel`, which eliminates once,
 with the columns numbered from the last one down, and returns the
 kernel's canonical basis.  A subspace built from those rows (an
 annihilator, a Koszul component) needs no second elimination.
+Membership is that forward pass against a subspace's own integer rows.
 
 A vector indexed by coordinate words has one form, a sparse {coordinate:
 value} map or its (coordinate, value) pairs; only the small dense Matrix
@@ -270,19 +271,6 @@ class Matrix:
             out.append(tuple(acc))
         return Matrix(tuple(out), other.cols)
 
-    def mul_row(self, v: Sequence) -> Vec:
-        """Row vector times matrix: v . self."""
-        if len(v) != self.rows:
-            raise LinAlgError("length mismatch in row multiplication")
-        acc = [ZERO] * self.cols
-        for x, row in zip(v, self.entries):
-            if x:
-                x = Fraction(x)
-                for j, b in enumerate(row):
-                    if b:
-                        acc[j] += x * b
-        return tuple(acc)
-
     def mul_col(self, v: Sequence) -> Vec:
         """Matrix times column vector, returned as a flat tuple."""
         if len(v) != self.cols:
@@ -359,26 +347,14 @@ class Subspace:
             out.append(tuple((c, Fraction(v, pv)) for c, v in row))
         return tuple(out)
 
-    def reduce_sparse(self, vec: Mapping[int, object]) -> dict[int, Fraction]:
-        """Canonical residue of a sparse vector modulo this subspace.
-
-        The residue is zero on the pivot columns of the basis, so it is the
-        canonical representative of the class of vec; zeros are dropped.
-        """
-        v = {c: Fraction(x) for c, x in vec.items() if x}
-        for pivot, row in zip(self.pivots, self.rows):
-            c = v.get(pivot)
-            if c:
-                for col, val in row:
-                    nv = v.get(col, ZERO) - c * val
-                    if nv:
-                        v[col] = nv
-                    else:
-                        v.pop(col, None)
-        return v
+    @cached_property
+    def _pivot_rows(self) -> dict[int, dict[int, int]]:
+        """The integer rows as _forward_reduce takes them: {pivot: row}."""
+        return {p: dict(r) for p, r in zip(self.pivots, self.int_rows)}
 
     def contains(self, vec: Mapping[int, object]) -> bool:
-        return not self.reduce_sparse(vec)
+        """Whether vec reduces to zero against the integer rows."""
+        return _forward_reduce(_to_int_row(vec), self._pivot_rows)[0] is None
 
     def coordinates(self, vec: Mapping[int, object]) -> Vec | None:
         """Coordinates of vec in the RREF basis, or None if not a member."""

@@ -243,7 +243,7 @@ def cy_criterion_deformed(defm: PBWDeformation, c: Cdga) -> DeformedCYReport:
     alg_fd = cert.dual_fd
     xi = nakayama_of_algebra(cert)
     shift = nakayama_shift(cert, c)
-    twisted = xi.mul_row(shift)
+    twisted = xi.transpose().mul_col(shift)
     gamma = ext_algebra_of_skew(cert, xi)
     omega_cols = cert.frobenius.pairings[1].inverse()
     sign = Fraction((-1) ** (d - 1))
@@ -331,8 +331,8 @@ def cy_equivalence_dim2(defm: PBWDeformation) -> EquivalenceReport:
     cond_ii = crit.is_CY
     m, _ = dim2_matrix_form(cert)
     lam = crit.shift
-    lam_m = m.mul_row(lam)
-    lam_mt = m.transpose().mul_row(lam)
+    lam_m = m.transpose().mul_col(lam)
+    lam_mt = m.mul_col(lam)
     cond_iii = lam_m == tuple(-v for v in lam_mt)
     report = EquivalenceReport(cond_i, cond_ii, cond_iii, lam)
     if not report.equivalent:

@@ -63,13 +63,17 @@ class QuadraticAlgebra:
     @cached_property
     def dual(self) -> "QuadraticAlgebra":
         """The quadratic algebra on the dual space with relations R-perp,
-        computed once per presentation object.
+        computed once per presentation object; its own dual is this object
+        whenever the names dual back, since R-perp-perp is R.
 
         Dual coordinates pair with word coordinates by the plain dot
         product, slot by slot with no sign.
         """
-        return QuadraticAlgebra(dual_names(self.names),
+        dual = QuadraticAlgebra(dual_names(self.names),
                                 self.relations.annihilator())
+        if dual_names(dual.names) == self.names:
+            dual.__dict__["dual"] = self
+        return dual
 
 
 def dual_names(names) -> tuple[str, ...]:

@@ -164,6 +164,34 @@ def dense_kernel_rows(rows, ambient):
     return out
 
 
+def multiply_basis(alg, i, a, j, b):
+    """The product of the a-th degree-i and the b-th degree-j basis elements
+    of alg as a dense coordinate vector; () past the top degree."""
+    if i + j > alg.length:
+        return ()
+    out = [ZERO] * alg.dims[i + j]
+    for c, w in alg.mult[(i, j)][a][b]:
+        out[c] = w
+    return tuple(out)
+
+
+def residue(space, vec):
+    """The canonical residue of a sparse vector modulo space, reduced in
+    Fractions against its RREF rows: zero on every pivot column, zeros
+    dropped."""
+    v = {c: Fraction(x) for c, x in vec.items() if x}
+    for pivot, row in zip(space.pivots, space.rows):
+        c = v.get(pivot)
+        if c:
+            for col, val in row:
+                nv = v.get(col, ZERO) - c * val
+                if nv:
+                    v[col] = nv
+                else:
+                    v.pop(col, None)
+    return v
+
+
 def word_vector(n, terms):
     """The sparse {word index: value} map of (word tuple, coefficient) pairs
     over n letters; repeated words add up and zero sums are dropped."""
@@ -343,7 +371,7 @@ def cdg_underlying_trivial_extension(alg: GradedFDAlgebra) -> GradedFDAlgebra:
                 for b in range(dims[j]):
                     out = [ZERO] * dims[i + j]
                     if a < ai and b < aj:
-                        prod = alg.multiply_basis(i, a, j, b)
+                        prod = multiply_basis(alg, i, a, j, b)
                         for c, v in enumerate(prod):
                             out[c] = v
                     elif a < ai and b >= aj:
@@ -403,7 +431,7 @@ def dual_trivial_extension(alg: GradedFDAlgebra, left, right,
                 for b in range(dims[j]):
                     out = [ZERO] * dims[i + j]
                     if a < ai and b < aj:
-                        out[:aij] = alg.multiply_basis(i, a, j, b)
+                        out[:aij] = multiply_basis(alg, i, a, j, b)
                     elif a < ai:
                         la = left[i].col(a)
                         for c, m in enumerate(units):
@@ -452,7 +480,7 @@ def oracle_truncation(alg, bound):
         words.append([w for w in range(n ** k) if w not in piv])
 
     def product(i, a, j, b):
-        res = spans[i + j].reduce_sparse({words[i][a] * n ** j + words[j][b]: 1})
+        res = residue(spans[i + j], {words[i][a] * n ** j + words[j][b]: 1})
         return tuple(res.get(w, ZERO) for w in words[i + j])
 
     mult = {(i, j): tuple(tuple(product(i, a, j, b) for b in range(len(words[j])))
@@ -483,7 +511,7 @@ def is_multiplicative(auto, alg: GradedFDAlgebra) -> bool:
                 fa = auto[i].col(a)
                 for b in range(alg.dims[j]):
                     fb = auto[j].col(b)
-                    lhs = auto[i + j].mul_col(alg.multiply_basis(i, a, j, b))
+                    lhs = auto[i + j].mul_col(multiply_basis(alg, i, a, j, b))
                     if lhs != alg.multiply(i, fa, j, fb):
                         return False
     return True
@@ -582,7 +610,7 @@ def model_map_multiplicative(gamma: GradedFDAlgebra,
         pcols, qcols = [], []
         for a in range(gamma.dims[k - 1]):
             for b in range(gamma.dims[1]):
-                pcols.append(gamma.multiply_basis(k - 1, a, 1, b))
+                pcols.append(multiply_basis(gamma, k - 1, a, 1, b))
                 qcols.append(ext_dual.multiply(k - 1, maps[k - 1].col(a),
                                                1, maps[1].col(b)))
         smat = dense_right_inverse(Matrix.from_rows(zip(*pcols), len(pcols)))
@@ -595,7 +623,7 @@ def model_map_multiplicative(gamma: GradedFDAlgebra,
             for a in range(gamma.dims[i]):
                 fa = maps[i].col(a)
                 for b in range(gamma.dims[j]):
-                    lhs = maps[i + j].mul_col(gamma.multiply_basis(i, a, j, b))
+                    lhs = maps[i + j].mul_col(multiply_basis(gamma, i, a, j, b))
                     if lhs != ext_dual.multiply(i, fa, j, maps[j].col(b)):
                         return False
     return True
@@ -628,7 +656,7 @@ def ext_iso_oracle(cert, sigma):
         for a in range(gamma.dims[k - 1]):
             fa = maps[k - 1].col(a)
             for b in range(gamma.dims[1]):
-                pcols.append(gamma.multiply_basis(k - 1, a, 1, b))
+                pcols.append(multiply_basis(gamma, k - 1, a, 1, b))
                 qcols.append(ebd.multiply(k - 1, fa, 1, maps[1].col(b)))
         pmat = Matrix.from_rows(zip(*pcols), len(pcols))
         qmat = Matrix.from_rows(zip(*qcols), len(qcols))

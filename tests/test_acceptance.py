@@ -179,8 +179,8 @@ def test_criterion_7_three_way_equivalence():
     lam = nakayama_shift(noncy.cert, dual_cdga(noncy))
     assert lam == (F(0), F(-1, 2))
     m, _ = dim2_matrix_form(noncy.cert)
-    left = m.mul_row(lam)
-    right = tuple(-v for v in m.transpose().mul_row(lam))
+    left = m.transpose().mul_col(lam)
+    right = tuple(-v for v in m.mul_col(lam))
     assert left == (F(1), F(0))
     assert right == (F(1, 2), F(0))
     assert left != right

@@ -10,13 +10,15 @@ from helpers import (AS_REGULAR, CORPUS, algebra_of, associativity_failure,
                      block_nakayama_oracle, cert_of,
                      cdg_underlying_trivial_extension, dense_algebra,
                      dual_trivial_extension, identity_maps, is_multiplicative,
-                     scalar_twist, seeded, sparse_table, quadratic_algebra,
-                     structure_equal, trivial_extension)
-from quadalg import (GradedFDAlgebra, Matrix, NotFrobenius,
+                     multiply_basis, scalar_twist, seeded, sklyanin,
+                     sparse_table, quadratic_algebra, structure_equal,
+                     trivial_extension)
+from quadalg import (GradedFDAlgebra, Matrix, NotFrobenius, QuadraticAlgebra,
+                     Subspace, apply_slotwise, as_regular_certificate,
                      ext_algebra_of_skew, frobenius_structure,
                      is_graded_symmetric, nakayama_of_algebra, skew_extend,
                      truncated_structure, twisted_module_trivial_extension,
-                     word_to_index)
+                     verify_ext_algebra_isomorphism, word_to_index)
 from quadalg.io import description_to_algebra, parse_description
 from quadalg.linalg import LinAlgError
 
@@ -48,9 +50,9 @@ def test_missing_blocks_are_zero():
         # (1,1) intentionally absent: the square-zero block
     }
     alg = dense_algebra((1, 2, 1), mult)
-    assert alg.multiply_basis(1, 0, 1, 1) == (zero,)
-    assert alg.multiply_basis(0, 0, 1, 1) == (zero, one)
-    assert alg.multiply_basis(2, 0, 2, 0) == ()
+    assert multiply_basis(alg, 1, 0, 1, 1) == (zero,)
+    assert multiply_basis(alg, 0, 0, 1, 1) == (zero, one)
+    assert multiply_basis(alg, 2, 0, 2, 0) == ()
 
 
 def test_epsilon_and_identity():
@@ -123,6 +125,37 @@ def test_not_frobenius_degenerate():
         frobenius_structure(fd_mono)
     assert info_mono.value.witness_degree == 1
     assert info_mono.value.reason == "dim mismatch 2 vs 1 between degrees 1 and 2"
+
+
+def test_nakayama_blocks_match_the_dense_inverse():
+    # each block solves G_i X = G_{d-i}^T; the dense oracle inverts G_i
+    # and multiplies, on every AS-regular dual, its Ext model and the
+    # honest dual of its extension, twisted by the Nakayama map and by the
+    # identity.  A Sklyanin algebra in changed coordinates has pairings
+    # with no zero entry off degrees 0 and 3
+    skl = sklyanin(1, 2, 3)
+    g = Matrix.from_rows([[1, 1, 0], [0, 1, 2], [1, 0, 1]], 3)
+    changed = QuadraticAlgebra(skl.names, Subspace.from_spanning(
+        [apply_slotwise((g, g), dict(r), 3) for r in skl.relations.rows], 9))
+    certs = [cert_of(name) for name in AS_REGULAR]
+    certs.append(as_regular_certificate(changed, 5))
+    algs = []
+    for cert in certs:
+        algs.append(cert.dual_fd)
+        xi = nakayama_of_algebra(cert)
+        for sigma in (xi, Matrix.identity(xi.rows)):
+            iso = verify_ext_algebra_isomorphism(cert, sigma)
+            algs += [iso.gamma, iso.ext_dual_fd]
+    for alg in algs:
+        frob = frobenius_structure(alg)
+        d = alg.length
+        for i in range(d + 1):
+            expect = frob.pairings[i].inverse() @ frob.pairings[d - i].transpose()
+            assert frob.nakayama[d - i] == expect
+            assert frob.pairings[i] == Matrix.from_rows(
+                [[multiply_basis(alg, i, a, d - i, b)[0]
+                  for b in range(alg.dims[d - i])]
+                 for a in range(alg.dims[i])], alg.dims[d - i])
 
 
 def test_automorphism_multiplicative_check_catches_junk():
@@ -242,7 +275,7 @@ def test_structure_equal_detects_difference():
 
 
 def _dense_table(alg):
-    return {(i, j): tuple(tuple(alg.multiply_basis(i, a, j, b)
+    return {(i, j): tuple(tuple(multiply_basis(alg, i, a, j, b)
                                 for b in range(alg.dims[j]))
                           for a in range(alg.dims[i]))
             for i in range(alg.length + 1) for j in range(alg.length + 1 - i)}
@@ -409,7 +442,7 @@ def test_denominator_met_inside_a_cell():
                     (yp, (0, 1, 0, 0), (0, 0, 0, 2)))
     mult[(2, 1)] = tuple(zip(*mult[(1, 2)]))
     alg = dense_algebra((1, 2, 3, 4), mult)
-    assert alg.multiply_basis(1, 0, 1, 1) == (1, 0, h)
+    assert multiply_basis(alg, 1, 0, 1, 1) == (1, 0, h)
     assert associativity_failure(alg.dims, alg.mult) is None
     # y x := p + r/2 + q breaks (x y) x = x (y x)
     bad = _add_to_cell(mult, (1, 1), 1, 0, 1, 1)
@@ -434,7 +467,7 @@ def test_terms_that_cancel_are_not_a_failure():
         mult[(2, 1)] = right
         mult[(1, 2)] = (tuple(cell[0] for cell in left),)
         alg = dense_algebra((1, 1, 2, 1), mult)
-        assert alg.multiply_basis(1, 0, 1, 0) == (one, one)
+        assert multiply_basis(alg, 1, 0, 1, 0) == (one, one)
     # the same table with q x = r is not associative
     mult = dict(unit)
     mult[(2, 1)] = (((one,),), ((one,),))

@@ -2,11 +2,13 @@
 
 from fractions import Fraction
 from math import gcd
+from random import Random
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from helpers import dense_kernel_rows, dense_rank, dense_rows, dense_rref
+from helpers import (dense_kernel_rows, dense_rank, dense_rows, dense_rref,
+                     residue)
 from quadalg.linalg import (ConsistencyError, LinAlgError, Matrix,
                             ResourceLimitError, Subspace, int_kernel, solve)
 from quadalg.quadratic import QuadraticAlgebra, koszul_component
@@ -61,7 +63,9 @@ def test_matmul_shapes():
 
 def test_mul_row_col_conventions():
     m = mk_rows([[1, 2], [3, 4]], 2)
-    assert m.mul_row((Fraction(1), Fraction(1))) == (Fraction(4), Fraction(6))
+    # a row vector times m is m's transpose times the column
+    assert (m.transpose().mul_col((Fraction(1), Fraction(1)))
+            == (Fraction(4), Fraction(6)))
     assert m.mul_col((Fraction(1), Fraction(1))) == (Fraction(3), Fraction(7))
 
 
@@ -266,9 +270,57 @@ def test_reduce_and_coordinates():
     outside = {0: ONE}
     assert not u.contains(outside)
     assert u.coordinates(outside) is None
-    assert u.reduce_sparse(inside) == {}
+    assert residue(u, inside) == {}
     # the canonical residue is zero on the pivots, its zeros left out
-    assert u.reduce_sparse(outside) == {2: -ONE}
+    assert residue(u, outside) == {2: -ONE}
+
+
+def test_membership_agrees_with_the_fraction_residue():
+    # seeded spans over several denominators; each vector is a member, a
+    # member moved along one coordinate, or a member with an entry at or
+    # past the ambient, and contains and coordinates must agree with the
+    # Fraction reduction against the RREF rows
+    rng = Random(20)
+    dens = (1, 2, 3, 5, 7)
+
+    def entry():
+        if rng.random() < 0.4:
+            return ZERO
+        return Fraction(rng.randint(-6, 6), rng.choice(dens))
+
+    seen = {True: 0, False: 0}
+    for _ in range(150):
+        amb = rng.randint(1, 7)
+        rows = [{c: v for c in range(amb) if (v := entry())}
+                for _ in range(rng.randint(0, amb))]
+        u = Subspace.from_spanning(rows, amb)
+        member: dict[int, Fraction] = {}
+        for row in rows:
+            x = entry()
+            for c, v in row.items():
+                member[c] = member.get(c, ZERO) + x * v
+        moved = dict(member)
+        c = rng.randrange(amb)
+        moved[c] = moved.get(c, ZERO) + Fraction(1, rng.choice(dens))
+        past = dict(member)
+        past[amb + rng.randrange(3)] = Fraction(rng.choice((-1, 1)),
+                                               rng.choice(dens))
+        for vec in (member, moved, past):
+            inside = residue(u, vec) == {}
+            seen[inside] += 1
+            assert u.contains(vec) == inside
+            coords = u.coordinates(vec)
+            if not inside:
+                assert coords is None
+                continue
+            back: dict[int, Fraction] = {}
+            for x, row in zip(coords, u.rows):
+                for c, v in row:
+                    back[c] = back.get(c, ZERO) + x * v
+            assert ({c: v for c, v in back.items() if v}
+                    == {c: v for c, v in vec.items() if v})
+        assert residue(u, past) != {}
+    assert min(seen.values()) > 100
 
 
 def test_limits_guard():

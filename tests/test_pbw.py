@@ -284,7 +284,7 @@ def test_cdg_trivial_extension_structure():
         pi_star = tuple([F(0)] * cert.dual_fd.dim(1)) + (F(1),)
         img = big.delta[1].mul_col(pi_star)
         dual_part = img[cert.dual_fd.dim(2):]
-        assert tuple(dual_part) == g1.mul_row(lam), name
+        assert tuple(dual_part) == g1.transpose().mul_col(lam), name
 
 
 def test_compatibility_reports():

@@ -59,6 +59,20 @@ def test_double_dual_returns_relations():
         assert alg.dual.dual.relations == alg.relations
 
 
+def test_dual_of_the_dual_is_the_algebra_itself():
+    # (A^!)^! is A as an object, so R-perp-perp is never eliminated; also on
+    # the extensions by the Nakayama map and by the identity
+    algs = [algebra_of(name) for name in CORPUS]
+    for name in AS_REGULAR:
+        alg = algebra_of(name)
+        xi = nakayama_of_algebra(cert_of(name))
+        algs += [skew_extend(alg, s).algebra
+                 for s in (xi, Matrix.identity(alg.n))]
+    for alg in algs:
+        assert alg.dual.dual is alg, alg.names
+        assert alg.dual.dual.dual is alg.dual, alg.names
+
+
 def test_dual_name_collision():
     alg = quadratic_algebra(("x", "x*"), [[((0, 1), 1)]])
     dual = alg.dual

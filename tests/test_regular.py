@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import AS_REGULAR, DIM2, algebra_of, cert_of, quadratic_algebra
+from helpers import (AS_REGULAR, DIM2, algebra_of, cert_of, quadratic_algebra,
+                     residue)
 from quadalg import (Matrix, NotRegular, apply_slotwise, as_regular_certificate,
                      dim2_matrix_form, nakayama_of_algebra,
                      numeric_koszul_certificate, regularity_data)
@@ -83,9 +84,9 @@ def test_nakayama_preserves_relations():
     for name in AS_REGULAR:
         cert = cert_of(name)
         xi = nakayama_of_algebra(cert)
-        img = [cert.algebra.relations.reduce_sparse(
-            apply_slotwise((xi, xi), dict(row), cert.algebra.n))
-            for row in cert.algebra.relations.rows]
+        img = [residue(cert.algebra.relations,
+                       apply_slotwise((xi, xi), dict(row), cert.algebra.n))
+               for row in cert.algebra.relations.rows]
         assert all(all(v == 0 for v in r.values()) for r in img), name
 
 
