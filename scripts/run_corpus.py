@@ -3,7 +3,9 @@
 
 Cells show the exit status: ok (0), fail (1), err (2), limit (3).
 Commands that need a deformation section or a specific dimension will
-legitimately report err on files lacking them.
+legitimately report err on files lacking them.  After the table, one line
+per package cache gives its hits, misses, current size and bound over the
+sweep, which runs in one process with the caches warm across commands.
 """
 
 import argparse
@@ -14,6 +16,7 @@ import time
 from importlib import resources
 
 from quadalg.cli import COMMANDS, main
+from report_grid import caches
 
 LABEL = {0: "ok", 1: "fail", 2: "err", 3: "limit"}
 
@@ -44,6 +47,11 @@ def run(argv=None):
         print("".join(row))
     elapsed = time.perf_counter() - started
     print(f"\n{total} invocations in {elapsed:.1f}s")
+    for cache in caches():
+        info = cache.cache_info()
+        print(f"{cache.__module__}.{cache.__name__}: {info.hits} hits, "
+              f"{info.misses} misses, {info.currsize} of {info.maxsize} "
+              f"entries")
     return 0
 
 

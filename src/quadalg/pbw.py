@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .frobenius import GradedFDAlgebra
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Subspace, Vec,
-                     ZERO, unit_vector)
+                     ZERO, solve, unit_vector)
 from .regular import (RegularityCertificate, dim2_matrix_form,
                       nakayama_of_algebra, regularity_data)
 from .skew import ext_algebra_of_skew, skew_extend
@@ -180,10 +180,15 @@ def nakayama_shift(cert: RegularityCertificate, c: Cdga) -> Vec:
     curved structure c that a deformation of cert's algebra induces.
 
     Entry i is the top coefficient of the differential applied to the
-    element that pairs to 1 against the i-th dual generator at the top.
+    element omega_i that pairs to 1 against the i-th dual generator at the
+    top, the i-th column of G_1^{-1} (G_1 = pairings[1]).  So the shift is
+    the row delta_{d-1} G_1^{-1}, whose transpose s solves
+    G_1^T s = delta_{d-1}^T: one solve, and no inverse.
     """
-    omega = cert.frobenius.pairings[1].inverse()
-    return (c.delta[cert.gldim - 1] @ omega).entries[0]
+    g1 = cert.frobenius.pairings[1]
+    sol, _ = solve(map(tuple.__add__, g1.transpose().entries,
+                       c.delta[cert.gldim - 1].transpose().entries), g1.rows)
+    return tuple(sol[i].get(0, ZERO) for i in range(g1.rows))
 
 
 def skew_deformation(defm: PBWDeformation, xi: Matrix,

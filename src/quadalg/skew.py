@@ -49,11 +49,14 @@ class SkewExtension:
     the base's canonical relation rows embedded in the (n+1)^2 word
     coordinates of the extension, followed by the n mixed relations, each
     a sparse {word index: value} map; the extension's relation space is
-    their span.
+    their span.  sigma_inverse is the inverse of the twist, computed once
+    here for the mixed relations and read by the cohomology model and its
+    check.
     """
 
     algebra: QuadraticAlgebra
     stacked_relations: tuple[dict[int, Fraction], ...]
+    sigma_inverse: Matrix
 
 
 # bounded at over twice the 7 extensions of one corpus sweep
@@ -86,7 +89,7 @@ def _skew_extend(base: QuadraticAlgebra, sigma: Matrix) -> SkewExtension:
             raise ConsistencyError(
                 f"extension dimension {dim} at degree {k} is not the "
                 f"partial sum {sum(dims_base[:k + 1])} of the base dimensions")
-    return SkewExtension(algebra, tuple(stacked))
+    return SkewExtension(algebra, tuple(stacked), pinv)
 
 
 def skew_extend(base: QuadraticAlgebra, sigma: Matrix) -> SkewExtension:
@@ -100,13 +103,16 @@ def ext_algebra_of_skew(cert: RegularityCertificate,
                         sigma: Matrix) -> GradedFDAlgebra:
     """Model of the extension's cohomology algebra: the dual algebra extended
     by a shifted copy of itself, sign-twisted on the left and twisted by the
-    transposed inverse of sigma on the right."""
+    transposed inverse of sigma on the right.  sigma^{-1} is read off the
+    extension by sigma, so the twist is validated through skew_extend, which
+    raises LinAlgError or ConsistencyError on a twist it refuses."""
     dual = cert.dual_fd
-    psi = dual.automorphism(sigma.inverse().transpose())
+    pinv = skew_extend(cert.algebra, sigma).sigma_inverse
+    psi = dual.automorphism(pinv.transpose())
     return twisted_module_trivial_extension(dual, dual.epsilon(1), psi)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class IsoReport:
     """Outcome of matching the model against the honest dual of the extension."""
 
@@ -121,6 +127,67 @@ class IsoReport:
     def passed(self) -> bool:
         return (self.generated_ok and self.bijective
                 and self.left_identity_ok and self.right_identity_ok)
+
+
+# bounded at over twice the 7 (certificate, twist) pairs of one corpus sweep;
+# keyed on the certificate itself, which regular._certify hands out, and on
+# the twist by value
+@lru_cache(maxsize=16)
+def _ext_iso_report(cert: RegularityCertificate, sigma: Matrix) -> IsoReport:
+    alg = cert.algebra
+    n = alg.n
+    ext = skew_extend(alg, sigma)
+    gamma = ext_algebra_of_skew(cert, sigma)
+    ebd = truncated_structure(ext.algebra.dual, cert.gldim + 1)
+    if gamma.dims[1] != n + 1 or ebd.dims[1] != n + 1:
+        raise ConsistencyError("degree-one dimensions do not match")
+    generated_ok = True
+    bijective = True
+    # f_{k-1} as sparse columns {honest coordinate: value}, one per model
+    # basis element; the identity in degree 1
+    prev = [{b: ONE} for b in range(n + 1)]
+    for k in range(2, cert.gldim + 2):
+        g, e = gamma.dims[k], ebd.dims[k]
+        model = gamma.mult[(k - 1, 1)]
+        honest = ebd.mult[(k - 1, 1)]
+        rows = []
+        for a, fa in enumerate(prev):
+            for b in range(n + 1):
+                row = dict(model[a][b])
+                for t, x in fa.items():
+                    for c, w in honest[t][b]:
+                        row[g + c] = row.get(g + c, ZERO) + x * w
+                rows.append(row)
+        sol, consistent = solve(rows, g)
+        if len(sol) < g or not consistent:
+            generated_ok = False
+        # column t of f_k is solution t; the zero map unless P is onto
+        prev = ([sol[t] for t in range(g)] if len(sol) == g
+                else [{} for _ in range(g)])
+        if g != e or len(_echelon_int(_to_int_row(col) for col in prev)) != e:
+            bijective = False
+    # mixed dual relation classes, paired against the original relation rows
+    nrel = alg.relations.dim
+    rt_classes = [{t: v for t, v in enumerate(cls) if v}
+                  for cls in ebd.class_from_pairings(
+                      2, ext.stacked_relations,
+                      [unit_vector(nrel + n, nrel + i) for i in range(n)])]
+    pinv = ext.sigma_inverse
+    cells = ebd.mult[(1, 1)]
+    left_ok = True
+    right_ok = True
+    for i in range(n):
+        if dict(cells[i][n]) != {t: -v for t, v in rt_classes[i].items()}:
+            left_ok = False
+        expect: dict[int, Fraction] = {}
+        for j in range(n):
+            c = pinv[i, j]
+            if c:
+                for t, v in rt_classes[j].items():
+                    expect[t] = expect.get(t, ZERO) + c * v
+        if dict(cells[n][i]) != {t: v for t, v in expect.items() if v}:
+            right_ok = False
+    return IsoReport(gamma, ebd, generated_ok, bijective, left_ok, right_ok)
 
 
 def verify_ext_algebra_isomorphism(cert: RegularityCertificate,
@@ -177,61 +244,11 @@ def verify_ext_algebra_isomorphism(cert: RegularityCertificate,
     and the new letter times the i-th generator is the inverse-twist row
     combination of the mixed relation classes.  Both read the degree-(1, 1)
     cells of the honest dual.
+
+    Computed once per certificate and twist: `extiso` and cy_check_with
+    read the same report.
     """
-    alg = cert.algebra
-    n = alg.n
-    ext = skew_extend(alg, sigma)
-    gamma = ext_algebra_of_skew(cert, sigma)
-    ebd = truncated_structure(ext.algebra.dual, cert.gldim + 1)
-    if gamma.dims[1] != n + 1 or ebd.dims[1] != n + 1:
-        raise ConsistencyError("degree-one dimensions do not match")
-    generated_ok = True
-    bijective = True
-    # f_{k-1} as sparse columns {honest coordinate: value}, one per model
-    # basis element; the identity in degree 1
-    prev = [{b: ONE} for b in range(n + 1)]
-    for k in range(2, cert.gldim + 2):
-        g, e = gamma.dims[k], ebd.dims[k]
-        model = gamma.mult[(k - 1, 1)]
-        honest = ebd.mult[(k - 1, 1)]
-        rows = []
-        for a, fa in enumerate(prev):
-            for b in range(n + 1):
-                row = dict(model[a][b])
-                for t, x in fa.items():
-                    for c, w in honest[t][b]:
-                        row[g + c] = row.get(g + c, ZERO) + x * w
-                rows.append(row)
-        sol, consistent = solve(rows, g)
-        if len(sol) < g or not consistent:
-            generated_ok = False
-        # column t of f_k is solution t; the zero map unless P is onto
-        prev = ([sol[t] for t in range(g)] if len(sol) == g
-                else [{} for _ in range(g)])
-        if g != e or len(_echelon_int(_to_int_row(col) for col in prev)) != e:
-            bijective = False
-    # mixed dual relation classes, paired against the original relation rows
-    nrel = alg.relations.dim
-    rt_classes = [{t: v for t, v in enumerate(cls) if v}
-                  for cls in ebd.class_from_pairings(
-                      2, ext.stacked_relations,
-                      [unit_vector(nrel + n, nrel + i) for i in range(n)])]
-    pinv = sigma.inverse()
-    cells = ebd.mult[(1, 1)]
-    left_ok = True
-    right_ok = True
-    for i in range(n):
-        if dict(cells[i][n]) != {t: -v for t, v in rt_classes[i].items()}:
-            left_ok = False
-        expect: dict[int, Fraction] = {}
-        for j in range(n):
-            c = pinv[i, j]
-            if c:
-                for t, v in rt_classes[j].items():
-                    expect[t] = expect.get(t, ZERO) + c * v
-        if dict(cells[n][i]) != {t: v for t, v in expect.items() if v}:
-            right_ok = False
-    return IsoReport(gamma, ebd, generated_ok, bijective, left_ok, right_ok)
+    return _ext_iso_report(cert, sigma)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .linalg import ConsistencyError, LinAlgError, Matrix, ONE, Subspace, ZERO
 from .quadratic import QuadraticAlgebra, koszul_component
@@ -43,25 +46,28 @@ def is_twisted_superpotential(w: dict[int, Fraction], d: int,
 class SuperpotentialData:
     """Canonical superpotential of a certified algebra and its twist.
 
-    w spans the top Koszul component, as a {word index: value} map of
-    degree gldim.  twist is the Nakayama map, recovered from the matrices
-    of the left and right contractions of w by each dual letter, in the
-    basis of the next component down, and cross-checked against the
+    w spans the top Koszul component, as a read-only {word index: value}
+    map of degree gldim.  twist is the Nakayama map, recovered from the
+    matrices of the left and right contractions of w by each dual letter,
+    in the basis of the next component down, and cross-checked against the
     pairing route.
     """
 
-    w: dict[int, Fraction]
+    w: Mapping[int, Fraction]
     twist: Matrix
 
 
-def extract_superpotential(cert: RegularityCertificate) -> SuperpotentialData:
+# bounded at over twice the 7 certificates one corpus sweep extracts from;
+# keyed on the certificate itself, which regular._certify hands out
+@lru_cache(maxsize=16)
+def _superpotential(cert: RegularityCertificate) -> SuperpotentialData:
     d = cert.gldim
     alg = cert.algebra
     n = alg.n
     top = koszul_component(alg, d)
     if top.dim != 1:
         raise ConsistencyError(f"top Koszul component has dimension {top.dim}, not 1")
-    w = dict(top.rows[0])
+    w = MappingProxyType(dict(top.rows[0]))
     sub = koszul_component(alg, d - 1)
     left_rows = []
     right_cols = []
@@ -83,6 +89,12 @@ def extract_superpotential(cert: RegularityCertificate) -> SuperpotentialData:
     if not is_twisted_superpotential(w, d, twist):
         raise ConsistencyError("extracted tensor is not twisted-cyclic")
     return SuperpotentialData(w, twist)
+
+
+def extract_superpotential(cert: RegularityCertificate) -> SuperpotentialData:
+    """The superpotential of cert and its twist, computed once per
+    certificate and shared by every caller."""
+    return _superpotential(cert)
 
 
 def symmetrize(w: dict[int, Fraction], d: int,

@@ -2,9 +2,12 @@
 
 from fractions import Fraction
 from importlib import resources
+import importlib
 import json
+import pkgutil
 import random
 
+import quadalg
 from quadalg import (Cdga, GradedFDAlgebra, Matrix, QuadraticAlgebra,
                      Subspace, as_regular_certificate, index_to_word,
                      nakayama_of_algebra, word_to_index)
@@ -19,6 +22,19 @@ DIM2 = AS_REGULAR[:5]
 CORPUS_DIR = resources.files("quadalg") / "corpus"
 CORPUS = tuple(sorted(p.name[:-5] for p in CORPUS_DIR.iterdir()
                       if p.name.endswith(".json")))
+
+
+def package_caches():
+    """Every functools cache that a quadalg module defines, as
+    {"module.name": cache}."""
+    out = {}
+    for info in pkgutil.iter_modules(quadalg.__path__):
+        mod = importlib.import_module(f"quadalg.{info.name}")
+        for name, obj in vars(mod).items():
+            if (hasattr(obj, "cache_info")
+                    and getattr(obj, "__module__", None) == mod.__name__):
+                out[f"{info.name}.{name}"] = obj
+    return out
 
 
 def description_of(name):

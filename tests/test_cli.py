@@ -1,16 +1,21 @@
 """Command line driver: exit codes, verdict payloads, determinism."""
 
 import json
+import re
 import sys
 from fractions import Fraction
 from importlib import resources
 
 import pytest
 
-from helpers import AS_REGULAR, skew_description, sklyanin_description
-from quadalg import cli, quadratic, regular, skew
+from helpers import (AS_REGULAR, package_caches, skew_description,
+                     sklyanin_description)
+from quadalg import cli, quadratic, regular, skew, superpotential
 from quadalg.cli import main
+from quadalg.linalg import Matrix
 from quadalg.pbw import dual_cdga, nakayama_shift
+from quadalg.regular import nakayama_of_algebra
+from quadalg.skew import verify_ext_algebra_isomorphism
 from quadalg.superpotential import extract_superpotential
 
 CORPUS = resources.files("quadalg") / "corpus"
@@ -269,25 +274,33 @@ def test_caches_are_bounded_and_keep_a_corpus_sweep_warm(capsys):
     # one sweep of every command over the corpus, with the caches emptied
     # once: each cache holds under half its bound, evicts nothing, and
     # serves the hits of an unbounded cache
-    caches = {"_koszul_component": quadratic._koszul_component,
-              "_truncated": quadratic._truncated,
-              "_certify": regular._certify,
-              "_skew_extend": skew._skew_extend}
-    found = {name: obj for mod in (quadratic, regular, skew)
-             for name, obj in vars(mod).items()
-             if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__}
-    assert found == caches
+    caches = {"quadratic._koszul_component": quadratic._koszul_component,
+              "quadratic._truncated": quadratic._truncated,
+              "regular._certify": regular._certify,
+              "regular._nakayama": regular._nakayama,
+              "superpotential._superpotential":
+                  superpotential._superpotential,
+              "skew._skew_extend": skew._skew_extend,
+              "skew._ext_iso_report": skew._ext_iso_report}
+    assert package_caches() == caches
     for cache in caches.values():
         cache.cache_clear()
     for path in sorted(CORPUS.iterdir(), key=lambda p: p.name):
         for cmd in cli.COMMANDS:
             main([cmd, str(path), "--max-degree", "5"])
     capsys.readouterr()
-    hits = {"_koszul_component": 659, "_truncated": 17, "_certify": 82,
-            "_skew_extend": 28}
+    bounds = {"quadratic._koszul_component": 256, "quadratic._truncated": 32,
+              "regular._certify": 32, "regular._nakayama": 16,
+              "superpotential._superpotential": 16, "skew._skew_extend": 16,
+              "skew._ext_iso_report": 16}
+    hits = {"quadratic._koszul_component": 613, "quadratic._truncated": 4,
+            "regular._certify": 82, "regular._nakayama": 50,
+            "superpotential._superpotential": 23, "skew._skew_extend": 27,
+            "skew._ext_iso_report": 13}
     for name, cache in caches.items():
         info = cache.cache_info()
-        assert info.maxsize is not None and 2 * info.currsize <= info.maxsize
+        assert info.maxsize == bounds[name], name
+        assert 2 * info.currsize <= info.maxsize, name
         assert info.currsize == info.misses, name
         assert info.hits == hits[name], name
 
@@ -535,3 +548,79 @@ def test_each_object_is_built_once_per_run(capsys, monkeypatch, command, fn,
         capsys.readouterr()
         assert code in (0, 1), name
         assert len(calls) == per_run, name
+
+
+def _clear_package_caches():
+    for cache in package_caches().values():
+        cache.cache_clear()
+
+
+def _corpus_sweep(capsys, cold):
+    """Every corpus file through every command, caches emptied once or,
+    if cold, before every case: (case, exit code, report minus timing_ms)."""
+    _clear_package_caches()
+    out = []
+    for path in sorted(CORPUS.iterdir(), key=lambda p: p.name):
+        for cmd in cli.COMMANDS:
+            if cold:
+                _clear_package_caches()
+            code = main([cmd, str(path)])
+            report = re.sub(r'"timing_ms": \d+', "", capsys.readouterr().out)
+            out.append((path.name, cmd, code, report))
+    return out
+
+
+def test_warm_caches_answer_as_cold_ones(capsys):
+    # a session reuses certificates, Nakayama maps, superpotentials and
+    # verified models across commands; each report must be the one a fresh
+    # process prints
+    warm = _corpus_sweep(capsys, cold=False)
+    cold = _corpus_sweep(capsys, cold=True)
+    assert len(warm) == 10 * len(cli.COMMANDS)
+    assert warm == cold
+
+
+def test_certificate_data_is_computed_once_per_session(capsys, monkeypatch):
+    # one corpus sweep, caches emptied once: the Nakayama map and the
+    # superpotential are computed once per certificate, the verified model
+    # once per certificate and twist, however often the commands ask for
+    # them.  The deformation files deform the algebras of quantum_plane_q2
+    # and poly3, so there are the 7 certificates of AS_REGULAR, each with
+    # its Nakayama map as the one twist.
+    memos = {nakayama_of_algebra: regular._nakayama,
+             extract_superpotential: superpotential._superpotential,
+             verify_ext_algebra_isomorphism: skew._ext_iso_report}
+    calls = {fn: _count_calls(monkeypatch, fn) for fn in memos}
+    _corpus_sweep(capsys, cold=False)
+    for fn, memo in memos.items():
+        # certificates by identity, twists by value, as the memos key them
+        keys = {(id(args[0]),) + args[1:] for args in calls[fn]}
+        assert len(keys) == len(AS_REGULAR), fn.__name__
+        assert memo.cache_info().misses == len(keys), fn.__name__
+        assert len(calls[fn]) > len(keys), fn.__name__
+
+
+@pytest.mark.parametrize("command,name,inverses", [
+    # the twist, inverted once where the extension is built
+    ("cy", "poly3", 1),
+    ("extiso", "poly3", 1),
+    # and the degree-one pairing, for the sections of the deformed criterion
+    ("pbw", "deformed_qp_noncy", 2),
+    # and the relation coefficient matrix of the dimension-2 form
+    ("thm5", "deformed_qp_noncy", 3),
+])
+def test_matrix_inverses_per_cold_case(capsys, monkeypatch, command, name,
+                                       inverses):
+    calls = []
+    real = Matrix.inverse
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Matrix, "inverse", counted)
+    _clear_package_caches()
+    code = main([command, _path(name)])
+    capsys.readouterr()
+    assert code in (0, 1)
+    assert len(calls) == inverses

@@ -1,5 +1,6 @@
 """One-letter twisted extensions A[z;sigma] and their Calabi-Yau verdicts."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -216,7 +217,7 @@ def _doubled_mixed_relations(base, sigma):
     nrel = base.relations.dim
     rows = ext.stacked_relations
     doubled = tuple({c: 2 * v for c, v in row.items()} for row in rows[nrel:])
-    return skew.SkewExtension(ext.algebra, rows[:nrel] + doubled)
+    return replace(ext, stacked_relations=rows[:nrel] + doubled)
 
 
 def _check_against_oracle(cert, sigma, seen):
@@ -230,7 +231,19 @@ def _check_against_oracle(cert, sigma, seen):
     return fields
 
 
-def test_iso_check_fails_on_a_mismatched_model(monkeypatch):
+@pytest.fixture
+def swap(monkeypatch):
+    """Replace an attribute of skew, emptying the memo behind
+    verify_ext_algebra_isomorphism: it keeps the report of whatever model
+    was in place when it was filled.  Emptied once more after the test."""
+    def swap_in(attr, value):
+        monkeypatch.setattr(skew, attr, value)
+        skew._ext_iso_report.cache_clear()
+    yield swap_in
+    skew._ext_iso_report.cache_clear()
+
+
+def test_iso_check_fails_on_a_mismatched_model(swap):
     # the model of one twist against the honest dual of the extension by
     # another, and models that are no twist at all; the dense route must
     # give the same four verdicts
@@ -243,17 +256,17 @@ def test_iso_check_fails_on_a_mismatched_model(monkeypatch):
         models = [lambda c, s, m=m: real(c, m) for m in twists]
         for sigma in twists:
             for model in models:
-                monkeypatch.setattr(skew, "ext_algebra_of_skew", model)
+                swap("ext_algebra_of_skew", model)
                 _check_against_oracle(cert, sigma, seen)
-            monkeypatch.setattr(skew, "ext_algebra_of_skew", _zero_action_model)
+            swap("ext_algebra_of_skew", _zero_action_model)
             zero_action.add(_check_against_oracle(cert, sigma, seen))
     # products that do not span: neither generated nor bijective
     assert zero_action == {(False, False, True, True)}
-    monkeypatch.setattr(skew, "ext_algebra_of_skew", _collapsing_model)
+    swap("ext_algebra_of_skew", _collapsing_model)
     for sigma in _twists("kxy"):
         _check_against_oracle(cert_of("kxy"), sigma, seen)
-    monkeypatch.setattr(skew, "ext_algebra_of_skew", real)
-    monkeypatch.setattr(skew, "skew_extend", _doubled_mixed_relations)
+    swap("ext_algebra_of_skew", real)
+    swap("skew_extend", _doubled_mixed_relations)
     for name in AS_REGULAR:
         _check_against_oracle(cert_of(name), _twists(name)[0], seen)
     assert (True, True, True, True) in seen
