@@ -4,8 +4,13 @@ shifted up one degree, as a twisted bimodule.
 
 An algebra is its graded dimensions and its nonzero structure constants,
 checked to be unital and associative when built; basis elements are known
-only by their degree and index.  A degree-preserving map of an algebra is a
-tuple of matrices, one per degree, in column convention.  The top graded
+only by their degree and index.  The constants are held as integer cells
+over one positive denominator (`int_mult` over `den`), which is how every
+builder here and in quadratic.TruncatedAlgebra hands them over and how the
+Frobenius pairings and the trivial extension read them; `mult`, the same
+table in Fractions, is a view built on first reading.  A
+degree-preserving map of an algebra is a tuple of matrices, one per
+degree, in column convention.  The top graded
 piece is required to be one-dimensional whenever Frobenius data is
 extracted, and the distinguished functional is "coefficient of the top basis
 element", read straight off a top structure cell.
@@ -15,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
-from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Vec, ZERO,
+from .linalg import (ConsistencyError, LinAlgError, Matrix, Vec, ZERO,
                      _forward_reduce, solve)
 
 
@@ -33,13 +39,18 @@ class NotFrobenius(Exception):
 class GradedFDAlgebra:
     """A finite-dimensional graded algebra given by structure constants.
 
-    dims[i] is the dimension of the degree-i component, and
-    mult[(i, j)][a][b] is the product of the a-th degree-i and b-th
-    degree-j basis elements inside degree i+j.  Degree 0 must be
-    spanned by the unit.  The table keeps only the nonzero entries of each
-    product, as (coordinate, value) pairs in increasing coordinate order.
+    dims[i] is the dimension of the degree-i component.  The table is held
+    in integers over one positive denominator den: int_mult[(i, j)][a][b]
+    is den times the product of the a-th degree-i and b-th degree-j basis
+    elements inside degree i+j, its nonzero entries as (coordinate, int)
+    pairs in increasing coordinate order.  mult is the same table with
+    Fraction values, built only when first read.  Degree 0 must be spanned
+    by the unit.
 
-    The constructor checks the table's shape, the unit and associativity.
+    GradedFDAlgebra(dims, mult) takes rational cells and scales them by the
+    lcm of their denominators; GradedFDAlgebra(dims, mult, den) takes
+    integer cells over den as they are.  Either way one pass checks the
+    table's shape and cells, then the unit and associativity are checked.
     Associativity is checked on generators, by a lemma that needs only a
     unital bilinear product: if S generates the algebra under that product
     and (ab)s = a(bs) for all basis elements a, b and all s in S, the
@@ -49,56 +60,51 @@ class GradedFDAlgebra:
     T; so S in T gives T = A.
     """
 
-    def __init__(self, dims, mult):
+    def __init__(self, dims, mult, den=None):
         self.dims = tuple(int(x) for x in dims)
         if not self.dims or self.dims[0] != 1:
             raise LinAlgError("degree zero must be spanned by the unit")
         d = self.length
+        if den is None:
+            mult, den = _over_common_denominator(mult, d)
+        elif type(den) is not int or den <= 0:
+            raise LinAlgError(
+                "the table denominator must be a positive integer")
         table: dict[tuple[int, int], tuple] = {}
-        # every cell as (coordinate, numerator, denominator) triples, and den,
-        # the lcm of all denominators
-        ratios: dict[tuple[int, int], list] = {}
-        den = 1
         for i in range(d + 1):
             for j in range(d + 1 - i):
                 block = mult.get((i, j))
                 if block is None:
-                    table[(i, j)] = ratios[(i, j)] = (
-                        (((),) * self.dims[j]),) * self.dims[i]
+                    table[(i, j)] = (((),) * self.dims[j],) * self.dims[i]
                     continue
                 block = tuple(tuple(map(tuple, row)) for row in block)
                 if (len(block) != self.dims[i]
                         or any(len(row) != self.dims[j] for row in block)):
                     raise LinAlgError(f"bad structure block at degrees {(i, j)}")
                 top = self.dims[i + j]
-                rblock = []
                 for row in block:
-                    rrow = []
                     for cell in row:
                         last = -1
-                        rcell = []
                         for c, w in cell:
-                            num, q = w.as_integer_ratio()
-                            if not (last < c < top and num):
+                            if not (last < c < top and type(w) is int and w):
                                 raise LinAlgError(
                                     f"bad structure cell at degrees {(i, j)}: "
                                     f"coordinates must increase within range "
                                     f"and values be nonzero")
                             last = c
-                            if den % q:
-                                den = lcm(den, q)
-                            rcell.append((c, num, q))
-                        rrow.append(rcell)
-                    rblock.append(rrow)
                 table[(i, j)] = block
-                ratios[(i, j)] = rblock
-        self.mult = table
+        self.int_mult = table
+        self.den = den
         self._validate_unit()
-        # the table scaled by den, in integers, for the associativity check
-        ints = {ij: [[[(c, num * (den // q)) for c, num, q in cell]
-                      for cell in row] for row in block]
-                for ij, block in ratios.items()}
-        self._validate_associativity(ints)
+        self._validate_associativity(table)
+
+    @cached_property
+    def mult(self) -> dict[tuple[int, int], tuple]:
+        """The structure table with Fraction values: int_mult over den."""
+        den = self.den
+        return {ij: tuple(tuple(tuple((c, Fraction(v, den)) for c, v in cell)
+                                for cell in row) for row in block)
+                for ij, block in self.int_mult.items()}
 
     @property
     def length(self) -> int:
@@ -117,7 +123,7 @@ class GradedFDAlgebra:
             raise LinAlgError("coordinate length mismatch in product")
         out = [ZERO] * self.dim(i + j)
         if out:
-            block = self.mult[(i, j)]
+            block = self.int_mult[(i, j)]
             nv = [(b, vb) for b, vb in enumerate(v) if vb]
             for a, ua in enumerate(u):
                 if not ua:
@@ -127,7 +133,8 @@ class GradedFDAlgebra:
                     s = ua * vb
                     for c, w in row[b]:
                         out[c] += s * w
-        return tuple(out)
+        den = self.den
+        return tuple(x / den for x in out)
 
     def epsilon(self, k: int) -> tuple[Matrix, ...]:
         """The sign automorphism acting by (-1)^(i*k) in degree i."""
@@ -137,10 +144,10 @@ class GradedFDAlgebra:
     def _validate_unit(self) -> None:
         for j in range(self.length + 1):
             for b in range(self.dims[j]):
-                unit = ((b, ONE),)
-                if self.mult[(0, j)][0][b] != unit:
+                unit = ((b, self.den),)
+                if self.int_mult[(0, j)][0][b] != unit:
                     raise LinAlgError(f"left unit fails on degree {j} index {b}")
-                if self.mult[(j, 0)][b][0] != unit:
+                if self.int_mult[(j, 0)][b][0] != unit:
                     raise LinAlgError(f"right unit fails on degree {j} index {b}")
 
     def _validate_associativity(self, mult) -> None:
@@ -157,13 +164,12 @@ class GradedFDAlgebra:
         element of degree k.  Triples with a factor of degree 0 follow from
         the unit check.
 
-        mult is the table times D, the lcm of all its denominators, in
-        integers: the constructor scales every cell in one step once all
-        of them are read.  Both sides are summed over its nonzero constants
-        only.  Each side comes out as D^2 times the true product, so the
-        comparison is still exact.  Zeros are dropped from the two sums
-        only when they differ, since a coordinate of one side may cancel to
-        zero where the other side has no entry.
+        mult is the integer table int_mult, den times the true one.  Both
+        sides are summed over its nonzero constants only.  Each side comes
+        out as den^2 times the true product, so the comparison is still
+        exact.  Zeros are dropped from the two sums only when they differ,
+        since a coordinate of one side may cancel to zero where the other
+        side has no entry.
         """
         d, dims = self.length, self.dims
         gens = [()]
@@ -214,6 +220,25 @@ class GradedFDAlgebra:
                                         f"indices {(a, b, c)}")
 
 
+def _over_common_denominator(mult, d: int) -> tuple[dict, int]:
+    """A table of rational cells, blocks past degree d left out, as integer
+    cells over the lcm of its denominators, and that lcm.  A value that is
+    not a rational number is kept as it is, for the cell check to reject."""
+    blocks = {(i, j): mult[(i, j)] for i in range(d + 1)
+              for j in range(d + 1 - i) if (i, j) in mult}
+    den = lcm(*[w.as_integer_ratio()[1] for block in blocks.values()
+                for row in block for cell in row for _, w in cell
+                if hasattr(w, "as_integer_ratio")])
+
+    def scaled(w):
+        if not hasattr(w, "as_integer_ratio"):
+            return w
+        num, q = w.as_integer_ratio()
+        return num * (den // q)
+    return ({ij: [[[(c, scaled(w)) for c, w in cell] for cell in row]
+                  for row in block] for ij, block in blocks.items()}, den)
+
+
 @dataclass(frozen=True)
 class FrobeniusStructure:
     """Per-degree pairing matrices and the resulting Nakayama automorphism.
@@ -236,22 +261,26 @@ def frobenius_structure(alg: GradedFDAlgebra) -> FrobeniusStructure:
         if alg.dim(i) != alg.dim(d - i):
             raise NotFrobenius(i, f"dim mismatch {alg.dim(i)} vs {alg.dim(d - i)} "
                                   f"between degrees {i} and {d - i}")
-    # the top degree is one-dimensional: each top cell is () or ((0, v),)
-    pairings = [Matrix(tuple(tuple(cell[0][1] if cell else ZERO for cell in row)
-                             for row in alg.mult[(i, d - i)]), alg.dims[d - i])
-                for i in range(d + 1)]
+    # the top degree is one-dimensional: each top cell is () or ((0, v),);
+    # the pairing G_i times den, in integers
+    ints = [tuple(tuple(cell[0][1] if cell else 0 for cell in row)
+                  for row in alg.int_mult[(i, d - i)]) for i in range(d + 1)]
     # <a, b> = <b, nak(a)> pins the Nakayama matrix on each degree:
-    # G_i nak[d-i] = G_{d-i}^T, one solve on the augmented rows
+    # G_i nak[d-i] = G_{d-i}^T, one solve on the augmented integer rows, as
+    # the common factor den does not change the solution
     nak = [None] * (d + 1)
     for i in range(d + 1):
         n = alg.dims[i]
-        sol, _ = solve(map(tuple.__add__, pairings[i].entries,
-                           pairings[d - i].transpose().entries), n)
+        sol, _ = solve(map(tuple.__add__, ints[i], zip(*ints[d - i])), n)
         if len(sol) < n:
             raise NotFrobenius(i, "degenerate pairing against the "
                                   "complementary degree")
         nak[d - i] = Matrix(tuple(tuple(sol[p].get(j, ZERO) for j in range(n))
                                   for p in range(n)), n)
+    den = alg.den
+    pairings = [Matrix(tuple(tuple(Fraction(v, den) if v else ZERO
+                                   for v in row) for row in g),
+                       alg.dims[d - i]) for i, g in enumerate(ints)]
     return FrobeniusStructure(tuple(pairings), tuple(nak))
 
 
@@ -304,27 +333,33 @@ def twisted_module_trivial_extension(alg: GradedFDAlgebra, left,
     so the result has length one more than E.  left and right are graded
     maps of E, one matrix per degree; the actions are a.(m) = (left(a) m)
     and (m).b = (m right(b)), products of two module elements vanish.
-    Each twist matrix is read column by column once per degree, and an
-    action cell is the twisted combination of E's own cells, shifted past
-    E_{i+j}.
+    Each twist matrix is read column by column once per degree, scaled by
+    L, the lcm of the denominators of both twists, so the result is built
+    in integers over L times E's den.  An action cell is the twisted
+    combination of E's own integer cells, shifted past E_{i+j}; E's own
+    products are its cells times L.
     """
     d = alg.length
-    lcols, rcols = _columns(left), _columns(right)
+    scale = lcm(*[v.denominator for maps in (left, right) for m in maps
+                  for row in m.entries for v in row])
+    lcols, rcols = _columns(left, scale), _columns(right, scale)
     dims = [alg.dim(i) + alg.dim(i - 1) for i in range(d + 2)]
     mult = {}
     for i in range(d + 2):
         for j in range(d + 2 - i):
             ai, aj, off = alg.dim(i), alg.dim(j), alg.dim(i + j)
-            inner = alg.mult.get((i, j))
+            inner = alg.int_mult.get((i, j))
             # E_i on the copy of E_{j-1}, and the copy of E_{i-1} on E_j
-            on_copy = alg.mult.get((i, j - 1))
-            copy_on = alg.mult.get((i - 1, j))
+            on_copy = alg.int_mult.get((i, j - 1))
+            copy_on = alg.int_mult.get((i - 1, j))
             block = []
             for a in range(dims[i]):
                 row = []
                 for b in range(dims[j]):
                     if a < ai and b < aj:
-                        row.append(inner[a][b] if inner else ())
+                        cell = inner[a][b] if inner else ()
+                        row.append(cell if scale == 1
+                                   else tuple((c, scale * w) for c, w in cell))
                         continue
                     if a < ai:
                         cell = _sparse_sum([(x, on_copy[t][b - aj])
@@ -337,13 +372,15 @@ def twisted_module_trivial_extension(alg: GradedFDAlgebra, left,
                     row.append(tuple((off + c, v) for c, v in cell))
                 block.append(row)
             mult[(i, j)] = block
-    return GradedFDAlgebra(dims, mult)
+    return GradedFDAlgebra(dims, mult, alg.den * scale)
 
 
-def _columns(maps) -> list[list[list[tuple[int, Fraction]]]]:
+def _columns(maps, scale: int) -> list[list[list[tuple[int, int]]]]:
     """The nonzero (row, value) entries of every column of every matrix of
-    a graded map, read once per degree."""
-    return [[[(t, row[a]) for t, row in enumerate(m.entries) if row[a]]
+    a graded map, times scale, read once per degree; scale clears every
+    denominator, so the values are ints."""
+    return [[[(t, row[a].numerator * (scale // row[a].denominator))
+              for t, row in enumerate(m.entries) if row[a]]
              for a in range(m.cols)] for m in maps]
 
 
@@ -353,8 +390,8 @@ def _sparse_sum(terms):
     if len(terms) == 1:
         x, cell = terms[0]
         return [(c, x * w) for c, w in cell]
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, int] = {}
     for x, cell in terms:
         for c, w in cell:
-            acc[c] = acc.get(c, ZERO) + x * w
+            acc[c] = acc.get(c, 0) + x * w
     return [(c, v) for c, v in sorted(acc.items()) if v]

@@ -6,28 +6,32 @@ entries of their reduced row-echelon basis, which is unique, so subspace
 equality is plain equality of pivots and sparse rows and every operation
 that returns a subspace returns a canonical object.
 
-Row reduction is performed fraction-free on sparse integer rows: rational
-rows are scaled by the lcm of their denominators and kept gcd-reduced.  A
-Subspace stores each basis row as a content-free integer row with a
-positive pivot entry (`int_rows`) and normalises it to `Fraction`s, pivot
-entry 1, only when `rows` is first read.  Hot callers stay in integers
-throughout: they take kernels with `int_kernel`, which eliminates once,
-with the columns numbered from the last one down, and returns the
-kernel's canonical basis.  A subspace built from those rows (an
-annihilator, a Koszul component) needs no second elimination.
-Membership is that forward pass against a subspace's own integer rows.
+Row reduction is performed fraction-free on sparse integer rows: a row of
+ints is only gcd-reduced, and any other row is read in Fractions and
+scaled by the lcm of its denominators first.  A Subspace stores each basis
+row as a content-free integer row with a positive pivot entry
+(`int_rows`) and normalises it to `Fraction`s, pivot entry 1, only when
+`rows` is first read.  Hot callers stay in integers throughout: they take
+kernels with `int_kernel`, which eliminates once, with the columns
+numbered from the last one down, and returns the kernel's canonical
+basis.  A subspace built from those rows (an annihilator, a Koszul
+component) needs no second elimination.  Membership is that forward pass
+against a subspace's own integer rows.
 
 A vector indexed by coordinate words has one form, a sparse {coordinate:
 value} map or its (coordinate, value) pairs; only the small dense Matrix
-(rows of Fractions) is dense.  Every system with right-hand sides, a
-Matrix inverse among them, is solved by `solve` from its augmented rows.
+(rows of Fractions) is dense.  Every system with right-hand sides is
+solved by `solve` from its augmented rows, and the X of A X = B for a
+square A by `solve_square`; there is no matrix inverse.  Fractions remain
+only at the edges: the rows a caller hands in, `Subspace.rows`, the
+solutions of `solve` and the entries of a Matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -60,31 +64,34 @@ class ResourceLimitError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def _to_int_row(row: RowLike) -> dict[int, int]:
-    """Scale a rational row to a content-free integer row."""
+    """Scale a rational row to a content-free integer row.
+
+    A row of ints is only gcd-stripped; other values are read as Fractions
+    and scaled by the lcm of their denominators.
+    """
     # dict first: the Mapping check alone goes through the slow ABC hook
     pairs = row.items() if isinstance(row, (dict, Mapping)) else enumerate(row)
-    items = [(c, v if isinstance(v, Fraction) else Fraction(v))
-             for c, v in pairs if v]
-    if not items:
-        return {}
-    den = reduce(lcm, (v.denominator for _, v in items), 1)
-    out = {c: v.numerator * (den // v.denominator) for c, v in items}
-    g = reduce(gcd, (abs(v) for v in out.values()))
-    if g > 1:
-        out = {c: v // g for c, v in out.items()}
-    return out
+    out = {c: v for c, v in pairs if v}
+    if not all(type(v) is int for v in out.values()):
+        out = {c: v if type(v) is int or type(v) is Fraction else Fraction(v)
+               for c, v in out.items()}
+        den = lcm(*[v.denominator for v in out.values()])
+        out = {c: v.numerator * (den // v.denominator) for c, v in out.items()}
+    return _strip(out)
 
 
 def _strip(row: dict[int, int]) -> dict[int, int]:
-    g = reduce(gcd, (abs(v) for v in row.values()))
+    """The row divided by the gcd of its entries."""
+    g = gcd(*row.values())
     if g > 1:
         return {c: v // g for c, v in row.items()}
     return row
 
 
 def _axpy(a: int, row: dict[int, int], b: int, other: dict[int, int]) -> dict[int, int]:
-    """a*row - b*other with zero entries dropped."""
-    out = {c: a * v for c, v in row.items()} if a != 1 else dict(row)
+    """a*row - b*other with zero entries dropped; row is the caller's own
+    and is updated in place when a is 1."""
+    out = {c: a * v for c, v in row.items()} if a != 1 else row
     for c, v in other.items():
         nv = out.get(c, 0) - b * v
         if nv:
@@ -197,7 +204,7 @@ def int_kernel(rows: Iterable[Mapping[int, int]], ambient: int) -> list[dict[int
         if f in pivots:
             continue
         terms = by_col.get(f, ())
-        big = reduce(lcm, (pv for _, pv, _ in terms), 1)
+        big = lcm(*[pv for _, pv, _ in terms])
         row = {top - f: big}
         for p, pv, v in terms:
             row[top - p] = -(big // pv) * v
@@ -285,19 +292,23 @@ class Matrix:
     def rank(self) -> int:
         return len(_echelon_int(_to_int_row(r) for r in self.entries))
 
-    def inverse(self) -> "Matrix":
-        if self.rows != self.cols:
-            raise LinAlgError("inverse of a non-square matrix")
-        n = self.rows
-        sol, _ = solve(map(tuple.__add__, self.entries,
-                           Matrix.identity(n).entries), n)
-        if len(sol) < n:
-            raise LinAlgError("matrix is singular")
-        return Matrix(tuple(tuple(sol[p].get(j, ZERO) for j in range(n))
-                            for p in range(n)), n)
-
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
+
+
+def solve_square(a: Matrix, b: Matrix) -> Matrix | None:
+    """The X with a @ X = b, from one `solve` on the augmented rows [a | b],
+    or None when a is not square and invertible."""
+    n = a.rows
+    if a.cols != n:
+        return None
+    if b.rows != n:
+        raise LinAlgError("shape mismatch in solve")
+    sol, _ = solve(map(tuple.__add__, a.entries, b.entries), n)
+    if len(sol) < n:
+        return None
+    return Matrix(tuple(tuple(sol[p].get(j, ZERO) for j in range(b.cols))
+                        for p in range(n)), b.cols)
 
 
 # ---------------------------------------------------------------------------

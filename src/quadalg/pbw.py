@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .frobenius import GradedFDAlgebra
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Subspace, Vec,
-                     ZERO, solve, unit_vector)
+                     ZERO, solve_square, unit_vector)
 from .regular import (RegularityCertificate, dim2_matrix_form,
                       nakayama_of_algebra, regularity_data)
 from .skew import ext_algebra_of_skew, skew_extend
@@ -185,10 +185,9 @@ def nakayama_shift(cert: RegularityCertificate, c: Cdga) -> Vec:
     the row delta_{d-1} G_1^{-1}, whose transpose s solves
     G_1^T s = delta_{d-1}^T: one solve, and no inverse.
     """
-    g1 = cert.frobenius.pairings[1]
-    sol, _ = solve(map(tuple.__add__, g1.transpose().entries,
-                       c.delta[cert.gldim - 1].transpose().entries), g1.rows)
-    return tuple(sol[i].get(0, ZERO) for i in range(g1.rows))
+    # G_1 is nondegenerate, as frobenius_structure checked
+    return solve_square(cert.frobenius.pairings[1].transpose(),
+                        c.delta[cert.gldim - 1].transpose()).col(0)
 
 
 def skew_deformation(defm: PBWDeformation, xi: Matrix,
@@ -250,7 +249,8 @@ def cy_criterion_deformed(defm: PBWDeformation, c: Cdga) -> DeformedCYReport:
     shift = nakayama_shift(cert, c)
     twisted = xi.transpose().mul_col(shift)
     gamma = ext_algebra_of_skew(cert, xi)
-    omega_cols = cert.frobenius.pairings[1].inverse()
+    # the columns of G_1^{-1}
+    omega_cols = solve_square(cert.frobenius.pairings[1], Matrix.identity(n))
     sign = Fraction((-1) ** (d - 1))
     pi = (ZERO,) * n + (ONE,)
     delta_pi = (ZERO,) * alg_fd.dim(2) + tuple(shift)

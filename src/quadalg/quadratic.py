@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 
 from .frobenius import GradedFDAlgebra
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ResourceLimitError,
@@ -289,11 +290,15 @@ class TruncatedAlgebra(GradedFDAlgebra):
     The degree-k piece is paired with the Koszul component K_k of the dual,
     its linear dual inside the degree-k word coordinates.  In echelon form
     read from the last column, K_k has one basis row per pivot word: those
-    words are the degree-k basis, and row t read on any word is coordinate t
-    of that word's class.  The structure table follows cell by cell: the
-    product of basis words w_a and w_b is the word w_a w_b, whose class is
-    read off directly.  Unit and associativity are checked as for any
-    GradedFDAlgebra.
+    words are the degree-k basis, and row t read on any word, divided by
+    its pivot entry, is coordinate t of that word's class.  The structure
+    table follows cell by cell: the product of basis words w_a and w_b is
+    the word w_a w_b, whose class is read off directly.
+
+    Everything stays in integers.  classes[k] maps each word to its class
+    coordinates times den, the lcm of the pivot entries of all degrees,
+    and the structure table is those integer cells over den.  Unit and
+    associativity are checked as for any GradedFDAlgebra.
     """
 
     def __init__(self, alg: QuadraticAlgebra, bound: int):
@@ -301,23 +306,26 @@ class TruncatedAlgebra(GradedFDAlgebra):
         n = alg.n
         self.components = tuple(koszul_component(alg.dual, k)
                                 for k in range(bound + 1))
+        # the echelon form of each K_k read from the last column: its pivot
+        # p is the word n^k - 1 - p, so the largest pivot is the first
+        # basis word
+        flipped = [_reduced_echelon({n ** k - 1 - c: v for c, v in row}
+                                    for row in comp.int_rows)
+                   for k, comp in enumerate(self.components)]
+        den = lcm(*[row[p] for rows in flipped for p, row in rows.items()])
         words = []
         classes = []
-        for k, comp in enumerate(self.components):
+        for k, rows in enumerate(flipped):
             top = n ** k - 1
-            # the echelon form read from the last column: its pivot p is the
-            # word top - p, so the largest pivot is the first basis word
-            flipped = _reduced_echelon({top - c: v for c, v in row}
-                                       for row in comp.int_rows)
-            order = sorted(flipped, reverse=True)
+            order = sorted(rows, reverse=True)
             words.append(tuple(top - p for p in order))
-            # word -> [(t, coordinate t of its class)]
-            cls: dict[int, list[tuple[int, Fraction]]] = {}
+            # word -> [(t, den times coordinate t of its class)]
+            cls: dict[int, list[tuple[int, int]]] = {}
             for t, p in enumerate(order):
-                row = flipped[p]
-                pv = row[p]
+                row = rows[p]
+                f = den // row[p]
                 for c, v in row.items():
-                    cls.setdefault(top - c, []).append((t, Fraction(v, pv)))
+                    cls.setdefault(top - c, []).append((t, v * f))
             classes.append({w: tuple(ts) for w, ts in cls.items()})
         self.words = tuple(words)
         self.classes = tuple(classes)
@@ -329,15 +337,17 @@ class TruncatedAlgebra(GradedFDAlgebra):
                 mult[(i, j)] = tuple(
                     tuple(cls.get(wa * stride + wb, ()) for wb in words[j])
                     for wa in words[i])
-        super().__init__([len(w) for w in words], mult)
+        super().__init__([len(w) for w in words], mult, den)
 
     def reduce_sparse(self, k: int, sparse) -> Vec:
+        """The class coordinates of a sparse word vector of degree k."""
         out = [ZERO] * self.dims[k]
         for w, c in sparse.items():
             if c:
                 for t, v in self.classes[k].get(w, ()):
                     out[t] += c * v
-        return tuple(out)
+        den = self.den
+        return tuple(x / den for x in out)
 
     def lift_sparse(self, k: int, coords) -> dict[int, Fraction]:
         return {w: Fraction(c) for w, c in zip(self.words[k], coords) if c}

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .frobenius import FrobeniusStructure, NotFrobenius, frobenius_structure
-from .linalg import ConsistencyError, LinAlgError, Matrix, ZERO, solve
+from .linalg import ConsistencyError, LinAlgError, Matrix, ZERO, solve_square
 from .quadratic import (QuadraticAlgebra, TruncatedAlgebra, graded_dims,
                         numeric_koszul_certificate, truncated_structure)
 from .tensors import preserves_subspace
@@ -89,14 +89,10 @@ def regularity_data(alg: QuadraticAlgebra, expected_gldim: int,
 @lru_cache(maxsize=16)
 def _nakayama(cert: RegularityCertificate) -> Matrix:
     d = cert.gldim
-    n = cert.algebra.n
     pairings = cert.frobenius.pairings
-    # G_1 is nondegenerate, as frobenius_structure checked: n pivots
-    sol, _ = solve(map(tuple.__add__, pairings[1].transpose().entries,
-                       pairings[d - 1].entries), n)
-    sign = Fraction((-1) ** (d + 1))
-    xi = Matrix(tuple(tuple(sign * sol[b].get(a, ZERO) for b in range(n))
-                      for a in range(n)), n)
+    # G_1 is nondegenerate, as frobenius_structure checked
+    y = solve_square(pairings[1].transpose(), pairings[d - 1])
+    xi = y.transpose().scale(Fraction((-1) ** (d + 1)))
     if not preserves_subspace(xi, cert.algebra.relations, 2):
         raise ConsistencyError("extracted Nakayama map does not preserve the relations")
     return xi
@@ -134,9 +130,11 @@ def dim2_matrix_form(cert: RegularityCertificate) -> tuple[Matrix, Matrix]:
     for c, v in cert.algebra.relations.rows[0]:
         entries[c // n][c % n] = v
     m = Matrix.from_rows(entries, n)
-    if not m.is_invertible():
+    # X = M^T M^{-1} is the transpose of the Y with M^T Y = M
+    y = solve_square(m.transpose(), m)
+    if y is None:
         raise LinAlgError("relation coefficient matrix is singular")
-    xi = (m.transpose() @ m.inverse()).scale(Fraction(-1))
+    xi = y.transpose().scale(Fraction(-1))
     if xi != nakayama_of_algebra(cert):
         raise ConsistencyError("matrix-form Nakayama disagrees with the pairing route")
     return m, xi

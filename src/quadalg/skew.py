@@ -19,11 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .frobenius import (GradedFDAlgebra, is_graded_symmetric,
                         twisted_module_trivial_extension)
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Subspace, ZERO,
-                     _echelon_int, _to_int_row, solve, unit_vector)
+                     _echelon_int, _to_int_row, solve, solve_square,
+                     unit_vector)
 from .quadratic import QuadraticAlgebra, graded_dims, truncated_structure
 from .regular import RegularityCertificate
 from .superpotential import (derivation_quotient, extract_superpotential,
@@ -65,13 +67,13 @@ def _skew_extend(base: QuadraticAlgebra, sigma: Matrix) -> SkewExtension:
     n = base.n
     if sigma.cols != n:
         raise LinAlgError("twist acts on the wrong space")
-    if not sigma.is_invertible():
+    pinv = solve_square(sigma, Matrix.identity(n))
+    if pinv is None:
         raise LinAlgError("twist must be invertible")
     if not preserves_subspace(sigma, base.relations, 2):
         raise LinAlgError("twist does not preserve the relations")
     names = base.names + (fresh_letter(base.names),)
     m = n + 1
-    pinv = sigma.inverse()
     stacked = [{(c // n) * m + c % n: v for c, v in row}
                for row in base.relations.rows]
     # the i-th mixed relation z (x) sigma^{-1}(x_i) - x_i (x) z
@@ -143,20 +145,28 @@ def _ext_iso_report(cert: RegularityCertificate, sigma: Matrix) -> IsoReport:
         raise ConsistencyError("degree-one dimensions do not match")
     generated_ok = True
     bijective = True
+    # each stacked row is scaled to integers, which leaves the solution as
+    # it is: by both tables' denominators and by the lcm L of the
+    # denominators in f(e_a), so the model cell comes times ebd.den * L and
+    # the honest product times gamma.den * L, from the integer cells
+    gden, eden = gamma.den, ebd.den
     # f_{k-1} as sparse columns {honest coordinate: value}, one per model
     # basis element; the identity in degree 1
     prev = [{b: ONE} for b in range(n + 1)]
     for k in range(2, cert.gldim + 2):
         g, e = gamma.dims[k], ebd.dims[k]
-        model = gamma.mult[(k - 1, 1)]
-        honest = ebd.mult[(k - 1, 1)]
+        model = gamma.int_mult[(k - 1, 1)]
+        honest = ebd.int_mult[(k - 1, 1)]
         rows = []
         for a, fa in enumerate(prev):
+            scale = lcm(*[x.denominator for x in fa.values()])
+            terms = [(t, gden * x.numerator * (scale // x.denominator))
+                     for t, x in fa.items()]
             for b in range(n + 1):
-                row = dict(model[a][b])
-                for t, x in fa.items():
+                row = {c: eden * scale * w for c, w in model[a][b]}
+                for t, x in terms:
                     for c, w in honest[t][b]:
-                        row[g + c] = row.get(g + c, ZERO) + x * w
+                        row[g + c] = row.get(g + c, 0) + x * w
                 rows.append(row)
         sol, consistent = solve(rows, g)
         if len(sol) < g or not consistent:
@@ -173,11 +183,13 @@ def _ext_iso_report(cert: RegularityCertificate, sigma: Matrix) -> IsoReport:
                       2, ext.stacked_relations,
                       [unit_vector(nrel + n, nrel + i) for i in range(n)])]
     pinv = ext.sigma_inverse
-    cells = ebd.mult[(1, 1)]
+    # the cells are the products times eden, and so are the expectations
+    cells = ebd.int_mult[(1, 1)]
     left_ok = True
     right_ok = True
     for i in range(n):
-        if dict(cells[i][n]) != {t: -v for t, v in rt_classes[i].items()}:
+        if dict(cells[i][n]) != {t: -eden * v
+                                 for t, v in rt_classes[i].items()}:
             left_ok = False
         expect: dict[int, Fraction] = {}
         for j in range(n):
@@ -185,7 +197,7 @@ def _ext_iso_report(cert: RegularityCertificate, sigma: Matrix) -> IsoReport:
             if c:
                 for t, v in rt_classes[j].items():
                     expect[t] = expect.get(t, ZERO) + c * v
-        if dict(cells[n][i]) != {t: v for t, v in expect.items() if v}:
+        if dict(cells[n][i]) != {t: eden * v for t, v in expect.items() if v}:
             right_ok = False
     return IsoReport(gamma, ebd, generated_ok, bijective, left_ok, right_ok)
 

@@ -17,7 +17,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-from .linalg import ConsistencyError, LinAlgError, Matrix, ONE, Subspace, ZERO
+from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Subspace, ZERO,
+                     solve_square)
 from .quadratic import QuadraticAlgebra, koszul_component
 from .regular import RegularityCertificate, nakayama_of_algebra
 from .tensors import (add_into, apply_slotwise, contract_left, contract_right,
@@ -83,7 +84,11 @@ def _superpotential(cert: RegularityCertificate) -> SuperpotentialData:
         right_cols.append(rc)
     left = Matrix.from_rows(left_rows, sub.dim)
     right = Matrix.from_rows(zip(*right_cols), n)
-    twist = (right.transpose() @ left.inverse()).scale(Fraction((-1) ** (d + 1)))
+    # R^T L^{-1} is the transpose of the Y with L^T Y = R
+    y = solve_square(left.transpose(), right)
+    if y is None:
+        raise LinAlgError("left contraction matrix is singular")
+    twist = y.transpose().scale(Fraction((-1) ** (d + 1)))
     if twist != nakayama_of_algebra(cert):
         raise ConsistencyError("contraction twist disagrees with the pairing route")
     if not is_twisted_superpotential(w, d, twist):

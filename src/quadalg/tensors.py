@@ -16,9 +16,10 @@ of letter j.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping
 
-from .linalg import LinAlgError, Matrix, Subspace, ZERO
+from .linalg import LinAlgError, Matrix, Subspace
 
 Word = tuple[int, ...]
 
@@ -39,7 +40,7 @@ def index_to_word(idx: int, n: int, degree: int) -> Word:
 
 def add_into(acc: dict, key, value) -> None:
     """Add value to acc[key], dropping the key when the sum is zero."""
-    nv = acc.get(key, ZERO) + value
+    nv = acc.get(key, 0) + value
     if nv:
         acc[key] = nv
     else:
@@ -111,6 +112,11 @@ def preserves_subspace(phi: Matrix, space: Subspace, degree: int) -> bool:
     n = phi.cols
     if space.ambient != n ** degree:
         raise LinAlgError("subspace ambient does not match the tensor degree")
-    maps = [phi] * degree
+    # membership does not see scaling: phi times the lcm of its
+    # denominators, in integers, applied to the integer rows
+    scale = lcm(*[v.denominator for row in phi.entries for v in row])
+    scaled = Matrix(tuple(tuple(v.numerator * (scale // v.denominator)
+                                for v in row) for row in phi.entries), n)
+    maps = [scaled] * degree
     return all(space.contains(apply_slotwise(maps, dict(row), n))
-               for row in space.rows)
+               for row in space.int_rows)

@@ -152,6 +152,14 @@ def dense_right_inverse(mat: Matrix):
     return Matrix.from_rows(out, r)
 
 
+def dense_inverse(mat: Matrix):
+    """The inverse of a square matrix, by dense_right_inverse, or None when
+    it is singular or not square."""
+    if mat.rows != mat.cols:
+        return None
+    return dense_right_inverse(mat)
+
+
 def dense_rows(space):
     """The RREF basis rows of a Subspace as dense Fraction tuples: the dense
     view that the dense oracles above are compared against."""
@@ -348,7 +356,7 @@ def block_nakayama_oracle(alg_fd, sigma, n_ext):
         dni = alg_fd.dim(n_ext - i)
         rows = [[Fraction(0)] * (di + dni) for _ in range(di + dni)]
         if di:
-            inv = sigma[i].inverse()
+            inv = dense_inverse(sigma[i])
             for a in range(di):
                 for b in range(di):
                     rows[a][b] = inv[a, b]
@@ -573,7 +581,7 @@ def rescaled_nakayama_shift(cert, c: Cdga, s) -> tuple:
     dual generator, divided by s.  Independent of s for s nonzero."""
     s = Fraction(s)
     d = cert.gldim
-    omega_cols = cert.frobenius.pairings[1].inverse().scale(s)
+    omega_cols = dense_inverse(cert.frobenius.pairings[1]).scale(s)
     return tuple(c.delta[d - 1].mul_col(omega_cols.col(i))[0] / s
                  for i in range(cert.algebra.n))
 
@@ -692,7 +700,7 @@ def ext_iso_oracle(cert, sigma):
     rt_classes = [ebd.class_from_pairings(
         2, ext.stacked_relations, [unit_vector(nrel + n, nrel + i)])[0]
         for i in range(n)]
-    pinv = sigma.inverse()
+    pinv = dense_inverse(sigma)
     left_ok = True
     right_ok = True
     for i in range(n):

@@ -7,15 +7,15 @@ from fractions import Fraction
 import pytest
 
 from helpers import (AS_REGULAR, CORPUS, algebra_of, associativity_failure,
-                     block_nakayama_oracle, cert_of,
+                     block_nakayama_oracle, cert_of, dense_inverse,
                      cdg_underlying_trivial_extension, dense_algebra,
                      dual_trivial_extension, identity_maps, is_multiplicative,
-                     multiply_basis, scalar_twist, seeded, sklyanin,
-                     sparse_table, quadratic_algebra, structure_equal,
-                     trivial_extension)
+                     multiply_basis, package_caches, scalar_twist, seeded,
+                     sklyanin, sparse_table, quadratic_algebra,
+                     structure_equal, trivial_extension)
 from quadalg import (GradedFDAlgebra, Matrix, NotFrobenius, QuadraticAlgebra,
                      Subspace, apply_slotwise, as_regular_certificate,
-                     ext_algebra_of_skew, frobenius_structure,
+                     cy_check_with, ext_algebra_of_skew, frobenius_structure,
                      is_graded_symmetric, nakayama_of_algebra, skew_extend,
                      truncated_structure, twisted_module_trivial_extension,
                      verify_ext_algebra_isomorphism, word_to_index)
@@ -150,7 +150,8 @@ def test_nakayama_blocks_match_the_dense_inverse():
         frob = frobenius_structure(alg)
         d = alg.length
         for i in range(d + 1):
-            expect = frob.pairings[i].inverse() @ frob.pairings[d - i].transpose()
+            expect = (dense_inverse(frob.pairings[i])
+                      @ frob.pairings[d - i].transpose())
             assert frob.nakayama[d - i] == expect
             assert frob.pairings[i] == Matrix.from_rows(
                 [[multiply_basis(alg, i, a, d - i, b)[0]
@@ -549,3 +550,93 @@ def test_corrupted_constant_fails_associativity_with_mixed_denominators():
     mult[(1, 1)] = tuple(tuple(row) for row in block)
     with pytest.raises(LinAlgError, match="associativity fails"):
         dense_algebra(alg.dims, mult)
+
+
+def _table_forms():
+    # every AS-regular dual, and the Ext model and the honest dual of its
+    # extension twisted by the Nakayama map and by the identity
+    for name in AS_REGULAR:
+        cert = cert_of(name)
+        yield name, cert.dual_fd
+        xi = nakayama_of_algebra(cert)
+        for sigma in (xi, Matrix.identity(xi.rows)):
+            iso = verify_ext_algebra_isomorphism(cert, sigma)
+            yield name, iso.gamma
+            yield name, iso.ext_dual_fd
+
+
+def test_tables_are_integer_cells_over_one_denominator():
+    for name, alg in _table_forms():
+        assert type(alg.den) is int and alg.den > 0, name
+        assert all(type(v) is int and v for block in alg.int_mult.values()
+                   for row in block for cell in row for _, v in cell), name
+        # the Fraction view is the integer cells over den, and each form
+        # rebuilds the same algebra
+        assert all(alg.mult[ij][a][b] == tuple((c, F(v, alg.den))
+                                               for c, v in cell)
+                   for ij, block in alg.int_mult.items()
+                   for a, row in enumerate(block)
+                   for b, cell in enumerate(row)), name
+        assert structure_equal(GradedFDAlgebra(alg.dims, alg.mult), alg), name
+        assert structure_equal(
+            GradedFDAlgebra(alg.dims, alg.int_mult, alg.den), alg), name
+        # integer cells over a given den are taken as they are
+        tripled = {ij: tuple(tuple(tuple((c, 3 * v) for c, v in cell)
+                                   for cell in row) for row in block)
+                   for ij, block in alg.int_mult.items()}
+        assert structure_equal(
+            GradedFDAlgebra(alg.dims, tripled, 3 * alg.den), alg), name
+
+
+def test_cy_builds_no_fraction_table():
+    # cy reads every table of its path in integers: the dual, the Ext
+    # model and the honest dual never build their Fraction view
+    for caches in package_caches().values():
+        caches.cache_clear()
+    for name in AS_REGULAR:
+        cert = cert_of(name)
+        xi = nakayama_of_algebra(cert)
+        for sigma in (xi, Matrix.identity(xi.rows)):
+            cy_check_with(cert, sigma)
+            iso = verify_ext_algebra_isomorphism(cert, sigma)
+            for alg in (cert.dual_fd, iso.gamma, iso.ext_dual_fd):
+                assert "mult" not in vars(alg), name
+
+
+def test_malformed_integer_table_is_rejected_like_a_rational_one():
+    alg = _fd("quantum_plane_q2")
+    den = alg.den
+    x_y = alg.int_mult[(1, 1)][0][1]
+    assert x_y
+
+    def with_cell(table, cell):
+        mult = dict(table)
+        block = [list(row) for row in mult[(1, 1)]]
+        block[0][1] = cell
+        mult[(1, 1)] = block
+        return mult
+
+    def message(*args):
+        with pytest.raises(LinAlgError) as info:
+            GradedFDAlgebra(*args)
+        return str(info.value)
+
+    top, value = alg.dims[2], x_y[0][1]
+    frac = F(value, den)
+    # each bad integer cell over den, and the rational cell it stands for;
+    # a value that is not an int fails an integer table as a value that is
+    # not a number fails a rational one
+    bad_cells = [(((top, value),), ((top, frac),)),       # out of range
+                 (((-1, value),), ((-1, frac),)),         # negative
+                 (((top - 1, 0),), ((top - 1, F(0)),)),   # stored zero
+                 (((top - 1, value), (0, value)),         # not increasing
+                  ((top - 1, frac), (0, frac))),
+                 (x_y + x_y, alg.mult[(1, 1)][0][1] * 2),  # repeated
+                 (((0, F(1, 2)),), ((0, "1/2"),))]        # not an int
+    for int_cell, rational_cell in bad_cells:
+        text = message(alg.dims, with_cell(alg.int_mult, int_cell), den)
+        assert text.startswith("bad structure cell at degrees (1, 1)")
+        assert text == message(alg.dims, with_cell(alg.mult, rational_cell))
+    for bad_den in (0, -den, F(den), float(den), True):
+        assert (message(alg.dims, alg.int_mult, bad_den)
+                == "the table denominator must be a positive integer")

@@ -10,7 +10,8 @@ from hypothesis import given, seed, settings, strategies as st
 from helpers import (dense_kernel_rows, dense_rank, dense_rows, dense_rref,
                      residue)
 from quadalg.linalg import (ConsistencyError, LinAlgError, Matrix,
-                            ResourceLimitError, Subspace, int_kernel, solve)
+                            ResourceLimitError, Subspace, _strip, _to_int_row,
+                            int_kernel, solve, solve_square)
 from quadalg.quadratic import QuadraticAlgebra, koszul_component
 
 ZERO = Fraction(0)
@@ -78,11 +79,14 @@ def test_rref_known():
 
 
 def test_inverse_known():
+    # an inverse is the solution of m X = I
     m = mk_rows([[0, 1], [-2, 0]], 2)
-    inv = m.inverse()
+    inv = solve_square(m, Matrix.identity(2))
     assert inv.entries == ((ZERO, Fraction(-1, 2)), (ONE, ZERO))
+    assert solve_square(mk_rows([[1, 2], [2, 4]], 2), Matrix.identity(2)) is None
+    assert solve_square(mk_rows([[1, 2]], 2), Matrix.identity(1)) is None
     with pytest.raises(LinAlgError):
-        mk_rows([[1, 2], [2, 4]], 2).inverse()
+        solve_square(m, Matrix.identity(3))
 
 
 def test_solve_underdetermined_and_inconsistent():
@@ -159,10 +163,12 @@ def test_solve_several_right_hand_sides_matches_dense_oracle(m, coeffs):
 @settings(max_examples=40, deadline=None)
 @given(matrices(max_dim=4))
 def test_inverse_roundtrip(m):
-    if m.rows != m.cols or not m.is_invertible():
+    inv = solve_square(m, Matrix.identity(m.rows))
+    assert (inv is not None) == (m.rows == m.cols and m.is_invertible())
+    if inv is None:
         return
-    assert m @ m.inverse() == Matrix.identity(m.rows)
-    assert m.inverse() @ m == Matrix.identity(m.rows)
+    assert m @ inv == Matrix.identity(m.rows)
+    assert inv @ m == Matrix.identity(m.rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -344,3 +350,56 @@ def test_limits_guard():
 def test_error_hierarchy():
     assert issubclass(LinAlgError, ValueError)
     assert issubclass(ConsistencyError, RuntimeError)
+
+
+def _assert_scaled_row(out, row):
+    """out is a content-free integer row with the support of row and a
+    positive multiple of it, against a Fraction reference of row."""
+    pairs = row.items() if isinstance(row, dict) else enumerate(row)
+    ref = {c: Fraction(v) for c, v in pairs if v}
+    assert set(out) == set(ref)
+    assert all(type(v) is int for v in out.values())
+    if ref:
+        assert gcd(*out.values()) == 1
+        ratios = {Fraction(out[c]) / v for c, v in ref.items()}
+        assert len(ratios) == 1 and ratios.pop() > 0
+
+
+ROWS = {
+    "ints": [4, 0, -6, 10],
+    "fractions": [Fraction(1, 2), Fraction(-3, 4), ZERO, Fraction(5, 6)],
+    "mixed": [3, Fraction(1, 2), 0, Fraction(-2, 3)],
+    "negative": {1: -4, 3: -6, 8: -10},
+    "negative fractions": [Fraction(-1, 2), Fraction(-1, 3)],
+    "one int": {7: -12},
+    "one fraction": {5: Fraction(-3, 5)},
+    "empty list": [],
+    "empty map": {},
+    "zeros": [0, ZERO],
+}
+
+
+@pytest.mark.parametrize("row", ROWS.values(), ids=ROWS)
+def test_to_int_row_and_strip_match_a_fraction_reference(row):
+    given_row = dict(row) if isinstance(row, dict) else list(row)
+    out = _to_int_row(row)
+    assert row == given_row
+    _assert_scaled_row(out, row)
+    # _strip on the row scaled to integers some other way: by the product
+    # of its denominators, times 6
+    pairs = row.items() if isinstance(row, dict) else enumerate(row)
+    ref = {c: Fraction(v) for c, v in pairs if v}
+    big = 6
+    for v in ref.values():
+        big *= v.denominator
+    _assert_scaled_row(_strip({c: int(v * big) for c, v in ref.items()}), row)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(st.integers(-9, 9), sparse), max_size=6))
+def test_to_int_row_matches_a_fraction_reference_on_random_rows(row):
+    _assert_scaled_row(_to_int_row(row), row)
+    ints = [v for v in row if type(v) is int]
+    _assert_scaled_row(_to_int_row(ints), ints)
+    _assert_scaled_row(_strip({c: 3 * v for c, v in enumerate(ints) if v}),
+                       ints)

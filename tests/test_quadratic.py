@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (AS_REGULAR, CORPUS, algebra_of, cert_of,
+from helpers import (AS_REGULAR, CORPUS, algebra_of, cert_of, dense_inverse,
                      is_multiplicative, oracle_truncation, quadratic_algebra,
                      relation_degree_subspace, skew_ring, sklyanin,
                      structure_equal, word_vector)
@@ -350,7 +350,7 @@ def test_truncated_automorphism_preservation():
     cert = cert_of("quantum_plane_q2")
     from quadalg import nakayama_of_algebra
     xi = nakayama_of_algebra(cert)
-    auto = cert.dual_fd.automorphism(xi.inverse().transpose())
+    auto = cert.dual_fd.automorphism(dense_inverse(xi).transpose())
     assert is_multiplicative(auto, cert.dual_fd)
 
 
