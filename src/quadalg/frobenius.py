@@ -4,13 +4,12 @@ shifted up one degree, as a twisted bimodule.
 
 An algebra is its graded dimensions and its nonzero structure constants,
 checked to be unital and associative when built; basis elements are known
-only by their degree and index.  The constants are held as integer cells
-over one positive denominator (`int_mult` over `den`), which is how every
-builder here and in quadratic.TruncatedAlgebra hands them over and how the
-Frobenius pairings and the trivial extension read them; `mult`, the same
-table in Fractions, is a view built on first reading.  A
-degree-preserving map of an algebra is a tuple of matrices, one per
-degree, in column convention.  The top graded
+only by their degree and index.  The constants are given and held in one
+form only: integer cells over one positive denominator (`int_mult` over
+`den`), which is how quadratic.TruncatedAlgebra and the trivial extension
+here hand them over and how the Frobenius pairings and the trivial
+extension read them.  A degree-preserving map of an algebra is a tuple of
+matrices, one per degree, in column convention.  The top graded
 piece is required to be one-dimensional whenever Frobenius data is
 extracted, and the distinguished functional is "coefficient of the top basis
 element", read straight off a top structure cell.
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 
 from .linalg import (ConsistencyError, LinAlgError, Matrix, Vec, ZERO,
@@ -43,14 +41,13 @@ class GradedFDAlgebra:
     in integers over one positive denominator den: int_mult[(i, j)][a][b]
     is den times the product of the a-th degree-i and b-th degree-j basis
     elements inside degree i+j, its nonzero entries as (coordinate, int)
-    pairs in increasing coordinate order.  mult is the same table with
-    Fraction values, built only when first read.  Degree 0 must be spanned
-    by the unit.
+    pairs in increasing coordinate order.  Degree 0 must be spanned by the
+    unit.
 
-    GradedFDAlgebra(dims, mult) takes rational cells and scales them by the
-    lcm of their denominators; GradedFDAlgebra(dims, mult, den) takes
-    integer cells over den as they are.  Either way one pass checks the
-    table's shape and cells, then the unit and associativity are checked.
+    GradedFDAlgebra(dims, int_mult, den) takes the table in that form, with
+    every block (i, j), i + j <= length, given; blocks past the top degree
+    are ignored.  One pass checks the table's shape and cells, then the
+    unit and associativity are checked.
     Associativity is checked on generators, by a lemma that needs only a
     unital bilinear product: if S generates the algebra under that product
     and (ab)s = a(bs) for all basis elements a, b and all s in S, the
@@ -60,25 +57,21 @@ class GradedFDAlgebra:
     T; so S in T gives T = A.
     """
 
-    def __init__(self, dims, mult, den=None):
+    def __init__(self, dims, int_mult, den):
         self.dims = tuple(int(x) for x in dims)
         if not self.dims or self.dims[0] != 1:
             raise LinAlgError("degree zero must be spanned by the unit")
-        d = self.length
-        if den is None:
-            mult, den = _over_common_denominator(mult, d)
-        elif type(den) is not int or den <= 0:
+        if type(den) is not int or den <= 0:
             raise LinAlgError(
                 "the table denominator must be a positive integer")
+        d = self.length
         table: dict[tuple[int, int], tuple] = {}
         for i in range(d + 1):
             for j in range(d + 1 - i):
-                block = mult.get((i, j))
-                if block is None:
-                    table[(i, j)] = (((),) * self.dims[j],) * self.dims[i]
-                    continue
-                block = tuple(tuple(map(tuple, row)) for row in block)
-                if (len(block) != self.dims[i]
+                block = int_mult.get((i, j))
+                if block is not None:
+                    block = tuple(tuple(map(tuple, row)) for row in block)
+                if (block is None or len(block) != self.dims[i]
                         or any(len(row) != self.dims[j] for row in block)):
                     raise LinAlgError(f"bad structure block at degrees {(i, j)}")
                 top = self.dims[i + j]
@@ -96,15 +89,7 @@ class GradedFDAlgebra:
         self.int_mult = table
         self.den = den
         self._validate_unit()
-        self._validate_associativity(table)
-
-    @cached_property
-    def mult(self) -> dict[tuple[int, int], tuple]:
-        """The structure table with Fraction values: int_mult over den."""
-        den = self.den
-        return {ij: tuple(tuple(tuple((c, Fraction(v, den)) for c, v in cell)
-                                for cell in row) for row in block)
-                for ij, block in self.int_mult.items()}
+        self._validate_associativity()
 
     @property
     def length(self) -> int:
@@ -150,7 +135,7 @@ class GradedFDAlgebra:
                 if self.int_mult[(j, 0)][b][0] != unit:
                     raise LinAlgError(f"right unit fails on degree {j} index {b}")
 
-    def _validate_associativity(self, mult) -> None:
+    def _validate_associativity(self) -> None:
         """(e_a e_b) s = e_a (e_b s) for basis elements e_a, e_b of positive
         degree and every s in a generating set S, which is associativity by
         the lemma in the class docstring.
@@ -164,14 +149,14 @@ class GradedFDAlgebra:
         element of degree k.  Triples with a factor of degree 0 follow from
         the unit check.
 
-        mult is the integer table int_mult, den times the true one.  Both
-        sides are summed over its nonzero constants only.  Each side comes
+        The check reads int_mult, den times the true table.  Both sides are
+        summed over its nonzero constants only.  Each side comes
         out as den^2 times the true product, so the comparison is still
         exact.  Zeros are dropped from the two sums only when they differ,
         since a coordinate of one side may cancel to zero where the other
         side has no entry.
         """
-        d, dims = self.length, self.dims
+        d, dims, mult = self.length, self.dims, self.int_mult
         gens = [()]
         for k in range(1, d + 1):
             pivots: dict[int, dict[int, int]] = {}
@@ -218,25 +203,6 @@ class GradedFDAlgebra:
                                     raise LinAlgError(
                                         f"associativity fails at degrees {(i, j, k)} "
                                         f"indices {(a, b, c)}")
-
-
-def _over_common_denominator(mult, d: int) -> tuple[dict, int]:
-    """A table of rational cells, blocks past degree d left out, as integer
-    cells over the lcm of its denominators, and that lcm.  A value that is
-    not a rational number is kept as it is, for the cell check to reject."""
-    blocks = {(i, j): mult[(i, j)] for i in range(d + 1)
-              for j in range(d + 1 - i) if (i, j) in mult}
-    den = lcm(*[w.as_integer_ratio()[1] for block in blocks.values()
-                for row in block for cell in row for _, w in cell
-                if hasattr(w, "as_integer_ratio")])
-
-    def scaled(w):
-        if not hasattr(w, "as_integer_ratio"):
-            return w
-        num, q = w.as_integer_ratio()
-        return num * (den // q)
-    return ({ij: [[[(c, scaled(w)) for c, w in cell] for cell in row]
-                  for row in block] for ij, block in blocks.items()}, den)
 
 
 @dataclass(frozen=True)

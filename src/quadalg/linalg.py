@@ -333,9 +333,11 @@ class Subspace:
 
     @staticmethod
     def from_spanning(rows: Iterable[RowLike], ambient: int) -> "Subspace":
-        pivots = _reduced_echelon(_to_int_row(r) for r in rows)
-        if pivots and max(pivots) >= ambient:
+        rows = [_to_int_row(r) for r in rows]
+        if not all(type(c) is int and 0 <= c < ambient
+                   for row in rows for c in row):
             raise LinAlgError("spanning row longer than the ambient dimension")
+        pivots = _reduced_echelon(rows)
         order = sorted(pivots)
         return Subspace(ambient, tuple(order),
                         tuple(tuple(sorted(pivots[p].items())) for p in order))

@@ -153,7 +153,8 @@ def check_cdga_axioms(c: Cdga) -> CdgaAxiomReport:
                 for b in range(alg.dims[j]):
                     db = c.delta[j].col(b)
                     ub = unit_vector(alg.dims[j], b)
-                    lhs = c.delta[i + j].mul_sparse_col(alg.mult[(i, j)][a][b])
+                    lhs = tuple(x / alg.den for x in c.delta[i + j]
+                                .mul_sparse_col(alg.int_mult[(i, j)][a][b]))
                     first = alg.multiply(i + 1, da, j, ub)
                     second = alg.multiply(i, ua, j + 1, db)
                     sign = Fraction((-1) ** i)

@@ -4,6 +4,7 @@ from fractions import Fraction
 from importlib import resources
 import importlib
 import json
+from math import lcm
 import pkgutil
 import random
 
@@ -106,9 +107,29 @@ def sparse_table(dims, mult):
     return table
 
 
+def rational_algebra(dims, cells):
+    """GradedFDAlgebra from sparse cells of rational (coordinate, value)
+    pairs: every value is scaled by den, the lcm of all their denominators,
+    into the integer cells over den that the constructor takes."""
+    den = lcm(*[w.denominator for block in cells.values() for row in block
+                for cell in row for _, w in cell])
+    return GradedFDAlgebra(dims, {ij: [[[(c, int(w * den)) for c, w in cell]
+                                        for cell in row] for row in block]
+                                  for ij, block in cells.items()}, den)
+
+
+def fraction_table(alg):
+    """The structure table of alg with Fraction values, int_mult over den:
+    the form rational_algebra reads."""
+    den = alg.den
+    return {ij: tuple(tuple(tuple((c, Fraction(v, den)) for c, v in cell)
+                            for cell in row) for row in block)
+            for ij, block in alg.int_mult.items()}
+
+
 def dense_algebra(dims, mult):
     """GradedFDAlgebra from a dense table (see sparse_table)."""
-    return GradedFDAlgebra(dims, sparse_table(dims, mult))
+    return rational_algebra(dims, sparse_table(dims, mult))
 
 
 def dense_rref(rows, ambient):
@@ -194,8 +215,8 @@ def multiply_basis(alg, i, a, j, b):
     if i + j > alg.length:
         return ()
     out = [ZERO] * alg.dims[i + j]
-    for c, w in alg.mult[(i, j)][a][b]:
-        out[c] = w
+    for c, w in alg.int_mult[(i, j)][a][b]:
+        out[c] = Fraction(w, alg.den)
     return tuple(out)
 
 
@@ -516,7 +537,7 @@ def oracle_truncation(alg, bound):
 
 def structure_equal(a: GradedFDAlgebra, b: GradedFDAlgebra) -> bool:
     """Same graded dimensions and the same structure constants."""
-    return a.dims == b.dims and a.mult == b.mult
+    return a.dims == b.dims and fraction_table(a) == fraction_table(b)
 
 
 def is_multiplicative(auto, alg: GradedFDAlgebra) -> bool:

@@ -213,6 +213,47 @@ def test_long_rational_error_quotes_a_bounded_prefix(tmp_path, capsys, coeff,
                  f"(200001 characters): {reason}"}, sort_keys=True) + "\n"
 
 
+_XY = {"coeff": "1", "word": ["x", "y"]}
+_LONG_ZERO_DIVISION = "1" * 200 + "/0"
+
+
+@pytest.mark.parametrize("doc,error", [
+    ({"generators": ["x", "y"], "relations": [["xy"]]},
+     "relations[0][0]: term must be an object with coeff and word"),
+    ({"generators": ["x", "y"],
+      "relations": [[{"coeff": "1", "word": "xy"}]]},
+     "relations[0][0].word: word must be a list of generator names"),
+    ({"generators": ["x", "y"], "relations": [_XY]},
+     "relations[0]: expected a list of terms"),
+    ({"generators": [], "relations": []},
+     "generators: generators must be a non-empty list of names"),
+    ({"generators": ["x", "y"], "relations": {}},
+     "relations: relations must be a list"),
+    ({"generators": ["x", "y"], "relations": [[_XY], []]},
+     "relations[1]: relation has no terms"),
+    ({"generators": ["x", "y"], "relations": [[_XY]],
+      "deformation": {"nu": [[]], "theta": ["0"], "shift": []}},
+     "deformation: deformation carries nu, theta and an optional domain "
+     "flag"),
+    # Fraction's reason holds the whole numerator: it is cut at 160
+    # characters
+    ({"generators": ["x", "y"],
+      "relations": [[_XY, {"coeff": _LONG_ZERO_DIVISION,
+                           "word": ["y", "x"]}]]},
+     "relations[0][1].coeff: bad rational '11111111111111111111'... "
+     "(202 characters): " + f"Fraction({'1' * 200}, 0)"[:160] + "..."),
+], ids=["term_not_an_object", "word_not_a_list", "terms_not_a_list",
+        "no_generators", "relations_not_a_list", "relation_without_terms",
+        "deformation_extra_key", "long_fraction_reason"])
+def test_malformed_document_is_a_parse_error(tmp_path, capsys, doc, error):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code, out = _error_line(capsys, "hilbert", str(p))
+    assert code == 2
+    assert out == json.dumps({"command": "hilbert", "error": error,
+                              "status": "error"}, sort_keys=True) + "\n"
+
+
 def test_resource_guard_exit_code(tmp_path, capsys):
     # the free algebra on 32 letters: its dual has every degree-two word as
     # a relation, so K_4 of the dual is all of the 32^4 > 10^6 coordinate

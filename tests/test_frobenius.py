@@ -1,5 +1,6 @@
 """Graded algebra containers, Frobenius structure, trivial extensions."""
 
+import inspect
 import json
 import re
 from fractions import Fraction
@@ -9,13 +10,14 @@ import pytest
 from helpers import (AS_REGULAR, CORPUS, algebra_of, associativity_failure,
                      block_nakayama_oracle, cert_of, dense_inverse,
                      cdg_underlying_trivial_extension, dense_algebra,
-                     dual_trivial_extension, identity_maps, is_multiplicative,
-                     multiply_basis, package_caches, scalar_twist, seeded,
-                     sklyanin, sparse_table, quadratic_algebra,
-                     structure_equal, trivial_extension)
+                     dual_trivial_extension, fraction_table, identity_maps,
+                     is_multiplicative, multiply_basis, rational_algebra,
+                     scalar_twist, seeded, sklyanin, sparse_table,
+                     quadratic_algebra, structure_equal, trivial_extension)
+from quadalg import frobenius
 from quadalg import (GradedFDAlgebra, Matrix, NotFrobenius, QuadraticAlgebra,
                      Subspace, apply_slotwise, as_regular_certificate,
-                     cy_check_with, ext_algebra_of_skew, frobenius_structure,
+                     ext_algebra_of_skew, frobenius_structure,
                      is_graded_symmetric, nakayama_of_algebra, skew_extend,
                      truncated_structure, twisted_module_trivial_extension,
                      verify_ext_algebra_isomorphism, word_to_index)
@@ -31,27 +33,26 @@ def _fd(name):
 
 def test_unit_and_dims_validation():
     with pytest.raises(LinAlgError):
-        GradedFDAlgebra((2, 1), {})
+        GradedFDAlgebra((2, 1), {}, 1)
     # unit must really be a two-sided identity
     bad_mult = {(0, 1): (((F(0), F(0)),), ((F(0), F(0)),))}
     with pytest.raises(LinAlgError):
         dense_algebra((1, 2), bad_mult)
 
 
-def test_missing_blocks_are_zero():
-    one = F(1)
-    zero = F(0)
-    mult = {
-        (0, 0): (((one,),),),
-        (0, 1): (((one, zero), (zero, one)),),
-        (1, 0): ((((one, zero)),), (((zero, one)),)),
-        (0, 2): (((one,),),),
-        (2, 0): (((one,),),),
-        # (1,1) intentionally absent: the square-zero block
-    }
-    alg = dense_algebra((1, 2, 1), mult)
-    assert multiply_basis(alg, 1, 0, 1, 1) == (zero,)
-    assert multiply_basis(alg, 0, 0, 1, 1) == (zero, one)
+def test_absent_block_is_rejected():
+    # every block up to the top degree must be given, a square-zero block
+    # as its cells of no entries; blocks past the top are ignored
+    unit = {(0, 0): ((((0, 1),),),), (0, 1): ((((0, 1),), ((1, 1),)),),
+            (1, 0): ((((0, 1),),), (((1, 1),),)), (0, 2): ((((0, 1),),),),
+            (2, 0): ((((0, 1),),),)}
+    with pytest.raises(LinAlgError, match=re.escape(
+            "bad structure block at degrees (1, 1)")):
+        GradedFDAlgebra((1, 2, 1), unit, 1)
+    alg = GradedFDAlgebra((1, 2, 1), {**unit, (1, 1): (((), ()), ((), ())),
+                                      (2, 2): ()}, 1)
+    assert multiply_basis(alg, 1, 0, 1, 1) == (F(0),)
+    assert multiply_basis(alg, 0, 0, 1, 1) == (F(0), F(1))
     assert multiply_basis(alg, 2, 0, 2, 0) == ()
 
 
@@ -363,7 +364,7 @@ def _check_agrees_with_all_triples(dims, dense):
     table = sparse_table(dims, dense)
     associative = associativity_failure(dims, table) is None
     try:
-        GradedFDAlgebra(dims, table)
+        rational_algebra(dims, table)
     except LinAlgError as exc:
         assert str(exc).startswith("associativity fails")
         assert not associative
@@ -380,7 +381,7 @@ def test_associativity_on_generators_agrees_with_all_triples():
     rng = seeded(20261018)
     verdicts = set()
     for alg in _valid_tables():
-        assert associativity_failure(alg.dims, alg.mult) is None
+        assert associativity_failure(alg.dims, fraction_table(alg)) is None
         dense = _dense_table(alg)
         keys = [(i, j) for (i, j) in dense
                 if i and j and alg.dims[i] and alg.dims[j] and alg.dims[i + j]]
@@ -444,7 +445,8 @@ def test_denominator_met_inside_a_cell():
     mult[(2, 1)] = tuple(zip(*mult[(1, 2)]))
     alg = dense_algebra((1, 2, 3, 4), mult)
     assert multiply_basis(alg, 1, 0, 1, 1) == (1, 0, h)
-    assert associativity_failure(alg.dims, alg.mult) is None
+    assert alg.den == 2
+    assert associativity_failure(alg.dims, fraction_table(alg)) is None
     # y x := p + r/2 + q breaks (x y) x = x (y x)
     bad = _add_to_cell(mult, (1, 1), 1, 0, 1, 1)
     with pytest.raises(LinAlgError, match="associativity fails"):
@@ -488,18 +490,19 @@ def test_sparse_and_dense_construction_agree():
         honest = truncated_structure(ext.algebra.dual, cert.gldim + 1)
         for alg in (cert.dual_fd, ext_algebra_of_skew(cert, sigma), honest):
             dense = dense_algebra(alg.dims, _dense_table(alg))
-            sparse = GradedFDAlgebra(alg.dims, alg.mult)
+            sparse = rational_algebra(alg.dims, fraction_table(alg))
             assert structure_equal(dense, alg), name
             assert structure_equal(sparse, alg), name
 
 
 def test_malformed_sparse_table_is_rejected():
     alg = _fd("quantum_plane_q2")
-    x_y = alg.mult[(1, 1)][0][1]
+    den = alg.den
+    x_y = alg.int_mult[(1, 1)][0][1]
     assert x_y
 
     def with_cell(cell):
-        mult = dict(alg.mult)
+        mult = dict(alg.int_mult)
         block = [list(row) for row in mult[(1, 1)]]
         block[0][1] = cell
         mult[(1, 1)] = block
@@ -508,22 +511,25 @@ def test_malformed_sparse_table_is_rejected():
     top, value = alg.dims[2], x_y[0][1]
     bad_cells = [((top, value),),                    # coordinate out of range
                  ((-1, value),),                     # negative coordinate
-                 ((top - 1, F(0)),),                 # stored zero
+                 ((top - 1, 0),),                    # stored zero
                  ((top - 1, value), (0, value)),     # coordinates not increasing
                  x_y + x_y]                          # coordinate repeated
     for cell in bad_cells:
-        with pytest.raises(LinAlgError, match="bad structure cell"):
-            GradedFDAlgebra(alg.dims, with_cell(cell))
-    assert structure_equal(
-        GradedFDAlgebra(alg.dims, with_cell(x_y)), alg)
-    xy_block = alg.mult[(1, 1)]
+        with pytest.raises(LinAlgError, match=re.escape(
+                "bad structure cell at degrees (1, 1)")):
+            GradedFDAlgebra(alg.dims, with_cell(cell), den)
+    assert structure_equal(GradedFDAlgebra(alg.dims, with_cell(x_y), den), alg)
+    xy_block = alg.int_mult[(1, 1)]
     for block in (xy_block[:1],                          # one row too few
                   xy_block + xy_block[:1],               # one row too many
-                  tuple(row[:1] for row in xy_block)):   # rows a cell short
-        mult = dict(alg.mult)
-        mult[(1, 1)] = block
-        with pytest.raises(LinAlgError, match="bad structure block"):
-            GradedFDAlgebra(alg.dims, mult)
+                  tuple(row[:1] for row in xy_block),    # rows a cell short
+                  None):                                 # block left out
+        mult = {**alg.int_mult, (1, 1): block}
+        if block is None:
+            del mult[(1, 1)]
+        with pytest.raises(LinAlgError, match=re.escape(
+                "bad structure block at degrees (1, 1)")):
+            GradedFDAlgebra(alg.dims, mult, den)
 
 
 def test_corrupted_constant_fails_associativity_with_mixed_denominators():
@@ -536,8 +542,8 @@ def test_corrupted_constant_fails_associativity_with_mixed_denominators():
                           for a, b in (("x", "y"), ("x", "z"), ("y", "z"))]}
     dual = description_to_algebra(parse_description(json.dumps(desc))).dual
     alg = truncated_structure(dual, 3)
-    dens = {w.denominator for block in alg.mult.values() for row in block
-            for cell in row for _, w in cell}
+    dens = {w.denominator for block in fraction_table(alg).values()
+            for row in block for cell in row for _, w in cell}
     assert len(dens - {1}) >= 2
     mult = _dense_table(alg)
     assert structure_equal(dense_algebra(alg.dims, mult), alg)
@@ -570,17 +576,10 @@ def test_tables_are_integer_cells_over_one_denominator():
         assert type(alg.den) is int and alg.den > 0, name
         assert all(type(v) is int and v for block in alg.int_mult.values()
                    for row in block for cell in row for _, v in cell), name
-        # the Fraction view is the integer cells over den, and each form
-        # rebuilds the same algebra
-        assert all(alg.mult[ij][a][b] == tuple((c, F(v, alg.den))
-                                               for c, v in cell)
-                   for ij, block in alg.int_mult.items()
-                   for a, row in enumerate(block)
-                   for b, cell in enumerate(row)), name
-        assert structure_equal(GradedFDAlgebra(alg.dims, alg.mult), alg), name
+        # the table rebuilds the same algebra, and so do the same constants
+        # over another denominator
         assert structure_equal(
             GradedFDAlgebra(alg.dims, alg.int_mult, alg.den), alg), name
-        # integer cells over a given den are taken as they are
         tripled = {ij: tuple(tuple(tuple((c, 3 * v) for c, v in cell)
                                    for cell in row) for row in block)
                    for ij, block in alg.int_mult.items()}
@@ -589,54 +588,33 @@ def test_tables_are_integer_cells_over_one_denominator():
 
 
 def test_cy_builds_no_fraction_table():
-    # cy reads every table of its path in integers: the dual, the Ext
-    # model and the honest dual never build their Fraction view
-    for caches in package_caches().values():
-        caches.cache_clear()
-    for name in AS_REGULAR:
-        cert = cert_of(name)
-        xi = nakayama_of_algebra(cert)
-        for sigma in (xi, Matrix.identity(xi.rows)):
-            cy_check_with(cert, sigma)
-            iso = verify_ext_algebra_isomorphism(cert, sigma)
-            for alg in (cert.dual_fd, iso.gamma, iso.ext_dual_fd):
-                assert "mult" not in vars(alg), name
+    # an algebra is its integer cells over den and nothing else: there is
+    # no Fraction view of the table and no rational constructor form
+    assert not hasattr(GradedFDAlgebra, "mult")
+    assert not hasattr(frobenius, "_over_common_denominator")
+    den = inspect.signature(GradedFDAlgebra).parameters["den"]
+    assert den.default is inspect.Parameter.empty
 
 
-def test_malformed_integer_table_is_rejected_like_a_rational_one():
+def test_malformed_integer_table_is_rejected():
     alg = _fd("quantum_plane_q2")
     den = alg.den
     x_y = alg.int_mult[(1, 1)][0][1]
-    assert x_y
-
-    def with_cell(table, cell):
-        mult = dict(table)
-        block = [list(row) for row in mult[(1, 1)]]
-        block[0][1] = cell
-        mult[(1, 1)] = block
-        return mult
 
     def message(*args):
         with pytest.raises(LinAlgError) as info:
             GradedFDAlgebra(*args)
         return str(info.value)
 
-    top, value = alg.dims[2], x_y[0][1]
-    frac = F(value, den)
-    # each bad integer cell over den, and the rational cell it stands for;
-    # a value that is not an int fails an integer table as a value that is
-    # not a number fails a rational one
-    bad_cells = [(((top, value),), ((top, frac),)),       # out of range
-                 (((-1, value),), ((-1, frac),)),         # negative
-                 (((top - 1, 0),), ((top - 1, F(0)),)),   # stored zero
-                 (((top - 1, value), (0, value)),         # not increasing
-                  ((top - 1, frac), (0, frac))),
-                 (x_y + x_y, alg.mult[(1, 1)][0][1] * 2),  # repeated
-                 (((0, F(1, 2)),), ((0, "1/2"),))]        # not an int
-    for int_cell, rational_cell in bad_cells:
-        text = message(alg.dims, with_cell(alg.int_mult, int_cell), den)
-        assert text.startswith("bad structure cell at degrees (1, 1)")
-        assert text == message(alg.dims, with_cell(alg.mult, rational_cell))
-    for bad_den in (0, -den, F(den), float(den), True):
+    # a cell value must be an int: no Fraction, no float standing for an
+    # integer or a binary fraction, no bool
+    for value in (F(1, 2), F(1), 0.1, 1.0, True, "1"):
+        mult = dict(alg.int_mult)
+        block = [list(row) for row in mult[(1, 1)]]
+        block[0][1] = ((x_y[0][0], value),)
+        mult[(1, 1)] = block
+        assert message(alg.dims, mult, den).startswith(
+            "bad structure cell at degrees (1, 1)"), value
+    for bad_den in (0, -den, F(den), float(den), True, None):
         assert (message(alg.dims, alg.int_mult, bad_den)
                 == "the table denominator must be a positive integer")

@@ -347,6 +347,21 @@ def test_limits_guard():
     assert str(err.value) == "32^4 coordinate words exceed the cap of 1000000"
 
 
+@pytest.mark.parametrize("row", [{0: 1, 5: 1}, {-1: 1}, {3: 2},
+                                 (1, 0, 0, 1), {0.5: 1}, {True: 1}],
+                         ids=["past_the_end", "negative", "pivot_at_end",
+                              "dense_too_long", "not_an_int", "bool"])
+def test_spanning_row_outside_the_ambient_is_refused(row):
+    # every nonzero coordinate must lie in range(ambient), not only the
+    # pivots: {0: 1, 5: 1} has its pivot at 0 and a second entry past the
+    # ambient
+    with pytest.raises(LinAlgError, match="^spanning row longer than the "
+                                          "ambient dimension$"):
+        Subspace.from_spanning([{1: 1}, row], 3)
+    # zero entries are not part of the vector
+    assert Subspace.from_spanning([{0: 1, 5: 0}], 3).int_rows == (((0, 1),),)
+
+
 def test_error_hierarchy():
     assert issubclass(LinAlgError, ValueError)
     assert issubclass(ConsistencyError, RuntimeError)

@@ -77,6 +77,11 @@ def test_dual_name_collision():
     alg = quadratic_algebra(("x", "x*"), [[((0, 1), 1)]])
     dual = alg.dual
     assert len(set(dual.names)) == 2
+    # a and a** would both dual to a*: every name gains a star instead, and
+    # those names dual back, so the double dual is the algebra itself
+    alg = quadratic_algebra(("a", "a**"), [[((0, 1), 1)]])
+    assert alg.dual.names == ("a*", "a***")
+    assert alg.dual.dual is alg
 
 
 def test_graded_dims_monomial():
