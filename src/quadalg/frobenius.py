@@ -37,7 +37,8 @@ class NotFrobenius(Exception):
 class GradedFDAlgebra:
     """A finite-dimensional graded algebra given by structure constants.
 
-    dims[i] is the dimension of the degree-i component.  The table is held
+    dims[i] is the dimension of the degree-i component, a non-negative
+    int (a float or a bool is refused, not rounded).  The table is held
     in integers over one positive denominator den: int_mult[(i, j)][a][b]
     is den times the product of the a-th degree-i and b-th degree-j basis
     elements inside degree i+j, its nonzero entries as (coordinate, int)
@@ -58,7 +59,9 @@ class GradedFDAlgebra:
     """
 
     def __init__(self, dims, int_mult, den):
-        self.dims = tuple(int(x) for x in dims)
+        self.dims = tuple(dims)
+        if not all(type(x) is int and x >= 0 for x in self.dims):
+            raise LinAlgError("dimensions must be non-negative integers")
         if not self.dims or self.dims[0] != 1:
             raise LinAlgError("degree zero must be spanned by the unit")
         if type(den) is not int or den <= 0:

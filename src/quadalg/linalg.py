@@ -14,8 +14,11 @@ row as a content-free integer row with a positive pivot entry
 `rows` is first read.  Hot callers stay in integers throughout: they take
 kernels with `int_kernel`, which eliminates once, with the columns
 numbered from the last one down, and returns the kernel's canonical
-basis.  A subspace built from those rows (an annihilator, a Koszul
-component) needs no second elimination.  Membership is that forward pass
+basis; a caller that writes its rows in that numbering to begin with (the
+Koszul components) calls `flipped_int_kernel` and skips the flip.  A
+subspace built from those rows (an annihilator, a Koszul component) needs
+no second elimination.  The elimination takes over the rows it is given
+(`_echelon_int`), so callers hand it fresh ones.  Membership is that forward pass
 against a subspace's own integer rows.
 
 A vector indexed by coordinate words has one form, a sparse {coordinate:
@@ -66,15 +69,17 @@ class ResourceLimitError(RuntimeError):
 def _to_int_row(row: RowLike) -> dict[int, int]:
     """Scale a rational row to a content-free integer row.
 
-    A row of ints is only gcd-stripped; other values are read as Fractions
-    and scaled by the lcm of their denominators.
+    A row of ints is only gcd-stripped; a row of ints and Fractions is
+    scaled by the lcm of its denominators.  Any other value, a float or a
+    bool included, raises LinAlgError: it has no exact rational meaning
+    here.
     """
     # dict first: the Mapping check alone goes through the slow ABC hook
     pairs = row.items() if isinstance(row, (dict, Mapping)) else enumerate(row)
     out = {c: v for c, v in pairs if v}
     if not all(type(v) is int for v in out.values()):
-        out = {c: v if type(v) is int or type(v) is Fraction else Fraction(v)
-               for c, v in out.items()}
+        if not set(map(type, out.values())) <= {int, Fraction}:
+            raise LinAlgError("row entries must be int or Fraction")
         den = lcm(*[v.denominator for v in out.values()])
         out = {c: v.numerator * (den // v.denominator) for c, v in out.items()}
     return _strip(out)
@@ -121,10 +126,15 @@ def _forward_reduce(row: dict[int, int], pivots: dict[int, dict[int, int]]):
 
 def _echelon_int(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     """Row echelon form by forward elimination only; returns {pivot column:
-    integer row}, pivot entries positive, rows content-free."""
+    integer row}, pivot entries positive, rows content-free.
+
+    Each row is a dict with no zero entry, and it is the caller's to give
+    away: it is updated in place and may be kept as a pivot row, so a
+    caller hands in fresh rows (from _to_int_row, a comprehension, or an
+    echelon it owns) and reads none of them afterwards."""
     pivots: dict[int, dict[int, int]] = {}
     for r in rows:
-        lead, red = _forward_reduce(dict(r), pivots)
+        lead, red = _forward_reduce(r, pivots)
         if lead is not None:
             pivots[lead] = red
     return pivots
@@ -134,7 +144,8 @@ def _reduced_echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]
     """Full reduced row echelon form; returns {pivot column: integer row}.
 
     Pivot entries are positive and every pivot column is cleared from all
-    other rows; rows are content-free.
+    other rows; rows are content-free.  The rows are given away as to
+    _echelon_int.
     """
     pivots = _echelon_int(rows)
     # back substitution from the last row up: the rows below are already
@@ -191,8 +202,17 @@ def int_kernel(rows: Iterable[Mapping[int, int]], ambient: int) -> list[dict[int
     rows are the reduced echelon basis, with pivots the free columns.
     """
     top = ambient - 1
-    pivots = _reduced_echelon({top - c: v for c, v in r.items() if v}
-                              for r in rows)
+    return flipped_int_kernel(({top - c: v for c, v in r.items() if v}
+                               for r in rows), ambient)
+
+
+def flipped_int_kernel(rows: Iterable[dict[int, int]],
+                       ambient: int) -> list[dict[int, int]]:
+    """int_kernel of rows already written in its numbering, column c at
+    ambient - 1 - c, with no zero entry; the rows are given away as to
+    _echelon_int, and the kernel rows come back in the original columns."""
+    top = ambient - 1
+    pivots = _reduced_echelon(rows)
     by_col: dict[int, list[tuple[int, int, int]]] = {}
     for p, r in pivots.items():
         pv = r[p]

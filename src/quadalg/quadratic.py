@@ -21,6 +21,18 @@ those classes and its basis words (`words`), the only names its basis
 elements have.  No component is built on more than MAX_WORDS = 10^6
 coordinate words: asking for one raises ResourceLimitError, unless K_{k-1}
 is zero, when K_k is the zero subspace at any number of words.
+
+graded_dims and numeric_koszul_certificate read only dimensions, and the
+highest degree each reads is never built: dim K_m is the number of
+unknowns over K_{m-1} (x) V less the rank of the equations that cut K_m
+out (Polishchuk-Positselski, Ch. 1), so it comes from the forward
+elimination of those equations alone, with no kernel basis and no word
+expansion (_koszul_dim).  Every lower degree is built in full, as the next
+degree's equations are written over it.  Both paths take their equations
+from one builder (_koszul_system), which holds the word cap and the
+zero-K_{k-1} rule, so a count and a full component agree and stop at the
+same degrees.  A later request for the full component of a counted degree
+writes and eliminates its equations again.
 """
 
 from __future__ import annotations
@@ -32,8 +44,8 @@ from math import lcm
 
 from .frobenius import GradedFDAlgebra
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ResourceLimitError,
-                     ONE, Subspace, Vec, ZERO, _reduced_echelon, _strip,
-                     int_kernel, solve)
+                     ONE, Subspace, Vec, ZERO, _echelon_int, _reduced_echelon,
+                     _strip, flipped_int_kernel, solve)
 from .tensors import apply_slotwise, preserves_subspace
 
 # the most coordinate words n**m a Koszul component may have
@@ -103,19 +115,28 @@ def graded_dims(alg: QuadraticAlgebra, bound: int) -> tuple[int, ...]:
     equals dim A_3.  When the test passes, the counts and the
     K_k dimensions of degrees up to CHECKED_DEGREES are two routes to one
     answer, and a disagreement raises ConsistencyError.
+
+    The test runs before the top degree is chosen, so that no degree is
+    eliminated twice.  The top degree read (CHECKED_DEGREES, or the bound
+    if lower, on a PBW input; the bound otherwise) is counted by rank and
+    never built (module docstring); the degrees below it are built, since
+    each is the ground of the next one's equations.
     """
-    checked = tuple(koszul_component(alg.dual, k).dim
-                    for k in range(min(bound, CHECKED_DEGREES) + 1))
-    if bound < 3:
+    dual = alg.dual
+    pbw = False
+    if bound >= 3:
+        counts = _normal_word_counts(alg, bound)
+        # K_3 in full when a higher degree is built over it, else counted
+        pbw = counts[3] == (koszul_component(dual, 3).dim if bound > 3
+                            else _koszul_dim(dual, 3))
+    # not PBW in this order: every degree from its Koszul component
+    top = min(bound, CHECKED_DEGREES) if pbw else bound
+    checked = _component_dims(dual, top)
+    if not pbw:
         return checked
-    counts = _normal_word_counts(alg, bound)
-    if counts[3] != checked[3]:
-        # not PBW in this order: every degree from its Koszul component
-        return checked + tuple(koszul_component(alg.dual, k).dim
-                               for k in range(CHECKED_DEGREES + 1, bound + 1))
-    if counts[:len(checked)] != checked:
+    if counts[:top + 1] != checked:
         raise ConsistencyError(
-            f"normal-word counts {counts[:len(checked)]} disagree with the "
+            f"normal-word counts {counts[:top + 1]} disagree with the "
             f"Koszul component dimensions {checked} of a PBW algebra")
     return counts
 
@@ -143,10 +164,19 @@ def _normal_word_counts(alg: QuadraticAlgebra, bound: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-# bounded at twice the 128 components that one sweep of every command over
-# the bundled corpus holds
-@lru_cache(maxsize=256)
-def _koszul_component(alg: QuadraticAlgebra, m: int) -> Subspace:
+def _koszul_system(alg: QuadraticAlgebra, m: int
+                   ) -> Subspace | tuple[Subspace, list[dict[int, int]]]:
+    """K_m as a Subspace where it is read off without elimination, or else
+    (K_{m-1}, rows): the equations that cut K_m out of K_{m-1} (x) V.
+
+    With b_s the basis rows of K_{m-1} and d their number, the coefficient
+    of b_s (x) e_l sits in column d n - 1 - (s n + l): the rows are written
+    in int_kernel's numbering from the last column down, with no zero
+    entry, and are fresh, the caller's to give to the elimination.  Both
+    Koszul paths start here, so both stop at the same points: K_m is zero
+    when K_{m-1} is, at any number of words, and otherwise more than
+    MAX_WORDS coordinate words raise ResourceLimitError.
+    """
     n = alg.n
     if m > 2:
         prev_space = _koszul_component(alg, m - 1)
@@ -162,33 +192,56 @@ def _koszul_component(alg: QuadraticAlgebra, m: int) -> Subspace:
         return alg.relations
     # all arithmetic below is on content-free integer rows; rescaling the
     # basis of K_{m-1} or of R-perp does not change the span computed
-    prev, prev_pivots = prev_space.int_rows, prev_space.pivots
-    # the equations at the pivot words of K_{m-2} span all of them
-    # (koszul_component's docstring), so only those are written
-    pivot_words = set(_koszul_component(alg, m - 2).pivots)
+    prev = prev_space.int_rows
+    top = len(prev) * n - 1
+    perp_rows = alg.dual.relations.int_rows
     # the entries f[a, l] of the R-perp basis, grouped by their first letter a
     perp = [[] for _ in range(n)]
-    for fi, f in enumerate(alg.dual.relations.int_rows):
+    for fi, f in enumerate(perp_rows):
         for c, v in f:
             a, l = divmod(c, n)
             perp[a].append((fi, l, v))
-    # x = sum c[s, l] b_s (x) e_l over the basis b_s of K_{m-1} lies in
-    # V^{m-2} (x) R exactly when it pairs to zero with u (x) f for every
-    # word u of length m-2 and every f in R-perp
-    eqs: dict[tuple[int, int], dict[int, int]] = {}
+    # the equations at the pivot words u of K_{m-2} span all of them
+    # (koszul_component's docstring), so only those are written: one row
+    # per u and per f in R-perp
+    eqs = {u: [{} for _ in perp_rows]
+           for u in _koszul_component(alg, m - 2).pivots}
+    # x = sum c[s, l] b_s (x) e_l lies in V^{m-2} (x) R exactly when it
+    # pairs to zero with u (x) f for every word u of length m-2 and every
+    # f in R-perp
     for s, b in enumerate(prev):
+        col = top - s * n
         for w, val in b:
             u, a = divmod(w, n)
-            if u not in pivot_words:
+            at_u = eqs.get(u)
+            if at_u is None:
                 continue
             for fi, l, v in perp[a]:
-                eq = eqs.setdefault((u, fi), {})
-                eq[s * n + l] = eq.get(s * n + l, 0) + val * v
+                eq = at_u[fi]
+                c = col - l
+                nv = eq.get(c, 0) + val * v
+                if nv:
+                    eq[c] = nv
+                else:
+                    del eq[c]
+    return prev_space, [eq for at_u in eqs.values() for eq in at_u if eq]
+
+
+# bounded at over twice the 107 components that one sweep of every command
+# over the bundled corpus holds
+@lru_cache(maxsize=256)
+def _koszul_component(alg: QuadraticAlgebra, m: int) -> Subspace:
+    system = _koszul_system(alg, m)
+    if isinstance(system, Subspace):
+        return system
+    prev_space, eqs = system
+    n = alg.n
+    prev, prev_pivots = prev_space.int_rows, prev_space.pivots
     # the kernel rows come in canonical form, and so do their expansions
     # (koszul_component's docstring): no second elimination
     pivots = []
     rows = []
-    for c in int_kernel(eqs.values(), len(prev) * n):
+    for c in flipped_int_kernel(eqs, len(prev) * n):
         x: dict[int, int] = {}
         for j, cj in c.items():
             s, l = divmod(j, n)
@@ -198,6 +251,28 @@ def _koszul_component(alg: QuadraticAlgebra, m: int) -> Subspace:
         pivots.append(prev_pivots[s] * n + l)
         rows.append(tuple(sorted(_strip({w: v for w, v in x.items() if v}).items())))
     return Subspace(n ** m, tuple(pivots), tuple(rows))
+
+
+# bounded at over twice the 31 top degrees that one sweep of every command
+# over the bundled corpus counts; an entry is one int
+@lru_cache(maxsize=64)
+def _koszul_dim(alg: QuadraticAlgebra, m: int) -> int:
+    """dim K_m: the unknowns over K_{m-1} (x) V less the rank of the
+    equations, from the forward elimination alone; no kernel basis and no
+    word expansion."""
+    system = _koszul_system(alg, m)
+    if isinstance(system, Subspace):
+        return system.dim
+    prev_space, eqs = system
+    return prev_space.dim * alg.n - len(_echelon_int(eqs))
+
+
+def _component_dims(alg: QuadraticAlgebra, top: int) -> tuple[int, ...]:
+    """dim K_0, ..., dim K_top.  Every degree below the top is built in
+    full, since the equations of the next degree are written over it; the
+    top degree is only counted, by _koszul_dim."""
+    return (tuple(koszul_component(alg, k).dim for k in range(top))
+            + (_koszul_dim(alg, top),))
 
 
 def koszul_component(alg: QuadraticAlgebra, m: int) -> Subspace:
@@ -229,6 +304,10 @@ def koszul_component(alg: QuadraticAlgebra, m: int) -> Subspace:
     entry of b_s, and it is zero at the pivot word of every other x.  So
     the x are the reduced echelon basis of K_m, canonical after a gcd
     strip.
+
+    This is the full component, for readers of its rows.  A reader of its
+    dimension only (graded_dims, numeric_koszul_certificate) gets the same
+    number by _koszul_dim, from the same equations, without the kernel.
     """
     # one recursion per uncached degree: fill a cold cache 100 at a time
     for k in range(100, m, 100):
@@ -266,14 +345,15 @@ def numeric_koszul_certificate(alg: QuadraticAlgebra, bound: int) -> KoszulCerti
     vanishes in every positive degree up to the bound.  The first holds for
     every quadratic algebra by duality.  Up to degree CHECKED_DEGREES, and
     in every degree when the dual fails the PBW test of graded_dims, both
-    sides read the same cached K_m, so there it is only a self-check.  On
+    sides read the same K_m, so there it is only a self-check.  On
     a PBW dual beyond that degree dual_dims are normal-word counts and
-    component_dims the dimensions of K_m, two routes to one number.
+    component_dims the dimensions of K_m, two routes to one number.  Like
+    graded_dims, component_dims counts its top degree by rank and builds
+    the ones below.
     """
     dims = graded_dims(alg, bound)
     dual_dims = graded_dims(alg.dual, bound)
-    component_dims = tuple(koszul_component(alg, m).dim
-                           for m in range(bound + 1))
+    component_dims = _component_dims(alg, bound)
     mism = tuple(m for m in range(bound + 1) if component_dims[m] != dual_dims[m])
     euler = []
     for k in range(1, bound + 1):

@@ -316,6 +316,7 @@ def test_caches_are_bounded_and_keep_a_corpus_sweep_warm(capsys):
     # once: each cache holds under half its bound, evicts nothing, and
     # serves the hits of an unbounded cache
     caches = {"quadratic._koszul_component": quadratic._koszul_component,
+              "quadratic._koszul_dim": quadratic._koszul_dim,
               "quadratic._truncated": quadratic._truncated,
               "regular._certify": regular._certify,
               "regular._nakayama": regular._nakayama,
@@ -330,11 +331,13 @@ def test_caches_are_bounded_and_keep_a_corpus_sweep_warm(capsys):
         for cmd in cli.COMMANDS:
             main([cmd, str(path), "--max-degree", "5"])
     capsys.readouterr()
-    bounds = {"quadratic._koszul_component": 256, "quadratic._truncated": 32,
+    bounds = {"quadratic._koszul_component": 256, "quadratic._koszul_dim": 64,
+              "quadratic._truncated": 32,
               "regular._certify": 32, "regular._nakayama": 16,
               "superpotential._superpotential": 16, "skew._skew_extend": 16,
               "skew._ext_iso_report": 16}
-    hits = {"quadratic._koszul_component": 613, "quadratic._truncated": 4,
+    hits = {"quadratic._koszul_component": 630, "quadratic._koszul_dim": 79,
+            "quadratic._truncated": 4,
             "regular._certify": 82, "regular._nakayama": 50,
             "superpotential._superpotential": 23, "skew._skew_extend": 27,
             "skew._ext_iso_report": 13}

@@ -596,6 +596,19 @@ def test_cy_builds_no_fraction_table():
     assert den.default is inspect.Parameter.empty
 
 
+@pytest.mark.parametrize("dims", [(1.9,), (1, 2.0), (True,), (1, True),
+                                  (1, -1), (1, "2"), (1, None)],
+                         ids=["float", "whole_float", "bool", "bool_degree",
+                              "negative", "str", "none"])
+def test_dimension_that_is_not_a_non_negative_int_is_refused(dims):
+    # int(x) would truncate 1.9 to 1 and read True as 1 without a word;
+    # the dimensions are checked before the table is read
+    with pytest.raises(LinAlgError, match=re.escape(
+            "dimensions must be non-negative integers")):
+        GradedFDAlgebra(dims, {}, 1)
+    assert GradedFDAlgebra((1,), {(0, 0): ((((0, 1),),),)}, 1).dims == (1,)
+
+
 def test_malformed_integer_table_is_rejected():
     alg = _fd("quantum_plane_q2")
     den = alg.den

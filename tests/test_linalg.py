@@ -418,3 +418,25 @@ def test_to_int_row_matches_a_fraction_reference_on_random_rows(row):
     _assert_scaled_row(_to_int_row(ints), ints)
     _assert_scaled_row(_strip({c: 3 * v for c, v in enumerate(ints) if v}),
                        ints)
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, True, "1", 1j],
+                         ids=["float", "whole_float", "bool", "str",
+                              "complex"])
+def test_a_value_that_is_not_int_or_fraction_is_refused(value):
+    # a float would enter as its binary value and a bool as 0 or 1; every
+    # way a row reaches the elimination core refuses both, dense or sparse
+    with pytest.raises(LinAlgError, match="row entries must be int or Fraction"):
+        Subspace.from_spanning([{0: value, 1: 1}], 2)
+    with pytest.raises(LinAlgError, match="row entries must be int or Fraction"):
+        Subspace.from_spanning([(value, Fraction(1, 2))], 2)
+    with pytest.raises(LinAlgError, match="row entries must be int or Fraction"):
+        Subspace.full(2).contains({0: value})
+    with pytest.raises(LinAlgError, match="row entries must be int or Fraction"):
+        solve([{0: 1, 1: value}], 1)
+    # the integer fast path and the Fraction path still read their rows,
+    # and a zero of any type is left out before the check
+    assert Subspace.from_spanning([{0: 2, 1: 4}], 2).int_rows == (((0, 1), (1, 2)),)
+    assert Subspace.from_spanning([{0: Fraction(1, 2), 1: 3, 2: 0.0}],
+                                  3).int_rows == (((0, 1), (1, 6)),)
+    assert Subspace.from_spanning([{0: False, 1: 1}], 2).int_rows == (((1, 1),),)

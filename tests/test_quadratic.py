@@ -1,6 +1,7 @@
 """Quadratic algebras: duals, graded dimensions, Koszul numerics,
 truncations."""
 
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -9,13 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (AS_REGULAR, CORPUS, algebra_of, cert_of, dense_inverse,
                      is_multiplicative, oracle_truncation, quadratic_algebra,
-                     relation_degree_subspace, skew_ring, sklyanin,
+                     relation_degree_subspace, seeded, skew_ring, sklyanin,
                      structure_equal, word_vector)
-from quadalg import (Matrix, quadratic,
-                     graded_dims, koszul_component, nakayama_of_algebra,
-                     numeric_koszul_certificate, preserves_subspace,
-                     skew_extend, truncated_structure, word_to_index)
-from quadalg.linalg import ConsistencyError, LinAlgError, Subspace
+from quadalg import (Matrix, QuadraticAlgebra, as_regular_certificate,
+                     quadratic, graded_dims, koszul_component,
+                     nakayama_of_algebra, numeric_koszul_certificate,
+                     preserves_subspace, skew_extend, truncated_structure,
+                     word_to_index)
+from quadalg.linalg import (ConsistencyError, LinAlgError, ResourceLimitError,
+                            Subspace)
 
 F = Fraction
 
@@ -148,6 +151,76 @@ def test_koszul_component_answers_any_degree_on_a_cold_cache():
         assert comp.ambient == alg.n ** 3000
     assert koszul_component(square, 3000).int_rows == (((0, 1),),)
     quadratic._koszul_component.cache_clear()
+
+
+def _dense_algebra(seed, nrel):
+    # nrel relations on three letters, each with every degree-two word and
+    # integer coefficients in [-3, 3]
+    rng = seeded(seed)
+    rows = [[rng.randint(-3, 3) for _ in range(9)] for _ in range(nrel)]
+    return QuadraticAlgebra(("a", "b", "c"), Subspace.from_spanning(rows, 9))
+
+
+def test_component_dimension_by_rank_matches_the_full_component():
+    # dim K_m = (unknowns over K_{m-1} (x) V) - rank(equations), read off
+    # the forward elimination alone, against the dimension of the component
+    # built in full, in every degree up to 6 (at most 6^6 coordinate words)
+    algs = [algebra_of(name) for name in CORPUS]
+    algs += [a.dual for a in algs]
+    for n in (3, 4, 5):
+        base = skew_ring(n, F(-2, 3))
+        cert = as_regular_certificate(base, n + 1)
+        algs += [base, skew_extend(base, nakayama_of_algebra(cert)).algebra]
+    algs += [_dense_algebra(seed, nrel)
+             for seed, nrel in ((0, 3), (1, 4), (2, 5))]
+    # and the duals of the skew rings, extensions and dense algebras
+    algs += [a.dual for a in algs[2 * len(CORPUS):]]
+    for alg in algs:
+        quadratic._koszul_dim.cache_clear()
+        for m in range(7):
+            dim = quadratic._koszul_dim(alg, m)
+            assert dim == koszul_component(alg, m).dim, (alg.names, m)
+    quadratic._koszul_dim.cache_clear()
+
+
+def test_component_dimension_stops_where_the_full_component_does():
+    # both paths share one equation builder, so the word cap and the
+    # vanishing rule hold at the same degrees: the dual of the free algebra
+    # on 32 letters has K_4 on 32^4 > 10^6 words, and K_m(k[x, y]) is zero
+    # from degree 3 on, past the cap too
+    free = QuadraticAlgebra(tuple(f"a{i}" for i in range(32)),
+                            Subspace.from_spanning([], 32 * 32))
+    for count in (graded_dims, lambda a, m: quadratic._koszul_dim(a.dual, m),
+                  lambda a, m: koszul_component(a.dual, m)):
+        with pytest.raises(ResourceLimitError, match=re.escape(
+                "32^4 coordinate words exceed the cap of 1000000")):
+            count(free, 4)
+    kxy = algebra_of("kxy")
+    assert quadratic._koszul_dim(kxy, 20) == 0
+    assert koszul_component(kxy, 20).dim == 0
+    quadratic._koszul_component.cache_clear()
+    quadratic._koszul_dim.cache_clear()
+
+
+def test_graded_dims_builds_no_component_it_only_counts():
+    # the top degree graded_dims reads is counted, not built: degree 4 on
+    # a PBW input (the dual of the 4-letter skew ring passes the test), the
+    # bound itself on a non-PBW one (the Jordan plane), with every degree
+    # below it built because the next one's equations are written over it
+    for alg, bound, top in ((skew_ring(4, F(-2, 3)).dual, 5, 4),
+                            (algebra_of("jordan_plane"), 6, 6)):
+        quadratic._koszul_component.cache_clear()
+        quadratic._koszul_dim.cache_clear()
+        dims = graded_dims(alg, bound)
+        assert quadratic._koszul_component.cache_info().currsize == top
+        assert quadratic._koszul_dim.cache_info().currsize == 1
+        # so asking for the top component misses once and finds every
+        # degree below it
+        misses = quadratic._koszul_component.cache_info().misses
+        assert koszul_component(alg.dual, top).dim == dims[top]
+        assert quadratic._koszul_component.cache_info().misses == misses + 1
+    quadratic._koszul_component.cache_clear()
+    quadratic._koszul_dim.cache_clear()
 
 
 def test_sklyanin_points_pbw_or_not():
