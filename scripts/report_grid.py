@@ -101,12 +101,15 @@ def recombined(doc, coeffs):
 
 
 def caches():
-    """Every functools cache defined at module level in the package."""
+    """Every functools cache defined at module level in the package, each
+    once: a cache is kept only in the module that defines it, not in the
+    modules that import it."""
     out = []
     for info in pkgutil.iter_modules(quadalg.__path__):
         mod = importlib.import_module(f"quadalg.{info.name}")
         for obj in vars(mod).values():
-            if hasattr(obj, "cache_clear") and hasattr(obj, "cache_info"):
+            if (hasattr(obj, "cache_clear") and hasattr(obj, "cache_info")
+                    and getattr(obj, "__module__", None) == mod.__name__):
                 out.append(obj)
     return out
 

@@ -27,7 +27,7 @@ from .regular import (NotRegular, RegularityCertificate,
 from .superpotential import (PresentationReport, SuperpotentialData,
                              derivation_quotient, extract_superpotential,
                              is_twisted_superpotential, symmetrize,
-                             twist_defect, verify_superpotential_presentation)
+                             verify_superpotential_presentation)
 from .skew import (CYReport, IsoReport, SkewExtension, cy_check_with,
                    ext_algebra_of_skew, fresh_letter, skew_extend,
                    verify_ext_algebra_isomorphism,

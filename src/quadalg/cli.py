@@ -31,7 +31,7 @@ from .superpotential import (derivation_quotient, extract_superpotential,
 
 def _certificate(desc, args):
     alg = description_to_algebra(desc)
-    return as_regular_certificate(alg, bound=args.max_degree)
+    return as_regular_certificate(alg, args.max_degree)
 
 
 def _resolve_sigma(desc, cert, mode):
@@ -82,7 +82,7 @@ def _cmd_koszul(desc, args):
 def _cmd_regular(desc, args):
     alg = description_to_algebra(desc)
     try:
-        cert = as_regular_certificate(alg, bound=args.max_degree)
+        cert = as_regular_certificate(alg, args.max_degree)
     except NotRegular as exc:
         return {"regular": False, "reason": str(exc),
                 "witness_degree": exc.witness_degree}, False

@@ -240,6 +240,16 @@ IntRow = tuple[tuple[int, int], ...]
 # dense rational matrices
 # ---------------------------------------------------------------------------
 
+def _entry(v) -> Fraction:
+    """An int or a Fraction as a Matrix entry; any other value, a float or a
+    bool included, raises LinAlgError, as it does for a row."""
+    if type(v) is Fraction:
+        return v
+    if type(v) is int:
+        return Fraction(v)
+    raise LinAlgError("matrix entries must be int or Fraction")
+
+
 @dataclass(frozen=True)
 class Matrix:
     """Immutable dense matrix over the rationals (rows of Fractions)."""
@@ -249,7 +259,7 @@ class Matrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence], cols: int) -> "Matrix":
-        ent = tuple(tuple(v if type(v) is Fraction else Fraction(v) for v in row)
+        ent = tuple(tuple(v if type(v) is Fraction else _entry(v) for v in row)
                     for row in rows)
         for row in ent:
             if len(row) != cols:
@@ -280,7 +290,7 @@ class Matrix:
                             for j in range(self.cols)), self.rows)
 
     def scale(self, k) -> "Matrix":
-        k = Fraction(k)
+        k = _entry(k)
         return Matrix(tuple(tuple(k * v for v in row) for row in self.entries),
                       self.cols)
 

@@ -230,7 +230,7 @@ def _koszul_system(alg: QuadraticAlgebra, m: int
 # bounded at over twice the 107 components that one sweep of every command
 # over the bundled corpus holds
 @lru_cache(maxsize=256)
-def _koszul_component(alg: QuadraticAlgebra, m: int) -> Subspace:
+def _koszul_component(alg: QuadraticAlgebra, m: int, /) -> Subspace:
     system = _koszul_system(alg, m)
     if isinstance(system, Subspace):
         return system
@@ -256,7 +256,7 @@ def _koszul_component(alg: QuadraticAlgebra, m: int) -> Subspace:
 # bounded at over twice the 31 top degrees that one sweep of every command
 # over the bundled corpus counts; an entry is one int
 @lru_cache(maxsize=64)
-def _koszul_dim(alg: QuadraticAlgebra, m: int) -> int:
+def _koszul_dim(alg: QuadraticAlgebra, m: int, /) -> int:
     """dim K_m: the unknowns over K_{m-1} (x) V less the rank of the
     equations, from the forward elimination alone; no kernel basis and no
     word expansion."""
@@ -308,6 +308,11 @@ def koszul_component(alg: QuadraticAlgebra, m: int) -> Subspace:
     This is the full component, for readers of its rows.  A reader of its
     dimension only (graded_dims, numeric_koszul_certificate) gets the same
     number by _koszul_dim, from the same equations, without the kernel.
+
+    This is the one public name kept over a separate cache, _koszul_component:
+    it fills a cold cache 100 degrees at a time, so that no degree recurses
+    more than 100 deep, and perfbench's tracer reads quadratic.max_words
+    from calls to it by name.
     """
     # one recursion per uncached degree: fill a cold cache 100 at a time
     for k in range(100, m, 100):
@@ -480,9 +485,7 @@ class TruncatedAlgebra(GradedFDAlgebra):
 
 # bounded at over twice the 12 truncations of one corpus sweep
 @lru_cache(maxsize=32)
-def _truncated(alg: QuadraticAlgebra, bound: int) -> TruncatedAlgebra:
+def truncated_structure(alg: QuadraticAlgebra, bound: int, /) -> TruncatedAlgebra:
+    """alg up to the degree bound as a TruncatedAlgebra, built once per
+    algebra and bound."""
     return TruncatedAlgebra(alg, bound)
-
-
-def truncated_structure(alg: QuadraticAlgebra, bound: int) -> TruncatedAlgebra:
-    return _truncated(alg, bound)

@@ -47,7 +47,8 @@ class RegularityCertificate:
 
 # bounded at over twice the 9 certificates of one corpus sweep
 @lru_cache(maxsize=32)
-def _certify(alg: QuadraticAlgebra, bound: int) -> RegularityCertificate:
+def as_regular_certificate(alg: QuadraticAlgebra, bound: int, /) -> RegularityCertificate:
+    """Certify regularity up to the bound, or raise NotRegular with a witness."""
     dual = alg.dual
     dual_dims = graded_dims(dual, bound)
     if dual_dims[bound] != 0:
@@ -67,17 +68,12 @@ def _certify(alg: QuadraticAlgebra, bound: int) -> RegularityCertificate:
     return RegularityCertificate(alg, d, bound, dual_dims, dual_fd, frob)
 
 
-def as_regular_certificate(alg: QuadraticAlgebra, bound: int) -> RegularityCertificate:
-    """Certify regularity up to the bound, or raise NotRegular with a witness."""
-    return _certify(alg, bound)
-
-
 def regularity_data(alg: QuadraticAlgebra, expected_gldim: int,
                     koszul_bound: int) -> RegularityCertificate:
     """Certificate with bounds tightened around a known global dimension."""
     if koszul_bound < expected_gldim + 1:
         raise LinAlgError("bound too small to see the dual terminate")
-    cert = _certify(alg, koszul_bound)
+    cert = as_regular_certificate(alg, koszul_bound)
     if cert.gldim != expected_gldim:
         raise ConsistencyError(f"certified dimension {cert.gldim} does not match "
                                f"the expected {expected_gldim}")
@@ -85,20 +81,10 @@ def regularity_data(alg: QuadraticAlgebra, expected_gldim: int,
 
 
 # bounded at over twice the 7 certificates whose Nakayama map one corpus
-# sweep reads; keyed on the certificate itself, which _certify hands out
+# sweep reads; keyed on the certificate itself, which as_regular_certificate
+# hands out
 @lru_cache(maxsize=16)
-def _nakayama(cert: RegularityCertificate) -> Matrix:
-    d = cert.gldim
-    pairings = cert.frobenius.pairings
-    # G_1 is nondegenerate, as frobenius_structure checked
-    y = solve_square(pairings[1].transpose(), pairings[d - 1])
-    xi = y.transpose().scale(Fraction((-1) ** (d + 1)))
-    if not preserves_subspace(xi, cert.algebra.relations, 2):
-        raise ConsistencyError("extracted Nakayama map does not preserve the relations")
-    return xi
-
-
-def nakayama_of_algebra(cert: RegularityCertificate) -> Matrix:
+def nakayama_of_algebra(cert: RegularityCertificate, /) -> Matrix:
     """Nakayama automorphism of the algebra, from the dual pairing data.
 
     On generators this is the sign-adjusted inverse transpose of the dual
@@ -110,7 +96,14 @@ def nakayama_of_algebra(cert: RegularityCertificate) -> Matrix:
     must preserve the relation subspace; if it does not, the certificate
     data is inconsistent.  Computed once per certificate.
     """
-    return _nakayama(cert)
+    d = cert.gldim
+    pairings = cert.frobenius.pairings
+    # G_1 is nondegenerate, as frobenius_structure checked
+    y = solve_square(pairings[1].transpose(), pairings[d - 1])
+    xi = y.transpose().scale(Fraction((-1) ** (d + 1)))
+    if not preserves_subspace(xi, cert.algebra.relations, 2):
+        raise ConsistencyError("extracted Nakayama map does not preserve the relations")
+    return xi
 
 
 def dim2_matrix_form(cert: RegularityCertificate) -> tuple[Matrix, Matrix]:

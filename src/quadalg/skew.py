@@ -63,7 +63,10 @@ class SkewExtension:
 
 # bounded at over twice the 7 extensions of one corpus sweep
 @lru_cache(maxsize=16)
-def _skew_extend(base: QuadraticAlgebra, sigma: Matrix) -> SkewExtension:
+def skew_extend(base: QuadraticAlgebra, sigma: Matrix, /) -> SkewExtension:
+    """Adjoin one twisted letter, named by fresh_letter; dimension counts
+    are verified up to degree 4 against the partial sums of the base
+    dimensions."""
     n = base.n
     if sigma.cols != n:
         raise LinAlgError("twist acts on the wrong space")
@@ -92,13 +95,6 @@ def _skew_extend(base: QuadraticAlgebra, sigma: Matrix) -> SkewExtension:
                 f"extension dimension {dim} at degree {k} is not the "
                 f"partial sum {sum(dims_base[:k + 1])} of the base dimensions")
     return SkewExtension(algebra, tuple(stacked), pinv)
-
-
-def skew_extend(base: QuadraticAlgebra, sigma: Matrix) -> SkewExtension:
-    """Adjoin one twisted letter, named by fresh_letter; dimension counts
-    are verified up to degree 4 against the partial sums of the base
-    dimensions."""
-    return _skew_extend(base, sigma)
 
 
 def ext_algebra_of_skew(cert: RegularityCertificate,
@@ -132,10 +128,67 @@ class IsoReport:
 
 
 # bounded at over twice the 7 (certificate, twist) pairs of one corpus sweep;
-# keyed on the certificate itself, which regular._certify hands out, and on
-# the twist by value
+# keyed on the certificate itself, which regular.as_regular_certificate hands
+# out, and on the twist by value
 @lru_cache(maxsize=16)
-def _ext_iso_report(cert: RegularityCertificate, sigma: Matrix) -> IsoReport:
+def verify_ext_algebra_isomorphism(cert: RegularityCertificate,
+                                   sigma: Matrix, /) -> IsoReport:
+    """Build the degreewise isomorphism from the model onto the truncated
+    dual of the extension and check that it is multiplicative.
+
+    The map f sends dual generators to themselves and the shifted unit to
+    the new dual letter.  In degree k it is solved from the products x s
+    of degree-(k-1) basis elements x by degree-1 basis elements s, and
+    generated_ok says that f(x s) = f(x) f(s) holds for all of them, which
+    needs the model to be generated in degree 1 (the solve has no solution
+    otherwise).  That is all of multiplicativity: both algebras were
+    checked associative when built, f(1) = 1, and the c with f(x c) =
+    f(x) f(c) for every x form a subspace that contains 1 and degree 1 and
+    is closed under products, as f(x c c') = f(x c) f(c') = f(x) f(c) f(c')
+    = f(x) f(c c').  So f preserves every structure constant exactly when
+    generated_ok holds.
+
+    Degree k is one `solve`.  Let P be the g x N matrix of the model
+    products e_a e_b over the N pairs of a degree-(k-1) and a degree-1
+    basis element (g = dims[k] of the model), and Q the e x N matrix of
+    their honest images f(e_a) f(e_b) = f(e_a) e_b (f is the identity in
+    degree 1), summed from the cells of the basis elements in f(e_a).  Pair
+    j gives the row (P e_j, Q e_j), model coordinates as the unknowns and
+    honest ones as the right-hand sides, so the system is P^T X = Q^T and
+    X is the transpose of f_k.  The rows are reduced in pair order and
+    span W = {(P x, Q x)}.
+    - The pivots in the model block are those of W's projection to it,
+      P's column space: rank P of them.
+    - The rows with a pivot in the honest block span W meet 0 x Q^e =
+      {(0, Q x) : P x = 0}, which is zero exactly when ker P lies in
+      ker Q.
+    generated_ok asks that P be onto and that some f_k have f_k P = Q.  For
+    P onto, such an f_k exists, and is unique, exactly when ker P lies in
+    ker Q.  So generated_ok holds if and only if the model block holds g
+    pivots and the honest block none.
+
+    A row kept with a model pivot has its lead in the model block all
+    through its reduction, so it was reduced by earlier such rows only.
+    The kept model-pivot rows therefore span the rows of the pairs that
+    gave them, and those pairs are B, the earliest pairs with independent
+    model products.  When P is onto, P_B is invertible and that span,
+    {(P_B y, Q_B y)}, has the reduced echelon rows (e_t, Q_B P_B^{-1} e_t),
+    which `solve` reads as solution t: column t of f_k = Q_B P_B^{-1}.
+    This is the f_k = Q S of a right inverse S of P that is zero off B, the
+    one that a reduction of [P | I] gives, and without honest pivots it is
+    the unique f_k with f_k P = Q.  bijective asks that f_k be square of
+    full rank.  When P is not onto, generated_ok and bijective fail and the
+    zero map is carried on.
+
+    Two product identities pin the mixed dual relations: the i-th
+    generator times the new letter is minus the i-th mixed relation class,
+    and the new letter times the i-th generator is the inverse-twist row
+    combination of the mixed relation classes.  Both read the degree-(1, 1)
+    cells of the honest dual.
+
+    Computed once per certificate and twist: `extiso` and cy_check_with
+    read the same report.
+    """
     alg = cert.algebra
     n = alg.n
     ext = skew_extend(alg, sigma)
@@ -200,67 +253,6 @@ def _ext_iso_report(cert: RegularityCertificate, sigma: Matrix) -> IsoReport:
         if dict(cells[n][i]) != {t: eden * v for t, v in expect.items() if v}:
             right_ok = False
     return IsoReport(gamma, ebd, generated_ok, bijective, left_ok, right_ok)
-
-
-def verify_ext_algebra_isomorphism(cert: RegularityCertificate,
-                                   sigma: Matrix) -> IsoReport:
-    """Build the degreewise isomorphism from the model onto the truncated
-    dual of the extension and check that it is multiplicative.
-
-    The map f sends dual generators to themselves and the shifted unit to
-    the new dual letter.  In degree k it is solved from the products x s
-    of degree-(k-1) basis elements x by degree-1 basis elements s, and
-    generated_ok says that f(x s) = f(x) f(s) holds for all of them, which
-    needs the model to be generated in degree 1 (the solve has no solution
-    otherwise).  That is all of multiplicativity: both algebras were
-    checked associative when built, f(1) = 1, and the c with f(x c) =
-    f(x) f(c) for every x form a subspace that contains 1 and degree 1 and
-    is closed under products, as f(x c c') = f(x c) f(c') = f(x) f(c) f(c')
-    = f(x) f(c c').  So f preserves every structure constant exactly when
-    generated_ok holds.
-
-    Degree k is one `solve`.  Let P be the g x N matrix of the model
-    products e_a e_b over the N pairs of a degree-(k-1) and a degree-1
-    basis element (g = dims[k] of the model), and Q the e x N matrix of
-    their honest images f(e_a) f(e_b) = f(e_a) e_b (f is the identity in
-    degree 1), summed from the cells of the basis elements in f(e_a).  Pair
-    j gives the row (P e_j, Q e_j), model coordinates as the unknowns and
-    honest ones as the right-hand sides, so the system is P^T X = Q^T and
-    X is the transpose of f_k.  The rows are reduced in pair order and
-    span W = {(P x, Q x)}.
-    - The pivots in the model block are those of W's projection to it,
-      P's column space: rank P of them.
-    - The rows with a pivot in the honest block span W meet 0 x Q^e =
-      {(0, Q x) : P x = 0}, which is zero exactly when ker P lies in
-      ker Q.
-    generated_ok asks that P be onto and that some f_k have f_k P = Q.  For
-    P onto, such an f_k exists, and is unique, exactly when ker P lies in
-    ker Q.  So generated_ok holds if and only if the model block holds g
-    pivots and the honest block none.
-
-    A row kept with a model pivot has its lead in the model block all
-    through its reduction, so it was reduced by earlier such rows only.
-    The kept model-pivot rows therefore span the rows of the pairs that
-    gave them, and those pairs are B, the earliest pairs with independent
-    model products.  When P is onto, P_B is invertible and that span,
-    {(P_B y, Q_B y)}, has the reduced echelon rows (e_t, Q_B P_B^{-1} e_t),
-    which `solve` reads as solution t: column t of f_k = Q_B P_B^{-1}.
-    This is the f_k = Q S of a right inverse S of P that is zero off B, the
-    one that a reduction of [P | I] gives, and without honest pivots it is
-    the unique f_k with f_k P = Q.  bijective asks that f_k be square of
-    full rank.  When P is not onto, generated_ok and bijective fail and the
-    zero map is carried on.
-
-    Two product identities pin the mixed dual relations: the i-th
-    generator times the new letter is minus the i-th mixed relation class,
-    and the new letter times the i-th generator is the inverse-twist row
-    combination of the mixed relation classes.  Both read the degree-(1, 1)
-    cells of the honest dual.
-
-    Computed once per certificate and twist: `extiso` and cy_check_with
-    read the same report.
-    """
-    return _ext_iso_report(cert, sigma)
 
 
 @dataclass(frozen=True)

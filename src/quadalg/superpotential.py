@@ -25,22 +25,15 @@ from .tensors import (add_into, apply_slotwise, contract_left, contract_right,
                       index_to_word, tau, word_to_index)
 
 
-def twist_defect(w: dict[int, Fraction], d: int,
-                 sigma: Matrix) -> dict[int, Fraction]:
-    """w minus its sign-adjusted twisted rotation, for w of degree d; empty
-    iff w is twisted-cyclic."""
+def is_twisted_superpotential(w: dict[int, Fraction], d: int,
+                              sigma: Matrix) -> bool:
+    """Whether w, of degree d, equals its sign-adjusted twisted rotation;
+    zero entries of w are ignored."""
     n = sigma.cols
     rotated = tau(apply_slotwise([sigma] + [None] * (d - 1), w, n), d, d - 1, n)
     sign = (-1) ** (d - 1)
-    out = dict(w)
-    for idx, c in rotated.items():
-        add_into(out, idx, -sign * c)
-    return out
-
-
-def is_twisted_superpotential(w: dict[int, Fraction], d: int,
-                              sigma: Matrix) -> bool:
-    return not twist_defect(w, d, sigma)
+    return {i: sign * c for i, c in rotated.items()} == {
+        i: c for i, c in w.items() if c}
 
 
 @dataclass(frozen=True)
@@ -59,9 +52,12 @@ class SuperpotentialData:
 
 
 # bounded at over twice the 7 certificates one corpus sweep extracts from;
-# keyed on the certificate itself, which regular._certify hands out
+# keyed on the certificate itself, which regular.as_regular_certificate
+# hands out
 @lru_cache(maxsize=16)
-def _superpotential(cert: RegularityCertificate) -> SuperpotentialData:
+def extract_superpotential(cert: RegularityCertificate, /) -> SuperpotentialData:
+    """The superpotential of cert and its twist, computed once per
+    certificate and shared by every caller."""
     d = cert.gldim
     alg = cert.algebra
     n = alg.n
@@ -94,12 +90,6 @@ def _superpotential(cert: RegularityCertificate) -> SuperpotentialData:
     if not is_twisted_superpotential(w, d, twist):
         raise ConsistencyError("extracted tensor is not twisted-cyclic")
     return SuperpotentialData(w, twist)
-
-
-def extract_superpotential(cert: RegularityCertificate) -> SuperpotentialData:
-    """The superpotential of cert and its twist, computed once per
-    certificate and shared by every caller."""
-    return _superpotential(cert)
 
 
 def symmetrize(w: dict[int, Fraction], d: int,

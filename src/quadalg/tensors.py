@@ -48,14 +48,14 @@ def add_into(acc: dict, key, value) -> None:
 
 
 def apply_slotwise(maps, vec: Mapping[int, Fraction], n: int) -> dict[int, Fraction]:
-    """Apply per-slot degree-one maps to a vector of words of length
-    len(maps) over n letters; None in a slot means the identity."""
+    """Apply per-slot degree-one maps, each n x n, to a vector of words of
+    length len(maps) over n letters; None in a slot means the identity."""
     # per map and letter, the nonzero (letter, value) pairs of the image,
     # read once for a map that fills several slots
     images: dict[int, list] = {}
     for m in maps:
         if m is not None and id(m) not in images:
-            if m.cols != n:
+            if m.cols != n or m.rows != n:
                 raise LinAlgError("slot map acts on the wrong space")
             images[id(m)] = [[(i, a) for i, a in enumerate(m.col(j)) if a]
                              for j in range(n)]

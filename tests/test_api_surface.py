@@ -13,10 +13,18 @@ one call in the package, or the default is an option that only tests use.
 Calls are matched by name in the same way, and an __init__ by the name of
 its class.  Defaults of dataclass fields are not def parameters and are not
 scanned.
+
+No def only hands its parameters on: a computation has one definition,
+under its public name, and a cached one carries its cache itself.  Each
+cache takes positional-only parameters, so that one object has one cache
+key: lru_cache keys f(a, 5) and f(a, bound=5) apart.
 """
 
 import ast
+import inspect
 from pathlib import Path
+
+from helpers import package_caches
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "quadalg"
 
@@ -131,3 +139,49 @@ def defaults_never_left_out():
 
 def test_every_default_is_left_out_by_a_caller_in_the_package():
     assert defaults_never_left_out() == []
+
+
+def _hands_on(call, params):
+    """Whether a call passes exactly the given parameter names, in order,
+    as plain names, positionally or by keyword."""
+    passed = call.args + [kw.value for kw in call.keywords]
+    return (all(kw.arg is not None for kw in call.keywords)
+            and [getattr(a, "id", None) for a in passed] == params)
+
+
+def pass_throughs(package=PACKAGE):
+    """module.name of every undecorated def whose body, after its
+    docstring, is one return of a call, or of its negation, that passes
+    exactly the def's own parameters in order."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.FunctionDef) or node.decorator_list:
+                continue
+            body = node.body
+            if (isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                body = body[1:]
+            if len(body) != 1 or not isinstance(body[0], ast.Return):
+                continue
+            value = body[0].value
+            if isinstance(value, ast.UnaryOp) and isinstance(value.op, (ast.Not, ast.USub)):
+                value = value.operand
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            if isinstance(value, ast.Call) and _hands_on(value, params):
+                found.append(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_no_def_only_hands_its_parameters_on():
+    assert pass_throughs() == []
+
+
+def test_every_package_cache_takes_positional_only_parameters():
+    caches = package_caches()
+    assert caches
+    for name, cache in caches.items():
+        kinds = {p.kind for p in inspect.signature(cache).parameters.values()}
+        assert kinds == {inspect.Parameter.POSITIONAL_ONLY}, name

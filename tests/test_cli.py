@@ -1,10 +1,12 @@
 """Command line driver: exit codes, verdict payloads, determinism."""
 
+import importlib.util
 import json
 import re
 import sys
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -317,13 +319,14 @@ def test_caches_are_bounded_and_keep_a_corpus_sweep_warm(capsys):
     # serves the hits of an unbounded cache
     caches = {"quadratic._koszul_component": quadratic._koszul_component,
               "quadratic._koszul_dim": quadratic._koszul_dim,
-              "quadratic._truncated": quadratic._truncated,
-              "regular._certify": regular._certify,
-              "regular._nakayama": regular._nakayama,
-              "superpotential._superpotential":
-                  superpotential._superpotential,
-              "skew._skew_extend": skew._skew_extend,
-              "skew._ext_iso_report": skew._ext_iso_report}
+              "quadratic.truncated_structure": quadratic.truncated_structure,
+              "regular.as_regular_certificate": regular.as_regular_certificate,
+              "regular.nakayama_of_algebra": regular.nakayama_of_algebra,
+              "superpotential.extract_superpotential":
+                  superpotential.extract_superpotential,
+              "skew.skew_extend": skew.skew_extend,
+              "skew.verify_ext_algebra_isomorphism":
+                  skew.verify_ext_algebra_isomorphism}
     assert package_caches() == caches
     for cache in caches.values():
         cache.cache_clear()
@@ -332,21 +335,37 @@ def test_caches_are_bounded_and_keep_a_corpus_sweep_warm(capsys):
             main([cmd, str(path), "--max-degree", "5"])
     capsys.readouterr()
     bounds = {"quadratic._koszul_component": 256, "quadratic._koszul_dim": 64,
-              "quadratic._truncated": 32,
-              "regular._certify": 32, "regular._nakayama": 16,
-              "superpotential._superpotential": 16, "skew._skew_extend": 16,
-              "skew._ext_iso_report": 16}
+              "quadratic.truncated_structure": 32,
+              "regular.as_regular_certificate": 32,
+              "regular.nakayama_of_algebra": 16,
+              "superpotential.extract_superpotential": 16,
+              "skew.skew_extend": 16,
+              "skew.verify_ext_algebra_isomorphism": 16}
     hits = {"quadratic._koszul_component": 630, "quadratic._koszul_dim": 79,
-            "quadratic._truncated": 4,
-            "regular._certify": 82, "regular._nakayama": 50,
-            "superpotential._superpotential": 23, "skew._skew_extend": 27,
-            "skew._ext_iso_report": 13}
+            "quadratic.truncated_structure": 4,
+            "regular.as_regular_certificate": 82,
+            "regular.nakayama_of_algebra": 50,
+            "superpotential.extract_superpotential": 23,
+            "skew.skew_extend": 27,
+            "skew.verify_ext_algebra_isomorphism": 13}
     for name, cache in caches.items():
         info = cache.cache_info()
         assert info.maxsize == bounds[name], name
         assert 2 * info.currsize <= info.maxsize, name
         assert info.currsize == info.misses, name
         assert info.hits == hits[name], name
+
+
+def test_report_grid_lists_each_package_cache_once():
+    # report_grid.py empties every cache before each run, and run_corpus.py
+    # prints one line per cache it lists: each cache once, found in the
+    # module that defines it and not again where another module imports it
+    path = Path(__file__).resolve().parent.parent / "scripts" / "report_grid.py"
+    spec = importlib.util.spec_from_file_location("report_grid", path)
+    grid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grid)
+    listed = [id(cache) for cache in grid.caches()]
+    assert sorted(listed) == sorted(map(id, package_caches().values()))
 
 
 def test_hilbert_counts_pbw_degrees_past_the_word_cap(tmp_path, capsys):
@@ -631,17 +650,20 @@ def test_certificate_data_is_computed_once_per_session(capsys, monkeypatch):
     # them.  The deformation files deform the algebras of quantum_plane_q2
     # and poly3, so there are the 7 certificates of AS_REGULAR, each with
     # its Nakayama map as the one twist.
-    memos = {nakayama_of_algebra: regular._nakayama,
-             extract_superpotential: superpotential._superpotential,
-             verify_ext_algebra_isomorphism: skew._ext_iso_report}
-    calls = {fn: _count_calls(monkeypatch, fn) for fn in memos}
+    memos = (nakayama_of_algebra, extract_superpotential,
+             verify_ext_algebra_isomorphism)
+    # emptied here: once counted, they are no longer found by the sweep's
+    # package_caches(), which sees only the counting wrappers
+    for memo in memos:
+        memo.cache_clear()
+    calls = {memo: _count_calls(monkeypatch, memo) for memo in memos}
     _corpus_sweep(capsys, cold=False)
-    for fn, memo in memos.items():
+    for memo in memos:
         # certificates by identity, twists by value, as the memos key them
-        keys = {(id(args[0]),) + args[1:] for args in calls[fn]}
-        assert len(keys) == len(AS_REGULAR), fn.__name__
-        assert memo.cache_info().misses == len(keys), fn.__name__
-        assert len(calls[fn]) > len(keys), fn.__name__
+        keys = {(id(args[0]),) + args[1:] for args in calls[memo]}
+        assert len(keys) == len(AS_REGULAR), memo.__name__
+        assert memo.cache_info().misses == len(keys), memo.__name__
+        assert len(calls[memo]) > len(keys), memo.__name__
 
 
 @pytest.mark.parametrize("command,name,code", [

@@ -425,7 +425,8 @@ def test_to_int_row_matches_a_fraction_reference_on_random_rows(row):
                               "complex"])
 def test_a_value_that_is_not_int_or_fraction_is_refused(value):
     # a float would enter as its binary value and a bool as 0 or 1; every
-    # way a row reaches the elimination core refuses both, dense or sparse
+    # way a row reaches the elimination core refuses both, dense or sparse,
+    # and so does a Matrix
     with pytest.raises(LinAlgError, match="row entries must be int or Fraction"):
         Subspace.from_spanning([{0: value, 1: 1}], 2)
     with pytest.raises(LinAlgError, match="row entries must be int or Fraction"):
@@ -440,3 +441,15 @@ def test_a_value_that_is_not_int_or_fraction_is_refused(value):
     assert Subspace.from_spanning([{0: Fraction(1, 2), 1: 3, 2: 0.0}],
                                   3).int_rows == (((0, 1), (1, 6)),)
     assert Subspace.from_spanning([{0: False, 1: 1}], 2).int_rows == (((1, 1),),)
+    # a Matrix holds Fractions and takes ints and Fractions only, in its
+    # rows and as a scale factor
+    with pytest.raises(LinAlgError, match="matrix entries must be int or Fraction"):
+        Matrix.from_rows([[value, 1], [Fraction(1, 3), 2]], 2)
+    with pytest.raises(LinAlgError, match="matrix entries must be int or Fraction"):
+        Matrix.from_rows([[Fraction(1, 2), 0], [0, value]], 2)
+    with pytest.raises(LinAlgError, match="matrix entries must be int or Fraction"):
+        Matrix.identity(2).scale(value)
+    m = Matrix.from_rows([[Fraction(1, 2), 0], [3, 1]], 2)
+    assert m.entries == ((Fraction(1, 2), ZERO), (Fraction(3), ONE))
+    assert all(type(v) is Fraction for row in m.entries for v in row)
+    assert m.scale(2) == m.scale(Fraction(2)) == Matrix.from_rows([[1, 0], [6, 2]], 2)

@@ -233,14 +233,14 @@ def _check_against_oracle(cert, sigma, seen):
 
 @pytest.fixture
 def swap(monkeypatch):
-    """Replace an attribute of skew, emptying the memo behind
+    """Replace an attribute of skew, emptying the cache of
     verify_ext_algebra_isomorphism: it keeps the report of whatever model
     was in place when it was filled.  Emptied once more after the test."""
     def swap_in(attr, value):
         monkeypatch.setattr(skew, attr, value)
-        skew._ext_iso_report.cache_clear()
+        skew.verify_ext_algebra_isomorphism.cache_clear()
     yield swap_in
-    skew._ext_iso_report.cache_clear()
+    skew.verify_ext_algebra_isomorphism.cache_clear()
 
 
 def test_iso_check_fails_on_a_mismatched_model(swap):

@@ -7,7 +7,7 @@ from helpers import (AS_REGULAR, algebra_of, cert_of, random_member,
                      twisted_cyclic_space, word_terms, word_vector)
 from quadalg import (Matrix, derivation_quotient,
                      extract_superpotential, is_twisted_superpotential,
-                     nakayama_of_algebra, symmetrize, twist_defect,
+                     nakayama_of_algebra, symmetrize,
                      verify_superpotential_presentation)
 
 F = Fraction
@@ -33,7 +33,18 @@ def test_superpotential_twist_is_nakayama():
 def test_twist_defect_nonzero_for_wrong_twist():
     data = extract_superpotential(cert_of("quantum_plane_q2"))
     ident = Matrix.identity(2)
-    assert twist_defect(data.w, 2, ident)
+    assert not is_twisted_superpotential(data.w, 2, ident)
+
+
+def test_zero_entries_of_w_are_ignored():
+    # a zero entry is no entry: the answer is that of w without it, under
+    # the twist that makes w cyclic and under one that does not.  w is
+    # x y - 2 y x, so the words x x and y y, indices 0 and 3, are free
+    data = extract_superpotential(cert_of("quantum_plane_q2"))
+    ident = Matrix.identity(2)
+    padded = {**data.w, 0: F(0), 3: F(0)}
+    assert is_twisted_superpotential(padded, 2, data.twist)
+    assert not is_twisted_superpotential(padded, 2, ident)
 
 
 def test_symmetrize_goldens():

@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 from helpers import (oracle_apply_slotwise, oracle_contract_left,
                      oracle_contract_right, oracle_tau, seeded, word_terms,
                      word_vector)
-from quadalg.linalg import LinAlgError, Matrix
+from quadalg.linalg import LinAlgError, Matrix, Subspace
+from quadalg.quadratic import QuadraticAlgebra, truncated_structure
 from quadalg.tensors import (add_into, apply_slotwise, contract_left,
-                             contract_right, index_to_word, tau, word_to_index)
+                             contract_right, index_to_word, preserves_subspace,
+                             tau, word_to_index)
 
 F = Fraction
 
@@ -57,6 +59,22 @@ def test_tensor_make_merges_and_validates():
         apply_slotwise([_diagonal(1, 1, 1)], {0: F(1)}, 2)
     with pytest.raises(LinAlgError):
         tau({0: F(1)}, 2, 2, 2)
+
+
+def test_a_slot_map_that_is_not_square_is_refused():
+    # a 3 x 2 map on 2 letters would send (0, 1) to indices that alias
+    # other words or lie past the 4 words of length 2
+    phi = Matrix.from_rows([[1, 0], [0, 1], [1, 1]], 2)
+    with pytest.raises(LinAlgError, match="slot map acts on the wrong space"):
+        apply_slotwise([phi, phi], {1: F(1)}, 2)
+    with pytest.raises(LinAlgError, match="slot map acts on the wrong space"):
+        apply_slotwise([None, phi.transpose()], {1: F(1)}, 3)
+    relations = Subspace.from_spanning([{1: F(1), 2: F(-1)}], 4)
+    with pytest.raises(LinAlgError, match="slot map acts on the wrong space"):
+        preserves_subspace(phi, relations, 2)
+    dual = truncated_structure(QuadraticAlgebra(("x", "y"), relations), 2)
+    with pytest.raises(LinAlgError, match="slot map acts on the wrong space"):
+        dual.automorphism(phi)
 
 
 def test_tensor_vector_roundtrip():
