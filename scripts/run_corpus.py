@@ -6,6 +6,14 @@ Commands that need a deformation section or a specific dimension will
 legitimately report err on files lacking them.  After the table, one line
 per package cache gives its hits, misses, current size and bound over the
 sweep, which runs in one process with the caches warm across commands.
+
+The table and the cache lines go to stdout and are the same on every run;
+scripts/run_corpus.expected holds them, and a change that moves a status
+or a cache count updates that file in the same commit:
+
+    PYTHONPATH=src python3 scripts/run_corpus.py | diff scripts/run_corpus.expected -
+
+The timing line goes to stderr.
 """
 
 import argparse
@@ -46,7 +54,8 @@ def run(argv=None):
             total += 1
         print("".join(row))
     elapsed = time.perf_counter() - started
-    print(f"\n{total} invocations in {elapsed:.1f}s")
+    print()
+    print(f"{total} invocations in {elapsed:.1f}s", file=sys.stderr)
     for cache in caches():
         info = cache.cache_info()
         print(f"{cache.__module__}.{cache.__name__}: {info.hits} hits, "

@@ -13,16 +13,23 @@ matrices, one per degree, in column convention.  The top graded
 piece is required to be one-dimensional whenever Frobenius data is
 extracted, and the distinguished functional is "coefficient of the top basis
 element", read straight off a top structure cell.
+
+The Frobenius data has one integer core, _pairing_core: den times each
+pairing G_i, read off the top cells, and each Nakayama block as the
+int_solve solution of den G_i X = den G_{d-i}^T, integers over a pivot
+entry.  frobenius_structure turns it into Fraction matrices for its
+readers; is_graded_symmetric runs both of its routes on the integers.
+The trivial extension reads its twists as integer columns once, so the
+Calabi-Yau path builds and tests its model with no Fraction in between.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .linalg import (ConsistencyError, LinAlgError, Matrix, Vec, ZERO,
-                     _forward_reduce, solve)
+from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Vec, ZERO,
+                     _forward_reduce, denominator, int_columns, int_solve)
 
 
 class NotFrobenius(Exception):
@@ -126,8 +133,10 @@ class GradedFDAlgebra:
 
     def epsilon(self, k: int) -> tuple[Matrix, ...]:
         """The sign automorphism acting by (-1)^(i*k) in degree i."""
-        return tuple(Matrix.identity(self.dims[i]).scale(Fraction((-1) ** (i * k)))
-                     for i in range(self.length + 1))
+        signs = (ONE, -ONE)
+        return tuple(Matrix(tuple(tuple(signs[i * k % 2] if a == b else ZERO
+                                        for b in range(m)) for a in range(m)), m)
+                     for i, m in enumerate(self.dims))
 
     def _validate_unit(self) -> None:
         for j in range(self.length + 1):
@@ -221,8 +230,15 @@ class FrobeniusStructure:
     nakayama: tuple[Matrix, ...]
 
 
-def frobenius_structure(alg: GradedFDAlgebra) -> FrobeniusStructure:
-    """Extract the pairing matrices and Nakayama map, or raise NotFrobenius."""
+def _pairing_core(alg: GradedFDAlgebra):
+    """The Frobenius data in integers, or raise NotFrobenius.
+
+    Returns (pairings, nakayama): pairings[i] is den times G_i, a tuple of
+    int rows, read straight off the top cells; nakayama[i] is the integer
+    solution of the Nakayama solve on degree i, {row p: (pivot entry,
+    {column j: int})}, entry (p, j) of the Nakayama matrix being the int
+    over the pivot entry.
+    """
     d = alg.length
     if alg.dim(d) != 1:
         raise NotFrobenius(d, f"top degree has dimension {alg.dim(d)}, not 1")
@@ -240,36 +256,52 @@ def frobenius_structure(alg: GradedFDAlgebra) -> FrobeniusStructure:
     nak = [None] * (d + 1)
     for i in range(d + 1):
         n = alg.dims[i]
-        sol, _ = solve(map(tuple.__add__, ints[i], zip(*ints[d - i])), n)
+        rows = ({c: v for c, v in enumerate(row + col) if v}
+                for row, col in zip(ints[i], zip(*ints[d - i])))
+        sol, _ = int_solve(rows, n)
         if len(sol) < n:
             raise NotFrobenius(i, "degenerate pairing against the "
                                   "complementary degree")
-        nak[d - i] = Matrix(tuple(tuple(sol[p].get(j, ZERO) for j in range(n))
-                                  for p in range(n)), n)
+        nak[d - i] = sol
+    return ints, nak
+
+
+def frobenius_structure(alg: GradedFDAlgebra) -> FrobeniusStructure:
+    """Extract the pairing matrices and Nakayama map, or raise NotFrobenius;
+    the integer data of _pairing_core, as Fraction matrices."""
+    ints, nak = _pairing_core(alg)
     den = alg.den
-    pairings = [Matrix(tuple(tuple(Fraction(v, den) if v else ZERO
-                                   for v in row) for row in g),
-                       alg.dims[d - i]) for i, g in enumerate(ints)]
-    return FrobeniusStructure(tuple(pairings), tuple(nak))
+    pairings = tuple(Matrix(tuple(tuple(Fraction(v, den) if v else ZERO
+                                        for v in row) for row in g),
+                            alg.dims[alg.length - i])
+                     for i, g in enumerate(ints))
+    # row p of a block is solution row p, every one of them present
+    nakayama = tuple(Matrix(tuple(tuple(Fraction(vals.get(j, 0), pv)
+                                        for j in range(len(sol)))
+                                  for pv, vals in map(sol.get, range(len(sol)))),
+                            len(sol))
+                     for sol in nak)
+    return FrobeniusStructure(pairings, nakayama)
 
 
 def is_graded_symmetric(alg: GradedFDAlgebra):
     """Sign-symmetry of the pairing; returns (verdict, witness).
 
-    Checked two ways: entrywise on the pairing matrices and through the
-    Nakayama map being the expected sign scalar in each degree, read entry
-    by entry.  The witness is (degree, row, col) of the first failing
-    pairing entry, or None.
+    Checked two ways, both on the integer data of _pairing_core: entrywise
+    on the pairings, den G_i against the signed transpose of den G_{d-i},
+    and through the Nakayama map being the expected sign scalar in each
+    degree, read row by row.  The witness is (degree, row, col) of the
+    first failing pairing entry, or None.
     """
-    frob = frobenius_structure(alg)
+    ints, nak = _pairing_core(alg)
     d = alg.length
     witness = None
     for i in range(d + 1):
-        gi, gdi = frob.pairings[i], frob.pairings[d - i]
+        gi, gdi = ints[i], ints[d - i]
         odd = i * (d - i) % 2
-        for a in range(gi.rows):
-            for b in range(gi.cols):
-                if gi[a, b] != (-gdi[b, a] if odd else gdi[b, a]):
+        for a, row in enumerate(gi):
+            for b, v in enumerate(row):
+                if v != (-gdi[b][a] if odd else gdi[b][a]):
                     witness = (i, a, b)
                     break
             if witness:
@@ -277,13 +309,12 @@ def is_graded_symmetric(alg: GradedFDAlgebra):
         if witness:
             break
     ok_pairings = witness is None
-    # the Nakayama map is the sign (-1)^((d-1) i) times the identity on
-    # degree i: compare each entry with that sign or zero
+    # the Nakayama map is the sign s = (-1)^((d-1) i) times the identity on
+    # degree i: solution row p is s times its pivot entry at p and nothing
+    # else
     ok_nakayama = all(
-        v == ((-1) ** ((d - 1) * i) if a == b else 0)
-        for i in range(d + 1)
-        for a, row in enumerate(frob.nakayama[i].entries)
-        for b, v in enumerate(row))
+        vals == {p: (-pv if (d - 1) * i % 2 else pv)}
+        for i, sol in enumerate(nak) for p, (pv, vals) in sol.items())
     if ok_pairings != ok_nakayama:
         raise ConsistencyError("pairing symmetry and Nakayama sign test disagree")
     return ok_pairings, witness
@@ -302,65 +333,55 @@ def twisted_module_trivial_extension(alg: GradedFDAlgebra, left,
     so the result has length one more than E.  left and right are graded
     maps of E, one matrix per degree; the actions are a.(m) = (left(a) m)
     and (m).b = (m right(b)), products of two module elements vanish.
-    Each twist matrix is read column by column once per degree, scaled by
-    L, the lcm of the denominators of both twists, so the result is built
-    in integers over L times E's den.  An action cell is the twisted
-    combination of E's own integer cells, shifted past E_{i+j}; E's own
-    products are its cells times L.
+    Each twist matrix is read as integer columns once, over L, the lcm of
+    the denominators of both twists, so the result is built in integers
+    over L times E's den, one block row at a time.  A row of E_i holds E's
+    own products, its cells times L, then the left-action cells; a module
+    row holds the right-action cells, then empty cells.  An action cell is
+    the twisted combination of E's own integer cells, shifted past E_{i+j}.
     """
     d = alg.length
-    scale = lcm(*[v.denominator for maps in (left, right) for m in maps
-                  for row in m.entries for v in row])
-    lcols, rcols = _columns(left, scale), _columns(right, scale)
-    dims = [alg.dim(i) + alg.dim(i - 1) for i in range(d + 2)]
+    scale = denominator(*left, *right)
+    lcols = [int_columns(m, scale) for m in left]
+    rcols = [int_columns(m, scale) for m in right]
+    # dim[i] is dim E_i, zero outside 0..d, also at index -1
+    dim = alg.dims + (0, 0)
+    dims = [dim[i] + dim[i - 1] for i in range(d + 2)]
     mult = {}
     for i in range(d + 2):
         for j in range(d + 2 - i):
-            ai, aj, off = alg.dim(i), alg.dim(j), alg.dim(i + j)
+            aj, copy_j, off = dim[j], dim[j - 1], dim[i + j]
             inner = alg.int_mult.get((i, j))
             # E_i on the copy of E_{j-1}, and the copy of E_{i-1} on E_j
             on_copy = alg.int_mult.get((i, j - 1))
             copy_on = alg.int_mult.get((i - 1, j))
             block = []
-            for a in range(dims[i]):
-                row = []
-                for b in range(dims[j]):
-                    if a < ai and b < aj:
-                        cell = inner[a][b] if inner else ()
-                        row.append(cell if scale == 1
-                                   else tuple((c, scale * w) for c, w in cell))
-                        continue
-                    if a < ai:
-                        cell = _sparse_sum([(x, on_copy[t][b - aj])
-                                            for t, x in lcols[i][a]])
-                    elif b < aj:
-                        cell = _sparse_sum([(x, copy_on[a - ai][t])
-                                            for t, x in rcols[j][b]])
-                    else:
-                        cell = ()
-                    row.append(tuple((off + c, v) for c, v in cell))
+            for a in range(dim[i]):
+                row = list(inner[a]) if inner else [()] * aj
+                if scale != 1:
+                    row = [[(c, scale * w) for c, w in cell] for cell in row]
+                terms = lcols[i][a]
+                row += [_sparse_sum([(x, on_copy[t][b]) for t, x in terms], off)
+                        for b in range(copy_j)]
                 block.append(row)
+            for a in range(dim[i - 1]):
+                cells = copy_on[a]
+                block.append([_sparse_sum([(x, cells[t]) for t, x in rcols[j][b]],
+                                          off) for b in range(aj)]
+                             + [()] * copy_j)
             mult[(i, j)] = block
     return GradedFDAlgebra(dims, mult, alg.den * scale)
 
 
-def _columns(maps, scale: int) -> list[list[list[tuple[int, int]]]]:
-    """The nonzero (row, value) entries of every column of every matrix of
-    a graded map, times scale, read once per degree; scale clears every
-    denominator, so the values are ints."""
-    return [[[(t, row[a].numerator * (scale // row[a].denominator))
-              for t, row in enumerate(m.entries) if row[a]]
-             for a in range(m.cols)] for m in maps]
-
-
-def _sparse_sum(terms):
-    """sum x * cell over a list of (x, sparse cell) terms, as a sparse
-    cell; one term, the common case of a monomial twist, is just scaled."""
+def _sparse_sum(terms, off: int):
+    """sum x * cell over a list of (x, sparse cell) terms, as a sparse cell
+    with every coordinate shifted up by off; one term, the common case of a
+    monomial twist, is just scaled."""
     if len(terms) == 1:
         x, cell = terms[0]
-        return [(c, x * w) for c, w in cell]
+        return [(off + c, x * w) for c, w in cell]
     acc: dict[int, int] = {}
     for x, cell in terms:
         for c, w in cell:
             acc[c] = acc.get(c, 0) + x * w
-    return [(c, v) for c, v in sorted(acc.items()) if v]
+    return [(off + c, v) for c, v in sorted(acc.items()) if v]

@@ -25,9 +25,13 @@ A vector indexed by coordinate words has one form, a sparse {coordinate:
 value} map or its (coordinate, value) pairs; only the small dense Matrix
 (rows of Fractions) is dense.  Every system with right-hand sides is
 solved by `solve` from its augmented rows, and the X of A X = B for a
-square A by `solve_square`; there is no matrix inverse.  Fractions remain
-only at the edges: the rows a caller hands in, `Subspace.rows`, the
-solutions of `solve` and the entries of a Matrix.
+square A by `solve_square`; there is no matrix inverse.  A caller whose
+rows are integers already calls `int_solve`, the integer core of `solve`,
+and reads each solution as integers over its pivot entry.  A Matrix is
+read as integers by `int_columns`, each column's nonzero entries times a
+common denominator.  Fractions remain only at the edges: the rows a caller
+hands in, `Subspace.rows`, the solutions of `solve` and the entries of a
+Matrix.
 """
 
 from __future__ import annotations
@@ -161,6 +165,23 @@ def _reduced_echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]
     return pivots
 
 
+def int_solve(rows: Iterable[dict[int, int]], n: int
+              ) -> tuple[dict[int, tuple[int, dict[int, int]]], bool]:
+    """`solve` on integer rows, with integer solutions.
+
+    The rows are integer rows with no zero entry, given away as to
+    _echelon_int.  Returns ({pivot unknown p: (pivot entry, {j: int})},
+    consistent): x_p of solution j is the int at j over the pivot entry,
+    which is positive; zeros are left out.
+    """
+    echelon = _echelon_int(rows)
+    kept = [r for p, r in echelon.items() if p < n]
+    out = {}
+    for p, row in _reduced_echelon(kept).items():
+        out[p] = (row[p], {c - n: v for c, v in row.items() if c >= n})
+    return out, len(kept) == len(echelon)
+
+
 def solve(rows: Iterable[RowLike],
           n: int) -> tuple[dict[int, dict[int, Fraction]], bool]:
     """Solve A X = B from the augmented rows [A | B].
@@ -172,15 +193,11 @@ def solve(rows: Iterable[RowLike],
     consistent says that every right-hand side is attained.  The rows that
     keep a pivot below n after the forward pass are back-substituted among
     themselves, so a consistent system gets exactly its reduced echelon
-    solution.
+    solution.  The rows are scaled to integers and solved by `int_solve`.
     """
-    echelon = _echelon_int(_to_int_row(r) for r in rows)
-    kept = [r for p, r in echelon.items() if p < n]
-    out = {}
-    for p, row in _reduced_echelon(kept).items():
-        pv = row[p]
-        out[p] = {c - n: Fraction(v, pv) for c, v in row.items() if c >= n}
-    return out, len(kept) == len(echelon)
+    sol, consistent = int_solve((_to_int_row(r) for r in rows), n)
+    return ({p: {j: Fraction(v, pv) for j, v in vals.items()}
+             for p, (pv, vals) in sol.items()}, consistent)
 
 
 def int_kernel(rows: Iterable[Mapping[int, int]], ambient: int) -> list[dict[int, int]]:
@@ -309,10 +326,13 @@ class Matrix:
         return Matrix(tuple(out), other.cols)
 
     def mul_col(self, v: Sequence) -> Vec:
-        """Matrix times column vector, returned as a flat tuple."""
+        """Matrix times column vector, returned as a flat tuple; an entry
+        that is not an int or a Fraction raises LinAlgError, as in
+        from_rows."""
         if len(v) != self.cols:
             raise LinAlgError("length mismatch in column multiplication")
-        return self.mul_sparse_col([(j, Fraction(x)) for j, x in enumerate(v) if x])
+        return self.mul_sparse_col([(j, x) for j, x in enumerate(map(_entry, v))
+                                    if x])
 
     def mul_sparse_col(self, pairs) -> Vec:
         """Matrix times a column vector given by its nonzero (index, value)
@@ -324,6 +344,19 @@ class Matrix:
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
+
+
+def denominator(*mats: Matrix) -> int:
+    """The lcm of the denominators of every entry of the matrices."""
+    return lcm(*[v.denominator for m in mats for row in m.entries for v in row])
+
+
+def int_columns(m: Matrix, scale: int) -> list[list[tuple[int, int]]]:
+    """The nonzero (row, value) entries of each column of m, times scale, a
+    multiple of denominator(m), so that every value is an int."""
+    return [[(t, row[a].numerator * (scale // row[a].denominator))
+             for t, row in enumerate(m.entries) if row[a]]
+            for a in range(m.cols)]
 
 
 def solve_square(a: Matrix, b: Matrix) -> Matrix | None:

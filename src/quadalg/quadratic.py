@@ -44,9 +44,10 @@ from math import lcm
 
 from .frobenius import GradedFDAlgebra
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ResourceLimitError,
-                     ONE, Subspace, Vec, ZERO, _echelon_int, _reduced_echelon,
-                     _strip, flipped_int_kernel, solve)
-from .tensors import apply_slotwise, preserves_subspace
+                     Subspace, Vec, ZERO, _echelon_int, _reduced_echelon,
+                     _strip, denominator, flipped_int_kernel, int_columns,
+                     solve)
+from .tensors import index_to_word, preserves_subspace
 
 # the most coordinate words n**m a Koszul component may have
 MAX_WORDS = 10 ** 6
@@ -469,17 +470,35 @@ class TruncatedAlgebra(GradedFDAlgebra):
 
     def automorphism(self, phi: Matrix) -> tuple[Matrix, ...]:
         """Extend a relation-preserving degree-one map to every degree, one
-        matrix per degree."""
-        if not preserves_subspace(phi, self.algebra.relations, 2):
+        matrix per degree.
+
+        phi is read once as integer columns over L, the lcm of its
+        denominators.  Column w of the degree-k matrix is the class of the
+        image of the basis word w, the sum over the words u of phi's
+        slotwise image of their integer class cells; it comes out times
+        den * L^k.
+        """
+        if not preserves_subspace(phi, self.algebra.relations):
             raise LinAlgError("map does not preserve the relation subspace")
         n = self.algebra.n
+        scale = denominator(phi)
+        cols = int_columns(phi, scale)
         mats = []
         for k in range(self.length + 1):
-            cols = []
-            for w in self.words[k]:
-                img = apply_slotwise([phi] * k, {w: ONE}, n)
-                cols.append(self.reduce_sparse(k, img))
-            mats.append(Matrix.from_rows(cols, self.dims[k]).transpose())
+            cls = self.classes[k]
+            out = [[0] * self.dims[k] for _ in range(self.dims[k])]
+            for b, w in enumerate(self.words[k]):
+                image = [(0, 1)]
+                for letter in index_to_word(w, n, k):
+                    image = [(u * n + i, x * y) for u, x in image
+                             for i, y in cols[letter]]
+                for u, x in image:
+                    for t, v in cls.get(u, ()):
+                        out[t][b] += x * v
+            den = self.den * scale ** k
+            mats.append(Matrix(tuple(tuple(Fraction(v, den) if v else ZERO
+                                           for v in row) for row in out),
+                               self.dims[k]))
         return tuple(mats)
 
 

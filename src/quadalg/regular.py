@@ -101,7 +101,7 @@ def nakayama_of_algebra(cert: RegularityCertificate, /) -> Matrix:
     # G_1 is nondegenerate, as frobenius_structure checked
     y = solve_square(pairings[1].transpose(), pairings[d - 1])
     xi = y.transpose().scale(Fraction((-1) ** (d + 1)))
-    if not preserves_subspace(xi, cert.algebra.relations, 2):
+    if not preserves_subspace(xi, cert.algebra.relations):
         raise ConsistencyError("extracted Nakayama map does not preserve the relations")
     return xi
 

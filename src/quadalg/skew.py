@@ -19,13 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .frobenius import (GradedFDAlgebra, is_graded_symmetric,
                         twisted_module_trivial_extension)
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Subspace, ZERO,
-                     _echelon_int, _to_int_row, solve, solve_square,
-                     unit_vector)
+                     _echelon_int, int_solve, solve_square, unit_vector)
 from .quadratic import QuadraticAlgebra, graded_dims, truncated_structure
 from .regular import RegularityCertificate
 from .superpotential import (derivation_quotient, extract_superpotential,
@@ -73,7 +71,7 @@ def skew_extend(base: QuadraticAlgebra, sigma: Matrix, /) -> SkewExtension:
     pinv = solve_square(sigma, Matrix.identity(n))
     if pinv is None:
         raise LinAlgError("twist must be invertible")
-    if not preserves_subspace(sigma, base.relations, 2):
+    if not preserves_subspace(sigma, base.relations):
         raise LinAlgError("twist does not preserve the relations")
     names = base.names + (fresh_letter(base.names),)
     m = n + 1
@@ -148,7 +146,7 @@ def verify_ext_algebra_isomorphism(cert: RegularityCertificate,
     = f(x) f(c c').  So f preserves every structure constant exactly when
     generated_ok holds.
 
-    Degree k is one `solve`.  Let P be the g x N matrix of the model
+    Degree k is one `int_solve`.  Let P be the g x N matrix of the model
     products e_a e_b over the N pairs of a degree-(k-1) and a degree-1
     basis element (g = dims[k] of the model), and Q the e x N matrix of
     their honest images f(e_a) f(e_b) = f(e_a) e_b (f is the identity in
@@ -173,7 +171,7 @@ def verify_ext_algebra_isomorphism(cert: RegularityCertificate,
     gave them, and those pairs are B, the earliest pairs with independent
     model products.  When P is onto, P_B is invertible and that span,
     {(P_B y, Q_B y)}, has the reduced echelon rows (e_t, Q_B P_B^{-1} e_t),
-    which `solve` reads as solution t: column t of f_k = Q_B P_B^{-1}.
+    which `int_solve` reads as solution t: column t of f_k = Q_B P_B^{-1}.
     This is the f_k = Q S of a right inverse S of P that is zero off B, the
     one that a reduction of [P | I] gives, and without honest pivots it is
     the unique f_k with f_k P = Q.  bijective asks that f_k be square of
@@ -199,35 +197,35 @@ def verify_ext_algebra_isomorphism(cert: RegularityCertificate,
     generated_ok = True
     bijective = True
     # each stacked row is scaled to integers, which leaves the solution as
-    # it is: by both tables' denominators and by the lcm L of the
-    # denominators in f(e_a), so the model cell comes times ebd.den * L and
-    # the honest product times gamma.den * L, from the integer cells
+    # it is: by both tables' denominators and by the pivot entry that f(e_a)
+    # is carried over, so the model cell comes times ebd.den times that
+    # entry and the honest product times gamma.den, from the integer cells
     gden, eden = gamma.den, ebd.den
-    # f_{k-1} as sparse columns {honest coordinate: value}, one per model
-    # basis element; the identity in degree 1
-    prev = [{b: ONE} for b in range(n + 1)]
+    # f_{k-1} as integer columns (pivot entry, {honest coordinate: int}),
+    # the column over its pivot entry, one per model basis element, as
+    # int_solve returns them; the identity in degree 1
+    prev = [(1, {b: 1}) for b in range(n + 1)]
     for k in range(2, cert.gldim + 2):
         g, e = gamma.dims[k], ebd.dims[k]
         model = gamma.int_mult[(k - 1, 1)]
         honest = ebd.int_mult[(k - 1, 1)]
         rows = []
-        for a, fa in enumerate(prev):
-            scale = lcm(*[x.denominator for x in fa.values()])
-            terms = [(t, gden * x.numerator * (scale // x.denominator))
-                     for t, x in fa.items()]
+        for a, (pa, fa) in enumerate(prev):
+            terms = [(t, gden * x) for t, x in fa.items()]
+            scale = eden * pa
             for b in range(n + 1):
-                row = {c: eden * scale * w for c, w in model[a][b]}
+                row = {c: scale * w for c, w in model[a][b]}
                 for t, x in terms:
                     for c, w in honest[t][b]:
                         row[g + c] = row.get(g + c, 0) + x * w
-                rows.append(row)
-        sol, consistent = solve(rows, g)
+                rows.append({c: v for c, v in row.items() if v})
+        sol, consistent = int_solve(rows, g)
         if len(sol) < g or not consistent:
             generated_ok = False
         # column t of f_k is solution t; the zero map unless P is onto
         prev = ([sol[t] for t in range(g)] if len(sol) == g
-                else [{} for _ in range(g)])
-        if g != e or len(_echelon_int(_to_int_row(col) for col in prev)) != e:
+                else [(1, {}) for _ in range(g)])
+        if g != e or len(_echelon_int(dict(col) for _, col in prev)) != e:
             bijective = False
     # mixed dual relation classes, paired against the original relation rows
     nrel = alg.relations.dim

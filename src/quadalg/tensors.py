@@ -16,10 +16,9 @@ of letter j.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Mapping
 
-from .linalg import LinAlgError, Matrix, Subspace
+from .linalg import LinAlgError, Matrix, Subspace, denominator, int_columns
 
 Word = tuple[int, ...]
 
@@ -107,16 +106,28 @@ def contract_right(vec: Mapping[int, Fraction], letter: int,
     return {idx // n: c for idx, c in vec.items() if idx % n == letter}
 
 
-def preserves_subspace(phi: Matrix, space: Subspace, degree: int) -> bool:
-    """Whether the slotwise extension of phi maps the subspace into itself."""
+def preserves_subspace(phi: Matrix, space: Subspace) -> bool:
+    """Whether phi (x) phi maps a subspace of the degree-two words into
+    itself.
+
+    Membership does not see scaling, so phi is read once as integer
+    columns over the lcm of its denominators, and each integer basis row
+    of the subspace is mapped through them in integers.
+    """
     n = phi.cols
-    if space.ambient != n ** degree:
+    if space.ambient != n * n:
         raise LinAlgError("subspace ambient does not match the tensor degree")
-    # membership does not see scaling: phi times the lcm of its
-    # denominators, in integers, applied to the integer rows
-    scale = lcm(*[v.denominator for row in phi.entries for v in row])
-    scaled = Matrix(tuple(tuple(v.numerator * (scale // v.denominator)
-                                for v in row) for row in phi.entries), n)
-    maps = [scaled] * degree
-    return all(space.contains(apply_slotwise(maps, dict(row), n))
-               for row in space.int_rows)
+    if phi.rows != n:
+        raise LinAlgError("slot map acts on the wrong space")
+    cols = int_columns(phi, denominator(phi))
+    for row in space.int_rows:
+        image: dict[int, int] = {}
+        for c, v in row:
+            a, b = divmod(c, n)
+            for i, x in cols[a]:
+                vx = v * x
+                for j, y in cols[b]:
+                    add_into(image, i * n + j, vx * y)
+        if not space.contains(image):
+            return False
+    return True

@@ -10,8 +10,8 @@ import random
 
 import quadalg
 from quadalg import (Cdga, GradedFDAlgebra, Matrix, QuadraticAlgebra,
-                     Subspace, as_regular_certificate, index_to_word,
-                     nakayama_of_algebra, word_to_index)
+                     Subspace, apply_slotwise, as_regular_certificate,
+                     index_to_word, nakayama_of_algebra, word_to_index)
 from quadalg import skew
 from quadalg.io import description_to_algebra, parse_description
 from quadalg.linalg import LinAlgError, ZERO, unit_vector
@@ -736,3 +736,110 @@ def ext_iso_oracle(cert, sigma):
         if zs_xi != tuple(expect):
             right_ok = False
     return generated_ok, bijective, left_ok, right_ok
+
+
+# The Fraction routes of the Calabi-Yau path that the package replaced by
+# integer ones, kept as oracles for them.
+
+def oracle_preserves_subspace(phi: Matrix, space) -> bool:
+    """Whether phi (x) phi maps a subspace of the degree-two words into
+    itself, each Fraction basis row mapped by apply_slotwise."""
+    return all(space.contains(apply_slotwise([phi, phi], dict(row), phi.cols))
+               for row in space.rows)
+
+
+def oracle_automorphism(trunc, phi: Matrix) -> tuple[Matrix, ...]:
+    """TruncatedAlgebra.automorphism by the Fraction route: every basis word
+    mapped by apply_slotwise and reduced to its class by reduce_sparse."""
+    if not oracle_preserves_subspace(phi, trunc.algebra.relations):
+        raise LinAlgError("map does not preserve the relation subspace")
+    n = trunc.algebra.n
+    mats = []
+    for k in range(trunc.length + 1):
+        cols = [trunc.reduce_sparse(k, apply_slotwise([phi] * k,
+                                                      {w: Fraction(1)}, n))
+                for w in trunc.words[k]]
+        mats.append(Matrix.from_rows(cols, trunc.dims[k]).transpose())
+    return tuple(mats)
+
+
+def oracle_frobenius(alg: GradedFDAlgebra):
+    """(pairings, nakayama) of a Frobenius algebra as Fraction matrices:
+    G_i read off multiply_basis, and nak[d-i] = G_i^{-1} G_{d-i}^T by
+    dense_inverse, the solution of G_i nak[d-i] = G_{d-i}^T."""
+    d = alg.length
+    dims = alg.dims
+    pairings = [Matrix.from_rows([[multiply_basis(alg, i, a, d - i, b)[0]
+                                   for b in range(dims[d - i])]
+                                  for a in range(dims[i])], dims[d - i])
+                for i in range(d + 1)]
+    nakayama = [None] * (d + 1)
+    for i in range(d + 1):
+        nakayama[d - i] = dense_inverse(pairings[i]) @ pairings[d - i].transpose()
+    return tuple(pairings), tuple(nakayama)
+
+
+def oracle_graded_symmetry(alg: GradedFDAlgebra):
+    """(pairing verdict, witness, Nakayama verdict) of is_graded_symmetric
+    by the Fraction-matrix comparison, on the matrices of oracle_frobenius:
+    the witness is the first (degree, row, col) with G_i[a, b] unequal to
+    the signed G_{d-i}[b, a], and the Nakayama verdict asks every nak[i] to
+    be (-1)^((d-1) i) times the identity."""
+    pairings, nakayama = oracle_frobenius(alg)
+    d = alg.length
+    witness = next(((i, a, b) for i in range(d + 1)
+                    for a in range(pairings[i].rows)
+                    for b in range(pairings[i].cols)
+                    if pairings[i][a, b] != (-1) ** (i * (d - i))
+                    * pairings[d - i][b, a]), None)
+    ok_nakayama = all(
+        nakayama[i] == Matrix.identity(alg.dims[i]).scale((-1) ** ((d - 1) * i))
+        for i in range(d + 1))
+    return witness is None, witness, ok_nakayama
+
+
+def oracle_trivial_extension_table(alg: GradedFDAlgebra, left, right):
+    """(dims, int_mult, den) of twisted_module_trivial_extension by the
+    cell-by-cell loop it replaced: every cell of every block is chosen by
+    its position, an E-cell rescaled one at a time, and an action cell
+    summed from the twist entries read in Fractions and scaled by L, the
+    lcm of their denominators."""
+    d = alg.length
+    scale = lcm(*[v.denominator for maps in (left, right) for m in maps
+                  for row in m.entries for v in row])
+
+    def action(terms):
+        acc = {}
+        for x, cell in terms:
+            for c, w in cell:
+                acc[c] = acc.get(c, 0) + int(x * scale) * w
+        return [(c, v) for c, v in sorted(acc.items()) if v]
+
+    dims = [alg.dim(i) + alg.dim(i - 1) for i in range(d + 2)]
+    mult = {}
+    for i in range(d + 2):
+        for j in range(d + 2 - i):
+            ai, aj, off = alg.dim(i), alg.dim(j), alg.dim(i + j)
+            inner = alg.int_mult.get((i, j))
+            on_copy = alg.int_mult.get((i, j - 1))
+            copy_on = alg.int_mult.get((i - 1, j))
+            block = []
+            for a in range(dims[i]):
+                row = []
+                for b in range(dims[j]):
+                    if a < ai and b < aj:
+                        cell = inner[a][b] if inner else ()
+                        row.append(tuple((c, scale * w) for c, w in cell))
+                        continue
+                    if a < ai:
+                        cell = action([(left[i][t, a], on_copy[t][b - aj])
+                                       for t in range(ai) if left[i][t, a]])
+                    elif b < aj:
+                        cell = action([(right[j][t, b], copy_on[a - ai][t])
+                                       for t in range(aj) if right[j][t, b]])
+                    else:
+                        cell = ()
+                    row.append(tuple((off + c, v) for c, v in cell))
+                block.append(tuple(row))
+            mult[(i, j)] = tuple(block)
+    return tuple(dims), mult, alg.den * scale

@@ -11,7 +11,7 @@ from helpers import (dense_kernel_rows, dense_rank, dense_rows, dense_rref,
                      residue)
 from quadalg.linalg import (ConsistencyError, LinAlgError, Matrix,
                             ResourceLimitError, Subspace, _strip, _to_int_row,
-                            int_kernel, solve, solve_square)
+                            int_kernel, int_solve, solve, solve_square)
 from quadalg.quadratic import QuadraticAlgebra, koszul_component
 
 ZERO = Fraction(0)
@@ -267,6 +267,33 @@ def test_integer_kernel_matches_dense_oracle(system):
     assert u.annihilator() == space
 
 
+@st.composite
+def int_solve_systems(draw, max_dim=4):
+    # integer augmented rows: n unknowns, then m right-hand sides
+    n = draw(st.integers(min_value=1, max_value=max_dim))
+    m = draw(st.integers(min_value=0, max_value=3))
+    entry = st.one_of(st.just(0), st.integers(min_value=-7, max_value=7))
+    rows = draw(st.lists(st.lists(entry, min_size=n + m, max_size=n + m),
+                         max_size=max_dim + 1))
+    return rows, n
+
+
+@seed(20134)
+@settings(max_examples=100, deadline=None)
+@given(int_solve_systems())
+def test_int_solve_matches_solve(system):
+    rows, n = system
+    sol, consistent = int_solve([{c: v for c, v in enumerate(r) if v}
+                                 for r in rows], n)
+    expected, expected_consistent = solve(rows, n)
+    assert consistent == expected_consistent
+    assert set(sol) == set(expected)
+    for p, (pv, vals) in sol.items():
+        assert type(pv) is int and pv > 0
+        assert all(type(v) is int and v for v in vals.values())
+        assert {j: Fraction(v, pv) for j, v in vals.items()} == expected[p]
+
+
 def test_reduce_and_coordinates():
     u = Subspace.from_spanning(
         [(ONE, ZERO, ONE), (ZERO, ONE, ONE)], 3)
@@ -453,3 +480,20 @@ def test_a_value_that_is_not_int_or_fraction_is_refused(value):
     assert m.entries == ((Fraction(1, 2), ZERO), (Fraction(3), ONE))
     assert all(type(v) is Fraction for row in m.entries for v in row)
     assert m.scale(2) == m.scale(Fraction(2)) == Matrix.from_rows([[1, 0], [6, 2]], 2)
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, 0.0, True, False, "1", 1j],
+                         ids=["float", "whole_float", "zero_float", "bool",
+                              "false", "str", "complex"])
+def test_mul_col_refuses_a_value_that_is_not_int_or_fraction(value):
+    # as from_rows does, for every entry of the column, a zero included
+    with pytest.raises(LinAlgError, match="matrix entries must be int or Fraction"):
+        Matrix.identity(2).mul_col([value, 1])
+    with pytest.raises(LinAlgError, match="matrix entries must be int or Fraction"):
+        Matrix.identity(2).mul_col([Fraction(1, 2), value])
+
+
+def test_mul_col_takes_ints_and_fractions():
+    m = Matrix.from_rows([[Fraction(1, 2), 0], [3, 1]], 2)
+    assert m.mul_col([2, Fraction(1, 3)]) == (ONE, Fraction(19, 3))
+    assert all(type(v) is Fraction for v in m.mul_col([0, 0]))

@@ -335,7 +335,7 @@ def test_dual_automorphism_contravariant():
 def test_dual_automorphism_requires_preservation():
     cert = cert_of("quantum_plane_q2")
     shear = Matrix.from_rows([(F(1), F(1)), (F(0), F(1))], 2)
-    assert not preserves_subspace(shear, cert.algebra.relations, 2)
+    assert not preserves_subspace(shear, cert.algebra.relations)
     with pytest.raises(LinAlgError, match="does not preserve"):
         _dual_automorphism(cert, shear)
 

@@ -71,10 +71,20 @@ def test_a_slot_map_that_is_not_square_is_refused():
         apply_slotwise([None, phi.transpose()], {1: F(1)}, 3)
     relations = Subspace.from_spanning([{1: F(1), 2: F(-1)}], 4)
     with pytest.raises(LinAlgError, match="slot map acts on the wrong space"):
-        preserves_subspace(phi, relations, 2)
+        preserves_subspace(phi, relations)
     dual = truncated_structure(QuadraticAlgebra(("x", "y"), relations), 2)
     with pytest.raises(LinAlgError, match="slot map acts on the wrong space"):
         dual.automorphism(phi)
+
+
+def test_a_map_on_the_wrong_number_of_letters_is_refused():
+    # relations in the 4 words of length 2 over 2 letters, a map of 3
+    # letters, square or not
+    relations = Subspace.from_spanning([{1: F(1), 2: F(-1)}], 4)
+    for phi in (Matrix.identity(3), Matrix.from_rows([[1, 0, 0], [0, 1, 0]], 3)):
+        with pytest.raises(LinAlgError,
+                           match="subspace ambient does not match the tensor degree"):
+            preserves_subspace(phi, relations)
 
 
 def test_tensor_vector_roundtrip():
