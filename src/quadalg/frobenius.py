@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Vec, ZERO,
+from .linalg import (ConsistencyError, LinAlgError, Matrix, Vec, ZERO,
                      _forward_reduce, denominator, int_columns, int_solve)
 
 
@@ -133,10 +133,8 @@ class GradedFDAlgebra:
 
     def epsilon(self, k: int) -> tuple[Matrix, ...]:
         """The sign automorphism acting by (-1)^(i*k) in degree i."""
-        signs = (ONE, -ONE)
-        return tuple(Matrix(tuple(tuple(signs[i * k % 2] if a == b else ZERO
-                                        for b in range(m)) for a in range(m)), m)
-                     for i, m in enumerate(self.dims))
+        return tuple(Matrix.identity(self.dims[i]).scale(Fraction((-1) ** (i * k)))
+                     for i in range(self.length + 1))
 
     def _validate_unit(self) -> None:
         for j in range(self.length + 1):

@@ -47,7 +47,7 @@ from .linalg import (ConsistencyError, LinAlgError, Matrix, ResourceLimitError,
                      Subspace, Vec, ZERO, _echelon_int, _reduced_echelon,
                      _strip, denominator, flipped_int_kernel, int_columns,
                      solve)
-from .tensors import index_to_word, preserves_subspace
+from .tensors import apply_slot_columns, preserves_subspace
 
 # the most coordinate words n**m a Koszul component may have
 MAX_WORDS = 10 ** 6
@@ -474,9 +474,9 @@ class TruncatedAlgebra(GradedFDAlgebra):
 
         phi is read once as integer columns over L, the lcm of its
         denominators.  Column w of the degree-k matrix is the class of the
-        image of the basis word w, the sum over the words u of phi's
-        slotwise image of their integer class cells; it comes out times
-        den * L^k.
+        image of the basis word w, the sum over the words u of its
+        apply_slot_columns image of their integer class cells; it comes
+        out times den * L^k.
         """
         if not preserves_subspace(phi, self.algebra.relations):
             raise LinAlgError("map does not preserve the relation subspace")
@@ -488,11 +488,7 @@ class TruncatedAlgebra(GradedFDAlgebra):
             cls = self.classes[k]
             out = [[0] * self.dims[k] for _ in range(self.dims[k])]
             for b, w in enumerate(self.words[k]):
-                image = [(0, 1)]
-                for letter in index_to_word(w, n, k):
-                    image = [(u * n + i, x * y) for u, x in image
-                             for i, y in cols[letter]]
-                for u, x in image:
+                for u, x in apply_slot_columns([cols] * k, {w: 1}, n).items():
                     for t, v in cls.get(u, ()):
                         out[t][b] += x * v
             den = self.den * scale ** k

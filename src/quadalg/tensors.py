@@ -10,7 +10,10 @@ entries as (index, value) pairs).  The map does not record the length of
 its words; the functions here take the length d and the letter count n
 from their callers.  A linear map of the degree-one space is a plain
 Matrix in column convention: column j holds the coordinates of the image
-of letter j.
+of letter j.  There is one slotwise map, apply_slot_columns, which takes
+each slot's map as the nonzero entries of its columns: apply_slotwise
+reads Matrix slots into that form, and a caller working in integers hands
+it the columns of int_columns, so that ints stay ints.
 """
 
 from __future__ import annotations
@@ -46,19 +49,16 @@ def add_into(acc: dict, key, value) -> None:
         acc.pop(key, None)
 
 
-def apply_slotwise(maps, vec: Mapping[int, Fraction], n: int) -> dict[int, Fraction]:
-    """Apply per-slot degree-one maps, each n x n, to a vector of words of
-    length len(maps) over n letters; None in a slot means the identity."""
-    # per map and letter, the nonzero (letter, value) pairs of the image,
-    # read once for a map that fills several slots
-    images: dict[int, list] = {}
-    for m in maps:
-        if m is not None and id(m) not in images:
-            if m.cols != n or m.rows != n:
-                raise LinAlgError("slot map acts on the wrong space")
-            images[id(m)] = [[(i, a) for i, a in enumerate(m.col(j)) if a]
-                             for j in range(n)]
-    slots = [None if m is None else images[id(m)] for m in maps]
+def apply_slot_columns(slots, vec: Mapping[int, Fraction],
+                       n: int) -> dict[int, Fraction]:
+    """Apply per-slot degree-one maps, each given by its columns, to a
+    vector of words of length len(slots) over n letters.
+
+    slots[s][j] lists the nonzero (letter, value) pairs of the image of
+    letter j under the map in slot s, as `int_columns` reads a Matrix;
+    None in a slot means the identity.  The values may be ints or
+    Fractions, and the result is in the same kind.
+    """
     acc: dict[int, Fraction] = {}
     for idx, coeff in vec.items():
         partial = [(0, coeff)]
@@ -71,6 +71,22 @@ def apply_slotwise(maps, vec: Mapping[int, Fraction], n: int) -> dict[int, Fract
         for p, c in partial:
             add_into(acc, p, c)
     return acc
+
+
+def apply_slotwise(maps, vec: Mapping[int, Fraction], n: int) -> dict[int, Fraction]:
+    """Apply per-slot degree-one maps, each n x n, to a vector of words of
+    length len(maps) over n letters; None in a slot means the identity."""
+    # per map, the columns of apply_slot_columns, read once for a map that
+    # fills several slots
+    images: dict[int, list] = {}
+    for m in maps:
+        if m is not None and id(m) not in images:
+            if m.cols != n or m.rows != n:
+                raise LinAlgError("slot map acts on the wrong space")
+            images[id(m)] = [[(i, a) for i, a in enumerate(m.col(j)) if a]
+                             for j in range(n)]
+    return apply_slot_columns([None if m is None else images[id(m)]
+                               for m in maps], vec, n)
 
 
 def tau(vec: Mapping[int, Fraction], d: int, k: int, n: int) -> dict[int, Fraction]:
@@ -112,7 +128,7 @@ def preserves_subspace(phi: Matrix, space: Subspace) -> bool:
 
     Membership does not see scaling, so phi is read once as integer
     columns over the lcm of its denominators, and each integer basis row
-    of the subspace is mapped through them in integers.
+    of the subspace is mapped through them by apply_slot_columns.
     """
     n = phi.cols
     if space.ambient != n * n:
@@ -120,14 +136,5 @@ def preserves_subspace(phi: Matrix, space: Subspace) -> bool:
     if phi.rows != n:
         raise LinAlgError("slot map acts on the wrong space")
     cols = int_columns(phi, denominator(phi))
-    for row in space.int_rows:
-        image: dict[int, int] = {}
-        for c, v in row:
-            a, b = divmod(c, n)
-            for i, x in cols[a]:
-                vx = v * x
-                for j, y in cols[b]:
-                    add_into(image, i * n + j, vx * y)
-        if not space.contains(image):
-            return False
-    return True
+    return all(space.contains(apply_slot_columns((cols, cols), dict(row), n))
+               for row in space.int_rows)

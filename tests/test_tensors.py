@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from helpers import (oracle_apply_slotwise, oracle_contract_left,
                      oracle_contract_right, oracle_tau, seeded, word_terms,
                      word_vector)
-from quadalg.linalg import LinAlgError, Matrix, Subspace
+from quadalg.linalg import (LinAlgError, Matrix, Subspace, denominator,
+                            int_columns)
 from quadalg.quadratic import QuadraticAlgebra, truncated_structure
-from quadalg.tensors import (add_into, apply_slotwise, contract_left,
-                             contract_right, index_to_word, preserves_subspace,
-                             tau, word_to_index)
+from quadalg.tensors import (add_into, apply_slot_columns, apply_slotwise,
+                             contract_left, contract_right, index_to_word,
+                             preserves_subspace, tau, word_to_index)
 
 F = Fraction
 
@@ -204,3 +205,26 @@ def test_word_operations_match_word_tuple_oracle():
                     == oracle_contract_left(words, letter))
             assert (word_terms(contract_right(vec, letter, n), n, d - 1)
                     == oracle_contract_right(words, letter))
+
+
+def test_integer_slot_columns_scale_the_fraction_image():
+    # apply_slot_columns on the integer columns over L = denominator(maps)
+    # is the Fraction image times L per mapped slot, in ints
+    rng = seeded(2626)
+    for _ in range(100):
+        n = rng.randint(1, 3)
+        d = rng.randint(0, 3)
+        vec = {rng.randrange(n ** d): rng.randint(-3, 3) or 1
+               for _ in range(rng.randint(0, 4))}
+        maps = [None if rng.random() < 0.3 else Matrix.from_rows(
+                    [[F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
+                     for _ in range(n)], n)
+                for _ in range(d)]
+        mats = [m for m in maps if m is not None]
+        scale = denominator(*mats) if mats else 1
+        cols = {id(m): int_columns(m, scale) for m in mats}
+        image = apply_slot_columns([None if m is None else cols[id(m)]
+                                    for m in maps], vec, n)
+        assert all(type(v) is int for v in image.values())
+        expect = apply_slotwise(maps, {w: F(c) for w, c in vec.items()}, n)
+        assert image == {w: v * scale ** len(mats) for w, v in expect.items()}
