@@ -38,6 +38,6 @@ from .pbw import (Cdga, CdgaAxiomReport, CompatibilityReport,
                   cy_equivalence_dim2, dual_cdga, nakayama_cdga_compatibility,
                   nakayama_shift, skew_deformation)
 from .io import (AlgebraDescription, ValidationError, description_deformation,
-                 description_to_algebra, parse_description)
+                 parse_description)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

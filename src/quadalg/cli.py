@@ -13,10 +13,10 @@ import hashlib
 import json
 import sys
 import time
+from itertools import accumulate
 
-from .io import (ValidationError, description_deformation,
-                 description_to_algebra, matrix_to_strings, parse_description,
-                 vector_to_terms)
+from .io import (ValidationError, description_deformation, matrix_to_strings,
+                 parse_description, vector_to_terms)
 from .linalg import ConsistencyError, LinAlgError, Matrix, ResourceLimitError
 from .pbw import (check_cdga_axioms, cy_criterion_deformed, cy_equivalence_dim2,
                   dual_cdga)
@@ -30,8 +30,7 @@ from .superpotential import (derivation_quotient, extract_superpotential,
 
 
 def _certificate(desc, args):
-    alg = description_to_algebra(desc)
-    return as_regular_certificate(alg, args.max_degree)
+    return as_regular_certificate(desc.algebra, args.max_degree)
 
 
 def _resolve_sigma(desc, cert, mode):
@@ -47,8 +46,7 @@ def _resolve_sigma(desc, cert, mode):
 
 
 def _cmd_dual(desc, args):
-    alg = description_to_algebra(desc)
-    dual = alg.dual
+    dual = desc.algebra.dual
     verdict = {
         "generators": list(dual.names),
         "relations": [vector_to_terms(r, 2, dual.names)
@@ -59,14 +57,12 @@ def _cmd_dual(desc, args):
 
 
 def _cmd_hilbert(desc, args):
-    alg = description_to_algebra(desc)
-    verdict = {"dims": list(graded_dims(alg, args.max_degree))}
+    verdict = {"dims": list(graded_dims(desc.algebra, args.max_degree))}
     return verdict, True
 
 
 def _cmd_koszul(desc, args):
-    alg = description_to_algebra(desc)
-    cert = numeric_koszul_certificate(alg, args.max_degree)
+    cert = numeric_koszul_certificate(desc.algebra, args.max_degree)
     verdict = {
         "passed": cert.passed,
         "bound": cert.bound,
@@ -80,9 +76,8 @@ def _cmd_koszul(desc, args):
 
 
 def _cmd_regular(desc, args):
-    alg = description_to_algebra(desc)
     try:
-        cert = as_regular_certificate(alg, args.max_degree)
+        cert = as_regular_certificate(desc.algebra, args.max_degree)
     except NotRegular as exc:
         return {"regular": False, "reason": str(exc),
                 "witness_degree": exc.witness_degree}, False
@@ -101,12 +96,14 @@ def _cmd_skew(desc, args):
     cert = _certificate(desc, args)
     sigma = _resolve_sigma(desc, cert, args.sigma)
     ext = skew_extend(cert.algebra, sigma)
+    # A[z; sigma] is free over A on the powers of z, so its dims are the
+    # partial sums of A's; skew_extend checks that up to degree 4
     verdict = {
         "generator": ext.algebra.names[-1],
         "generators": list(ext.algebra.names),
         "relations": [vector_to_terms(r, 2, ext.algebra.names)
                       for r in ext.algebra.relations.rows],
-        "dims": list(graded_dims(ext.algebra, args.max_degree)),
+        "dims": list(accumulate(graded_dims(cert.algebra, args.max_degree))),
     }
     return verdict, True
 

@@ -11,6 +11,14 @@ of more than 4300 digits, no underscore, no inner whitespace and no
 character outside ASCII.  A term list is read into its sparse {word
 index: value} row once, repeated words adding up; reports write such a
 vector back as terms in word order.
+
+A document is parsed once per session: parse_description is a bounded
+cache keyed on the raw document, the bytes a command reads or a str, and a
+document it refuses raises and is not stored.  The description it hands
+out is shared by every caller of the same document, so its rows are
+read-only views (MappingProxyType), and it builds its algebra once, on
+first use (AlgebraDescription.algebra): every command on one document
+reads one QuadraticAlgebra, and with it one dual.
 """
 
 from __future__ import annotations
@@ -19,6 +27,8 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 from .linalg import Matrix, Subspace, Vec
 from .quadratic import QuadraticAlgebra
@@ -35,13 +45,14 @@ class ValidationError(ValueError):
         self.path = path
 
 
-Row = dict[int, Fraction]
+Row = MappingProxyType[int, Fraction]
 
 
 @dataclass(frozen=True)
 class AlgebraDescription:
     """A parsed document; each relation and each degree-one part of the
-    deformation is its sparse {word index: value} row."""
+    deformation is its sparse {word index: value} row, read-only since
+    one description is shared by every caller of its document."""
 
     generators: tuple[str, ...]
     relations: tuple[Row, ...]
@@ -53,6 +64,15 @@ class AlgebraDescription:
     @property
     def has_deformation(self) -> bool:
         return self.nu is not None
+
+    @cached_property
+    def algebra(self) -> QuadraticAlgebra:
+        """QuadraticAlgebra(names, Subspace.from_spanning(rows, n * n)),
+        built on first use, so that a relation error is raised by the
+        command that reads the algebra, and once per description."""
+        n = len(self.generators)
+        return QuadraticAlgebra(self.generators,
+                                Subspace.from_spanning(self.relations, n * n))
 
 
 def _parse_fraction(s, path):
@@ -103,17 +123,19 @@ def _parse_term(obj, pos, degree, path):
 
 
 def _parse_row(obj, pos, degree, path) -> Row:
-    """A term list as its sparse row; repeated words add up."""
+    """A term list as its read-only sparse row; repeated words add up."""
     if not isinstance(obj, list):
         raise ValidationError("expected a list of terms", path)
-    row: Row = {}
+    row: dict[int, Fraction] = {}
     for i, t in enumerate(obj):
         coeff, idx = _parse_term(t, pos, degree, f"{path}[{i}]")
         add_into(row, idx, coeff)
-    return row
+    return MappingProxyType(row)
 
 
-def parse_description(text) -> AlgebraDescription:
+# bounded at over twice the 10 documents of one corpus sweep
+@lru_cache(maxsize=32)
+def parse_description(text, /) -> AlgebraDescription:
     try:
         if isinstance(text, bytes):
             text = text.decode("utf-8")
@@ -195,12 +217,6 @@ def matrix_to_strings(mat: Matrix):
     convention used by input files and reports."""
     t = mat.transpose()
     return [[str(v) for v in row] for row in t.entries]
-
-
-def description_to_algebra(desc: AlgebraDescription) -> QuadraticAlgebra:
-    n = len(desc.generators)
-    return QuadraticAlgebra(desc.generators,
-                            Subspace.from_spanning(desc.relations, n * n))
 
 
 def description_deformation(desc: AlgebraDescription,

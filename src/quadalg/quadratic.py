@@ -45,8 +45,8 @@ from math import lcm
 from .frobenius import GradedFDAlgebra
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ResourceLimitError,
                      Subspace, Vec, ZERO, _echelon_int, _reduced_echelon,
-                     _strip, denominator, flipped_int_kernel, int_columns,
-                     solve)
+                     _strip, _to_int_row, denominator, flipped_int_kernel,
+                     int_columns, int_solve)
 from .tensors import apply_slot_columns, preserves_subspace
 
 # the most coordinate words n**m a Koszul component may have
@@ -228,7 +228,7 @@ def _koszul_system(alg: QuadraticAlgebra, m: int
     return prev_space, [eq for at_u in eqs.values() for eq in at_u if eq]
 
 
-# bounded at over twice the 107 components that one sweep of every command
+# bounded at over twice the 106 components that one sweep of every command
 # over the bundled corpus holds
 @lru_cache(maxsize=256)
 def _koszul_component(alg: QuadraticAlgebra, m: int, /) -> Subspace:
@@ -254,7 +254,7 @@ def _koszul_component(alg: QuadraticAlgebra, m: int, /) -> Subspace:
     return Subspace(n ** m, tuple(pivots), tuple(rows))
 
 
-# bounded at over twice the 31 top degrees that one sweep of every command
+# bounded at over twice the 30 top degrees that one sweep of every command
 # over the bundled corpus counts; an entry is one int
 @lru_cache(maxsize=64)
 def _koszul_dim(alg: QuadraticAlgebra, m: int, /) -> int:
@@ -438,17 +438,22 @@ class TruncatedAlgebra(GradedFDAlgebra):
     def lift_sparse(self, k: int, coords) -> dict[int, Fraction]:
         return {w: Fraction(c) for w, c in zip(self.words[k], coords) if c}
 
-    def class_from_pairings(self, k: int, rows, value_vectors) -> list[Vec]:
+    def int_class_from_pairings(self, k: int, rows, value_vectors
+                                ) -> dict[int, tuple[int, dict[int, int]]]:
         """The degree-k classes pairing as prescribed against given rows, one
         class per vector of values, each vector holding one value per row;
-        a row is a sparse {word index: value} map or its pairs.
+        a row is a sparse {word index: value} map or its pairs.  Returned
+        in integers as `int_solve` returns them: {t: (pivot entry, {j:
+        int})}, coordinate t of class j the int at j over the pivot entry,
+        zeros left out.
 
         The pairing is the coordinate dot product.  Every row must lie in the
         Koszul component paired with this degree, so that the values only
         depend on the class; a class then pairs through its basis words.
         The rows are checked once for all vectors, and all vectors are
-        solved together by `solve`, the rows read on the basis words and the
-        vectors' values appended as right-hand sides.
+        solved together by one `int_solve`, the rows read on the basis words
+        and the vectors' values appended as right-hand sides, each
+        augmented row scaled to integers.
         """
         rows = [dict(r) for r in rows]
         if not all(self.components[k].contains(r) for r in rows):
@@ -461,11 +466,18 @@ class TruncatedAlgebra(GradedFDAlgebra):
             row = {t: r[w] for t, w in enumerate(self.words[k]) if w in r}
             for j, values in enumerate(value_vectors):
                 row[dim + j] = values[i]
-            aug.append(row)
-        sol, consistent = solve(aug, dim)
+            aug.append(_to_int_row(row))
+        sol, consistent = int_solve(aug, dim)
         if not consistent:
             raise LinAlgError("no element attains the prescribed pairings")
-        return [tuple(sol.get(t, {}).get(j, ZERO) for t in range(dim))
+        return sol
+
+    def class_from_pairings(self, k: int, rows, value_vectors) -> list[Vec]:
+        """int_class_from_pairings with each class as its Fraction
+        coordinates."""
+        sol = self.int_class_from_pairings(k, rows, value_vectors)
+        return [tuple(Fraction(sol[t][1].get(j, 0), sol[t][0]) if t in sol
+                      else ZERO for t in range(self.dims[k]))
                 for j in range(len(value_vectors))]
 
     def automorphism(self, phi: Matrix) -> tuple[Matrix, ...]:

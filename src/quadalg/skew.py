@@ -22,8 +22,9 @@ from functools import lru_cache
 
 from .frobenius import (GradedFDAlgebra, is_graded_symmetric,
                         twisted_module_trivial_extension)
-from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Subspace, ZERO,
-                     _echelon_int, int_solve, solve_square, unit_vector)
+from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Subspace,
+                     _echelon_int, denominator, int_columns, int_solve,
+                     solve_square, unit_vector)
 from .quadratic import QuadraticAlgebra, graded_dims, truncated_structure
 from .regular import RegularityCertificate
 from .superpotential import (derivation_quotient, extract_superpotential,
@@ -182,7 +183,9 @@ def verify_ext_algebra_isomorphism(cert: RegularityCertificate,
     generator times the new letter is minus the i-th mixed relation class,
     and the new letter times the i-th generator is the inverse-twist row
     combination of the mixed relation classes.  Both read the degree-(1, 1)
-    cells of the honest dual.
+    cells of the honest dual, and compare them in integers with the
+    classes as `int_class_from_pairings` returns them and with sigma^{-1}
+    read once by `int_columns`.
 
     Computed once per certificate and twist: `extiso` and cy_check_with
     read the same report.
@@ -227,29 +230,30 @@ def verify_ext_algebra_isomorphism(cert: RegularityCertificate,
                 else [(1, {}) for _ in range(g)])
         if g != e or len(_echelon_int(dict(col) for _, col in prev)) != e:
             bijective = False
-    # mixed dual relation classes, paired against the original relation rows
+    # mixed dual relation classes, paired against the original relation
+    # rows: coordinate t of class i is classes[t][1][i] over classes[t][0]
     nrel = alg.relations.dim
-    rt_classes = [{t: v for t, v in enumerate(cls) if v}
-                  for cls in ebd.class_from_pairings(
-                      2, ext.stacked_relations,
-                      [unit_vector(nrel + n, nrel + i) for i in range(n)])]
+    classes = ebd.int_class_from_pairings(
+        2, ext.stacked_relations,
+        [unit_vector(nrel + n, nrel + i) for i in range(n)])
     pinv = ext.sigma_inverse
-    # the cells are the products times eden, and so are the expectations
+    lp = denominator(pinv)
+    # row i of pinv, times lp: column i of its transpose
+    prows = int_columns(pinv.transpose(), lp)
     cells = ebd.int_mult[(1, 1)]
-    left_ok = True
-    right_ok = True
-    for i in range(n):
-        if dict(cells[i][n]) != {t: -eden * v
-                                 for t, v in rt_classes[i].items()}:
-            left_ok = False
-        expect: dict[int, Fraction] = {}
-        for j in range(n):
-            c = pinv[i, j]
-            if c:
-                for t, v in rt_classes[j].items():
-                    expect[t] = expect.get(t, ZERO) + c * v
-        if dict(cells[n][i]) != {t: eden * v for t, v in expect.items() if v}:
-            right_ok = False
+
+    def combines(pairs, combo, scale):
+        """Whether the cells, the product times eden, are the combination
+        sum_j c_j class_j over scale, for combo the (j, c_j); compared
+        times scale and each coordinate's pivot entry."""
+        cell = dict(pairs)
+        return cell.keys() <= classes.keys() and all(
+            cell.get(t, 0) * pv * scale
+            == eden * sum(c * vals.get(j, 0) for j, c in combo)
+            for t, (pv, vals) in classes.items())
+
+    left_ok = all(combines(cells[i][n], [(i, -1)], 1) for i in range(n))
+    right_ok = all(combines(cells[n][i], prows[i], lp) for i in range(n))
     return IsoReport(gamma, ebd, generated_ok, bijective, left_ok, right_ok)
 
 

@@ -13,8 +13,8 @@ from quadalg import (Cdga, GradedFDAlgebra, Matrix, QuadraticAlgebra,
                      Subspace, apply_slotwise, as_regular_certificate,
                      index_to_word, nakayama_of_algebra, word_to_index)
 from quadalg import skew
-from quadalg.io import description_to_algebra, parse_description
-from quadalg.linalg import LinAlgError, ZERO, unit_vector
+from quadalg.io import parse_description
+from quadalg.linalg import LinAlgError, ZERO, solve, unit_vector
 from quadalg.quadratic import truncated_structure
 
 AS_REGULAR = ("kxy", "quantum_plane_q2", "quantum_plane_q3",
@@ -44,7 +44,7 @@ def description_of(name):
 
 
 def algebra_of(name):
-    return description_to_algebra(description_of(name))
+    return description_of(name).algebra
 
 
 def cert_of(name):
@@ -78,7 +78,7 @@ def sklyanin_description(a, b, c):
 
 
 def algebra_of_description(doc):
-    return description_to_algebra(parse_description(json.dumps(doc)))
+    return parse_description(json.dumps(doc)).algebra
 
 
 def skew_ring(n, q):
@@ -718,8 +718,8 @@ def ext_iso_oracle(cert, sigma):
             bijective = False
         maps.append(fk)
     nrel = alg.relations.dim
-    rt_classes = [ebd.class_from_pairings(
-        2, ext.stacked_relations, [unit_vector(nrel + n, nrel + i)])[0]
+    rt_classes = [oracle_class_from_pairings(
+        ebd, 2, ext.stacked_relations, [unit_vector(nrel + n, nrel + i)])[0]
         for i in range(n)]
     pinv = dense_inverse(sigma)
     left_ok = True
@@ -740,6 +740,27 @@ def ext_iso_oracle(cert, sigma):
 
 # The Fraction routes of the Calabi-Yau path that the package replaced by
 # integer ones, kept as oracles for them.
+
+def oracle_class_from_pairings(trunc, k, rows, value_vectors):
+    """TruncatedAlgebra.class_from_pairings by the Fraction route: the
+    Fraction rows read on the basis words, the values appended, one
+    Fraction `solve`."""
+    rows = [dict(r) for r in rows]
+    if not all(trunc.components[k].contains(r) for r in rows):
+        raise LinAlgError("pairing values are not class functions")
+    dim = trunc.dims[k]
+    aug = []
+    for i, r in enumerate(rows):
+        row = {t: r[w] for t, w in enumerate(trunc.words[k]) if w in r}
+        for j, values in enumerate(value_vectors):
+            row[dim + j] = values[i]
+        aug.append(row)
+    sol, consistent = solve(aug, dim)
+    if not consistent:
+        raise LinAlgError("no element attains the prescribed pairings")
+    return [tuple(sol.get(t, {}).get(j, ZERO) for t in range(dim))
+            for j in range(len(value_vectors))]
+
 
 def oracle_preserves_subspace(phi: Matrix, space) -> bool:
     """Whether phi (x) phi maps a subspace of the degree-two words into

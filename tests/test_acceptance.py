@@ -24,7 +24,7 @@ from quadalg import (Matrix, PBWDeformation, cy_check_with,
                      verify_ext_algebra_isomorphism,
                      verify_extended_presentation,
                      verify_superpotential_presentation)
-from quadalg.io import description_to_algebra, description_deformation
+from quadalg.io import description_deformation
 
 F = Fraction
 
@@ -215,7 +215,7 @@ def test_criterion_9_hilbert_koszul_sanity():
     ext = skew_extend(cert.algebra, nakayama_of_algebra(cert))
     assert graded_dims(ext.algebra, 4) == (1, 3, 6, 10, 15)
     for name in CORPUS:
-        alg = description_to_algebra(description_of(name))
+        alg = description_of(name).algebra
         assert numeric_koszul_certificate(alg, 5).passed, name
     for name in AS_REGULAR:
         alg_fd = cert_of(name).dual_fd
@@ -229,5 +229,5 @@ def test_criterion_9_hilbert_koszul_sanity():
 
 def _corpus_deformation(name, gldim, bound=5):
     desc = description_of(name)
-    cert = regularity_data(description_to_algebra(desc), gldim, bound)
+    cert = regularity_data(desc.algebra, gldim, bound)
     return description_deformation(desc, cert)

@@ -12,12 +12,14 @@ import pytest
 
 from helpers import (AS_REGULAR, package_caches, skew_description,
                      sklyanin_description)
-from quadalg import cli, quadratic, regular, skew, superpotential
+from quadalg import cli, io, quadratic, regular, skew, superpotential
 from quadalg.cli import main
+from quadalg.io import parse_description
 from quadalg.linalg import Matrix
+from quadalg.quadratic import graded_dims
 from quadalg.pbw import dual_cdga, nakayama_shift
-from quadalg.regular import nakayama_of_algebra
-from quadalg.skew import verify_ext_algebra_isomorphism
+from quadalg.regular import as_regular_certificate, nakayama_of_algebra
+from quadalg.skew import skew_extend, verify_ext_algebra_isomorphism
 from quadalg.superpotential import extract_superpotential
 
 CORPUS = resources.files("quadalg") / "corpus"
@@ -317,7 +319,8 @@ def test_caches_are_bounded_and_keep_a_corpus_sweep_warm(capsys):
     # one sweep of every command over the corpus, with the caches emptied
     # once: each cache holds under half its bound, evicts nothing, and
     # serves the hits of an unbounded cache
-    caches = {"quadratic._koszul_component": quadratic._koszul_component,
+    caches = {"io.parse_description": io.parse_description,
+              "quadratic._koszul_component": quadratic._koszul_component,
               "quadratic._koszul_dim": quadratic._koszul_dim,
               "quadratic.truncated_structure": quadratic.truncated_structure,
               "regular.as_regular_certificate": regular.as_regular_certificate,
@@ -334,14 +337,16 @@ def test_caches_are_bounded_and_keep_a_corpus_sweep_warm(capsys):
         for cmd in cli.COMMANDS:
             main([cmd, str(path), "--max-degree", "5"])
     capsys.readouterr()
-    bounds = {"quadratic._koszul_component": 256, "quadratic._koszul_dim": 64,
+    bounds = {"io.parse_description": 32,
+              "quadratic._koszul_component": 256, "quadratic._koszul_dim": 64,
               "quadratic.truncated_structure": 32,
               "regular.as_regular_certificate": 32,
               "regular.nakayama_of_algebra": 16,
               "superpotential.extract_superpotential": 16,
               "skew.skew_extend": 16,
               "skew.verify_ext_algebra_isomorphism": 16}
-    hits = {"quadratic._koszul_component": 630, "quadratic._koszul_dim": 79,
+    hits = {"io.parse_description": 120,
+            "quadratic._koszul_component": 627, "quadratic._koszul_dim": 80,
             "quadratic.truncated_structure": 4,
             "regular.as_regular_certificate": 82,
             "regular.nakayama_of_algebra": 50,
@@ -618,10 +623,12 @@ def _clear_package_caches():
         cache.cache_clear()
 
 
-def _corpus_sweep(capsys, cold):
-    """Every corpus file through every command, caches emptied once or,
-    if cold, before every case: (case, exit code, report minus timing_ms)."""
-    _clear_package_caches()
+def _corpus_sweep(capsys, cold, clear=True):
+    """Every corpus file through every command, caches emptied once, or
+    not at all unless clear, or, if cold, before every case: (case, exit
+    code, report minus timing_ms)."""
+    if clear:
+        _clear_package_caches()
     out = []
     for path in sorted(CORPUS.iterdir(), key=lambda p: p.name):
         for cmd in cli.COMMANDS:
@@ -641,6 +648,41 @@ def test_warm_caches_answer_as_cold_ones(capsys):
     cold = _corpus_sweep(capsys, cold=True)
     assert len(warm) == 10 * len(cli.COMMANDS)
     assert warm == cold
+
+
+def test_a_warm_second_sweep_prints_the_first_sweeps_reports(capsys):
+    # two sweeps in one session with no cache emptied between them: the
+    # second reads every description, algebra and certificate that the
+    # first left in the caches, so a shared object that a command mutated
+    # would move a report
+    first = _corpus_sweep(capsys, cold=False)
+    hits = io.parse_description.cache_info().hits
+    second = _corpus_sweep(capsys, cold=False, clear=False)
+    assert second == first
+    # every document of the second sweep came from the cache
+    assert io.parse_description.cache_info().hits == hits + len(second)
+
+
+def test_skew_dims_are_the_extensions_graded_dims(tmp_path, capsys):
+    # skew reports the partial sums of the base's dims; the extension's own
+    # graded_dims are a second route to them
+    files = [str(p) for p in sorted(CORPUS.iterdir(), key=lambda p: p.name)]
+    for n in (3, 4):
+        path = tmp_path / f"skew{n}.json"
+        path.write_text(json.dumps(skew_description(n, Fraction(-2, 3))))
+        files.append(str(path))
+    for path in files:
+        for sigma in ("nakayama", "id"):
+            for bound in (5, 6):
+                code, rep = _run(capsys, "skew", path, "--sigma", sigma,
+                                 "--max-degree", str(bound))
+                assert code == 0, path
+                alg = parse_description(Path(path).read_bytes()).algebra
+                cert = as_regular_certificate(alg, bound)
+                twist = (nakayama_of_algebra(cert) if sigma == "nakayama"
+                         else Matrix.identity(alg.n))
+                ext = skew_extend(alg, twist).algebra
+                assert rep["verdict"]["dims"] == list(graded_dims(ext, bound))
 
 
 def test_certificate_data_is_computed_once_per_session(capsys, monkeypatch):

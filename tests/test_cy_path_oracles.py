@@ -1,7 +1,8 @@
 """The integer routes of the Calabi-Yau path against the Fraction routes
 they replaced: the degree-one twists of the dual (automorphism and the
 relation check), the trivial extension model, the Frobenius data and the
-symmetry test, and the isomorphism of the model onto the honest dual.
+symmetry test, and the isomorphism of the model onto the honest dual with
+its mixed relation classes.
 
 Inputs: every AS-regular corpus certificate twisted by its Nakayama map xi
 and by the identity, a dense invertible twist of poly3, and the skew
@@ -14,15 +15,16 @@ from fractions import Fraction
 import pytest
 
 from helpers import (AS_REGULAR, cert_of, ext_iso_oracle, oracle_automorphism,
-                     oracle_frobenius, oracle_graded_symmetry,
-                     oracle_preserves_subspace, oracle_trivial_extension_table,
-                     skew_ring)
+                     oracle_class_from_pairings, oracle_frobenius,
+                     oracle_graded_symmetry, oracle_preserves_subspace,
+                     oracle_trivial_extension_table, skew_ring)
 from quadalg import (FrobeniusStructure, Matrix, as_regular_certificate,
                      ext_algebra_of_skew, frobenius_structure,
                      is_graded_symmetric, nakayama_of_algebra,
-                     preserves_subspace, skew_extend,
+                     preserves_subspace, skew_extend, truncated_structure,
                      twisted_module_trivial_extension,
                      verify_ext_algebra_isomorphism)
+from quadalg.linalg import unit_vector
 
 F = Fraction
 
@@ -116,6 +118,27 @@ def test_iso_report_matches_the_dense_route(case):
     assert ((rep.generated_ok, rep.bijective, rep.left_identity_ok,
              rep.right_identity_ok) == ext_iso_oracle(cert, sigma))
     assert rep.passed
+
+
+@pytest.mark.parametrize("case", CASES, ids=_ids)
+def test_mixed_relation_classes_match_the_fraction_solve(case):
+    # the integer classes that the isomorphism check compares with the
+    # (1, 1) cells, over their pivot entries, are the Fraction classes
+    cert, sigma = _cert_and_twist(case)
+    n = cert.algebra.n
+    nrel = cert.algebra.relations.dim
+    ext = skew_extend(cert.algebra, sigma)
+    ebd = truncated_structure(ext.algebra.dual, cert.gldim + 1)
+    rows = ext.stacked_relations
+    vectors = [unit_vector(nrel + n, nrel + i) for i in range(n)]
+    classes = ebd.int_class_from_pairings(2, rows, vectors)
+    assert all(pv > 0 and all(vals.values())
+               for pv, vals in classes.values())
+    got = [tuple(F(classes[t][1].get(i, 0), classes[t][0]) if t in classes
+                 else F(0) for t in range(ebd.dims[2])) for i in range(n)]
+    expect = oracle_class_from_pairings(ebd, 2, rows, vectors)
+    assert got == expect
+    assert ebd.class_from_pairings(2, rows, vectors) == expect
 
 
 def test_a_non_symmetric_model_gives_the_oracle_witness():

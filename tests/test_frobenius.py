@@ -21,7 +21,7 @@ from quadalg import (GradedFDAlgebra, Matrix, NotFrobenius, QuadraticAlgebra,
                      is_graded_symmetric, nakayama_of_algebra, skew_extend,
                      truncated_structure, twisted_module_trivial_extension,
                      verify_ext_algebra_isomorphism, word_to_index)
-from quadalg.io import description_to_algebra, parse_description
+from quadalg.io import parse_description
 from quadalg.linalg import LinAlgError
 
 F = Fraction
@@ -540,7 +540,7 @@ def test_corrupted_constant_fails_associativity_with_mixed_denominators():
             "relations": [[{"coeff": "1", "word": [a, b]},
                            {"coeff": "-2/3", "word": [b, a]}]
                           for a, b in (("x", "y"), ("x", "z"), ("y", "z"))]}
-    dual = description_to_algebra(parse_description(json.dumps(desc))).dual
+    dual = parse_description(json.dumps(desc)).algebra.dual
     alg = truncated_structure(dual, 3)
     dens = {w.denominator for block in fraction_table(alg).values()
             for row in block for cell in row for _, w in cell}

@@ -5,12 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import description_of
-from quadalg import (Matrix, cy_criterion_deformed, dual_cdga,
-                     regularity_data)
+from helpers import CORPUS_DIR, description_of
+from quadalg import (Matrix, QuadraticAlgebra, Subspace, cy_criterion_deformed,
+                     dual_cdga, regularity_data)
 from quadalg.io import (ValidationError, description_deformation,
-                        description_to_algebra, matrix_to_strings,
-                        parse_description)
+                        matrix_to_strings, parse_description)
 
 F = Fraction
 
@@ -22,7 +21,7 @@ def test_minimal_document():
                        {"coeff": "-1", "word": ["y", "x"]}]],
     }))
     assert desc.generators == ("x", "y")
-    alg = description_to_algebra(desc)
+    alg = desc.algebra
     assert alg.relations.dim == 1
 
 
@@ -93,6 +92,51 @@ def test_exponent_notation_is_rejected():
                                   f"accepted")
 
 
+def test_one_document_is_parsed_once():
+    # the cache is keyed on the raw document by value: the same bytes, or
+    # the same str, give the same description object
+    raw = (CORPUS_DIR / "heisenberg.json").read_bytes()
+    desc = parse_description(raw)
+    assert parse_description(bytes(bytearray(raw))) is desc
+    text = raw.decode()
+    assert parse_description(text) is parse_description(raw.decode())
+    assert parse_description(text) == desc
+    assert parse_description.cache_info().maxsize == 32
+
+
+def test_shared_rows_are_read_only():
+    desc = description_of("heisenberg")
+    for rows in (desc.relations, desc.nu):
+        with pytest.raises(TypeError):
+            rows[0][0] = F(1)
+        with pytest.raises(TypeError):
+            del rows[0][next(iter(rows[0]))]
+    assert description_of("heisenberg") is desc
+
+
+def test_a_refused_document_is_not_stored():
+    bad = _two_term_relation("2E3")
+    parse_description.cache_clear()
+    for _ in range(3):
+        with pytest.raises(ValidationError) as exc:
+            parse_description(bad)
+        assert "exponent notation" in str(exc.value)
+        assert parse_description.cache_info().currsize == 0
+    parse_description(_two_term_relation("2"))
+    assert parse_description.cache_info().currsize == 1
+
+
+def test_the_algebra_is_built_once_per_description():
+    for name in ("kxy", "quantum3", "heisenberg"):
+        desc = description_of(name)
+        assert desc.algebra is desc.algebra
+        # and with it one dual
+        assert desc.algebra.dual is desc.algebra.dual
+        n = len(desc.generators)
+        assert desc.algebra == QuadraticAlgebra(
+            desc.generators, Subspace.from_spanning(desc.relations, n * n))
+
+
 def test_invalid_json():
     with pytest.raises(ValidationError):
         parse_description("{nope")
@@ -129,8 +173,8 @@ def test_deformation_canonicalization_is_basis_independent():
                  "theta": ["0", "0", "0"]}}
     da = parse_description(json.dumps(base))
     db = parse_description(json.dumps(mixed))
-    alg = description_to_algebra(da)
-    assert description_to_algebra(db).relations == alg.relations
+    alg = da.algebra
+    assert db.algebra.relations == alg.relations
     cert = regularity_data(alg, 3, 5)
     fa = description_deformation(da, cert)
     fb = description_deformation(db, cert)
@@ -151,7 +195,7 @@ def test_deformation_rejects_dependent_relations():
                 {"coeff": "-2", "word": ["y", "x"]}]],
            "deformation": {"nu": [[], []], "theta": ["0", "0"]}}
     desc = parse_description(json.dumps(doc))
-    alg = description_to_algebra(desc)
+    alg = desc.algebra
     cert = regularity_data(alg, 2, 5)
     with pytest.raises(ValidationError):
         description_deformation(desc, cert)
@@ -159,7 +203,7 @@ def test_deformation_rejects_dependent_relations():
 
 def test_deformation_missing_section():
     desc = description_of("kxy")
-    cert = regularity_data(description_to_algebra(desc), 2, 5)
+    cert = regularity_data(desc.algebra, 2, 5)
     with pytest.raises(ValidationError):
         description_deformation(desc, cert)
 
@@ -167,6 +211,6 @@ def test_deformation_missing_section():
 def test_domain_flag_propagates():
     desc = description_of("heisenberg")
     assert desc.domain is True
-    cert = regularity_data(description_to_algebra(desc), 3, 5)
+    cert = regularity_data(desc.algebra, 3, 5)
     defm = description_deformation(desc, cert)
     assert defm.effective_domain

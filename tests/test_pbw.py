@@ -10,7 +10,7 @@ from helpers import (AS_REGULAR, CORPUS, DIM2, cdg_trivial_extension,
                      rescaled_nakayama_shift)
 from quadalg import (Cdga, Matrix, PBWDeformation, add_into,
                      check_cdga_axioms, cy_criterion_deformed,
-                     cy_equivalence_dim2, description_to_algebra, dual_cdga,
+                     cy_equivalence_dim2, dual_cdga,
                      nakayama_of_algebra, nakayama_cdga_compatibility,
                      nakayama_shift, regularity_data, skew_deformation,
                      skew_extend)
@@ -51,7 +51,7 @@ def _criterion(defm):
 
 def _corpus_defm(name, gldim, bound=5):
     desc = description_of(name)
-    cert = regularity_data(description_to_algebra(desc), gldim, bound)
+    cert = regularity_data(desc.algebra, gldim, bound)
     return description_deformation(desc, cert)
 
 
