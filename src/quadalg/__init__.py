@@ -14,20 +14,19 @@ quadalg/corpus; parse_description reads them like any other input.
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ResourceLimitError,
                      Subspace, Vec)
 from .tensors import (add_into, apply_slotwise, contract_left, contract_right,
-                      index_to_word, preserves_subspace, tau, word_to_index)
+                      index_to_word, is_twisted_superpotential,
+                      preserves_subspace, tau, word_to_index)
 from .frobenius import (FrobeniusStructure, GradedFDAlgebra, NotFrobenius,
                         frobenius_structure, is_graded_symmetric,
                         twisted_module_trivial_extension)
 from .quadratic import (KoszulCertificate, QuadraticAlgebra, TruncatedAlgebra,
                         graded_dims, koszul_component,
                         numeric_koszul_certificate, truncated_structure)
-from .regular import (NotRegular, RegularityCertificate,
+from .regular import (NotRegular, RegularityCertificate, SuperpotentialData,
                       as_regular_certificate, dim2_matrix_form,
-                      nakayama_of_algebra, regularity_data)
-from .superpotential import (PresentationReport, SuperpotentialData,
-                             derivation_quotient, extract_superpotential,
-                             is_twisted_superpotential, symmetrize,
-                             verify_superpotential_presentation)
+                      regularity_data)
+from .superpotential import (PresentationReport, derivation_quotient,
+                             symmetrize, verify_superpotential_presentation)
 from .skew import (CYReport, IsoReport, SkewExtension, cy_check_with,
                    ext_algebra_of_skew, fresh_letter, skew_extend,
                    verify_ext_algebra_isomorphism,

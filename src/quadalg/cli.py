@@ -21,12 +21,12 @@ from .linalg import ConsistencyError, LinAlgError, Matrix, ResourceLimitError
 from .pbw import (check_cdga_axioms, cy_criterion_deformed, cy_equivalence_dim2,
                   dual_cdga)
 from .quadratic import graded_dims, numeric_koszul_certificate
-from .regular import (NotRegular, as_regular_certificate, nakayama_of_algebra)
+from .regular import NotRegular, as_regular_certificate
 from .skew import (cy_check_with, fresh_letter, skew_extend,
                    verify_ext_algebra_isomorphism)
-from .superpotential import (derivation_quotient, extract_superpotential,
-                             is_twisted_superpotential, symmetrize,
+from .superpotential import (derivation_quotient, symmetrize,
                              verify_superpotential_presentation)
+from .tensors import is_twisted_superpotential
 
 
 def _certificate(desc, args):
@@ -37,7 +37,7 @@ def _resolve_sigma(desc, cert, mode):
     if mode == "id":
         return Matrix.identity(cert.algebra.n)
     if mode == "nakayama":
-        return nakayama_of_algebra(cert)
+        return cert.nakayama
     if mode == "file":
         if desc.sigma is None:
             raise ValidationError("--sigma file requires a sigma section", "sigma")
@@ -88,7 +88,7 @@ def _cmd_regular(desc, args):
 
 def _cmd_nakayama(desc, args):
     cert = _certificate(desc, args)
-    xi = nakayama_of_algebra(cert)
+    xi = cert.nakayama
     return {"matrix": matrix_to_strings(xi), "gldim": cert.gldim}, True
 
 
@@ -110,8 +110,8 @@ def _cmd_skew(desc, args):
 
 def _cmd_superpotential(desc, args):
     cert = _certificate(desc, args)
-    data = extract_superpotential(cert)
-    report = verify_superpotential_presentation(cert, data)
+    data = cert.superpotential
+    report = verify_superpotential_presentation(cert)
     verdict = {
         "terms": vector_to_terms(data.w, cert.gldim, cert.algebra.names),
         "twist": matrix_to_strings(data.twist),
@@ -123,7 +123,7 @@ def _cmd_superpotential(desc, args):
 
 def _cmd_symmetrize(desc, args):
     cert = _certificate(desc, args)
-    data = extract_superpotential(cert)
+    data = cert.superpotential
     d = cert.gldim
     what = symmetrize(data.w, d, data.twist)
     fresh = fresh_letter(cert.algebra.names)
@@ -140,7 +140,7 @@ def _cmd_symmetrize(desc, args):
 
 def _cmd_derivquot(desc, args):
     cert = _certificate(desc, args)
-    data = extract_superpotential(cert)
+    data = cert.superpotential
     quotient = derivation_quotient(data.w, cert.gldim - 2, cert.algebra.names)
     same = quotient.relations == cert.algebra.relations
     verdict = {
@@ -193,7 +193,7 @@ def _cmd_pbw(desc, args):
         "dimension": crit.dimension,
         "shift": [str(v) for v in crit.shift],
         "twisted_shift": [str(v) for v in crit.twisted_shift],
-        "zeta_linear": matrix_to_strings(nakayama_of_algebra(cert)),
+        "zeta_linear": matrix_to_strings(cert.nakayama),
         "converse_definitive": crit.converse_definitive,
     }
     if crit.witness is not None:

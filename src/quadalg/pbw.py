@@ -26,8 +26,7 @@ from fractions import Fraction
 from .frobenius import GradedFDAlgebra
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Subspace, Vec,
                      ZERO, solve_square, unit_vector)
-from .regular import (RegularityCertificate, dim2_matrix_form,
-                      nakayama_of_algebra, regularity_data)
+from .regular import RegularityCertificate, dim2_matrix_form, regularity_data
 from .skew import ext_algebra_of_skew, skew_extend
 from .tensors import add_into
 
@@ -246,7 +245,7 @@ def cy_criterion_deformed(defm: PBWDeformation, c: Cdga) -> DeformedCYReport:
     d = cert.gldim
     n = cert.algebra.n
     alg_fd = cert.dual_fd
-    xi = nakayama_of_algebra(cert)
+    xi = cert.nakayama
     shift = nakayama_shift(cert, c)
     twisted = xi.transpose().mul_col(shift)
     gamma = ext_algebra_of_skew(cert, xi)

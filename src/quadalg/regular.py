@@ -1,6 +1,8 @@
 """Degree-bounded certification that a quadratic algebra is regular:
-finite-dimensional Frobenius dual + Koszul numerics, and the Nakayama
-automorphism extracted from the dual pairing.
+finite-dimensional Frobenius dual + Koszul numerics.  What the
+certificate fixes is read off it as cached properties: the Nakayama
+automorphism xi, from the dual pairing data, and the superpotential w with
+its twist, from the top Koszul components.
 
 The certificate is evidence up to the stated degree bound, not a proof.
 Callers that already know the expected global dimension can ask for reduced
@@ -11,13 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .frobenius import FrobeniusStructure, NotFrobenius, frobenius_structure
 from .linalg import ConsistencyError, LinAlgError, Matrix, ZERO, solve_square
 from .quadratic import (QuadraticAlgebra, TruncatedAlgebra, graded_dims,
-                        numeric_koszul_certificate, truncated_structure)
-from .tensors import preserves_subspace
+                        koszul_component, numeric_koszul_certificate,
+                        truncated_structure)
+from .tensors import (contract_left, contract_right, is_twisted_superpotential,
+                      preserves_subspace)
 
 
 class NotRegular(Exception):
@@ -29,12 +35,29 @@ class NotRegular(Exception):
         self.witness_degree = witness_degree
 
 
+@dataclass(frozen=True)
+class SuperpotentialData:
+    """Canonical superpotential of a certified algebra and its twist.
+
+    w spans the top Koszul component, as a read-only {word index: value}
+    map of degree gldim.  twist is the Nakayama map, recovered from the
+    matrices of the left and right contractions of w by each dual letter,
+    in the basis of the next component down, and cross-checked against the
+    pairing route.
+    """
+
+    w: Mapping[int, Fraction]
+    twist: Matrix
+
+
 @dataclass(frozen=True, eq=False)
 class RegularityCertificate:
     """The data the bounded regularity checks produced that later steps read.
 
     dual_fd is the dual algebra truncated at its top degree gldim; dual_dims
-    runs on to the bound.
+    runs on to the bound.  nakayama and superpotential are computed on first
+    read and kept on the certificate, so they go with it; a read that raises
+    keeps nothing.
     """
 
     algebra: QuadraticAlgebra
@@ -43,6 +66,65 @@ class RegularityCertificate:
     dual_dims: tuple[int, ...]
     dual_fd: TruncatedAlgebra
     frobenius: FrobeniusStructure
+
+    @cached_property
+    def nakayama(self) -> Matrix:
+        """Nakayama automorphism of the algebra, from the dual pairing data.
+
+        On generators this is the sign-adjusted inverse transpose of the
+        dual Nakayama map nu_1 in degree one, in column convention:
+        xi = (-1)^(d+1) (nu_1^{-1})^T.  With G_i = pairings[i], nu_1 is the
+        X of G_{d-1} X = G_1^T (frobenius_structure), so
+        nu_1 = G_{d-1}^{-1} G_1^T and nu_1^{-1} = G_1^{-T} G_{d-1}: the
+        solution Y of G_1^T Y = G_{d-1}.  So xi is (-1)^(d+1) Y^T, read off
+        one solve and no inverse.  The result must preserve the relation
+        subspace; if it does not, the certificate data is inconsistent.
+        """
+        d = self.gldim
+        pairings = self.frobenius.pairings
+        # G_1 is nondegenerate, as frobenius_structure checked
+        y = solve_square(pairings[1].transpose(), pairings[d - 1])
+        xi = y.transpose().scale(Fraction((-1) ** (d + 1)))
+        if not preserves_subspace(xi, self.algebra.relations):
+            raise ConsistencyError("extracted Nakayama map does not preserve the relations")
+        return xi
+
+    @cached_property
+    def superpotential(self) -> SuperpotentialData:
+        """The superpotential of the algebra and its twist, which must be
+        the Nakayama map and leave w twisted-cyclic."""
+        d = self.gldim
+        alg = self.algebra
+        n = alg.n
+        top = koszul_component(alg, d)
+        if top.dim != 1:
+            raise ConsistencyError(f"top Koszul component has dimension {top.dim}, not 1")
+        w = MappingProxyType(dict(top.rows[0]))
+        sub = koszul_component(alg, d - 1)
+        left_rows = []
+        right_cols = []
+        for i in range(n):
+            lc = sub.coordinates(contract_left(w, i, d, n))
+            if lc is None:
+                raise ConsistencyError("left contraction leaves the Koszul component")
+            left_rows.append(lc)
+        for j in range(n):
+            rc = sub.coordinates(contract_right(w, j, n))
+            if rc is None:
+                raise ConsistencyError("right contraction leaves the Koszul component")
+            right_cols.append(rc)
+        left = Matrix.from_rows(left_rows, sub.dim)
+        right = Matrix.from_rows(zip(*right_cols), n)
+        # R^T L^{-1} is the transpose of the Y with L^T Y = R
+        y = solve_square(left.transpose(), right)
+        if y is None:
+            raise LinAlgError("left contraction matrix is singular")
+        twist = y.transpose().scale(Fraction((-1) ** (d + 1)))
+        if twist != self.nakayama:
+            raise ConsistencyError("contraction twist disagrees with the pairing route")
+        if not is_twisted_superpotential(w, d, twist):
+            raise ConsistencyError("extracted tensor is not twisted-cyclic")
+        return SuperpotentialData(w, twist)
 
 
 # bounded at over twice the 9 certificates of one corpus sweep
@@ -80,32 +162,6 @@ def regularity_data(alg: QuadraticAlgebra, expected_gldim: int,
     return cert
 
 
-# bounded at over twice the 7 certificates whose Nakayama map one corpus
-# sweep reads; keyed on the certificate itself, which as_regular_certificate
-# hands out
-@lru_cache(maxsize=16)
-def nakayama_of_algebra(cert: RegularityCertificate, /) -> Matrix:
-    """Nakayama automorphism of the algebra, from the dual pairing data.
-
-    On generators this is the sign-adjusted inverse transpose of the dual
-    Nakayama map nu_1 in degree one, in column convention:
-    xi = (-1)^(d+1) (nu_1^{-1})^T.  With G_i = pairings[i], nu_1 is the X
-    of G_{d-1} X = G_1^T (frobenius_structure), so nu_1 = G_{d-1}^{-1} G_1^T
-    and nu_1^{-1} = G_1^{-T} G_{d-1}: the solution Y of G_1^T Y = G_{d-1}.
-    So xi is (-1)^(d+1) Y^T, read off one solve and no inverse.  The result
-    must preserve the relation subspace; if it does not, the certificate
-    data is inconsistent.  Computed once per certificate.
-    """
-    d = cert.gldim
-    pairings = cert.frobenius.pairings
-    # G_1 is nondegenerate, as frobenius_structure checked
-    y = solve_square(pairings[1].transpose(), pairings[d - 1])
-    xi = y.transpose().scale(Fraction((-1) ** (d + 1)))
-    if not preserves_subspace(xi, cert.algebra.relations):
-        raise ConsistencyError("extracted Nakayama map does not preserve the relations")
-    return xi
-
-
 def dim2_matrix_form(cert: RegularityCertificate) -> tuple[Matrix, Matrix]:
     """For a dimension-2 algebra with one relation: the coefficient matrix M
     of the canonical relation, and the Nakayama map recomputed from M.
@@ -128,6 +184,6 @@ def dim2_matrix_form(cert: RegularityCertificate) -> tuple[Matrix, Matrix]:
     if y is None:
         raise LinAlgError("relation coefficient matrix is singular")
     xi = y.transpose().scale(Fraction(-1))
-    if xi != nakayama_of_algebra(cert):
+    if xi != cert.nakayama:
         raise ConsistencyError("matrix-form Nakayama disagrees with the pairing route")
     return m, xi

@@ -27,8 +27,7 @@ from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Subspace,
                      solve_square, unit_vector)
 from .quadratic import QuadraticAlgebra, graded_dims, truncated_structure
 from .regular import RegularityCertificate
-from .superpotential import (derivation_quotient, extract_superpotential,
-                             symmetrize)
+from .superpotential import derivation_quotient, symmetrize
 from .tensors import preserves_subspace
 
 
@@ -289,7 +288,7 @@ def cy_check_with(cert: RegularityCertificate, sigma: Matrix) -> CYReport:
 def verify_extended_presentation(cert: RegularityCertificate) -> bool:
     """The symmetrized superpotential must present the Nakayama-twisted
     extension: its derivation quotient equals the extended relation space."""
-    data = extract_superpotential(cert)
+    data = cert.superpotential
     what = symmetrize(data.w, cert.gldim, data.twist)
     ext = skew_extend(cert.algebra, data.twist)
     dq = derivation_quotient(what, cert.gldim - 1, ext.algebra.names)

@@ -1,95 +1,27 @@
-"""Twisted superpotentials: cyclicity tests, extraction from a regularity
-certificate, one-letter symmetrization, and derivation quotients.
+"""Twisted superpotentials: one-letter symmetrization, derivation
+quotients, and the check that a certified algebra is the derivation
+quotient of its superpotential.
 
 A superpotential is a vector of length-d words, held like every word
 vector as a sparse {word index: value} map; its degree d is passed along
 with it.  Such a w is a twisted superpotential for a degree-one map s when
 rotating the first slot to the end after applying s to it reproduces w up to
-the sign (-1)^(d-1).  Contracting such a w with k dual letters on the left
-yields the relation space of its derivation quotient.
+the sign (-1)^(d-1) (tensors.is_twisted_superpotential).  The
+superpotential of a certified algebra is its certificate's superpotential
+property.  Contracting such a w with k dual letters on the left yields the
+relation space of its derivation quotient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from types import MappingProxyType
-from typing import Mapping
 
-from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Subspace, ZERO,
-                     solve_square)
+from .linalg import ConsistencyError, LinAlgError, Matrix, ONE, Subspace, ZERO
 from .quadratic import QuadraticAlgebra, koszul_component
-from .regular import RegularityCertificate, nakayama_of_algebra
-from .tensors import (add_into, apply_slotwise, contract_left, contract_right,
-                      index_to_word, tau, word_to_index)
-
-
-def is_twisted_superpotential(w: dict[int, Fraction], d: int,
-                              sigma: Matrix) -> bool:
-    """Whether w, of degree d, equals its sign-adjusted twisted rotation;
-    zero entries of w are ignored."""
-    n = sigma.cols
-    rotated = tau(apply_slotwise([sigma] + [None] * (d - 1), w, n), d, d - 1, n)
-    sign = (-1) ** (d - 1)
-    return {i: sign * c for i, c in rotated.items()} == {
-        i: c for i, c in w.items() if c}
-
-
-@dataclass(frozen=True)
-class SuperpotentialData:
-    """Canonical superpotential of a certified algebra and its twist.
-
-    w spans the top Koszul component, as a read-only {word index: value}
-    map of degree gldim.  twist is the Nakayama map, recovered from the
-    matrices of the left and right contractions of w by each dual letter,
-    in the basis of the next component down, and cross-checked against the
-    pairing route.
-    """
-
-    w: Mapping[int, Fraction]
-    twist: Matrix
-
-
-# bounded at over twice the 7 certificates one corpus sweep extracts from;
-# keyed on the certificate itself, which regular.as_regular_certificate
-# hands out
-@lru_cache(maxsize=16)
-def extract_superpotential(cert: RegularityCertificate, /) -> SuperpotentialData:
-    """The superpotential of cert and its twist, computed once per
-    certificate and shared by every caller."""
-    d = cert.gldim
-    alg = cert.algebra
-    n = alg.n
-    top = koszul_component(alg, d)
-    if top.dim != 1:
-        raise ConsistencyError(f"top Koszul component has dimension {top.dim}, not 1")
-    w = MappingProxyType(dict(top.rows[0]))
-    sub = koszul_component(alg, d - 1)
-    left_rows = []
-    right_cols = []
-    for i in range(n):
-        lc = sub.coordinates(contract_left(w, i, d, n))
-        if lc is None:
-            raise ConsistencyError("left contraction leaves the Koszul component")
-        left_rows.append(lc)
-    for j in range(n):
-        rc = sub.coordinates(contract_right(w, j, n))
-        if rc is None:
-            raise ConsistencyError("right contraction leaves the Koszul component")
-        right_cols.append(rc)
-    left = Matrix.from_rows(left_rows, sub.dim)
-    right = Matrix.from_rows(zip(*right_cols), n)
-    # R^T L^{-1} is the transpose of the Y with L^T Y = R
-    y = solve_square(left.transpose(), right)
-    if y is None:
-        raise LinAlgError("left contraction matrix is singular")
-    twist = y.transpose().scale(Fraction((-1) ** (d + 1)))
-    if twist != nakayama_of_algebra(cert):
-        raise ConsistencyError("contraction twist disagrees with the pairing route")
-    if not is_twisted_superpotential(w, d, twist):
-        raise ConsistencyError("extracted tensor is not twisted-cyclic")
-    return SuperpotentialData(w, twist)
+from .regular import RegularityCertificate
+from .tensors import (add_into, apply_slotwise, index_to_word,
+                      is_twisted_superpotential, tau, word_to_index)
 
 
 def symmetrize(w: dict[int, Fraction], d: int,
@@ -151,11 +83,9 @@ class PresentationReport:
         return self.matches_relations and self.coupling_invertible
 
 
-def verify_superpotential_presentation(cert: RegularityCertificate,
-                                       data: SuperpotentialData) -> PresentationReport:
-    """Check the derivation quotient of the superpotential extracted from
-    cert returns the original relations, and solve w as a
-    relation-times-factor sum.
+def verify_superpotential_presentation(cert: RegularityCertificate) -> PresentationReport:
+    """Check the derivation quotient of cert.superpotential returns the
+    original relations, and solve w as a relation-times-factor sum.
 
     The coupling matrix L satisfies w = sum L[a][b] r_a (x) c_b over the
     canonical relation basis r and the basis c of the Koszul component two
@@ -163,11 +93,12 @@ def verify_superpotential_presentation(cert: RegularityCertificate,
     """
     alg = cert.algebra
     d = cert.gldim
-    dq = derivation_quotient(data.w, d - 2, alg.names)
+    w = cert.superpotential.w
+    dq = derivation_quotient(w, d - 2, alg.names)
     matches = dq.relations == alg.relations
     lower = koszul_component(alg, d - 2)
     prod = alg.relations.kron(lower)
-    coords = prod.coordinates(data.w)
+    coords = prod.coordinates(w)
     if coords is None:
         raise ConsistencyError("superpotential is not a relation-times-factor sum")
     rows = [coords[a * lower.dim:(a + 1) * lower.dim]

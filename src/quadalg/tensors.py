@@ -1,5 +1,5 @@
-"""Word coordinates: word indices, slot maps, cyclic slot moves and
-contractions on vectors indexed by words.
+"""Word coordinates: word indices, slot maps, cyclic slot moves,
+contractions and the twisted-cyclicity test on vectors indexed by words.
 
 A word of length d over n letters is a tuple of d letter indices.  It is
 identified with the flat coordinate of its big-endian base-n expansion, so
@@ -106,6 +106,18 @@ def tau(vec: Mapping[int, Fraction], d: int, k: int, n: int) -> dict[int, Fracti
         middle, last = divmod(rest, tail)
         out[(middle * n + first) * tail + last] = c
     return out
+
+
+def is_twisted_superpotential(w: Mapping[int, Fraction], d: int,
+                              sigma: Matrix) -> bool:
+    """Whether w, a vector of length-d words, equals its twisted rotation
+    up to the sign (-1)^(d-1): sigma applied to the first slot, which then
+    moves to the end.  Zero entries of w are ignored."""
+    n = sigma.cols
+    rotated = tau(apply_slotwise([sigma] + [None] * (d - 1), w, n), d, d - 1, n)
+    sign = (-1) ** (d - 1)
+    return {i: sign * c for i, c in rotated.items()} == {
+        i: c for i, c in w.items() if c}
 
 
 def contract_left(vec: Mapping[int, Fraction], letter: int, d: int,

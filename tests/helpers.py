@@ -11,7 +11,7 @@ import random
 import quadalg
 from quadalg import (Cdga, GradedFDAlgebra, Matrix, QuadraticAlgebra,
                      Subspace, apply_slotwise, as_regular_certificate,
-                     index_to_word, nakayama_of_algebra, word_to_index)
+                     index_to_word, word_to_index)
 from quadalg import skew
 from quadalg.io import parse_description
 from quadalg.linalg import LinAlgError, ZERO, solve, unit_vector
@@ -340,7 +340,7 @@ def twist_pool():
     for name in AS_REGULAR:
         cert = cert_of(name)
         n = cert.algebra.n
-        pool.append((n, nakayama_of_algebra(cert)))
+        pool.append((n, cert.nakayama))
         pool.append((n, Matrix.identity(n)))
         pool.append((n, Matrix.identity(n).scale(Fraction(-1))))
     return pool

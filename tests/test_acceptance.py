@@ -16,9 +16,8 @@ from helpers import (AS_REGULAR, CORPUS, DIM2, block_nakayama_oracle,
 from quadalg import (Matrix, PBWDeformation, cy_check_with,
                      cy_criterion_deformed, cy_equivalence_dim2,
                      derivation_quotient, dim2_matrix_form, dual_cdga,
-                     extract_superpotential, frobenius_structure, graded_dims,
-                     is_graded_symmetric, is_twisted_superpotential,
-                     nakayama_of_algebra, nakayama_shift,
+                     frobenius_structure, graded_dims, is_graded_symmetric,
+                     is_twisted_superpotential, nakayama_shift,
                      numeric_koszul_certificate,
                      regularity_data, skew_extend, symmetrize, tau,
                      verify_ext_algebra_isomorphism,
@@ -49,7 +48,7 @@ def test_criterion_1_nakayama_two_route_agreement():
         m, _ = dim2_matrix_form(cert)
         route_b = (m.transpose() @ dense_inverse(m)).scale(F(-1))
         assert route_a == route_b, name
-        assert route_a == nakayama_of_algebra(cert), name
+        assert route_a == cert.nakayama, name
         if name in EXPECTED_NAKAYAMA:
             assert route_a == Matrix.from_rows(EXPECTED_NAKAYAMA[name], 2), name
     print("criterion 1 (two-route Nakayama agreement, d=2): PASS")
@@ -58,15 +57,15 @@ def test_criterion_1_nakayama_two_route_agreement():
 def test_criterion_2_nakayama_twisted_extension_is_cy():
     for name in AS_REGULAR:
         cert = cert_of(name)
-        rep = cy_check_with(cert, nakayama_of_algebra(cert))
+        rep = cy_check_with(cert, cert.nakayama)
         assert rep.is_CY, name
         assert rep.dimension == cert.gldim + 1, name
     # skew-built dimension-3 bases, extended once more
     for name in ("kxy", "quantum_plane_q2"):
         cert = cert_of(name)
-        ext = skew_extend(cert.algebra, nakayama_of_algebra(cert))
+        ext = skew_extend(cert.algebra, cert.nakayama)
         cert_b = regularity_data(ext.algebra, 3, 4)
-        rep = cy_check_with(cert_b, nakayama_of_algebra(cert_b))
+        rep = cy_check_with(cert_b, cert_b.nakayama)
         assert rep.is_CY, name
     # wrong twist must fail with a concrete witness pairing entry
     rep = cy_check_with(cert_of("quantum_plane_q2"), Matrix.identity(2))
@@ -79,7 +78,7 @@ def test_criterion_3_ext_algebra_oracle_equivalence():
     for name in AS_REGULAR:
         cert = cert_of(name)
         n = cert.algebra.n
-        for sigma in (nakayama_of_algebra(cert), Matrix.identity(n)):
+        for sigma in (cert.nakayama, Matrix.identity(n)):
             rep = verify_ext_algebra_isomorphism(cert, sigma)
             assert rep.generated_ok, name
             # generated_ok is read off the degree-1 products; every product
@@ -96,12 +95,12 @@ def test_criterion_3_ext_algebra_oracle_equivalence():
 def test_criterion_4_superpotential_presentations():
     for name in AS_REGULAR:
         cert = cert_of(name)
-        data = extract_superpotential(cert)
+        data = cert.superpotential
         dq = derivation_quotient(data.w, cert.gldim - 2, cert.algebra.names)
         assert dq.relations == cert.algebra.relations, name
-        assert verify_superpotential_presentation(cert, data).passed, name
+        assert verify_superpotential_presentation(cert).passed, name
         assert verify_extended_presentation(cert), name
-    data = extract_superpotential(cert_of("kxy"))
+    data = cert_of("kxy").superpotential
     hat = symmetrize(data.w, 2, data.twist)
     assert word_terms(hat, 3, 3) == {
         (0, 1, 2): F(1), (0, 2, 1): F(-1), (1, 0, 2): F(-1),
@@ -202,7 +201,7 @@ def test_criterion_8_deformations_of_commutative_plane():
     defm = PBWDeformation(cert, (dict(cert.algebra.relations.rows[0]),),
                           ({0: F(1)},), (F(0),))
     c = dual_cdga(defm)
-    assert nakayama_of_algebra(cert) == Matrix.identity(2)
+    assert cert.nakayama == Matrix.identity(2)
     shift = nakayama_shift(cert, c)
     assert shift == (F(0), F(-1))
     assert shift != (F(0), F(1))
@@ -212,7 +211,7 @@ def test_criterion_8_deformations_of_commutative_plane():
 
 def test_criterion_9_hilbert_koszul_sanity():
     cert = cert_of("quantum_plane_q2")
-    ext = skew_extend(cert.algebra, nakayama_of_algebra(cert))
+    ext = skew_extend(cert.algebra, cert.nakayama)
     assert graded_dims(ext.algebra, 4) == (1, 3, 6, 10, 15)
     for name in CORPUS:
         alg = description_of(name).algebra

@@ -5,6 +5,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -12,15 +13,14 @@ import pytest
 
 from helpers import (AS_REGULAR, package_caches, skew_description,
                      sklyanin_description)
-from quadalg import cli, io, quadratic, regular, skew, superpotential
+from quadalg import cli, io, quadratic, regular, skew
 from quadalg.cli import main
 from quadalg.io import parse_description
 from quadalg.linalg import Matrix
 from quadalg.quadratic import graded_dims
 from quadalg.pbw import dual_cdga, nakayama_shift
-from quadalg.regular import as_regular_certificate, nakayama_of_algebra
+from quadalg.regular import RegularityCertificate, as_regular_certificate
 from quadalg.skew import skew_extend, verify_ext_algebra_isomorphism
-from quadalg.superpotential import extract_superpotential
 
 CORPUS = resources.files("quadalg") / "corpus"
 
@@ -324,9 +324,6 @@ def test_caches_are_bounded_and_keep_a_corpus_sweep_warm(capsys):
               "quadratic._koszul_dim": quadratic._koszul_dim,
               "quadratic.truncated_structure": quadratic.truncated_structure,
               "regular.as_regular_certificate": regular.as_regular_certificate,
-              "regular.nakayama_of_algebra": regular.nakayama_of_algebra,
-              "superpotential.extract_superpotential":
-                  superpotential.extract_superpotential,
               "skew.skew_extend": skew.skew_extend,
               "skew.verify_ext_algebra_isomorphism":
                   skew.verify_ext_algebra_isomorphism}
@@ -341,16 +338,12 @@ def test_caches_are_bounded_and_keep_a_corpus_sweep_warm(capsys):
               "quadratic._koszul_component": 256, "quadratic._koszul_dim": 64,
               "quadratic.truncated_structure": 32,
               "regular.as_regular_certificate": 32,
-              "regular.nakayama_of_algebra": 16,
-              "superpotential.extract_superpotential": 16,
               "skew.skew_extend": 16,
               "skew.verify_ext_algebra_isomorphism": 16}
     hits = {"io.parse_description": 120,
             "quadratic._koszul_component": 627, "quadratic._koszul_dim": 80,
             "quadratic.truncated_structure": 4,
             "regular.as_regular_certificate": 82,
-            "regular.nakayama_of_algebra": 50,
-            "superpotential.extract_superpotential": 23,
             "skew.skew_extend": 27,
             "skew.verify_ext_algebra_isomorphism": 13}
     for name, cache in caches.items():
@@ -597,6 +590,22 @@ def _count_calls(monkeypatch, fn):
     return calls
 
 
+def _count_computations(monkeypatch, name):
+    """Replace the cached property RegularityCertificate.<name> by one that
+    records each certificate it computes for, and return that record."""
+    compute = vars(RegularityCertificate)[name].func
+    calls = []
+
+    def counted(cert):
+        calls.append((cert,))
+        return compute(cert)
+
+    prop = cached_property(counted)
+    prop.__set_name__(RegularityCertificate, name)
+    monkeypatch.setattr(RegularityCertificate, name, prop)
+    return calls
+
+
 @pytest.mark.parametrize("command,fn,names,per_run", [
     # the input deformation's curved dual, and the transported one's
     ("pbw", dual_cdga, ("deformed_qp_noncy", "quantum_weyl", "heisenberg"), 2),
@@ -604,14 +613,19 @@ def _count_calls(monkeypatch, fn):
     ("pbw", nakayama_shift, ("deformed_qp_noncy", "quantum_weyl", "heisenberg"),
      1),
     ("thm5", nakayama_shift, ("deformed_qp_noncy", "quantum_weyl"), 1),
-    ("superpotential", extract_superpotential, AS_REGULAR, 1),
+    # a certificate property, named as a string
+    ("superpotential", "superpotential", AS_REGULAR, 1),
 ], ids=["pbw-dual_cdga", "thm5-dual_cdga", "pbw-nakayama_shift",
-        "thm5-nakayama_shift", "superpotential-extract_superpotential"])
+        "thm5-nakayama_shift", "superpotential-superpotential"])
 def test_each_object_is_built_once_per_run(capsys, monkeypatch, command, fn,
                                            names, per_run):
-    calls = _count_calls(monkeypatch, fn)
+    calls = (_count_computations(monkeypatch, fn) if isinstance(fn, str)
+             else _count_calls(monkeypatch, fn))
     for name in names:
         calls.clear()
+        # each run cold, as a fresh process runs it: a certificate left
+        # from an earlier run has its properties computed already
+        _clear_package_caches()
         code = main([command, _path(name)])
         capsys.readouterr()
         assert code in (0, 1), name
@@ -679,7 +693,7 @@ def test_skew_dims_are_the_extensions_graded_dims(tmp_path, capsys):
                 assert code == 0, path
                 alg = parse_description(Path(path).read_bytes()).algebra
                 cert = as_regular_certificate(alg, bound)
-                twist = (nakayama_of_algebra(cert) if sigma == "nakayama"
+                twist = (cert.nakayama if sigma == "nakayama"
                          else Matrix.identity(alg.n))
                 ext = skew_extend(alg, twist).algebra
                 assert rep["verdict"]["dims"] == list(graded_dims(ext, bound))
@@ -692,20 +706,21 @@ def test_certificate_data_is_computed_once_per_session(capsys, monkeypatch):
     # them.  The deformation files deform the algebras of quantum_plane_q2
     # and poly3, so there are the 7 certificates of AS_REGULAR, each with
     # its Nakayama map as the one twist.
-    memos = (nakayama_of_algebra, extract_superpotential,
-             verify_ext_algebra_isomorphism)
-    # emptied here: once counted, they are no longer found by the sweep's
-    # package_caches(), which sees only the counting wrappers
-    for memo in memos:
-        memo.cache_clear()
-    calls = {memo: _count_calls(monkeypatch, memo) for memo in memos}
+    computed = {name: _count_computations(monkeypatch, name)
+                for name in ("nakayama", "superpotential")}
+    # emptied here: once counted, it is no longer found by the sweep's
+    # package_caches(), which sees only the counting wrapper
+    verify_ext_algebra_isomorphism.cache_clear()
+    calls = _count_calls(monkeypatch, verify_ext_algebra_isomorphism)
     _corpus_sweep(capsys, cold=False)
-    for memo in memos:
-        # certificates by identity, twists by value, as the memos key them
-        keys = {(id(args[0]),) + args[1:] for args in calls[memo]}
-        assert len(keys) == len(AS_REGULAR), memo.__name__
-        assert memo.cache_info().misses == len(keys), memo.__name__
-        assert len(calls[memo]) > len(keys), memo.__name__
+    for name, certs in computed.items():
+        assert len(certs) == len(AS_REGULAR), name
+        assert len({id(cert) for cert, in certs}) == len(certs), name
+    # certificates by identity, twists by value, as the memo keys them
+    keys = {(id(args[0]),) + args[1:] for args in calls}
+    assert len(keys) == len(AS_REGULAR)
+    assert verify_ext_algebra_isomorphism.cache_info().misses == len(keys)
+    assert len(calls) > len(keys)
 
 
 @pytest.mark.parametrize("command,name,code", [

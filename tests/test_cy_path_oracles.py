@@ -20,9 +20,8 @@ from helpers import (AS_REGULAR, cert_of, ext_iso_oracle, oracle_automorphism,
                      oracle_trivial_extension_table, skew_ring)
 from quadalg import (FrobeniusStructure, Matrix, as_regular_certificate,
                      ext_algebra_of_skew, frobenius_structure,
-                     is_graded_symmetric, nakayama_of_algebra,
-                     preserves_subspace, skew_extend, truncated_structure,
-                     twisted_module_trivial_extension,
+                     is_graded_symmetric, preserves_subspace, skew_extend,
+                     truncated_structure, twisted_module_trivial_extension,
                      verify_ext_algebra_isomorphism)
 from quadalg.linalg import unit_vector
 
@@ -50,7 +49,7 @@ def _cert_and_twist(case):
     else:
         cert = cert_of(name)
     if twist == "xi":
-        sigma = nakayama_of_algebra(cert)
+        sigma = cert.nakayama
     elif twist == "id":
         sigma = Matrix.identity(cert.algebra.n)
     else:

@@ -18,7 +18,7 @@ from quadalg import frobenius
 from quadalg import (GradedFDAlgebra, Matrix, NotFrobenius, QuadraticAlgebra,
                      Subspace, apply_slotwise, as_regular_certificate,
                      ext_algebra_of_skew, frobenius_structure,
-                     is_graded_symmetric, nakayama_of_algebra, skew_extend,
+                     is_graded_symmetric, skew_extend,
                      truncated_structure, twisted_module_trivial_extension,
                      verify_ext_algebra_isomorphism, word_to_index)
 from quadalg.io import parse_description
@@ -143,7 +143,7 @@ def test_nakayama_blocks_match_the_dense_inverse():
     algs = []
     for cert in certs:
         algs.append(cert.dual_fd)
-        xi = nakayama_of_algebra(cert)
+        xi = cert.nakayama
         for sigma in (xi, Matrix.identity(xi.rows)):
             iso = verify_ext_algebra_isomorphism(cert, sigma)
             algs += [iso.gamma, iso.ext_dual_fd]
@@ -352,7 +352,7 @@ def _valid_tables():
         yield truncated_structure(algebra_of(name).dual, 4)
     for name in AS_REGULAR:
         cert = cert_of(name)
-        sigma = nakayama_of_algebra(cert)
+        sigma = cert.nakayama
         ext = skew_extend(cert.algebra, sigma)
         yield ext_algebra_of_skew(cert, sigma)
         yield truncated_structure(ext.algebra.dual, cert.gldim + 1)
@@ -406,7 +406,7 @@ def test_associativity_on_generators_agrees_with_all_triples():
     for name in AS_REGULAR:
         cert = cert_of(name)
         dual = cert.dual_fd
-        gamma = ext_algebra_of_skew(cert, nakayama_of_algebra(cert))
+        gamma = ext_algebra_of_skew(cert, cert.nakayama)
         dense = _dense_table(gamma)
         cells = [(i, j, a, b) for (i, j) in dense if i and j and gamma.dims[i + j]
                  for a in range(gamma.dims[i]) for b in range(gamma.dims[j])
@@ -485,7 +485,7 @@ def test_sparse_and_dense_construction_agree():
     # the honest dual of that extension
     for name in AS_REGULAR:
         cert = cert_of(name)
-        sigma = nakayama_of_algebra(cert)
+        sigma = cert.nakayama
         ext = skew_extend(cert.algebra, sigma)
         honest = truncated_structure(ext.algebra.dual, cert.gldim + 1)
         for alg in (cert.dual_fd, ext_algebra_of_skew(cert, sigma), honest):
@@ -564,7 +564,7 @@ def _table_forms():
     for name in AS_REGULAR:
         cert = cert_of(name)
         yield name, cert.dual_fd
-        xi = nakayama_of_algebra(cert)
+        xi = cert.nakayama
         for sigma in (xi, Matrix.identity(xi.rows)):
             iso = verify_ext_algebra_isomorphism(cert, sigma)
             yield name, iso.gamma

@@ -11,7 +11,7 @@ from helpers import (AS_REGULAR, CORPUS, DIM2, cdg_trivial_extension,
 from quadalg import (Cdga, Matrix, PBWDeformation, add_into,
                      check_cdga_axioms, cy_criterion_deformed,
                      cy_equivalence_dim2, dual_cdga,
-                     nakayama_of_algebra, nakayama_cdga_compatibility,
+                     nakayama_cdga_compatibility,
                      nakayama_shift, regularity_data, skew_deformation,
                      skew_extend)
 from quadalg.io import description_deformation
@@ -96,7 +96,7 @@ def test_noncy_dual_cdga_and_shift():
     # invariance under rescaling the top class
     for s in (2, 3, F(-1, 2)):
         assert rescaled_nakayama_shift(defm.cert, c, s) == shift
-    assert nakayama_of_algebra(defm.cert) == Matrix.from_rows(
+    assert defm.cert.nakayama == Matrix.from_rows(
         [(F(2), F(0)), (F(0), F(1, 2))], 2)
 
 
@@ -176,7 +176,7 @@ def test_skew_deformation_transport():
                         ("heisenberg", 3)):
         defm = _corpus_defm(name, gldim)
         cert = defm.cert
-        xi = nakayama_of_algebra(cert)
+        xi = cert.nakayama
         lam = nakayama_shift(cert, dual_cdga(defm))
         ext_defm = skew_deformation(defm, xi, lam)
         n = cert.algebra.n

@@ -14,7 +14,7 @@ from helpers import (AS_REGULAR, CORPUS, algebra_of, cert_of, dense_inverse,
                      structure_equal, word_vector)
 from quadalg import (Matrix, QuadraticAlgebra, as_regular_certificate,
                      quadratic, graded_dims, koszul_component,
-                     nakayama_of_algebra, numeric_koszul_certificate,
+                     numeric_koszul_certificate,
                      preserves_subspace, skew_extend, truncated_structure,
                      word_to_index)
 from quadalg.linalg import (ConsistencyError, LinAlgError, ResourceLimitError,
@@ -68,7 +68,7 @@ def test_dual_of_the_dual_is_the_algebra_itself():
     algs = [algebra_of(name) for name in CORPUS]
     for name in AS_REGULAR:
         alg = algebra_of(name)
-        xi = nakayama_of_algebra(cert_of(name))
+        xi = cert_of(name).nakayama
         algs += [skew_extend(alg, s).algebra
                  for s in (xi, Matrix.identity(alg.n))]
     for alg in algs:
@@ -170,7 +170,7 @@ def test_component_dimension_by_rank_matches_the_full_component():
     for n in (3, 4, 5):
         base = skew_ring(n, F(-2, 3))
         cert = as_regular_certificate(base, n + 1)
-        algs += [base, skew_extend(base, nakayama_of_algebra(cert)).algebra]
+        algs += [base, skew_extend(base, cert.nakayama).algebra]
     algs += [_dense_algebra(seed, nrel)
              for seed, nrel in ((0, 3), (1, 4), (2, 5))]
     # and the duals of the skew rings, extensions and dense algebras
@@ -415,7 +415,7 @@ def test_dual_truncation_matches_relation_span_oracle():
     # every AS-regular dual and on the dual of its Nakayama-twisted extension
     for name in AS_REGULAR:
         cert = cert_of(name)
-        ext = skew_extend(cert.algebra, nakayama_of_algebra(cert))
+        ext = skew_extend(cert.algebra, cert.nakayama)
         for dual, bound in ((cert.algebra.dual, cert.gldim),
                             (ext.algebra.dual, cert.gldim + 1)):
             got = truncated_structure(dual, bound)
@@ -426,8 +426,7 @@ def test_dual_truncation_matches_relation_span_oracle():
 
 def test_truncated_automorphism_preservation():
     cert = cert_of("quantum_plane_q2")
-    from quadalg import nakayama_of_algebra
-    xi = nakayama_of_algebra(cert)
+    xi = cert.nakayama
     auto = cert.dual_fd.automorphism(dense_inverse(xi).transpose())
     assert is_multiplicative(auto, cert.dual_fd)
 

@@ -1,14 +1,17 @@
 """Bounded regularity certificates and Nakayama extraction."""
 
+from dataclasses import replace
 from fractions import Fraction
+import gc
+import weakref
 
 import pytest
 
 from helpers import (AS_REGULAR, DIM2, algebra_of, cert_of, dense_inverse,
                      quadratic_algebra, residue)
 from quadalg import (Matrix, NotRegular, apply_slotwise, as_regular_certificate,
-                     dim2_matrix_form, nakayama_of_algebra,
-                     numeric_koszul_certificate, regularity_data)
+                     dim2_matrix_form, numeric_koszul_certificate, regular,
+                     regularity_data)
 from quadalg.linalg import ConsistencyError, LinAlgError
 
 F = Fraction
@@ -76,18 +79,49 @@ def test_not_regular_xy():
 
 def test_nakayama_frozen_values():
     for name, rows in NAKAYAMA.items():
-        xi = nakayama_of_algebra(cert_of(name))
+        xi = cert_of(name).nakayama
         assert xi == _mat(rows), name
 
 
 def test_nakayama_preserves_relations():
     for name in AS_REGULAR:
         cert = cert_of(name)
-        xi = nakayama_of_algebra(cert)
+        xi = cert.nakayama
         img = [residue(cert.algebra.relations,
                        apply_slotwise((xi, xi), dict(row), cert.algebra.n))
                for row in cert.algebra.relations.rows]
         assert all(all(v == 0 for v in r.values()) for r in img), name
+
+
+def test_certificate_data_is_freed_with_its_certificate():
+    # xi and w are kept on the certificate and nowhere else: once the
+    # certificate cache lets a certificate go, nothing holds it
+    as_regular_certificate.cache_clear()
+    refs = []
+    for name in AS_REGULAR:
+        cert = as_regular_certificate(algebra_of(name), 5)
+        assert cert.superpotential.twist == cert.nakayama, name
+        refs.append(weakref.ref(cert))
+    del cert
+    as_regular_certificate.cache_clear()
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(AS_REGULAR)
+
+
+@pytest.mark.parametrize("prop,check", [
+    ("nakayama", "preserves_subspace"),
+    ("superpotential", "is_twisted_superpotential"),
+])
+def test_a_read_that_raises_stores_nothing(monkeypatch, prop, check):
+    for name in AS_REGULAR:
+        # the same data on a certificate nothing has been read from
+        cert = replace(cert_of(name))
+        monkeypatch.setattr(regular, check, lambda *args: False)
+        with pytest.raises(ConsistencyError):
+            getattr(cert, prop)
+        assert prop not in vars(cert), name
+        monkeypatch.undo()
+        assert getattr(cert, prop) == getattr(cert_of(name), prop), name
 
 
 def test_dim2_matrix_form_goldens():

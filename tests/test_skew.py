@@ -10,7 +10,7 @@ from helpers import (AS_REGULAR, DIM2, algebra_of, cert_of, dense_inverse,
                      model_map_multiplicative, word_vector)
 from quadalg import (Matrix, cy_check_with,
                      ext_algebra_of_skew, fresh_letter, graded_dims,
-                     nakayama_of_algebra, regularity_data, skew,
+                     regularity_data, skew,
                      skew_extend, twisted_module_trivial_extension,
                      verify_ext_algebra_isomorphism,
                      verify_extended_presentation)
@@ -28,7 +28,7 @@ def test_fresh_letter():
 
 def test_skew_extension_shape():
     alg = algebra_of("quantum_plane_q2")
-    xi = nakayama_of_algebra(cert_of("quantum_plane_q2"))
+    xi = cert_of("quantum_plane_q2").nakayama
     ext = skew_extend(alg, xi)
     assert ext.algebra.names == ("x", "y", "z")
     assert ext.algebra.names[-1] == "z"
@@ -39,7 +39,7 @@ def test_skew_extension_shape():
 def test_mixed_relations_formula():
     # new relations read z (x) sigma^{-1}(letter) - letter (x) z
     alg = algebra_of("quantum_plane_q2")
-    xi = nakayama_of_algebra(cert_of("quantum_plane_q2"))
+    xi = cert_of("quantum_plane_q2").nakayama
     ext = skew_extend(alg, xi)
     inv = dense_inverse(xi)
     n = alg.n
@@ -61,7 +61,7 @@ def test_identity_twist_gives_commuting_letter():
 
 
 def test_dim3_extension_hilbert():
-    xi = nakayama_of_algebra(cert_of("poly3"))
+    xi = cert_of("poly3").nakayama
     ext = skew_extend(algebra_of("poly3"), xi)
     assert graded_dims(ext.algebra, 4) == (1, 4, 10, 20, 35)
 
@@ -69,7 +69,7 @@ def test_dim3_extension_hilbert():
 def test_ext_model_matches_honest_dual():
     for name in AS_REGULAR:
         cert = cert_of(name)
-        xi = nakayama_of_algebra(cert)
+        xi = cert.nakayama
         rep = verify_ext_algebra_isomorphism(cert, xi)
         assert rep.passed, name
         assert rep.left_identity_ok and rep.right_identity_ok
@@ -97,7 +97,7 @@ def test_model_is_the_papers_trivial_extension():
         d = cert.gldim
         paper = dual_trivial_extension(dual, dual.epsilon(d),
                                        identity_maps(dual), d + 1)
-        xi = nakayama_of_algebra(cert)
+        xi = cert.nakayama
         assert model_map_multiplicative(ext_algebra_of_skew(cert, xi),
                                         paper), name
         ident = Matrix.identity(cert.algebra.n)
@@ -111,14 +111,14 @@ def test_model_is_the_papers_trivial_extension():
 
 def test_model_dims():
     cert = cert_of("quantum_plane_q2")
-    gamma = ext_algebra_of_skew(cert, nakayama_of_algebra(cert))
+    gamma = ext_algebra_of_skew(cert, cert.nakayama)
     assert gamma.dims == (1, 3, 3, 1)
 
 
 def test_cy_with_nakayama_twist():
     for name in AS_REGULAR:
         cert = cert_of(name)
-        rep = cy_check_with(cert, nakayama_of_algebra(cert))
+        rep = cy_check_with(cert, cert.nakayama)
         assert rep.is_CY, name
         assert rep.dimension == cert.gldim + 1
         assert rep.witness is None
@@ -146,9 +146,9 @@ def test_iterated_extension_stays_cy():
     # extend a dimension-2 base, certify the result, extend again
     for name in ("kxy", "quantum_plane_q2"):
         cert = cert_of(name)
-        ext = skew_extend(cert.algebra, nakayama_of_algebra(cert))
+        ext = skew_extend(cert.algebra, cert.nakayama)
         cert_b = regularity_data(ext.algebra, 3, 4)
-        rep = cy_check_with(cert_b, nakayama_of_algebra(cert_b))
+        rep = cy_check_with(cert_b, cert_b.nakayama)
         assert rep.is_CY, name
         assert rep.dimension == 4
 
@@ -170,7 +170,7 @@ OTHER_TWIST = {
 def _twists(name):
     cert = cert_of(name)
     n = cert.algebra.n
-    return (nakayama_of_algebra(cert), Matrix.identity(n),
+    return (cert.nakayama, Matrix.identity(n),
             Matrix.from_rows(OTHER_TWIST[name], n))
 
 
