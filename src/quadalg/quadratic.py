@@ -4,8 +4,9 @@ and truncated multiplication tables.
 An algebra is a tuple of generator names plus a canonical subspace R of the
 degree-two word coordinates, spanned by relation rows (sparse {word index:
 value} maps): QuadraticAlgebra(names, Subspace.from_spanning(rows, n * n)).
-Degreewise data comes from the Koszul components K_k, cached and keyed on
-the presentation: the degree-k piece of T(V)/(R) is the linear dual of K_k
+Degreewise data comes from the Koszul components K_k, kept on the
+presentation (_koszul_store) and built in order of degree, each from the
+two below it: the degree-k piece of T(V)/(R) is the linear dual of K_k
 of the quadratic dual (Polishchuk-Positselski, Quadratic Algebras, Ch. 1).
 Where only a dimension is asked for, it is counted instead whenever R has
 a PBW basis of normal words (see graded_dims): then no K_k is built beyond
@@ -20,7 +21,10 @@ cells are read off the class coordinates of product words, together with
 those classes and its basis words (`words`), the only names its basis
 elements have.  No component is built on more than MAX_WORDS = 10^6
 coordinate words: asking for one raises ResourceLimitError, unless K_{k-1}
-is zero, when K_k is the zero subspace at any number of words.
+is zero, when K_k is the zero subspace at any number of words, answered
+fresh and not stored.  So for n >= 2 an algebra keeps at most
+floor(log_n MAX_WORDS) + 1 components; for n = 1 only k[x]/(x^2) never
+vanishes.
 
 graded_dims and numeric_koszul_certificate read only dimensions, and the
 highest degree each reads is never built: dim K_m is the number of
@@ -28,10 +32,10 @@ unknowns over K_{m-1} (x) V less the rank of the equations that cut K_m
 out (Polishchuk-Positselski, Ch. 1), so it comes from the forward
 elimination of those equations alone, with no kernel basis and no word
 expansion (_koszul_dim).  Every lower degree is built in full, as the next
-degree's equations are written over it.  Both paths take their equations
-from one builder (_koszul_system), which holds the word cap and the
-zero-K_{k-1} rule, so a count and a full component agree and stop at the
-same degrees.  A later request for the full component of a counted degree
+degree's equations are written over it.  Both paths apply the zero-K_{k-1}
+rule and the word cap in one order and take their equations from one
+builder (_koszul_equations), so they agree and stop at the same degrees.
+A count is kept with the components; building a counted degree in full
 writes and eliminates its equations again.
 """
 
@@ -88,6 +92,13 @@ class QuadraticAlgebra:
         if dual_names(dual.names) == self.names:
             dual.__dict__["dual"] = self
         return dual
+
+    @cached_property
+    def _koszul_store(self) -> tuple[list[Subspace], dict[int, int]]:
+        """The Koszul components built so far, [K_0, ..., K_k], and the
+        degrees counted by rank, {m: dim K_m}: filled by koszul_component
+        and _koszul_dim, and freed with the presentation."""
+        return [], {}
 
 
 def dual_names(names) -> tuple[str, ...]:
@@ -165,32 +176,17 @@ def _normal_word_counts(alg: QuadraticAlgebra, bound: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _koszul_system(alg: QuadraticAlgebra, m: int
-                   ) -> Subspace | tuple[Subspace, list[dict[int, int]]]:
-    """K_m as a Subspace where it is read off without elimination, or else
-    (K_{m-1}, rows): the equations that cut K_m out of K_{m-1} (x) V.
+def _koszul_equations(alg: QuadraticAlgebra, prev_space: Subspace,
+                      before: Subspace) -> list[dict[int, int]]:
+    """The equations that cut K_m, m > 2, out of K_{m-1} (x) V, given
+    K_{m-1} (prev_space) and K_{m-2} (before).
 
     With b_s the basis rows of K_{m-1} and d their number, the coefficient
     of b_s (x) e_l sits in column d n - 1 - (s n + l): the rows are written
     in int_kernel's numbering from the last column down, with no zero
-    entry, and are fresh, the caller's to give to the elimination.  Both
-    Koszul paths start here, so both stop at the same points: K_m is zero
-    when K_{m-1} is, at any number of words, and otherwise more than
-    MAX_WORDS coordinate words raise ResourceLimitError.
+    entry, and are fresh, the caller's to give to the elimination.
     """
     n = alg.n
-    if m > 2:
-        prev_space = _koszul_component(alg, m - 1)
-        if not prev_space.dim:
-            # K_m lies in K_{m-1} (x) V
-            return Subspace(n ** m, (), ())
-    if n ** m > MAX_WORDS:
-        raise ResourceLimitError(
-            f"{n}^{m} coordinate words exceed the cap of {MAX_WORDS}")
-    if m < 2:
-        return Subspace.full(n ** m)
-    if m == 2:
-        return alg.relations
     # all arithmetic below is on content-free integer rows; rescaling the
     # basis of K_{m-1} or of R-perp does not change the span computed
     prev = prev_space.int_rows
@@ -205,8 +201,7 @@ def _koszul_system(alg: QuadraticAlgebra, m: int
     # the equations at the pivot words u of K_{m-2} span all of them
     # (koszul_component's docstring), so only those are written: one row
     # per u and per f in R-perp
-    eqs = {u: [{} for _ in perp_rows]
-           for u in _koszul_component(alg, m - 2).pivots}
+    eqs = {u: [{} for _ in perp_rows] for u in before.pivots}
     # x = sum c[s, l] b_s (x) e_l lies in V^{m-2} (x) R exactly when it
     # pairs to zero with u (x) f for every word u of length m-2 and every
     # f in R-perp
@@ -225,47 +220,31 @@ def _koszul_system(alg: QuadraticAlgebra, m: int
                     eq[c] = nv
                 else:
                     del eq[c]
-    return prev_space, [eq for at_u in eqs.values() for eq in at_u if eq]
+    return [eq for at_u in eqs.values() for eq in at_u if eq]
 
 
-# bounded at over twice the 106 components that one sweep of every command
-# over the bundled corpus holds
-@lru_cache(maxsize=256)
-def _koszul_component(alg: QuadraticAlgebra, m: int, /) -> Subspace:
-    system = _koszul_system(alg, m)
-    if isinstance(system, Subspace):
-        return system
-    prev_space, eqs = system
-    n = alg.n
-    prev, prev_pivots = prev_space.int_rows, prev_space.pivots
-    # the kernel rows come in canonical form, and so do their expansions
-    # (koszul_component's docstring): no second elimination
-    pivots = []
-    rows = []
-    for c in flipped_int_kernel(eqs, len(prev) * n):
-        x: dict[int, int] = {}
-        for j, cj in c.items():
-            s, l = divmod(j, n)
-            for w, val in prev[s]:
-                x[w * n + l] = x.get(w * n + l, 0) + cj * val
-        s, l = divmod(min(c), n)
-        pivots.append(prev_pivots[s] * n + l)
-        rows.append(tuple(sorted(_strip({w: v for w, v in x.items() if v}).items())))
-    return Subspace(n ** m, tuple(pivots), tuple(rows))
+def _check_words(n: int, m: int) -> None:
+    if n ** m > MAX_WORDS:
+        raise ResourceLimitError(
+            f"{n}^{m} coordinate words exceed the cap of {MAX_WORDS}")
 
 
-# bounded at over twice the 30 top degrees that one sweep of every command
-# over the bundled corpus counts; an entry is one int
-@lru_cache(maxsize=64)
-def _koszul_dim(alg: QuadraticAlgebra, m: int, /) -> int:
+def _koszul_dim(alg: QuadraticAlgebra, m: int) -> int:
     """dim K_m: the unknowns over K_{m-1} (x) V less the rank of the
     equations, from the forward elimination alone; no kernel basis and no
-    word expansion."""
-    system = _koszul_system(alg, m)
-    if isinstance(system, Subspace):
-        return system.dim
-    prev_space, eqs = system
-    return prev_space.dim * alg.n - len(_echelon_int(eqs))
+    word expansion.  Stored with the components; a degree already built,
+    or one up to 2, which needs no equations, is read off its component."""
+    built, counted = alg._koszul_store
+    if m <= 2 or m < len(built):
+        return koszul_component(alg, m).dim
+    if m not in counted:
+        prev_space = koszul_component(alg, m - 1)
+        if not prev_space.dim:
+            return 0
+        _check_words(alg.n, m)
+        eqs = _koszul_equations(alg, prev_space, built[m - 2])
+        counted[m] = prev_space.dim * alg.n - len(_echelon_int(eqs))
+    return counted[m]
 
 
 def _component_dims(alg: QuadraticAlgebra, top: int) -> tuple[int, ...]:
@@ -309,16 +288,36 @@ def koszul_component(alg: QuadraticAlgebra, m: int) -> Subspace:
     This is the full component, for readers of its rows.  A reader of its
     dimension only (graded_dims, numeric_koszul_certificate) gets the same
     number by _koszul_dim, from the same equations, without the kernel.
-
-    This is the one public name kept over a separate cache, _koszul_component:
-    it fills a cold cache 100 degrees at a time, so that no degree recurses
-    more than 100 deep, and perfbench's tracer reads quadratic.max_words
-    from calls to it by name.
     """
-    # one recursion per uncached degree: fill a cold cache 100 at a time
-    for k in range(100, m, 100):
-        _koszul_component(alg, k)
-    return _koszul_component(alg, m)
+    n = alg.n
+    built = alg._koszul_store[0]
+    while len(built) <= m:
+        k = len(built)
+        if k > 2 and not built[-1].dim:
+            # K_k lies in K_{k-1} (x) V: zero from here on, and not stored
+            return Subspace(n ** m, (), ())
+        _check_words(n, k)
+        if k <= 2:
+            built.append(alg.relations if k == 2 else Subspace.full(n ** k))
+            continue
+        prev, prev_pivots = built[-1].int_rows, built[-1].pivots
+        eqs = _koszul_equations(alg, built[-1], built[-2])
+        # the kernel rows come in canonical form, and so do their
+        # expansions (docstring above): no second elimination
+        pivots = []
+        rows = []
+        for c in flipped_int_kernel(eqs, len(prev) * n):
+            x: dict[int, int] = {}
+            for j, cj in c.items():
+                s, l = divmod(j, n)
+                for w, val in prev[s]:
+                    x[w * n + l] = x.get(w * n + l, 0) + cj * val
+            s, l = divmod(min(c), n)
+            pivots.append(prev_pivots[s] * n + l)
+            rows.append(tuple(sorted(_strip({w: v for w, v in x.items()
+                                             if v}).items())))
+        built.append(Subspace(n ** k, tuple(pivots), tuple(rows)))
+    return built[m]
 
 
 @dataclass(frozen=True)

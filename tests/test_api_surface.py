@@ -18,6 +18,10 @@ No def only hands its parameters on: a computation has one definition,
 under its public name, and a cached one carries its cache itself.  Each
 cache takes positional-only parameters, so that one object has one cache
 key: lru_cache keys f(a, 5) and f(a, bound=5) apart.
+
+No module of the package, the scripts or the tests imports a name that it
+never reads: an AST scan matches each imported name against the plain
+names the module reads.  The re-exports of __init__.py are exempt.
 """
 
 import ast
@@ -26,7 +30,8 @@ from pathlib import Path
 
 from helpers import package_caches
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "quadalg"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "quadalg"
 
 # definitions kept without a caller in the package, each with its reason
 EXEMPT = {
@@ -185,3 +190,32 @@ def test_every_package_cache_takes_positional_only_parameters():
     for name, cache in caches.items():
         kinds = {p.kind for p in inspect.signature(cache).parameters.values()}
         assert kinds == {inspect.Parameter.POSITIONAL_ONLY}, name
+
+
+def unused_imports():
+    """path:name of every imported name that its module never reads, over
+    src/quadalg, scripts and tests; __init__.py re-exports what it imports
+    and is not scanned."""
+    found = []
+    for folder in ("src/quadalg", "scripts", "tests"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(), str(path))
+            imported = []
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported += [a.asname or a.name.split(".")[0]
+                                 for a in node.names]
+                elif (isinstance(node, ast.ImportFrom)
+                      and node.module != "__future__"):
+                    imported += [a.asname or a.name for a in node.names]
+            read = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)}
+            found += [f"{folder}/{path.name}:{name}" for name in imported
+                      if name not in read]
+    return found
+
+
+def test_every_import_is_read():
+    assert unused_imports() == []

@@ -13,7 +13,7 @@ import pytest
 
 from helpers import (AS_REGULAR, package_caches, skew_description,
                      sklyanin_description)
-from quadalg import cli, io, quadratic, regular, skew
+from quadalg import cli, io, linalg, quadratic, regular, skew
 from quadalg.cli import main
 from quadalg.io import parse_description
 from quadalg.linalg import Matrix
@@ -320,8 +320,6 @@ def test_caches_are_bounded_and_keep_a_corpus_sweep_warm(capsys):
     # once: each cache holds under half its bound, evicts nothing, and
     # serves the hits of an unbounded cache
     caches = {"io.parse_description": io.parse_description,
-              "quadratic._koszul_component": quadratic._koszul_component,
-              "quadratic._koszul_dim": quadratic._koszul_dim,
               "quadratic.truncated_structure": quadratic.truncated_structure,
               "regular.as_regular_certificate": regular.as_regular_certificate,
               "skew.skew_extend": skew.skew_extend,
@@ -335,13 +333,11 @@ def test_caches_are_bounded_and_keep_a_corpus_sweep_warm(capsys):
             main([cmd, str(path), "--max-degree", "5"])
     capsys.readouterr()
     bounds = {"io.parse_description": 32,
-              "quadratic._koszul_component": 256, "quadratic._koszul_dim": 64,
               "quadratic.truncated_structure": 32,
               "regular.as_regular_certificate": 32,
               "skew.skew_extend": 16,
               "skew.verify_ext_algebra_isomorphism": 16}
     hits = {"io.parse_description": 120,
-            "quadratic._koszul_component": 627, "quadratic._koszul_dim": 80,
             "quadratic.truncated_structure": 4,
             "regular.as_regular_certificate": 82,
             "skew.skew_extend": 27,
@@ -652,6 +648,23 @@ def _corpus_sweep(capsys, cold, clear=True):
             report = re.sub(r'"timing_ms": \d+', "", capsys.readouterr().out)
             out.append((path.name, cmd, code, report))
     return out
+
+
+def test_a_second_koszul_run_eliminates_nothing(capsys, monkeypatch):
+    # the Koszul components and the counted top degrees are kept on the
+    # algebra, which the parse cache hands to every run on one document:
+    # a second run reads them all, with no kernel and no rank computed
+    calls = {fn.__name__: _count_calls(monkeypatch, fn)
+             for fn in (linalg.flipped_int_kernel, linalg._echelon_int)}
+    for name in AS_REGULAR:
+        _clear_package_caches()
+        _, first = _run(capsys, "koszul", _path(name))
+        assert all(calls.values()), name
+        for record in calls.values():
+            record.clear()
+        _, second = _run(capsys, "koszul", _path(name))
+        assert second["verdict"] == first["verdict"], name
+        assert calls == {"flipped_int_kernel": [], "_echelon_int": []}, name
 
 
 def test_warm_caches_answer_as_cold_ones(capsys):

@@ -1,8 +1,10 @@
 """Quadratic algebras: duals, graded dimensions, Koszul numerics,
 truncations."""
 
+import gc
 import re
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,7 @@ from quadalg import (Matrix, QuadraticAlgebra, as_regular_certificate,
                      preserves_subspace, skew_extend, truncated_structure,
                      word_to_index)
 from quadalg.linalg import (ConsistencyError, LinAlgError, ResourceLimitError,
-                            Subspace)
+                            Subspace, flipped_int_kernel)
 
 F = Fraction
 
@@ -139,18 +141,52 @@ def test_koszul_components_are_canonical_without_a_second_elimination():
             assert comp == again, (alg.names, m)
 
 
+def _fresh(alg):
+    # the same presentation as a new object, with no Koszul component
+    # built: algebra_of and skew_ring share theirs through the parse cache
+    return QuadraticAlgebra(alg.names, alg.relations)
+
+
 def test_koszul_component_answers_any_degree_on_a_cold_cache():
-    # _koszul_component recurses once per uncached degree, yet a direct
-    # call far past the recursion limit answers: K_m of k[x]/(x^2) is x^m
-    # in every degree, and kxy's vanish from degree 3 on
+    # the components are built in a loop, degree by degree, so a direct
+    # call on a fresh algebra far past the recursion limit answers: K_m of
+    # k[x]/(x^2) is x^m in every degree, and kxy's vanish from degree 3 on
     square = quadratic_algebra(("x",), [[((0, 0), 1)]])
-    for alg, dim in ((square, 1), (algebra_of("kxy"), 0)):
-        quadratic._koszul_component.cache_clear()
+    for alg, dim in ((square, 1), (_fresh(algebra_of("kxy")), 0)):
         comp = koszul_component(alg, 3000)
         assert comp.dim == dim
         assert comp.ambient == alg.n ** 3000
     assert koszul_component(square, 3000).int_rows == (((0, 1),),)
-    quadratic._koszul_component.cache_clear()
+
+
+def test_a_vanished_degree_ends_the_store():
+    # K_3(k[x, y]) is zero, so K_4, ..., K_10000 are answered as fresh
+    # zeros and only K_0, ..., K_3 are kept
+    kxy = _fresh(algebra_of("kxy"))
+    comp = koszul_component(kxy, 10 ** 4)
+    assert comp.dim == 0 and comp.ambient == 2 ** 10 ** 4
+    built, counted = kxy._koszul_store
+    assert [k.dim for k in built] == [1, 2, 1, 0]
+    assert counted == {}
+    assert koszul_component(kxy, 10 ** 4) is not comp
+
+
+def test_a_dropped_algebra_frees_its_components():
+    # the components live on the presentation and nowhere else: the
+    # algebra and its dual link each other, so the cyclic collector frees
+    # the pair, their components with it, once the caches let go
+    alg = _fresh(skew_ring(3, F(-2, 3)))
+    as_regular_certificate(alg, 4)
+    truncated_structure(alg, 4)
+    refs = [weakref.ref(x) for x in (alg, alg.dual)]
+    refs += [weakref.ref(k) for a in (alg, alg.dual)
+             for k in a._koszul_store[0][3:]]
+    assert len(refs) > 2
+    del alg
+    as_regular_certificate.cache_clear()
+    truncated_structure.cache_clear()
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def _dense_algebra(seed, nrel):
@@ -175,12 +211,12 @@ def test_component_dimension_by_rank_matches_the_full_component():
              for seed, nrel in ((0, 3), (1, 4), (2, 5))]
     # and the duals of the skew rings, extensions and dense algebras
     algs += [a.dual for a in algs[2 * len(CORPUS):]]
-    for alg in algs:
-        quadratic._koszul_dim.cache_clear()
+    for alg in map(_fresh, algs):
         for m in range(7):
+            # counted before it is built
+            assert len(alg._koszul_store[0]) <= m
             dim = quadratic._koszul_dim(alg, m)
             assert dim == koszul_component(alg, m).dim, (alg.names, m)
-    quadratic._koszul_dim.cache_clear()
 
 
 def test_component_dimension_stops_where_the_full_component_does():
@@ -188,39 +224,43 @@ def test_component_dimension_stops_where_the_full_component_does():
     # vanishing rule hold at the same degrees: the dual of the free algebra
     # on 32 letters has K_4 on 32^4 > 10^6 words, and K_m(k[x, y]) is zero
     # from degree 3 on, past the cap too
-    free = QuadraticAlgebra(tuple(f"a{i}" for i in range(32)),
-                            Subspace.from_spanning([], 32 * 32))
+    # (each path on a fresh algebra)
     for count in (graded_dims, lambda a, m: quadratic._koszul_dim(a.dual, m),
                   lambda a, m: koszul_component(a.dual, m)):
+        free = QuadraticAlgebra(tuple(f"a{i}" for i in range(32)),
+                                Subspace.from_spanning([], 32 * 32))
         with pytest.raises(ResourceLimitError, match=re.escape(
                 "32^4 coordinate words exceed the cap of 1000000")):
             count(free, 4)
     kxy = algebra_of("kxy")
-    assert quadratic._koszul_dim(kxy, 20) == 0
-    assert koszul_component(kxy, 20).dim == 0
-    quadratic._koszul_component.cache_clear()
-    quadratic._koszul_dim.cache_clear()
+    assert quadratic._koszul_dim(_fresh(kxy), 20) == 0
+    assert koszul_component(_fresh(kxy), 20).dim == 0
 
 
-def test_graded_dims_builds_no_component_it_only_counts():
+def test_graded_dims_builds_no_component_it_only_counts(monkeypatch):
     # the top degree graded_dims reads is counted, not built: degree 4 on
     # a PBW input (the dual of the 4-letter skew ring passes the test), the
     # bound itself on a non-PBW one (the Jordan plane), with every degree
     # below it built because the next one's equations are written over it
+    kernels = []
+
+    def counted(*args):
+        kernels.append(args)
+        return flipped_int_kernel(*args)
+
+    monkeypatch.setattr(quadratic, "flipped_int_kernel", counted)
     for alg, bound, top in ((skew_ring(4, F(-2, 3)).dual, 5, 4),
                             (algebra_of("jordan_plane"), 6, 6)):
-        quadratic._koszul_component.cache_clear()
-        quadratic._koszul_dim.cache_clear()
+        alg = _fresh(alg)
         dims = graded_dims(alg, bound)
-        assert quadratic._koszul_component.cache_info().currsize == top
-        assert quadratic._koszul_dim.cache_info().currsize == 1
-        # so asking for the top component misses once and finds every
+        built, counted_dims = alg.dual._koszul_store
+        assert len(built) == top
+        assert counted_dims == {top: dims[top]}
+        # so asking for the top component builds it alone, over every
         # degree below it
-        misses = quadratic._koszul_component.cache_info().misses
+        kernels.clear()
         assert koszul_component(alg.dual, top).dim == dims[top]
-        assert quadratic._koszul_component.cache_info().misses == misses + 1
-    quadratic._koszul_component.cache_clear()
-    quadratic._koszul_dim.cache_clear()
+        assert len(kernels) == 1 and len(built) == top + 1
 
 
 def test_sklyanin_points_pbw_or_not():

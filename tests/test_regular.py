@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from helpers import (AS_REGULAR, DIM2, algebra_of, cert_of, dense_inverse,
+from helpers import (AS_REGULAR, algebra_of, cert_of, dense_inverse,
                      quadratic_algebra, residue)
 from quadalg import (Matrix, NotRegular, apply_slotwise, as_regular_certificate,
                      dim2_matrix_form, numeric_koszul_certificate, regular,

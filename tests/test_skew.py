@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (AS_REGULAR, DIM2, algebra_of, cert_of, dense_inverse,
+from helpers import (AS_REGULAR, algebra_of, cert_of, dense_inverse,
                      dual_trivial_extension, ext_iso_oracle, identity_maps,
                      model_map_multiplicative, word_vector)
 from quadalg import (Matrix, cy_check_with,
