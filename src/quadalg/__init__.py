@@ -22,11 +22,11 @@ from .frobenius import (FrobeniusStructure, GradedFDAlgebra, NotFrobenius,
 from .quadratic import (KoszulCertificate, QuadraticAlgebra, TruncatedAlgebra,
                         graded_dims, koszul_component,
                         numeric_koszul_certificate, truncated_structure)
-from .regular import (NotRegular, RegularityCertificate, SuperpotentialData,
-                      as_regular_certificate, dim2_matrix_form,
-                      regularity_data)
-from .superpotential import (PresentationReport, derivation_quotient,
-                             symmetrize, verify_superpotential_presentation)
+from .superpotential import derivation_quotient, symmetrize
+from .regular import (NotRegular, PresentationReport, RegularityCertificate,
+                      SuperpotentialData, as_regular_certificate,
+                      dim2_matrix_form, regularity_data,
+                      verify_superpotential_presentation)
 from .skew import (CYReport, IsoReport, SkewExtension, cy_check_with,
                    ext_algebra_of_skew, fresh_letter, skew_extend,
                    verify_ext_algebra_isomorphism,

@@ -18,15 +18,11 @@ from itertools import accumulate
 from .io import (ValidationError, description_deformation, matrix_to_strings,
                  parse_description, vector_to_terms)
 from .linalg import ConsistencyError, LinAlgError, Matrix, ResourceLimitError
-from .pbw import (check_cdga_axioms, cy_criterion_deformed, cy_equivalence_dim2,
-                  dual_cdga)
+from .pbw import check_cdga_axioms, cy_equivalence_dim2
 from .quadratic import graded_dims, numeric_koszul_certificate
 from .regular import NotRegular, as_regular_certificate
 from .skew import (cy_check_with, fresh_letter, skew_extend,
                    verify_ext_algebra_isomorphism)
-from .superpotential import (derivation_quotient, symmetrize,
-                             verify_superpotential_presentation)
-from .tensors import is_twisted_superpotential
 
 
 def _certificate(desc, args):
@@ -111,7 +107,7 @@ def _cmd_skew(desc, args):
 def _cmd_superpotential(desc, args):
     cert = _certificate(desc, args)
     data = cert.superpotential
-    report = verify_superpotential_presentation(cert)
+    report = cert.presentation
     verdict = {
         "terms": vector_to_terms(data.w, cert.gldim, cert.algebra.names),
         "twist": matrix_to_strings(data.twist),
@@ -123,25 +119,20 @@ def _cmd_superpotential(desc, args):
 
 def _cmd_symmetrize(desc, args):
     cert = _certificate(desc, args)
-    data = cert.superpotential
-    d = cert.gldim
-    what = symmetrize(data.w, d, data.twist)
     fresh = fresh_letter(cert.algebra.names)
     names = cert.algebra.names + (fresh,)
-    cyclic = is_twisted_superpotential(what, d + 1,
-                                       Matrix.identity(cert.algebra.n + 1))
     verdict = {
         "generator": fresh,
-        "terms": vector_to_terms(what, d + 1, names),
-        "cyclic": cyclic,
+        "terms": vector_to_terms(cert.symmetrized, cert.gldim + 1, names),
+        # cert.symmetrized raises unless it is cyclic for the identity
+        "cyclic": True,
     }
-    return verdict, cyclic
+    return verdict, True
 
 
 def _cmd_derivquot(desc, args):
     cert = _certificate(desc, args)
-    data = cert.superpotential
-    quotient = derivation_quotient(data.w, cert.gldim - 2, cert.algebra.names)
+    quotient = cert.quotient
     same = quotient.relations == cert.algebra.relations
     verdict = {
         "relations": [vector_to_terms(r, 2, quotient.names)
@@ -184,9 +175,8 @@ def _cmd_pbw(desc, args):
         raise ValidationError("pbw requires a deformation section", "deformation")
     cert = _certificate(desc, args)
     defm = description_deformation(desc, cert)
-    c = dual_cdga(defm)
-    axioms = check_cdga_axioms(c)
-    crit = cy_criterion_deformed(defm, c)
+    axioms = check_cdga_axioms(defm.cdga)
+    crit = defm.cy_report
     verdict = {
         "axioms_pass": axioms.passed,
         "is_CY": crit.is_CY,

@@ -18,7 +18,10 @@ document it refuses raises and is not stored.  The description it hands
 out is shared by every caller of the same document, so its rows are
 read-only views (MappingProxyType), and it builds its algebra once, on
 first use (AlgebraDescription.algebra): every command on one document
-reads one QuadraticAlgebra, and with it one dual.
+reads one QuadraticAlgebra, and with it one dual.  A description is keyed
+by identity, as a certificate is, and description_deformation holds one
+deformation per description and certificate, so that `pbw` and `thm5` on
+one document read one curved structure and one deformed Calabi-Yau report.
 """
 
 from __future__ import annotations
@@ -48,11 +51,13 @@ class ValidationError(ValueError):
 Row = MappingProxyType[int, Fraction]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlgebraDescription:
     """A parsed document; each relation and each degree-one part of the
     deformation is its sparse {word index: value} row, read-only since
-    one description is shared by every caller of its document."""
+    one description is shared by every caller of its document.  It is
+    equal and hashed by identity: its rows are not hashable, and two
+    documents with one algebra keep their own deformations."""
 
     generators: tuple[str, ...]
     relations: tuple[Row, ...]
@@ -219,11 +224,16 @@ def matrix_to_strings(mat: Matrix):
     return [[str(v) for v in row] for row in t.entries]
 
 
+# bounded at over twice the 3 deformations of one corpus sweep; keyed on the
+# description and the certificate, both by identity
+@lru_cache(maxsize=8)
 def description_deformation(desc: AlgebraDescription,
-                            cert: RegularityCertificate) -> PBWDeformation:
+                            cert: RegularityCertificate, /) -> PBWDeformation:
     """The document's deformation of cert's algebra, held on the document's
     relation rows, independent exactly when they number dim R, their span;
-    PBWDeformation refuses rows that do not span cert's relation space."""
+    PBWDeformation refuses rows that do not span cert's relation space.
+    Built once per description and certificate, and a refused one is not
+    stored."""
     if not desc.has_deformation:
         raise ValidationError("document has no deformation section")
     rows = desc.relations

@@ -8,13 +8,16 @@ dual algebra with a graded map of degree +1, one matrix per degree, and a
 curvature element; the deformation is consistent exactly when that data
 satisfies the curved Leibniz/square axioms.  The Calabi-Yau criterion for
 the induced deformation of the Nakayama-twisted extension is evaluated on
-two independent routes that must agree: in the Ext model of the extension
-that skew.ext_algebra_of_skew builds and `cy` verifies, and on the
-deformation transported to the extension.
+two independent routes that must agree: in the Ext model of the extension,
+the one skew.ext_algebra_of_skew builds once per certificate and twist,
+and on the deformation transported to the extension.
 
-The curved structure of a deformation (dual_cdga) and the Nakayama shift
-read off it are built once by the caller and handed to every check that
-reads them; only the transported deformation builds a second curved
+The curved structure of a deformation (dual_cdga) and its deformed
+Calabi-Yau report (cy_criterion_deformed) are computed once per
+deformation, on first read, and kept on it (PBWDeformation.cdga and
+.cy_report): `pbw` and `thm5` read the same ones when they read the same
+deformation, as io.description_deformation hands out one per document and
+certificate.  Only the transported deformation builds a second curved
 structure, its own.
 """
 
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .frobenius import GradedFDAlgebra
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Subspace, Vec,
@@ -40,7 +44,9 @@ class PBWDeformation:
     relation space; nu[i] is the degree-one part of rows[i] as a sparse
     {letter: value} map and theta[i] its scalar part.  The domain flag is
     caller-supplied metadata about the deformed algebra; when left unset,
-    dimension-2 bases are treated as domains.
+    dimension-2 bases are treated as domains.  cdga and cy_report are
+    computed on first read and kept on the deformation; a read that raises
+    keeps nothing.
     """
 
     cert: RegularityCertificate
@@ -69,6 +75,18 @@ class PBWDeformation:
         if self.domain is not None:
             return self.domain
         return self.cert.gldim == 2
+
+    @cached_property
+    def cdga(self) -> Cdga:
+        """The curved structure the deformation induces on the dual
+        (dual_cdga)."""
+        return dual_cdga(self)
+
+    @cached_property
+    def cy_report(self) -> DeformedCYReport:
+        """The deformed Calabi-Yau criterion on the curved structure cdga
+        (cy_criterion_deformed)."""
+        return cy_criterion_deformed(self, self.cdga)
 
 
 @dataclass(eq=False)
@@ -228,13 +246,16 @@ def cy_criterion_deformed(defm: PBWDeformation, c: Cdga) -> DeformedCYReport:
     given the curved structure c = dual_cdga(defm).
 
     Route one extends the curved differential to the model of the
-    extension's cohomology algebra that `cy` verifies, the dual E extended
-    by its own copy shifted up one degree (skew.ext_algebra_of_skew with
-    the Nakayama map xi), and checks that it vanishes on the whole degree
-    equal to the base dimension d, using genuine products there.  The new
-    class pi is the shifted unit, its differential is the module copy of
-    the Nakayama shift in degree 2, and a class omega_i of degree d-1 with
-    top pairing 1 against the i-th generator goes to
+    extension's cohomology algebra, the dual E extended by its own copy
+    shifted up one degree (skew.ext_algebra_of_skew with the Nakayama map
+    xi), and checks that it vanishes on the whole degree equal to the base
+    dimension d, using genuine products there.  The model is the same
+    cached object that skew.verify_ext_algebra_isomorphism checks against
+    the honest dual of the extension, but that check runs only when
+    `extiso` or `cy` runs: a lone `pbw` run reads the model unchecked.
+    The new class pi is the shifted unit, its differential is the module
+    copy of the Nakayama shift in degree 2, and a class omega_i of degree
+    d-1 with top pairing 1 against the i-th generator goes to
     d(omega_i) pi + (-1)^(d-1) omega_i d(pi) in the one-dimensional top.
     Route two transports the deformation to the extension and checks its
     dual differential vanishes in that same degree.  Any disagreement
@@ -326,13 +347,14 @@ class EquivalenceReport:
 def cy_equivalence_dim2(defm: PBWDeformation) -> EquivalenceReport:
     """For dimension-2 bases: compatibility of the dual Nakayama map with the
     curved data, the deformed CY criterion, and the bilinear-form condition
-    on the shift must all coincide; disagreement raises ConsistencyError."""
+    on the shift must all coincide; disagreement raises ConsistencyError.
+    The curved data and the criterion are the deformation's own, defm.cdga
+    and defm.cy_report, which `pbw` reads too."""
     cert = defm.cert
     if cert.gldim != 2:
         raise LinAlgError("the three-way equivalence is stated for dimension 2")
-    c = dual_cdga(defm)
-    cond_i = nakayama_cdga_compatibility(cert, c).passed
-    crit = cy_criterion_deformed(defm, c)
+    cond_i = nakayama_cdga_compatibility(cert, defm.cdga).passed
+    crit = defm.cy_report
     cond_ii = crit.is_CY
     m, _ = dim2_matrix_form(cert)
     lam = crit.shift

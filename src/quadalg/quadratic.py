@@ -360,13 +360,28 @@ def numeric_koszul_certificate(alg: QuadraticAlgebra, bound: int) -> KoszulCerti
     dual_dims = graded_dims(alg.dual, bound)
     component_dims = _component_dims(alg, bound)
     mism = tuple(m for m in range(bound + 1) if component_dims[m] != dual_dims[m])
-    euler = []
-    for k in range(1, bound + 1):
-        total = sum((-1) ** j * dims[k - j] * dual_dims[j] for j in range(k + 1))
-        if total != 0:
-            euler.append(k)
     return KoszulCertificate(bound, dims, dual_dims, component_dims,
-                             mism, tuple(euler))
+                             mism, _euler_failures(dims, dual_dims))
+
+
+def _euler_failures(dims, dual_dims) -> tuple[int, ...]:
+    """The degrees k >= 1 up to the common length of the two sequences in
+    which sum_j (-1)^j dims[k - j] dual_dims[j] is not zero.
+
+    Only products of two nonzero terms are summed, so the time is the
+    product of the two supports: linear in the length when either side is
+    finite, as the dual of a regular algebra is."""
+    bound = len(dims) - 1
+    support = [(i, v) for i, v in enumerate(dims) if v]
+    totals: dict[int, int] = {}
+    for j, u in enumerate(dual_dims):
+        if u:
+            signed = -u if j % 2 else u
+            for i, v in support:
+                if i + j > bound:
+                    break
+                totals[i + j] = totals.get(i + j, 0) + signed * v
+    return tuple(k for k in sorted(totals) if k > 0 and totals[k])
 
 
 class TruncatedAlgebra(GradedFDAlgebra):

@@ -1,8 +1,11 @@
 """Degree-bounded certification that a quadratic algebra is regular:
 finite-dimensional Frobenius dual + Koszul numerics.  What the
 certificate fixes is read off it as cached properties: the Nakayama
-automorphism xi, from the dual pairing data, and the superpotential w with
-its twist, from the top Koszul components.
+automorphism xi, from the dual pairing data; the superpotential w with
+its twist, from the top Koszul components; and what w gives, its
+symmetrization by one letter, its derivation quotient D(w) and the check
+that D(w) presents the algebra.  Each is computed once per certificate,
+on first read, and every command reads that one object.
 
 The certificate is evidence up to the stated degree bound, not a proof.
 Callers that already know the expected global dimension can ask for reduced
@@ -22,6 +25,7 @@ from .linalg import ConsistencyError, LinAlgError, Matrix, ZERO, solve_square
 from .quadratic import (QuadraticAlgebra, TruncatedAlgebra, graded_dims,
                         koszul_component, numeric_koszul_certificate,
                         truncated_structure)
+from .superpotential import derivation_quotient, symmetrize
 from .tensors import (contract_left, contract_right, is_twisted_superpotential,
                       preserves_subspace)
 
@@ -50,14 +54,26 @@ class SuperpotentialData:
     twist: Matrix
 
 
+@dataclass(frozen=True)
+class PresentationReport:
+    """Comparison of an algebra against its superpotential presentation."""
+
+    matches_relations: bool
+    coupling_invertible: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.matches_relations and self.coupling_invertible
+
+
 @dataclass(frozen=True, eq=False)
 class RegularityCertificate:
     """The data the bounded regularity checks produced that later steps read.
 
     dual_fd is the dual algebra truncated at its top degree gldim; dual_dims
-    runs on to the bound.  nakayama and superpotential are computed on first
-    read and kept on the certificate, so they go with it; a read that raises
-    keeps nothing.
+    runs on to the bound.  nakayama, superpotential, symmetrized, quotient
+    and presentation are computed on first read and kept on the
+    certificate, so they go with it; a read that raises keeps nothing.
     """
 
     algebra: QuadraticAlgebra
@@ -126,6 +142,33 @@ class RegularityCertificate:
             raise ConsistencyError("extracted tensor is not twisted-cyclic")
         return SuperpotentialData(w, twist)
 
+    @cached_property
+    def symmetrized(self) -> Mapping[int, Fraction]:
+        """The superpotential raised by one letter (symmetrize), a read-only
+        vector of words of length gldim + 1 over the letters and the new
+        last one.  w is twisted-cyclic for its twist, as superpotential
+        checked, so the result must be cyclic for the identity: tested here,
+        once."""
+        data = self.superpotential
+        d = self.gldim
+        what = symmetrize(data.w, d, data.twist)
+        if not is_twisted_superpotential(what, d + 1,
+                                         Matrix.identity(self.algebra.n + 1)):
+            raise ConsistencyError("symmetrized tensor fails plain cyclicity")
+        return MappingProxyType(what)
+
+    @cached_property
+    def quotient(self) -> QuadraticAlgebra:
+        """The derivation quotient D(w) of the superpotential: its
+        (gldim - 2)-fold left contractions as relations."""
+        return derivation_quotient(self.superpotential.w, self.gldim - 2,
+                                   self.algebra.names)
+
+    @cached_property
+    def presentation(self) -> PresentationReport:
+        """verify_superpotential_presentation of this certificate."""
+        return verify_superpotential_presentation(self)
+
 
 # bounded at over twice the 9 certificates of one corpus sweep
 @lru_cache(maxsize=32)
@@ -148,6 +191,29 @@ def as_regular_certificate(alg: QuadraticAlgebra, bound: int, /) -> RegularityCe
         witness = min(kos.component_mismatches + kos.euler_failures)
         raise NotRegular("Koszul numerics fail", witness)
     return RegularityCertificate(alg, d, bound, dual_dims, dual_fd, frob)
+
+
+def verify_superpotential_presentation(cert: RegularityCertificate) -> PresentationReport:
+    """Check that the derivation quotient cert.quotient returns the
+    original relations, and solve w as a relation-times-factor sum.
+
+    The coupling matrix L satisfies w = sum L[a][b] r_a (x) c_b over the
+    canonical relation basis r and the basis c of the Koszul component two
+    degrees down; it must be invertible.  Commands read the report once per
+    certificate, as cert.presentation.
+    """
+    alg = cert.algebra
+    w = cert.superpotential.w
+    matches = cert.quotient.relations == alg.relations
+    lower = koszul_component(alg, cert.gldim - 2)
+    prod = alg.relations.kron(lower)
+    coords = prod.coordinates(w)
+    if coords is None:
+        raise ConsistencyError("superpotential is not a relation-times-factor sum")
+    rows = [coords[a * lower.dim:(a + 1) * lower.dim]
+            for a in range(alg.relations.dim)]
+    coupling = Matrix.from_rows(rows, lower.dim)
+    return PresentationReport(matches, coupling.is_invertible())
 
 
 def regularity_data(alg: QuadraticAlgebra, expected_gldim: int,

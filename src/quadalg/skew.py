@@ -12,13 +12,18 @@ and the model is generated in degree 1.  Each degree of it is solved and
 checked in one solve of the model products stacked over
 their honest images, read off the structure tables' cells; the mixed
 relation classes it is checked against come from one solve.
+
+The model is built once per certificate and twist (ext_algebra_of_skew),
+and so is its verified isomorphism report, which holds the graded
+symmetry verdict once it is read (IsoReport.symmetry): `extiso`, `cy` and
+the deformed criterion of pbw read those same objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .frobenius import (GradedFDAlgebra, is_graded_symmetric,
                         twisted_module_trivial_extension)
@@ -27,7 +32,7 @@ from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Subspace,
                      solve_square, unit_vector)
 from .quadratic import QuadraticAlgebra, graded_dims, truncated_structure
 from .regular import RegularityCertificate
-from .superpotential import derivation_quotient, symmetrize
+from .superpotential import derivation_quotient
 from .tensors import preserves_subspace
 
 
@@ -95,13 +100,18 @@ def skew_extend(base: QuadraticAlgebra, sigma: Matrix, /) -> SkewExtension:
     return SkewExtension(algebra, tuple(stacked), pinv)
 
 
+# bounded at over twice the 7 (certificate, twist) pairs of one corpus sweep;
+# keyed like verify_ext_algebra_isomorphism, which reads the same model
+@lru_cache(maxsize=16)
 def ext_algebra_of_skew(cert: RegularityCertificate,
-                        sigma: Matrix) -> GradedFDAlgebra:
+                        sigma: Matrix, /) -> GradedFDAlgebra:
     """Model of the extension's cohomology algebra: the dual algebra extended
     by a shifted copy of itself, sign-twisted on the left and twisted by the
     transposed inverse of sigma on the right.  sigma^{-1} is read off the
     extension by sigma, so the twist is validated through skew_extend, which
-    raises LinAlgError or ConsistencyError on a twist it refuses."""
+    raises LinAlgError or ConsistencyError on a twist it refuses.  Built
+    once per certificate and twist: the isomorphism check and the deformed
+    criterion (pbw.cy_criterion_deformed) read one model."""
     dual = cert.dual_fd
     pinv = skew_extend(cert.algebra, sigma).sigma_inverse
     psi = dual.automorphism(pinv.transpose())
@@ -123,6 +133,19 @@ class IsoReport:
     def passed(self) -> bool:
         return (self.generated_ok and self.bijective
                 and self.left_identity_ok and self.right_identity_ok)
+
+    @cached_property
+    def symmetry(self) -> tuple[bool, tuple | None]:
+        """(verdict, witness) of graded symmetry (frobenius.
+        is_graded_symmetric), read on the model and cross-checked on the
+        honest dual; the witness names the model's first failing pairing
+        entry.  Computed on first read and kept on the report."""
+        ok_model, witness = is_graded_symmetric(self.gamma)
+        ok_honest, _ = is_graded_symmetric(self.ext_dual_fd)
+        if ok_model != ok_honest:
+            raise ConsistencyError("symmetry verdict differs between the "
+                                   "model and the honest dual")
+        return ok_model, witness
 
 
 # bounded at over twice the 7 (certificate, twist) pairs of one corpus sweep;
@@ -270,26 +293,22 @@ def cy_check_with(cert: RegularityCertificate, sigma: Matrix) -> CYReport:
     """Whether extending by one letter twisted by sigma yields a Calabi-Yau
     algebra: the verified cohomology model must be graded symmetric.
 
-    The verdict is read on the model and cross-checked on the honest dual of
-    the extension; the witness names the first failing pairing entry.
+    The verdict is the report's symmetry, read on the model and
+    cross-checked on the honest dual of the extension; the witness names
+    the first failing pairing entry.
     """
     iso = verify_ext_algebra_isomorphism(cert, sigma)
     if not iso.passed:
         raise ConsistencyError("cohomology model does not match the dual of "
                                "the extension")
-    ok_model, witness = is_graded_symmetric(iso.gamma)
-    ok_honest, _ = is_graded_symmetric(iso.ext_dual_fd)
-    if ok_model != ok_honest:
-        raise ConsistencyError("symmetry verdict differs between the model and "
-                               "the honest dual")
-    return CYReport(ok_model, cert.gldim + 1, cert.bound, witness)
+    ok, witness = iso.symmetry
+    return CYReport(ok, cert.gldim + 1, cert.bound, witness)
 
 
 def verify_extended_presentation(cert: RegularityCertificate) -> bool:
     """The symmetrized superpotential must present the Nakayama-twisted
     extension: its derivation quotient equals the extended relation space."""
-    data = cert.superpotential
-    what = symmetrize(data.w, cert.gldim, data.twist)
-    ext = skew_extend(cert.algebra, data.twist)
-    dq = derivation_quotient(what, cert.gldim - 1, ext.algebra.names)
+    ext = skew_extend(cert.algebra, cert.superpotential.twist)
+    dq = derivation_quotient(cert.symmetrized, cert.gldim - 1,
+                             ext.algebra.names)
     return dq.relations == ext.algebra.relations

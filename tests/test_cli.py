@@ -18,9 +18,12 @@ from quadalg.cli import main
 from quadalg.io import parse_description
 from quadalg.linalg import Matrix
 from quadalg.quadratic import graded_dims
-from quadalg.pbw import dual_cdga, nakayama_shift
+from quadalg.frobenius import is_graded_symmetric
+from quadalg.pbw import cy_criterion_deformed, dual_cdga, nakayama_shift
 from quadalg.regular import RegularityCertificate, as_regular_certificate
 from quadalg.skew import skew_extend, verify_ext_algebra_isomorphism
+from quadalg.superpotential import derivation_quotient, symmetrize
+from quadalg.tensors import is_twisted_superpotential
 
 CORPUS = resources.files("quadalg") / "corpus"
 
@@ -323,8 +326,10 @@ def test_caches_are_bounded_and_keep_a_corpus_sweep_warm(capsys):
               "quadratic.truncated_structure": quadratic.truncated_structure,
               "regular.as_regular_certificate": regular.as_regular_certificate,
               "skew.skew_extend": skew.skew_extend,
+              "skew.ext_algebra_of_skew": skew.ext_algebra_of_skew,
               "skew.verify_ext_algebra_isomorphism":
-                  skew.verify_ext_algebra_isomorphism}
+                  skew.verify_ext_algebra_isomorphism,
+              "io.description_deformation": io.description_deformation}
     assert package_caches() == caches
     for cache in caches.values():
         cache.cache_clear()
@@ -336,12 +341,16 @@ def test_caches_are_bounded_and_keep_a_corpus_sweep_warm(capsys):
               "quadratic.truncated_structure": 32,
               "regular.as_regular_certificate": 32,
               "skew.skew_extend": 16,
-              "skew.verify_ext_algebra_isomorphism": 16}
+              "skew.ext_algebra_of_skew": 16,
+              "skew.verify_ext_algebra_isomorphism": 16,
+              "io.description_deformation": 8}
     hits = {"io.parse_description": 120,
             "quadratic.truncated_structure": 4,
-            "regular.as_regular_certificate": 82,
-            "skew.skew_extend": 27,
-            "skew.verify_ext_algebra_isomorphism": 13}
+            "regular.as_regular_certificate": 80,
+            "skew.skew_extend": 20,
+            "skew.ext_algebra_of_skew": 3,
+            "skew.verify_ext_algebra_isomorphism": 13,
+            "io.description_deformation": 3}
     for name, cache in caches.items():
         info = cache.cache_info()
         assert info.maxsize == bounds[name], name
@@ -734,6 +743,45 @@ def test_certificate_data_is_computed_once_per_session(capsys, monkeypatch):
     assert len(keys) == len(AS_REGULAR)
     assert verify_ext_algebra_isomorphism.cache_info().misses == len(keys)
     assert len(calls) > len(keys)
+
+
+def test_derived_data_is_computed_once_per_session(capsys, monkeypatch):
+    # one corpus sweep, caches emptied once, counted as computations: each
+    # of the 7 AS-regular certificates tests w for twisted cyclicity and
+    # w-hat for plain cyclicity, builds w-hat and D(w) once, and its one
+    # model and report run the symmetry test once on each route; each of
+    # the 3 deformation documents builds its curved structure and the
+    # transported deformation's, and its deformed criterion, once, for pbw
+    # and thm5 both
+    fns = (is_twisted_superpotential, derivation_quotient, symmetrize,
+           is_graded_symmetric, dual_cdga, cy_criterion_deformed)
+    calls = {fn.__name__: _count_calls(monkeypatch, fn) for fn in fns}
+    _corpus_sweep(capsys, cold=False)
+    regular_certs, deformations = len(AS_REGULAR), 3
+    assert {name: len(record) for name, record in calls.items()} == {
+        "is_twisted_superpotential": 2 * regular_certs,
+        "derivation_quotient": regular_certs,
+        "symmetrize": regular_certs,
+        "is_graded_symmetric": 2 * regular_certs,
+        "dual_cdga": 2 * deformations,
+        "cy_criterion_deformed": deformations}
+    # the model, once per certificate and twist, read by extiso and pbw
+    info = skew.ext_algebra_of_skew.cache_info()
+    assert (info.misses, info.hits) == (regular_certs, deformations)
+
+
+def test_a_cold_symmetrize_run_tests_cyclicity_twice(capsys, monkeypatch):
+    # w, twisted, when the certificate reads its superpotential, and w-hat,
+    # plainly and one degree up, when it symmetrizes it; neither symmetrize
+    # nor the command tests again
+    calls = _count_calls(monkeypatch, is_twisted_superpotential)
+    for name in AS_REGULAR:
+        calls.clear()
+        _clear_package_caches()
+        assert main(["symmetrize", _path(name)]) == 0
+        capsys.readouterr()
+        assert len(calls) == 2, name
+        assert calls[1][1] == calls[0][1] + 1, name
 
 
 @pytest.mark.parametrize("command,name,code", [

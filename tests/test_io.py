@@ -1,6 +1,7 @@
 """JSON descriptions: parsing, validation, and the deformation section."""
 
 import json
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -100,7 +101,11 @@ def test_one_document_is_parsed_once():
     assert parse_description(bytes(bytearray(raw))) is desc
     text = raw.decode()
     assert parse_description(text) is parse_description(raw.decode())
-    assert parse_description(text) == desc
+    # a description is equal only to itself; the str parses to the same
+    # fields as the bytes
+    other = parse_description(text)
+    assert [getattr(other, f.name) for f in fields(desc)] == [
+        getattr(desc, f.name) for f in fields(desc)]
     assert parse_description.cache_info().maxsize == 32
 
 
@@ -197,8 +202,29 @@ def test_deformation_rejects_dependent_relations():
     desc = parse_description(json.dumps(doc))
     alg = desc.algebra
     cert = regularity_data(alg, 2, 5)
+    stored = description_deformation.cache_info().currsize
     with pytest.raises(ValidationError):
         description_deformation(desc, cert)
+    # a refused deformation is not stored
+    assert description_deformation.cache_info().currsize == stored
+
+
+def test_one_deformation_per_description_and_certificate():
+    # the two documents deform one algebra, whose certificate they share,
+    # in different ways: a deformation is kept per description, which is
+    # keyed by identity, and each keeps its own curved data and verdict
+    da = description_of("deformed_qp_noncy")
+    db = description_of("quantum_weyl")
+    assert da.algebra == db.algebra and da != db
+    cert = regularity_data(da.algebra, 2, 5)
+    assert regularity_data(db.algebra, 2, 5) is cert
+    fa = description_deformation(da, cert)
+    fb = description_deformation(db, cert)
+    assert description_deformation(da, cert) is fa
+    assert fb is not fa
+    assert fa.cdga is fa.cdga
+    assert not fa.cy_report.is_CY and fb.cy_report.is_CY
+    assert description_deformation.cache_info().maxsize == 8
 
 
 def test_deformation_missing_section():

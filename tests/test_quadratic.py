@@ -3,6 +3,7 @@ truncations."""
 
 import gc
 import re
+import time
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -352,6 +353,39 @@ def test_numeric_koszul_refutation():
     assert cert.dual_dims == (1, 3, 3, 2, 1)
     # the component/dual equality is structural and must still hold
     assert cert.component_mismatches == ()
+
+
+def _full_convolution_failures(dims, dual_dims):
+    """The Euler identity summed over every pair of terms, as a test oracle."""
+    return tuple(k for k in range(1, len(dims))
+                 if sum((-1) ** j * dims[k - j] * dual_dims[j]
+                        for j in range(k + 1)))
+
+
+# dimension sequences of one length, mostly zero so that the supports vary
+_dim_terms = st.one_of(st.just(0), st.just(0), st.integers(1, 40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 24).flatmap(lambda k: st.tuples(
+    st.lists(_dim_terms, min_size=k + 1, max_size=k + 1),
+    st.lists(_dim_terms, min_size=k + 1, max_size=k + 1))))
+def test_euler_failures_match_the_full_convolution(pair):
+    dims, dual_dims = pair
+    assert (quadratic._euler_failures(tuple(dims), tuple(dual_dims))
+            == _full_convolution_failures(dims, dual_dims))
+
+
+def test_euler_identity_is_linear_in_a_finite_support():
+    # k[x]/(x^2): dims 1, 1, 0, ... and a dual k[x] of dimension 1 in every
+    # degree.  The full convolution took over a minute at this bound
+    xx = quadratic_algebra(("x",), [[((0, 0), 1)]])
+    started = time.perf_counter()
+    cert = numeric_koszul_certificate(xx, 20000)
+    assert time.perf_counter() - started < 10
+    assert cert.passed
+    assert cert.dims == (1, 1) + (0,) * 19999
+    assert cert.dual_dims == (1,) * 20001
 
 
 def _dual_automorphism(cert, phi):

@@ -94,18 +94,25 @@ def test_nakayama_preserves_relations():
 
 
 def test_certificate_data_is_freed_with_its_certificate():
-    # xi and w are kept on the certificate and nowhere else: once the
-    # certificate cache lets a certificate go, nothing holds it
+    # xi, w, the symmetrized w, D(w) and the presentation report are kept
+    # on the certificate and nowhere else: once the certificate cache lets
+    # a certificate go, nothing holds it or them
     as_regular_certificate.cache_clear()
     refs = []
     for name in AS_REGULAR:
         cert = as_regular_certificate(algebra_of(name), 5)
         assert cert.superpotential.twist == cert.nakayama, name
-        refs.append(weakref.ref(cert))
+        assert cert.symmetrized and cert.presentation.passed, name
+        refs += [weakref.ref(cert), weakref.ref(cert.quotient),
+                 weakref.ref(cert.presentation)]
     del cert
     as_regular_certificate.cache_clear()
     gc.collect()
-    assert [ref() for ref in refs] == [None] * len(AS_REGULAR)
+    assert [ref() for ref in refs] == [None] * len(refs)
+
+
+def _refuse(*args):
+    raise LinAlgError("refused")
 
 
 @pytest.mark.parametrize("prop,check", [
@@ -120,6 +127,25 @@ def test_a_read_that_raises_stores_nothing(monkeypatch, prop, check):
         with pytest.raises(ConsistencyError):
             getattr(cert, prop)
         assert prop not in vars(cert), name
+        monkeypatch.undo()
+        assert getattr(cert, prop) == getattr(cert_of(name), prop), name
+
+
+@pytest.mark.parametrize("prop,check,refusal", [
+    ("symmetrized", "is_twisted_superpotential", lambda *args: False),
+    ("quotient", "derivation_quotient", _refuse),
+    ("presentation", "derivation_quotient", _refuse),
+])
+def test_a_derived_read_that_raises_stores_nothing(monkeypatch, prop, check,
+                                                   refusal):
+    for name in AS_REGULAR:
+        cert = replace(cert_of(name))
+        # w itself is read first, so only the derived datum's own step fails
+        cert.superpotential
+        monkeypatch.setattr(regular, check, refusal)
+        with pytest.raises((ConsistencyError, LinAlgError)):
+            getattr(cert, prop)
+        assert {prop, "quotient"}.isdisjoint(vars(cert)), name
         monkeypatch.undo()
         assert getattr(cert, prop) == getattr(cert_of(name), prop), name
 

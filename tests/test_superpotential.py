@@ -71,8 +71,8 @@ def test_symmetrized_is_plain_cyclic():
 
 
 def test_symmetrize_non_cyclic_input_stays_non_cyclic():
-    # the consistency check only fires for cyclic inputs; a non-cyclic one
-    # passes through and its raise is visibly non-cyclic too
+    # symmetrize tests nothing: a non-cyclic input passes through, and its
+    # raise is visibly non-cyclic too
     bad = word_vector(2, [((0, 0), F(1)), ((0, 1), F(1))])
     assert not is_twisted_superpotential(bad, 2, Matrix.identity(2))
     out = symmetrize(bad, 2, Matrix.identity(2))
@@ -99,6 +99,22 @@ def test_presentation_reports():
         rep = verify_superpotential_presentation(cert)
         assert rep.passed, name
         assert rep.coupling_invertible
+        # the certificate keeps the one report that commands read
+        assert cert.presentation == rep, name
+        assert cert.presentation is cert.presentation, name
+
+
+def test_certificate_keeps_the_symmetrized_superpotential_and_its_quotient():
+    for name in AS_REGULAR:
+        cert = cert_of(name)
+        data = cert.superpotential
+        hat = cert.symmetrized
+        assert hat == symmetrize(data.w, cert.gldim, data.twist), name
+        assert is_twisted_superpotential(hat, cert.gldim + 1,
+                                         Matrix.identity(cert.algebra.n + 1))
+        assert cert.symmetrized is hat, name
+        dq = derivation_quotient(data.w, cert.gldim - 2, cert.algebra.names)
+        assert cert.quotient == dq and cert.quotient is cert.quotient, name
 
 
 def test_scaled_superpotential_same_quotient():
