@@ -15,8 +15,8 @@ import sys
 import time
 from itertools import accumulate
 
-from .io import (ValidationError, description_deformation, matrix_to_strings,
-                 parse_description, vector_to_terms)
+from .io import (ValidationError, description_deformation, dumps_report,
+                 matrix_to_strings, parse_description, vector_to_terms)
 from .linalg import ConsistencyError, LinAlgError, Matrix, ResourceLimitError
 from .pbw import check_cdga_axioms, cy_equivalence_dim2
 from .quadratic import graded_dims, numeric_koszul_certificate
@@ -279,7 +279,7 @@ def main(argv=None) -> int:
         "verdict": verdict,
         "timing_ms": elapsed_ms,
     }
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(dumps_report(report))
     if passed or args.exit_zero:
         return 0
     return 1

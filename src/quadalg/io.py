@@ -1,5 +1,5 @@
 """JSON ingestion of algebra descriptions, and the serialization of the
-matrices and word vectors that reports carry.
+matrices and word vectors that reports carry, and of reports themselves.
 
 Input documents carry generators, quadratic relations as coeff/word term
 lists, an optional degree-one twist matrix (row-vector convention: v maps
@@ -16,12 +16,18 @@ A document is parsed once per session: parse_description is a bounded
 cache keyed on the raw document, the bytes a command reads or a str, and a
 document it refuses raises and is not stored.  The description it hands
 out is shared by every caller of the same document, so its rows are
-read-only views (MappingProxyType), and it builds its algebra once, on
-first use (AlgebraDescription.algebra): every command on one document
-reads one QuadraticAlgebra, and with it one dual.  A description is keyed
+read-only views (MappingProxyType), and it reads its algebra once, on
+first use (AlgebraDescription.algebra), from shared_presentation, a
+bounded cache keyed on the names and the relation subspace: every
+command on one document, and every document that presents one algebra,
+reads one QuadraticAlgebra, and with it one dual and the Koszul data
+kept on it.  A description is keyed
 by identity, as a certificate is, and description_deformation holds one
 deformation per description and certificate, so that `pbw` and `thm5` on
 one document read one curved structure and one deformed Calabi-Yau report.
+
+A success report is written by dumps_report, in one pass, as
+json.dumps(report, indent=2, sort_keys=True) writes it.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
 
 from .linalg import Matrix, Subspace, Vec
@@ -72,12 +79,23 @@ class AlgebraDescription:
 
     @cached_property
     def algebra(self) -> QuadraticAlgebra:
-        """QuadraticAlgebra(names, Subspace.from_spanning(rows, n * n)),
-        built on first use, so that a relation error is raised by the
-        command that reads the algebra, and once per description."""
+        """The shared_presentation of the names and
+        Subspace.from_spanning(rows, n * n), read on first use, so that a
+        relation error is raised by the command that reads the algebra,
+        and once per description."""
         n = len(self.generators)
-        return QuadraticAlgebra(self.generators,
-                                Subspace.from_spanning(self.relations, n * n))
+        return shared_presentation(
+            self.generators, Subspace.from_spanning(self.relations, n * n))
+
+
+# bounded at over four times the 7 algebras of one corpus sweep
+@lru_cache(maxsize=32)
+def shared_presentation(names: tuple[str, ...], relations: Subspace, /
+                        ) -> QuadraticAlgebra:
+    """The QuadraticAlgebra of the names and relation subspace, one object
+    per value: documents that present one algebra share it, and with it
+    its dual and the Koszul data kept on it."""
+    return QuadraticAlgebra(names, relations)
 
 
 def _parse_fraction(s, path):
@@ -250,3 +268,55 @@ def vector_to_terms(vec, degree: int, names):
     return [{"coeff": str(c),
              "word": [names[i] for i in index_to_word(idx, n, degree)]}
             for idx, c in sorted(dict(vec).items())]
+
+
+def dumps_report(report) -> str:
+    """json.dumps(report, indent=2, sort_keys=True), byte for byte, in one
+    pass over the types a report carries: dicts with str keys, lists,
+    str, int, bool and None.  Any other type, a tuple or a float among
+    them, raises TypeError.  Below Python 3.13 json.dumps encodes with
+    an indent in pure Python, several times slower than this."""
+    out: list[str] = []
+    _write_json(report, "\n", out)
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append value's indented JSON to out; newline is the line break and
+    indent that close value's own brackets."""
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"report keys must be str, not "
+                                f"{type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif value is None:
+        out.append("null")
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif kind is int:
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"a report carries no {kind.__name__}")

@@ -36,7 +36,10 @@ degree's equations are written over it.  Both paths apply the zero-K_{k-1}
 rule and the word cap in one order and take their equations from one
 builder (_koszul_equations), so they agree and stop at the same degrees.
 A count is kept with the components; building a counted degree in full
-writes and eliminates its equations again.
+writes and eliminates its equations again.  The answers of graded_dims
+and numeric_koszul_certificate are kept there too, one per bound, so
+each is computed, and cross-checked, once per presentation and bound;
+io hands out one presentation per algebra value.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
+from typing import NamedTuple
 
 from .frobenius import GradedFDAlgebra
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ResourceLimitError,
@@ -94,11 +98,23 @@ class QuadraticAlgebra:
         return dual
 
     @cached_property
-    def _koszul_store(self) -> tuple[list[Subspace], dict[int, int]]:
-        """The Koszul components built so far, [K_0, ..., K_k], and the
-        degrees counted by rank, {m: dim K_m}: filled by koszul_component
-        and _koszul_dim, and freed with the presentation."""
-        return [], {}
+    def _koszul_store(self) -> "_KoszulStore":
+        """The Koszul data of this presentation, freed with it."""
+        return _KoszulStore([], {}, {}, {})
+
+
+class _KoszulStore(NamedTuple):
+    """What a presentation keeps of its Koszul data: the components built
+    so far, [K_0, ..., K_k], filled by koszul_component; the degrees
+    counted by rank, {m: dim K_m}, filled by _koszul_dim; and the answers
+    of graded_dims and numeric_koszul_certificate, {bound: answer}, so
+    that each is computed, and cross-checked, once per presentation and
+    bound.  A call that raises stores nothing."""
+
+    built: list[Subspace]
+    counted: dict[int, int]
+    dims: dict[int, tuple[int, ...]]
+    certificates: dict[int, "KoszulCertificate"]
 
 
 def dual_names(names) -> tuple[str, ...]:
@@ -134,6 +150,9 @@ def graded_dims(alg: QuadraticAlgebra, bound: int) -> tuple[int, ...]:
     never built (module docstring); the degrees below it are built, since
     each is the ground of the next one's equations.
     """
+    stored = alg._koszul_store.dims
+    if bound in stored:
+        return stored[bound]
     dual = alg.dual
     pbw = False
     if bound >= 3:
@@ -144,13 +163,12 @@ def graded_dims(alg: QuadraticAlgebra, bound: int) -> tuple[int, ...]:
     # not PBW in this order: every degree from its Koszul component
     top = min(bound, CHECKED_DEGREES) if pbw else bound
     checked = _component_dims(dual, top)
-    if not pbw:
-        return checked
-    if counts[:top + 1] != checked:
+    if pbw and counts[:top + 1] != checked:
         raise ConsistencyError(
             f"normal-word counts {counts[:top + 1]} disagree with the "
             f"Koszul component dimensions {checked} of a PBW algebra")
-    return counts
+    stored[bound] = dims = counts if pbw else checked
+    return dims
 
 
 def _normal_word_counts(alg: QuadraticAlgebra, bound: int) -> tuple[int, ...]:
@@ -234,7 +252,7 @@ def _koszul_dim(alg: QuadraticAlgebra, m: int) -> int:
     equations, from the forward elimination alone; no kernel basis and no
     word expansion.  Stored with the components; a degree already built,
     or one up to 2, which needs no equations, is read off its component."""
-    built, counted = alg._koszul_store
+    built, counted, _, _ = alg._koszul_store
     if m <= 2 or m < len(built):
         return koszul_component(alg, m).dim
     if m not in counted:
@@ -290,7 +308,7 @@ def koszul_component(alg: QuadraticAlgebra, m: int) -> Subspace:
     number by _koszul_dim, from the same equations, without the kernel.
     """
     n = alg.n
-    built = alg._koszul_store[0]
+    built = alg._koszul_store.built
     while len(built) <= m:
         k = len(built)
         if k > 2 and not built[-1].dim:
@@ -356,12 +374,17 @@ def numeric_koszul_certificate(alg: QuadraticAlgebra, bound: int) -> KoszulCerti
     graded_dims, component_dims counts its top degree by rank and builds
     the ones below.
     """
+    stored = alg._koszul_store.certificates
+    if bound in stored:
+        return stored[bound]
     dims = graded_dims(alg, bound)
     dual_dims = graded_dims(alg.dual, bound)
     component_dims = _component_dims(alg, bound)
     mism = tuple(m for m in range(bound + 1) if component_dims[m] != dual_dims[m])
-    return KoszulCertificate(bound, dims, dual_dims, component_dims,
-                             mism, _euler_failures(dims, dual_dims))
+    stored[bound] = cert = KoszulCertificate(
+        bound, dims, dual_dims, component_dims, mism,
+        _euler_failures(dims, dual_dims))
+    return cert
 
 
 def _euler_failures(dims, dual_dims) -> tuple[int, ...]:

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from importlib import resources
@@ -322,7 +323,8 @@ def test_caches_are_bounded_and_keep_a_corpus_sweep_warm(capsys):
     # one sweep of every command over the corpus, with the caches emptied
     # once: each cache holds under half its bound, evicts nothing, and
     # serves the hits of an unbounded cache
-    caches = {"io.parse_description": io.parse_description,
+    caches = {"io.shared_presentation": io.shared_presentation,
+              "io.parse_description": io.parse_description,
               "quadratic.truncated_structure": quadratic.truncated_structure,
               "regular.as_regular_certificate": regular.as_regular_certificate,
               "skew.skew_extend": skew.skew_extend,
@@ -337,14 +339,17 @@ def test_caches_are_bounded_and_keep_a_corpus_sweep_warm(capsys):
         for cmd in cli.COMMANDS:
             main([cmd, str(path), "--max-degree", "5"])
     capsys.readouterr()
-    bounds = {"io.parse_description": 32,
+    bounds = {"io.shared_presentation": 32,
+              "io.parse_description": 32,
               "quadratic.truncated_structure": 32,
               "regular.as_regular_certificate": 32,
               "skew.skew_extend": 16,
               "skew.ext_algebra_of_skew": 16,
               "skew.verify_ext_algebra_isomorphism": 16,
               "io.description_deformation": 8}
-    hits = {"io.parse_description": 120,
+    # 10 documents present 7 algebras
+    hits = {"io.shared_presentation": 3,
+            "io.parse_description": 120,
             "quadratic.truncated_structure": 4,
             "regular.as_regular_certificate": 80,
             "skew.skew_extend": 20,
@@ -674,6 +679,22 @@ def test_a_second_koszul_run_eliminates_nothing(capsys, monkeypatch):
         _, second = _run(capsys, "koszul", _path(name))
         assert second["verdict"] == first["verdict"], name
         assert calls == {"flipped_int_kernel": [], "_echelon_int": []}, name
+
+
+def test_a_corpus_sweep_computes_each_dimension_sequence_once(capsys,
+                                                             monkeypatch):
+    # the 10 documents present 7 algebras, one presentation each, and a
+    # presentation keeps the answers of graded_dims: in one sweep with the
+    # caches emptied once, each presentation and bound counts its normal
+    # words, the first step of graded_dims at any bound above 2, once (the
+    # record keeps every presentation alive, so no id is reused)
+    counts = _count_calls(monkeypatch, quadratic._normal_word_counts)
+    _corpus_sweep(capsys, cold=False)
+    keys = Counter((id(alg), bound) for alg, bound in counts)
+    assert keys and set(keys.values()) == {1}
+    presentations = {id(parse_description(path.read_bytes()).algebra)
+                     for path in CORPUS.iterdir()}
+    assert len(presentations) == 7
 
 
 def test_warm_caches_answer_as_cold_ones(capsys):

@@ -5,12 +5,13 @@ from dataclasses import fields
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import CORPUS_DIR, description_of
 from quadalg import (Matrix, QuadraticAlgebra, Subspace, cy_criterion_deformed,
                      dual_cdga, regularity_data)
 from quadalg.io import (ValidationError, description_deformation,
-                        matrix_to_strings, parse_description)
+                        dumps_report, matrix_to_strings, parse_description)
 
 F = Fraction
 
@@ -140,6 +141,12 @@ def test_the_algebra_is_built_once_per_description():
         n = len(desc.generators)
         assert desc.algebra == QuadraticAlgebra(
             desc.generators, Subspace.from_spanning(desc.relations, n * n))
+    # documents that present one algebra share one presentation, and with
+    # it its dual and its Koszul data
+    for names in (("deformed_qp_noncy", "quantum_plane_q2", "quantum_weyl"),
+                  ("heisenberg", "poly3")):
+        algs = [description_of(name).algebra for name in names]
+        assert all(alg is algs[0] for alg in algs), names
 
 
 def test_invalid_json():
@@ -240,3 +247,31 @@ def test_domain_flag_propagates():
     cert = regularity_data(desc.algebra, 3, 5)
     defm = description_deformation(desc, cert)
     assert defm.effective_domain
+
+
+# the values a report carries: str, int (past 64 bits too), bool and None,
+# nested in lists and in dicts with str keys; text covers non-ASCII and
+# control characters
+REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text()
+    | st.integers(min_value=-2 ** 200, max_value=2 ** 200),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=5),
+    max_leaves=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(REPORT_VALUES)
+@example({"": [], "a": {}, "b": [True, 1, False, 0, None]})
+@example(["\x00\x1f\x7f\"\\/", "\u00e9\u2028\U0001f600\ud800",
+          2 ** 64, -2 ** 64 - 1])
+def test_report_writer_matches_json_dumps(value):
+    assert dumps_report(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, (1, 2), {1: "x"}, {"a": [{"b": 0.0}]}, ["a", ("b",)],
+    {"a": 1, 2: "b"}, {"a": {None: 1}}, Fraction(1, 2)])
+def test_report_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        dumps_report(value)

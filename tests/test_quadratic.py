@@ -166,9 +166,9 @@ def test_a_vanished_degree_ends_the_store():
     kxy = _fresh(algebra_of("kxy"))
     comp = koszul_component(kxy, 10 ** 4)
     assert comp.dim == 0 and comp.ambient == 2 ** 10 ** 4
-    built, counted = kxy._koszul_store
-    assert [k.dim for k in built] == [1, 2, 1, 0]
-    assert counted == {}
+    store = kxy._koszul_store
+    assert [k.dim for k in store.built] == [1, 2, 1, 0]
+    assert store.counted == {}
     assert koszul_component(kxy, 10 ** 4) is not comp
 
 
@@ -254,7 +254,7 @@ def test_graded_dims_builds_no_component_it_only_counts(monkeypatch):
                             (algebra_of("jordan_plane"), 6, 6)):
         alg = _fresh(alg)
         dims = graded_dims(alg, bound)
-        built, counted_dims = alg.dual._koszul_store
+        built, counted_dims = alg.dual._koszul_store[:2]
         assert len(built) == top
         assert counted_dims == {top: dims[top]}
         # so asking for the top component builds it alone, over every
@@ -262,6 +262,18 @@ def test_graded_dims_builds_no_component_it_only_counts(monkeypatch):
         kernels.clear()
         assert koszul_component(alg.dual, top).dim == dims[top]
         assert len(kernels) == 1 and len(built) == top + 1
+
+
+def test_dims_and_certificates_are_kept_per_presentation_and_bound():
+    # graded_dims and numeric_koszul_certificate answer once per
+    # presentation and bound; an equal presentation keeps its own answers
+    alg = _fresh(algebra_of("quantum3"))
+    cert = numeric_koszul_certificate(alg, 5)
+    assert numeric_koszul_certificate(alg, 5) is cert
+    assert graded_dims(alg, 5) is cert.dims
+    assert alg.dual._koszul_store.dims == {5: cert.dual_dims}
+    assert numeric_koszul_certificate(alg, 4) is not cert
+    assert _fresh(alg)._koszul_store.certificates == {}
 
 
 def test_sklyanin_points_pbw_or_not():
@@ -294,8 +306,12 @@ def test_normal_word_count_disagreement_raises(monkeypatch):
         return tuple(counts)
 
     monkeypatch.setattr(quadratic, "_normal_word_counts", off_in_degree_four)
+    # on a fresh presentation: the shared one may hold its dims already
+    poly3 = _fresh(algebra_of("poly3"))
     with pytest.raises(ConsistencyError, match="normal-word counts"):
-        graded_dims(algebra_of("poly3"), 6)
+        graded_dims(poly3, 6)
+    # and a raise stores nothing
+    assert poly3._koszul_store.dims == {}
     # the check guards the PBW route only; the Jordan plane is not PBW here
     assert graded_dims(algebra_of("jordan_plane"), 6) == (1, 2, 3, 4, 5, 6, 7)
 

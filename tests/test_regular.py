@@ -3,15 +3,17 @@
 from dataclasses import replace
 from fractions import Fraction
 import gc
+from itertools import combinations, product
+from math import prod
 import weakref
 
 import pytest
 
 from helpers import (AS_REGULAR, algebra_of, cert_of, dense_inverse,
-                     quadratic_algebra, residue)
-from quadalg import (Matrix, NotRegular, apply_slotwise, as_regular_certificate,
-                     dim2_matrix_form, numeric_koszul_certificate, regular,
-                     regularity_data)
+                     quadratic_algebra, residue, seeded)
+from quadalg import (Matrix, NotRegular, QuadraticAlgebra, Subspace,
+                     apply_slotwise, as_regular_certificate, dim2_matrix_form,
+                     numeric_koszul_certificate, regular, regularity_data)
 from quadalg.linalg import ConsistencyError, LinAlgError
 
 F = Fraction
@@ -158,6 +160,59 @@ def test_dim2_matrix_form_goldens():
         m = _mat(rows)
         expect = (m.transpose() @ dense_inverse(m)).scale(F(-1))
         assert xi == expect, name
+
+
+def test_dim2_criterion_on_every_small_relation():
+    # one relation x^T M x on two letters presents an AS-regular algebra of
+    # dimension 2 exactly when det M != 0; on all 624 nonzero M with
+    # entries in {-2, ..., 2}, and the matrix route returns M up to a
+    # scalar and the Nakayama map -M^T M^{-1} on every regular one
+    regular_count = 0
+    for entries in product(range(-2, 3), repeat=4):
+        if not any(entries):
+            continue
+        m = _mat((entries[:2], entries[2:]))
+        alg = QuadraticAlgebra(("x", "y"),
+                               Subspace.from_spanning([entries], 4))
+        if entries[0] * entries[3] == entries[1] * entries[2]:
+            with pytest.raises(NotRegular):
+                as_regular_certificate(alg, 5)
+            continue
+        regular_count += 1
+        cert = as_regular_certificate(alg, 5)
+        assert cert.gldim == 2, entries
+        form, xi = dim2_matrix_form(cert)
+        lead = next(k for k, v in enumerate(entries) if v)
+        scale = F(entries[lead]) / form.entries[lead // 2][lead % 2]
+        assert form.scale(scale) == m, entries
+        assert xi == (m.transpose() @ dense_inverse(m)).scale(F(-1)), entries
+    # of the 624, 496 are invertible
+    assert regular_count == 496
+
+
+def test_multiparameter_skew_ring_nakayama():
+    # x_j x_i = q_ij x_i x_j for i < j, with q_ji = 1/q_ij, on n = 2, 3, 4
+    # letters and seeded parameters: the Nakayama map is
+    # diag(prod_{j != i} q_ji)
+    rng = seeded(10)
+    for n in (2, 3, 4):
+        for _ in range(4):
+            q = {}
+            for i, j in combinations(range(n), 2):
+                q[i, j] = F(rng.choice((-1, 1)) * rng.randint(1, 5),
+                            rng.randint(1, 5))
+                q[j, i] = 1 / q[i, j]
+            alg = quadratic_algebra(
+                tuple(f"x{i}" for i in range(n)),
+                [[((j, i), 1), ((i, j), -q[i, j])]
+                 for i, j in combinations(range(n), 2)])
+            cert = as_regular_certificate(alg, n + 1)
+            assert cert.gldim == n
+            diag = [prod(q[j, i] for j in range(n) if j != i)
+                    for i in range(n)]
+            assert cert.nakayama == _mat(
+                [[diag[i] if i == k else 0 for k in range(n)]
+                 for i in range(n)]), q
 
 
 def test_dim2_matrix_form_rejects_dim3():
