@@ -1,19 +1,30 @@
 """Command line front end.
 
+    quadalg <command> <file|-> [--max-degree N] [--sigma id|nakayama|file]
+            [--exit-zero]
+
 Reads a JSON algebra description (file path or '-' for stdin), runs one
-subcommand, prints a deterministic JSON report on stdout.  Exit codes:
-0 pass, 1 verdict fail, 2 usage or parse error or inapplicable input (such
-as a non-regular algebra), 3 resource guard or out of memory.
+subcommand, prints a deterministic JSON report on stdout.  The grammar is
+parsed directly (_parse_args), as argparse parsed it before: options go
+before, between or after the positionals, as `--opt value` or
+`--opt=value`, and a unique prefix names a long option.
+
+Exit codes: 0 pass; 1 verdict fail; 2 usage error (the usage and the
+reason on stderr, nothing on stdout), parse error or inapplicable input
+(such as a non-regular algebra); 3 resource guard (a --max-degree above
+MAX_DEGREE, or a Koszul component past the word cap) or out of memory.
+-h/--help prints the help on stdout and exits 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 from itertools import accumulate
+from typing import NamedTuple
 
 from .io import (ValidationError, description_deformation, dumps_report,
                  matrix_to_strings, parse_description, vector_to_terms)
@@ -224,19 +235,146 @@ COMMANDS = {
 }
 
 
-# built once: every main() call, in one process, parses with the same parser
-PARSER = argparse.ArgumentParser(
-    prog="quadalg",
-    description="exact computations on quadratic algebras")
-PARSER.add_argument("command", choices=sorted(COMMANDS))
-PARSER.add_argument("file", help="JSON description, or - for stdin")
-PARSER.add_argument("--max-degree", type=int, default=5,
-                    help="bound for all degree-limited certificates")
-PARSER.add_argument("--sigma", choices=["id", "nakayama", "file"],
-                    default="nakayama",
-                    help="twist selection for skew/extiso/cy")
-PARSER.add_argument("--exit-zero", action="store_true",
-                    help="exit 0 even on verdict failures")
+USAGE = ("usage: quadalg <command> <file|-> [--max-degree N] "
+         "[--sigma id|nakayama|file] [--exit-zero]")
+SIGMA_MODES = ("id", "nakayama", "file")
+# the largest --max-degree a command is run at: above it the resource guard
+# refuses the run before the input is read, since on k[x]/(x^2), whose one
+# letter never trips the word cap, a command loops over every degree up to
+# the bound.  koszul there answers at this degree in under a second
+MAX_DEGREE = 20000
+OPTIONS = ("--help", "--max-degree", "--sigma", "--exit-zero")
+HELP = "\n".join([
+    USAGE, "", "exact computations on quadratic algebras", "",
+    f"  <command>                 one of {', '.join(sorted(COMMANDS))}",
+    "  <file|->                  JSON description, or - for stdin",
+    "  --max-degree N            bound for all degree-limited certificates"
+    f" (default 5, at most {MAX_DEGREE})",
+    "  --sigma id|nakayama|file  twist selection for skew/extiso/cy"
+    " (default nakayama)",
+    "  --exit-zero               exit 0 even on verdict failures",
+    "  -h, --help                print this help and exit"])
+# an argument that names no option and reads as a negative number is a
+# value, as argparse reads it
+NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+class Args(NamedTuple):
+    """The parsed command line."""
+
+    command: str
+    file: str
+    max_degree: int
+    sigma: str
+    exit_zero: bool
+
+
+def _usage_error(reason: str):
+    sys.stderr.write(f"{USAGE}\nquadalg: error: {reason}\n")
+    raise SystemExit(2)
+
+
+def _option(arg: str):
+    """(option, explicit value or None) for an argument that names an
+    option, (None, None) for an unknown option, None for a positional.
+
+    As argparse reads it: `--opt=value`, a unique prefix of a long option,
+    and -h followed by more h's; a negative number, a lone '-' and an
+    argument with a space that names no option are positionals."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    if arg in OPTIONS or arg == "-h":
+        return arg, None
+    head, eq, value = arg.partition("=")
+    if arg[1] == "-":
+        found = [o for o in OPTIONS if o.startswith(head)]
+        if len(found) > 1:
+            _usage_error(f"ambiguous option: {arg} could match "
+                         f"{', '.join(found)}")
+        if found:
+            return found[0], value if eq else None
+    elif arg.startswith("-h"):
+        # -hh... is -h given twice; anything else after -h is refused
+        tail = value if head == "-h" else arg[2:]
+        return "-h", None if set(tail) == {"h"} else tail
+    if NEGATIVE.match(arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _parse_args(argv) -> Args:
+    """Parse `<command> <file|-> [--max-degree N] [--sigma MODE]
+    [--exit-zero]`, options anywhere, as argparse parses it: the last of a
+    repeated option wins, arguments after the first `--` are positionals,
+    and -h/--help prints the help on stdout and exits 0 unless an earlier
+    argument is refused.  Any other argv prints the usage and the reason on
+    stderr and raises SystemExit(2)."""
+    argv = list(argv)
+    positionals, extras = [], []
+    max_degree, sigma, exit_zero = 5, "nakayama", False
+    literal = False
+    # the index just past the last positional read
+    after_positional = 0
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        i += 1
+        if literal:
+            found = None
+        elif arg == "--":
+            literal = True
+            # argparse hands the `--` to a positional read next to it; one
+            # that follows an option after both positionals is left over
+            if len(positionals) == 2 and after_positional != i - 1:
+                extras.append(arg)
+            continue
+        else:
+            found = _option(arg)
+        if found is None:
+            if not positionals and arg not in COMMANDS:
+                _usage_error(f"invalid command {arg!r} (choose from "
+                             f"{', '.join(sorted(COMMANDS))})")
+            (positionals if len(positionals) < 2 else extras).append(arg)
+            after_positional = i
+            continue
+        option, value = found
+        if option is None:
+            extras.append(arg)
+        elif option in ("-h", "--help", "--exit-zero"):
+            if value is not None:
+                _usage_error(f"{option}: ignored explicit argument {value!r}")
+            if option == "--exit-zero":
+                exit_zero = True
+                continue
+            # argparse refuses an ambiguous option before it reads any
+            for later in argv[i:]:
+                if later == "--":
+                    break
+                _option(later)
+            sys.stdout.write(HELP + "\n")
+            raise SystemExit(0)
+        else:
+            if value is None:
+                if i == len(argv) or argv[i] == "--" or _option(argv[i]):
+                    _usage_error(f"{option}: expected one argument")
+                value = argv[i]
+                i += 1
+            if option == "--sigma":
+                if value not in SIGMA_MODES:
+                    _usage_error(f"--sigma: invalid choice {value!r} (choose "
+                                 f"from {', '.join(SIGMA_MODES)})")
+                sigma = value
+            else:
+                try:
+                    max_degree = int(value)
+                except ValueError:
+                    _usage_error(f"--max-degree: invalid int value {value!r}")
+    if len(positionals) < 2:
+        _usage_error("the following arguments are required: "
+                     + ", ".join(("command", "file")[len(positionals):]))
+    if extras:
+        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
+    return Args(*positionals, max_degree, sigma, exit_zero)
 
 
 def _error(args, message: str, code: int) -> int:
@@ -247,9 +385,11 @@ def _error(args, message: str, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = PARSER.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     if args.max_degree < 2:
         return _error(args, "--max-degree must be at least 2", 2)
+    if args.max_degree > MAX_DEGREE:
+        return _error(args, f"--max-degree must be at most {MAX_DEGREE}", 3)
     try:
         if args.file == "-":
             raw = sys.stdin.buffer.read()

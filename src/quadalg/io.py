@@ -17,14 +17,15 @@ cache keyed on the raw document, the bytes a command reads or a str, and a
 document it refuses raises and is not stored.  The description it hands
 out is shared by every caller of the same document, so its rows are
 read-only views (MappingProxyType), and it reads its algebra once, on
-first use (AlgebraDescription.algebra), from shared_presentation, a
-bounded cache keyed on the names and the relation subspace: every
-command on one document, and every document that presents one algebra,
-reads one QuadraticAlgebra, and with it one dual and the Koszul data
-kept on it.  A description is keyed
-by identity, as a certificate is, and description_deformation holds one
-deformation per description and certificate, so that `pbw` and `thm5` on
-one document read one curved structure and one deformed Calabi-Yau report.
+first use (AlgebraDescription.algebra), from quadratic's
+shared_presentation, a bounded cache keyed on the names and the relation
+subspace: every command on one document, every document that presents
+one algebra and every skew extension that equals it reads one
+QuadraticAlgebra, and with it one dual and the Koszul data kept on it.
+A description is keyed by identity, as a certificate is, and
+description_deformation holds one deformation per description and
+certificate, so that `pbw` and `thm5` on one document read one curved
+structure and one deformed Calabi-Yau report.
 
 A success report is written by dumps_report, in one pass, as
 json.dumps(report, indent=2, sort_keys=True) writes it.
@@ -41,7 +42,7 @@ from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
 
 from .linalg import Matrix, Subspace, Vec
-from .quadratic import QuadraticAlgebra
+from .quadratic import QuadraticAlgebra, shared_presentation
 from .regular import RegularityCertificate
 from .pbw import PBWDeformation
 from .tensors import add_into, index_to_word, word_to_index
@@ -86,16 +87,6 @@ class AlgebraDescription:
         n = len(self.generators)
         return shared_presentation(
             self.generators, Subspace.from_spanning(self.relations, n * n))
-
-
-# bounded at over four times the 7 algebras of one corpus sweep
-@lru_cache(maxsize=32)
-def shared_presentation(names: tuple[str, ...], relations: Subspace, /
-                        ) -> QuadraticAlgebra:
-    """The QuadraticAlgebra of the names and relation subspace, one object
-    per value: documents that present one algebra share it, and with it
-    its dual and the Koszul data kept on it."""
-    return QuadraticAlgebra(names, relations)
 
 
 def _parse_fraction(s, path):

@@ -38,8 +38,9 @@ builder (_koszul_equations), so they agree and stop at the same degrees.
 A count is kept with the components; building a counted degree in full
 writes and eliminates its equations again.  The answers of graded_dims
 and numeric_koszul_certificate are kept there too, one per bound, so
-each is computed, and cross-checked, once per presentation and bound;
-io hands out one presentation per algebra value.
+each is computed, and cross-checked, once per presentation and bound.
+shared_presentation hands out one presentation per algebra value, to the
+documents io reads and to the skew extensions skew builds.
 """
 
 from __future__ import annotations
@@ -115,6 +116,18 @@ class _KoszulStore(NamedTuple):
     counted: dict[int, int]
     dims: dict[int, tuple[int, ...]]
     certificates: dict[int, "KoszulCertificate"]
+
+
+# bounded at over twice the 12 presentations of one corpus sweep: the 7
+# algebras its 10 documents present and 5 of the 7 skew extensions, since
+# kxy's extension is poly3's algebra and quantum_plane_qm1's is quantum3's
+@lru_cache(maxsize=32)
+def shared_presentation(names: tuple[str, ...], relations: Subspace, /
+                        ) -> QuadraticAlgebra:
+    """The QuadraticAlgebra of the names and relation subspace, one object
+    per value: documents and skew extensions that present one algebra
+    share it, and with it its dual and the Koszul data kept on it."""
+    return QuadraticAlgebra(names, relations)
 
 
 def dual_names(names) -> tuple[str, ...]:

@@ -30,7 +30,8 @@ from .frobenius import (GradedFDAlgebra, is_graded_symmetric,
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Subspace,
                      _echelon_int, denominator, int_columns, int_solve,
                      solve_square, unit_vector)
-from .quadratic import QuadraticAlgebra, graded_dims, truncated_structure
+from .quadratic import (QuadraticAlgebra, graded_dims, shared_presentation,
+                        truncated_structure)
 from .regular import RegularityCertificate
 from .superpotential import derivation_quotient
 from .tensors import preserves_subspace
@@ -90,7 +91,7 @@ def skew_extend(base: QuadraticAlgebra, sigma: Matrix, /) -> SkewExtension:
     relations = Subspace.from_spanning(stacked, m * m)
     if relations.dim != base.relations.dim + n:
         raise ConsistencyError("mixed relations are not independent of the base ones")
-    algebra = QuadraticAlgebra(names, relations)
+    algebra = shared_presentation(names, relations)
     dims_base = graded_dims(base, 4)
     for k, dim in enumerate(graded_dims(algebra, 4)):
         if dim != sum(dims_base[:k + 1]):

@@ -1,5 +1,6 @@
 """Shared test utilities: seeded generators and independent oracles."""
 
+import argparse
 from fractions import Fraction
 from importlib import resources
 import importlib
@@ -13,6 +14,7 @@ from quadalg import (Cdga, GradedFDAlgebra, Matrix, QuadraticAlgebra,
                      Subspace, apply_slotwise, as_regular_certificate,
                      index_to_word, word_to_index)
 from quadalg import skew
+from quadalg.cli import COMMANDS
 from quadalg.io import parse_description
 from quadalg.linalg import LinAlgError, ZERO, solve, unit_vector
 from quadalg.quadratic import truncated_structure
@@ -23,6 +25,22 @@ DIM2 = AS_REGULAR[:5]
 CORPUS_DIR = resources.files("quadalg") / "corpus"
 CORPUS = tuple(sorted(p.name[:-5] for p in CORPUS_DIR.iterdir()
                       if p.name.endswith(".json")))
+
+
+# the argparse parser quadalg.cli parsed its command line with before it
+# read its grammar directly, kept as the oracle of that parse
+REFERENCE_PARSER = argparse.ArgumentParser(
+    prog="quadalg",
+    description="exact computations on quadratic algebras")
+REFERENCE_PARSER.add_argument("command", choices=sorted(COMMANDS))
+REFERENCE_PARSER.add_argument("file", help="JSON description, or - for stdin")
+REFERENCE_PARSER.add_argument("--max-degree", type=int, default=5,
+                              help="bound for all degree-limited certificates")
+REFERENCE_PARSER.add_argument("--sigma", choices=["id", "nakayama", "file"],
+                              default="nakayama",
+                              help="twist selection for skew/extiso/cy")
+REFERENCE_PARSER.add_argument("--exit-zero", action="store_true",
+                              help="exit 0 even on verdict failures")
 
 
 def package_caches():

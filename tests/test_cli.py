@@ -4,6 +4,7 @@ import importlib.util
 import json
 import re
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
@@ -285,6 +286,23 @@ def test_resource_guard_exit_code(tmp_path, capsys):
     assert rep["verdict"]["dims"] == [1, 32, 0, 0, 0]
 
 
+@pytest.mark.parametrize("degree", [cli.MAX_DEGREE + 1, 99999999999])
+def test_a_degree_above_the_cap_trips_the_resource_guard(tmp_path, capsys,
+                                                         degree):
+    # k[x]/(x^2): one letter never trips the word cap, so without the cap
+    # hilbert would loop over every degree up to the bound
+    p = tmp_path / "dual_numbers.json"
+    p.write_text(json.dumps({
+        "generators": ["x"],
+        "relations": [[{"coeff": "1", "word": ["x", "x"]}]]}))
+    started = time.perf_counter()
+    code, rep = _run(capsys, "hilbert", str(p), "--max-degree", str(degree))
+    assert time.perf_counter() - started < 1
+    assert code == 3
+    assert rep == {"command": "hilbert", "status": "error",
+                   "error": f"--max-degree must be at most {cli.MAX_DEGREE}"}
+
+
 @pytest.mark.parametrize("coeff", ["2 / 3", "1_000", "\u0663"],
                          ids=["inner_spaces", "underscore", "arabic_indic_digit"])
 def test_coefficient_grammar_does_not_depend_on_the_interpreter(tmp_path,
@@ -323,7 +341,7 @@ def test_caches_are_bounded_and_keep_a_corpus_sweep_warm(capsys):
     # one sweep of every command over the corpus, with the caches emptied
     # once: each cache holds under half its bound, evicts nothing, and
     # serves the hits of an unbounded cache
-    caches = {"io.shared_presentation": io.shared_presentation,
+    caches = {"quadratic.shared_presentation": quadratic.shared_presentation,
               "io.parse_description": io.parse_description,
               "quadratic.truncated_structure": quadratic.truncated_structure,
               "regular.as_regular_certificate": regular.as_regular_certificate,
@@ -339,7 +357,7 @@ def test_caches_are_bounded_and_keep_a_corpus_sweep_warm(capsys):
         for cmd in cli.COMMANDS:
             main([cmd, str(path), "--max-degree", "5"])
     capsys.readouterr()
-    bounds = {"io.shared_presentation": 32,
+    bounds = {"quadratic.shared_presentation": 32,
               "io.parse_description": 32,
               "quadratic.truncated_structure": 32,
               "regular.as_regular_certificate": 32,
@@ -347,8 +365,9 @@ def test_caches_are_bounded_and_keep_a_corpus_sweep_warm(capsys):
               "skew.ext_algebra_of_skew": 16,
               "skew.verify_ext_algebra_isomorphism": 16,
               "io.description_deformation": 8}
-    # 10 documents present 7 algebras
-    hits = {"io.shared_presentation": 3,
+    # 10 documents present 7 algebras, and 2 of the 7 skew extensions equal
+    # one of them: kxy's is poly3's algebra, quantum_plane_qm1's quantum3's
+    hits = {"quadratic.shared_presentation": 5,
             "io.parse_description": 120,
             "quadratic.truncated_structure": 4,
             "regular.as_regular_certificate": 80,
@@ -683,14 +702,15 @@ def test_a_second_koszul_run_eliminates_nothing(capsys, monkeypatch):
 
 def test_a_corpus_sweep_computes_each_dimension_sequence_once(capsys,
                                                              monkeypatch):
-    # the 10 documents present 7 algebras, one presentation each, and a
-    # presentation keeps the answers of graded_dims: in one sweep with the
-    # caches emptied once, each presentation and bound counts its normal
-    # words, the first step of graded_dims at any bound above 2, once (the
-    # record keeps every presentation alive, so no id is reused)
+    # the 10 documents present 7 algebras, one presentation each, and the
+    # skew extensions of kxy and quantum_plane_qm1 are the algebras of poly3
+    # and quantum3; a presentation keeps the answers of graded_dims: in one
+    # sweep with the caches emptied once, each algebra value and bound counts
+    # its normal words, the first step of graded_dims at any bound above 2,
+    # once
     counts = _count_calls(monkeypatch, quadratic._normal_word_counts)
     _corpus_sweep(capsys, cold=False)
-    keys = Counter((id(alg), bound) for alg, bound in counts)
+    keys = Counter((alg.names, alg.relations, bound) for alg, bound in counts)
     assert keys and set(keys.values()) == {1}
     presentations = {id(parse_description(path.read_bytes()).algebra)
                      for path in CORPUS.iterdir()}
