@@ -9,7 +9,8 @@ form only: integer cells over one positive denominator (`int_mult` over
 `den`), which is how quadratic.TruncatedAlgebra and the trivial extension
 here hand them over and how the Frobenius pairings and the trivial
 extension read them.  A degree-preserving map of an algebra is a tuple of
-matrices, one per degree, in column convention.  The top graded
+matrices, one per degree, in column convention, or, as a twist of the
+trivial extension, the IntTwist of their integer columns.  The top graded
 piece is required to be one-dimensional whenever Frobenius data is
 extracted, and the distinguished functional is "coefficient of the top basis
 element", read straight off a top structure cell.
@@ -19,17 +20,26 @@ pairing G_i, read off the top cells, and each Nakayama block as the
 int_solve solution of den G_i X = den G_{d-i}^T, integers over a pivot
 entry.  frobenius_structure turns it into Fraction matrices for its
 readers; is_graded_symmetric runs both of its routes on the integers.
-The trivial extension reads its twists as integer columns once, so the
-Calabi-Yau path builds and tests its model with no Fraction in between.
+The trivial extension takes its twists as integer columns (IntTwist), the
+form GradedFDAlgebra.epsilon and TruncatedAlgebra.automorphism build, so
+the Calabi-Yau path builds and tests its model with no Fraction in between.
+
+The builders hand the constructor its final form, tuple rows of tuple
+cells, which its shape pass checks cell by cell and keeps.  The
+associativity check visits every (a, b, s) triple it needs, and skips
+none; where both products it reads are single-term cells, the most common
+case, the two sides are compared cell against cell with no dict built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from typing import NamedTuple
 
 from .linalg import (ConsistencyError, LinAlgError, Matrix, Vec, ZERO,
-                     _forward_reduce, denominator, int_columns, int_solve)
+                     _echelon_int, int_solve)
 
 
 class NotFrobenius(Exception):
@@ -39,6 +49,18 @@ class NotFrobenius(Exception):
         super().__init__(f"degree {witness_degree}: {reason}")
         self.witness_degree = witness_degree
         self.reason = reason
+
+
+class IntTwist(NamedTuple):
+    """A degree-preserving map of a graded algebra, in integers, as the
+    trivial extension reads it: cols[i][a] lists the nonzero (row, int)
+    entries of column a of the degree-i matrix, rows increasing, each over
+    den, the lcm of the denominators of all the entries in lowest terms.
+    So cols[i] is int_columns(m_i, den) of the map's matrices m_i, and den
+    is their `denominator`."""
+
+    cols: tuple
+    den: int
 
 
 class GradedFDAlgebra:
@@ -79,14 +101,24 @@ class GradedFDAlgebra:
         for i in range(d + 1):
             for j in range(d + 1 - i):
                 block = int_mult.get((i, j))
-                if block is not None:
+                # a block of tuple rows of tuple cells, as the package's
+                # builders hand it over, is kept as given
+                tuples = True
+                if block is not None and type(block) is not tuple:
                     block = tuple(tuple(map(tuple, row)) for row in block)
+                width = self.dims[j]
                 if (block is None or len(block) != self.dims[i]
-                        or any(len(row) != self.dims[j] for row in block)):
+                        or any(len(row) != width for row in block)):
                     raise LinAlgError(f"bad structure block at degrees {(i, j)}")
                 top = self.dims[i + j]
                 for row in block:
+                    if type(row) is not tuple:
+                        tuples = False
                     for cell in row:
+                        if type(cell) is not tuple:
+                            tuples = False
+                        if not cell:
+                            continue
                         last = -1
                         for c, w in cell:
                             if not (last < c < top and type(w) is int and w):
@@ -95,6 +127,8 @@ class GradedFDAlgebra:
                                     f"coordinates must increase within range "
                                     f"and values be nonzero")
                             last = c
+                if not tuples:
+                    block = tuple(tuple(map(tuple, row)) for row in block)
                 table[(i, j)] = block
         self.int_mult = table
         self.den = den
@@ -131,10 +165,11 @@ class GradedFDAlgebra:
         den = self.den
         return tuple(x / den for x in out)
 
-    def epsilon(self, k: int) -> tuple[Matrix, ...]:
+    def epsilon(self, k: int) -> IntTwist:
         """The sign automorphism acting by (-1)^(i*k) in degree i."""
-        return tuple(Matrix.identity(self.dims[i]).scale(Fraction((-1) ** (i * k)))
-                     for i in range(self.length + 1))
+        return IntTwist(tuple([[(a, -1 if i * k % 2 else 1)]
+                               for a in range(self.dims[i])]
+                              for i in range(self.length + 1)), 1)
 
     def _validate_unit(self) -> None:
         for j in range(self.length + 1):
@@ -170,14 +205,10 @@ class GradedFDAlgebra:
         gens = [()]
         for k in range(1, d + 1):
             pivots: dict[int, dict[int, int]] = {}
-            products = (cell for i in range(1, k) for row in mult[(i, k - i)]
-                        for cell in row if cell)
-            for cell in products:
-                if len(pivots) == dims[k]:
-                    break
-                lead, red = _forward_reduce(dict(cell), pivots)
-                if lead is not None:
-                    pivots[lead] = red
+            # no product is reduced once D_k has rank dims[k]
+            _echelon_int((dict(cell) for i in range(1, k)
+                          for row in mult[(i, k - i)] for cell in row
+                          if cell and len(pivots) < dims[k]), pivots)
             gens.append(tuple(c for c in range(dims[k]) if c not in pivots))
         for i in range(1, d + 1):
             for j in range(1, d + 1 - i):
@@ -197,22 +228,43 @@ class GradedFDAlgebra:
                         for b in range(dims[j]):
                             ab = ij_a[b]
                             jk_b = jk[b]
+                            small = len(ab) < 2
                             for c, col in cols:
                                 # (e_a e_b) e_c and e_a (e_b e_c)
-                                left: dict[int, int] = {}
-                                for t, x in ab:
-                                    for e, w in col[t]:
-                                        left[e] = left.get(e, 0) + x * w
-                                right: dict[int, int] = {}
-                                for t, x in jk_b[c]:
-                                    for e, w in i_jk_a[t]:
-                                        right[e] = right.get(e, 0) + x * w
-                                if left != right and (
+                                bc = jk_b[c]
+                                if small and len(bc) < 2:
+                                    # x e_t e_c against y e_a e_s, or zero:
+                                    # two cells compared entry by entry
+                                    lc = col[ab[0][0]] if ab else ()
+                                    rc = i_jk_a[bc[0][0]] if bc else ()
+                                    ok = len(lc) == len(rc)
+                                    if ok and lc:
+                                        x, y = ab[0][1], bc[0][1]
+                                        if len(lc) == 1:
+                                            (e, w), = lc
+                                            (f, v), = rc
+                                            ok = e == f and x * w == y * v
+                                        else:
+                                            ok = all(e == f and x * w == y * v
+                                                     for (e, w), (f, v)
+                                                     in zip(lc, rc))
+                                else:
+                                    left: dict[int, int] = {}
+                                    for t, x in ab:
+                                        for e, w in col[t]:
+                                            left[e] = left.get(e, 0) + x * w
+                                    right: dict[int, int] = {}
+                                    for t, x in bc:
+                                        for e, w in i_jk_a[t]:
+                                            right[e] = right.get(e, 0) + x * w
+                                    ok = left == right or (
                                         {e: v for e, v in left.items() if v}
-                                        != {e: v for e, v in right.items() if v}):
+                                        == {e: v for e, v in right.items()
+                                            if v})
+                                if not ok:
                                     raise LinAlgError(
-                                        f"associativity fails at degrees {(i, j, k)} "
-                                        f"indices {(a, b, c)}")
+                                        f"associativity fails at degrees "
+                                        f"{(i, j, k)} indices {(a, b, c)}")
 
 
 @dataclass(frozen=True)
@@ -322,26 +374,25 @@ def is_graded_symmetric(alg: GradedFDAlgebra):
 # trivial extension
 # ---------------------------------------------------------------------------
 
-def twisted_module_trivial_extension(alg: GradedFDAlgebra, left,
-                                     right) -> GradedFDAlgebra:
+def twisted_module_trivial_extension(alg: GradedFDAlgebra, left: IntTwist,
+                                     right: IntTwist) -> GradedFDAlgebra:
     """Extend by a copy of the algebra itself, shifted up by one degree, as
     a bimodule twisted by `left` on the left and `right` on the right.
 
     Degree i of the result is E_i followed by the module copy of E_{i-1},
     so the result has length one more than E.  left and right are graded
-    maps of E, one matrix per degree; the actions are a.(m) = (left(a) m)
-    and (m).b = (m right(b)), products of two module elements vanish.
-    Each twist matrix is read as integer columns once, over L, the lcm of
-    the denominators of both twists, so the result is built in integers
-    over L times E's den, one block row at a time.  A row of E_i holds E's
-    own products, its cells times L, then the left-action cells; a module
-    row holds the right-action cells, then empty cells.  An action cell is
-    the twisted combination of E's own integer cells, shifted past E_{i+j}.
+    maps of E in integers; the actions are a.(m) = (left(a) m) and (m).b =
+    (m right(b)), products of two module elements vanish.  Both twists are
+    brought to L, the lcm of their denominators, so the result is built in
+    integers over L times E's den, one block row at a time, each handed
+    over in the final tuple form.  A row of E_i holds E's own products,
+    its cells times L, then the left-action cells; a module row holds the
+    right-action cells, then empty cells.  An action cell is the twisted
+    combination of E's own integer cells, shifted past E_{i+j}.
     """
     d = alg.length
-    scale = denominator(*left, *right)
-    lcols = [int_columns(m, scale) for m in left]
-    rcols = [int_columns(m, scale) for m in right]
+    scale = lcm(left.den, right.den)
+    lcols, rcols = (_columns_over(tw, scale, alg.dims) for tw in (left, right))
     # dim[i] is dim E_i, zero outside 0..d, also at index -1
     dim = alg.dims + (0, 0)
     dims = [dim[i] + dim[i - 1] for i in range(d + 2)]
@@ -355,31 +406,55 @@ def twisted_module_trivial_extension(alg: GradedFDAlgebra, left,
             copy_on = alg.int_mult.get((i - 1, j))
             block = []
             for a in range(dim[i]):
-                row = list(inner[a]) if inner else [()] * aj
+                row = inner[a] if inner else ((),) * aj
                 if scale != 1:
-                    row = [[(c, scale * w) for c, w in cell] for cell in row]
+                    row = tuple([tuple([(c, scale * w) for c, w in cell])
+                                 if cell else () for cell in row])
                 terms = lcols[i][a]
-                row += [_sparse_sum([(x, on_copy[t][b]) for t, x in terms], off)
-                        for b in range(copy_j)]
-                block.append(row)
+                if not copy_j:
+                    block.append(row)
+                elif len(terms) == 1:
+                    # a monomial column: one row of E's cells, scaled
+                    (t, x), = terms
+                    block.append(row + tuple([
+                        tuple([(off + c, x * w) for c, w in cell])
+                        if cell else () for cell in on_copy[t]]))
+                else:
+                    block.append(row + tuple([
+                        _sparse_sum([(x, on_copy[t][b]) for t, x in terms],
+                                    off) for b in range(copy_j)]))
+            empty = ((),) * copy_j
             for a in range(dim[i - 1]):
                 cells = copy_on[a]
-                block.append([_sparse_sum([(x, cells[t]) for t, x in rcols[j][b]],
-                                          off) for b in range(aj)]
-                             + [()] * copy_j)
-            mult[(i, j)] = block
+                block.append(tuple([
+                    _sparse_sum([(x, cells[t]) for t, x in col], off)
+                    for col in rcols[j]]) + empty)
+            mult[(i, j)] = tuple(block)
     return GradedFDAlgebra(dims, mult, alg.den * scale)
 
 
-def _sparse_sum(terms, off: int):
+def _columns_over(twist: IntTwist, scale: int, dims):
+    """The twist's integer columns brought to scale, a multiple of its
+    den; a twist of the wrong shape raises LinAlgError."""
+    if (len(twist.cols) != len(dims)
+            or any(len(c) != m for c, m in zip(twist.cols, dims))):
+        raise LinAlgError("a twist needs one column per basis element")
+    f = scale // twist.den
+    if f == 1:
+        return twist.cols
+    return [[[(t, f * x) for t, x in col] for col in cols]
+            for cols in twist.cols]
+
+
+def _sparse_sum(terms, off: int) -> tuple:
     """sum x * cell over a list of (x, sparse cell) terms, as a sparse cell
     with every coordinate shifted up by off; one term, the common case of a
     monomial twist, is just scaled."""
     if len(terms) == 1:
         x, cell = terms[0]
-        return [(off + c, x * w) for c, w in cell]
+        return tuple([(off + c, x * w) for c, w in cell]) if cell else ()
     acc: dict[int, int] = {}
     for x, cell in terms:
         for c, w in cell:
             acc[c] = acc.get(c, 0) + x * w
-    return [(off + c, v) for c, v in sorted(acc.items()) if v]
+    return tuple([(off + c, v) for c, v in sorted(acc.items()) if v])

@@ -19,7 +19,17 @@ Koszul components) calls `flipped_int_kernel` and skips the flip.  A
 subspace built from those rows (an annihilator, a Koszul component) needs
 no second elimination.  The elimination takes over the rows it is given
 (`_echelon_int`), so callers hand it fresh ones.  Membership is that forward pass
-against a subspace's own integer rows.
+against a copy of a subspace's own integer rows.
+
+The forward pass is one loop per row, lead by lead, with no helper call
+per reduction step.  A pivot row of one entry clears its column by
+deleting the entry; any other pivot row by one integer axpy on the two
+leads over their gcd.  A kept row of one entry is stored as {lead: 1}
+with no gcd; any other kept row is gcd-stripped once, its lead made
+positive.  Back substitution (`_reduced_echelon`) runs on the forward
+pass's output and clears one-entry pivot rows the same way.  Each step
+only rescales a row and subtracts pivot rows, so every row comes out as
+the canonical multiple of one vector, the same for any order of scaling.
 
 A vector indexed by coordinate words has one form, a sparse {coordinate:
 value} map or its (coordinate, value) pairs; only the small dense Matrix
@@ -97,71 +107,103 @@ def _strip(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def _axpy(a: int, row: dict[int, int], b: int, other: dict[int, int]) -> dict[int, int]:
-    """a*row - b*other with zero entries dropped; row is the caller's own
-    and is updated in place when a is 1."""
-    out = {c: a * v for c, v in row.items()} if a != 1 else row
-    for c, v in other.items():
-        nv = out.get(c, 0) - b * v
-        if nv:
-            out[c] = nv
-        else:
-            out.pop(c, None)
-    return out
-
-
-def _forward_reduce(row: dict[int, int], pivots: dict[int, dict[int, int]]):
-    """Reduce ``row`` against the pivot rows; return (lead, row) or (None, {}).
-
-    Only a row that is kept is gcd-stripped; the steps before do not strip.
-    """
-    while row:
-        lead = min(row)
-        p = pivots.get(lead)
-        if p is None:
-            if row[lead] < 0:
-                row = {c: -v for c, v in row.items()}
-            return lead, _strip(row)
-        a, b = p[lead], row[lead]
-        g = gcd(a, b)
-        row = _axpy(a // g, row, b // g, p)
-    return None, {}
-
-
-def _echelon_int(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+def _echelon_int(rows: Iterable[dict[int, int]],
+                 pivots: dict[int, dict[int, int]] | None = None
+                 ) -> dict[int, dict[int, int]]:
     """Row echelon form by forward elimination only; returns {pivot column:
-    integer row}, pivot entries positive, rows content-free.
+    integer row}, pivot entries positive, rows content-free, in the order
+    the rows that gave them came in.  Given pivots, an echelon form of
+    this kind, the rows are reduced against it and it is extended in
+    place.
+
+    Each row is reduced in one loop, lead by lead.  Against a pivot row of
+    one entry the lead is deleted; against any other, a * row - b * pivot
+    with a, b the two leads over their gcd, and no strip in between.  A
+    row that keeps a lead is gcd-stripped and made positive there, and a
+    row of one entry is kept as {lead: 1}.  Every step scales the row by a
+    nonzero number and subtracts pivot rows, so each kept row is the
+    canonical multiple of the same vector that any order of scaling
+    gives.
 
     Each row is a dict with no zero entry, and it is the caller's to give
     away: it is updated in place and may be kept as a pivot row, so a
     caller hands in fresh rows (from _to_int_row, a comprehension, or an
-    echelon it owns) and reads none of them afterwards."""
-    pivots: dict[int, dict[int, int]] = {}
-    for r in rows:
-        lead, red = _forward_reduce(r, pivots)
-        if lead is not None:
-            pivots[lead] = red
+    echelon it owns) and reads none of them afterwards.  The pivot rows
+    are only read."""
+    if pivots is None:
+        pivots = {}
+    get = pivots.get
+    for row in rows:
+        while row:
+            lead = min(row)
+            p = get(lead)
+            if p is None:
+                if len(row) == 1:
+                    pivots[lead] = {lead: 1}
+                else:
+                    g = gcd(*row.values())
+                    if row[lead] < 0:
+                        g = -g
+                    pivots[lead] = (row if g == 1
+                                    else {c: v // g for c, v in row.items()})
+                break
+            if len(p) == 1:
+                del row[lead]
+                continue
+            a, b = p[lead], row[lead]
+            g = gcd(a, b)
+            if g != 1:
+                a //= g
+                b //= g
+            if a != 1:
+                row = {c: a * v for c, v in row.items()}
+            # the lead cancels with the rest
+            for c, v in p.items():
+                nv = row.get(c, 0) - b * v
+                if nv:
+                    row[c] = nv
+                else:
+                    del row[c]
     return pivots
 
 
-def _reduced_echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
-    """Full reduced row echelon form; returns {pivot column: integer row}.
+def _reduced_echelon(pivots: dict[int, dict[int, int]]
+                     ) -> dict[int, dict[int, int]]:
+    """The full reduced row echelon form of an echelon form from
+    _echelon_int, in place: every pivot column is cleared from all other
+    rows, each row content-free with a positive pivot entry.
 
-    Pivot entries are positive and every pivot column is cleared from all
-    other rows; rows are content-free.  The rows are given away as to
-    _echelon_int.
+    Back substitution runs from the last row up: the rows below are
+    already reduced, so clearing the pivot columns a row holds brings in
+    no others, and they may be cleared in any order.  A pivot row of one
+    entry is cleared by deleting the entry; a row that took any step is
+    stripped once at the end.
     """
-    pivots = _echelon_int(rows)
-    # back substitution from the last row up: the rows below are already
-    # reduced, so clearing the pivot columns a row holds brings in no others
     for qc in sorted(pivots, reverse=True):
         qrow = pivots[qc]
-        for pc in [c for c in qrow if c != qc and c in pivots]:
+        hits = qrow.keys() & pivots.keys()
+        hits.discard(qc)
+        if not hits:
+            continue
+        for pc in hits:
             prow = pivots[pc]
+            if len(prow) == 1:
+                del qrow[pc]
+                continue
             a, b = qrow[pc], prow[pc]
             g = gcd(a, b)
-            qrow = _strip(_axpy(b // g, qrow, a // g, prow))
-        pivots[qc] = qrow
+            if g != 1:
+                a //= g
+                b //= g
+            if b != 1:
+                qrow = {c: b * v for c, v in qrow.items()}
+            for c, v in prow.items():
+                nv = qrow.get(c, 0) - a * v
+                if nv:
+                    qrow[c] = nv
+                else:
+                    del qrow[c]
+        pivots[qc] = _strip(qrow)
     return pivots
 
 
@@ -175,7 +217,7 @@ def int_solve(rows: Iterable[dict[int, int]], n: int
     which is positive; zeros are left out.
     """
     echelon = _echelon_int(rows)
-    kept = [r for p, r in echelon.items() if p < n]
+    kept = {p: r for p, r in echelon.items() if p < n}
     out = {}
     for p, row in _reduced_echelon(kept).items():
         out[p] = (row[p], {c - n: v for c, v in row.items() if c >= n})
@@ -229,7 +271,7 @@ def flipped_int_kernel(rows: Iterable[dict[int, int]],
     ambient - 1 - c, with no zero entry; the rows are given away as to
     _echelon_int, and the kernel rows come back in the original columns."""
     top = ambient - 1
-    pivots = _reduced_echelon(rows)
+    pivots = _reduced_echelon(_echelon_int(rows))
     by_col: dict[int, list[tuple[int, int, int]]] = {}
     for p, r in pivots.items():
         pv = r[p]
@@ -240,7 +282,11 @@ def flipped_int_kernel(rows: Iterable[dict[int, int]],
     for f in range(top, -1, -1):
         if f in pivots:
             continue
-        terms = by_col.get(f, ())
+        terms = by_col.get(f)
+        if terms is None:
+            # a free column no pivot row reaches: the unit vector
+            out.append({top - f: 1})
+            continue
         big = lcm(*[pv for _, pv, _ in terms])
         row = {top - f: big}
         for p, pv, v in terms:
@@ -400,7 +446,7 @@ class Subspace:
         if not all(type(c) is int and 0 <= c < ambient
                    for row in rows for c in row):
             raise LinAlgError("spanning row longer than the ambient dimension")
-        pivots = _reduced_echelon(rows)
+        pivots = _reduced_echelon(_echelon_int(rows))
         order = sorted(pivots)
         return Subspace(ambient, tuple(order),
                         tuple(tuple(sorted(pivots[p].items())) for p in order))
@@ -425,12 +471,14 @@ class Subspace:
 
     @cached_property
     def _pivot_rows(self) -> dict[int, dict[int, int]]:
-        """The integer rows as _forward_reduce takes them: {pivot: row}."""
+        """The integer rows as _echelon_int takes them: {pivot: row}."""
         return {p: dict(r) for p, r in zip(self.pivots, self.int_rows)}
 
     def contains(self, vec: Mapping[int, object]) -> bool:
-        """Whether vec reduces to zero against the integer rows."""
-        return _forward_reduce(_to_int_row(vec), self._pivot_rows)[0] is None
+        """Whether vec reduces to zero against the integer rows: the
+        forward pass on a copy of them keeps no new pivot."""
+        return len(_echelon_int([_to_int_row(vec)],
+                                dict(self._pivot_rows))) == self.dim
 
     def coordinates(self, vec: Mapping[int, object]) -> Vec | None:
         """Coordinates of vec in the RREF basis, or None if not a member."""

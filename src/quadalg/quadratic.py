@@ -13,13 +13,19 @@ a PBW basis of normal words (see graded_dims): then no K_k is built beyond
 degree CHECKED_DEGREES.
 
 K_k is computed in integers, as an integer kernel over K_{k-1} (x) V with
-one block of equations per pivot word of K_{k-2}.  The kernel rows come out
-canonical, and so do their expansions into words, so no elimination runs
-on the n^k word coordinates of K_k.  A truncation of T(V)/(R) is one
+one block of equations per pivot word of K_{k-2}; an equation of one entry
+is handed on only the first time its column comes up, as any later one is
+a multiple of it.  The kernel rows come out canonical, and so do their
+expansions into words, so no elimination runs on the n^k word coordinates
+of K_k.  The elimination clears such one-entry rows from the others by
+deleting an entry (linalg's module docstring).  A truncation of T(V)/(R) is one
 object, a TruncatedAlgebra: the GradedFDAlgebra whose sparse structure
 cells are read off the class coordinates of product words, together with
 those classes and its basis words (`words`), the only names its basis
-elements have.  No component is built on more than MAX_WORDS = 10^6
+elements have; its table goes to GradedFDAlgebra in the final tuple
+form, and its automorphism extends a degree-one map to the integer twist
+(frobenius.IntTwist) that the trivial extension reads, with no Fraction
+matrix in between.  No component is built on more than MAX_WORDS = 10^6
 coordinate words: asking for one raises ResourceLimitError, unless K_{k-1}
 is zero, when K_k is the zero subspace at any number of words, answered
 fresh and not stored.  So for n >= 2 an algebra keeps at most
@@ -48,10 +54,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
-from .frobenius import GradedFDAlgebra
+from .frobenius import GradedFDAlgebra, IntTwist
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ResourceLimitError,
                      Subspace, Vec, ZERO, _echelon_int, _reduced_echelon,
                      _strip, _to_int_row, denominator, flipped_int_kernel,
@@ -216,6 +222,14 @@ def _koszul_equations(alg: QuadraticAlgebra, prev_space: Subspace,
     of b_s (x) e_l sits in column d n - 1 - (s n + l): the rows are written
     in int_kernel's numbering from the last column down, with no zero
     entry, and are fresh, the caller's to give to the elimination.
+
+    A row of one entry is handed on only the first time its column comes
+    up: the equations at several (u, f) often pin one coefficient alone
+    (K_4 of the 5-letter skew extension writes 120 rows, 60 of them
+    distinct up to scale, and its one-entry rows hit 30 columns 90 times).
+    A later row proportional to an earlier one reduces to zero in the
+    forward pass and leaves every pivot row as it was, so the echelon
+    form, the rank and the kernel are those of all the rows.
     """
     n = alg.n
     # all arithmetic below is on content-free integer rows; rescaling the
@@ -251,7 +265,18 @@ def _koszul_equations(alg: QuadraticAlgebra, prev_space: Subspace,
                     eq[c] = nv
                 else:
                     del eq[c]
-    return [eq for at_u in eqs.values() for eq in at_u if eq]
+    out = []
+    pinned = set()
+    for at_u in eqs.values():
+        for eq in at_u:
+            if len(eq) == 1:
+                (c,) = eq
+                if c in pinned:
+                    continue
+                pinned.add(c)
+            if eq:
+                out.append(eq)
+    return out
 
 
 def _check_words(n: int, m: int) -> None:
@@ -338,13 +363,17 @@ def koszul_component(alg: QuadraticAlgebra, m: int) -> Subspace:
         pivots = []
         rows = []
         for c in flipped_int_kernel(eqs, len(prev) * n):
+            s, l = divmod(min(c), n)
+            pivots.append(prev_pivots[s] * n + l)
+            if len(c) == 1:
+                # c is {(s, l): 1}, and b_s (x) e_l is content-free already
+                rows.append(tuple([(w * n + l, val) for w, val in prev[s]]))
+                continue
             x: dict[int, int] = {}
             for j, cj in c.items():
                 s, l = divmod(j, n)
                 for w, val in prev[s]:
                     x[w * n + l] = x.get(w * n + l, 0) + cj * val
-            s, l = divmod(min(c), n)
-            pivots.append(prev_pivots[s] * n + l)
             rows.append(tuple(sorted(_strip({w: v for w, v in x.items()
                                              if v}).items())))
         built.append(Subspace(n ** k, tuple(pivots), tuple(rows)))
@@ -445,8 +474,9 @@ class TruncatedAlgebra(GradedFDAlgebra):
         # the echelon form of each K_k read from the last column: its pivot
         # p is the word n^k - 1 - p, so the largest pivot is the first
         # basis word
-        flipped = [_reduced_echelon({n ** k - 1 - c: v for c, v in row}
-                                    for row in comp.int_rows)
+        flipped = [_reduced_echelon(_echelon_int(
+                       {n ** k - 1 - c: v for c, v in row}
+                       for row in comp.int_rows))
                    for k, comp in enumerate(self.components)]
         den = lcm(*[row[p] for rows in flipped for p, row in rows.items()])
         words = []
@@ -455,14 +485,17 @@ class TruncatedAlgebra(GradedFDAlgebra):
             top = n ** k - 1
             order = sorted(rows, reverse=True)
             words.append(tuple(top - p for p in order))
-            # word -> [(t, den times coordinate t of its class)]
-            cls: dict[int, list[tuple[int, int]]] = {}
+            # word -> ((t, den times coordinate t of its class), ...)
+            cls: dict[int, tuple[tuple[int, int], ...]] = {}
+            get = cls.get
             for t, p in enumerate(order):
                 row = rows[p]
                 f = den // row[p]
                 for c, v in row.items():
-                    cls.setdefault(top - c, []).append((t, v * f))
-            classes.append({w: tuple(ts) for w, ts in cls.items()})
+                    w = top - c
+                    ts = get(w)
+                    cls[w] = ((t, v * f),) if ts is None else ts + ((t, v * f),)
+            classes.append(cls)
         self.words = tuple(words)
         self.classes = tuple(classes)
         mult = {}
@@ -470,9 +503,9 @@ class TruncatedAlgebra(GradedFDAlgebra):
             for j in range(bound + 1 - i):
                 stride = n ** j
                 cls = classes[i + j]
-                mult[(i, j)] = tuple(
-                    tuple(cls.get(wa * stride + wb, ()) for wb in words[j])
-                    for wa in words[i])
+                mult[(i, j)] = tuple([
+                    tuple([cls.get(wa * stride + wb, ()) for wb in words[j]])
+                    for wa in words[i]])
         super().__init__([len(w) for w in words], mult, den)
 
     def reduce_sparse(self, k: int, sparse) -> Vec:
@@ -530,15 +563,16 @@ class TruncatedAlgebra(GradedFDAlgebra):
                       else ZERO for t in range(self.dims[k]))
                 for j in range(len(value_vectors))]
 
-    def automorphism(self, phi: Matrix) -> tuple[Matrix, ...]:
-        """Extend a relation-preserving degree-one map to every degree, one
-        matrix per degree.
+    def automorphism(self, phi: Matrix) -> IntTwist:
+        """Extend a relation-preserving degree-one map to every degree, as
+        the integer twist the trivial extension reads.
 
         phi is read once as integer columns over L, the lcm of its
         denominators.  Column w of the degree-k matrix is the class of the
         image of the basis word w, the sum over the words u of its
         apply_slot_columns image of their integer class cells; it comes
-        out times den * L^k.
+        out times den * L^k.  Each degree is then brought to the lcm of
+        the denominators of all the entries in lowest terms.
         """
         if not preserves_subspace(phi, self.algebra.relations):
             raise LinAlgError("map does not preserve the relation subspace")
@@ -548,16 +582,25 @@ class TruncatedAlgebra(GradedFDAlgebra):
         mats = []
         for k in range(self.length + 1):
             cls = self.classes[k]
-            out = [[0] * self.dims[k] for _ in range(self.dims[k])]
-            for b, w in enumerate(self.words[k]):
+            mat = []
+            for w in self.words[k]:
+                acc: dict[int, int] = {}
                 for u, x in apply_slot_columns([cols] * k, {w: 1}, n).items():
                     for t, v in cls.get(u, ()):
-                        out[t][b] += x * v
+                        acc[t] = acc.get(t, 0) + x * v
+                mat.append(sorted((t, v) for t, v in acc.items() if v))
+            # degree k over den * L^k, and g the gcd of that and its entries:
+            # in lowest terms it is over (den * L^k) / g
             den = self.den * scale ** k
-            mats.append(Matrix(tuple(tuple(Fraction(v, den) if v else ZERO
-                                           for v in row) for row in out),
-                               self.dims[k]))
-        return tuple(mats)
+            g = gcd(den, *[v for col in mat for _, v in col])
+            mats.append((mat, den // g, g))
+        common = lcm(*[low for _, low, _ in mats])
+        out = []
+        for mat, low, g in mats:
+            f = common // low
+            out.append(mat if f == g else [[(t, v // g * f) for t, v in col]
+                                           for col in mat])
+        return IntTwist(tuple(out), common)
 
 
 # bounded at over twice the 12 truncations of one corpus sweep

@@ -5,7 +5,7 @@ from fractions import Fraction
 from importlib import resources
 import importlib
 import json
-from math import lcm
+from math import gcd, lcm
 import pkgutil
 import random
 
@@ -16,8 +16,10 @@ from quadalg import (Cdga, GradedFDAlgebra, Matrix, QuadraticAlgebra,
 from quadalg import skew
 from quadalg.cli import COMMANDS
 from quadalg.io import parse_description
-from quadalg.linalg import LinAlgError, ZERO, solve, unit_vector
-from quadalg.quadratic import truncated_structure
+from quadalg.frobenius import IntTwist
+from quadalg.linalg import (LinAlgError, ZERO, _strip, denominator,
+                            int_columns, solve, unit_vector)
+from quadalg.quadratic import MAX_WORDS, truncated_structure
 
 AS_REGULAR = ("kxy", "quantum_plane_q2", "quantum_plane_q3",
               "quantum_plane_qm1", "jordan_plane", "poly3", "quantum3")
@@ -594,8 +596,8 @@ def cdg_trivial_extension(c: Cdga) -> Cdga:
     """
     alg = c.algebra
     d = alg.length
-    gamma = dual_trivial_extension(alg, alg.epsilon(d), identity_maps(alg),
-                                   d + 1)
+    gamma = dual_trivial_extension(alg, twist_matrices(alg.epsilon(d)),
+                                   identity_maps(alg), d + 1)
     delta = []
     for i in range(d + 1):
         # degree i is A_i followed by the dual of A_j
@@ -649,6 +651,51 @@ def associativity_failure(dims, mult):
                     for b in range(dims[j]):
                         ab = mult[(i, j)][a][b]
                         for c in range(dims[k]):
+                            left = combine(ab, [row[c] for row in ij_k])
+                            right = combine(mult[(j, k)][b][c], i_jk[a])
+                            if left != right:
+                                return (i, j, k), (a, b, c)
+    return None
+
+
+def generator_associativity_failure(dims, mult):
+    """The triple ((i, j, k), (a, b, c)) that GradedFDAlgebra's check on
+    generators names for a sparse structure table, or None: the first one,
+    with i, j, k >= 1 in that order and then a, b, c, at which (e_a e_b) e_c
+    != e_a (e_b e_c), with c running over the degree-k generators.  Those
+    are the basis elements at the non-pivot columns of the dense reduced
+    echelon form of every product of two positive degrees landing in
+    degree k.  Each side is summed in full, with no single-term path.
+    """
+    def combine(coeffs, cells):
+        acc = {}
+        for t, x in coeffs:
+            for c, w in cells[t]:
+                acc[c] = acc.get(c, 0) + x * w
+        return {c: v for c, v in acc.items() if v}
+
+    d = len(dims) - 1
+    gens = [()]
+    for k in range(1, d + 1):
+        products = []
+        for i in range(1, k):
+            for row in mult[(i, k - i)]:
+                for cell in row:
+                    dense = [0] * dims[k]
+                    for c, w in cell:
+                        dense[c] = w
+                    products.append(dense)
+        pivots = dense_rref(products, dims[k])[0]
+        gens.append(tuple(c for c in range(dims[k]) if c not in pivots))
+    for i in range(1, d + 1):
+        for j in range(1, d + 1 - i):
+            for k in range(1, d + 1 - i - j):
+                ij_k = mult[(i + j, k)]
+                i_jk = mult[(i, j + k)]
+                for a in range(dims[i]):
+                    for b in range(dims[j]):
+                        ab = mult[(i, j)][a][b]
+                        for c in gens[k]:
                             left = combine(ab, [row[c] for row in ij_k])
                             right = combine(mult[(j, k)][b][c], i_jk[a])
                             if left != right:
@@ -882,3 +929,183 @@ def oracle_trivial_extension_table(alg: GradedFDAlgebra, left, right):
                 block.append(tuple(row))
             mult[(i, j)] = tuple(block)
     return tuple(dims), mult, alg.den * scale
+
+
+def int_twist(mats) -> IntTwist:
+    """A graded map given by one Fraction matrix per degree, as the
+    IntTwist the package reads: each matrix as int_columns over the lcm of
+    the denominators of all of them."""
+    den = denominator(*mats)
+    return IntTwist(tuple(int_columns(m, den) for m in mats), den)
+
+
+def twist_matrices(twist: IntTwist) -> tuple[Matrix, ...]:
+    """The Fraction matrices of an IntTwist, one per degree, each square
+    with one column per column the twist lists."""
+    mats = []
+    for cols in twist.cols:
+        n = len(cols)
+        rows = [[ZERO] * n for _ in range(n)]
+        for a, col in enumerate(cols):
+            for t, v in col:
+                rows[t][a] = Fraction(v, twist.den)
+        mats.append(Matrix.from_rows(rows, n))
+    return tuple(mats)
+
+
+# ---------------------------------------------------------------------------
+# the elimination core and Koszul builder as they were before the one-loop
+# elimination: a reduction step is an _axpy call, every kept row is
+# gcd-stripped, and the equation builder hands on every row it writes
+# ---------------------------------------------------------------------------
+
+def _oracle_axpy(a, row, b, other):
+    """a*row - b*other with zero entries dropped; row is updated in place
+    when a is 1."""
+    out = {c: a * v for c, v in row.items()} if a != 1 else row
+    for c, v in other.items():
+        nv = out.get(c, 0) - b * v
+        if nv:
+            out[c] = nv
+        else:
+            out.pop(c, None)
+    return out
+
+
+def oracle_forward_reduce(row, pivots):
+    """Reduce row against the pivot rows; (lead, kept row) or (None, {})."""
+    while row:
+        lead = min(row)
+        p = pivots.get(lead)
+        if p is None:
+            if row[lead] < 0:
+                row = {c: -v for c, v in row.items()}
+            return lead, _strip(row)
+        a, b = p[lead], row[lead]
+        g = gcd(a, b)
+        row = _oracle_axpy(a // g, row, b // g, p)
+    return None, {}
+
+
+def oracle_echelon_int(rows):
+    """{pivot column: integer row} of the forward pass, in the order the
+    rows that gave them came in."""
+    pivots = {}
+    for r in rows:
+        lead, red = oracle_forward_reduce(r, pivots)
+        if lead is not None:
+            pivots[lead] = red
+    return pivots
+
+
+def oracle_reduced_echelon(rows):
+    """The reduced echelon form of rows: the forward pass, then back
+    substitution from the last row up, stripping after every step."""
+    pivots = oracle_echelon_int(rows)
+    for qc in sorted(pivots, reverse=True):
+        qrow = pivots[qc]
+        for pc in [c for c in qrow if c != qc and c in pivots]:
+            prow = pivots[pc]
+            a, b = qrow[pc], prow[pc]
+            g = gcd(a, b)
+            qrow = _strip(_oracle_axpy(b // g, qrow, a // g, prow))
+        pivots[qc] = qrow
+    return pivots
+
+
+def oracle_int_solve(rows, n):
+    """int_solve on the oracle core: ({pivot: (pivot entry, {j: int})},
+    consistent)."""
+    echelon = oracle_echelon_int(rows)
+    kept = [r for p, r in echelon.items() if p < n]
+    out = {}
+    for p, row in oracle_reduced_echelon(kept).items():
+        out[p] = (row[p], {c - n: v for c, v in row.items() if c >= n})
+    return out, len(kept) == len(echelon)
+
+
+def oracle_flipped_int_kernel(rows, ambient):
+    """flipped_int_kernel on the oracle core."""
+    top = ambient - 1
+    pivots = oracle_reduced_echelon(rows)
+    by_col = {}
+    for p, r in pivots.items():
+        pv = r[p]
+        for c, v in r.items():
+            if c != p:
+                by_col.setdefault(c, []).append((p, pv, v))
+    out = []
+    for f in range(top, -1, -1):
+        if f in pivots:
+            continue
+        terms = by_col.get(f, ())
+        big = lcm(*[pv for _, pv, _ in terms])
+        row = {top - f: big}
+        for p, pv, v in terms:
+            row[top - p] = -(big // pv) * v
+        out.append(_strip(row))
+    return out
+
+
+def oracle_koszul_equations(alg, prev_space, before):
+    """Every equation row at the pivot words of K_{m-2}, in the numbering
+    of flipped_int_kernel, one-entry repeats included."""
+    n = alg.n
+    prev = prev_space.int_rows
+    top = len(prev) * n - 1
+    perp_rows = alg.dual.relations.int_rows
+    perp = [[] for _ in range(n)]
+    for fi, f in enumerate(perp_rows):
+        for c, v in f:
+            a, l = divmod(c, n)
+            perp[a].append((fi, l, v))
+    eqs = {u: [{} for _ in perp_rows] for u in before.pivots}
+    for s, b in enumerate(prev):
+        col = top - s * n
+        for w, val in b:
+            u, a = divmod(w, n)
+            at_u = eqs.get(u)
+            if at_u is None:
+                continue
+            for fi, l, v in perp[a]:
+                eq = at_u[fi]
+                c = col - l
+                nv = eq.get(c, 0) + val * v
+                if nv:
+                    eq[c] = nv
+                else:
+                    del eq[c]
+    return [eq for at_u in eqs.values() for eq in at_u if eq]
+
+
+def oracle_koszul_data(alg, top):
+    """([K_0, ..., K_k], [dim K_0, ..., dim K_k]) of alg by the oracle
+    core: each K_m, m > 2, the canonical kernel over K_{m-1} (x) V expanded
+    into words, and each dimension the unknowns less the rank of the
+    equations.  It stops at the top degree, at the word cap, or after the
+    first zero component from degree 3 on."""
+    n = alg.n
+    comps = [Subspace.full(1), Subspace.full(n), alg.relations]
+    dims = [c.dim for c in comps]
+    for m in range(3, top + 1):
+        prev, before = comps[-1], comps[-2]
+        if not prev.dim or n ** m > MAX_WORDS:
+            break
+        eqs = oracle_koszul_equations(alg, prev, before)
+        unknowns = prev.dim * n
+        dims.append(unknowns - len(oracle_echelon_int(
+            [dict(eq) for eq in eqs])))
+        pivots = []
+        rows = []
+        for c in oracle_flipped_int_kernel(eqs, unknowns):
+            x = {}
+            for j, cj in c.items():
+                s, l = divmod(j, n)
+                for w, val in prev.int_rows[s]:
+                    x[w * n + l] = x.get(w * n + l, 0) + cj * val
+            s, l = divmod(min(c), n)
+            pivots.append(prev.pivots[s] * n + l)
+            rows.append(tuple(sorted(_strip({w: v for w, v in x.items()
+                                             if v}).items())))
+        comps.append(Subspace(n ** m, tuple(pivots), tuple(rows)))
+    return comps[:top + 1], dims[:top + 1]

@@ -12,7 +12,8 @@ from helpers import (AS_REGULAR, CORPUS, DIM2, block_nakayama_oracle,
                      description_of, dual_trivial_extension, identity_maps,
                      model_map_multiplicative, random_member, random_nu_theta,
                      scalar_twist, seeded, structure_equal, trivial_extension,
-                     twist_pool, twisted_cyclic_space, word_terms)
+                     twist_matrices, twist_pool, twisted_cyclic_space,
+                     word_terms)
 from quadalg import (Matrix, PBWDeformation, cy_check_with,
                      cy_criterion_deformed, cy_equivalence_dim2,
                      derivation_quotient, dim2_matrix_form, dual_cdga,
@@ -220,7 +221,8 @@ def test_criterion_9_hilbert_koszul_sanity():
         alg_fd = cert_of(name).dual_fd
         d = alg_fd.length
         signed = cdg_underlying_trivial_extension(alg_fd)
-        twisted = dual_trivial_extension(alg_fd, alg_fd.epsilon(d),
+        twisted = dual_trivial_extension(alg_fd,
+                                         twist_matrices(alg_fd.epsilon(d)),
                                          identity_maps(alg_fd), d + 1)
         assert structure_equal(signed, twisted), name
     print("criterion 9 (Hilbert dims, Koszul certificates, sign rule): PASS")

@@ -14,10 +14,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (AS_REGULAR, cert_of, ext_iso_oracle, oracle_automorphism,
-                     oracle_class_from_pairings, oracle_frobenius,
-                     oracle_graded_symmetry, oracle_preserves_subspace,
-                     oracle_trivial_extension_table, skew_ring)
+from helpers import (AS_REGULAR, cert_of, ext_iso_oracle, int_twist,
+                     oracle_automorphism, oracle_class_from_pairings,
+                     oracle_frobenius, oracle_graded_symmetry,
+                     oracle_preserves_subspace, oracle_trivial_extension_table,
+                     skew_ring, twist_matrices)
 from quadalg import (FrobeniusStructure, Matrix, as_regular_certificate,
                      ext_algebra_of_skew, frobenius_structure,
                      is_graded_symmetric, preserves_subspace, skew_extend,
@@ -81,7 +82,9 @@ def test_relation_check_and_automorphism_match_the_fraction_route(case):
     # the twist of the model, and the transpose of sigma, which preserves
     # the dual relations too
     for phi in (pinv.transpose(), sigma.transpose()):
-        assert dual.automorphism(phi) == oracle_automorphism(dual, phi)
+        twist = dual.automorphism(phi)
+        assert twist == int_twist(oracle_automorphism(dual, phi))
+        assert twist_matrices(twist) == oracle_automorphism(dual, phi)
 
 
 @pytest.mark.parametrize("case", CASES, ids=_ids)
@@ -95,7 +98,8 @@ def test_trivial_extension_matches_the_cell_loop(case):
     for left, right in ((dual.epsilon(1), psi), (psi, psi)):
         ext = twisted_module_trivial_extension(dual, left, right)
         assert ((ext.dims, ext.int_mult, ext.den)
-                == oracle_trivial_extension_table(dual, left, right))
+                == oracle_trivial_extension_table(
+                    dual, twist_matrices(left), twist_matrices(right)))
 
 
 @pytest.mark.parametrize("case", CASES, ids=_ids)

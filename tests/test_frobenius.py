@@ -10,10 +10,12 @@ import pytest
 from helpers import (AS_REGULAR, CORPUS, algebra_of, associativity_failure,
                      block_nakayama_oracle, cert_of, dense_inverse,
                      cdg_underlying_trivial_extension, dense_algebra,
-                     dual_trivial_extension, fraction_table, identity_maps,
-                     is_multiplicative, multiply_basis, rational_algebra,
-                     scalar_twist, seeded, sklyanin, sparse_table,
-                     quadratic_algebra, structure_equal, trivial_extension)
+                     dual_trivial_extension, fraction_table,
+                     generator_associativity_failure, identity_maps,
+                     int_twist, is_multiplicative, multiply_basis,
+                     rational_algebra, scalar_twist, seeded, skew_ring,
+                     sklyanin, sparse_table, quadratic_algebra,
+                     structure_equal, trivial_extension, twist_matrices)
 from quadalg import frobenius
 from quadalg import (GradedFDAlgebra, Matrix, NotFrobenius, QuadraticAlgebra,
                      Subspace, apply_slotwise, as_regular_certificate,
@@ -58,7 +60,9 @@ def test_absent_block_is_rejected():
 
 def test_epsilon_and_identity():
     alg = _fd("kxy")
-    eps = alg.epsilon(1)
+    assert alg.epsilon(1) == int_twist(scalar_twist(alg, 1, 1))
+    assert alg.epsilon(2) == int_twist(scalar_twist(alg, 2, 1))
+    eps = twist_matrices(alg.epsilon(1))
     assert eps[1].entries == ((F(-1), F(0)), (F(0), F(-1)))
     assert eps[2].entries == ((F(1),),)
     identities = tuple(Matrix.identity(m) for m in alg.dims)
@@ -169,7 +173,7 @@ def test_automorphism_multiplicative_check_catches_junk():
 
 def test_trivial_extension_products_and_pairing():
     E = _fd("quantum_plane_q2")
-    sig = E.epsilon(1)
+    sig = twist_matrices(E.epsilon(1))
     n_ext = 3
     gamma = trivial_extension(E, sig, n_ext)
     # dual part squares to zero
@@ -216,7 +220,8 @@ def test_trivial_extension_symmetry_rule():
     for name in ("kxy", "quantum_plane_q2", "jordan_plane"):
         E = _fd(name)
         n_ext = E.length + 1
-        gamma = trivial_extension(E, E.epsilon(n_ext - 1), n_ext)
+        gamma = trivial_extension(E, twist_matrices(E.epsilon(n_ext - 1)),
+                                  n_ext)
         ok, _ = is_graded_symmetric(gamma)
         assert ok, name
 
@@ -229,7 +234,8 @@ def test_trivial_extension_needs_room():
 
 def test_twisted_module_extension_shape():
     E = _fd("quantum_plane_q2")
-    ext = twisted_module_trivial_extension(E, E.epsilon(1), identity_maps(E))
+    ext = twisted_module_trivial_extension(E, E.epsilon(1),
+                                           int_twist(identity_maps(E)))
     assert ext.dims == (1, E.dim(1) + E.dim(0), E.dim(2) + E.dim(1), E.dim(2))
     d1 = E.dim(1)
     m0 = tuple([F(0)] * d1) + (F(1),)
@@ -246,7 +252,8 @@ def test_extension_guards_reject_a_second_degree_zero_element():
         with pytest.raises(LinAlgError, match="must exceed the algebra length"):
             dual_trivial_extension(E, ident, ident, n)
     assert dual_trivial_extension(E, ident, ident, E.length + 1).dims[0] == 1
-    ext = twisted_module_trivial_extension(E, ident, ident)
+    ext = twisted_module_trivial_extension(E, int_twist(ident),
+                                           int_twist(ident))
     assert ext.dims[0] == 1 and ext.length == E.length + 1
 
 
@@ -255,8 +262,8 @@ def test_cdg_underlying_matches_dual_extension():
     for name in AS_REGULAR:
         E = _fd(name)
         a = cdg_underlying_trivial_extension(E)
-        b = dual_trivial_extension(E, E.epsilon(E.length), identity_maps(E),
-                                   E.length + 1)
+        b = dual_trivial_extension(E, twist_matrices(E.epsilon(E.length)),
+                                   identity_maps(E), E.length + 1)
         assert structure_equal(a, b), name
 
 
@@ -271,7 +278,7 @@ def test_dual_extension_dual_block_annihilates():
 def test_structure_equal_detects_difference():
     E = _fd("kxy")
     a = trivial_extension(E, identity_maps(E), 3)
-    b = trivial_extension(E, E.epsilon(1), 3)
+    b = trivial_extension(E, twist_matrices(E.epsilon(1)), 3)
     assert not structure_equal(a, b)
     assert structure_equal(a, a)
 
@@ -316,6 +323,50 @@ def test_corrupted_structure_constant_fails_associativity(bound):
                        index((2, 2, 2, 2)), 1)
     with pytest.raises(LinAlgError, match="associativity fails"):
         dense_algebra(alg.dims, bad)
+
+
+def _single_term_corruption_targets():
+    """{case: algebra} of tables built by the package whose products are
+    mostly single-term cells: the Ext models of the skew rings in 3 and 4
+    letters, the honest dual of the 3-letter ring's extension, and a corpus
+    truncation."""
+    out = {}
+    for n in (3, 4):
+        cert = as_regular_certificate(skew_ring(n, F(-2, 3)), 5)
+        out[f"gamma-skew{n}"] = ext_algebra_of_skew(cert, cert.nakayama)
+        if n == 3:
+            out["ext-dual-skew3"] = verify_ext_algebra_isomorphism(
+                cert, cert.nakayama).ext_dual_fd
+    out["poly3-truncated"] = truncated_structure(algebra_of("poly3"), 4)
+    return out
+
+
+CORRUPTION_TARGETS = _single_term_corruption_targets()
+
+
+@pytest.mark.parametrize("how", ("move", "rescale", "empty"))
+@pytest.mark.parametrize("case", sorted(CORRUPTION_TARGETS))
+def test_a_corrupted_single_term_cell_fails_associativity(case, how):
+    # the first single-entry cell of the degree-(1, 1) block, which the
+    # comparison of single-term products reads, moved to the next
+    # coordinate, rescaled or emptied: the check must still fail, at the
+    # triple that the full comparison on generators names first
+    alg = CORRUPTION_TARGETS[case]
+    block = [list(row) for row in alg.int_mult[(1, 1)]]
+    a, b = next((a, b) for a, row in enumerate(block)
+                for b, cell in enumerate(row) if len(cell) == 1)
+    ((c, w),) = block[a][b]
+    block[a][b] = {"move": (((c + 1) % alg.dims[2], w),),
+                   "rescale": ((c, 3 * w),), "empty": ()}[how]
+    mult = dict(alg.int_mult)
+    mult[(1, 1)] = tuple(map(tuple, block))
+    failure = generator_associativity_failure(alg.dims, mult)
+    assert failure is not None and failure[0][:2] == (1, 1)
+    (ijk, abc) = failure
+    with pytest.raises(LinAlgError, match=re.escape(
+            f"associativity fails at degrees {ijk} indices {abc}")):
+        GradedFDAlgebra(alg.dims, mult, alg.den)
+    assert generator_associativity_failure(alg.dims, alg.int_mult) is None
 
 
 def _weighted_polynomial_table():

@@ -8,10 +8,14 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from helpers import (dense_kernel_rows, dense_rank, dense_rows, dense_rref,
-                     residue)
+                     oracle_echelon_int, oracle_flipped_int_kernel,
+                     oracle_forward_reduce, oracle_int_solve,
+                     oracle_reduced_echelon, residue)
 from quadalg.linalg import (ConsistencyError, LinAlgError, Matrix,
-                            ResourceLimitError, Subspace, _strip, _to_int_row,
-                            int_kernel, int_solve, solve, solve_square)
+                            ResourceLimitError, Subspace, _echelon_int,
+                            _reduced_echelon, _strip, _to_int_row,
+                            flipped_int_kernel, int_kernel, int_solve, solve,
+                            solve_square)
 from quadalg.quadratic import QuadraticAlgebra, koszul_component
 
 ZERO = Fraction(0)
@@ -292,6 +296,75 @@ def test_int_solve_matches_solve(system):
         assert type(pv) is int and pv > 0
         assert all(type(v) is int and v for v in vals.values())
         assert {j: Fraction(v, pv) for j, v in vals.items()} == expected[p]
+
+
+# entries of every size the core meets: small ones of either sign, and ones
+# past 64 bits, where the core's ints leave the machine word
+_nonzero = st.one_of(st.integers(-6, 6).filter(bool),
+                     st.integers(2 ** 64, 2 ** 70),
+                     st.integers(-2 ** 70, -2 ** 64))
+
+
+@st.composite
+def echelon_inputs(draw):
+    """(integer rows with no zero entry, columns): rows of one entry, copies
+    and multiples of earlier rows, combinations of two earlier rows, which
+    reduce to zero, and free rows, whose lead may be negative."""
+    cols = draw(st.integers(min_value=1, max_value=9))
+    column = st.integers(min_value=0, max_value=cols - 1)
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        kind = draw(st.sampled_from(("one", "multiple", "combination",
+                                     "free")))
+        if kind == "multiple" and rows:
+            k = draw(_nonzero)
+            row = draw(st.sampled_from(rows))
+            rows.append({c: k * v for c, v in row.items()})
+        elif kind == "combination" and rows:
+            r1, r2 = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            a, b = draw(_nonzero), draw(_nonzero)
+            row = {c: a * r1.get(c, 0) + b * r2.get(c, 0) for c in {*r1, *r2}}
+            rows.append({c: v for c, v in row.items() if v})
+        elif kind == "one":
+            rows.append({draw(column): draw(_nonzero)})
+        else:
+            rows.append(draw(st.dictionaries(column, _nonzero, max_size=cols)))
+    return rows, cols
+
+
+@seed(20135)
+@settings(max_examples=300, deadline=None)
+@given(echelon_inputs(), st.data())
+def test_the_elimination_core_matches_the_axpy_oracle(case, data):
+    # the one-loop core against the _forward_reduce and _axpy core it
+    # replaced: the same pivot rows, in the same order, for the forward
+    # pass (which int_solve reads in pair order), the reduced form, the
+    # kernel, every split of unknowns and right-hand sides, and membership
+    rows, cols = case
+
+    def fresh():
+        return [dict(r) for r in rows]
+
+    forward = _echelon_int(fresh())
+    assert list(forward.items()) == list(oracle_echelon_int(fresh()).items())
+    # extending a given echelon form is the forward pass over all rows
+    k = data.draw(st.integers(min_value=0, max_value=len(rows)))
+    extended = _echelon_int(fresh()[k:], _echelon_int(fresh()[:k]))
+    assert list(extended.items()) == list(forward.items())
+    reduced = _reduced_echelon(_echelon_int(fresh()))
+    assert (list(reduced.items())
+            == list(oracle_reduced_echelon(fresh()).items()))
+    assert (flipped_int_kernel(fresh(), cols)
+            == oracle_flipped_int_kernel(fresh(), cols))
+    for n in range(cols + 1):
+        assert int_solve(fresh(), n) == oracle_int_solve(fresh(), n)
+    space = Subspace.from_spanning(fresh(), cols)
+    pivot_rows = {p: dict(r) for p, r in zip(space.pivots, space.int_rows)}
+    for vec in rows + [data.draw(st.dictionaries(
+            st.integers(0, cols - 1), _nonzero, max_size=cols))]:
+        member = oracle_forward_reduce(dict(vec), pivot_rows)[0] is None
+        assert space.contains(vec) == member
+        assert member or vec not in rows
 
 
 def test_reduce_and_coordinates():

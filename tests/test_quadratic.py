@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (AS_REGULAR, CORPUS, algebra_of, cert_of, dense_inverse,
-                     is_multiplicative, oracle_truncation, quadratic_algebra,
+                     int_twist, is_multiplicative, oracle_automorphism,
+                     oracle_koszul_data, oracle_truncation, quadratic_algebra,
                      relation_degree_subspace, seeded, skew_ring, sklyanin,
-                     structure_equal, word_vector)
+                     structure_equal, twist_matrices, word_vector)
 from quadalg import (Matrix, QuadraticAlgebra, as_regular_certificate,
                      quadratic, graded_dims, koszul_component,
                      numeric_koszul_certificate,
@@ -220,6 +221,50 @@ def test_component_dimension_by_rank_matches_the_full_component():
             assert dim == koszul_component(alg, m).dim, (alg.names, m)
 
 
+def _koszul_pin_inputs():
+    """{name: presentation}: every corpus algebra and its dual, the
+    extension of each AS-regular one by its Nakayama map xi and that
+    extension's dual, and the skew rings in 3 to 5 letters and S(1, 2, 3),
+    each with its dual."""
+    out = {}
+    for name in CORPUS:
+        alg = algebra_of(name)
+        out[name] = alg
+        out[f"{name}-dual"] = alg.dual
+    for name in AS_REGULAR:
+        cert = cert_of(name)
+        ext = skew_extend(cert.algebra, cert.nakayama).algebra
+        out[f"{name}-ext"] = ext
+        out[f"{name}-ext-dual"] = ext.dual
+    rings = {f"skew{n}": skew_ring(n, F(-2, 3)) for n in (3, 4, 5)}
+    rings["sklyanin-1-2-3"] = sklyanin(1, 2, 3)
+    for name, alg in rings.items():
+        out[name] = alg
+        out[f"{name}-dual"] = alg.dual
+    return out
+
+
+KOSZUL_PIN_INPUTS = _koszul_pin_inputs()
+
+
+@pytest.mark.parametrize("name", sorted(KOSZUL_PIN_INPUTS))
+def test_koszul_data_matches_the_oracle_core(name):
+    # every component up to degree 6, within the word cap, is the Subspace
+    # that the axpy core and the equation builder that handed on every row
+    # gave (same pivots and int_rows), and every count by rank, each on a
+    # fresh presentation, is the oracle core's rank count
+    alg = KOSZUL_PIN_INPUTS[name]
+    comps, dims = oracle_koszul_data(_fresh(alg), 6)
+    built = _fresh(alg)
+    for m, comp in enumerate(comps):
+        assert koszul_component(built, m) == comp, m
+    for m, dim in enumerate(dims):
+        assert quadratic._koszul_dim(_fresh(alg), m) == dim, m
+    if len(comps) < 7 and not comps[-1].dim:
+        # the oracle stopped at a zero component: so does the package
+        assert koszul_component(built, len(comps)).dim == 0
+
+
 def test_component_dimension_stops_where_the_full_component_does():
     # both paths share one equation builder, so the word cap and the
     # vanishing rule hold at the same degrees: the dual of the free algebra
@@ -406,7 +451,7 @@ def test_euler_identity_is_linear_in_a_finite_support():
 
 def _dual_automorphism(cert, phi):
     """The automorphism of the dual induced by phi: the transpose, extended
-    to every degree of the truncated dual."""
+    to every degree of the truncated dual, as an integer twist."""
     return cert.dual_fd.automorphism(phi.transpose())
 
 
@@ -416,10 +461,10 @@ def test_dual_automorphism_contravariant():
     phi = Matrix.from_rows([(F(2), F(0)), (F(0), F(1, 2))], 2)
     psi = Matrix.from_rows([(F(1), F(0)), (F(1), F(1))], 2)
     a = _dual_automorphism(cert, phi @ psi)
-    b = _dual_automorphism(cert, psi)
-    c = _dual_automorphism(cert, phi)
-    assert a == tuple(m @ n for m, n in zip(b, c))
-    assert is_multiplicative(a, cert.dual_fd)
+    b = twist_matrices(_dual_automorphism(cert, psi))
+    c = twist_matrices(_dual_automorphism(cert, phi))
+    assert a == int_twist(tuple(m @ n for m, n in zip(b, c)))
+    assert is_multiplicative(twist_matrices(a), cert.dual_fd)
 
 
 def test_dual_automorphism_requires_preservation():
@@ -517,8 +562,10 @@ def test_dual_truncation_matches_relation_span_oracle():
 def test_truncated_automorphism_preservation():
     cert = cert_of("quantum_plane_q2")
     xi = cert.nakayama
-    auto = cert.dual_fd.automorphism(dense_inverse(xi).transpose())
-    assert is_multiplicative(auto, cert.dual_fd)
+    phi = dense_inverse(xi).transpose()
+    auto = cert.dual_fd.automorphism(phi)
+    assert auto == int_twist(oracle_automorphism(cert.dual_fd, phi))
+    assert is_multiplicative(twist_matrices(auto), cert.dual_fd)
 
 
 @st.composite

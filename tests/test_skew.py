@@ -7,7 +7,8 @@ import pytest
 
 from helpers import (AS_REGULAR, algebra_of, cert_of, dense_inverse,
                      dual_trivial_extension, ext_iso_oracle, identity_maps,
-                     model_map_multiplicative, word_vector)
+                     int_twist, model_map_multiplicative, twist_matrices,
+                     word_vector)
 from quadalg import (Matrix, cy_check_with,
                      ext_algebra_of_skew, fresh_letter, graded_dims,
                      regularity_data, skew,
@@ -95,7 +96,8 @@ def test_model_is_the_papers_trivial_extension():
         cert = cert_of(name)
         dual = cert.dual_fd
         d = cert.gldim
-        paper = dual_trivial_extension(dual, dual.epsilon(d),
+        paper = dual_trivial_extension(dual,
+                                       twist_matrices(dual.epsilon(d)),
                                        identity_maps(dual), d + 1)
         xi = cert.nakayama
         assert model_map_multiplicative(ext_algebra_of_skew(cert, xi),
@@ -195,7 +197,8 @@ def _zero_action_model(cert, sigma):
     dual = cert.dual_fd
     unit_only = tuple(Matrix.identity(1) if i == 0 else Matrix.zero(m, m)
                       for i, m in enumerate(dual.dims))
-    return twisted_module_trivial_extension(dual, unit_only, unit_only)
+    return twisted_module_trivial_extension(dual, int_twist(unit_only),
+                                            int_twist(unit_only))
 
 
 def _collapsing_model(cert, sigma):
