@@ -493,8 +493,8 @@ class TruncatedAlgebra(GradedFDAlgebra):
                 f = den // row[p]
                 for c, v in row.items():
                     w = top - c
-                    ts = get(w)
-                    cls[w] = ((t, v * f),) if ts is None else ts + ((t, v * f),)
+                    ts = get(w, ())
+                    cls[w] = ts + ((t, v * f),)
             classes.append(cls)
         self.words = tuple(words)
         self.classes = tuple(classes)
