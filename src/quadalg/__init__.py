@@ -28,8 +28,7 @@ from .regular import (NotRegular, PresentationReport, RegularityCertificate,
                       dim2_matrix_form, regularity_data,
                       verify_superpotential_presentation)
 from .skew import (CYReport, IsoReport, SkewExtension, cy_check_with,
-                   ext_algebra_of_skew, fresh_letter, skew_extend,
-                   verify_ext_algebra_isomorphism,
+                   fresh_letter, skew_extend, verify_ext_algebra_isomorphism,
                    verify_extended_presentation)
 from .pbw import (Cdga, CdgaAxiomReport, CompatibilityReport,
                   DeformedCYReport, EquivalenceReport, PBWDeformation,

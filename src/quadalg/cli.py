@@ -32,8 +32,7 @@ from .linalg import ConsistencyError, LinAlgError, Matrix, ResourceLimitError
 from .pbw import check_cdga_axioms, cy_equivalence_dim2
 from .quadratic import graded_dims, numeric_koszul_certificate
 from .regular import NotRegular, as_regular_certificate
-from .skew import (cy_check_with, fresh_letter, skew_extend,
-                   verify_ext_algebra_isomorphism)
+from .skew import cy_check_with, fresh_letter, skew_extend
 
 
 def _certificate(desc, args):
@@ -102,7 +101,7 @@ def _cmd_nakayama(desc, args):
 def _cmd_skew(desc, args):
     cert = _certificate(desc, args)
     sigma = _resolve_sigma(desc, cert, args.sigma)
-    ext = skew_extend(cert.algebra, sigma)
+    ext = skew_extend(cert, sigma)
     # A[z; sigma] is free over A on the powers of z, so its dims are the
     # partial sums of A's; skew_extend checks that up to degree 4
     verdict = {
@@ -156,7 +155,7 @@ def _cmd_derivquot(desc, args):
 def _cmd_extiso(desc, args):
     cert = _certificate(desc, args)
     sigma = _resolve_sigma(desc, cert, args.sigma)
-    report = verify_ext_algebra_isomorphism(cert, sigma)
+    report = skew_extend(cert, sigma).iso
     verdict = {
         "generated": report.generated_ok,
         # the same verdict (see verify_ext_algebra_isomorphism)

@@ -22,10 +22,10 @@ shared_presentation, a bounded cache keyed on the names and the relation
 subspace: every command on one document, every document that presents
 one algebra and every skew extension that equals it reads one
 QuadraticAlgebra, and with it one dual and the Koszul data kept on it.
-A description is keyed by identity, as a certificate is, and
-description_deformation holds one deformation per description and
-certificate, so that `pbw` and `thm5` on one document read one curved
-structure and one deformed Calabi-Yau report.
+A description is keyed by identity, as a certificate is here and in
+skew.skew_extend, and description_deformation holds one deformation per
+description and certificate, so that `pbw` and `thm5` on one document
+read one curved structure and one deformed Calabi-Yau report.
 
 A success report is written by dumps_report, in one pass, as
 json.dumps(report, indent=2, sort_keys=True) writes it.

@@ -9,8 +9,9 @@ curvature element; the deformation is consistent exactly when that data
 satisfies the curved Leibniz/square axioms.  The Calabi-Yau criterion for
 the induced deformation of the Nakayama-twisted extension is evaluated on
 two independent routes that must agree: in the Ext model of the extension,
-the one skew.ext_algebra_of_skew builds once per certificate and twist,
-and on the deformation transported to the extension.
+kept on the one extension that skew.skew_extend hands out per certificate
+and twist (SkewExtension.model), and on the deformation transported to
+the extension.
 
 The curved structure of a deformation (dual_cdga) and its deformed
 Calabi-Yau report (cy_criterion_deformed) are computed once per
@@ -31,7 +32,7 @@ from .frobenius import GradedFDAlgebra
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Subspace, Vec,
                      ZERO, solve_square, unit_vector)
 from .regular import RegularityCertificate, dim2_matrix_form, regularity_data
-from .skew import ext_algebra_of_skew, skew_extend
+from .skew import skew_extend
 from .tensors import add_into
 
 
@@ -220,7 +221,7 @@ def skew_deformation(defm: PBWDeformation, xi: Matrix,
     cert = defm.cert
     n = cert.algebra.n
     m = n + 1
-    ext = skew_extend(cert.algebra, xi)
+    ext = skew_extend(cert, xi)
     cert_ext = regularity_data(ext.algebra, cert.gldim + 1, cert.gldim + 2)
     rows = tuple({(c // n) * m + c % n: v for c, v in row.items()}
                  for row in defm.rows) + ext.stacked_relations[len(defm.rows):]
@@ -247,12 +248,12 @@ def cy_criterion_deformed(defm: PBWDeformation, c: Cdga) -> DeformedCYReport:
 
     Route one extends the curved differential to the model of the
     extension's cohomology algebra, the dual E extended by its own copy
-    shifted up one degree (skew.ext_algebra_of_skew with the Nakayama map
+    shifted up one degree (SkewExtension.model with the Nakayama map
     xi), and checks that it vanishes on the whole degree equal to the base
-    dimension d, using genuine products there.  The model is the same
-    cached object that skew.verify_ext_algebra_isomorphism checks against
-    the honest dual of the extension, but that check runs only when
-    `extiso` or `cy` runs: a lone `pbw` run reads the model unchecked.
+    dimension d, using genuine products there.  The model is the one the
+    extension keeps, which its iso report checks against the honest dual
+    of the extension, but that check runs only when `extiso` or `cy` runs:
+    a lone `pbw` run reads the model unchecked.
     The new class pi is the shifted unit, its differential is the module
     copy of the Nakayama shift in degree 2, and a class omega_i of degree
     d-1 with top pairing 1 against the i-th generator goes to
@@ -269,7 +270,7 @@ def cy_criterion_deformed(defm: PBWDeformation, c: Cdga) -> DeformedCYReport:
     xi = cert.nakayama
     shift = nakayama_shift(cert, c)
     twisted = xi.transpose().mul_col(shift)
-    gamma = ext_algebra_of_skew(cert, xi)
+    gamma = skew_extend(cert, xi).model
     # the columns of G_1^{-1}
     omega_cols = solve_square(cert.frobenius.pairings[1], Matrix.identity(n))
     sign = Fraction((-1) ** (d - 1))

@@ -13,10 +13,11 @@ checked in one solve of the model products stacked over
 their honest images, read off the structure tables' cells; the mixed
 relation classes it is checked against come from one solve.
 
-The model is built once per certificate and twist (ext_algebra_of_skew),
-and so is its verified isomorphism report, which holds the graded
-symmetry verdict once it is read (IsoReport.symmetry): `extiso`, `cy` and
-the deformed criterion of pbw read those same objects.
+The extension is one object per certificate and twist (skew_extend), and
+it keeps what is derived from the pair, each part computed on first read:
+the model, the honest dual, the verified isomorphism report and the graded
+symmetry verdict.  `skew`, `extiso`, `cy` and the deformed criterion of
+pbw read that one object.
 """
 
 from __future__ import annotations
@@ -48,29 +49,83 @@ def fresh_letter(names) -> str:
 
 
 @dataclass(frozen=True, eq=False)
+class IsoReport:
+    """Outcome of matching the model against the honest dual of the extension."""
+
+    generated_ok: bool
+    bijective: bool
+    left_identity_ok: bool
+    right_identity_ok: bool
+
+    @property
+    def passed(self) -> bool:
+        return (self.generated_ok and self.bijective
+                and self.left_identity_ok and self.right_identity_ok)
+
+
+@dataclass(frozen=True, eq=False)
 class SkewExtension:
-    """A quadratic algebra extended by one twisted letter.
+    """A certified algebra extended by one letter twisted by sigma.
 
     The new letter is the last of algebra.names.  stacked_relations holds
     the base's canonical relation rows embedded in the (n+1)^2 word
     coordinates of the extension, followed by the n mixed relations, each
     a sparse {word index: value} map; the extension's relation space is
     their span.  sigma_inverse is the inverse of the twist, computed once
-    here for the mixed relations and read by the cohomology model and its
-    check.
+    here for the mixed relations and read by the model and its check.
+    model, honest_dual, iso and symmetry are computed on first read and
+    kept here, on the one extension per certificate and twist.
     """
 
+    cert: RegularityCertificate
+    sigma: Matrix
     algebra: QuadraticAlgebra
     stacked_relations: tuple[dict[int, Fraction], ...]
     sigma_inverse: Matrix
 
+    @cached_property
+    def model(self) -> GradedFDAlgebra:
+        """Model of the extension's cohomology algebra: the dual algebra
+        extended by a shifted copy of itself, sign-twisted on the left and
+        twisted by the transposed inverse of sigma on the right."""
+        dual = self.cert.dual_fd
+        psi = dual.automorphism(self.sigma_inverse.transpose())
+        return twisted_module_trivial_extension(dual, dual.epsilon(1), psi)
 
-# bounded at over twice the 7 extensions of one corpus sweep
+    @cached_property
+    def honest_dual(self) -> GradedFDAlgebra:
+        """The dual of the extension, truncated one degree above the base's
+        global dimension."""
+        return truncated_structure(self.algebra.dual, self.cert.gldim + 1)
+
+    @cached_property
+    def iso(self) -> IsoReport:
+        return verify_ext_algebra_isomorphism(self)
+
+    @cached_property
+    def symmetry(self) -> tuple[bool, tuple | None]:
+        """(verdict, witness) of graded symmetry (frobenius.
+        is_graded_symmetric), read on the model and cross-checked on the
+        honest dual; the witness names the model's first failing pairing
+        entry."""
+        ok_model, witness = is_graded_symmetric(self.model)
+        ok_honest, _ = is_graded_symmetric(self.honest_dual)
+        if ok_model != ok_honest:
+            raise ConsistencyError("symmetry verdict differs between the "
+                                   "model and the honest dual")
+        return ok_model, witness
+
+
+# bounded at over twice the 7 (certificate, twist) pairs of one corpus sweep;
+# keyed on the certificate itself, which regular.as_regular_certificate hands
+# out, and on the twist by value
 @lru_cache(maxsize=16)
-def skew_extend(base: QuadraticAlgebra, sigma: Matrix, /) -> SkewExtension:
-    """Adjoin one twisted letter, named by fresh_letter; dimension counts
-    are verified up to degree 4 against the partial sums of the base
-    dimensions."""
+def skew_extend(cert: RegularityCertificate, sigma: Matrix, /) -> SkewExtension:
+    """Adjoin to the certified algebra one twisted letter, named by
+    fresh_letter; dimension counts are verified up to degree 4 against the
+    partial sums of the base dimensions.  Raises LinAlgError or
+    ConsistencyError on a twist it refuses."""
+    base = cert.algebra
     n = base.n
     if sigma.cols != n:
         raise LinAlgError("twist acts on the wrong space")
@@ -98,63 +153,10 @@ def skew_extend(base: QuadraticAlgebra, sigma: Matrix, /) -> SkewExtension:
             raise ConsistencyError(
                 f"extension dimension {dim} at degree {k} is not the "
                 f"partial sum {sum(dims_base[:k + 1])} of the base dimensions")
-    return SkewExtension(algebra, tuple(stacked), pinv)
+    return SkewExtension(cert, sigma, algebra, tuple(stacked), pinv)
 
 
-# bounded at over twice the 7 (certificate, twist) pairs of one corpus sweep;
-# keyed like verify_ext_algebra_isomorphism, which reads the same model
-@lru_cache(maxsize=16)
-def ext_algebra_of_skew(cert: RegularityCertificate,
-                        sigma: Matrix, /) -> GradedFDAlgebra:
-    """Model of the extension's cohomology algebra: the dual algebra extended
-    by a shifted copy of itself, sign-twisted on the left and twisted by the
-    transposed inverse of sigma on the right.  sigma^{-1} is read off the
-    extension by sigma, so the twist is validated through skew_extend, which
-    raises LinAlgError or ConsistencyError on a twist it refuses.  Built
-    once per certificate and twist: the isomorphism check and the deformed
-    criterion (pbw.cy_criterion_deformed) read one model."""
-    dual = cert.dual_fd
-    pinv = skew_extend(cert.algebra, sigma).sigma_inverse
-    psi = dual.automorphism(pinv.transpose())
-    return twisted_module_trivial_extension(dual, dual.epsilon(1), psi)
-
-
-@dataclass(frozen=True, eq=False)
-class IsoReport:
-    """Outcome of matching the model against the honest dual of the extension."""
-
-    gamma: GradedFDAlgebra
-    ext_dual_fd: GradedFDAlgebra
-    generated_ok: bool
-    bijective: bool
-    left_identity_ok: bool
-    right_identity_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return (self.generated_ok and self.bijective
-                and self.left_identity_ok and self.right_identity_ok)
-
-    @cached_property
-    def symmetry(self) -> tuple[bool, tuple | None]:
-        """(verdict, witness) of graded symmetry (frobenius.
-        is_graded_symmetric), read on the model and cross-checked on the
-        honest dual; the witness names the model's first failing pairing
-        entry.  Computed on first read and kept on the report."""
-        ok_model, witness = is_graded_symmetric(self.gamma)
-        ok_honest, _ = is_graded_symmetric(self.ext_dual_fd)
-        if ok_model != ok_honest:
-            raise ConsistencyError("symmetry verdict differs between the "
-                                   "model and the honest dual")
-        return ok_model, witness
-
-
-# bounded at over twice the 7 (certificate, twist) pairs of one corpus sweep;
-# keyed on the certificate itself, which regular.as_regular_certificate hands
-# out, and on the twist by value
-@lru_cache(maxsize=16)
-def verify_ext_algebra_isomorphism(cert: RegularityCertificate,
-                                   sigma: Matrix, /) -> IsoReport:
+def verify_ext_algebra_isomorphism(ext: SkewExtension) -> IsoReport:
     """Build the degreewise isomorphism from the model onto the truncated
     dual of the extension and check that it is multiplicative.
 
@@ -210,14 +212,13 @@ def verify_ext_algebra_isomorphism(cert: RegularityCertificate,
     classes as `int_class_from_pairings` returns them and with sigma^{-1}
     read once by `int_columns`.
 
-    Computed once per certificate and twist: `extiso` and cy_check_with
-    read the same report.
+    `extiso` and cy_check_with read it as ext.iso, kept on the extension.
     """
+    cert = ext.cert
     alg = cert.algebra
     n = alg.n
-    ext = skew_extend(alg, sigma)
-    gamma = ext_algebra_of_skew(cert, sigma)
-    ebd = truncated_structure(ext.algebra.dual, cert.gldim + 1)
+    gamma = ext.model
+    ebd = ext.honest_dual
     if gamma.dims[1] != n + 1 or ebd.dims[1] != n + 1:
         raise ConsistencyError("degree-one dimensions do not match")
     generated_ok = True
@@ -277,7 +278,7 @@ def verify_ext_algebra_isomorphism(cert: RegularityCertificate,
 
     left_ok = all(combines(cells[i][n], [(i, -1)], 1) for i in range(n))
     right_ok = all(combines(cells[n][i], prows[i], lp) for i in range(n))
-    return IsoReport(gamma, ebd, generated_ok, bijective, left_ok, right_ok)
+    return IsoReport(generated_ok, bijective, left_ok, right_ok)
 
 
 @dataclass(frozen=True)
@@ -294,22 +295,22 @@ def cy_check_with(cert: RegularityCertificate, sigma: Matrix) -> CYReport:
     """Whether extending by one letter twisted by sigma yields a Calabi-Yau
     algebra: the verified cohomology model must be graded symmetric.
 
-    The verdict is the report's symmetry, read on the model and
+    The verdict is the extension's symmetry, read on the model and
     cross-checked on the honest dual of the extension; the witness names
     the first failing pairing entry.
     """
-    iso = verify_ext_algebra_isomorphism(cert, sigma)
-    if not iso.passed:
+    ext = skew_extend(cert, sigma)
+    if not ext.iso.passed:
         raise ConsistencyError("cohomology model does not match the dual of "
                                "the extension")
-    ok, witness = iso.symmetry
+    ok, witness = ext.symmetry
     return CYReport(ok, cert.gldim + 1, cert.bound, witness)
 
 
 def verify_extended_presentation(cert: RegularityCertificate) -> bool:
     """The symmetrized superpotential must present the Nakayama-twisted
     extension: its derivation quotient equals the extended relation space."""
-    ext = skew_extend(cert.algebra, cert.superpotential.twist)
+    ext = skew_extend(cert, cert.superpotential.twist)
     dq = derivation_quotient(cert.symmetrized, cert.gldim - 1,
                              ext.algebra.names)
     return dq.relations == ext.algebra.relations

@@ -13,7 +13,6 @@ import quadalg
 from quadalg import (Cdga, GradedFDAlgebra, Matrix, QuadraticAlgebra,
                      Subspace, apply_slotwise, as_regular_certificate,
                      index_to_word, word_to_index)
-from quadalg import skew
 from quadalg.cli import COMMANDS
 from quadalg.io import parse_description
 from quadalg.frobenius import IntTwist
@@ -739,23 +738,24 @@ def model_map_multiplicative(gamma: GradedFDAlgebra,
     return True
 
 
-def ext_iso_oracle(cert, sigma):
-    """The four verdicts of skew.verify_ext_algebra_isomorphism, as
-    (generated_ok, bijective, left_identity_ok, right_identity_ok), by the
-    dense route it replaced.
+def ext_iso_oracle(ext):
+    """The four verdicts of skew.verify_ext_algebra_isomorphism on the
+    extension, as (generated_ok, bijective, left_identity_ok,
+    right_identity_ok), by the dense route it replaced.
 
     In degree k the model products of every pair of a degree-(k-1) and a
     degree-1 basis element are the columns of P, their honest images the
     columns of Q; f_k is Q times the right inverse of P (dense_right_inverse),
     generated_ok needs the right inverse to exist and f_k P = Q, and
     bijective needs it to exist and f_k to be invertible.  The mixed relation
-    classes are solved one at a time.  The model is looked up as
-    skew.ext_algebra_of_skew when called, so a test can replace it.
+    classes are solved one at a time.  The model is the extension's own
+    (ext.model), so a test can seed a wrong one on a copy; the honest dual
+    is truncated here, not read off the extension.
     """
+    cert = ext.cert
     alg = cert.algebra
     n = alg.n
-    ext = skew.skew_extend(alg, sigma)
-    gamma = skew.ext_algebra_of_skew(cert, sigma)
+    gamma = ext.model
     ebd = truncated_structure(ext.algebra.dual, cert.gldim + 1)
     generated_ok = True
     bijective = True
@@ -786,7 +786,7 @@ def ext_iso_oracle(cert, sigma):
     rt_classes = [oracle_class_from_pairings(
         ebd, 2, ext.stacked_relations, [unit_vector(nrel + n, nrel + i)])[0]
         for i in range(n)]
-    pinv = dense_inverse(sigma)
+    pinv = dense_inverse(ext.sigma)
     left_ok = True
     right_ok = True
     for i in range(n):

@@ -64,7 +64,7 @@ def test_criterion_2_nakayama_twisted_extension_is_cy():
     # skew-built dimension-3 bases, extended once more
     for name in ("kxy", "quantum_plane_q2"):
         cert = cert_of(name)
-        ext = skew_extend(cert.algebra, cert.nakayama)
+        ext = skew_extend(cert, cert.nakayama)
         cert_b = regularity_data(ext.algebra, 3, 4)
         rep = cy_check_with(cert_b, cert_b.nakayama)
         assert rep.is_CY, name
@@ -80,12 +80,13 @@ def test_criterion_3_ext_algebra_oracle_equivalence():
         cert = cert_of(name)
         n = cert.algebra.n
         for sigma in (cert.nakayama, Matrix.identity(n)):
-            rep = verify_ext_algebra_isomorphism(cert, sigma)
+            ext = skew_extend(cert, sigma)
+            rep = verify_ext_algebra_isomorphism(ext)
             assert rep.generated_ok, name
             # generated_ok is read off the degree-1 products; every product
             # of two basis elements must agree with it
             assert model_map_multiplicative(
-                rep.gamma, rep.ext_dual_fd) == rep.generated_ok, name
+                ext.model, ext.honest_dual) == rep.generated_ok, name
             assert rep.bijective, name
             # the two mixed-relation product identities
             assert rep.left_identity_ok, name
@@ -212,7 +213,7 @@ def test_criterion_8_deformations_of_commutative_plane():
 
 def test_criterion_9_hilbert_koszul_sanity():
     cert = cert_of("quantum_plane_q2")
-    ext = skew_extend(cert.algebra, cert.nakayama)
+    ext = skew_extend(cert, cert.nakayama)
     assert graded_dims(ext.algebra, 4) == (1, 3, 6, 10, 15)
     for name in CORPUS:
         alg = description_of(name).algebra

@@ -20,7 +20,8 @@ from quadalg.cli import main
 from quadalg.io import parse_description
 from quadalg.linalg import Matrix
 from quadalg.quadratic import graded_dims
-from quadalg.frobenius import is_graded_symmetric
+from quadalg.frobenius import (is_graded_symmetric,
+                               twisted_module_trivial_extension)
 from quadalg.pbw import cy_criterion_deformed, dual_cdga, nakayama_shift
 from quadalg.regular import RegularityCertificate, as_regular_certificate
 from quadalg.skew import skew_extend, verify_ext_algebra_isomorphism
@@ -346,9 +347,6 @@ def test_caches_are_bounded_and_keep_a_corpus_sweep_warm(capsys):
               "quadratic.truncated_structure": quadratic.truncated_structure,
               "regular.as_regular_certificate": regular.as_regular_certificate,
               "skew.skew_extend": skew.skew_extend,
-              "skew.ext_algebra_of_skew": skew.ext_algebra_of_skew,
-              "skew.verify_ext_algebra_isomorphism":
-                  skew.verify_ext_algebra_isomorphism,
               "io.description_deformation": io.description_deformation}
     assert package_caches() == caches
     for cache in caches.values():
@@ -362,8 +360,6 @@ def test_caches_are_bounded_and_keep_a_corpus_sweep_warm(capsys):
               "quadratic.truncated_structure": 32,
               "regular.as_regular_certificate": 32,
               "skew.skew_extend": 16,
-              "skew.ext_algebra_of_skew": 16,
-              "skew.verify_ext_algebra_isomorphism": 16,
               "io.description_deformation": 8}
     # 10 documents present 7 algebras, and 2 of the 7 skew extensions equal
     # one of them: kxy's is poly3's algebra, quantum_plane_qm1's quantum3's
@@ -371,9 +367,7 @@ def test_caches_are_bounded_and_keep_a_corpus_sweep_warm(capsys):
             "io.parse_description": 120,
             "quadratic.truncated_structure": 4,
             "regular.as_regular_certificate": 80,
-            "skew.skew_extend": 20,
-            "skew.ext_algebra_of_skew": 3,
-            "skew.verify_ext_algebra_isomorphism": 13,
+            "skew.skew_extend": 29,
             "io.description_deformation": 3}
     for name, cache in caches.items():
         info = cache.cache_info()
@@ -758,7 +752,7 @@ def test_skew_dims_are_the_extensions_graded_dims(tmp_path, capsys):
                 cert = as_regular_certificate(alg, bound)
                 twist = (cert.nakayama if sigma == "nakayama"
                          else Matrix.identity(alg.n))
-                ext = skew_extend(alg, twist).algebra
+                ext = skew_extend(cert, twist).algebra
                 assert rep["verdict"]["dims"] == list(graded_dims(ext, bound))
 
 
@@ -771,31 +765,29 @@ def test_certificate_data_is_computed_once_per_session(capsys, monkeypatch):
     # its Nakayama map as the one twist.
     computed = {name: _count_computations(monkeypatch, name)
                 for name in ("nakayama", "superpotential")}
-    # emptied here: once counted, it is no longer found by the sweep's
-    # package_caches(), which sees only the counting wrapper
-    verify_ext_algebra_isomorphism.cache_clear()
     calls = _count_calls(monkeypatch, verify_ext_algebra_isomorphism)
     _corpus_sweep(capsys, cold=False)
     for name, certs in computed.items():
         assert len(certs) == len(AS_REGULAR), name
         assert len({id(cert) for cert, in certs}) == len(certs), name
-    # certificates by identity, twists by value, as the memo keys them
-    keys = {(id(args[0]),) + args[1:] for args in calls}
-    assert len(keys) == len(AS_REGULAR)
-    assert verify_ext_algebra_isomorphism.cache_info().misses == len(keys)
-    assert len(calls) > len(keys)
+    # one report per extension, kept on it: certificates by identity,
+    # twists by value, as skew_extend keys them
+    assert len(calls) == len(AS_REGULAR)
+    assert len({(id(ext.cert), ext.sigma) for ext, in calls}) == len(calls)
 
 
 def test_derived_data_is_computed_once_per_session(capsys, monkeypatch):
     # one corpus sweep, caches emptied once, counted as computations: each
     # of the 7 AS-regular certificates tests w for twisted cyclicity and
     # w-hat for plain cyclicity, builds w-hat and D(w) once, and its one
-    # model and report run the symmetry test once on each route; each of
+    # extension builds its model once, read by extiso, cy and pbw, and runs
+    # the symmetry test once on each route; each of
     # the 3 deformation documents builds its curved structure and the
     # transported deformation's, and its deformed criterion, once, for pbw
     # and thm5 both
     fns = (is_twisted_superpotential, derivation_quotient, symmetrize,
-           is_graded_symmetric, dual_cdga, cy_criterion_deformed)
+           twisted_module_trivial_extension, is_graded_symmetric, dual_cdga,
+           cy_criterion_deformed)
     calls = {fn.__name__: _count_calls(monkeypatch, fn) for fn in fns}
     _corpus_sweep(capsys, cold=False)
     regular_certs, deformations = len(AS_REGULAR), 3
@@ -803,12 +795,37 @@ def test_derived_data_is_computed_once_per_session(capsys, monkeypatch):
         "is_twisted_superpotential": 2 * regular_certs,
         "derivation_quotient": regular_certs,
         "symmetrize": regular_certs,
+        "twisted_module_trivial_extension": regular_certs,
         "is_graded_symmetric": 2 * regular_certs,
         "dual_cdga": 2 * deformations,
         "cy_criterion_deformed": deformations}
-    # the model, once per certificate and twist, read by extiso and pbw
-    info = skew.ext_algebra_of_skew.cache_info()
-    assert (info.misses, info.hits) == (regular_certs, deformations)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("cy",), 0), (("cy", "--sigma", "id"), 1), (("extiso",), 0)])
+def test_a_cold_twisted_run_looks_its_extension_up_once(tmp_path, capsys,
+                                                        monkeypatch, argv,
+                                                        code):
+    # the extension owns its model, honest dual, report and symmetry
+    # verdict, so a cold run on skew4 makes one lookup keyed on the twist,
+    # which hashes the 16 entries of the 4 x 4 matrix once
+    path = tmp_path / "skew4.json"
+    path.write_text(json.dumps(skew_description(4, Fraction(-2, 3))))
+    hashes = []
+    fraction_hash = Fraction.__hash__
+
+    def counted(self):
+        hashes.append(self)
+        return fraction_hash(self)
+
+    _clear_package_caches()
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__hash__", counted)
+        assert main([argv[0], str(path), *argv[1:]]) == code
+    capsys.readouterr()
+    info = skew.skew_extend.cache_info()
+    assert (info.hits, info.misses) == (0, 1)
+    assert len(hashes) == 16
 
 
 def test_a_cold_symmetrize_run_tests_cyclicity_twice(capsys, monkeypatch):

@@ -19,10 +19,9 @@ from helpers import (AS_REGULAR, CORPUS, algebra_of, associativity_failure,
 from quadalg import frobenius
 from quadalg import (GradedFDAlgebra, Matrix, NotFrobenius, QuadraticAlgebra,
                      Subspace, apply_slotwise, as_regular_certificate,
-                     ext_algebra_of_skew, frobenius_structure,
-                     is_graded_symmetric, skew_extend,
+                     frobenius_structure, is_graded_symmetric, skew_extend,
                      truncated_structure, twisted_module_trivial_extension,
-                     verify_ext_algebra_isomorphism, word_to_index)
+                     word_to_index)
 from quadalg.io import parse_description
 from quadalg.linalg import LinAlgError
 
@@ -149,8 +148,8 @@ def test_nakayama_blocks_match_the_dense_inverse():
         algs.append(cert.dual_fd)
         xi = cert.nakayama
         for sigma in (xi, Matrix.identity(xi.rows)):
-            iso = verify_ext_algebra_isomorphism(cert, sigma)
-            algs += [iso.gamma, iso.ext_dual_fd]
+            ext = skew_extend(cert, sigma)
+            algs += [ext.model, ext.honest_dual]
     for alg in algs:
         frob = frobenius_structure(alg)
         d = alg.length
@@ -333,10 +332,10 @@ def _single_term_corruption_targets():
     out = {}
     for n in (3, 4):
         cert = as_regular_certificate(skew_ring(n, F(-2, 3)), 5)
-        out[f"gamma-skew{n}"] = ext_algebra_of_skew(cert, cert.nakayama)
+        ext = skew_extend(cert, cert.nakayama)
+        out[f"gamma-skew{n}"] = ext.model
         if n == 3:
-            out["ext-dual-skew3"] = verify_ext_algebra_isomorphism(
-                cert, cert.nakayama).ext_dual_fd
+            out["ext-dual-skew3"] = ext.honest_dual
     out["poly3-truncated"] = truncated_structure(algebra_of("poly3"), 4)
     return out
 
@@ -404,8 +403,8 @@ def _valid_tables():
     for name in AS_REGULAR:
         cert = cert_of(name)
         sigma = cert.nakayama
-        ext = skew_extend(cert.algebra, sigma)
-        yield ext_algebra_of_skew(cert, sigma)
+        ext = skew_extend(cert, sigma)
+        yield ext.model
         yield truncated_structure(ext.algebra.dual, cert.gldim + 1)
 
 
@@ -457,7 +456,7 @@ def test_associativity_on_generators_agrees_with_all_triples():
     for name in AS_REGULAR:
         cert = cert_of(name)
         dual = cert.dual_fd
-        gamma = ext_algebra_of_skew(cert, cert.nakayama)
+        gamma = skew_extend(cert, cert.nakayama).model
         dense = _dense_table(gamma)
         cells = [(i, j, a, b) for (i, j) in dense if i and j and gamma.dims[i + j]
                  for a in range(gamma.dims[i]) for b in range(gamma.dims[j])
@@ -537,9 +536,9 @@ def test_sparse_and_dense_construction_agree():
     for name in AS_REGULAR:
         cert = cert_of(name)
         sigma = cert.nakayama
-        ext = skew_extend(cert.algebra, sigma)
+        ext = skew_extend(cert, sigma)
         honest = truncated_structure(ext.algebra.dual, cert.gldim + 1)
-        for alg in (cert.dual_fd, ext_algebra_of_skew(cert, sigma), honest):
+        for alg in (cert.dual_fd, ext.model, honest):
             dense = dense_algebra(alg.dims, _dense_table(alg))
             sparse = rational_algebra(alg.dims, fraction_table(alg))
             assert structure_equal(dense, alg), name
@@ -617,9 +616,9 @@ def _table_forms():
         yield name, cert.dual_fd
         xi = cert.nakayama
         for sigma in (xi, Matrix.identity(xi.rows)):
-            iso = verify_ext_algebra_isomorphism(cert, sigma)
-            yield name, iso.gamma
-            yield name, iso.ext_dual_fd
+            ext = skew_extend(cert, sigma)
+            yield name, ext.model
+            yield name, ext.honest_dual
 
 
 def test_tables_are_integer_cells_over_one_denominator():

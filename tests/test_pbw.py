@@ -184,7 +184,7 @@ def test_skew_deformation_transport():
         c = dual_cdga(ext_defm)
         z_img = c.delta[1].mul_col(tuple([F(0)] * n) + (F(1),))
         # rebuild the expected class from the stacked relation pairings
-        ext = skew_extend(cert.algebra, xi)
+        ext = skew_extend(cert, xi)
         stacked = [{(col // n) * (n + 1) + col % n: v for col, v in row}
                    for row in cert.algebra.relations.rows]
         stacked += ext.stacked_relations[nrel:]

@@ -71,10 +71,9 @@ def test_dual_of_the_dual_is_the_algebra_itself():
     # the extensions by the Nakayama map and by the identity
     algs = [algebra_of(name) for name in CORPUS]
     for name in AS_REGULAR:
-        alg = algebra_of(name)
-        xi = cert_of(name).nakayama
-        algs += [skew_extend(alg, s).algebra
-                 for s in (xi, Matrix.identity(alg.n))]
+        cert = cert_of(name)
+        algs += [skew_extend(cert, s).algebra
+                 for s in (cert.nakayama, Matrix.identity(cert.algebra.n))]
     for alg in algs:
         assert alg.dual.dual is alg, alg.names
         assert alg.dual.dual.dual is alg.dual, alg.names
@@ -208,7 +207,7 @@ def test_component_dimension_by_rank_matches_the_full_component():
     for n in (3, 4, 5):
         base = skew_ring(n, F(-2, 3))
         cert = as_regular_certificate(base, n + 1)
-        algs += [base, skew_extend(base, cert.nakayama).algebra]
+        algs += [base, skew_extend(cert, cert.nakayama).algebra]
     algs += [_dense_algebra(seed, nrel)
              for seed, nrel in ((0, 3), (1, 4), (2, 5))]
     # and the duals of the skew rings, extensions and dense algebras
@@ -233,7 +232,7 @@ def _koszul_pin_inputs():
         out[f"{name}-dual"] = alg.dual
     for name in AS_REGULAR:
         cert = cert_of(name)
-        ext = skew_extend(cert.algebra, cert.nakayama).algebra
+        ext = skew_extend(cert, cert.nakayama).algebra
         out[f"{name}-ext"] = ext
         out[f"{name}-ext-dual"] = ext.dual
     rings = {f"skew{n}": skew_ring(n, F(-2, 3)) for n in (3, 4, 5)}
@@ -550,7 +549,7 @@ def test_dual_truncation_matches_relation_span_oracle():
     # every AS-regular dual and on the dual of its Nakayama-twisted extension
     for name in AS_REGULAR:
         cert = cert_of(name)
-        ext = skew_extend(cert.algebra, cert.nakayama)
+        ext = skew_extend(cert, cert.nakayama)
         for dual, bound in ((cert.algebra.dual, cert.gldim),
                             (ext.algebra.dual, cert.gldim + 1)):
             got = truncated_structure(dual, bound)

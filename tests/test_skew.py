@@ -5,14 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (AS_REGULAR, algebra_of, cert_of, dense_inverse,
+from helpers import (AS_REGULAR, cert_of, dense_inverse,
                      dual_trivial_extension, ext_iso_oracle, identity_maps,
                      int_twist, model_map_multiplicative, twist_matrices,
                      word_vector)
-from quadalg import (Matrix, cy_check_with,
-                     ext_algebra_of_skew, fresh_letter, graded_dims,
-                     regularity_data, skew,
-                     skew_extend, twisted_module_trivial_extension,
+from quadalg import (Matrix, cy_check_with, fresh_letter, graded_dims,
+                     regularity_data, skew, skew_extend,
+                     twisted_module_trivial_extension,
                      verify_ext_algebra_isomorphism,
                      verify_extended_presentation)
 from quadalg.linalg import ConsistencyError
@@ -28,9 +27,8 @@ def test_fresh_letter():
 
 
 def test_skew_extension_shape():
-    alg = algebra_of("quantum_plane_q2")
-    xi = cert_of("quantum_plane_q2").nakayama
-    ext = skew_extend(alg, xi)
+    cert = cert_of("quantum_plane_q2")
+    ext = skew_extend(cert, cert.nakayama)
     assert ext.algebra.names == ("x", "y", "z")
     assert ext.algebra.names[-1] == "z"
     assert ext.algebra.relations.dim == 3
@@ -39,9 +37,10 @@ def test_skew_extension_shape():
 
 def test_mixed_relations_formula():
     # new relations read z (x) sigma^{-1}(letter) - letter (x) z
-    alg = algebra_of("quantum_plane_q2")
-    xi = cert_of("quantum_plane_q2").nakayama
-    ext = skew_extend(alg, xi)
+    cert = cert_of("quantum_plane_q2")
+    alg = cert.algebra
+    xi = cert.nakayama
+    ext = skew_extend(cert, xi)
     inv = dense_inverse(xi)
     n = alg.n
     mixed = ext.stacked_relations[alg.relations.dim:]
@@ -54,7 +53,7 @@ def test_mixed_relations_formula():
 
 
 def test_identity_twist_gives_commuting_letter():
-    ext = skew_extend(algebra_of("kxy"), Matrix.identity(2))
+    ext = skew_extend(cert_of("kxy"), Matrix.identity(2))
     assert graded_dims(ext.algebra, 4) == (1, 3, 6, 10, 15)
     want = word_vector(3, [((2, 0), F(1)), ((0, 2), F(-1))])
     # the first mixed relation follows the one base relation
@@ -62,8 +61,8 @@ def test_identity_twist_gives_commuting_letter():
 
 
 def test_dim3_extension_hilbert():
-    xi = cert_of("poly3").nakayama
-    ext = skew_extend(algebra_of("poly3"), xi)
+    cert = cert_of("poly3")
+    ext = skew_extend(cert, cert.nakayama)
     assert graded_dims(ext.algebra, 4) == (1, 4, 10, 20, 35)
 
 
@@ -71,7 +70,7 @@ def test_ext_model_matches_honest_dual():
     for name in AS_REGULAR:
         cert = cert_of(name)
         xi = cert.nakayama
-        rep = verify_ext_algebra_isomorphism(cert, xi)
+        rep = skew_extend(cert, xi).iso
         assert rep.passed, name
         assert rep.left_identity_ok and rep.right_identity_ok
 
@@ -81,8 +80,7 @@ def test_ext_model_matches_for_identity_twist_too():
     # symmetry verdict depends on the choice
     for name in ("quantum_plane_q2", "jordan_plane"):
         cert = cert_of(name)
-        rep = verify_ext_algebra_isomorphism(
-            cert, Matrix.identity(cert.algebra.n))
+        rep = skew_extend(cert, Matrix.identity(cert.algebra.n)).iso
         assert rep.passed, name
 
 
@@ -100,10 +98,10 @@ def test_model_is_the_papers_trivial_extension():
                                        twist_matrices(dual.epsilon(d)),
                                        identity_maps(dual), d + 1)
         xi = cert.nakayama
-        assert model_map_multiplicative(ext_algebra_of_skew(cert, xi),
+        assert model_map_multiplicative(skew_extend(cert, xi).model,
                                         paper), name
         ident = Matrix.identity(cert.algebra.n)
-        if not model_map_multiplicative(ext_algebra_of_skew(cert, ident),
+        if not model_map_multiplicative(skew_extend(cert, ident).model,
                                         paper):
             unmatched.append(name)
         assert (name in unmatched) == (xi != ident), name
@@ -113,7 +111,7 @@ def test_model_is_the_papers_trivial_extension():
 
 def test_model_dims():
     cert = cert_of("quantum_plane_q2")
-    gamma = ext_algebra_of_skew(cert, cert.nakayama)
+    gamma = skew_extend(cert, cert.nakayama).model
     assert gamma.dims == (1, 3, 3, 1)
 
 
@@ -148,7 +146,7 @@ def test_iterated_extension_stays_cy():
     # extend a dimension-2 base, certify the result, extend again
     for name in ("kxy", "quantum_plane_q2"):
         cert = cert_of(name)
-        ext = skew_extend(cert.algebra, cert.nakayama)
+        ext = skew_extend(cert, cert.nakayama)
         cert_b = regularity_data(ext.algebra, 3, 4)
         rep = cy_check_with(cert_b, cert_b.nakayama)
         assert rep.is_CY, name
@@ -185,12 +183,12 @@ def test_iso_check_agrees_with_dense_oracle():
     for name in AS_REGULAR:
         cert = cert_of(name)
         for sigma in _twists(name):
-            rep = verify_ext_algebra_isomorphism(cert, sigma)
-            assert _fields(rep) == ext_iso_oracle(cert, sigma), name
-            assert rep.passed, name
+            ext = skew_extend(cert, sigma)
+            assert _fields(ext.iso) == ext_iso_oracle(ext), name
+            assert ext.iso.passed, name
 
 
-def _zero_action_model(cert, sigma):
+def _zero_action_model(cert):
     """The dual extended by its shifted copy with every element of positive
     degree acting by zero: not generated in degree 1, as the copy of the
     dual's degree 1 is no product."""
@@ -201,7 +199,7 @@ def _zero_action_model(cert, sigma):
                                             int_twist(unit_only))
 
 
-def _collapsing_model(cert, sigma):
+def _collapsing_model(cert):
     """On kxy, whose dual is the exterior algebra on x, y: the shifted copy
     with x acting on the left as x and y as 0, and with x and y swapped on
     the right.  Then x z and z x are independent, as are their images
@@ -213,65 +211,63 @@ def _collapsing_model(cert, sigma):
     return twisted_module_trivial_extension(dual, left, right)
 
 
-def _doubled_mixed_relations(base, sigma):
-    """The extension with its mixed relation rows handed on doubled, so
+def _with_model(ext, model):
+    """A copy of the extension whose model is the given one: seeded where
+    the cached property keeps it, so the copy never builds its own."""
+    copy = replace(ext)
+    copy.__dict__["model"] = model
+    return copy
+
+
+def _doubled_mixed_relations(ext):
+    """A copy of the extension with its mixed relation rows doubled, so
     that the mixed relation classes come out halved."""
-    ext = skew_extend(base, sigma)
-    nrel = base.relations.dim
+    nrel = ext.cert.algebra.relations.dim
     rows = ext.stacked_relations
     doubled = tuple({c: 2 * v for c, v in row.items()} for row in rows[nrel:])
     return replace(ext, stacked_relations=rows[:nrel] + doubled)
 
 
-def _check_against_oracle(cert, sigma, seen):
-    rep = verify_ext_algebra_isomorphism(cert, sigma)
+def _check_against_oracle(monkeypatch, ext, seen):
+    rep = verify_ext_algebra_isomorphism(ext)
     fields = _fields(rep)
-    assert fields == ext_iso_oracle(cert, sigma)
+    assert fields == ext_iso_oracle(ext)
     seen.add(fields)
     if not rep.passed:
-        with pytest.raises(ConsistencyError):
-            cy_check_with(cert, sigma)
+        # cy_check_with refuses the copy when skew_extend hands it out
+        with monkeypatch.context() as m, pytest.raises(ConsistencyError):
+            m.setattr(skew, "skew_extend", lambda cert, sigma, /: ext)
+            cy_check_with(ext.cert, ext.sigma)
     return fields
 
 
-@pytest.fixture
-def swap(monkeypatch):
-    """Replace an attribute of skew, emptying the cache of
-    verify_ext_algebra_isomorphism: it keeps the report of whatever model
-    was in place when it was filled.  Emptied once more after the test."""
-    def swap_in(attr, value):
-        monkeypatch.setattr(skew, attr, value)
-        skew.verify_ext_algebra_isomorphism.cache_clear()
-    yield swap_in
-    skew.verify_ext_algebra_isomorphism.cache_clear()
-
-
-def test_iso_check_fails_on_a_mismatched_model(swap):
+def test_iso_check_fails_on_a_mismatched_model(monkeypatch):
     # the model of one twist against the honest dual of the extension by
     # another, and models that are no twist at all; the dense route must
     # give the same four verdicts
-    real = skew.ext_algebra_of_skew
     seen = set()
     zero_action = set()
     for name in AS_REGULAR:
         cert = cert_of(name)
         twists = _twists(name)
-        models = [lambda c, s, m=m: real(c, m) for m in twists]
+        models = [skew_extend(cert, m).model for m in twists]
         for sigma in twists:
+            ext = skew_extend(cert, sigma)
             for model in models:
-                swap("ext_algebra_of_skew", model)
-                _check_against_oracle(cert, sigma, seen)
-            swap("ext_algebra_of_skew", _zero_action_model)
-            zero_action.add(_check_against_oracle(cert, sigma, seen))
+                _check_against_oracle(monkeypatch, _with_model(ext, model),
+                                      seen)
+            zero_action.add(_check_against_oracle(
+                monkeypatch, _with_model(ext, _zero_action_model(cert)), seen))
     # products that do not span: neither generated nor bijective
     assert zero_action == {(False, False, True, True)}
-    swap("ext_algebra_of_skew", _collapsing_model)
+    cert = cert_of("kxy")
     for sigma in _twists("kxy"):
-        _check_against_oracle(cert_of("kxy"), sigma, seen)
-    swap("ext_algebra_of_skew", real)
-    swap("skew_extend", _doubled_mixed_relations)
+        _check_against_oracle(monkeypatch, _with_model(
+            skew_extend(cert, sigma), _collapsing_model(cert)), seen)
     for name in AS_REGULAR:
-        _check_against_oracle(cert_of(name), _twists(name)[0], seen)
+        cert = cert_of(name)
+        _check_against_oracle(monkeypatch, _doubled_mixed_relations(
+            skew_extend(cert, cert.nakayama)), seen)
     assert (True, True, True, True) in seen
     # the map fails: a model product not generated, or a relation of the
     # model that the honest dual lacks
@@ -280,3 +276,8 @@ def test_iso_check_fails_on_a_mismatched_model(swap):
     assert (False, False, True, True) in seen
     # the mixed relation classes do not match the honest products
     assert (True, True, False, False) in seen
+    # the copies leave the cached extensions as they were
+    for name in AS_REGULAR:
+        cert = cert_of(name)
+        for sigma in _twists(name):
+            assert skew_extend(cert, sigma).iso.passed, name
