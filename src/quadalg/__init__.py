@@ -13,9 +13,10 @@ quadalg/corpus; parse_description reads them like any other input.
 
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ResourceLimitError,
                      Subspace, Vec)
-from .tensors import (add_into, apply_slotwise, contract_left, contract_right,
-                      index_to_word, is_twisted_superpotential,
-                      preserves_subspace, tau, word_to_index)
+from .tensors import (add_into, apply_slot_columns, contract_left,
+                      contract_right, index_to_word,
+                      is_twisted_superpotential, preserves_subspace, tau,
+                      word_to_index)
 from .frobenius import (FrobeniusStructure, GradedFDAlgebra, NotFrobenius,
                         frobenius_structure, is_graded_symmetric,
                         twisted_module_trivial_extension)

@@ -9,20 +9,20 @@ form only: integer cells over one positive denominator (`int_mult` over
 `den`), which is how quadratic.TruncatedAlgebra and the trivial extension
 here hand them over and how the Frobenius pairings and the trivial
 extension read them.  A degree-preserving map of an algebra is a tuple of
-matrices, one per degree, in column convention, or, as a twist of the
-trivial extension, the IntTwist of their integer columns.  The top graded
-piece is required to be one-dimensional whenever Frobenius data is
-extracted, and the distinguished functional is "coefficient of the top basis
-element", read straight off a top structure cell.
+matrices (linalg.Matrix), one per degree, in column convention; as a twist
+of the trivial extension it is read by the integer columns of those
+matrices.  The top graded piece is required to be one-dimensional whenever
+Frobenius data is extracted, and the distinguished functional is
+"coefficient of the top basis element", read straight off a top structure
+cell.
 
-The Frobenius data has one integer core, _pairing_core: den times each
-pairing G_i, read off the top cells, and each Nakayama block as the
-int_solve solution of den G_i X = den G_{d-i}^T, integers over a pivot
-entry.  frobenius_structure turns it into Fraction matrices for its
-readers; is_graded_symmetric runs both of its routes on the integers.
-The trivial extension takes its twists as integer columns (IntTwist), the
-form GradedFDAlgebra.epsilon and TruncatedAlgebra.automorphism build, so
-the Calabi-Yau path builds and tests its model with no Fraction in between.
+The Frobenius data is integer matrices: each pairing G_i is read off the
+top cells over den, and each Nakayama block is the solve_square solution
+of G_i X = G_{d-i}^T.  is_graded_symmetric runs both of its routes on
+them.  The trivial extension takes its twists as matrices, the form
+GradedFDAlgebra.epsilon and TruncatedAlgebra.automorphism build, and reads
+their integer columns, so the Calabi-Yau path builds and tests its model
+with no Fraction in between.
 
 The builders hand the constructor its final form, tuple rows of tuple
 cells, which its shape pass checks cell by cell and keeps.  The
@@ -34,12 +34,10 @@ case, the two sides are compared cell against cell with no dict built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
-from typing import NamedTuple
 
 from .linalg import (ConsistencyError, LinAlgError, Matrix, Vec, ZERO,
-                     _echelon_int, int_solve)
+                     _echelon_int, solve_square)
 
 
 class NotFrobenius(Exception):
@@ -49,18 +47,6 @@ class NotFrobenius(Exception):
         super().__init__(f"degree {witness_degree}: {reason}")
         self.witness_degree = witness_degree
         self.reason = reason
-
-
-class IntTwist(NamedTuple):
-    """A degree-preserving map of a graded algebra, in integers, as the
-    trivial extension reads it: cols[i][a] lists the nonzero (row, int)
-    entries of column a of the degree-i matrix, rows increasing, each over
-    den, the lcm of the denominators of all the entries in lowest terms.
-    So cols[i] is int_columns(m_i, den) of the map's matrices m_i, and den
-    is their `denominator`."""
-
-    cols: tuple
-    den: int
 
 
 class GradedFDAlgebra:
@@ -165,11 +151,10 @@ class GradedFDAlgebra:
         den = self.den
         return tuple(x / den for x in out)
 
-    def epsilon(self, k: int) -> IntTwist:
+    def epsilon(self, k: int) -> tuple[Matrix, ...]:
         """The sign automorphism acting by (-1)^(i*k) in degree i."""
-        return IntTwist(tuple([[(a, -1 if i * k % 2 else 1)]
-                               for a in range(self.dims[i])]
-                              for i in range(self.length + 1)), 1)
+        return tuple(-Matrix.identity(m) if i * k % 2 else Matrix.identity(m)
+                     for i, m in enumerate(self.dims))
 
     def _validate_unit(self) -> None:
         for j in range(self.length + 1):
@@ -271,8 +256,8 @@ class GradedFDAlgebra:
 class FrobeniusStructure:
     """Per-degree pairing matrices and the resulting Nakayama automorphism.
 
-    pairings[i][a][b] is the top coefficient of the product of the a-th
-    degree-i and b-th degree-(d-i) basis elements; nakayama[i] is the
+    Entry (a, b) of pairings[i] is the top coefficient of the product of
+    the a-th degree-i and b-th degree-(d-i) basis elements; nakayama[i] is the
     Nakayama map on degree i, in column convention.
     """
 
@@ -280,14 +265,12 @@ class FrobeniusStructure:
     nakayama: tuple[Matrix, ...]
 
 
-def _pairing_core(alg: GradedFDAlgebra):
-    """The Frobenius data in integers, or raise NotFrobenius.
+def frobenius_structure(alg: GradedFDAlgebra) -> FrobeniusStructure:
+    """Extract the pairing matrices and Nakayama map, or raise NotFrobenius.
 
-    Returns (pairings, nakayama): pairings[i] is den times G_i, a tuple of
-    int rows, read straight off the top cells; nakayama[i] is the integer
-    solution of the Nakayama solve on degree i, {row p: (pivot entry,
-    {column j: int})}, entry (p, j) of the Nakayama matrix being the int
-    over the pivot entry.
+    The top degree is one-dimensional, so each top cell is () or ((0, v),)
+    and G_i is those v over den.  <a, b> = <b, nak(a)> pins the Nakayama
+    matrix on each degree: G_i nak[d-i] = G_{d-i}^T, one solve_square.
     """
     d = alg.length
     if alg.dim(d) != 1:
@@ -296,76 +279,43 @@ def _pairing_core(alg: GradedFDAlgebra):
         if alg.dim(i) != alg.dim(d - i):
             raise NotFrobenius(i, f"dim mismatch {alg.dim(i)} vs {alg.dim(d - i)} "
                                   f"between degrees {i} and {d - i}")
-    # the top degree is one-dimensional: each top cell is () or ((0, v),);
-    # the pairing G_i times den, in integers
-    ints = [tuple(tuple(cell[0][1] if cell else 0 for cell in row)
-                  for row in alg.int_mult[(i, d - i)]) for i in range(d + 1)]
-    # <a, b> = <b, nak(a)> pins the Nakayama matrix on each degree:
-    # G_i nak[d-i] = G_{d-i}^T, one solve on the augmented integer rows, as
-    # the common factor den does not change the solution
-    nak = [None] * (d + 1)
+    pairings = tuple(Matrix(tuple(tuple(cell[0][1] if cell else 0
+                                        for cell in row)
+                                  for row in alg.int_mult[(i, d - i)]),
+                            alg.den, alg.dims[d - i]) for i in range(d + 1))
+    nakayama = [None] * (d + 1)
     for i in range(d + 1):
-        n = alg.dims[i]
-        rows = ({c: v for c, v in enumerate(row + col) if v}
-                for row, col in zip(ints[i], zip(*ints[d - i])))
-        sol, _ = int_solve(rows, n)
-        if len(sol) < n:
+        nak = solve_square(pairings[i], pairings[d - i].transpose())
+        if nak is None:
             raise NotFrobenius(i, "degenerate pairing against the "
                                   "complementary degree")
-        nak[d - i] = sol
-    return ints, nak
-
-
-def frobenius_structure(alg: GradedFDAlgebra) -> FrobeniusStructure:
-    """Extract the pairing matrices and Nakayama map, or raise NotFrobenius;
-    the integer data of _pairing_core, as Fraction matrices."""
-    ints, nak = _pairing_core(alg)
-    den = alg.den
-    pairings = tuple(Matrix(tuple(tuple(Fraction(v, den) if v else ZERO
-                                        for v in row) for row in g),
-                            alg.dims[alg.length - i])
-                     for i, g in enumerate(ints))
-    # row p of a block is solution row p, every one of them present
-    nakayama = tuple(Matrix(tuple(tuple(Fraction(vals.get(j, 0), pv)
-                                        for j in range(len(sol)))
-                                  for pv, vals in map(sol.get, range(len(sol)))),
-                            len(sol))
-                     for sol in nak)
-    return FrobeniusStructure(pairings, nakayama)
+        nakayama[d - i] = nak
+    return FrobeniusStructure(pairings, tuple(nakayama))
 
 
 def is_graded_symmetric(alg: GradedFDAlgebra):
     """Sign-symmetry of the pairing; returns (verdict, witness).
 
-    Checked two ways, both on the integer data of _pairing_core: entrywise
-    on the pairings, den G_i against the signed transpose of den G_{d-i},
-    and through the Nakayama map being the expected sign scalar in each
-    degree, read row by row.  The witness is (degree, row, col) of the
-    first failing pairing entry, or None.
+    Checked two ways on the matrices of frobenius_structure: entrywise on
+    the pairings, G_i against the signed transpose of G_{d-i}, and through
+    the Nakayama map being the expected sign scalar, (-1)^((d-1) i) on
+    degree i, which is epsilon(d - 1).  The witness is (degree, row, col)
+    of the first failing pairing entry, or None.
     """
-    ints, nak = _pairing_core(alg)
+    fs = frobenius_structure(alg)
     d = alg.length
     witness = None
-    for i in range(d + 1):
-        gi, gdi = ints[i], ints[d - i]
-        odd = i * (d - i) % 2
-        for a, row in enumerate(gi):
-            for b, v in enumerate(row):
-                if v != (-gdi[b][a] if odd else gdi[b][a]):
-                    witness = (i, a, b)
-                    break
-            if witness:
-                break
-        if witness:
+    for i, (gi, gdi) in enumerate(zip(fs.pairings, reversed(fs.pairings))):
+        signed = -gdi.transpose() if i * (d - i) % 2 else gdi.transpose()
+        if gi != signed:
+            # the first entry that differs, each side over its own den
+            witness = next((i, a, b) for a, (row, other)
+                           in enumerate(zip(gi.num, signed.num))
+                           for b, (v, w) in enumerate(zip(row, other))
+                           if v * signed.den != w * gi.den)
             break
     ok_pairings = witness is None
-    # the Nakayama map is the sign s = (-1)^((d-1) i) times the identity on
-    # degree i: solution row p is s times its pivot entry at p and nothing
-    # else
-    ok_nakayama = all(
-        vals == {p: (-pv if (d - 1) * i % 2 else pv)}
-        for i, sol in enumerate(nak) for p, (pv, vals) in sol.items())
-    if ok_pairings != ok_nakayama:
+    if ok_pairings != (fs.nakayama == alg.epsilon(d - 1)):
         raise ConsistencyError("pairing symmetry and Nakayama sign test disagree")
     return ok_pairings, witness
 
@@ -374,24 +324,27 @@ def is_graded_symmetric(alg: GradedFDAlgebra):
 # trivial extension
 # ---------------------------------------------------------------------------
 
-def twisted_module_trivial_extension(alg: GradedFDAlgebra, left: IntTwist,
-                                     right: IntTwist) -> GradedFDAlgebra:
+def twisted_module_trivial_extension(alg: GradedFDAlgebra,
+                                     left: tuple[Matrix, ...],
+                                     right: tuple[Matrix, ...]
+                                     ) -> GradedFDAlgebra:
     """Extend by a copy of the algebra itself, shifted up by one degree, as
     a bimodule twisted by `left` on the left and `right` on the right.
 
     Degree i of the result is E_i followed by the module copy of E_{i-1},
     so the result has length one more than E.  left and right are graded
-    maps of E in integers; the actions are a.(m) = (left(a) m) and (m).b =
-    (m right(b)), products of two module elements vanish.  Both twists are
-    brought to L, the lcm of their denominators, so the result is built in
-    integers over L times E's den, one block row at a time, each handed
-    over in the final tuple form.  A row of E_i holds E's own products,
-    its cells times L, then the left-action cells; a module row holds the
-    right-action cells, then empty cells.  An action cell is the twisted
-    combination of E's own integer cells, shifted past E_{i+j}.
+    maps of E, one matrix per degree; the actions are a.(m) = (left(a) m)
+    and (m).b = (m right(b)), products of two module elements vanish.  The
+    integer columns of every twist matrix are brought to L, the lcm of
+    their denominators, so the result is built in integers over L times
+    E's den, one block row at a time, each handed over in the final tuple
+    form.  A row of E_i holds E's own products, its cells times L, then the
+    left-action cells; a module row holds the right-action cells, then
+    empty cells.  An action cell is the twisted combination of E's own
+    integer cells, shifted past E_{i+j}.
     """
     d = alg.length
-    scale = lcm(left.den, right.den)
+    scale = lcm(*[m.den for m in (*left, *right)])
     lcols, rcols = (_columns_over(tw, scale, alg.dims) for tw in (left, right))
     # dim[i] is dim E_i, zero outside 0..d, also at index -1
     dim = alg.dims + (0, 0)
@@ -433,17 +386,15 @@ def twisted_module_trivial_extension(alg: GradedFDAlgebra, left: IntTwist,
     return GradedFDAlgebra(dims, mult, alg.den * scale)
 
 
-def _columns_over(twist: IntTwist, scale: int, dims):
-    """The twist's integer columns brought to scale, a multiple of its
-    den; a twist of the wrong shape raises LinAlgError."""
-    if (len(twist.cols) != len(dims)
-            or any(len(c) != m for c, m in zip(twist.cols, dims))):
+def _columns_over(twist, scale: int, dims):
+    """The integer columns of the twist's matrices brought to scale, a
+    multiple of each den; a twist of the wrong shape raises LinAlgError."""
+    if (len(twist) != len(dims)
+            or any(m.rows != k or m.cols != k for m, k in zip(twist, dims))):
         raise LinAlgError("a twist needs one column per basis element")
-    f = scale // twist.den
-    if f == 1:
-        return twist.cols
-    return [[[(t, f * x) for t, x in col] for col in cols]
-            for cols in twist.cols]
+    return [m.columns if m.den == scale
+            else [[(t, scale // m.den * x) for t, x in col]
+                  for col in m.columns] for m in twist]
 
 
 def _sparse_sum(terms, off: int) -> tuple:

@@ -15,7 +15,8 @@ row as a content-free integer row with a positive pivot entry
 kernels with `int_kernel`, which eliminates once, with the columns
 numbered from the last one down, and returns the kernel's canonical
 basis; a caller that writes its rows in that numbering to begin with (the
-Koszul components) calls `flipped_int_kernel` and skips the flip.  A
+Koszul components) hands their forward echelon form to
+`flipped_int_kernel` and skips the flip.  A
 subspace built from those rows (an annihilator, a Koszul component) needs
 no second elimination.  The elimination takes over the rows it is given
 (`_echelon_int`), so callers hand it fresh ones.  Membership is that forward pass
@@ -32,16 +33,18 @@ only rescales a row and subtracts pivot rows, so every row comes out as
 the canonical multiple of one vector, the same for any order of scaling.
 
 A vector indexed by coordinate words has one form, a sparse {coordinate:
-value} map or its (coordinate, value) pairs; only the small dense Matrix
-(rows of Fractions) is dense.  Every system with right-hand sides is
-solved by `solve` from its augmented rows, and the X of A X = B for a
-square A by `solve_square`; there is no matrix inverse.  A caller whose
-rows are integers already calls `int_solve`, the integer core of `solve`,
-and reads each solution as integers over its pivot entry.  A Matrix is
-read as integers by `int_columns`, each column's nonzero entries times a
-common denominator.  Fractions remain only at the edges: the rows a caller
-hands in, `Subspace.rows`, the solutions of `solve` and the entries of a
-Matrix.
+value} map or its (coordinate, value) pairs.  A matrix has one form too, a
+Matrix: small, dense and immutable, integer rows over one positive
+denominator, content-free, so that equality is structural and the hash is
+computed once.  Its columns (`Matrix.columns`) are the nonzero integer
+entries over that denominator, the form in which a slot map is applied to
+word vectors, and its Fraction rows (`Matrix.entries`) are only built where
+a report prints them.  Every system with right-hand sides is solved by
+`int_solve` from its augmented integer rows, each solution read as
+integers over its pivot entry, and the X of A X = B for a square A by
+`solve_square`, on the matrices' integer rows; there is no matrix
+inverse.  Fractions remain only at the edges: the rows a caller hands in
+and `Subspace.rows`.
 """
 
 from __future__ import annotations
@@ -209,12 +212,17 @@ def _reduced_echelon(pivots: dict[int, dict[int, int]]
 
 def int_solve(rows: Iterable[dict[int, int]], n: int
               ) -> tuple[dict[int, tuple[int, dict[int, int]]], bool]:
-    """`solve` on integer rows, with integer solutions.
+    """Solve A X = B from the augmented integer rows [A | B].
 
-    The rows are integer rows with no zero entry, given away as to
+    Columns below n hold the unknowns and column n + j holds right-hand
+    side j; the rows are integer rows with no zero entry, given away as to
     _echelon_int.  Returns ({pivot unknown p: (pivot entry, {j: int})},
     consistent): x_p of solution j is the int at j over the pivot entry,
-    which is positive; zeros are left out.
+    which is positive, zeros left out and every free unknown zero; there
+    are rank A pivot unknowns, and consistent says that every right-hand
+    side is attained.  The rows that keep a pivot below n after the
+    forward pass are back-substituted among themselves, so a consistent
+    system gets exactly its reduced echelon solution.
     """
     echelon = _echelon_int(rows)
     kept = {p: r for p, r in echelon.items() if p < n}
@@ -222,24 +230,6 @@ def int_solve(rows: Iterable[dict[int, int]], n: int
     for p, row in _reduced_echelon(kept).items():
         out[p] = (row[p], {c - n: v for c, v in row.items() if c >= n})
     return out, len(kept) == len(echelon)
-
-
-def solve(rows: Iterable[RowLike],
-          n: int) -> tuple[dict[int, dict[int, Fraction]], bool]:
-    """Solve A X = B from the augmented rows [A | B].
-
-    Columns below n hold the unknowns and column n + j holds right-hand side
-    j; rows are rational, sparse maps or dense sequences.  Returns
-    ({pivot unknown p: {j: x_p of solution j}}, consistent), zeros left
-    out and every free unknown zero; there are rank A pivot unknowns, and
-    consistent says that every right-hand side is attained.  The rows that
-    keep a pivot below n after the forward pass are back-substituted among
-    themselves, so a consistent system gets exactly its reduced echelon
-    solution.  The rows are scaled to integers and solved by `int_solve`.
-    """
-    sol, consistent = int_solve((_to_int_row(r) for r in rows), n)
-    return ({p: {j: Fraction(v, pv) for j, v in vals.items()}
-             for p, (pv, vals) in sol.items()}, consistent)
 
 
 def int_kernel(rows: Iterable[Mapping[int, int]], ambient: int) -> list[dict[int, int]]:
@@ -261,17 +251,18 @@ def int_kernel(rows: Iterable[Mapping[int, int]], ambient: int) -> list[dict[int
     rows are the reduced echelon basis, with pivots the free columns.
     """
     top = ambient - 1
-    return flipped_int_kernel(({top - c: v for c, v in r.items() if v}
-                               for r in rows), ambient)
+    return flipped_int_kernel(_echelon_int(
+        {top - c: v for c, v in r.items() if v} for r in rows), ambient)
 
 
-def flipped_int_kernel(rows: Iterable[dict[int, int]],
+def flipped_int_kernel(echelon: dict[int, dict[int, int]],
                        ambient: int) -> list[dict[int, int]]:
     """int_kernel of rows already written in its numbering, column c at
-    ambient - 1 - c, with no zero entry; the rows are given away as to
-    _echelon_int, and the kernel rows come back in the original columns."""
+    ambient - 1 - c, given as the forward echelon form _echelon_int made of
+    them; it is finished in place, and the kernel rows come back in the
+    original columns."""
     top = ambient - 1
-    pivots = _reduced_echelon(_echelon_int(rows))
+    pivots = _reduced_echelon(echelon)
     by_col: dict[int, list[tuple[int, int, int]]] = {}
     for p, r in pivots.items():
         pv = r[p]
@@ -300,124 +291,167 @@ IntRow = tuple[tuple[int, int], ...]
 
 
 # ---------------------------------------------------------------------------
-# dense rational matrices
+# integer matrices over a denominator
 # ---------------------------------------------------------------------------
 
-def _entry(v) -> Fraction:
-    """An int or a Fraction as a Matrix entry; any other value, a float or a
-    bool included, raises LinAlgError, as it does for a row."""
-    if type(v) is Fraction:
-        return v
-    if type(v) is int:
-        return Fraction(v)
-    raise LinAlgError("matrix entries must be int or Fraction")
-
-
-@dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix over the rationals (rows of Fractions)."""
+    """An immutable matrix over the rationals: integer rows num over one
+    positive denominator den, entry (i, j) being num[i][j] / den.
 
-    entries: tuple[Vec, ...]
-    cols: int
+    The pair is content-free, the gcd of den and every entry being 1, so
+    den is the lcm of the denominators of the entries in lowest terms, two
+    matrices are equal exactly when their (num, den, cols) are, and the
+    hash of that triple is computed once, when the matrix is made.  A
+    degree-one map is a Matrix in column convention: column j holds the
+    image of letter j.
+    """
+
+    def __init__(self, num: tuple[tuple[int, ...], ...], den: int, cols: int):
+        """num a tuple of int tuples of length cols and den a positive int,
+        both divided by their gcd."""
+        g = gcd(den, *[gcd(*row) for row in num])
+        if g != 1:
+            num = tuple(tuple(v // g for v in row) for row in num)
+            den //= g
+        self.__dict__.update(num=num, den=den, cols=cols,
+                             _hash=hash((num, den, cols)))
+
+    @staticmethod
+    def _of(num: tuple[tuple[int, ...], ...], den: int, cols: int) -> "Matrix":
+        """The Matrix of num over den, which are content-free already: no
+        gcd is taken."""
+        m = object.__new__(Matrix)
+        m.__dict__.update(num=num, den=den, cols=cols,
+                          _hash=hash((num, den, cols)))
+        return m
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a Matrix is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not Matrix:
+            return NotImplemented
+        return (self._hash == other._hash and self.num == other.num
+                and self.den == other.den and self.cols == other.cols)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Matrix({self.num!r}, {self.den!r}, {self.cols!r})"
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence], cols: int) -> "Matrix":
-        ent = tuple(tuple(v if type(v) is Fraction else _entry(v) for v in row)
-                    for row in rows)
-        for row in ent:
-            if len(row) != cols:
-                raise LinAlgError("ragged rows in matrix constructor")
-        return Matrix(ent, cols)
+        """The matrix of rational rows; an entry that is not an int or a
+        Fraction, a float or a bool included, raises LinAlgError, as it
+        does in a subspace row."""
+        rows = [tuple(row) for row in rows]
+        if any(len(row) != cols for row in rows):
+            raise LinAlgError("ragged rows in matrix constructor")
+        if not all(type(v) is int or type(v) is Fraction
+                   for row in rows for v in row):
+            raise LinAlgError("matrix entries must be int or Fraction")
+        # over the lcm of the denominators in lowest terms the rows are
+        # content-free: a prime of den divides the denominator of an entry
+        # as often as den, so not that entry's numerator
+        den = lcm(*[v.denominator for row in rows for v in row])
+        return Matrix._of(tuple(tuple(v.numerator * (den // v.denominator)
+                                      for v in row) for row in rows), den, cols)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(tuple(unit_vector(n, i) for i in range(n)), n)
-
-    @staticmethod
-    def zero(r: int, c: int) -> "Matrix":
-        return Matrix(tuple(tuple(ZERO for _ in range(c)) for _ in range(r)), c)
+        return Matrix._of(tuple((0,) * i + (1,) + (0,) * (n - 1 - i)
+                                for i in range(n)), 1, n)
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return len(self.num)
 
-    def col(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.entries)
+    @property
+    def entries(self) -> tuple[Vec, ...]:
+        """The rows as Fractions, the form reports print."""
+        return tuple(tuple(Fraction(v, self.den) for v in row)
+                     for row in self.num)
 
-    def __getitem__(self, ij) -> Fraction:
-        i, j = ij
-        return self.entries[i][j]
+    @cached_property
+    def columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The nonzero (row, int) entries of each column, over den: the form
+        in which apply_slot_columns reads a slot's map."""
+        return tuple(tuple((i, v) for i, v in enumerate(col) if v)
+                     for col in self.transpose().num)
 
     def transpose(self) -> "Matrix":
-        return Matrix(tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                            for j in range(self.cols)), self.rows)
+        num = tuple(zip(*self.num)) if self.num else ((),) * self.cols
+        return Matrix._of(num, self.den, self.rows)
 
-    def scale(self, k) -> "Matrix":
-        k = _entry(k)
-        return Matrix(tuple(tuple(k * v for v in row) for row in self.entries),
-                      self.cols)
+    def __neg__(self) -> "Matrix":
+        return Matrix._of(tuple(tuple(-v for v in row) for row in self.num),
+                          self.den, self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise LinAlgError("shape mismatch in multiplication")
-        out = []
-        for row in self.entries:
-            acc = [ZERO] * other.cols
-            for a, orow in zip(row, other.entries):
-                if a:
-                    for j, b in enumerate(orow):
-                        if b:
-                            acc[j] += a * b
-            out.append(tuple(acc))
-        return Matrix(tuple(out), other.cols)
+        cols = other.transpose().num
+        return Matrix(tuple(tuple(sum(a * b for a, b in zip(row, col) if a)
+                                  for col in cols) for row in self.num),
+                      self.den * other.den, other.cols)
+
+    def block_sum(self, other: "Matrix") -> "Matrix":
+        """The block diagonal matrix with self above and other below."""
+        a, b = other.den, self.den
+        return Matrix(tuple(tuple(a * v for v in row) + (0,) * other.cols
+                            for row in self.num)
+                      + tuple((0,) * self.cols + tuple(b * v for v in row)
+                              for row in other.num),
+                      a * b, self.cols + other.cols)
 
     def mul_col(self, v: Sequence) -> Vec:
-        """Matrix times column vector, returned as a flat tuple; an entry
-        that is not an int or a Fraction raises LinAlgError, as in
-        from_rows."""
+        """The matrix times a column of ints and Fractions, as Fractions; an
+        entry of any other type raises LinAlgError, as in from_rows."""
         if len(v) != self.cols:
             raise LinAlgError("length mismatch in column multiplication")
-        return self.mul_sparse_col([(j, x) for j, x in enumerate(map(_entry, v))
-                                    if x])
-
-    def mul_sparse_col(self, pairs) -> Vec:
-        """Matrix times a column vector given by its nonzero (index, value)
-        pairs: the sum of those columns, scaled."""
-        return tuple(sum((row[j] * x for j, x in pairs), ZERO) for row in self.entries)
+        if not all(type(x) is int or type(x) is Fraction for x in v):
+            raise LinAlgError("matrix entries must be int or Fraction")
+        # the column as integers over the lcm of its denominators
+        pairs = [(j, x) for j, x in enumerate(v) if x]
+        scale = lcm(*[x.denominator for _, x in pairs])
+        ints = [(j, x.numerator * (scale // x.denominator)) for j, x in pairs]
+        den = self.den * scale
+        return tuple(Fraction(sum([row[j] * x for j, x in ints]), den)
+                     for row in self.num)
 
     def rank(self) -> int:
-        return len(_echelon_int(_to_int_row(r) for r in self.entries))
-
-    def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.rank() == self.rows
-
-
-def denominator(*mats: Matrix) -> int:
-    """The lcm of the denominators of every entry of the matrices."""
-    return lcm(*[v.denominator for m in mats for row in m.entries for v in row])
-
-
-def int_columns(m: Matrix, scale: int) -> list[list[tuple[int, int]]]:
-    """The nonzero (row, value) entries of each column of m, times scale, a
-    multiple of denominator(m), so that every value is an int."""
-    return [[(t, row[a].numerator * (scale // row[a].denominator))
-             for t, row in enumerate(m.entries) if row[a]]
-            for a in range(m.cols)]
+        return len(_echelon_int({c: v for c, v in enumerate(row) if v}
+                                for row in self.num))
 
 
 def solve_square(a: Matrix, b: Matrix) -> Matrix | None:
-    """The X with a @ X = b, from one `solve` on the augmented rows [a | b],
-    or None when a is not square and invertible."""
+    """The X with a @ X = b, or None when a is not square and invertible.
+
+    One `int_solve` on the augmented integer rows [a | b], both brought
+    over the lcm of their denominators, which have the solutions of a X =
+    b; row p of X is solution row p, its ints over its pivot entry."""
     n = a.rows
     if a.cols != n:
         return None
     if b.rows != n:
         raise LinAlgError("shape mismatch in solve")
-    sol, _ = solve(map(tuple.__add__, a.entries, b.entries), n)
+    common = lcm(a.den, b.den)
+    left, right = (m.num if m.den == common
+                   else [[common // m.den * v for v in row] for row in m.num]
+                   for m in (a, b))
+    sol, _ = int_solve(({c: v for c, v in enumerate([*ra, *rb]) if v}
+                        for ra, rb in zip(left, right)), n)
     if len(sol) < n:
         return None
-    return Matrix(tuple(tuple(sol[p].get(j, ZERO) for j in range(b.cols))
-                        for p in range(n)), b.cols)
+    den = lcm(*[pv for pv, _ in sol.values()])
+    rows = []
+    for pv, vals in map(sol.get, range(n)):
+        row = [0] * b.cols
+        for j, v in vals.items():
+            row[j] = v * (den // pv)
+        rows.append(tuple(row))
+    return Matrix(tuple(rows), den, b.cols)
 
 
 # ---------------------------------------------------------------------------

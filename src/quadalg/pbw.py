@@ -32,7 +32,7 @@ from .frobenius import GradedFDAlgebra
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Subspace, Vec,
                      ZERO, solve_square, unit_vector)
 from .regular import RegularityCertificate, dim2_matrix_form, regularity_data
-from .skew import skew_extend
+from .skew import SkewExtension, skew_extend
 from .tensors import add_into
 
 
@@ -94,8 +94,8 @@ class PBWDeformation:
 class Cdga:
     """A curved differential structure on a graded algebra.
 
-    delta[j] is the differential from degree j to degree j+1 as a matrix in
-    column convention, with no rows at the top degree; curvature is a
+    delta[j] is the differential from degree j to degree j+1 as a Matrix
+    in column convention, with no rows at the top degree; curvature is a
     degree-2 element.
     """
 
@@ -122,7 +122,7 @@ def dual_cdga(defm: PBWDeformation) -> Cdga:
     *delta1, curvature = trunc.class_from_pairings(
         2, defm.rows, [[row.get(i, ZERO) for row in defm.nu] for i in range(n)]
         + [defm.theta])
-    delta = [Matrix.zero(trunc.dims[1], 1),
+    delta = [Matrix.from_rows([(0,)] * trunc.dims[1], 1),
              Matrix.from_rows(delta1, trunc.dims[2]).transpose()]
     reps2 = [trunc.lift_sparse(2, delta1[i]) for i in range(n)]
     for j in range(2, d):
@@ -141,7 +141,7 @@ def dual_cdga(defm: PBWDeformation) -> Cdga:
                     add_into(acc, base + c2 * stride, sign * v)
             cols.append(trunc.reduce_sparse(j + 1, acc))
         delta.append(Matrix.from_rows(cols, trunc.dims[j + 1]).transpose())
-    delta.append(Matrix.zero(0, trunc.dims[d]))
+    delta.append(Matrix.from_rows((), trunc.dims[d]))
     return Cdga(trunc, tuple(delta), curvature)
 
 
@@ -162,17 +162,19 @@ class CdgaAxiomReport:
 def check_cdga_axioms(c: Cdga) -> CdgaAxiomReport:
     alg = c.algebra
     length = alg.length
+    # the image of each basis element, degree by degree
+    images = [[m.mul_col(unit_vector(m.cols, a)) for a in range(m.cols)]
+              for m in c.delta]
     leibniz = []
     for i in range(length + 1):
         for j in range(length - i):
             for a in range(alg.dims[i]):
-                da = c.delta[i].col(a)
                 ua = unit_vector(alg.dims[i], a)
+                da = images[i][a]
                 for b in range(alg.dims[j]):
-                    db = c.delta[j].col(b)
                     ub = unit_vector(alg.dims[j], b)
-                    lhs = tuple(x / alg.den for x in c.delta[i + j]
-                                .mul_sparse_col(alg.int_mult[(i, j)][a][b]))
+                    db = images[j][b]
+                    lhs = c.delta[i + j].mul_col(alg.multiply(i, ua, j, ub))
                     first = alg.multiply(i + 1, da, j, ub)
                     second = alg.multiply(i, ua, j + 1, db)
                     sign = Fraction((-1) ** i)
@@ -184,8 +186,8 @@ def check_cdga_axioms(c: Cdga) -> CdgaAxiomReport:
     for j in range(length):
         square = c.delta[j + 1] @ c.delta[j]
         for a in range(alg.dims[j]):
-            lhs = square.col(a)
             ua = unit_vector(alg.dims[j], a)
+            lhs = square.mul_col(ua)
             left = alg.multiply(2, c.curvature, j, ua)
             right = alg.multiply(j, ua, 2, c.curvature)
             rhs = tuple(x - y for x, y in zip(left, right))
@@ -204,15 +206,17 @@ def nakayama_shift(cert: RegularityCertificate, c: Cdga) -> Vec:
     the row delta_{d-1} G_1^{-1}, whose transpose s solves
     G_1^T s = delta_{d-1}^T: one solve, and no inverse.
     """
-    # G_1 is nondegenerate, as frobenius_structure checked
+    # G_1 is nondegenerate, as frobenius_structure checked; s is the one
+    # column of the solution
     return solve_square(cert.frobenius.pairings[1].transpose(),
-                        c.delta[cert.gldim - 1].transpose()).col(0)
+                        c.delta[cert.gldim - 1].transpose()).mul_col((1,))
 
 
-def skew_deformation(defm: PBWDeformation, xi: Matrix,
+def skew_deformation(defm: PBWDeformation, ext: SkewExtension,
                      shift: Vec) -> PBWDeformation:
-    """Transport a deformation to the extension twisted by the Nakayama map
-    xi of its algebra, given the deformation's Nakayama shift.
+    """Transport a deformation to ext, the extension of its certificate
+    twisted by the Nakayama map of its algebra, given the deformation's
+    Nakayama shift.
 
     On the base's relation rows, embedded in the extension's words, the
     maps are unchanged; each mixed relation is sent to its shift coefficient
@@ -221,7 +225,6 @@ def skew_deformation(defm: PBWDeformation, xi: Matrix,
     cert = defm.cert
     n = cert.algebra.n
     m = n + 1
-    ext = skew_extend(cert, xi)
     cert_ext = regularity_data(ext.algebra, cert.gldim + 1, cert.gldim + 2)
     rows = tuple({(c // n) * m + c % n: v for c, v in row.items()}
                  for row in defm.rows) + ext.stacked_relations[len(defm.rows):]
@@ -270,7 +273,8 @@ def cy_criterion_deformed(defm: PBWDeformation, c: Cdga) -> DeformedCYReport:
     xi = cert.nakayama
     shift = nakayama_shift(cert, c)
     twisted = xi.transpose().mul_col(shift)
-    gamma = skew_extend(cert, xi).model
+    ext = skew_extend(cert, xi)
+    gamma = ext.model
     # the columns of G_1^{-1}
     omega_cols = solve_square(cert.frobenius.pairings[1], Matrix.identity(n))
     sign = Fraction((-1) ** (d - 1))
@@ -278,7 +282,7 @@ def cy_criterion_deformed(defm: PBWDeformation, c: Cdga) -> DeformedCYReport:
     delta_pi = (ZERO,) * alg_fd.dim(2) + tuple(shift)
     images = []
     for i in range(n):
-        omega = omega_cols.col(i)
+        omega = omega_cols.mul_col(unit_vector(n, i))
         u = tuple(omega) + (ZERO,) * alg_fd.dim(d - 2)
         # the section: (omega_i, 0) pi is the copy of (-1)^(d-1) omega_i
         if (gamma.multiply(d - 1, u, 1, pi)
@@ -296,9 +300,9 @@ def cy_criterion_deformed(defm: PBWDeformation, c: Cdga) -> DeformedCYReport:
             break
     if verdict_model != (tuple(shift) == tuple(twisted)):
         raise ConsistencyError("model verdict disagrees with the shift comparison")
-    ext_defm = skew_deformation(defm, xi, shift)
+    ext_defm = skew_deformation(defm, ext, shift)
     c_ext = dual_cdga(ext_defm)
-    verdict_direct = not any(map(any, c_ext.delta[d].entries))
+    verdict_direct = not any(map(any, c_ext.delta[d].num))
     if verdict_direct != verdict_model:
         raise ConsistencyError("model verdict disagrees with the transported "
                                "deformation's differential")
@@ -323,8 +327,8 @@ def nakayama_cdga_compatibility(cert: RegularityCertificate,
     """Compare the sign-adjusted dual Nakayama map of cert with the curved
     structure c that a deformation of cert's algebra induces."""
     d = cert.gldim
-    chi = tuple(cert.frobenius.nakayama[k].scale(Fraction((-1) ** ((d + 1) * k)))
-                for k in range(d + 1))
+    chi = tuple(-nak if (d + 1) * k % 2 else nak
+                for k, nak in enumerate(cert.frobenius.nakayama))
     commutes = all(chi[j + 1] @ c.delta[j] == c.delta[j] @ chi[j]
                    for j in range(d))
     fixed = chi[2].mul_col(c.curvature) == tuple(c.curvature)

@@ -23,9 +23,9 @@ object, a TruncatedAlgebra: the GradedFDAlgebra whose sparse structure
 cells are read off the class coordinates of product words, together with
 those classes and its basis words (`words`), the only names its basis
 elements have; its table goes to GradedFDAlgebra in the final tuple
-form, and its automorphism extends a degree-one map to the integer twist
-(frobenius.IntTwist) that the trivial extension reads, with no Fraction
-matrix in between.  No component is built on more than MAX_WORDS = 10^6
+form, and its automorphism extends a degree-one map to every degree, one
+integer Matrix per degree, the twist that the trivial extension reads, with
+no Fraction in between.  No component is built on more than MAX_WORDS = 10^6
 coordinate words: asking for one raises ResourceLimitError, unless K_{k-1}
 is zero, when K_k is the zero subspace at any number of words, answered
 fresh and not stored.  So for n >= 2 an algebra keeps at most
@@ -41,10 +41,12 @@ expansion (_koszul_dim).  Every lower degree is built in full, as the next
 degree's equations are written over it.  Both paths apply the zero-K_{k-1}
 rule and the word cap in one order and take their equations from one
 builder (_koszul_equations), so they agree and stop at the same degrees.
-A count is kept with the components; building a counted degree in full
-writes and eliminates its equations again.  The answers of graded_dims
-and numeric_koszul_certificate are kept there too, one per bound, so
-each is computed, and cross-checked, once per presentation and bound.
+The forward echelon form of a counted degree is kept with the
+components, and building that degree in full finishes it, by back
+substitution and the kernel read-off, with no second elimination.  The
+answers of graded_dims and numeric_koszul_certificate are kept there too,
+one per bound, so each is computed, and cross-checked, once per
+presentation and bound.
 shared_presentation hands out one presentation per algebra value, to the
 documents io reads and to the skew extensions skew builds.
 """
@@ -54,14 +56,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import lcm
 from typing import NamedTuple
 
-from .frobenius import GradedFDAlgebra, IntTwist
+from .frobenius import GradedFDAlgebra
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ResourceLimitError,
                      Subspace, Vec, ZERO, _echelon_int, _reduced_echelon,
-                     _strip, _to_int_row, denominator, flipped_int_kernel,
-                     int_columns, int_solve)
+                     _strip, _to_int_row, flipped_int_kernel, int_solve)
 from .tensors import apply_slot_columns, preserves_subspace
 
 # the most coordinate words n**m a Koszul component may have
@@ -113,13 +114,15 @@ class QuadraticAlgebra:
 class _KoszulStore(NamedTuple):
     """What a presentation keeps of its Koszul data: the components built
     so far, [K_0, ..., K_k], filled by koszul_component; the degrees
-    counted by rank, {m: dim K_m}, filled by _koszul_dim; and the answers
+    counted by rank and not built yet, {m: the forward echelon form of the
+    equations of K_m}, filled by _koszul_dim and taken over by
+    koszul_component when it builds that degree; and the answers
     of graded_dims and numeric_koszul_certificate, {bound: answer}, so
     that each is computed, and cross-checked, once per presentation and
     bound.  A call that raises stores nothing."""
 
     built: list[Subspace]
-    counted: dict[int, int]
+    counted: dict[int, dict[int, dict[int, int]]]
     dims: dict[int, tuple[int, ...]]
     certificates: dict[int, "KoszulCertificate"]
 
@@ -288,8 +291,9 @@ def _check_words(n: int, m: int) -> None:
 def _koszul_dim(alg: QuadraticAlgebra, m: int) -> int:
     """dim K_m: the unknowns over K_{m-1} (x) V less the rank of the
     equations, from the forward elimination alone; no kernel basis and no
-    word expansion.  Stored with the components; a degree already built,
-    or one up to 2, which needs no equations, is read off its component."""
+    word expansion.  The echelon form is stored with the components, for
+    koszul_component to finish; a degree already built, or one up to 2,
+    which needs no equations, is read off its component."""
     built, counted, _, _ = alg._koszul_store
     if m <= 2 or m < len(built):
         return koszul_component(alg, m).dim
@@ -298,9 +302,9 @@ def _koszul_dim(alg: QuadraticAlgebra, m: int) -> int:
         if not prev_space.dim:
             return 0
         _check_words(alg.n, m)
-        eqs = _koszul_equations(alg, prev_space, built[m - 2])
-        counted[m] = prev_space.dim * alg.n - len(_echelon_int(eqs))
-    return counted[m]
+        counted[m] = _echelon_int(_koszul_equations(alg, prev_space,
+                                                    built[m - 2]))
+    return built[m - 1].dim * alg.n - len(counted[m])
 
 
 def _component_dims(alg: QuadraticAlgebra, top: int) -> tuple[int, ...]:
@@ -357,12 +361,17 @@ def koszul_component(alg: QuadraticAlgebra, m: int) -> Subspace:
             built.append(alg.relations if k == 2 else Subspace.full(n ** k))
             continue
         prev, prev_pivots = built[-1].int_rows, built[-1].pivots
-        eqs = _koszul_equations(alg, built[-1], built[-2])
+        # the forward echelon form of a counted degree is finished, not
+        # written and eliminated again
+        echelon = alg._koszul_store.counted.pop(k, None)
+        if echelon is None:
+            echelon = _echelon_int(_koszul_equations(alg, built[-1],
+                                                     built[-2]))
         # the kernel rows come in canonical form, and so do their
         # expansions (docstring above): no second elimination
         pivots = []
         rows = []
-        for c in flipped_int_kernel(eqs, len(prev) * n):
+        for c in flipped_int_kernel(echelon, len(prev) * n):
             s, l = divmod(min(c), n)
             pivots.append(prev_pivots[s] * n + l)
             if len(c) == 1:
@@ -563,44 +572,31 @@ class TruncatedAlgebra(GradedFDAlgebra):
                       else ZERO for t in range(self.dims[k]))
                 for j in range(len(value_vectors))]
 
-    def automorphism(self, phi: Matrix) -> IntTwist:
-        """Extend a relation-preserving degree-one map to every degree, as
-        the integer twist the trivial extension reads.
+    def automorphism(self, phi: Matrix) -> tuple[Matrix, ...]:
+        """Extend a relation-preserving degree-one map to every degree, one
+        matrix per degree, the twist the trivial extension reads.
 
-        phi is read once as integer columns over L, the lcm of its
-        denominators.  Column w of the degree-k matrix is the class of the
-        image of the basis word w, the sum over the words u of its
-        apply_slot_columns image of their integer class cells; it comes
-        out times den * L^k.  Each degree is then brought to the lcm of
-        the denominators of all the entries in lowest terms.
+        Column w of the degree-k matrix is the class of the image of the
+        basis word w: the sum over the words u of its apply_slot_columns
+        image, through phi's integer columns, of their integer class cells.
+        It comes out over den * phi.den^k.
         """
         if not preserves_subspace(phi, self.algebra.relations):
             raise LinAlgError("map does not preserve the relation subspace")
         n = self.algebra.n
-        scale = denominator(phi)
-        cols = int_columns(phi, scale)
+        cols = phi.columns
         mats = []
-        for k in range(self.length + 1):
+        for k, words in enumerate(self.words):
             cls = self.classes[k]
-            mat = []
-            for w in self.words[k]:
-                acc: dict[int, int] = {}
+            dim = len(words)
+            rows = [[0] * dim for _ in range(dim)]
+            for a, w in enumerate(words):
                 for u, x in apply_slot_columns([cols] * k, {w: 1}, n).items():
                     for t, v in cls.get(u, ()):
-                        acc[t] = acc.get(t, 0) + x * v
-                mat.append(sorted((t, v) for t, v in acc.items() if v))
-            # degree k over den * L^k, and g the gcd of that and its entries:
-            # in lowest terms it is over (den * L^k) / g
-            den = self.den * scale ** k
-            g = gcd(den, *[v for col in mat for _, v in col])
-            mats.append((mat, den // g, g))
-        common = lcm(*[low for _, low, _ in mats])
-        out = []
-        for mat, low, g in mats:
-            f = common // low
-            out.append(mat if f == g else [[(t, v // g * f) for t, v in col]
-                                           for col in mat])
-        return IntTwist(tuple(out), common)
+                        rows[t][a] += x * v
+            mats.append(Matrix(tuple(map(tuple, rows)),
+                               self.den * phi.den ** k, dim))
+        return tuple(mats)
 
 
 # bounded at over twice the 12 truncations of one corpus sweep

@@ -100,7 +100,7 @@ class RegularityCertificate:
         pairings = self.frobenius.pairings
         # G_1 is nondegenerate, as frobenius_structure checked
         y = solve_square(pairings[1].transpose(), pairings[d - 1])
-        xi = y.transpose().scale(Fraction((-1) ** (d + 1)))
+        xi = y.transpose() if d % 2 else -y.transpose()
         if not preserves_subspace(xi, self.algebra.relations):
             raise ConsistencyError("extracted Nakayama map does not preserve the relations")
         return xi
@@ -135,7 +135,7 @@ class RegularityCertificate:
         y = solve_square(left.transpose(), right)
         if y is None:
             raise LinAlgError("left contraction matrix is singular")
-        twist = y.transpose().scale(Fraction((-1) ** (d + 1)))
+        twist = y.transpose() if d % 2 else -y.transpose()
         if twist != self.nakayama:
             raise ConsistencyError("contraction twist disagrees with the pairing route")
         if not is_twisted_superpotential(w, d, twist):
@@ -213,7 +213,8 @@ def verify_superpotential_presentation(cert: RegularityCertificate) -> Presentat
     rows = [coords[a * lower.dim:(a + 1) * lower.dim]
             for a in range(alg.relations.dim)]
     coupling = Matrix.from_rows(rows, lower.dim)
-    return PresentationReport(matches, coupling.is_invertible())
+    return PresentationReport(matches, coupling.rows == lower.dim
+                              and coupling.rank() == lower.dim)
 
 
 def regularity_data(alg: QuadraticAlgebra, expected_gldim: int,
@@ -249,7 +250,7 @@ def dim2_matrix_form(cert: RegularityCertificate) -> tuple[Matrix, Matrix]:
     y = solve_square(m.transpose(), m)
     if y is None:
         raise LinAlgError("relation coefficient matrix is singular")
-    xi = y.transpose().scale(Fraction(-1))
+    xi = -y.transpose()
     if xi != cert.nakayama:
         raise ConsistencyError("matrix-form Nakayama disagrees with the pairing route")
     return m, xi

@@ -29,8 +29,7 @@ from functools import cached_property, lru_cache
 from .frobenius import (GradedFDAlgebra, is_graded_symmetric,
                         twisted_module_trivial_extension)
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Subspace,
-                     _echelon_int, denominator, int_columns, int_solve,
-                     solve_square, unit_vector)
+                     _echelon_int, int_solve, solve_square, unit_vector)
 from .quadratic import (QuadraticAlgebra, graded_dims, shared_presentation,
                         truncated_structure)
 from .regular import RegularityCertificate
@@ -139,8 +138,8 @@ def skew_extend(cert: RegularityCertificate, sigma: Matrix, /) -> SkewExtension:
     stacked = [{(c // n) * m + c % n: v for c, v in row}
                for row in base.relations.rows]
     # the i-th mixed relation z (x) sigma^{-1}(x_i) - x_i (x) z
-    for i in range(n):
-        mixed = {n * m + j: v for j, v in enumerate(pinv.col(i)) if v}
+    for i, col in enumerate(pinv.columns):
+        mixed = {n * m + j: Fraction(v, pinv.den) for j, v in col}
         mixed[i * m + n] = -ONE
         stacked.append(mixed)
     relations = Subspace.from_spanning(stacked, m * m)
@@ -209,8 +208,8 @@ def verify_ext_algebra_isomorphism(ext: SkewExtension) -> IsoReport:
     and the new letter times the i-th generator is the inverse-twist row
     combination of the mixed relation classes.  Both read the degree-(1, 1)
     cells of the honest dual, and compare them in integers with the
-    classes as `int_class_from_pairings` returns them and with sigma^{-1}
-    read once by `int_columns`.
+    classes as `int_class_from_pairings` returns them and with the integer
+    columns of the transpose of sigma^{-1}.
 
     `extiso` and cy_check_with read it as ext.iso, kept on the extension.
     """
@@ -261,9 +260,9 @@ def verify_ext_algebra_isomorphism(ext: SkewExtension) -> IsoReport:
         2, ext.stacked_relations,
         [unit_vector(nrel + n, nrel + i) for i in range(n)])
     pinv = ext.sigma_inverse
-    lp = denominator(pinv)
+    lp = pinv.den
     # row i of pinv, times lp: column i of its transpose
-    prows = int_columns(pinv.transpose(), lp)
+    prows = pinv.transpose().columns
     cells = ebd.int_mult[(1, 1)]
 
     def combines(pairs, combo, scale):

@@ -20,9 +20,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .linalg import LinAlgError, Matrix, ONE, Subspace, ZERO
+from .linalg import LinAlgError, Matrix, Subspace
 from .quadratic import QuadraticAlgebra
-from .tensors import (add_into, apply_slotwise, index_to_word, tau,
+from .tensors import (add_into, apply_slot_columns, index_to_word, tau,
                       word_to_index)
 
 
@@ -40,19 +40,23 @@ def symmetrize(w: Mapping[int, Fraction], d: int,
     """
     n = sigma.cols
     m = n + 1
-    ext_rows = [tuple(sigma.entries[i]) + (ZERO,) for i in range(n)]
-    ext_rows.append(tuple(ZERO for _ in range(n)) + (ONE,))
-    sigma_ext = Matrix.from_rows(ext_rows, m)
+    # the twist extended by 1 on the new letter, over sigma's denominator
+    ext = sigma.block_sum(Matrix.identity(1))
+    den = ext.den
     # the new letter followed by w, over m letters
     base = {word_to_index((n,) + index_to_word(idx, n, d), m): c
             for idx, c in w.items()}
     acc: dict[int, Fraction] = {}
     for i in range(d + 1):
-        slots = [None] + [sigma_ext] * i + [None] * (d - i)
-        sign = (-1) ** i
-        for idx, c in tau(apply_slotwise(slots, base, m), d + 1, i, m).items():
-            add_into(acc, idx, sign * c)
-    return acc
+        slots = [None] + [ext.columns] * i + [None] * (d - i)
+        # term i comes out times den^i: every term is brought to den^d
+        weight = (-1) ** i * den ** (d - i)
+        for idx, c in tau(apply_slot_columns(slots, base, m), d + 1, i,
+                          m).items():
+            add_into(acc, idx, weight * c)
+    if den == 1:
+        return acc
+    return {idx: Fraction(c, den ** d) for idx, c in acc.items()}
 
 
 def derivation_quotient(w: Mapping[int, Fraction], order: int,

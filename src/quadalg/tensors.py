@@ -8,12 +8,12 @@ vector indexed by words has one form in this package: a sparse {word
 index: Fraction} map with no zero values (a Subspace row lists the same
 entries as (index, value) pairs).  The map does not record the length of
 its words; the functions here take the length d and the letter count n
-from their callers.  A linear map of the degree-one space is a plain
-Matrix in column convention: column j holds the coordinates of the image
-of letter j.  There is one slotwise map, apply_slot_columns, which takes
-each slot's map as the nonzero entries of its columns: apply_slotwise
-reads Matrix slots into that form, and a caller working in integers hands
-it the columns of int_columns, so that ints stay ints.
+from their callers.  A linear map of the degree-one space is a Matrix in
+column convention: column j holds the coordinates of the image of letter
+j.  There is one slotwise map, apply_slot_columns, which takes each slot's
+map as Matrix.columns gives it, the nonzero integer entries of its columns
+over the matrix's denominator; its callers account for that denominator,
+once per slot filled, so that the maps stay in integers.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .linalg import LinAlgError, Matrix, Subspace, denominator, int_columns
+from .linalg import LinAlgError, Matrix, Subspace
 
 Word = tuple[int, ...]
 
@@ -55,8 +55,8 @@ def apply_slot_columns(slots, vec: Mapping[int, Fraction],
     vector of words of length len(slots) over n letters.
 
     slots[s][j] lists the nonzero (letter, value) pairs of the image of
-    letter j under the map in slot s, as `int_columns` reads a Matrix;
-    None in a slot means the identity.  The values may be ints or
+    letter j under the map in slot s, as Matrix.columns lists them; None
+    in a slot means the identity.  The values may be ints or
     Fractions, and the result is in the same kind.
     """
     acc: dict[int, Fraction] = {}
@@ -71,22 +71,6 @@ def apply_slot_columns(slots, vec: Mapping[int, Fraction],
         for p, c in partial:
             add_into(acc, p, c)
     return acc
-
-
-def apply_slotwise(maps, vec: Mapping[int, Fraction], n: int) -> dict[int, Fraction]:
-    """Apply per-slot degree-one maps, each n x n, to a vector of words of
-    length len(maps) over n letters; None in a slot means the identity."""
-    # per map, the columns of apply_slot_columns, read once for a map that
-    # fills several slots
-    images: dict[int, list] = {}
-    for m in maps:
-        if m is not None and id(m) not in images:
-            if m.cols != n or m.rows != n:
-                raise LinAlgError("slot map acts on the wrong space")
-            images[id(m)] = [[(i, a) for i, a in enumerate(m.col(j)) if a]
-                             for j in range(n)]
-    return apply_slot_columns([None if m is None else images[id(m)]
-                               for m in maps], vec, n)
 
 
 def tau(vec: Mapping[int, Fraction], d: int, k: int, n: int) -> dict[int, Fraction]:
@@ -112,12 +96,19 @@ def is_twisted_superpotential(w: Mapping[int, Fraction], d: int,
                               sigma: Matrix) -> bool:
     """Whether w, a vector of length-d words, equals its twisted rotation
     up to the sign (-1)^(d-1): sigma applied to the first slot, which then
-    moves to the end.  Zero entries of w are ignored."""
+    moves to the end.  Zero entries of w are ignored.
+
+    sigma acts by its integer columns, so the rotation comes out times
+    sigma.den and is compared with w times it."""
     n = sigma.cols
-    rotated = tau(apply_slotwise([sigma] + [None] * (d - 1), w, n), d, d - 1, n)
+    if sigma.rows != n:
+        raise LinAlgError("slot map acts on the wrong space")
+    rotated = tau(apply_slot_columns([sigma.columns] + [None] * (d - 1), w, n),
+                  d, d - 1, n)
     sign = (-1) ** (d - 1)
+    den = sigma.den
     return {i: sign * c for i, c in rotated.items()} == {
-        i: c for i, c in w.items() if c}
+        i: den * c for i, c in w.items() if c}
 
 
 def contract_left(vec: Mapping[int, Fraction], letter: int, d: int,
@@ -138,15 +129,15 @@ def preserves_subspace(phi: Matrix, space: Subspace) -> bool:
     """Whether phi (x) phi maps a subspace of the degree-two words into
     itself.
 
-    Membership does not see scaling, so phi is read once as integer
-    columns over the lcm of its denominators, and each integer basis row
-    of the subspace is mapped through them by apply_slot_columns.
+    Membership does not see scaling, so each integer basis row of the
+    subspace is mapped through phi's integer columns by
+    apply_slot_columns.
     """
     n = phi.cols
     if space.ambient != n * n:
         raise LinAlgError("subspace ambient does not match the tensor degree")
     if phi.rows != n:
         raise LinAlgError("slot map acts on the wrong space")
-    cols = int_columns(phi, denominator(phi))
+    cols = phi.columns
     return all(space.contains(apply_slot_columns((cols, cols), dict(row), n))
                for row in space.int_rows)

@@ -1,6 +1,7 @@
 """Shared test utilities: seeded generators and independent oracles."""
 
 import argparse
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 import importlib
@@ -11,13 +12,12 @@ import random
 
 import quadalg
 from quadalg import (Cdga, GradedFDAlgebra, Matrix, QuadraticAlgebra,
-                     Subspace, apply_slotwise, as_regular_certificate,
-                     index_to_word, word_to_index)
+                     Subspace, as_regular_certificate, index_to_word,
+                     word_to_index)
 from quadalg.cli import COMMANDS
 from quadalg.io import parse_description
-from quadalg.frobenius import IntTwist
-from quadalg.linalg import (LinAlgError, ZERO, _strip, denominator,
-                            int_columns, solve, unit_vector)
+from quadalg.linalg import (LinAlgError, ZERO, _strip, _to_int_row, int_solve,
+                            unit_vector)
 from quadalg.quadratic import MAX_WORDS, truncated_structure
 
 AS_REGULAR = ("kxy", "quantum_plane_q2", "quantum_plane_q3",
@@ -178,9 +178,116 @@ def dense_rank(rows, ambient):
     return len(dense_rref(rows, ambient)[0])
 
 
-def dense_right_inverse(mat: Matrix):
+# the dense matrix of Fraction rows that the package used before its
+# matrices became integers over a denominator, kept as their oracle; its
+# rank is read off dense_rref, so it shares no code with quadalg.linalg
+
+def _entry(v) -> Fraction:
+    """An int or a Fraction as a FractionMatrix entry; any other value, a
+    float or a bool included, raises LinAlgError, as it does for a row."""
+    if type(v) is Fraction:
+        return v
+    if type(v) is int:
+        return Fraction(v)
+    raise LinAlgError("matrix entries must be int or Fraction")
+
+
+@dataclass(frozen=True)
+class FractionMatrix:
+    """Immutable dense matrix over the rationals (rows of Fractions)."""
+
+    entries: tuple[tuple[Fraction, ...], ...]
+    cols: int
+
+    @staticmethod
+    def from_rows(rows, cols: int) -> "FractionMatrix":
+        ent = tuple(tuple(v if type(v) is Fraction else _entry(v) for v in row)
+                    for row in rows)
+        for row in ent:
+            if len(row) != cols:
+                raise LinAlgError("ragged rows in matrix constructor")
+        return FractionMatrix(ent, cols)
+
+    @staticmethod
+    def identity(n: int) -> "FractionMatrix":
+        return FractionMatrix(tuple(unit_vector(n, i) for i in range(n)), n)
+
+    @staticmethod
+    def zero(r: int, c: int) -> "FractionMatrix":
+        return FractionMatrix(tuple(tuple(ZERO for _ in range(c))
+                                    for _ in range(r)), c)
+
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
+
+    def col(self, j: int):
+        return tuple(r[j] for r in self.entries)
+
+    def __getitem__(self, ij) -> Fraction:
+        i, j = ij
+        return self.entries[i][j]
+
+    def transpose(self) -> "FractionMatrix":
+        return FractionMatrix(tuple(tuple(self.entries[i][j]
+                                          for i in range(self.rows))
+                                    for j in range(self.cols)), self.rows)
+
+    def scale(self, k) -> "FractionMatrix":
+        k = _entry(k)
+        return FractionMatrix(tuple(tuple(k * v for v in row)
+                                    for row in self.entries), self.cols)
+
+    def __matmul__(self, other: "FractionMatrix") -> "FractionMatrix":
+        if self.cols != other.rows:
+            raise LinAlgError("shape mismatch in multiplication")
+        out = []
+        for row in self.entries:
+            acc = [ZERO] * other.cols
+            for a, orow in zip(row, other.entries):
+                if a:
+                    for j, b in enumerate(orow):
+                        if b:
+                            acc[j] += a * b
+            out.append(tuple(acc))
+        return FractionMatrix(tuple(out), other.cols)
+
+    def mul_col(self, v):
+        """Matrix times column vector, returned as a flat tuple; an entry
+        that is not an int or a Fraction raises LinAlgError, as in
+        from_rows."""
+        if len(v) != self.cols:
+            raise LinAlgError("length mismatch in column multiplication")
+        pairs = [(j, x) for j, x in enumerate(map(_entry, v)) if x]
+        return tuple(sum((row[j] * x for j, x in pairs), ZERO)
+                     for row in self.entries)
+
+    def rank(self) -> int:
+        return dense_rank(self.entries, self.cols)
+
+    def is_invertible(self) -> bool:
+        return self.rows == self.cols and self.rank() == self.rows
+
+
+def fraction_matrix(m) -> FractionMatrix:
+    """A matrix as the oracle's Fraction rows: the package's integer Matrix
+    through its Fraction view, a FractionMatrix as it is."""
+    if isinstance(m, FractionMatrix):
+        return m
+    return FractionMatrix.from_rows(m.entries, m.cols)
+
+
+def package_matrix(m) -> Matrix:
+    """A matrix as the package's integer Matrix."""
+    if isinstance(m, Matrix):
+        return m
+    return Matrix.from_rows(m.entries, m.cols)
+
+
+def dense_right_inverse(mat) -> FractionMatrix | None:
     """S with mat @ S the identity, or None unless mat is onto: the dense
     reduced echelon form of [mat | I] read with every free unknown zero."""
+    mat = fraction_matrix(mat)
     r, c = mat.rows, mat.cols
     pivots, rows = dense_rref([list(row) + [int(j == i) for j in range(r)]
                                for i, row in enumerate(mat.entries)], c + r)
@@ -189,10 +296,10 @@ def dense_right_inverse(mat: Matrix):
     out = [[Fraction(0)] * r for _ in range(c)]
     for p, row in zip(pivots, rows):
         out[p] = row[c:]
-    return Matrix.from_rows(out, r)
+    return FractionMatrix.from_rows(out, r)
 
 
-def dense_inverse(mat: Matrix):
+def dense_inverse(mat) -> FractionMatrix | None:
     """The inverse of a square matrix, by dense_right_inverse, or None when
     it is singular or not square."""
     if mat.rows != mat.cols:
@@ -285,6 +392,7 @@ def quadratic_algebra(names, relations):
 def oracle_apply_slotwise(maps, terms):
     """Per-slot degree-one maps (column j the image of letter j, None the
     identity) applied to every word."""
+    maps = [None if m is None else fraction_matrix(m) for m in maps]
     out = {}
     for word, c in terms.items():
         partial = {(): c}
@@ -301,6 +409,13 @@ def oracle_apply_slotwise(maps, terms):
         for w, v in partial.items():
             out[w] = out.get(w, 0) + v
     return {w: v for w, v in out.items() if v}
+
+
+def oracle_slotwise(maps, vec, n):
+    """oracle_apply_slotwise on a sparse {word index: value} vector of words
+    of length len(maps) over n letters."""
+    return word_vector(n, oracle_apply_slotwise(
+        maps, word_terms(vec, n, len(maps))).items())
 
 
 def oracle_tau(terms, k):
@@ -361,7 +476,7 @@ def twist_pool():
         n = cert.algebra.n
         pool.append((n, cert.nakayama))
         pool.append((n, Matrix.identity(n)))
-        pool.append((n, Matrix.identity(n).scale(Fraction(-1))))
+        pool.append((n, -Matrix.identity(n)))
     return pool
 
 
@@ -383,7 +498,7 @@ def scalar_twist(alg_fd, k, c):
     mats = []
     for i in range(alg_fd.length + 1):
         factor = (Fraction(-1) ** (k * i)) * (Fraction(c) ** i)
-        mats.append(Matrix.identity(alg_fd.dims[i]).scale(factor))
+        mats.append(FractionMatrix.identity(alg_fd.dims[i]).scale(factor))
     return tuple(mats)
 
 
@@ -405,7 +520,8 @@ def block_nakayama_oracle(alg_fd, sigma, n_ext):
             for a in range(dni):
                 for b in range(dni):
                     rows[di + a][di + b] = t[a, b]
-        mats.append(Matrix.from_rows([tuple(r) for r in rows], di + dni))
+        mats.append(FractionMatrix.from_rows([tuple(r) for r in rows],
+                                             di + dni))
     return tuple(mats)
 
 
@@ -460,9 +576,9 @@ def cdg_underlying_trivial_extension(alg: GradedFDAlgebra) -> GradedFDAlgebra:
     return dense_algebra(dims, mult)
 
 
-def identity_maps(alg: GradedFDAlgebra) -> tuple[Matrix, ...]:
+def identity_maps(alg: GradedFDAlgebra) -> tuple[FractionMatrix, ...]:
     """The identity of alg as a graded map, one matrix per degree."""
-    return tuple(Matrix.identity(m) for m in alg.dims)
+    return tuple(FractionMatrix.identity(m) for m in alg.dims)
 
 
 def dual_trivial_extension(alg: GradedFDAlgebra, left, right,
@@ -566,7 +682,7 @@ def is_multiplicative(auto, alg: GradedFDAlgebra) -> bool:
         return False
     if not all(m.is_invertible() for m in auto):
         return False
-    if auto[0] != Matrix.identity(1):
+    if auto[0] != FractionMatrix.identity(1):
         return False
     d = alg.length
     for i in range(d + 1):
@@ -601,17 +717,20 @@ def cdg_trivial_extension(c: Cdga) -> Cdga:
     for i in range(d + 1):
         # degree i is A_i followed by the dual of A_j
         j = d + 1 - i
-        dual_part = c.delta[j - 1].transpose().scale((-1) ** (d + j))
-        delta.append(_block_diagonal(c.delta[i], dual_part))
-    delta.append(Matrix.zero(0, gamma.dims[d + 1]))
+        dual_part = fraction_matrix(c.delta[j - 1]).transpose().scale(
+            (-1) ** (d + j))
+        delta.append(package_matrix(block_diagonal(
+            fraction_matrix(c.delta[i]), dual_part)))
+    delta.append(Matrix.from_rows((), gamma.dims[d + 1]))
     curv = tuple(c.curvature) + tuple([ZERO] * alg.dim(d - 1))
     return Cdga(gamma, tuple(delta), curv)
 
 
-def _block_diagonal(top: Matrix, bottom: Matrix) -> Matrix:
+def block_diagonal(top: FractionMatrix,
+                    bottom: FractionMatrix) -> FractionMatrix:
     rows = [row + (ZERO,) * bottom.cols for row in top.entries]
     rows += [(ZERO,) * top.cols + row for row in bottom.entries]
-    return Matrix.from_rows(rows, top.cols + bottom.cols)
+    return FractionMatrix.from_rows(rows, top.cols + bottom.cols)
 
 
 def rescaled_nakayama_shift(cert, c: Cdga, s) -> tuple:
@@ -622,7 +741,8 @@ def rescaled_nakayama_shift(cert, c: Cdga, s) -> tuple:
     s = Fraction(s)
     d = cert.gldim
     omega_cols = dense_inverse(cert.frobenius.pairings[1]).scale(s)
-    return tuple(c.delta[d - 1].mul_col(omega_cols.col(i))[0] / s
+    delta = fraction_matrix(c.delta[d - 1])
+    return tuple(delta.mul_col(omega_cols.col(i))[0] / s
                  for i in range(cert.algebra.n))
 
 
@@ -714,7 +834,8 @@ def model_map_multiplicative(gamma: GradedFDAlgebra,
     """
     if gamma.dims[:2] != ext_dual.dims[:2]:
         return False
-    maps = [Matrix.identity(gamma.dims[0]), Matrix.identity(gamma.dims[1])]
+    maps = [FractionMatrix.identity(gamma.dims[0]),
+            FractionMatrix.identity(gamma.dims[1])]
     for k in range(2, gamma.length + 1):
         pcols, qcols = [], []
         for a in range(gamma.dims[k - 1]):
@@ -722,10 +843,11 @@ def model_map_multiplicative(gamma: GradedFDAlgebra,
                 pcols.append(multiply_basis(gamma, k - 1, a, 1, b))
                 qcols.append(ext_dual.multiply(k - 1, maps[k - 1].col(a),
                                                1, maps[1].col(b)))
-        smat = dense_right_inverse(Matrix.from_rows(zip(*pcols), len(pcols)))
+        smat = dense_right_inverse(FractionMatrix.from_rows(zip(*pcols),
+                                                            len(pcols)))
         if smat is None:
             return False
-        maps.append(Matrix.from_rows(zip(*qcols), len(qcols)) @ smat)
+        maps.append(FractionMatrix.from_rows(zip(*qcols), len(qcols)) @ smat)
     d = gamma.length
     for i in range(d + 1):
         for j in range(d + 1 - i):
@@ -759,7 +881,7 @@ def ext_iso_oracle(ext):
     ebd = truncated_structure(ext.algebra.dual, cert.gldim + 1)
     generated_ok = True
     bijective = True
-    maps = [Matrix.identity(1), Matrix.identity(n + 1)]
+    maps = [FractionMatrix.identity(1), FractionMatrix.identity(n + 1)]
     for k in range(2, cert.gldim + 2):
         pcols = []
         qcols = []
@@ -768,13 +890,13 @@ def ext_iso_oracle(ext):
             for b in range(gamma.dims[1]):
                 pcols.append(multiply_basis(gamma, k - 1, a, 1, b))
                 qcols.append(ebd.multiply(k - 1, fa, 1, maps[1].col(b)))
-        pmat = Matrix.from_rows(zip(*pcols), len(pcols))
-        qmat = Matrix.from_rows(zip(*qcols), len(qcols))
+        pmat = FractionMatrix.from_rows(zip(*pcols), len(pcols))
+        qmat = FractionMatrix.from_rows(zip(*qcols), len(qcols))
         smat = dense_right_inverse(pmat)
         if smat is None:
             generated_ok = False
             bijective = False
-            maps.append(Matrix.zero(ebd.dims[k], gamma.dims[k]))
+            maps.append(FractionMatrix.zero(ebd.dims[k], gamma.dims[k]))
             continue
         fk = qmat @ smat
         if fk @ pmat != qmat:
@@ -806,6 +928,21 @@ def ext_iso_oracle(ext):
 # The Fraction routes of the Calabi-Yau path that the package replaced by
 # integer ones, kept as oracles for them.
 
+def solve(rows, n):
+    """int_solve on rational rows, with Fraction solutions: the Fraction
+    solver the package kept before every caller moved to int_solve.
+
+    Columns below n hold the unknowns and column n + j holds right-hand side
+    j; rows are rational, sparse maps or dense sequences.  Returns
+    ({pivot unknown p: {j: x_p of solution j}}, consistent), zeros left
+    out and every free unknown zero.  The rows are scaled to integers and
+    solved by `int_solve`.
+    """
+    sol, consistent = int_solve((_to_int_row(r) for r in rows), n)
+    return ({p: {j: Fraction(v, pv) for j, v in vals.items()}
+             for p, (pv, vals) in sol.items()}, consistent)
+
+
 def oracle_class_from_pairings(trunc, k, rows, value_vectors):
     """TruncatedAlgebra.class_from_pairings by the Fraction route: the
     Fraction rows read on the basis words, the values appended, one
@@ -827,25 +964,25 @@ def oracle_class_from_pairings(trunc, k, rows, value_vectors):
             for j in range(len(value_vectors))]
 
 
-def oracle_preserves_subspace(phi: Matrix, space) -> bool:
+def oracle_preserves_subspace(phi, space) -> bool:
     """Whether phi (x) phi maps a subspace of the degree-two words into
-    itself, each Fraction basis row mapped by apply_slotwise."""
-    return all(space.contains(apply_slotwise([phi, phi], dict(row), phi.cols))
+    itself, each Fraction basis row mapped by oracle_slotwise."""
+    return all(space.contains(oracle_slotwise([phi, phi], dict(row), phi.cols))
                for row in space.rows)
 
 
-def oracle_automorphism(trunc, phi: Matrix) -> tuple[Matrix, ...]:
+def oracle_automorphism(trunc, phi) -> tuple[FractionMatrix, ...]:
     """TruncatedAlgebra.automorphism by the Fraction route: every basis word
-    mapped by apply_slotwise and reduced to its class by reduce_sparse."""
+    mapped by oracle_slotwise and reduced to its class by reduce_sparse."""
     if not oracle_preserves_subspace(phi, trunc.algebra.relations):
         raise LinAlgError("map does not preserve the relation subspace")
     n = trunc.algebra.n
     mats = []
     for k in range(trunc.length + 1):
-        cols = [trunc.reduce_sparse(k, apply_slotwise([phi] * k,
-                                                      {w: Fraction(1)}, n))
+        cols = [trunc.reduce_sparse(k, oracle_slotwise([phi] * k,
+                                                       {w: Fraction(1)}, n))
                 for w in trunc.words[k]]
-        mats.append(Matrix.from_rows(cols, trunc.dims[k]).transpose())
+        mats.append(FractionMatrix.from_rows(cols, trunc.dims[k]).transpose())
     return tuple(mats)
 
 
@@ -855,9 +992,10 @@ def oracle_frobenius(alg: GradedFDAlgebra):
     dense_inverse, the solution of G_i nak[d-i] = G_{d-i}^T."""
     d = alg.length
     dims = alg.dims
-    pairings = [Matrix.from_rows([[multiply_basis(alg, i, a, d - i, b)[0]
-                                   for b in range(dims[d - i])]
-                                  for a in range(dims[i])], dims[d - i])
+    pairings = [FractionMatrix.from_rows(
+                    [[multiply_basis(alg, i, a, d - i, b)[0]
+                      for b in range(dims[d - i])]
+                     for a in range(dims[i])], dims[d - i])
                 for i in range(d + 1)]
     nakayama = [None] * (d + 1)
     for i in range(d + 1):
@@ -879,7 +1017,8 @@ def oracle_graded_symmetry(alg: GradedFDAlgebra):
                     if pairings[i][a, b] != (-1) ** (i * (d - i))
                     * pairings[d - i][b, a]), None)
     ok_nakayama = all(
-        nakayama[i] == Matrix.identity(alg.dims[i]).scale((-1) ** ((d - 1) * i))
+        nakayama[i] == FractionMatrix.identity(alg.dims[i]).scale(
+            (-1) ** ((d - 1) * i))
         for i in range(d + 1))
     return witness is None, witness, ok_nakayama
 
@@ -931,26 +1070,16 @@ def oracle_trivial_extension_table(alg: GradedFDAlgebra, left, right):
     return tuple(dims), mult, alg.den * scale
 
 
-def int_twist(mats) -> IntTwist:
-    """A graded map given by one Fraction matrix per degree, as the
-    IntTwist the package reads: each matrix as int_columns over the lcm of
-    the denominators of all of them."""
-    den = denominator(*mats)
-    return IntTwist(tuple(int_columns(m, den) for m in mats), den)
+def int_twist(mats) -> tuple[Matrix, ...]:
+    """A graded map given by one matrix per degree as the package takes a
+    twist: one integer Matrix per degree."""
+    return tuple(package_matrix(m) for m in mats)
 
 
-def twist_matrices(twist: IntTwist) -> tuple[Matrix, ...]:
-    """The Fraction matrices of an IntTwist, one per degree, each square
-    with one column per column the twist lists."""
-    mats = []
-    for cols in twist.cols:
-        n = len(cols)
-        rows = [[ZERO] * n for _ in range(n)]
-        for a, col in enumerate(cols):
-            for t, v in col:
-                rows[t][a] = Fraction(v, twist.den)
-        mats.append(Matrix.from_rows(rows, n))
-    return tuple(mats)
+def twist_matrices(twist) -> tuple[FractionMatrix, ...]:
+    """A graded map given by one matrix per degree as the oracles read it:
+    one FractionMatrix per degree."""
+    return tuple(fraction_matrix(m) for m in twist)
 
 
 # ---------------------------------------------------------------------------

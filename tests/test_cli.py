@@ -367,7 +367,7 @@ def test_caches_are_bounded_and_keep_a_corpus_sweep_warm(capsys):
             "io.parse_description": 120,
             "quadratic.truncated_structure": 4,
             "regular.as_regular_certificate": 80,
-            "skew.skew_extend": 29,
+            "skew.skew_extend": 26,
             "io.description_deformation": 3}
     for name, cache in caches.items():
         info = cache.cache_info()
@@ -807,8 +807,9 @@ def test_a_cold_twisted_run_looks_its_extension_up_once(tmp_path, capsys,
                                                         monkeypatch, argv,
                                                         code):
     # the extension owns its model, honest dual, report and symmetry
-    # verdict, so a cold run on skew4 makes one lookup keyed on the twist,
-    # which hashes the 16 entries of the 4 x 4 matrix once
+    # verdict, so a cold run on skew4 makes one lookup keyed on the twist;
+    # the twist is an integer matrix whose hash was computed when it was
+    # made, and no Fraction is hashed anywhere in the run
     path = tmp_path / "skew4.json"
     path.write_text(json.dumps(skew_description(4, Fraction(-2, 3))))
     hashes = []
@@ -825,7 +826,43 @@ def test_a_cold_twisted_run_looks_its_extension_up_once(tmp_path, capsys,
     capsys.readouterr()
     info = skew.skew_extend.cache_info()
     assert (info.hits, info.misses) == (0, 1)
-    assert len(hashes) == 16
+    assert hashes == []
+
+
+def test_a_cold_pbw_run_looks_its_extension_up_once(capsys):
+    # the deformed criterion reads the model on the extension it looked up
+    # and hands that extension on to the transported deformation
+    _clear_package_caches()
+    assert main(["pbw", _path("quantum_weyl")]) == 0
+    capsys.readouterr()
+    info = skew.skew_extend.cache_info()
+    assert (info.hits, info.misses) == (0, 1)
+
+
+@pytest.mark.parametrize("argv,systems", [
+    (("cy",), 10), (("extiso",), 10), (("skew",), 7), (("regular",), 5),
+    (("koszul",), 5)])
+def test_a_cold_run_eliminates_each_koszul_system_once(tmp_path, capsys,
+                                                       monkeypatch, argv,
+                                                       systems):
+    # a degree counted by rank keeps its forward echelon form, and building
+    # it in full finishes that form: on skew4, K_4 of the base is counted
+    # first and built later, and its equations are written once
+    path = tmp_path / "skew4.json"
+    path.write_text(json.dumps(skew_description(4, Fraction(-2, 3))))
+    written = []
+    equations = quadratic._koszul_equations
+
+    def recorded(*args):
+        eqs = equations(*args)
+        written.append(tuple(tuple(sorted(eq.items())) for eq in eqs))
+        return eqs
+
+    monkeypatch.setattr(quadratic, "_koszul_equations", recorded)
+    _clear_package_caches()
+    assert main([argv[0], str(path), *argv[1:]]) == 0
+    capsys.readouterr()
+    assert len(written) == len(set(written)) == systems
 
 
 def test_a_cold_symmetrize_run_tests_cyclicity_twice(capsys, monkeypatch):

@@ -7,16 +7,19 @@ from random import Random
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from helpers import (dense_kernel_rows, dense_rank, dense_rows, dense_rref,
-                     oracle_echelon_int, oracle_flipped_int_kernel,
-                     oracle_forward_reduce, oracle_int_solve,
-                     oracle_reduced_echelon, residue)
+from helpers import (FractionMatrix, block_diagonal, dense_inverse,
+                     dense_kernel_rows, dense_rank, dense_rows, dense_rref,
+                     fraction_matrix, oracle_echelon_int,
+                     oracle_flipped_int_kernel, oracle_forward_reduce,
+                     oracle_int_solve, oracle_reduced_echelon, oracle_slotwise,
+                     package_matrix, residue, solve)
 from quadalg.linalg import (ConsistencyError, LinAlgError, Matrix,
                             ResourceLimitError, Subspace, _echelon_int,
                             _reduced_echelon, _strip, _to_int_row,
-                            flipped_int_kernel, int_kernel, int_solve, solve,
+                            flipped_int_kernel, int_kernel, int_solve,
                             solve_square)
 from quadalg.quadratic import QuadraticAlgebra, koszul_component
+from quadalg.tensors import apply_slot_columns
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -52,8 +55,10 @@ def solution(sol, j, n):
 
 def test_identity_and_zero():
     assert Matrix.identity(3) == mk_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
-    assert Matrix.zero(2, 4) == mk_rows([[0] * 4] * 2, 4)
-    assert Matrix.identity(2) != Matrix.zero(2, 2)
+    # the zero matrix is content-free over the denominator 1
+    zero = mk_rows([[0] * 4] * 2, 4)
+    assert (zero.num, zero.den) == (((0,) * 4,) * 2, 1)
+    assert Matrix.identity(2) != mk_rows([[0, 0], [0, 0]], 2)
 
 
 def test_matmul_shapes():
@@ -61,7 +66,7 @@ def test_matmul_shapes():
     b = mk_rows([[1, 0, 1], [0, 1, 1]], 3)
     p = a @ b
     assert p.rows == 3 and p.cols == 3
-    assert p[2, 2] == Fraction(11)
+    assert p.entries[2][2] == Fraction(11)
     with pytest.raises(LinAlgError):
         b @ b
 
@@ -120,7 +125,9 @@ def test_kernel_annihilates(m):
     ker = Subspace.from_spanning(m.entries, m.cols).annihilator()
     assert ker.dim == m.cols - m.rank()
     for row in ker.rows:
-        assert all(v == 0 for v in m.mul_sparse_col(row))
+        vec = dict(row)
+        assert all(v == 0 for v in m.mul_col(
+            tuple(vec.get(j, ZERO) for j in range(m.cols))))
 
 
 @settings(max_examples=60, deadline=None)
@@ -168,7 +175,7 @@ def test_solve_several_right_hand_sides_matches_dense_oracle(m, coeffs):
 @given(matrices(max_dim=4))
 def test_inverse_roundtrip(m):
     inv = solve_square(m, Matrix.identity(m.rows))
-    assert (inv is not None) == (m.rows == m.cols and m.is_invertible())
+    assert (inv is not None) == (m.rows == m.cols and m.rank() == m.rows)
     if inv is None:
         return
     assert m @ inv == Matrix.identity(m.rows)
@@ -354,7 +361,7 @@ def test_the_elimination_core_matches_the_axpy_oracle(case, data):
     reduced = _reduced_echelon(_echelon_int(fresh()))
     assert (list(reduced.items())
             == list(oracle_reduced_echelon(fresh()).items()))
-    assert (flipped_int_kernel(fresh(), cols)
+    assert (flipped_int_kernel(_echelon_int(fresh()), cols)
             == oracle_flipped_int_kernel(fresh(), cols))
     for n in range(cols + 1):
         assert int_solve(fresh(), n) == oracle_int_solve(fresh(), n)
@@ -541,18 +548,17 @@ def test_a_value_that_is_not_int_or_fraction_is_refused(value):
     assert Subspace.from_spanning([{0: Fraction(1, 2), 1: 3, 2: 0.0}],
                                   3).int_rows == (((0, 1), (1, 6)),)
     assert Subspace.from_spanning([{0: False, 1: 1}], 2).int_rows == (((1, 1),),)
-    # a Matrix holds Fractions and takes ints and Fractions only, in its
-    # rows and as a scale factor
+    # a Matrix takes ints and Fractions only in its rows, holds them as
+    # integers over one denominator and shows them as Fractions
     with pytest.raises(LinAlgError, match="matrix entries must be int or Fraction"):
         Matrix.from_rows([[value, 1], [Fraction(1, 3), 2]], 2)
     with pytest.raises(LinAlgError, match="matrix entries must be int or Fraction"):
         Matrix.from_rows([[Fraction(1, 2), 0], [0, value]], 2)
-    with pytest.raises(LinAlgError, match="matrix entries must be int or Fraction"):
-        Matrix.identity(2).scale(value)
     m = Matrix.from_rows([[Fraction(1, 2), 0], [3, 1]], 2)
+    assert (m.num, m.den) == (((1, 0), (6, 2)), 2)
     assert m.entries == ((Fraction(1, 2), ZERO), (Fraction(3), ONE))
     assert all(type(v) is Fraction for row in m.entries for v in row)
-    assert m.scale(2) == m.scale(Fraction(2)) == Matrix.from_rows([[1, 0], [6, 2]], 2)
+    assert -m == Matrix.from_rows([[Fraction(-1, 2), 0], [-3, -1]], 2)
 
 
 @pytest.mark.parametrize("value", [0.1, 1.0, 0.0, True, False, "1", 1j],
@@ -570,3 +576,67 @@ def test_mul_col_takes_ints_and_fractions():
     m = Matrix.from_rows([[Fraction(1, 2), 0], [3, 1]], 2)
     assert m.mul_col([2, Fraction(1, 3)]) == (ONE, Fraction(19, 3))
     assert all(type(v) is Fraction for v in m.mul_col([0, 0]))
+
+
+# the package's matrices are integers over a denominator; the Fraction-row
+# FractionMatrix of tests/helpers.py, which they replaced, is their oracle
+small_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+
+def fraction_matrices(rows, cols):
+    return st.builds(FractionMatrix.from_rows,
+                     st.lists(st.lists(small_fractions, min_size=cols,
+                                       max_size=cols),
+                              min_size=rows, max_size=rows),
+                     st.just(cols))
+
+
+@seed(20136)
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_integer_matrix_matches_the_fraction_oracle(data):
+    # 1 x 1 to 4 x 4: a square a, b with a's rows and c with b's columns
+    n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
+    fa = data.draw(fraction_matrices(n, n))
+    fb = data.draw(fraction_matrices(n, k))
+    fc = data.draw(fraction_matrices(k, m))
+    a, b, c = map(package_matrix, (fa, fb, fc))
+    assert all(type(v) is int for x in (a, b, c) for row in x.num for v in row)
+    assert fraction_matrix(b) == fb
+    assert fraction_matrix(b.transpose()) == fb.transpose()
+    assert fraction_matrix(b @ c) == fb @ fc
+    assert fraction_matrix(a.block_sum(b)) == block_diagonal(fa, fb)
+    assert (a.rank(), b.rank(), c.rank()) == (fa.rank(), fb.rank(), fc.rank())
+    col = data.draw(st.lists(small_fractions, min_size=k, max_size=k))
+    assert b.mul_col(col) == fb.mul_col(col)
+    # the X of a X = b, or None exactly when a is singular
+    inv = dense_inverse(fa)
+    x = solve_square(a, b)
+    assert (x is None) == (inv is None)
+    if inv is not None:
+        assert fraction_matrix(x) == inv @ fb
+    # equality is structural and the hash follows it: b written over a
+    # larger denominator is b, and another draw is b exactly when the
+    # oracle says so
+    wide = Matrix(tuple(tuple(6 * v for v in row) for row in b.num),
+                  6 * b.den, b.cols)
+    assert (wide.num, wide.den) == (b.num, b.den)
+    assert wide == b and hash(wide) == hash(b)
+    other = package_matrix(data.draw(fraction_matrices(n, k)))
+    assert (other == b) == (fraction_matrix(other) == fb)
+    assert other != b or hash(other) == hash(b)
+    # twice b differs from b, unless b is zero, in its numerators or, when
+    # its denominator is even, in the denominator alone
+    assert (package_matrix(fb.scale(2)) == b) == (fb.scale(2) == fb)
+    # the slotwise action on a word vector of length d over n letters:
+    # each slot the identity, a or its transpose, read through its integer
+    # columns, which act over a.den
+    d = data.draw(st.integers(1, 3))
+    kinds = [data.draw(st.sampled_from([0, 1, 2])) for _ in range(d)]
+    vec = data.draw(st.dictionaries(st.integers(0, n ** d - 1),
+                                    small_fractions.filter(bool), max_size=6))
+    got = apply_slot_columns([(None, a.columns, a.transpose().columns)[t]
+                              for t in kinds], vec, n)
+    scale = a.den ** sum(t != 0 for t in kinds)
+    assert ({i: v / scale for i, v in got.items()} == oracle_slotwise(
+        [(None, fa, fa.transpose())[t] for t in kinds], vec, n))

@@ -80,7 +80,8 @@ def test_weyl_dual_cdga():
     defm = _corpus_defm("quantum_weyl", 2)
     c = dual_cdga(defm)
     # nu is zero: no linear differential at all
-    assert all(m == Matrix.zero(m.rows, m.cols) for m in c.delta[1:])
+    assert all(m == Matrix.from_rows([[0] * m.cols] * m.rows, m.cols)
+               for m in c.delta[1:])
     # theta = 1 on xy - 2yx: curvature pairs to 1 against it, giving -1/2 of
     # the single dual relation class y*x*
     assert c.curvature == (F(-1, 2),)
@@ -178,13 +179,13 @@ def test_skew_deformation_transport():
         cert = defm.cert
         xi = cert.nakayama
         lam = nakayama_shift(cert, dual_cdga(defm))
-        ext_defm = skew_deformation(defm, xi, lam)
+        ext = skew_extend(cert, xi)
+        ext_defm = skew_deformation(defm, ext, lam)
         n = cert.algebra.n
         nrel = cert.algebra.relations.dim
         c = dual_cdga(ext_defm)
         z_img = c.delta[1].mul_col(tuple([F(0)] * n) + (F(1),))
         # rebuild the expected class from the stacked relation pairings
-        ext = skew_extend(cert, xi)
         stacked = [{(col // n) * (n + 1) + col % n: v for col, v in row}
                    for row in cert.algebra.relations.rows]
         stacked += ext.stacked_relations[nrel:]

@@ -10,9 +10,10 @@ import weakref
 import pytest
 
 from helpers import (AS_REGULAR, algebra_of, cert_of, dense_inverse,
-                     quadratic_algebra, residue, seeded)
+                     fraction_matrix, oracle_slotwise, quadratic_algebra,
+                     residue, seeded)
 from quadalg import (Matrix, NotRegular, QuadraticAlgebra, Subspace,
-                     apply_slotwise, as_regular_certificate, dim2_matrix_form,
+                     as_regular_certificate, dim2_matrix_form,
                      numeric_koszul_certificate, regular, regularity_data)
 from quadalg.linalg import ConsistencyError, LinAlgError
 
@@ -90,7 +91,7 @@ def test_nakayama_preserves_relations():
         cert = cert_of(name)
         xi = cert.nakayama
         img = [residue(cert.algebra.relations,
-                       apply_slotwise((xi, xi), dict(row), cert.algebra.n))
+                       oracle_slotwise((xi, xi), dict(row), cert.algebra.n))
                for row in cert.algebra.relations.rows]
         assert all(all(v == 0 for v in r.values()) for r in img), name
 
@@ -157,9 +158,9 @@ def test_dim2_matrix_form_goldens():
         m, xi = dim2_matrix_form(cert_of(name))
         assert m == _mat(rows), name
         # xi = -M^t M^{-1} for a single relation in two letters
-        m = _mat(rows)
+        m = fraction_matrix(_mat(rows))
         expect = (m.transpose() @ dense_inverse(m)).scale(F(-1))
-        assert xi == expect, name
+        assert fraction_matrix(xi) == expect, name
 
 
 def test_dim2_criterion_on_every_small_relation():
@@ -171,7 +172,7 @@ def test_dim2_criterion_on_every_small_relation():
     for entries in product(range(-2, 3), repeat=4):
         if not any(entries):
             continue
-        m = _mat((entries[:2], entries[2:]))
+        m = fraction_matrix(_mat((entries[:2], entries[2:])))
         alg = QuadraticAlgebra(("x", "y"),
                                Subspace.from_spanning([entries], 4))
         if entries[0] * entries[3] == entries[1] * entries[2]:
@@ -184,8 +185,9 @@ def test_dim2_criterion_on_every_small_relation():
         form, xi = dim2_matrix_form(cert)
         lead = next(k for k, v in enumerate(entries) if v)
         scale = F(entries[lead]) / form.entries[lead // 2][lead % 2]
-        assert form.scale(scale) == m, entries
-        assert xi == (m.transpose() @ dense_inverse(m)).scale(F(-1)), entries
+        assert fraction_matrix(form).scale(scale) == m, entries
+        assert (fraction_matrix(xi)
+                == (m.transpose() @ dense_inverse(m)).scale(F(-1))), entries
     # of the 624, 496 are invertible
     assert regular_count == 496
 

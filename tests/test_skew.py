@@ -193,7 +193,8 @@ def _zero_action_model(cert):
     degree acting by zero: not generated in degree 1, as the copy of the
     dual's degree 1 is no product."""
     dual = cert.dual_fd
-    unit_only = tuple(Matrix.identity(1) if i == 0 else Matrix.zero(m, m)
+    unit_only = tuple(Matrix.identity(1) if i == 0
+                      else Matrix.from_rows([[0] * m] * m, m)
                       for i, m in enumerate(dual.dims))
     return twisted_module_trivial_extension(dual, int_twist(unit_only),
                                             int_twist(unit_only))

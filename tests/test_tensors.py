@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (oracle_apply_slotwise, oracle_contract_left,
-                     oracle_contract_right, oracle_tau, seeded, word_terms,
-                     word_vector)
-from quadalg.linalg import (LinAlgError, Matrix, Subspace, denominator,
-                            int_columns)
+                     oracle_contract_right, oracle_slotwise, oracle_tau,
+                     seeded, word_terms, word_vector)
+from quadalg.linalg import LinAlgError, Matrix, Subspace
 from quadalg.quadratic import QuadraticAlgebra, truncated_structure
-from quadalg.tensors import (add_into, apply_slot_columns, apply_slotwise,
-                             contract_left, contract_right, index_to_word,
-                             preserves_subspace, tau, word_to_index)
+from quadalg.tensors import (add_into, apply_slot_columns, contract_left,
+                             contract_right, index_to_word,
+                             is_twisted_superpotential, preserves_subspace,
+                             tau, word_to_index)
 
 F = Fraction
 
@@ -27,6 +27,18 @@ def _diagonal(*values):
 
 def _unit(word, n):
     return {word_to_index(word, n): F(1)}
+
+
+def _image(maps, vec, n):
+    """The slotwise image of vec under Matrix slots, None the identity:
+    apply_slot_columns on their integer columns, divided by the
+    denominator of each map once per slot it fills."""
+    scale = 1
+    for m in maps:
+        if m is not None:
+            scale *= m.den
+    return {w: F(v) / scale for w, v in apply_slot_columns(
+        [None if m is None else m.columns for m in maps], vec, n).items()}
 
 
 def test_word_index_bijection():
@@ -57,8 +69,6 @@ def test_tensor_make_merges_and_validates():
     add_into(acc, 2, F(3))
     assert acc == {1: F(3)}
     with pytest.raises(LinAlgError):
-        apply_slotwise([_diagonal(1, 1, 1)], {0: F(1)}, 2)
-    with pytest.raises(LinAlgError):
         tau({0: F(1)}, 2, 2, 2)
 
 
@@ -67,9 +77,9 @@ def test_a_slot_map_that_is_not_square_is_refused():
     # other words or lie past the 4 words of length 2
     phi = Matrix.from_rows([[1, 0], [0, 1], [1, 1]], 2)
     with pytest.raises(LinAlgError, match="slot map acts on the wrong space"):
-        apply_slotwise([phi, phi], {1: F(1)}, 2)
+        is_twisted_superpotential({1: F(1)}, 2, phi)
     with pytest.raises(LinAlgError, match="slot map acts on the wrong space"):
-        apply_slotwise([None, phi.transpose()], {1: F(1)}, 3)
+        is_twisted_superpotential({1: F(1)}, 2, phi.transpose())
     relations = Subspace.from_spanning([{1: F(1), 2: F(-1)}], 4)
     with pytest.raises(LinAlgError, match="slot map acts on the wrong space"):
         preserves_subspace(phi, relations)
@@ -103,15 +113,21 @@ def test_tensor_product_concatenates():
 def test_degree_one_map_columns():
     # column j holds the image of letter j
     p = Matrix.from_rows([(F(1), F(2)), (F(0), F(3))], 2)
-    assert p.col(1) == (F(2), F(3))
-    assert apply_slotwise([p], _unit((1,), 2), 2) == {0: F(2), 1: F(3)}
+    assert p.columns[1] == ((0, 2), (1, 3)) and p.den == 1
+    assert _image([p], _unit((1,), 2), 2) == {0: F(2), 1: F(3)}
+    # over a denominator, the integer columns act times it
+    half = Matrix.from_rows([(F(1, 2), F(1)), (F(0), F(3, 2))], 2)
+    assert half.columns[1] == ((0, 2), (1, 3)) and half.den == 2
+    assert apply_slot_columns([half.columns], _unit((1,), 2), 2) == {
+        0: F(2), 1: F(3)}
+    assert _image([half], _unit((1,), 2), 2) == {0: F(1), 1: F(3, 2)}
 
 
 def test_apply_slotwise_identity_slots():
     p = _diagonal(2, 5)
     t = _unit((0, 1), 2)
-    assert apply_slotwise([p, None], t, 2) == {1: F(2)}
-    assert apply_slotwise([p, p], t, 2) == {1: F(10)}
+    assert _image([p, None], t, 2) == {1: F(2)}
+    assert _image([p, p], t, 2) == {1: F(10)}
 
 
 def test_tau_moves_first_slot():
@@ -178,8 +194,8 @@ def test_slotwise_composition_is_functorial():
     q = _diagonal(2, 3)
     t = word_vector(2, [((0, 1), F(1)), ((1, 0), F(4))])
     pq = p @ q
-    once = apply_slotwise([pq, pq], t, 2)
-    twice = apply_slotwise([p, p], apply_slotwise([q, q], t, 2), 2)
+    once = _image([pq, pq], t, 2)
+    twice = _image([p, p], _image([q, q], t, 2), 2)
     assert once == twice
 
 
@@ -196,7 +212,7 @@ def test_word_operations_match_word_tuple_oracle():
         maps = [None if rng.random() < 0.3 else Matrix.from_rows(
                     [[rng.randint(-1, 2) for _ in range(n)] for _ in range(n)], n)
                 for _ in range(d)]
-        assert (word_terms(apply_slotwise(maps, vec, n), n, d)
+        assert (word_terms(_image(maps, vec, n), n, d)
                 == oracle_apply_slotwise(maps, words))
         for k in range(d):
             assert word_terms(tau(vec, d, k, n), n, d) == oracle_tau(words, k)
@@ -208,8 +224,9 @@ def test_word_operations_match_word_tuple_oracle():
 
 
 def test_integer_slot_columns_scale_the_fraction_image():
-    # apply_slot_columns on the integer columns over L = denominator(maps)
-    # is the Fraction image times L per mapped slot, in ints
+    # apply_slot_columns on the integer columns of each map, over its
+    # denominator, is the Fraction image times that denominator per mapped
+    # slot, in ints
     rng = seeded(2626)
     for _ in range(100):
         n = rng.randint(1, 3)
@@ -220,11 +237,12 @@ def test_integer_slot_columns_scale_the_fraction_image():
                     [[F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
                      for _ in range(n)], n)
                 for _ in range(d)]
-        mats = [m for m in maps if m is not None]
-        scale = denominator(*mats) if mats else 1
-        cols = {id(m): int_columns(m, scale) for m in mats}
-        image = apply_slot_columns([None if m is None else cols[id(m)]
+        scale = 1
+        for m in maps:
+            if m is not None:
+                scale *= m.den
+        image = apply_slot_columns([None if m is None else m.columns
                                     for m in maps], vec, n)
         assert all(type(v) is int for v in image.values())
-        expect = apply_slotwise(maps, {w: F(c) for w, c in vec.items()}, n)
-        assert image == {w: v * scale ** len(mats) for w, v in expect.items()}
+        expect = oracle_slotwise(maps, {w: F(c) for w, c in vec.items()}, n)
+        assert image == {w: v * scale for w, v in expect.items()}
