@@ -191,8 +191,8 @@ def _cmd_pbw(desc, args):
         "axioms_pass": axioms.passed,
         "is_CY": crit.is_CY,
         "dimension": crit.dimension,
-        "shift": [str(v) for v in crit.shift],
-        "twisted_shift": [str(v) for v in crit.twisted_shift],
+        "shift": [str(v) for (v,) in crit.shift.entries],
+        "twisted_shift": [str(v) for (v,) in crit.twisted_shift.entries],
         "zeta_linear": matrix_to_strings(cert.nakayama),
         "converse_definitive": crit.converse_definitive,
     }
@@ -212,7 +212,7 @@ def _cmd_thm5(desc, args):
         "cond_ii": report.cond_ii,
         "cond_iii": report.cond_iii,
         "equivalent": report.equivalent,
-        "shift": [str(v) for v in report.shift],
+        "shift": [str(v) for (v,) in report.shift.entries],
     }
     return verdict, report.equivalent
 

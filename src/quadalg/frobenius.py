@@ -25,19 +25,22 @@ their integer columns, so the Calabi-Yau path builds and tests its model
 with no Fraction in between.
 
 The builders hand the constructor its final form, tuple rows of tuple
-cells, which its shape pass checks cell by cell and keeps.  The
-associativity check visits every (a, b, s) triple it needs, and skips
-none; where both products it reads are single-term cells, the most common
-case, the two sides are compared cell against cell with no dict built.
+cells, which its shape pass checks cell by cell and keeps; products are
+read off those cells, and there is no product of coordinate vectors.  The
+associativity check runs on the algebra's generators (generators, which
+pbw's curved axioms read too) and visits every (a, b, s) triple it needs;
+where both products it reads are single-term cells, the most common case,
+the two sides are compared cell against cell with no dict built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
-from .linalg import (ConsistencyError, LinAlgError, Matrix, Vec, ZERO,
-                     _echelon_int, solve_square)
+from .linalg import (ConsistencyError, LinAlgError, Matrix, _echelon_int,
+                     solve_square)
 
 
 class NotFrobenius(Exception):
@@ -132,25 +135,6 @@ class GradedFDAlgebra:
     def dim(self, i: int) -> int:
         return self.dims[i] if 0 <= i <= self.length else 0
 
-    def multiply(self, i: int, u, j: int, v) -> Vec:
-        """Product of homogeneous coordinate vectors, in degree i+j."""
-        if len(u) != self.dim(i) or len(v) != self.dim(j):
-            raise LinAlgError("coordinate length mismatch in product")
-        out = [ZERO] * self.dim(i + j)
-        if out:
-            block = self.int_mult[(i, j)]
-            nv = [(b, vb) for b, vb in enumerate(v) if vb]
-            for a, ua in enumerate(u):
-                if not ua:
-                    continue
-                row = block[a]
-                for b, vb in nv:
-                    s = ua * vb
-                    for c, w in row[b]:
-                        out[c] += s * w
-        den = self.den
-        return tuple(x / den for x in out)
-
     def epsilon(self, k: int) -> tuple[Matrix, ...]:
         """The sign automorphism acting by (-1)^(i*k) in degree i."""
         return tuple(-Matrix.identity(m) if i * k % 2 else Matrix.identity(m)
@@ -165,19 +149,32 @@ class GradedFDAlgebra:
                 if self.int_mult[(j, 0)][b][0] != unit:
                     raise LinAlgError(f"right unit fails on degree {j} index {b}")
 
+    @cached_property
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        """A generating set S, as the indices of its basis elements in each
+        degree, the unit left out: the degree-1 basis and, in each degree
+        k >= 2, the basis elements at the non-pivot columns of an echelon
+        form of D_k, the span of the products A_i A_j with i + j = k and
+        i, j >= 1; none once D_k has rank dims[k].  They complement D_k, so
+        by induction on the degree S generates the algebra under this
+        table's own product, whatever the table holds.
+        """
+        dims, mult = self.dims, self.int_mult
+        gens = [()]
+        for k in range(1, self.length + 1):
+            pivots: dict[int, dict[int, int]] = {}
+            # no product is reduced once D_k has rank dims[k]
+            _echelon_int((dict(cell) for i in range(1, k)
+                          for row in mult[(i, k - i)] for cell in row
+                          if cell and len(pivots) < dims[k]), pivots)
+            gens.append(tuple(c for c in range(dims[k]) if c not in pivots))
+        return tuple(gens)
+
     def _validate_associativity(self) -> None:
         """(e_a e_b) s = e_a (e_b s) for basis elements e_a, e_b of positive
-        degree and every s in a generating set S, which is associativity by
-        the lemma in the class docstring.
-
-        S is the degree-1 basis plus, in each degree k >= 2, the basis
-        elements at the non-pivot columns of an echelon form of D_k, the
-        span of all products A_i A_j with i + j = k and i, j >= 1.  These
-        complement D_k, so by induction on the degree S generates the
-        algebra under this table's own product, whatever the table holds.
-        Once D_k has rank dims[k] no more products are reduced: S has no
-        element of degree k.  Triples with a factor of degree 0 follow from
-        the unit check.
+        degree and every s in the generating set S (generators), which is
+        associativity by the lemma in the class docstring.  Triples with a
+        factor of degree 0 follow from the unit check.
 
         The check reads int_mult, den times the true table.  Both sides are
         summed over its nonzero constants only.  Each side comes
@@ -187,14 +184,7 @@ class GradedFDAlgebra:
         side has no entry.
         """
         d, dims, mult = self.length, self.dims, self.int_mult
-        gens = [()]
-        for k in range(1, d + 1):
-            pivots: dict[int, dict[int, int]] = {}
-            # no product is reduced once D_k has rank dims[k]
-            _echelon_int((dict(cell) for i in range(1, k)
-                          for row in mult[(i, k - i)] for cell in row
-                          if cell and len(pivots) < dims[k]), pivots)
-            gens.append(tuple(c for c in range(dims[k]) if c not in pivots))
+        gens = self.generators
         for i in range(1, d + 1):
             for j in range(1, d + 1 - i):
                 ij = mult[(i, j)]

@@ -36,15 +36,17 @@ A vector indexed by coordinate words has one form, a sparse {coordinate:
 value} map or its (coordinate, value) pairs.  A matrix has one form too, a
 Matrix: small, dense and immutable, integer rows over one positive
 denominator, content-free, so that equality is structural and the hash is
-computed once.  Its columns (`Matrix.columns`) are the nonzero integer
-entries over that denominator, the form in which a slot map is applied to
-word vectors, and its Fraction rows (`Matrix.entries`) are only built where
-a report prints them.  Every system with right-hand sides is solved by
-`int_solve` from its augmented integer rows, each solution read as
-integers over its pivot entry, and the X of A X = B for a square A by
-`solve_square`, on the matrices' integer rows; there is no matrix
-inverse.  Fractions remain only at the edges: the rows a caller hands in
-and `Subspace.rows`.
+computed once; a column of coordinates is a one-column Matrix.  Sums,
+differences and products (`@`) stay in integers.  Its columns
+(`Matrix.columns`) are the nonzero integer entries over that
+denominator, the form in which a slot map is applied to word vectors, and
+its Fraction rows (`Matrix.entries`) are only built where a report prints
+them.  Every system with right-hand sides is solved by `int_solve` from
+its augmented integer rows, each solution read as integers over its pivot
+entry (`solution_matrix`), and the X of A X = B for a square A by
+`solve_square`; there is no matrix inverse.  Fractions remain only at
+the edges: the rows a caller hands in, `Subspace.rows` and
+`Matrix.entries`.
 """
 
 from __future__ import annotations
@@ -60,11 +62,6 @@ RowLike = Union[Sequence, Mapping[int, object]]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def unit_vector(n: int, i: int) -> Vec:
-    """The i-th standard basis vector of length n."""
-    return tuple(ONE if j == i else ZERO for j in range(n))
 
 
 class LinAlgError(ValueError):
@@ -396,6 +393,17 @@ class Matrix:
                                   for col in cols) for row in self.num),
                       self.den * other.den, other.cols)
 
+    def __add__(self, other: "Matrix") -> "Matrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise LinAlgError("shape mismatch in addition")
+        a, b = other.den, self.den
+        return Matrix(tuple(tuple(a * x + b * y for x, y in zip(r, s))
+                            for r, s in zip(self.num, other.num)),
+                      a * b, self.cols)
+
+    def __sub__(self, other: "Matrix") -> "Matrix":
+        return self + -other
+
     def block_sum(self, other: "Matrix") -> "Matrix":
         """The block diagonal matrix with self above and other below."""
         a, b = other.den, self.den
@@ -404,21 +412,6 @@ class Matrix:
                       + tuple((0,) * self.cols + tuple(b * v for v in row)
                               for row in other.num),
                       a * b, self.cols + other.cols)
-
-    def mul_col(self, v: Sequence) -> Vec:
-        """The matrix times a column of ints and Fractions, as Fractions; an
-        entry of any other type raises LinAlgError, as in from_rows."""
-        if len(v) != self.cols:
-            raise LinAlgError("length mismatch in column multiplication")
-        if not all(type(x) is int or type(x) is Fraction for x in v):
-            raise LinAlgError("matrix entries must be int or Fraction")
-        # the column as integers over the lcm of its denominators
-        pairs = [(j, x) for j, x in enumerate(v) if x]
-        scale = lcm(*[x.denominator for _, x in pairs])
-        ints = [(j, x.numerator * (scale // x.denominator)) for j, x in pairs]
-        den = self.den * scale
-        return tuple(Fraction(sum([row[j] * x for j, x in ints]), den)
-                     for row in self.num)
 
     def rank(self) -> int:
         return len(_echelon_int({c: v for c, v in enumerate(row) if v}
@@ -442,16 +435,20 @@ def solve_square(a: Matrix, b: Matrix) -> Matrix | None:
                    for m in (a, b))
     sol, _ = int_solve(({c: v for c, v in enumerate([*ra, *rb]) if v}
                         for ra, rb in zip(left, right)), n)
-    if len(sol) < n:
-        return None
+    return solution_matrix(sol, n, b.cols) if len(sol) == n else None
+
+
+def solution_matrix(sol: dict[int, tuple[int, dict[int, int]]], rows: int,
+                    cols: int) -> Matrix:
+    """The rows x cols Matrix whose row p is solution row p of an
+    `int_solve` answer, its ints over its pivot entry, and zero where the
+    answer has no row p; over the lcm of the pivot entries."""
     den = lcm(*[pv for pv, _ in sol.values()])
-    rows = []
-    for pv, vals in map(sol.get, range(n)):
-        row = [0] * b.cols
+    num = [[0] * cols for _ in range(rows)]
+    for p, (pv, vals) in sol.items():
         for j, v in vals.items():
-            row[j] = v * (den // pv)
-        rows.append(tuple(row))
-    return Matrix(tuple(rows), den, b.cols)
+            num[p][j] = v * (den // pv)
+    return Matrix(tuple(map(tuple, num)), den, cols)
 
 
 # ---------------------------------------------------------------------------

@@ -22,15 +22,16 @@ deleting an entry (linalg's module docstring).  A truncation of T(V)/(R) is one
 object, a TruncatedAlgebra: the GradedFDAlgebra whose sparse structure
 cells are read off the class coordinates of product words, together with
 those classes and its basis words (`words`), the only names its basis
-elements have; its table goes to GradedFDAlgebra in the final tuple
-form, and its automorphism extends a degree-one map to every degree, one
-integer Matrix per degree, the twist that the trivial extension reads, with
-no Fraction in between.  No component is built on more than MAX_WORDS = 10^6
-coordinate words: asking for one raises ResourceLimitError, unless K_{k-1}
-is zero, when K_k is the zero subspace at any number of words, answered
-fresh and not stored.  So for n >= 2 an algebra keeps at most
-floor(log_n MAX_WORDS) + 1 components; for n = 1 only k[x]/(x^2) never
-vanishes.
+elements have.  The class of an integer word vector is read off the
+integer class cells (int_class) by the automorphism, which extends a
+degree-one map to every degree, one integer Matrix each, and by pbw's
+differentials; classes fixed by pairings come from one int_solve
+(int_class_from_pairings).  No component is built on more than
+MAX_WORDS = 10^6 coordinate words: asking for one raises
+ResourceLimitError, unless K_{k-1} is zero, when K_k is the zero subspace
+at any number of words, answered fresh and not stored.  So for n >= 2 an
+algebra keeps at most floor(log_n MAX_WORDS) + 1 components; for n = 1
+only k[x]/(x^2) never vanishes.
 
 graded_dims and numeric_koszul_certificate read only dimensions, and the
 highest degree each reads is never built: dim K_m is the number of
@@ -54,14 +55,13 @@ documents io reads and to the skew extensions skew builds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 from typing import NamedTuple
 
 from .frobenius import GradedFDAlgebra
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ResourceLimitError,
-                     Subspace, Vec, ZERO, _echelon_int, _reduced_echelon,
+                     Subspace, _echelon_int, _reduced_echelon,
                      _strip, _to_int_row, flipped_int_kernel, int_solve)
 from .tensors import apply_slot_columns, preserves_subspace
 
@@ -517,18 +517,16 @@ class TruncatedAlgebra(GradedFDAlgebra):
                     for wa in words[i]])
         super().__init__([len(w) for w in words], mult, den)
 
-    def reduce_sparse(self, k: int, sparse) -> Vec:
-        """The class coordinates of a sparse word vector of degree k."""
-        out = [ZERO] * self.dims[k]
-        for w, c in sparse.items():
-            if c:
-                for t, v in self.classes[k].get(w, ()):
-                    out[t] += c * v
-        den = self.den
-        return tuple(x / den for x in out)
-
-    def lift_sparse(self, k: int, coords) -> dict[int, Fraction]:
-        return {w: Fraction(c) for w, c in zip(self.words[k], coords) if c}
+    def int_class(self, k: int, vec) -> tuple[int, ...]:
+        """The class of a degree-k word vector of ints, a sparse {word
+        index: int} map: its coordinates times den, summed from the
+        integer class cells of its words."""
+        out = [0] * self.dims[k]
+        cls = self.classes[k]
+        for w, x in vec.items():
+            for t, v in cls.get(w, ()):
+                out[t] += x * v
+        return tuple(out)
 
     def int_class_from_pairings(self, k: int, rows, value_vectors
                                 ) -> dict[int, tuple[int, dict[int, int]]]:
@@ -564,22 +562,13 @@ class TruncatedAlgebra(GradedFDAlgebra):
             raise LinAlgError("no element attains the prescribed pairings")
         return sol
 
-    def class_from_pairings(self, k: int, rows, value_vectors) -> list[Vec]:
-        """int_class_from_pairings with each class as its Fraction
-        coordinates."""
-        sol = self.int_class_from_pairings(k, rows, value_vectors)
-        return [tuple(Fraction(sol[t][1].get(j, 0), sol[t][0]) if t in sol
-                      else ZERO for t in range(self.dims[k]))
-                for j in range(len(value_vectors))]
-
     def automorphism(self, phi: Matrix) -> tuple[Matrix, ...]:
         """Extend a relation-preserving degree-one map to every degree, one
         matrix per degree, the twist the trivial extension reads.
 
-        Column w of the degree-k matrix is the class of the image of the
-        basis word w: the sum over the words u of its apply_slot_columns
-        image, through phi's integer columns, of their integer class cells.
-        It comes out over den * phi.den^k.
+        Column w of the degree-k matrix is the class (int_class) of the
+        image of the basis word w under apply_slot_columns, through phi's
+        integer columns.  It comes out over den * phi.den^k.
         """
         if not preserves_subspace(phi, self.algebra.relations):
             raise LinAlgError("map does not preserve the relation subspace")
@@ -587,15 +576,11 @@ class TruncatedAlgebra(GradedFDAlgebra):
         cols = phi.columns
         mats = []
         for k, words in enumerate(self.words):
-            cls = self.classes[k]
-            dim = len(words)
-            rows = [[0] * dim for _ in range(dim)]
-            for a, w in enumerate(words):
-                for u, x in apply_slot_columns([cols] * k, {w: 1}, n).items():
-                    for t, v in cls.get(u, ()):
-                        rows[t][a] += x * v
-            mats.append(Matrix(tuple(map(tuple, rows)),
-                               self.den * phi.den ** k, dim))
+            den = self.den * phi.den ** k
+            images = [self.int_class(k, apply_slot_columns([cols] * k,
+                                                           {w: 1}, n))
+                      for w in words]
+            mats.append(Matrix(tuple(images), den, len(words)).transpose())
         return tuple(mats)
 
 

@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 from .frobenius import (GradedFDAlgebra, is_graded_symmetric,
                         twisted_module_trivial_extension)
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Subspace,
-                     _echelon_int, int_solve, solve_square, unit_vector)
+                     _echelon_int, int_solve, solve_square)
 from .quadratic import (QuadraticAlgebra, graded_dims, shared_presentation,
                         truncated_structure)
 from .regular import RegularityCertificate
@@ -211,7 +211,8 @@ def verify_ext_algebra_isomorphism(ext: SkewExtension) -> IsoReport:
     classes as `int_class_from_pairings` returns them and with the integer
     columns of the transpose of sigma^{-1}.
 
-    `extiso` and cy_check_with read it as ext.iso, kept on the extension.
+    `extiso`, cy_check_with and pbw.cy_criterion_deformed read it as
+    ext.iso, kept on the extension.
     """
     cert = ext.cert
     alg = cert.algebra
@@ -257,8 +258,7 @@ def verify_ext_algebra_isomorphism(ext: SkewExtension) -> IsoReport:
     # rows: coordinate t of class i is classes[t][1][i] over classes[t][0]
     nrel = alg.relations.dim
     classes = ebd.int_class_from_pairings(
-        2, ext.stacked_relations,
-        [unit_vector(nrel + n, nrel + i) for i in range(n)])
+        2, ext.stacked_relations, Matrix.identity(nrel + n).num[nrel:])
     pinv = ext.sigma_inverse
     lp = pinv.den
     # row i of pinv, times lp: column i of its transpose

@@ -1,7 +1,7 @@
 """Shared test utilities: seeded generators and independent oracles."""
 
 import argparse
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 import importlib
@@ -12,12 +12,12 @@ import random
 
 import quadalg
 from quadalg import (Cdga, GradedFDAlgebra, Matrix, QuadraticAlgebra,
-                     Subspace, as_regular_certificate, index_to_word,
+                     Subspace, as_regular_certificate, contract_left,
+                     index_to_word, twisted_module_trivial_extension,
                      word_to_index)
 from quadalg.cli import COMMANDS
 from quadalg.io import parse_description
-from quadalg.linalg import (LinAlgError, ZERO, _strip, _to_int_row, int_solve,
-                            unit_vector)
+from quadalg.linalg import (LinAlgError, ZERO, _strip, _to_int_row, int_solve)
 from quadalg.quadratic import MAX_WORDS, truncated_structure
 
 AS_REGULAR = ("kxy", "quantum_plane_q2", "quantum_plane_q3",
@@ -335,6 +335,34 @@ def dense_kernel_rows(rows, ambient):
     return out
 
 
+def unit_vector(n, i):
+    """The i-th standard basis vector of length n, in Fractions."""
+    return tuple(Fraction(int(j == i)) for j in range(n))
+
+
+def column(m):
+    """A one-column Matrix as the tuple of its Fraction entries."""
+    return tuple(v for (v,) in m.entries)
+
+
+def multiply(alg, i, u, j, v):
+    """The product of homogeneous coordinate vectors u of degree i and v of
+    degree j of alg, in Fractions, in degree i + j: the Fraction product
+    that GradedFDAlgebra kept before its readers moved to the integer
+    cells."""
+    if len(u) != alg.dim(i) or len(v) != alg.dim(j):
+        raise LinAlgError("coordinate length mismatch in product")
+    out = [ZERO] * alg.dim(i + j)
+    if out:
+        block = alg.int_mult[(i, j)]
+        for a, ua in enumerate(u):
+            for b, vb in enumerate(v):
+                if ua and vb:
+                    for c, w in block[a][b]:
+                        out[c] += ua * vb * w
+    return tuple(x / alg.den for x in out)
+
+
 def multiply_basis(alg, i, a, j, b):
     """The product of the a-th degree-i and the b-th degree-j basis elements
     of alg as a dense coordinate vector; () past the top degree."""
@@ -492,6 +520,34 @@ def random_nu_theta(rng, cert, lo=-3, hi=3):
     return rows, nu, theta
 
 
+def potential_deformation(rng, symmetric=True, lo=-2, hi=2):
+    """A seeded deformation D(w + w_2 + w_1) of D(w) on the letters x, y,
+    z, after Berger-Taillefer (J. Noncommut. Geom. 1, 2007), as (names,
+    rows, nu, theta): row i is the derivative d_i w, nu_i = -d_i w_2 and
+    theta_i = -d_i w_1.
+
+    w is a seeded integer combination, coefficients in lo..hi, of the
+    basis of the cyclic vectors of words of length 3 (twisted_cyclic_space
+    with the identity twist), so its left and right derivatives agree.
+    w_2 is a seeded form on V with entries in lo..hi, symmetric (cyclic in
+    degree 2, the known-answer case) or, as a control, antisymmetric;
+    w_1 is a seeded vector.  The rows span the relations of D(w) when they
+    are independent; the caller certifies D(w)."""
+    w = random_member(twisted_cyclic_space(3, 3, Matrix.identity(3)), rng,
+                      lo, hi)
+    rows = tuple(contract_left(w, i, 3, 3) for i in range(3))
+    w2 = [[0] * 3 for _ in range(3)]
+    for a in range(3):
+        for b in range(a, 3):
+            v = rng.randrange(lo, hi + 1) if symmetric or a < b else 0
+            w2[a][b], w2[b][a] = v, v if symmetric else -v
+    w1 = [rng.randrange(lo, hi + 1) for _ in range(3)]
+    nu = tuple({b: Fraction(-w2[i][b]) for b in range(3) if w2[i][b]}
+               for i in range(3))
+    theta = tuple(Fraction(-w1[i]) for i in range(3))
+    return ("x", "y", "z"), rows, nu, theta
+
+
 def scalar_twist(alg_fd, k, c):
     """epsilon^k composed with the automorphism induced by multiplying every
     generator by c: degree i matrix is ((-1)^k c)^i times the identity."""
@@ -561,14 +617,15 @@ def cdg_underlying_trivial_extension(alg: GradedFDAlgebra) -> GradedFDAlgebra:
                         sign = Fraction((-1) ** (n * i) *
                                         (-1) ** (i * (g_deg + m_deg)))
                         for c in range(mij):
-                            prod = alg.multiply(n - i - j, unit_vector(mij, c), i,
-                                                unit_vector(ai, a))
+                            prod = multiply(alg, n - i - j,
+                                            unit_vector(mij, c), i,
+                                            unit_vector(ai, a))
                             out[aij + c] = sign * prod[bb]
                     elif a >= ai and b < aj:
                         aa = a - ai
                         for c in range(mij):
-                            prod = alg.multiply(j, unit_vector(aj, b), n - i - j,
-                                                unit_vector(mij, c))
+                            prod = multiply(alg, j, unit_vector(aj, b),
+                                            n - i - j, unit_vector(mij, c))
                             out[aij + c] = prod[aa]
                     row.append(tuple(out))
                 block.append(tuple(row))
@@ -615,11 +672,11 @@ def dual_trivial_extension(alg: GradedFDAlgebra, left, right,
                     elif a < ai:
                         la = left[i].col(a)
                         for c, m in enumerate(units):
-                            out[aij + c] = alg.multiply(k, m, i, la)[b - aj]
+                            out[aij + c] = multiply(alg, k, m, i, la)[b - aj]
                     elif b < aj:
                         rb = right[j].col(b)
                         for c, m in enumerate(units):
-                            out[aij + c] = alg.multiply(j, rb, k, m)[a - ai]
+                            out[aij + c] = multiply(alg, j, rb, k, m)[a - ai]
                     row.append(tuple(out))
                 block.append(tuple(row))
             mult[(i, j)] = tuple(block)
@@ -692,7 +749,7 @@ def is_multiplicative(auto, alg: GradedFDAlgebra) -> bool:
                 for b in range(alg.dims[j]):
                     fb = auto[j].col(b)
                     lhs = auto[i + j].mul_col(multiply_basis(alg, i, a, j, b))
-                    if lhs != alg.multiply(i, fa, j, fb):
+                    if lhs != multiply(alg, i, fa, j, fb):
                         return False
     return True
 
@@ -722,8 +779,9 @@ def cdg_trivial_extension(c: Cdga) -> Cdga:
         delta.append(package_matrix(block_diagonal(
             fraction_matrix(c.delta[i]), dual_part)))
     delta.append(Matrix.from_rows((), gamma.dims[d + 1]))
-    curv = tuple(c.curvature) + tuple([ZERO] * alg.dim(d - 1))
-    return Cdga(gamma, tuple(delta), curv)
+    curv = column(c.curvature) + (ZERO,) * alg.dim(d - 1)
+    return Cdga(gamma, tuple(delta),
+                Matrix.from_rows([(v,) for v in curv], 1))
 
 
 def block_diagonal(top: FractionMatrix,
@@ -744,6 +802,63 @@ def rescaled_nakayama_shift(cert, c: Cdga, s) -> tuple:
     delta = fraction_matrix(c.delta[d - 1])
     return tuple(delta.mul_col(omega_cols.col(i))[0] / s
                  for i in range(cert.algebra.n))
+
+
+def zero_action_model(cert):
+    """The dual extended by its shifted copy with every element of positive
+    degree acting by zero: not generated in degree 1, as the copy of the
+    dual's degree 1 is no product."""
+    dual = cert.dual_fd
+    unit_only = tuple(Matrix.identity(1) if i == 0
+                      else Matrix.from_rows([[0] * m] * m, m)
+                      for i, m in enumerate(dual.dims))
+    return twisted_module_trivial_extension(dual, unit_only, unit_only)
+
+
+def with_model(ext, model):
+    """A copy of the extension whose model is the given one: seeded where
+    the cached property keeps it, so the copy never builds its own."""
+    copy = replace(ext)
+    copy.__dict__["model"] = model
+    return copy
+
+
+def oracle_cdga_axioms(c: Cdga):
+    """(leibniz failures, curvature closed, square failures) of
+    check_cdga_axioms by the all-pairs loops it replaced, in Fractions:
+    Leibniz on every pair (x, y) of basis elements whose product lies
+    below the top degree, listed as (|x|, |y|, x, y), and the curved square
+    on every basis element x below the top, listed as (|x|, x)."""
+    alg = c.algebra
+    length = alg.length
+    delta = [fraction_matrix(m) for m in c.delta]
+    curvature = column(c.curvature)
+    leibniz = []
+    for i in range(length + 1):
+        for j in range(length - i):
+            for a in range(alg.dims[i]):
+                ua = unit_vector(alg.dims[i], a)
+                da = delta[i].col(a)
+                for b in range(alg.dims[j]):
+                    ub = unit_vector(alg.dims[j], b)
+                    lhs = delta[i + j].mul_col(multiply(alg, i, ua, j, ub))
+                    first = multiply(alg, i + 1, da, j, ub)
+                    second = multiply(alg, i, ua, j + 1, delta[j].col(b))
+                    rhs = tuple(x + (-1) ** i * y
+                                for x, y in zip(first, second))
+                    if lhs != rhs:
+                        leibniz.append((i, j, a, b))
+    closed = not any(delta[2].mul_col(curvature))
+    squares = []
+    for j in range(length):
+        square = delta[j + 1] @ delta[j]
+        for a in range(alg.dims[j]):
+            ua = unit_vector(alg.dims[j], a)
+            left = multiply(alg, 2, curvature, j, ua)
+            right = multiply(alg, j, ua, 2, curvature)
+            if square.mul_col(ua) != tuple(x - y for x, y in zip(left, right)):
+                squares.append((j, a))
+    return tuple(leibniz), closed, tuple(squares)
 
 
 def associativity_failure(dims, mult):
@@ -841,8 +956,8 @@ def model_map_multiplicative(gamma: GradedFDAlgebra,
         for a in range(gamma.dims[k - 1]):
             for b in range(gamma.dims[1]):
                 pcols.append(multiply_basis(gamma, k - 1, a, 1, b))
-                qcols.append(ext_dual.multiply(k - 1, maps[k - 1].col(a),
-                                               1, maps[1].col(b)))
+                qcols.append(multiply(ext_dual, k - 1, maps[k - 1].col(a),
+                                      1, maps[1].col(b)))
         smat = dense_right_inverse(FractionMatrix.from_rows(zip(*pcols),
                                                             len(pcols)))
         if smat is None:
@@ -855,7 +970,7 @@ def model_map_multiplicative(gamma: GradedFDAlgebra,
                 fa = maps[i].col(a)
                 for b in range(gamma.dims[j]):
                     lhs = maps[i + j].mul_col(multiply_basis(gamma, i, a, j, b))
-                    if lhs != ext_dual.multiply(i, fa, j, maps[j].col(b)):
+                    if lhs != multiply(ext_dual, i, fa, j, maps[j].col(b)):
                         return False
     return True
 
@@ -889,7 +1004,7 @@ def ext_iso_oracle(ext):
             fa = maps[k - 1].col(a)
             for b in range(gamma.dims[1]):
                 pcols.append(multiply_basis(gamma, k - 1, a, 1, b))
-                qcols.append(ebd.multiply(k - 1, fa, 1, maps[1].col(b)))
+                qcols.append(multiply(ebd, k - 1, fa, 1, maps[1].col(b)))
         pmat = FractionMatrix.from_rows(zip(*pcols), len(pcols))
         qmat = FractionMatrix.from_rows(zip(*qcols), len(qcols))
         smat = dense_right_inverse(pmat)
@@ -912,10 +1027,12 @@ def ext_iso_oracle(ext):
     left_ok = True
     right_ok = True
     for i in range(n):
-        xi_zs = ebd.multiply(1, unit_vector(n + 1, i), 1, unit_vector(n + 1, n))
+        xi_zs = multiply(ebd, 1, unit_vector(n + 1, i),
+                         1, unit_vector(n + 1, n))
         if xi_zs != tuple(-v for v in rt_classes[i]):
             left_ok = False
-        zs_xi = ebd.multiply(1, unit_vector(n + 1, n), 1, unit_vector(n + 1, i))
+        zs_xi = multiply(ebd, 1, unit_vector(n + 1, n),
+                         1, unit_vector(n + 1, i))
         expect = [ZERO] * ebd.dims[2]
         for j in range(n):
             for t, v in enumerate(rt_classes[j]):
@@ -964,6 +1081,32 @@ def oracle_class_from_pairings(trunc, k, rows, value_vectors):
             for j in range(len(value_vectors))]
 
 
+def class_from_pairings(trunc, k, rows, value_vectors):
+    """TruncatedAlgebra.int_class_from_pairings with each class as its
+    Fraction coordinates: the Fraction view the package kept before its
+    readers moved to the integer classes."""
+    sol = trunc.int_class_from_pairings(k, rows, value_vectors)
+    return [tuple(Fraction(sol[t][1].get(j, 0), sol[t][0]) if t in sol
+                  else ZERO for t in range(trunc.dims[k]))
+            for j in range(len(value_vectors))]
+
+
+def reduce_sparse(trunc, k, sparse):
+    """The Fraction class coordinates of a sparse word vector of degree k,
+    read off the integer class cells of a TruncatedAlgebra."""
+    out = [ZERO] * trunc.dims[k]
+    for w, c in sparse.items():
+        if c:
+            for t, v in trunc.classes[k].get(w, ()):
+                out[t] += c * v
+    return tuple(x / trunc.den for x in out)
+
+
+def lift_sparse(trunc, k, coords):
+    """The word vector on the degree-k basis words with these coordinates."""
+    return {w: Fraction(c) for w, c in zip(trunc.words[k], coords) if c}
+
+
 def oracle_preserves_subspace(phi, space) -> bool:
     """Whether phi (x) phi maps a subspace of the degree-two words into
     itself, each Fraction basis row mapped by oracle_slotwise."""
@@ -979,8 +1122,8 @@ def oracle_automorphism(trunc, phi) -> tuple[FractionMatrix, ...]:
     n = trunc.algebra.n
     mats = []
     for k in range(trunc.length + 1):
-        cols = [trunc.reduce_sparse(k, oracle_slotwise([phi] * k,
-                                                       {w: Fraction(1)}, n))
+        cols = [reduce_sparse(trunc, k, oracle_slotwise([phi] * k,
+                                                        {w: Fraction(1)}, n))
                 for w in trunc.words[k]]
         mats.append(FractionMatrix.from_rows(cols, trunc.dims[k]).transpose())
     return tuple(mats)

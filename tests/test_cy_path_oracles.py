@@ -14,8 +14,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (AS_REGULAR, cert_of, ext_iso_oracle, int_twist,
-                     oracle_automorphism, oracle_class_from_pairings,
+from helpers import (AS_REGULAR, cert_of, class_from_pairings, ext_iso_oracle,
+                     int_twist, oracle_automorphism,
+                     oracle_class_from_pairings,
                      oracle_frobenius, oracle_graded_symmetry,
                      oracle_preserves_subspace, oracle_trivial_extension_table,
                      skew_ring, twist_matrices)
@@ -24,7 +25,6 @@ from quadalg import (FrobeniusStructure, Matrix, as_regular_certificate,
                      preserves_subspace, skew_extend, truncated_structure,
                      twisted_module_trivial_extension,
                      verify_ext_algebra_isomorphism)
-from quadalg.linalg import unit_vector
 
 F = Fraction
 
@@ -134,7 +134,7 @@ def test_mixed_relation_classes_match_the_fraction_solve(case):
     ext = skew_extend(cert, sigma)
     ebd = truncated_structure(ext.algebra.dual, cert.gldim + 1)
     rows = ext.stacked_relations
-    vectors = [unit_vector(nrel + n, nrel + i) for i in range(n)]
+    vectors = Matrix.identity(nrel + n).num[nrel:]
     classes = ebd.int_class_from_pairings(2, rows, vectors)
     assert all(pv > 0 and all(vals.values())
                for pv, vals in classes.values())
@@ -142,7 +142,7 @@ def test_mixed_relation_classes_match_the_fraction_solve(case):
                  else F(0) for t in range(ebd.dims[2])) for i in range(n)]
     expect = oracle_class_from_pairings(ebd, 2, rows, vectors)
     assert got == expect
-    assert ebd.class_from_pairings(2, rows, vectors) == expect
+    assert class_from_pairings(ebd, 2, rows, vectors) == expect
 
 
 def test_a_non_symmetric_model_gives_the_oracle_witness():

@@ -11,10 +11,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (AS_REGULAR, CORPUS, algebra_of, cert_of, dense_inverse,
-                     int_twist, is_multiplicative, oracle_automorphism,
-                     oracle_koszul_data, oracle_truncation, package_matrix,
-                     quadratic_algebra, relation_degree_subspace, seeded,
+from helpers import (AS_REGULAR, CORPUS, algebra_of, cert_of,
+                     class_from_pairings, dense_inverse, int_twist,
+                     is_multiplicative, lift_sparse, multiply,
+                     oracle_automorphism, oracle_koszul_data,
+                     oracle_truncation, package_matrix, quadratic_algebra,
+                     reduce_sparse, relation_degree_subspace, seeded,
                      skew_ring, sklyanin, structure_equal, twist_matrices,
                      word_vector)
 from quadalg import (Matrix, QuadraticAlgebra, as_regular_certificate,
@@ -487,9 +489,10 @@ def _degree_one(trunc, **coeffs):
 def test_truncated_multiply_matches_tensor_reduction():
     trunc = truncated_structure(algebra_of("quantum_plane_q2"), 4)
     # x * y = 2 y x in the quotient: the class of the word xy is 2 yx
-    xy = trunc.multiply(1, _degree_one(trunc, x=1), 1, _degree_one(trunc, y=1))
-    assert trunc.lift_sparse(2, xy) == {word_to_index((1, 0), 2): F(2)}
-    assert xy == trunc.reduce_sparse(2, {word_to_index((0, 1), 2): 1})
+    xy = multiply(trunc, 1, _degree_one(trunc, x=1),
+                  1, _degree_one(trunc, y=1))
+    assert lift_sparse(trunc, 2, xy) == {word_to_index((1, 0), 2): F(2)}
+    assert xy == reduce_sparse(trunc, 2, {word_to_index((0, 1), 2): 1})
 
 
 def test_truncated_associativity_spot():
@@ -497,8 +500,8 @@ def test_truncated_associativity_spot():
     u = _degree_one(alg, x=1, y=2)
     v = _degree_one(alg, y=1)
     w = _degree_one(alg, x=1)
-    left = alg.multiply(2, alg.multiply(1, u, 1, v), 1, w)
-    right = alg.multiply(1, u, 2, alg.multiply(1, v, 1, w))
+    left = multiply(alg, 2, multiply(alg, 1, u, 1, v), 1, w)
+    right = multiply(alg, 1, u, 2, multiply(alg, 1, v, 1, w))
     assert left == right
 
 
@@ -512,10 +515,10 @@ def test_class_from_pairings_errors():
     from quadalg.linalg import Subspace
     bad_space = Subspace.from_spanning([dict(dead)], rel.ambient)
     with pytest.raises(LinAlgError):
-        trunc.class_from_pairings(2, bad_space.rows, [[F(1)]])
+        class_from_pairings(trunc, 2, bad_space.rows, [[F(1)]])
     # legitimate pairing solves exactly
-    [got] = trunc.class_from_pairings(2, rel.rows, [[F(1)]])
-    rep = trunc.lift_sparse(2, got)
+    [got] = class_from_pairings(trunc, 2, rel.rows, [[F(1)]])
+    rep = lift_sparse(trunc, 2, got)
     val = sum(rep.get(i, F(0)) * v for i, v in rel.rows[0])
     assert val == F(1)
 
@@ -530,11 +533,11 @@ def test_class_from_pairings_solves_vectors_together():
         nrel = len(rows)
         vectors = [[F(int(i == j)) for j in range(nrel)] for i in range(nrel)]
         vectors.append([F(j + 1, 3) for j in range(nrel)])
-        got = trunc.class_from_pairings(2, rows, vectors)
-        assert got == [trunc.class_from_pairings(2, rows, [v])[0]
+        got = class_from_pairings(trunc, 2, rows, vectors)
+        assert got == [class_from_pairings(trunc, 2, rows, [v])[0]
                        for v in vectors], name
         for cls, values in zip(got, vectors):
-            rep = trunc.lift_sparse(2, cls)
+            rep = lift_sparse(trunc, 2, cls)
             assert [sum(rep.get(i, F(0)) * v for i, v in row)
                     for row in rows] == values, name
     # one unattainable vector among attainable ones is rejected: a repeated
@@ -542,10 +545,11 @@ def test_class_from_pairings_solves_vectors_together():
     cert = cert_of("quantum_plane_q2")
     rows = cert.algebra.relations.rows * 2
     with pytest.raises(LinAlgError):
-        cert.dual_fd.class_from_pairings(2, rows, [[F(1), F(1)], [F(1), F(0)]])
-    assert cert.dual_fd.class_from_pairings(2, rows, [[F(1), F(1)]])
+        class_from_pairings(cert.dual_fd, 2, rows,
+                            [[F(1), F(1)], [F(1), F(0)]])
+    assert class_from_pairings(cert.dual_fd, 2, rows, [[F(1), F(1)]])
     with pytest.raises(LinAlgError):
-        cert.dual_fd.class_from_pairings(2, rows, [[F(1)]])
+        class_from_pairings(cert.dual_fd, 2, rows, [[F(1)]])
 
 
 def test_dual_truncation_matches_relation_span_oracle():

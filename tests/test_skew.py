@@ -7,8 +7,8 @@ import pytest
 
 from helpers import (AS_REGULAR, cert_of, dense_inverse,
                      dual_trivial_extension, ext_iso_oracle, identity_maps,
-                     int_twist, model_map_multiplicative, twist_matrices,
-                     word_vector)
+                     model_map_multiplicative, twist_matrices, with_model,
+                     word_vector, zero_action_model)
 from quadalg import (Matrix, cy_check_with, fresh_letter, graded_dims,
                      regularity_data, skew, skew_extend,
                      twisted_module_trivial_extension,
@@ -188,18 +188,6 @@ def test_iso_check_agrees_with_dense_oracle():
             assert ext.iso.passed, name
 
 
-def _zero_action_model(cert):
-    """The dual extended by its shifted copy with every element of positive
-    degree acting by zero: not generated in degree 1, as the copy of the
-    dual's degree 1 is no product."""
-    dual = cert.dual_fd
-    unit_only = tuple(Matrix.identity(1) if i == 0
-                      else Matrix.from_rows([[0] * m] * m, m)
-                      for i, m in enumerate(dual.dims))
-    return twisted_module_trivial_extension(dual, int_twist(unit_only),
-                                            int_twist(unit_only))
-
-
 def _collapsing_model(cert):
     """On kxy, whose dual is the exterior algebra on x, y: the shifted copy
     with x acting on the left as x and y as 0, and with x and y swapped on
@@ -210,14 +198,6 @@ def _collapsing_model(cert):
     left = dual.automorphism(Matrix.from_rows(((1, 0), (0, 0)), 2))
     right = dual.automorphism(Matrix.from_rows(((0, 1), (1, 0)), 2))
     return twisted_module_trivial_extension(dual, left, right)
-
-
-def _with_model(ext, model):
-    """A copy of the extension whose model is the given one: seeded where
-    the cached property keeps it, so the copy never builds its own."""
-    copy = replace(ext)
-    copy.__dict__["model"] = model
-    return copy
 
 
 def _doubled_mixed_relations(ext):
@@ -255,15 +235,15 @@ def test_iso_check_fails_on_a_mismatched_model(monkeypatch):
         for sigma in twists:
             ext = skew_extend(cert, sigma)
             for model in models:
-                _check_against_oracle(monkeypatch, _with_model(ext, model),
+                _check_against_oracle(monkeypatch, with_model(ext, model),
                                       seen)
             zero_action.add(_check_against_oracle(
-                monkeypatch, _with_model(ext, _zero_action_model(cert)), seen))
+                monkeypatch, with_model(ext, zero_action_model(cert)), seen))
     # products that do not span: neither generated nor bijective
     assert zero_action == {(False, False, True, True)}
     cert = cert_of("kxy")
     for sigma in _twists("kxy"):
-        _check_against_oracle(monkeypatch, _with_model(
+        _check_against_oracle(monkeypatch, with_model(
             skew_extend(cert, sigma), _collapsing_model(cert)), seen)
     for name in AS_REGULAR:
         cert = cert_of(name)
