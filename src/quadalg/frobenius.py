@@ -17,12 +17,15 @@ Frobenius data is extracted, and the distinguished functional is
 cell.
 
 The Frobenius data is integer matrices: each pairing G_i is read off the
-top cells over den, and each Nakayama block is the solve_square solution
-of G_i X = G_{d-i}^T.  is_graded_symmetric runs both of its routes on
-them.  The trivial extension takes its twists as matrices, the form
-GradedFDAlgebra.epsilon and TruncatedAlgebra.automorphism build, and reads
-their integer columns, so the Calabi-Yau path builds and tests its model
-with no Fraction in between.
+top cells over den, and frobenius_structure checks each nondegenerate by
+one rank.  The Nakayama blocks, the solve_square solutions of
+G_i X = G_{d-i}^T, are solved only where they are read: by
+is_graded_symmetric, which runs both of its routes on them and takes no
+rank, and by pbw's Nakayama compatibility test.  The trivial extension
+takes its twists as matrices, the form GradedFDAlgebra.epsilon and
+TruncatedAlgebra.automorphism build, and reads their integer columns, so
+the Calabi-Yau path builds and tests its model with no Fraction in
+between.
 
 The builders hand the constructor its final form, tuple rows of tuple
 cells, which its shape pass checks cell by cell and keeps; products are
@@ -50,6 +53,10 @@ class NotFrobenius(Exception):
         super().__init__(f"degree {witness_degree}: {reason}")
         self.witness_degree = witness_degree
         self.reason = reason
+
+
+# the reason given for a pairing that is not perfect
+DEGENERATE = "degenerate pairing against the complementary degree"
 
 
 class GradedFDAlgebra:
@@ -244,23 +251,37 @@ class GradedFDAlgebra:
 
 @dataclass(frozen=True)
 class FrobeniusStructure:
-    """Per-degree pairing matrices and the resulting Nakayama automorphism.
+    """Per-degree pairing matrices and the Nakayama automorphism they fix.
 
     Entry (a, b) of pairings[i] is the top coefficient of the product of
-    the a-th degree-i and b-th degree-(d-i) basis elements; nakayama[i] is the
-    Nakayama map on degree i, in column convention.
+    the a-th degree-i and b-th degree-(d-i) basis elements.  nakayama[i] is
+    the Nakayama map on degree i, in column convention: <a, b> = <b,
+    nak(a)> pins it, G_i nak[d-i] = G_{d-i}^T, one solve_square per
+    degree.  The blocks are solved on first read and kept; a degenerate
+    pairing met there raises NotFrobenius at its degree.
     """
 
     pairings: tuple[Matrix, ...]
-    nakayama: tuple[Matrix, ...]
+
+    @cached_property
+    def nakayama(self) -> tuple[Matrix, ...]:
+        pairings = self.pairings
+        d = len(pairings) - 1
+        nakayama = [None] * (d + 1)
+        for i in range(d + 1):
+            nak = solve_square(pairings[i], pairings[d - i].transpose())
+            if nak is None:
+                raise NotFrobenius(i, DEGENERATE)
+            nakayama[d - i] = nak
+        return tuple(nakayama)
 
 
-def frobenius_structure(alg: GradedFDAlgebra) -> FrobeniusStructure:
-    """Extract the pairing matrices and Nakayama map, or raise NotFrobenius.
+def _pairing_structure(alg: GradedFDAlgebra) -> FrobeniusStructure:
+    """The pairings of an algebra whose graded dimensions can pair, or
+    NotFrobenius at the first degree where they cannot.
 
     The top degree is one-dimensional, so each top cell is () or ((0, v),)
-    and G_i is those v over den.  <a, b> = <b, nak(a)> pins the Nakayama
-    matrix on each degree: G_i nak[d-i] = G_{d-i}^T, one solve_square.
+    and G_i is those v over den.
     """
     d = alg.length
     if alg.dim(d) != 1:
@@ -269,30 +290,36 @@ def frobenius_structure(alg: GradedFDAlgebra) -> FrobeniusStructure:
         if alg.dim(i) != alg.dim(d - i):
             raise NotFrobenius(i, f"dim mismatch {alg.dim(i)} vs {alg.dim(d - i)} "
                                   f"between degrees {i} and {d - i}")
-    pairings = tuple(Matrix(tuple(tuple(cell[0][1] if cell else 0
-                                        for cell in row)
-                                  for row in alg.int_mult[(i, d - i)]),
-                            alg.den, alg.dims[d - i]) for i in range(d + 1))
-    nakayama = [None] * (d + 1)
-    for i in range(d + 1):
-        nak = solve_square(pairings[i], pairings[d - i].transpose())
-        if nak is None:
-            raise NotFrobenius(i, "degenerate pairing against the "
-                                  "complementary degree")
-        nakayama[d - i] = nak
-    return FrobeniusStructure(pairings, tuple(nakayama))
+    return FrobeniusStructure(tuple(
+        Matrix(tuple(tuple(cell[0][1] if cell else 0 for cell in row)
+                     for row in alg.int_mult[(i, d - i)]),
+               alg.den, alg.dims[d - i]) for i in range(d + 1)))
+
+
+def frobenius_structure(alg: GradedFDAlgebra) -> FrobeniusStructure:
+    """The pairing matrices, each checked nondegenerate by one rank, or
+    NotFrobenius at the first degree that fails.  No Nakayama block is
+    solved here: a reader of FrobeniusStructure.nakayama solves them.
+    """
+    fs = _pairing_structure(alg)
+    for i, g in enumerate(fs.pairings):
+        if g.rank() < g.rows:
+            raise NotFrobenius(i, DEGENERATE)
+    return fs
 
 
 def is_graded_symmetric(alg: GradedFDAlgebra):
     """Sign-symmetry of the pairing; returns (verdict, witness).
 
-    Checked two ways on the matrices of frobenius_structure: entrywise on
-    the pairings, G_i against the signed transpose of G_{d-i}, and through
-    the Nakayama map being the expected sign scalar, (-1)^((d-1) i) on
-    degree i, which is epsilon(d - 1).  The witness is (degree, row, col)
-    of the first failing pairing entry, or None.
+    Checked two ways on the pairing matrices: entrywise, G_i against the
+    signed transpose of G_{d-i}, and through the Nakayama map being the
+    expected sign scalar, (-1)^((d-1) i) on degree i, which is
+    epsilon(d - 1).  The Nakayama blocks' solves are the only eliminations,
+    and a degenerate pairing raises NotFrobenius there, so no rank is taken
+    first.  The witness is (degree, row, col) of the first failing pairing
+    entry, or None.
     """
-    fs = frobenius_structure(alg)
+    fs = _pairing_structure(alg)
     d = alg.length
     witness = None
     for i, (gi, gdi) in enumerate(zip(fs.pairings, reversed(fs.pairings))):

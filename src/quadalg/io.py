@@ -89,12 +89,25 @@ class AlgebraDescription:
             self.generators, Subspace.from_spanning(self.relations, n * n))
 
 
+# an integer or a quotient of two, each a run of at most 4300 ASCII digits
+# and only the first signed: the strings documents carry, read by one match
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]{1,4300})(?:/([0-9]{1,4300}))?")
+
+
 def _parse_fraction(s, path):
     if not isinstance(s, str):
         raise ValidationError("rationals must be strings", path)
-    # an exponent makes a short string name a number of any size; a long run
-    # of digits is refused here, before the interpreter's own integer limit
-    # (worded differently by each Python version) can refuse it
+    plain = _PLAIN_RATIONAL.fullmatch(s)
+    if plain:
+        num, den = plain.groups()
+        den = int(den or 1)
+        if den:
+            return Fraction(int(num), den)
+    # any other string, or a zero denominator, goes through the checks and
+    # Fraction.  An exponent makes a short string name a number of any
+    # size; a long run of digits is refused here, before the interpreter's
+    # own integer limit (worded differently by each Python version) can
+    # refuse it
     if "e" in s.lower():
         reason = "exponent notation is not accepted"
     elif any(len(run.replace("_", "")) > 4300 for run in re.findall(r"[\d_]+", s)):

@@ -19,8 +19,11 @@ Koszul components) hands their forward echelon form to
 `flipped_int_kernel` and skips the flip.  A
 subspace built from those rows (an annihilator, a Koszul component) needs
 no second elimination.  The elimination takes over the rows it is given
-(`_echelon_int`), so callers hand it fresh ones.  Membership is that forward pass
-against a copy of a subspace's own integer rows.
+(`_echelon_int`), so callers hand it fresh ones.  Membership is that
+forward pass against a copy of a subspace's own integer rows, of one
+vector or of several at once (`contains_all`); a member's coordinates in
+the RREF basis are its values at the pivot columns, read off the vector
+itself.
 
 The forward pass is one loop per row, lead by lead, with no helper call
 per reduction step.  A pivot row of one entry clears its column by
@@ -45,8 +48,11 @@ them.  Every system with right-hand sides is solved by `int_solve` from
 its augmented integer rows, each solution read as integers over its pivot
 entry (`solution_matrix`), and the X of A X = B for a square A by
 `solve_square`; there is no matrix inverse.  Fractions remain only at
-the edges: the rows a caller hands in, `Subspace.rows` and
-`Matrix.entries`.
+the edges: the rows a caller hands in, `Subspace.rows`, `Matrix.entries`
+and the two views of a certificate's superpotential path
+(regular.SuperpotentialData.w, the `Subspace.rows` of the top Koszul
+component, and RegularityCertificate.symmetrized), which are built from
+integers over their denominators and computed with nowhere.
 """
 
 from __future__ import annotations
@@ -506,16 +512,15 @@ class Subspace:
         return {p: dict(r) for p, r in zip(self.pivots, self.int_rows)}
 
     def contains(self, vec: Mapping[int, object]) -> bool:
-        """Whether vec reduces to zero against the integer rows: the
-        forward pass on a copy of them keeps no new pivot."""
-        return len(_echelon_int([_to_int_row(vec)],
-                                dict(self._pivot_rows))) == self.dim
+        """Whether vec reduces to zero against the integer rows."""
+        return self.contains_all((vec,))
 
-    def coordinates(self, vec: Mapping[int, object]) -> Vec | None:
-        """Coordinates of vec in the RREF basis, or None if not a member."""
-        if not self.contains(vec):
-            return None
-        return tuple(Fraction(vec.get(p, 0)) for p in self.pivots)
+    def contains_all(self, vecs: Iterable[Mapping[int, object]]) -> bool:
+        """Whether every vector reduces to zero against the integer rows:
+        one forward pass of them all on a copy of those rows keeps no new
+        pivot."""
+        return len(_echelon_int(map(_to_int_row, vecs),
+                                dict(self._pivot_rows))) == self.dim
 
     def annihilator(self) -> "Subspace":
         """Functionals vanishing on this subspace, in dual coordinates: the

@@ -1,11 +1,21 @@
 """Degree-bounded certification that a quadratic algebra is regular:
-finite-dimensional Frobenius dual + Koszul numerics.  What the
-certificate fixes is read off it as cached properties: the Nakayama
-automorphism xi, from the dual pairing data; the superpotential w with
-its twist, from the top Koszul components; and what w gives, its
-symmetrization by one letter, its derivation quotient D(w) and the check
-that D(w) presents the algebra.  Each is computed once per certificate,
-on first read, and every command reads that one object.
+finite-dimensional Frobenius dual + Koszul numerics.  The certificate
+checks each pairing of the dual nondegenerate by one rank and solves no
+Nakayama block of it (frobenius.FrobeniusStructure.nakayama solves them
+where they are read).  What the certificate fixes is read off it as
+cached properties: the Nakayama automorphism xi, from the dual pairing
+data in one solve; the superpotential w with its twist, from the top
+Koszul components; and what w gives, its symmetrization by one letter,
+its derivation quotient D(w) and the check that D(w) presents the
+algebra.  Each is computed once per certificate, on first read, and
+every command reads that one object.
+
+The superpotential path runs on integer word vectors: w is the top
+Koszul component's integer row, its contractions are read straight into
+integer matrices, and the cyclicity tests, the symmetrization, D(w) and
+the coupling rank do no Fraction arithmetic.  The Fractions built are
+the two views that commands print, SuperpotentialData.w and
+symmetrized.
 
 The certificate is evidence up to the stated degree bound, not a proof.
 Callers that already know the expected global dimension can ask for reduced
@@ -71,9 +81,11 @@ class RegularityCertificate:
     """The data the bounded regularity checks produced that later steps read.
 
     dual_fd is the dual algebra truncated at its top degree gldim; dual_dims
-    runs on to the bound.  nakayama, superpotential, symmetrized, quotient
-    and presentation are computed on first read and kept on the
-    certificate, so they go with it; a read that raises keeps nothing.
+    runs on to the bound.  frobenius holds its pairings, each checked
+    nondegenerate; its Nakayama blocks are solved only if read.  nakayama,
+    superpotential, symmetrized, quotient and presentation are computed on
+    first read and kept on the certificate, so they go with it; a read
+    that raises keeps nothing.
     """
 
     algebra: QuadraticAlgebra
@@ -106,33 +118,38 @@ class RegularityCertificate:
         return xi
 
     @cached_property
-    def superpotential(self) -> SuperpotentialData:
-        """The superpotential of the algebra and its twist, which must be
-        the Nakayama map and leave w twisted-cyclic."""
+    def _integer_superpotential(self) -> tuple[dict[int, int], Matrix]:
+        """w as the top Koszul component's integer row, w times its pivot
+        entry, and its twist, which must be the Nakayama map and leave w
+        twisted-cyclic.
+
+        The left and right contractions of w by the dual letters must lie
+        in K_{d-1}: all 2n are reduced in one forward pass against its
+        integer rows.  Their coordinates in its reduced echelon basis are
+        their values at its pivot words, integers read straight into the
+        contraction matrices L (row i the left contraction by letter i)
+        and R (column j the right one by letter j); w's scale multiplies
+        both and leaves the twist R^T L^{-1} as it is.
+        """
         d = self.gldim
         alg = self.algebra
         n = alg.n
         top = koszul_component(alg, d)
         if top.dim != 1:
             raise ConsistencyError(f"top Koszul component has dimension {top.dim}, not 1")
-        w = MappingProxyType(dict(top.rows[0]))
+        w = dict(top.int_rows[0])
         sub = koszul_component(alg, d - 1)
-        left_rows = []
-        right_cols = []
-        for i in range(n):
-            lc = sub.coordinates(contract_left(w, i, d, n))
-            if lc is None:
-                raise ConsistencyError("left contraction leaves the Koszul component")
-            left_rows.append(lc)
-        for j in range(n):
-            rc = sub.coordinates(contract_right(w, j, n))
-            if rc is None:
-                raise ConsistencyError("right contraction leaves the Koszul component")
-            right_cols.append(rc)
-        left = Matrix.from_rows(left_rows, sub.dim)
-        right = Matrix.from_rows(zip(*right_cols), n)
+        lefts = [contract_left(w, i, d, n) for i in range(n)]
+        rights = [contract_right(w, j, n) for j in range(n)]
+        if not sub.contains_all(lefts + rights):
+            side = "right" if sub.contains_all(lefts) else "left"
+            raise ConsistencyError(f"{side} contraction leaves the Koszul component")
+        # L^T and R, row p the values at pivot word p
+        left_t, right = (Matrix(tuple(tuple(c.get(p, 0) for c in side)
+                                      for p in sub.pivots), 1, n)
+                         for side in (lefts, rights))
         # R^T L^{-1} is the transpose of the Y with L^T Y = R
-        y = solve_square(left.transpose(), right)
+        y = solve_square(left_t, right)
         if y is None:
             raise LinAlgError("left contraction matrix is singular")
         twist = y.transpose() if d % 2 else -y.transpose()
@@ -140,7 +157,17 @@ class RegularityCertificate:
             raise ConsistencyError("contraction twist disagrees with the pairing route")
         if not is_twisted_superpotential(w, d, twist):
             raise ConsistencyError("extracted tensor is not twisted-cyclic")
-        return SuperpotentialData(w, twist)
+        return w, twist
+
+    @cached_property
+    def superpotential(self) -> SuperpotentialData:
+        """The superpotential of the algebra and its twist, which must be
+        the Nakayama map and leave w twisted-cyclic: the Fraction view of
+        the integer row the checks ran on, the top Koszul component's
+        reduced echelon row."""
+        _, twist = self._integer_superpotential
+        top = koszul_component(self.algebra, self.gldim)
+        return SuperpotentialData(MappingProxyType(dict(top.rows[0])), twist)
 
     @cached_property
     def symmetrized(self) -> Mapping[int, Fraction]:
@@ -161,8 +188,8 @@ class RegularityCertificate:
     def quotient(self) -> QuadraticAlgebra:
         """The derivation quotient D(w) of the superpotential: its
         (gldim - 2)-fold left contractions as relations."""
-        return derivation_quotient(self.superpotential.w, self.gldim - 2,
-                                   self.algebra.names)
+        w, _ = self._integer_superpotential
+        return derivation_quotient(w, self.gldim - 2, self.algebra.names)
 
     @cached_property
     def presentation(self) -> PresentationReport:
@@ -203,18 +230,22 @@ def verify_superpotential_presentation(cert: RegularityCertificate) -> Presentat
     certificate, as cert.presentation.
     """
     alg = cert.algebra
-    w = cert.superpotential.w
+    w, _ = cert._integer_superpotential
     matches = cert.quotient.relations == alg.relations
     lower = koszul_component(alg, cert.gldim - 2)
     prod = alg.relations.kron(lower)
-    coords = prod.coordinates(w)
-    if coords is None:
+    if not prod.contains(w):
         raise ConsistencyError("superpotential is not a relation-times-factor sum")
-    rows = [coords[a * lower.dim:(a + 1) * lower.dim]
-            for a in range(alg.relations.dim)]
-    coupling = Matrix.from_rows(rows, lower.dim)
-    return PresentationReport(matches, coupling.rows == lower.dim
-                              and coupling.rank() == lower.dim)
+    # the coordinates of w in the reduced echelon basis of R (x) K_{d-2},
+    # r_a (x) c_b at index a * dim + b, are its values at the pivot words;
+    # w's scale leaves the rank as it is
+    m = lower.dim
+    pivots = prod.pivots
+    coupling = Matrix(tuple(tuple(w.get(pivots[a * m + b], 0)
+                                  for b in range(m))
+                            for a in range(alg.relations.dim)), 1, m)
+    return PresentationReport(matches, coupling.rows == m
+                              and coupling.rank() == m)
 
 
 def regularity_data(alg: QuadraticAlgebra, expected_gldim: int,

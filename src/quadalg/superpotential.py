@@ -9,15 +9,21 @@ the sign (-1)^(d-1) (tensors.is_twisted_superpotential).  Contracting such a
 w with k dual letters on the left yields the relation space of its
 derivation quotient.
 
-Both operations here read only the word vector they are given.  The ones
-of a certified algebra are computed once and kept on its certificate
+Both operations here read only the word vector they are given, of ints
+or Fractions, and compute in integers: symmetrize reads w over the lcm of
+its denominators and returns its integer sum over the same scale as
+Fractions, and derivation_quotient hands its contractions to
+Subspace.from_spanning, which scales each row to integers.  The ones of a
+certified algebra are computed once and kept on its certificate
 (regular.RegularityCertificate: superpotential, symmetrized, quotient and
-presentation), which is what the commands read.
+presentation), which is what the commands read; the certificate hands
+over its integer w.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping
 
 from .linalg import LinAlgError, Matrix, Subspace
@@ -37,16 +43,21 @@ def symmetrize(w: Mapping[int, Fraction], d: int,
     for sigma the output is cyclic for the identity; nothing is tested
     here, and RegularityCertificate.symmetrized tests that once for the
     certificate's w, which its superpotential property already vouched for.
+
+    The sum runs in integers: w, of ints or Fractions, is read over the
+    lcm of its denominators and the twist by its integer columns, and the
+    result is that integer vector over both, as Fractions.
     """
     n = sigma.cols
     m = n + 1
     # the twist extended by 1 on the new letter, over sigma's denominator
     ext = sigma.block_sum(Matrix.identity(1))
     den = ext.den
-    # the new letter followed by w, over m letters
-    base = {word_to_index((n,) + index_to_word(idx, n, d), m): c
-            for idx, c in w.items()}
-    acc: dict[int, Fraction] = {}
+    scale = lcm(*[c.denominator for c in w.values()])
+    # the new letter followed by w, over m letters, times scale
+    base = {word_to_index((n,) + index_to_word(idx, n, d), m):
+            c.numerator * (scale // c.denominator) for idx, c in w.items()}
+    acc: dict[int, int] = {}
     for i in range(d + 1):
         slots = [None] + [ext.columns] * i + [None] * (d - i)
         # term i comes out times den^i: every term is brought to den^d
@@ -54,9 +65,8 @@ def symmetrize(w: Mapping[int, Fraction], d: int,
         for idx, c in tau(apply_slot_columns(slots, base, m), d + 1, i,
                           m).items():
             add_into(acc, idx, weight * c)
-    if den == 1:
-        return acc
-    return {idx: Fraction(c, den ** d) for idx, c in acc.items()}
+    scale *= den ** d
+    return {idx: Fraction(c, scale) for idx, c in acc.items()}
 
 
 def derivation_quotient(w: Mapping[int, Fraction], order: int,

@@ -5,10 +5,13 @@ A word of length d over n letters is a tuple of d letter indices.  It is
 identified with the flat coordinate of its big-endian base-n expansion, so
 the coordinate order is lexicographic on the words of one length.  A
 vector indexed by words has one form in this package: a sparse {word
-index: Fraction} map with no zero values (a Subspace row lists the same
-entries as (index, value) pairs).  The map does not record the length of
-its words; the functions here take the length d and the letter count n
-from their callers.  A linear map of the degree-one space is a Matrix in
+index: value} map with no zero values (a Subspace row lists the same
+entries as (index, value) pairs).  The values are ints or Fractions and
+every function here takes either; the superpotential path hands in ints,
+so that its sums stay in integers.  The twisted-cyclicity test does not
+see scaling and brings its vector to a content-free integer row first.
+The map does not record the length of its words; the functions here take
+the length d and the letter count n from their callers.  A linear map of the degree-one space is a Matrix in
 column convention: column j holds the coordinates of the image of letter
 j.  There is one slotwise map, apply_slot_columns, which takes each slot's
 map as Matrix.columns gives it, the nonzero integer entries of its columns
@@ -21,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .linalg import LinAlgError, Matrix, Subspace
+from .linalg import LinAlgError, Matrix, Subspace, _to_int_row
 
 Word = tuple[int, ...]
 
@@ -98,17 +101,19 @@ def is_twisted_superpotential(w: Mapping[int, Fraction], d: int,
     up to the sign (-1)^(d-1): sigma applied to the first slot, which then
     moves to the end.  Zero entries of w are ignored.
 
-    sigma acts by its integer columns, so the rotation comes out times
-    sigma.den and is compared with w times it."""
+    The test does not see scaling, so w is brought to a content-free
+    integer row first; sigma acts by its integer columns, so the rotation
+    comes out times sigma.den and is compared with w times it."""
     n = sigma.cols
     if sigma.rows != n:
         raise LinAlgError("slot map acts on the wrong space")
+    w = _to_int_row(w)
     rotated = tau(apply_slot_columns([sigma.columns] + [None] * (d - 1), w, n),
                   d, d - 1, n)
     sign = (-1) ** (d - 1)
     den = sigma.den
     return {i: sign * c for i, c in rotated.items()} == {
-        i: den * c for i, c in w.items() if c}
+        i: den * c for i, c in w.items()}
 
 
 def contract_left(vec: Mapping[int, Fraction], letter: int, d: int,
@@ -131,7 +136,7 @@ def preserves_subspace(phi: Matrix, space: Subspace) -> bool:
 
     Membership does not see scaling, so each integer basis row of the
     subspace is mapped through phi's integer columns by
-    apply_slot_columns.
+    apply_slot_columns, and the images are tested in one forward pass.
     """
     n = phi.cols
     if space.ambient != n * n:
@@ -139,5 +144,5 @@ def preserves_subspace(phi: Matrix, space: Subspace) -> bool:
     if phi.rows != n:
         raise LinAlgError("slot map acts on the wrong space")
     cols = phi.columns
-    return all(space.contains(apply_slot_columns((cols, cols), dict(row), n))
-               for row in space.int_rows)
+    return space.contains_all(apply_slot_columns((cols, cols), dict(row), n)
+                              for row in space.int_rows)

@@ -9,16 +9,17 @@ import json
 from math import gcd, lcm
 import pkgutil
 import random
+import re
 
 import quadalg
 from quadalg import (Cdga, GradedFDAlgebra, Matrix, QuadraticAlgebra,
                      Subspace, as_regular_certificate, contract_left,
-                     index_to_word, twisted_module_trivial_extension,
-                     word_to_index)
+                     contract_right, index_to_word,
+                     twisted_module_trivial_extension, word_to_index)
 from quadalg.cli import COMMANDS
-from quadalg.io import parse_description
+from quadalg.io import ValidationError, parse_description
 from quadalg.linalg import (LinAlgError, ZERO, _strip, _to_int_row, int_solve)
-from quadalg.quadratic import MAX_WORDS, truncated_structure
+from quadalg.quadratic import MAX_WORDS, koszul_component, truncated_structure
 
 AS_REGULAR = ("kxy", "quantum_plane_q2", "quantum_plane_q3",
               "quantum_plane_qm1", "jordan_plane", "poly3", "quantum3")
@@ -60,6 +61,33 @@ def package_caches():
 def description_of(name):
     """The bundled corpus document quadalg/corpus/<name>.json, parsed."""
     return parse_description((CORPUS_DIR / f"{name}.json").read_bytes())
+
+
+def oracle_parse_fraction(s, path):
+    """io._parse_fraction as it was before it read plain integers and
+    quotients by one match: every string through the checks and Fraction."""
+    if not isinstance(s, str):
+        raise ValidationError("rationals must be strings", path)
+    if "e" in s.lower():
+        reason = "exponent notation is not accepted"
+    elif any(len(run.replace("_", "")) > 4300
+             for run in re.findall(r"[\d_]+", s)):
+        reason = "a run of more than 4300 digits is not accepted"
+    elif not s.isascii() or "_" in s or re.search(r"\s", s.strip()):
+        reason = ("underscores, inner whitespace and non-ASCII characters "
+                  "are not accepted")
+    else:
+        try:
+            return Fraction(s)
+        except (ValueError, ZeroDivisionError) as exc:
+            reason = str(exc)
+    shown = repr(s)
+    if len(s) > 40:
+        shown = f"{s[:20]!r}... ({len(s)} characters)"
+        reason = reason.removesuffix(f": {s!r}")
+        if len(reason) > 160:
+            reason = reason[:160] + "..."
+    raise ValidationError(f"bad rational {shown}: {reason}", path)
 
 
 def algebra_of(name):
@@ -478,6 +506,92 @@ def twisted_cyclic_space(n, d, sigma):
         rows.append(tuple(vec))
     # w solves it exactly when sum_idx w[idx] rows[idx] = 0
     return Subspace.from_spanning(zip(*rows), amb).annihilator()
+
+
+# The Fraction superpotential route, which the certificate took before it
+# computed in integers, kept as the oracle of the integer one.
+
+def coordinates(space, vec):
+    """The coordinates of vec in the RREF basis of space, as Fractions, or
+    None when vec is not a member: its values at the pivot columns (the
+    Subspace.coordinates that the route read)."""
+    if not space.contains(vec):
+        return None
+    return tuple(Fraction(vec.get(p, 0)) for p in space.pivots)
+
+
+def oracle_superpotential(cert):
+    """(w, twist) by the Fraction route: w the Fraction row of the top
+    Koszul component, the contraction matrices L (row i the coordinates of
+    the left contraction by letter i) and R^T (row j those of the right
+    one by letter j) read off coordinates in K_{d-1}, and the twist
+    (-1)^(d+1) R^T L^{-1} by dense_inverse, as a package Matrix."""
+    d, alg = cert.gldim, cert.algebra
+    n = alg.n
+    top = koszul_component(alg, d)
+    assert top.dim == 1
+    w = dict(top.rows[0])
+    sub = koszul_component(alg, d - 1)
+    left, right_t = (FractionMatrix.from_rows(
+        [coordinates(sub, contract(i)) for i in range(n)], sub.dim)
+        for contract in (lambda i: contract_left(w, i, d, n),
+                         lambda j: contract_right(w, j, n)))
+    twist = (right_t @ dense_inverse(left)).scale((-1) ** (d + 1))
+    return w, package_matrix(twist)
+
+
+def oracle_is_twisted_superpotential(w, d, sigma):
+    """The twisted-cyclicity test in Fractions on word tuples: sigma's
+    Fraction entries on the first letter, that letter rotated to the end,
+    compared with (-1)^(d-1) w; zero entries of w are ignored."""
+    n = sigma.cols
+    terms = {word: Fraction(c) for word, c in word_terms(w, n, d).items()
+             if c}
+    rotated = oracle_tau(oracle_apply_slotwise([sigma] + [None] * (d - 1),
+                                               terms), d - 1)
+    sign = (-1) ** (d - 1)
+    return {word: sign * c for word, c in rotated.items()} == terms
+
+
+def oracle_symmetrize(w, d, sigma):
+    """symmetrize in Fractions on word tuples: the sum over i of (-1)^i
+    times the new letter n moved behind the first i letters of w, each of
+    which the twist extended by 1 on the new letter is applied to."""
+    n = sigma.cols
+    ext = FractionMatrix.from_rows(
+        [row + (ZERO,) for row in sigma.entries]
+        + [(ZERO,) * n + (Fraction(1),)], n + 1)
+    base = {(n,) + word: Fraction(c)
+            for word, c in word_terms(w, n, d).items()}
+    acc = {}
+    for i in range(d + 1):
+        moved = oracle_tau(oracle_apply_slotwise(
+            [None] + [ext] * i + [None] * (d - i), base), i)
+        for word, c in moved.items():
+            acc[word] = acc.get(word, 0) + (-1) ** i * c
+    return word_vector(n + 1, acc.items())
+
+
+def oracle_derivation_relations(w, order, n):
+    """The relation space of D(w) by the word-tuple route: the span of the
+    degree-two tails of w grouped by their length-order prefix."""
+    grouped = {}
+    for word, c in word_terms(w, n, order + 2).items():
+        grouped.setdefault(word[:order], []).append((word[order:], c))
+    return Subspace.from_spanning(
+        [word_vector(n, terms) for terms in grouped.values()], n * n)
+
+
+def oracle_coupling(cert, w):
+    """The coupling matrix of a Fraction w by the Fraction route: its
+    coordinates in R (x) K_{d-2}, cut into one row per relation, as a
+    FractionMatrix, whose rank is read densely."""
+    alg = cert.algebra
+    lower = koszul_component(alg, cert.gldim - 2)
+    coords = coordinates(alg.relations.kron(lower), w)
+    m = lower.dim
+    return FractionMatrix.from_rows([coords[a * m:(a + 1) * m]
+                                     for a in range(alg.relations.dim)], m)
 
 
 def random_member(space, rng, lo=-4, hi=4):

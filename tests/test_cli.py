@@ -1,7 +1,9 @@
 """Command line driver: exit codes, verdict payloads, determinism."""
 
+import importlib
 import importlib.util
 import json
+import pkgutil
 import re
 import sys
 import time
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import quadalg
 from helpers import (AS_REGULAR, package_caches, skew_description,
                      sklyanin_description)
 from quadalg import cli, io, linalg, quadratic, regular, skew
@@ -827,6 +830,71 @@ def test_a_cold_twisted_run_looks_its_extension_up_once(tmp_path, capsys,
     info = skew.skew_extend.cache_info()
     assert (info.hits, info.misses) == (0, 1)
     assert hashes == []
+
+
+def _counted_solves(monkeypatch):
+    """Replace solve_square in every package module that binds it by a
+    wrapper that records each call; returns the list of calls."""
+    calls = []
+    solve = linalg.solve_square
+
+    def counted(a, b):
+        calls.append(a.rows)
+        return solve(a, b)
+
+    for info in pkgutil.iter_modules(quadalg.__path__):
+        mod = importlib.import_module(f"quadalg.{info.name}")
+        if getattr(mod, "solve_square", None) is solve:
+            monkeypatch.setattr(mod, "solve_square", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", AS_REGULAR)
+def test_a_cold_regular_run_solves_no_nakayama_block(capsys, monkeypatch,
+                                                      name):
+    # the certificate checks each pairing by a rank; the Nakayama blocks
+    # are solved only where they are read
+    calls = _counted_solves(monkeypatch)
+    _clear_package_caches()
+    assert main(["regular", _path(name)]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", AS_REGULAR)
+def test_a_cold_nakayama_run_makes_one_solve(capsys, monkeypatch, name):
+    # xi is read off one solve against the pairings
+    calls = _counted_solves(monkeypatch)
+    _clear_package_caches()
+    assert main(["nakayama", _path(name)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_the_superpotential_path_does_no_fraction_arithmetic(monkeypatch):
+    # w, its twist, the cyclicity tests and the symmetrization run on
+    # integer word vectors; the only Fractions are the two views, built
+    # from integers over their denominators
+    _clear_package_caches()
+    cert = as_regular_certificate(parse_description(
+        Path(_path("poly3")).read_bytes()).algebra, 5)
+    ops = []
+    for op in ("add", "sub", "mul", "truediv"):
+        for name in (f"__{op}__", f"__r{op}__"):
+            real = getattr(Fraction, name)
+
+            def counted(self, other, real=real, name=name):
+                ops.append(name)
+                return real(self, other)
+
+            monkeypatch.setattr(Fraction, name, counted)
+    data = cert.superpotential
+    hat = cert.symmetrized
+    monkeypatch.undo()
+    assert ops == []
+    assert data.w and hat
+    assert all(type(c) is Fraction for c in (*data.w.values(),
+                                             *hat.values()))
 
 
 def test_a_cold_pbw_run_looks_its_extension_up_once(capsys):

@@ -132,6 +132,40 @@ def test_not_frobenius_degenerate():
     assert info_mono.value.reason == "dim mismatch 2 vs 1 between degrees 1 and 2"
 
 
+def test_the_symmetry_test_meets_a_degenerate_pairing_in_its_solve():
+    # is_graded_symmetric takes no rank: the Nakayama solve of the
+    # degenerate degree-1 pairing raises what frobenius_structure raises
+    fd = truncated_structure(_monomial_xy_algebra().dual, 2)
+    with pytest.raises(NotFrobenius) as info:
+        is_graded_symmetric(fd)
+    assert info.value.witness_degree == 1
+    assert info.value.reason == ("degenerate pairing against the "
+                                 "complementary degree")
+
+
+@pytest.mark.parametrize("name", ("kxy", "jordan_plane", "poly3"))
+def test_the_structure_ranks_and_the_symmetry_test_solves(monkeypatch,
+                                                          name):
+    # the structure checks each pairing by one rank and solves nothing; the
+    # symmetry test solves each Nakayama block once, takes no rank, and is
+    # what reads the blocks
+    solves, ranks = [], []
+    solve, rank = frobenius.solve_square, Matrix.rank
+    monkeypatch.setattr(frobenius, "solve_square",
+                        lambda a, b: solves.append(a) or solve(a, b))
+    monkeypatch.setattr(Matrix, "rank",
+                        lambda m: ranks.append(m) or rank(m))
+    ext = skew_extend(cert_of(name), cert_of(name).nakayama)
+    for alg in (cert_of(name).dual_fd, ext.model, ext.honest_dual):
+        del solves[:], ranks[:]
+        fs = frobenius_structure(alg)
+        assert (len(solves), len(ranks)) == (0, alg.length + 1)
+        assert list(fs.pairings) == ranks
+        del ranks[:]
+        is_graded_symmetric(alg)
+        assert (len(solves), len(ranks)) == (alg.length + 1, 0)
+
+
 def test_nakayama_blocks_match_the_dense_inverse():
     # each block solves G_i X = G_{d-i}^T; the dense oracle inverts G_i
     # and multiplies, on every AS-regular dual, its Ext model and the

@@ -7,11 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import CORPUS_DIR, description_of
+from helpers import CORPUS_DIR, description_of, oracle_parse_fraction
 from quadalg import (Matrix, QuadraticAlgebra, Subspace, cy_criterion_deformed,
                      dual_cdga, regularity_data)
-from quadalg.io import (ValidationError, description_deformation,
-                        dumps_report, matrix_to_strings, parse_description)
+from quadalg.io import (ValidationError, _parse_fraction,
+                        description_deformation, dumps_report,
+                        matrix_to_strings, parse_description)
 
 F = Fraction
 
@@ -275,3 +276,74 @@ def test_report_writer_matches_json_dumps(value):
 def test_report_writer_refuses_other_types(value):
     with pytest.raises(TypeError):
         dumps_report(value)
+
+
+_DIGITS = "0123456789"
+
+
+@st.composite
+def _digit_runs(draw):
+    """A run of ASCII digits: short, led by zeros, or 4290 to 4310 long."""
+    kind = draw(st.sampled_from(("short", "zeros", "long")))
+    if kind == "short":
+        return draw(st.text(_DIGITS, max_size=6))
+    if kind == "zeros":
+        return "0" * draw(st.integers(1, 3)) + draw(st.text(_DIGITS,
+                                                            max_size=3))
+    return draw(st.sampled_from("123456789")) + "7" * draw(
+        st.integers(4289, 4309))
+
+
+@st.composite
+def _rational_strings(draw):
+    """Signed digit runs, maybe over a second run (or over 0), half of
+    them with a stray character put somewhere, and whitespace maybe
+    around."""
+    s = draw(st.sampled_from(("", "", "-", "-", "+", "--"))) + draw(
+        _digit_runs())
+    if draw(st.booleans()):
+        s += draw(st.sampled_from(("/", "/", "/", "/-", "/ ", "//"))) + draw(
+            st.one_of(st.just("0"), st.just("00"), _digit_runs()))
+    if draw(st.booleans()):
+        # a third of the strays are digits outside ASCII
+        stray = draw(st.sampled_from(("\u0661", "\u0663", "\uff11",
+                                      "\u0966", "_", "e", "E", " ", "\t",
+                                      ".", "x", "\u00e9", "\u2007")))
+        at = draw(st.integers(0, len(s)))
+        s = s[:at] + stray + s[at:]
+    pad = st.sampled_from(("", "", "", "", "", " ", "\n", "\u00a0"))
+    return draw(pad) + s + draw(pad)
+
+
+def _parse_or_reason(parse, s):
+    try:
+        value = parse(s, "x")
+    except ValidationError as exc:
+        return "refused", str(exc), exc.path
+    return "read", type(value), value
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rational_strings())
+@example("1/0")
+@example("-0")
+@example("007")
+@example("0/5")
+@example("+1")
+@example(" 1 ")
+@example("1\u06612")
+@example("1/-2")
+def test_the_plain_rational_match_reads_as_fraction_did(s):
+    # one compiled match reads -digits and -digits/digits; every other
+    # string goes through the checks as before, with the same message
+    assert (_parse_or_reason(_parse_fraction, s)
+            == _parse_or_reason(oracle_parse_fraction, s))
+
+
+def test_plain_rationals_pinned():
+    for s, value in (("-0", 0), ("007", 7), ("0/5", 0), ("+1", 1),
+                     (" 1 ", 1), ("-12/8", Fraction(-3, 2))):
+        assert _parse_fraction(s, "x") == value
+    with pytest.raises(ValidationError) as exc:
+        _parse_fraction("1/0", "x")
+    assert str(exc.value) == "x: bad rational '1/0': Fraction(1, 0)"

@@ -7,9 +7,9 @@ from random import Random
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from helpers import (FractionMatrix, block_diagonal, dense_inverse,
-                     dense_kernel_rows, dense_rank, dense_rows, dense_rref,
-                     fraction_matrix, oracle_echelon_int,
+from helpers import (FractionMatrix, block_diagonal, coordinates,
+                     dense_inverse, dense_kernel_rows, dense_rank, dense_rows,
+                     dense_rref, fraction_matrix, oracle_echelon_int,
                      oracle_flipped_int_kernel, oracle_forward_reduce,
                      oracle_int_solve, oracle_reduced_echelon, oracle_slotwise,
                      package_matrix, residue, solve)
@@ -379,10 +379,10 @@ def test_reduce_and_coordinates():
         [(ONE, ZERO, ONE), (ZERO, ONE, ONE)], 3)
     inside = {0: Fraction(2), 1: Fraction(3), 2: Fraction(5)}
     assert u.contains(inside)
-    assert u.coordinates(inside) == (Fraction(2), Fraction(3))
+    assert coordinates(u, inside) == (Fraction(2), Fraction(3))
     outside = {0: ONE}
     assert not u.contains(outside)
-    assert u.coordinates(outside) is None
+    assert coordinates(u, outside) is None
     assert residue(u, inside) == {}
     # the canonical residue is zero on the pivots, its zeros left out
     assert residue(u, outside) == {2: -ONE}
@@ -422,7 +422,7 @@ def test_membership_agrees_with_the_fraction_residue():
             inside = residue(u, vec) == {}
             seen[inside] += 1
             assert u.contains(vec) == inside
-            coords = u.coordinates(vec)
+            coords = coordinates(u, vec)
             if not inside:
                 assert coords is None
                 continue
@@ -433,6 +433,9 @@ def test_membership_agrees_with_the_fraction_residue():
             assert ({c: v for c, v in back.items() if v}
                     == {c: v for c, v in vec.items() if v})
         assert residue(u, past) != {}
+        # one forward pass over several vectors: all members, or not
+        assert u.contains_all([member, member])
+        assert not u.contains_all([member, moved, past])
     assert min(seen.values()) > 100
 
 

@@ -3,10 +3,16 @@
 from fractions import Fraction
 from random import Random
 
-from helpers import (AS_REGULAR, algebra_of, cert_of, random_member,
-                     twisted_cyclic_space, word_terms, word_vector)
-from quadalg import (Matrix, derivation_quotient, is_twisted_superpotential,
-                     symmetrize, verify_superpotential_presentation)
+from helpers import (AS_REGULAR, algebra_of, cert_of, oracle_coupling,
+                     oracle_derivation_relations,
+                     oracle_is_twisted_superpotential, oracle_superpotential,
+                     oracle_symmetrize, potential_deformation, random_member,
+                     seeded, skew_ring, twisted_cyclic_space, word_terms,
+                     word_vector)
+from quadalg import (Matrix, NotRegular, QuadraticAlgebra, Subspace,
+                     as_regular_certificate, derivation_quotient,
+                     is_twisted_superpotential, symmetrize,
+                     verify_superpotential_presentation)
 
 F = Fraction
 
@@ -152,3 +158,78 @@ def test_twisted_cyclic_space_contains_extracted():
         data = cert.superpotential
         space = twisted_cyclic_space(cert.algebra.n, cert.gldim, data.twist)
         assert space.contains(data.w), name
+
+
+def _certified_bases():
+    """(label, certificate) of every AS-regular corpus base, of skew3 to
+    skew5 at a seeded q, and of the certified D(w) of seeded
+    potential_deformation draws."""
+    rng = seeded(38)
+    out = [(name, cert_of(name)) for name in AS_REGULAR]
+    for n in (3, 4, 5):
+        q = F(rng.choice((-3, -2, -1, 2, 3, 5)), rng.choice((1, 2, 3, 7)))
+        out.append((f"skew{n}", as_regular_certificate(skew_ring(n, q),
+                                                       n + 1)))
+    for k in range(12):
+        names, rows, _, _ = potential_deformation(rng)
+        space = Subspace.from_spanning(rows, 9)
+        if space.dim != 3:
+            continue
+        try:
+            cert = as_regular_certificate(QuadraticAlgebra(names, space), 5)
+        except NotRegular:
+            continue
+        out.append((f"potential{k}", cert))
+    return out
+
+
+def test_the_integer_route_matches_the_fraction_route():
+    # w, its twist, the symmetrization, D(w) and the coupling matrix, each
+    # against the Fraction route the certificate took before it computed
+    # in integers
+    bases = _certified_bases()
+    assert sum(label.startswith("potential") for label, _ in bases) >= 8
+    for label, cert in bases:
+        d, n = cert.gldim, cert.algebra.n
+        w, twist = oracle_superpotential(cert)
+        data = cert.superpotential
+        assert dict(data.w) == w and data.twist == twist, label
+        assert all(type(c) is F for c in data.w.values()), label
+        assert oracle_is_twisted_superpotential(w, d, twist), label
+        hat = oracle_symmetrize(w, d, twist)
+        assert dict(cert.symmetrized) == hat, label
+        assert all(type(c) is F for c in cert.symmetrized.values()), label
+        assert oracle_is_twisted_superpotential(hat, d + 1,
+                                                Matrix.identity(n + 1))
+        assert (cert.quotient.relations
+                == oracle_derivation_relations(w, d - 2, n)
+                == cert.algebra.relations), label
+        coupling = oracle_coupling(cert, w)
+        assert coupling.is_invertible(), label
+        assert cert.presentation.coupling_invertible, label
+
+
+def test_symmetrize_and_the_cyclicity_test_match_the_fraction_route():
+    # seeded word vectors over several denominators, each under a seeded
+    # twist, its own twist when it has one, and the identity: the integer
+    # sums give the Fraction route's values and verdicts, cyclic or not
+    rng = seeded(3801)
+    dens = (1, 2, 3, 5)
+    verdicts = {True: 0, False: 0}
+    for _ in range(60):
+        n, d = rng.choice(((2, 2), (2, 3), (3, 2), (3, 3), (2, 4)))
+        w = {idx: F(rng.randint(-4, 4), rng.choice(dens))
+             for idx in rng.sample(range(n ** d), rng.randint(0, n ** d))}
+        sigma = Matrix.from_rows(
+            [[F(rng.choice((0, 0, 1, -1, 2)), rng.choice(dens))
+              for _ in range(n)] for _ in range(n)], n)
+        space = twisted_cyclic_space(n, d, sigma)
+        cyclic = random_member(space, rng)
+        for vec in (w, cyclic or {}):
+            for twist in (sigma, Matrix.identity(n)):
+                got = is_twisted_superpotential(vec, d, twist)
+                assert got == oracle_is_twisted_superpotential(vec, d, twist)
+                verdicts[got] += 1
+                assert symmetrize(vec, d, twist) == oracle_symmetrize(
+                    vec, d, twist)
+    assert min(verdicts.values()) >= 20
