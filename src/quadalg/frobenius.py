@@ -38,7 +38,6 @@ the two sides are compared cell against cell with no dict built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 
@@ -249,7 +248,6 @@ class GradedFDAlgebra:
                                         f"{(i, j, k)} indices {(a, b, c)}")
 
 
-@dataclass(frozen=True)
 class FrobeniusStructure:
     """Per-degree pairing matrices and the Nakayama automorphism they fix.
 
@@ -258,10 +256,23 @@ class FrobeniusStructure:
     the Nakayama map on degree i, in column convention: <a, b> = <b,
     nak(a)> pins it, G_i nak[d-i] = G_{d-i}^T, one solve_square per
     degree.  The blocks are solved on first read and kept; a degenerate
-    pairing met there raises NotFrobenius at its degree.
+    pairing met there raises NotFrobenius at its degree.  Immutable, and
+    equal and hashed by its pairings.
     """
 
-    pairings: tuple[Matrix, ...]
+    def __init__(self, pairings: tuple[Matrix, ...]):
+        self.__dict__.update(pairings=pairings)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a FrobeniusStructure is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not FrobeniusStructure:
+            return NotImplemented
+        return self.pairings == other.pairings
+
+    def __hash__(self) -> int:
+        return hash(self.pairings)
 
     @cached_property
     def nakayama(self) -> tuple[Matrix, ...]:

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii
@@ -59,20 +58,22 @@ class ValidationError(ValueError):
 Row = MappingProxyType[int, Fraction]
 
 
-@dataclass(frozen=True, eq=False)
 class AlgebraDescription:
     """A parsed document; each relation and each degree-one part of the
     deformation is its sparse {word index: value} row, read-only since
     one description is shared by every caller of its document.  It is
-    equal and hashed by identity: its rows are not hashable, and two
-    documents with one algebra keep their own deformations."""
+    immutable, and equal and hashed by identity: its rows are not
+    hashable, and two documents with one algebra keep their own
+    deformations."""
 
-    generators: tuple[str, ...]
-    relations: tuple[Row, ...]
-    sigma: Matrix | None
-    nu: tuple[Row, ...] | None
-    theta: Vec | None
-    domain: bool | None
+    def __init__(self, generators: tuple[str, ...], relations: tuple[Row, ...],
+                 sigma: Matrix | None, nu: tuple[Row, ...] | None,
+                 theta: Vec | None, domain: bool | None):
+        self.__dict__.update(generators=generators, relations=relations,
+                             sigma=sigma, nu=nu, theta=theta, domain=domain)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("an AlgebraDescription is immutable")
 
     @property
     def has_deformation(self) -> bool:

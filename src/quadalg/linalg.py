@@ -53,11 +53,14 @@ and the two views of a certificate's superpotential path
 (regular.SuperpotentialData.w, the `Subspace.rows` of the top Koszul
 component, and RegularityCertificate.symmetrized), which are built from
 integers over their denominators and computed with nowhere.
+
+Every class of the package that compares by value or keeps cached
+properties is written out as Matrix and Subspace are, and a record is a
+NamedTuple: no class decorator generates code, or loads inspect, at start.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -461,7 +464,6 @@ def solution_matrix(sol: dict[int, tuple[int, dict[int, int]]], rows: int,
 # canonical subspaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Subspace:
     """A linear subspace of Q**ambient held by its unique RREF basis.
 
@@ -471,11 +473,28 @@ class Subspace:
     entries have gcd 1.  Zero entries are never stored.  The Fraction rows,
     with leading 1, are only built on request; there is no dense basis.
     Vectors of Q**ambient are handed in as sparse {coordinate: value} maps.
+    Immutable, and equal and hashed by (ambient, pivots, int_rows).
     """
 
-    ambient: int
-    pivots: tuple[int, ...]
-    int_rows: tuple[IntRow, ...]
+    def __init__(self, ambient: int, pivots: tuple[int, ...],
+                 int_rows: tuple[IntRow, ...]):
+        self.__dict__.update(ambient=ambient, pivots=pivots, int_rows=int_rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a Subspace is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not Subspace:
+            return NotImplemented
+        return (self.ambient == other.ambient and self.pivots == other.pivots
+                and self.int_rows == other.int_rows)
+
+    def __hash__(self) -> int:
+        return hash((self.ambient, self.pivots, self.int_rows))
+
+    def __repr__(self) -> str:
+        return (f"Subspace({self.ambient!r}, {self.pivots!r}, "
+                f"{self.int_rows!r})")
 
     @staticmethod
     def from_spanning(rows: Iterable[RowLike], ambient: int) -> "Subspace":

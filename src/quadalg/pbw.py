@@ -27,9 +27,9 @@ structure, its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .frobenius import GradedFDAlgebra
 from .linalg import (ConsistencyError, LinAlgError, Matrix, Subspace, Vec,
@@ -39,7 +39,6 @@ from .skew import SkewExtension, skew_extend
 from .tensors import add_into
 
 
-@dataclass(frozen=True, eq=False)
 class PBWDeformation:
     """A deformation r -> r - nu(r) - theta(r) of a certified algebra, held
     on the relation rows it was given.
@@ -47,32 +46,34 @@ class PBWDeformation:
     rows are sparse {word index: value} maps and must be a basis of the
     relation space; nu[i] is the degree-one part of rows[i] as a sparse
     {letter: value} map and theta[i] its scalar part.  The domain flag is
-    caller-supplied metadata about the deformed algebra; when left unset,
+    caller-supplied metadata about the deformed algebra; when None,
     dimension-2 bases are treated as domains.  cdga and cy_report are
     computed on first read and kept on the deformation; a read that raises
-    keeps nothing.
+    keeps nothing.  Immutable, and equal and hashed by identity.
     """
 
-    cert: RegularityCertificate
-    rows: tuple[dict[int, Fraction], ...]
-    nu: tuple[dict[int, Fraction], ...]
-    theta: Vec
-    domain: bool | None = None
-
-    def __post_init__(self):
-        if self.cert.gldim < 2:
+    def __init__(self, cert: RegularityCertificate,
+                 rows: tuple[dict[int, Fraction], ...],
+                 nu: tuple[dict[int, Fraction], ...], theta: Vec,
+                 domain: bool | None):
+        if cert.gldim < 2:
             raise LinAlgError("a deformation needs a base of dimension at least 2")
-        rels = self.cert.algebra.relations
-        if (len(self.rows) != rels.dim
-                or Subspace.from_spanning(self.rows, rels.ambient) != rels):
+        rels = cert.algebra.relations
+        if (len(rows) != rels.dim
+                or Subspace.from_spanning(rows, rels.ambient) != rels):
             raise LinAlgError("the deformed rows must be a basis of the "
                               "relation space")
-        n = self.cert.algebra.n
-        if (len(self.nu) != rels.dim
-                or any(not 0 <= t < n for row in self.nu for t in row)):
+        n = cert.algebra.n
+        if (len(nu) != rels.dim
+                or any(not 0 <= t < n for row in nu for t in row)):
             raise LinAlgError("nu must map each relation row to degree one")
-        if len(self.theta) != rels.dim:
+        if len(theta) != rels.dim:
             raise LinAlgError("theta must assign a scalar to each relation row")
+        self.__dict__.update(cert=cert, rows=rows, nu=nu, theta=theta,
+                             domain=domain)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a PBWDeformation is immutable")
 
     @property
     def effective_domain(self) -> bool:
@@ -93,8 +94,7 @@ class PBWDeformation:
         return cy_criterion_deformed(self, self.cdga)
 
 
-@dataclass(eq=False)
-class Cdga:
+class Cdga(NamedTuple):
     """A curved differential structure on a graded algebra.
 
     delta[j] is the differential from degree j to degree j+1 as a Matrix
@@ -168,8 +168,7 @@ def _times(alg: GradedFDAlgebra, i: int, v: Matrix, j: int) -> Matrix:
     return Matrix(tuple(map(tuple, rows)), alg.den * v.den, alg.dims[i])
 
 
-@dataclass(frozen=True)
-class CdgaAxiomReport:
+class CdgaAxiomReport(NamedTuple):
     """Leibniz / closed-curvature / curved-square verdicts."""
 
     leibniz_failures: tuple
@@ -262,8 +261,7 @@ def skew_deformation(defm: PBWDeformation, ext: SkewExtension,
     return PBWDeformation(cert_ext, rows, nu, theta, defm.effective_domain)
 
 
-@dataclass(frozen=True)
-class DeformedCYReport:
+class DeformedCYReport(NamedTuple):
     """Verdict for the deformed Nakayama-twisted extension being Calabi-Yau."""
 
     is_CY: bool
@@ -339,8 +337,7 @@ def cy_criterion_deformed(defm: PBWDeformation, c: Cdga) -> DeformedCYReport:
                             defm.effective_domain, witness)
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
+class CompatibilityReport(NamedTuple):
     """Whether the sign-adjusted dual Nakayama map commutes with the curved data."""
 
     delta_commutes: bool
@@ -364,8 +361,7 @@ def nakayama_cdga_compatibility(cert: RegularityCertificate,
     return CompatibilityReport(commutes, fixed)
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """The three dimension-2 conditions, which must agree."""
 
     cond_i: bool

@@ -54,7 +54,6 @@ documents io reads and to the skew extensions skew builds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import lcm
 from typing import NamedTuple
@@ -72,19 +71,31 @@ MAX_WORDS = 10 ** 6
 CHECKED_DEGREES = 4
 
 
-@dataclass(frozen=True)
 class QuadraticAlgebra:
-    """A quadratic presentation: generator names and the relation subspace."""
+    """A quadratic presentation: generator names and the relation subspace.
+    Immutable, and equal and hashed by (names, relations)."""
 
-    names: tuple[str, ...]
-    relations: Subspace
-
-    def __post_init__(self):
-        n = len(self.names)
+    def __init__(self, names: tuple[str, ...], relations: Subspace):
+        n = len(names)
         if n == 0:
             raise LinAlgError("at least one generator is required")
-        if self.relations.ambient != n * n:
+        if relations.ambient != n * n:
             raise LinAlgError("relation subspace must live in degree-two words")
+        self.__dict__.update(names=names, relations=relations)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a QuadraticAlgebra is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not QuadraticAlgebra:
+            return NotImplemented
+        return self.names == other.names and self.relations == other.relations
+
+    def __hash__(self) -> int:
+        return hash((self.names, self.relations))
+
+    def __repr__(self) -> str:
+        return f"QuadraticAlgebra({self.names!r}, {self.relations!r})"
 
     @property
     def n(self) -> int:
@@ -389,8 +400,7 @@ def koszul_component(alg: QuadraticAlgebra, m: int) -> Subspace:
     return built[m]
 
 
-@dataclass(frozen=True)
-class KoszulCertificate:
+class KoszulCertificate(NamedTuple):
     """Outcome of the degree-bounded numeric Koszulness checks.
 
     This is evidence up to the bound, not a proof: both checks compare

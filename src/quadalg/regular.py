@@ -24,11 +24,10 @@ bounds through regularity_data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .frobenius import FrobeniusStructure, NotFrobenius, frobenius_structure
 from .linalg import ConsistencyError, LinAlgError, Matrix, ZERO, solve_square
@@ -49,8 +48,7 @@ class NotRegular(Exception):
         self.witness_degree = witness_degree
 
 
-@dataclass(frozen=True)
-class SuperpotentialData:
+class SuperpotentialData(NamedTuple):
     """Canonical superpotential of a certified algebra and its twist.
 
     w spans the top Koszul component, as a read-only {word index: value}
@@ -64,19 +62,32 @@ class SuperpotentialData:
     twist: Matrix
 
 
-@dataclass(frozen=True)
 class PresentationReport:
-    """Comparison of an algebra against its superpotential presentation."""
+    """Comparison of an algebra against its superpotential presentation.
+    Immutable, and equal and hashed by its two verdicts; not a NamedTuple,
+    so that it can be weakly referenced, as its certificate can."""
 
-    matches_relations: bool
-    coupling_invertible: bool
+    def __init__(self, matches_relations: bool, coupling_invertible: bool):
+        self.__dict__.update(matches_relations=matches_relations,
+                             coupling_invertible=coupling_invertible)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a PresentationReport is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not PresentationReport:
+            return NotImplemented
+        return (self.matches_relations == other.matches_relations
+                and self.coupling_invertible == other.coupling_invertible)
+
+    def __hash__(self) -> int:
+        return hash((self.matches_relations, self.coupling_invertible))
 
     @property
     def passed(self) -> bool:
         return self.matches_relations and self.coupling_invertible
 
 
-@dataclass(frozen=True, eq=False)
 class RegularityCertificate:
     """The data the bounded regularity checks produced that later steps read.
 
@@ -85,15 +96,19 @@ class RegularityCertificate:
     nondegenerate; its Nakayama blocks are solved only if read.  nakayama,
     superpotential, symmetrized, quotient and presentation are computed on
     first read and kept on the certificate, so they go with it; a read
-    that raises keeps nothing.
+    that raises keeps nothing.  Immutable, and equal and hashed by
+    identity.
     """
 
-    algebra: QuadraticAlgebra
-    gldim: int
-    bound: int
-    dual_dims: tuple[int, ...]
-    dual_fd: TruncatedAlgebra
-    frobenius: FrobeniusStructure
+    def __init__(self, algebra: QuadraticAlgebra, gldim: int, bound: int,
+                 dual_dims: tuple[int, ...], dual_fd: TruncatedAlgebra,
+                 frobenius: FrobeniusStructure):
+        self.__dict__.update(algebra=algebra, gldim=gldim, bound=bound,
+                             dual_dims=dual_dims, dual_fd=dual_fd,
+                             frobenius=frobenius)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a RegularityCertificate is immutable")
 
     @cached_property
     def nakayama(self) -> Matrix:

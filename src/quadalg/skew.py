@@ -22,9 +22,9 @@ pbw read that one object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .frobenius import (GradedFDAlgebra, is_graded_symmetric,
                         twisted_module_trivial_extension)
@@ -47,8 +47,7 @@ def fresh_letter(names) -> str:
     return base
 
 
-@dataclass(frozen=True, eq=False)
-class IsoReport:
+class IsoReport(NamedTuple):
     """Outcome of matching the model against the honest dual of the extension."""
 
     generated_ok: bool
@@ -62,7 +61,6 @@ class IsoReport:
                 and self.left_identity_ok and self.right_identity_ok)
 
 
-@dataclass(frozen=True, eq=False)
 class SkewExtension:
     """A certified algebra extended by one letter twisted by sigma.
 
@@ -73,14 +71,20 @@ class SkewExtension:
     their span.  sigma_inverse is the inverse of the twist, computed once
     here for the mixed relations and read by the model and its check.
     model, honest_dual, iso and symmetry are computed on first read and
-    kept here, on the one extension per certificate and twist.
+    kept here, on the one extension per certificate and twist.  Immutable,
+    and equal and hashed by identity.
     """
 
-    cert: RegularityCertificate
-    sigma: Matrix
-    algebra: QuadraticAlgebra
-    stacked_relations: tuple[dict[int, Fraction], ...]
-    sigma_inverse: Matrix
+    def __init__(self, cert: RegularityCertificate, sigma: Matrix,
+                 algebra: QuadraticAlgebra,
+                 stacked_relations: tuple[dict[int, Fraction], ...],
+                 sigma_inverse: Matrix):
+        self.__dict__.update(cert=cert, sigma=sigma, algebra=algebra,
+                             stacked_relations=stacked_relations,
+                             sigma_inverse=sigma_inverse)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a SkewExtension is immutable")
 
     @cached_property
     def model(self) -> GradedFDAlgebra:
@@ -280,8 +284,7 @@ def verify_ext_algebra_isomorphism(ext: SkewExtension) -> IsoReport:
     return IsoReport(generated_ok, bijective, left_ok, right_ok)
 
 
-@dataclass(frozen=True)
-class CYReport:
+class CYReport(NamedTuple):
     """Verdict on the skew extension being Calabi-Yau of the next dimension."""
 
     is_CY: bool

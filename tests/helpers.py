@@ -1,7 +1,7 @@
 """Shared test utilities: seeded generators and independent oracles."""
 
 import argparse
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 import importlib
@@ -13,8 +13,8 @@ import re
 
 import quadalg
 from quadalg import (Cdga, GradedFDAlgebra, Matrix, QuadraticAlgebra,
-                     Subspace, as_regular_certificate, contract_left,
-                     contract_right, index_to_word,
+                     SkewExtension, Subspace, as_regular_certificate,
+                     contract_left, contract_right, index_to_word,
                      twisted_module_trivial_extension, word_to_index)
 from quadalg.cli import COMMANDS
 from quadalg.io import ValidationError, parse_description
@@ -932,7 +932,8 @@ def zero_action_model(cert):
 def with_model(ext, model):
     """A copy of the extension whose model is the given one: seeded where
     the cached property keeps it, so the copy never builds its own."""
-    copy = replace(ext)
+    copy = SkewExtension(ext.cert, ext.sigma, ext.algebra,
+                         ext.stacked_relations, ext.sigma_inverse)
     copy.__dict__["model"] = model
     return copy
 

@@ -171,7 +171,7 @@ def test_criterion_7_three_way_equivalence():
         cert = cert_of(name)
         for _ in range(50):
             rep = cy_equivalence_dim2(
-                PBWDeformation(cert, *random_nu_theta(rng, cert)))
+                PBWDeformation(cert, *random_nu_theta(rng, cert), None))
             assert rep.cond_i == rep.cond_ii == rep.cond_iii, name
             assert rep.equivalent, name
     weyl = _corpus_deformation("quantum_weyl", 2)
@@ -195,7 +195,7 @@ def test_criterion_8_deformations_of_commutative_plane():
     rng = seeded(4242)
     cert = cert_of("kxy")
     for _ in range(50):
-        defm = PBWDeformation(cert, *random_nu_theta(rng, cert))
+        defm = PBWDeformation(cert, *random_nu_theta(rng, cert), None)
         rep = cy_criterion_deformed(defm, dual_cdga(defm))
         assert rep.is_CY
         assert rep.converse_definitive
@@ -204,7 +204,7 @@ def test_criterion_8_deformations_of_commutative_plane():
     # dual differential to the degree-one coelements gives (0, -1), the
     # same lambda convention every other criterion uses, so zeta(y) = y - 1.
     defm = PBWDeformation(cert, (dict(cert.algebra.relations.rows[0]),),
-                          ({0: F(1)},), (F(0),))
+                          ({0: F(1)},), (F(0),), None)
     c = dual_cdga(defm)
     assert cert.nakayama == Matrix.identity(2)
     shift = column(nakayama_shift(cert, c))

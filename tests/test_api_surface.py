@@ -11,8 +11,7 @@ with a live one is not caught.
 Each parameter of a def that has a default must be left out by at least
 one call in the package, or the default is an option that only tests use.
 Calls are matched by name in the same way, and an __init__ by the name of
-its class.  Defaults of dataclass fields are not def parameters and are not
-scanned.
+its class.
 
 No def only hands its parameters on: a computation has one definition,
 under its public name, and a cached one carries its cache itself.  Each

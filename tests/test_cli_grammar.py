@@ -7,6 +7,7 @@ with exit 2.
 
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+import os
 from pathlib import Path
 import subprocess
 import sys
@@ -132,3 +133,18 @@ def test_the_cli_does_not_import_argparse():
     run = subprocess.run([sys.executable, "-c", code], cwd=src,
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+def test_the_cli_loads_neither_dataclasses_nor_inspect():
+    # in a bare interpreter (-S, no site module) importing the CLI loads
+    # neither: dataclasses generates its methods by exec, and it and
+    # inspect pull in ast, dis and tokenize, more start-up time than the
+    # package's own modules take
+    src = Path(cli.__file__).resolve().parent.parent
+    code = ("import sys, quadalg.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-S", "-c", code],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"

@@ -29,7 +29,7 @@ def _mk(name, nu_rows, theta):
     cert = cert_of(name)
     rows = tuple(dict(r) for r in cert.algebra.relations.rows)
     nu = tuple({t: F(v) for t, v in enumerate(r) if v} for r in nu_rows)
-    return PBWDeformation(cert, rows, nu, tuple(F(v) for v in theta))
+    return PBWDeformation(cert, rows, nu, tuple(F(v) for v in theta), None)
 
 
 def _on_rows(defm, mat):
@@ -71,13 +71,13 @@ def test_shape_validation():
     for bad in (dependent, rows[:2] + ({word: F(1)},), rows[:2],
                 rows + ({word: F(1)},)):
         with pytest.raises(LinAlgError, match="basis of the relation space"):
-            PBWDeformation(cert, bad, nu, theta)
+            PBWDeformation(cert, bad, nu, theta, None)
     with pytest.raises(LinAlgError, match="nu"):
-        PBWDeformation(cert, rows, nu[:2], theta)
+        PBWDeformation(cert, rows, nu[:2], theta, None)
     with pytest.raises(LinAlgError, match="nu"):
-        PBWDeformation(cert, rows, ({3: F(1)}, {}, {}), theta)
+        PBWDeformation(cert, rows, ({3: F(1)}, {}, {}), theta, None)
     with pytest.raises(LinAlgError, match="theta"):
-        PBWDeformation(cert, rows, nu, theta + (F(0),))
+        PBWDeformation(cert, rows, nu, theta + (F(0),), None)
 
 
 def test_weyl_dual_cdga():
@@ -170,7 +170,7 @@ def test_dim2_every_deformation_satisfies_axioms():
     for name in DIM2:
         cert = cert_of(name)
         for _ in range(4):
-            defm = PBWDeformation(cert, *random_nu_theta(rng, cert))
+            defm = PBWDeformation(cert, *random_nu_theta(rng, cert), None)
             rep = check_cdga_axioms(dual_cdga(defm))
             assert rep.passed, name
 
@@ -212,7 +212,7 @@ def test_deformation_from_rows_is_basis_free():
     rng = Random(1515)
     for name in AS_REGULAR:
         cert = cert_of(name)
-        defms += [PBWDeformation(cert, *random_nu_theta(rng, cert))
+        defms += [PBWDeformation(cert, *random_nu_theta(rng, cert), None)
                   for _ in range(2)]
     for defm in defms:
         rels = defm.cert.algebra.relations
@@ -261,7 +261,7 @@ def test_cy_witness_is_the_first_letter_the_twist_moves():
     rng = Random(59)
     for name in AS_REGULAR:
         cert = cert_of(name)
-        defms += [PBWDeformation(cert, *random_nu_theta(rng, cert))
+        defms += [PBWDeformation(cert, *random_nu_theta(rng, cert), None)
                   for _ in range(8)]
     moved = 0
     for defm in defms:
@@ -322,7 +322,7 @@ def test_equivalence_random_dim2():
         cert = cert_of(name)
         for _ in range(6):
             rep = cy_equivalence_dim2(
-                PBWDeformation(cert, *random_nu_theta(rng, cert)))
+                PBWDeformation(cert, *random_nu_theta(rng, cert), None))
             assert rep.equivalent, name
             assert rep.cond_i == rep.cond_ii == rep.cond_iii
 
@@ -397,7 +397,7 @@ def test_the_generator_check_matches_the_full_loops():
         for bound in (1, 3):
             for _ in range(6):
                 c = dual_cdga(PBWDeformation(
-                    cert, *random_nu_theta(rng, cert, -bound, bound)))
+                    cert, *random_nu_theta(rng, cert, -bound, bound), None))
                 drawn.append(_agrees_with_the_full_loops(c))
                 corrupted.append(_agrees_with_the_full_loops(
                     _corrupted(c, rng)))
@@ -489,7 +489,7 @@ def test_potential_deformations_pass_and_are_calabi_yau():
     samples = _potential_samples(24, 1307)
     assert len(samples) >= 20
     for cert, rows, nu, theta in samples:
-        defm = PBWDeformation(cert, rows, nu, theta)
+        defm = PBWDeformation(cert, rows, nu, theta, None)
         assert _agrees_with_the_full_loops(defm.cdga)
         assert defm.cy_report.is_CY
 
@@ -503,7 +503,7 @@ def test_potential_controls_agree_with_the_full_loops():
     for cert, rows, _, _ in _potential_samples(12, 1308):
         _, _, nu, theta = potential_deformation(rng, symmetric=False)
         verdicts.append(_agrees_with_the_full_loops(
-            dual_cdga(PBWDeformation(cert, rows, nu, theta))))
+            dual_cdga(PBWDeformation(cert, rows, nu, theta, None))))
         verdicts.append(_agrees_with_the_full_loops(dual_cdga(
-            PBWDeformation(cert, *random_nu_theta(rng, cert)))))
+            PBWDeformation(cert, *random_nu_theta(rng, cert), None))))
     assert len(verdicts) >= 20 and verdicts.count(False) > 0

@@ -1,6 +1,5 @@
 """One-letter twisted extensions A[z;sigma] and their Calabi-Yau verdicts."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,8 +8,8 @@ from helpers import (AS_REGULAR, cert_of, dense_inverse,
                      dual_trivial_extension, ext_iso_oracle, identity_maps,
                      model_map_multiplicative, twist_matrices, with_model,
                      word_vector, zero_action_model)
-from quadalg import (Matrix, cy_check_with, fresh_letter, graded_dims,
-                     regularity_data, skew, skew_extend,
+from quadalg import (Matrix, SkewExtension, cy_check_with, fresh_letter,
+                     graded_dims, regularity_data, skew, skew_extend,
                      twisted_module_trivial_extension,
                      verify_ext_algebra_isomorphism,
                      verify_extended_presentation)
@@ -206,7 +205,8 @@ def _doubled_mixed_relations(ext):
     nrel = ext.cert.algebra.relations.dim
     rows = ext.stacked_relations
     doubled = tuple({c: 2 * v for c, v in row.items()} for row in rows[nrel:])
-    return replace(ext, stacked_relations=rows[:nrel] + doubled)
+    return SkewExtension(ext.cert, ext.sigma, ext.algebra,
+                         rows[:nrel] + doubled, ext.sigma_inverse)
 
 
 def _check_against_oracle(monkeypatch, ext, seen):
