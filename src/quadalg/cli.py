@@ -16,8 +16,6 @@ MAX_DEGREE, or a Koszul component past the word cap) or out of memory.
 -h/--help prints the help on stdout and exits 0.
 """
 
-from __future__ import annotations
-
 import hashlib
 import json
 import re

@@ -16,12 +16,13 @@ Frobenius data is extracted, and the distinguished functional is
 "coefficient of the top basis element", read straight off a top structure
 cell.
 
-The Frobenius data is integer matrices: each pairing G_i is read off the
-top cells over den, and frobenius_structure checks each nondegenerate by
-one rank.  The Nakayama blocks, the solve_square solutions of
-G_i X = G_{d-i}^T, are solved only where they are read: by
-is_graded_symmetric, which runs both of its routes on them and takes no
-rank, and by pbw's Nakayama compatibility test.  The trivial extension
+The Frobenius data is the algebra's own, integer matrices kept on it as
+cached properties: its pairings, each G_i read off the top cells over
+den, and its Nakayama blocks, the solve_square solutions of
+G_i X = G_{d-i}^T, solved on first read.  frobenius_structure checks each
+pairing nondegenerate by one rank and solves nothing; the blocks are read
+by is_graded_symmetric, which runs both of its routes on them and takes
+no rank, and by pbw's Nakayama compatibility test.  The trivial extension
 takes its twists as matrices, the form GradedFDAlgebra.epsilon and
 TruncatedAlgebra.automorphism build, and reads their integer columns, so
 the Calabi-Yau path builds and tests its model with no Fraction in
@@ -176,6 +177,47 @@ class GradedFDAlgebra:
             gens.append(tuple(c for c in range(dims[k]) if c not in pivots))
         return tuple(gens)
 
+    @cached_property
+    def pairings(self) -> tuple[Matrix, ...]:
+        """The pairing matrices G_i, one per degree: entry (a, b) of G_i is
+        the top coefficient of the product of the a-th degree-i and b-th
+        degree-(d-i) basis elements.  The top degree must be
+        one-dimensional, so each top cell is () or ((0, v),) and G_i is
+        those v over den; NotFrobenius at the first degree where the
+        dimensions cannot pair.  Nondegeneracy is not checked here
+        (frobenius_structure checks it).
+        """
+        d = self.length
+        if self.dims[d] != 1:
+            raise NotFrobenius(d, f"top degree has dimension {self.dims[d]}, "
+                                  f"not 1")
+        for i in range(d // 2 + 1):
+            if self.dims[i] != self.dims[d - i]:
+                raise NotFrobenius(i, f"dim mismatch {self.dims[i]} vs "
+                                      f"{self.dims[d - i]} between degrees "
+                                      f"{i} and {d - i}")
+        return tuple(
+            Matrix(tuple(tuple(cell[0][1] if cell else 0 for cell in row)
+                         for row in self.int_mult[(i, d - i)]),
+                   self.den, self.dims[d - i]) for i in range(d + 1))
+
+    @cached_property
+    def nakayama(self) -> tuple[Matrix, ...]:
+        """The Nakayama map, one block per degree, in column convention:
+        <a, b> = <b, nak(a)> pins it, G_i nak[d-i] = G_{d-i}^T, one
+        solve_square per degree.  A degenerate pairing met there raises
+        NotFrobenius at its degree.
+        """
+        pairings = self.pairings
+        d = self.length
+        nakayama = [None] * (d + 1)
+        for i in range(d + 1):
+            nak = solve_square(pairings[i], pairings[d - i].transpose())
+            if nak is None:
+                raise NotFrobenius(i, DEGENERATE)
+            nakayama[d - i] = nak
+        return tuple(nakayama)
+
     def _validate_associativity(self) -> None:
         """(e_a e_b) s = e_a (e_b s) for basis elements e_a, e_b of positive
         degree and every s in the generating set S (generators), which is
@@ -248,92 +290,34 @@ class GradedFDAlgebra:
                                         f"{(i, j, k)} indices {(a, b, c)}")
 
 
-class FrobeniusStructure:
-    """Per-degree pairing matrices and the Nakayama automorphism they fix.
-
-    Entry (a, b) of pairings[i] is the top coefficient of the product of
-    the a-th degree-i and b-th degree-(d-i) basis elements.  nakayama[i] is
-    the Nakayama map on degree i, in column convention: <a, b> = <b,
-    nak(a)> pins it, G_i nak[d-i] = G_{d-i}^T, one solve_square per
-    degree.  The blocks are solved on first read and kept; a degenerate
-    pairing met there raises NotFrobenius at its degree.  Immutable, and
-    equal and hashed by its pairings.
+def frobenius_structure(alg: GradedFDAlgebra) -> tuple[Matrix, ...]:
+    """The algebra's pairings (GradedFDAlgebra.pairings), each checked
+    nondegenerate by one rank, or NotFrobenius at the first degree that
+    fails.  No Nakayama block is solved here: a reader of
+    GradedFDAlgebra.nakayama solves them.
     """
-
-    def __init__(self, pairings: tuple[Matrix, ...]):
-        self.__dict__.update(pairings=pairings)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("a FrobeniusStructure is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not FrobeniusStructure:
-            return NotImplemented
-        return self.pairings == other.pairings
-
-    def __hash__(self) -> int:
-        return hash(self.pairings)
-
-    @cached_property
-    def nakayama(self) -> tuple[Matrix, ...]:
-        pairings = self.pairings
-        d = len(pairings) - 1
-        nakayama = [None] * (d + 1)
-        for i in range(d + 1):
-            nak = solve_square(pairings[i], pairings[d - i].transpose())
-            if nak is None:
-                raise NotFrobenius(i, DEGENERATE)
-            nakayama[d - i] = nak
-        return tuple(nakayama)
-
-
-def _pairing_structure(alg: GradedFDAlgebra) -> FrobeniusStructure:
-    """The pairings of an algebra whose graded dimensions can pair, or
-    NotFrobenius at the first degree where they cannot.
-
-    The top degree is one-dimensional, so each top cell is () or ((0, v),)
-    and G_i is those v over den.
-    """
-    d = alg.length
-    if alg.dim(d) != 1:
-        raise NotFrobenius(d, f"top degree has dimension {alg.dim(d)}, not 1")
-    for i in range(d // 2 + 1):
-        if alg.dim(i) != alg.dim(d - i):
-            raise NotFrobenius(i, f"dim mismatch {alg.dim(i)} vs {alg.dim(d - i)} "
-                                  f"between degrees {i} and {d - i}")
-    return FrobeniusStructure(tuple(
-        Matrix(tuple(tuple(cell[0][1] if cell else 0 for cell in row)
-                     for row in alg.int_mult[(i, d - i)]),
-               alg.den, alg.dims[d - i]) for i in range(d + 1)))
-
-
-def frobenius_structure(alg: GradedFDAlgebra) -> FrobeniusStructure:
-    """The pairing matrices, each checked nondegenerate by one rank, or
-    NotFrobenius at the first degree that fails.  No Nakayama block is
-    solved here: a reader of FrobeniusStructure.nakayama solves them.
-    """
-    fs = _pairing_structure(alg)
-    for i, g in enumerate(fs.pairings):
+    pairings = alg.pairings
+    for i, g in enumerate(pairings):
         if g.rank() < g.rows:
             raise NotFrobenius(i, DEGENERATE)
-    return fs
+    return pairings
 
 
 def is_graded_symmetric(alg: GradedFDAlgebra):
     """Sign-symmetry of the pairing; returns (verdict, witness).
 
-    Checked two ways on the pairing matrices: entrywise, G_i against the
-    signed transpose of G_{d-i}, and through the Nakayama map being the
-    expected sign scalar, (-1)^((d-1) i) on degree i, which is
-    epsilon(d - 1).  The Nakayama blocks' solves are the only eliminations,
-    and a degenerate pairing raises NotFrobenius there, so no rank is taken
-    first.  The witness is (degree, row, col) of the first failing pairing
-    entry, or None.
+    Checked two ways on the algebra's own pairings and Nakayama blocks:
+    entrywise, G_i against the signed transpose of G_{d-i}, and through the
+    Nakayama map being the expected sign scalar, (-1)^((d-1) i) on degree
+    i, which is epsilon(d - 1).  The blocks' solves, on their first read,
+    are the only eliminations, and a degenerate pairing raises NotFrobenius
+    there, so no rank is taken first.  The witness is (degree, row, col) of
+    the first failing pairing entry, or None.
     """
-    fs = _pairing_structure(alg)
+    pairings = alg.pairings
     d = alg.length
     witness = None
-    for i, (gi, gdi) in enumerate(zip(fs.pairings, reversed(fs.pairings))):
+    for i, (gi, gdi) in enumerate(zip(pairings, reversed(pairings))):
         signed = -gdi.transpose() if i * (d - i) % 2 else gdi.transpose()
         if gi != signed:
             # the first entry that differs, each side over its own den
@@ -343,7 +327,7 @@ def is_graded_symmetric(alg: GradedFDAlgebra):
                            if v * signed.den != w * gi.den)
             break
     ok_pairings = witness is None
-    if ok_pairings != (fs.nakayama == alg.epsilon(d - 1)):
+    if ok_pairings != (alg.nakayama == alg.epsilon(d - 1)):
         raise ConsistencyError("pairing symmetry and Nakayama sign test disagree")
     return ok_pairings, witness
 

@@ -57,6 +57,10 @@ integers over their denominators and computed with nowhere.
 Every class of the package that compares by value or keeps cached
 properties is written out as Matrix and Subspace are, and a record is a
 NamedTuple: no class decorator generates code, or loads inspect, at start.
+The modules that define records (quadratic, regular, skew, pbw, cli) do
+not postpone their annotations, and no record field is annotated by a
+string: a string field annotation becomes a typing.ForwardRef, which
+compiles it at import.
 """
 
 from __future__ import annotations

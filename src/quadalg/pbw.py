@@ -25,8 +25,6 @@ certificate.  Only the transported deformation builds a second curved
 structure, its own.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -82,13 +80,13 @@ class PBWDeformation:
         return self.cert.gldim == 2
 
     @cached_property
-    def cdga(self) -> Cdga:
+    def cdga(self) -> "Cdga":
         """The curved structure the deformation induces on the dual
         (dual_cdga)."""
         return dual_cdga(self)
 
     @cached_property
-    def cy_report(self) -> DeformedCYReport:
+    def cy_report(self) -> "DeformedCYReport":
         """The deformed Calabi-Yau criterion on the curved structure cdga
         (cy_criterion_deformed)."""
         return cy_criterion_deformed(self, self.cdga)
@@ -231,12 +229,12 @@ def nakayama_shift(cert: RegularityCertificate, c: Cdga) -> Matrix:
 
     Entry i is the top coefficient of the differential applied to the
     element omega_i that pairs to 1 against the i-th dual generator at the
-    top, the i-th column of G_1^{-1} (G_1 = pairings[1]).  So the shift is
-    the row delta_{d-1} G_1^{-1}, whose transpose s solves
+    top, the i-th column of G_1^{-1} (G_1 = cert.dual_fd.pairings[1]).  So
+    the shift is the row delta_{d-1} G_1^{-1}, whose transpose s solves
     G_1^T s = delta_{d-1}^T: one solve, and no inverse.
     """
     # G_1 is nondegenerate, as frobenius_structure checked
-    return solve_square(cert.frobenius.pairings[1].transpose(),
+    return solve_square(cert.dual_fd.pairings[1].transpose(),
                         c.delta[cert.gldim - 1].transpose())
 
 
@@ -310,7 +308,7 @@ def cy_criterion_deformed(defm: PBWDeformation, c: Cdga) -> DeformedCYReport:
     twisted = cert.nakayama.transpose() @ shift
     # omega_i is column i; in the model, degree k is E_k followed by the
     # copy of E_{k-1}
-    omega = solve_square(cert.frobenius.pairings[1], Matrix.identity(n))
+    omega = solve_square(cert.dual_fd.pairings[1], Matrix.identity(n))
     u = _padded(omega, 0, dims[d - 2])
     pi = _padded(Matrix.identity(1), n, 0)
     delta_pi = _padded(shift, dims[2], 0)
@@ -354,7 +352,7 @@ def nakayama_cdga_compatibility(cert: RegularityCertificate,
     structure c that a deformation of cert's algebra induces."""
     d = cert.gldim
     chi = tuple(-nak if (d + 1) * k % 2 else nak
-                for k, nak in enumerate(cert.frobenius.nakayama))
+                for k, nak in enumerate(cert.dual_fd.nakayama))
     commutes = all(chi[j + 1] @ c.delta[j] == c.delta[j] @ chi[j]
                    for j in range(d))
     fixed = chi[2] @ c.curvature == c.curvature

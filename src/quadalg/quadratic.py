@@ -52,8 +52,6 @@ shared_presentation hands out one presentation per algebra value, to the
 documents io reads and to the skew extensions skew builds.
 """
 
-from __future__ import annotations
-
 from functools import cached_property, lru_cache
 from math import lcm
 from typing import NamedTuple
@@ -550,13 +548,14 @@ class TruncatedAlgebra(GradedFDAlgebra):
         The pairing is the coordinate dot product.  Every row must lie in the
         Koszul component paired with this degree, so that the values only
         depend on the class; a class then pairs through its basis words.
-        The rows are checked once for all vectors, and all vectors are
+        The rows are checked once for all vectors, in one forward pass
+        against the component (Subspace.contains_all), and all vectors are
         solved together by one `int_solve`, the rows read on the basis words
         and the vectors' values appended as right-hand sides, each
         augmented row scaled to integers.
         """
         rows = [dict(r) for r in rows]
-        if not all(self.components[k].contains(r) for r in rows):
+        if not self.components[k].contains_all(rows):
             raise LinAlgError("pairing values are not class functions")
         if any(len(values) != len(rows) for values in value_vectors):
             raise LinAlgError("one pairing value per row is needed")

@@ -1,8 +1,9 @@
 """Degree-bounded certification that a quadratic algebra is regular:
 finite-dimensional Frobenius dual + Koszul numerics.  The certificate
 checks each pairing of the dual nondegenerate by one rank and solves no
-Nakayama block of it (frobenius.FrobeniusStructure.nakayama solves them
-where they are read).  What the certificate fixes is read off it as
+Nakayama block of it: the pairings and the blocks are the dual's own
+(frobenius.GradedFDAlgebra.pairings and .nakayama), and the blocks are
+solved where they are read.  What the certificate fixes is read off it as
 cached properties: the Nakayama automorphism xi, from the dual pairing
 data in one solve; the superpotential w with its twist, from the top
 Koszul components; and what w gives, its symmetrization by one letter,
@@ -22,14 +23,12 @@ Callers that already know the expected global dimension can ask for reduced
 bounds through regularity_data.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .frobenius import FrobeniusStructure, NotFrobenius, frobenius_structure
+from .frobenius import NotFrobenius, frobenius_structure
 from .linalg import ConsistencyError, LinAlgError, Matrix, ZERO, solve_square
 from .quadratic import (QuadraticAlgebra, TruncatedAlgebra, graded_dims,
                         koszul_component, numeric_koszul_certificate,
@@ -91,24 +90,26 @@ class PresentationReport:
 class RegularityCertificate:
     """The data the bounded regularity checks produced that later steps read.
 
-    dual_fd is the dual algebra truncated at its top degree gldim; dual_dims
-    runs on to the bound.  frobenius holds its pairings, each checked
-    nondegenerate; its Nakayama blocks are solved only if read.  nakayama,
-    superpotential, symmetrized, quotient and presentation are computed on
-    first read and kept on the certificate, so they go with it; a read
-    that raises keeps nothing.  Immutable, and equal and hashed by
-    identity.
+    dual_fd is the dual algebra truncated at its top degree gldim, each of
+    its pairings checked nondegenerate; its Nakayama blocks are solved only
+    if read.  dual_dims runs on to the bound.  nakayama, superpotential,
+    symmetrized, quotient and presentation are computed on first read and
+    kept on the certificate, so they go with it; a read that raises keeps
+    nothing.  Immutable, and equal and hashed by identity.
     """
 
-    def __init__(self, algebra: QuadraticAlgebra, gldim: int, bound: int,
-                 dual_dims: tuple[int, ...], dual_fd: TruncatedAlgebra,
-                 frobenius: FrobeniusStructure):
-        self.__dict__.update(algebra=algebra, gldim=gldim, bound=bound,
-                             dual_dims=dual_dims, dual_fd=dual_fd,
-                             frobenius=frobenius)
+    def __init__(self, algebra: QuadraticAlgebra, bound: int,
+                 dual_dims: tuple[int, ...], dual_fd: TruncatedAlgebra):
+        self.__dict__.update(algebra=algebra, bound=bound,
+                             dual_dims=dual_dims, dual_fd=dual_fd)
 
     def __setattr__(self, name, value):
         raise AttributeError("a RegularityCertificate is immutable")
+
+    @property
+    def gldim(self) -> int:
+        """The certified global dimension, the top degree of dual_fd."""
+        return self.dual_fd.length
 
     @cached_property
     def nakayama(self) -> Matrix:
@@ -116,15 +117,15 @@ class RegularityCertificate:
 
         On generators this is the sign-adjusted inverse transpose of the
         dual Nakayama map nu_1 in degree one, in column convention:
-        xi = (-1)^(d+1) (nu_1^{-1})^T.  With G_i = pairings[i], nu_1 is the
-        X of G_{d-1} X = G_1^T (frobenius_structure), so
+        xi = (-1)^(d+1) (nu_1^{-1})^T.  With G_i = dual_fd.pairings[i], nu_1
+        is the X of G_{d-1} X = G_1^T (dual_fd.nakayama[1]), so
         nu_1 = G_{d-1}^{-1} G_1^T and nu_1^{-1} = G_1^{-T} G_{d-1}: the
         solution Y of G_1^T Y = G_{d-1}.  So xi is (-1)^(d+1) Y^T, read off
         one solve and no inverse.  The result must preserve the relation
         subspace; if it does not, the certificate data is inconsistent.
         """
         d = self.gldim
-        pairings = self.frobenius.pairings
+        pairings = self.dual_fd.pairings
         # G_1 is nondegenerate, as frobenius_structure checked
         y = solve_square(pairings[1].transpose(), pairings[d - 1])
         xi = y.transpose() if d % 2 else -y.transpose()
@@ -224,7 +225,7 @@ def as_regular_certificate(alg: QuadraticAlgebra, bound: int, /) -> RegularityCe
     d = max(k for k in range(bound + 1) if dual_dims[k] > 0)
     dual_fd = truncated_structure(dual, d)
     try:
-        frob = frobenius_structure(dual_fd)
+        frobenius_structure(dual_fd)
     except NotFrobenius as nf:
         raise NotRegular(f"dual algebra is not Frobenius: {nf.reason}",
                          nf.witness_degree) from nf
@@ -232,7 +233,7 @@ def as_regular_certificate(alg: QuadraticAlgebra, bound: int, /) -> RegularityCe
     if not kos.passed:
         witness = min(kos.component_mismatches + kos.euler_failures)
         raise NotRegular("Koszul numerics fail", witness)
-    return RegularityCertificate(alg, d, bound, dual_dims, dual_fd, frob)
+    return RegularityCertificate(alg, bound, dual_dims, dual_fd)
 
 
 def verify_superpotential_presentation(cert: RegularityCertificate) -> PresentationReport:

@@ -20,8 +20,6 @@ symmetry verdict.  `skew`, `extiso`, `cy` and the deformed criterion of
 pbw read that one object.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple

@@ -912,7 +912,7 @@ def rescaled_nakayama_shift(cert, c: Cdga, s) -> tuple:
     dual generator, divided by s.  Independent of s for s nonzero."""
     s = Fraction(s)
     d = cert.gldim
-    omega_cols = dense_inverse(cert.frobenius.pairings[1]).scale(s)
+    omega_cols = dense_inverse(cert.dual_fd.pairings[1]).scale(s)
     delta = fraction_matrix(c.delta[d - 1])
     return tuple(delta.mul_col(omega_cols.col(i))[0] / s
                  for i in range(cert.algebra.n))

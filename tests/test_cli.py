@@ -18,7 +18,7 @@ import pytest
 import quadalg
 from helpers import (AS_REGULAR, package_caches, skew_description,
                      sklyanin_description)
-from quadalg import cli, io, linalg, quadratic, regular, skew
+from quadalg import cli, frobenius, io, linalg, quadratic, regular, skew
 from quadalg.cli import main
 from quadalg.io import parse_description
 from quadalg.linalg import Matrix
@@ -869,6 +869,33 @@ def test_a_cold_nakayama_run_makes_one_solve(capsys, monkeypatch, name):
     assert main(["nakayama", _path(name)]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def test_a_cold_cy_run_solves_each_nakayama_block_once(tmp_path, capsys,
+                                                       monkeypatch):
+    # the symmetry test reads the Nakayama blocks of the model and of the
+    # honest dual, each the algebra's own: on skew3 every block of the two
+    # is solved once, against that algebra's own pairings, and reading the
+    # verdict again solves nothing
+    path = tmp_path / "skew3.json"
+    path.write_text(json.dumps(skew_description(3, Fraction(-2, 3))))
+    solves = []
+    solve = frobenius.solve_square
+    monkeypatch.setattr(frobenius, "solve_square",
+                        lambda a, b: solves.append(a) or solve(a, b))
+    _clear_package_caches()
+    assert main(["cy", str(path)]) == 0
+    capsys.readouterr()
+    cert = as_regular_certificate(
+        parse_description(path.read_bytes()).algebra, 5)
+    ext = skew_extend(cert, cert.nakayama)
+    assert (skew.skew_extend.cache_info().hits,
+            regular.as_regular_certificate.cache_info().hits) == (1, 1)
+    blocks = [*ext.model.pairings, *ext.honest_dual.pairings]
+    assert sorted(map(id, solves)) == sorted(map(id, blocks))
+    for alg in (ext.model, ext.honest_dual):
+        is_graded_symmetric(alg)
+    assert len(solves) == len(blocks)
 
 
 def test_the_superpotential_path_does_no_fraction_arithmetic(monkeypatch):

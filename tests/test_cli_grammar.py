@@ -148,3 +148,28 @@ def test_the_cli_loads_neither_dataclasses_nor_inspect():
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"
+
+
+def test_importing_the_cli_compiles_no_annotation():
+    # a record field annotated by a string becomes a typing.ForwardRef,
+    # which compiles the string; after the standard library modules the
+    # benchmark child loads first, importing the CLI compiles no source
+    # string (a module loaded without cached bytecode compiles bytes)
+    src = Path(cli.__file__).resolve().parent.parent
+    code = "\n".join((
+        "import argparse, builtins, contextlib, importlib, io, json",
+        "import pkgutil, resource, sys, time, pathlib",
+        "compiled = []",
+        "real = builtins.compile",
+        "def counted(source, *args, **kwargs):",
+        "    if isinstance(source, str):",
+        "        compiled.append(source)",
+        "    return real(source, *args, **kwargs)",
+        "builtins.compile = counted",
+        "import quadalg.cli",
+        "print(compiled)"))
+    run = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"

@@ -20,10 +20,9 @@ from helpers import (AS_REGULAR, cert_of, class_from_pairings, ext_iso_oracle,
                      oracle_frobenius, oracle_graded_symmetry,
                      oracle_preserves_subspace, oracle_trivial_extension_table,
                      skew_ring, twist_matrices)
-from quadalg import (FrobeniusStructure, Matrix, as_regular_certificate,
-                     frobenius_structure, is_graded_symmetric,
-                     preserves_subspace, skew_extend, truncated_structure,
-                     twisted_module_trivial_extension,
+from quadalg import (Matrix, as_regular_certificate, frobenius_structure,
+                     is_graded_symmetric, preserves_subspace, skew_extend,
+                     truncated_structure, twisted_module_trivial_extension,
                      verify_ext_algebra_isomorphism)
 
 F = Fraction
@@ -108,9 +107,8 @@ def test_frobenius_data_and_symmetry_match_the_fraction_comparison(case):
     ext = skew_extend(cert, sigma)
     for alg in (cert.dual_fd, ext.model, ext.honest_dual):
         pairings, nakayama = map(int_twist, oracle_frobenius(alg))
-        fs = frobenius_structure(alg)
-        assert fs == FrobeniusStructure(pairings)
-        assert fs.nakayama == nakayama
+        assert frobenius_structure(alg) == pairings
+        assert alg.nakayama == nakayama
         ok, witness, ok_nakayama = oracle_graded_symmetry(alg)
         assert ok_nakayama == ok
         assert is_graded_symmetric(alg) == (ok, witness)

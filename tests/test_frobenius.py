@@ -1,6 +1,7 @@
 """Graded algebra containers, Frobenius structure, trivial extensions."""
 
 import inspect
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -71,18 +72,18 @@ def test_epsilon_and_identity():
 
 
 def test_frobenius_goldens_quantum_plane():
-    frob = cert_of("quantum_plane_q2").frobenius
-    assert frob.pairings[1].entries == ((F(0), F(-1, 2)), (F(1), F(0)))
-    assert frob.nakayama[1].entries == (
+    dual = cert_of("quantum_plane_q2").dual_fd
+    assert dual.pairings[1].entries == ((F(0), F(-1, 2)), (F(1), F(0)))
+    assert dual.nakayama[1].entries == (
         (F(-1, 2), F(0)), (F(0), F(-2)))
     ok, witness = is_graded_symmetric(_fd("quantum_plane_q2"))
     assert not ok and witness is not None
 
 
 def test_frobenius_goldens_jordan():
-    frob = cert_of("jordan_plane").frobenius
-    assert frob.pairings[1].entries == ((F(1), F(-1)), (F(1), F(0)))
-    assert frob.nakayama[1].entries == ((F(-1), F(0)), (F(-2), F(-1)))
+    dual = cert_of("jordan_plane").dual_fd
+    assert dual.pairings[1].entries == ((F(1), F(-1)), (F(1), F(0)))
+    assert dual.nakayama[1].entries == ((F(-1), F(0)), (F(-2), F(-1)))
     # its diagonal is the sign that symmetry asks for and only the entry
     # off it fails, so the Nakayama route must read off-diagonal entries to
     # agree with the pairing route
@@ -93,8 +94,8 @@ def test_frobenius_goldens_jordan():
 def test_commutative_dual_is_graded_symmetric_odd_top():
     # length 2: symmetric means pairing[1] antisymmetric; exterior algebra is
     alg = _fd("kxy")
-    frob = frobenius_structure(alg)
-    assert frob.pairings[1].entries == ((F(0), F(-1)), (F(1), F(0)))
+    pairings = frobenius_structure(alg)
+    assert pairings[1].entries == ((F(0), F(-1)), (F(1), F(0)))
     ok, witness = is_graded_symmetric(alg)
     assert ok and witness is None
 
@@ -148,7 +149,8 @@ def test_the_structure_ranks_and_the_symmetry_test_solves(monkeypatch,
                                                           name):
     # the structure checks each pairing by one rank and solves nothing; the
     # symmetry test solves each Nakayama block once, takes no rank, and is
-    # what reads the blocks
+    # what reads the blocks.  Each algebra is a copy of the table that
+    # nothing has been read from, as the blocks are kept on the algebra
     solves, ranks = [], []
     solve, rank = frobenius.solve_square, Matrix.rank
     monkeypatch.setattr(frobenius, "solve_square",
@@ -156,14 +158,51 @@ def test_the_structure_ranks_and_the_symmetry_test_solves(monkeypatch,
     monkeypatch.setattr(Matrix, "rank",
                         lambda m: ranks.append(m) or rank(m))
     ext = skew_extend(cert_of(name), cert_of(name).nakayama)
-    for alg in (cert_of(name).dual_fd, ext.model, ext.honest_dual):
+    for seen in (cert_of(name).dual_fd, ext.model, ext.honest_dual):
+        alg = GradedFDAlgebra(seen.dims, seen.int_mult, seen.den)
         del solves[:], ranks[:]
-        fs = frobenius_structure(alg)
+        pairings = frobenius_structure(alg)
         assert (len(solves), len(ranks)) == (0, alg.length + 1)
-        assert list(fs.pairings) == ranks
+        assert list(pairings) == ranks
         del ranks[:]
         is_graded_symmetric(alg)
         assert (len(solves), len(ranks)) == (alg.length + 1, 0)
+
+
+@pytest.mark.parametrize("name", ("kxy", "jordan_plane", "poly3"))
+def test_an_algebra_builds_its_pairings_once_and_solves_its_blocks_once(
+        monkeypatch, name):
+    # the pairings and the Nakayama blocks are the algebra's own: in every
+    # order of reading them through the structure, the symmetry test twice
+    # and the blocks, one pairings object is read and each block is solved
+    # once, against those pairings.  Each algebra is a copy of the table
+    # that nothing has been read from
+    solves = []
+    solve = frobenius.solve_square
+    monkeypatch.setattr(frobenius, "solve_square",
+                        lambda a, b: solves.append(a) or solve(a, b))
+    reads = {"structure": frobenius_structure,
+             "symmetry": is_graded_symmetric,
+             "nakayama": lambda alg: alg.nakayama}
+    orders = sorted(set(itertools.permutations(
+        ("structure", "symmetry", "symmetry", "nakayama"))))
+    ext = skew_extend(cert_of(name), cert_of(name).nakayama)
+    for seen in (cert_of(name).dual_fd, ext.model, ext.honest_dual):
+        for order in orders:
+            alg = GradedFDAlgebra(seen.dims, seen.int_mult, seen.den)
+            del solves[:]
+            results = {}
+            pairings = []
+            for read in order:
+                results.setdefault(read, []).append(reads[read](alg))
+                pairings.append(alg.pairings)
+            assert all(p is pairings[0] for p in pairings), order
+            assert results["structure"][0] is pairings[0], order
+            first, second = results["symmetry"]
+            assert first == second, order
+            assert results["nakayama"][0] is alg.nakayama, order
+            assert ([id(a) for a in solves]
+                    == [id(g) for g in pairings[0]]), order
 
 
 def test_nakayama_blocks_match_the_dense_inverse():
@@ -186,13 +225,13 @@ def test_nakayama_blocks_match_the_dense_inverse():
             ext = skew_extend(cert, sigma)
             algs += [ext.model, ext.honest_dual]
     for alg in algs:
-        frob = frobenius_structure(alg)
+        pairings = frobenius_structure(alg)
         d = alg.length
         for i in range(d + 1):
-            expect = (dense_inverse(frob.pairings[i])
-                      @ frob.pairings[d - i].transpose())
-            assert fraction_matrix(frob.nakayama[d - i]) == expect
-            assert frob.pairings[i] == Matrix.from_rows(
+            expect = (dense_inverse(pairings[i])
+                      @ pairings[d - i].transpose())
+            assert fraction_matrix(alg.nakayama[d - i]) == expect
+            assert pairings[i] == Matrix.from_rows(
                 [[multiply_basis(alg, i, a, d - i, b)[0]
                   for b in range(alg.dims[d - i])]
                  for a in range(alg.dims[i])], alg.dims[d - i])
@@ -217,9 +256,9 @@ def test_trivial_extension_products_and_pairing():
     # f is (top)*; its square lands in degree 2 and must vanish on the dual
     # block; it has no algebra component either
     assert all(v == 0 for v in prod)
-    frob = frobenius_structure(gamma)
+    pairings = frobenius_structure(gamma)
     # unit pairs with the top copy of the unit functional
-    assert frob.pairings[0].entries[0][0] == F(1)
+    assert pairings[0].entries[0][0] == F(1)
     # algebra times dual-block is plain evaluation here (left action is the
     # identity in this construction): x_a . (x_b)* = delta_ab times the top
     d1 = E.dim(1)
@@ -243,10 +282,10 @@ def test_trivial_extension_nakayama_block_oracle():
         sig = scalar_twist(E, k, c)
         n_ext = E.length + rng.choice([1, 2])
         gamma = trivial_extension(E, sig, n_ext)
-        frob = frobenius_structure(gamma)
+        frobenius_structure(gamma)
         oracle = block_nakayama_oracle(E, sig, n_ext)
         for i in range(n_ext + 1):
-            assert fraction_matrix(frob.nakayama[i]) == oracle[i], (
+            assert fraction_matrix(gamma.nakayama[i]) == oracle[i], (
                 name, k, str(c), i)
 
 

@@ -288,7 +288,7 @@ def test_cdg_trivial_extension_structure():
         d = cert.gldim
         n = cert.algebra.n
         lam = nakayama_shift(cert, c)
-        g1 = cert.frobenius.pairings[1]
+        g1 = cert.dual_fd.pairings[1]
         pi_star = tuple([F(0)] * cert.dual_fd.dim(1)) + (F(1),)
         img = fraction_matrix(big.delta[1]).mul_col(pi_star)
         dual_part = img[cert.dual_fd.dim(2):]

@@ -523,6 +523,28 @@ def test_class_from_pairings_errors():
     assert val == F(1)
 
 
+def test_a_pairing_row_outside_the_component_is_refused():
+    # the rows are checked against K_k in one pass: one row outside it,
+    # first or last among rows inside it, given as a map or as its pairs,
+    # makes the prescribed values depend on more than the class
+    for name in AS_REGULAR:
+        cert = cert_of(name)
+        trunc = cert.dual_fd
+        comp = trunc.components[2]
+        inside = [dict(r) for r in comp.int_rows]
+        word = next(w for w in range(comp.ambient)
+                    if not comp.contains({w: 1}))
+        for rows in ([{word: 1}] + inside, inside + [{word: 1}],
+                     inside + [((word, F(2, 3)),)]):
+            with pytest.raises(LinAlgError, match="^pairing values are not "
+                                                  "class functions$"):
+                trunc.int_class_from_pairings(2, rows, [[1] * len(rows)])
+        # the rows inside it alone are accepted, as pairs too
+        assert trunc.int_class_from_pairings(
+            2, [tuple(r.items()) for r in inside],
+            [[1] * len(inside)]), name
+
+
 def test_class_from_pairings_solves_vectors_together():
     # several value vectors in one call give the classes of one call each,
     # and each class pairs to its values

@@ -120,8 +120,8 @@ def _refuse(*args):
 
 def _fresh(cert):
     """The same data on a certificate nothing has been read from."""
-    return RegularityCertificate(cert.algebra, cert.gldim, cert.bound,
-                                 cert.dual_dims, cert.dual_fd, cert.frobenius)
+    return RegularityCertificate(cert.algebra, cert.bound, cert.dual_dims,
+                                 cert.dual_fd)
 
 
 @pytest.mark.parametrize("prop,check", [

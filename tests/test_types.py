@@ -15,12 +15,11 @@ import weakref
 import pytest
 
 from helpers import description_of
-from quadalg import (AlgebraDescription, FrobeniusStructure, PBWDeformation,
-                     PresentationReport, QuadraticAlgebra,
-                     RegularityCertificate, SkewExtension, Subspace,
-                     check_cdga_axioms, cy_check_with, cy_equivalence_dim2,
-                     nakayama_cdga_compatibility, numeric_koszul_certificate,
-                     regularity_data, skew_extend)
+from quadalg import (AlgebraDescription, PBWDeformation, PresentationReport,
+                     QuadraticAlgebra, RegularityCertificate, SkewExtension,
+                     Subspace, check_cdga_axioms, cy_check_with,
+                     cy_equivalence_dim2, nakayama_cdga_compatibility,
+                     numeric_koszul_certificate, regularity_data, skew_extend)
 from quadalg.io import description_deformation
 from quadalg.quadratic import truncated_structure
 
@@ -31,12 +30,10 @@ RECORDS = ("KoszulCertificate", "SuperpotentialData", "IsoReport",
 VALUE_FIELDS = {
     Subspace: ("ambient", "pivots", "int_rows"),
     QuadraticAlgebra: ("names", "relations"),
-    FrobeniusStructure: ("pairings",),
     PresentationReport: ("matches_relations", "coupling_invertible"),
 }
 IDENTITY_FIELDS = {
-    RegularityCertificate: ("algebra", "gldim", "bound", "dual_dims",
-                            "dual_fd", "frobenius"),
+    RegularityCertificate: ("algebra", "bound", "dual_dims", "dual_fd"),
     SkewExtension: ("cert", "sigma", "algebra", "stacked_relations",
                     "sigma_inverse"),
     AlgebraDescription: ("generators", "relations", "sigma", "nu", "theta",
@@ -69,7 +66,6 @@ def _plain():
     defm = _deformation()
     cert = defm.cert
     return {Subspace: cert.algebra.relations, QuadraticAlgebra: cert.algebra,
-            FrobeniusStructure: cert.frobenius,
             PresentationReport: cert.presentation,
             RegularityCertificate: cert,
             SkewExtension: skew_extend(cert, cert.nakayama),
