@@ -24,9 +24,8 @@ from .quadratic import (KoszulCertificate, QuadraticAlgebra, TruncatedAlgebra,
                         numeric_koszul_certificate, truncated_structure)
 from .superpotential import derivation_quotient, symmetrize
 from .regular import (NotRegular, PresentationReport, RegularityCertificate,
-                      SuperpotentialData, as_regular_certificate,
-                      dim2_matrix_form, regularity_data,
-                      verify_superpotential_presentation)
+                      as_regular_certificate, dim2_matrix_form,
+                      regularity_data, verify_superpotential_presentation)
 from .skew import (CYReport, IsoReport, SkewExtension, cy_check_with,
                    fresh_letter, skew_extend, verify_ext_algebra_isomorphism,
                    verify_extended_presentation)

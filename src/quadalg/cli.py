@@ -114,11 +114,12 @@ def _cmd_skew(desc, args):
 
 def _cmd_superpotential(desc, args):
     cert = _certificate(desc, args)
-    data = cert.superpotential
+    w = cert.superpotential
     report = cert.presentation
     verdict = {
-        "terms": vector_to_terms(data.w, cert.gldim, cert.algebra.names),
-        "twist": matrix_to_strings(data.twist),
+        "terms": vector_to_terms(w, cert.gldim, cert.algebra.names),
+        # the superpotential's twist, which it checked is the Nakayama map
+        "twist": matrix_to_strings(cert.nakayama),
         "presentation_matches": report.matches_relations,
         "coupling_invertible": report.coupling_invertible,
     }
@@ -170,8 +171,8 @@ def _cmd_cy(desc, args):
     report = cy_check_with(cert, _resolve_sigma(desc, cert, args.sigma))
     verdict = {
         "is_CY": report.is_CY,
-        "dimension": report.dimension,
-        "koszul_bound": report.koszul_bound,
+        "dimension": cert.gldim + 1,
+        "koszul_bound": cert.bound,
     }
     if not report.is_CY and report.witness is not None:
         verdict["witness"] = list(report.witness)
@@ -188,11 +189,11 @@ def _cmd_pbw(desc, args):
     verdict = {
         "axioms_pass": axioms.passed,
         "is_CY": crit.is_CY,
-        "dimension": crit.dimension,
+        "dimension": cert.gldim + 1,
         "shift": [str(v) for (v,) in crit.shift.entries],
         "twisted_shift": [str(v) for (v,) in crit.twisted_shift.entries],
         "zeta_linear": matrix_to_strings(cert.nakayama),
-        "converse_definitive": crit.converse_definitive,
+        "converse_definitive": defm.effective_domain,
     }
     if crit.witness is not None:
         verdict["witness"] = crit.witness
@@ -210,7 +211,7 @@ def _cmd_thm5(desc, args):
         "cond_ii": report.cond_ii,
         "cond_iii": report.cond_iii,
         "equivalent": report.equivalent,
-        "shift": [str(v) for (v,) in report.shift.entries],
+        "shift": [str(v) for (v,) in defm.cy_report.shift.entries],
     }
     return verdict, report.equivalent
 

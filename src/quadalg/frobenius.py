@@ -222,7 +222,8 @@ class GradedFDAlgebra:
         """(e_a e_b) s = e_a (e_b s) for basis elements e_a, e_b of positive
         degree and every s in the generating set S (generators), which is
         associativity by the lemma in the class docstring.  Triples with a
-        factor of degree 0 follow from the unit check.
+        factor of degree 0 follow from the unit check, so below length 3
+        there is nothing to check and S is not built.
 
         The check reads int_mult, den times the true table.  Both sides are
         summed over its nonzero constants only.  Each side comes
@@ -232,6 +233,8 @@ class GradedFDAlgebra:
         side has no entry.
         """
         d, dims, mult = self.length, self.dims, self.int_mult
+        if d < 3:
+            return
         gens = self.generators
         for i in range(1, d + 1):
             for j in range(1, d + 1 - i):

@@ -50,9 +50,9 @@ entry (`solution_matrix`), and the X of A X = B for a square A by
 `solve_square`; there is no matrix inverse.  Fractions remain only at
 the edges: the rows a caller hands in, `Subspace.rows`, `Matrix.entries`
 and the two views of a certificate's superpotential path
-(regular.SuperpotentialData.w, the `Subspace.rows` of the top Koszul
-component, and RegularityCertificate.symmetrized), which are built from
-integers over their denominators and computed with nowhere.
+(RegularityCertificate.superpotential, the `Subspace.rows` of the top
+Koszul component, and RegularityCertificate.symmetrized), which are
+built from integers over their denominators and computed with nowhere.
 
 Every class of the package that compares by value or keeps cached
 properties is written out as Matrix and Subspace are, and a record is a

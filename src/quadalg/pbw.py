@@ -263,10 +263,8 @@ class DeformedCYReport(NamedTuple):
     """Verdict for the deformed Nakayama-twisted extension being Calabi-Yau."""
 
     is_CY: bool
-    dimension: int
     shift: Matrix
     twisted_shift: Matrix
-    converse_definitive: bool
     witness: str | None
 
 
@@ -331,8 +329,7 @@ def cy_criterion_deformed(defm: PBWDeformation, c: Cdga) -> DeformedCYReport:
     if verdict_direct != verdict_model:
         raise ConsistencyError("model verdict disagrees with the transported "
                                "deformation's differential")
-    return DeformedCYReport(verdict_model, d + 1, shift, twisted,
-                            defm.effective_domain, witness)
+    return DeformedCYReport(verdict_model, shift, twisted, witness)
 
 
 class CompatibilityReport(NamedTuple):
@@ -365,7 +362,6 @@ class EquivalenceReport(NamedTuple):
     cond_i: bool
     cond_ii: bool
     cond_iii: bool
-    shift: Matrix
 
     @property
     def equivalent(self) -> bool:
@@ -384,10 +380,10 @@ def cy_equivalence_dim2(defm: PBWDeformation) -> EquivalenceReport:
     cond_i = nakayama_cdga_compatibility(cert, defm.cdga).passed
     crit = defm.cy_report
     cond_ii = crit.is_CY
-    m, _ = dim2_matrix_form(cert)
+    m = dim2_matrix_form(cert)
     lam = crit.shift
     cond_iii = m.transpose() @ lam == -(m @ lam)
-    report = EquivalenceReport(cond_i, cond_ii, cond_iii, lam)
+    report = EquivalenceReport(cond_i, cond_ii, cond_iii)
     if not report.equivalent:
         raise ConsistencyError(f"three-way equivalence broken: {report}")
     return report

@@ -5,18 +5,17 @@ Nakayama block of it: the pairings and the blocks are the dual's own
 (frobenius.GradedFDAlgebra.pairings and .nakayama), and the blocks are
 solved where they are read.  What the certificate fixes is read off it as
 cached properties: the Nakayama automorphism xi, from the dual pairing
-data in one solve; the superpotential w with its twist, from the top
-Koszul components; and what w gives, its symmetrization by one letter,
-its derivation quotient D(w) and the check that D(w) presents the
-algebra.  Each is computed once per certificate, on first read, and
-every command reads that one object.
+data in one solve; the superpotential w, from the top Koszul components,
+checked xi-twisted with xi recovered from its contractions; and what w
+gives, its symmetrization by one letter, its derivation quotient D(w) and
+the check that D(w) presents the algebra.  Each is computed once per
+certificate, on first read, and every command reads that one object.
 
 The superpotential path runs on integer word vectors: w is the top
 Koszul component's integer row, its contractions are read straight into
 integer matrices, and the cyclicity tests, the symmetrization, D(w) and
 the coupling rank do no Fraction arithmetic.  The Fractions built are
-the two views that commands print, SuperpotentialData.w and
-symmetrized.
+the two views that commands print, superpotential and symmetrized.
 
 The certificate is evidence up to the stated degree bound, not a proof.
 Callers that already know the expected global dimension can ask for reduced
@@ -47,40 +46,11 @@ class NotRegular(Exception):
         self.witness_degree = witness_degree
 
 
-class SuperpotentialData(NamedTuple):
-    """Canonical superpotential of a certified algebra and its twist.
+class PresentationReport(NamedTuple):
+    """Comparison of an algebra against its superpotential presentation."""
 
-    w spans the top Koszul component, as a read-only {word index: value}
-    map of degree gldim.  twist is the Nakayama map, recovered from the
-    matrices of the left and right contractions of w by each dual letter,
-    in the basis of the next component down, and cross-checked against the
-    pairing route.
-    """
-
-    w: Mapping[int, Fraction]
-    twist: Matrix
-
-
-class PresentationReport:
-    """Comparison of an algebra against its superpotential presentation.
-    Immutable, and equal and hashed by its two verdicts; not a NamedTuple,
-    so that it can be weakly referenced, as its certificate can."""
-
-    def __init__(self, matches_relations: bool, coupling_invertible: bool):
-        self.__dict__.update(matches_relations=matches_relations,
-                             coupling_invertible=coupling_invertible)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("a PresentationReport is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not PresentationReport:
-            return NotImplemented
-        return (self.matches_relations == other.matches_relations
-                and self.coupling_invertible == other.coupling_invertible)
-
-    def __hash__(self) -> int:
-        return hash((self.matches_relations, self.coupling_invertible))
+    matches_relations: bool
+    coupling_invertible: bool
 
     @property
     def passed(self) -> bool:
@@ -92,19 +62,24 @@ class RegularityCertificate:
 
     dual_fd is the dual algebra truncated at its top degree gldim, each of
     its pairings checked nondegenerate; its Nakayama blocks are solved only
-    if read.  dual_dims runs on to the bound.  nakayama, superpotential,
-    symmetrized, quotient and presentation are computed on first read and
-    kept on the certificate, so they go with it; a read that raises keeps
-    nothing.  Immutable, and equal and hashed by identity.
+    if read.  nakayama, superpotential, symmetrized, quotient and
+    presentation are computed on first read and kept on the certificate, so
+    they go with it; a read that raises keeps nothing.  Immutable, and
+    equal and hashed by identity.
     """
 
     def __init__(self, algebra: QuadraticAlgebra, bound: int,
-                 dual_dims: tuple[int, ...], dual_fd: TruncatedAlgebra):
-        self.__dict__.update(algebra=algebra, bound=bound,
-                             dual_dims=dual_dims, dual_fd=dual_fd)
+                 dual_fd: TruncatedAlgebra):
+        self.__dict__.update(algebra=algebra, bound=bound, dual_fd=dual_fd)
 
     def __setattr__(self, name, value):
         raise AttributeError("a RegularityCertificate is immutable")
+
+    @property
+    def dual_dims(self) -> tuple[int, ...]:
+        """The dual's graded dimensions up to the bound, as the algebra's
+        Koszul store keeps them (graded_dims)."""
+        return graded_dims(self.algebra.dual, self.bound)
 
     @property
     def gldim(self) -> int:
@@ -134,10 +109,10 @@ class RegularityCertificate:
         return xi
 
     @cached_property
-    def _integer_superpotential(self) -> tuple[dict[int, int], Matrix]:
+    def _integer_superpotential(self) -> dict[int, int]:
         """w as the top Koszul component's integer row, w times its pivot
-        entry, and its twist, which must be the Nakayama map and leave w
-        twisted-cyclic.
+        entry.  Its twist, recovered from its contractions, must be the
+        Nakayama map and leave w twisted-cyclic.
 
         The left and right contractions of w by the dual letters must lie
         in K_{d-1}: all 2n are reduced in one forward pass against its
@@ -173,28 +148,28 @@ class RegularityCertificate:
             raise ConsistencyError("contraction twist disagrees with the pairing route")
         if not is_twisted_superpotential(w, d, twist):
             raise ConsistencyError("extracted tensor is not twisted-cyclic")
-        return w, twist
+        return w
 
     @cached_property
-    def superpotential(self) -> SuperpotentialData:
-        """The superpotential of the algebra and its twist, which must be
-        the Nakayama map and leave w twisted-cyclic: the Fraction view of
-        the integer row the checks ran on, the top Koszul component's
-        reduced echelon row."""
-        _, twist = self._integer_superpotential
+    def superpotential(self) -> Mapping[int, Fraction]:
+        """The superpotential of the algebra, twisted by the Nakayama map,
+        as a read-only {word index: value} map of degree gldim: the
+        Fraction view of the integer row the checks ran on, the top Koszul
+        component's reduced echelon row."""
+        # the checks run on the integer row; a failure raises before w is kept
+        self._integer_superpotential
         top = koszul_component(self.algebra, self.gldim)
-        return SuperpotentialData(MappingProxyType(dict(top.rows[0])), twist)
+        return MappingProxyType(dict(top.rows[0]))
 
     @cached_property
     def symmetrized(self) -> Mapping[int, Fraction]:
         """The superpotential raised by one letter (symmetrize), a read-only
         vector of words of length gldim + 1 over the letters and the new
-        last one.  w is twisted-cyclic for its twist, as superpotential
-        checked, so the result must be cyclic for the identity: tested here,
-        once."""
-        data = self.superpotential
+        last one.  w is twisted-cyclic for the Nakayama map, as
+        superpotential checked, so the result must be cyclic for the
+        identity: tested here, once."""
         d = self.gldim
-        what = symmetrize(data.w, d, data.twist)
+        what = symmetrize(self.superpotential, d, self.nakayama)
         if not is_twisted_superpotential(what, d + 1,
                                          Matrix.identity(self.algebra.n + 1)):
             raise ConsistencyError("symmetrized tensor fails plain cyclicity")
@@ -204,8 +179,8 @@ class RegularityCertificate:
     def quotient(self) -> QuadraticAlgebra:
         """The derivation quotient D(w) of the superpotential: its
         (gldim - 2)-fold left contractions as relations."""
-        w, _ = self._integer_superpotential
-        return derivation_quotient(w, self.gldim - 2, self.algebra.names)
+        return derivation_quotient(self._integer_superpotential,
+                                   self.gldim - 2, self.algebra.names)
 
     @cached_property
     def presentation(self) -> PresentationReport:
@@ -233,7 +208,7 @@ def as_regular_certificate(alg: QuadraticAlgebra, bound: int, /) -> RegularityCe
     if not kos.passed:
         witness = min(kos.component_mismatches + kos.euler_failures)
         raise NotRegular("Koszul numerics fail", witness)
-    return RegularityCertificate(alg, bound, dual_dims, dual_fd)
+    return RegularityCertificate(alg, bound, dual_fd)
 
 
 def verify_superpotential_presentation(cert: RegularityCertificate) -> PresentationReport:
@@ -246,7 +221,7 @@ def verify_superpotential_presentation(cert: RegularityCertificate) -> Presentat
     certificate, as cert.presentation.
     """
     alg = cert.algebra
-    w, _ = cert._integer_superpotential
+    w = cert._integer_superpotential
     matches = cert.quotient.relations == alg.relations
     lower = koszul_component(alg, cert.gldim - 2)
     prod = alg.relations.kron(lower)
@@ -276,13 +251,13 @@ def regularity_data(alg: QuadraticAlgebra, expected_gldim: int,
     return cert
 
 
-def dim2_matrix_form(cert: RegularityCertificate) -> tuple[Matrix, Matrix]:
+def dim2_matrix_form(cert: RegularityCertificate) -> Matrix:
     """For a dimension-2 algebra with one relation: the coefficient matrix M
-    of the canonical relation, and the Nakayama map recomputed from M.
+    of the canonical relation.
 
-    The relation is sum_{i,j} M[i][j] x_i (x) x_j; the Nakayama map is
-    -M^T M^{-1}.  Cross-checked against the pairing route; a disagreement
-    raises ConsistencyError.
+    The relation is sum_{i,j} M[i][j] x_i (x) x_j; the Nakayama map
+    recomputed from M is -M^T M^{-1}, and is cross-checked against the
+    pairing route; a disagreement raises ConsistencyError.
     """
     if cert.gldim != 2:
         raise LinAlgError("matrix form requires dimension 2")
@@ -297,7 +272,6 @@ def dim2_matrix_form(cert: RegularityCertificate) -> tuple[Matrix, Matrix]:
     y = solve_square(m.transpose(), m)
     if y is None:
         raise LinAlgError("relation coefficient matrix is singular")
-    xi = -y.transpose()
-    if xi != cert.nakayama:
+    if -y.transpose() != cert.nakayama:
         raise ConsistencyError("matrix-form Nakayama disagrees with the pairing route")
-    return m, xi
+    return m

@@ -286,8 +286,6 @@ class CYReport(NamedTuple):
     """Verdict on the skew extension being Calabi-Yau of the next dimension."""
 
     is_CY: bool
-    dimension: int
-    koszul_bound: int
     witness: tuple | None
 
 
@@ -304,13 +302,13 @@ def cy_check_with(cert: RegularityCertificate, sigma: Matrix) -> CYReport:
         raise ConsistencyError("cohomology model does not match the dual of "
                                "the extension")
     ok, witness = ext.symmetry
-    return CYReport(ok, cert.gldim + 1, cert.bound, witness)
+    return CYReport(ok, witness)
 
 
 def verify_extended_presentation(cert: RegularityCertificate) -> bool:
     """The symmetrized superpotential must present the Nakayama-twisted
     extension: its derivation quotient equals the extended relation space."""
-    ext = skew_extend(cert, cert.superpotential.twist)
+    ext = skew_extend(cert, cert.nakayama)
     dq = derivation_quotient(cert.symmetrized, cert.gldim - 1,
                              ext.algebra.names)
     return dq.relations == ext.algebra.relations

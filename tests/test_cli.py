@@ -915,13 +915,12 @@ def test_the_superpotential_path_does_no_fraction_arithmetic(monkeypatch):
                 return real(self, other)
 
             monkeypatch.setattr(Fraction, name, counted)
-    data = cert.superpotential
+    w = cert.superpotential
     hat = cert.symmetrized
     monkeypatch.undo()
     assert ops == []
-    assert data.w and hat
-    assert all(type(c) is Fraction for c in (*data.w.values(),
-                                             *hat.values()))
+    assert w and hat
+    assert all(type(c) is Fraction for c in (*w.values(), *hat.values()))
 
 
 def test_a_cold_pbw_run_looks_its_extension_up_once(capsys):

@@ -399,6 +399,22 @@ def test_corrupted_structure_constant_fails_associativity(bound):
         dense_algebra(alg.dims, bad)
 
 
+def test_below_length_three_associativity_builds_no_generators():
+    # no triple of positive degrees fits under a length-2 top, so the check
+    # returns before the generating set is built; it stays a lazy read
+    fd = _fd("kxy")
+    alg = dense_algebra(fd.dims, _dense_table(fd))
+    assert alg.length == 2 and "generators" not in vars(alg)
+    assert alg.generators == ((), (0, 1), ())
+    # at length 3 the check still runs: x * x := xx + yy breaks
+    # (x x) z = x (x z) in k[x, y, z] truncated at degree 3
+    poly = truncated_structure(algebra_of("poly3"), 3)
+    mult = _dense_table(poly)
+    yy = poly.words[2].index(word_to_index((1, 1), 3))
+    with pytest.raises(LinAlgError, match="associativity fails"):
+        dense_algebra(poly.dims, _add_to_cell(mult, (1, 1), 0, 0, yy, 1))
+
+
 def _single_term_corruption_targets():
     """{case: algebra} of tables built by the package whose products are
     mostly single-term cells: the Ext models of the skew rings in 3 and 4

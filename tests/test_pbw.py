@@ -244,11 +244,13 @@ def test_deformation_from_rows_is_basis_free():
 def test_cy_criterion_goldens():
     noncy = _corpus_defm("deformed_qp_noncy", 2)
     assert not _criterion(noncy).is_CY
-    rep = _criterion(_corpus_defm("quantum_weyl", 2))
-    assert rep.is_CY and rep.dimension == 3
-    assert rep.converse_definitive
-    rep3 = _criterion(_corpus_defm("heisenberg", 3))
-    assert rep3.is_CY and rep3.dimension == 4
+    weyl = _corpus_defm("quantum_weyl", 2)
+    rep = _criterion(weyl)
+    assert rep.is_CY and weyl.cert.gldim + 1 == 3
+    assert weyl.effective_domain
+    heisenberg = _corpus_defm("heisenberg", 3)
+    rep3 = _criterion(heisenberg)
+    assert rep3.is_CY and heisenberg.cert.gldim + 1 == 4
 
 
 def test_cy_witness_is_the_first_letter_the_twist_moves():

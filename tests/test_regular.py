@@ -9,8 +9,8 @@ import weakref
 import pytest
 
 from helpers import (AS_REGULAR, algebra_of, cert_of, dense_inverse,
-                     fraction_matrix, oracle_slotwise, quadratic_algebra,
-                     residue, seeded)
+                     fraction_matrix, oracle_slotwise, oracle_superpotential,
+                     quadratic_algebra, residue, seeded)
 from quadalg import (Matrix, NotRegular, QuadraticAlgebra,
                      RegularityCertificate, Subspace, as_regular_certificate,
                      dim2_matrix_form, numeric_koszul_certificate, regular,
@@ -99,15 +99,17 @@ def test_nakayama_preserves_relations():
 def test_certificate_data_is_freed_with_its_certificate():
     # xi, w, the symmetrized w, D(w) and the presentation report are kept
     # on the certificate and nowhere else: once the certificate cache lets
-    # a certificate go, nothing holds it or them
+    # a certificate go, nothing holds it or them.  The certificate and D(w)
+    # can be weakly referenced and show it; the records cannot
     as_regular_certificate.cache_clear()
     refs = []
     for name in AS_REGULAR:
         cert = as_regular_certificate(algebra_of(name), 5)
-        assert cert.superpotential.twist == cert.nakayama, name
+        assert cert.superpotential, name
+        # the contraction twist, by the Fraction route, is xi
+        assert oracle_superpotential(cert)[1] == cert.nakayama, name
         assert cert.symmetrized and cert.presentation.passed, name
-        refs += [weakref.ref(cert), weakref.ref(cert.quotient),
-                 weakref.ref(cert.presentation)]
+        refs += [weakref.ref(cert), weakref.ref(cert.quotient)]
     del cert
     as_regular_certificate.cache_clear()
     gc.collect()
@@ -120,8 +122,7 @@ def _refuse(*args):
 
 def _fresh(cert):
     """The same data on a certificate nothing has been read from."""
-    return RegularityCertificate(cert.algebra, cert.bound, cert.dual_dims,
-                                 cert.dual_fd)
+    return RegularityCertificate(cert.algebra, cert.bound, cert.dual_fd)
 
 
 @pytest.mark.parametrize("prop,check", [
@@ -158,14 +159,32 @@ def test_a_derived_read_that_raises_stores_nothing(monkeypatch, prop, check,
         assert getattr(cert, prop) == getattr(cert_of(name), prop), name
 
 
+@pytest.mark.parametrize("names,read,message", [
+    (AS_REGULAR, lambda cert: cert.superpotential,
+     "contraction twist disagrees with the pairing route"),
+    (tuple(RELATION_M), dim2_matrix_form,
+     "matrix-form Nakayama disagrees with the pairing route"),
+], ids=["superpotential", "dim2_matrix_form"])
+def test_a_wrong_nakayama_map_fails_the_second_route(names, read, message):
+    for name in names:
+        cert = _fresh(cert_of(name))
+        # minus the true xi, seeded where the cached property keeps it
+        cert.__dict__["nakayama"] = -cert_of(name).nakayama
+        with pytest.raises(ConsistencyError) as exc:
+            read(cert)
+        assert str(exc.value) == message, name
+        assert vars(cert).keys() == {"algebra", "bound", "dual_fd",
+                                     "nakayama"}, name
+
+
 def test_dim2_matrix_form_goldens():
     for name, rows in RELATION_M.items():
-        m, xi = dim2_matrix_form(cert_of(name))
-        assert m == _mat(rows), name
+        cert = cert_of(name)
+        assert dim2_matrix_form(cert) == _mat(rows), name
         # xi = -M^t M^{-1} for a single relation in two letters
         m = fraction_matrix(_mat(rows))
         expect = (m.transpose() @ dense_inverse(m)).scale(F(-1))
-        assert fraction_matrix(xi) == expect, name
+        assert fraction_matrix(cert.nakayama) == expect, name
 
 
 def test_dim2_criterion_on_every_small_relation():
@@ -187,11 +206,11 @@ def test_dim2_criterion_on_every_small_relation():
         regular_count += 1
         cert = as_regular_certificate(alg, 5)
         assert cert.gldim == 2, entries
-        form, xi = dim2_matrix_form(cert)
+        form = dim2_matrix_form(cert)
         lead = next(k for k, v in enumerate(entries) if v)
         scale = F(entries[lead]) / form.entries[lead // 2][lead % 2]
         assert fraction_matrix(form).scale(scale) == m, entries
-        assert (fraction_matrix(xi)
+        assert (fraction_matrix(cert.nakayama)
                 == (m.transpose() @ dense_inverse(m)).scale(F(-1))), entries
     # of the 624, 496 are invertible
     assert regular_count == 496
