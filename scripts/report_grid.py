@@ -14,9 +14,13 @@ Then six pins: hilbert on a 2-letter file with one coefficient that some
 Python versions' Fraction reads and others do not, for each of three
 such coefficients; and kxy, whose Koszul components vanish from degree
 3, times regular, koszul and cy at --max-degree 20, past the word cap.
-Last two: the same deformation of the 3-letter skew ring written on
+Then two: the same deformation of the 3-letter skew ring written on
 recombined relation rows, its nu and theta recombined to match, times
-pbw and thm5 with default flags: 580 runs in all.  Each run prints one
+pbw and thm5 with default flags.  Last, the 3-letter skew ring in the
+letters y = phi x for a unipotent phi, its relations written out below,
+times every command, times the flag sets {default, --sigma id}: 26 runs,
+the first whose cy witness column depends on which basis words a
+truncation takes, and 606 runs in all.  Each run prints one
 line: the case, the exit code, and the sha256 of the printed report with
 its timing_ms line removed.  Every functools cache of the package is
 emptied before each run, so a run sees what a fresh CLI invocation sees.
@@ -60,6 +64,16 @@ RECOMBINED = ((0, -1, 1), (2, 1, 0), (1, 0, 3))
 VERSION_COEFFS = (("inner_spaces", "2 / 3"), ("underscore", "1_000"),
                   ("arabic_indic_digit", "\u0663"))
 PAST_CAP = (("--max-degree", "20"),)
+# the 3-letter skew ring x_i x_j = -2/3 x_j x_i (i < j) in the letters
+# (a, b, c) = phi (x_1, x_2, x_3), phi = ((1, 1, 0), (0, 1, 1), (0, 0, 1)):
+# x_1 = a - b + c, x_2 = b - c and x_3 = c put into 3 x_i x_j + 2 x_j x_i,
+# expanded by hand
+SKEW3_PHI = (
+    (("ab", 3), ("ac", -3), ("ba", 2), ("bb", -5), ("bc", 5), ("ca", -2),
+     ("cb", 5), ("cc", -5)),
+    (("ac", 3), ("bc", -3), ("ca", 2), ("cb", -2), ("cc", 5)),
+    (("bc", 3), ("cb", 2), ("cc", -5)),
+)
 TIMING = re.compile(r'\n  "timing_ms": \d+,')
 
 
@@ -120,8 +134,9 @@ def inputs(workdir):
     every command and flag set; then poly3 with the unipotent sigma section,
     with --sigma file only; then skew3 with its deformation, with default
     flags only; then the coefficient files with hilbert and kxy past the
-    word cap; last skew3's deformation on recombined rows with pbw and
-    thm5."""
+    word cap; then skew3's deformation on recombined rows with pbw and
+    thm5; last skew3 in the letters phi x with the first two flag
+    sets."""
     corpus = resources.files("quadalg") / "corpus"
     out = [(p.name[:-5], str(p), COMMANDS, FLAG_SETS)
            for p in sorted(corpus.iterdir(), key=lambda p: p.name)
@@ -159,6 +174,12 @@ def inputs(workdir):
     path = Path(workdir) / "skew3_recombined.json"
     path.write_text(json.dumps(recombined(skew3, RECOMBINED), indent=1))
     out.append(("skew3_recombined", str(path), ("pbw", "thm5"), ((),)))
+    path = Path(workdir) / "skew3_phi.json"
+    path.write_text(json.dumps({
+        "generators": ["a", "b", "c"],
+        "relations": [[{"coeff": str(v), "word": list(w)} for w, v in row]
+                      for row in SKEW3_PHI]}, indent=1))
+    out.append(("skew3_phi", str(path), COMMANDS, FLAG_SETS[:2]))
     return out
 
 

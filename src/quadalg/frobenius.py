@@ -84,15 +84,15 @@ class GradedFDAlgebra:
     """
 
     def __init__(self, dims, int_mult, den):
-        self.dims = tuple(dims)
-        if not all(type(x) is int and x >= 0 for x in self.dims):
+        dims = tuple(dims)
+        if not all(type(x) is int and x >= 0 for x in dims):
             raise LinAlgError("dimensions must be non-negative integers")
-        if not self.dims or self.dims[0] != 1:
+        if not dims or dims[0] != 1:
             raise LinAlgError("degree zero must be spanned by the unit")
         if type(den) is not int or den <= 0:
             raise LinAlgError(
                 "the table denominator must be a positive integer")
-        d = self.length
+        d = len(dims) - 1
         table: dict[tuple[int, int], tuple] = {}
         for i in range(d + 1):
             for j in range(d + 1 - i):
@@ -102,11 +102,11 @@ class GradedFDAlgebra:
                 tuples = True
                 if block is not None and type(block) is not tuple:
                     block = tuple(tuple(map(tuple, row)) for row in block)
-                width = self.dims[j]
-                if (block is None or len(block) != self.dims[i]
+                width = dims[j]
+                if (block is None or len(block) != dims[i]
                         or any(len(row) != width for row in block)):
                     raise LinAlgError(f"bad structure block at degrees {(i, j)}")
-                top = self.dims[i + j]
+                top = dims[i + j]
                 for row in block:
                     if type(row) is not tuple:
                         tuples = False
@@ -126,10 +126,12 @@ class GradedFDAlgebra:
                 if not tuples:
                     block = tuple(tuple(map(tuple, row)) for row in block)
                 table[(i, j)] = block
-        self.int_mult = table
-        self.den = den
+        self.__dict__.update(dims=dims, int_mult=table, den=den)
         self._validate_unit()
         self._validate_associativity()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a {type(self).__name__} is immutable")
 
     @property
     def length(self) -> int:

@@ -22,7 +22,9 @@ deleting an entry (linalg's module docstring).  A truncation of T(V)/(R) is one
 object, a TruncatedAlgebra: the GradedFDAlgebra whose sparse structure
 cells are read off the class coordinates of product words, together with
 those classes and its basis words (`words`), the only names its basis
-elements have.  The class of an integer word vector is read off the
+elements have: the pivot words of each K_k of the dual, whose own rows
+give the classes, so that a truncation runs no elimination of its own.
+The class of an integer word vector is read off the
 integer class cells (int_class) by the automorphism, which extends a
 degree-one map to every degree, one integer Matrix each, and by pbw's
 differentials; classes fixed by pairings come from one int_solve
@@ -58,8 +60,8 @@ from typing import NamedTuple
 
 from .frobenius import GradedFDAlgebra
 from .linalg import (ConsistencyError, LinAlgError, Matrix, ResourceLimitError,
-                     Subspace, _echelon_int, _reduced_echelon,
-                     _strip, _to_int_row, flipped_int_kernel, int_solve)
+                     Subspace, _echelon_int, _strip, _to_int_row,
+                     flipped_int_kernel, int_solve)
 from .tensors import apply_slot_columns, preserves_subspace
 
 # the most coordinate words n**m a Koszul component may have
@@ -470,12 +472,14 @@ class TruncatedAlgebra(GradedFDAlgebra):
     """T(V)/(R) up to a degree bound, as the GradedFDAlgebra it truncates to.
 
     The degree-k piece is paired with the Koszul component K_k of the dual,
-    its linear dual inside the degree-k word coordinates.  In echelon form
-    read from the last column, K_k has one basis row per pivot word: those
-    words are the degree-k basis, and row t read on any word, divided by
-    its pivot entry, is coordinate t of that word's class.  The structure
-    table follows cell by cell: the product of basis words w_a and w_b is
-    the word w_a w_b, whose class is read off directly.
+    its linear dual inside the degree-k word coordinates.  K_k is held in
+    its reduced echelon form, one row per pivot word: those words are the
+    degree-k basis, and row t read on any word, divided by its pivot
+    entry, is coordinate t of that word's class, since the row is zero at
+    every other pivot word.  So the rows K_k was built with are read as
+    they are, with no elimination.  The structure table follows cell by
+    cell: the product of basis words w_a and w_b is the word w_a w_b,
+    whose class is read off directly.
 
     Everything stays in integers.  classes[k] maps each word to its class
     coordinates times den, the lcm of the pivot entries of all degrees,
@@ -484,37 +488,23 @@ class TruncatedAlgebra(GradedFDAlgebra):
     """
 
     def __init__(self, alg: QuadraticAlgebra, bound: int):
-        self.algebra = alg
         n = alg.n
-        self.components = tuple(koszul_component(alg.dual, k)
-                                for k in range(bound + 1))
-        # the echelon form of each K_k read from the last column: its pivot
-        # p is the word n^k - 1 - p, so the largest pivot is the first
-        # basis word
-        flipped = [_reduced_echelon(_echelon_int(
-                       {n ** k - 1 - c: v for c, v in row}
-                       for row in comp.int_rows))
-                   for k, comp in enumerate(self.components)]
-        den = lcm(*[row[p] for rows in flipped for p, row in rows.items()])
-        words = []
+        components = tuple(koszul_component(alg.dual, k)
+                           for k in range(bound + 1))
+        den = lcm(*[row[0][1] for comp in components for row in comp.int_rows])
+        words = tuple(comp.pivots for comp in components)
         classes = []
-        for k, rows in enumerate(flipped):
-            top = n ** k - 1
-            order = sorted(rows, reverse=True)
-            words.append(tuple(top - p for p in order))
+        for comp in components:
             # word -> ((t, den times coordinate t of its class), ...)
             cls: dict[int, tuple[tuple[int, int], ...]] = {}
             get = cls.get
-            for t, p in enumerate(order):
-                row = rows[p]
-                f = den // row[p]
-                for c, v in row.items():
-                    w = top - c
-                    ts = get(w, ())
-                    cls[w] = ts + ((t, v * f),)
+            for t, row in enumerate(comp.int_rows):
+                f = den // row[0][1]
+                for w, v in row:
+                    cls[w] = get(w, ()) + ((t, v * f),)
             classes.append(cls)
-        self.words = tuple(words)
-        self.classes = tuple(classes)
+        self.__dict__.update(algebra=alg, components=components, words=words,
+                             classes=tuple(classes))
         mult = {}
         for i in range(bound + 1):
             for j in range(bound + 1 - i):

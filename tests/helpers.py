@@ -820,19 +820,32 @@ def relation_degree_subspace(alg, k):
 
 def oracle_truncation(alg, bound):
     """T(V)/(R) up to the bound read off the relation spans, with its basis
-    words degree by degree: the degree-k basis is the words off the pivots
-    of the span, the product of two basis words the residue of their
-    concatenation modulo the span."""
+    words degree by degree.  Each span is reduced with the word order
+    reversed, from the last word: the degree-k basis is the words off its
+    leading words, in increasing order, and the product of two basis words
+    the residue of their concatenation modulo the span in that order.  The
+    words off a span's leading words from the last are the leading words of
+    its annihilator from the first: a free word w has the annihilator row
+    w - sum_p r_p[w] p, over the span's reduced rows r_p, each 1 at its
+    leading word p, and r_p[w] is zero unless p > w.  So these are the
+    pivot words of K_k of the dual."""
     n = alg.n
-    spans = [relation_degree_subspace(alg, k) for k in range(bound + 1)]
+    # the span of degree k with the word w at coordinate n^k - 1 - w
+    spans = [Subspace.from_spanning(
+                 [{n ** k - 1 - c: v for c, v in row}
+                  for row in relation_degree_subspace(alg, k).int_rows],
+                 n ** k)
+             for k in range(bound + 1)]
     words = []
     for k, span in enumerate(spans):
-        piv = set(span.pivots)
-        words.append([w for w in range(n ** k) if w not in piv])
+        lead = {n ** k - 1 - p for p in span.pivots}
+        words.append([w for w in range(n ** k) if w not in lead])
 
     def product(i, a, j, b):
-        res = residue(spans[i + j], {words[i][a] * n ** j + words[j][b]: 1})
-        return tuple(res.get(w, ZERO) for w in words[i + j])
+        top = n ** (i + j) - 1
+        word = words[i][a] * n ** j + words[j][b]
+        res = residue(spans[i + j], {top - word: 1})
+        return tuple(res.get(top - w, ZERO) for w in words[i + j])
 
     mult = {(i, j): tuple(tuple(product(i, a, j, b) for b in range(len(words[j])))
                           for a in range(len(words[i])))

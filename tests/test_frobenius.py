@@ -73,7 +73,10 @@ def test_epsilon_and_identity():
 
 def test_frobenius_goldens_quantum_plane():
     dual = cert_of("quantum_plane_q2").dual_fd
-    assert dual.pairings[1].entries == ((F(0), F(-1, 2)), (F(1), F(0)))
+    # the top degree pairs with K_2 = R, spanned by xy - 2 yx alone, so the
+    # top basis word is its pivot word x*y*, and y*x* is -2 x*y* there
+    assert dual.words[2] == (word_to_index((0, 1), 2),)
+    assert dual.pairings[1].entries == ((F(0), F(1)), (F(-2), F(0)))
     assert dual.nakayama[1].entries == (
         (F(-1, 2), F(0)), (F(0), F(-2)))
     ok, witness = is_graded_symmetric(_fd("quantum_plane_q2"))
@@ -92,10 +95,12 @@ def test_frobenius_goldens_jordan():
 
 
 def test_commutative_dual_is_graded_symmetric_odd_top():
-    # length 2: symmetric means pairing[1] antisymmetric; exterior algebra is
+    # length 2: symmetric means pairing[1] antisymmetric; exterior algebra is.
+    # Its top basis word is x*y*, the pivot word of K_2, spanned by xy - yx
     alg = _fd("kxy")
+    assert alg.words[2] == (word_to_index((0, 1), 2),)
     pairings = frobenius_structure(alg)
-    assert pairings[1].entries == ((F(0), F(-1)), (F(1), F(0)))
+    assert pairings[1].entries == ((F(0), F(1)), (F(-1), F(0)))
     ok, witness = is_graded_symmetric(alg)
     assert ok and witness is None
 

@@ -17,7 +17,7 @@ from quadalg import (Cdga, GradedFDAlgebra, Matrix, NotRegular,
                      cy_criterion_deformed, cy_equivalence_dim2, dual_cdga,
                      nakayama_cdga_compatibility, nakayama_shift, pbw,
                      regularity_data, skew_deformation, skew_extend,
-                     verify_ext_algebra_isomorphism)
+                     verify_ext_algebra_isomorphism, word_to_index)
 from quadalg.io import description_deformation
 from quadalg.linalg import ConsistencyError, LinAlgError
 
@@ -86,9 +86,11 @@ def test_weyl_dual_cdga():
     # nu is zero: no linear differential at all
     assert all(m == Matrix.from_rows([[0] * m.cols] * m.rows, m.cols)
                for m in c.delta[1:])
-    # theta = 1 on xy - 2yx: curvature pairs to 1 against it, giving -1/2 of
-    # the single dual relation class y*x*
-    assert c.curvature == Matrix.from_rows([[F(-1, 2)]], 1)
+    # theta = 1 on xy - 2yx: curvature pairs to 1 against it.  The single
+    # degree-two basis word is x*y*, the pivot word of K_2, on which the
+    # relation reads 1, so the curvature is x*y* itself
+    assert c.algebra.words[2] == (word_to_index((0, 1), 2),)
+    assert c.curvature == Matrix.from_rows([[F(1)]], 1)
     assert check_cdga_axioms(c).passed
 
 
@@ -131,10 +133,14 @@ def test_heisenberg_cdga():
     defm = _corpus_defm("heisenberg", 3)
     c = dual_cdga(defm)
     assert check_cdga_axioms(c).passed
-    # relation xy - yx deforms to z: the new dual letter z* maps onto minus
-    # the dual class of that relation
+    # relation xy - yx deforms to z: the new dual letter z* maps onto the
+    # dual class of that relation.  The degree-two basis words are the
+    # pivot words x*y*, x*z*, y*z* of K_2, and the relations xy - yx,
+    # xz - zx, yz - zy read 1 on one each, so that class is x*y*
+    assert c.algebra.words[2] == tuple(word_to_index(w, 3)
+                                       for w in ((0, 1), (0, 2), (1, 2)))
     assert (fraction_matrix(c.delta[1]).mul_col((F(0), F(0), F(1)))
-            == (F(-1), F(0), F(0)))
+            == (F(1), F(0), F(0)))
     assert cy_criterion_deformed(defm, c).is_CY
     assert column(nakayama_shift(defm.cert, c)) == (F(0), F(0), F(0))
     assert nakayama_cdga_compatibility(defm.cert, c).passed

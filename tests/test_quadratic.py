@@ -488,11 +488,15 @@ def _degree_one(trunc, **coeffs):
 
 def test_truncated_multiply_matches_tensor_reduction():
     trunc = truncated_structure(algebra_of("quantum_plane_q2"), 4)
-    # x * y = 2 y x in the quotient: the class of the word xy is 2 yx
-    xy = multiply(trunc, 1, _degree_one(trunc, x=1),
-                  1, _degree_one(trunc, y=1))
-    assert lift_sparse(trunc, 2, xy) == {word_to_index((1, 0), 2): F(2)}
-    assert xy == reduce_sparse(trunc, 2, {word_to_index((0, 1), 2): 1})
+    # x y = 2 y x in the quotient.  K_2 of the dual is spanned by xx, yy
+    # and 2 xy + yx, so the degree-2 basis words are its pivot words xx,
+    # xy, yy, and the class of the word yx is 1/2 xy
+    assert trunc.words[2] == tuple(word_to_index(w, 2)
+                                   for w in ((0, 0), (0, 1), (1, 1)))
+    yx = multiply(trunc, 1, _degree_one(trunc, y=1),
+                  1, _degree_one(trunc, x=1))
+    assert lift_sparse(trunc, 2, yx) == {word_to_index((0, 1), 2): F(1, 2)}
+    assert yx == reduce_sparse(trunc, 2, {word_to_index((1, 0), 2): 1})
 
 
 def test_truncated_associativity_spot():
@@ -586,6 +590,32 @@ def test_dual_truncation_matches_relation_span_oracle():
             want, words = oracle_truncation(dual, bound)
             assert structure_equal(got, want), name
             assert got.words == words, name
+
+
+def test_a_truncation_reads_each_component_s_own_rows(monkeypatch):
+    # with the Koszul components built, a truncation runs no elimination:
+    # its degree-k basis words are the pivot words of K_k, on every
+    # AS-regular dual and on the dual of its Nakayama-twisted extension
+    eliminations = []
+    echelon_int = quadratic._echelon_int
+
+    def counted(*args):
+        eliminations.append(args)
+        return echelon_int(*args)
+
+    for name in AS_REGULAR:
+        cert = cert_of(name)
+        ext = skew_extend(cert, cert.nakayama)
+        for alg, bound in ((cert.algebra.dual, cert.gldim),
+                           (ext.algebra.dual, cert.gldim + 1)):
+            components = [koszul_component(alg.dual, k)
+                          for k in range(bound + 1)]
+            monkeypatch.setattr(quadratic, "_echelon_int", counted)
+            trunc = quadratic.TruncatedAlgebra(alg, bound)
+            monkeypatch.undo()
+            assert not eliminations, name
+            pivots = tuple(comp.pivots for comp in components)
+            assert trunc.words == pivots, name
 
 
 def test_truncated_automorphism_preservation():

@@ -8,8 +8,9 @@ from helpers import (AS_REGULAR, cert_of, dense_inverse,
                      dual_trivial_extension, ext_iso_oracle, identity_maps,
                      model_map_multiplicative, twist_matrices, with_model,
                      word_vector, zero_action_model)
-from quadalg import (Matrix, SkewExtension, cy_check_with, fresh_letter,
-                     graded_dims, regularity_data, skew, skew_extend,
+from quadalg import (GradedFDAlgebra, Matrix, SkewExtension, cy_check_with,
+                     fresh_letter, graded_dims, regularity_data, skew,
+                     skew_extend,
                      twisted_module_trivial_extension,
                      verify_ext_algebra_isomorphism,
                      verify_extended_presentation)
@@ -137,6 +138,50 @@ def test_cy_identity_twist_on_kxy_still_works():
     # trivial Nakayama: the identity is the right twist there
     rep = cy_check_with(cert_of("kxy"), Matrix.identity(2))
     assert rep.is_CY
+
+
+# the bases whose identity-twisted extension is not graded symmetric
+NOT_SYMMETRIC_BY_ID = ("quantum_plane_q2", "quantum_plane_q3",
+                       "quantum_plane_qm1", "jordan_plane")
+
+
+def test_a_symmetric_honest_dual_fails_the_model_s_symmetry_verdict():
+    for name in NOT_SYMMETRIC_BY_ID:
+        cert = cert_of(name)
+        ext = skew_extend(cert, Matrix.identity(cert.algebra.n))
+        copy = SkewExtension(ext.cert, ext.sigma, ext.algebra,
+                             ext.stacked_relations, ext.sigma_inverse)
+        # the dual of the Nakayama-twisted extension, which is symmetric,
+        # seeded where the cached property keeps the honest dual
+        copy.__dict__["honest_dual"] = skew_extend(
+            cert, cert.nakayama).honest_dual
+        with pytest.raises(ConsistencyError) as exc:
+            copy.symmetry
+        assert str(exc.value) == ("symmetry verdict differs between the "
+                                  "model and the honest dual"), name
+        assert "symmetry" not in vars(copy), name
+
+
+def test_a_wrong_nakayama_sign_fails_the_pairing_symmetry_test():
+    # a symmetric model given a Nakayama map that is not the sign
+    # epsilon(d - 1), and a model that is not symmetric given that sign
+    for name in NOT_SYMMETRIC_BY_ID:
+        cert = cert_of(name)
+        for sigma, symmetric in ((cert.nakayama, True),
+                                 (Matrix.identity(cert.algebra.n), False)):
+            ext = skew_extend(cert, sigma)
+            model = ext.model
+            fresh = GradedFDAlgebra(model.dims, model.int_mult, model.den)
+            d = model.length
+            fresh.__dict__["nakayama"] = model.epsilon(
+                d if symmetric else d - 1)
+            assert fresh.nakayama != model.nakayama, name
+            copy = with_model(ext, fresh)
+            with pytest.raises(ConsistencyError) as exc:
+                copy.symmetry
+            assert str(exc.value) == ("pairing symmetry and Nakayama sign "
+                                      "test disagree"), name
+            assert "symmetry" not in vars(copy), name
 
 
 def test_extended_presentation_matches():

@@ -5,9 +5,9 @@ value and printed with their field names.  Every other type is a plain
 class in linalg.Matrix's idiom, its fields in its __dict__ and assignment
 refused: the value types are equal and hashed by their fields, so that
 equal presentations share cache entries, and the certificate, the skew
-extension, the parsed document and the deformation by identity.  The
-plain classes can be weakly referenced, as the tests that check what a
-cache frees do.
+extension, the parsed document, the deformation and the finite-dimensional
+algebras by identity.  The plain classes can be weakly referenced, as the
+tests that check what a cache frees do.
 """
 
 import weakref
@@ -15,9 +15,10 @@ import weakref
 import pytest
 
 from helpers import description_of
-from quadalg import (AlgebraDescription, PBWDeformation, PresentationReport,
-                     QuadraticAlgebra, RegularityCertificate, SkewExtension,
-                     Subspace, check_cdga_axioms, cy_check_with,
+from quadalg import (AlgebraDescription, GradedFDAlgebra, PBWDeformation,
+                     PresentationReport, QuadraticAlgebra,
+                     RegularityCertificate, SkewExtension, Subspace,
+                     TruncatedAlgebra, check_cdga_axioms, cy_check_with,
                      cy_equivalence_dim2, nakayama_cdga_compatibility,
                      numeric_koszul_certificate, regularity_data, skew_extend)
 from quadalg.io import description_deformation
@@ -38,6 +39,14 @@ IDENTITY_FIELDS = {
     AlgebraDescription: ("generators", "relations", "sigma", "nu", "theta",
                          "domain"),
     PBWDeformation: ("cert", "rows", "nu", "theta", "domain"),
+    GradedFDAlgebra: ("dims", "int_mult", "den"),
+}
+# the truncation, equal only to itself like the types above, but built from
+# a presentation and a bound rather than from its fields; truncated_structure
+# shares it across a session
+BUILT_FIELDS = {
+    TruncatedAlgebra: ("algebra", "components", "words", "classes", "dims",
+                       "int_mult", "den"),
 }
 
 
@@ -68,7 +77,9 @@ def _plain():
             RegularityCertificate: cert,
             SkewExtension: skew_extend(cert, cert.nakayama),
             AlgebraDescription: description_of("quantum_weyl"),
-            PBWDeformation: defm}
+            PBWDeformation: defm,
+            GradedFDAlgebra: skew_extend(cert, cert.nakayama).model,
+            TruncatedAlgebra: cert.dual_fd}
 
 
 def _copy(obj, fields):
@@ -83,7 +94,7 @@ def test_every_type_refuses_assignment_to_a_field():
         with pytest.raises(AttributeError):
             setattr(rec, rec._fields[0], None)
     for cls, obj in _plain().items():
-        fields = {**VALUE_FIELDS, **IDENTITY_FIELDS}[cls]
+        fields = {**VALUE_FIELDS, **IDENTITY_FIELDS, **BUILT_FIELDS}[cls]
         for field in fields:
             with pytest.raises(AttributeError):
                 setattr(obj, field, getattr(obj, field))
