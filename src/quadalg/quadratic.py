@@ -31,9 +31,8 @@ differentials; classes fixed by pairings come from one int_solve
 (int_class_from_pairings).  No component is built on more than
 MAX_WORDS = 10^6 coordinate words: asking for one raises
 ResourceLimitError, unless K_{k-1} is zero, when K_k is the zero subspace
-at any number of words, answered fresh and not stored.  So for n >= 2 an
-algebra keeps at most floor(log_n MAX_WORDS) + 1 components; for n = 1
-only k[x]/(x^2) never vanishes.
+at any number of words, answered fresh and not stored; the two rules
+bound what an algebra keeps (_KoszulStore).
 
 graded_dims and numeric_koszul_certificate read only dimensions, and the
 highest degree each reads is never built: dim K_m is the number of
@@ -47,9 +46,9 @@ builder (_koszul_equations), so they agree and stop at the same degrees.
 The forward echelon form of a counted degree is kept with the
 components, and building that degree in full finishes it, by back
 substitution and the kernel read-off, with no second elimination.  The
-answers of graded_dims and numeric_koszul_certificate are kept there too,
-one per bound, so each is computed, and cross-checked, once per
-presentation and bound.
+answers of graded_dims and numeric_koszul_certificate are not kept: each
+call reads them again off the kept eliminations and runs its
+cross-checks again.
 shared_presentation hands out one presentation per algebra value, to the
 documents io reads and to the skew extensions skew builds.
 """
@@ -119,23 +118,25 @@ class QuadraticAlgebra:
     @cached_property
     def _koszul_store(self) -> "_KoszulStore":
         """The Koszul data of this presentation, freed with it."""
-        return _KoszulStore([], {}, {}, {})
+        return _KoszulStore([], {})
 
 
 class _KoszulStore(NamedTuple):
-    """What a presentation keeps of its Koszul data: the components built
-    so far, [K_0, ..., K_k], filled by koszul_component; the degrees
-    counted by rank and not built yet, {m: the forward echelon form of the
-    equations of K_m}, filled by _koszul_dim and taken over by
-    koszul_component when it builds that degree; and the answers
-    of graded_dims and numeric_koszul_certificate, {bound: answer}, so
-    that each is computed, and cross-checked, once per presentation and
-    bound.  A call that raises stores nothing."""
+    """What a presentation keeps of its Koszul data, its eliminations and
+    no answer read off them: the components built so far, [K_0, ..., K_k],
+    filled by koszul_component; and the degree counted by rank and not
+    built yet, {m: the forward echelon form of the equations of K_m},
+    filled by _koszul_dim for m = k + 1 only and taken over by
+    koszul_component when it builds that degree.
+
+    Bounded by the word cap: a zero K_k ends the store, and no K_k on more
+    than MAX_WORDS words is built or counted, so for n >= 2 it holds at
+    most floor(log_n MAX_WORDS) + 1 components and one counted form.  For
+    n = 1 only k[x]/(x^2) never vanishes, one component per degree asked
+    for: at most cli.MAX_DEGREE + 1 from the command line."""
 
     built: list[Subspace]
     counted: dict[int, dict[int, dict[int, int]]]
-    dims: dict[int, tuple[int, ...]]
-    certificates: dict[int, "KoszulCertificate"]
 
 
 # bounded at over twice the 12 presentations of one corpus sweep: the 7
@@ -181,11 +182,10 @@ def graded_dims(alg: QuadraticAlgebra, bound: int) -> tuple[int, ...]:
     eliminated twice.  The top degree read (CHECKED_DEGREES, or the bound
     if lower, on a PBW input; the bound otherwise) is counted by rank and
     never built (module docstring); the degrees below it are built, since
-    each is the ground of the next one's equations.
+    each is the ground of the next one's equations.  Those eliminations
+    are kept on the dual, the answer is not: each call counts again and
+    compares again, from the kept components.
     """
-    stored = alg._koszul_store.dims
-    if bound in stored:
-        return stored[bound]
     dual = alg.dual
     pbw = False
     if bound >= 3:
@@ -200,8 +200,7 @@ def graded_dims(alg: QuadraticAlgebra, bound: int) -> tuple[int, ...]:
         raise ConsistencyError(
             f"normal-word counts {counts[:top + 1]} disagree with the "
             f"Koszul component dimensions {checked} of a PBW algebra")
-    stored[bound] = dims = counts if pbw else checked
-    return dims
+    return counts if pbw else checked
 
 
 def _normal_word_counts(alg: QuadraticAlgebra, bound: int) -> tuple[int, ...]:
@@ -305,7 +304,7 @@ def _koszul_dim(alg: QuadraticAlgebra, m: int) -> int:
     word expansion.  The echelon form is stored with the components, for
     koszul_component to finish; a degree already built, or one up to 2,
     which needs no equations, is read off its component."""
-    built, counted, _, _ = alg._koszul_store
+    built, counted = alg._koszul_store
     if m <= 2 or m < len(built):
         return koszul_component(alg, m).dim
     if m not in counted:
@@ -360,6 +359,8 @@ def koszul_component(alg: QuadraticAlgebra, m: int) -> Subspace:
     dimension only (graded_dims, numeric_koszul_certificate) gets the same
     number by _koszul_dim, from the same equations, without the kernel.
     """
+    if m < 0:
+        raise LinAlgError(f"degree {m} is negative")
     n = alg.n
     built = alg._koszul_store.built
     while len(built) <= m:
@@ -433,19 +434,15 @@ def numeric_koszul_certificate(alg: QuadraticAlgebra, bound: int) -> KoszulCerti
     a PBW dual beyond that degree dual_dims are normal-word counts and
     component_dims the dimensions of K_m, two routes to one number.  Like
     graded_dims, component_dims counts its top degree by rank and builds
-    the ones below.
+    the ones below.  The certificate is not kept: each call reads the
+    kept components again and checks both identities again.
     """
-    stored = alg._koszul_store.certificates
-    if bound in stored:
-        return stored[bound]
     dims = graded_dims(alg, bound)
     dual_dims = graded_dims(alg.dual, bound)
     component_dims = _component_dims(alg, bound)
     mism = tuple(m for m in range(bound + 1) if component_dims[m] != dual_dims[m])
-    stored[bound] = cert = KoszulCertificate(
-        bound, dims, dual_dims, component_dims, mism,
-        _euler_failures(dims, dual_dims))
-    return cert
+    return KoszulCertificate(bound, dims, dual_dims, component_dims, mism,
+                             _euler_failures(dims, dual_dims))
 
 
 def _euler_failures(dims, dual_dims) -> tuple[int, ...]:

@@ -77,8 +77,8 @@ class RegularityCertificate:
 
     @property
     def dual_dims(self) -> tuple[int, ...]:
-        """The dual's graded dimensions up to the bound, as the algebra's
-        Koszul store keeps them (graded_dims)."""
+        """The dual's graded dimensions up to the bound: graded_dims,
+        computed again on each read from the kept Koszul components."""
         return graded_dims(self.algebra.dual, self.bound)
 
     @property

@@ -58,6 +58,12 @@ def package_caches():
     return out
 
 
+def cache_sizes():
+    """{"module.name": the number of entries} of every package cache."""
+    return {name: cache.cache_info().currsize
+            for name, cache in package_caches().items()}
+
+
 def description_of(name):
     """The bundled corpus document quadalg/corpus/<name>.json, parsed."""
     return parse_description((CORPUS_DIR / f"{name}.json").read_bytes())

@@ -697,21 +697,53 @@ def test_a_second_koszul_run_eliminates_nothing(capsys, monkeypatch):
         assert calls == {"flipped_int_kernel": [], "_echelon_int": []}, name
 
 
-def test_a_corpus_sweep_computes_each_dimension_sequence_once(capsys,
-                                                             monkeypatch):
+def test_a_corpus_sweep_writes_each_koszul_system_once(capsys, monkeypatch):
     # the 10 documents present 7 algebras, one presentation each, and the
     # skew extensions of kxy and quantum_plane_qm1 are the algebras of poly3
-    # and quantum3; a presentation keeps the answers of graded_dims: in one
-    # sweep with the caches emptied once, each algebra value and bound counts
-    # its normal words, the first step of graded_dims at any bound above 2,
-    # once
-    counts = _count_calls(monkeypatch, quadratic._normal_word_counts)
+    # and quantum3; a presentation keeps its Koszul eliminations, not the
+    # answers read off them: in one sweep with the caches emptied once, the
+    # equations of each degree of each algebra value are written once, 43
+    # systems in all, however often graded_dims and the Koszul certificate
+    # are asked again
+    equations = quadratic._koszul_equations
+    keys = Counter()
+
+    def counted(alg, prev_space, before):
+        # K_m is written over K_0, ..., K_{m-1}, kept on alg
+        keys[alg.names, alg.relations, len(alg._koszul_store.built)] += 1
+        return equations(alg, prev_space, before)
+
+    monkeypatch.setattr(quadratic, "_koszul_equations", counted)
     _corpus_sweep(capsys, cold=False)
-    keys = Counter((alg.names, alg.relations, bound) for alg, bound in counts)
-    assert keys and set(keys.values()) == {1}
+    assert len(keys) == 43 and set(keys.values()) == {1}
     presentations = {id(parse_description(path.read_bytes()).algebra)
                      for path in CORPUS.iterdir()}
     assert len(presentations) == 7
+
+
+def test_failing_koszul_numerics_in_the_regular_commands(capsys,
+                                                         monkeypatch):
+    # as_regular_certificate reads the Koszul numerics on every run: with
+    # failing ones, regular reports the refutation at its lowest failing
+    # degree and exits 1, each time, and nakayama, which needs the
+    # certificate, exits 2; no run leaves a certificate cached
+    def failing(alg, bound):
+        return quadratic.numeric_koszul_certificate(alg, bound)._replace(
+            component_mismatches=(4,), euler_failures=(3, 5))
+
+    monkeypatch.setattr(regular, "numeric_koszul_certificate", failing)
+    _clear_package_caches()
+    for _ in range(2):
+        code, rep = _run(capsys, "regular", _path("poly3"))
+        assert code == 1 and rep["status"] == "fail"
+        assert rep["verdict"] == {"regular": False,
+                                  "reason": "degree 3: Koszul numerics fail",
+                                  "witness_degree": 3}
+    code, rep = _run(capsys, "nakayama", _path("poly3"))
+    assert code == 2
+    assert rep == {"status": "error", "command": "nakayama",
+                   "error": "degree 3: Koszul numerics fail"}
+    assert as_regular_certificate.cache_info().currsize == 0
 
 
 def test_warm_caches_answer_as_cold_ones(capsys):

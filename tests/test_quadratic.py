@@ -314,16 +314,34 @@ def test_graded_dims_builds_no_component_it_only_counts(monkeypatch):
         assert counted == {}
 
 
-def test_dims_and_certificates_are_kept_per_presentation_and_bound():
-    # graded_dims and numeric_koszul_certificate answer once per
-    # presentation and bound; an equal presentation keeps its own answers
+def test_the_store_keeps_eliminations_and_no_answer():
+    # a presentation keeps its components and counted echelon forms, not
+    # the answers read off them: graded_dims and numeric_koszul_certificate
+    # at every bound from 2 to 300 on k[x]/(x^2), which never vanishes,
+    # leave only K_0, ..., K_299 and the counted K_300 (an answer kept per
+    # bound would hold tuples the length of the bound, so the store would
+    # grow with the square of the largest bound)
+    assert quadratic._KoszulStore._fields == ("built", "counted")
     alg = _fresh(algebra_of("quantum3"))
     cert = numeric_koszul_certificate(alg, 5)
-    assert numeric_koszul_certificate(alg, 5) is cert
-    assert graded_dims(alg, 5) is cert.dims
-    assert alg.dual._koszul_store.dims == {5: cert.dual_dims}
-    assert numeric_koszul_certificate(alg, 4) is not cert
-    assert _fresh(alg)._koszul_store.certificates == {}
+    assert numeric_koszul_certificate(alg, 5) == cert
+    assert graded_dims(alg, 5) == cert.dims
+    assert graded_dims(alg.dual, 5) == cert.dual_dims
+    square = quadratic_algebra(("x",), [[((0, 0), 1)]])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for bound in range(2, 301):
+            graded_dims(square, bound)
+            numeric_koszul_certificate(square, bound)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(square._koszul_store.built) == 300
+    assert square._koszul_store.counted.keys() == {300}
+    assert retained < 2 ** 19
 
 
 def test_sklyanin_points_pbw_or_not():
@@ -355,15 +373,33 @@ def test_normal_word_count_disagreement_raises(monkeypatch):
         counts[4] += 1
         return tuple(counts)
 
+    # the shared poly3, warm: no answer is kept, so the check runs again
+    poly3 = algebra_of("poly3")
+    graded_dims(poly3, 6)
+    built, counted = poly3.dual._koszul_store
+    kept = (list(built), dict(counted))
     monkeypatch.setattr(quadratic, "_normal_word_counts", off_in_degree_four)
-    # on a fresh presentation: the shared one may hold its dims already
-    poly3 = _fresh(algebra_of("poly3"))
     with pytest.raises(ConsistencyError, match="normal-word counts"):
         graded_dims(poly3, 6)
-    # and a raise stores nothing
-    assert poly3._koszul_store.dims == {}
+    # and a raise leaves the kept eliminations as they were
+    assert (built, counted) == kept
+    assert all(a is b for a, b in zip(built, kept[0]))
     # the check guards the PBW route only; the Jordan plane is not PBW here
     assert graded_dims(algebra_of("jordan_plane"), 6) == (1, 2, 3, 4, 5, 6, 7)
+
+
+def test_a_negative_degree_is_refused():
+    # every dimension read starts at koszul_component, which refuses a
+    # negative degree, also after a read has built the store
+    poly3 = algebra_of("poly3")
+    graded_dims(poly3, 5)
+    for degree, call in ((-1, lambda: graded_dims(poly3, -1)),
+                         (-3, lambda: koszul_component(poly3.dual, -3)),
+                         (-1, lambda: numeric_koszul_certificate(poly3, -1)),
+                         (-1, lambda: as_regular_certificate(poly3, -1))):
+        with pytest.raises(LinAlgError,
+                           match=f"^degree {degree} is negative$"):
+            call()
 
 
 def test_relation_degree_dimension_identity():

@@ -8,13 +8,14 @@ import weakref
 
 import pytest
 
-from helpers import (AS_REGULAR, algebra_of, cert_of, dense_inverse,
-                     fraction_matrix, oracle_slotwise, oracle_superpotential,
-                     quadratic_algebra, residue, seeded)
+from helpers import (AS_REGULAR, algebra_of, cache_sizes, cert_of,
+                     dense_inverse, fraction_matrix, oracle_slotwise,
+                     oracle_superpotential, quadratic_algebra, residue,
+                     seeded)
 from quadalg import (Matrix, NotRegular, QuadraticAlgebra,
                      RegularityCertificate, Subspace, as_regular_certificate,
                      dim2_matrix_form, numeric_koszul_certificate, regular,
-                     regularity_data)
+                     regularity_data, truncated_structure)
 from quadalg.linalg import ConsistencyError, LinAlgError
 
 F = Fraction
@@ -118,6 +119,49 @@ def test_certificate_data_is_freed_with_its_certificate():
 
 def _refuse(*args):
     raise LinAlgError("refused")
+
+
+def _failing_koszul_numerics(alg, bound):
+    """The Koszul certificate at the bound with a mismatch at degree 4 and
+    Euler failures at degrees 3 and 5: it fails, first at degree 3."""
+    return numeric_koszul_certificate(alg, bound)._replace(
+        component_mismatches=(4,), euler_failures=(3, 5))
+
+
+def test_failing_koszul_numerics_refute_regularity(monkeypatch):
+    # the certificate reads the Koszul numerics on every call, as nothing
+    # keeps them, so a failing one refutes each time, at the lowest failing
+    # degree, and the refusal leaves no cache entry behind
+    poly3 = algebra_of("poly3")
+    monkeypatch.setattr(regular, "numeric_koszul_certificate",
+                        _failing_koszul_numerics)
+    as_regular_certificate.cache_clear()
+    # the dual's truncation, which the certificate reads first, is cached
+    truncated_structure(poly3.dual, 3)
+    sizes = cache_sizes()
+    for _ in range(2):
+        with pytest.raises(NotRegular) as info:
+            as_regular_certificate(poly3, 5)
+        assert str(info.value) == "degree 3: Koszul numerics fail"
+        assert info.value.witness_degree == 3
+    assert cache_sizes() == sizes
+
+
+def test_regularity_data_refusals():
+    # a bound that cannot see degree gldim + 1 of the dual, and a certified
+    # dimension other than the expected one, are refused each time with no
+    # cache entry left behind
+    poly3 = algebra_of("poly3")
+    assert as_regular_certificate(poly3, 5).gldim == 3
+    sizes = cache_sizes()
+    for _ in range(2):
+        with pytest.raises(LinAlgError, match=(
+                "^bound too small to see the dual terminate$")):
+            regularity_data(poly3, 3, 3)
+        with pytest.raises(ConsistencyError, match=(
+                "^certified dimension 3 does not match the expected 2$")):
+            regularity_data(poly3, 2, 5)
+    assert cache_sizes() == sizes
 
 
 def _fresh(cert):

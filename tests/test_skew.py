@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (AS_REGULAR, cert_of, dense_inverse,
+from helpers import (AS_REGULAR, cache_sizes, cert_of, dense_inverse,
                      dual_trivial_extension, ext_iso_oracle, identity_maps,
                      model_map_multiplicative, twist_matrices, with_model,
                      word_vector, zero_action_model)
-from quadalg import (GradedFDAlgebra, Matrix, SkewExtension, cy_check_with,
-                     fresh_letter, graded_dims, regularity_data, skew,
-                     skew_extend,
+from quadalg import (GradedFDAlgebra, Matrix, RegularityCertificate,
+                     SkewExtension, cy_check_with, fresh_letter, graded_dims,
+                     regularity_data, skew, skew_extend,
                      twisted_module_trivial_extension,
                      verify_ext_algebra_isomorphism,
                      verify_extended_presentation)
@@ -33,6 +33,32 @@ def test_skew_extension_shape():
     assert ext.algebra.names[-1] == "z"
     assert ext.algebra.relations.dim == 3
     assert graded_dims(ext.algebra, 4) == (1, 3, 6, 10, 15)
+
+
+def test_an_extension_off_the_partial_sums_is_refused(monkeypatch):
+    # skew_extend reads the dims of base and extension on every call, as
+    # nothing keeps them: an extension dim off the partial sums of the
+    # base's is refused each time, and leaves no cache entry behind
+    cert = cert_of("poly3")
+    twist = Matrix.identity(3)
+    skew_extend(cert, twist)
+
+    def off_in_degree_three(alg, bound):
+        dims = graded_dims(alg, bound)
+        if alg is cert.algebra:
+            return dims
+        return dims[:3] + (dims[3] + 1,) + dims[4:]
+
+    monkeypatch.setattr(skew, "graded_dims", off_in_degree_three)
+    sizes = cache_sizes()
+    for _ in range(2):
+        # a certificate of the same data that skew_extend has not seen
+        fresh = RegularityCertificate(cert.algebra, cert.bound, cert.dual_fd)
+        with pytest.raises(ConsistencyError, match=(
+                "^extension dimension 21 at degree 3 is not the partial "
+                "sum 20 of the base dimensions$")):
+            skew_extend(fresh, twist)
+    assert cache_sizes() == sizes
 
 
 def test_mixed_relations_formula():
