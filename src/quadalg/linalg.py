@@ -74,7 +74,6 @@ Vec = tuple[Fraction, ...]
 RowLike = Union[Sequence, Mapping[int, object]]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class LinAlgError(ValueError):

@@ -245,16 +245,22 @@ def skew_deformation(defm: PBWDeformation, ext: SkewExtension,
     Nakayama shift.
 
     On the base's relation rows, embedded in the extension's words, the
-    maps are unchanged; each mixed relation is sent to its shift coefficient
-    times the new letter, with no scalar part.
+    maps are unchanged; each mixed relation z (x) sigma^{-1}(x_i) - x_i (x) z
+    is sent to its shift coefficient times the new letter, with no scalar
+    part.  The extension's row that leads at x_i z is -p times that
+    relation, p its pivot entry, and is sent to -p times the coefficient.
     """
     cert = defm.cert
     n = cert.algebra.n
+    m = n + 1
     cert_ext = regularity_data(ext.algebra, cert.gldim + 1, cert.gldim + 2)
-    rows = tuple({(c // n) * (n + 1) + c % n: v for c, v in row.items()}
-                 for row in defm.rows) + ext.stacked_relations[len(defm.rows):]
-    nu = tuple(defm.nu) + tuple({n: Fraction(lam, shift.den)} if lam else {}
-                                for (lam,) in shift.num)
+    # the rows that lead at a word x_i z, in order of i
+    mixed = [r for r in ext.algebra.relations.int_rows if r[0][0] % m == n]
+    rows = tuple({(c // n) * m + c % n: v for c, v in row.items()}
+                 for row in defm.rows) + tuple(map(dict, mixed))
+    nu = tuple(defm.nu) + tuple(
+        {n: Fraction(-row[0][1] * lam, shift.den)} if lam else {}
+        for row, (lam,) in zip(mixed, shift.num))
     theta = tuple(defm.theta) + (ZERO,) * n
     return PBWDeformation(cert_ext, rows, nu, theta, defm.effective_domain)
 

@@ -27,8 +27,8 @@ give the classes, so that a truncation runs no elimination of its own.
 The class of an integer word vector is read off the
 integer class cells (int_class) by the automorphism, which extends a
 degree-one map to every degree, one integer Matrix each, and by pbw's
-differentials; classes fixed by pairings come from one int_solve
-(int_class_from_pairings).  No component is built on more than
+differentials; the classes a deformation fixes by pairings come from one
+int_solve (int_class_from_pairings).  No component is built on more than
 MAX_WORDS = 10^6 coordinate words: asking for one raises
 ResourceLimitError, unless K_{k-1} is zero, when K_k is the zero subspace
 at any number of words, answered fresh and not stored; the two rules
@@ -37,17 +37,14 @@ bound what an algebra keeps (_KoszulStore).
 graded_dims and numeric_koszul_certificate read only dimensions, and the
 highest degree each reads is never built: dim K_m is the number of
 unknowns over K_{m-1} (x) V less the rank of the equations that cut K_m
-out (Polishchuk-Positselski, Ch. 1), so it comes from the forward
-elimination of those equations alone, with no kernel basis and no word
-expansion (_koszul_dim).  Every lower degree is built in full, as the next
-degree's equations are written over it.  Both paths apply the zero-K_{k-1}
-rule and the word cap in one order and take their equations from one
-builder (_koszul_equations), so they agree and stop at the same degrees.
-The forward echelon form of a counted degree is kept with the
-components, and building that degree in full finishes it, by back
-substitution and the kernel read-off, with no second elimination.  The
-answers of graded_dims and numeric_koszul_certificate are not kept: each
-call reads them again off the kept eliminations and runs its
+out (Polishchuk-Positselski, Ch. 1), a forward elimination with no kernel
+basis and no word expansion (_koszul_dim).  Every lower degree is built
+in full, as the next degree's equations are written over it.  Both paths
+apply the zero-K_{k-1} rule and the word cap in one order and take their
+equations from one builder (_koszul_equations), so they agree and stop at
+the same degrees.  A counted degree keeps its forward echelon form, which
+building that degree finishes with no second elimination.  Their answers
+are not kept: each call reads them off the kept eliminations and runs its
 cross-checks again.
 shared_presentation hands out one presentation per algebra value, to the
 documents io reads and to the skew extensions skew builds.
@@ -114,6 +111,15 @@ class QuadraticAlgebra:
         if dual_names(dual.names) == self.names:
             dual.__dict__["dual"] = self
         return dual
+
+    @cached_property
+    def _letter_graph(self) -> tuple[tuple[int, ...], ...]:
+        """For each letter b, the letters a with ab not a leading word of
+        R: the edges a -> b of _normal_word_counts' walk."""
+        n = self.n
+        lead = set(self.relations.pivots)
+        return tuple(tuple(a for a in range(n) if a * n + b not in lead)
+                     for b in range(n))
 
     @cached_property
     def _koszul_store(self) -> "_KoszulStore":
@@ -212,16 +218,14 @@ def _normal_word_counts(alg: QuadraticAlgebra, bound: int) -> tuple[int, ...]:
     leading words of R, one per dimension.  A normal word contains no
     leading word in two adjacent slots: a walk in the graph on the letters
     with an edge a -> b for every two-letter word ab that is not a leading
-    word.
+    word, kept on the presentation (QuadraticAlgebra._letter_graph).
     """
-    n = alg.n
-    lead = set(alg.relations.pivots)
-    before = [[a for a in range(n) if a * n + b not in lead] for b in range(n)]
     # ends[b]: normal words of the current length that end in letter b
-    ends = [1] * n
-    counts = [1, n]
+    ends = [1] * alg.n
+    counts = [1, alg.n]
     for _ in range(2, bound + 1):
-        ends = [sum(ends[a] for a in before[b]) for b in range(n)]
+        ends = [sum(map(ends.__getitem__, before))
+                for before in alg._letter_graph]
         counts.append(sum(ends))
     return tuple(counts)
 
@@ -525,21 +529,16 @@ class TruncatedAlgebra(GradedFDAlgebra):
 
     def int_class_from_pairings(self, k: int, rows, value_vectors
                                 ) -> dict[int, tuple[int, dict[int, int]]]:
-        """The degree-k classes pairing as prescribed against given rows, one
-        class per vector of values, each vector holding one value per row;
-        a row is a sparse {word index: value} map or its pairs.  Returned
-        in integers as `int_solve` returns them: {t: (pivot entry, {j:
-        int})}, coordinate t of class j the int at j over the pivot entry,
-        zeros left out.
+        """The degree-k classes pairing as prescribed against given rows
+        (sparse word maps or their pairs), one class per vector of one value
+        per row, for pbw.dual_cdga; as `int_solve` returns them, {t: (pivot
+        entry, {j: int})}, coordinate t of class j the int at j over it.
 
-        The pairing is the coordinate dot product.  Every row must lie in the
-        Koszul component paired with this degree, so that the values only
-        depend on the class; a class then pairs through its basis words.
-        The rows are checked once for all vectors, in one forward pass
-        against the component (Subspace.contains_all), and all vectors are
-        solved together by one `int_solve`, the rows read on the basis words
-        and the vectors' values appended as right-hand sides, each
-        augmented row scaled to integers.
+        The pairing is the coordinate dot product, through the basis words.
+        The rows must lie in the Koszul component paired with this degree,
+        so that the values only depend on the class: one forward pass
+        against it (Subspace.contains_all).  All vectors are then solved by
+        one `int_solve`, the values appended to the rows as right-hand sides.
         """
         rows = [dict(r) for r in rows]
         if not self.components[k].contains_all(rows):

@@ -28,7 +28,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .frobenius import NotFrobenius, frobenius_structure
-from .linalg import ConsistencyError, LinAlgError, Matrix, ZERO, solve_square
+from .linalg import ConsistencyError, LinAlgError, Matrix, solve_square
 from .quadratic import (QuadraticAlgebra, TruncatedAlgebra, graded_dims,
                         koszul_component, numeric_koszul_certificate,
                         truncated_structure)
@@ -264,10 +264,11 @@ def dim2_matrix_form(cert: RegularityCertificate) -> Matrix:
     if cert.algebra.relations.dim != 1:
         raise LinAlgError("matrix form requires a single relation")
     n = cert.algebra.n
-    entries = [[ZERO] * n for _ in range(n)]
-    for c, v in cert.algebra.relations.rows[0]:
-        entries[c // n][c % n] = v
-    m = Matrix.from_rows(entries, n)
+    # the relation with leading coefficient 1: its row over the pivot entry
+    (row,) = cert.algebra.relations.int_rows
+    cells = dict(row)
+    m = Matrix(tuple(tuple(cells.get(i * n + j, 0) for j in range(n))
+                     for i in range(n)), row[0][1], n)
     # X = M^T M^{-1} is the transpose of the Y with M^T Y = M
     y = solve_square(m.transpose(), m)
     if y is None:

@@ -2,16 +2,16 @@
 verdicts.
 
 Extending by a letter z twisted by an automorphism s adds the mixed
-relations z (x) s^{-1}(x_i) - x_i (x) z.  The cohomology algebra of the
-extension is modeled by a trivial extension of the dual algebra by a
-degree-shifted copy of itself; the model is verified against the honest
-dual of the extension by an explicit degreewise isomorphism before any
-verdict is read off.  The isomorphism is checked multiplicative on
-degree-1 generators, which suffices since both algebras are associative
-and the model is generated in degree 1.  Each degree of it is solved and
-checked in one solve of the model products stacked over
-their honest images, read off the structure tables' cells; the mixed
-relation classes it is checked against come from one solve.
+relations z (x) s^{-1}(x_i) - x_i (x) z, written with the base relations
+as the canonical integer rows of the extension's relation space.  The
+cohomology algebra of the extension is modeled by a trivial extension of
+the dual algebra by a degree-shifted copy of itself; the model is verified
+against the honest dual of the extension by an explicit degreewise
+isomorphism before any verdict is read off.  The isomorphism is checked
+multiplicative on degree-1 generators, which suffices since both algebras
+are associative and the model is generated in degree 1, one solve per
+degree; the mixed relation classes it is checked against are the basis
+elements of the words x_i z.
 
 The extension is one object per certificate and twist (skew_extend), and
 it keeps what is derived from the pair, each part computed on first read:
@@ -20,14 +20,13 @@ symmetry verdict.  `skew`, `extiso`, `cy` and the deformed criterion of
 pbw read that one object.
 """
 
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .frobenius import (GradedFDAlgebra, is_graded_symmetric,
                         twisted_module_trivial_extension)
-from .linalg import (ConsistencyError, LinAlgError, Matrix, ONE, Subspace,
-                     _echelon_int, int_solve, solve_square)
+from .linalg import (ConsistencyError, LinAlgError, Matrix, Subspace,
+                     _echelon_int, _strip, int_solve, solve_square)
 from .quadratic import (QuadraticAlgebra, graded_dims, shared_presentation,
                         truncated_structure)
 from .regular import RegularityCertificate
@@ -62,23 +61,18 @@ class IsoReport(NamedTuple):
 class SkewExtension:
     """A certified algebra extended by one letter twisted by sigma.
 
-    The new letter is the last of algebra.names.  stacked_relations holds
-    the base's canonical relation rows embedded in the (n+1)^2 word
-    coordinates of the extension, followed by the n mixed relations, each
-    a sparse {word index: value} map; the extension's relation space is
-    their span.  sigma_inverse is the inverse of the twist, computed once
-    here for the mixed relations and read by the model and its check.
-    model, honest_dual, iso and symmetry are computed on first read and
-    kept here, on the one extension per certificate and twist.  Immutable,
-    and equal and hashed by identity.
+    The new letter is the last of algebra.names; the mixed relation of
+    letter x_i is the relation row that leads at x_i z (skew_extend).
+    sigma_inverse is the inverse of the twist, computed once here for the
+    mixed relations and read by the model and its check.  model,
+    honest_dual, iso and symmetry are computed on first read and kept here,
+    on the one extension per certificate and twist.  Immutable, and equal
+    and hashed by identity.
     """
 
     def __init__(self, cert: RegularityCertificate, sigma: Matrix,
-                 algebra: QuadraticAlgebra,
-                 stacked_relations: tuple[dict[int, Fraction], ...],
-                 sigma_inverse: Matrix):
+                 algebra: QuadraticAlgebra, sigma_inverse: Matrix):
         self.__dict__.update(cert=cert, sigma=sigma, algebra=algebra,
-                             stacked_relations=stacked_relations,
                              sigma_inverse=sigma_inverse)
 
     def __setattr__(self, name, value):
@@ -125,7 +119,20 @@ def skew_extend(cert: RegularityCertificate, sigma: Matrix, /) -> SkewExtension:
     """Adjoin to the certified algebra one twisted letter, named by
     fresh_letter; dimension counts are verified up to degree 4 against the
     partial sums of the base dimensions.  Raises LinAlgError or
-    ConsistencyError on a twist it refuses."""
+    ConsistencyError on a twist it refuses.
+
+    The relation rows of A[z; sigma] are written in the canonical form that
+    Subspace.from_spanning would give, with no elimination: the base's
+    integer rows, re-indexed from n letters to m = n + 1 in the order of
+    words, and for each letter x_i the mixed relation z (x) sigma^{-1}(x_i)
+    - x_i (x) z times -D, D x_i z - sum_j sigma^{-1}.num[j][i] z x_j (D the
+    denominator of sigma^{-1}), over the gcd of its entries.  A base row
+    leads at its pivot x_a x_b and a mixed row at x_i z, as i m + n < n m,
+    the least index of a z x_j; each is content-free, positive there, and
+    the only row nonzero there, as base rows hold no z and mixed row i no
+    z-free word and no x_k z, k != i.  So the rows are the reduced echelon
+    basis, dim R_A + n of them.
+    """
     base = cert.algebra
     n = base.n
     if sigma.cols != n:
@@ -137,24 +144,22 @@ def skew_extend(cert: RegularityCertificate, sigma: Matrix, /) -> SkewExtension:
         raise LinAlgError("twist does not preserve the relations")
     names = base.names + (fresh_letter(base.names),)
     m = n + 1
-    stacked = [{(c // n) * m + c % n: v for c, v in row}
-               for row in base.relations.rows]
-    # the i-th mixed relation z (x) sigma^{-1}(x_i) - x_i (x) z
-    for i, col in enumerate(pinv.columns):
-        mixed = {n * m + j: Fraction(v, pinv.den) for j, v in col}
-        mixed[i * m + n] = -ONE
-        stacked.append(mixed)
-    relations = Subspace.from_spanning(stacked, m * m)
-    if relations.dim != base.relations.dim + n:
-        raise ConsistencyError("mixed relations are not independent of the base ones")
-    algebra = shared_presentation(names, relations)
+    rows = [tuple([((c // n) * m + c % n, v) for c, v in row])
+            for row in base.relations.int_rows]
+    rows += [tuple(_strip({i * m + n: pinv.den,
+                           **{n * m + j: -v for j, v in col}}).items())
+             for i, col in enumerate(pinv.columns)]
+    # each row starts at its pivot: sorted rows are in pivot order
+    rows.sort()
+    algebra = shared_presentation(names, Subspace(
+        m * m, tuple(row[0][0] for row in rows), tuple(rows)))
     dims_base = graded_dims(base, 4)
     for k, dim in enumerate(graded_dims(algebra, 4)):
         if dim != sum(dims_base[:k + 1]):
             raise ConsistencyError(
                 f"extension dimension {dim} at degree {k} is not the "
                 f"partial sum {sum(dims_base[:k + 1])} of the base dimensions")
-    return SkewExtension(cert, sigma, algebra, tuple(stacked), pinv)
+    return SkewExtension(cert, sigma, algebra, pinv)
 
 
 def verify_ext_algebra_isomorphism(ext: SkewExtension) -> IsoReport:
@@ -205,20 +210,20 @@ def verify_ext_algebra_isomorphism(ext: SkewExtension) -> IsoReport:
     full rank.  When P is not onto, generated_ok and bijective fail and the
     zero map is carried on.
 
-    Two product identities pin the mixed dual relations: the i-th
-    generator times the new letter is minus the i-th mixed relation class,
-    and the new letter times the i-th generator is the inverse-twist row
-    combination of the mixed relation classes.  Both read the degree-(1, 1)
-    cells of the honest dual, and compare them in integers with the
-    classes as `int_class_from_pairings` returns them and with the integer
-    columns of the transpose of sigma^{-1}.
+    Two product identities pin the mixed dual relations, read off the
+    degree-(1, 1) cells in integers.  A pivot word w of the extension's
+    relation rows has the honest dual's basis element e(w) as its class, and
+    the row that leads at x_i z is -p (z (x) sigma^{-1}(x_i) - x_i (x) z), p
+    its pivot entry, so the class dual to that relation is -e(x_i z).  So
+    x_i* z* must be e(x_i z), and z* x_i* times the denominator of
+    sigma^{-1} minus the e(x_k z) combined by row i of its numerators; both
+    hold by construction for the sigma_inverse skew_extend wrote them with.
 
     `extiso`, cy_check_with and pbw.cy_criterion_deformed read it as
     ext.iso, kept on the extension.
     """
     cert = ext.cert
-    alg = cert.algebra
-    n = alg.n
+    n = cert.algebra.n
     gamma = ext.model
     ebd = ext.honest_dual
     if gamma.dims[1] != n + 1 or ebd.dims[1] != n + 1:
@@ -256,29 +261,17 @@ def verify_ext_algebra_isomorphism(ext: SkewExtension) -> IsoReport:
                 else [(1, {}) for _ in range(g)])
         if g != e or len(_echelon_int(dict(col) for _, col in prev)) != e:
             bijective = False
-    # mixed dual relation classes, paired against the original relation
-    # rows: coordinate t of class i is classes[t][1][i] over classes[t][0]
-    nrel = alg.relations.dim
-    classes = ebd.int_class_from_pairings(
-        2, ext.stacked_relations, Matrix.identity(nrel + n).num[nrel:])
-    pinv = ext.sigma_inverse
-    lp = pinv.den
-    # row i of pinv, times lp: column i of its transpose
-    prows = pinv.transpose().columns
+    # the (1, 1) cells are the products times eden, their terms in basis
+    # order, as are the e(x_k z) in k, each None if x_k z is no basis word
+    basis = {w: t for t, w in enumerate(ebd.words[2])}
+    mixed = [basis.get(k * (n + 1) + n) for k in range(n)]
     cells = ebd.int_mult[(1, 1)]
-
-    def combines(pairs, combo, scale):
-        """Whether the cells, the product times eden, are the combination
-        sum_j c_j class_j over scale, for combo the (j, c_j); compared
-        times scale and each coordinate's pivot entry."""
-        cell = dict(pairs)
-        return cell.keys() <= classes.keys() and all(
-            cell.get(t, 0) * pv * scale
-            == eden * sum(c * vals.get(j, 0) for j, c in combo)
-            for t, (pv, vals) in classes.items())
-
-    left_ok = all(combines(cells[i][n], [(i, -1)], 1) for i in range(n))
-    right_ok = all(combines(cells[n][i], prows[i], lp) for i in range(n))
+    pinv = ext.sigma_inverse
+    left_ok = all(cells[i][n] == ((mixed[i], eden),) for i in range(n))
+    right_ok = all(
+        tuple((t, v * pinv.den) for t, v in cells[n][i])
+        == tuple((mixed[k], -v * eden) for k, v in enumerate(row) if v)
+        for i, row in enumerate(pinv.num))
     return IsoReport(generated_ok, bijective, left_ok, right_ok)
 
 

@@ -28,6 +28,19 @@ CORPUS_DIR = resources.files("quadalg") / "corpus"
 CORPUS = tuple(sorted(p.name[:-5] for p in CORPUS_DIR.iterdir()
                       if p.name.endswith(".json")))
 
+# A twist of each AS-regular corpus entry that is neither the identity nor
+# its Nakayama map, non-diagonal where the relations allow one: the quantum
+# planes xy = q yx with q = 2, 3 have only diagonal automorphisms.
+OTHER_TWIST = {
+    "kxy": ((1, 1), (0, 1)),
+    "quantum_plane_q2": ((2, 0), (0, 3)),
+    "quantum_plane_q3": ((2, 0), (0, -1)),
+    "quantum_plane_qm1": ((0, 2), (1, 0)),
+    "jordan_plane": ((2, 3), (0, 2)),
+    "poly3": ((1, 1, 0), (0, 1, 2), (0, 0, 1)),
+    "quantum3": ((0, 0, 2), (1, 0, 0), (0, 3, 0)),
+}
+
 
 # the argparse parser quadalg.cli parsed its command line with before it
 # read its grammar directly, kept as the oracle of that parse
@@ -951,10 +964,27 @@ def zero_action_model(cert):
 def with_model(ext, model):
     """A copy of the extension whose model is the given one: seeded where
     the cached property keeps it, so the copy never builds its own."""
-    copy = SkewExtension(ext.cert, ext.sigma, ext.algebra,
-                         ext.stacked_relations, ext.sigma_inverse)
+    copy = SkewExtension(ext.cert, ext.sigma, ext.algebra, ext.sigma_inverse)
     copy.__dict__["model"] = model
     return copy
+
+
+def oracle_stacked_relations(ext):
+    """The relation rows of A[z; sigma] in Fractions, stacked as skew_extend
+    stacked them before it wrote the canonical rows itself: the base's
+    canonical rows embedded in the (n+1)^2 words of the extension, then
+    the mixed relation z (x) sigma^{-1}(x_i) - x_i (x) z of each letter x_i,
+    sigma^{-1} the dense inverse of ext.sigma."""
+    n = ext.cert.algebra.n
+    m = n + 1
+    rows = [{(c // n) * m + c % n: v for c, v in row}
+            for row in ext.cert.algebra.relations.rows]
+    pinv = dense_inverse(ext.sigma)
+    for i in range(n):
+        mixed = {n * m + j: pinv[j, i] for j in range(n) if pinv[j, i]}
+        mixed[i * m + n] = Fraction(-1)
+        rows.append(mixed)
+    return tuple(rows)
 
 
 def oracle_cdga_axioms(c: Cdga):
@@ -1119,9 +1149,12 @@ def ext_iso_oracle(ext):
     columns of Q; f_k is Q times the right inverse of P (dense_right_inverse),
     generated_ok needs the right inverse to exist and f_k P = Q, and
     bijective needs it to exist and f_k to be invertible.  The mixed relation
-    classes are solved one at a time.  The model is the extension's own
-    (ext.model), so a test can seed a wrong one on a copy; the honest dual
-    is truncated here, not read off the extension.
+    classes are solved one at a time, from the Fraction rows of
+    oracle_stacked_relations; the right identity combines them by the
+    inverse twist the extension carries, from which its model is built.
+    The model is the extension's own (ext.model), so a test can seed a
+    wrong one on a copy; the honest dual is truncated here, not read off
+    the extension.
     """
     cert = ext.cert
     alg = cert.algebra
@@ -1155,9 +1188,9 @@ def ext_iso_oracle(ext):
         maps.append(fk)
     nrel = alg.relations.dim
     rt_classes = [oracle_class_from_pairings(
-        ebd, 2, ext.stacked_relations, [unit_vector(nrel + n, nrel + i)])[0]
-        for i in range(n)]
-    pinv = dense_inverse(ext.sigma)
+        ebd, 2, oracle_stacked_relations(ext),
+        [unit_vector(nrel + n, nrel + i)])[0] for i in range(n)]
+    pinv = fraction_matrix(ext.sigma_inverse)
     left_ok = True
     right_ok = True
     for i in range(n):

@@ -1,27 +1,31 @@
 """The integer routes of the Calabi-Yau path against the Fraction routes
 they replaced: the degree-one twists of the dual (automorphism and the
 relation check), the trivial extension model, the Frobenius data and the
-symmetry test, and the isomorphism of the model onto the honest dual with
-its mixed relation classes.
+symmetry test, the isomorphism of the model onto the honest dual with
+its mixed relation classes, and the canonical relation rows of the
+extension against the span of the rows once stacked for it.
 
 Inputs: every AS-regular corpus certificate twisted by its Nakayama map xi
 and by the identity, a dense invertible twist of poly3, and the skew
 polynomial rings in 3 and 4 letters for each q that the skew_cy benchmark
-draws from.
+draws from; the relation rows also on the inputs of
+_extension_inputs.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from helpers import (AS_REGULAR, cert_of, class_from_pairings, ext_iso_oracle,
-                     int_twist, oracle_automorphism,
-                     oracle_class_from_pairings,
+from helpers import (AS_REGULAR, OTHER_TWIST, algebra_of_description, cert_of,
+                     class_from_pairings, ext_iso_oracle, int_twist,
+                     oracle_automorphism, oracle_class_from_pairings,
                      oracle_frobenius, oracle_graded_symmetry,
-                     oracle_preserves_subspace, oracle_trivial_extension_table,
-                     skew_ring, twist_matrices)
-from quadalg import (Matrix, as_regular_certificate, frobenius_structure,
-                     is_graded_symmetric, preserves_subspace, skew_extend,
+                     oracle_preserves_subspace, oracle_stacked_relations,
+                     oracle_trivial_extension_table, skew_ring,
+                     twist_matrices)
+from quadalg import (Matrix, Subspace, as_regular_certificate,
+                     frobenius_structure, is_graded_symmetric,
+                     preserves_subspace, skew_extend,
                      truncated_structure, twisted_module_trivial_extension,
                      verify_ext_algebra_isomorphism)
 
@@ -126,14 +130,16 @@ def test_iso_report_matches_the_dense_route(case):
 
 @pytest.mark.parametrize("case", CASES, ids=_ids)
 def test_mixed_relation_classes_match_the_fraction_solve(case):
-    # the integer classes that the isomorphism check compares with the
-    # (1, 1) cells, over their pivot entries, are the Fraction classes
+    # the classes dual to the mixed relations z (x) sigma^{-1}(x_i) - x_i (x) z
+    # among the stacked Fraction rows, solved in integers and in Fractions,
+    # are the basis elements -e(x_i z) that the isomorphism check reads off
+    # the honest dual
     cert, sigma = _cert_and_twist(case)
     n = cert.algebra.n
     nrel = cert.algebra.relations.dim
     ext = skew_extend(cert, sigma)
     ebd = truncated_structure(ext.algebra.dual, cert.gldim + 1)
-    rows = ext.stacked_relations
+    rows = oracle_stacked_relations(ext)
     vectors = Matrix.identity(nrel + n).num[nrel:]
     classes = ebd.int_class_from_pairings(2, rows, vectors)
     assert all(pv > 0 and all(vals.values())
@@ -143,6 +149,62 @@ def test_mixed_relation_classes_match_the_fraction_solve(case):
     expect = oracle_class_from_pairings(ebd, 2, rows, vectors)
     assert got == expect
     assert class_from_pairings(ebd, 2, rows, vectors) == expect
+    words = ebd.words[2]
+    assert expect == [tuple(F(-(w == i * (n + 1) + n)) for w in words)
+                      for i in range(n)]
+
+
+def _extension_inputs():
+    """(label, certificate, twist): every AS-regular corpus certificate
+    twisted by its Nakayama map xi, the identity and OTHER_TWIST, and by xi
+    times 5/7; the skew rings in 3 and 4 letters for each q of the skew_cy
+    benchmark, twisted by xi and the identity; and the 3-letter skew ring in
+    the letters of a unipotent phi that the report grid runs, by both."""
+    for name in AS_REGULAR:
+        cert = cert_of(name)
+        n = cert.algebra.n
+        xi = cert.nakayama
+        yield from ((f"{name}:xi", cert, xi),
+                    (f"{name}:id", cert, Matrix.identity(n)),
+                    (f"{name}:other", cert,
+                     Matrix.from_rows(OTHER_TWIST[name], n)),
+                    (f"{name}:5/7 xi", cert,
+                     Matrix(tuple(tuple(5 * v for v in row) for row in xi.num),
+                            7 * xi.den, n)))
+    skew = [(f"skew{n}:{q}", skew_ring(n, q)) for n in (3, 4) for q in SKEW_Q]
+    skew.append(("skew3_phi", algebra_of_description({
+        "generators": ["a", "b", "c"],
+        "relations": [[{"coeff": str(v), "word": list(w)} for w, v in row]
+                      for row in SKEW3_PHI]})))
+    for label, alg in skew:
+        cert = as_regular_certificate(alg, 5)
+        yield (f"{label}:xi", cert, cert.nakayama)
+        yield (f"{label}:id", cert, Matrix.identity(alg.n))
+
+
+# the 3-letter skew ring x_i x_j = -2/3 x_j x_i (i < j) in the letters
+# (a, b, c) = phi (x_1, x_2, x_3), phi = ((1, 1, 0), (0, 1, 1), (0, 0, 1)),
+# as the report grid writes it
+SKEW3_PHI = (
+    (("ab", 3), ("ac", -3), ("ba", 2), ("bb", -5), ("bc", 5), ("ca", -2),
+     ("cb", 5), ("cc", -5)),
+    (("ac", 3), ("bc", -3), ("ca", 2), ("cb", -2), ("cc", 5)),
+    (("bc", 3), ("cb", 2), ("cc", -5)),
+)
+
+
+def test_the_extension_relations_are_the_stacked_rows_canonical_form():
+    # skew_extend writes the canonical rows of A[z; sigma] directly; they
+    # are those of the span of the Fraction rows it stacked before, the
+    # base relations and one mixed relation per letter
+    seen = 0
+    for label, cert, sigma in _extension_inputs():
+        ext = skew_extend(cert, sigma)
+        m = cert.algebra.n + 1
+        assert ext.algebra.relations == Subspace.from_spanning(
+            oracle_stacked_relations(ext), m * m), label
+        seen += 1
+    assert seen == 4 * len(AS_REGULAR) + 2 * (2 * len(SKEW_Q) + 1)
 
 
 def test_a_non_symmetric_model_gives_the_oracle_witness():

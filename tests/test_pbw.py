@@ -8,9 +8,9 @@ import pytest
 from helpers import (AS_REGULAR, CORPUS, DIM2, cdg_trivial_extension,
                      cert_of, class_from_pairings, column, dense_inverse,
                      description_of, fraction_matrix, oracle_cdga_axioms,
-                     potential_deformation, random_nu_theta,
-                     rescaled_nakayama_shift, seeded, with_model,
-                     zero_action_model)
+                     oracle_stacked_relations, potential_deformation,
+                     random_nu_theta, rescaled_nakayama_shift, seeded,
+                     with_model, zero_action_model)
 from quadalg import (Cdga, GradedFDAlgebra, Matrix, NotRegular,
                      PBWDeformation, QuadraticAlgebra, Subspace, add_into,
                      as_regular_certificate, check_cdga_axioms,
@@ -200,7 +200,7 @@ def test_skew_deformation_transport():
         # rebuild the expected class from the stacked relation pairings
         stacked = [{(col // n) * (n + 1) + col % n: v for col, v in row}
                    for row in cert.algebra.relations.rows]
-        stacked += ext.stacked_relations[nrel:]
+        stacked += oracle_stacked_relations(ext)[nrel:]
         values = [F(0)] * nrel + list(column(lam))
         [expect] = class_from_pairings(ext_defm.cert.dual_fd, 2, stacked,
                                        [values])

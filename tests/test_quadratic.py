@@ -7,6 +7,7 @@ import time
 import tracemalloc
 import weakref
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -342,6 +343,27 @@ def test_the_store_keeps_eliminations_and_no_answer():
     assert len(square._koszul_store.built) == 300
     assert square._koszul_store.counted.keys() == {300}
     assert retained < 2 ** 19
+
+
+def test_the_letter_graph_is_built_once_per_presentation(monkeypatch):
+    # the graph of the normal-word walk is the presentation's own: graded_dims
+    # at several bounds reads it, and builds it on the first call only
+    built = []
+    real = QuadraticAlgebra._letter_graph.func
+
+    def counted(alg):
+        built.append(alg)
+        return real(alg)
+
+    graph = cached_property(counted)
+    graph.__set_name__(QuadraticAlgebra, "_letter_graph")
+    monkeypatch.setattr(QuadraticAlgebra, "_letter_graph", graph)
+    alg = _fresh(algebra_of("poly3"))
+    for bound in (3, 5, 4, 7, 5):
+        graded_dims(alg, bound)
+    assert len(built) == 1 and built[0] is alg
+    # x > y > z: the leading words of the commutators are xy, xz and yz
+    assert alg._letter_graph == ((0, 1, 2), (1, 2), (2,))
 
 
 def test_sklyanin_points_pbw_or_not():

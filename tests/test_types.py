@@ -34,8 +34,7 @@ VALUE_FIELDS = {
 }
 IDENTITY_FIELDS = {
     RegularityCertificate: ("algebra", "bound", "dual_fd"),
-    SkewExtension: ("cert", "sigma", "algebra", "stacked_relations",
-                    "sigma_inverse"),
+    SkewExtension: ("cert", "sigma", "algebra", "sigma_inverse"),
     AlgebraDescription: ("generators", "relations", "sigma", "nu", "theta",
                          "domain"),
     PBWDeformation: ("cert", "rows", "nu", "theta", "domain"),
