@@ -29,8 +29,8 @@ from .regular import (NotRegular, PresentationReport, RegularityCertificate,
 from .skew import (CYReport, IsoReport, SkewExtension, cy_check_with,
                    fresh_letter, skew_extend, verify_ext_algebra_isomorphism,
                    verify_extended_presentation)
-from .pbw import (Cdga, CdgaAxiomReport, CompatibilityReport,
-                  DeformedCYReport, EquivalenceReport, PBWDeformation,
+from .pbw import (Cdga, CdgaAxiomReport, DeformedCYReport,
+                  EquivalenceReport, PBWDeformation,
                   check_cdga_axioms, cy_criterion_deformed,
                   cy_equivalence_dim2, dual_cdga, nakayama_cdga_compatibility,
                   nakayama_shift, skew_deformation)

@@ -86,8 +86,8 @@ def _cmd_regular(desc, args):
         return {"regular": False, "reason": str(exc),
                 "witness_degree": exc.witness_degree}, False
     return {"regular": True, "gldim": cert.gldim,
-            "dual_dims": list(cert.dual_dims),
-            "koszul_bound": cert.bound}, True
+            "dual_dims": list(cert.koszul.dual_dims),
+            "koszul_bound": cert.koszul.bound}, True
 
 
 def _cmd_nakayama(desc, args):
@@ -101,13 +101,14 @@ def _cmd_skew(desc, args):
     sigma = _resolve_sigma(desc, cert, args.sigma)
     ext = skew_extend(cert, sigma)
     # A[z; sigma] is free over A on the powers of z, so its dims are the
-    # partial sums of A's; skew_extend checks that up to degree 4
+    # partial sums of A's, as the certificate counted them; skew_extend
+    # checks that up to degree 4
     verdict = {
         "generator": ext.algebra.names[-1],
         "generators": list(ext.algebra.names),
         "relations": [vector_to_terms(r, 2, ext.algebra.names)
                       for r in ext.algebra.relations.rows],
-        "dims": list(accumulate(graded_dims(cert.algebra, args.max_degree))),
+        "dims": list(accumulate(cert.koszul.dims)),
     }
     return verdict, True
 
@@ -172,7 +173,7 @@ def _cmd_cy(desc, args):
     verdict = {
         "is_CY": report.is_CY,
         "dimension": cert.gldim + 1,
-        "koszul_bound": cert.bound,
+        "koszul_bound": cert.koszul.bound,
     }
     if not report.is_CY and report.witness is not None:
         verdict["witness"] = list(report.witness)

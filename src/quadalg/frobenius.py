@@ -23,10 +23,10 @@ G_i X = G_{d-i}^T, solved on first read.  frobenius_structure checks each
 pairing nondegenerate by one rank and solves nothing; the blocks are read
 by is_graded_symmetric, which runs both of its routes on them and takes
 no rank, and by pbw's Nakayama compatibility test.  The trivial extension
-takes its twists as matrices, the form GradedFDAlgebra.epsilon and
-TruncatedAlgebra.automorphism build, and reads their integer columns, so
-the Calabi-Yau path builds and tests its model with no Fraction in
-between.
+takes its right twist as matrices, the form TruncatedAlgebra.automorphism
+builds, and reads their integer columns, and writes its left twist, the
+sign of the degree, inline, so the Calabi-Yau path builds and tests its
+model with no Fraction in between.
 
 The builders hand the constructor its final form, tuple rows of tuple
 cells, which its shape pass checks cell by cell and keeps; products are
@@ -342,32 +342,34 @@ def is_graded_symmetric(alg: GradedFDAlgebra):
 # ---------------------------------------------------------------------------
 
 def twisted_module_trivial_extension(alg: GradedFDAlgebra,
-                                     left: tuple[Matrix, ...],
                                      right: tuple[Matrix, ...]
                                      ) -> GradedFDAlgebra:
     """Extend by a copy of the algebra itself, shifted up by one degree, as
-    a bimodule twisted by `left` on the left and `right` on the right.
+    a bimodule twisted by the sign (-1)^i on E_i on the left and by `right`
+    on the right.
 
     Degree i of the result is E_i followed by the module copy of E_{i-1},
-    so the result has length one more than E.  left and right are graded
-    maps of E, one matrix per degree; the actions are a.(m) = (left(a) m)
-    and (m).b = (m right(b)), products of two module elements vanish.  The
-    integer columns of every twist matrix are brought to L, the lcm of
+    so the result has length one more than E.  right is a graded map of
+    E, one matrix per degree; the actions are a.(m) = (-1)^i (a m) for a
+    in E_i and (m).b = (m right(b)), products of two module elements
+    vanish.  The integer columns of right are brought to L, the lcm of
     their denominators, so the result is built in integers over L times
     E's den, one block row at a time, each handed over in the final tuple
-    form.  A row of E_i holds E's own products, its cells times L, then the
-    left-action cells; a module row holds the right-action cells, then
-    empty cells.  An action cell is the twisted combination of E's own
-    integer cells, shifted past E_{i+j}.
+    form.  A row of E_i holds E's own products, its cells times L, then
+    the left-action cells, the same products times (-1)^i L shifted past
+    E_{i+j}; a module row holds the right-action cells, then empty cells.
+    A right-action cell is the twisted combination of E's own integer
+    cells, shifted past E_{i+j}.
     """
     d = alg.length
-    scale = lcm(*[m.den for m in (*left, *right)])
-    lcols, rcols = (_columns_over(tw, scale, alg.dims) for tw in (left, right))
+    scale = lcm(*[m.den for m in right])
+    rcols = _columns_over(right, scale, alg.dims)
     # dim[i] is dim E_i, zero outside 0..d, also at index -1
     dim = alg.dims + (0, 0)
     dims = [dim[i] + dim[i - 1] for i in range(d + 2)]
     mult = {}
     for i in range(d + 2):
+        sign = -scale if i % 2 else scale
         for j in range(d + 2 - i):
             aj, copy_j, off = dim[j], dim[j - 1], dim[i + j]
             inner = alg.int_mult.get((i, j))
@@ -380,19 +382,10 @@ def twisted_module_trivial_extension(alg: GradedFDAlgebra,
                 if scale != 1:
                     row = tuple([tuple([(c, scale * w) for c, w in cell])
                                  if cell else () for cell in row])
-                terms = lcols[i][a]
-                if not copy_j:
-                    block.append(row)
-                elif len(terms) == 1:
-                    # a monomial column: one row of E's cells, scaled
-                    (t, x), = terms
-                    block.append(row + tuple([
-                        tuple([(off + c, x * w) for c, w in cell])
-                        if cell else () for cell in on_copy[t]]))
-                else:
-                    block.append(row + tuple([
-                        _sparse_sum([(x, on_copy[t][b]) for t, x in terms],
-                                    off) for b in range(copy_j)]))
+                if copy_j:
+                    row += tuple([tuple([(off + c, sign * w) for c, w in cell])
+                                  if cell else () for cell in on_copy[a]])
+                block.append(row)
             empty = ((),) * copy_j
             for a in range(dim[i - 1]):
                 cells = copy_on[a]

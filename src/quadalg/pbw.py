@@ -338,28 +338,16 @@ def cy_criterion_deformed(defm: PBWDeformation, c: Cdga) -> DeformedCYReport:
     return DeformedCYReport(verdict_model, shift, twisted, witness)
 
 
-class CompatibilityReport(NamedTuple):
-    """Whether the sign-adjusted dual Nakayama map commutes with the curved data."""
-
-    delta_commutes: bool
-    curvature_fixed: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.delta_commutes and self.curvature_fixed
-
-
-def nakayama_cdga_compatibility(cert: RegularityCertificate,
-                                c: Cdga) -> CompatibilityReport:
-    """Compare the sign-adjusted dual Nakayama map of cert with the curved
-    structure c that a deformation of cert's algebra induces."""
+def nakayama_cdga_compatibility(cert: RegularityCertificate, c: Cdga) -> bool:
+    """Whether the sign-adjusted dual Nakayama map of cert commutes with the
+    differential of the curved structure c that a deformation of cert's
+    algebra induces, and fixes its curvature."""
     d = cert.gldim
     chi = tuple(-nak if (d + 1) * k % 2 else nak
                 for k, nak in enumerate(cert.dual_fd.nakayama))
-    commutes = all(chi[j + 1] @ c.delta[j] == c.delta[j] @ chi[j]
-                   for j in range(d))
-    fixed = chi[2] @ c.curvature == c.curvature
-    return CompatibilityReport(commutes, fixed)
+    return (all(chi[j + 1] @ c.delta[j] == c.delta[j] @ chi[j]
+                for j in range(d))
+            and chi[2] @ c.curvature == c.curvature)
 
 
 class EquivalenceReport(NamedTuple):
@@ -383,7 +371,7 @@ def cy_equivalence_dim2(defm: PBWDeformation) -> EquivalenceReport:
     cert = defm.cert
     if cert.gldim != 2:
         raise LinAlgError("the three-way equivalence is stated for dimension 2")
-    cond_i = nakayama_cdga_compatibility(cert, defm.cdga).passed
+    cond_i = nakayama_cdga_compatibility(cert, defm.cdga)
     crit = defm.cy_report
     cond_ii = crit.is_CY
     m = dim2_matrix_form(cert)

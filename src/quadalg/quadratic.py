@@ -44,8 +44,11 @@ apply the zero-K_{k-1} rule and the word cap in one order and take their
 equations from one builder (_koszul_equations), so they agree and stop at
 the same degrees.  A counted degree keeps its forward echelon form, which
 building that degree finishes with no second elimination.  Their answers
-are not kept: each call reads them off the kept eliminations and runs its
-cross-checks again.
+are not kept here: each call reads them off the kept eliminations and runs
+its cross-checks again.  A caller that has counted a sequence hands it to
+koszul_numerics, the checks of numeric_koszul_certificate, instead of
+counting it twice; the regularity certificate keeps the record that
+returns, three tuples of bound + 1 ints.
 shared_presentation hands out one presentation per algebra value, to the
 documents io reads and to the skew extensions skew builds.
 """
@@ -441,8 +444,17 @@ def numeric_koszul_certificate(alg: QuadraticAlgebra, bound: int) -> KoszulCerti
     the ones below.  The certificate is not kept: each call reads the
     kept components again and checks both identities again.
     """
-    dims = graded_dims(alg, bound)
-    dual_dims = graded_dims(alg.dual, bound)
+    return koszul_numerics(alg, graded_dims(alg, bound),
+                           graded_dims(alg.dual, bound))
+
+
+def koszul_numerics(alg: QuadraticAlgebra, dims: tuple[int, ...],
+                    dual_dims: tuple[int, ...]) -> KoszulCertificate:
+    """The checks of numeric_koszul_certificate on dimension sequences
+    already counted: dims of the algebra and dual_dims of its dual, by
+    graded_dims up to one bound, their common last degree.  A caller that
+    has counted either one hands it here rather than count it again."""
+    bound = len(dims) - 1
     component_dims = _component_dims(alg, bound)
     mism = tuple(m for m in range(bound + 1) if component_dims[m] != dual_dims[m])
     return KoszulCertificate(bound, dims, dual_dims, component_dims, mism,

@@ -1,5 +1,11 @@
 """Degree-bounded certification that a quadratic algebra is regular:
-finite-dimensional Frobenius dual + Koszul numerics.  The certificate
+finite-dimensional Frobenius dual + Koszul numerics, as a Koszul algebra is
+AS-regular exactly when its dual is Frobenius (S. P. Smith, "Some
+finite-dimensional algebras related to elliptic curves", 1996, Prop.
+5.10).  The certificate is the two halves, the KoszulCertificate it
+checked and the Frobenius dual.  The dual's dimensions are counted once,
+for the termination check, and handed to the Koszul numerics, whose
+record keeps them with the algebra's and the components'.  The certificate
 checks each pairing of the dual nondegenerate by one rank and solves no
 Nakayama block of it: the pairings and the blocks are the dual's own
 (frobenius.GradedFDAlgebra.pairings and .nakayama), and the blocks are
@@ -29,8 +35,8 @@ from typing import Mapping, NamedTuple
 
 from .frobenius import NotFrobenius, frobenius_structure
 from .linalg import ConsistencyError, LinAlgError, Matrix, solve_square
-from .quadratic import (QuadraticAlgebra, TruncatedAlgebra, graded_dims,
-                        koszul_component, numeric_koszul_certificate,
+from .quadratic import (KoszulCertificate, QuadraticAlgebra, TruncatedAlgebra,
+                        graded_dims, koszul_component, koszul_numerics,
                         truncated_structure)
 from .superpotential import derivation_quotient, symmetrize
 from .tensors import (contract_left, contract_right, is_twisted_superpotential,
@@ -60,26 +66,23 @@ class PresentationReport(NamedTuple):
 class RegularityCertificate:
     """The data the bounded regularity checks produced that later steps read.
 
-    dual_fd is the dual algebra truncated at its top degree gldim, each of
-    its pairings checked nondegenerate; its Nakayama blocks are solved only
-    if read.  nakayama, superpotential, symmetrized, quotient and
+    koszul is the passed KoszulCertificate at the bound, which keeps the
+    bound and three dimension sequences up to it: three tuples of bound + 1
+    ints, no more (as_regular_certificate keeps at most 32 certificates,
+    and the CLI caps the bound at cli.MAX_DEGREE).  dual_fd is the dual
+    algebra truncated at its top degree gldim, each of its pairings
+    checked nondegenerate; its Nakayama blocks are solved only if read.  nakayama, superpotential, symmetrized, quotient and
     presentation are computed on first read and kept on the certificate, so
     they go with it; a read that raises keeps nothing.  Immutable, and
     equal and hashed by identity.
     """
 
-    def __init__(self, algebra: QuadraticAlgebra, bound: int,
+    def __init__(self, algebra: QuadraticAlgebra, koszul: KoszulCertificate,
                  dual_fd: TruncatedAlgebra):
-        self.__dict__.update(algebra=algebra, bound=bound, dual_fd=dual_fd)
+        self.__dict__.update(algebra=algebra, koszul=koszul, dual_fd=dual_fd)
 
     def __setattr__(self, name, value):
         raise AttributeError("a RegularityCertificate is immutable")
-
-    @property
-    def dual_dims(self) -> tuple[int, ...]:
-        """The dual's graded dimensions up to the bound: graded_dims,
-        computed again on each read from the kept Koszul components."""
-        return graded_dims(self.algebra.dual, self.bound)
 
     @property
     def gldim(self) -> int:
@@ -204,11 +207,11 @@ def as_regular_certificate(alg: QuadraticAlgebra, bound: int, /) -> RegularityCe
     except NotFrobenius as nf:
         raise NotRegular(f"dual algebra is not Frobenius: {nf.reason}",
                          nf.witness_degree) from nf
-    kos = numeric_koszul_certificate(alg, bound)
+    kos = koszul_numerics(alg, graded_dims(alg, bound), dual_dims)
     if not kos.passed:
         witness = min(kos.component_mismatches + kos.euler_failures)
         raise NotRegular("Koszul numerics fail", witness)
-    return RegularityCertificate(alg, bound, dual_fd)
+    return RegularityCertificate(alg, kos, dual_fd)
 
 
 def verify_superpotential_presentation(cert: RegularityCertificate) -> PresentationReport:

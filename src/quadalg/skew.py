@@ -85,7 +85,7 @@ class SkewExtension:
         twisted by the transposed inverse of sigma on the right."""
         dual = self.cert.dual_fd
         psi = dual.automorphism(self.sigma_inverse.transpose())
-        return twisted_module_trivial_extension(dual, dual.epsilon(1), psi)
+        return twisted_module_trivial_extension(dual, psi)
 
     @cached_property
     def honest_dual(self) -> GradedFDAlgebra:

@@ -15,7 +15,7 @@ import quadalg
 from quadalg import (Cdga, GradedFDAlgebra, Matrix, QuadraticAlgebra,
                      SkewExtension, Subspace, as_regular_certificate,
                      contract_left, contract_right, index_to_word,
-                     twisted_module_trivial_extension, word_to_index)
+                     word_to_index)
 from quadalg.cli import COMMANDS
 from quadalg.io import ValidationError, parse_description
 from quadalg.linalg import (LinAlgError, ZERO, _strip, _to_int_row, int_solve)
@@ -958,7 +958,16 @@ def zero_action_model(cert):
     unit_only = tuple(Matrix.identity(1) if i == 0
                       else Matrix.from_rows([[0] * m] * m, m)
                       for i, m in enumerate(dual.dims))
-    return twisted_module_trivial_extension(dual, unit_only, unit_only)
+    return twisted_extension(dual, unit_only, unit_only)
+
+
+def twisted_extension(alg: GradedFDAlgebra, left, right) -> GradedFDAlgebra:
+    """The shifted-copy trivial extension of the algebra twisted by any
+    graded maps `left` and `right` (package Matrix tuples), built by the
+    cell loop of oracle_trivial_extension_table: the package builds only
+    the model's, whose left twist is the sign of the degree."""
+    return GradedFDAlgebra(*oracle_trivial_extension_table(
+        alg, twist_matrices(left), twist_matrices(right)))
 
 
 def with_model(ext, model):

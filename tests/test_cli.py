@@ -727,11 +727,11 @@ def test_failing_koszul_numerics_in_the_regular_commands(capsys,
     # failing ones, regular reports the refutation at its lowest failing
     # degree and exits 1, each time, and nakayama, which needs the
     # certificate, exits 2; no run leaves a certificate cached
-    def failing(alg, bound):
-        return quadratic.numeric_koszul_certificate(alg, bound)._replace(
+    def failing(alg, dims, dual_dims):
+        return quadratic.koszul_numerics(alg, dims, dual_dims)._replace(
             component_mismatches=(4,), euler_failures=(3, 5))
 
-    monkeypatch.setattr(regular, "numeric_koszul_certificate", failing)
+    monkeypatch.setattr(regular, "koszul_numerics", failing)
     _clear_package_caches()
     for _ in range(2):
         code, rep = _run(capsys, "regular", _path("poly3"))
@@ -744,6 +744,51 @@ def test_failing_koszul_numerics_in_the_regular_commands(capsys,
     assert rep == {"status": "error", "command": "nakayama",
                    "error": "degree 3: Koszul numerics fail"}
     assert as_regular_certificate.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("command", ["regular", "skew", "cy"])
+def test_a_cold_command_counts_the_duals_dims_once(capsys, monkeypatch,
+                                                   command):
+    # the certificate counts the dual's dims for its termination check and
+    # hands them to the Koszul numerics, and the reports read the counted
+    # sequences off the certificate's Koszul record: wherever graded_dims
+    # is read, a cold regular, skew or cy on poly3 asks it for the dual once
+    poly3 = parse_description(Path(_path("poly3")).read_bytes()).algebra
+    bounds = []
+
+    def counted(alg, bound):
+        if alg == poly3.dual:
+            bounds.append(bound)
+        return graded_dims(alg, bound)
+
+    for module in (quadratic, regular, cli, skew):
+        monkeypatch.setattr(module, "graded_dims", counted)
+    _clear_package_caches()
+    code, rep = _run(capsys, command, _path("poly3"))
+    assert code == 0 and rep["status"] == "pass"
+    assert bounds == [5]
+
+
+def test_regular_refutes_by_termination_before_the_word_cap(tmp_path,
+                                                           capsys):
+    # on the exterior algebra on 16 letters the dual, the polynomial ring,
+    # is nonzero at the bound; the certificate checks that before the
+    # Koszul numerics, whose K_5 would have 16^5 words, past the word cap,
+    # so regular refutes (exit 1) rather than trip the resource guard
+    # (exit 3)
+    names = [chr(ord("a") + i) for i in range(16)]
+    rels = [[{"coeff": "1", "word": [a, a]}] for a in names]
+    rels += [[{"coeff": "1", "word": [a, b]}, {"coeff": "1", "word": [b, a]}]
+             for i, a in enumerate(names) for b in names[i + 1:]]
+    path = tmp_path / "exterior16.json"
+    path.write_text(json.dumps({"generators": names, "relations": rels}))
+    code, rep = _run(capsys, "regular", str(path))
+    assert code == 1 and rep["status"] == "fail"
+    assert rep["verdict"] == {
+        "regular": False,
+        "reason": "degree 5: dual algebra is still nonzero at the degree "
+                  "bound, no finite length is visible",
+        "witness_degree": 5}
 
 
 def test_warm_caches_answer_as_cold_ones(capsys):

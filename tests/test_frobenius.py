@@ -313,8 +313,7 @@ def test_trivial_extension_needs_room():
 
 def test_twisted_module_extension_shape():
     E = _fd("quantum_plane_q2")
-    ext = twisted_module_trivial_extension(E, E.epsilon(1),
-                                           int_twist(identity_maps(E)))
+    ext = twisted_module_trivial_extension(E, int_twist(identity_maps(E)))
     assert ext.dims == (1, E.dim(1) + E.dim(0), E.dim(2) + E.dim(1), E.dim(2))
     d1 = E.dim(1)
     m0 = tuple([F(0)] * d1) + (F(1),)
@@ -331,8 +330,7 @@ def test_extension_guards_reject_a_second_degree_zero_element():
         with pytest.raises(LinAlgError, match="must exceed the algebra length"):
             dual_trivial_extension(E, ident, ident, n)
     assert dual_trivial_extension(E, ident, ident, E.length + 1).dims[0] == 1
-    ext = twisted_module_trivial_extension(E, int_twist(ident),
-                                           int_twist(ident))
+    ext = twisted_module_trivial_extension(E, int_twist(ident))
     assert ext.dims[0] == 1 and ext.length == E.length + 1
 
 

@@ -143,7 +143,7 @@ def test_heisenberg_cdga():
             == (F(1), F(0), F(0)))
     assert cy_criterion_deformed(defm, c).is_CY
     assert column(nakayama_shift(defm.cert, c)) == (F(0), F(0), F(0))
-    assert nakayama_cdga_compatibility(defm.cert, c).passed
+    assert nakayama_cdga_compatibility(defm.cert, c) is True
 
 
 def test_axioms_fail_on_jacobi_violation():
@@ -307,7 +307,7 @@ def test_compatibility_reports():
     for name, passed in (("quantum_weyl", True), ("deformed_qp_noncy", False)):
         defm = _corpus_defm(name, 2)
         rep = nakayama_cdga_compatibility(defm.cert, dual_cdga(defm))
-        assert rep.passed == passed, name
+        assert rep is passed, name
 
 
 def test_equivalence_dim2_goldens():

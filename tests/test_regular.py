@@ -17,6 +17,7 @@ from quadalg import (Matrix, NotRegular, QuadraticAlgebra,
                      dim2_matrix_form, numeric_koszul_certificate, regular,
                      regularity_data, truncated_structure)
 from quadalg.linalg import ConsistencyError, LinAlgError
+from quadalg.quadratic import koszul_numerics
 
 F = Fraction
 
@@ -52,15 +53,16 @@ def test_certificates_and_gldims():
     for name, d in GLDIMS.items():
         cert = cert_of(name)
         assert cert.gldim == d, name
-        assert cert.dual_dims[d] == 1
-        assert all(v == 0 for v in cert.dual_dims[d + 1:])
-        assert numeric_koszul_certificate(cert.algebra, cert.bound).passed
+        assert cert.koszul.dual_dims[d] == 1
+        assert all(v == 0 for v in cert.koszul.dual_dims[d + 1:])
+        kos = numeric_koszul_certificate(cert.algebra, cert.koszul.bound)
+        assert kos.passed and kos == cert.koszul
 
 
 def test_dual_dims_shapes():
-    assert cert_of("kxy").dual_dims == (1, 2, 1, 0, 0, 0)
-    assert cert_of("poly3").dual_dims == (1, 3, 3, 1, 0, 0)
-    assert cert_of("quantum3").dual_dims == (1, 3, 3, 1, 0, 0)
+    assert cert_of("kxy").koszul.dual_dims == (1, 2, 1, 0, 0, 0)
+    assert cert_of("poly3").koszul.dual_dims == (1, 3, 3, 1, 0, 0)
+    assert cert_of("quantum3").koszul.dual_dims == (1, 3, 3, 1, 0, 0)
 
 
 def test_not_regular_single_monomial_xx():
@@ -121,10 +123,10 @@ def _refuse(*args):
     raise LinAlgError("refused")
 
 
-def _failing_koszul_numerics(alg, bound):
-    """The Koszul certificate at the bound with a mismatch at degree 4 and
+def _failing_koszul_numerics(alg, dims, dual_dims):
+    """The Koszul certificate on the dims with a mismatch at degree 4 and
     Euler failures at degrees 3 and 5: it fails, first at degree 3."""
-    return numeric_koszul_certificate(alg, bound)._replace(
+    return koszul_numerics(alg, dims, dual_dims)._replace(
         component_mismatches=(4,), euler_failures=(3, 5))
 
 
@@ -133,8 +135,7 @@ def test_failing_koszul_numerics_refute_regularity(monkeypatch):
     # keeps them, so a failing one refutes each time, at the lowest failing
     # degree, and the refusal leaves no cache entry behind
     poly3 = algebra_of("poly3")
-    monkeypatch.setattr(regular, "numeric_koszul_certificate",
-                        _failing_koszul_numerics)
+    monkeypatch.setattr(regular, "koszul_numerics", _failing_koszul_numerics)
     as_regular_certificate.cache_clear()
     # the dual's truncation, which the certificate reads first, is cached
     truncated_structure(poly3.dual, 3)
@@ -166,7 +167,7 @@ def test_regularity_data_refusals():
 
 def _fresh(cert):
     """The same data on a certificate nothing has been read from."""
-    return RegularityCertificate(cert.algebra, cert.bound, cert.dual_fd)
+    return RegularityCertificate(cert.algebra, cert.koszul, cert.dual_fd)
 
 
 @pytest.mark.parametrize("prop,check", [
@@ -217,7 +218,7 @@ def test_a_wrong_nakayama_map_fails_the_second_route(names, read, message):
         with pytest.raises(ConsistencyError) as exc:
             read(cert)
         assert str(exc.value) == message, name
-        assert vars(cert).keys() == {"algebra", "bound", "dual_fd",
+        assert vars(cert).keys() == {"algebra", "koszul", "dual_fd",
                                      "nakayama"}, name
 
 

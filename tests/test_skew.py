@@ -8,13 +8,13 @@ import pytest
 from helpers import (AS_REGULAR, OTHER_TWIST, algebra_of, cache_sizes,
                      cert_of, dense_inverse, package_caches,
                      dual_trivial_extension, ext_iso_oracle, identity_maps,
-                     model_map_multiplicative, twist_matrices, with_model,
-                     word_vector, zero_action_model)
+                     model_map_multiplicative, twist_matrices,
+                     twisted_extension, with_model, word_vector,
+                     zero_action_model)
 from quadalg import (GradedFDAlgebra, Matrix, RegularityCertificate,
                      as_regular_certificate,
                      SkewExtension, cy_check_with, fresh_letter, graded_dims,
                      regularity_data, skew, skew_extend,
-                     twisted_module_trivial_extension,
                      verify_ext_algebra_isomorphism,
                      verify_extended_presentation)
 from quadalg.linalg import ConsistencyError
@@ -56,7 +56,7 @@ def test_an_extension_off_the_partial_sums_is_refused(monkeypatch):
     sizes = cache_sizes()
     for _ in range(2):
         # a certificate of the same data that skew_extend has not seen
-        fresh = RegularityCertificate(cert.algebra, cert.bound, cert.dual_fd)
+        fresh = RegularityCertificate(cert.algebra, cert.koszul, cert.dual_fd)
         with pytest.raises(ConsistencyError, match=(
                 "^extension dimension 21 at degree 3 is not the partial "
                 "sum 20 of the base dimensions$")):
@@ -267,7 +267,7 @@ def _collapsing_model(cert):
     dual = cert.dual_fd
     left = dual.automorphism(Matrix.from_rows(((1, 0), (0, 0)), 2))
     right = dual.automorphism(Matrix.from_rows(((0, 1), (1, 0)), 2))
-    return twisted_module_trivial_extension(dual, left, right)
+    return twisted_extension(dual, left, right)
 
 
 def _doubled_inverse_twist(ext):

@@ -19,21 +19,21 @@ from quadalg import (AlgebraDescription, GradedFDAlgebra, PBWDeformation,
                      PresentationReport, QuadraticAlgebra,
                      RegularityCertificate, SkewExtension, Subspace,
                      TruncatedAlgebra, check_cdga_axioms, cy_check_with,
-                     cy_equivalence_dim2, nakayama_cdga_compatibility,
-                     numeric_koszul_certificate, regularity_data, skew_extend)
+                     cy_equivalence_dim2, numeric_koszul_certificate,
+                     regularity_data, skew_extend)
 from quadalg.io import description_deformation
 from quadalg.quadratic import truncated_structure
 
 RECORDS = ("KoszulCertificate", "PresentationReport", "IsoReport",
            "CYReport", "Cdga", "CdgaAxiomReport", "DeformedCYReport",
-           "CompatibilityReport", "EquivalenceReport")
+           "EquivalenceReport")
 # each plain class with the names of its fields
 VALUE_FIELDS = {
     Subspace: ("ambient", "pivots", "int_rows"),
     QuadraticAlgebra: ("names", "relations"),
 }
 IDENTITY_FIELDS = {
-    RegularityCertificate: ("algebra", "bound", "dual_fd"),
+    RegularityCertificate: ("algebra", "koszul", "dual_fd"),
     SkewExtension: ("cert", "sigma", "algebra", "sigma_inverse"),
     AlgebraDescription: ("generators", "relations", "sigma", "nu", "theta",
                          "domain"),
@@ -63,7 +63,6 @@ def _records():
              cert.presentation, skew_extend(cert, cert.nakayama).iso,
              cy_check_with(cert, cert.nakayama), defm.cdga,
              check_cdga_axioms(defm.cdga), defm.cy_report,
-             nakayama_cdga_compatibility(cert, defm.cdga),
              cy_equivalence_dim2(defm)]
     return {type(r).__name__: r for r in found}
 
