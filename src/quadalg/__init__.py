@@ -25,14 +25,12 @@ from .quadratic import (KoszulCertificate, QuadraticAlgebra, TruncatedAlgebra,
 from .superpotential import derivation_quotient, symmetrize
 from .regular import (NotRegular, PresentationReport, RegularityCertificate,
                       as_regular_certificate, dim2_matrix_form,
-                      regularity_data, verify_superpotential_presentation)
+                      regularity_data)
 from .skew import (CYReport, IsoReport, SkewExtension, cy_check_with,
-                   fresh_letter, skew_extend, verify_ext_algebra_isomorphism,
-                   verify_extended_presentation)
+                   fresh_letter, skew_extend, verify_extended_presentation)
 from .pbw import (Cdga, CdgaAxiomReport, DeformedCYReport,
-                  EquivalenceReport, PBWDeformation,
-                  check_cdga_axioms, cy_criterion_deformed,
-                  cy_equivalence_dim2, dual_cdga, nakayama_cdga_compatibility,
+                  EquivalenceReport, PBWDeformation, check_cdga_axioms,
+                  cy_equivalence_dim2, nakayama_cdga_compatibility,
                   nakayama_shift, skew_deformation)
 from .io import (AlgebraDescription, ValidationError, description_deformation,
                  parse_description)

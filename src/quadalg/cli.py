@@ -42,11 +42,10 @@ def _resolve_sigma(desc, cert, mode):
         return Matrix.identity(cert.algebra.n)
     if mode == "nakayama":
         return cert.nakayama
-    if mode == "file":
-        if desc.sigma is None:
-            raise ValidationError("--sigma file requires a sigma section", "sigma")
-        return desc.sigma
-    raise ValidationError(f"unknown sigma mode {mode!r}")
+    # _parse_args admits only SIGMA_MODES, so the mode is "file"
+    if desc.sigma is None:
+        raise ValidationError("--sigma file requires a sigma section", "sigma")
+    return desc.sigma
 
 
 def _cmd_dual(desc, args):
@@ -158,7 +157,7 @@ def _cmd_extiso(desc, args):
     report = skew_extend(cert, sigma).iso
     verdict = {
         "generated": report.generated_ok,
-        # the same verdict (see verify_ext_algebra_isomorphism)
+        # the same verdict (see SkewExtension.iso)
         "structure_constants_equal": report.generated_ok,
         "bijective": report.bijective,
         "left_identity": report.left_identity_ok,

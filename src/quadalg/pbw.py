@@ -16,13 +16,12 @@ transported to the extension.  Everything past the input rows is integer
 matrices (linalg.Matrix) and the algebras' integer cells; Fractions are
 only the deformation's own nu and theta and a report's Fraction view.
 
-The curved structure of a deformation (dual_cdga) and its deformed
-Calabi-Yau report (cy_criterion_deformed) are computed once per
-deformation, on first read, and kept on it (PBWDeformation.cdga and
-.cy_report): `pbw` and `thm5` read the same ones when they read the same
-deformation, as io.description_deformation hands out one per document and
-certificate.  Only the transported deformation builds a second curved
-structure, its own.
+The curved structure of a deformation and its deformed Calabi-Yau report
+are computed once per deformation, on first read, and kept on it
+(PBWDeformation.cdga and .cy_report): `pbw` and `thm5` read the same ones
+when they read the same deformation, as io.description_deformation hands
+out one per document and certificate.  Only the transported deformation
+builds a second curved structure, its own.
 """
 
 from fractions import Fraction
@@ -81,15 +80,115 @@ class PBWDeformation:
 
     @cached_property
     def cdga(self) -> "Cdga":
-        """The curved structure the deformation induces on the dual
-        (dual_cdga)."""
-        return dual_cdga(self)
+        """The curved structure induced on the dual by a deformation.
+
+        The differential pairs with nu on degree one (the image class of
+        the i-th dual letter pairs to nu(r)'s coefficient of that letter on
+        each relation row r) and extends by the signed Leibniz rule along
+        each letter of a basis word; the curvature class pairs with theta.
+        A class is fixed by its pairings against any basis of the relation
+        space, so the n degree-one classes and the curvature class come from
+        one int_class_from_pairings on the deformation's own rows.  Above
+        degree one, column w is the class (int_class) of the integer word
+        vector that replaces each letter of w in turn by its image class.
+        """
+        cert = self.cert
+        d = cert.gldim
+        trunc = cert.dual_fd
+        n = cert.algebra.n
+        # column i < n is the image class of the i-th dual letter, column n
+        # the curvature class
+        classes = solution_matrix(trunc.int_class_from_pairings(
+            2, self.rows,
+            [[row.get(i, ZERO) for row in self.nu] for i in range(n)]
+            + [self.theta]), trunc.dims[2], n + 1)
+        den = classes.den
+        delta1 = Matrix(tuple(row[:n] for row in classes.num), den, n)
+        curvature = Matrix(tuple(row[n:] for row in classes.num), den, 1)
+        delta = [Matrix.from_rows([(0,)] * trunc.dims[1], 1), delta1]
+        # each letter's image class as a degree-two word vector, times
+        # delta1.den
+        reps2 = [{trunc.words[2][t]: v for t, v in col}
+                 for col in delta1.columns]
+        for j in range(2, d):
+            cols = []
+            for widx in trunc.words[j]:
+                acc: dict[int, int] = {}
+                # the letter in slot t of the word splits it as (prefix,
+                # letter, suffix), and the letter's degree-two class takes
+                # its place
+                for t in range(j):
+                    stride = n ** (j - 1 - t)
+                    prefix, rest = divmod(widx, n * stride)
+                    letter, suffix = divmod(rest, stride)
+                    base = prefix * n * n * stride + suffix
+                    for c2, v in reps2[letter].items():
+                        add_into(acc, base + c2 * stride, -v if t % 2 else v)
+                cols.append(trunc.int_class(j + 1, acc))
+            delta.append(Matrix(tuple(cols), delta1.den * trunc.den,
+                                trunc.dims[j + 1]).transpose())
+        delta.append(Matrix.from_rows((), trunc.dims[d]))
+        return Cdga(trunc, tuple(delta), curvature)
 
     @cached_property
     def cy_report(self) -> "DeformedCYReport":
-        """The deformed Calabi-Yau criterion on the curved structure cdga
-        (cy_criterion_deformed)."""
-        return cy_criterion_deformed(self, self.cdga)
+        """Evaluate the deformed Calabi-Yau criterion on two independent
+        routes, given the curved structure c = cdga.
+
+        Route one extends the curved differential to the model of the
+        extension's cohomology algebra, the dual E extended by its own copy
+        shifted up one degree (SkewExtension.model with the Nakayama map
+        xi), once the extension's iso report has checked that model against
+        its honest dual (a failed check raises ConsistencyError, as in
+        skew.cy_check_with), and checks that the differential vanishes on
+        the degree equal to the base dimension d.  The new class pi is the
+        shifted unit, its differential the module copy of the Nakayama shift
+        in degree 2, and omega_i, column i of G_1^{-1}, goes to d(omega_i) pi +
+        (-1)^(d-1) omega_i d(pi) in the one-dimensional top.  Route two
+        transports the deformation to the extension and checks its dual
+        differential vanishes in that same degree.  Any disagreement
+        (including with the closed-form shift comparison) raises
+        ConsistencyError.
+        """
+        c = self.cdga
+        cert = self.cert
+        d = cert.gldim
+        n = cert.algebra.n
+        dims = cert.dual_fd.dims
+        ext = skew_extend(cert, cert.nakayama)
+        if not ext.iso.passed:
+            raise ConsistencyError("cohomology model does not match the "
+                                   "dual of the extension")
+        gamma = ext.model
+        shift = nakayama_shift(cert, c)
+        twisted = cert.nakayama.transpose() @ shift
+        # omega_i is column i; in the model, degree k is E_k followed by the
+        # copy of E_{k-1}
+        omega = solve_square(cert.dual_fd.pairings[1], Matrix.identity(n))
+        u = _padded(omega, 0, dims[d - 2])
+        pi = _padded(Matrix.identity(1), n, 0)
+        delta_pi = _padded(shift, dims[2], 0)
+        odd = d % 2 == 0  # (-1)^(d-1) = -1
+        # the section: (omega_i, 0) pi is the copy of (-1)^(d-1) omega_i
+        if (_times(gamma, d - 1, pi, 1) @ u
+                != _padded(-omega if odd else omega, dims[d], 0)):
+            raise ConsistencyError("canonical section identity fails in the "
+                                   "model")
+        t1 = _times(gamma, d, pi, 1) @ _padded(c.delta[d - 1] @ omega, 0, n)
+        t2 = _times(gamma, d - 1, delta_pi, 2) @ u
+        images = t1 - t2 if odd else t1 + t2
+        witness = next((cert.algebra.names[i]
+                        for i, col in enumerate(images.columns) if col), None)
+        verdict_model = witness is None
+        if verdict_model != (shift == twisted):
+            raise ConsistencyError("model verdict disagrees with the shift "
+                                   "comparison")
+        ext_defm = skew_deformation(self, ext, shift)
+        verdict_direct = not any(map(any, ext_defm.cdga.delta[d].num))
+        if verdict_direct != verdict_model:
+            raise ConsistencyError("model verdict disagrees with the "
+                                   "transported deformation's differential")
+        return DeformedCYReport(verdict_model, shift, twisted, witness)
 
 
 class Cdga(NamedTuple):
@@ -103,53 +202,6 @@ class Cdga(NamedTuple):
     algebra: GradedFDAlgebra
     delta: tuple[Matrix, ...]
     curvature: Matrix
-
-
-def dual_cdga(defm: PBWDeformation) -> Cdga:
-    """The curved structure induced on the dual by a deformation.
-
-    The differential pairs with nu on degree one (the image class of the
-    i-th dual letter pairs to nu(r)'s coefficient of that letter on each
-    relation row r) and extends by the signed Leibniz rule along each letter
-    of a basis word; the curvature class pairs with theta.  A class is fixed
-    by its pairings against any basis of the relation space, so the n
-    degree-one classes and the curvature class come from one
-    int_class_from_pairings on the deformation's own rows.  Above degree
-    one, column w is the class (int_class) of the integer word vector
-    that replaces each letter of w in turn by its image class.
-    """
-    cert = defm.cert
-    d = cert.gldim
-    trunc = cert.dual_fd
-    n = cert.algebra.n
-    # column i < n is the image class of the i-th dual letter, column n
-    # the curvature class
-    classes = solution_matrix(trunc.int_class_from_pairings(
-        2, defm.rows, [[row.get(i, ZERO) for row in defm.nu] for i in range(n)]
-        + [defm.theta]), trunc.dims[2], n + 1)
-    delta1 = Matrix(tuple(row[:n] for row in classes.num), classes.den, n)
-    curvature = Matrix(tuple(row[n:] for row in classes.num), classes.den, 1)
-    delta = [Matrix.from_rows([(0,)] * trunc.dims[1], 1), delta1]
-    # each letter's image class as a degree-two word vector, times delta1.den
-    reps2 = [{trunc.words[2][t]: v for t, v in col} for col in delta1.columns]
-    for j in range(2, d):
-        cols = []
-        for widx in trunc.words[j]:
-            acc: dict[int, int] = {}
-            # the letter in slot t of the word splits it as (prefix, letter,
-            # suffix), and the letter's degree-two class takes its place
-            for t in range(j):
-                stride = n ** (j - 1 - t)
-                prefix, rest = divmod(widx, n * stride)
-                letter, suffix = divmod(rest, stride)
-                base = prefix * n * n * stride + suffix
-                for c2, v in reps2[letter].items():
-                    add_into(acc, base + c2 * stride, -v if t % 2 else v)
-            cols.append(trunc.int_class(j + 1, acc))
-        delta.append(Matrix(tuple(cols), delta1.den * trunc.den,
-                            trunc.dims[j + 1]).transpose())
-    delta.append(Matrix.from_rows((), trunc.dims[d]))
-    return Cdga(trunc, tuple(delta), curvature)
 
 
 def _times(alg: GradedFDAlgebra, i: int, v: Matrix, j: int) -> Matrix:
@@ -278,64 +330,6 @@ def _padded(m: Matrix, above: int, below: int) -> Matrix:
     """m with zero rows added above and below it."""
     zero = (0,) * m.cols
     return Matrix((zero,) * above + m.num + (zero,) * below, m.den, m.cols)
-
-
-def cy_criterion_deformed(defm: PBWDeformation, c: Cdga) -> DeformedCYReport:
-    """Evaluate the deformed Calabi-Yau criterion on two independent routes,
-    given the curved structure c = dual_cdga(defm).
-
-    Route one extends the curved differential to the model of the
-    extension's cohomology algebra, the dual E extended by its own copy
-    shifted up one degree (SkewExtension.model with the Nakayama map xi),
-    once the extension's iso report has checked that model against its
-    honest dual (a failed check raises ConsistencyError, as in
-    skew.cy_check_with), and checks that the differential vanishes on the
-    degree equal to the base dimension d.  The new class pi is the shifted
-    unit, its differential the module copy of the Nakayama shift in degree
-    2, and omega_i, column i of G_1^{-1}, goes to d(omega_i) pi +
-    (-1)^(d-1) omega_i d(pi) in the one-dimensional top.  Route two
-    transports the deformation to the extension and checks its dual
-    differential vanishes in that same degree.  Any disagreement
-    (including with the closed-form shift comparison) raises
-    ConsistencyError.
-    """
-    cert = defm.cert
-    d = cert.gldim
-    n = cert.algebra.n
-    dims = cert.dual_fd.dims
-    ext = skew_extend(cert, cert.nakayama)
-    if not ext.iso.passed:
-        raise ConsistencyError("cohomology model does not match the dual of "
-                               "the extension")
-    gamma = ext.model
-    shift = nakayama_shift(cert, c)
-    twisted = cert.nakayama.transpose() @ shift
-    # omega_i is column i; in the model, degree k is E_k followed by the
-    # copy of E_{k-1}
-    omega = solve_square(cert.dual_fd.pairings[1], Matrix.identity(n))
-    u = _padded(omega, 0, dims[d - 2])
-    pi = _padded(Matrix.identity(1), n, 0)
-    delta_pi = _padded(shift, dims[2], 0)
-    odd = d % 2 == 0  # (-1)^(d-1) = -1
-    # the section: (omega_i, 0) pi is the copy of (-1)^(d-1) omega_i
-    if (_times(gamma, d - 1, pi, 1) @ u
-            != _padded(-omega if odd else omega, dims[d], 0)):
-        raise ConsistencyError("canonical section identity fails in the model")
-    t1 = _times(gamma, d, pi, 1) @ _padded(c.delta[d - 1] @ omega, 0, n)
-    t2 = _times(gamma, d - 1, delta_pi, 2) @ u
-    images = t1 - t2 if odd else t1 + t2
-    witness = next((cert.algebra.names[i]
-                    for i, col in enumerate(images.columns) if col), None)
-    verdict_model = witness is None
-    if verdict_model != (shift == twisted):
-        raise ConsistencyError("model verdict disagrees with the shift comparison")
-    ext_defm = skew_deformation(defm, ext, shift)
-    c_ext = dual_cdga(ext_defm)
-    verdict_direct = not any(map(any, c_ext.delta[d].num))
-    if verdict_direct != verdict_model:
-        raise ConsistencyError("model verdict disagrees with the transported "
-                               "deformation's differential")
-    return DeformedCYReport(verdict_model, shift, twisted, witness)
 
 
 def nakayama_cdga_compatibility(cert: RegularityCertificate, c: Cdga) -> bool:

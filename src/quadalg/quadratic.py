@@ -543,8 +543,9 @@ class TruncatedAlgebra(GradedFDAlgebra):
                                 ) -> dict[int, tuple[int, dict[int, int]]]:
         """The degree-k classes pairing as prescribed against given rows
         (sparse word maps or their pairs), one class per vector of one value
-        per row, for pbw.dual_cdga; as `int_solve` returns them, {t: (pivot
-        entry, {j: int})}, coordinate t of class j the int at j over it.
+        per row, for pbw.PBWDeformation.cdga; as `int_solve` returns them,
+        {t: (pivot entry, {j: int})}, coordinate t of class j the int at j
+        over it.
 
         The pairing is the coordinate dot product, through the basis words.
         The rows must lie in the Koszul component paired with this degree,

@@ -71,10 +71,11 @@ class RegularityCertificate:
     ints, no more (as_regular_certificate keeps at most 32 certificates,
     and the CLI caps the bound at cli.MAX_DEGREE).  dual_fd is the dual
     algebra truncated at its top degree gldim, each of its pairings
-    checked nondegenerate; its Nakayama blocks are solved only if read.  nakayama, superpotential, symmetrized, quotient and
-    presentation are computed on first read and kept on the certificate, so
-    they go with it; a read that raises keeps nothing.  Immutable, and
-    equal and hashed by identity.
+    checked nondegenerate; its Nakayama blocks are solved only if read.
+    nakayama, superpotential, symmetrized, quotient and presentation are
+    computed on first read and kept on the certificate, so they go with
+    it; a read that raises keeps nothing.  Immutable, and equal and hashed
+    by identity.
     """
 
     def __init__(self, algebra: QuadraticAlgebra, koszul: KoszulCertificate,
@@ -187,8 +188,32 @@ class RegularityCertificate:
 
     @cached_property
     def presentation(self) -> PresentationReport:
-        """verify_superpotential_presentation of this certificate."""
-        return verify_superpotential_presentation(self)
+        """Check that the derivation quotient D(w) (quotient) returns the
+        original relations, and solve w as a relation-times-factor sum.
+
+        The coupling matrix L satisfies w = sum L[a][b] r_a (x) c_b over
+        the canonical relation basis r and the basis c of the Koszul
+        component two degrees down; it must be invertible.  Commands read
+        this one report per certificate.
+        """
+        alg = self.algebra
+        w = self._integer_superpotential
+        matches = self.quotient.relations == alg.relations
+        lower = koszul_component(alg, self.gldim - 2)
+        prod = alg.relations.kron(lower)
+        if not prod.contains(w):
+            raise ConsistencyError("superpotential is not a "
+                                   "relation-times-factor sum")
+        # the coordinates of w in the reduced echelon basis of
+        # R (x) K_{d-2}, r_a (x) c_b at index a * dim + b, are its values at
+        # the pivot words; w's scale leaves the rank as it is
+        m = lower.dim
+        pivots = prod.pivots
+        coupling = Matrix(tuple(tuple(w.get(pivots[a * m + b], 0)
+                                      for b in range(m))
+                                for a in range(alg.relations.dim)), 1, m)
+        return PresentationReport(matches, coupling.rows == m
+                                  and coupling.rank() == m)
 
 
 # bounded at over twice the 9 certificates of one corpus sweep
@@ -212,34 +237,6 @@ def as_regular_certificate(alg: QuadraticAlgebra, bound: int, /) -> RegularityCe
         witness = min(kos.component_mismatches + kos.euler_failures)
         raise NotRegular("Koszul numerics fail", witness)
     return RegularityCertificate(alg, kos, dual_fd)
-
-
-def verify_superpotential_presentation(cert: RegularityCertificate) -> PresentationReport:
-    """Check that the derivation quotient cert.quotient returns the
-    original relations, and solve w as a relation-times-factor sum.
-
-    The coupling matrix L satisfies w = sum L[a][b] r_a (x) c_b over the
-    canonical relation basis r and the basis c of the Koszul component two
-    degrees down; it must be invertible.  Commands read the report once per
-    certificate, as cert.presentation.
-    """
-    alg = cert.algebra
-    w = cert._integer_superpotential
-    matches = cert.quotient.relations == alg.relations
-    lower = koszul_component(alg, cert.gldim - 2)
-    prod = alg.relations.kron(lower)
-    if not prod.contains(w):
-        raise ConsistencyError("superpotential is not a relation-times-factor sum")
-    # the coordinates of w in the reduced echelon basis of R (x) K_{d-2},
-    # r_a (x) c_b at index a * dim + b, are its values at the pivot words;
-    # w's scale leaves the rank as it is
-    m = lower.dim
-    pivots = prod.pivots
-    coupling = Matrix(tuple(tuple(w.get(pivots[a * m + b], 0)
-                                  for b in range(m))
-                            for a in range(alg.relations.dim)), 1, m)
-    return PresentationReport(matches, coupling.rows == m
-                              and coupling.rank() == m)
 
 
 def regularity_data(alg: QuadraticAlgebra, expected_gldim: int,

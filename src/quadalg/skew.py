@@ -95,7 +95,118 @@ class SkewExtension:
 
     @cached_property
     def iso(self) -> IsoReport:
-        return verify_ext_algebra_isomorphism(self)
+        """Build the degreewise isomorphism from the model onto the truncated
+        dual of the extension and check that it is multiplicative.
+
+        The map f sends dual generators to themselves and the shifted unit to
+        the new dual letter.  In degree k it is solved from the products x s
+        of degree-(k-1) basis elements x by degree-1 basis elements s, and
+        generated_ok says that f(x s) = f(x) f(s) holds for all of them, which
+        needs the model to be generated in degree 1 (the solve has no solution
+        otherwise).  That is all of multiplicativity: both algebras were
+        checked associative when built, f(1) = 1, and the c with f(x c) =
+        f(x) f(c) for every x form a subspace that contains 1 and degree 1 and
+        is closed under products, as f(x c c') = f(x c) f(c') = f(x) f(c) f(c')
+        = f(x) f(c c').  So f preserves every structure constant exactly when
+        generated_ok holds.
+
+        Degree k is one `int_solve`.  Let P be the g x N matrix of the model
+        products e_a e_b over the N pairs of a degree-(k-1) and a degree-1
+        basis element (g = dims[k] of the model), and Q the e x N matrix of
+        their honest images f(e_a) f(e_b) = f(e_a) e_b (f is the identity in
+        degree 1), summed from the cells of the basis elements in f(e_a).  Pair
+        j gives the row (P e_j, Q e_j), model coordinates as the unknowns and
+        honest ones as the right-hand sides, so the system is P^T X = Q^T and
+        X is the transpose of f_k.  The rows are reduced in pair order and
+        span W = {(P x, Q x)}.
+        - The pivots in the model block are those of W's projection to it,
+          P's column space: rank P of them.
+        - The rows with a pivot in the honest block span W meet 0 x Q^e =
+          {(0, Q x) : P x = 0}, which is zero exactly when ker P lies in
+          ker Q.
+        generated_ok asks that P be onto and that some f_k have f_k P = Q.  For
+        P onto, such an f_k exists, and is unique, exactly when ker P lies in
+        ker Q.  So generated_ok holds if and only if the model block holds g
+        pivots and the honest block none.
+
+        A row kept with a model pivot has its lead in the model block all
+        through its reduction, so it was reduced by earlier such rows only.
+        The kept model-pivot rows therefore span the rows of the pairs that
+        gave them, and those pairs are B, the earliest pairs with independent
+        model products.  When P is onto, P_B is invertible and that span,
+        {(P_B y, Q_B y)}, has the reduced echelon rows (e_t, Q_B P_B^{-1} e_t),
+        which `int_solve` reads as solution t: column t of f_k = Q_B P_B^{-1}.
+        This is the f_k = Q S of a right inverse S of P that is zero off B, the
+        one that a reduction of [P | I] gives, and without honest pivots it is
+        the unique f_k with f_k P = Q.  bijective asks that f_k be square of
+        full rank.  When P is not onto, generated_ok and bijective fail and the
+        zero map is carried on.
+
+        Two product identities pin the mixed dual relations, read off the
+        degree-(1, 1) cells in integers.  A pivot word w of the extension's
+        relation rows has the honest dual's basis element e(w) as its class,
+        and the row that leads at x_i z is
+        -p (z (x) sigma^{-1}(x_i) - x_i (x) z), p its pivot entry, so the
+        class dual to that relation is -e(x_i z).  So x_i* z* must be
+        e(x_i z), and z* x_i* times the denominator of sigma^{-1} minus the
+        e(x_k z) combined by row i of its numerators; both hold by
+        construction for the sigma_inverse skew_extend wrote them with.
+
+        `extiso`, cy_check_with and pbw.PBWDeformation.cy_report read this
+        one report, kept on the extension.
+        """
+        cert = self.cert
+        n = cert.algebra.n
+        gamma = self.model
+        ebd = self.honest_dual
+        if gamma.dims[1] != n + 1 or ebd.dims[1] != n + 1:
+            raise ConsistencyError("degree-one dimensions do not match")
+        generated_ok = True
+        bijective = True
+        # each stacked row is scaled to integers, which leaves the solution
+        # as it is: by both tables' denominators and by the pivot entry that
+        # f(e_a) is carried over, so the model cell comes times ebd.den times
+        # that entry and the honest product times gamma.den, from the
+        # integer cells
+        gden, eden = gamma.den, ebd.den
+        # f_{k-1} as integer columns (pivot entry, {honest coordinate: int}),
+        # the column over its pivot entry, one per model basis element, as
+        # int_solve returns them; the identity in degree 1
+        prev = [(1, {b: 1}) for b in range(n + 1)]
+        for k in range(2, cert.gldim + 2):
+            g, e = gamma.dims[k], ebd.dims[k]
+            model = gamma.int_mult[(k - 1, 1)]
+            honest = ebd.int_mult[(k - 1, 1)]
+            rows = []
+            for a, (pa, fa) in enumerate(prev):
+                terms = [(t, gden * x) for t, x in fa.items()]
+                scale = eden * pa
+                for b in range(n + 1):
+                    row = {c: scale * w for c, w in model[a][b]}
+                    for t, x in terms:
+                        for c, w in honest[t][b]:
+                            row[g + c] = row.get(g + c, 0) + x * w
+                    rows.append({c: v for c, v in row.items() if v})
+            sol, consistent = int_solve(rows, g)
+            if len(sol) < g or not consistent:
+                generated_ok = False
+            # column t of f_k is solution t; the zero map unless P is onto
+            prev = ([sol[t] for t in range(g)] if len(sol) == g
+                    else [(1, {}) for _ in range(g)])
+            if g != e or len(_echelon_int(dict(col) for _, col in prev)) != e:
+                bijective = False
+        # the (1, 1) cells are the products times eden, their terms in basis
+        # order, as are the e(x_k z) in k, each None if x_k z is no basis word
+        basis = {w: t for t, w in enumerate(ebd.words[2])}
+        mixed = [basis.get(k * (n + 1) + n) for k in range(n)]
+        cells = ebd.int_mult[(1, 1)]
+        pinv = self.sigma_inverse
+        left_ok = all(cells[i][n] == ((mixed[i], eden),) for i in range(n))
+        right_ok = all(
+            tuple((t, v * pinv.den) for t, v in cells[n][i])
+            == tuple((mixed[k], -v * eden) for k, v in enumerate(row) if v)
+            for i, row in enumerate(pinv.num))
+        return IsoReport(generated_ok, bijective, left_ok, right_ok)
 
     @cached_property
     def symmetry(self) -> tuple[bool, tuple | None]:
@@ -160,119 +271,6 @@ def skew_extend(cert: RegularityCertificate, sigma: Matrix, /) -> SkewExtension:
                 f"extension dimension {dim} at degree {k} is not the "
                 f"partial sum {sum(dims_base[:k + 1])} of the base dimensions")
     return SkewExtension(cert, sigma, algebra, pinv)
-
-
-def verify_ext_algebra_isomorphism(ext: SkewExtension) -> IsoReport:
-    """Build the degreewise isomorphism from the model onto the truncated
-    dual of the extension and check that it is multiplicative.
-
-    The map f sends dual generators to themselves and the shifted unit to
-    the new dual letter.  In degree k it is solved from the products x s
-    of degree-(k-1) basis elements x by degree-1 basis elements s, and
-    generated_ok says that f(x s) = f(x) f(s) holds for all of them, which
-    needs the model to be generated in degree 1 (the solve has no solution
-    otherwise).  That is all of multiplicativity: both algebras were
-    checked associative when built, f(1) = 1, and the c with f(x c) =
-    f(x) f(c) for every x form a subspace that contains 1 and degree 1 and
-    is closed under products, as f(x c c') = f(x c) f(c') = f(x) f(c) f(c')
-    = f(x) f(c c').  So f preserves every structure constant exactly when
-    generated_ok holds.
-
-    Degree k is one `int_solve`.  Let P be the g x N matrix of the model
-    products e_a e_b over the N pairs of a degree-(k-1) and a degree-1
-    basis element (g = dims[k] of the model), and Q the e x N matrix of
-    their honest images f(e_a) f(e_b) = f(e_a) e_b (f is the identity in
-    degree 1), summed from the cells of the basis elements in f(e_a).  Pair
-    j gives the row (P e_j, Q e_j), model coordinates as the unknowns and
-    honest ones as the right-hand sides, so the system is P^T X = Q^T and
-    X is the transpose of f_k.  The rows are reduced in pair order and
-    span W = {(P x, Q x)}.
-    - The pivots in the model block are those of W's projection to it,
-      P's column space: rank P of them.
-    - The rows with a pivot in the honest block span W meet 0 x Q^e =
-      {(0, Q x) : P x = 0}, which is zero exactly when ker P lies in
-      ker Q.
-    generated_ok asks that P be onto and that some f_k have f_k P = Q.  For
-    P onto, such an f_k exists, and is unique, exactly when ker P lies in
-    ker Q.  So generated_ok holds if and only if the model block holds g
-    pivots and the honest block none.
-
-    A row kept with a model pivot has its lead in the model block all
-    through its reduction, so it was reduced by earlier such rows only.
-    The kept model-pivot rows therefore span the rows of the pairs that
-    gave them, and those pairs are B, the earliest pairs with independent
-    model products.  When P is onto, P_B is invertible and that span,
-    {(P_B y, Q_B y)}, has the reduced echelon rows (e_t, Q_B P_B^{-1} e_t),
-    which `int_solve` reads as solution t: column t of f_k = Q_B P_B^{-1}.
-    This is the f_k = Q S of a right inverse S of P that is zero off B, the
-    one that a reduction of [P | I] gives, and without honest pivots it is
-    the unique f_k with f_k P = Q.  bijective asks that f_k be square of
-    full rank.  When P is not onto, generated_ok and bijective fail and the
-    zero map is carried on.
-
-    Two product identities pin the mixed dual relations, read off the
-    degree-(1, 1) cells in integers.  A pivot word w of the extension's
-    relation rows has the honest dual's basis element e(w) as its class, and
-    the row that leads at x_i z is -p (z (x) sigma^{-1}(x_i) - x_i (x) z), p
-    its pivot entry, so the class dual to that relation is -e(x_i z).  So
-    x_i* z* must be e(x_i z), and z* x_i* times the denominator of
-    sigma^{-1} minus the e(x_k z) combined by row i of its numerators; both
-    hold by construction for the sigma_inverse skew_extend wrote them with.
-
-    `extiso`, cy_check_with and pbw.cy_criterion_deformed read it as
-    ext.iso, kept on the extension.
-    """
-    cert = ext.cert
-    n = cert.algebra.n
-    gamma = ext.model
-    ebd = ext.honest_dual
-    if gamma.dims[1] != n + 1 or ebd.dims[1] != n + 1:
-        raise ConsistencyError("degree-one dimensions do not match")
-    generated_ok = True
-    bijective = True
-    # each stacked row is scaled to integers, which leaves the solution as
-    # it is: by both tables' denominators and by the pivot entry that f(e_a)
-    # is carried over, so the model cell comes times ebd.den times that
-    # entry and the honest product times gamma.den, from the integer cells
-    gden, eden = gamma.den, ebd.den
-    # f_{k-1} as integer columns (pivot entry, {honest coordinate: int}),
-    # the column over its pivot entry, one per model basis element, as
-    # int_solve returns them; the identity in degree 1
-    prev = [(1, {b: 1}) for b in range(n + 1)]
-    for k in range(2, cert.gldim + 2):
-        g, e = gamma.dims[k], ebd.dims[k]
-        model = gamma.int_mult[(k - 1, 1)]
-        honest = ebd.int_mult[(k - 1, 1)]
-        rows = []
-        for a, (pa, fa) in enumerate(prev):
-            terms = [(t, gden * x) for t, x in fa.items()]
-            scale = eden * pa
-            for b in range(n + 1):
-                row = {c: scale * w for c, w in model[a][b]}
-                for t, x in terms:
-                    for c, w in honest[t][b]:
-                        row[g + c] = row.get(g + c, 0) + x * w
-                rows.append({c: v for c, v in row.items() if v})
-        sol, consistent = int_solve(rows, g)
-        if len(sol) < g or not consistent:
-            generated_ok = False
-        # column t of f_k is solution t; the zero map unless P is onto
-        prev = ([sol[t] for t in range(g)] if len(sol) == g
-                else [(1, {}) for _ in range(g)])
-        if g != e or len(_echelon_int(dict(col) for _, col in prev)) != e:
-            bijective = False
-    # the (1, 1) cells are the products times eden, their terms in basis
-    # order, as are the e(x_k z) in k, each None if x_k z is no basis word
-    basis = {w: t for t, w in enumerate(ebd.words[2])}
-    mixed = [basis.get(k * (n + 1) + n) for k in range(n)]
-    cells = ebd.int_mult[(1, 1)]
-    pinv = ext.sigma_inverse
-    left_ok = all(cells[i][n] == ((mixed[i], eden),) for i in range(n))
-    right_ok = all(
-        tuple((t, v * pinv.den) for t, v in cells[n][i])
-        == tuple((mixed[k], -v * eden) for k, v in enumerate(row) if v)
-        for i, row in enumerate(pinv.num))
-    return IsoReport(generated_ok, bijective, left_ok, right_ok)
 
 
 class CYReport(NamedTuple):

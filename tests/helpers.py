@@ -1112,8 +1112,8 @@ def generator_associativity_failure(dims, mult):
 
 def model_map_multiplicative(gamma: GradedFDAlgebra,
                              ext_dual: GradedFDAlgebra) -> bool:
-    """Whether the degreewise map of verify_ext_algebra_isomorphism, from
-    the model gamma to the truncated dual of the extension, preserves the
+    """Whether the degreewise map of skew.SkewExtension.iso, from the
+    model gamma to the truncated dual of the extension, preserves the
     product of every pair of basis elements.
 
     The map is rebuilt as there: the identity in degrees 0 and 1, and in
@@ -1149,9 +1149,9 @@ def model_map_multiplicative(gamma: GradedFDAlgebra,
 
 
 def ext_iso_oracle(ext):
-    """The four verdicts of skew.verify_ext_algebra_isomorphism on the
-    extension, as (generated_ok, bijective, left_identity_ok,
-    right_identity_ok), by the dense route it replaced.
+    """The four verdicts of skew.SkewExtension.iso on the extension, as
+    (generated_ok, bijective, left_identity_ok, right_identity_ok), by the
+    dense route it replaced.
 
     In degree k the model products of every pair of a degree-(k-1) and a
     degree-1 basis element are the columns of P, their honest images the

@@ -13,10 +13,11 @@ one call in the package, or the default is an option that only tests use.
 Calls are matched by name in the same way, and an __init__ by the name of
 its class.
 
-No def only hands its parameters on: a computation has one definition,
-under its public name, and a cached one carries its cache itself.  Each
-cache takes positional-only parameters, so that one object has one cache
-key: lru_cache keys f(a, 5) and f(a, bound=5) apart.
+No def only hands its parameters on, and no cached property only hands
+its object on: a computation has one definition, under its public name,
+and a cached one carries its cache itself.  Each cache takes
+positional-only parameters, so that one object has one cache key:
+lru_cache keys f(a, 5) and f(a, bound=5) apart.
 
 No module of the package, the scripts or the tests imports a name that it
 never reads: an AST scan matches each imported name against the plain
@@ -154,13 +155,15 @@ def _hands_on(call, params):
 
 
 def pass_throughs(package=PACKAGE):
-    """module.name of every undecorated def whose body, after its
-    docstring, is one return of a call, or of its negation, that passes
-    exactly the def's own parameters in order."""
+    """module.name of every def whose body, after its docstring, is one
+    return of a call, or of its negation, that passes exactly the def's own
+    parameters in order, if the def is undecorated, or that passes self
+    among its arguments, if it is decorated: a cached property that hands
+    its object to a function keeps its cache apart from its computation."""
     found = []
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if not isinstance(node, ast.FunctionDef) or node.decorator_list:
+            if not isinstance(node, ast.FunctionDef):
                 continue
             body = node.body
             if (isinstance(body[0], ast.Expr)
@@ -172,9 +175,14 @@ def pass_throughs(package=PACKAGE):
             value = body[0].value
             if isinstance(value, ast.UnaryOp) and isinstance(value.op, (ast.Not, ast.USub)):
                 value = value.operand
+            if not isinstance(value, ast.Call):
+                continue
             a = node.args
             params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
-            if isinstance(value, ast.Call) and _hands_on(value, params):
+            passed = [getattr(arg, "id", None) for arg in
+                      value.args + [kw.value for kw in value.keywords]]
+            if ("self" in passed if node.decorator_list
+                    else _hands_on(value, params)):
                 found.append(f"{path.stem}.{node.name}")
     return found
 

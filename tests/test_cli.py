@@ -25,9 +25,9 @@ from quadalg.linalg import Matrix
 from quadalg.quadratic import graded_dims
 from quadalg.frobenius import (is_graded_symmetric,
                                twisted_module_trivial_extension)
-from quadalg.pbw import cy_criterion_deformed, dual_cdga, nakayama_shift
+from quadalg.pbw import PBWDeformation, nakayama_shift
 from quadalg.regular import RegularityCertificate, as_regular_certificate
-from quadalg.skew import skew_extend, verify_ext_algebra_isomorphism
+from quadalg.skew import SkewExtension, skew_extend
 from quadalg.superpotential import derivation_quotient, symmetrize
 from quadalg.tensors import is_twisted_superpotential
 
@@ -187,6 +187,28 @@ def test_max_degree_guard(capsys):
     assert json.loads(out) == {"command": "hilbert", "status": "error",
                                "error": "--max-degree must be at least 2"}
     assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
+def test_a_failed_cross_check_exits_2_with_its_prefix(capsys, monkeypatch):
+    # the two routes of the cy verdict, the model and the honest dual, made
+    # to disagree: the ConsistencyError of SkewExtension.symmetry is
+    # reported as a failed internal cross-check, by the prefix that
+    # perfbench's checks read, with exit 2
+    real = skew.is_graded_symmetric
+
+    def honest_route_flipped(alg):
+        ok, witness = real(alg)
+        return ok != isinstance(alg, quadratic.TruncatedAlgebra), witness
+
+    monkeypatch.setattr(skew, "is_graded_symmetric", honest_route_flipped)
+    _clear_package_caches()
+    code, out = _error_line(capsys, "cy", _path("poly3"))
+    assert code == 2
+    assert out == json.dumps({
+        "command": "cy", "status": "error",
+        "error": "internal cross-check failed: symmetry verdict differs "
+                 "between the model and the honest dual"},
+        sort_keys=True) + "\n"
 
 
 def test_exponent_notation_is_a_parse_error(tmp_path, capsys):
@@ -616,36 +638,39 @@ def _count_calls(monkeypatch, fn):
     return calls
 
 
-def _count_computations(monkeypatch, name):
-    """Replace the cached property RegularityCertificate.<name> by one that
-    records each certificate it computes for, and return that record."""
-    compute = vars(RegularityCertificate)[name].func
+def _count_computations(monkeypatch, owner, name):
+    """Replace the cached property owner.<name> by one that records each
+    object it computes for, and return that record."""
+    compute = vars(owner)[name].func
     calls = []
 
-    def counted(cert):
-        calls.append((cert,))
-        return compute(cert)
+    def counted(obj):
+        calls.append((obj,))
+        return compute(obj)
 
     prop = cached_property(counted)
-    prop.__set_name__(RegularityCertificate, name)
-    monkeypatch.setattr(RegularityCertificate, name, prop)
+    prop.__set_name__(owner, name)
+    monkeypatch.setattr(owner, name, prop)
     return calls
 
 
 @pytest.mark.parametrize("command,fn,names,per_run", [
-    # the input deformation's curved dual, and the transported one's
-    ("pbw", dual_cdga, ("deformed_qp_noncy", "quantum_weyl", "heisenberg"), 2),
-    ("thm5", dual_cdga, ("deformed_qp_noncy", "quantum_weyl"), 2),
+    # the input deformation's curved dual, and the transported one's; a
+    # cached property named by its owner and its name
+    ("pbw", (PBWDeformation, "cdga"),
+     ("deformed_qp_noncy", "quantum_weyl", "heisenberg"), 2),
+    ("thm5", (PBWDeformation, "cdga"), ("deformed_qp_noncy", "quantum_weyl"),
+     2),
     ("pbw", nakayama_shift, ("deformed_qp_noncy", "quantum_weyl", "heisenberg"),
      1),
     ("thm5", nakayama_shift, ("deformed_qp_noncy", "quantum_weyl"), 1),
-    # a certificate property, named as a string
-    ("superpotential", "superpotential", AS_REGULAR, 1),
-], ids=["pbw-dual_cdga", "thm5-dual_cdga", "pbw-nakayama_shift",
+    ("superpotential", (RegularityCertificate, "superpotential"), AS_REGULAR,
+     1),
+], ids=["pbw-cdga", "thm5-cdga", "pbw-nakayama_shift",
         "thm5-nakayama_shift", "superpotential-superpotential"])
 def test_each_object_is_built_once_per_run(capsys, monkeypatch, command, fn,
                                            names, per_run):
-    calls = (_count_computations(monkeypatch, fn) if isinstance(fn, str)
+    calls = (_count_computations(monkeypatch, *fn) if isinstance(fn, tuple)
              else _count_calls(monkeypatch, fn))
     for name in names:
         calls.clear()
@@ -746,13 +771,14 @@ def test_failing_koszul_numerics_in_the_regular_commands(capsys,
     assert as_regular_certificate.cache_info().currsize == 0
 
 
-@pytest.mark.parametrize("command", ["regular", "skew", "cy"])
+@pytest.mark.parametrize("command", ["regular", "skew", "cy", "extiso"])
 def test_a_cold_command_counts_the_duals_dims_once(capsys, monkeypatch,
                                                    command):
     # the certificate counts the dual's dims for its termination check and
     # hands them to the Koszul numerics, and the reports read the counted
     # sequences off the certificate's Koszul record: wherever graded_dims
-    # is read, a cold regular, skew or cy on poly3 asks it for the dual once
+    # is read, a cold regular, skew, cy or extiso on poly3 asks it for the
+    # dual once
     poly3 = parse_description(Path(_path("poly3")).read_bytes()).algebra
     bounds = []
 
@@ -843,9 +869,10 @@ def test_certificate_data_is_computed_once_per_session(capsys, monkeypatch):
     # them.  The deformation files deform the algebras of quantum_plane_q2
     # and poly3, so there are the 7 certificates of AS_REGULAR, each with
     # its Nakayama map as the one twist.
-    computed = {name: _count_computations(monkeypatch, name)
+    computed = {name: _count_computations(monkeypatch, RegularityCertificate,
+                                          name)
                 for name in ("nakayama", "superpotential")}
-    calls = _count_calls(monkeypatch, verify_ext_algebra_isomorphism)
+    calls = _count_computations(monkeypatch, SkewExtension, "iso")
     _corpus_sweep(capsys, cold=False)
     for name, certs in computed.items():
         assert len(certs) == len(AS_REGULAR), name
@@ -866,9 +893,10 @@ def test_derived_data_is_computed_once_per_session(capsys, monkeypatch):
     # transported deformation's, and its deformed criterion, once, for pbw
     # and thm5 both
     fns = (is_twisted_superpotential, derivation_quotient, symmetrize,
-           twisted_module_trivial_extension, is_graded_symmetric, dual_cdga,
-           cy_criterion_deformed)
+           twisted_module_trivial_extension, is_graded_symmetric)
     calls = {fn.__name__: _count_calls(monkeypatch, fn) for fn in fns}
+    calls.update({name: _count_computations(monkeypatch, PBWDeformation, name)
+                  for name in ("cdga", "cy_report")})
     _corpus_sweep(capsys, cold=False)
     regular_certs, deformations = len(AS_REGULAR), 3
     assert {name: len(record) for name, record in calls.items()} == {
@@ -877,8 +905,8 @@ def test_derived_data_is_computed_once_per_session(capsys, monkeypatch):
         "symmetrize": regular_certs,
         "twisted_module_trivial_extension": regular_certs,
         "is_graded_symmetric": 2 * regular_certs,
-        "dual_cdga": 2 * deformations,
-        "cy_criterion_deformed": deformations}
+        "cdga": 2 * deformations,
+        "cy_report": deformations}
 
 
 @pytest.mark.parametrize("argv,code", [

@@ -96,6 +96,8 @@ def _outcome(parse, argv):
 @example(["hilbert", "-h", "nosuch"])
 @example(["hilbert", "kxy.json", "--exit-zero", "--"])
 @example(["hilbert", "kxy.json", "--"])
+@example(["cy", "kxy.json", "--=x"])
+@example(["cy", "kxy.json", "-hx"])
 def test_the_grammar_parses_as_argparse_did(argv):
     expected = _outcome(REFERENCE_PARSER.parse_args, argv)
     assert _outcome(cli._parse_args, argv) == expected

@@ -26,8 +26,7 @@ from helpers import (AS_REGULAR, OTHER_TWIST, algebra_of_description, cert_of,
 from quadalg import (Matrix, Subspace, as_regular_certificate,
                      frobenius_structure, is_graded_symmetric,
                      preserves_subspace, skew_extend,
-                     truncated_structure, twisted_module_trivial_extension,
-                     verify_ext_algebra_isomorphism)
+                     truncated_structure, twisted_module_trivial_extension)
 
 F = Fraction
 
@@ -121,7 +120,7 @@ def test_frobenius_data_and_symmetry_match_the_fraction_comparison(case):
 def test_iso_report_matches_the_dense_route(case):
     cert, sigma = _cert_and_twist(case)
     ext = skew_extend(cert, sigma)
-    rep = verify_ext_algebra_isomorphism(ext)
+    rep = ext.iso
     assert ((rep.generated_ok, rep.bijective, rep.left_identity_ok,
              rep.right_identity_ok) == ext_iso_oracle(ext))
     assert rep.passed

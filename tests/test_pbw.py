@@ -14,10 +14,9 @@ from helpers import (AS_REGULAR, CORPUS, DIM2, cdg_trivial_extension,
 from quadalg import (Cdga, GradedFDAlgebra, Matrix, NotRegular,
                      PBWDeformation, QuadraticAlgebra, Subspace, add_into,
                      as_regular_certificate, check_cdga_axioms,
-                     cy_criterion_deformed, cy_equivalence_dim2, dual_cdga,
-                     nakayama_cdga_compatibility, nakayama_shift, pbw,
-                     regularity_data, skew_deformation, skew_extend,
-                     verify_ext_algebra_isomorphism, word_to_index)
+                     cy_equivalence_dim2, nakayama_cdga_compatibility,
+                     nakayama_shift, pbw, regularity_data, skew_deformation,
+                     skew_extend, word_to_index)
 from quadalg.io import description_deformation
 from quadalg.linalg import ConsistencyError, LinAlgError
 
@@ -49,10 +48,6 @@ def _on_rows(defm, mat):
         defm.domain)
 
 
-def _criterion(defm):
-    return cy_criterion_deformed(defm, dual_cdga(defm))
-
-
 def _corpus_defm(name, gldim, bound=5):
     desc = description_of(name)
     cert = regularity_data(desc.algebra, gldim, bound)
@@ -82,7 +77,7 @@ def test_shape_validation():
 
 def test_weyl_dual_cdga():
     defm = _corpus_defm("quantum_weyl", 2)
-    c = dual_cdga(defm)
+    c = defm.cdga
     # nu is zero: no linear differential at all
     assert all(m == Matrix.from_rows([[0] * m.cols] * m.rows, m.cols)
                for m in c.delta[1:])
@@ -96,7 +91,7 @@ def test_weyl_dual_cdga():
 
 def test_noncy_dual_cdga_and_shift():
     defm = _corpus_defm("deformed_qp_noncy", 2)
-    c = dual_cdga(defm)
+    c = defm.cdga
     assert check_cdga_axioms(c).passed
     shift = column(nakayama_shift(defm.cert, c))
     assert shift == (F(0), F(-1, 2))
@@ -110,19 +105,19 @@ def test_noncy_dual_cdga_and_shift():
 def test_kxy_first_order_shift():
     # relation xy - yx deformed by nu = x, theta = 0
     defm = _mk("kxy", [(1, 0)], (0,))
-    c = dual_cdga(defm)
+    c = defm.cdga
     assert column(nakayama_shift(defm.cert, c)) == (F(0), F(-1))
     assert check_cdga_axioms(c).passed
     # the identity twist fixes every shift, so the verdict is positive no
     # matter the deformation
-    rep = cy_criterion_deformed(defm, c)
+    rep = defm.cy_report
     assert rep.is_CY
     assert rep.witness is None
     assert column(rep.shift) == column(rep.twisted_shift) == (F(0), F(-1))
 
 
 def test_cy_witness_names_first_moved_generator():
-    rep = _criterion(_corpus_defm("deformed_qp_noncy", 2))
+    rep = _corpus_defm("deformed_qp_noncy", 2).cy_report
     assert not rep.is_CY
     assert rep.witness == "y"
     assert column(rep.shift) == (F(0), F(-1, 2))
@@ -131,7 +126,7 @@ def test_cy_witness_names_first_moved_generator():
 
 def test_heisenberg_cdga():
     defm = _corpus_defm("heisenberg", 3)
-    c = dual_cdga(defm)
+    c = defm.cdga
     assert check_cdga_axioms(c).passed
     # relation xy - yx deforms to z: the new dual letter z* maps onto the
     # dual class of that relation.  The degree-two basis words are the
@@ -141,7 +136,7 @@ def test_heisenberg_cdga():
                                        for w in ((0, 1), (0, 2), (1, 2)))
     assert (fraction_matrix(c.delta[1]).mul_col((F(0), F(0), F(1)))
             == (F(1), F(0), F(0)))
-    assert cy_criterion_deformed(defm, c).is_CY
+    assert defm.cy_report.is_CY
     assert column(nakayama_shift(defm.cert, c)) == (F(0), F(0), F(0))
     assert nakayama_cdga_compatibility(defm.cert, c) is True
 
@@ -149,7 +144,7 @@ def test_heisenberg_cdga():
 def test_axioms_fail_on_jacobi_violation():
     # bracket [x,y] = z, [x,z] = -x, [y,z] = x violates Jacobi
     defm = _mk("poly3", [(0, 0, 1), (-1, 0, 0), (1, 0, 0)], (0, 0, 0))
-    rep = check_cdga_axioms(dual_cdga(defm))
+    rep = check_cdga_axioms(defm.cdga)
     assert not rep.passed
     assert len(rep.square_failures) == 1
     assert rep.leibniz_failures == ()
@@ -159,7 +154,7 @@ def test_axioms_report_leibniz_failures():
     # add 1 to entry (0, 0) of delta_1 on the heisenberg dual: x* now also
     # maps to the first degree-two basis element, which breaks the Leibniz
     # rule on the two products of x* with z* and nothing else
-    c = dual_cdga(_corpus_defm("heisenberg", 3))
+    c = _corpus_defm("heisenberg", 3).cdga
     rows = [list(row) for row in c.delta[1].entries]
     rows[0][0] += 1
     delta1 = Matrix.from_rows(rows, c.delta[1].cols)
@@ -177,7 +172,7 @@ def test_dim2_every_deformation_satisfies_axioms():
         cert = cert_of(name)
         for _ in range(4):
             defm = PBWDeformation(cert, *random_nu_theta(rng, cert), None)
-            rep = check_cdga_axioms(dual_cdga(defm))
+            rep = check_cdga_axioms(defm.cdga)
             assert rep.passed, name
 
 
@@ -189,12 +184,12 @@ def test_skew_deformation_transport():
         defm = _corpus_defm(name, gldim)
         cert = defm.cert
         xi = cert.nakayama
-        lam = nakayama_shift(cert, dual_cdga(defm))
+        lam = nakayama_shift(cert, defm.cdga)
         ext = skew_extend(cert, xi)
         ext_defm = skew_deformation(defm, ext, lam)
         n = cert.algebra.n
         nrel = cert.algebra.relations.dim
-        c = dual_cdga(ext_defm)
+        c = ext_defm.cdga
         z_img = fraction_matrix(c.delta[1]).mul_col(
             tuple([F(0)] * n) + (F(1),))
         # rebuild the expected class from the stacked relation pairings
@@ -239,23 +234,23 @@ def test_deformation_from_rows_is_basis_free():
             rels.dim)
         canonical = _on_rows(mixed, dense_inverse(at_pivots).entries)
         assert canonical.rows == tuple(dict(r) for r in rels.rows)
-        c = dual_cdga(defm)
-        rep = cy_criterion_deformed(defm, c)
+        c = defm.cdga
+        rep = defm.cy_report
         for other in (mixed, canonical):
-            oc = dual_cdga(other)
+            oc = other.cdga
             assert (oc.delta, oc.curvature) == (c.delta, c.curvature)
-            assert cy_criterion_deformed(other, oc) == rep
+            assert other.cy_report == rep
 
 
 def test_cy_criterion_goldens():
     noncy = _corpus_defm("deformed_qp_noncy", 2)
-    assert not _criterion(noncy).is_CY
+    assert not noncy.cy_report.is_CY
     weyl = _corpus_defm("quantum_weyl", 2)
-    rep = _criterion(weyl)
+    rep = weyl.cy_report
     assert rep.is_CY and weyl.cert.gldim + 1 == 3
     assert weyl.effective_domain
     heisenberg = _corpus_defm("heisenberg", 3)
-    rep3 = _criterion(heisenberg)
+    rep3 = heisenberg.cy_report
     assert rep3.is_CY and heisenberg.cert.gldim + 1 == 4
 
 
@@ -273,7 +268,7 @@ def test_cy_witness_is_the_first_letter_the_twist_moves():
                   for _ in range(8)]
     moved = 0
     for defm in defms:
-        rep = _criterion(defm)
+        rep = defm.cy_report
         diff = [x for x, a, b in zip(defm.cert.algebra.names,
                                      column(rep.shift),
                                      column(rep.twisted_shift)) if a != b]
@@ -287,7 +282,7 @@ def test_cdg_trivial_extension_structure():
     for name, gldim in (("quantum_weyl", 2), ("deformed_qp_noncy", 2),
                         ("heisenberg", 3)):
         defm = _corpus_defm(name, gldim)
-        c = dual_cdga(defm)
+        c = defm.cdga
         big = cdg_trivial_extension(c)
         assert check_cdga_axioms(big).passed, name
         # the differential of the shifted top unit lands on the shift
@@ -306,7 +301,7 @@ def test_cdg_trivial_extension_structure():
 def test_compatibility_reports():
     for name, passed in (("quantum_weyl", True), ("deformed_qp_noncy", False)):
         defm = _corpus_defm(name, 2)
-        rep = nakayama_cdga_compatibility(defm.cert, dual_cdga(defm))
+        rep = nakayama_cdga_compatibility(defm.cert, defm.cdga)
         assert rep is passed, name
 
 
@@ -344,17 +339,21 @@ def test_the_deformed_criterion_refuses_a_model_that_fails_its_check(
                         ("heisenberg", 3)):
         defm = _corpus_defm(name, gldim)
         cert = defm.cert
-        c = dual_cdga(defm)
         bad = with_model(skew_extend(cert, cert.nakayama),
                          zero_action_model(cert))
-        assert not verify_ext_algebra_isomorphism(bad).passed
+        assert not bad.iso.passed
+        # a copy of the deformation whose report no earlier read has kept
+        fresh = PBWDeformation(cert, defm.rows, defm.nu, defm.theta,
+                               defm.domain)
         with monkeypatch.context() as m, pytest.raises(
                 ConsistencyError, match="cohomology model does not match"):
             m.setattr(pbw, "skew_extend", lambda cert, sigma, /: bad)
-            cy_criterion_deformed(defm, c)
-        # the cached extension is as it was, and so is the verdict
+            fresh.cy_report
+        assert "cy_report" not in vars(fresh), name
+        # the cached extension is as it was, and so is the verdict, which
+        # the read that raised did not keep
         assert skew_extend(cert, cert.nakayama).iso.passed, name
-        assert cy_criterion_deformed(defm, c) == _criterion(defm), name
+        assert fresh.cy_report == defm.cy_report, name
 
 
 def _agrees_with_the_full_loops(c):
@@ -404,14 +403,15 @@ def test_the_generator_check_matches_the_full_loops():
         cert = cert_of(name)
         for bound in (1, 3):
             for _ in range(6):
-                c = dual_cdga(PBWDeformation(
-                    cert, *random_nu_theta(rng, cert, -bound, bound), None))
+                c = PBWDeformation(
+                    cert, *random_nu_theta(rng, cert, -bound, bound),
+                    None).cdga
                 drawn.append(_agrees_with_the_full_loops(c))
                 corrupted.append(_agrees_with_the_full_loops(
                     _corrupted(c, rng)))
     for name, gldim in (("deformed_qp_noncy", 2), ("quantum_weyl", 2),
                         ("heisenberg", 3)):
-        big = cdg_trivial_extension(dual_cdga(_corpus_defm(name, gldim)))
+        big = cdg_trivial_extension(_corpus_defm(name, gldim).cdga)
         assert _agrees_with_the_full_loops(big), name
         corrupted += [_agrees_with_the_full_loops(_corrupted(big, rng))
                       for _ in range(2)]
@@ -459,7 +459,7 @@ def test_the_generator_check_reaches_generators_above_degree_one():
     assert check_cdga_axioms(moved).leibniz_failures == ((1, 2, 0, 1),)
     # a differential that moves the unit fails at the pair of the unit
     # with itself, and the full loops refute it too
-    for c in (flat, dual_cdga(_corpus_defm("heisenberg", 3))):
+    for c in (flat, _corpus_defm("heisenberg", 3).cdga):
         delta0 = Matrix.from_rows([[1]] + [[0]] * (c.algebra.dims[1] - 1), 1)
         unit = Cdga(c.algebra, (delta0,) + c.delta[1:], c.curvature)
         rep = check_cdga_axioms(unit)
@@ -511,7 +511,7 @@ def test_potential_controls_agree_with_the_full_loops():
     for cert, rows, _, _ in _potential_samples(12, 1308):
         _, _, nu, theta = potential_deformation(rng, symmetric=False)
         verdicts.append(_agrees_with_the_full_loops(
-            dual_cdga(PBWDeformation(cert, rows, nu, theta, None))))
-        verdicts.append(_agrees_with_the_full_loops(dual_cdga(
-            PBWDeformation(cert, *random_nu_theta(rng, cert), None))))
+            PBWDeformation(cert, rows, nu, theta, None).cdga))
+        verdicts.append(_agrees_with_the_full_loops(PBWDeformation(
+            cert, *random_nu_theta(rng, cert), None).cdga))
     assert len(verdicts) >= 20 and verdicts.count(False) > 0

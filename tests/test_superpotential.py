@@ -11,8 +11,7 @@ from helpers import (AS_REGULAR, algebra_of, cert_of, oracle_coupling,
                      word_vector)
 from quadalg import (Matrix, NotRegular, QuadraticAlgebra, Subspace,
                      as_regular_certificate, derivation_quotient,
-                     is_twisted_superpotential, symmetrize,
-                     verify_superpotential_presentation)
+                     is_twisted_superpotential, symmetrize)
 
 F = Fraction
 
@@ -104,12 +103,11 @@ def test_derivation_quotient_dim3():
 def test_presentation_reports():
     for name in AS_REGULAR:
         cert = cert_of(name)
-        rep = verify_superpotential_presentation(cert)
+        rep = cert.presentation
         assert rep.passed, name
         assert rep.coupling_invertible
         # the certificate keeps the one report that commands read
-        assert cert.presentation == rep, name
-        assert cert.presentation is cert.presentation, name
+        assert cert.presentation is rep, name
 
 
 def test_certificate_keeps_the_symmetrized_superpotential_and_its_quotient():
