@@ -26,8 +26,8 @@ from .superpotential import derivation_quotient, symmetrize
 from .regular import (NotRegular, PresentationReport, RegularityCertificate,
                       as_regular_certificate, dim2_matrix_form,
                       regularity_data)
-from .skew import (CYReport, IsoReport, SkewExtension, cy_check_with,
-                   fresh_letter, skew_extend, verify_extended_presentation)
+from .skew import (IsoReport, SkewExtension, fresh_letter, skew_extend,
+                   verify_extended_presentation)
 from .pbw import (Cdga, CdgaAxiomReport, DeformedCYReport,
                   EquivalenceReport, PBWDeformation, check_cdga_axioms,
                   cy_equivalence_dim2, nakayama_cdga_compatibility,

@@ -30,7 +30,7 @@ from .linalg import ConsistencyError, LinAlgError, Matrix, ResourceLimitError
 from .pbw import check_cdga_axioms, cy_equivalence_dim2
 from .quadratic import graded_dims, numeric_koszul_certificate
 from .regular import NotRegular, as_regular_certificate
-from .skew import cy_check_with, fresh_letter, skew_extend
+from .skew import fresh_letter, skew_extend
 
 
 def _certificate(desc, args):
@@ -168,15 +168,16 @@ def _cmd_extiso(desc, args):
 
 def _cmd_cy(desc, args):
     cert = _certificate(desc, args)
-    report = cy_check_with(cert, _resolve_sigma(desc, cert, args.sigma))
+    sigma = _resolve_sigma(desc, cert, args.sigma)
+    is_cy, witness = skew_extend(cert, sigma).symmetry
     verdict = {
-        "is_CY": report.is_CY,
+        "is_CY": is_cy,
         "dimension": cert.gldim + 1,
         "koszul_bound": cert.koszul.bound,
     }
-    if not report.is_CY and report.witness is not None:
-        verdict["witness"] = list(report.witness)
-    return verdict, report.is_CY
+    if not is_cy and witness is not None:
+        verdict["witness"] = list(witness)
+    return verdict, is_cy
 
 
 def _cmd_pbw(desc, args):

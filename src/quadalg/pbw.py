@@ -139,14 +139,14 @@ class PBWDeformation:
         extension's cohomology algebra, the dual E extended by its own copy
         shifted up one degree (SkewExtension.model with the Nakayama map
         xi), once the extension's iso report has checked that model against
-        its honest dual (a failed check raises ConsistencyError, as in
-        skew.cy_check_with), and checks that the differential vanishes on
-        the degree equal to the base dimension d.  The new class pi is the
-        shifted unit, its differential the module copy of the Nakayama shift
-        in degree 2, and omega_i, column i of G_1^{-1}, goes to d(omega_i) pi +
-        (-1)^(d-1) omega_i d(pi) in the one-dimensional top.  Route two
-        transports the deformation to the extension and checks its dual
-        differential vanishes in that same degree.  Any disagreement
+        its honest dual (a failed check raises ConsistencyError, as
+        SkewExtension.symmetry does), and checks that the differential
+        vanishes on the degree equal to the base dimension d.  The new class
+        pi is the shifted unit, its differential the module copy of the
+        Nakayama shift in degree 2, and omega_i, column i of G_1^{-1}, goes to
+        d(omega_i) pi + (-1)^(d-1) omega_i d(pi) in the one-dimensional top.
+        Route two transports the deformation to the extension and checks its
+        dual differential vanishes in that same degree.  Any disagreement
         (including with the closed-form shift comparison) raises
         ConsistencyError.
         """

@@ -66,7 +66,8 @@ class SkewExtension:
     sigma_inverse is the inverse of the twist, computed once here for the
     mixed relations and read by the model and its check.  model,
     honest_dual, iso and symmetry are computed on first read and kept here,
-    on the one extension per certificate and twist.  Immutable, and equal
+    on the one extension per certificate and twist; symmetry is the
+    Calabi-Yau verdict, read only once iso has passed.  Immutable, and equal
     and hashed by identity.
     """
 
@@ -152,8 +153,8 @@ class SkewExtension:
         e(x_k z) combined by row i of its numerators; both hold by
         construction for the sigma_inverse skew_extend wrote them with.
 
-        `extiso`, cy_check_with and pbw.PBWDeformation.cy_report read this
-        one report, kept on the extension.
+        `extiso`, symmetry and pbw.PBWDeformation.cy_report read this one
+        report, kept on the extension.
         """
         cert = self.cert
         n = cert.algebra.n
@@ -210,10 +211,15 @@ class SkewExtension:
 
     @cached_property
     def symmetry(self) -> tuple[bool, tuple | None]:
-        """(verdict, witness) of graded symmetry (frobenius.
-        is_graded_symmetric), read on the model and cross-checked on the
-        honest dual; the witness names the model's first failing pairing
-        entry."""
+        """(is_CY, witness): whether the extension is Calabi-Yau of the next
+        dimension, that is, whether its verified cohomology model is graded
+        symmetric (frobenius.is_graded_symmetric).  Raises ConsistencyError,
+        and keeps nothing, unless iso has passed; the verdict is read on the
+        model and cross-checked on the honest dual, and the witness names
+        the model's first failing pairing entry."""
+        if not self.iso.passed:
+            raise ConsistencyError("cohomology model does not match the dual "
+                                   "of the extension")
         ok_model, witness = is_graded_symmetric(self.model)
         ok_honest, _ = is_graded_symmetric(self.honest_dual)
         if ok_model != ok_honest:
@@ -271,29 +277,6 @@ def skew_extend(cert: RegularityCertificate, sigma: Matrix, /) -> SkewExtension:
                 f"extension dimension {dim} at degree {k} is not the "
                 f"partial sum {sum(dims_base[:k + 1])} of the base dimensions")
     return SkewExtension(cert, sigma, algebra, pinv)
-
-
-class CYReport(NamedTuple):
-    """Verdict on the skew extension being Calabi-Yau of the next dimension."""
-
-    is_CY: bool
-    witness: tuple | None
-
-
-def cy_check_with(cert: RegularityCertificate, sigma: Matrix) -> CYReport:
-    """Whether extending by one letter twisted by sigma yields a Calabi-Yau
-    algebra: the verified cohomology model must be graded symmetric.
-
-    The verdict is the extension's symmetry, read on the model and
-    cross-checked on the honest dual of the extension; the witness names
-    the first failing pairing entry.
-    """
-    ext = skew_extend(cert, sigma)
-    if not ext.iso.passed:
-        raise ConsistencyError("cohomology model does not match the dual of "
-                               "the extension")
-    ok, witness = ext.symmetry
-    return CYReport(ok, witness)
 
 
 def verify_extended_presentation(cert: RegularityCertificate) -> bool:

@@ -16,11 +16,11 @@ from helpers import (AS_REGULAR, CORPUS, DIM2, FractionMatrix,
                      scalar_twist, seeded, structure_equal, trivial_extension,
                      twist_matrices, twist_pool, twisted_cyclic_space,
                      word_terms)
-from quadalg import (Matrix, PBWDeformation, cy_check_with,
-                     cy_equivalence_dim2, derivation_quotient,
-                     dim2_matrix_form, frobenius_structure, graded_dims,
-                     is_graded_symmetric, is_twisted_superpotential,
-                     nakayama_shift, numeric_koszul_certificate,
+from quadalg import (Matrix, PBWDeformation, cy_equivalence_dim2,
+                     derivation_quotient, dim2_matrix_form,
+                     frobenius_structure, graded_dims, is_graded_symmetric,
+                     is_twisted_superpotential, nakayama_shift,
+                     numeric_koszul_certificate,
                      regularity_data, skew_extend, symmetrize, tau,
                      verify_extended_presentation)
 from quadalg.io import description_deformation
@@ -58,23 +58,24 @@ def test_criterion_1_nakayama_two_route_agreement():
 def test_criterion_2_nakayama_twisted_extension_is_cy():
     for name in AS_REGULAR:
         cert = cert_of(name)
-        rep = cy_check_with(cert, cert.nakayama)
-        assert rep.is_CY, name
+        ext = skew_extend(cert, cert.nakayama)
+        is_cy, _ = ext.symmetry
+        assert is_cy, name
         # the extension's dual is one-dimensional in degree gldim + 1, the
         # dimension the cy report prints
-        ext = skew_extend(cert, cert.nakayama)
         assert ext.honest_dual.dims[cert.gldim + 1] == 1, name
     # skew-built dimension-3 bases, extended once more
     for name in ("kxy", "quantum_plane_q2"):
         cert = cert_of(name)
         ext = skew_extend(cert, cert.nakayama)
         cert_b = regularity_data(ext.algebra, 3, 4)
-        rep = cy_check_with(cert_b, cert_b.nakayama)
-        assert rep.is_CY, name
+        is_cy, _ = skew_extend(cert_b, cert_b.nakayama).symmetry
+        assert is_cy, name
     # wrong twist must fail with a concrete witness pairing entry
-    rep = cy_check_with(cert_of("quantum_plane_q2"), Matrix.identity(2))
-    assert not rep.is_CY
-    assert rep.witness == (1, 0, 2)
+    is_cy, witness = skew_extend(cert_of("quantum_plane_q2"),
+                                 Matrix.identity(2)).symmetry
+    assert not is_cy
+    assert witness == (1, 0, 2)
     print("criterion 2 (CY verdicts for Nakayama-twisted extensions): PASS")
 
 

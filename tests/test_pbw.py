@@ -334,7 +334,8 @@ def test_the_deformed_criterion_refuses_a_model_that_fails_its_check(
         monkeypatch):
     # a copy of the Nakayama-twisted extension whose model is not the dual
     # of the extension, handed out by skew_extend: the deformed criterion
-    # raises, as cy_check_with does, and reads nothing off that model
+    # raises, as the extension's symmetry does, and reads nothing off that
+    # model
     for name, gldim in (("deformed_qp_noncy", 2), ("quantum_weyl", 2),
                         ("heisenberg", 3)):
         defm = _corpus_defm(name, gldim)

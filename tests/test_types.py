@@ -18,15 +18,13 @@ from helpers import description_of
 from quadalg import (AlgebraDescription, GradedFDAlgebra, PBWDeformation,
                      PresentationReport, QuadraticAlgebra,
                      RegularityCertificate, SkewExtension, Subspace,
-                     TruncatedAlgebra, check_cdga_axioms, cy_check_with,
-                     cy_equivalence_dim2, numeric_koszul_certificate,
-                     regularity_data, skew_extend)
+                     TruncatedAlgebra, check_cdga_axioms, cy_equivalence_dim2,
+                     numeric_koszul_certificate, regularity_data, skew_extend)
 from quadalg.io import description_deformation
 from quadalg.quadratic import truncated_structure
 
-RECORDS = ("KoszulCertificate", "PresentationReport", "IsoReport",
-           "CYReport", "Cdga", "CdgaAxiomReport", "DeformedCYReport",
-           "EquivalenceReport")
+RECORDS = ("KoszulCertificate", "PresentationReport", "IsoReport", "Cdga",
+           "CdgaAxiomReport", "DeformedCYReport", "EquivalenceReport")
 # each plain class with the names of its fields
 VALUE_FIELDS = {
     Subspace: ("ambient", "pivots", "int_rows"),
@@ -61,8 +59,7 @@ def _records():
     cert = defm.cert
     found = [numeric_koszul_certificate(cert.algebra, 4),
              cert.presentation, skew_extend(cert, cert.nakayama).iso,
-             cy_check_with(cert, cert.nakayama), defm.cdga,
-             check_cdga_axioms(defm.cdga), defm.cy_report,
+             defm.cdga, check_cdga_axioms(defm.cdga), defm.cy_report,
              cy_equivalence_dim2(defm)]
     return {type(r).__name__: r for r in found}
 
