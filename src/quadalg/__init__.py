@@ -17,8 +17,8 @@ from .tensors import (add_into, apply_slot_columns, contract_left,
                       contract_right, index_to_word,
                       is_twisted_superpotential, preserves_subspace, tau,
                       word_to_index)
-from .frobenius import (GradedFDAlgebra, NotFrobenius, frobenius_structure,
-                        is_graded_symmetric, twisted_module_trivial_extension)
+from .frobenius import (GradedFDAlgebra, NotFrobenius, is_graded_symmetric,
+                        twisted_module_trivial_extension)
 from .quadratic import (KoszulCertificate, QuadraticAlgebra, TruncatedAlgebra,
                         graded_dims, koszul_component,
                         numeric_koszul_certificate, truncated_structure)

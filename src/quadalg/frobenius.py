@@ -19,22 +19,26 @@ cell.
 The Frobenius data is the algebra's own, integer matrices kept on it as
 cached properties: its pairings, each G_i read off the top cells over
 den, and its Nakayama blocks, the solve_square solutions of
-G_i X = G_{d-i}^T, solved on first read.  frobenius_structure checks each
-pairing nondegenerate by one rank and solves nothing; the blocks are read
-by is_graded_symmetric, which runs both of its routes on them and takes
-no rank, and by pbw's Nakayama compatibility test.  The trivial extension
-takes its right twist as matrices, the form TruncatedAlgebra.automorphism
-builds, and reads their integer columns, and writes its left twist, the
-sign of the degree, inline, so the Calabi-Yau path builds and tests its
-model with no Fraction in between.
+G_i X = G_{d-i}^T, solved on first read.  Reading the pairings is the
+whole Frobenius check: a one-dimensional top, dimensions that pair, and
+each G_i nondegenerate by one rank, or NotFrobenius, which nothing else
+raises.  The blocks are read by is_graded_symmetric, which runs both of
+its routes on them and takes no rank of its own, and by pbw's Nakayama
+compatibility test.  The trivial extension takes its right twist as
+matrices, the form TruncatedAlgebra.automorphism builds, and reads their
+integer columns, and writes its left twist, the sign of the degree,
+inline, so the Calabi-Yau path builds and tests its model with no
+Fraction in between.
 
-The builders hand the constructor its final form, tuple rows of tuple
-cells, which its shape pass checks cell by cell and keeps; products are
-read off those cells, and there is no product of coordinate vectors.  The
-associativity check runs on the algebra's generators (generators, which
-pbw's curved axioms read too) and visits every (a, b, s) triple it needs;
-where both products it reads are single-term cells, the most common case,
-the two sides are compared cell against cell with no dict built.
+The constructor takes one table form, tuple blocks of tuple rows of
+tuple cells, which the builders hand over and its shape pass checks cell
+by cell and keeps; a block, row or cell of any other type is refused.
+Products are read off those cells, and there is no product of coordinate
+vectors.  The associativity check runs on the algebra's generators
+(generators, which pbw's curved axioms read too) and visits every
+(a, b, s) triple it needs; where both products it reads are single-term
+cells, the most common case, the two sides are compared cell against
+cell with no dict built.
 """
 
 from __future__ import annotations
@@ -71,9 +75,11 @@ class GradedFDAlgebra:
     unit.
 
     GradedFDAlgebra(dims, int_mult, den) takes the table in that form, with
-    every block (i, j), i + j <= length, given; blocks past the top degree
-    are ignored.  One pass checks the table's shape and cells, then the
-    unit and associativity are checked.
+    every block (i, j), i + j <= length, given as a tuple of tuple rows of
+    tuple cells; a block, row or cell of another type is refused, not
+    rebuilt, and blocks past the top degree are ignored.  One pass checks
+    the table's shape and cells, then the unit and associativity are
+    checked.
     Associativity is checked on generators, by a lemma that needs only a
     unital bilinear product: if S generates the algebra under that product
     and (ab)s = a(bs) for all basis elements a, b and all s in S, the
@@ -97,24 +103,17 @@ class GradedFDAlgebra:
         for i in range(d + 1):
             for j in range(d + 1 - i):
                 block = int_mult.get((i, j))
-                # a block of tuple rows of tuple cells, as the package's
-                # builders hand it over, is kept as given
-                tuples = True
-                if block is not None and type(block) is not tuple:
-                    block = tuple(tuple(map(tuple, row)) for row in block)
                 width = dims[j]
-                if (block is None or len(block) != dims[i]
-                        or any(len(row) != width for row in block)):
+                if (type(block) is not tuple or len(block) != dims[i]
+                        or any(type(row) is not tuple or len(row) != width
+                               for row in block)):
                     raise LinAlgError(f"bad structure block at degrees {(i, j)}")
                 top = dims[i + j]
                 for row in block:
-                    if type(row) is not tuple:
-                        tuples = False
                     for cell in row:
                         if type(cell) is not tuple:
-                            tuples = False
-                        if not cell:
-                            continue
+                            raise LinAlgError(
+                                f"bad structure block at degrees {(i, j)}")
                         last = -1
                         for c, w in cell:
                             if not (last < c < top and type(w) is int and w):
@@ -123,8 +122,6 @@ class GradedFDAlgebra:
                                     f"coordinates must increase within range "
                                     f"and values be nonzero")
                             last = c
-                if not tuples:
-                    block = tuple(tuple(map(tuple, row)) for row in block)
                 table[(i, j)] = block
         self.__dict__.update(dims=dims, int_mult=table, den=den)
         self._validate_unit()
@@ -181,13 +178,14 @@ class GradedFDAlgebra:
 
     @cached_property
     def pairings(self) -> tuple[Matrix, ...]:
-        """The pairing matrices G_i, one per degree: entry (a, b) of G_i is
-        the top coefficient of the product of the a-th degree-i and b-th
-        degree-(d-i) basis elements.  The top degree must be
-        one-dimensional, so each top cell is () or ((0, v),) and G_i is
-        those v over den; NotFrobenius at the first degree where the
-        dimensions cannot pair.  Nondegeneracy is not checked here
-        (frobenius_structure checks it).
+        """The pairing matrices G_i, one per degree, each checked
+        nondegenerate: entry (a, b) of G_i is the top coefficient of the
+        product of the a-th degree-i and b-th degree-(d-i) basis elements.
+        The top degree must be one-dimensional, so each top cell is () or
+        ((0, v),) and G_i is those v over den.  NotFrobenius at the first
+        failure, checked in this order: a top that is not one-dimensional,
+        two degrees whose dimensions cannot pair, then each G_i in degree
+        order by one rank.  A read that raises keeps nothing.
         """
         d = self.length
         if self.dims[d] != 1:
@@ -198,27 +196,26 @@ class GradedFDAlgebra:
                 raise NotFrobenius(i, f"dim mismatch {self.dims[i]} vs "
                                       f"{self.dims[d - i]} between degrees "
                                       f"{i} and {d - i}")
-        return tuple(
+        pairings = tuple(
             Matrix(tuple(tuple(cell[0][1] if cell else 0 for cell in row)
                          for row in self.int_mult[(i, d - i)]),
                    self.den, self.dims[d - i]) for i in range(d + 1))
+        for i, g in enumerate(pairings):
+            if g.rank() < g.rows:
+                raise NotFrobenius(i, DEGENERATE)
+        return pairings
 
     @cached_property
     def nakayama(self) -> tuple[Matrix, ...]:
         """The Nakayama map, one block per degree, in column convention:
         <a, b> = <b, nak(a)> pins it, G_i nak[d-i] = G_{d-i}^T, one
-        solve_square per degree.  A degenerate pairing met there raises
-        NotFrobenius at its degree.
+        solve_square per degree, in degree order of G_i.  The pairings are
+        checked nondegenerate first, so every solve has its solution.
         """
         pairings = self.pairings
-        d = self.length
-        nakayama = [None] * (d + 1)
-        for i in range(d + 1):
-            nak = solve_square(pairings[i], pairings[d - i].transpose())
-            if nak is None:
-                raise NotFrobenius(i, DEGENERATE)
-            nakayama[d - i] = nak
-        return tuple(nakayama)
+        blocks = [solve_square(g, h.transpose())
+                  for g, h in zip(pairings, reversed(pairings))]
+        return tuple(reversed(blocks))
 
     def _validate_associativity(self) -> None:
         """(e_a e_b) s = e_a (e_b s) for basis elements e_a, e_b of positive
@@ -295,29 +292,16 @@ class GradedFDAlgebra:
                                         f"{(i, j, k)} indices {(a, b, c)}")
 
 
-def frobenius_structure(alg: GradedFDAlgebra) -> tuple[Matrix, ...]:
-    """The algebra's pairings (GradedFDAlgebra.pairings), each checked
-    nondegenerate by one rank, or NotFrobenius at the first degree that
-    fails.  No Nakayama block is solved here: a reader of
-    GradedFDAlgebra.nakayama solves them.
-    """
-    pairings = alg.pairings
-    for i, g in enumerate(pairings):
-        if g.rank() < g.rows:
-            raise NotFrobenius(i, DEGENERATE)
-    return pairings
-
-
 def is_graded_symmetric(alg: GradedFDAlgebra):
     """Sign-symmetry of the pairing; returns (verdict, witness).
 
     Checked two ways on the algebra's own pairings and Nakayama blocks:
     entrywise, G_i against the signed transpose of G_{d-i}, and through the
     Nakayama map being the expected sign scalar, (-1)^((d-1) i) on degree
-    i, which is epsilon(d - 1).  The blocks' solves, on their first read,
-    are the only eliminations, and a degenerate pairing raises NotFrobenius
-    there, so no rank is taken first.  The witness is (degree, row, col) of
-    the first failing pairing entry, or None.
+    i, which is epsilon(d - 1).  Past the ranks of the pairings' own first
+    read, where a degenerate pairing raises NotFrobenius, the blocks'
+    solves are the only eliminations.  The witness is (degree, row, col)
+    of the first failing pairing entry, or None.
     """
     pairings = alg.pairings
     d = alg.length

@@ -285,7 +285,7 @@ def nakayama_shift(cert: RegularityCertificate, c: Cdga) -> Matrix:
     the shift is the row delta_{d-1} G_1^{-1}, whose transpose s solves
     G_1^T s = delta_{d-1}^T: one solve, and no inverse.
     """
-    # G_1 is nondegenerate, as frobenius_structure checked
+    # G_1 is nondegenerate, as its pairings are, once read
     return solve_square(cert.dual_fd.pairings[1].transpose(),
                         c.delta[cert.gldim - 1].transpose())
 

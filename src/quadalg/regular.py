@@ -6,15 +6,15 @@ finite-dimensional algebras related to elliptic curves", 1996, Prop.
 checked and the Frobenius dual.  The dual's dimensions are counted once,
 for the termination check, and handed to the Koszul numerics, whose
 record keeps them with the algebra's and the components'.  The certificate
-checks each pairing of the dual nondegenerate by one rank and solves no
-Nakayama block of it: the pairings and the blocks are the dual's own
-(frobenius.GradedFDAlgebra.pairings and .nakayama), and the blocks are
-solved where they are read.  What the certificate fixes is read off it as
-cached properties: the Nakayama automorphism xi, from the dual pairing
-data in one solve; the superpotential w, from the top Koszul components,
-checked xi-twisted with xi recovered from its contractions; and what w
-gives, its symmetrization by one letter, its derivation quotient D(w) and
-the check that D(w) presents the algebra.  Each is computed once per
+reads the dual's pairings (frobenius.GradedFDAlgebra.pairings), which
+check each pairing nondegenerate by one rank, and solves no Nakayama
+block of it: the blocks are the dual's own (.nakayama), solved where they
+are read.  What the certificate fixes is read off it as cached
+properties: the Nakayama automorphism xi, from the dual pairing data in
+one solve; the superpotential w, from the top Koszul components, checked
+xi-twisted with xi recovered from its contractions; and what w gives,
+its symmetrization by one letter, its derivation quotient D(w) and the
+check that D(w) presents the algebra.  Each is computed once per
 certificate, on first read, and every command reads that one object.
 
 The superpotential path runs on integer word vectors: w is the top
@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .frobenius import NotFrobenius, frobenius_structure
+from .frobenius import NotFrobenius
 from .linalg import ConsistencyError, LinAlgError, Matrix, solve_square
 from .quadratic import (KoszulCertificate, QuadraticAlgebra, TruncatedAlgebra,
                         graded_dims, koszul_component, koszul_numerics,
@@ -70,7 +70,7 @@ class RegularityCertificate:
     bound and three dimension sequences up to it: three tuples of bound + 1
     ints, no more (as_regular_certificate keeps at most 32 certificates,
     and the CLI caps the bound at cli.MAX_DEGREE).  dual_fd is the dual
-    algebra truncated at its top degree gldim, each of its pairings
+    algebra truncated at its top degree gldim, its pairings read and so
     checked nondegenerate; its Nakayama blocks are solved only if read.
     nakayama, superpotential, symmetrized, quotient and presentation are
     computed on first read and kept on the certificate, so they go with
@@ -105,7 +105,7 @@ class RegularityCertificate:
         """
         d = self.gldim
         pairings = self.dual_fd.pairings
-        # G_1 is nondegenerate, as frobenius_structure checked
+        # G_1 is nondegenerate, as its pairings are, once read
         y = solve_square(pairings[1].transpose(), pairings[d - 1])
         xi = y.transpose() if d % 2 else -y.transpose()
         if not preserves_subspace(xi, self.algebra.relations):
@@ -228,7 +228,7 @@ def as_regular_certificate(alg: QuadraticAlgebra, bound: int, /) -> RegularityCe
     d = max(k for k in range(bound + 1) if dual_dims[k] > 0)
     dual_fd = truncated_structure(dual, d)
     try:
-        frobenius_structure(dual_fd)
+        dual_fd.pairings
     except NotFrobenius as nf:
         raise NotRegular(f"dual algebra is not Frobenius: {nf.reason}",
                          nf.witness_degree) from nf

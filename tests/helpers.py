@@ -179,8 +179,10 @@ def rational_algebra(dims, cells):
     into the integer cells over den that the constructor takes."""
     den = lcm(*[w.denominator for block in cells.values() for row in block
                 for cell in row for _, w in cell])
-    return GradedFDAlgebra(dims, {ij: [[[(c, int(w * den)) for c, w in cell]
-                                        for cell in row] for row in block]
+    return GradedFDAlgebra(dims, {ij: tuple(tuple(tuple((c, int(w * den))
+                                                        for c, w in cell)
+                                                  for cell in row)
+                                            for row in block)
                                   for ij, block in cells.items()}, den)
 
 

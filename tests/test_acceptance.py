@@ -18,7 +18,7 @@ from helpers import (AS_REGULAR, CORPUS, DIM2, FractionMatrix,
                      word_terms)
 from quadalg import (Matrix, PBWDeformation, cy_equivalence_dim2,
                      derivation_quotient, dim2_matrix_form,
-                     frobenius_structure, graded_dims, is_graded_symmetric,
+                     graded_dims, is_graded_symmetric,
                      is_twisted_superpotential, nakayama_shift,
                      numeric_koszul_certificate,
                      regularity_data, skew_extend, symmetrize, tau,
@@ -154,7 +154,7 @@ def test_criterion_6_random_trivial_extensions():
         n_ext = alg_fd.length + rng.choice((1, 2))
         sigma = scalar_twist(alg_fd, k, c)
         gamma = trivial_extension(alg_fd, sigma, n_ext)
-        frobenius_structure(gamma)
+        gamma.pairings
         assert twist_matrices(gamma.nakayama) == block_nakayama_oracle(
             alg_fd, sigma, n_ext)
     # parity twist at the top makes the extension graded symmetric

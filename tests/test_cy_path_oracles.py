@@ -24,8 +24,7 @@ from helpers import (AS_REGULAR, OTHER_TWIST, algebra_of_description, cert_of,
                      oracle_trivial_extension_table, skew_ring,
                      twist_matrices)
 from quadalg import (Matrix, Subspace, as_regular_certificate,
-                     frobenius_structure, is_graded_symmetric,
-                     preserves_subspace, skew_extend,
+                     is_graded_symmetric, preserves_subspace, skew_extend,
                      truncated_structure, twisted_module_trivial_extension)
 
 F = Fraction
@@ -109,7 +108,7 @@ def test_frobenius_data_and_symmetry_match_the_fraction_comparison(case):
     ext = skew_extend(cert, sigma)
     for alg in (cert.dual_fd, ext.model, ext.honest_dual):
         pairings, nakayama = map(int_twist, oracle_frobenius(alg))
-        assert frobenius_structure(alg) == pairings
+        assert alg.pairings == pairings
         assert alg.nakayama == nakayama
         ok, witness, ok_nakayama = oracle_graded_symmetry(alg)
         assert ok_nakayama == ok

@@ -21,7 +21,7 @@ from helpers import (AS_REGULAR, CORPUS, FractionMatrix, algebra_of,
 from quadalg import frobenius
 from quadalg import (GradedFDAlgebra, Matrix, NotFrobenius, QuadraticAlgebra,
                      Subspace, as_regular_certificate,
-                     frobenius_structure, is_graded_symmetric, skew_extend,
+                     is_graded_symmetric, skew_extend,
                      truncated_structure, twisted_module_trivial_extension,
                      word_to_index)
 from quadalg.io import parse_description
@@ -99,7 +99,7 @@ def test_commutative_dual_is_graded_symmetric_odd_top():
     # Its top basis word is x*y*, the pivot word of K_2, spanned by xy - yx
     alg = _fd("kxy")
     assert alg.words[2] == (word_to_index((0, 1), 2),)
-    pairings = frobenius_structure(alg)
+    pairings = alg.pairings
     assert pairings[1].entries == ((F(0), F(1)), (F(-1), F(0)))
     ok, witness = is_graded_symmetric(alg)
     assert ok and witness is None
@@ -115,16 +115,20 @@ def _monomial_xy_algebra():
 
 
 def test_not_frobenius_degenerate():
-    # T(x,y)/(xy) dual, cut at length 2: the degree-1 pairing is singular
+    # T(x,y)/(xy) dual, cut at length 2: the degree-1 pairing is singular.
+    # Reading the pairings is the whole Frobenius check, so its rank
+    # refuses it there, and the cached property keeps nothing of the read
     dual = _monomial_xy_algebra().dual
     fd = truncated_structure(dual, 2)
     with pytest.raises(NotFrobenius) as info:
-        frobenius_structure(fd)
+        fd.pairings
     assert info.value.witness_degree == 1
+    assert info.value.reason == frobenius.DEGENERATE
+    assert "pairings" not in vars(fd)
     # cut at length 3 instead, the zero top is hit first
     fd3 = truncated_structure(dual, 3)
     with pytest.raises(NotFrobenius) as info3:
-        frobenius_structure(fd3)
+        fd3.pairings
     assert info3.value.witness_degree == 3
     # T(x,y)/(xy, yx, y^2) cut at length 3 has dims (1, 2, 1, 1): a nonzero
     # top, but degrees 1 and 2 cannot pair perfectly
@@ -133,29 +137,30 @@ def test_not_frobenius_degenerate():
     fd_mono = truncated_structure(mono, 3)
     assert fd_mono.dims == (1, 2, 1, 1)
     with pytest.raises(NotFrobenius) as info_mono:
-        frobenius_structure(fd_mono)
+        fd_mono.pairings
     assert info_mono.value.witness_degree == 1
     assert info_mono.value.reason == "dim mismatch 2 vs 1 between degrees 1 and 2"
 
 
-def test_the_symmetry_test_meets_a_degenerate_pairing_in_its_solve():
-    # is_graded_symmetric takes no rank: the Nakayama solve of the
-    # degenerate degree-1 pairing raises what frobenius_structure raises
+def test_the_symmetry_test_meets_a_degenerate_pairing_in_the_pairings():
+    # is_graded_symmetric reads the pairings first, which refuse the
+    # degenerate degree-1 pairing before any Nakayama block is solved
     fd = truncated_structure(_monomial_xy_algebra().dual, 2)
     with pytest.raises(NotFrobenius) as info:
         is_graded_symmetric(fd)
     assert info.value.witness_degree == 1
     assert info.value.reason == ("degenerate pairing against the "
                                  "complementary degree")
+    assert "nakayama" not in vars(fd)
 
 
 @pytest.mark.parametrize("name", ("kxy", "jordan_plane", "poly3"))
 def test_the_structure_ranks_and_the_symmetry_test_solves(monkeypatch,
                                                           name):
-    # the structure checks each pairing by one rank and solves nothing; the
-    # symmetry test solves each Nakayama block once, takes no rank, and is
-    # what reads the blocks.  Each algebra is a copy of the table that
-    # nothing has been read from, as the blocks are kept on the algebra
+    # reading the pairings checks each by one rank and solves nothing; the
+    # symmetry test then solves each Nakayama block once, takes no rank, and
+    # is what reads the blocks.  Each algebra is a copy of the table that
+    # nothing has been read from, as both are kept on the algebra
     solves, ranks = [], []
     solve, rank = frobenius.solve_square, Matrix.rank
     monkeypatch.setattr(frobenius, "solve_square",
@@ -166,7 +171,7 @@ def test_the_structure_ranks_and_the_symmetry_test_solves(monkeypatch,
     for seen in (cert_of(name).dual_fd, ext.model, ext.honest_dual):
         alg = GradedFDAlgebra(seen.dims, seen.int_mult, seen.den)
         del solves[:], ranks[:]
-        pairings = frobenius_structure(alg)
+        pairings = alg.pairings
         assert (len(solves), len(ranks)) == (0, alg.length + 1)
         assert list(pairings) == ranks
         del ranks[:]
@@ -178,7 +183,7 @@ def test_the_structure_ranks_and_the_symmetry_test_solves(monkeypatch,
 def test_an_algebra_builds_its_pairings_once_and_solves_its_blocks_once(
         monkeypatch, name):
     # the pairings and the Nakayama blocks are the algebra's own: in every
-    # order of reading them through the structure, the symmetry test twice
+    # order of reading them through the pairings, the symmetry test twice
     # and the blocks, one pairings object is read and each block is solved
     # once, against those pairings.  Each algebra is a copy of the table
     # that nothing has been read from
@@ -186,7 +191,7 @@ def test_an_algebra_builds_its_pairings_once_and_solves_its_blocks_once(
     solve = frobenius.solve_square
     monkeypatch.setattr(frobenius, "solve_square",
                         lambda a, b: solves.append(a) or solve(a, b))
-    reads = {"structure": frobenius_structure,
+    reads = {"structure": lambda alg: alg.pairings,
              "symmetry": is_graded_symmetric,
              "nakayama": lambda alg: alg.nakayama}
     orders = sorted(set(itertools.permutations(
@@ -230,7 +235,7 @@ def test_nakayama_blocks_match_the_dense_inverse():
             ext = skew_extend(cert, sigma)
             algs += [ext.model, ext.honest_dual]
     for alg in algs:
-        pairings = frobenius_structure(alg)
+        pairings = alg.pairings
         d = alg.length
         for i in range(d + 1):
             expect = (dense_inverse(pairings[i])
@@ -261,7 +266,7 @@ def test_trivial_extension_products_and_pairing():
     # f is (top)*; its square lands in degree 2 and must vanish on the dual
     # block; it has no algebra component either
     assert all(v == 0 for v in prod)
-    pairings = frobenius_structure(gamma)
+    pairings = gamma.pairings
     # unit pairs with the top copy of the unit functional
     assert pairings[0].entries[0][0] == F(1)
     # algebra times dual-block is plain evaluation here (left action is the
@@ -287,7 +292,7 @@ def test_trivial_extension_nakayama_block_oracle():
         sig = scalar_twist(E, k, c)
         n_ext = E.length + rng.choice([1, 2])
         gamma = trivial_extension(E, sig, n_ext)
-        frobenius_structure(gamma)
+        gamma.pairings
         oracle = block_nakayama_oracle(E, sig, n_ext)
         for i in range(n_ext + 1):
             assert fraction_matrix(gamma.nakayama[i]) == oracle[i], (
@@ -649,7 +654,7 @@ def test_malformed_sparse_table_is_rejected():
         mult = dict(alg.int_mult)
         block = [list(row) for row in mult[(1, 1)]]
         block[0][1] = cell
-        mult[(1, 1)] = block
+        mult[(1, 1)] = tuple(map(tuple, block))
         return mult
 
     top, value = alg.dims[2], x_y[0][1]
@@ -674,6 +679,24 @@ def test_malformed_sparse_table_is_rejected():
         with pytest.raises(LinAlgError, match=re.escape(
                 "bad structure block at degrees (1, 1)")):
             GradedFDAlgebra(alg.dims, mult, den)
+
+
+def test_a_table_not_of_tuples_is_refused():
+    # the constructor takes one form, tuple blocks of tuple rows of tuple
+    # cells, and rebuilds no other: the same (1, 1) block with the block, a
+    # row or a cell given as a list is refused
+    alg = _fd("quantum_plane_q2")
+    block = alg.int_mult[(1, 1)]
+    assert block[0][1]
+    for bad in (list(block),
+                (list(block[0]),) + block[1:],
+                ((block[0][0], list(block[0][1])),) + block[1:]):
+        with pytest.raises(LinAlgError, match=re.escape(
+                "bad structure block at degrees (1, 1)")):
+            GradedFDAlgebra(alg.dims, {**alg.int_mult, (1, 1): bad}, alg.den)
+    assert structure_equal(
+        GradedFDAlgebra(alg.dims, {**alg.int_mult, (1, 1): block}, alg.den),
+        alg)
 
 
 def test_corrupted_constant_fails_associativity_with_mixed_denominators():
@@ -769,7 +792,7 @@ def test_malformed_integer_table_is_rejected():
         mult = dict(alg.int_mult)
         block = [list(row) for row in mult[(1, 1)]]
         block[0][1] = ((x_y[0][0], value),)
-        mult[(1, 1)] = block
+        mult[(1, 1)] = tuple(map(tuple, block))
         assert message(alg.dims, mult, den).startswith(
             "bad structure cell at degrees (1, 1)"), value
     for bad_den in (0, -den, F(den), float(den), True, None):
